@@ -1,44 +1,24 @@
-"""Distributed runner: socket workers under the sync-window schedule.
+"""Distributed runner: the socket transport of the sync-window driver.
 
-The fourth way the one deterministic schedule executes (after serial,
-simulated, and process runners): worker processes connected over TCP
-sockets speaking the :mod:`repro.core.wire` protocol.  Loopback by
-default — the coordinator listens on ``127.0.0.1`` and forks local
-workers that connect back — or against pre-started worker servers named
-by ``host:port`` specs (the CLI ``worker`` subcommand) for real
-clusters.
+Worker processes connected over TCP sockets speak the
+:mod:`repro.core.wire` protocol under the one
+:class:`~repro.core.runners.RunnerSession` driver, which owns the
+schedule, the Phase-1 merges and all accounting.  Loopback by default —
+the coordinator listens on ``127.0.0.1`` and forks local workers that
+connect back — or against pre-started worker servers named by
+``host:port`` specs (the CLI ``worker`` subcommand) for real clusters.
 
-Determinism contract
---------------------
-``DistributedRunner`` is pinned full-state bit-exact with
-``SimulatedRunner`` and ``ProcessRunner`` per schedule (and with the
-sequential pipeline at ``n_workers=1``) by ``tests/differential.py``.
-The pin holds because every protocol round-trip is a value-preserving
-recoding of the shared-memory runners' arithmetic:
-
-- Workers reopen the job's stream from its spec, so window chunk
-  boundaries — which the vectorized kernels are sensitive to — are
-  identical to every other runner's.
-- Phase-1 merges run coordinator-side through the same kernel merge ops
-  (``merge_phase1_degrees`` / ``merge_phase1_clustering`` +
-  ``compact_clustering``), folding worker exports in task order exactly
-  like the process runner.  A single worker keeps one live clustering
-  state worker-side (no reload/merge), mirroring the simulated runner.
-- Phase-2 barriers ship each worker's **dirty replica rows only**
-  (:func:`~repro.partitioning.state.extract_replica_delta`); the
-  coordinator folds them with
-  :func:`~repro.partitioning.state.merge_replica_wire_deltas` — the
-  same OR-over-dirty-union / disjoint-size-delta arithmetic as
-  ``merge_replica_deltas`` — and broadcasts one refresh every worker
-  acknowledges before the next sweep.  A row clean in worker *w* is
-  bit-identical to the pre-merge global row, so omitting it from *w*'s
-  contribution changes no bit.  Packed replica planes cross the wire as
-  raw byte blocks and merge by byte-OR, dense rows as bool blocks — one
-  code path, like the shared-memory barrier.
-- Assignment slices come back per window and merge where ``>= 0``: the
-  two Phase-2 passes write disjoint positions (the remaining mask is
-  the complement of the prepartition mask under the frozen Phase-1
-  arrays), so last-write-wins never happens.
+Why this transport is bit-exact with the simulated and process runners
+is stated with the equivalence contract in :mod:`repro.core.runners`.
+On the wire, a Phase-2 window returns its assignment slice, its cost
+delta and the worker's dirty replica rows
+(:func:`~repro.partitioning.state.extract_replica_delta`); the barrier
+folds those with
+:func:`~repro.partitioning.state.merge_replica_wire_deltas` and
+broadcasts one refresh every worker acknowledges before the next sweep.
+A Phase-1 clustering window carries the merged snapshot it loads from,
+except for a lone worker, which keeps one live clustering state
+worker-side until ``CLUSTER_FINISH``.
 
 Failure surface
 ---------------
@@ -65,16 +45,17 @@ import numpy as np
 
 from repro.core import wire
 from repro.core.runners import (
-    _LIVE_SEGMENTS,
     PASS_METHODS,
     RUNNERS,
     Runner,
     RunnerSession,
+    Transport,
+    WorkerFailed,
     _DirtyMarkingStream,
-    _merge_cost,
+    _release_segment,
+    _stream_spec,
     _SubStream,
-    _sweep_schedule,
-    compact_clustering,
+    check_start_method,
     default_start_method,
 )
 from repro.errors import ConfigurationError, PartitioningError, WireError
@@ -89,7 +70,6 @@ from repro.partitioning.state import (
 )
 from repro.streaming.stream import (
     FileStreamSpec,
-    make_stream_spec,
     spec_from_wire,
     spec_to_wire,
 )
@@ -412,14 +392,7 @@ class DistributedRunner(Runner):
                 "connect_timeout and recv_timeout must be positive, got "
                 f"{connect_timeout} / {recv_timeout}"
             )
-        if start_method is not None:
-            import multiprocessing as mp
-
-            if start_method not in mp.get_all_start_methods():
-                raise ConfigurationError(
-                    f"start_method {start_method!r} not available; "
-                    f"choose from {mp.get_all_start_methods()}"
-                )
+        check_start_method(start_method)
         self.workers = (
             None
             if workers is None
@@ -430,10 +403,12 @@ class DistributedRunner(Runner):
         self.start_method = start_method
 
     def open(self, job) -> RunnerSession:
-        return _DistributedSession(self, job)
+        return RunnerSession(job, _SocketTransport(self, job))
 
 
-class _DistributedSession(RunnerSession):
+class _SocketTransport(Transport):
+    """Window tasks as wire requests to one socket worker per shard."""
+
     def __init__(self, runner: DistributedRunner, job) -> None:
         self.job = job
         self._recv_timeout = runner.recv_timeout
@@ -443,6 +418,9 @@ class _DistributedSession(RunnerSession):
         self._listener = None
         self._stream_shm = None
         self._row_bytes = 0
+        self._lone = False
+        self._snapshot = None
+        self._deltas: list = []
         self._closed = False
         self.wire_barrier_delta_bytes = 0
         self.wire_barrier_plane_bytes = 0
@@ -456,9 +434,7 @@ class _DistributedSession(RunnerSession):
     # -- bootstrap -----------------------------------------------------
     def _setup(self, runner: DistributedRunner) -> None:
         job = self.job
-        spec, self._stream_shm = make_stream_spec(job.stream)
-        if self._stream_shm is not None:
-            _LIVE_SEGMENTS.add(self._stream_shm.name)
+        spec, self._stream_shm = _stream_spec(job.stream)
         if runner.workers is not None:
             if len(runner.workers) != job.n_workers:
                 raise ConfigurationError(
@@ -484,14 +460,14 @@ class _DistributedSession(RunnerSession):
                 ) from exc
         job_fields = {
             "spec": spec_to_wire(spec),
-            "n_edges": int(job.shard_bounds[-1]),
+            "n_edges": int(job.stream.n_edges),
             "k": job.k,
             "alpha": job.alpha,
             "backend": job.backend,
             "hash_seed": job.hash_seed,
             "hdrf_lambda": job.hdrf_lambda,
         }
-        for w, conn in enumerate(self._conns):
+        for w in range(len(self._conns)):
             self._send(w, wire.MSG_JOB, {**job_fields, "worker_index": w},
                        "job setup")
         for w in range(len(self._conns)):
@@ -559,9 +535,8 @@ class _DistributedSession(RunnerSession):
                 f"distributed {step}: worker {w} died or stalled: {exc}"
             ) from exc
         if msg_type == wire.MSG_ERROR:
-            raise PartitioningError(
-                f"distributed worker {w} failed during {step}: "
-                f"{payload.get('message', 'no detail')}"
+            raise WorkerFailed(
+                w, step, payload.get("message", "no detail")
             )
         if msg_type != expected:
             raise PartitioningError(
@@ -580,89 +555,69 @@ class _DistributedSession(RunnerSession):
             for w in range(len(self._conns))
         ]
 
-    # -- Phase 1 -------------------------------------------------------
-    def run_degree_pass(self, n_hint: int | None = None) -> np.ndarray:
-        job = self.job
-        active = []
-        for w in range(job.n_workers):
-            start = int(job.shard_bounds[w])
-            stop = int(job.shard_bounds[w + 1])
-            if start == stop:
-                continue
-            self._send(
-                w, wire.MSG_DEGREE, {"start": start, "stop": stop}, "degree"
-            )
-            active.append(w)
-        partials = [
-            self._recv(w, wire.MSG_DEGREE_RESULT, "degree")["degrees"]
-            for w in active
-        ]
-        return get_backend(job.backend).merge_phase1_degrees(
-            partials, n_hint
-        )
+    # -- window sweeps -------------------------------------------------
+    _MESSAGES = {
+        "degree": (wire.MSG_DEGREE, wire.MSG_DEGREE_RESULT),
+        "clustering": (wire.MSG_CLUSTER, wire.MSG_CLUSTER_RESULT),
+    }
 
-    def run_clustering(self, degrees, cap, n_passes):
-        job = self.job
-        kernels = get_backend(job.backend)
-        degrees = np.asarray(degrees, dtype=np.int64)
-        single = job.n_workers == 1
+    def run(self, step, tasks):
+        request, reply = self._MESSAGES.get(
+            step, (wire.MSG_WINDOW, wire.MSG_WINDOW_RESULT)
+        )
+        for w, start, stop in tasks:
+            if step in self._MESSAGES:
+                fields = {"start": start, "stop": stop}
+            else:
+                fields = {"pass": step, "start": start, "stop": stop}
+            if step == "clustering" and not self._lone:
+                # The merged clustering the worker loads from — the wire
+                # twin of the pool transport's shared scratch slots.
+                fields["v2c"], fields["volumes"] = self._snapshot
+            self._send(w, request, fields, step)
+        return [
+            self._result(step, start, stop, self._recv(w, reply, step))
+            for w, start, stop in tasks
+        ]
+
+    def _result(self, step, start, stop, payload):
+        if step == "degree":
+            return payload["degrees"], ()
+        if step == "clustering":
+            export = None if self._lone else (payload["v2c"], payload["volumes"])
+            return export, payload["cost"]
+        returned = payload["assignments"]
+        np.copyto(
+            self.job.assignments[start:stop], returned, where=returned >= 0
+        )
+        self._deltas.append(
+            (payload["rows"], payload["rows_data"], payload["sizes"])
+        )
+        return int(payload["total"]), payload["cost"]
+
+    # -- Phase 1 -------------------------------------------------------
+    def open_clustering(self, degrees, cap, lone):
+        self._lone = lone
         self._broadcast(
             wire.MSG_PHASE1_INIT,
-            {"degrees": degrees, "cap": float(cap), "single": single},
+            {"degrees": degrees, "cap": cap, "single": lone},
             wire.MSG_OK,
             "clustering",
         )
-        v2c_g = np.full(degrees.shape[0], -1, dtype=np.int64)
-        vol_g = np.zeros(0, dtype=np.int64)
-        syncs = 0
-        for _ in range(int(n_passes)):
-            position = [
-                int(job.shard_bounds[w]) for w in range(job.n_workers)
-            ]
-            stop = [
-                int(job.shard_bounds[w + 1]) for w in range(job.n_workers)
-            ]
-            while True:
-                tasks = _sweep_schedule(
-                    position, stop, job.sync_interval, "cluster"
-                )
-                if not tasks:
-                    break
-                for w, _, t_start, t_stop in tasks:
-                    fields = {"start": t_start, "stop": t_stop}
-                    if not single:
-                        # The merged clustering the worker loads from —
-                        # the wire twin of the process runner's shared
-                        # scratch slots.
-                        fields["v2c"] = v2c_g
-                        fields["volumes"] = vol_g
-                    self._send(w, wire.MSG_CLUSTER, fields, "clustering")
-                results = [
-                    self._recv(w, wire.MSG_CLUSTER_RESULT, "clustering")
-                    for w, _, _, _ in tasks
-                ]
-                for result in results:
-                    _merge_cost(job.cost, result["cost"])
-                syncs += 1
-                if single:
-                    continue  # the lone worker's live state stays put
-                exports = [
-                    (result["v2c"], result["volumes"])
-                    for result in results
-                ]
-                v2c_g, vol_g = kernels.merge_phase1_clustering(
-                    v2c_g, vol_g, exports, degrees
-                )
-                v2c_g, vol_g = compact_clustering(v2c_g, vol_g)
-        if single:
-            self._send(0, wire.MSG_CLUSTER_FINISH, None, "clustering")
-            result = self._recv(0, wire.MSG_CLUSTER_RESULT, "clustering")
-            v2c_g = result["v2c"]
-            vol_g = result["volumes"]
-        return v2c_g, vol_g, syncs
+
+    def publish_clustering(self, v2c, volumes):
+        self._snapshot = (v2c, volumes)
+
+    def close_clustering(self, lone):
+        self._snapshot = None
+        if not lone:
+            return None
+        self._send(0, wire.MSG_CLUSTER_FINISH, None, "clustering")
+        result = self._recv(0, wire.MSG_CLUSTER_RESULT, "clustering")
+        return result["v2c"], result["volumes"]
 
     # -- Phase 2 -------------------------------------------------------
-    def bind_phase2(self) -> None:
+    def bind_phase2(self, lone):
         job = self.job
         self._row_bytes = (
             packed_row_bytes(job.k) if job.state.packed else int(job.k)
@@ -681,65 +636,28 @@ class _DistributedSession(RunnerSession):
             "phase-2 bind",
         )
 
-    def run_pass(self, pass_name: str) -> tuple[int, int]:
-        if pass_name not in PASS_METHODS:
-            raise ConfigurationError(f"unknown pass {pass_name!r}")
+    def barrier(self, step):
         job = self.job
         n = int(job.state.n_vertices)
-        position = [int(job.shard_bounds[w]) for w in range(job.n_workers)]
-        stop = [int(job.shard_bounds[w + 1]) for w in range(job.n_workers)]
-        total = 0
-        syncs = 0
-        while True:
-            tasks = _sweep_schedule(
-                position, stop, job.sync_interval, pass_name
-            )
-            if not tasks:
-                break
-            for w, _, t_start, t_stop in tasks:
-                self._send(
-                    w,
-                    wire.MSG_WINDOW,
-                    {"pass": pass_name, "start": t_start, "stop": t_stop},
-                    pass_name,
-                )
-            deltas = []
-            for w, _, t_start, t_stop in tasks:
-                result = self._recv(w, wire.MSG_WINDOW_RESULT, pass_name)
-                returned = result["assignments"]
-                np.copyto(
-                    job.assignments[t_start:t_stop],
-                    returned,
-                    where=returned >= 0,
-                )
-                total += int(result["total"])
-                _merge_cost(job.cost, result["cost"])
-                deltas.append(
-                    (result["rows"], result["rows_data"], result["sizes"])
-                )
-            rows, merged, new_sizes = merge_replica_wire_deltas(
-                job.state, deltas
-            )
-            self._broadcast(
-                wire.MSG_BARRIER,
-                {"rows": rows, "rows_data": merged, "sizes": new_sizes},
-                wire.MSG_BARRIER_ACK,
-                f"{pass_name} barrier",
-            )
-            syncs += 1
-            self.barrier_rows += int(rows.size)
-            self.barrier_full_rows += n
-            # Three views of barrier traffic: the full refresh payload
-            # (row indices + row planes + sizes), the replica-plane
-            # component alone, and what a full-state re-broadcast would
-            # have shipped (every plane row + sizes, no indices needed).
-            per_worker = rows.nbytes + merged.nbytes + new_sizes.nbytes
-            self.wire_barrier_delta_bytes += per_worker * job.n_workers
-            self.wire_barrier_plane_bytes += merged.nbytes * job.n_workers
-            self.wire_barrier_full_bytes += (
-                n * self._row_bytes + new_sizes.nbytes
-            ) * job.n_workers
-        return total, syncs
+        deltas, self._deltas = self._deltas, []
+        rows, merged, new_sizes = merge_replica_wire_deltas(job.state, deltas)
+        self._broadcast(
+            wire.MSG_BARRIER,
+            {"rows": rows, "rows_data": merged, "sizes": new_sizes},
+            wire.MSG_BARRIER_ACK,
+            f"{step} barrier",
+        )
+        # Three views of barrier traffic: the full refresh payload
+        # (row indices + row planes + sizes), the replica-plane
+        # component alone, and what a full-state re-broadcast would
+        # have shipped (every plane row + sizes, no indices needed).
+        per_worker = rows.nbytes + merged.nbytes + new_sizes.nbytes
+        self.wire_barrier_delta_bytes += per_worker * job.n_workers
+        self.wire_barrier_plane_bytes += merged.nbytes * job.n_workers
+        self.wire_barrier_full_bytes += (
+            n * self._row_bytes + new_sizes.nbytes
+        ) * job.n_workers
+        return int(rows.size)
 
     # -- bookkeeping ---------------------------------------------------
     def wire_stats(self) -> dict:
@@ -793,12 +711,7 @@ class _DistributedSession(RunnerSession):
             _LIVE_WORKER_PROCS.discard(proc)
         if self._stream_shm is not None:
             shm, self._stream_shm = self._stream_shm, None
-            _LIVE_SEGMENTS.discard(shm.name)
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - cleanup race
-                pass
+            _release_segment(shm)
 
 
 RUNNERS["distributed"] = DistributedRunner

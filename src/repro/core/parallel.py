@@ -23,46 +23,17 @@ knob at ``n_workers > 1`` (workers cluster against a stale snapshot
 between barriers) but a pure execution knob at ``n_workers = 1``, where
 it stays bit-exact with the sequential pipeline.
 
-Execution is delegated to a pluggable **runner**
-(:mod:`repro.core.runners`), which decides *who* executes the
-deterministic sync-window schedule:
-
-- ``runner="serial"`` — no sharding: the sequential reference execution
-  (bit-exact with :class:`~repro.core.partitioner.TwoPhasePartitioner`
-  for any worker count; zero syncs, zero staleness).
-- ``runner="simulated"`` (default) — single-process round-robin over
-  per-worker stale state views with merge barriers.  Deterministic and
-  dependency-free; the parallel wall-clock in ``extras`` is *modeled* as
-  ``sequential_phase2 / n_workers + syncs * sync_latency``.
-- ``runner="process"`` — true ``multiprocessing`` workers against
-  shared-memory-backed :class:`~repro.partitioning.state.PartitionState`
-  views, with the stream reopened per worker from a picklable spec
-  (:class:`~repro.streaming.stream.FileEdgeStream` shards stay
-  out-of-core).  The parallel wall-clock is *measured*: the phase timer
-  wraps real concurrent execution.
-
-What stays bit-exact, and why
------------------------------
-All runners execute the same schedule (worker ``w`` streams shard
-``[bounds[w], bounds[w+1])`` in windows of at most ``sync_interval``
-edges; a barrier merges and refreshes every view after each sweep), and
-every sync window dispatches the same kernel-layer passes
-(:mod:`repro.kernels`) the sequential pipeline uses.  Because the kernel
-contract makes chunk and window boundaries semantics-free, the runner
-choice is a pure execution knob:
-
-- ``process`` is bit-identical to ``simulated`` under the same schedule —
-  per-edge assignments, replica bits, partition sizes and cost counters
-  (worker cost deltas are summed, and sums commute);
-- ``n_workers=1`` is bit-exact with the sequential
-  :class:`~repro.core.partitioner.TwoPhasePartitioner` for *any*
-  ``sync_interval`` (a single worker's view is never stale);
-- any registered kernel backend accelerates every runner for free, and
-  backends stay bit-exact with each other through the parallel path.
-
-The differential suite in ``tests/test_parallel_kernels.py`` pins all of
-this; ``benchmarks/run_bench.py`` gates the measured process-runner
-speedup into ``BENCH_parallel.json``.
+:class:`ParallelTwoPhase` reruns the one 2PS-L pipeline of
+:class:`~repro.core.partitioner.TwoPhasePartitioner` on the sessions of
+a pluggable **runner** (:mod:`repro.core.runners`: ``"serial"``,
+``"simulated"`` — the default — ``"process"`` or ``"distributed"``),
+which drive the deterministic sync-window schedule over their
+transports.  The runner choice is a pure execution knob; which results
+are bit-exact across runners, backends and worker counts, and why, is
+stated once, in :mod:`repro.core.runners`.  The simulated runner's
+parallel wall-clock in ``extras`` is *modeled* as ``sequential_phase2 /
+n_workers + syncs * sync_latency``; the process and distributed runners
+*measure* it.
 
 Note on balance: each worker enforces the cap against its *stale* size
 view, so within one sync window the global partition sizes can overshoot
@@ -72,21 +43,13 @@ shows.  The measured alpha is reported in the result as usual.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.clustering import ClusteringResult, default_volume_cap
-from repro.core.partitioner import run_phase1
-from repro.core.runners import Runner, ShardedJob, make_runner
-from repro.core.scheduling import graham_schedule
+from repro.core.partitioner import TwoPhasePartitioner
+from repro.core.partitioner import graham_schedule, run_phase1  # noqa: F401
+from repro.core.runners import Runner, SerialRunner, make_runner
 from repro.errors import ConfigurationError
-from repro.kernels import get_backend
-from repro.metrics.memory import measured_state_bytes
-from repro.metrics.runtime import CostCounter, PhaseTimer
-from repro.partitioning.base import EdgePartitioner, PartitionResult
-from repro.partitioning.state import PartitionState
 
 
-class ParallelTwoPhase(EdgePartitioner):
+class ParallelTwoPhase(TwoPhasePartitioner):
     """Sharded 2PS-L / 2PS-HDRF with periodic state synchronization.
 
     Parameters
@@ -96,27 +59,15 @@ class ParallelTwoPhase(EdgePartitioner):
     sync_interval:
         Edges each worker processes between state synchronizations; larger
         means staler replica/size views and lower quality.
-    clustering_passes:
-        Streaming clustering passes of the shared Phase 1.
-    mode:
-        ``"linear"`` (2PS-L scoring) or ``"hdrf"`` (2PS-HDRF scoring) for
-        the remaining pass, exactly as in the sequential partitioner.
     sync_latency:
         Modeled seconds per synchronization barrier (used by the
         simulated runner's parallel wall-clock estimate in ``extras``).
-    backend:
-        Kernel backend name (:mod:`repro.kernels`); ``None`` selects the
-        default.  Pure performance knob — backends are bit-exact.
-    chunk_size:
-        Default edges-per-chunk for every streaming pass of a run;
-        ``None`` keeps the stream's own default, ``"auto"`` derives one
-        from ``|V|`` and ``k`` (:func:`repro.streaming.stream.
-        auto_chunk_size`).
     runner:
         Execution runner: ``"serial"``, ``"simulated"`` (default),
-        ``"process"``, or a :class:`~repro.core.runners.Runner` instance.
-        A pure execution knob — results are bit-identical across runners
-        under the same schedule (see the module docstring).
+        ``"process"``, ``"distributed"``, or a
+        :class:`~repro.core.runners.Runner` instance.  A pure execution
+        knob — results are bit-identical across runners under the same
+        schedule (see :mod:`repro.core.runners`).
     parallel_phase1:
         When True, the degree and clustering passes are sharded through
         the runner session too (partial degree vectors summed; clustering
@@ -127,17 +78,12 @@ class ParallelTwoPhase(EdgePartitioner):
     start_method, task_timeout:
         Process-runner knobs (``multiprocessing`` start method and the
         per-window hang timeout); ignored by the other runners.
-    packed_state:
-        When True, the global state and every worker view store the
-        replica matrix bit-packed (``ceil(k/8)`` bytes per row — the
-        out-of-core memory tier).  A pure storage knob: results are
-        bit-exact with dense state on every runner and backend.
-    tune:
-        ``"auto"`` enables the online auto-tuner (:mod:`repro.tuning`)
-        for every ``partition(...)`` call of this instance; ``None``
-        (default) disables it.  The tuner touches ``sync_interval`` only
-        in the semantics-free regime (``n_workers == 1`` or the serial
-        runner), so tuned runs stay bit-exact with untuned ones.
+
+    The remaining parameters are those of
+    :class:`~repro.core.partitioner.TwoPhasePartitioner`; with
+    ``packed_state`` every worker view is bit-packed too, and
+    ``tune="auto"`` touches ``sync_interval`` only in the semantics-free
+    regime (``n_workers == 1`` or the serial runner).
     """
 
     def __init__(
@@ -165,191 +111,62 @@ class ParallelTwoPhase(EdgePartitioner):
             raise ConfigurationError(
                 f"sync_interval must be >= 1, got {sync_interval}"
             )
-        if mode not in ("linear", "hdrf"):
-            raise ConfigurationError(
-                f"mode must be 'linear' or 'hdrf', got {mode!r}"
-            )
-        if volume_cap_factor <= 0:
-            raise ConfigurationError(
-                f"volume_cap_factor must be positive, got {volume_cap_factor}"
-            )
-        if (
-            chunk_size is not None
-            and chunk_size != "auto"
-            and (isinstance(chunk_size, str) or chunk_size <= 0)
-        ):
-            raise ConfigurationError(
-                f"chunk_size must be positive or 'auto', got {chunk_size!r}"
-            )
-        if tune not in (None, "auto"):
-            raise ConfigurationError(
-                f"tune must be None or 'auto', got {tune!r}"
-            )
-        get_backend(backend)  # validate the name eagerly
+        super().__init__(
+            clustering_passes=clustering_passes,
+            volume_cap_factor=volume_cap_factor,
+            mode=mode,
+            hdrf_lambda=hdrf_lambda,
+            hash_seed=hash_seed,
+            keep_state=False,
+            backend=backend,
+            chunk_size=chunk_size,
+            packed_state=packed_state,
+            tune=tune,
+        )
         self.n_workers = int(n_workers)
         self.sync_interval = int(sync_interval)
-        self.clustering_passes = int(clustering_passes)
-        self.volume_cap_factor = float(volume_cap_factor)
-        self.mode = mode
-        self.hdrf_lambda = float(hdrf_lambda)
         self.sync_latency = float(sync_latency)
-        self.hash_seed = int(hash_seed)
-        self.backend = backend
-        self.chunk_size = chunk_size
         self.runner = make_runner(
             runner, start_method=start_method, task_timeout=task_timeout
         )
         self.parallel_phase1 = bool(parallel_phase1)
-        self.packed_state = bool(packed_state)
-        self.tune = tune
         self.name = (
             "2PS-L-parallel" if mode == "linear" else "2PS-HDRF-parallel"
         )
 
     # ------------------------------------------------------------------
-    def _run(self, stream, k: int, alpha: float) -> PartitionResult:
-        kernels = get_backend(self.backend)
-        timer = PhaseTimer()
-        cost = CostCounter()
-        m = stream.n_edges
-
-        job = ShardedJob(
-            stream=stream,
-            n_workers=self.n_workers,
-            sync_interval=self.sync_interval,
-            shard_bounds=np.linspace(0, m, self.n_workers + 1).astype(
-                np.int64
-            ),
-            # The *resolved* backend name: if an optional backend (e.g.
-            # numba) fell back to the default, the parent resolves it
-            # once and every runner worker receives the concrete name —
-            # no per-worker re-detection or repeated fallback warnings.
-            backend=kernels.name,
-            k=k,
-            alpha=alpha,
-            hash_seed=self.hash_seed,
-            hdrf_lambda=self.hdrf_lambda,
-            cost=cost,
-        )
-
+    def _open(self, job):
+        job.n_workers = self.n_workers
+        job.sync_interval = self.sync_interval
         session = self.runner.open(job)
-        try:
-            if self.parallel_phase1:
-                n, degrees, clustering, c2p, loads, phase1_syncs = (
-                    self._run_parallel_phase1(
-                        session, stream, k, m, timer, cost
-                    )
-                )
-            else:
-                n, degrees, clustering, c2p, loads = run_phase1(
-                    stream,
-                    k,
-                    backend=self.backend,
-                    clustering_passes=self.clustering_passes,
-                    volume_cap_factor=self.volume_cap_factor,
-                    timer=timer,
-                    cost=cost,
-                )
-                phase1_syncs = 0
+        if self.parallel_phase1:
+            return session, session
+        return SerialRunner().open(job), session
 
-            state = PartitionState(n, k, m, alpha, packed=self.packed_state)
-            assignments = np.full(m, -1, dtype=np.int32)
-            job.v2c = clustering.v2c
-            job.c2p = c2p
-            job.volumes = clustering.volumes
-            job.degrees = degrees
-            job.state = state
-            job.assignments = assignments
-            session.bind_phase2()
-
-            with timer.phase("prepartition"):
-                n_pre, syncs_pre = session.run_pass("prepartition")
-            remaining = (
-                "remaining_linear"
-                if self.mode == "linear"
-                else "remaining_hdrf"
-            )
-            with timer.phase("partitioning"):
-                _, syncs_rem = session.run_pass(remaining)
-            worker_bytes = session.extra_state_bytes()
-            barrier_rows = session.barrier_rows
-            barrier_full_rows = session.barrier_full_rows
-            wire_stats = session.wire_stats()
-            session.finalize()
-        finally:
-            session.close()
-        syncs = syncs_pre + syncs_rem
-
+    def _extras(self, session, timer, syncs, phase1_syncs) -> dict:
         phase2_seconds = timer.totals.get("prepartition", 0.0) + (
             timer.totals.get("partitioning", 0.0)
         )
-        return PartitionResult(
-            partitioner=self.name,
-            k=k,
-            alpha=alpha,
-            n_vertices=n,
-            n_edges=m,
-            assignments=assignments,
-            state=state,
-            timer=timer,
-            cost=cost,
-            state_bytes=measured_state_bytes(
-                state, clustering.v2c, clustering.volumes,
-                clustering.degrees, c2p, loads,
-            )
-            + worker_bytes,
-            extras={
-                "n_workers": self.n_workers,
-                "sync_interval": self.sync_interval,
-                "syncs": syncs,
-                "runner": self.runner.kind,
-                "parallel_wall_s": self.runner.parallel_wall_seconds(
-                    phase2_seconds, self.n_workers, syncs, self.sync_latency
-                ),
-                "measured_wallclock": self.runner.measures_wallclock,
-                "mode": self.mode,
-                "backend": kernels.name,
-                "n_clusters": clustering.n_nonempty_clusters,
-                "prepartitioned_edges": n_pre,
-                "remaining_edges": m - n_pre,
-                "parallel_phase1": self.parallel_phase1,
-                "phase1_syncs": phase1_syncs,
-                # Replica rows the Phase-2 delta barriers actually merged
-                # versus what full re-broadcast would have touched (bytes
-                # = rows * k replica-matrix cells).
-                "barrier_bytes": barrier_rows * k,
-                "barrier_bytes_full": barrier_full_rows * k,
-                # Distributed sessions also report actual socket traffic
-                # (frame bytes both ways, barrier delta vs what a full
-                # state re-broadcast would have shipped).
-                **({"wire": wire_stats} if wire_stats else {}),
-            },
-        )
-
-    def _run_parallel_phase1(self, session, stream, k, m, timer, cost):
-        """Phase 1 through the runner session (see the class docstring)."""
-        with timer.phase("degree"):
-            degrees = session.run_degree_pass(stream.n_vertices)
-            cost.edges_streamed += m
-        n = max(
-            self._resolve_n_vertices(stream, degrees), len(degrees)
-        )
-        if len(degrees) < n:
-            grown = np.zeros(n, dtype=np.int64)
-            grown[: len(degrees)] = degrees
-            degrees = grown
-        with timer.phase("clustering"):
-            cap = default_volume_cap(m, k, self.volume_cap_factor)
-            v2c, volumes, phase1_syncs = session.run_clustering(
-                degrees, cap, self.clustering_passes
-            )
-            clustering = ClusteringResult(
-                v2c=v2c,
-                volumes=volumes,
-                degrees=degrees,
-                volume_cap=cap,
-                passes=self.clustering_passes,
-            )
-        with timer.phase("mapping"):
-            c2p, loads = graham_schedule(clustering.volumes, k, cost=cost)
-        return n, degrees, clustering, c2p, loads, phase1_syncs
+        wire_stats = session.transport.wire_stats()
+        k = session.job.k
+        return {
+            "n_workers": self.n_workers,
+            "sync_interval": self.sync_interval,
+            "syncs": syncs,
+            "runner": self.runner.kind,
+            "parallel_wall_s": self.runner.parallel_wall_seconds(
+                phase2_seconds, self.n_workers, syncs, self.sync_latency
+            ),
+            "measured_wallclock": self.runner.measures_wallclock,
+            "parallel_phase1": self.parallel_phase1,
+            "phase1_syncs": phase1_syncs,
+            # Replica rows the Phase-2 delta barriers actually merged
+            # versus what full re-broadcast would have touched (bytes
+            # = rows * k replica-matrix cells).
+            "barrier_bytes": session.barrier_rows * k,
+            "barrier_bytes_full": session.barrier_full_rows * k,
+            # Distributed sessions also report actual socket traffic
+            # (frame bytes both ways, barrier delta vs what a full
+            # state re-broadcast would have shipped).
+            **({"wire": wire_stats} if wire_stats else {}),
+        }

@@ -26,19 +26,24 @@ The per-pass edge processing is delegated to a pluggable kernel backend
 (:mod:`repro.kernels`): ``backend="numpy"`` (default) runs the
 chunk-vectorized kernels, ``backend="python"`` the per-edge reference
 kernels — both bit-exact with each other.
+
+Every pass streams through a runner session (:mod:`repro.core.runners`):
+this sequential partitioner *is* the pipeline, run on the serial
+session — one shard, one window per pass, the stream object itself handed
+to the kernels — and the sharded
+:class:`~repro.core.parallel.ParallelTwoPhase` reruns it on a runner's
+sessions.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.clustering import (
-    StreamingClustering,
-    default_volume_cap,
-)
+from repro.core.clustering import ClusteringResult, default_volume_cap
+from repro.core.runners import RunnerSession, SerialRunner, ShardedJob
 from repro.core.scheduling import graham_schedule
 from repro.errors import ConfigurationError
-from repro.kernels import TwoPhaseContext, get_backend
+from repro.kernels import get_backend
 from repro.metrics.memory import measured_state_bytes
 from repro.metrics.runtime import CostCounter, PhaseTimer
 from repro.partitioning.base import (
@@ -50,29 +55,28 @@ from repro.partitioning.state import PartitionState
 
 
 def run_phase1(
-    stream,
-    k: int,
+    session: RunnerSession,
     *,
-    backend: str | None,
     clustering_passes: int,
     volume_cap_factor: float,
     timer: PhaseTimer,
-    cost: CostCounter,
 ):
     """Degree pass + Phase-1 clustering + cluster mapping.
 
-    Shared by the sequential :class:`TwoPhasePartitioner` and the sharded
-    :class:`~repro.core.parallel.ParallelTwoPhase`, so the two pipelines
-    are bit-identical (outputs *and* cost counters) up to the Phase-2
-    streaming passes.  Returns ``(n, degrees, clustering, c2p, loads)``.
+    Streams through ``session``: the serial one (one window, the stream
+    itself) for the sequential pipeline, a runner's sharded one for
+    ``ParallelTwoPhase(parallel_phase1=True)``.  Returns ``(n,
+    clustering, c2p, loads, syncs)``; ``syncs`` counts the Phase-1
+    clustering barriers.
     """
-    kernels = get_backend(backend)
+    job = session.job
+    stream = job.stream
     m = stream.n_edges
 
     # Pass 1: true vertex degrees (Figure 5: "Degree").
     with timer.phase("degree"):
-        degrees = kernels.degree_pass(stream, stream.n_vertices)
-        cost.edges_streamed += m
+        degrees = session.run_degree_pass(stream.n_vertices)
+        job.cost.edges_streamed += m
     n = max(EdgePartitioner._resolve_n_vertices(stream, degrees), len(degrees))
     if len(degrees) < n:
         grown = np.zeros(n, dtype=np.int64)
@@ -81,17 +85,22 @@ def run_phase1(
 
     # Phase 1: streaming clustering (Figure 5: "Clustering").
     with timer.phase("clustering"):
-        cap = default_volume_cap(m, k, volume_cap_factor)
-        clustering = StreamingClustering(
-            n_passes=clustering_passes,
+        cap = default_volume_cap(m, job.k, volume_cap_factor)
+        v2c, volumes, syncs = session.run_clustering(
+            degrees, cap, clustering_passes
+        )
+        clustering = ClusteringResult(
+            v2c=v2c,
+            volumes=volumes,
+            degrees=degrees,
             volume_cap=cap,
-            backend=backend,
-        ).run(stream, degrees=degrees, cost=cost)
+            passes=clustering_passes,
+        )
 
     # Phase 2 Step 1: map clusters to partitions (no streaming).
     with timer.phase("mapping"):
-        c2p, loads = graham_schedule(clustering.volumes, k, cost=cost)
-    return n, degrees, clustering, c2p, loads
+        c2p, loads = graham_schedule(clustering.volumes, job.k, cost=job.cost)
+    return n, clustering, c2p, loads, syncs
 
 
 class TwoPhasePartitioner(EdgePartitioner):
@@ -138,6 +147,13 @@ class TwoPhasePartitioner(EdgePartitioner):
         (default) disables it.  Overridable per call via
         ``partition(..., tune=...)``.  Tuned knobs are pure execution
         knobs, so results stay bit-exact with an untuned run.
+
+    This class is the one 2PS-L pipeline: every pass runs through runner
+    sessions (:mod:`repro.core.runners`) — Phase 1 in :func:`run_phase1`,
+    the cluster mapping through ``graham_schedule`` and both Phase-2
+    passes through ``RunnerSession.run_pass``.  Here both phases use the
+    serial session; :class:`~repro.core.parallel.ParallelTwoPhase` picks
+    sharded ones in :meth:`_open` and adds its extras in :meth:`_extras`.
     """
 
     def __init__(
@@ -156,6 +172,10 @@ class TwoPhasePartitioner(EdgePartitioner):
         if mode not in ("linear", "hdrf"):
             raise ConfigurationError(
                 f"mode must be 'linear' or 'hdrf', got {mode!r}"
+            )
+        if clustering_passes < 1:
+            raise ConfigurationError(
+                f"clustering_passes must be >= 1, got {clustering_passes}"
             )
         if volume_cap_factor <= 0:
             raise ConfigurationError(
@@ -186,52 +206,68 @@ class TwoPhasePartitioner(EdgePartitioner):
         self.tune = tune
         self.name = "2PS-L" if mode == "linear" else "2PS-HDRF"
 
+    def _open(self, job: ShardedJob) -> tuple[RunnerSession, RunnerSession]:
+        """The Phase-1 and Phase-2 sessions of one run (the serial
+        session for both: one window per pass over the stream itself)."""
+        session = SerialRunner().open(job)
+        return session, session
+
+    def _extras(
+        self, session: RunnerSession, timer: PhaseTimer, syncs: int,
+        phase1_syncs: int,
+    ) -> dict:
+        """Front-end result extras, read before the session closes."""
+        return {}
+
     # ------------------------------------------------------------------
     def _run(self, stream, k: int, alpha: float) -> PartitionResult:
         kernels = get_backend(self.backend)
         timer = PhaseTimer()
         cost = CostCounter()
         m = stream.n_edges
-
-        n, degrees, clustering, c2p, loads = run_phase1(
-            stream,
-            k,
-            backend=self.backend,
-            clustering_passes=self.clustering_passes,
-            volume_cap_factor=self.volume_cap_factor,
-            timer=timer,
-            cost=cost,
-        )
-
-        state = PartitionState(n, k, m, alpha, packed=self.packed_state)
-        assignments = np.full(m, -1, dtype=np.int32)
-        ctx = TwoPhaseContext(
+        job = ShardedJob(
+            stream=stream,
+            # The *resolved* backend name: if an optional backend (e.g.
+            # numba) fell back to the default, the parent resolves it
+            # once and every runner worker receives the concrete name —
+            # no per-worker re-detection or repeated fallback warnings.
+            backend=kernels.name,
             k=k,
-            v2c=clustering.v2c,
-            c2p=c2p,
-            volumes=clustering.volumes,
-            degrees=degrees,
-            state=state,
-            assignments=assignments,
+            alpha=alpha,
             hash_seed=self.hash_seed,
-            cost=cost,
             hdrf_lambda=self.hdrf_lambda,
+            cost=cost,
         )
+        phase1, session = self._open(job)
+        try:
+            n, clustering, c2p, loads, phase1_syncs = run_phase1(
+                phase1,
+                clustering_passes=self.clustering_passes,
+                volume_cap_factor=self.volume_cap_factor,
+                timer=timer,
+            )
+            job.v2c = clustering.v2c
+            job.c2p = c2p
+            job.volumes = clustering.volumes
+            job.degrees = clustering.degrees
+            job.state = PartitionState(n, k, m, alpha, packed=self.packed_state)
+            job.assignments = np.full(m, -1, dtype=np.int32)
+            session.bind_phase2()
 
-        # Phase 2 Step 2: pre-partitioning pass.
-        with timer.phase("prepartition"):
-            n_pre = kernels.prepartition_pass(stream, ctx)
+            # Phase 2 Step 2: pre-partitioning pass.
+            with timer.phase("prepartition"):
+                n_pre, syncs_pre = session.run_pass("prepartition")
+            # Phase 2 Step 3: score remaining edges.
+            with timer.phase("partitioning"):
+                _, syncs_rem = session.run_pass(f"remaining_{self.mode}")
+            worker_bytes = session.transport.extra_state_bytes()
+            extras = self._extras(
+                session, timer, syncs_pre + syncs_rem, phase1_syncs
+            )
+            session.finalize()
+        finally:
+            session.close()
 
-        # Phase 2 Step 3: score remaining edges.
-        with timer.phase("partitioning"):
-            if self.mode == "linear":
-                kernels.remaining_pass_linear(stream, ctx)
-            else:
-                kernels.remaining_pass_hdrf(stream, ctx)
-
-        state_bytes = measured_state_bytes(
-            state, clustering.v2c, clustering.volumes, clustering.degrees, c2p, loads
-        )
         artifacts = (
             PartitionArtifacts(clustering=clustering, c2p=c2p)
             if self.keep_state
@@ -243,11 +279,15 @@ class TwoPhasePartitioner(EdgePartitioner):
             alpha=alpha,
             n_vertices=n,
             n_edges=m,
-            assignments=assignments,
-            state=state,
+            assignments=job.assignments,
+            state=job.state,
             timer=timer,
             cost=cost,
-            state_bytes=state_bytes,
+            state_bytes=measured_state_bytes(
+                job.state, clustering.v2c, clustering.volumes,
+                clustering.degrees, c2p, loads,
+            )
+            + worker_bytes,
             extras={
                 "n_clusters": clustering.n_nonempty_clusters,
                 "clustering_passes": clustering.passes,
@@ -256,6 +296,7 @@ class TwoPhasePartitioner(EdgePartitioner):
                 "remaining_edges": m - n_pre,
                 "mode": self.mode,
                 "backend": kernels.name,
+                **extras,
             },
             artifacts=artifacts,
         )

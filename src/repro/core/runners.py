@@ -1,72 +1,78 @@
-"""Execution runners: who runs the sync windows of a sharded run.
+"""Execution runners: one sync-window driver over three transports.
 
-:class:`~repro.core.parallel.ParallelTwoPhase` owns the *semantics* of
-CuSP-style sharded partitioning — contiguous stream shards, per-worker
-stale state views, barrier synchronization every ``sync_interval`` edges —
-and delegates the *execution* of the resulting sync-window schedule to a
-runner from this module:
+Both 2PS-L front-ends — :class:`~repro.core.partitioner.TwoPhasePartitioner`
+and :class:`~repro.core.parallel.ParallelTwoPhase` — stream every pass
+of both phases through a :class:`RunnerSession`, the one driver of the
+CuSP-style sync-window schedule.  The driver owns the *semantics*: stream
+shards and their windows, the Phase-1 degree merge and the clustering
+merge + compaction (see :mod:`repro.kernels` for the merge contract),
+the Phase-2 sweep/barrier loop, cost folding, sync and barrier
+accounting, and the typed error for a failed worker window.  A narrow
+:class:`Transport` below it owns the *execution*: it runs one sweep of
+window tasks, returning per-worker results in ascending worker order,
+and publishes barrier refreshes.
 
-- :class:`SerialRunner` — no sharding at all: each pass runs once over the
-  full stream against the global state, exactly like the sequential
-  :class:`~repro.core.partitioner.TwoPhasePartitioner`.  The degenerate
-  reference point (zero syncs, zero staleness).
-- :class:`SimulatedRunner` — the single-process round-robin simulation:
-  worker windows execute interleaved in one process, each against its own
-  stale heap-allocated state, with an explicit merge barrier after every
-  sweep.  Deterministic and dependency-free; parallel wall-clock is
-  *modeled*, not measured.
-- :class:`ProcessRunner` — true ``multiprocessing`` execution: one pool
-  process per shard worker, worker state in shared-memory segments, and
-  the stream reopened in every worker from a picklable
+- :class:`SerialRunner` — the in-process transport with one shard and one
+  window per pass, which hands the stream itself to the kernels: the
+  sequential pipeline, zero syncs, for any configured worker count.
+- :class:`SimulatedRunner` — the in-process transport over ``n_workers``
+  shards, each window run inline against its worker's stale heap view.
+  Deterministic and dependency-free; parallel wall-clock is *modeled*.
+- :class:`ProcessRunner` — the shared-memory pool transport: pool
+  workers reopen the stream from a picklable
   :class:`~repro.streaming.stream.StreamSpec` (file streams stay
-  out-of-core; in-memory streams ship their edges once through shared
-  memory).  Parallel wall-clock is *measured*.
-- :class:`~repro.core.distributed.DistributedRunner` — worker processes
-  over TCP sockets (loopback by default, ``host:port`` specs for real
-  clusters), speaking the same schedule as an explicit versioned wire
-  format (:mod:`repro.core.wire`): length-prefixed CRC-checked frames
-  carrying window assignments, dirty replica-row deltas (packed planes
-  as raw byte-OR blocks), Phase-1 merge inputs, and barrier acks.
-  Workers reopen their own stream shards from the job's spec, so edge
-  data never crosses the wire.  Registered lazily (importing
-  :mod:`repro.core` or calling :func:`make_runner` resolves it).
-
-A session covers **both phases** of a run.  Phase 1 executes through
-:meth:`RunnerSession.run_degree_pass` (per-shard partial degree vectors,
-merged by the associative-and-commutative integer sum) and
-:meth:`RunnerSession.run_clustering` (per-worker sync windows over a stale
-clustering snapshot, folded at each barrier by the ordered
-``merge_phase1_clustering`` kernel op — see :mod:`repro.kernels` for the
-merge contract).  Phase 2 then binds its state with
-:meth:`RunnerSession.bind_phase2` and executes through
-:meth:`RunnerSession.run_pass` exactly as before.
+  out-of-core) and hold their state views in shared segments.  Parallel
+  wall-clock is *measured*.
+- :class:`~repro.core.distributed.DistributedRunner` — the socket
+  transport: TCP workers (loopback, or ``host:port`` specs) speaking the
+  versioned wire format of :mod:`repro.core.wire`; edge data never
+  crosses the wire.  Registered lazily by :func:`make_runner`.
 
 Equivalence contract
 --------------------
-All four runners execute the same deterministic schedule: worker ``w``
+Every runner executes the same deterministic schedule: worker ``w``
 processes shard ``[bounds[w], bounds[w+1])`` in windows of at most
 ``sync_interval`` edges, and after every sweep a barrier merges worker
-deltas into the global state and refreshes every stale view.  Because the
-kernel contract makes chunk and window boundaries semantics-free (see
-:mod:`repro.kernels`), this pins down every output bit:
+deltas into the global state and refreshes every stale view.  The
+schedule, the merges and the accounting are the driver's code, shared by
+all transports, and the kernel contract makes chunk and window
+boundaries semantics-free (see :mod:`repro.kernels`).  This pins down
+every output bit:
 
-- :class:`ProcessRunner` and ``DistributedRunner`` are **bit-identical**
-  to :class:`SimulatedRunner` under the same schedule — Phase-1 degrees
-  and clustering, per-edge assignments, replica matrix, partition sizes
-  *and* cost counters (cost fields are sums of per-window counts, so
-  merge order cannot matter).  For the distributed tier the wire is a
-  value-preserving recoding: barriers ship each worker's dirty rows
-  only, which is exact because a row clean in worker ``w`` equals the
-  pre-merge global row (see :mod:`repro.core.distributed` for the full
-  argument).  ``SimulatedRunner`` thereby doubles as the in-CI
-  deterministic twin of a multi-host run.
-- With ``n_workers=1`` all of them are bit-exact with the sequential
-  pipeline (a single worker's view is never stale), and
-  :class:`SerialRunner` is bit-exact with it for *any* worker count
-  because it ignores sharding entirely.
+- ``process`` and ``distributed`` are **bit-identical** to ``simulated``
+  under the same schedule — Phase-1 degrees and clustering, per-edge
+  assignments, replica matrix, partition sizes *and* cost counters (cost
+  fields are sums of per-window counts, so merge order cannot matter).
+  Each transport is a value-preserving recoding of the same arithmetic:
+  every transport reads a window through the same ``_SubStream`` over
+  the job's stream (pool and socket workers reopen it from its spec), so
+  chunk boundaries agree; socket barriers ship each worker's *dirty*
+  replica rows only, which is exact because a row clean in worker ``w``
+  equals the pre-merge global row (packed planes cross as raw bytes and
+  merge by byte-OR, dense rows as bool blocks); and socket assignment
+  slices merge where ``>= 0``, the two Phase-2 passes writing disjoint
+  positions.  ``simulated`` thereby doubles as the in-CI deterministic
+  twin of a multi-host run.
+- With ``n_workers=1`` every runner is bit-exact with the sequential
+  pipeline: a lone worker's view is never stale, so it keeps one live
+  clustering state (no reload, no merge) and window boundaries are
+  ordinary chunk boundaries.  ``serial`` *is* the sequential pipeline for
+  any worker count.
+- Kernel backends stay bit-exact with each other through every runner.
 
-``tests/test_parallel_kernels.py`` and the randomized differential
-harness (``tests/differential.py``) enforce all of this.
+``tests/test_parallel_kernels.py``, ``tests/test_distributed.py`` and the
+randomized differential harness (``tests/differential.py``) enforce all of
+this.
+
+Failures
+--------
+An exception inside a worker's window surfaces from every sharded runner
+as one :class:`~repro.errors.PartitioningError` naming the phase, the
+worker, the step and the cause; the serial runner re-raises the kernel's
+own exception, like the sequential partitioner.  Transport failures (a
+pool task past its timeout, a dead or stalled socket worker) are typed
+errors too, and ``close()`` releases everything a session holds on both
+success and error paths.
 
 Barrier cost
 ------------
@@ -105,7 +111,6 @@ from repro.metrics.runtime import CostCounter
 from repro.partitioning.state import (
     PartitionState,
     _BufferArena,
-    _replica_storage,
     merge_replica_deltas,
 )
 from repro.streaming.stream import make_stream_spec
@@ -117,6 +122,9 @@ PASS_METHODS = {
     "remaining_hdrf": "remaining_pass_hdrf",
 }
 
+#: Sweep steps of Phase 1; every other step is a Phase-2 pass name.
+_PHASE1_STEPS = ("degree", "clustering")
+
 _COST_FIELDS = tuple(f.name for f in fields(CostCounter))
 
 
@@ -126,15 +134,25 @@ def _merge_cost(cost: CostCounter, delta: tuple) -> None:
         setattr(cost, name, getattr(cost, name) + int(value))
 
 
-def _phase1_error(worker: int, step: str, exc: BaseException) -> PartitioningError:
-    """The one typed error every runner raises for a Phase-1 worker death."""
-    return PartitioningError(
-        f"phase-1 worker {worker} died during the {step} pass: "
-        f"{type(exc).__name__}: {exc}"
-    )
+def _describe(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
-def cluster_id_capacity(n_edges: int, n_vertices: int, n_workers: int) -> int:
+class WorkerFailed(PartitioningError):
+    """A worker reported an exception instead of a result.
+
+    Transports raise it with the worker index and the cause; inside a
+    sweep the driver turns it into the run's one typed error (see the
+    module docstring), elsewhere it surfaces as is.
+    """
+
+    def __init__(self, worker: int, step: str, cause: str) -> None:
+        super().__init__(f"worker {worker} failed during {step}: {cause}")
+        self.worker = worker
+        self.cause = cause
+
+
+def cluster_id_capacity(n_edges: int, n_vertices: int) -> int:
     """Upper bound on live cluster ids any Phase-1 export can carry.
 
     Every barrier compacts the merged clustering
@@ -148,11 +166,8 @@ def cluster_id_capacity(n_edges: int, n_vertices: int, n_workers: int) -> int:
     Assigned vertices are also endpoint first-encounters of processed
     edges, disjoint across shards, giving the ``2 * |E|`` bound.  The
     no-merge single-worker path opens at most one cluster per vertex,
-    satisfying the same bound.  ``n_workers`` no longer enters the bound
-    (pre-compaction it contributed an ``n_workers * |V|`` term); the
-    parameter is kept so call sites document which run they size for.
+    satisfying the same bound.  The worker count does not enter it.
     """
-    del n_workers  # bound is worker-count-free since barrier compaction
     return min(2 * int(n_edges), int(n_vertices)) + 1
 
 
@@ -186,13 +201,15 @@ def compact_clustering(
 
 @dataclass
 class ShardedJob:
-    """Everything one parallel run shares across its passes.
+    """Everything one run shares across its passes.
 
-    Built by ``ParallelTwoPhase._run`` before Phase 1 and handed to
-    ``Runner.open``; the Phase-1 product fields (``v2c`` .. ``degrees``)
-    and the Phase-2 outputs (``state``, ``assignments``) are filled in
-    before :meth:`RunnerSession.bind_phase2`.  ``cost`` accumulates over
-    the whole run.
+    Built by the 2PS-L pipeline before Phase 1 and handed to
+    ``Runner.open``; the sharded front-end sets ``n_workers`` and
+    ``sync_interval`` (the sequential one keeps a single shard).  The
+    Phase-1 product fields (``v2c`` .. ``degrees``) and the Phase-2
+    outputs (``state``, ``assignments``) are filled in before
+    :meth:`RunnerSession.bind_phase2`.  ``cost`` accumulates over the
+    whole run.
 
     ``backend`` carries the *resolved* kernel-backend name: the parent
     resolves optional-backend fallback (e.g. ``numba`` without its
@@ -203,15 +220,14 @@ class ShardedJob:
     """
 
     stream: object
-    n_workers: int
-    sync_interval: int
-    shard_bounds: np.ndarray
     backend: str | None
     k: int
     alpha: float
     hash_seed: int
     hdrf_lambda: float
     cost: CostCounter
+    n_workers: int = 1
+    sync_interval: int | None = None
     v2c: np.ndarray | None = None
     c2p: np.ndarray | None = None
     volumes: np.ndarray | None = None
@@ -220,478 +236,12 @@ class ShardedJob:
     assignments: np.ndarray | None = None
 
 
-def _make_ctx(job: ShardedJob, state, assignments, cost=None) -> TwoPhaseContext:
-    return TwoPhaseContext(
-        k=job.k,
-        v2c=job.v2c,
-        c2p=job.c2p,
-        volumes=job.volumes,
-        degrees=job.degrees,
-        state=state,
-        assignments=assignments,
-        hash_seed=job.hash_seed,
-        cost=job.cost if cost is None else cost,
-        hdrf_lambda=job.hdrf_lambda,
-    )
-
-
-def merge_barrier(state: PartitionState, worker_states) -> int:
-    """One Phase-2 synchronization barrier; returns the rows refreshed.
-
-    Replica bits merge by OR; sizes merge by summing each worker's delta
-    against the last synchronized global sizes (every edge is assigned by
-    exactly one worker, so deltas are disjoint).  Afterwards every worker
-    view equals the new global state.  When every view tracks dirty rows
-    the merge touches only the dirty union
-    (:func:`~repro.partitioning.state.merge_replica_deltas`); otherwise it
-    falls back to the full re-broadcast.  Shared by the simulated and the
-    process runner so their barrier arithmetic cannot diverge.
-    """
-    if len(worker_states) == 1 and worker_states[0] is state:
-        return 0  # the worker shares the global state: nothing to do
-    if all(ws.dirty is not None for ws in worker_states):
-        return merge_replica_deltas(state, worker_states)
-    # Raw-storage OR: a logical OR on dense bool rows, a byte OR on
-    # bit-packed rows — one fallback for both representations.
-    merged = np.bitwise_or.reduce(
-        [_replica_storage(state.replicas)]
-        + [_replica_storage(ws.replicas) for ws in worker_states]
-    )
-    new_sizes = state.sizes + sum(
-        ws.sizes - state.sizes for ws in worker_states
-    )
-    _replica_storage(state.replicas)[:] = merged
-    state.sizes[:] = new_sizes
-    for ws in worker_states:
-        _replica_storage(ws.replicas)[:] = merged
-        ws.sizes[:] = new_sizes
-    return int(state.n_vertices)
-
-
-def _sweep_schedule(position, stop, sync_interval, pass_name):
-    """Advance every active shard cursor one window; return the tasks."""
-    tasks = []
-    for w in range(len(position)):
-        if position[w] >= stop[w]:
-            continue
-        take = min(sync_interval, stop[w] - position[w])
-        tasks.append((w, pass_name, position[w], position[w] + take))
-        position[w] += take
-    return tasks
-
-
-# ----------------------------------------------------------------------
-# runner protocol
-# ----------------------------------------------------------------------
-class RunnerSession(ABC):
-    """One parallel run's execution state (pools, views, segments)."""
-
-    #: Rows merged by Phase-2 delta barriers / rows a full re-broadcast
-    #: would have merged (equal when the full path ran).
-    barrier_rows: int = 0
-    barrier_full_rows: int = 0
-
-    def run_degree_pass(self, n_hint: int | None = None) -> np.ndarray:
-        """Parallel degree pass: per-shard partials, merged by summation."""
-        raise PartitioningError(
-            f"{type(self).__name__} does not execute Phase 1"
-        )
-
-    def run_clustering(
-        self, degrees: np.ndarray, cap: float, n_passes: int
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Sharded Phase-1 clustering; returns ``(v2c, volumes, syncs)``."""
-        raise PartitioningError(
-            f"{type(self).__name__} does not execute Phase 1"
-        )
-
-    def bind_phase2(self) -> None:
-        """Allocate Phase-2 execution state once the job carries the
-        Phase-1 arrays, the global state and the assignment array."""
-
-    @abstractmethod
-    def run_pass(self, pass_name: str) -> tuple[int, int]:
-        """Execute one sharded Phase-2 pass; returns ``(total, syncs)``."""
-
-    def finalize(self) -> None:
-        """Copy shared results back into the job arrays (success path)."""
-
-    def close(self) -> None:
-        """Release every resource; idempotent, safe on error paths."""
-
-    def extra_state_bytes(self) -> int:
-        """Bytes held by per-worker state views beyond the global state."""
-        return 0
-
-    def wire_stats(self) -> dict | None:
-        """Wire-traffic accounting (distributed sessions only)."""
-        return None
-
-
-class Runner(ABC):
-    """Scheduling strategy for the passes of ``ParallelTwoPhase``."""
-
-    #: Registry name; subclasses override.
-    kind: str = "abstract"
-
-    #: True when wall-clock measured around ``run_pass`` is real parallel
-    #: time (processes actually ran concurrently), False when it is
-    #: single-process compute that a model must convert.
-    measures_wallclock: bool = False
-
-    @abstractmethod
-    def open(self, job: ShardedJob) -> RunnerSession:
-        """Start a session for one run (allocate views, pools, segments)."""
-
-    def parallel_wall_seconds(
-        self, phase2_seconds: float, n_workers: int, syncs: int,
-        sync_latency: float,
-    ) -> float:
-        """Parallel Phase-2 wall-clock estimate for the result extras."""
-        return phase2_seconds  # measured runners: the timer already is it
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{type(self).__name__} kind={self.kind!r}>"
-
-
-# ----------------------------------------------------------------------
-# serial
-# ----------------------------------------------------------------------
-class SerialRunner(Runner):
-    """Sequential reference execution: one window, the whole stream.
-
-    Ignores ``n_workers``/``sync_interval`` — each pass (Phase 1 and
-    Phase 2 alike) dispatches the kernel once over the full stream against
-    the global state, which is exactly the sequential pipeline (bit-exact
-    with ``TwoPhasePartitioner`` by construction).  Reports zero syncs.
-    """
-
-    kind = "serial"
-
-    def open(self, job: ShardedJob) -> RunnerSession:
-        return _SerialSession(job)
-
-
-class _SerialSession(RunnerSession):
-    def __init__(self, job: ShardedJob) -> None:
-        self.job = job
-
-    def run_degree_pass(self, n_hint: int | None = None) -> np.ndarray:
-        kernels = get_backend(self.job.backend)
-        return kernels.degree_pass(self.job.stream, n_hint)
-
-    def run_clustering(self, degrees, cap, n_passes):
-        job = self.job
-        kernels = get_backend(job.backend)
-        st = kernels.clustering_init(np.asarray(degrees, dtype=np.int64))
-        for _ in range(int(n_passes)):
-            kernels.clustering_true_pass(job.stream, st, cap, job.cost)
-        v2c, volumes, _ = kernels.clustering_export(st)
-        return v2c, volumes, 0
-
-    def run_pass(self, pass_name: str) -> tuple[int, int]:
-        job = self.job
-        kernel = getattr(get_backend(job.backend), PASS_METHODS[pass_name])
-        out = kernel(job.stream, _make_ctx(job, job.state, job.assignments))
-        return (0 if out is None else int(out)), 0
-
-
-# ----------------------------------------------------------------------
-# simulated (single-process round-robin)
-# ----------------------------------------------------------------------
-class _WindowStream:
-    """One sync window of a shard, consumable like a stream by kernels.
-
-    Holds at most ``sync_interval`` edges (the chunks already pulled from
-    the shard-window iterator), so worker windows — not the edge set —
-    bound the memory of the simulated parallel path.
-    """
-
-    __slots__ = ("_chunks", "n_edges")
-
-    n_vertices = None
-
-    def __init__(self, chunks, n_edges: int) -> None:
-        self._chunks = chunks
-        self.n_edges = n_edges
-
-    def chunks(self, chunk_size=None):
-        return iter(self._chunks)
-
-
-class _ShardCursor:
-    """Pulls one worker's shard from the stream in sync-window quanta.
-
-    Wraps a single :meth:`EdgeStream.window` iterator (one sequential
-    read of the shard per pass) and re-chunks it at window boundaries;
-    a partial chunk is carried over to the next window.
-    """
-
-    __slots__ = ("_iter", "_carry", "position", "remaining")
-
-    def __init__(self, stream, start: int, stop: int) -> None:
-        self._iter = stream.window(start, stop)
-        self._carry = None
-        self.position = start
-        self.remaining = stop - start
-
-    def take(self, n_edges: int) -> _WindowStream:
-        """Next window of up to ``n_edges`` edges, in stream order."""
-        chunks = []
-        got = 0
-        while got < n_edges:
-            if self._carry is not None:
-                chunk, self._carry = self._carry, None
-            else:
-                chunk = next(self._iter, None)
-                if chunk is None:
-                    break
-            need = n_edges - got
-            if chunk.shape[0] > need:
-                self._carry = chunk[need:]
-                chunk = chunk[:need]
-            if chunk.shape[0]:
-                chunks.append(chunk)
-                got += chunk.shape[0]
-        self.position += got
-        self.remaining -= got
-        return _WindowStream(chunks, got)
-
-
-class SimulatedRunner(Runner):
-    """Single-process round-robin execution of the sharded schedule.
-
-    Workers take turns in quanta so the interleaving (and therefore the
-    staleness pattern) matches a real parallel run with barrier syncs;
-    parallel wall-clock is *modeled* as
-    ``sequential_phase2 / n_workers + syncs * sync_latency``.
-    """
-
-    kind = "simulated"
-
-    def open(self, job: ShardedJob) -> RunnerSession:
-        return _SimulatedSession(job)
-
-    def parallel_wall_seconds(
-        self, phase2_seconds, n_workers, syncs, sync_latency
-    ) -> float:
-        return phase2_seconds / n_workers + syncs * sync_latency
-
-
-class _SimulatedSession(RunnerSession):
-    def __init__(self, job: ShardedJob) -> None:
-        self.job = job
-        self.worker_states: list[PartitionState] = []
-
-    # ------------------------------------------------------------------
-    # Phase 1
-    # ------------------------------------------------------------------
-    def run_degree_pass(self, n_hint: int | None = None) -> np.ndarray:
-        job = self.job
-        kernels = get_backend(job.backend)
-        partials = []
-        for w in range(job.n_workers):
-            start = int(job.shard_bounds[w])
-            stop = int(job.shard_bounds[w + 1])
-            if start == stop:
-                continue
-            try:
-                partials.append(
-                    kernels.degree_pass(_SubStream(job.stream, start, stop))
-                )
-            except PartitioningError:
-                raise
-            except Exception as exc:
-                raise _phase1_error(w, "degree", exc) from exc
-        return kernels.merge_phase1_degrees(partials, n_hint)
-
-    def run_clustering(self, degrees, cap, n_passes):
-        job = self.job
-        kernels = get_backend(job.backend)
-        degrees = np.asarray(degrees, dtype=np.int64)
-        m = int(job.shard_bounds[-1])
-        syncs = 0
-        if job.n_workers == 1:
-            # A single worker's clustering view is never stale: keep one
-            # live state across windows (bit-exact with the sequential
-            # pass, window boundaries being ordinary chunk boundaries).
-            st = kernels.clustering_init(degrees)
-            for _ in range(int(n_passes)):
-                cursor = _ShardCursor(job.stream, 0, m)
-                while cursor.remaining > 0:
-                    window = cursor.take(job.sync_interval)
-                    if window.n_edges == 0:
-                        break
-                    try:
-                        kernels.clustering_true_pass(
-                            window, st, cap, job.cost
-                        )
-                    except PartitioningError:
-                        raise
-                    except Exception as exc:
-                        raise _phase1_error(0, "clustering", exc) from exc
-                    syncs += 1
-            v2c, volumes, _ = kernels.clustering_export(st)
-            return v2c, volumes, syncs
-        v2c_g = np.full(degrees.shape[0], -1, dtype=np.int64)
-        vol_g = np.zeros(0, dtype=np.int64)
-        for _ in range(int(n_passes)):
-            cursors = [
-                _ShardCursor(
-                    job.stream,
-                    int(job.shard_bounds[w]),
-                    int(job.shard_bounds[w + 1]),
-                )
-                for w in range(job.n_workers)
-            ]
-            active = True
-            while active:
-                active = False
-                exports = []
-                for w in range(job.n_workers):
-                    cursor = cursors[w]
-                    if cursor.remaining <= 0:
-                        continue
-                    window = cursor.take(job.sync_interval)
-                    if window.n_edges == 0:
-                        continue
-                    active = True
-                    st = kernels.clustering_load(v2c_g, vol_g, degrees)
-                    try:
-                        kernels.clustering_true_pass(
-                            window, st, cap, job.cost
-                        )
-                    except PartitioningError:
-                        raise
-                    except Exception as exc:
-                        raise _phase1_error(w, "clustering", exc) from exc
-                    e_v2c, e_vol, _ = kernels.clustering_export(st)
-                    exports.append((e_v2c, e_vol))
-                if active:
-                    syncs += 1
-                    v2c_g, vol_g = kernels.merge_phase1_clustering(
-                        v2c_g, vol_g, exports, degrees
-                    )
-                    v2c_g, vol_g = compact_clustering(v2c_g, vol_g)
-        return v2c_g, vol_g, syncs
-
-    # ------------------------------------------------------------------
-    # Phase 2
-    # ------------------------------------------------------------------
-    def bind_phase2(self) -> None:
-        job = self.job
-        # A single worker's view is never stale, so it shares the global
-        # state outright (this is what makes n_workers=1 bit-exact with
-        # the sequential pipeline, with no merge work).
-        if job.n_workers == 1:
-            self.worker_states = [job.state]
-        else:
-            self.worker_states = [
-                PartitionState(
-                    job.state.n_vertices, job.k, job.state.n_edges,
-                    job.alpha, track_dirty=True, packed=job.state.packed,
-                )
-                for _ in range(job.n_workers)
-            ]
-
-    def run_pass(self, pass_name: str) -> tuple[int, int]:
-        job = self.job
-        pass_kernel = getattr(
-            get_backend(job.backend), PASS_METHODS[pass_name]
-        )
-        cursors = [
-            _ShardCursor(
-                job.stream,
-                int(job.shard_bounds[w]),
-                int(job.shard_bounds[w + 1]),
-            )
-            for w in range(job.n_workers)
-        ]
-        total = 0
-        syncs = 0
-        active = True
-        while active:
-            active = False
-            for w, worker_state in enumerate(self.worker_states):
-                cursor = cursors[w]
-                if cursor.remaining <= 0:
-                    continue
-                pos = cursor.position
-                window = cursor.take(job.sync_interval)
-                if window.n_edges == 0:
-                    continue
-                active = True
-                if worker_state.dirty is not None:
-                    window = _DirtyMarkingStream(window, worker_state)
-                ctx = _make_ctx(
-                    job,
-                    worker_state,
-                    job.assignments[pos : pos + window.n_edges],
-                )
-                out = pass_kernel(window, ctx)
-                if out is not None:
-                    total += int(out)
-            if active:
-                syncs += 1
-                rows = merge_barrier(job.state, self.worker_states)
-                if self.worker_states[0] is not job.state:
-                    self.barrier_rows += rows
-                    self.barrier_full_rows += job.state.n_vertices
-        return total, syncs
-
-    def extra_state_bytes(self) -> int:
-        return sum(
-            ws.nbytes()
-            for ws in self.worker_states
-            if ws is not self.job.state
-        )
-
-
-# ----------------------------------------------------------------------
-# process (true multiprocessing over shared memory)
-# ----------------------------------------------------------------------
-#: Names of shared segments currently owned by live process sessions.
-#: Test/debug hook: must be empty whenever no session is open.
-_LIVE_SEGMENTS: set[str] = set()
-
-
-def live_shared_segments() -> frozenset[str]:
-    """Segment names owned by open process sessions (leak-check hook)."""
-    return frozenset(_LIVE_SEGMENTS)
-
-
-def default_start_method() -> str:
-    """``fork`` where available (cheap, inherits the backend registry),
-    else ``spawn``."""
-    import multiprocessing as mp
-
-    return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-
-
-@dataclass
-class _WorkerPayload:
-    """Once-per-process initialization shipped to every pool worker.
-
-    Deliberately tiny — a stream spec plus scalars — so opening a session
-    is O(1) in ``|V|``; the Phase-1 arrays and every state view are
-    attached lazily from shared segments named in the task tuples.
-    """
-
-    spec: object
-    n_edges: int
-    k: int
-    alpha: float
-    backend: str | None
-    hash_seed: int
-    hdrf_lambda: float
-
-
 class _SubStream:
     """A ``[start, stop)`` stream window, consumable by kernels.
 
-    Unlike :class:`_WindowStream` it is lazy: chunks come straight from
-    the underlying stream's window iterator, so a worker holds at most
-    one chunk of its current window in memory.
+    Lazy: chunks come straight from the underlying stream's window
+    iterator, so a worker holds at most one chunk of its current window
+    in memory.
     """
 
     __slots__ = ("_stream", "_start", "_stop", "n_edges")
@@ -731,6 +281,422 @@ class _DirtyMarkingStream:
             if chunk.size:
                 self._state.mark_dirty(chunk.ravel())
             yield chunk
+
+
+# ----------------------------------------------------------------------
+# the driver
+# ----------------------------------------------------------------------
+class Transport(ABC):
+    """Executes window tasks for a :class:`RunnerSession`.
+
+    ``run`` takes one sweep of ``(worker, start, stop)`` windows for a
+    step (``"degree"``, ``"clustering"`` or a Phase-2 pass name) and
+    returns a ``(value, cost_delta)`` pair per task, in task order: a
+    partial degree vector, a ``(v2c, volumes)`` export (``None`` for a
+    lone worker) or the pass kernel's total; a raising window is reported
+    as :class:`WorkerFailed`.  ``lone`` marks a single-shard run, whose
+    one view is never stale.
+    """
+
+    @abstractmethod
+    def run(self, step: str, tasks: list) -> list:
+        """Execute one sweep; per-task ``(value, cost_delta)`` pairs."""
+
+    def open_clustering(self, degrees, cap: float, lone: bool) -> None:
+        """Prepare Phase-1 clustering windows over ``degrees``."""
+
+    def publish_clustering(self, v2c, volumes) -> None:
+        """Clustering barrier refresh: the snapshot the next windows load."""
+
+    def close_clustering(self, lone: bool):
+        """End Phase 1; returns the lone worker's ``(v2c, volumes)``."""
+
+    def bind_phase2(self, lone: bool) -> None:
+        """Allocate Phase-2 views once the job carries its arrays."""
+
+    @abstractmethod
+    def barrier(self, step: str) -> int | None:
+        """Phase-2 barrier: merge worker deltas into the global state and
+        refresh every view; returns the rows merged, ``None`` when the
+        lone view *is* the global state."""
+
+    def finalize(self) -> None:
+        """Copy transport-held results back into the job (success path)."""
+
+    def close(self) -> None:
+        """Release every resource; idempotent, safe on error paths."""
+
+    def extra_state_bytes(self) -> int:
+        """Bytes held by per-worker state views beyond the global state."""
+        return 0
+
+    def wire_stats(self) -> dict | None:
+        """Wire-traffic accounting (socket transport only)."""
+        return None
+
+
+class RunnerSession:
+    """The sync-window driver of one run over a :class:`Transport`.
+
+    ``sharded=False`` collapses the schedule to one shard and one window
+    per pass (the serial runner): no syncs are reported, and a failing
+    window re-raises the kernel's own exception.
+    """
+
+    def __init__(self, job: ShardedJob, transport: Transport,
+                 sharded: bool = True) -> None:
+        self.job = job
+        self.transport = transport
+        self.sharded = sharded
+        m = int(job.stream.n_edges)
+        n_shards = job.n_workers if sharded else 1
+        self.bounds = np.linspace(0, m, n_shards + 1).astype(np.int64)
+        self.window = int(job.sync_interval) if sharded else max(m, 1)
+        #: A lone shard's views are never stale (see the module docstring).
+        self.lone = n_shards == 1
+        #: Rows merged by Phase-2 delta barriers / rows a full
+        #: re-broadcast would have merged.
+        self.barrier_rows = 0
+        self.barrier_full_rows = 0
+
+    # ------------------------------------------------------------------
+    def _sweeps(self, window: int | None = None):
+        """The schedule of one pass: per sweep, the ``(worker, start,
+        stop)`` window of every worker whose shard is not exhausted."""
+        window = self.window if window is None else window
+        position = self.bounds[:-1].tolist()
+        stops = self.bounds[1:].tolist()
+        while True:
+            tasks = []
+            for w, (start, stop) in enumerate(zip(position, stops)):
+                if start < stop:
+                    end = min(start + window, stop)
+                    tasks.append((w, start, end))
+                    position[w] = end
+            if not tasks:
+                return
+            yield tasks
+
+    def _sweep(self, step: str, tasks) -> list:
+        """Run one sweep, fold its cost deltas, return the values."""
+        try:
+            results = self.transport.run(step, tasks)
+        except WorkerFailed as failed:
+            if not self.sharded:
+                raise failed.__cause__ from None
+            phase = "phase-1" if step in _PHASE1_STEPS else "phase-2"
+            raise PartitioningError(
+                f"{phase} worker {failed.worker} failed during the {step} "
+                f"pass: {failed.cause}"
+            ) from failed.__cause__
+        for _, delta in results:
+            _merge_cost(self.job.cost, delta)
+        return [value for value, _ in results]
+
+    # ------------------------------------------------------------------
+    # Phase 1
+    # ------------------------------------------------------------------
+    def run_degree_pass(self, n_hint: int | None = None) -> np.ndarray:
+        """Per-shard partial degree vectors, merged by summation."""
+        whole_shards = self._sweeps(int(self.bounds[-1]))
+        partials = self._sweep("degree", next(whole_shards, []))
+        return get_backend(self.job.backend).merge_phase1_degrees(
+            partials, n_hint
+        )
+
+    def run_clustering(
+        self, degrees: np.ndarray, cap: float, n_passes: int
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """Sharded Phase-1 clustering; returns ``(v2c, volumes, syncs)``."""
+        degrees = np.asarray(degrees, dtype=np.int64)
+        self.transport.open_clustering(degrees, float(cap), self.lone)
+        v2c, volumes, syncs = self._cluster(degrees, int(n_passes))
+        lone_state = self.transport.close_clustering(self.lone)
+        if self.lone:
+            v2c, volumes = lone_state
+        return v2c, volumes, (syncs if self.sharded else 0)
+
+    def _cluster(self, degrees, n_passes):
+        """The clustering sweep/merge loop.  Exports may be views into
+        transport memory, so they live only in this frame."""
+        kernels = get_backend(self.job.backend)
+        v2c = np.full(degrees.shape[0], -1, dtype=np.int64)
+        volumes = np.zeros(0, dtype=np.int64)
+        self.transport.publish_clustering(v2c, volumes)
+        syncs = 0
+        for _ in range(n_passes):
+            for tasks in self._sweeps():
+                exports = self._sweep("clustering", tasks)
+                syncs += 1
+                if self.lone:
+                    continue  # the lone worker's live state stays put
+                merged = kernels.merge_phase1_clustering(v2c, volumes, exports, degrees)
+                v2c, volumes = compact_clustering(*merged)
+                self.transport.publish_clustering(v2c, volumes)
+        return v2c, volumes, syncs
+
+    # ------------------------------------------------------------------
+    # Phase 2
+    # ------------------------------------------------------------------
+    def bind_phase2(self) -> None:
+        """Allocate Phase-2 execution state once the job carries the
+        Phase-1 arrays, the global state and the assignment array."""
+        self.transport.bind_phase2(self.lone)
+
+    def run_pass(self, pass_name: str) -> tuple[int, int]:
+        """Execute one Phase-2 pass; returns ``(total, syncs)``."""
+        if pass_name not in PASS_METHODS:
+            raise ConfigurationError(f"unknown pass {pass_name!r}")
+        n = int(self.job.state.n_vertices)
+        total = 0
+        syncs = 0
+        for tasks in self._sweeps():
+            total += sum(self._sweep(pass_name, tasks))
+            syncs += 1
+            rows = self.transport.barrier(pass_name)
+            if rows is not None:
+                self.barrier_rows += rows
+                self.barrier_full_rows += n
+        return total, (syncs if self.sharded else 0)
+
+    # ------------------------------------------------------------------
+    def finalize(self) -> None:
+        """Copy shared results back into the job arrays (success path)."""
+        self.transport.finalize()
+
+    def close(self) -> None:
+        """Release every resource; idempotent, safe on error paths."""
+        self.transport.close()
+
+
+class Runner(ABC):
+    """Scheduling strategy for the passes of ``ParallelTwoPhase``."""
+
+    #: Registry name; subclasses override.
+    kind: str = "abstract"
+
+    #: True when wall-clock measured around ``run_pass`` is real parallel
+    #: time (processes actually ran concurrently), False when it is
+    #: single-process compute that a model must convert.
+    measures_wallclock: bool = False
+
+    @abstractmethod
+    def open(self, job: ShardedJob) -> RunnerSession:
+        """Start a session for one run (allocate views, pools, segments)."""
+
+    def parallel_wall_seconds(
+        self, phase2_seconds: float, n_workers: int, syncs: int,
+        sync_latency: float,
+    ) -> float:
+        """Parallel Phase-2 wall-clock estimate for the result extras."""
+        return phase2_seconds  # measured runners: the timer already is it
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"<{type(self).__name__} kind={self.kind!r}>"
+
+
+# ----------------------------------------------------------------------
+# in-process transport: serial and simulated
+# ----------------------------------------------------------------------
+class _InlineTransport(Transport):
+    """Windows execute inline, in worker order, against heap views."""
+
+    def __init__(self, job: ShardedJob) -> None:
+        self.job = job
+        self.kernels = get_backend(job.backend)
+        self.views: list[PartitionState] = []
+        self._degrees = None
+        self._cap = None
+        self._live = None
+        self._snapshot = None
+
+    def run(self, step, tasks):
+        results = []
+        for w, start, stop in tasks:
+            try:
+                results.append(self._window(step, w, start, stop))
+            except Exception as exc:
+                raise WorkerFailed(w, step, _describe(exc)) from exc
+        return results
+
+    def _window(self, step, w, start, stop):
+        job = self.job
+        kernels = self.kernels
+        if stop - start == job.stream.n_edges:
+            window = job.stream  # one window covers the stream: stream it
+        else:
+            window = _SubStream(job.stream, start, stop)
+        if step == "degree":
+            return kernels.degree_pass(window), ()
+        cost = CostCounter()
+        if step == "clustering":
+            st = self._live
+            if st is None:
+                st = kernels.clustering_load(*self._snapshot, self._degrees)
+            kernels.clustering_true_pass(window, st, self._cap, cost)
+            export = None if st is self._live else kernels.clustering_export(st)[:2]
+            return export, astuple(cost)
+        view = self.views[w]
+        if view.dirty is not None:
+            window = _DirtyMarkingStream(window, view)
+        ctx = TwoPhaseContext(
+            k=job.k,
+            v2c=job.v2c,
+            c2p=job.c2p,
+            volumes=job.volumes,
+            degrees=job.degrees,
+            state=view,
+            assignments=job.assignments[start:stop],
+            hash_seed=job.hash_seed,
+            cost=cost,
+            hdrf_lambda=job.hdrf_lambda,
+        )
+        out = getattr(kernels, PASS_METHODS[step])(window, ctx)
+        return (0 if out is None else int(out)), astuple(cost)
+
+    def open_clustering(self, degrees, cap, lone):
+        self._degrees = degrees
+        self._cap = cap
+        self._live = self.kernels.clustering_init(degrees) if lone else None
+
+    def publish_clustering(self, v2c, volumes):
+        self._snapshot = (v2c, volumes)
+
+    def close_clustering(self, lone):
+        live, self._live = self._live, None
+        self._snapshot = None
+        if lone:
+            return self.kernels.clustering_export(live)[:2]
+        return None
+
+    def bind_phase2(self, lone):
+        job = self.job
+        if lone:
+            # A lone view is never stale, so it shares the global state
+            # outright: no merge work, bit-exact with the sequential pass.
+            self.views = [job.state]
+            return
+        self.views = [
+            PartitionState(
+                job.state.n_vertices, job.k, job.state.n_edges, job.alpha,
+                track_dirty=True, packed=job.state.packed,
+            )
+            for _ in range(job.n_workers)
+        ]
+
+    def barrier(self, step):
+        if self.views[0] is self.job.state:
+            return None
+        return merge_replica_deltas(self.job.state, self.views)
+
+    def extra_state_bytes(self) -> int:
+        return sum(
+            view.nbytes() for view in self.views if view is not self.job.state
+        )
+
+
+class SerialRunner(Runner):
+    """Sequential reference execution: one window, the whole stream.
+
+    Ignores ``n_workers``/``sync_interval`` — each pass (Phase 1 and
+    Phase 2 alike) dispatches the kernel once over the stream itself
+    against the global state, which is exactly the sequential pipeline
+    (bit-exact with ``TwoPhasePartitioner`` by construction).  Reports
+    zero syncs.
+    """
+
+    kind = "serial"
+
+    def open(self, job: ShardedJob) -> RunnerSession:
+        return RunnerSession(job, _InlineTransport(job), sharded=False)
+
+
+class SimulatedRunner(Runner):
+    """Single-process round-robin execution of the sharded schedule.
+
+    Workers take turns in quanta so the interleaving (and therefore the
+    staleness pattern) matches a real parallel run with barrier syncs;
+    parallel wall-clock is *modeled* as
+    ``sequential_phase2 / n_workers + syncs * sync_latency``.
+    """
+
+    kind = "simulated"
+
+    def open(self, job: ShardedJob) -> RunnerSession:
+        return RunnerSession(job, _InlineTransport(job))
+
+    def parallel_wall_seconds(
+        self, phase2_seconds, n_workers, syncs, sync_latency
+    ) -> float:
+        return phase2_seconds / n_workers + syncs * sync_latency
+
+
+# ----------------------------------------------------------------------
+# shared-memory pool transport (true multiprocessing)
+# ----------------------------------------------------------------------
+#: Names of shared segments currently owned by live process sessions.
+#: Test/debug hook: must be empty whenever no session is open.
+_LIVE_SEGMENTS: set[str] = set()
+
+
+def live_shared_segments() -> frozenset[str]:
+    """Segment names owned by open process sessions (leak-check hook)."""
+    return frozenset(_LIVE_SEGMENTS)
+
+
+def _stream_spec(stream):
+    """The stream's picklable spec and its owned edge segment, if any."""
+    spec, shm = make_stream_spec(stream)
+    if shm is not None:
+        _LIVE_SEGMENTS.add(shm.name)
+    return spec, shm
+
+
+def _release_segment(shm) -> None:
+    """Unlink one owned segment (idempotent against cleanup races)."""
+    _LIVE_SEGMENTS.discard(shm.name)
+    shm.close()
+    try:
+        shm.unlink()
+    except FileNotFoundError:  # pragma: no cover - cleanup race
+        pass
+
+
+def default_start_method() -> str:
+    """``fork`` where available (cheap, inherits the backend registry),
+    else ``spawn``."""
+    import multiprocessing as mp
+
+    return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+
+
+def check_start_method(start_method: str | None) -> None:
+    """Reject a ``multiprocessing`` start method this host lacks."""
+    import multiprocessing as mp
+
+    if start_method not in (None, *mp.get_all_start_methods()):
+        raise ConfigurationError(
+            f"start_method {start_method!r} not available; "
+            f"choose from {mp.get_all_start_methods()}"
+        )
+
+
+@dataclass
+class _WorkerPayload:
+    """Once-per-process initialization shipped to every pool worker.
+
+    Deliberately tiny — a stream spec plus scalars — so opening a session
+    is O(1) in ``|V|``; the Phase-1 arrays and every state view are
+    attached lazily from shared segments named in the task tuples.
+    """
+
+    spec: object
+    n_edges: int
+    k: int
+    alpha: float
+    backend: str | None
+    hash_seed: int
+    hdrf_lambda: float
 
 
 _WORKER = None  # per-process context, set by _process_worker_init
@@ -922,14 +888,7 @@ class ProcessRunner(Runner):
         start_method: str | None = None,
         task_timeout: float = 600.0,
     ) -> None:
-        if start_method is not None:
-            import multiprocessing as mp
-
-            if start_method not in mp.get_all_start_methods():
-                raise ConfigurationError(
-                    f"start_method {start_method!r} not available; "
-                    f"choose from {mp.get_all_start_methods()}"
-                )
+        check_start_method(start_method)
         if task_timeout <= 0:
             raise ConfigurationError(
                 f"task_timeout must be positive, got {task_timeout}"
@@ -938,10 +897,12 @@ class ProcessRunner(Runner):
         self.task_timeout = float(task_timeout)
 
     def open(self, job: ShardedJob) -> RunnerSession:
-        return _ProcessSession(self, job)
+        return RunnerSession(job, _PoolTransport(self, job))
 
 
-class _ProcessSession(RunnerSession):
+class _PoolTransport(Transport):
+    """Window tasks on a ``multiprocessing`` pool over shared segments."""
+
     def __init__(self, runner: ProcessRunner, job: ShardedJob) -> None:
         self.job = job
         self._timeout = runner.task_timeout
@@ -950,6 +911,9 @@ class _ProcessSession(RunnerSession):
         self._assign_shm = None
         self._assign_view = None
         self._cluster_shm = None
+        self._cluster_ref = None
+        self._slots = None
+        self._cap = None
         self._phase1_shm = None
         self._phase2_ref = None
         self.views: list[PartitionState] = []
@@ -974,12 +938,10 @@ class _ProcessSession(RunnerSession):
         resource_tracker.ensure_running()
 
         job = self.job
-        spec, self._stream_shm = make_stream_spec(job.stream)
-        if self._stream_shm is not None:
-            _LIVE_SEGMENTS.add(self._stream_shm.name)
+        spec, self._stream_shm = _stream_spec(job.stream)
         payload = _WorkerPayload(
             spec=spec,
-            n_edges=int(job.shard_bounds[-1]),
+            n_edges=int(job.stream.n_edges),
             k=job.k,
             alpha=job.alpha,
             backend=job.backend,
@@ -1001,13 +963,24 @@ class _ProcessSession(RunnerSession):
         np.frombuffer(shm.buf, dtype=np.uint8)[:] = 0
         return shm
 
-    def _collect(self, handles, step: str):
-        """Gather async results in task order, converting failures into
-        the typed Phase-1/Phase-2 errors."""
+    def _task(self, step, w, start, stop):
+        if step == "degree":
+            return ("degree", start, stop)
+        if step == "clustering":
+            return ("cluster", w, start, stop, self._cluster_ref, self._cap)
+        return (w, step, start, stop, self._phase2_ref)
+
+    def run(self, step, tasks):
         import multiprocessing as mp
 
+        handles = [
+            self._pool.apply_async(
+                _process_worker_task, (self._task(step, w, start, stop),)
+            )
+            for w, start, stop in tasks
+        ]
         results = []
-        for w, handle in handles:
+        for (w, _, _), handle in zip(tasks, handles):
             try:
                 results.append(handle.get(timeout=self._timeout))
             except mp.TimeoutError as exc:
@@ -1016,129 +989,60 @@ class _ProcessSession(RunnerSession):
                     f"{self._timeout:.0f}s task timeout (worker died or "
                     "deadlocked)"
                 ) from exc
-            except PartitioningError:
-                raise
             except Exception as exc:
-                if step in ("degree", "clustering"):
-                    raise _phase1_error(w, step, exc) from exc
-                raise
+                raise WorkerFailed(w, step, _describe(exc)) from exc
+        if step == "degree":
+            return [(partial, ()) for partial in results]
+        if step == "clustering":
+            exports = []
+            for (w, _, _), delta in zip(tasks, results):
+                header, v2c_view, vol_view = self._slots[w]
+                exports.append(((v2c_view, vol_view[: int(header[0])]), delta))
+            return exports
         return results
 
-    # ------------------------------------------------------------------
-    # Phase 1
-    # ------------------------------------------------------------------
-    def run_degree_pass(self, n_hint: int | None = None) -> np.ndarray:
+    # -- Phase 1 -------------------------------------------------------
+    def open_clustering(self, degrees, cap, lone):
         job = self.job
-        handles = []
-        for w in range(job.n_workers):
-            start = int(job.shard_bounds[w])
-            stop = int(job.shard_bounds[w + 1])
-            if start == stop:
-                continue
-            handles.append(
-                (w, self._pool.apply_async(
-                    _process_worker_task, (("degree", start, stop),)
-                ))
-            )
-        partials = self._collect(handles, "degree")
-        return get_backend(job.backend).merge_phase1_degrees(
-            partials, n_hint
-        )
-
-    def run_clustering(self, degrees, cap, n_passes):
-        degrees = np.asarray(degrees, dtype=np.int64)
         n = int(degrees.shape[0])
-        m = int(self.job.shard_bounds[-1])
-        cap_ids = cluster_id_capacity(m, n, self.job.n_workers)
-        nbytes = 8 * (n + self.job.n_workers * (1 + n + cap_ids))
-        self._cluster_shm = self._create_segment(nbytes)
-        result = self._run_clustering_windows(
-            degrees, cap, int(n_passes), n, cap_ids
+        cap_ids = cluster_id_capacity(job.stream.n_edges, n)
+        self._cluster_shm = self._create_segment(
+            8 * (n + job.n_workers * (1 + n + cap_ids))
         )
-        # Phase 2 never reads the scratch: release it now instead of at
-        # close().  Every parent-side view died with the helper frame
-        # above (so the mapping can drop), and pool workers keep their
-        # memoized mapping until the pool dies — unlinking under live
-        # mappings is safe on POSIX.
-        scratch, self._cluster_shm = self._cluster_shm, None
-        self._release_segment(scratch)
-        return result
-
-    def _run_clustering_windows(self, degrees, cap, n_passes, n, cap_ids):
-        """Sweep/barrier loop over the scratch segment; every view over
-        the segment is local to this frame (see ``run_clustering``)."""
-        job = self.job
-        kernels = get_backend(job.backend)
         arena = _BufferArena(self._cluster_shm.buf)
-        deg_view = arena(n, np.int64)
-        deg_view[:] = degrees
-        slots = []
-        for _ in range(job.n_workers):
-            header = arena(1, np.int64)
-            v2c_view = arena(n, np.int64)
-            vol_view = arena(cap_ids, np.int64)
-            v2c_view[:] = -1
-            slots.append((header, v2c_view, vol_view))
-        ref = (self._cluster_shm.name, n, cap_ids, job.n_workers)
-        single = job.n_workers == 1
-        v2c_g = np.full(n, -1, dtype=np.int64)
-        vol_g = np.zeros(0, dtype=np.int64)
-        syncs = 0
-        for _ in range(n_passes):
-            position = [int(job.shard_bounds[w]) for w in range(job.n_workers)]
-            stop = [int(job.shard_bounds[w + 1]) for w in range(job.n_workers)]
-            while True:
-                tasks = _sweep_schedule(
-                    position, stop, job.sync_interval, "cluster"
-                )
-                if not tasks:
-                    break
-                handles = [
-                    (w, self._pool.apply_async(
-                        _process_worker_task,
-                        (("cluster", w, t_start, t_stop, ref, cap),),
-                    ))
-                    for w, _, t_start, t_stop in tasks
-                ]
-                for delta in self._collect(handles, "clustering"):
-                    _merge_cost(job.cost, delta)
-                syncs += 1
-                if single:
-                    continue  # the lone worker's slot stays live
-                exports = [
-                    (slots[w][1], slots[w][2][: int(slots[w][0][0])])
-                    for w, _, _, _ in tasks
-                ]
-                v2c_g, vol_g = kernels.merge_phase1_clustering(
-                    v2c_g, vol_g, exports, degrees
-                )
-                v2c_g, vol_g = compact_clustering(v2c_g, vol_g)
-                for header, v2c_view, vol_view in slots:
-                    v2c_view[:] = v2c_g
-                    vol_view[: vol_g.shape[0]] = vol_g
-                    header[0] = vol_g.shape[0]
-        if single:
-            header, v2c_view, vol_view = slots[0]
-            v2c_g = np.array(v2c_view, dtype=np.int64, copy=True)
-            vol_g = np.array(
-                vol_view[: int(header[0])], dtype=np.int64, copy=True
+        arena(n, np.int64)[:] = degrees
+        self._slots = [
+            (arena(1, np.int64), arena(n, np.int64), arena(cap_ids, np.int64))
+            for _ in range(job.n_workers)
+        ]
+        self._cluster_ref = (self._cluster_shm.name, n, cap_ids, job.n_workers)
+        self._cap = cap
+
+    def publish_clustering(self, v2c, volumes):
+        for header, v2c_view, vol_view in self._slots:
+            v2c_view[:] = v2c
+            vol_view[: volumes.shape[0]] = volumes
+            header[0] = volumes.shape[0]
+
+    def close_clustering(self, lone):
+        # The lone worker's slot holds its live clustering; copy it out.
+        # Phase 2 never reads the scratch, so it is released now instead
+        # of at close() — workers keep their memoized mapping until the
+        # pool dies, and unlinking under live mappings is safe on POSIX.
+        final = None
+        if lone:
+            header, v2c_view, vol_view = self._slots[0]
+            final = (
+                np.array(v2c_view, dtype=np.int64, copy=True),
+                np.array(vol_view[: int(header[0])], dtype=np.int64, copy=True),
             )
-        return v2c_g, vol_g, syncs
+        self._slots = None
+        scratch, self._cluster_shm = self._cluster_shm, None
+        _release_segment(scratch)
+        return final
 
-    @staticmethod
-    def _release_segment(shm) -> None:
-        """Unlink one owned segment (idempotent against cleanup races)."""
-        _LIVE_SEGMENTS.discard(shm.name)
-        shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - cleanup race
-            pass
-
-    # ------------------------------------------------------------------
-    # Phase 2
-    # ------------------------------------------------------------------
-    def bind_phase2(self) -> None:
+    # -- Phase 2 -------------------------------------------------------
+    def bind_phase2(self, lone):
         job = self.job
         m = int(job.assignments.shape[0])
         self._assign_shm = self._create_segment(job.assignments.nbytes)
@@ -1173,34 +1077,8 @@ class _ProcessSession(RunnerSession):
             bool(job.state.packed),
         )
 
-    def run_pass(self, pass_name: str) -> tuple[int, int]:
-        if pass_name not in PASS_METHODS:
-            raise ConfigurationError(f"unknown pass {pass_name!r}")
-        job = self.job
-        position = [int(job.shard_bounds[w]) for w in range(job.n_workers)]
-        stop = [int(job.shard_bounds[w + 1]) for w in range(job.n_workers)]
-        total = 0
-        syncs = 0
-        while True:
-            tasks = _sweep_schedule(
-                position, stop, job.sync_interval, pass_name
-            )
-            if not tasks:
-                break
-            handles = [
-                (task[0], self._pool.apply_async(
-                    _process_worker_task, (task + (self._phase2_ref,),)
-                ))
-                for task in tasks
-            ]
-            for out, cost_delta in self._collect(handles, pass_name):
-                total += out
-                _merge_cost(job.cost, cost_delta)
-            syncs += 1
-            rows = merge_barrier(job.state, self.views)
-            self.barrier_rows += rows
-            self.barrier_full_rows += job.state.n_vertices
-        return total, syncs
+    def barrier(self, step):
+        return merge_replica_deltas(self.job.state, self.views)
 
     def finalize(self) -> None:
         # The barrier already synchronized the global state after the
@@ -1215,6 +1093,7 @@ class _ProcessSession(RunnerSession):
             pool, self._pool = self._pool, None
             self._shutdown_pool(pool)
         self._assign_view = None
+        self._slots = None
         for shm in (
             self._assign_shm,
             self._stream_shm,
@@ -1222,7 +1101,7 @@ class _ProcessSession(RunnerSession):
             self._phase1_shm,
         ):
             if shm is not None:
-                self._release_segment(shm)
+                _release_segment(shm)
         self._assign_shm = None
         self._stream_shm = None
         self._cluster_shm = None

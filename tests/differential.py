@@ -5,19 +5,11 @@ random graph (R-MAT, hub-heavy R-MAT, or Chung-Lu power-law), ``k``,
 ``alpha``, chunk size, sync interval, worker count, scoring mode,
 clustering passes and whether Phase 1 is sharded — and the harness runs it
 through the full runner/backend matrix, asserting the equivalence
-contract of :mod:`repro.core.runners` on the **full final state**:
+contract stated in the :mod:`repro.core.runners` module docstring on the
+**full final state** (per-edge assignments, replica matrix, partition
+sizes, machine-neutral cost counters and the schedule-derived extras).
+On top of that contract it checks:
 
-- per-edge assignments, the replica matrix, partition sizes and the
-  machine-neutral cost counters are byte-identical between
-  ``SimulatedRunner``, ``ProcessRunner`` and ``DistributedRunner``
-  (loopback socket workers speaking the versioned wire protocol) under
-  the same schedule, for every kernel backend;
-- kernel backends are byte-identical to each other within every runner;
-- ``SerialRunner`` is byte-identical to the sequential
-  ``TwoPhasePartitioner`` (for any configured worker count);
-- with ``n_workers=1`` the sharded schedule itself is byte-identical to
-  the sequential pipeline (both phases — degrees, clustering, mapping,
-  pre-partitioning, scoring);
 - the batched classic-HDRF baseline agrees across every backend, and —
   on cases drawing ``tune=True`` — ``tune="auto"`` runs (both the
   parallel matrix and the baseline) are byte-identical to untuned ones;

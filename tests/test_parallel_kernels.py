@@ -37,11 +37,13 @@ from hypothesis import strategies as st
 
 from repro.core import ParallelTwoPhase, ProcessRunner, TwoPhasePartitioner
 from repro.core import runners as runners_module
-from repro.core.runners import live_shared_segments
+from repro.core.distributed import live_connections, live_worker_processes
+from repro.core.runners import ShardedJob, live_shared_segments, make_runner
 from repro.errors import ConfigurationError, PartitioningError
 from repro.graph import Graph
 from repro.graph.formats import write_binary_edge_list
 from repro.kernels import NumpyBackend, available_backends, register_backend
+from repro.metrics.runtime import CostCounter
 from repro.streaming import FileEdgeStream, InMemoryEdgeStream
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -306,12 +308,18 @@ class TestRunnerMatrix:
     def test_serial_runner_is_sequential(self, n_workers, community_graph):
         """SerialRunner ignores sharding entirely: bit-exact with the
         sequential pipeline for any configured worker count."""
-        seq = TwoPhasePartitioner().partition(community_graph, 4)
+        seq_stream = InMemoryEdgeStream(community_graph)
+        ser_stream = InMemoryEdgeStream(community_graph)
+        seq = TwoPhasePartitioner().partition(seq_stream, 4)
         ser = ParallelTwoPhase(
             n_workers=n_workers, sync_interval=13, runner="serial"
-        ).partition(community_graph, 4)
+        ).partition(ser_stream, 4)
         assert_bit_exact(seq, ser)
         assert ser.extras["syncs"] == 0
+        # The serial transport streams the stream object itself: the same
+        # passes over the same edges as the sequential pipeline.
+        assert ser_stream.stats.passes == seq_stream.stats.passes
+        assert ser_stream.stats.edges_read == seq_stream.stats.edges_read
 
     def test_overshot_stale_view_with_untouched_partition(self):
         """Regression: a stale worker view whose *other* partition overshot
@@ -353,6 +361,15 @@ class _ExplodingClusteringBackend(NumpyBackend):
 
     def clustering_true_pass(self, stream, st, cap, cost):
         raise RuntimeError("clustering kernel exploded")
+
+
+class _ExplodingRemainingBackend(NumpyBackend):
+    """Raises inside the worker during the Phase-2 remaining pass."""
+
+    name = "exploding-remaining"
+
+    def remaining_pass_linear(self, stream, ctx):
+        raise RuntimeError("remaining kernel exploded")
 
 
 class _SleepingClusteringBackend(NumpyBackend):
@@ -430,7 +447,7 @@ class TestCrashedWorkerCleanup:
             runner="process",
             start_method="fork",
         )
-        with pytest.raises(RuntimeError, match="exploded"):
+        with pytest.raises(PartitioningError, match="exploded"):
             partitioner.partition(community_graph, 4)
         assert recording_segments.ever, "session created no segments?"
         assert not recording_segments, "segments left registered"
@@ -499,6 +516,76 @@ class TestCrashedWorkerCleanup:
                 with pytest.raises(FileNotFoundError):
                     shared_memory.SharedMemory(name=name, create=False)
 
+    @pytest.fixture
+    def exploding_windows(self):
+        for backend_cls in (
+            _ExplodingClusteringBackend, _ExplodingRemainingBackend
+        ):
+            register_backend(backend_cls.name, backend_cls)
+        yield
+        import repro.kernels as kernels_pkg
+
+        for backend_cls in (
+            _ExplodingClusteringBackend, _ExplodingRemainingBackend
+        ):
+            kernels_pkg._REGISTRY.pop(backend_cls.name, None)
+            kernels_pkg._INSTANCES.pop(backend_cls.name, None)
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize(
+        "runner", ["simulated", "process", "distributed"]
+    )
+    @pytest.mark.parametrize(
+        "backend, parallel_phase1, message",
+        [
+            pytest.param(
+                "exploding-phase1",
+                True,
+                "phase-1 worker 0 failed during the clustering pass: "
+                "RuntimeError: clustering kernel exploded",
+                id="phase1",
+            ),
+            pytest.param(
+                "exploding-remaining",
+                False,
+                "phase-2 worker 0 failed during the remaining_linear pass: "
+                "RuntimeError: remaining kernel exploded",
+                id="phase2",
+            ),
+        ],
+    )
+    def test_failed_window_is_one_typed_error(
+        self, runner, n_workers, backend, parallel_phase1, message,
+        community_graph, recording_segments, exploding_windows,
+    ):
+        """A kernel exception in a worker window surfaces as the same
+        PartitioningError — naming the phase, the worker, the step and
+        the cause — from every sharded runner, in both phases."""
+        partitioner = ParallelTwoPhase(
+            n_workers=n_workers,
+            sync_interval=32,
+            backend=backend,
+            runner=runner,
+            start_method="fork",
+            parallel_phase1=parallel_phase1,
+        )
+        with pytest.raises(PartitioningError) as excinfo:
+            partitioner.partition(community_graph, 4)
+        assert str(excinfo.value) == message
+        assert not recording_segments
+        assert not live_connections() and not live_worker_processes()
+
+    def test_serial_runner_raises_the_kernel_error(
+        self, community_graph, exploding_windows
+    ):
+        """The serial runner stays raw, like the sequential partitioner."""
+        for partitioner in (
+            TwoPhasePartitioner(backend="exploding-remaining"),
+            ParallelTwoPhase(backend="exploding-remaining", runner="serial"),
+        ):
+            with pytest.raises(RuntimeError, match="remaining kernel"):
+                partitioner.partition(community_graph, 4)
+
     def test_hung_worker_mid_phase1_times_out_and_unlinks(
         self, community_graph, recording_segments,
         sleeping_clustering_backend,
@@ -540,6 +627,33 @@ class TestCrashedWorkerCleanup:
         for name in recording_segments.ever:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name, create=False)
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
+@pytest.mark.parametrize(
+    "runner", ["serial", "simulated", "process", "distributed"]
+)
+def test_unknown_pass_is_a_configuration_error(runner, community_graph):
+    """The driver validates the pass name once, for every runner."""
+    job = ShardedJob(
+        stream=InMemoryEdgeStream(community_graph),
+        backend="numpy",
+        k=4,
+        alpha=1.05,
+        hash_seed=0,
+        hdrf_lambda=1.1,
+        cost=CostCounter(),
+        n_workers=2,
+        sync_interval=32,
+    )
+    session = make_runner(runner).open(job)
+    try:
+        with pytest.raises(ConfigurationError, match="unknown pass 'bogus'"):
+            session.run_pass("bogus")
+    finally:
+        session.close()
+    assert not live_shared_segments()
+    assert not live_connections() and not live_worker_processes()
 
 
 class TestOutOfCore:
