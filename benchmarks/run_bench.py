@@ -63,10 +63,13 @@ Exit status is non-zero unless every gate passes:
   dense bool matrix at the default ``k=32`` (always enforced), packed
   and dense — and prefetching and synchronous file streams, and the
   process runner over both — must stay bit-identical (always enforced),
-  and the double-buffered prefetching stream must beat the synchronous
-  stream's wall-clock.  The prefetch-overlap gate needs a second CPU for
-  the reader thread to overlap with compute, so single-CPU hosts
-  record-but-skip it, like the parallel wall-clock gates;
+  the packed run's ``partitioning`` phase may take at most 1.3x the
+  dense run's (2.0x at smoke scale; always enforced — same host, back
+  to back), and the double-buffered prefetching stream must beat the
+  synchronous stream's wall-clock.  The prefetch-overlap gate needs a
+  second CPU for the reader thread to overlap with compute, so
+  single-CPU hosts record-but-skip it, like the parallel wall-clock
+  gates;
 - numba gate (``numba`` section of ``BENCH_kernels.json``): the compiled
   ``numba`` backend must reach >= 2x the ``numpy`` backend on the 2PS-L
   *remaining* (scoring) pass over hub-heavy R-MAT — the serial-dominated
@@ -193,6 +196,15 @@ TUNING_SMOKE_GATE = 0.3
 #: gate; always enforced — the ratio is a storage-layout fact, not a
 #: wall-clock measurement, so host throughput cannot hide a regression).
 STORAGE_REDUCTION_GATE = 6.0
+
+#: Ceiling on the packed/dense ``partitioning`` phase-seconds ratio of the
+#: file-stream runs: the serial per-edge loops address the raw storage
+#: plane in both layouts, so bit-packing may not slow the remaining pass
+#: down (ROADMAP 2(a) gate; always enforced — both runs share the host,
+#: back to back).  Smoke scale is looser: its pass lasts a few tens of
+#: milliseconds, where timer noise weighs more.
+PACKED_PHASE_GATE = 1.3
+PACKED_PHASE_SMOKE_GATE = 2.0
 
 #: Wall-clock gain the double-buffered prefetching file stream must show
 #: over the synchronous stream (reader thread overlaps decode + I/O with
@@ -885,6 +897,9 @@ def run_out_of_core_section(args, scale: int, smoke: bool, out: str) -> bool:
     - packed-state gate (always enforced): bit-packed replica state
       >= ``STORAGE_REDUCTION_GATE``x smaller than the dense bool state,
       and bit-identical with it;
+    - packed-phase gate (always enforced): the packed run's
+      ``partitioning`` phase at most ``PACKED_PHASE_GATE``x the dense
+      run's;
     - prefetch-overlap gate (skipped below 2 CPUs): the double-buffered
       prefetching stream beats the synchronous stream's wall-clock, and
       stays bit-identical with it;
@@ -898,6 +913,7 @@ def run_out_of_core_section(args, scale: int, smoke: bool, out: str) -> bool:
     cpus = usable_cpus()
     repeats = 1 if smoke else args.repeats
     reduction_gate = STORAGE_REDUCTION_GATE
+    phase_gate = PACKED_PHASE_SMOKE_GATE if smoke else PACKED_PHASE_GATE
     prefetch_gate = PREFETCH_SMOKE_GATE if smoke else PREFETCH_GATE
 
     with tempfile.TemporaryDirectory(prefix="bench_ooc_") as tmp:
@@ -935,6 +951,15 @@ def run_out_of_core_section(args, scale: int, smoke: bool, out: str) -> bool:
             f"  packed replica state: {dense_bytes:,} dense bytes -> "
             f"{packed_bytes:,} packed bytes ({reduction:.2f}x, gate "
             f"{reduction_gate}x: {'pass' if reduction_ok else 'FAIL'})"
+        )
+        dense_phase_s = dense["row"]["phase_seconds"]["partitioning"]
+        packed_phase_s = packed["row"]["phase_seconds"]["partitioning"]
+        phase_ratio = packed_phase_s / dense_phase_s
+        phase_ok = phase_ratio <= phase_gate
+        print(
+            f"  partitioning phase: {dense_phase_s:.3f}s dense -> "
+            f"{packed_phase_s:.3f}s packed ({phase_ratio:.2f}x, gate "
+            f"<= {phase_gate}x: {'pass' if phase_ok else 'FAIL'})"
         )
 
         prefetched = run_config(
@@ -1031,6 +1056,18 @@ def run_out_of_core_section(args, scale: int, smoke: bool, out: str) -> bool:
                 "skipped_reason": None,
             },
         },
+        "partitioning_phase": {
+            "dense_seconds": round(dense_phase_s, 4),
+            "packed_seconds": round(packed_phase_s, 4),
+            "packed_over_dense": round(phase_ratio, 3),
+            "gate": {
+                "threshold": phase_gate,
+                "ratio": round(phase_ratio, 3),
+                "enforced": True,
+                "pass": phase_ok,
+                "skipped_reason": None,
+            },
+        },
         "prefetch": {
             "sync_seconds": round(sync_s, 4),
             "prefetch_seconds": round(prefetch_s, 4),
@@ -1060,7 +1097,7 @@ def run_out_of_core_section(args, scale: int, smoke: bool, out: str) -> bool:
         json.dump(payload, fh, indent=2, sort_keys=False)
         fh.write("\n")
     print(f"  wrote {out}")
-    return reduction_ok and prefetch_ok is not False
+    return reduction_ok and phase_ok and prefetch_ok is not False
 
 
 def run_serving_section(

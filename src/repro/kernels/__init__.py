@@ -169,12 +169,12 @@ Packed replica rows (out-of-core states)
 ``PartitionState(..., packed=True)`` stores the replica matrix as
 bit-packed rows (``(k + 7) // 8`` little-bitorder bytes per vertex, the
 ``np.packbits(..., bitorder="little")`` layout) behind
-:class:`~repro.partitioning.state.PackedReplicaMatrix`.  Kernels never
-see the byte layout: the wrapper speaks the same indexing protocol as
-the dense bool matrix — ``replicas[rows, cols]`` bit gathers,
-``replicas[rows]`` row gathers, ``replicas[us, ps] = True`` duplicate-
-safe bit scatters, ``sum``/``any``/``copy``/``__array__`` — so a
-backend written against the dense protocol runs packed states
+:class:`~repro.partitioning.state.PackedReplicaMatrix`.  Vectorized
+kernel code never sees the byte layout: the wrapper speaks the same
+indexing protocol as the dense bool matrix — ``replicas[rows, cols]``
+bit gathers, ``replicas[rows]`` row gathers, ``replicas[us, ps] = True``
+duplicate-safe bit scatters, ``sum``/``any``/``copy``/``__array__`` —
+so a backend written against the dense protocol runs packed states
 unchanged.  The contract additions for backends that bypass the
 protocol with raw-``ndarray`` tricks:
 
@@ -184,9 +184,20 @@ protocol with raw-``ndarray`` tricks:
   them) or route to a protocol-speaking twin, the way the ``numba``
   backend's remaining passes delegate to their inherited numpy
   implementations for non-``ndarray`` replica matrices;
-- bit-*clear* writes don't exist: replica bits are monotone within a
-  run, and ``PackedReplicaMatrix.__setitem__`` rejects anything but
-  ``True`` scatters (barrier refreshes assign whole rows instead);
+- per-edge serial loops outside the python reference never index the
+  wrapper (a scalar ``replicas[u, p]`` is a Python-level call costing
+  microseconds on packed state).  They test and set bits on the raw
+  storage plane from
+  ``numpy_backend._replica_plane``: a flat writable byte view plus
+  ``(row_bytes, shift, low_mask)``, bit ``(u, p)`` at byte
+  ``u * row_bytes + (p >> shift)`` under mask ``1 << (p & low_mask)``
+  — ``(k, 0, 0)`` for dense bool, ``(ceil(k/8), 3, 7)`` for packed — so
+  one loop serves both layouts at the same speed;
+- replica bits are monotone within a streaming run, so the passes never
+  clear them.  ``PackedReplicaMatrix.__setitem__`` accepts ``= False``
+  only as a *scalar* element write (``IncrementalPartitioner`` clears a
+  replica bit on edge deletion) and rejects fancy ``= False`` scatters;
+  barrier refreshes assign whole rows instead;
 - tail bits (``k`` not a byte multiple) must stay zero — popcount-based
   metrics (``sum``) trust them;
 - packed and dense states must stay **bit-exact** for any stream,

@@ -33,6 +33,11 @@ Why the sub-batching is exact, in short:
   exists at all; this pass uses speculate-verify-repair blocks plus an
   exact scalar engine instead (see ``_hdrf_block`` and
   ``_HdrfScalarEngine``).
+
+The serial per-edge loops (the scoring pass's conflict path and the
+pre-partition pass's cap-aware tail) test and set replica bits on the
+raw storage plane (``_replica_plane``) instead of indexing the replica
+matrix, so dense and bit-packed states run one loop at the same speed.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ import numpy as np
 
 from repro.kernels.base import ClusteringState, Int64Buffer, TwoPhaseContext
 from repro.kernels.python_backend import PythonBackend
+from repro.partitioning.state import _replica_storage
 
 #: Internal sub-batch size for the *stateful* passes.  Conflict detection
 #: happens within one block, so smaller blocks mean fewer vertex/cluster
@@ -69,6 +75,28 @@ HDRF_BLOCK = 256
 #: ``remaining_pass_hdrf`` turns speculation off entirely when it keeps
 #: failing to converge.
 HDRF_SPECULATION_ROUNDS = 6
+
+
+def _replica_plane(replicas):
+    """Flat writable byte view of a replica matrix's raw storage.
+
+    Returns ``(plane, row_bytes, shift, low_mask)``: replica bit
+    ``(u, p)`` lives in byte ``u * row_bytes + (p >> shift)`` under mask
+    ``1 << (p & low_mask)``.  Dense bool storage is one byte per bit,
+    ``(k, 0, 0)`` — mask 1 is ``True``; the packed uint8 plane is
+    ``(ceil(k/8), 3, 7)``.  ``cast`` raises on non-contiguous storage, so
+    a write can never land in a silent copy.  The view pins the storage
+    (shared segments cannot close under it): callers release it with
+    ``with plane:``.
+    """
+    raw = _replica_storage(replicas)
+    packed = raw is not replicas
+    return (
+        memoryview(raw).cast("B"),
+        raw.shape[1],
+        3 if packed else 0,
+        7 if packed else 0,
+    )
 
 
 class NumpyBackend(PythonBackend):
@@ -470,18 +498,21 @@ class NumpyBackend(PythonBackend):
         def least_loaded() -> int:
             return int(np.argmin(sizes))
 
-        for i in range(j, n):
-            uu = int(tu[i])
-            vv = int(tv[i])
-            p = int(tp[i])
-            if sizes[p] >= capacity:
-                p = self._fallback_partition(
-                    uu, vv, deg, sizes, capacity, k, seed, cost, least_loaded
-                )
-            sizes[p] += 1
-            replicas[uu, p] = True
-            replicas[vv, p] = True
-            ctx.assignments[positions[i]] = p
+        plane, row_bytes, shift, low_mask = _replica_plane(replicas)
+        chosen = []
+        with plane, memoryview(sizes) as live:
+            for uu, vv, p in zip(tu[j:].tolist(), tv[j:].tolist(), tp[j:].tolist()):
+                if live[p] >= capacity:
+                    p = self._fallback_partition(
+                        uu, vv, deg, live, capacity, k, seed, cost, least_loaded
+                    )
+                live[p] += 1
+                b = p >> shift
+                m = 1 << (p & low_mask)
+                plane[uu * row_bytes + b] |= m
+                plane[vv * row_bytes + b] |= m
+                chosen.append(p)
+        ctx.assignments[positions[j:]] = chosen
         return n
 
     def remaining_pass_linear(self, stream, ctx: TwoPhaseContext) -> None:
@@ -623,12 +654,10 @@ class NumpyBackend(PythonBackend):
     ) -> None:
         """Per-edge reference scoring, in stream order, over the
         precomputed state-independent score components."""
-        replicas = ctx.state.replicas
         sizes = ctx.state.sizes
         capacity = ctx.state.capacity
         deg = ctx.degrees
         k, cost, seed = ctx.k, ctx.cost, ctx.hash_seed
-        assignments = ctx.assignments
         lu = ru.tolist()
         lv = rv.tolist()
         lp1 = rp1.tolist()
@@ -637,37 +666,49 @@ class NumpyBackend(PythonBackend):
         lr2 = r2.tolist()
         ltu = term_u.tolist()
         ltv = term_v.tolist()
-        lpos = positions.tolist()
 
         def least_loaded() -> int:
             return int(np.argmin(sizes))
 
-        for i in indices.tolist():
-            u = lu[i]
-            v = lv[i]
-            p1 = lp1[i]
-            p2 = lp2[i]
-            tu = ltu[i]
-            tv = ltv[i]
-            s1 = lr1[i]
-            if replicas[u, p1]:
-                s1 += tu
-            if replicas[v, p1]:
-                s1 += tv
-            s2 = lr2[i]
-            if replicas[u, p2]:
-                s2 += tu
-            if replicas[v, p2]:
-                s2 += tv
-            p = p1 if s1 >= s2 else p2
-            if sizes[p] >= capacity:
-                p = self._fallback_partition(
-                    u, v, deg, sizes, capacity, k, seed, cost, least_loaded
-                )
-            sizes[p] += 1
-            replicas[u, p] = True
-            replicas[v, p] = True
-            assignments[lpos[i]] = p
+        plane, row_bytes, shift, low_mask = _replica_plane(ctx.state.replicas)
+        chosen = []
+        append = chosen.append
+        with plane, memoryview(sizes) as live:
+            for i in indices.tolist():
+                u = lu[i]
+                v = lv[i]
+                p1 = lp1[i]
+                p2 = lp2[i]
+                bu = u * row_bytes
+                bv = v * row_bytes
+                b = p1 >> shift
+                m = 1 << (p1 & low_mask)
+                tu = ltu[i]
+                tv = ltv[i]
+                s1 = lr1[i]
+                if plane[bu + b] & m:
+                    s1 += tu
+                if plane[bv + b] & m:
+                    s1 += tv
+                b = p2 >> shift
+                m = 1 << (p2 & low_mask)
+                s2 = lr2[i]
+                if plane[bu + b] & m:
+                    s2 += tu
+                if plane[bv + b] & m:
+                    s2 += tv
+                p = p1 if s1 >= s2 else p2
+                if live[p] >= capacity:
+                    p = self._fallback_partition(
+                        u, v, deg, live, capacity, k, seed, cost, least_loaded
+                    )
+                b = p >> shift
+                m = 1 << (p & low_mask)
+                live[p] += 1
+                plane[bu + b] |= m
+                plane[bv + b] |= m
+                append(p)
+        ctx.assignments[positions[indices]] = chosen
 
     # ------------------------------------------------------------------
     # 2PS-HDRF remaining pass: blocked speculation + scalar engine

@@ -25,8 +25,9 @@ from repro.kernels import (
     get_backend,
     register_backend,
 )
-from repro.kernels.base import Int64Buffer
+from repro.kernels.base import Int64Buffer, TwoPhaseContext
 from repro.kernels.numba_backend import NumbaBackend
+from repro.metrics.runtime import CostCounter
 from repro.partitioning import LeastLoadedTracker, PartitionArtifacts
 from repro.partitioning.state import PartitionState
 from repro.streaming import DEFAULT_CHUNK_SIZE, InMemoryEdgeStream
@@ -231,6 +232,88 @@ class TestBackendEquivalence:
         )
         out = algo(backend=backend).partition(graph, k, chunk_size=chunk_size)
         assert_results_identical(ref, out)
+
+
+def _phase2_context(graph, k, packed):
+    """A Phase-2 kernel context over a deliberately lopsided mapping:
+    half the clusters land on partition 0, so at ``alpha=1.0`` the
+    pre-partition pass overflows the hard cap and both passes take the
+    hash/least-loaded fallback (the rest spread over all partitions, so
+    the scored choice decides too)."""
+    rng = np.random.default_rng(11)
+    n = graph.n_vertices
+    degrees = np.bincount(graph.edges.ravel(), minlength=n).astype(np.int64)
+    n_clusters = n // 4
+    v2c = rng.integers(0, n_clusters, size=n).astype(np.int64)
+    c2p = np.where(
+        rng.random(n_clusters) < 0.5, 0, rng.integers(0, k, size=n_clusters)
+    ).astype(np.int64)
+    volumes = np.bincount(v2c, weights=degrees, minlength=n_clusters)
+    return TwoPhaseContext(
+        k=k,
+        v2c=v2c,
+        c2p=c2p,
+        volumes=volumes.astype(np.int64),
+        degrees=degrees,
+        state=PartitionState(n, k, graph.n_edges, alpha=1.0, packed=packed),
+        assignments=np.full(graph.n_edges, -1, dtype=np.int32),
+        hash_seed=0,
+        cost=CostCounter(),
+    )
+
+
+@pytest.mark.parametrize("backend", VECTOR_BACKENDS)
+@pytest.mark.parametrize("k", [13, 32])
+@pytest.mark.parametrize("mode", ["linear", "hdrf"])
+class TestPackedStateKernels:
+    """The Phase-2 passes on bit-packed state, pass by pass: packed ==
+    dense == the python reference, with the cap fallback taken.  k=13
+    leaves three tail bits per packed row, k=32 fills whole bytes."""
+
+    GRAPH = rmat_graph(9, edge_factor=8, seed=3)
+
+    def _run(self, name, k, mode, packed):
+        kernels = get_backend(name)
+        ctx = _phase2_context(self.GRAPH, k, packed)
+        stream = InMemoryEdgeStream(self.GRAPH)
+        stream.default_chunk_size = 1000
+        remaining = (
+            kernels.remaining_pass_linear
+            if mode == "linear"
+            else kernels.remaining_pass_hdrf
+        )
+        snapshots = []
+        for run_pass in (kernels.prepartition_pass, remaining):
+            ctx.cost = CostCounter()
+            run_pass(stream, ctx)
+            snapshots.append(
+                (
+                    ctx.assignments.copy(),
+                    ctx.state.sizes.copy(),
+                    np.array(ctx.state.replicas, copy=True),
+                    ctx.cost,
+                )
+            )
+        return ctx, snapshots
+
+    def test_packed_equals_dense_and_reference(self, backend, k, mode):
+        _, reference = self._run("python", k, mode, packed=False)
+        _, dense = self._run(backend, k, mode, packed=False)
+        ctx, packed = self._run(backend, k, mode, packed=True)
+        for ref, dns, pkd in zip(reference, dense, packed):
+            for other in (dns, pkd):
+                np.testing.assert_array_equal(ref[0], other[0])
+                np.testing.assert_array_equal(ref[1], other[1])
+                np.testing.assert_array_equal(ref[2], other[2])
+                assert ref[3] == other[3]
+        # Both passes overflowed the cap into the fallback chain.
+        prepartition_cost, remaining_cost = packed[0][3], packed[1][3]
+        assert prepartition_cost.hash_evaluations > 0
+        if mode == "linear":
+            assert remaining_cost.hash_evaluations > 0
+        assert (ctx.assignments >= 0).all()
+        bits = np.unpackbits(ctx.state.replicas.packed, axis=1, bitorder="little")
+        assert not bits[:, k:].any()  # tail bits past column k stay zero
 
 
 class TestChunkSizeIsPerfKnobOnly:
