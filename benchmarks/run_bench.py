@@ -84,15 +84,6 @@ Exit status is non-zero unless every gate passes:
   (ISSUE 8 acceptance gate).  The ``numba`` leg is recorded and checked
   for bit-exactness when the dependency is available, and
   records-but-skips when it is not — same rule as the numba section;
-- tuning gate (``tuning`` section of ``BENCH_kernels.json``): a
-  ``tune="auto"`` run must stay bit-identical with the untuned run
-  (always enforced — the tuner only moves semantics-free knobs) and its
-  wall-clock must stay within the probe-overhead budget of the untuned
-  run.  The wall-clock leg needs an uncontended core to be measurable,
-  so single-CPU hosts record-but-skip it, like the parallel gates.  The
-  recorded :class:`~repro.tuning.TuningDecision` summary makes the
-  chosen ``{backend, chunk_size, sync_interval}`` part of the nightly
-  trend line.
 - serving gates (``BENCH_serving.json``): the main run is persisted as a
   :class:`~repro.serving.store.PartitionStore`, reopened memory-mapped,
   and a seeded closed-loop load generator drives the
@@ -181,15 +172,6 @@ NUMBA_SMOKE_GATE = 1.2
 #: because the block machinery amortizes much less at 65k edges.
 HDRF_BASELINE_GATE = 3.0
 HDRF_BASELINE_SMOKE_GATE = 1.5
-
-#: Wall-clock ratio (untuned / tuned) a ``tune="auto"`` run must keep:
-#: the probe window is bounded, so tuning may not cost more than a
-#: small fraction of the run.  Enforced only on hosts with >= 2 usable
-#: CPUs — on a contended single core the ratio measures scheduler noise,
-#: not probe overhead.  The smoke threshold is loose: at 65k edges the
-#: probe is a visible fraction of the whole stream.
-TUNING_GATE = 0.8
-TUNING_SMOKE_GATE = 0.3
 
 #: Peak-state-bytes reduction the bit-packed replica matrix must reach
 #: against the dense bool matrix at the default k=32 (ISSUE 7 acceptance
@@ -546,83 +528,6 @@ def run_hdrf_baseline_section(
         + ("measured)" if numba_available else "skipped)")
     )
     return section, passed
-
-
-def run_tuning_section(args, stream, smoke: bool) -> tuple[dict, bool]:
-    """The gated ``tuning`` section of ``BENCH_kernels.json``.
-
-    Runs the sequential 2PS-L pipeline untuned and with ``tune="auto"``,
-    requires bit-identical results (always enforced: every tuned knob is
-    semantics-free by contract), and checks the tuned run's wall-clock
-    stays within the probe-overhead budget — enforced only on hosts
-    with >= 2 usable CPUs, where the ratio measures probe overhead
-    rather than scheduler contention.  The chosen
-    :class:`~repro.tuning.TuningDecision` is recorded, plus the decision
-    the tuner takes for a staleness-free ``ParallelTwoPhase`` (the
-    regime where the ``sync_interval`` knob engages), so the nightly
-    trend line tracks what the tuner actually picks.  Returns
-    ``(section, ok)``.
-    """
-    from repro.tuning import tune_run
-
-    cpus = usable_cpus()
-    threshold = TUNING_SMOKE_GATE if smoke else TUNING_GATE
-    repeats = 1 if smoke else args.repeats
-    untuned = run_config(
-        lambda: TwoPhasePartitioner(), stream, args.k, args.alpha, repeats
-    )
-    tuned = run_config(
-        lambda: TwoPhasePartitioner(tune="auto"),
-        stream, args.k, args.alpha, repeats,
-    )
-    assert_bit_exact(
-        untuned["result"], tuned["result"],
-        'tuning: tune="auto" vs untuned sequential 2PS-L',
-    )
-    decision = tuned["result"].artifacts.tuning
-    # The serial-regime decision exercises the sync_interval knob too;
-    # probe only, no extra partitioning run.
-    serial_decision = tune_run(
-        ParallelTwoPhase(n_workers=1, sync_interval=args.sync_interval),
-        stream, args.k, None,
-    )
-    untuned_s = untuned["row"]["total_seconds"]
-    tuned_s = tuned["row"]["total_seconds"]
-    ratio = untuned_s / tuned_s if tuned_s > 0 else 0.0
-    enforced = cpus >= 2
-    passed = ratio >= threshold if enforced else None
-    section = {
-        "benchmark": 'probe-window auto-tuner (tune="auto") vs untuned '
-        "sequential 2PS-L",
-        "k": args.k,
-        "alpha": args.alpha,
-        "decision": decision.summary(),
-        "serial_regime_decision": serial_decision.summary(),
-        "untuned_seconds": round(untuned_s, 4),
-        "tuned_seconds": round(tuned_s, 4),
-        "overhead_ratio": round(ratio, 3),
-        "bit_exact_with_untuned": True,
-        "gate": {
-            "threshold": threshold,
-            "speedup": round(ratio, 3),
-            "enforced": enforced,
-            "pass": passed,
-            "skipped_reason": (
-                None
-                if enforced
-                else f"{cpus} usable CPU(s): the wall-clock overhead "
-                "ratio measures scheduler contention on this host"
-            ),
-        },
-    }
-    state = "pass" if passed else ("SKIPPED" if passed is None else "FAIL")
-    print(
-        f"  tuning: {untuned_s:.3f}s untuned -> {tuned_s:.3f}s tuned "
-        f"({ratio:.2f}x, gate {threshold}x: {state}, {cpus} cpus); "
-        f"decision backend={decision.backend} chunk={decision.chunk_size} "
-        f"serial-regime sync={serial_decision.sync_interval}"
-    )
-    return section, passed is not False
 
 
 def run_distributed_section(
@@ -1513,7 +1418,6 @@ def main(argv: list[str] | None = None) -> int:
     hdrf_section, hdrf_ok = run_hdrf_baseline_section(
         args, graph, stream, args.smoke
     )
-    tuning_section, tuning_ok = run_tuning_section(args, stream, args.smoke)
 
     payload = {
         "benchmark": "kernel-backend throughput (2PS-L / 2PS-HDRF / parallel)",
@@ -1538,10 +1442,9 @@ def main(argv: list[str] | None = None) -> int:
         "gates": gate_rows,
         "numba": numba_section,
         "hdrf_baseline": hdrf_section,
-        "tuning": tuning_section,
         "identical_assignments": True,
         "parallel_matches_sequential": True,
-        "meets_gates": meets and numba_ok and hdrf_ok and tuning_ok,
+        "meets_gates": meets and numba_ok and hdrf_ok,
     }
     with open(out, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=False)
@@ -1549,7 +1452,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  gates: {json.dumps(gate_rows)}")
     print(
         f"  wrote {out} "
-        f"(meets_gates={meets and numba_ok and hdrf_ok and tuning_ok})"
+        f"(meets_gates={meets and numba_ok and hdrf_ok})"
     )
 
     parallel_ok = run_parallel_wallclock(
@@ -1575,7 +1478,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     return (
         0
-        if meets and numba_ok and hdrf_ok and tuning_ok
+        if meets and numba_ok and hdrf_ok
         and parallel_ok and storage_ok and serving_ok
         else 1
     )

@@ -154,18 +154,10 @@ def _cmd_partition(args) -> int:
         args.k,
         alpha=args.alpha,
         chunk_size=args.chunk_size,
-        tune=args.tune,
     )
     print(f"partitioner       : {result.partitioner}")
     if args.backend:
         print(f"kernel backend    : {args.backend}")
-    tuning = getattr(result.artifacts, "tuning", None)
-    if tuning is not None:
-        print(
-            f"auto-tuned        : backend={tuning.backend} "
-            f"chunk={tuning.chunk_size} sync={tuning.sync_interval} "
-            f"(probe {tuning.probe_edges} edges)"
-        )
     if "runner" in result.extras:
         kind = "measured" if result.extras["measured_wallclock"] else "modeled"
         print(f"runner            : {result.extras['runner']}")
@@ -430,14 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="edges per stream chunk for every pass, or 'auto' to derive "
         "one from |V| and k (perf knob only)",
-    )
-    part.add_argument(
-        "--tune",
-        choices=("auto",),
-        default=None,
-        help="probe the stream head and auto-pick execution knobs "
-        "(backend / chunk size / sync interval); decisions are "
-        "deterministic and bit-exact with an untuned run",
     )
     part.add_argument(
         "--runner",

@@ -6,9 +6,9 @@
 - :mod:`~repro.core.scheduling` — Phase 2 Step 1: cluster-to-partition
   mapping via Graham's sorted list scheduling (4/3-approximation of
   makespan scheduling on identical machines).
-- :mod:`~repro.core.scoring` — the constant-time 2PS-L scoring function
-  over exactly two candidate partitions, plus HDRF scoring for the
-  2PS-HDRF variant.
+- :mod:`~repro.core.scoring` — the constant-time 2PS-L score over
+  exactly two candidate partitions and the HDRF score of the 2PS-HDRF
+  variant (formulas; the kernel backends implement them).
 - :mod:`~repro.core.partitioner` — the full pipeline (paper Algorithm 2):
   degree pass, clustering pass(es), cluster mapping, pre-partitioning pass,
   remaining-edge scoring pass.
@@ -25,7 +25,6 @@ Extensions from the paper's discussion (Section VI):
 
 from repro.core.clustering import ClusteringResult, StreamingClustering
 from repro.core.scheduling import graham_schedule, makespan_lower_bound
-from repro.core.scoring import hdrf_scores, twopsl_score
 from repro.core.partitioner import TwoPhasePartitioner
 from repro.core.incremental import IncrementalPartitioner
 from repro.core.runners import (
@@ -43,8 +42,6 @@ __all__ = [
     "ClusteringResult",
     "graham_schedule",
     "makespan_lower_bound",
-    "twopsl_score",
-    "hdrf_scores",
     "TwoPhasePartitioner",
     "IncrementalPartitioner",
     "ParallelTwoPhase",

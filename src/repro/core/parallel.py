@@ -81,9 +81,7 @@ class ParallelTwoPhase(TwoPhasePartitioner):
 
     The remaining parameters are those of
     :class:`~repro.core.partitioner.TwoPhasePartitioner`; with
-    ``packed_state`` every worker view is bit-packed too, and
-    ``tune="auto"`` touches ``sync_interval`` only in the semantics-free
-    regime (``n_workers == 1`` or the serial runner).
+    ``packed_state`` every worker view is bit-packed too.
     """
 
     def __init__(
@@ -103,7 +101,6 @@ class ParallelTwoPhase(TwoPhasePartitioner):
         start_method: str | None = None,
         task_timeout: float = 600.0,
         packed_state: bool = False,
-        tune: str | None = None,
     ) -> None:
         if n_workers < 1:
             raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
@@ -121,7 +118,6 @@ class ParallelTwoPhase(TwoPhasePartitioner):
             backend=backend,
             chunk_size=chunk_size,
             packed_state=packed_state,
-            tune=tune,
         )
         self.n_workers = int(n_workers)
         self.sync_interval = int(sync_interval)

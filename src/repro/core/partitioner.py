@@ -141,12 +141,6 @@ class TwoPhasePartitioner(EdgePartitioner):
         When True, the replica matrix is stored bit-packed (``ceil(k/8)``
         bytes per row; the out-of-core memory tier).  A pure storage
         knob — bit-exact with the dense default on every backend.
-    tune:
-        ``"auto"`` enables the online auto-tuner (:mod:`repro.tuning`)
-        for every ``partition(...)`` call of this instance; ``None``
-        (default) disables it.  Overridable per call via
-        ``partition(..., tune=...)``.  Tuned knobs are pure execution
-        knobs, so results stay bit-exact with an untuned run.
 
     This class is the one 2PS-L pipeline: every pass runs through runner
     sessions (:mod:`repro.core.runners`) — Phase 1 in :func:`run_phase1`,
@@ -167,7 +161,6 @@ class TwoPhasePartitioner(EdgePartitioner):
         backend: str | None = None,
         chunk_size: int | str | None = None,
         packed_state: bool = False,
-        tune: str | None = None,
     ) -> None:
         if mode not in ("linear", "hdrf"):
             raise ConfigurationError(
@@ -189,10 +182,6 @@ class TwoPhasePartitioner(EdgePartitioner):
             raise ConfigurationError(
                 f"chunk_size must be positive or 'auto', got {chunk_size!r}"
             )
-        if tune not in (None, "auto"):
-            raise ConfigurationError(
-                f"tune must be None or 'auto', got {tune!r}"
-            )
         get_backend(backend)  # validate the name eagerly
         self.clustering_passes = int(clustering_passes)
         self.volume_cap_factor = float(volume_cap_factor)
@@ -203,7 +192,6 @@ class TwoPhasePartitioner(EdgePartitioner):
         self.backend = backend
         self.chunk_size = chunk_size
         self.packed_state = bool(packed_state)
-        self.tune = tune
         self.name = "2PS-L" if mode == "linear" else "2PS-HDRF"
 
     def _open(self, job: ShardedJob) -> tuple[RunnerSession, RunnerSession]:

@@ -1,4 +1,4 @@
-"""Scoring functions: the 2PS-L constant-time score and HDRF.
+"""Scoring rules: the 2PS-L constant-time score and HDRF.
 
 2PS-L score (Section III-B, Step 3).  For edge ``(u, v)`` and candidate
 partition ``p``::
@@ -23,82 +23,14 @@ variant) evaluates on **every** partition::
     C_HDRF(u, v, p) = C_REP(u, v, p) + lambda * C_BAL(p)
     C_REP = g_u + g_v          (same degree-weighted replication term)
     C_BAL = (maxsize - |p|) / (eps + maxsize - minsize)
+
+The reference implementation of both rules is the ``python`` kernel
+backend (:mod:`repro.kernels.python_backend`): ``remaining_pass_linear``
+scores the two 2PS-L candidates and ``hdrf_choose`` is the HDRF argmax.
+Every other backend is pinned bit-exact against it.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 #: Tie-break epsilon in the HDRF balance term (reference implementation).
 HDRF_EPSILON = 1e-9
-
-
-def twopsl_score(
-    du: int,
-    dv: int,
-    u_on_p: bool,
-    v_on_p: bool,
-    vol_cu: int,
-    vol_cv: int,
-    cu_on_p: bool,
-    cv_on_p: bool,
-) -> float:
-    """The 2PS-L score of one (edge, partition) pair — scalar, O(1).
-
-    Parameters mirror the formula: endpoint degrees, whether each endpoint
-    is already replicated on ``p``, the adjacent cluster volumes, and
-    whether each cluster is mapped to ``p``.
-    """
-    dsum = du + dv
-    score = 0.0
-    if u_on_p:
-        score += 2.0 - du / dsum
-    if v_on_p:
-        score += 2.0 - dv / dsum
-    vsum = vol_cu + vol_cv
-    if vsum > 0:
-        if cu_on_p:
-            score += vol_cu / vsum
-        if cv_on_p:
-            score += vol_cv / vsum
-    return score
-
-
-def hdrf_replication_scores(
-    du: int, dv: int, u_replicas: np.ndarray, v_replicas: np.ndarray
-) -> np.ndarray:
-    """HDRF ``C_REP`` over all k partitions, vectorized.
-
-    ``u_replicas`` / ``v_replicas`` are the boolean replica rows of the two
-    endpoints (length k).  Degrees may be partial (classic HDRF counts them
-    on the fly).
-    """
-    dsum = du + dv
-    if dsum <= 0:
-        # Both endpoints unseen: no replication preference.
-        return np.zeros(u_replicas.shape[0], dtype=np.float64)
-    theta_u = du / dsum
-    theta_v = 1.0 - theta_u
-    return u_replicas * (2.0 - theta_u) + v_replicas * (2.0 - theta_v)
-
-
-def hdrf_balance_scores(sizes: np.ndarray) -> np.ndarray:
-    """HDRF ``C_BAL`` over all k partitions, vectorized."""
-    sizes = np.asarray(sizes, dtype=np.float64)
-    maxsize = sizes.max()
-    minsize = sizes.min()
-    return (maxsize - sizes) / (HDRF_EPSILON + maxsize - minsize)
-
-
-def hdrf_scores(
-    du: int,
-    dv: int,
-    u_replicas: np.ndarray,
-    v_replicas: np.ndarray,
-    sizes: np.ndarray,
-    lam: float = 1.1,
-) -> np.ndarray:
-    """Full HDRF score vector ``C_REP + lambda * C_BAL`` over all partitions."""
-    return hdrf_replication_scores(du, dv, u_replicas, v_replicas) + (
-        lam * hdrf_balance_scores(sizes)
-    )

@@ -13,8 +13,8 @@ or as vectorized numpy array code:
 - ``numpy`` — the default backend.  Chunk-vectorized kernels: per-chunk
   ``np.bincount`` for degrees, gather/mask/scatter for the pre-partition
   pass, vectorized splitmix64 for the stateless baselines, and
-  conflict-free sub-batching for the stateful clustering and scoring
-  passes (see below).
+  conflict-free sub-batching for the stateful 2PS-L scoring pass (see
+  below).  Phase-1 clustering runs the reference list kernel.
 - ``numba`` — an *optional* compiled backend
   (:mod:`repro.kernels.numba_backend`): the numpy chunk orchestration
   with the serial conflict loops (Phase-1 clustering, the 2PS-L scoring
@@ -23,10 +23,9 @@ or as vectorized numpy array code:
   numba import succeeds; see *Optional backends* below for the fallback
   contract.
 - ``numba-parallel`` — ``numba`` plus ``numba.prange`` execution of the
-  conflict-free sub-batches (the 2PS-L scoring batch and the Phase-1
-  migration batch), registered and missing together with ``numba``.
-  See *Parallel sub-batch determinism* below for the rules that keep it
-  bit-exact.
+  conflict-free 2PS-L scoring batch, registered and missing together
+  with ``numba``.  See *Parallel sub-batch determinism* below for the
+  rules that keep it bit-exact.
 
 Backend contract
 ----------------
@@ -45,12 +44,11 @@ The tricky part of the contract is the *stateful* passes, where an edge's
 decision depends on state mutated by earlier edges.  The ``numpy`` backend
 preserves serial semantics with two techniques:
 
-- *Conflict-free sub-batching* (Phase-1 clustering, 2PS-L scoring): an
-  edge can be scored/migrated vectorized only when no other edge in the
-  chunk touches the same mutable state (vertex replica rows for scoring;
-  vertices *and* clusters for Phase-1 migration), and processing it out of
-  order is provably equivalent; every colliding edge falls through to the
-  serial reference kernel, in stream order.
+- *Conflict-free sub-batching* (the 2PS-L scoring pass): an edge can be
+  scored vectorized only when no other edge in the chunk touches its
+  endpoints' replica rows, and processing it out of order is provably
+  equivalent; every colliding edge falls through to the serial kernel,
+  in stream order.
 - *Speculate-verify-repair* (the 2PS-HDRF remaining pass, where every
   edge mutates the partition sizes every other edge's balance term
   reads, so no conflict-free subset exists): block decisions are guessed
@@ -70,16 +68,13 @@ through the masking / hash / least-loaded fallback chains.
 Parallel sub-batch determinism
 ------------------------------
 A backend may execute a conflict-free sub-batch with *thread-level*
-parallelism (the ``numba-parallel`` backend runs the hooks
-``_apply_remaining_batch`` and ``_migrate_batch`` under
-``numba.prange``) only under these rules, which make the schedule
-unobservable:
+parallelism (the ``numba-parallel`` backend runs the hook
+``_apply_remaining_batch`` under ``numba.prange``) only under these
+rules, which make the schedule unobservable:
 
 - every parallel row must read and write state no other row of the
   region touches — exactly the conflict-freedom invariant the sub-batch
-  filters already establish (pairwise-disjoint endpoint replica rows for
-  scoring; block-unique vertices *and* block-private clusters for
-  Phase-1 migration);
+  filter already establishes (pairwise-disjoint endpoint replica rows);
 - any cross-row aggregate must be an **order-insensitive reduction**
   (integer sums, ``np.bincount`` over the per-row outputs) or must be
   serialized outside the parallel region — float accumulation across
@@ -93,23 +88,6 @@ Under these rules parallel execution is bit-identical to the serial
 backends for every schedule and thread count;
 ``tests/test_numba_backend.py`` pins ``numba-parallel`` against
 ``numba`` and the reference.
-
-Auto-tuning determinism
------------------------
-The probe-window tuner (:mod:`repro.tuning`, ``tune="auto"``) picks
-``{backend, chunk_size, sync_interval}`` before a run.  Its contract:
-
-- decisions are pure functions of the probe data, the declared stream
-  shape (``|E|``, ``|V|``, ``k``), the seed, and the *set* of available
-  backends — never of wall-clock measurements — so a fixed seed + stream
-  always yields the same decision;
-- every knob it may change is semantics-free under the contracts above:
-  backends are bit-exact by this package's contract, ``chunk_size`` is a
-  pure performance knob, and ``sync_interval`` is only tuned when it
-  cannot change results (single-worker or serial-runner schedules);
-- therefore a tuned run is bit-exact with the corresponding untuned run
-  — enforced by the differential harness's ``tune`` dimension
-  (``tests/differential.py``).
 
 Phase-1 merge ops (parallel barriers)
 -------------------------------------

@@ -18,11 +18,10 @@ from repro.partitioning.state import PartitionState
 
 
 class Int64Buffer:
-    """Append-friendly int64 array (amortized O(1) appends).
+    """Growable int64 array of Phase-1 cluster volumes (``numba`` state).
 
-    Phase-1 clustering allocates cluster ids sequentially; this buffer
-    gives the numpy backend list-like appends while keeping the contents
-    gatherable as a contiguous array view.
+    Phase-1 clustering allocates cluster ids sequentially; the compiled
+    loops append by writing past the filled prefix (see :meth:`reserve`).
     """
 
     __slots__ = ("_buf", "_n")
@@ -34,34 +33,19 @@ class Int64Buffer:
     def __len__(self) -> int:
         return self._n
 
-    def __getitem__(self, i: int):
-        return self._buf[i]
-
-    def __setitem__(self, i: int, value) -> None:
-        self._buf[i] = value
-
-    def append(self, value) -> None:
-        if self._n == self._buf.shape[0]:
-            grown = np.zeros(self._buf.shape[0] * 2, dtype=np.int64)
-            grown[: self._n] = self._buf
-            self._buf = grown
-        self._buf[self._n] = value
-        self._n += 1
-
     def view(self) -> np.ndarray:
-        """Live array view of the filled prefix (invalidated by appends)."""
+        """Live array view of the filled prefix (invalidated by growth)."""
         return self._buf[: self._n]
 
     def reserve(self, capacity: int) -> np.ndarray:
         """Grow the backing array to at least ``capacity`` slots and
         return it.
 
-        For kernels that append by writing past the filled prefix
-        directly (the compiled clustering loops of the ``numba``
-        backend): reserve a safe bound up front, hand the raw backing
-        array to the kernel, then publish the new fill count with
-        :meth:`set_length`.  The returned array is the live backing
-        store — earlier views are invalidated exactly as by ``append``.
+        Reserve a safe bound up front, hand the raw backing array to the
+        kernel, then publish the new fill count with :meth:`set_length`.
+        The returned array is the live backing store; growing
+        invalidates earlier views (amortized O(1) per slot: the
+        capacity at least doubles).
         """
         capacity = int(capacity)
         if capacity > self._buf.shape[0]:
@@ -96,10 +80,11 @@ class Int64Buffer:
 class ClusteringState:
     """Mutable Phase-1 state; concrete field types are backend-owned.
 
-    The ``python`` backend stores plain lists (fast scalar indexing), the
-    ``numpy`` backend stores arrays / :class:`Int64Buffer`.  Only the
-    owning backend may touch the fields; everyone else goes through
-    :meth:`KernelBackend.clustering_export`.
+    The ``python`` and ``numpy`` backends store plain lists (fast scalar
+    indexing); the ``numba`` backends store int64 arrays and an
+    :class:`Int64Buffer` of volumes, which their compiled loops need.
+    Only the owning backend may touch the fields; everyone else goes
+    through :meth:`KernelBackend.clustering_export`.
     """
 
     v2c: object

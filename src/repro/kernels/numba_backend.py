@@ -3,17 +3,18 @@
 The ``numpy`` backend vectorizes everything that provably commutes with
 serial order and falls back to per-edge Python for the rest.  On
 hub-heavy streams that serial share dominates: the 2PS-L remaining
-(scoring) pass ends up only marginally faster than the reference, and the
-Phase-1 clustering pass adaptively demotes itself to the list kernel.
+(scoring) pass ends up only marginally faster than the reference, and
+Phase-1 clustering is the reference list kernel.
 This backend keeps the numpy *chunk orchestration* — streaming, gathers,
 the embarrassingly-batchable degree / pre-partition / stateless passes
 are inherited unchanged — and replaces exactly those serial conflict
 loops with ``numba.njit``-compiled per-edge kernels:
 
 - the Phase-1 clustering bodies (Algorithm 1 with true degrees and the
-  Hollocou partial-degree ablation), run serially over every chunk — the
-  compiled loop needs no conflict detection at all because it *is* the
-  serial order;
+  Hollocou partial-degree ablation), run serially over every chunk on
+  array state (an :class:`~repro.kernels.base.Int64Buffer` of cluster
+  volumes) — the compiled loop needs no conflict detection at all
+  because it *is* the serial order;
 - the 2PS-L remaining scoring loop, including the splitmix64 hash /
   least-loaded fallback chain;
 - the 2PS-HDRF remaining pass as a compiled k-way argmax per edge (the
@@ -56,6 +57,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels.base import ClusteringState, Int64Buffer
 from repro.kernels.numpy_backend import NumpyBackend
 
 #: splitmix64 constants, imported from the one definition site so the
@@ -460,40 +462,6 @@ def _remaining_batch_kernel(
     return 0
 
 
-def _cluster_migrate_kernel(v2c, vols, deg, u, v, cu, cv, cap):
-    """Conflict-free Algorithm-1 migrations, row-parallel.
-
-    The caller guarantees block-unique vertices and block-private
-    cluster ids, so each row's volume reads/writes touch clusters no
-    other row can reach; the applied count is a scalar ``+`` reduction
-    (order-insensitive by integer associativity).
-    """
-    applied = 0
-    for i in prange(u.shape[0]):
-        vol_u = vols[cu[i]]
-        vol_v = vols[cv[i]]
-        du = deg[u[i]]
-        dv = deg[v[i]]
-        if vol_u <= cap and vol_v <= cap:
-            # v_s: endpoint whose cluster (without it) is smaller.
-            if vol_u - du <= vol_v - dv:
-                vs_ = u[i]
-                cs = cu[i]
-                cl = cv[i]
-                ds = du
-            else:
-                vs_ = v[i]
-                cs = cv[i]
-                cl = cu[i]
-                ds = dv
-            if vols[cl] + ds <= cap:
-                vols[cl] += ds
-                vols[cs] -= ds
-                v2c[vs_] = cl
-                applied += 1
-    return applied
-
-
 _KERNEL_BODIES = {
     "cluster_true": _cluster_true_kernel,
     "cluster_partial": _cluster_partial_kernel,
@@ -507,7 +475,6 @@ _KERNEL_BODIES = {
 #: interpreted mode serves them as-is (``prange`` is ``range`` then).
 _PARALLEL_KERNEL_BODIES = {
     "remaining_batch": _remaining_batch_kernel,
-    "cluster_migrate": _cluster_migrate_kernel,
 }
 
 _KERNELS: dict | None = None
@@ -560,16 +527,36 @@ class NumbaBackend(NumpyBackend):
     Inherits the numpy chunk orchestration for every embarrassingly-
     batchable pass (degrees, pre-partitioning, stateless hashing) and
     the Phase-1 barrier merge ops; overrides only the serial-dominated
-    stateful passes with per-edge compiled loops.
+    stateful passes with per-edge compiled loops, which is why its
+    Phase-1 state is held in arrays rather than the reference lists.
     """
 
     name = "numba"
 
     # ------------------------------------------------------------------
-    # Phase 1: streaming clustering (serial compiled loop, no batching)
+    # Phase 1: streaming clustering (array state, serial compiled loop)
     # ------------------------------------------------------------------
+    def clustering_init(self, degrees: np.ndarray) -> ClusteringState:
+        return ClusteringState(
+            v2c=np.full(len(degrees), -1, dtype=np.int64),
+            vol=Int64Buffer(),
+            deg=degrees.astype(np.int64, copy=True),
+        )
+
+    def clustering_export(self, st: ClusteringState):
+        return st.v2c, st.vol.view().copy(), st.deg
+
+    def clustering_load(self, v2c, volumes, degrees) -> ClusteringState:
+        # deg may alias the input (no copy): true-degree passes never
+        # write it, and loads happen once per sync window — see the
+        # base-class contract.
+        return ClusteringState(
+            v2c=np.array(v2c, dtype=np.int64, copy=True),
+            vol=Int64Buffer.from_array(np.asarray(volumes, dtype=np.int64)),
+            deg=np.asarray(degrees, dtype=np.int64),
+        )
+
     def _clustering_pass(self, stream, st, cap, cost, kernel_name) -> None:
-        self._promote_clustering_state(st)
         kernel = _kernel_table()[kernel_name]
         cap = float(cap)
         updates = 0
@@ -727,35 +714,20 @@ class NumbaParallelBackend(NumbaBackend):
     fastest path for the conflict-*dominated* work; what they leave on
     the table is the conflict-free share the ``numpy`` backend batches —
     those rows are provably order-independent, so they can run on all
-    cores.  This backend therefore routes the 2PS-L remaining pass and
-    the Phase-1 true-degree pass through the *numpy* sub-batch
-    orchestration and overrides exactly the two conflict-free hooks with
-    ``parallel=True`` kernels (``prange`` over rows); the serial residue
-    of each block still runs the reference kernels.  Determinism: every
-    parallel region writes disjoint state per row and all reductions are
-    order-insensitive (see the package determinism rules), so results
-    are bit-identical to the serial ``numba`` backend — pinned by
-    ``tests/test_numba_backend.py``.  Without numba the hooks run
-    interpreted with ``prange == range``: the documented serial
+    cores.  This backend therefore routes the 2PS-L remaining pass
+    through the *numpy* sub-batch orchestration and overrides exactly
+    its conflict-free hook with a ``parallel=True`` kernel (``prange``
+    over rows); the serial residue of each block still runs the serial
+    kernel, and Phase 1 runs ``numba``'s compiled serial loop.
+    Determinism: every parallel region writes disjoint state per row and
+    all reductions are order-insensitive (see the package determinism
+    rules), so results are bit-identical to the serial ``numba`` backend
+    — pinned by ``tests/test_numba_backend.py``.  Without numba the hook
+    runs interpreted with ``prange == range``: the documented serial
     fallback.
     """
 
     name = "numba-parallel"
-
-    # ------------------------------------------------------------------
-    # Phase 1: numpy sub-batch orchestration + parallel migration hook
-    # ------------------------------------------------------------------
-    def clustering_true_pass(self, stream, st, cap, cost) -> None:
-        # Bypass NumbaBackend's serial compiled loop: the numpy blocked
-        # pass extracts the conflict-free migrations this backend
-        # parallelizes.
-        NumpyBackend.clustering_true_pass(self, stream, st, cap, cost)
-
-    def _migrate_batch(self, v2c, vol, deg, u, v, cu, cv, cap) -> int:
-        kernel = _kernel_table()["cluster_migrate"]
-        return int(
-            kernel(v2c, vol.view(), deg, u, v, cu, cv, float(cap))
-        )
 
     # ------------------------------------------------------------------
     # Phase 2: numpy sub-batch orchestration + parallel batch hook

@@ -1,14 +1,14 @@
 """The ``numpy`` backend: chunk-vectorized kernels (the default).
 
 Embarrassingly-batchable passes (degrees, pre-partitioning, stateless
-hashing) are fully vectorized.  The stateful passes (Phase-1 clustering
-and the remaining-edge scoring pass) use *conflict-free sub-batching*: the
-edges of a chunk whose mutable state cannot collide with any other edge of
-the chunk are processed as one array operation, everything else falls
-through to the per-edge serial kernel in stream order.  The result is
-bit-exact with the ``python`` reference backend — see the package
-docstring for the argument and ``tests/test_kernels.py`` for the
-enforcement.
+hashing) are fully vectorized.  The remaining-edge scoring pass uses
+*conflict-free sub-batching*: the edges of a chunk whose mutable state
+cannot collide with any other edge of the chunk are processed as one
+array operation, everything else falls through to the per-edge serial
+kernel in stream order.  Phase-1 clustering runs the ``python``
+backend's list kernel, inherited unchanged.  The result is bit-exact
+with the ``python`` reference backend — see the package docstring for
+the argument and ``tests/test_kernels.py`` for the enforcement.
 
 Why the sub-batching is exact, in short:
 
@@ -21,13 +21,6 @@ Why the sub-batching is exact, in short:
   feed the hard-cap fallback; a chunk is batched only when
   ``capacity - max(sizes)`` exceeds the chunk's candidate count, which
   makes the fallback provably unreachable either way.
-- *Clustering pass*: migrations also touch the two clusters' volumes, and
-  a serially-processed edge can only ever touch clusters reachable from
-  the pre-chunk cluster ids of chunk edges (a migration moves a vertex
-  between the two clusters of its edge).  So an edge is batched only when
-  its endpoints are chunk-unique *and* its two pre-chunk cluster ids
-  appear nowhere else in the chunk.  New-cluster creation stays serial so
-  cluster ids are allocated in exactly the reference order.
 - *2PS-HDRF remaining pass*: every edge mutates the partition sizes that
   every other edge's balance term reads, so no conflict-free subset
   exists at all; this pass uses speculate-verify-repair blocks plus an
@@ -46,22 +39,18 @@ from bisect import insort
 
 import numpy as np
 
-from repro.kernels.base import ClusteringState, Int64Buffer, TwoPhaseContext
+from repro.kernels.base import TwoPhaseContext
 from repro.kernels.python_backend import PythonBackend
 from repro.partitioning.state import _replica_storage
 
-#: Internal sub-batch size for the *stateful* passes.  Conflict detection
-#: happens within one block, so smaller blocks mean fewer vertex/cluster
+#: Internal sub-batch size of the 2PS-L scoring pass.  Conflict detection
+#: happens within one block, so smaller blocks mean fewer vertex
 #: collisions and a larger vectorized share — but more per-block numpy
 #: overhead.  512 won a sweep on a 1M-edge R-MAT (hubs collide at any
 #: block size; the long tail stops colliding around this scale).  Stream
 #: chunk boundaries are semantically irrelevant, so re-blocking a chunk
 #: internally cannot change results.
 STATEFUL_BLOCK = 512
-
-#: Clustering demotes to the list kernel when the serial share of the
-#: last this-many blocks exceeds 40% (see ``clustering_true_pass``).
-_DEMOTE_WINDOW_BLOCKS = 4
 
 #: Sub-batch size of the speculative 2PS-HDRF remaining kernel.  Smaller
 #: than STATEFUL_BLOCK: every edge of this pass mutates the partition
@@ -141,37 +130,6 @@ class NumpyBackend(PythonBackend):
             idx += chunk.shape[0]
 
     # ------------------------------------------------------------------
-    # Phase 1: streaming clustering
-    # ------------------------------------------------------------------
-    def clustering_init(self, degrees: np.ndarray) -> ClusteringState:
-        return ClusteringState(
-            v2c=np.full(len(degrees), -1, dtype=np.int64),
-            vol=Int64Buffer(),
-            deg=degrees.astype(np.int64, copy=True),
-        )
-
-    def clustering_export(self, st: ClusteringState):
-        # The state may be in array mode or (after a serial-heavy pass
-        # demoted it) in list mode.
-        if isinstance(st.v2c, list):
-            return (
-                np.asarray(st.v2c, dtype=np.int64),
-                np.asarray(st.vol, dtype=np.int64),
-                np.asarray(st.deg, dtype=np.int64),
-            )
-        return st.v2c, st.vol.view().copy(), st.deg
-
-    def clustering_load(self, v2c, volumes, degrees) -> ClusteringState:
-        # deg may alias the input (no copy): true-degree passes never
-        # write it, and loads happen once per sync window — see the
-        # base-class contract.
-        return ClusteringState(
-            v2c=np.array(v2c, dtype=np.int64, copy=True),
-            vol=Int64Buffer.from_array(np.asarray(volumes, dtype=np.int64)),
-            deg=np.asarray(degrees, dtype=np.int64),
-        )
-
-    # ------------------------------------------------------------------
     # Phase-1 barrier merges (vectorized twins of the reference)
     # ------------------------------------------------------------------
     def merge_phase1_degrees(self, partials, n_hint=None) -> np.ndarray:
@@ -208,212 +166,6 @@ class NumpyBackend(PythonBackend):
             minlength=offset,
         ).astype(np.int64)
         return merged, vol
-
-    @staticmethod
-    def _promote_clustering_state(st: ClusteringState) -> None:
-        """List mode -> array mode (start of a vectorized pass)."""
-        if isinstance(st.v2c, list):
-            st.v2c = np.asarray(st.v2c, dtype=np.int64)
-            buf = Int64Buffer(max(len(st.vol), 1))
-            for value in st.vol:
-                buf.append(value)
-            st.vol = buf
-            st.deg = np.asarray(st.deg, dtype=np.int64)
-
-    @staticmethod
-    def _demote_clustering_state(st: ClusteringState) -> None:
-        """Array mode -> list mode (serial-dominated pass)."""
-        if not isinstance(st.v2c, list):
-            st.v2c = st.v2c.tolist()
-            st.vol = st.vol.view().tolist()
-            st.deg = st.deg.tolist()
-
-    def clustering_true_pass(self, stream, st, cap, cost) -> None:
-        """Sub-batched Algorithm-1 pass with adaptive serial fallback.
-
-        Each pass starts in vectorized block mode.  Blocks that provably
-        cannot mutate any state are skipped wholesale (the common case
-        when re-streaming an almost-converged clustering); otherwise the
-        conflict-free share is batched and the rest runs serially.  When
-        the running serial share shows the vectorization is not paying
-        for itself — hub-dominated streams collide on vertices *and*
-        clusters in nearly every block — the pass demotes the state to
-        plain lists and continues with the reference kernel, so the
-        numpy backend never loses to the ``python`` backend by more than
-        the detection overhead of a few leading blocks.
-        """
-        self._promote_clustering_state(st)
-        updates = 0
-        edges = 0
-        window_serial = 0
-        window_seen = 0
-        window_blocks = 0
-        vector_mode = True
-        for chunk in stream.chunks():
-            c = chunk.shape[0]
-            edges += c
-            start = 0
-            if vector_mode:
-                while start < c:
-                    blk = chunk[start : start + STATEFUL_BLOCK]
-                    start += blk.shape[0]
-                    upd, n_serial = self._cluster_block(st, blk, cap)
-                    updates += upd
-                    window_serial += n_serial
-                    window_seen += blk.shape[0]
-                    window_blocks += 1
-                    if window_blocks == _DEMOTE_WINDOW_BLOCKS:
-                        # Rolling decision: if the last few blocks were
-                        # serial-dominated, vectorization is not paying
-                        # for itself — demote mid-chunk and finish the
-                        # pass on the list kernel.  (The first pass over
-                        # a fresh clustering always demotes fast: cluster
-                        # creation is inherently serial.  Re-streaming
-                        # passes re-promote at pass start and typically
-                        # stay vectorized via immutable-block skips.)
-                        if window_serial > 0.4 * window_seen:
-                            self._demote_clustering_state(st)
-                            vector_mode = False
-                            break
-                        window_serial = 0
-                        window_seen = 0
-                        window_blocks = 0
-            if not vector_mode and start < c:
-                updates += self.true_degree_edges(
-                    st.v2c, st.vol, st.deg, chunk[start:].tolist(), cap
-                )
-        if cost is not None:
-            cost.cluster_updates += updates
-            cost.edges_streamed += edges
-
-    def _cluster_block(self, st, blk, cap) -> tuple[int, int]:
-        """One sub-batch of the true-degree clustering pass.
-
-        Returns ``(updates, serial_edge_count)``.  Vectorized classes, in
-        order of application:
-
-        - *Immutable blocks*: if, under pre-block state, no edge would
-          create a cluster or pass the migration checks, then no edge can
-          mutate anything — so runtime state equals pre-block state for
-          every edge and the whole block is one vectorized no-op.
-        - *Frozen no-ops*: an edge whose (pre-block) endpoint cluster
-          volume exceeds the cap can do nothing — an over-cap cluster can
-          neither gain nor lose members (both migration checks require
-          volumes within the cap), so its members are pinned for the rest
-          of the pass.  Needs no uniqueness condition because the outcome
-          is state-independent.
-        - *Same-cluster no-ops* with block-unique vertices.
-        - *Batched migrations*: block-unique vertices and block-private
-          clusters (counted over the edges that could actually mutate).
-        - Everything else: the serial reference kernel, in stream order.
-        """
-        v2c, vol, deg = st.v2c, st.vol, st.deg
-        u = blk[:, 0]
-        v = blk[:, 1]
-        cu = v2c[u]
-        cv = v2c[v]
-        assigned = (cu >= 0) & (cv >= 0)
-        vols = vol.view()
-        if bool(assigned.all()) and len(vol):
-            differs = cu != cv
-            if not differs.any():
-                return 0, 0
-            vol_u = vols[cu]
-            vol_v = vols[cv]
-            du = deg[u]
-            dv = deg[v]
-            ds = np.where((vol_u - du) <= (vol_v - dv), du, dv)
-            target = np.where((vol_u - du) <= (vol_v - dv), vol_v, vol_u)
-            could_migrate = (
-                differs
-                & (vol_u <= cap)
-                & (vol_v <= cap)
-                & (target + ds <= cap)
-            )
-            if not could_migrate.any():
-                return 0, 0  # immutable block: all edges are no-ops
-            frozen = (vol_u > cap) | (vol_v > cap)
-        elif len(vol) and cap != np.inf:
-            frozen = assigned & (
-                (vols[np.maximum(cu, 0)] > cap)
-                | (vols[np.maximum(cv, 0)] > cap)
-            )
-        else:
-            frozen = np.zeros(blk.shape[0], dtype=bool)
-        # Block-unique vertices: batched edges must own their state.
-        uniq, counts = np.unique(blk.ravel(), return_counts=True)
-        occ_u = counts[np.searchsorted(uniq, u)]
-        occ_v = counts[np.searchsorted(uniq, v)]
-        vert_unique = np.where(u == v, occ_u == 2, (occ_u == 1) & (occ_v == 1))
-        skip = frozen | (vert_unique & assigned & (cu == cv))
-        active = ~skip
-        if not active.any():
-            return 0, 0
-        au = u[active]
-        av = v[active]
-        acu = cu[active]
-        acv = cv[active]
-        # Cluster privacy over the active (possibly-mutating) edges only:
-        # guaranteed no-ops can never write, so they cannot leak their
-        # cluster ids into the block's reachable set.
-        act_c = np.concatenate([acu, acv])
-        c_uniq, c_counts = np.unique(act_c, return_counts=True)
-        cc_u = c_counts[np.searchsorted(c_uniq, acu)]
-        cc_v = c_counts[np.searchsorted(c_uniq, acv)]
-        mig = (
-            vert_unique[active]
-            & (acu >= 0)
-            & (acv >= 0)
-            & (acu != acv)
-            & (cc_u == 1)
-            & (cc_v == 1)
-        )
-        updates = 0
-        if mig.any():
-            updates += self._migrate_batch(
-                v2c, vol, deg, au[mig], av[mig], acu[mig], acv[mig], cap
-            )
-        serial = ~mig
-        n_serial = int(serial.sum())
-        if n_serial:
-            # The reference kernel runs unchanged over the array state:
-            # v2c/vol/deg share the same indexable protocol as lists.
-            updates += self.true_degree_edges(
-                v2c, vol, deg,
-                zip(au[serial].tolist(), av[serial].tolist()),
-                cap,
-            )
-        return updates, n_serial
-
-    @staticmethod
-    def _migrate_batch(v2c, vol, deg, u, v, cu, cv, cap) -> int:
-        """Vectorized Algorithm-1 migration over conflict-free edges."""
-        vols = vol.view()
-        vol_u = vols[cu]
-        vol_v = vols[cv]
-        du = deg[u]
-        dv = deg[v]
-        ok = (vol_u <= cap) & (vol_v <= cap)
-        small_u = (vol_u - du) <= (vol_v - dv)
-        vs = np.where(small_u, u, v)
-        cs = np.where(small_u, cu, cv)
-        cl = np.where(small_u, cv, cu)
-        ds = np.where(small_u, du, dv)
-        apply = ok & (vols[cl] + ds <= cap)
-        if not apply.any():
-            return 0
-        # Cluster ids are chunk-private, so the scatters are collision-free.
-        vols[cl[apply]] += ds[apply]
-        vols[cs[apply]] -= ds[apply]
-        v2c[vs[apply]] = cl[apply]
-        return int(apply.sum())
-
-    def clustering_partial_pass(self, stream, st, cap, cost) -> None:
-        """Hollocou ablation pass: on-the-fly degree updates couple every
-        edge, so there is no conflict-free batch to extract — demote to
-        list state and run the reference kernel."""
-        self._demote_clustering_state(st)
-        super().clustering_partial_pass(stream, st, cap, cost)
 
     # ------------------------------------------------------------------
     # Phase 2: 2PS-L partitioning passes
@@ -763,11 +515,11 @@ class NumpyBackend(PythonBackend):
                         win_edges += min(HDRF_BLOCK, nrem - s)
                         win_batched += batched
                         if win_edges >= 8 * HDRF_BLOCK:
-                            # Rolling decision, like the clustering
-                            # demotion: when speculation keeps failing to
-                            # verify (balance-dominated streams make the
-                            # decisions inherently serial), stop paying
-                            # for it and let the scalar engine carry.
+                            # Rolling decision: when speculation keeps
+                            # failing to verify (balance-dominated
+                            # streams make the decisions inherently
+                            # serial), stop paying for it and let the
+                            # scalar engine carry.
                             speculate = win_batched >= 0.25 * win_edges
                             win_edges = 0
                             win_batched = 0

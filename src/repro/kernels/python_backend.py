@@ -110,9 +110,7 @@ class PythonBackend(KernelBackend):
     @staticmethod
     def true_degree_edges(v2c, vol, deg, pairs, cap) -> int:
         """Reference Algorithm-1 body over ``(u, v)`` pairs on list state;
-        returns the number of cluster updates.  Shared with the numpy
-        backend, which falls back to this kernel when a pass turns out to
-        be serial-dominated."""
+        returns the number of cluster updates."""
         updates = 0
         for u, v in pairs:
             cu = v2c[u]

@@ -39,15 +39,10 @@ class PartitionArtifacts:
     c2p:
         ``int64`` cluster-to-partition map from the Graham scheduling
         step.
-    tuning:
-        The :class:`~repro.tuning.TuningDecision` of an auto-tuned run
-        (``partition(..., tune="auto")``), or ``None`` when the run was
-        not tuned.
     """
 
     clustering: object | None = None
     c2p: np.ndarray | None = None
-    tuning: object | None = None
 
 
 @dataclass
@@ -154,11 +149,6 @@ class EdgePartitioner(ABC):
     #: overridable per call via ``partition(..., chunk_size=...)``.
     chunk_size: int | None = None
 
-    #: Default auto-tuning mode; ``None`` (no tuning) or ``"auto"``.
-    #: Settable on any instance and overridable per call via
-    #: ``partition(..., tune=...)``.
-    tune: str | None = None
-
     def partition(
         self,
         source,
@@ -166,7 +156,6 @@ class EdgePartitioner(ABC):
         alpha: float = 1.05,
         n_vertices: int | None = None,
         chunk_size: int | None = None,
-        tune: str | None = None,
     ) -> PartitionResult:
         """Partition an edge source into ``k`` parts.
 
@@ -192,17 +181,6 @@ class EdgePartitioner(ABC):
             back afterwards.  A chunk size is a pure performance knob:
             results are identical for any value (enforced by the
             kernel-backend contract).
-        tune:
-            ``"auto"`` runs the online auto-tuner (:mod:`repro.tuning`)
-            over a short probe of the stream before the real passes and
-            applies its decisions for this run — backend (only when the
-            partitioner's own ``backend`` is unpinned), chunk size (only
-            when the resolved ``chunk_size`` is ``None``/``"auto"``) and
-            sync interval (only when barrier frequency is semantics-free).
-            Tuned knobs are all pure execution knobs, so results are
-            bit-exact with an untuned run.  The decision is recorded in
-            ``result.artifacts.tuning``.  Defaults to the partitioner's
-            own ``tune`` attribute; ``None`` disables tuning.
 
         Raises
         ------
@@ -210,12 +188,6 @@ class EdgePartitioner(ABC):
             If the subclass produced an invalid assignment (internal bug
             guard) or the inputs are malformed.
         """
-        if tune is None:
-            tune = getattr(self, "tune", None)
-        if tune not in (None, "auto"):
-            raise PartitioningError(
-                f"tune must be None or 'auto', got {tune!r}"
-            )
         if chunk_size is None:
             chunk_size = getattr(self, "chunk_size", None)
         stream = as_stream(source, n_vertices=n_vertices)
@@ -235,22 +207,6 @@ class EdgePartitioner(ABC):
         if stream.n_edges == 0:
             raise PartitioningError("cannot partition an empty edge stream")
 
-        decision = None
-        saved_knobs: dict = {}
-        if tune == "auto":
-            # Imported lazily: repro.tuning depends on the kernel registry,
-            # which this module must not import at module level.
-            from repro.tuning import tune_run
-
-            decision = tune_run(self, stream, k, chunk_size)
-            if decision.backend is not None:
-                saved_knobs["backend"] = self.backend
-                self.backend = decision.backend
-            if decision.chunk_size is not None:
-                chunk_size = decision.chunk_size
-            if decision.sync_interval is not None:
-                saved_knobs["sync_interval"] = self.sync_interval
-                self.sync_interval = decision.sync_interval
         if chunk_size == "auto":
             chunk_size = auto_chunk_size(stream.n_vertices, k)
 
@@ -261,12 +217,6 @@ class EdgePartitioner(ABC):
             result = self._run(stream, k, alpha)
         finally:
             stream.default_chunk_size = previous_chunk_size
-            for attr, value in saved_knobs.items():
-                setattr(self, attr, value)
-        if decision is not None:
-            if result.artifacts is None:
-                result.artifacts = PartitionArtifacts()
-            result.artifacts.tuning = decision
         if result.assignments.shape[0] != stream.n_edges:
             raise PartitioningError(
                 f"{self.name}: produced {result.assignments.shape[0]} "

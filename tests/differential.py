@@ -10,9 +10,7 @@ contract stated in the :mod:`repro.core.runners` module docstring on the
 sizes, machine-neutral cost counters and the schedule-derived extras).
 On top of that contract it checks:
 
-- the batched classic-HDRF baseline agrees across every backend, and —
-  on cases drawing ``tune=True`` — ``tune="auto"`` runs (both the
-  parallel matrix and the baseline) are byte-identical to untuned ones;
+- the batched classic-HDRF baseline agrees across every backend;
 - the **serving round-trip** (:func:`assert_store_round_trip`): the
   sequential reference persisted as a
   :class:`~repro.serving.store.PartitionStore` and reopened
@@ -93,13 +91,6 @@ class DifferentialCase:
     mode: str
     clustering_passes: int
     parallel_phase1: bool
-    #: When True the parallel runs pass ``tune="auto"``: the auto-tuner
-    #: probes the stream and (with backend and chunk size pinned by the
-    #: case) may stretch ``sync_interval`` in the staleness-free regime.
-    #: Every contract below still compares those tuned runs against the
-    #: *untuned* sequential reference, so the sweep itself proves
-    #: tuned == untuned bit-exactness.
-    tune: bool = False
 
     def build_graph(self):
         if self.generator == "chung-lu":
@@ -140,9 +131,6 @@ def make_case(seed: int) -> DifferentialCase:
         clustering_passes=int(rng.integers(1, 3)),
         # Bias toward the sharded Phase 1 — the surface under test.
         parallel_phase1=bool(rng.integers(4) > 0),
-        # Drawn LAST so pre-existing seeds keep their scenarios (the
-        # fixed CI matrix stays meaningful across harness growth).
-        tune=bool(rng.integers(2)),
     )
 
 
@@ -159,13 +147,11 @@ def run_case(case: DifferentialCase, runner: str, backend: str):
     ).partition(
         case.build_graph(), case.k, alpha=case.alpha,
         chunk_size=case.chunk_size,
-        tune="auto" if case.tune else None,
     )
 
 
 def sequential_reference(case: DifferentialCase, backend: str):
-    """The sequential pipeline on the same scenario (never tuned: tuned
-    parallel runs are compared against it, proving tuned == untuned)."""
+    """The sequential pipeline on the same scenario."""
     return TwoPhasePartitioner(
         clustering_passes=case.clustering_passes,
         mode=case.mode,
@@ -176,13 +162,11 @@ def sequential_reference(case: DifferentialCase, backend: str):
     )
 
 
-def hdrf_baseline(
-    case: DifferentialCase, backend: str | None, tune: str | None = None
-):
+def hdrf_baseline(case: DifferentialCase, backend: str):
     """The classic-HDRF baseline on the scenario's graph/k/alpha."""
     return HDRF(backend=backend).partition(
         case.build_graph(), case.k, alpha=case.alpha,
-        chunk_size=case.chunk_size, tune=tune,
+        chunk_size=case.chunk_size,
     )
 
 
@@ -358,19 +342,12 @@ def check_seed(
                 f"sequential vs {sharded[0]} at n_workers=1",
             )
         # Contract 5: the batched HDRF baseline (kernel-registry
-        # dispatch) agrees across backends, and a tuned run — which may
-        # pick a different backend, all of them bit-exact — agrees with
-        # the untuned default.
+        # dispatch) agrees across backends.
         hdrf_ref = hdrf_baseline(case, backends[0])
         for backend in backends[1:]:
             assert_full_state_equal(
                 hdrf_ref, hdrf_baseline(case, backend),
                 f"HDRF baseline {backends[0]} vs {backend}",
-            )
-        if case.tune:
-            assert_full_state_equal(
-                hdrf_ref, hdrf_baseline(case, None, tune="auto"),
-                "HDRF baseline untuned vs tuned",
             )
         # Contract 6: the serving round-trip — the sequential reference
         # persisted, mmap-reopened and queried is bit-equal throughout.

@@ -97,11 +97,6 @@ def test_seed_matrix_covers_surface():
     assert any(c.n_workers > 1 for c in cases)
     assert sum(c.parallel_phase1 for c in cases) >= len(cases) // 2
     assert any(not c.parallel_phase1 for c in cases)
-    # The tune dimension: both tuned and untuned cases, including a
-    # tuned single-worker case where sync-interval tuning engages.
-    assert any(c.tune for c in cases)
-    assert any(not c.tune for c in cases)
-    assert any(c.tune and c.n_workers == 1 for c in cases)
 
 
 def test_case_derivation_is_deterministic():

@@ -469,16 +469,20 @@ class TestStateBatchApis:
         np.testing.assert_array_equal(batch.replicas, serial.replicas)
 
     def test_int64_buffer_grows(self):
-        buf = Int64Buffer(initial_capacity=2)
-        for i in range(100):
-            buf.append(i * 3)
+        buf = Int64Buffer.from_array(np.array([5, 6], dtype=np.int64))
+        for n in range(2, 100):
+            # The numba clustering loop's append: write past the filled
+            # prefix of the reserved array, then publish the length.
+            arr = buf.reserve(n + 1)
+            arr[n] = n * 3
+            buf.set_length(n + 1)
         assert len(buf) == 100
-        assert buf[99] == 297
+        np.testing.assert_array_equal(buf.view()[:2], [5, 6])
         np.testing.assert_array_equal(
-            buf.view(), np.arange(100, dtype=np.int64) * 3
+            buf.view()[2:], np.arange(2, 100, dtype=np.int64) * 3
         )
-        buf[0] = -7
-        assert buf.view()[0] == -7
+        with pytest.raises(ValueError, match="capacity"):
+            buf.set_length(buf.reserve(0).shape[0] + 1)
 
 
 class TestPhase1MergeOps:

@@ -293,9 +293,9 @@ class TestNumbaParallel:
     scheduling: per-row state is disjoint within a sub-batch and every
     order-sensitive reduction stays outside the parallel region.  These
     tests pin ``numba-parallel`` against the ``python`` reference (and
-    therefore against serial ``numba``) across the passes that take the
-    prange path: the remaining-edge batch apply and the Phase-1
-    clustering migrations.
+    therefore against serial ``numba``) across the passes it runs: the
+    prange remaining-edge batch apply, and Phase 1 on ``numba``'s
+    compiled serial loop.
     """
 
     @pytest.mark.parametrize("mode", ["linear", "hdrf"])
@@ -338,8 +338,8 @@ class TestNumbaParallel:
         assert_results_identical(ref, out)
 
     def test_clustering_migrations_bit_exact(self, numba_parallel_registered):
-        """The prange cluster-migration body (conflict-free sub-batches
-        of the speculate-verify split) against the reference."""
+        """Re-streamed Phase-1 clustering, which ``numba-parallel`` runs
+        on ``numba``'s compiled serial loop, against the reference."""
         from repro.core.clustering import StreamingClustering
         from repro.graph.degrees import compute_degrees_from_stream
         from repro.streaming import InMemoryEdgeStream
