@@ -26,7 +26,7 @@ Exit status is non-zero unless every gate passes:
 - speedup gates (default ``numpy`` backend vs the ``python`` reference):
   ``2psl`` degree and prepartition passes >= 5x, and the 2PS-HDRF
   remaining pass (``partitioning`` phase) >= 5x — the acceptance gate of
-  the blocked HDRF kernel;
+  the HDRF scalar engine;
 - correctness gates: all backends bit-identical per pipeline,
   ``ParallelTwoPhase(n_workers=1)`` bit-exact with sequential 2PS-L, the
   process runner bit-identical with the simulated runner under the same
@@ -77,7 +77,7 @@ Exit status is non-zero unless every gate passes:
   it.  Like the CPU-count rule, the gate **records-but-skips** when the
   optional numba dependency is unavailable on the host, so numba-free
   environments keep an authoritative BENCH file without a red gate;
-- batched-HDRF gate (``hdrf_baseline`` section of
+- HDRF-baseline gate (``hdrf_baseline`` section of
   ``BENCH_kernels.json``): the kernel-routed HDRF baseline's ``numpy``
   backend must reach >= 3x the per-edge ``python`` reference on the
   partitioning pass of the >= 1M-edge R-MAT, bit-identical with it
@@ -166,10 +166,9 @@ DISTRIBUTED_SMOKE_GATE = 0.02
 NUMBA_GATE = 2.0
 NUMBA_SMOKE_GATE = 1.2
 
-#: numpy-vs-python speedup of the batched HDRF baseline pass (ISSUE 8
-#: acceptance gate: the speculate-verify-repair machinery must carry the
-#: per-edge reference baseline too).  The smoke threshold is relaxed
-#: because the block machinery amortizes much less at 65k edges.
+#: numpy-vs-python speedup of the HDRF baseline pass: the scalar engine
+#: must carry the per-edge reference baseline too.  The smoke threshold
+#: is relaxed for the shorter, noisier 65k-edge run.
 HDRF_BASELINE_GATE = 3.0
 HDRF_BASELINE_SMOKE_GATE = 1.5
 
@@ -451,9 +450,9 @@ def run_hdrf_baseline_section(
 
     Runs the kernel-routed HDRF baseline (``repro.baselines.HDRF``) on
     the main R-MAT stream with the ``python`` per-edge reference and the
-    batched ``numpy`` backend, requires bit-identical results (including
-    the simulated cost counters) and >= ``HDRF_BASELINE_GATE``x on the
-    partitioning pass.  The ``numba`` leg is measured and bit-exactness
+    ``numpy`` backend's scalar engine, requires bit-identical results
+    (including the simulated cost counters) and >= ``HDRF_BASELINE_GATE``x
+    on the partitioning pass.  The ``numba`` leg is measured and bit-exactness
     checked when the dependency is available; otherwise it is recorded
     as skipped, mirroring the numba section.  Returns ``(section, ok)``.
     """
@@ -488,8 +487,8 @@ def run_hdrf_baseline_section(
     speedup = python_s / numpy_s if numpy_s > 0 else 0.0
     passed = speedup >= threshold
     section = {
-        "benchmark": "batched HDRF baseline vs per-edge reference "
-        "(kernel-routed, speculate-verify-repair)",
+        "benchmark": "HDRF baseline vs per-edge reference "
+        "(kernel-routed, scalar engine)",
         "k": args.k,
         "alpha": args.alpha,
         "backends": {b: run["row"] for b, run in runs.items()},

@@ -22,6 +22,8 @@ Section V observation, reproduced in our benches by shrinking
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.scoring import HDRF_EPSILON
@@ -64,6 +66,8 @@ class Adwise(EdgePartitioner):
             raise ConfigurationError(
                 f"assign_fraction must be in (0, 1], got {assign_fraction}"
             )
+        if not math.isfinite(float(lam)):
+            raise ConfigurationError(f"lam must be finite, got {lam}")
         self.buffer_size = int(buffer_size)
         self.assign_fraction = float(assign_fraction)
         self.lam = float(lam)

@@ -18,8 +18,8 @@ The whole pass dispatches through the kernel registry
 ``python`` backend streams edge-at-a-time through the scoring twin
 ``PythonBackend.hdrf_choose`` (shared with the 2PS-HDRF remaining pass,
 so the score arithmetic can never diverge between the baseline and the
-two-phase variant), the ``numpy`` backend runs the same decisions through
-the speculate-verify-repair block machinery, and the ``numba`` backends
+two-phase variant), the ``numpy`` backend makes the same decisions
+through its exact scalar engine, and the ``numba`` backends
 run a compiled per-edge argmax — all bit-exact by the backend contract.
 One simulated "score evaluation" per partition per edge is charged to the
 cost counter, preserving the O(|E| * k) operation count.
@@ -27,8 +27,11 @@ cost counter, preserving the O(|E| * k) operation count.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.kernels import get_backend
 from repro.metrics.memory import measured_state_bytes
 from repro.metrics.runtime import CostCounter, PhaseTimer
@@ -66,6 +69,8 @@ class HDRF(EdgePartitioner):
         chunk_size: int | str | None = None,
     ) -> None:
         self.lam = float(lam)
+        if not math.isfinite(self.lam):
+            raise ConfigurationError(f"lam must be finite, got {lam}")
         get_backend(backend)  # fail fast on unknown names
         self.backend = backend
         self.chunk_size = chunk_size

@@ -37,6 +37,8 @@ sessions.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.clustering import ClusteringResult, default_volume_cap
@@ -173,6 +175,10 @@ class TwoPhasePartitioner(EdgePartitioner):
         if volume_cap_factor <= 0:
             raise ConfigurationError(
                 f"volume_cap_factor must be positive, got {volume_cap_factor}"
+            )
+        if not math.isfinite(float(hdrf_lambda)):
+            raise ConfigurationError(
+                f"hdrf_lambda must be finite, got {hdrf_lambda}"
             )
         if (
             chunk_size is not None

@@ -42,28 +42,28 @@ the edge count).
 
 The tricky part of the contract is the *stateful* passes, where an edge's
 decision depends on state mutated by earlier edges.  The ``numpy`` backend
-preserves serial semantics with two techniques:
+preserves serial semantics with one vectorization technique plus a scalar
+engine:
 
 - *Conflict-free sub-batching* (the 2PS-L scoring pass): an edge can be
   scored vectorized only when no other edge in the chunk touches its
   endpoints' replica rows, and processing it out of order is provably
   equivalent; every colliding edge falls through to the serial kernel,
   in stream order.
-- *Speculate-verify-repair* (the 2PS-HDRF remaining pass, where every
-  edge mutates the partition sizes every other edge's balance term
-  reads, so no conflict-free subset exists): block decisions are guessed
-  vectorized, each edge's exact serial-order inputs are reconstructed
-  vectorized (prefix counts for sizes, a segmented prefix-OR for replica
-  rows), and re-scoring confirms a prefix of provably-serial decisions;
-  the unverified tail runs serially.  The serial path itself uses an
-  exact scalar engine (``_HdrfScalarEngine``) that collapses the k-way
-  argmax to at most four candidates.
+- *An exact scalar engine* (``_HdrfScalarEngine``; the 2PS-HDRF remaining
+  pass and the classic HDRF baseline, where every edge mutates the
+  partition sizes every other edge's balance term reads, so no
+  conflict-free subset exists): only the frozen per-edge theta is
+  vectorized, and every edge is decided serially, in stream order, with
+  the k-way argmax collapsed to at most four candidates.  The collapse
+  rests on float bounds that hold for a range of balance weights; outside
+  that range both passes run the reference kernel.
 
-In both techniques, a whole block falls back to the serial kernel
-whenever any partition could hit the hard balance cap inside it (the
-remaining capacity ``capacity - max(sizes)`` is smaller than the block's
-candidate count), because cap overflow makes decisions order-dependent
-through the masking / hash / least-loaded fallback chains.
+A sub-batched block falls back to the serial kernel whenever any
+partition could hit the hard balance cap inside it (the remaining
+capacity ``capacity - max(sizes)`` is smaller than the block's candidate
+count), because cap overflow makes decisions order-dependent through the
+hash / least-loaded fallback chain.
 
 Parallel sub-batch determinism
 ------------------------------

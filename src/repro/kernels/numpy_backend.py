@@ -21,10 +21,12 @@ Why the sub-batching is exact, in short:
   feed the hard-cap fallback; a chunk is batched only when
   ``capacity - max(sizes)`` exceeds the chunk's candidate count, which
   makes the fallback provably unreachable either way.
-- *2PS-HDRF remaining pass*: every edge mutates the partition sizes that
-  every other edge's balance term reads, so no conflict-free subset
-  exists at all; this pass uses speculate-verify-repair blocks plus an
-  exact scalar engine instead (see ``_hdrf_block`` and
+- *HDRF passes* (the 2PS-HDRF remaining pass and the classic HDRF
+  baseline): every edge mutates the partition sizes that every other
+  edge's balance term reads, so no conflict-free subset exists at all.
+  Only the frozen per-edge input (theta) is vectorized; the decisions
+  run serially, in stream order, through an exact scalar engine that
+  collapses the k-way argmax to at most four candidates (see
   ``_HdrfScalarEngine``).
 
 The serial per-edge loops (the scoring pass's conflict path and the
@@ -52,19 +54,6 @@ from repro.partitioning.state import _replica_storage
 #: internally cannot change results.
 STATEFUL_BLOCK = 512
 
-#: Sub-batch size of the speculative 2PS-HDRF remaining kernel.  Smaller
-#: than STATEFUL_BLOCK: every edge of this pass mutates the partition
-#: sizes that feed the balance term, so convergence of the speculation
-#: (see ``_hdrf_block``) degrades with block length.
-HDRF_BLOCK = 256
-
-#: Speculation rounds before ``_hdrf_block`` gives the unverified tail to
-#: the serial scalar engine.  Each round confirms at least one more edge,
-#: so this bounds the vectorized work per block; the rolling demotion in
-#: ``remaining_pass_hdrf`` turns speculation off entirely when it keeps
-#: failing to converge.
-HDRF_SPECULATION_ROUNDS = 6
-
 
 def _replica_plane(replicas):
     """Flat writable byte view of a replica matrix's raw storage.
@@ -89,17 +78,7 @@ def _replica_plane(replicas):
 
 
 class NumpyBackend(PythonBackend):
-    """Vectorized kernels (see module docstring for the batching rules).
-
-    The 2PS-HDRF remaining pass is the hardest to batch — every edge
-    mutates the partition sizes that feed every other edge's balance
-    term — and uses speculation instead of conflict filtering: decisions
-    for a whole block are guessed vectorized, then *verified* by exactly
-    reconstructing each edge's serial-order inputs (running sizes via a
-    prefix count, running replica bits via a segmented prefix-OR over
-    endpoint occurrences) and re-scoring; the first mismatching edge is
-    corrected and the tail re-speculated, so the accepted decisions are
-    provably the serial ones."""
+    """Vectorized kernels (see module docstring for the batching rules)."""
 
     name = "numpy"
 
@@ -463,15 +442,12 @@ class NumpyBackend(PythonBackend):
         ctx.assignments[positions[indices]] = chosen
 
     # ------------------------------------------------------------------
-    # 2PS-HDRF remaining pass: blocked speculation + scalar engine
+    # 2PS-HDRF remaining pass: the scalar engine, one chunk at a time
     # ------------------------------------------------------------------
     def remaining_pass_hdrf(self, stream, ctx: TwoPhaseContext) -> None:
         from repro.core.scoring import HDRF_EPSILON
 
-        if ctx.hdrf_lambda <= 0.0:
-            # Degenerate balance weight: the scalar engine's complement
-            # shortcut (scores strictly ordered by partition size) needs
-            # lam > 0, so run the reference kernel outright.
+        if not _engine_exact(ctx, HDRF_EPSILON):
             super().remaining_pass_hdrf(stream, ctx)
             return
         v2c, c2p = ctx.v2c, ctx.c2p
@@ -482,9 +458,6 @@ class NumpyBackend(PythonBackend):
             # vectorized packing beats per-vertex lazy misses.  Short
             # sync-window dispatches (the parallel path) stay lazy.
             engine.pack_all()
-        speculate = True
-        win_edges = 0
-        win_batched = 0
         idx = 0
         n_rem = 0
         for chunk in stream.chunks():
@@ -501,256 +474,85 @@ class NumpyBackend(PythonBackend):
                 n_rem += nrem
                 ru = u[rem]
                 rv = v[rem]
-                positions = idx + np.flatnonzero(rem)
                 # theta is frozen in this pass (true degrees): vectorized
                 # once, bit-identical to the reference per-edge division.
                 theta = degrees[ru] / (degrees[ru] + degrees[rv])
-                for s in range(0, nrem, HDRF_BLOCK):
-                    e = s + HDRF_BLOCK
-                    batched = self._hdrf_block(
-                        ctx, engine, ru[s:e], rv[s:e], positions[s:e],
-                        theta[s:e], HDRF_EPSILON, speculate,
-                    )
-                    if speculate:
-                        win_edges += min(HDRF_BLOCK, nrem - s)
-                        win_batched += batched
-                        if win_edges >= 8 * HDRF_BLOCK:
-                            # Rolling decision: when speculation keeps
-                            # failing to verify (balance-dominated
-                            # streams make the decisions inherently
-                            # serial), stop paying for it and let the
-                            # scalar engine carry.
-                            speculate = win_batched >= 0.25 * win_edges
-                            win_edges = 0
-                            win_batched = 0
+                ctx.assignments[idx + np.flatnonzero(rem)] = engine.run(
+                    ru, rv, theta
+                )
             idx += c
-        engine.flush()
         ctx.cost.score_evaluations += ctx.k * n_rem
         ctx.cost.edges_streamed += stream.n_edges
-
-    def _hdrf_block(
-        self, ctx, engine, bu, bv, positions, theta, eps, speculate
-    ) -> int:
-        """One sub-batch of the 2PS-HDRF remaining pass; returns the
-        number of edges decided by verified vectorized speculation.
-
-        Unlike the linear pass, *every* edge of this pass mutates state
-        every other edge reads (the balance term runs over the live
-        partition sizes), so there is no conflict-free subset to simply
-        extract.  Instead the block's decisions are *speculated*
-        vectorized — a k-way score matrix under pre-block state — and
-        then verified against an exact vectorized reconstruction of each
-        edge's serial-order inputs:
-
-        - running sizes before edge ``i`` = pre-block sizes + an
-          exclusive prefix count of the speculated decisions;
-        - running replica rows = pre-block rows OR-ed with the decisions
-          of earlier block edges sharing an endpoint (a segmented
-          exclusive prefix-OR over endpoint occurrences grouped by
-          vertex id).
-
-        Re-scoring under those inputs uses the exact float expressions
-        of the reference twin, so a row whose re-scored argmax equals
-        its speculated decision — with every row before it equally
-        confirmed — provably carries the serial decision (induction over
-        the prefix).  The first mismatching row is corrected (its inputs
-        were already exact) and the tail re-speculated; each round
-        verifies at least one more row, and after
-        ``HDRF_SPECULATION_ROUNDS`` the unverified tail goes to the
-        serial scalar engine.  Cap reachability demotes the whole block
-        to serial upfront, exactly like the linear pass.
-        """
-        b = bu.shape[0]
-        if not speculate:
-            self._hdrf_serial(ctx, engine, bu, bv, positions, theta, 0)
-            return 0
-        engine.flush()
-        sizes = ctx.state.sizes
-        if ctx.state.capacity - int(sizes.max()) < b:
-            self._hdrf_serial(ctx, engine, bu, bv, positions, theta, 0)
-            return 0
-        replicas = ctx.state.replicas
-        k = ctx.k
-        lam = ctx.hdrf_lambda
-        tu = 2.0 - theta
-        tv = 1.0 + theta
-        ru0 = replicas[bu]
-        rv0 = replicas[bv]
-        rep0 = ru0 * tu[:, None] + rv0 * tv[:, None]
-        s0 = sizes.astype(np.float64)
-        # Occurrence bookkeeping for the running-replica reconstruction:
-        # endpoint occurrences in stream order, grouped by vertex id.
-        ids = np.empty(2 * b, dtype=np.int64)
-        ids[0::2] = bu
-        ids[1::2] = bv
-        order = np.argsort(ids, kind="stable")
-        has_dups = np.unique(ids).shape[0] < 2 * b
-        if has_dups:
-            gids = ids[order]
-            occ_edge = np.repeat(np.arange(b), 2)[order]
-            t = np.arange(2 * b)
-            new_group = np.empty(2 * b, dtype=bool)
-            new_group[0] = True
-            new_group[1:] = gids[1:] != gids[:-1]
-            gstart = np.maximum.accumulate(np.where(new_group, t, 0))
-            # Both occurrences of a self-loop edge sit adjacent in its
-            # group; the second must not see the first (an edge reads
-            # its replica rows before writing them).
-            same_edge_prev = np.zeros(2 * b, dtype=bool)
-            same_edge_prev[1:] = ~new_group[1:] & (
-                occ_edge[1:] == occ_edge[:-1]
-            )
-            self_rows = np.flatnonzero(same_edge_prev)
-        # Initial speculation: every edge scored under pre-block state.
-        maxs = s0.max()
-        mins = s0.min()
-        bal0 = lam * (maxs - s0) / (eps + maxs - mins)
-        p = np.argmax(rep0 + bal0[None, :], axis=1)
-        part_range = np.arange(k)
-        verified = 0
-        for _ in range(HDRF_SPECULATION_ROUNDS):
-            onehot = p[:, None] == part_range
-            before = np.cumsum(onehot, axis=0) - onehot
-            S = s0[None, :] + before
-            M = S.max(axis=1)
-            m_ = S.min(axis=1)
-            if has_dups:
-                occ_p = np.repeat(p, 2)[order]
-                pbits = occ_p[:, None] == part_range
-                # Segmented inclusive prefix-OR (Hillis-Steele; the RHS
-                # fancy index copies, so the in-place OR cannot alias).
-                shift = 1
-                while shift < 2 * b:
-                    rows = np.flatnonzero(t - gstart >= shift)
-                    pbits[rows] |= pbits[rows - shift]
-                    shift <<= 1
-                vis = np.zeros_like(pbits)
-                vis[1:][~new_group[1:]] = pbits[:-1][~new_group[1:]]
-                if self_rows.size:
-                    vis[self_rows] = vis[self_rows - 1]
-                vis_orig = np.empty_like(vis)
-                vis_orig[order] = vis
-                rep = (ru0 | vis_orig[0::2]) * tu[:, None] + (
-                    rv0 | vis_orig[1::2]
-                ) * tv[:, None]
-            else:
-                rep = rep0
-            scores = rep + lam * (M[:, None] - S) / (eps + M - m_)[:, None]
-            p_new = np.argmax(scores, axis=1)
-            agree = p_new == p
-            if agree.all():
-                verified = b
-                break
-            i0 = int(np.argmin(agree))
-            p[i0:] = p_new[i0:]
-            verified = i0 + 1
-        if verified:
-            vp = p[:verified]
-            sizes += np.bincount(vp, minlength=k)
-            replicas[bu[:verified], vp] = True
-            replicas[bv[:verified], vp] = True
-            ctx.assignments[positions[:verified]] = vp
-            engine.note_batch(bu[:verified], bv[:verified], vp)
-        if verified < b:
-            self._hdrf_serial(ctx, engine, bu, bv, positions, theta, verified)
-        return verified
-
-    @staticmethod
-    def _hdrf_serial(ctx, engine, bu, bv, positions, theta, start) -> None:
-        """Per-edge serial decisions through the scalar engine for the
-        rows of a block the speculation did not verify."""
-        if start >= bu.shape[0]:
-            return
-        ps = engine.run_serial(bu, bv, theta, start)
-        ctx.assignments[positions[start:]] = ps
-        engine.defer(bu[start:], bv[start:], ps)
 
     # ------------------------------------------------------------------
     # Classic streaming baselines
     # ------------------------------------------------------------------
     def hdrf_baseline_pass(self, stream, ctx: TwoPhaseContext) -> np.ndarray:
-        """Blocked classic HDRF via the speculate-verify-repair machinery.
+        """Classic HDRF through the scalar engine, one chunk at a time.
 
-        The 2PS-HDRF block kernel takes a *per-edge* theta array, and the
-        baseline's partial-degree updates are decision-independent — so
-        the per-edge partial degrees at decision time can be
-        reconstructed exactly before any decision is made: each
-        endpoint's counter equals the pre-block count plus its inclusive
-        occurrence rank within the block (both endpoints of a self-loop
-        land on the same counter, handled by counting interleaved
-        endpoint slots).  With theta exact, :meth:`_hdrf_block` and the
-        scalar engine apply unchanged and the accepted decisions are
-        provably the serial reference ones.
+        The baseline's partial-degree updates are decision-independent,
+        so the per-edge partial degrees at decision time are
+        reconstructed exactly for a whole chunk before any decision is
+        made: each endpoint's counter equals the pre-chunk count plus
+        its inclusive occurrence rank within the chunk (both endpoints
+        of a self-loop land on the same counter, handled by counting
+        interleaved endpoint slots).  With theta exact, the engine's
+        decisions are the serial reference ones.
         """
         from repro.core.scoring import HDRF_EPSILON
 
-        if ctx.hdrf_lambda <= 0.0:
-            # Same degenerate-balance demotion as remaining_pass_hdrf:
-            # the scalar engine's category collapse needs lam > 0.
+        if not _engine_exact(ctx, HDRF_EPSILON):
             return super().hdrf_baseline_pass(stream, ctx)
         n = int(ctx.state.n_vertices)
         engine = _HdrfScalarEngine(ctx, HDRF_EPSILON)
         if stream.n_edges > 4 * n:
             engine.pack_all()
         partial = np.zeros(n, dtype=np.int64)
-        speculate = True
-        win_edges = 0
-        win_batched = 0
         idx = 0
         for chunk in stream.chunks():
             c = chunk.shape[0]
             if c == 0:
                 continue
-            u = np.ascontiguousarray(chunk[:, 0])
-            v = np.ascontiguousarray(chunk[:, 1])
-            positions = idx + np.arange(c)
-            for s in range(0, c, HDRF_BLOCK):
-                e = min(s + HDRF_BLOCK, c)
-                bu = u[s:e]
-                bv = v[s:e]
-                b = e - s
-                # Inclusive occurrence ranks over interleaved endpoint
-                # slots (u at even, v at odd positions), grouped by
-                # vertex id via one stable argsort.
-                ids = np.empty(2 * b, dtype=np.int64)
-                ids[0::2] = bu
-                ids[1::2] = bv
-                order = np.argsort(ids, kind="stable")
-                t = np.arange(2 * b)
-                gids = ids[order]
-                new_group = np.empty(2 * b, dtype=bool)
-                new_group[0] = True
-                new_group[1:] = gids[1:] != gids[:-1]
-                gstart = np.maximum.accumulate(np.where(new_group, t, 0))
-                inc = np.empty(2 * b, dtype=np.int64)
-                inc[order] = t - gstart + 1
-                # A self-loop bumps u's counter twice before scoring; its
-                # even slot only counted the first bump.
-                du = partial[bu] + inc[0::2] + (bu == bv)
-                dv = partial[bv] + inc[1::2]
-                theta = du / (du + dv)
-                batched = self._hdrf_block(
-                    ctx, engine, bu, bv, positions[s:e], theta,
-                    HDRF_EPSILON, speculate,
-                )
-                partial += np.bincount(ids, minlength=n)
-                if speculate:
-                    win_edges += b
-                    win_batched += batched
-                    if win_edges >= 8 * HDRF_BLOCK:
-                        # Rolling demotion, as in remaining_pass_hdrf.
-                        speculate = win_batched >= 0.25 * win_edges
-                        win_edges = 0
-                        win_batched = 0
+            u = chunk[:, 0]
+            v = chunk[:, 1]
+            # Inclusive occurrence ranks over interleaved endpoint slots
+            # (u at even, v at odd positions), grouped by vertex id via
+            # one stable argsort.
+            ids = chunk.ravel()
+            order = np.argsort(ids, kind="stable")
+            t = np.arange(2 * c)
+            gids = ids[order]
+            new_group = np.empty(2 * c, dtype=bool)
+            new_group[0] = True
+            new_group[1:] = gids[1:] != gids[:-1]
+            gstart = np.maximum.accumulate(np.where(new_group, t, 0))
+            inc = np.empty(2 * c, dtype=np.int64)
+            inc[order] = t - gstart + 1
+            # A self-loop bumps u's counter twice before scoring; its
+            # even slot only counted the first bump.
+            du = partial[u] + inc[0::2] + (u == v)
+            dv = partial[v] + inc[1::2]
+            ctx.assignments[idx : idx + c] = engine.run(u, v, du / (du + dv))
+            partial += np.bincount(ids, minlength=n)
             idx += c
-        engine.flush()
         ctx.cost.score_evaluations += ctx.k * stream.n_edges
         ctx.cost.edges_streamed += stream.n_edges
         return partial
 
 
+def _engine_exact(ctx, eps) -> bool:
+    """Whether :class:`_HdrfScalarEngine` decides bit-exactly as the
+    reference for this pass's balance weight and edge count (the
+    argument is in the engine docstring); both HDRF passes run the
+    reference kernel when it does not."""
+    lam = ctx.hdrf_lambda
+    return 0.0 < lam < 2.0**50 and (
+        lam / (eps + ctx.state.n_edges) > 2.0**-48 * (3.0 + lam)
+    )
+
+
 class _HdrfScalarEngine:
-    """Scalar mirror of the live 2PS-HDRF pass state.
+    """Scalar mirror of the live HDRF pass state.
 
     The HDRF argmax reads the two endpoints' replica rows and every
     partition's size; evaluated with per-edge numpy calls (the
@@ -761,11 +563,33 @@ class _HdrfScalarEngine:
     values — ``tu + tv`` (both endpoints replicated), ``tu``, ``tv``,
     and ``0.0`` — and within one such *category* the score differs only
     by the balance term, which is strictly decreasing in the partition
-    size (``lam > 0``; strict because consecutive integer sizes are
-    orders of magnitude above one float ulp apart).  Hence only the
-    lowest-indexed minimum-size partition of each category can enter
-    the argmax set, and the full k-way argmax collapses to at most four
-    exactly-scored candidates.
+    size.  Hence only the lowest-indexed minimum-size partition of each
+    category can enter the argmax set, and the full k-way argmax
+    collapses to at most four exactly-scored candidates.
+
+    Exact range.  Candidates are scored with the reference's float
+    expressions in its association order, so only two claims rest on
+    rounding; both hold when ``0 < lam < 2**50`` and
+    ``lam / (eps + |E|) > 2**-48 * (3 + lam)`` (:func:`_engine_exact`).
+    Every score is at most about ``3 + lam`` (replication term at most
+    ``tu + tv``, about 3; balance term at most about ``lam``), so
+    rounding a final sum moves it by at most ``(3 + lam) * 2**-53``; and
+    the balance term, built from monotone correctly-rounded operations,
+    never increases with the size.
+
+    - *Dominance* (the fast path): a both-replicated partition at the
+      global minimum size beats every partition outside its category by
+      about ``min(tu, tv) >= 1`` before the final rounding; with
+      ``lam < 2**50`` the two final roundings close less than 1/4 of
+      that.
+    - *Category rule*: the balance terms of consecutive sizes differ by
+      ``lam / D``, where ``D = eps + max(sizes) - min(sizes)`` is at
+      most ``eps + |E|`` because sizes count assigned edges, even after
+      a stale parallel barrier pushes one past the cap.  Rounding the
+      two terms takes at most ``lam * 2**-51`` off that gap and the two
+      final sums at most ``(3 + lam) * 2**-52``; the second condition
+      keeps the gap larger, so a larger size scores strictly lower
+      within a category.
 
     State kept per pass:
 
@@ -780,16 +604,16 @@ class _HdrfScalarEngine:
       scores (lowest set bit wins, as ``np.argmax``), across categories
       float-equal candidate scores resolve by partition index.
 
-    Decisions are made against the engine's scalar state; the matching
-    numpy-state updates (replica matrix, size vector) are *deferred* and
-    applied vectorized by :meth:`flush` — before a speculative block
-    reads the numpy state, and at the end of the pass — so the serial
-    hot loop performs no numpy writes at all.
+    Decisions are made against the engine's scalar state, so the hot
+    loop performs no numpy writes; :meth:`run` writes a segment's
+    replica bits and sizes to the numpy state, vectorized, when the
+    segment ends.  A row packed lazily afterwards never misses an
+    engine decision: the engine only sets bits on rows it has cached.
     """
 
     __slots__ = (
         "lam", "eps", "capacity", "replicas", "np_sizes", "masks",
-        "sizes", "levels", "order", "all_mask", "pending",
+        "sizes", "levels", "order", "all_mask",
     )
 
     def __init__(self, ctx, eps) -> None:
@@ -806,7 +630,6 @@ class _HdrfScalarEngine:
             levels[s] = levels.get(s, 0) | (1 << p)
         self.levels = levels
         self.order = sorted(levels)
-        self.pending: list[tuple] = []
 
     def _pack_row(self, vertex) -> int:
         """Pack one replica row into an int bitmask (first touch only)."""
@@ -834,74 +657,15 @@ class _HdrfScalarEngine:
             dense[vertex] = mask
         self.masks = dense
 
-    def note_batch(self, bu, bv, bp) -> None:
-        """Absorb a vectorized block apply (numpy state already updated)."""
-        masks = self.masks
-        if isinstance(masks, list):
-            for u, v, p in zip(bu.tolist(), bv.tolist(), bp.tolist()):
-                bit = 1 << p
-                masks[u] |= bit
-                masks[v] |= bit
-                self._bump(p, bit)
-            return
-        pack = self._pack_row
-        for u, v, p in zip(bu.tolist(), bv.tolist(), bp.tolist()):
-            bit = 1 << p
-            mu = masks.get(u)
-            # The numpy replica row already carries this batch's bit, so
-            # a fresh pack absorbs it; the |= is only for cached masks.
-            masks[u] = (pack(u) if mu is None else mu) | bit
-            mv = masks.get(v)
-            masks[v] = (pack(v) if mv is None else mv) | bit
-            self._bump(p, bit)
-
-    def defer(self, bu, bv, bp) -> None:
-        """Queue numpy-state updates for a serially-decided segment."""
-        self.pending.append((bu, bv, bp))
-
-    def flush(self) -> None:
-        """Apply deferred segments to the numpy replica matrix / sizes."""
-        if not self.pending:
-            return
-        us = np.concatenate([seg[0] for seg in self.pending])
-        vs = np.concatenate([seg[1] for seg in self.pending])
-        ps = np.concatenate([seg[2] for seg in self.pending])
-        self.pending.clear()
-        self.replicas[us, ps] = True
-        self.replicas[vs, ps] = True
-        self.np_sizes += np.bincount(ps, minlength=self.np_sizes.shape[0])
-
-    def _bump(self, p, bit) -> None:
-        """Move partition ``p`` one size level up."""
-        sizes = self.sizes
-        s = sizes[p]
-        sizes[p] = s + 1
-        levels = self.levels
-        rest = levels[s] & ~bit
-        if rest:
-            levels[s] = rest
-        else:
-            del levels[s]
-            self.order.remove(s)
-        s1 = s + 1
-        if s1 in levels:
-            levels[s1] |= bit
-        else:
-            levels[s1] = bit
-            insort(self.order, s1)
-
-    def run_serial(self, bu, bv, theta, start) -> np.ndarray:
-        """Decide rows ``start..`` of a block serially; returns their
-        partitions.  numpy-state updates are deferred (the caller routes
-        them through :meth:`defer`; :meth:`flush` applies them).
+    def run(self, bu, bv, theta) -> np.ndarray:
+        """Decide one segment of edges in stream order and return their
+        partitions, after writing the segment's replica bits and sizes
+        to the numpy state.
 
         The four replication categories are unrolled inline — this is
-        the hot loop of the whole 2PS-HDRF pipeline, so it trades
-        repetition for zero per-edge function-call overhead.
+        the hot loop of both HDRF passes, so it trades repetition for
+        zero per-edge function-call overhead.
         """
-        lu = bu.tolist()
-        lv = bv.tolist()
-        lt = theta.tolist()
         masks = self.masks
         dense = isinstance(masks, list)
         masks_get = None if dense else masks.get
@@ -915,9 +679,7 @@ class _HdrfScalarEngine:
         all_mask = self.all_mask
         out = []
         append = out.append
-        for i in range(start, len(lu)):
-            u = lu[i]
-            v = lv[i]
+        for u, v, th in zip(bu.tolist(), bv.tolist(), theta.tolist()):
             if dense:
                 mu = masks[u]
                 mv = masks[v]
@@ -939,8 +701,8 @@ class _HdrfScalarEngine:
                     # the global minimum size has the maximal balance term
                     # on top of the maximal replication term, beating any
                     # other partition by at least min(tu, tv) >= 1.0 —
-                    # orders of magnitude above float rounding, so no
-                    # score needs computing at all.
+                    # more than rounding can close in the exact range, so
+                    # no score needs computing at all.
                     best_p = (L & -L).bit_length() - 1
                     bit = 1 << best_p
                     masks[u] = mu | bit
@@ -961,7 +723,6 @@ class _HdrfScalarEngine:
                         insort(order, s1)
                     append(best_p)
                     continue
-            th = lt[i]
             Mf = float(order[-1])
             denom = (eps + Mf) - float(m0)
             tu = 2.0 - th
@@ -1045,4 +806,8 @@ class _HdrfScalarEngine:
                 levels[s1] = bit
                 insort(order, s1)
             append(best_p)
-        return np.asarray(out, dtype=np.int64)
+        ps = np.asarray(out, dtype=np.int64)
+        self.replicas[bu, ps] = True
+        self.replicas[bv, ps] = True
+        self.np_sizes += np.bincount(ps, minlength=self.np_sizes.shape[0])
+        return ps

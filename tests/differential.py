@@ -10,7 +10,7 @@ contract stated in the :mod:`repro.core.runners` module docstring on the
 sizes, machine-neutral cost counters and the schedule-derived extras).
 On top of that contract it checks:
 
-- the batched classic-HDRF baseline agrees across every backend;
+- the classic-HDRF baseline agrees across every backend;
 - the **serving round-trip** (:func:`assert_store_round_trip`): the
   sequential reference persisted as a
   :class:`~repro.serving.store.PartitionStore` and reopened
@@ -341,8 +341,8 @@ def check_seed(
                 seq, results[sharded[0]],
                 f"sequential vs {sharded[0]} at n_workers=1",
             )
-        # Contract 5: the batched HDRF baseline (kernel-registry
-        # dispatch) agrees across backends.
+        # Contract 5: the HDRF baseline (kernel-registry dispatch)
+        # agrees across backends.
         hdrf_ref = hdrf_baseline(case, backends[0])
         for backend in backends[1:]:
             assert_full_state_equal(

@@ -45,6 +45,11 @@ class TestHDRF:
         tight = HDRF(lam=5.0).partition(powerlaw_graph, 8)
         assert tight.measured_alpha <= loose.measured_alpha + 1e-9
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_lambda(self, lam):
+        with pytest.raises(ConfigurationError):
+            HDRF(lam=lam)
+
     def test_replicas_match_assignments(self, powerlaw_graph):
         result = HDRF().partition(powerlaw_graph, 8)
         expected = np.zeros_like(result.state.replicas)
@@ -53,14 +58,19 @@ class TestHDRF:
         assert np.array_equal(result.state.replicas, expected)
 
 
+#: Chunk sizes of the baseline sweep: per-edge, odd, default-like, > |E|.
+CHUNK_SIZES = [1, 37, 4096, 10**6]
+
+
 class TestHDRFBackends:
-    """Batched baseline bit-exactness across kernel backends (ISSUE 8).
+    """Baseline bit-exactness across kernel backends.
 
     The baseline pass dispatches through the kernel registry; the
-    vectorized ``numpy`` twin reconstructs partial degrees per block and
-    runs the speculate-verify-repair machinery, and must land on exactly
-    the per-edge reference decisions — assignments, replicas, sizes AND
-    the simulated cost counters.  (The numba twins are pinned in
+    ``numpy`` twin reconstructs partial degrees per chunk and decides
+    through the scalar engine, and must land on exactly the per-edge
+    reference decisions — assignments, replicas, sizes AND the simulated
+    cost counters.  k=70 spans more than one machine word of the
+    engine's bitmasks.  (The numba twins are pinned in
     ``tests/test_numba_backend.py``, where registration is managed.)
     """
 
@@ -72,25 +82,31 @@ class TestHDRFBackends:
         assert a.cost == b.cost
         assert a.state_bytes == b.state_bytes
 
-    @pytest.mark.parametrize("chunk_size", [1, 37, 4096, 10**6])
-    def test_numpy_matches_python(self, powerlaw_graph, chunk_size):
+    @pytest.mark.parametrize(
+        "chunk_size, k",
+        [pytest.param(c, 8, id=str(c)) for c in CHUNK_SIZES]
+        + [pytest.param(c, 70, id=f"{c}-k70") for c in CHUNK_SIZES],
+    )
+    def test_numpy_matches_python(self, powerlaw_graph, chunk_size, k):
         ref = HDRF(backend="python").partition(
-            powerlaw_graph, 8, chunk_size=chunk_size
+            powerlaw_graph, k, chunk_size=chunk_size
         )
         out = HDRF(backend="numpy").partition(
-            powerlaw_graph, 8, chunk_size=chunk_size
+            powerlaw_graph, k, chunk_size=chunk_size
         )
         self._identical(ref, out)
 
-    @pytest.mark.parametrize("lam", [0.0, 1.1, 2.5, 15.0])
+    @pytest.mark.parametrize("lam", [0.0, 1e-15, 1.1, 2.5, 15.0, 1e16])
     def test_lambda_sweep_bit_exact(self, social_graph, lam):
+        """0, 1e-15 and 1e16 lie outside the scalar engine's exact range
+        and take the reference kernel; the rest run the engine."""
         ref = HDRF(lam=lam, backend="python").partition(social_graph, 6)
         out = HDRF(lam=lam, backend="numpy").partition(social_graph, 6)
         self._identical(ref, out)
 
     def test_cap_pressure_bit_exact(self, powerlaw_graph):
         """alpha=1.0 keeps the hard cap reachable, driving the masked
-        argmax and the repair path."""
+        argmax."""
         ref = HDRF(backend="python").partition(
             powerlaw_graph, 5, alpha=1.0, chunk_size=64
         )
@@ -158,6 +174,11 @@ class TestAdwise:
     def test_rejects_bad_fraction(self):
         with pytest.raises(ConfigurationError):
             Adwise(assign_fraction=0.0)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_lambda(self, lam):
+        with pytest.raises(ConfigurationError):
+            Adwise(lam=lam)
 
     def test_buffer_one_degenerates_to_hdrf_like(self, community_graph):
         result = Adwise(buffer_size=1, assign_fraction=1.0).partition(

@@ -143,9 +143,9 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("chunk_size", [1, 64, 10**6])
     def test_hub_heavy_rmat_bit_exact(self, backend, mode, chunk_size):
         """Hub-heavy R-MAT: worst case for conflict-free batching (hubs
-        collide in nearly every block) and for the HDRF speculation
-        (balance-dominated decisions); chunk_size sweeps through 1 and
-        far beyond |E|."""
+        collide in nearly every block) and a balance-dominated stream for
+        the HDRF scalar engine; chunk_size sweeps through 1 and far
+        beyond |E|."""
         graph = rmat_graph(9, edge_factor=8, seed=3)
         ref = TwoPhasePartitioner(backend="python", mode=mode).partition(
             graph, 8, chunk_size=chunk_size
@@ -155,10 +155,11 @@ class TestBackendEquivalence:
         )
         assert_results_identical(ref, out)
 
-    @pytest.mark.parametrize("hdrf_lambda", [0.0, 1.1, 15.0])
+    @pytest.mark.parametrize("hdrf_lambda", [0.0, 1e-15, 1.1, 15.0, 1e16])
     def test_2pshdrf_lambda_sweep_bit_exact(self, backend, hdrf_lambda):
-        """Degenerate (0: reference-kernel fallback) and dominant balance
-        weights both stay bit-exact."""
+        """Degenerate and extreme balance weights (0, 1e-15, 1e16: outside
+        the scalar engine's exact range, so the reference kernel runs) and
+        in-range ones (1.1, 15) all stay bit-exact."""
         graph = rmat_graph(8, edge_factor=8, seed=5)
         ref = TwoPhasePartitioner(
             backend="python", mode="hdrf", hdrf_lambda=hdrf_lambda
@@ -169,8 +170,8 @@ class TestBackendEquivalence:
         assert_results_identical(ref, out)
 
     def test_2pshdrf_tight_cap_bit_exact(self, backend):
-        """alpha=1.0 keeps the hard cap reachable in nearly every block,
-        exercising the serial cap guard of the HDRF kernel."""
+        """alpha=1.0 keeps the hard cap reachable in nearly every chunk,
+        exercising the cap masking of the HDRF scalar engine."""
         graph = rmat_graph(8, edge_factor=8, seed=7)
         ref = TwoPhasePartitioner(backend="python", mode="hdrf").partition(
             graph, 5, alpha=1.0, chunk_size=37
@@ -263,12 +264,14 @@ def _phase2_context(graph, k, packed):
 
 
 @pytest.mark.parametrize("backend", VECTOR_BACKENDS)
-@pytest.mark.parametrize("k", [13, 32])
+@pytest.mark.parametrize("k", [13, 32, 70])
 @pytest.mark.parametrize("mode", ["linear", "hdrf"])
 class TestPackedStateKernels:
     """The Phase-2 passes on bit-packed state, pass by pass: packed ==
     dense == the python reference, with the cap fallback taken.  k=13
-    leaves three tail bits per packed row, k=32 fills whole bytes."""
+    leaves three tail bits per packed row, k=32 fills whole bytes, k=70
+    leaves six tail bits and spans more than one machine word of the
+    HDRF engine's bitmasks."""
 
     GRAPH = rmat_graph(9, edge_factor=8, seed=3)
 

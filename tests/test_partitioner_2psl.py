@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import TwoPhasePartitioner
+from repro.core import ParallelTwoPhase, TwoPhasePartitioner
 from repro.errors import ConfigurationError, PartitioningError
 from repro.graph.formats import write_binary_edge_list
 from repro.metrics import validate_partition
@@ -38,6 +38,13 @@ class TestContract:
     def test_rejects_bad_cap_factor(self):
         with pytest.raises(ConfigurationError):
             TwoPhasePartitioner(volume_cap_factor=0)
+
+    @pytest.mark.parametrize("cls", [TwoPhasePartitioner, ParallelTwoPhase])
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_lambda(self, cls, lam):
+        """A non-finite balance weight makes every HDRF score NaN."""
+        with pytest.raises(ConfigurationError):
+            cls(mode="hdrf", hdrf_lambda=lam)
 
     def test_deterministic(self, social_graph):
         a = TwoPhasePartitioner().partition(social_graph, 8)
