@@ -24,9 +24,10 @@ Usage::
 Exit status is non-zero unless every gate passes:
 
 - speedup gates (default ``numpy`` backend vs the ``python`` reference):
-  ``2psl`` degree and prepartition passes >= 5x, and the 2PS-HDRF
-  remaining pass (``partitioning`` phase) >= 5x — the acceptance gate of
-  the HDRF scalar engine;
+  ``2psl`` degree and prepartition passes >= 5x, the 2PS-L remaining
+  pass (``partitioning`` phase) >= 1.8x — the gate of its cell-level
+  conflict batching — and the 2PS-HDRF remaining pass >= 5x — the
+  acceptance gate of the HDRF scalar engine;
 - correctness gates: all backends bit-identical per pipeline,
   ``ParallelTwoPhase(n_workers=1)`` bit-exact with sequential 2PS-L, the
   process runner bit-identical with the simulated runner under the same
@@ -127,12 +128,15 @@ from repro.streaming import FileEdgeStream, InMemoryEdgeStream
 
 #: Speedup gates per pipeline: {config: {phase: threshold}}.  The smoke
 #: thresholds are lower because vectorization amortizes less at 65k edges.
+#: The 2PS-L ``partitioning`` phase is the remaining pass; its thresholds
+#: sit at about 80% of the measured ratio (2.3-2.5x at scale 16,
+#: 1.3-1.6x at scale 12, on a 2-vCPU Xeon host).
 FULL_GATES = {
-    "2psl": {"degree": 5.0, "prepartition": 5.0},
+    "2psl": {"degree": 5.0, "prepartition": 5.0, "partitioning": 1.8},
     "2pshdrf": {"partitioning": 5.0},
 }
 SMOKE_GATES = {
-    "2psl": {"degree": 3.0, "prepartition": 3.0},
+    "2psl": {"degree": 3.0, "prepartition": 3.0, "partitioning": 1.2},
     "2pshdrf": {"partitioning": 2.0},
 }
 

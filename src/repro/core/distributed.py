@@ -464,7 +464,8 @@ class _SocketTransport(Transport):
             "k": job.k,
             "alpha": job.alpha,
             "backend": job.backend,
-            "hash_seed": job.hash_seed,
+            # A uint64: the wire's int field is int64, so it ships as text.
+            "hash_seed": str(job.hash_seed),
             "hdrf_lambda": job.hdrf_lambda,
         }
         for w in range(len(self._conns)):

@@ -30,7 +30,7 @@ import numpy as np
 from repro.errors import PartitioningError
 from repro.metrics.runtime import CostCounter
 from repro.partitioning.base import PartitionResult
-from repro.partitioning.hashutil import splitmix64
+from repro.partitioning.hashutil import check_hash_seed, splitmix64_int
 from repro.partitioning.state import PackedReplicaMatrix
 
 
@@ -80,7 +80,7 @@ class IncrementalPartitioner:
         self._incidence: dict[tuple[int, int], int] = {}
         self.cost = CostCounter()
         self.updates = 0
-        self.hash_seed = int(hash_seed)
+        self.hash_seed = check_hash_seed(hash_seed)
 
     @property
     def total_edges(self) -> int:
@@ -258,7 +258,7 @@ class IncrementalPartitioner:
                 p = p1 if s1 >= s2 else p2
             if self.sizes[p] >= capacity:
                 hv = u if self.degrees[u] >= self.degrees[v] else v
-                p = int(splitmix64(hv, self.hash_seed) % np.uint64(self.k))
+                p = splitmix64_int(int(hv), self.hash_seed) % self.k
                 self.cost.hash_evaluations += 1
                 if self.sizes[p] >= capacity:
                     open_mask = self.sizes < capacity

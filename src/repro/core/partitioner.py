@@ -53,6 +53,7 @@ from repro.partitioning.base import (
     PartitionArtifacts,
     PartitionResult,
 )
+from repro.partitioning.hashutil import check_hash_seed
 from repro.partitioning.state import PartitionState
 
 
@@ -122,7 +123,7 @@ class TwoPhasePartitioner(EdgePartitioner):
     hdrf_lambda:
         Balance weight of the HDRF score (paper appendix: 1.1).
     hash_seed:
-        Seed of the fallback hash.
+        Seed of the fallback hash, in ``[0, 2**64)``.
     keep_state:
         When True, the result carries a typed
         :class:`~repro.partitioning.base.PartitionArtifacts` (Phase-1
@@ -193,7 +194,7 @@ class TwoPhasePartitioner(EdgePartitioner):
         self.volume_cap_factor = float(volume_cap_factor)
         self.mode = mode
         self.hdrf_lambda = float(hdrf_lambda)
-        self.hash_seed = int(hash_seed)
+        self.hash_seed = check_hash_seed(hash_seed)
         self.keep_state = bool(keep_state)
         self.backend = backend
         self.chunk_size = chunk_size
@@ -226,7 +227,9 @@ class TwoPhasePartitioner(EdgePartitioner):
             # once and every runner worker receives the concrete name —
             # no per-worker re-detection or repeated fallback warnings.
             backend=kernels.name,
-            k=k,
+            # A Python int: the hash fallback reduces a Python-int hash
+            # modulo k, which a numpy integer cannot hold.
+            k=int(k),
             alpha=alpha,
             hash_seed=self.hash_seed,
             hdrf_lambda=self.hdrf_lambda,

@@ -27,7 +27,7 @@ from repro.core.scheduling import graham_schedule
 from repro.errors import ConfigurationError, PartitioningError
 from repro.hypergraph.model import Hypergraph
 from repro.metrics.runtime import CostCounter, PhaseTimer
-from repro.partitioning.hashutil import splitmix64
+from repro.partitioning.hashutil import check_hash_seed, splitmix64_int
 
 
 @dataclass
@@ -77,7 +77,7 @@ class TwoPhaseHypergraphPartitioner:
     volume_cap_factor:
         Cluster volume cap as a multiple of ``total_pins / k``.
     hash_seed:
-        Fallback hash seed.
+        Fallback hash seed, in ``[0, 2**64)``.
     """
 
     name = "2PS-L-H"
@@ -88,7 +88,7 @@ class TwoPhaseHypergraphPartitioner:
                 f"volume_cap_factor must be positive, got {volume_cap_factor}"
             )
         self.volume_cap_factor = float(volume_cap_factor)
-        self.hash_seed = int(hash_seed)
+        self.hash_seed = check_hash_seed(hash_seed)
 
     # ------------------------------------------------------------------
     def partition(
@@ -186,7 +186,7 @@ class TwoPhaseHypergraphPartitioner:
                 p = best_p
                 if sizes[p] >= capacity:
                     heavy = max(mlist, key=degrees.__getitem__)
-                    p = int(splitmix64(heavy, self.hash_seed) % np.uint64(k))
+                    p = splitmix64_int(heavy, self.hash_seed) % int(k)
                     cost.hash_evaluations += 1
                     if sizes[p] >= capacity:
                         open_mask = sizes < capacity

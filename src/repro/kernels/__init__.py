@@ -45,11 +45,12 @@ decision depends on state mutated by earlier edges.  The ``numpy`` backend
 preserves serial semantics with one vectorization technique plus a scalar
 engine:
 
-- *Conflict-free sub-batching* (the 2PS-L scoring pass): an edge can be
-  scored vectorized only when no other edge in the chunk touches its
-  endpoints' replica rows, and processing it out of order is provably
-  equivalent; every colliding edge falls through to the serial kernel,
-  in stream order.
+- *Conflict-free sub-batching* (the 2PS-L scoring pass): an edge is
+  scored vectorized when it is the first edge of its block to read each
+  of its replica cells that are unset at block entry (bits only go from
+  0 to 1, so set cells read the same in any order), and processing it
+  out of order is provably equivalent; every other edge falls through
+  to the serial kernel, in stream order, after the batch.
 - *An exact scalar engine* (``_HdrfScalarEngine``; the 2PS-HDRF remaining
   pass and the classic HDRF baseline, where every edge mutates the
   partition sizes every other edge's balance term reads, so no
@@ -72,9 +73,12 @@ parallelism (the ``numba-parallel`` backend runs the hook
 ``_apply_remaining_batch`` under ``numba.prange``) only under these
 rules, which make the schedule unobservable:
 
-- every parallel row must read and write state no other row of the
-  region touches — exactly the conflict-freedom invariant the sub-batch
-  filter already establishes (pairwise-disjoint endpoint replica rows);
+- no parallel row may store to state another row of the region reads
+  or stores.  The sub-batch filter establishes this for replica cells:
+  batched rows hold pairwise-disjoint *live* cells (read by the row,
+  unset at block entry), so a row that scores from its block-entry bits
+  and stores only to its own live cells never meets another row, even
+  when two rows share an endpoint;
 - any cross-row aggregate must be an **order-insensitive reduction**
   (integer sums, ``np.bincount`` over the per-row outputs) or must be
   serialized outside the parallel region — float accumulation across

@@ -1,10 +1,10 @@
 """The ``numba`` backend: JIT-compiled serial conflict kernels.
 
 The ``numpy`` backend vectorizes everything that provably commutes with
-serial order and falls back to per-edge Python for the rest.  On
-hub-heavy streams that serial share dominates: the 2PS-L remaining
-(scoring) pass ends up only marginally faster than the reference, and
-Phase-1 clustering is the reference list kernel.
+serial order and falls back to per-edge Python for the rest.  That
+serial share stays large: every 2PS-L remaining-pass block within reach
+of the hard cap runs per edge, and Phase-1 clustering is the reference
+list kernel.
 This backend keeps the numpy *chunk orchestration* — streaming, gathers,
 the embarrassingly-batchable degree / pre-partition / stateless passes
 are inherited unchanged — and replaces exactly those serial conflict
@@ -429,35 +429,43 @@ prange = range
 
 
 def _remaining_batch_kernel(
-    bu, bv, bp1, bp2, br1, br2, btu, btv, replicas, out_p
+    bu, bv, bp1, bp2, br1, br2, btu, btv, entry, replicas, out_p
 ):
     """Conflict-free sub-batch of the 2PS-L scoring pass, row-parallel.
 
-    The caller guarantees pairwise-disjoint endpoint pairs, so each row
-    reads and writes replica rows no other row touches — iterations are
-    independent and the ``prange`` schedule cannot change results.  Size
-    updates and assignment scatters stay with the caller (order-
-    insensitive reductions, per the package determinism rules).
+    Rows score from their block-entry bits (``entry``, columns
+    ``(u, p1)``, ``(v, p1)``, ``(u, p2)``, ``(v, p2)``) and store a
+    replica bit only where it was unset at entry.  The caller guarantees
+    pairwise-disjoint unset (live) cells, so no row stores to a cell
+    another row reads or stores, and no row reads ``replicas`` at all —
+    iterations are independent and the ``prange`` schedule cannot change
+    results.  Size updates and assignment scatters stay with the caller
+    (order-insensitive reductions, per the package determinism rules).
     """
     for i in prange(bu.shape[0]):
-        u = bu[i]
-        v = bv[i]
-        p1 = bp1[i]
-        p2 = bp2[i]
         # Same association order as the reference: ratio, +u, +v.
         s1 = br1[i]
-        if replicas[u, p1]:
+        if entry[i, 0]:
             s1 += btu[i]
-        if replicas[v, p1]:
+        if entry[i, 1]:
             s1 += btv[i]
         s2 = br2[i]
-        if replicas[u, p2]:
+        if entry[i, 2]:
             s2 += btu[i]
-        if replicas[v, p2]:
+        if entry[i, 3]:
             s2 += btv[i]
-        p = p1 if s1 >= s2 else p2
-        replicas[u, p] = True
-        replicas[v, p] = True
+        if s1 >= s2:
+            p = bp1[i]
+            set_u = entry[i, 0]
+            set_v = entry[i, 1]
+        else:
+            p = bp2[i]
+            set_u = entry[i, 2]
+            set_v = entry[i, 3]
+        if not set_u:
+            replicas[bu[i], p] = True
+        if not set_v:
+            replicas[bv[i], p] = True
         out_p[i] = p
     return 0
 
@@ -736,7 +744,7 @@ class NumbaParallelBackend(NumbaBackend):
         NumpyBackend.remaining_pass_linear(self, stream, ctx)
 
     def _apply_remaining_batch(
-        self, ctx, bu, bv, bp1, bp2, br1, br2, btu, btv
+        self, ctx, bu, bv, bp1, bp2, br1, br2, btu, btv, entry
     ) -> np.ndarray:
         replicas = ctx.state.replicas
         if not isinstance(replicas, np.ndarray):
@@ -744,7 +752,7 @@ class NumbaParallelBackend(NumbaBackend):
             # dense bool matrix; the numpy hook speaks the packed
             # indexing protocol and is bit-exact by contract.
             return super()._apply_remaining_batch(
-                ctx, bu, bv, bp1, bp2, br1, br2, btu, btv
+                ctx, bu, bv, bp1, bp2, br1, br2, btu, btv, entry
             )
         kernel = _kernel_table()["remaining_batch"]
         out_p = np.empty(bu.shape[0], dtype=np.int64)
@@ -757,6 +765,7 @@ class NumbaParallelBackend(NumbaBackend):
             br2,
             btu,
             btv,
+            entry,
             replicas,
             out_p,
         )

@@ -2,25 +2,27 @@
 
 Embarrassingly-batchable passes (degrees, pre-partitioning, stateless
 hashing) are fully vectorized.  The remaining-edge scoring pass uses
-*conflict-free sub-batching*: the edges of a chunk whose mutable state
-cannot collide with any other edge of the chunk are processed as one
-array operation, everything else falls through to the per-edge serial
-kernel in stream order.  Phase-1 clustering runs the ``python``
-backend's list kernel, inherited unchanged.  The result is bit-exact
-with the ``python`` reference backend — see the package docstring for
-the argument and ``tests/test_kernels.py`` for the enforcement.
+*conflict-free sub-batching*: the edges of a block that cannot depend on
+an earlier edge of the block are processed as one array operation,
+everything else falls through to the per-edge serial kernel in stream
+order.  Phase-1 clustering runs the ``python`` backend's list kernel,
+inherited unchanged.  The result is bit-exact with the ``python``
+reference backend — see the package docstring for the argument and
+``tests/test_kernels.py`` for the enforcement.
 
 Why the sub-batching is exact, in short:
 
-- *Scoring pass*: an edge only reads/writes the replica-matrix rows of its
-  two endpoints (volumes and degrees are frozen in this pass).  An edge
-  whose endpoints make their chunk-first appearance on itself therefore
-  reads state no other chunk edge can have written, and writes state no
-  earlier chunk edge can read — so scoring all such edges against the
-  chunk-entry state commutes with the serial order.  Partition sizes only
-  feed the hard-cap fallback; a chunk is batched only when
-  ``capacity - max(sizes)`` exceeds the chunk's candidate count, which
-  makes the fallback provably unreachable either way.
+- *Scoring pass*: an edge reads four replica cells (its endpoints on its
+  two candidate partitions) and sets two of them; volumes and degrees
+  are frozen in this pass.  Replica bits only go from 0 to 1, so an edge
+  can depend on an earlier edge of its block only through a cell both
+  read that is unset at block entry.  Edges that are the first in their
+  block to read each of their unset cells are scored together against
+  the block-entry state, the rest serially afterwards (the argument is
+  in ``NumpyBackend._remaining_block``).  Partition sizes only feed the
+  hard-cap fallback; a block is batched only when
+  ``capacity - max(sizes)`` is at least the block's length, which makes
+  the fallback provably unreachable either way.
 - *HDRF passes* (the 2PS-HDRF remaining pass and the classic HDRF
   baseline): every edge mutates the partition sizes that every other
   edge's balance term reads, so no conflict-free subset exists at all.
@@ -45,13 +47,15 @@ from repro.kernels.base import TwoPhaseContext
 from repro.kernels.python_backend import PythonBackend
 from repro.partitioning.state import _replica_storage
 
-#: Internal sub-batch size of the 2PS-L scoring pass.  Conflict detection
-#: happens within one block, so smaller blocks mean fewer vertex
-#: collisions and a larger vectorized share — but more per-block numpy
-#: overhead.  512 won a sweep on a 1M-edge R-MAT (hubs collide at any
-#: block size; the long tail stops colliding around this scale).  Stream
-#: chunk boundaries are semantically irrelevant, so re-blocking a chunk
-#: internally cannot change results.
+#: Internal sub-batch size of the 2PS-L scoring pass.  Conflicts are
+#: detected within one block, and a block runs wholly serially when the
+#: hard cap lies within its length of the fullest partition.  Conflicts
+#: are per replica cell, so hubs whose bits are already set do not
+#: collide, and the size hardly matters: on a 1M-edge R-MAT (scale 16,
+#: k=32, 2-vCPU Xeon) the pass took 0.42-0.46 s (best of 3) at every
+#: size from 512 to 4096, and 0.50 s at 256.  Stream chunk boundaries
+#: are semantically irrelevant, so re-blocking a chunk internally cannot
+#: change results.
 STATEFUL_BLOCK = 512
 
 
@@ -315,56 +319,80 @@ class NumpyBackend(PythonBackend):
     ) -> None:
         """One sub-batch of the scoring pass.
 
-        Edges whose endpoints make their block-first appearance on the
-        edge itself are scored as one array operation (their replica rows
-        cannot have been written by an earlier block edge, and their
-        writes cannot be read by one); the rest runs serially in stream
-        order.  If the hard cap is reachable within the block, the whole
-        block runs serially — cap overflow makes every decision
-        order-dependent through the hash/least-loaded fallback.
+        An edge reads four replica cells, ``(u, p1)``, ``(v, p1)``,
+        ``(u, p2)`` and ``(v, p2)``, and sets two of them.  A cell is
+        *live* for an edge when the edge reads it and it is unset at block
+        entry.  Every edge that is the first in the block to hold each of
+        its live cells is scored as one array operation, from the entry
+        bits the filter gathered; the rest runs serially, in stream order,
+        after the batch.  Exact, because:
+
+        - within a pass replica bits only go from 0 to 1, so a cell set at
+          block entry reads True whatever earlier block edges do, and
+          setting it again changes nothing;
+        - batched edges hold pairwise-disjoint live cells, so each reads
+          its block-entry values, which equal what serial order gives: an
+          earlier edge writes either an already-set cell (no change) or
+          one of its own live cells, and no later batched edge holds that
+          cell;
+        - a conflict edge runs after the whole batch.  A batched edge later
+          in the stream writes only its own live cells, and none of them
+          is a cell the conflict edge reads — else the batched edge would
+          share a live cell with an earlier edge and be a conflict itself;
+        - sizes matter only at the hard cap.  If the cap is reachable
+          within the block (``capacity - max(sizes)`` below its length),
+          the whole block runs serially: cap overflow makes every decision
+          order-dependent through the hash/least-loaded fallback, whose
+          write may land outside the edge's four cells.
         """
-        sizes = ctx.state.sizes
+        state = ctx.state
         nrem = ru.shape[0]
-        if ctx.state.capacity - int(sizes.max()) < nrem:
+        if state.capacity - int(state.sizes.max()) < nrem:
             self._remaining_serial(
-                ctx, ru, rv, rp1, rp2, positions, r1, r2, term_u, term_v,
-                np.arange(nrem),
+                ctx, ru, rv, rp1, rp2, positions, r1, r2, term_u, term_v
             )
             return
-        ids = np.empty(2 * nrem, dtype=np.int64)
-        ids[0::2] = ru
-        ids[1::2] = rv
-        uniq, first_pos = np.unique(ids, return_index=True)
-        first_edge = first_pos // 2
-        eidx = np.arange(nrem)
-        conflict = (first_edge[np.searchsorted(uniq, ru)] < eidx) | (
-            first_edge[np.searchsorted(uniq, rv)] < eidx
-        )
+        # Columns: (u, p1), (v, p1), (u, p2), (v, p2).
+        rows = np.stack((ru, rv, ru, rv), axis=1)
+        cols = np.stack((rp1, rp1, rp2, rp2), axis=1)
+        entry = state.replicas[rows, cols]
+        live = ~entry
+        # Live cell ids in edge-major order, so a stable sort keeps each
+        # cell's holders in stream order.
+        cells = (rows * ctx.k + cols)[live]
+        holder = np.nonzero(live)[0]
+        order = np.argsort(cells, kind="stable")
+        cells = cells[order]
+        holder = holder[order]
+        # A holder is a conflict when an earlier edge holds the same cell
+        # (the same edge twice is a self-loop's doubled cell).
+        later = (cells[1:] == cells[:-1]) & (holder[1:] != holder[:-1])
+        conflict = np.zeros(nrem, dtype=bool)
+        conflict[holder[1:][later]] = True
         batch = ~conflict
-        if batch.any():
-            bu = ru[batch]
-            bv = rv[batch]
-            p = self._apply_remaining_batch(
-                ctx, bu, bv, rp1[batch], rp2[batch],
-                r1[batch], r2[batch], term_u[batch], term_v[batch],
-            )
-            sizes += np.bincount(p, minlength=ctx.k)
-            ctx.assignments[positions[batch]] = p
+        p = self._apply_remaining_batch(
+            ctx, ru[batch], rv[batch], rp1[batch], rp2[batch],
+            r1[batch], r2[batch], term_u[batch], term_v[batch], entry[batch],
+        )
+        state.sizes += np.bincount(p, minlength=ctx.k)
+        ctx.assignments[positions[batch]] = p
         if conflict.any():
+            sel = np.flatnonzero(conflict)
             self._remaining_serial(
-                ctx, ru, rv, rp1, rp2, positions, r1, r2, term_u, term_v,
-                np.flatnonzero(conflict),
+                ctx, ru[sel], rv[sel], rp1[sel], rp2[sel], positions[sel],
+                r1[sel], r2[sel], term_u[sel], term_v[sel],
             )
 
     def _apply_remaining_batch(
-        self, ctx, bu, bv, bp1, bp2, br1, br2, btu, btv
+        self, ctx, bu, bv, bp1, bp2, br1, br2, btu, btv, entry
     ) -> np.ndarray:
         """Score and apply one conflict-free sub-batch of the linear
         remaining pass; returns the chosen partitions.
 
-        The batch rows have pairwise-disjoint endpoint pairs (the caller
-        filtered on block-first appearance), so every row reads and
-        writes replica-matrix state no other row touches — the rows are
+        ``entry`` holds each row's four replica bits at block entry, in
+        the columns ``(u, p1)``, ``(v, p1)``, ``(u, p2)``, ``(v, p2)``.
+        The rows hold pairwise-disjoint live (entry-unset) cells, so no
+        row stores to a cell another row reads or stores — the rows are
         order-independent and a parallel backend may override this hook
         with a ``prange`` kernel.  Size updates and assignment scatters
         stay with the caller (order-insensitive reductions, per the
@@ -372,31 +400,22 @@ class NumpyBackend(PythonBackend):
         """
         replicas = ctx.state.replicas
         # Same association order as the reference: ratio, +u, +v.
-        s1 = br1 + replicas[bu, bp1] * btu + replicas[bv, bp1] * btv
-        s2 = br2 + replicas[bu, bp2] * btu + replicas[bv, bp2] * btv
+        s1 = br1 + entry[:, 0] * btu + entry[:, 1] * btv
+        s2 = br2 + entry[:, 2] * btu + entry[:, 3] * btv
         p = np.where(s1 >= s2, bp1, bp2)
         replicas[bu, p] = True
         replicas[bv, p] = True
         return p
 
     def _remaining_serial(
-        self, ctx, ru, rv, rp1, rp2, positions, r1, r2, term_u, term_v,
-        indices,
+        self, ctx, ru, rv, rp1, rp2, positions, r1, r2, term_u, term_v
     ) -> None:
-        """Per-edge reference scoring, in stream order, over the
-        precomputed state-independent score components."""
+        """Per-edge reference scoring of the given rows, in stream order,
+        over the precomputed state-independent score components."""
         sizes = ctx.state.sizes
         capacity = ctx.state.capacity
         deg = ctx.degrees
         k, cost, seed = ctx.k, ctx.cost, ctx.hash_seed
-        lu = ru.tolist()
-        lv = rv.tolist()
-        lp1 = rp1.tolist()
-        lp2 = rp2.tolist()
-        lr1 = r1.tolist()
-        lr2 = r2.tolist()
-        ltu = term_u.tolist()
-        ltv = term_v.tolist()
 
         def least_loaded() -> int:
             return int(np.argmin(sizes))
@@ -405,25 +424,20 @@ class NumpyBackend(PythonBackend):
         chosen = []
         append = chosen.append
         with plane, memoryview(sizes) as live:
-            for i in indices.tolist():
-                u = lu[i]
-                v = lv[i]
-                p1 = lp1[i]
-                p2 = lp2[i]
+            for u, v, p1, p2, s1, s2, tu, tv in zip(
+                ru.tolist(), rv.tolist(), rp1.tolist(), rp2.tolist(),
+                r1.tolist(), r2.tolist(), term_u.tolist(), term_v.tolist(),
+            ):
                 bu = u * row_bytes
                 bv = v * row_bytes
                 b = p1 >> shift
                 m = 1 << (p1 & low_mask)
-                tu = ltu[i]
-                tv = ltv[i]
-                s1 = lr1[i]
                 if plane[bu + b] & m:
                     s1 += tu
                 if plane[bv + b] & m:
                     s1 += tv
                 b = p2 >> shift
                 m = 1 << (p2 & low_mask)
-                s2 = lr2[i]
                 if plane[bu + b] & m:
                     s2 += tu
                 if plane[bv + b] & m:
@@ -439,7 +453,7 @@ class NumpyBackend(PythonBackend):
                 plane[bu + b] |= m
                 plane[bv + b] |= m
                 append(p)
-        ctx.assignments[positions[indices]] = chosen
+        ctx.assignments[positions] = chosen
 
     # ------------------------------------------------------------------
     # 2PS-HDRF remaining pass: the scalar engine, one chunk at a time

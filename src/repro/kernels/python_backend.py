@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.base import ClusteringState, KernelBackend, TwoPhaseContext
-from repro.partitioning.hashutil import splitmix64
+from repro.partitioning.hashutil import splitmix64_int
 from repro.partitioning.state import LeastLoadedTracker
 
 
@@ -230,7 +230,7 @@ class PythonBackend(KernelBackend):
         the live sizes.
         """
         hv = u if deg[u] >= deg[v] else v
-        p = int(splitmix64(hv, hash_seed) % np.uint64(k))
+        p = splitmix64_int(hv, hash_seed) % k
         cost.hash_evaluations += 1
         if sizes[p] >= capacity:
             p = least_loaded()

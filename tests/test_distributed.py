@@ -307,6 +307,21 @@ class TestLoopbackEquivalence:
         _assert_same(dist, sim)
         _assert_clean()
 
+    def test_uint64_hash_seed_matches_simulated(self):
+        """A seed above 2**63 - 1 fits no int64 wire field; alpha=1.0
+        makes the fallback hash it."""
+        graph = _graph()
+        runs = {
+            runner: ParallelTwoPhase(
+                n_workers=2, sync_interval=37, runner=runner,
+                hash_seed=2**64 - 1,
+            ).partition(graph, 5, alpha=1.0, chunk_size=64)
+            for runner in ("distributed", "simulated")
+        }
+        assert runs["simulated"].cost.hash_evaluations > 0
+        _assert_same(runs["distributed"], runs["simulated"])
+        _assert_clean()
+
     def test_single_worker_matches_simulated(self):
         graph = _graph()
         _assert_same(

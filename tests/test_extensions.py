@@ -213,6 +213,23 @@ class TestIncremental:
         assert inc.replication_factor() < base.replication_factor * 1.5
         assert inc.staleness > 0
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_hash_seed_outside_uint64(self, seed):
+        """The fallback hash adds the seed as a uint64."""
+        n, k = 2, 2
+        with pytest.raises(ConfigurationError):
+            IncrementalPartitioner(
+                k=k,
+                alpha=1.05,
+                degrees=np.zeros(n, dtype=np.int64),
+                v2c=np.zeros(n, dtype=np.int64),
+                volumes=np.zeros(1, dtype=np.int64),
+                c2p=np.zeros(1, dtype=np.int64),
+                replicas=np.zeros((n, k), dtype=bool),
+                sizes=np.zeros(k, dtype=np.int64),
+                hash_seed=seed,
+            )
+
 
 class TestParallel:
     def test_rejects_bad_params(self):
@@ -330,6 +347,22 @@ class TestHypergraphPartitioners:
     def test_rejects_empty(self):
         with pytest.raises(PartitioningError):
             TwoPhaseHypergraphPartitioner().partition(Hypergraph([], 4), 4)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_hash_seed_outside_uint64(self, seed):
+        """The fallback hash adds the seed as a uint64."""
+        with pytest.raises(ConfigurationError):
+            TwoPhaseHypergraphPartitioner(hash_seed=seed)
+
+    def test_numpy_integer_k_matches_int_k(self, hg):
+        """The hash fallback (alpha=1.0 makes it fire) reduces a Python-int
+        hash modulo k."""
+        ref = TwoPhaseHypergraphPartitioner().partition(hg, 8, alpha=1.0)
+        out = TwoPhaseHypergraphPartitioner().partition(
+            hg, np.int64(8), alpha=1.0
+        )
+        assert ref.cost.hash_evaluations > 0
+        np.testing.assert_array_equal(ref.assignments, out.assignments)
 
     def test_rejects_k_one(self, hg):
         with pytest.raises(PartitioningError):

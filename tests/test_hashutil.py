@@ -2,7 +2,11 @@
 
 import numpy as np
 
-from repro.partitioning.hashutil import hash_to_partition, splitmix64
+from repro.partitioning.hashutil import (
+    hash_to_partition,
+    splitmix64,
+    splitmix64_int,
+)
 
 
 class TestSplitmix:
@@ -22,6 +26,24 @@ class TestSplitmix:
         hashed = splitmix64(np.arange(1000))
         # Consecutive integers should land in different high bits.
         assert np.unique(hashed >> np.uint64(32)).shape[0] > 900
+
+
+class TestSplitmixInt:
+    def test_matches_numpy_splitmix(self):
+        """The Python-int twin equals the numpy hash, also modulo k, over
+        the uint64 edges and random values, for seeds across the range."""
+        rng = np.random.default_rng(9)
+        values = [0, 1, 2**31, 2**63, 2**64 - 1] + rng.integers(
+            0, 2**64 - 1, size=50, dtype=np.uint64, endpoint=True
+        ).tolist()
+        for seed in (0, 1, 2**63, 2**64 - 1):
+            for x in values:
+                expected = splitmix64(x, seed)
+                assert splitmix64_int(x, seed) == int(expected)
+                for k in (2, 7, 32, 70):
+                    assert splitmix64_int(x, seed) % k == int(
+                        expected % np.uint64(k)
+                    )
 
 
 class TestHashToPartition:

@@ -27,6 +27,7 @@ from repro.kernels import (
 )
 from repro.kernels.base import Int64Buffer, TwoPhaseContext
 from repro.kernels.numba_backend import NumbaBackend
+from repro.kernels.numpy_backend import NumpyBackend
 from repro.metrics.runtime import CostCounter
 from repro.partitioning import LeastLoadedTracker, PartitionArtifacts
 from repro.partitioning.state import PartitionState
@@ -317,6 +318,115 @@ class TestPackedStateKernels:
         assert (ctx.assignments >= 0).all()
         bits = np.unpackbits(ctx.state.replicas.packed, axis=1, bitorder="little")
         assert not bits[:, k:].any()  # tail bits past column k stay zero
+
+
+def _preset_context(edges, n, k, v2c, c2p, bits, sizes, n_edges, alpha, packed):
+    """A remaining-pass context whose replica ``bits`` (dense bool,
+    ``n x k``) and partition ``sizes`` are set before the pass starts."""
+    degrees = np.bincount(edges.ravel(), minlength=n).astype(np.int64)
+    state = PartitionState(n, k, n_edges, alpha, packed=packed)
+    state.replicas[np.arange(n)] = bits
+    state.sizes[:] = sizes
+    return TwoPhaseContext(
+        k=k,
+        v2c=v2c,
+        c2p=c2p,
+        volumes=np.bincount(v2c, weights=degrees, minlength=c2p.shape[0])
+        .astype(np.int64),
+        degrees=degrees,
+        state=state,
+        assignments=np.full(edges.shape[0], -1, dtype=np.int32),
+        hash_seed=0,
+        cost=CostCounter(),
+    )
+
+
+def _remaining_from(name, edges, n, chunk_size, *preset, packed=False):
+    """Run ``name``'s linear remaining pass from a preset context."""
+    ctx = _preset_context(edges, n, *preset, packed)
+    stream = InMemoryEdgeStream(edges, n_vertices=n)
+    stream.default_chunk_size = chunk_size
+    get_backend(name).remaining_pass_linear(stream, ctx)
+    return ctx
+
+
+def _assert_contexts_identical(reference, other):
+    np.testing.assert_array_equal(reference.assignments, other.assignments)
+    np.testing.assert_array_equal(reference.state.sizes, other.state.sizes)
+    np.testing.assert_array_equal(
+        np.asarray(reference.state.replicas), np.asarray(other.state.replicas)
+    )
+    assert reference.cost == other.cost
+
+
+class TestRemainingCellConflicts:
+    """The numpy remaining pass serializes an edge only when it shares a
+    replica cell that is unset at block entry with an earlier edge of its
+    block, and stays bit-exact with the reference from any start state."""
+
+    @pytest.mark.parametrize("k, packed", [(8, False), (70, True)])
+    def test_saturated_hub_block_is_batched(self, monkeypatch, k, packed):
+        """64 edges (0, i) around a hub with all k bits set: every edge
+        shares the hub, but each edge's unset cells are its own."""
+        n = 65
+        leaves = np.arange(1, n, dtype=np.int64)
+        edges = np.stack([np.zeros_like(leaves), leaves], axis=1)
+        v2c = np.arange(n, dtype=np.int64)
+        c2p = np.concatenate([[0], 1 + (leaves - 1) % (k - 1)])
+        bits = np.zeros((n, k), dtype=bool)
+        bits[0] = True
+        preset = (k, v2c, c2p, bits, np.zeros(k, dtype=np.int64), 100_000, 1.5)
+        serial_rows = []
+        original = NumpyBackend._remaining_serial
+
+        def spy(self, ctx, *args):
+            # Edges assigned inside the serial loop.
+            before = int((ctx.assignments >= 0).sum())
+            original(self, ctx, *args)
+            serial_rows.append(int((ctx.assignments >= 0).sum()) - before)
+
+        monkeypatch.setattr(NumpyBackend, "_remaining_serial", spy)
+        out = _remaining_from("numpy", edges, n, 64, *preset, packed=packed)
+        assert sum(serial_rows) == 0
+        ref = _remaining_from("python", edges, n, 64, *preset)
+        _assert_contexts_identical(ref, out)
+
+    @SLOW
+    @given(
+        graph=graphs(),
+        k=st.integers(min_value=2, max_value=12),
+        density=st.floats(min_value=0.0, max_value=1.0),
+        near_cap=st.booleans(),
+        alpha=st.sampled_from([1.0, 1.05, 1.5]),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        chunk_size=CHUNK_SIZES,
+    )
+    def test_bit_exact_from_preset_state(
+        self, graph, k, density, near_cap, alpha, seed, chunk_size
+    ):
+        """Random replica bits already set before the pass (density 0 to
+        1), random clusters and mapping, and sizes that either start at
+        most a few edges below the cap or far from it."""
+        rng = np.random.default_rng(seed)
+        n = graph.n_vertices
+        n_clusters = int(rng.integers(1, n + 1))
+        v2c = rng.integers(0, n_clusters, size=n)
+        c2p = rng.integers(0, k, size=n_clusters)
+        bits = rng.random((n, k)) < density
+        if near_cap:
+            n_edges = graph.n_edges
+            capacity = PartitionState(n, k, n_edges, alpha).capacity
+            sizes = np.maximum(capacity - rng.integers(0, 4, size=k), 0)
+        else:
+            n_edges = 100 * graph.n_edges
+            sizes = rng.integers(0, graph.n_edges + 1, size=k)
+        preset = (k, v2c, c2p, bits, sizes, n_edges, alpha)
+        ref = _remaining_from("python", graph.edges, n, chunk_size, *preset)
+        for packed in (False, True):
+            out = _remaining_from(
+                "numpy", graph.edges, n, chunk_size, *preset, packed=packed
+            )
+            _assert_contexts_identical(ref, out)
 
 
 class TestChunkSizeIsPerfKnobOnly:

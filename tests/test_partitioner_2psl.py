@@ -6,6 +6,7 @@ import pytest
 from repro.core import ParallelTwoPhase, TwoPhasePartitioner
 from repro.errors import ConfigurationError, PartitioningError
 from repro.graph.formats import write_binary_edge_list
+from repro.graph.generators import rmat_graph
 from repro.metrics import validate_partition
 from repro.streaming import FileEdgeStream, InMemoryEdgeStream
 
@@ -45,6 +46,40 @@ class TestContract:
         """A non-finite balance weight makes every HDRF score NaN."""
         with pytest.raises(ConfigurationError):
             cls(mode="hdrf", hdrf_lambda=lam)
+
+    @pytest.mark.parametrize("cls", [TwoPhasePartitioner, ParallelTwoPhase])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_hash_seed_outside_uint64(self, cls, seed):
+        """The fallback hash adds the seed as a uint64."""
+        with pytest.raises(ConfigurationError):
+            cls(hash_seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_hash_seed_range_ends_bit_exact(self, seed):
+        """Both ends of the seed range hash identically on every backend
+        (alpha=1.0 makes the fallback fire)."""
+        graph = rmat_graph(8, edge_factor=8, seed=3)
+        ref = TwoPhasePartitioner(backend="python", hash_seed=seed).partition(
+            graph, 6, alpha=1.0
+        )
+        out = TwoPhasePartitioner(hash_seed=seed).partition(graph, 6, alpha=1.0)
+        assert ref.cost.hash_evaluations > 0
+        np.testing.assert_array_equal(ref.assignments, out.assignments)
+        assert ref.cost == out.cost
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_numpy_integer_k_matches_int_k(self, backend):
+        """The hash fallback (alpha=1.0 makes it fire) reduces a Python-int
+        hash modulo k."""
+        graph = rmat_graph(8, edge_factor=8, seed=3)
+        ref = TwoPhasePartitioner(backend=backend).partition(
+            graph, 6, alpha=1.0
+        )
+        out = TwoPhasePartitioner(backend=backend).partition(
+            graph, np.int64(6), alpha=1.0
+        )
+        assert ref.cost.hash_evaluations > 0
+        np.testing.assert_array_equal(ref.assignments, out.assignments)
 
     def test_deterministic(self, social_graph):
         a = TwoPhasePartitioner().partition(social_graph, 8)
