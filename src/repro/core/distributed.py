@@ -45,21 +45,20 @@ import numpy as np
 
 from repro.core import wire
 from repro.core.runners import (
-    PASS_METHODS,
     RUNNERS,
     Runner,
     RunnerSession,
     Transport,
     WorkerFailed,
-    _DirtyMarkingStream,
     _release_segment,
     _stream_spec,
     _SubStream,
     check_start_method,
     default_start_method,
+    run_phase2_window,
 )
 from repro.errors import ConfigurationError, PartitioningError, WireError
-from repro.kernels import TwoPhaseContext, get_backend
+from repro.kernels import get_backend
 from repro.metrics.runtime import CostCounter
 from repro.partitioning.state import (
     PartitionState,
@@ -197,10 +196,10 @@ def _w_bind(ctx, payload):
         track_dirty=True,
         packed=bool(payload["packed"]),
     )
-    ctx["phase1"] = {
-        name: np.asarray(payload[name], dtype=np.int64)
+    ctx["phase1"] = tuple(
+        np.asarray(payload[name], dtype=np.int64)
         for name in ("v2c", "c2p", "volumes", "degrees")
-    }
+    )
     return wire.MSG_OK, None
 
 
@@ -211,30 +210,23 @@ def _w_window(ctx, payload):
     # the two passes write disjoint positions — the coordinator merges
     # returned values where >= 0, so current values need not ship out.
     assignments = np.full(stop - start, -1, dtype=np.int32)
-    cost = CostCounter()
-    phase1 = ctx["phase1"]
-    kernel_ctx = TwoPhaseContext(
+    total, cost = run_phase2_window(
+        ctx["kernels"],
+        payload["pass"],
+        ctx["stream"],
+        start,
+        stop,
+        view,
+        ctx["phase1"],
+        assignments,
         k=ctx["k"],
-        v2c=phase1["v2c"],
-        c2p=phase1["c2p"],
-        volumes=phase1["volumes"],
-        degrees=phase1["degrees"],
-        state=view,
-        assignments=assignments,
         hash_seed=ctx["hash_seed"],
-        cost=cost,
         hdrf_lambda=ctx["hdrf_lambda"],
-    )
-    window = _DirtyMarkingStream(
-        _SubStream(ctx["stream"], start, stop), view
-    )
-    out = getattr(ctx["kernels"], PASS_METHODS[payload["pass"]])(
-        window, kernel_ctx
     )
     rows, rows_data, sizes = extract_replica_delta(view)
     return wire.MSG_WINDOW_RESULT, {
-        "total": 0 if out is None else int(out),
-        "cost": np.asarray(astuple(cost), dtype=np.int64),
+        "total": total,
+        "cost": np.asarray(cost, dtype=np.int64),
         "assignments": assignments,
         "rows": rows,
         "rows_data": np.asarray(rows_data),

@@ -44,7 +44,8 @@ every output bit:
   assignments, replica matrix, partition sizes *and* cost counters (cost
   fields are sums of per-window counts, so merge order cannot matter).
   Each transport is a value-preserving recoding of the same arithmetic:
-  every transport reads a window through the same ``_SubStream`` over
+  every transport runs a Phase-2 window through the one body
+  :func:`run_phase2_window`, which reads it through ``_SubStream`` over
   the job's stream (pool and socket workers reopen it from its spec), so
   chunk boundaries agree; socket barriers ship each worker's *dirty*
   replica rows only, which is exact because a row clean in worker ``w``
@@ -281,6 +282,58 @@ class _DirtyMarkingStream:
             if chunk.size:
                 self._state.mark_dirty(chunk.ravel())
             yield chunk
+
+
+def _window_stream(stream, start: int, stop: int):
+    """The ``[start, stop)`` window of ``stream``; a window covering the
+    whole stream is the stream itself, so it streams as a full pass."""
+    if stop - start == stream.n_edges:
+        return stream
+    return _SubStream(stream, start, stop)
+
+
+def run_phase2_window(
+    kernels,
+    step: str,
+    stream,
+    start: int,
+    stop: int,
+    view: PartitionState,
+    phase1: tuple,
+    assignments: np.ndarray,
+    *,
+    k: int,
+    hash_seed: int,
+    hdrf_lambda: float,
+) -> tuple[int, tuple]:
+    """One Phase-2 sync window, the body every transport shares.
+
+    Runs pass ``step`` of ``kernels`` over ``stream``'s ``[start, stop)``
+    window against the state ``view``, marking the window's endpoint rows
+    dirty when the view tracks dirt.  ``phase1`` is the read-only
+    ``(v2c, c2p, volumes, degrees)`` tuple; ``assignments`` is the
+    window's slice.  Returns the pass total and the window's cost-counter
+    delta.
+    """
+    window = _window_stream(stream, start, stop)
+    if view.dirty is not None:
+        window = _DirtyMarkingStream(window, view)
+    v2c, c2p, volumes, degrees = phase1
+    cost = CostCounter()
+    ctx = TwoPhaseContext(
+        k=k,
+        v2c=v2c,
+        c2p=c2p,
+        volumes=volumes,
+        degrees=degrees,
+        state=view,
+        assignments=assignments,
+        hash_seed=hash_seed,
+        cost=cost,
+        hdrf_lambda=hdrf_lambda,
+    )
+    out = getattr(kernels, PASS_METHODS[step])(window, ctx)
+    return (0 if out is None else int(out)), astuple(cost)
 
 
 # ----------------------------------------------------------------------
@@ -522,37 +575,30 @@ class _InlineTransport(Transport):
     def _window(self, step, w, start, stop):
         job = self.job
         kernels = self.kernels
-        if stop - start == job.stream.n_edges:
-            window = job.stream  # one window covers the stream: stream it
-        else:
-            window = _SubStream(job.stream, start, stop)
+        if step not in _PHASE1_STEPS:
+            return run_phase2_window(
+                kernels,
+                step,
+                job.stream,
+                start,
+                stop,
+                self.views[w],
+                (job.v2c, job.c2p, job.volumes, job.degrees),
+                job.assignments[start:stop],
+                k=job.k,
+                hash_seed=job.hash_seed,
+                hdrf_lambda=job.hdrf_lambda,
+            )
+        window = _window_stream(job.stream, start, stop)
         if step == "degree":
             return kernels.degree_pass(window), ()
         cost = CostCounter()
-        if step == "clustering":
-            st = self._live
-            if st is None:
-                st = kernels.clustering_load(*self._snapshot, self._degrees)
-            kernels.clustering_true_pass(window, st, self._cap, cost)
-            export = None if st is self._live else kernels.clustering_export(st)[:2]
-            return export, astuple(cost)
-        view = self.views[w]
-        if view.dirty is not None:
-            window = _DirtyMarkingStream(window, view)
-        ctx = TwoPhaseContext(
-            k=job.k,
-            v2c=job.v2c,
-            c2p=job.c2p,
-            volumes=job.volumes,
-            degrees=job.degrees,
-            state=view,
-            assignments=job.assignments[start:stop],
-            hash_seed=job.hash_seed,
-            cost=cost,
-            hdrf_lambda=job.hdrf_lambda,
-        )
-        out = getattr(kernels, PASS_METHODS[step])(window, ctx)
-        return (0 if out is None else int(out)), astuple(cost)
+        st = self._live
+        if st is None:
+            st = kernels.clustering_load(*self._snapshot, self._degrees)
+        kernels.clustering_true_pass(window, st, self._cap, cost)
+        export = None if st is self._live else kernels.clustering_export(st)[:2]
+        return export, astuple(cost)
 
     def open_clustering(self, degrees, cap, lone):
         self._degrees = degrees
@@ -837,30 +883,21 @@ def _worker_phase2_window(task):
     """One Phase-2 sync window; returns the kernel total and this
     window's cost-counter delta for the parent to merge."""
     worker_index, pass_name, start, stop, ref = task
-    ctx_globals = _WORKER
-    payload = ctx_globals["payload"]
+    payload = _WORKER["payload"]
     phase2 = _attach_phase2(ref)
-    cost = CostCounter()
-    view = phase2["views"][worker_index]
-    ctx = TwoPhaseContext(
+    return run_phase2_window(
+        _WORKER["kernels"],
+        pass_name,
+        _WORKER["stream"],
+        start,
+        stop,
+        phase2["views"][worker_index],
+        tuple(phase2[name] for name in ("v2c", "c2p", "volumes", "degrees")),
+        phase2["assignments"][start:stop],
         k=payload.k,
-        v2c=phase2["v2c"],
-        c2p=phase2["c2p"],
-        volumes=phase2["volumes"],
-        degrees=phase2["degrees"],
-        state=view,
-        assignments=phase2["assignments"][start:stop],
         hash_seed=payload.hash_seed,
-        cost=cost,
         hdrf_lambda=payload.hdrf_lambda,
     )
-    window = _DirtyMarkingStream(
-        _SubStream(ctx_globals["stream"], start, stop), view
-    )
-    out = getattr(ctx_globals["kernels"], PASS_METHODS[pass_name])(
-        window, ctx
-    )
-    return (0 if out is None else int(out)), astuple(cost)
 
 
 class ProcessRunner(Runner):

@@ -22,10 +22,6 @@ or as vectorized numpy array code:
   ``numba.njit``-compiled per-edge kernels.  Registered only when the
   numba import succeeds; see *Optional backends* below for the fallback
   contract.
-- ``numba-parallel`` — ``numba`` plus ``numba.prange`` execution of the
-  conflict-free 2PS-L scoring batch, registered and missing together
-  with ``numba``.  See *Parallel sub-batch determinism* below for the
-  rules that keep it bit-exact.
 
 Backend contract
 ----------------
@@ -65,33 +61,6 @@ partition could hit the hard balance cap inside it (the remaining
 capacity ``capacity - max(sizes)`` is smaller than the block's candidate
 count), because cap overflow makes decisions order-dependent through the
 hash / least-loaded fallback chain.
-
-Parallel sub-batch determinism
-------------------------------
-A backend may execute a conflict-free sub-batch with *thread-level*
-parallelism (the ``numba-parallel`` backend runs the hook
-``_apply_remaining_batch`` under ``numba.prange``) only under these
-rules, which make the schedule unobservable:
-
-- no parallel row may store to state another row of the region reads
-  or stores.  The sub-batch filter establishes this for replica cells:
-  batched rows hold pairwise-disjoint *live* cells (read by the row,
-  unset at block entry), so a row that scores from its block-entry bits
-  and stores only to its own live cells never meets another row, even
-  when two rows share an endpoint;
-- any cross-row aggregate must be an **order-insensitive reduction**
-  (integer sums, ``np.bincount`` over the per-row outputs) or must be
-  serialized outside the parallel region — float accumulation across
-  rows is *not* order-insensitive and is therefore banned inside a
-  parallel region;
-- when the parallel runtime is absent the same kernel body must run
-  serially (``prange`` degrades to ``range``), so the fallback is
-  deterministic by construction, not by luck.
-
-Under these rules parallel execution is bit-identical to the serial
-backends for every schedule and thread count;
-``tests/test_numba_backend.py`` pins ``numba-parallel`` against
-``numba`` and the reference.
 
 Phase-1 merge ops (parallel barriers)
 -------------------------------------
@@ -363,16 +332,13 @@ def _register_optional_backends() -> None:
 
     if numba_backend.numba_available():
         register_backend("numba", numba_backend.NumbaBackend)
-        register_backend("numba-parallel", numba_backend.NumbaParallelBackend)
     else:
-        reason = (
+        _REGISTRY.pop("numba", None)
+        _INSTANCES.pop("numba", None)
+        _MISSING["numba"] = (
             numba_backend.unavailable_reason() or "numba is not installed"
         )
-        for name in ("numba", "numba-parallel"):
-            _REGISTRY.pop(name, None)
-            _INSTANCES.pop(name, None)
-            _MISSING[name] = reason
-            _FALLBACK_WARNED.discard(name)
+        _FALLBACK_WARNED.discard("numba")
 
 
 register_backend("python", PythonBackend)

@@ -421,68 +421,12 @@ def _hdrf_baseline_kernel(
     return 0
 
 
-#: Interpreted-mode stand-in for ``numba.prange``; rebound to the real
-#: ``numba.prange`` by ``_kernel_table`` before the parallel bodies are
-#: jitted.  Plain ``range`` keeps the interpreted kernels serial — the
-#: documented deterministic fallback of the ``numba-parallel`` backend.
-prange = range
-
-
-def _remaining_batch_kernel(
-    bu, bv, bp1, bp2, br1, br2, btu, btv, entry, replicas, out_p
-):
-    """Conflict-free sub-batch of the 2PS-L scoring pass, row-parallel.
-
-    Rows score from their block-entry bits (``entry``, columns
-    ``(u, p1)``, ``(v, p1)``, ``(u, p2)``, ``(v, p2)``) and store a
-    replica bit only where it was unset at entry.  The caller guarantees
-    pairwise-disjoint unset (live) cells, so no row stores to a cell
-    another row reads or stores, and no row reads ``replicas`` at all —
-    iterations are independent and the ``prange`` schedule cannot change
-    results.  Size updates and assignment scatters stay with the caller
-    (order-insensitive reductions, per the package determinism rules).
-    """
-    for i in prange(bu.shape[0]):
-        # Same association order as the reference: ratio, +u, +v.
-        s1 = br1[i]
-        if entry[i, 0]:
-            s1 += btu[i]
-        if entry[i, 1]:
-            s1 += btv[i]
-        s2 = br2[i]
-        if entry[i, 2]:
-            s2 += btu[i]
-        if entry[i, 3]:
-            s2 += btv[i]
-        if s1 >= s2:
-            p = bp1[i]
-            set_u = entry[i, 0]
-            set_v = entry[i, 1]
-        else:
-            p = bp2[i]
-            set_u = entry[i, 2]
-            set_v = entry[i, 3]
-        if not set_u:
-            replicas[bu[i], p] = True
-        if not set_v:
-            replicas[bv[i], p] = True
-        out_p[i] = p
-    return 0
-
-
 _KERNEL_BODIES = {
     "cluster_true": _cluster_true_kernel,
     "cluster_partial": _cluster_partial_kernel,
     "remaining_linear": _remaining_linear_kernel,
     "remaining_hdrf": _remaining_hdrf_kernel,
     "hdrf_baseline": _hdrf_baseline_kernel,
-}
-
-#: Bodies compiled with ``parallel=True`` (``prange`` over independent
-#: rows).  Kept apart from the serial bodies so the jit options differ;
-#: interpreted mode serves them as-is (``prange`` is ``range`` then).
-_PARALLEL_KERNEL_BODIES = {
-    "remaining_batch": _remaining_batch_kernel,
 }
 
 _KERNELS: dict | None = None
@@ -501,30 +445,16 @@ def _kernel_table() -> dict:
     monkeypatched-absence tests) the table rebuilds instead of serving
     kernels from the stale mode.
     """
-    global _KERNELS, _KERNELS_SOURCE, prange
+    global _KERNELS, _KERNELS_SOURCE
     numba = load_numba()
     if _KERNELS is None or _KERNELS_SOURCE is not numba:
         if numba is None:
             _KERNELS = dict(_KERNEL_BODIES)
-            _KERNELS.update(_PARALLEL_KERNEL_BODIES)
         else:
-            # Rebind the module-global ``prange`` before jitting: numba
-            # resolves globals at compile time, so the parallel bodies
-            # pick up the real ``numba.prange`` (outside jitted code it
-            # degrades to ``range``, keeping interpreted reuse safe).
-            prange = numba.prange
             _KERNELS = {
                 name: numba.njit(cache=True, fastmath=False)(body)
                 for name, body in _KERNEL_BODIES.items()
             }
-            _KERNELS.update(
-                {
-                    name: numba.njit(
-                        cache=True, fastmath=False, parallel=True
-                    )(body)
-                    for name, body in _PARALLEL_KERNEL_BODIES.items()
-                }
-            )
         _KERNELS_SOURCE = numba
     return _KERNELS
 
@@ -714,59 +644,3 @@ class NumbaBackend(NumpyBackend):
         ctx.cost.edges_streamed += stream.n_edges
         return partial
 
-
-class NumbaParallelBackend(NumbaBackend):
-    """``numba`` plus ``prange`` over the conflict-free sub-batches.
-
-    The serial compiled loops of :class:`NumbaBackend` are already the
-    fastest path for the conflict-*dominated* work; what they leave on
-    the table is the conflict-free share the ``numpy`` backend batches —
-    those rows are provably order-independent, so they can run on all
-    cores.  This backend therefore routes the 2PS-L remaining pass
-    through the *numpy* sub-batch orchestration and overrides exactly
-    its conflict-free hook with a ``parallel=True`` kernel (``prange``
-    over rows); the serial residue of each block still runs the serial
-    kernel, and Phase 1 runs ``numba``'s compiled serial loop.
-    Determinism: every parallel region writes disjoint state per row and
-    all reductions are order-insensitive (see the package determinism
-    rules), so results are bit-identical to the serial ``numba`` backend
-    — pinned by ``tests/test_numba_backend.py``.  Without numba the hook
-    runs interpreted with ``prange == range``: the documented serial
-    fallback.
-    """
-
-    name = "numba-parallel"
-
-    # ------------------------------------------------------------------
-    # Phase 2: numpy sub-batch orchestration + parallel batch hook
-    # ------------------------------------------------------------------
-    def remaining_pass_linear(self, stream, ctx) -> None:
-        NumpyBackend.remaining_pass_linear(self, stream, ctx)
-
-    def _apply_remaining_batch(
-        self, ctx, bu, bv, bp1, bp2, br1, br2, btu, btv, entry
-    ) -> np.ndarray:
-        replicas = ctx.state.replicas
-        if not isinstance(replicas, np.ndarray):
-            # Bit-packed replica state: the compiled kernel addresses a
-            # dense bool matrix; the numpy hook speaks the packed
-            # indexing protocol and is bit-exact by contract.
-            return super()._apply_remaining_batch(
-                ctx, bu, bv, bp1, bp2, br1, br2, btu, btv, entry
-            )
-        kernel = _kernel_table()["remaining_batch"]
-        out_p = np.empty(bu.shape[0], dtype=np.int64)
-        kernel(
-            bu,
-            bv,
-            np.ascontiguousarray(bp1),
-            np.ascontiguousarray(bp2),
-            br1,
-            br2,
-            btu,
-            btv,
-            entry,
-            replicas,
-            out_p,
-        )
-        return out_p

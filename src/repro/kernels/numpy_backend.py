@@ -370,10 +370,15 @@ class NumpyBackend(PythonBackend):
         conflict = np.zeros(nrem, dtype=bool)
         conflict[holder[1:][later]] = True
         batch = ~conflict
-        p = self._apply_remaining_batch(
-            ctx, ru[batch], rv[batch], rp1[batch], rp2[batch],
-            r1[batch], r2[batch], term_u[batch], term_v[batch], entry[batch],
-        )
+        entry = entry[batch]
+        btu = term_u[batch]
+        btv = term_v[batch]
+        # Same association order as the reference: ratio, +u, +v.
+        s1 = r1[batch] + entry[:, 0] * btu + entry[:, 1] * btv
+        s2 = r2[batch] + entry[:, 2] * btu + entry[:, 3] * btv
+        p = np.where(s1 >= s2, rp1[batch], rp2[batch])
+        state.replicas[ru[batch], p] = True
+        state.replicas[rv[batch], p] = True
         state.sizes += np.bincount(p, minlength=ctx.k)
         ctx.assignments[positions[batch]] = p
         if conflict.any():
@@ -382,30 +387,6 @@ class NumpyBackend(PythonBackend):
                 ctx, ru[sel], rv[sel], rp1[sel], rp2[sel], positions[sel],
                 r1[sel], r2[sel], term_u[sel], term_v[sel],
             )
-
-    def _apply_remaining_batch(
-        self, ctx, bu, bv, bp1, bp2, br1, br2, btu, btv, entry
-    ) -> np.ndarray:
-        """Score and apply one conflict-free sub-batch of the linear
-        remaining pass; returns the chosen partitions.
-
-        ``entry`` holds each row's four replica bits at block entry, in
-        the columns ``(u, p1)``, ``(v, p1)``, ``(u, p2)``, ``(v, p2)``.
-        The rows hold pairwise-disjoint live (entry-unset) cells, so no
-        row stores to a cell another row reads or stores — the rows are
-        order-independent and a parallel backend may override this hook
-        with a ``prange`` kernel.  Size updates and assignment scatters
-        stay with the caller (order-insensitive reductions, per the
-        package determinism rules).
-        """
-        replicas = ctx.state.replicas
-        # Same association order as the reference: ratio, +u, +v.
-        s1 = br1 + entry[:, 0] * btu + entry[:, 1] * btv
-        s2 = br2 + entry[:, 2] * btu + entry[:, 3] * btv
-        p = np.where(s1 >= s2, bp1, bp2)
-        replicas[bu, p] = True
-        replicas[bv, p] = True
-        return p
 
     def _remaining_serial(
         self, ctx, ru, rv, rp1, rp2, positions, r1, r2, term_u, term_v

@@ -36,6 +36,7 @@ import os
 import queue
 import threading
 from abc import ABC, abstractmethod
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -224,6 +225,10 @@ class InMemoryEdgeStream(EdgeStream):
                 arr = arr.reshape(0, 2)
             if arr.ndim != 2 or arr.shape[1] != 2:
                 raise StreamError(f"edge array must be (m, 2), got {arr.shape}")
+            # A Graph has checked its ids already; a bare array has not.
+            low = int(arr.min()) if arr.size else 0
+            if low < 0:
+                raise StreamError(f"edge array holds a negative vertex id ({low})")
             self._edges = arr
             self._n = n_vertices
 
@@ -317,8 +322,23 @@ class FileEdgeStream(EdgeStream):
     ) -> Iterator[np.ndarray]:
         chunk_size = self._resolve_chunk_size(chunk_size)
         if self.prefetch and stop > start:
-            yield from self._prefetch_iter(start, stop, chunk_size)
-            return
+            reads = self._prefetch_iter(start, stop, chunk_size)
+        else:
+            reads = self._read_chunks(start, stop, chunk_size)
+        # Accounting stays on the consumer side, right before each yield,
+        # whichever thread read the chunk (see the module docstring).
+        with closing(reads):
+            for chunk, nbytes in reads:
+                seconds = 0.0
+                if self._device is not None:
+                    seconds = self._device.charge_read(self._path, nbytes)
+                self.stats.record_chunk(chunk.shape[0], nbytes, seconds)
+                yield chunk
+
+    def _read_chunks(
+        self, start: int, stop: int, chunk_size: int
+    ) -> Iterator[tuple[np.ndarray, int]]:
+        """Read and decode ``[start, stop)``; yields ``(chunk, nbytes)``."""
         bytes_per_chunk = chunk_size * BYTES_PER_EDGE
         with open(self._path, "rb") as fh:
             fh.seek(start * BYTES_PER_EDGE)
@@ -328,28 +348,24 @@ class FileEdgeStream(EdgeStream):
                 if not data or len(data) % BYTES_PER_EDGE:
                     raise StreamError(f"{self._path}: truncated edge record")
                 left -= len(data)
-                flat = np.frombuffer(data, dtype="<u4")
-                chunk = flat.reshape(-1, 2).astype(np.int64)
-                seconds = 0.0
-                if self._device is not None:
-                    seconds = self._device.charge_read(self._path, len(data))
-                self.stats.record_chunk(chunk.shape[0], len(data), seconds)
-                yield chunk
+                # No local view of ``data``: it would keep these bytes
+                # alive while the next chunk decodes.
+                yield (
+                    np.frombuffer(data, dtype="<u4").reshape(-1, 2).astype(np.int64),
+                    len(data),
+                )
 
     def _prefetch_iter(
         self, start: int, stop: int, chunk_size: int
-    ) -> Iterator[np.ndarray]:
-        """Double-buffered window iterator (see the module docstring).
+    ) -> Iterator[tuple[np.ndarray, int]]:
+        """Double-buffered :meth:`_read_chunks` (see the module docstring).
 
         The reader thread reads and decodes up to :data:`PREFETCH_DEPTH`
-        chunks ahead through a bounded queue; the consumer charges the
-        device and records stats right before yielding, so accounting
-        order is identical to the synchronous path.  The reader never
-        blocks forever: every queue put polls the stop event, and the
-        consumer drains the queue on exit (including early generator
-        close) before joining the thread.
+        chunks ahead through a bounded queue.  The reader never blocks
+        forever: every queue put polls the stop event, and the consumer
+        drains the queue on exit (including early generator close) before
+        joining the thread.
         """
-        bytes_per_chunk = chunk_size * BYTES_PER_EDGE
         out: queue.Queue = queue.Queue(maxsize=PREFETCH_DEPTH)
         stop_event = threading.Event()
 
@@ -364,26 +380,13 @@ class FileEdgeStream(EdgeStream):
 
         def read_ahead() -> None:
             try:
-                with open(self._path, "rb") as fh:
-                    fh.seek(start * BYTES_PER_EDGE)
-                    left = (stop - start) * BYTES_PER_EDGE
-                    while left > 0:
-                        data = fh.read(min(bytes_per_chunk, left))
-                        if not data or len(data) % BYTES_PER_EDGE:
-                            raise StreamError(
-                                f"{self._path}: truncated edge record"
-                            )
-                        left -= len(data)
-                        chunk = (
-                            np.frombuffer(data, dtype="<u4")
-                            .reshape(-1, 2)
-                            .astype(np.int64)
-                        )
-                        if not put(("chunk", chunk, len(data))):
+                with closing(self._read_chunks(start, stop, chunk_size)) as reads:
+                    for item in reads:
+                        if not put(("chunk", item)):
                             return
-                put(("done", None, 0))
+                put(("done", None))
             except BaseException as exc:  # propagated to the consumer
-                put(("error", exc, 0))
+                put(("error", exc))
 
         reader = threading.Thread(
             target=read_ahead, name="repro-prefetch", daemon=True
@@ -391,15 +394,11 @@ class FileEdgeStream(EdgeStream):
         reader.start()
         try:
             while True:
-                kind, payload, nbytes = out.get()
+                kind, payload = out.get()
                 if kind == "error":
                     raise payload
                 if kind == "done":
                     return
-                seconds = 0.0
-                if self._device is not None:
-                    seconds = self._device.charge_read(self._path, nbytes)
-                self.stats.record_chunk(payload.shape[0], nbytes, seconds)
                 yield payload
         finally:
             stop_event.set()

@@ -9,7 +9,8 @@ stability checks.
 import numpy as np
 import pytest
 
-from repro.core import TwoPhasePartitioner
+from repro.core import ParallelTwoPhase, TwoPhasePartitioner
+from repro.errors import StreamError
 from repro.graph import Graph
 from repro.metrics import validate_partition
 from repro.streaming.order import degree_sorted_order, shuffled_copy
@@ -133,3 +134,22 @@ class TestLargeK:
     def test_k_larger_than_vertices(self, toy_graph):
         result = TwoPhasePartitioner().partition(toy_graph, 12)
         validate_partition(toy_graph.edges, result.assignments, 12)
+
+
+class TestNegativeVertexIds:
+    """A bare edge array with a negative id is rejected on every backend
+    and runner, instead of wrapping around a list or failing untyped."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: TwoPhasePartitioner(backend="python"),
+            lambda: TwoPhasePartitioner(backend="numpy"),
+            lambda: ParallelTwoPhase(runner="simulated"),
+        ],
+        ids=["python", "numpy", "simulated"],
+    )
+    def test_bare_array_raises_stream_error(self, make):
+        edges = np.array([[0, 1], [-1, 2]])
+        with pytest.raises(StreamError, match="negative vertex id"):
+            make().partition(edges, k=2)

@@ -37,19 +37,18 @@ from repro.streaming import DEFAULT_CHUNK_SIZE, InMemoryEdgeStream
 VECTOR_BACKENDS = [n for n in available_backends() if n != "python"]
 
 
-def _merge_op_backends():
-    """Backend instances for the Phase-1 merge-op twins: every registered
-    backend, plus the numba backend in its interpreted mode when the real
-    dependency is absent — ``merge_phase1_degrees`` and
-    ``merge_phase1_clustering`` must stay bit-exact across all three
-    implementations on every host."""
+def _backend_impls():
+    """Every registered backend instance, plus the numba backend in its
+    interpreted mode when the real dependency is absent — the Phase-1
+    merge-op twins and the packed-state Phase-2 passes must stay
+    bit-exact across all three implementations on every host."""
     impls = [get_backend(name) for name in available_backends()]
     if "numba" not in available_backends():
         impls.append(NumbaBackend())
     return impls
 
 
-MERGE_OP_BACKENDS = _merge_op_backends()
+BACKEND_IMPLS = _backend_impls()
 
 SLOW = settings(
     max_examples=25,
@@ -264,7 +263,11 @@ def _phase2_context(graph, k, packed):
     )
 
 
-@pytest.mark.parametrize("backend", VECTOR_BACKENDS)
+@pytest.mark.parametrize(
+    "backend",
+    [b for b in BACKEND_IMPLS if b.name != "python"],
+    ids=lambda b: b.name,
+)
 @pytest.mark.parametrize("k", [13, 32, 70])
 @pytest.mark.parametrize("mode", ["linear", "hdrf"])
 class TestPackedStateKernels:
@@ -276,8 +279,7 @@ class TestPackedStateKernels:
 
     GRAPH = rmat_graph(9, edge_factor=8, seed=3)
 
-    def _run(self, name, k, mode, packed):
-        kernels = get_backend(name)
+    def _run(self, kernels, k, mode, packed):
         ctx = _phase2_context(self.GRAPH, k, packed)
         stream = InMemoryEdgeStream(self.GRAPH)
         stream.default_chunk_size = 1000
@@ -301,7 +303,7 @@ class TestPackedStateKernels:
         return ctx, snapshots
 
     def test_packed_equals_dense_and_reference(self, backend, k, mode):
-        _, reference = self._run("python", k, mode, packed=False)
+        _, reference = self._run(get_backend("python"), k, mode, packed=False)
         _, dense = self._run(backend, k, mode, packed=False)
         ctx, packed = self._run(backend, k, mode, packed=True)
         for ref, dns, pkd in zip(reference, dense, packed):
@@ -644,7 +646,7 @@ class TestPhase1MergeOps:
             graph, k, n_workers
         )
         merged = {}
-        for backend in MERGE_OP_BACKENDS:
+        for backend in BACKEND_IMPLS:
             merged[backend.name] = backend.merge_phase1_clustering(
                 v2c_g, vol_g, exports, degrees
             )
@@ -678,7 +680,7 @@ class TestPhase1MergeOps:
             (np.array([2, 1, 0], dtype=np.int64),
              np.array([7, 2, 4], dtype=np.int64)),
         ]
-        for backend in MERGE_OP_BACKENDS:
+        for backend in BACKEND_IMPLS:
             v2c, vol = backend.merge_phase1_clustering(
                 v2c_g, vol_g, exports, degrees
             )
@@ -701,16 +703,14 @@ class TestPhase1MergeOps:
         ]
         results = [
             backend.merge_phase1_degrees(partials, n_hint)
-            for backend in MERGE_OP_BACKENDS
+            for backend in BACKEND_IMPLS
         ]
         for out in results[1:]:
             np.testing.assert_array_equal(results[0], out)
         assert results[0].shape[0] >= n_hint
         assert results[0].dtype == np.int64
 
-    @pytest.mark.parametrize(
-        "kernels", MERGE_OP_BACKENDS, ids=lambda b: b.name
-    )
+    @pytest.mark.parametrize("kernels", BACKEND_IMPLS, ids=lambda b: b.name)
     def test_clustering_load_round_trips(self, kernels, community_graph):
         """load(export(state)) must reproduce export(state) exactly and
         must copy: mutating the loaded state leaves the source intact."""

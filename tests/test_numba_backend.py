@@ -33,7 +33,7 @@ from repro.graph.formats import write_binary_edge_list
 from repro.graph.generators import chung_lu_graph, rmat_graph
 from repro.kernels import available_backends, get_backend, missing_backends
 from repro.kernels import numba_backend
-from repro.kernels.numba_backend import NumbaBackend, NumbaParallelBackend
+from repro.kernels.numba_backend import NumbaBackend
 
 
 def _snapshot_registry():
@@ -72,25 +72,6 @@ def numba_registered():
     kernels.register_backend("numba", NumbaBackend)
     try:
         yield "numba"
-    finally:
-        _restore_registry(snapshot)
-
-
-@pytest.fixture
-def numba_parallel_registered():
-    """A resolvable ``numba-parallel`` backend on any host.
-
-    Same pattern as ``numba_registered``: the real registration when
-    numba is installed, else the interpreted-mode backend (where
-    ``prange`` degrades to ``range``, pinning the kernel logic and the
-    serial-fallback path of the determinism contract)."""
-    if "numba-parallel" in available_backends():
-        yield "numba-parallel"
-        return
-    snapshot = _snapshot_registry()
-    kernels.register_backend("numba-parallel", NumbaParallelBackend)
-    try:
-        yield "numba-parallel"
     finally:
         _restore_registry(snapshot)
 
@@ -285,139 +266,12 @@ class TestNumbaEquivalence:
         assert_results_identical(ref, out)
 
 
-class TestNumbaParallel:
-    """``numba-parallel``: prange sub-batch execution, pinned serial-equal.
-
-    The determinism contract (see ``repro.kernels``, "Parallel sub-batch
-    determinism") promises bit-exact results regardless of prange
-    scheduling: per-row state is disjoint within a sub-batch and every
-    order-sensitive reduction stays outside the parallel region.  These
-    tests pin ``numba-parallel`` against the ``python`` reference (and
-    therefore against serial ``numba``) across the passes it runs: the
-    prange remaining-edge batch apply, and Phase 1 on ``numba``'s
-    compiled serial loop.
-    """
-
-    @pytest.mark.parametrize("mode", ["linear", "hdrf"])
-    @pytest.mark.parametrize("chunk_size", [1, 37, 10**6])
-    def test_sequential_bit_exact(
-        self, numba_parallel_registered, mode, chunk_size
-    ):
-        graph = rmat_graph(8, edge_factor=8, seed=3, a=0.7, b=0.12, c=0.12)
-        ref = TwoPhasePartitioner(backend="python", mode=mode).partition(
-            graph, 8, chunk_size=chunk_size
-        )
-        out = TwoPhasePartitioner(
-            backend=numba_parallel_registered, mode=mode
-        ).partition(graph, 8, chunk_size=chunk_size)
-        assert_results_identical(ref, out)
-
-    def test_matches_serial_numba(
-        self, numba_registered, numba_parallel_registered
-    ):
-        """prange ≡ serial: the two numba backends are interchangeable."""
-        graph = rmat_graph(8, edge_factor=8, seed=11)
-        serial = TwoPhasePartitioner(backend=numba_registered).partition(
-            graph, 6, chunk_size=97
-        )
-        parallel = TwoPhasePartitioner(
-            backend=numba_parallel_registered
-        ).partition(graph, 6, chunk_size=97)
-        assert_results_identical(serial, parallel)
-
-    def test_cap_pressure_bit_exact(self, numba_parallel_registered):
-        """alpha=1.0 exercises the serialized repair path around the
-        parallel batch apply."""
-        graph = rmat_graph(8, edge_factor=8, seed=7)
-        ref = TwoPhasePartitioner(backend="python").partition(
-            graph, 5, alpha=1.0, chunk_size=64
-        )
-        out = TwoPhasePartitioner(
-            backend=numba_parallel_registered
-        ).partition(graph, 5, alpha=1.0, chunk_size=64)
-        assert_results_identical(ref, out)
-
-    def test_clustering_migrations_bit_exact(self, numba_parallel_registered):
-        """Re-streamed Phase-1 clustering, which ``numba-parallel`` runs
-        on ``numba``'s compiled serial loop, against the reference."""
-        from repro.core.clustering import StreamingClustering
-        from repro.graph.degrees import compute_degrees_from_stream
-        from repro.streaming import InMemoryEdgeStream
-
-        graph = chung_lu_graph(80, 320, gamma=2.1, seed=11)
-        results = {}
-        for name in ("python", numba_parallel_registered):
-            stream = InMemoryEdgeStream(graph)
-            stream.default_chunk_size = 13
-            degrees = compute_degrees_from_stream(stream, backend=name)
-            results[name] = StreamingClustering(
-                n_passes=2,
-                volume_cap=graph.n_edges / 2 + 1,
-                backend=name,
-            ).run(stream, degrees=degrees, n_vertices=graph.n_vertices)
-        ref = results["python"]
-        out = results[numba_parallel_registered]
-        np.testing.assert_array_equal(ref.v2c, out.v2c)
-        np.testing.assert_array_equal(ref.volumes, out.volumes)
-
-    @pytest.mark.parametrize("n_workers", [1, 3])
-    def test_parallel_runner_bit_exact(
-        self, numba_parallel_registered, n_workers
-    ):
-        graph = chung_lu_graph(90, 400, gamma=2.2, seed=17)
-        runs = {}
-        for name in ("python", numba_parallel_registered):
-            runs[name] = ParallelTwoPhase(
-                n_workers=n_workers,
-                sync_interval=63,
-                backend=name,
-                parallel_phase1=True,
-            ).partition(graph, 4, chunk_size=61)
-        assert_results_identical(
-            runs["python"], runs[numba_parallel_registered]
-        )
-
-    def test_packed_state_falls_back_bit_exact(
-        self, numba_parallel_registered
-    ):
-        """Bit-packed replica storage takes the super() (serial) path in
-        the batch-apply hook; results must not change."""
-        graph = rmat_graph(7, edge_factor=8, seed=5)
-        dense = TwoPhasePartitioner(
-            backend=numba_parallel_registered
-        ).partition(graph, 6)
-        packed = TwoPhasePartitioner(
-            backend=numba_parallel_registered, packed_state=True
-        ).partition(graph, 6)
-        assert_results_identical(dense, packed)
-
-    def test_hdrf_baseline_bit_exact(self, numba_parallel_registered):
-        from repro.baselines import HDRF
-
-        graph = rmat_graph(8, edge_factor=8, seed=3)
-        ref = HDRF(backend="python").partition(graph, 8, chunk_size=512)
-        out = HDRF(backend=numba_parallel_registered).partition(
-            graph, 8, chunk_size=512
-        )
-        assert_results_identical(ref, out)
-
-    def test_backend_instance_is_picklable(self, numba_parallel_registered):
-        import pickle
-
-        backend = get_backend(numba_parallel_registered)
-        clone = pickle.loads(pickle.dumps(backend))
-        assert clone.name == "numba-parallel"
-
-
 class TestNumbaAbsence:
     """Registry degradation and CLI failure when numba is missing."""
 
     def test_registry_falls_back_with_one_time_warning(self, numba_missing):
         assert "numba" not in available_backends()
         assert "numba" in missing_backends()
-        # The prange sibling is registered/unregistered in lockstep.
-        assert "numba-parallel" not in available_backends()
-        assert "numba-parallel" in missing_backends()
         with pytest.warns(RuntimeWarning, match="falling back"):
             backend = get_backend("numba")
         assert backend.name == "numpy"
