@@ -23,7 +23,8 @@ Usage::
 
 Exit status is non-zero unless every gate passes:
 
-- speedup gates (default ``numpy`` backend vs the ``python`` reference):
+- speedup gates (the ``numpy`` backend, the fallback on hosts without a
+  C compiler, vs the ``python`` reference):
   ``2psl`` degree and prepartition passes >= 5x, the 2PS-L remaining
   pass (``partitioning`` phase) >= 1.8x — the gate of its cell-level
   conflict batching — and the 2PS-HDRF remaining pass >= 5x — the
@@ -38,7 +39,11 @@ Exit status is non-zero unless every gate passes:
   speedup gate is enforced only when the machine exposes at least
   ``n_workers`` usable CPUs — a 4-way wall-clock speedup cannot exist on
   fewer cores, so constrained hosts record the measurement with the gate
-  marked ``skipped`` (the correctness gates above always apply);
+  marked ``skipped`` (the correctness gates above always apply).  This
+  and the other wall-clock sections below gate the ``numpy`` backend,
+  the configuration their gates were defined on, and record the same
+  ratios for ``c`` ungated (its sequential side is an order of magnitude
+  faster);
 - phase-1 wall-clock gate (``phase1_wallclock`` section): *measured*
   Phase-1 (degree + clustering) speedup of the sharded Phase 1
   (``parallel_phase1=True``) through the process runner >= 1.5x at
@@ -71,20 +76,21 @@ Exit status is non-zero unless every gate passes:
   second CPU for the reader thread to overlap with compute, so
   single-CPU hosts record-but-skip it, like the parallel wall-clock
   gates;
-- numba gate (``numba`` section of ``BENCH_kernels.json``): the compiled
-  ``numba`` backend must reach >= 2x the ``numpy`` backend on the 2PS-L
-  *remaining* (scoring) pass over hub-heavy R-MAT — the serial-dominated
-  stream the compiled kernels exist for — and stay bit-identical with
-  it.  Like the CPU-count rule, the gate **records-but-skips** when the
-  optional numba dependency is unavailable on the host, so numba-free
-  environments keep an authoritative BENCH file without a red gate;
+- c gates (``c`` section of ``BENCH_kernels.json``): the compiled ``c``
+  backend against ``numpy``, from the rows the pipeline loop already
+  ran — 2PS-L total, 2PS-L clustering, the 2PS-L remaining pass and the
+  2PS-HDRF remaining pass — plus the 2PS-L remaining pass over
+  hub-heavy R-MAT (>= 2x), the stream the per-edge loops exist for.
+  The gate **records-but-skips** when ``c`` is unavailable (no working C
+  compiler), so compiler-free environments keep an authoritative BENCH
+  file without a red gate;
 - HDRF-baseline gate (``hdrf_baseline`` section of
   ``BENCH_kernels.json``): the kernel-routed HDRF baseline's ``numpy``
   backend must reach >= 3x the per-edge ``python`` reference on the
-  partitioning pass of the >= 1M-edge R-MAT, bit-identical with it
-  (ISSUE 8 acceptance gate).  The ``numba`` leg is recorded and checked
-  for bit-exactness when the dependency is available, and
-  records-but-skips when it is not — same rule as the numba section;
+  partitioning pass of the >= 1M-edge R-MAT, bit-identical with it.
+  Its ``c_leg`` must reach >= 15x ``numpy``
+  (3x at smoke scale), bit-identical too, and records-but-skips when
+  ``c`` is unavailable — same rule as the c section;
 - serving gates (``BENCH_serving.json``): the main run is persisted as a
   :class:`~repro.serving.store.PartitionStore`, reopened memory-mapped,
   and a seeded closed-loop load generator drives the
@@ -163,18 +169,40 @@ PHASE1_SMOKE_GATE = 0.15
 DISTRIBUTED_GATE = 1.05
 DISTRIBUTED_SMOKE_GATE = 0.02
 
-#: numba-vs-numpy speedup of the compiled 2PS-L remaining pass on
-#: hub-heavy R-MAT (ISSUE 5 acceptance gate; recorded-but-skipped when
-#: numba is unavailable).  The smoke threshold is relaxed: at 65k edges
-#: per-chunk dispatch overhead amortizes much less.
-NUMBA_GATE = 2.0
-NUMBA_SMOKE_GATE = 1.2
+#: c-vs-numpy speedups of the compiled backend, read from the pipeline
+#: rows ({config: {phase: threshold}}; ``total`` is the whole run).  The
+#: full thresholds sit at about 80% of the lower of two full-scale
+#: readings on a 2-vCPU Xeon host (12.9x total, 38x clustering, 12.3x
+#: and 16x on the 2PS-L and 2PS-HDRF remaining passes at k=32), and no
+#: lower than 10x (total and clustering), 5x (2PS-L remaining) and 3x
+#: (2PS-HDRF remaining).  The smoke thresholds are relaxed: at 65k edges
+#: a c pass lasts a few milliseconds, where timer noise weighs more.
+C_GATES = {
+    "2psl": {"total": 10.0, "clustering": 30.0, "partitioning": 9.5},
+    "2pshdrf": {"partitioning": 13.0},
+}
+C_SMOKE_GATES = {
+    "2psl": {"total": 5.0, "clustering": 10.0, "partitioning": 5.0},
+    "2pshdrf": {"partitioning": 5.0},
+}
+
+#: c-vs-numpy speedup of the 2PS-L remaining pass on hub-heavy R-MAT,
+#: where numpy's conflict batching degrades toward its serial loop (it
+#: read 28x at full scale).
+C_HUB_GATE = 2.0
+C_HUB_SMOKE_GATE = 2.0
 
 #: numpy-vs-python speedup of the HDRF baseline pass: the scalar engine
 #: must carry the per-edge reference baseline too.  The smoke threshold
 #: is relaxed for the shorter, noisier 65k-edge run.
 HDRF_BASELINE_GATE = 3.0
 HDRF_BASELINE_SMOKE_GATE = 1.5
+
+#: c-vs-numpy speedup of the HDRF baseline pass (its ``c_leg``): about
+#: 80% of the lower of two full-scale readings (19x and 27x), and 3x at
+#: smoke scale.
+C_HDRF_BASELINE_GATE = 15.0
+C_HDRF_BASELINE_SMOKE_GATE = 3.0
 
 #: Peak-state-bytes reduction the bit-packed replica matrix must reach
 #: against the dense bool matrix at the default k=32 (ISSUE 7 acceptance
@@ -353,28 +381,74 @@ def measure_speedup_gate(
     return best, gate, seq_s, par_s
 
 
-def run_numba_section(args, scale: int, smoke: bool) -> tuple[dict, bool]:
-    """The gated ``numba`` section of ``BENCH_kernels.json``.
+def c_ratio(label, seconds_fn, make_c, stream, args, c_sequential, reference,
+            repeats):
+    """The ungated ``c`` twin of a wall-clock gate.
 
-    Hub-heavy R-MAT (skewed quadrant mass: hubs collide in nearly every
-    block, so the numpy backend's conflict-free batching degrades toward
-    the serial reference — exactly the stream the compiled kernels
-    exist for), sequential 2PS-L, best-of-``repeats`` per backend; the
-    gate compares the *remaining* ("partitioning" phase) wall time of
-    the ``numba`` backend against ``numpy`` and requires bit-identical
-    results.  When numba is unavailable the measurement is impossible:
-    the section records the reason and the gate is marked skipped
-    (``pass: null``), mirroring the CPU-count rule of the parallel
-    wall-clock gates.  Returns ``(section, ok)``.
+    Best of ``repeats`` runs of ``make_c()``, each bit-identical with
+    ``reference`` (the gated numpy run of the same configuration), timed
+    against the sequential ``c`` run.  Returns the section's record.
     """
-    from repro.kernels import available_backends as _backends
+    best = None
+    for _ in range(repeats):
+        result = make_c().partition(stream, args.k, alpha=args.alpha)
+        assert_bit_exact(reference, result, f"{label}: c vs numpy")
+        if best is None or seconds_fn(result) < seconds_fn(best):
+            best = result
+    seq_s = seconds_fn(c_sequential)
+    par_s = seconds_fn(best)
+    speedup = seq_s / par_s if par_s > 0 else 0.0
+    print(
+        f"  {label}, c (recorded, ungated): {seq_s:.3f}s sequential -> "
+        f"{par_s:.3f}s ({speedup:.2f}x)"
+    )
+    return {
+        "available": True,
+        "sequential_seconds": round(seq_s, 4),
+        "parallel_seconds": round(par_s, 4),
+        "speedup": round(speedup, 3),
+        "bit_exact_with_numpy": True,
+    }
+
+
+def c_unavailable() -> str | None:
+    """Why the ``c`` backend is unavailable here (``None`` when it is)."""
     from repro.kernels import missing_backends
 
-    threshold = NUMBA_SMOKE_GATE if smoke else NUMBA_GATE
+    if "c" in available_backends():
+        return None
+    return missing_backends().get("c", "c is not registered")
+
+
+def skipped_gate(threshold, reason: str) -> dict:
+    return {
+        "threshold": threshold,
+        "speedup": None,
+        "enforced": False,
+        "pass": None,
+        "skipped_reason": f"c unavailable on this host: {reason}",
+    }
+
+
+def run_c_section(args, scale: int, smoke: bool, configs: dict) -> tuple[dict, bool]:
+    """The gated ``c`` section of ``BENCH_kernels.json``.
+
+    Reads the c-vs-numpy ratios of the pipeline rows in ``configs`` (the
+    ``payload_configs`` of the main loop) against ``C_GATES``, then times
+    the 2PS-L remaining pass over hub-heavy R-MAT (skewed quadrant mass:
+    hubs collide in nearly every block, so numpy's conflict batching
+    degrades toward its serial loop) for both backends, best of
+    ``repeats``, bit-identical.  When ``c`` is unavailable the section
+    records the reason and every gate is marked skipped (``pass: null``),
+    like the CPU-count rule of the wall-clock gates.  Returns
+    ``(section, ok)``.
+    """
+    gates = C_SMOKE_GATES if smoke else C_GATES
+    hub_threshold = C_HUB_SMOKE_GATE if smoke else C_HUB_GATE
     section = {
-        "benchmark": "compiled numba kernels vs numpy "
-        "(2PS-L remaining pass, hub-heavy R-MAT)",
-        "graph": {
+        "benchmark": "compiled c kernels vs numpy (pipeline rows, plus "
+        "the 2PS-L remaining pass on hub-heavy R-MAT)",
+        "hub_heavy_graph": {
             "generator": "rmat-hub-heavy",
             "scale": scale,
             "edge_factor": args.edge_factor,
@@ -384,31 +458,57 @@ def run_numba_section(args, scale: int, smoke: bool) -> tuple[dict, bool]:
         "k": args.k,
         "alpha": args.alpha,
     }
-    if "numba" not in _backends():
+    reason = c_unavailable()
+    if reason is not None:
         # Checked before the graph exists: no point generating a
         # million-edge R-MAT just to record a skipped gate.
-        reason = missing_backends().get("numba", "numba is not registered")
         section["available"] = False
         section["reason"] = reason
-        section["gate"] = {
-            "threshold": threshold,
-            "speedup": None,
-            "enforced": False,
-            "pass": None,
-            "skipped_reason": f"numba unavailable on this host: {reason}",
+        section["gates"] = {
+            f"{name}.{phase}": skipped_gate(threshold, reason)
+            for name, phases in gates.items()
+            for phase, threshold in phases.items()
         }
-        print(f"  numba section: SKIPPED (recorded; {reason})")
+        section["gates"]["hub_heavy.partitioning"] = skipped_gate(
+            hub_threshold, reason
+        )
+        print(f"  c section: SKIPPED (recorded; {reason})")
         return section, True
+
+    def seconds(row, phase):
+        return row["total_seconds"] if phase == "total" else (
+            row["phase_seconds"][phase]
+        )
+
+    section["available"] = True
+    section["gates"] = {}
+    ok = True
+    for name, phases in gates.items():
+        rows = configs[name]["backends"]
+        for phase, threshold in phases.items():
+            numpy_s = seconds(rows["numpy"], phase)
+            c_s = seconds(rows["c"], phase)
+            speedup = numpy_s / c_s if c_s > 0 else 0.0
+            passed = speedup >= threshold
+            ok = ok and passed
+            section["gates"][f"{name}.{phase}"] = {
+                "threshold": threshold,
+                "speedup": round(speedup, 2),
+                "enforced": True,
+                "pass": passed,
+                "skipped_reason": None,
+            }
+            print(
+                f"  c {name}.{phase}: {numpy_s:.3f}s numpy -> {c_s:.3f}s c "
+                f"({speedup:.1f}x, gate {threshold}x: "
+                f"{'pass' if passed else 'FAIL'})"
+            )
     graph = rmat_graph(
         scale, edge_factor=args.edge_factor, a=0.7, b=0.12, c=0.12,
         seed=args.seed,
     )
-    section["graph"]["n_vertices"] = graph.n_vertices
-    section["graph"]["n_edges"] = graph.n_edges
-    # Warm-up outside the timed runs: the first kernel invocation in a
-    # process pays the JIT compilation, which is not pass throughput.
-    warm = rmat_graph(7, edge_factor=4, seed=2)
-    TwoPhasePartitioner(backend="numba").partition(warm, args.k)
+    section["hub_heavy_graph"]["n_vertices"] = graph.n_vertices
+    section["hub_heavy_graph"]["n_edges"] = graph.n_edges
     repeats = 1 if smoke else args.repeats
     stream = InMemoryEdgeStream(graph)
     runs = {
@@ -416,35 +516,31 @@ def run_numba_section(args, scale: int, smoke: bool) -> tuple[dict, bool]:
             lambda backend=backend: TwoPhasePartitioner(backend=backend),
             stream, args.k, args.alpha, repeats,
         )
-        for backend in ("numpy", "numba")
+        for backend in ("numpy", "c")
     }
     assert_bit_exact(
-        runs["numpy"]["result"], runs["numba"]["result"],
-        "numba section: numba vs numpy on hub-heavy R-MAT",
+        runs["numpy"]["result"], runs["c"]["result"],
+        "c section: c vs numpy on hub-heavy R-MAT",
     )
     numpy_s = runs["numpy"]["row"]["phase_seconds"]["partitioning"]
-    numba_s = runs["numba"]["row"]["phase_seconds"]["partitioning"]
-    speedup = numpy_s / numba_s if numba_s > 0 else 0.0
-    passed = speedup >= threshold
-    section["available"] = True
-    section["backends"] = {b: run["row"] for b, run in runs.items()}
-    section["remaining_pass_seconds"] = {
-        "numpy": round(numpy_s, 6), "numba": round(numba_s, 6),
-    }
+    c_s = runs["c"]["row"]["phase_seconds"]["partitioning"]
+    speedup = numpy_s / c_s if c_s > 0 else 0.0
+    passed = speedup >= hub_threshold
+    section["hub_heavy_backends"] = {b: run["row"] for b, run in runs.items()}
     section["bit_exact_with_numpy"] = True
-    section["gate"] = {
-        "threshold": threshold,
+    section["gates"]["hub_heavy.partitioning"] = {
+        "threshold": hub_threshold,
         "speedup": round(speedup, 2),
         "enforced": True,
         "pass": passed,
         "skipped_reason": None,
     }
     print(
-        f"  numba remaining pass (hub-heavy): {numpy_s:.3f}s numpy -> "
-        f"{numba_s:.3f}s numba ({speedup:.2f}x, gate {threshold}x: "
+        f"  c remaining pass (hub-heavy): {numpy_s:.3f}s numpy -> "
+        f"{c_s:.3f}s c ({speedup:.1f}x, gate {hub_threshold}x: "
         f"{'pass' if passed else 'FAIL'})"
     )
-    return section, passed
+    return section, ok and passed
 
 
 def run_hdrf_baseline_section(
@@ -456,24 +552,18 @@ def run_hdrf_baseline_section(
     the main R-MAT stream with the ``python`` per-edge reference and the
     ``numpy`` backend's scalar engine, requires bit-identical results
     (including the simulated cost counters) and >= ``HDRF_BASELINE_GATE``x
-    on the partitioning pass.  The ``numba`` leg is measured and bit-exactness
-    checked when the dependency is available; otherwise it is recorded
-    as skipped, mirroring the numba section.  Returns ``(section, ok)``.
+    on the partitioning pass.  The ``c_leg`` must be bit-identical too
+    and reach >= ``C_HDRF_BASELINE_GATE``x ``numpy``; it records-but-skips
+    when ``c`` is unavailable, like the c section.  Returns
+    ``(section, ok)``.
     """
     from repro.baselines import HDRF
-    from repro.kernels import available_backends as _backends
-    from repro.kernels import missing_backends
 
     threshold = HDRF_BASELINE_SMOKE_GATE if smoke else HDRF_BASELINE_GATE
+    c_threshold = C_HDRF_BASELINE_SMOKE_GATE if smoke else C_HDRF_BASELINE_GATE
     repeats = 1 if smoke else args.repeats
-    legs = ["python", "numpy"]
-    numba_available = "numba" in _backends()
-    if numba_available:
-        # First invocation pays the JIT compile; keep it out of the
-        # timed runs.
-        warm = rmat_graph(7, edge_factor=4, seed=2)
-        HDRF(backend="numba").partition(warm, args.k)
-        legs.append("numba")
+    reason = c_unavailable()
+    legs = ["python", "numpy"] + (["c"] if reason is None else [])
     runs = {
         backend: run_config(
             lambda backend=backend: HDRF(backend=backend),
@@ -486,8 +576,10 @@ def run_hdrf_baseline_section(
             runs["python"]["result"], runs[backend]["result"],
             f"hdrf_baseline: backend {backend!r} vs python reference",
         )
-    python_s = runs["python"]["row"]["phase_seconds"]["partitioning"]
-    numpy_s = runs["numpy"]["row"]["phase_seconds"]["partitioning"]
+    seconds = {
+        b: runs[b]["row"]["phase_seconds"]["partitioning"] for b in legs
+    }
+    python_s, numpy_s = seconds["python"], seconds["numpy"]
     speedup = python_s / numpy_s if numpy_s > 0 else 0.0
     passed = speedup >= threshold
     section = {
@@ -496,10 +588,7 @@ def run_hdrf_baseline_section(
         "k": args.k,
         "alpha": args.alpha,
         "backends": {b: run["row"] for b, run in runs.items()},
-        "partitioning_pass_seconds": {
-            b: round(runs[b]["row"]["phase_seconds"]["partitioning"], 6)
-            for b in legs
-        },
+        "partitioning_pass_seconds": {b: round(t, 6) for b, t in seconds.items()},
         "bit_exact_with_python": True,
         "gate": {
             "threshold": threshold,
@@ -509,28 +598,37 @@ def run_hdrf_baseline_section(
             "skipped_reason": None,
         },
     }
-    if numba_available:
-        numba_s = runs["numba"]["row"]["phase_seconds"]["partitioning"]
-        section["numba_leg"] = {
+    if reason is None:
+        c_s = seconds["c"]
+        c_speedup = numpy_s / c_s if c_s > 0 else 0.0
+        c_passed = c_speedup >= c_threshold
+        section["c_leg"] = {
             "available": True,
-            "speedup_vs_python": round(
-                python_s / numba_s if numba_s > 0 else 0.0, 2
-            ),
+            "speedup_vs_python": round(python_s / c_s if c_s > 0 else 0.0, 2),
             "bit_exact_with_python": True,
+            "gate": {
+                "threshold": c_threshold,
+                "speedup": round(c_speedup, 2),
+                "enforced": True,
+                "pass": c_passed,
+                "skipped_reason": None,
+            },
         }
+        c_note = f"c {c_s:.3f}s ({c_speedup:.1f}x numpy, gate {c_threshold}x: "
+        c_note += "pass)" if c_passed else "FAIL)"
     else:
-        reason = missing_backends().get("numba", "numba is not registered")
-        section["numba_leg"] = {
+        c_passed = True
+        section["c_leg"] = {
             "available": False,
-            "skipped_reason": f"numba unavailable on this host: {reason}",
+            "gate": skipped_gate(c_threshold, reason),
         }
+        c_note = "c leg skipped"
     print(
         f"  hdrf baseline pass: {python_s:.3f}s python -> {numpy_s:.3f}s "
         f"numpy ({speedup:.2f}x, gate {threshold}x: "
-        f"{'pass' if passed else 'FAIL'}; numba leg "
-        + ("measured)" if numba_available else "skipped)")
+        f"{'pass' if passed else 'FAIL'}); {c_note}"
     )
-    return section, passed
+    return section, passed and c_passed
 
 
 def run_distributed_section(
@@ -555,7 +653,8 @@ def run_distributed_section(
 
     The measured Phase-2 speedup vs sequential numpy is enforced only on
     hosts with >= 2 usable CPUs and recorded-but-skipped elsewhere, like
-    the other wall-clock gates.  Returns ``(section, ok)``.
+    the other wall-clock gates.  Returns ``(section, ok, best)``, the
+    last being the fastest distributed result.
     """
     from repro.core.distributed import (
         live_connections,
@@ -659,32 +758,46 @@ def run_distributed_section(
         "leaked_connections": 0,
         "leaked_worker_processes": 0,
     }
-    return section, wire_ok and passed is not False
+    return section, wire_ok and passed is not False, best
 
 
 def run_parallel_wallclock(
-    stream, graph, args, sequential_result, smoke: bool, out: str
+    stream, graph, args, sequential_runs, smoke: bool, out: str
 ) -> bool:
     """Measured process-runner wall-clock sections -> BENCH_parallel.json.
 
     Returns True when every applicable gate passes.  Correctness gates
     (see :func:`measure_speedup_gate`) and the barrier-bytes gate are
     always enforced; the speedup gates are enforced only on hosts with
-    at least ``n_workers`` usable CPUs.
+    at least ``n_workers`` usable CPUs.  The gates measure ``numpy``
+    against sequential ``numpy`` (``sequential_runs`` holds the 2PS-L
+    pipeline runs by backend); each section records the same ratio for
+    ``c``, ungated.
     """
     cpus = usable_cpus()
     repeats = 1 if smoke else args.repeats
+    sequential_result = sequential_runs["numpy"]["result"]
+    c_reason = c_unavailable()
 
-    def parallel_factory(parallel_phase1):
+    def parallel_factory(parallel_phase1, backend="numpy"):
         def make(n_workers, runner):
             return ParallelTwoPhase(
                 n_workers=n_workers,
                 sync_interval=args.sync_interval,
-                backend=DEFAULT_BACKEND,
+                backend=backend,
                 runner=runner,
                 parallel_phase1=parallel_phase1,
             )
         return make
+
+    def c_record(label, seconds_fn, parallel_phase1, runner, reference):
+        if c_reason is not None:
+            return {"available": False, "reason": c_reason}
+        make = parallel_factory(parallel_phase1, "c")
+        return c_ratio(
+            label, seconds_fn, lambda: make(args.n_workers, runner), stream,
+            args, sequential_runs["c"]["result"], reference, repeats,
+        )
 
     best, phase2_gate, seq_phase2, par_phase2 = measure_speedup_gate(
         "parallel wall-clock (phase 2)",
@@ -696,6 +809,9 @@ def run_parallel_wallclock(
     print(
         "  process runner is bit-exact with the simulated runner "
         "(and with sequential 2PS-L at 1 worker); no segment leaks"
+    )
+    phase2_c = c_record(
+        "parallel wall-clock (phase 2)", phase2_seconds, False, "process", best
     )
 
     # Barrier-bytes gate (always enforced): the dirty-row delta barriers
@@ -725,9 +841,19 @@ def run_parallel_wallclock(
         stream, args, sequential_result, repeats, cpus,
     )
 
-    distributed_section, distributed_ok = run_distributed_section(
-        stream, args, sequential_result, parallel_factory(False),
-        smoke, cpus, repeats,
+    phase1_c = c_record(
+        "phase-1 wall-clock", phase1_seconds, True, "process", best_phase1
+    )
+
+    distributed_section, distributed_ok, distributed_best = (
+        run_distributed_section(
+            stream, args, sequential_result, parallel_factory(False),
+            smoke, cpus, repeats,
+        )
+    )
+    distributed_section["c"] = c_record(
+        "distributed wall-clock (phase 2)", phase2_seconds, False,
+        "distributed", distributed_best,
     )
 
     payload = {
@@ -744,7 +870,7 @@ def run_parallel_wallclock(
         "n_workers": args.n_workers,
         "sync_interval": args.sync_interval,
         "usable_cpus": cpus,
-        "backend": DEFAULT_BACKEND,
+        "backend": "numpy",
         "sequential_phase2_seconds": round(seq_phase2, 4),
         "parallel_phase2_seconds": round(par_phase2, 4),
         "parallel_total_seconds": round(best.wall_seconds, 4),
@@ -753,6 +879,7 @@ def run_parallel_wallclock(
         "replication_factor": round(best.replication_factor, 4),
         "measured_alpha": round(best.measured_alpha, 4),
         "gate": phase2_gate,
+        "c": phase2_c,
         "barrier_bytes": {
             "delta": barrier_bytes,
             "full_rebroadcast": barrier_bytes_full,
@@ -775,6 +902,7 @@ def run_parallel_wallclock(
                 best_phase1.replication_factor, 4
             ),
             "gate": phase1_gate,
+            "c": phase1_c,
             "process_matches_simulated": True,
             "single_worker_matches_sequential": True,
         },
@@ -816,6 +944,9 @@ def run_out_of_core_section(args, scale: int, smoke: bool, out: str) -> bool:
       worker and the simulated runner at ``--n-workers``, with zero
       leaked shared-memory segments.
 
+    The gates measure ``numpy``; the packed/dense and prefetch ratios of
+    ``c`` are recorded ungated (``c`` key), bit-identical with numpy.
+
     Returns True when every applicable gate passes.
     """
     cpus = usable_cpus()
@@ -838,12 +969,12 @@ def run_out_of_core_section(args, scale: int, smoke: bool, out: str) -> bool:
         prefetch_stream = FileEdgeStream(path, n_vertices=n, prefetch=True)
 
         dense = run_config(
-            lambda: TwoPhasePartitioner(backend=DEFAULT_BACKEND),
+            lambda: TwoPhasePartitioner(backend="numpy"),
             sync_stream, args.k, args.alpha, repeats,
         )
         packed = run_config(
             lambda: TwoPhasePartitioner(
-                backend=DEFAULT_BACKEND, packed_state=True
+                backend="numpy", packed_state=True
             ),
             sync_stream, args.k, args.alpha, repeats,
         )
@@ -872,7 +1003,7 @@ def run_out_of_core_section(args, scale: int, smoke: bool, out: str) -> bool:
 
         prefetched = run_config(
             lambda: TwoPhasePartitioner(
-                backend=DEFAULT_BACKEND, packed_state=True
+                backend="numpy", packed_state=True
             ),
             prefetch_stream, args.k, args.alpha, repeats,
         )
@@ -899,7 +1030,7 @@ def run_out_of_core_section(args, scale: int, smoke: bool, out: str) -> bool:
             return ParallelTwoPhase(
                 n_workers=n_workers,
                 sync_interval=args.sync_interval,
-                backend=DEFAULT_BACKEND,
+                backend="numpy",
                 runner=runner,
                 packed_state=True,
             )
@@ -931,6 +1062,48 @@ def run_out_of_core_section(args, scale: int, smoke: bool, out: str) -> bool:
             "runner is bit-exact with sequential dense and with the "
             "simulated runner; no segment leaks"
         )
+        c_reason = c_unavailable()
+        if c_reason is None:
+            c_runs = {
+                label: run_config(
+                    lambda packed_state=packed_state: TwoPhasePartitioner(
+                        backend="c", packed_state=packed_state
+                    ),
+                    run_stream, args.k, args.alpha, repeats,
+                )
+                for label, packed_state, run_stream in (
+                    ("dense", False, sync_stream),
+                    ("packed", True, sync_stream),
+                    ("prefetch", True, prefetch_stream),
+                )
+            }
+            for run in c_runs.values():
+                assert_bit_exact(
+                    dense["result"], run["result"],
+                    "out-of-core: c vs numpy (file stream)",
+                )
+            c_dense_s = c_runs["dense"]["row"]["phase_seconds"]["partitioning"]
+            c_packed_s = c_runs["packed"]["row"]["phase_seconds"]["partitioning"]
+            c_sync_s = c_runs["packed"]["row"]["total_seconds"]
+            c_prefetch_s = c_runs["prefetch"]["row"]["total_seconds"]
+            c_record = {
+                "available": True,
+                "dense_seconds": round(c_dense_s, 4),
+                "packed_seconds": round(c_packed_s, 4),
+                "packed_over_dense": round(c_packed_s / c_dense_s, 3),
+                "sync_seconds": round(c_sync_s, 4),
+                "prefetch_seconds": round(c_prefetch_s, 4),
+                "overlap_gain": round(c_sync_s / c_prefetch_s, 3),
+                "bit_exact_with_numpy": True,
+            }
+            print(
+                f"  c (recorded, ungated): packed/dense partitioning "
+                f"{c_record['packed_over_dense']:.2f}x, prefetch "
+                f"{c_sync_s:.3f}s sync -> {c_prefetch_s:.3f}s "
+                f"({c_record['overlap_gain']:.2f}x)"
+            )
+        else:
+            c_record = {"available": False, "reason": c_reason}
 
     payload = {
         "benchmark": "out-of-core tier (packed replica state, "
@@ -951,7 +1124,7 @@ def run_out_of_core_section(args, scale: int, smoke: bool, out: str) -> bool:
         "n_workers": args.n_workers,
         "sync_interval": args.sync_interval,
         "usable_cpus": cpus,
-        "backend": DEFAULT_BACKEND,
+        "backend": "numpy",
         "state_bytes": {
             "dense": dense_bytes,
             "packed": packed_bytes,
@@ -993,6 +1166,7 @@ def run_out_of_core_section(args, scale: int, smoke: bool, out: str) -> bool:
                 ),
             },
         },
+        "c": c_record,
         "bit_exact": {
             "packed_vs_dense": True,
             "prefetch_vs_sync": True,
@@ -1404,9 +1578,7 @@ def main(argv: list[str] | None = None) -> int:
     gate_rows = {}
     meets = True
     for name, phases in gates.items():
-        config_speedups = payload_configs[name]["speedup_vs_python"].get(
-            DEFAULT_BACKEND, {}
-        )
+        config_speedups = payload_configs[name]["speedup_vs_python"]["numpy"]
         for phase, threshold in phases.items():
             speedup = config_speedups.get(phase) or 0.0
             passed = speedup >= threshold
@@ -1417,7 +1589,7 @@ def main(argv: list[str] | None = None) -> int:
                 "pass": passed,
             }
 
-    numba_section, numba_ok = run_numba_section(args, scale, args.smoke)
+    c_section, c_ok = run_c_section(args, scale, args.smoke, payload_configs)
     hdrf_section, hdrf_ok = run_hdrf_baseline_section(
         args, graph, stream, args.smoke
     )
@@ -1443,11 +1615,11 @@ def main(argv: list[str] | None = None) -> int:
         "default_backend": DEFAULT_BACKEND,
         "configs": payload_configs,
         "gates": gate_rows,
-        "numba": numba_section,
+        "c": c_section,
         "hdrf_baseline": hdrf_section,
         "identical_assignments": True,
         "parallel_matches_sequential": True,
-        "meets_gates": meets and numba_ok and hdrf_ok,
+        "meets_gates": meets and c_ok and hdrf_ok,
     }
     with open(out, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=False)
@@ -1455,22 +1627,17 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  gates: {json.dumps(gate_rows)}")
     print(
         f"  wrote {out} "
-        f"(meets_gates={meets and numba_ok and hdrf_ok})"
+        f"(meets_gates={meets and c_ok and hdrf_ok})"
     )
 
     parallel_ok = run_parallel_wallclock(
-        stream,
-        graph,
-        args,
-        results["2psl"][DEFAULT_BACKEND]["result"],
-        args.smoke,
-        parallel_out,
+        stream, graph, args, results["2psl"], args.smoke, parallel_out
     )
     storage_ok = run_out_of_core_section(args, scale, args.smoke, storage_out)
     serving_ok = run_serving_section(
         args,
         graph,
-        results["2psl"][DEFAULT_BACKEND]["result"],
+        results["2psl"]["numpy"]["result"],
         args.smoke,
         serving_out,
     )
@@ -1481,7 +1648,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     return (
         0
-        if meets and numba_ok and hdrf_ok
+        if meets and c_ok and hdrf_ok
         and parallel_ok and storage_ok and serving_ok
         else 1
     )

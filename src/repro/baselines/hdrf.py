@@ -19,8 +19,8 @@ The whole pass dispatches through the kernel registry
 ``PythonBackend.hdrf_choose`` (shared with the 2PS-HDRF remaining pass,
 so the score arithmetic can never diverge between the baseline and the
 two-phase variant), the ``numpy`` backend makes the same decisions
-through its exact scalar engine, and the ``numba`` backends
-run a compiled per-edge argmax — all bit-exact by the backend contract.
+through its exact scalar engine, and the ``c`` backend runs a compiled
+per-edge argmax — all bit-exact by the backend contract.
 One simulated "score evaluation" per partition per edge is charged to the
 cost counter, preserving the O(|E| * k) operation count.
 """

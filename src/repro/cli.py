@@ -34,7 +34,8 @@ from repro.experiments.common import ALL_PARTITIONERS, make_partitioner
 from repro.graph.datasets import DATASETS, load_dataset
 from repro.graph.formats import write_binary_edge_list
 from repro.graph.generators import rmat_edge_file
-from repro.kernels import DEFAULT_BACKEND, available_backends, missing_backends
+from repro import kernels
+from repro.kernels import available_backends, missing_backends
 from repro.storage import hdd_device, page_cache_device, ssd_device
 from repro.streaming import FileEdgeStream, load_partitioned, write_partitioned
 
@@ -86,9 +87,8 @@ def _make_cli_partitioner(args):
         # (see repro.kernels, "Optional backends").
         raise PartitioningError(
             f"kernel backend {args.backend!r} is unavailable on this "
-            f"host: {missing[args.backend]}. Install the missing "
-            f"dependency, or drop --backend to use the default "
-            f"({DEFAULT_BACKEND!r})."
+            f"host: {missing[args.backend]}. Drop --backend to use the "
+            f"default ({kernels.DEFAULT_BACKEND!r})."
         )
     workers = getattr(args, "workers", None)
     parallel_flags = (args.runner, args.n_workers, args.sync_interval, workers)
@@ -408,13 +408,13 @@ def build_parser() -> argparse.ArgumentParser:
     part.add_argument("--n-vertices", type=int, default=None)
     part.add_argument(
         "--backend",
-        # Known-but-unavailable optional backends (e.g. numba without
-        # its dependency) stay listed so the request reaches the clear
+        # Known-but-unavailable optional backends (``c`` without a
+        # working compiler) stay listed so the request reaches the clear
         # PartitioningError instead of an argparse usage error.
         choices=sorted(set(available_backends()) | set(missing_backends())),
         default=None,
         help="kernel backend for the streaming passes "
-        f"(default: {DEFAULT_BACKEND}; backends are bit-exact)",
+        f"(default: {kernels.DEFAULT_BACKEND}; backends are bit-exact)",
     )
     part.add_argument(
         "--chunk-size",

@@ -23,9 +23,10 @@ full HDRF score over all k partitions, which is the paper's **2PS-HDRF**
 variant (Section V-D): better replication factor, O(|E| * k) run-time.
 
 The per-pass edge processing is delegated to a pluggable kernel backend
-(:mod:`repro.kernels`): ``backend="numpy"`` (default) runs the
+(:mod:`repro.kernels`): ``backend="c"`` (the default where a C compiler
+builds it) runs compiled per-edge loops, ``backend="numpy"`` the
 chunk-vectorized kernels, ``backend="python"`` the per-edge reference
-kernels — both bit-exact with each other.
+kernels — all bit-exact with each other.
 
 Every pass streams through a runner session (:mod:`repro.core.runners`):
 this sequential partitioner *is* the pipeline, run on the serial
@@ -132,8 +133,8 @@ class TwoPhasePartitioner(EdgePartitioner):
         built from it for dynamic-graph updates.
     backend:
         Kernel backend name (:mod:`repro.kernels`); ``None`` selects the
-        default (``"numpy"``).  Backends are bit-exact, so this is a pure
-        performance knob.
+        default (``"c"``, or ``"numpy"`` without a C compiler).  Backends
+        are bit-exact, so this is a pure performance knob.
     chunk_size:
         Default edges-per-chunk for every streaming pass of a run
         (overridable per call via ``partition(..., chunk_size=...)``);
@@ -222,8 +223,8 @@ class TwoPhasePartitioner(EdgePartitioner):
         m = stream.n_edges
         job = ShardedJob(
             stream=stream,
-            # The *resolved* backend name: if an optional backend (e.g.
-            # numba) fell back to the default, the parent resolves it
+            # The *resolved* backend name: if an optional backend (``c``
+            # without a compiler) fell back to the default, the parent resolves it
             # once and every runner worker receives the concrete name —
             # no per-worker re-detection or repeated fallback warnings.
             backend=kernels.name,

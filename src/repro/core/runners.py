@@ -213,8 +213,8 @@ class ShardedJob:
     whole run.
 
     ``backend`` carries the *resolved* kernel-backend name: the parent
-    resolves optional-backend fallback (e.g. ``numba`` without its
-    dependency -> the default backend, one warning) once before opening
+    resolves optional-backend fallback (``c`` without a compiler -> the
+    default backend, one warning) once before opening
     the session, so every worker's ``get_backend(job.backend)`` hits a
     concrete registered backend — process-pool workers never re-detect
     optional dependencies or repeat fallback warnings.

@@ -74,9 +74,11 @@ def makespan_lower_bound(volumes: np.ndarray, k: int) -> float:
     """A valid lower bound on the optimal makespan.
 
     ``OPT >= max(sum(volumes) / k, max(volumes))`` — the average-load bound
-    and the largest-job bound.  Used by the property tests to verify
-    Graham's 4/3 guarantee: ``makespan <= 4/3 * OPT`` and our schedule also
-    satisfies the direct Graham bound ``makespan <= mean + max``.
+    and the largest-job bound.  Graham's 4/3 guarantee for sorted list
+    scheduling is against ``OPT``, not against this bound, which can sit
+    further below: for volumes ``[2, 3, 3, 3]`` on ``k=3`` the optimum is
+    5 while the bound is 11/3.  Against the bound, any list schedule
+    meets ``makespan <= sum / k + (1 - 1/k) * max``.
     """
     volumes = np.asarray(volumes, dtype=np.float64)
     if volumes.size == 0:

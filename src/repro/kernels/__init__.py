@@ -4,24 +4,24 @@ Every streaming pass of the toolkit — degree counting, Phase-1 clustering,
 2PS-L pre-partitioning, remaining-edge scoring, and the stateless hash
 baselines — consumes the edge stream as numpy ``(c, 2)`` chunks.  This
 package turns "what happens to a chunk" into a pluggable *kernel backend*
-so the same algorithm can run as a slow, obviously-correct per-edge loop
-or as vectorized numpy array code:
+so the same algorithm can run as a slow, obviously-correct per-edge loop,
+as vectorized numpy array code, or as a compiled loop:
 
 - ``python`` — the reference backend.  Pure per-edge Python loops with the
   exact control flow of the paper's pseudocode.  It is the semantic ground
   truth that every other backend is property-tested against.
-- ``numpy`` — the default backend.  Chunk-vectorized kernels: per-chunk
-  ``np.bincount`` for degrees, gather/mask/scatter for the pre-partition
-  pass, vectorized splitmix64 for the stateless baselines, and
-  conflict-free sub-batching for the stateful 2PS-L scoring pass (see
-  below).  Phase-1 clustering runs the reference list kernel.
-- ``numba`` — an *optional* compiled backend
-  (:mod:`repro.kernels.numba_backend`): the numpy chunk orchestration
-  with the serial conflict loops (Phase-1 clustering, the 2PS-L scoring
-  pass, the 2PS-HDRF argmax, the classic HDRF baseline) replaced by
-  ``numba.njit``-compiled per-edge kernels.  Registered only when the
-  numba import succeeds; see *Optional backends* below for the fallback
-  contract.
+- ``numpy`` — chunk-vectorized kernels: per-chunk ``np.bincount`` for
+  degrees, gather/mask/scatter for the pre-partition pass, vectorized
+  splitmix64 for the stateless baselines, and conflict-free
+  sub-batching for the stateful 2PS-L scoring pass (see below).
+  Phase-1 clustering runs the reference list kernel.  The default on
+  hosts without a working C compiler.
+- ``c`` — the default wherever it builds (:mod:`repro.kernels.c_backend`):
+  the per-edge loop of every stateful pass (both clustering bodies, the
+  pre-partition pass, both remaining passes, the HDRF baseline) compiled
+  from one C source by the host compiler and called through ``ctypes``,
+  one call per chunk; the stateless passes and the merge ops are numpy's.
+  See *Optional backends* below for what happens when it cannot build.
 
 Backend contract
 ----------------
@@ -61,6 +61,9 @@ partition could hit the hard balance cap inside it (the remaining
 capacity ``capacity - max(sizes)`` is smaller than the block's candidate
 count), because cap overflow makes decisions order-dependent through the
 hash / least-loaded fallback chain.
+
+The ``c`` backend needs none of this: its compiled loops decide every
+edge in stream order, cheaper per edge than numpy's batched kernels.
 
 Phase-1 merge ops (parallel barriers)
 -------------------------------------
@@ -130,11 +133,9 @@ unchanged.  The contract additions for backends that bypass the
 protocol with raw-``ndarray`` tricks:
 
 - detect packed storage with ``getattr(replicas, "packed", None)`` and
-  either handle the packed rows natively (the row bytes ARE the
+  handle the packed rows natively (the row bytes ARE the
   ``np.packbits`` encoding — ``_HdrfScalarEngine._pack_row`` just reads
-  them) or route to a protocol-speaking twin, the way the ``numba``
-  backend's remaining passes delegate to their inherited numpy
-  implementations for non-``ndarray`` replica matrices;
+  them);
 - per-edge serial loops outside the python reference never index the
   wrapper (a scalar ``replicas[u, p]`` is a Python-level call costing
   microseconds on packed state).  They test and set bits on the raw
@@ -143,7 +144,8 @@ protocol with raw-``ndarray`` tricks:
   ``(row_bytes, shift, low_mask)``, bit ``(u, p)`` at byte
   ``u * row_bytes + (p >> shift)`` under mask ``1 << (p & low_mask)``
   — ``(k, 0, 0)`` for dense bool, ``(ceil(k/8), 3, 7)`` for packed — so
-  one loop serves both layouts at the same speed;
+  one loop serves both layouts at the same speed (the ``c`` loops take
+  the same plane as a pointer);
 - replica bits are monotone within a streaming run, so the passes never
   clear them.  ``PackedReplicaMatrix.__setitem__`` accepts ``= False``
   only as a *scalar* element write (``IncrementalPartitioner`` clears a
@@ -160,21 +162,28 @@ Writing a backend
 -----------------
 1. Subclass :class:`~repro.kernels.base.KernelBackend` (or an existing
    backend — ``NumpyBackend`` subclasses ``PythonBackend`` and overrides
-   only the passes it vectorizes, inheriting the rest).
+   only the passes it vectorizes, ``CBackend`` subclasses
+   ``NumpyBackend`` and overrides only the stateful passes).
 2. Override any subset of the pass methods: ``degree_pass``,
    ``clustering_true_pass``, ``clustering_partial_pass``,
    ``prepartition_pass``, ``remaining_pass_linear``,
    ``remaining_pass_hdrf``, ``hdrf_baseline_pass``, ``stateless_pass``.
-   Keep the serial fallback
-   path for conflicting edges — that is what makes correctness local —
-   and route order-sensitive decisions through the shared twins
-   (``PythonBackend._fallback_partition`` for the hash/least-loaded
-   chain, ``PythonBackend.hdrf_choose`` for the HDRF argmax) so float
-   arithmetic and tie-breaks can never diverge between backends.
-3. Register it: ``register_backend("numba", NumbaBackend)``.  The name
+   Interpreted backends route order-sensitive decisions through the
+   shared twins (``PythonBackend._fallback_partition`` for the
+   hash/least-loaded chain, ``PythonBackend.hdrf_choose`` for the HDRF
+   argmax) so float arithmetic and tie-breaks cannot diverge; compiled
+   loops cannot call back into Python, so they transliterate the twins
+   expression for expression, in the same association order, built
+   without fused multiply-add (see ``_ckernels.c``).
+3. Check bounds where state is sized up front: a pass whose arrays come
+   from ``n_vertices`` (the HDRF baseline, clustering) rejects a larger
+   vertex id with :class:`~repro.errors.StreamError` — the interpreted
+   passes per chunk through :func:`~repro.kernels.base.check_vertex_ids`,
+   the compiled loops per index.
+4. Register it: ``register_backend("mine", MyBackend)``.  The name
    becomes valid everywhere a ``backend=`` parameter or the CLI
    ``--backend`` flag is accepted.
-4. Run the equivalence suite against it.  A backend is correct only when
+5. Run the equivalence suite against it.  A backend is correct only when
    it passes **all** of:
 
    - ``tests/test_kernels.py`` — per-pass property sweep against the
@@ -190,39 +199,33 @@ Writing a backend
      a 65k-edge R-MAT plus the speedup gates (CI runs exactly this).
 
    Equality is *byte-level*: assignments, replica bits, partition sizes,
-   cluster state **and** machine-neutral cost counters.  Add the backend
-   name to the sweep lists (they enumerate ``available_backends()``, so
-   registration before test collection usually suffices).
-
-The ``numba`` backend follows exactly this recipe: it keeps the numpy
-chunk orchestration (and inherits the merge ops unchanged) and replaces
-only the serial conflict kernels with compiled per-edge loops that are
-line-for-line transliterations of the reference bodies.
+   cluster state **and** machine-neutral cost counters.  The sweeps
+   enumerate ``available_backends()``, so registration before test
+   collection suffices.
 
 Optional backends
 -----------------
-A backend whose dependency may be absent (today: ``numba``) registers
-through :func:`_register_optional_backends` at import time.  When the
-dependency imports, the backend behaves like any other registry entry.
-When it does not:
+``c`` needs a working C compiler, so it registers through
+:func:`_register_optional_backends` at import time, which also sets
+:data:`DEFAULT_BACKEND` (``"c"`` when it registers, else ``"numpy"``).
+The library is built once per source, flags and compiler, and cached on
+disk (see :mod:`repro.kernels.c_backend`), so a later import loads it
+without running the compiler.  When no compiler is found, the build
+fails or the cache is unsafe:
 
 - the name is *known but missing*: it appears in :func:`missing_backends`
   (name -> human-readable reason) and **not** in
   :func:`available_backends`, so equivalence sweeps and the benchmark
   matrix never enumerate a backend that cannot run;
 - :func:`get_backend` on the missing name degrades to the
-  :data:`DEFAULT_BACKEND` with a one-time ``RuntimeWarning`` — library
-  callers (partitioner constructors, runner workers) keep working, just
-  without the speedup.  Workers of a parallel run never hit the warning
-  at all: ``ParallelTwoPhase`` ships the *resolved* backend name to the
-  runner session;
+  :data:`DEFAULT_BACKEND` (``numpy``) with a one-time ``RuntimeWarning``
+  — library callers (partitioner constructors, runner workers) keep
+  working, just without the speedup.  Workers of a parallel run never
+  hit the warning at all: ``ParallelTwoPhase`` ships the *resolved*
+  backend name to the runner session;
 - explicit user-facing requests stay loud: the CLI raises a
-  :class:`~repro.errors.PartitioningError` for ``--backend <missing>``
-  instead of silently falling back (``repro.cli``).
-
-Registering the name manually (``register_backend("numba", ...)``) clears
-the missing state — that is how the tests pin the numba kernel logic in
-its interpreted mode on hosts without numba.
+  :class:`~repro.errors.PartitioningError` for ``--backend c`` instead
+  of silently falling back (``repro.cli``).
 """
 
 from __future__ import annotations
@@ -234,7 +237,8 @@ from repro.kernels.base import ClusteringState, KernelBackend, TwoPhaseContext
 from repro.kernels.python_backend import PythonBackend
 from repro.kernels.numpy_backend import NumpyBackend
 
-#: Name of the backend used when none is requested explicitly.
+#: Name of the backend used when none is requested explicitly: ``"c"``
+#: when the compiled backend is available, else ``"numpy"``.
 DEFAULT_BACKEND = "numpy"
 
 _REGISTRY: dict[str, type[KernelBackend]] = {}
@@ -321,24 +325,25 @@ def get_backend(name: str | None = None) -> KernelBackend:
 
 
 def _register_optional_backends() -> None:
-    """(Re-)detect optional compiled backends.
+    """(Re-)detect the compiled ``c`` backend and pick the default.
 
-    Runs at import; tests re-run it after monkeypatching the numba
-    import to exercise the absence path on hosts where numba is
-    installed.  Re-detection fully reconciles the registered / missing /
+    Runs at import, because :data:`DEFAULT_BACKEND` depends on the
+    outcome; tests re-run it with the compiler or the cache made
+    unusable.  Re-detection fully reconciles the registered / missing /
     warned state in both directions.
     """
-    from repro.kernels import numba_backend
+    global DEFAULT_BACKEND
+    from repro.kernels import c_backend
 
-    if numba_backend.numba_available():
-        register_backend("numba", numba_backend.NumbaBackend)
+    reason = c_backend.load()
+    if reason is None:
+        register_backend("c", c_backend.CBackend)
     else:
-        _REGISTRY.pop("numba", None)
-        _INSTANCES.pop("numba", None)
-        _MISSING["numba"] = (
-            numba_backend.unavailable_reason() or "numba is not installed"
-        )
-        _FALLBACK_WARNED.discard("numba")
+        _REGISTRY.pop("c", None)
+        _INSTANCES.pop("c", None)
+        _MISSING["c"] = reason
+        _FALLBACK_WARNED.discard("c")
+    DEFAULT_BACKEND = "c" if "c" in _REGISTRY else "numpy"
 
 
 register_backend("python", PythonBackend)

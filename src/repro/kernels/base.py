@@ -13,12 +13,30 @@ from typing import Callable
 
 import numpy as np
 
+from repro.errors import StreamError
 from repro.metrics.runtime import CostCounter
 from repro.partitioning.state import PartitionState
 
 
+def check_vertex_ids(chunk: np.ndarray, n: int, pos: int) -> None:
+    """Raise :class:`~repro.errors.StreamError` when an id of ``chunk``
+    (whose first edge sits at stream position ``pos``) is ``n`` or more.
+
+    Passes whose state is sized up front call it per chunk, so an id
+    beyond that size is a typed error on every backend rather than an
+    ``IndexError`` or an out-of-bounds write.  Ids are non-negative by
+    the time chunks leave a stream.
+    """
+    if chunk.size and int(chunk.max()) >= n:
+        row = int(np.flatnonzero((chunk >= n).any(axis=1))[0])
+        raise StreamError(
+            f"edge {pos + row} has vertex id {int(chunk[row].max())}, "
+            f"outside the {n} vertices of the pass state"
+        )
+
+
 class Int64Buffer:
-    """Growable int64 array of Phase-1 cluster volumes (``numba`` state).
+    """Growable int64 array of Phase-1 cluster volumes (``c`` state).
 
     Phase-1 clustering allocates cluster ids sequentially; the compiled
     loops append by writing past the filled prefix (see :meth:`reserve`).
@@ -81,8 +99,8 @@ class ClusteringState:
     """Mutable Phase-1 state; concrete field types are backend-owned.
 
     The ``python`` and ``numpy`` backends store plain lists (fast scalar
-    indexing); the ``numba`` backends store int64 arrays and an
-    :class:`Int64Buffer` of volumes, which their compiled loops need.
+    indexing); the ``c`` backend stores int64 arrays and an
+    :class:`Int64Buffer` of volumes, which its compiled loops write.
     Only the owning backend may touch the fields; everyone else goes
     through :meth:`KernelBackend.clustering_export`.
     """

@@ -1,4 +1,4 @@
-"""The ``numpy`` backend: chunk-vectorized kernels (the default).
+"""The ``numpy`` backend: chunk-vectorized kernels (the fallback default).
 
 Embarrassingly-batchable passes (degrees, pre-partitioning, stateless
 hashing) are fully vectorized.  The remaining-edge scoring pass uses
@@ -43,7 +43,7 @@ from bisect import insort
 
 import numpy as np
 
-from repro.kernels.base import TwoPhaseContext
+from repro.kernels.base import TwoPhaseContext, check_vertex_ids
 from repro.kernels.python_backend import PythonBackend
 from repro.partitioning.state import _replica_storage
 
@@ -508,6 +508,7 @@ class NumpyBackend(PythonBackend):
             c = chunk.shape[0]
             if c == 0:
                 continue
+            check_vertex_ids(chunk, n, idx)
             u = chunk[:, 0]
             v = chunk[:, 1]
             # Inclusive occurrence ranks over interleaved endpoint slots

@@ -11,7 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.base import ClusteringState, KernelBackend, TwoPhaseContext
+from repro.kernels.base import (
+    ClusteringState,
+    KernelBackend,
+    TwoPhaseContext,
+    check_vertex_ids,
+)
 from repro.partitioning.hashutil import splitmix64_int
 from repro.partitioning.state import LeastLoadedTracker
 
@@ -184,29 +189,23 @@ class PythonBackend(KernelBackend):
                     updates += 1
         return updates
 
-    def clustering_true_pass(self, stream, st, cap, cost) -> None:
+    def _clustering_pass(self, body, stream, st, cap, cost) -> None:
         updates = 0
         edges = 0
         for chunk in stream.chunks():
+            # The state is sized up front (from the degrees or n_vertices).
+            check_vertex_ids(chunk, len(st.v2c), edges)
             edges += chunk.shape[0]
-            updates += self.true_degree_edges(
-                st.v2c, st.vol, st.deg, chunk.tolist(), cap
-            )
+            updates += body(st.v2c, st.vol, st.deg, chunk.tolist(), cap)
         if cost is not None:
             cost.cluster_updates += updates
             cost.edges_streamed += edges
 
+    def clustering_true_pass(self, stream, st, cap, cost) -> None:
+        self._clustering_pass(self.true_degree_edges, stream, st, cap, cost)
+
     def clustering_partial_pass(self, stream, st, cap, cost) -> None:
-        updates = 0
-        edges = 0
-        for chunk in stream.chunks():
-            edges += chunk.shape[0]
-            updates += self.partial_degree_edges(
-                st.v2c, st.vol, st.deg, chunk.tolist(), cap
-            )
-        if cost is not None:
-            cost.cluster_updates += updates
-            cost.edges_streamed += edges
+        self._clustering_pass(self.partial_degree_edges, stream, st, cap, cost)
 
     # ------------------------------------------------------------------
     # Phase 2: 2PS-L partitioning passes
@@ -220,11 +219,11 @@ class PythonBackend(KernelBackend):
         The reference implementation of the order-sensitive fallback
         chain — every *interpreted* backend's serial path must route
         through it so the chain cannot diverge between backends.  One
-        exception by necessity: the jitted
-        ``numba_backend._remaining_linear_kernel`` inlines this chain
-        (compiled code cannot call back into Python); any change here
-        must be mirrored there in lockstep, and the cross-backend
-        equivalence suite pins the pair.  ``least_loaded`` is a
+        exception by necessity: the compiled loops of ``_ckernels.c``
+        inline this chain (``fallback``; compiled code cannot call back
+        into Python); any change here must be mirrored there in
+        lockstep, and the cross-backend equivalence suite pins the
+        pair.  ``least_loaded`` is a
         zero-argument callable (e.g. ``LeastLoadedTracker.argmin`` or an
         ``np.argmin`` closure) returning the smallest-index minimum of
         the live sizes.
@@ -345,10 +344,10 @@ class PythonBackend(KernelBackend):
         weights outside its scalar engine's exact range
         (``numpy_backend._engine_exact``); inside that range the engine
         scores its candidates with these exact float expressions, and so
-        does, by necessity, the jitted
-        ``numba_backend._remaining_hdrf_kernel`` (compiled code cannot
-        call back into Python).  Any change here must be mirrored in both
-        in lockstep; the cross-backend equivalence suites pin them.
+        does, by necessity, ``hdrf_pick`` in ``_ckernels.c`` (compiled
+        code cannot call back into Python).  Any change here must be
+        mirrored in both in lockstep; the cross-backend equivalence
+        suites pin them.
         """
         scores = u_row * (2.0 - theta_u) + v_row * (1.0 + theta_u)
         maxs = sizes_np.max()
@@ -417,6 +416,7 @@ class PythonBackend(KernelBackend):
         partial = [0] * ctx.state.n_vertices
         idx = 0
         for chunk in stream.chunks():
+            check_vertex_ids(chunk, len(partial), idx)
             for u, v in chunk.tolist():
                 partial[u] += 1
                 partial[v] += 1

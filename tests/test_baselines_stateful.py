@@ -70,8 +70,8 @@ class TestHDRFBackends:
     through the scalar engine, and must land on exactly the per-edge
     reference decisions — assignments, replicas, sizes AND the simulated
     cost counters.  k=70 spans more than one machine word of the
-    engine's bitmasks.  (The numba twins are pinned in
-    ``tests/test_numba_backend.py``, where registration is managed.)
+    engine's bitmasks.  (The ``c`` loops are pinned in
+    ``tests/test_c_backend.py`` too.)
     """
 
     @staticmethod

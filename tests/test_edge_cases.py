@@ -9,10 +9,13 @@ stability checks.
 import numpy as np
 import pytest
 
+from repro.baselines import HDRF
 from repro.core import ParallelTwoPhase, TwoPhasePartitioner
+from repro.core.clustering import StreamingClustering
 from repro.errors import StreamError
 from repro.graph import Graph
 from repro.metrics import validate_partition
+from repro.streaming import InMemoryEdgeStream
 from repro.streaming.order import degree_sorted_order, shuffled_copy
 
 from tests.conftest import ALL_PARTITIONER_FACTORIES
@@ -145,11 +148,42 @@ class TestNegativeVertexIds:
         [
             lambda: TwoPhasePartitioner(backend="python"),
             lambda: TwoPhasePartitioner(backend="numpy"),
+            lambda: TwoPhasePartitioner(backend="c"),
             lambda: ParallelTwoPhase(runner="simulated"),
         ],
-        ids=["python", "numpy", "simulated"],
+        ids=["python", "numpy", "c", "simulated"],
     )
     def test_bare_array_raises_stream_error(self, make):
         edges = np.array([[0, 1], [-1, 2]])
         with pytest.raises(StreamError, match="negative vertex id"):
             make().partition(edges, k=2)
+
+
+class TestOutOfRangeVertexIds:
+    """An id beyond the declared ``n_vertices`` is a typed error in every
+    pass that sizes its state from that count, on every backend — never
+    a bare ``IndexError`` or an out-of-bounds write."""
+
+    EDGES = [[0, 1], [1, 2], [2, 9]]
+
+    @staticmethod
+    def _stream():
+        return InMemoryEdgeStream(TestOutOfRangeVertexIds.EDGES, n_vertices=4)
+
+    @pytest.mark.parametrize("backend", ["python", "numpy", "c"])
+    def test_hdrf_baseline_raises_stream_error(self, backend):
+        with pytest.raises(StreamError, match="edge 2 has vertex id 9"):
+            HDRF(backend=backend).partition(self._stream(), 2)
+
+    @pytest.mark.parametrize("backend", ["python", "numpy", "c"])
+    def test_partial_degree_clustering_raises_stream_error(self, backend):
+        clustering = StreamingClustering(use_true_degrees=False, backend=backend)
+        with pytest.raises(StreamError, match="edge 2 has vertex id 9"):
+            clustering.run(self._stream())
+
+    @pytest.mark.parametrize("backend", ["python", "numpy", "c"])
+    def test_2psl_grows_its_arrays(self, backend):
+        """2PS-L sizes its state from its own degree pass, so the same
+        stream partitions, with one result on every backend."""
+        result = TwoPhasePartitioner(backend=backend).partition(self._stream(), 2)
+        assert result.assignments.tolist() == [0, 0, 1]

@@ -26,7 +26,6 @@ from repro.kernels import (
     register_backend,
 )
 from repro.kernels.base import Int64Buffer, TwoPhaseContext
-from repro.kernels.numba_backend import NumbaBackend
 from repro.kernels.numpy_backend import NumpyBackend
 from repro.metrics.runtime import CostCounter
 from repro.partitioning import LeastLoadedTracker, PartitionArtifacts
@@ -37,18 +36,9 @@ from repro.streaming import DEFAULT_CHUNK_SIZE, InMemoryEdgeStream
 VECTOR_BACKENDS = [n for n in available_backends() if n != "python"]
 
 
-def _backend_impls():
-    """Every registered backend instance, plus the numba backend in its
-    interpreted mode when the real dependency is absent — the Phase-1
-    merge-op twins and the packed-state Phase-2 passes must stay
-    bit-exact across all three implementations on every host."""
-    impls = [get_backend(name) for name in available_backends()]
-    if "numba" not in available_backends():
-        impls.append(NumbaBackend())
-    return impls
-
-
-BACKEND_IMPLS = _backend_impls()
+#: Every registered backend instance: the Phase-1 merge-op twins and the
+#: packed-state Phase-2 passes must stay bit-exact across all of them.
+BACKEND_IMPLS = [get_backend(name) for name in available_backends()]
 
 SLOW = settings(
     max_examples=25,
@@ -364,7 +354,8 @@ def _assert_contexts_identical(reference, other):
 class TestRemainingCellConflicts:
     """The numpy remaining pass serializes an edge only when it shares a
     replica cell that is unset at block entry with an earlier edge of its
-    block, and stays bit-exact with the reference from any start state."""
+    block; every backend stays bit-exact with the reference from any
+    start state."""
 
     @pytest.mark.parametrize("k, packed", [(8, False), (70, True)])
     def test_saturated_hub_block_is_batched(self, monkeypatch, k, packed):
@@ -424,11 +415,12 @@ class TestRemainingCellConflicts:
             sizes = rng.integers(0, graph.n_edges + 1, size=k)
         preset = (k, v2c, c2p, bits, sizes, n_edges, alpha)
         ref = _remaining_from("python", graph.edges, n, chunk_size, *preset)
-        for packed in (False, True):
-            out = _remaining_from(
-                "numpy", graph.edges, n, chunk_size, *preset, packed=packed
-            )
-            _assert_contexts_identical(ref, out)
+        for name in VECTOR_BACKENDS:
+            for packed in (False, True):
+                out = _remaining_from(
+                    name, graph.edges, n, chunk_size, *preset, packed=packed
+                )
+                _assert_contexts_identical(ref, out)
 
 
 class TestChunkSizeIsPerfKnobOnly:
@@ -477,9 +469,28 @@ class TestChunkSizeIsPerfKnobOnly:
 
 
 class TestRegistry:
-    def test_default_backend_is_numpy(self):
-        assert DEFAULT_BACKEND == "numpy"
-        assert get_backend().name == "numpy"
+    def test_default_backend_is_c_when_registered(self):
+        expected = "c" if "c" in available_backends() else "numpy"
+        assert DEFAULT_BACKEND == expected
+        assert get_backend().name == expected
+
+    def test_default_backend_is_numpy(self, monkeypatch, tmp_path):
+        """Where the ``c`` library cannot be built, ``numpy`` is the default."""
+        import repro.kernels as kernels
+        from repro.kernels import c_backend
+
+        for attr in ("_REGISTRY", "_INSTANCES", "_MISSING", "_FALLBACK_WARNED"):
+            monkeypatch.setattr(kernels, attr, type(getattr(kernels, attr))(
+                getattr(kernels, attr)
+            ))
+        monkeypatch.setattr(kernels, "DEFAULT_BACKEND", kernels.DEFAULT_BACKEND)
+        monkeypatch.setattr(c_backend, "_LIB", c_backend._LIB)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setenv("CC", "false")
+        kernels._register_optional_backends()
+        assert "c" in kernels.missing_backends()
+        assert kernels.DEFAULT_BACKEND == "numpy"
+        assert kernels.get_backend().name == "numpy"
 
     def test_reference_backend_listed_first(self):
         assert available_backends()[0] == "python"
@@ -499,7 +510,7 @@ class TestRegistry:
         resolved instance name to workers, so key != cls.name would make
         worker-side lookups fail."""
 
-        class Misnamed(NumbaBackend):
+        class Misnamed(NumpyBackend):
             name = "other"
 
         with pytest.raises(ConfigurationError):
@@ -586,7 +597,7 @@ class TestStateBatchApis:
     def test_int64_buffer_grows(self):
         buf = Int64Buffer.from_array(np.array([5, 6], dtype=np.int64))
         for n in range(2, 100):
-            # The numba clustering loop's append: write past the filled
+            # The c clustering loop's append: write past the filled
             # prefix of the reserved array, then publish the length.
             arr = buf.reserve(n + 1)
             arr[n] = n * 3

@@ -6,7 +6,7 @@ partitioners and substrates, asserting the invariants from DESIGN.md §4.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import DBH, HDRF, Grid, RandomHash
@@ -127,21 +127,60 @@ class TestClusteringInvariants:
             assert graph.degrees[members[0]] > cap
 
 
+def _optimal_makespan(volumes, k: int) -> int:
+    """The exact minimum makespan, by exhaustive search (small inputs)."""
+    jobs = sorted(volumes, reverse=True)
+    loads = [0] * k
+    best = sum(jobs)  # everything on one machine is always feasible
+
+    def place(i: int) -> None:
+        nonlocal best
+        if i == len(jobs):
+            best = max(loads)
+            return
+        tried = set()
+        for p in range(k):
+            # Machines of equal load are interchangeable; a placement
+            # that reaches the best makespan cannot improve on it.
+            if loads[p] in tried or loads[p] + jobs[i] >= best:
+                continue
+            tried.add(loads[p])
+            loads[p] += jobs[i]
+            place(i + 1)
+            loads[p] -= jobs[i]
+
+    place(0)
+    return best
+
+
 class TestSchedulingInvariants:
     @SLOW
     @given(
-        volumes=st.lists(
-            st.integers(min_value=0, max_value=1000), min_size=0, max_size=80
+        volumes=st.one_of(
+            st.lists(st.integers(min_value=0, max_value=1000), max_size=8),
+            st.lists(st.integers(min_value=0, max_value=1000), max_size=80),
         ),
         k=st.integers(min_value=1, max_value=16),
     )
+    @example(volumes=[2, 3, 3, 3], k=3)
     def test_graham_four_thirds(self, volumes, k):
+        """Graham's bounds for sorted list scheduling (LPT): the list
+        scheduling bound on every input, and LPT's ``(4/3 - 1/(3k)) *
+        OPT`` where the optimum is cheap to find exactly.  (At ``[2, 3,
+        3, 3]``, ``k=3``, the optimum 5 exceeds 4/3 of the lower bound.)
+        Both checks are in exact integer arithmetic."""
         volumes = np.asarray(volumes, dtype=np.int64)
         c2p, loads = graham_schedule(volumes, k)
         assert loads.sum() == volumes.sum()
-        lower = makespan_lower_bound(volumes, k)
-        if lower > 0:
-            assert loads.max() <= (4.0 / 3.0) * lower + 1e-9
+        if volumes.size == 0:
+            return
+        makespan = int(loads.max())
+        total, largest = int(volumes.sum()), int(volumes.max())
+        assert makespan >= makespan_lower_bound(volumes, k)
+        assert k * makespan <= total + (k - 1) * largest
+        if volumes.size <= 8 and k <= 4:
+            opt = _optimal_makespan(volumes.tolist(), k)
+            assert 3 * k * makespan <= (4 * k - 1) * opt
 
     @SLOW
     @given(
