@@ -78,10 +78,13 @@ Exit status is non-zero unless every gate passes:
   gates;
 - c gates (``c`` section of ``BENCH_kernels.json``): the compiled ``c``
   backend against ``numpy``, from the rows the pipeline loop already
-  ran — 2PS-L total, 2PS-L clustering, the 2PS-L remaining pass and the
-  2PS-HDRF remaining pass — plus the 2PS-L remaining pass over
-  hub-heavy R-MAT (>= 2x), the stream the per-edge loops exist for.
-  The gate **records-but-skips** when ``c`` is unavailable (no working C
+  ran — 2PS-L total, 2PS-L clustering, the 2PS-L cluster mapping, the
+  2PS-L remaining pass and the 2PS-HDRF remaining pass — plus the 2PS-L
+  remaining pass over hub-heavy R-MAT (>= 2x), the stream the per-edge
+  loops exist for, and the Phase-2 delta barrier op on dense and packed
+  state (``2**scale`` rows, two views, 41% of rows dirty, the traffic of
+  a two-worker run), bit-identical with numpy.  The gate
+  **records-but-skips** when ``c`` is unavailable (no working C
   compiler), so compiler-free environments keep an authoritative BENCH
   file without a red gate;
 - HDRF-baseline gate (``hdrf_baseline`` section of
@@ -129,7 +132,8 @@ import numpy as np
 from repro.core import ParallelTwoPhase, TwoPhasePartitioner
 from repro.core.runners import live_shared_segments
 from repro.graph.generators import rmat_edge_file, rmat_graph
-from repro.kernels import DEFAULT_BACKEND, available_backends
+from repro.kernels import DEFAULT_BACKEND, available_backends, get_backend
+from repro.partitioning.state import PartitionState, _replica_storage
 from repro.streaming import FileEdgeStream, InMemoryEdgeStream
 
 #: Speedup gates per pipeline: {config: {phase: threshold}}.  The smoke
@@ -171,20 +175,45 @@ DISTRIBUTED_SMOKE_GATE = 0.02
 
 #: c-vs-numpy speedups of the compiled backend, read from the pipeline
 #: rows ({config: {phase: threshold}}; ``total`` is the whole run).  The
-#: full thresholds sit at about 80% of the lower of two full-scale
-#: readings on a 2-vCPU Xeon host (12.9x total, 38x clustering, 12.3x
-#: and 16x on the 2PS-L and 2PS-HDRF remaining passes at k=32), and no
-#: lower than 10x (total and clustering), 5x (2PS-L remaining) and 3x
-#: (2PS-HDRF remaining).  The smoke thresholds are relaxed: at 65k edges
-#: a c pass lasts a few milliseconds, where timer noise weighs more.
+#: full thresholds sit at about 80% of the lowest full-scale reading on
+#: a 2-vCPU Xeon host (12.9x total, 38x clustering, 12.3x and 16x on the
+#: 2PS-L and 2PS-HDRF remaining passes at k=32, of two readings; 3.75x
+#: on the cluster mapping, of readings of 7.44x, 4.20x and 3.75x: the
+#: numpy sort both backends share takes a good part of c's 0.002-0.003 s),
+#: and no lower than 10x (total and clustering), 5x (2PS-L remaining)
+#: and 3x (2PS-HDRF remaining).  The smoke thresholds are relaxed: at
+#: 65k edges a c pass lasts a few milliseconds, and the mapping of
+#: about a thousand clusters well under one, where timer noise weighs
+#: more.
 C_GATES = {
-    "2psl": {"total": 10.0, "clustering": 30.0, "partitioning": 9.5},
+    "2psl": {
+        "total": 10.0, "clustering": 30.0, "mapping": 3.0,
+        "partitioning": 9.5,
+    },
     "2pshdrf": {"partitioning": 13.0},
 }
 C_SMOKE_GATES = {
-    "2psl": {"total": 5.0, "clustering": 10.0, "partitioning": 5.0},
+    "2psl": {
+        "total": 5.0, "clustering": 10.0, "mapping": 1.5,
+        "partitioning": 5.0,
+    },
     "2pshdrf": {"partitioning": 5.0},
 }
+
+#: c-vs-numpy speedups of the Phase-2 delta barrier op
+#: (``merge_phase2_deltas``) per replica layout, on ``2**scale`` rows at
+#: k=32 with two views, best of several barriers on fresh fixtures.  The
+#: full thresholds sit at about 80% of the lowest of three full-scale
+#: readings (dense 4.30x, 2.95x and 4.55x; packed 5.83x, 7.13x and
+#: 5.15x); the smoke ones at about half of two smoke readings
+#: (2.6-3.2x), since a 4,096-row barrier lasts well under a millisecond.
+C_BARRIER_GATES = {"dense": 2.3, "packed": 4.2}
+C_BARRIER_SMOKE_GATES = {"dense": 1.5, "packed": 1.5}
+
+#: Union share of rows the barrier row's two views mark dirty: a traced
+#: two-worker run (``sharded-2w``, seed 1) merged 40.8% of its rows per
+#: barrier.
+BARRIER_DIRTY_SHARE = 0.41
 
 #: c-vs-numpy speedup of the 2PS-L remaining pass on hub-heavy R-MAT,
 #: where numpy's conflict batching degrades toward its serial loop (it
@@ -430,6 +459,113 @@ def skipped_gate(threshold, reason: str) -> dict:
     }
 
 
+def barrier_fixture(n: int, k: int, packed: bool, seed: int):
+    """The global state and two worker views of one Phase-2 barrier,
+    built afresh from ``seed`` on every call.
+
+    All three start from the same random replica bits and sizes; each
+    view then writes one replica bit into, and marks dirty, a random
+    share of the rows chosen so that :data:`BARRIER_DIRTY_SHARE` of them
+    are dirty in some view.  View sizes run ahead of the global ones, as
+    after a window.
+    """
+    rng = np.random.default_rng(seed)
+    rows, cols = np.nonzero(rng.random((n, k)) < 0.05)
+    sizes = rng.integers(0, 16 * n // k, size=k)
+    share = 1.0 - (1.0 - BARRIER_DIRTY_SHARE) ** 0.5
+    states = []
+    for view in (False, True, True):
+        st = PartitionState(n, k, 16 * n, packed=packed, track_dirty=view)
+        st.replicas[rows, cols] = True
+        st.sizes[:] = sizes
+        if view:
+            dirty = np.flatnonzero(rng.random(n) < share)
+            st.replicas[dirty, rng.integers(0, k, size=dirty.size)] = True
+            st.dirty[dirty] = True
+            st.sizes += rng.integers(0, 2 * dirty.size // k + 1, size=k)
+        states.append(st)
+    return states[0], states[1:]
+
+
+def state_bytes(states) -> list[bytes]:
+    """Replica plane, sizes and dirty bitmap of each state, as bytes."""
+    return [
+        part
+        for st in states
+        for part in (
+            _replica_storage(st.replicas).tobytes(),
+            st.sizes.tobytes(),
+            b"" if st.dirty is None else st.dirty.tobytes(),
+        )
+    ]
+
+
+def time_barrier(backend: str, fixture, repeats: int):
+    """Best of ``repeats`` barriers, each on a fresh
+    ``barrier_fixture(*fixture)``; returns ``(seconds, rows, state,
+    views)`` of the fastest."""
+    kernels = get_backend(backend)
+    best = None
+    for _ in range(repeats):
+        state, views = barrier_fixture(*fixture)
+        start = time.perf_counter()
+        rows = kernels.merge_phase2_deltas(state, views)
+        elapsed = time.perf_counter() - start
+        if best is None or elapsed < best[0]:
+            best = (elapsed, rows, state, views)
+    return best
+
+
+def run_barrier_rows(args, scale: int, smoke: bool) -> tuple[dict, dict, bool]:
+    """The Phase-2 barrier op, c against numpy, dense and packed.
+
+    Both backends merge fresh builds of one fixture (see
+    :func:`barrier_fixture`); their results must be byte-identical.
+    Returns ``(record, gates, ok)``.
+    """
+    thresholds = C_BARRIER_SMOKE_GATES if smoke else C_BARRIER_GATES
+    n = 1 << scale
+    repeats = 3 if smoke else 7
+    record = {
+        "n_rows": n, "k": args.k, "views": 2,
+        "dirty_share": BARRIER_DIRTY_SHARE, "repeats": repeats,
+    }
+    gates = {}
+    ok = True
+    for layout, threshold in thresholds.items():
+        fixture = (n, args.k, layout == "packed", args.seed)
+        runs = {b: time_barrier(b, fixture, repeats) for b in ("numpy", "c")}
+        numpy_run, c_run = runs["numpy"], runs["c"]
+        if numpy_run[1] != c_run[1] or state_bytes(
+            [numpy_run[2], *numpy_run[3]]
+        ) != state_bytes([c_run[2], *c_run[3]]):
+            raise SystemExit(
+                f"equality gate failed: {layout} barrier, c vs numpy"
+            )
+        speedup = numpy_run[0] / c_run[0] if c_run[0] > 0 else 0.0
+        passed = speedup >= threshold
+        ok = ok and passed
+        record[layout] = {
+            "rows_merged": int(c_run[1]),
+            "numpy_seconds": round(numpy_run[0], 6),
+            "c_seconds": round(c_run[0], 6),
+        }
+        gates[f"phase2_barrier.{layout}"] = {
+            "threshold": threshold,
+            "speedup": round(speedup, 2),
+            "enforced": True,
+            "pass": passed,
+            "skipped_reason": None,
+        }
+        print(
+            f"  c phase-2 barrier ({layout}, {int(c_run[1]):,} of {n:,} "
+            f"rows): {numpy_run[0] * 1e3:.3f} ms numpy -> "
+            f"{c_run[0] * 1e3:.3f} ms c ({speedup:.1f}x, gate "
+            f"{threshold}x: {'pass' if passed else 'FAIL'})"
+        )
+    return record, gates, ok
+
+
 def run_c_section(args, scale: int, smoke: bool, configs: dict) -> tuple[dict, bool]:
     """The gated ``c`` section of ``BENCH_kernels.json``.
 
@@ -438,7 +574,8 @@ def run_c_section(args, scale: int, smoke: bool, configs: dict) -> tuple[dict, b
     the 2PS-L remaining pass over hub-heavy R-MAT (skewed quadrant mass:
     hubs collide in nearly every block, so numpy's conflict batching
     degrades toward its serial loop) for both backends, best of
-    ``repeats``, bit-identical.  When ``c`` is unavailable the section
+    ``repeats``, bit-identical, and the Phase-2 barrier op
+    (:func:`run_barrier_rows`).  When ``c`` is unavailable the section
     records the reason and every gate is marked skipped (``pass: null``),
     like the CPU-count rule of the wall-clock gates.  Returns
     ``(section, ok)``.
@@ -472,6 +609,11 @@ def run_c_section(args, scale: int, smoke: bool, configs: dict) -> tuple[dict, b
         section["gates"]["hub_heavy.partitioning"] = skipped_gate(
             hub_threshold, reason
         )
+        barrier_gates = C_BARRIER_SMOKE_GATES if smoke else C_BARRIER_GATES
+        for layout, threshold in barrier_gates.items():
+            section["gates"][f"phase2_barrier.{layout}"] = skipped_gate(
+                threshold, reason
+            )
         print(f"  c section: SKIPPED (recorded; {reason})")
         return section, True
 
@@ -540,7 +682,11 @@ def run_c_section(args, scale: int, smoke: bool, configs: dict) -> tuple[dict, b
         f"{c_s:.3f}s c ({speedup:.1f}x, gate {hub_threshold}x: "
         f"{'pass' if passed else 'FAIL'})"
     )
-    return section, ok and passed
+    section["phase2_barrier"], barrier_gates, barrier_ok = run_barrier_rows(
+        args, scale, smoke
+    )
+    section["gates"].update(barrier_gates)
+    return section, ok and passed and barrier_ok
 
 
 def run_hdrf_baseline_section(

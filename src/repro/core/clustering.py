@@ -78,10 +78,8 @@ class ClusteringResult:
     @property
     def n_nonempty_clusters(self) -> int:
         """Clusters that still own at least one vertex."""
-        if self.v2c.size == 0:
-            return 0
         used = self.v2c[self.v2c >= 0]
-        return int(np.unique(used).shape[0]) if used.size else 0
+        return int(np.count_nonzero(np.bincount(used)))
 
     def validate(self) -> None:
         """Check the volume invariant: volume == sum of member degrees.

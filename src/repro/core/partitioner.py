@@ -103,7 +103,9 @@ def run_phase1(
 
     # Phase 2 Step 1: map clusters to partitions (no streaming).
     with timer.phase("mapping"):
-        c2p, loads = graham_schedule(clustering.volumes, job.k, cost=job.cost)
+        c2p, loads = graham_schedule(
+            clustering.volumes, job.k, cost=job.cost, backend=job.backend
+        )
     return n, clustering, c2p, loads, syncs
 
 

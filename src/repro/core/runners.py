@@ -81,7 +81,10 @@ Phase-2 barriers use **dirty-row delta bitmaps**
 (:func:`repro.partitioning.state.merge_replica_deltas`): each worker view
 marks the endpoint rows of the windows it streams, and the barrier ORs
 and re-broadcasts only the union of dirty rows instead of the full
-``|V| x k`` replica matrix.  Sessions account the merged versus the
+``|V| x k`` replica matrix.  The in-process and pool transports run it
+as the kernel-backend op ``merge_phase2_deltas``, so on the ``c``
+backend it is one compiled pass over the rows; the socket transport
+folds wire deltas instead.  Sessions account the merged versus the
 hypothetical full row counts (``barrier_rows`` / ``barrier_full_rows``)
 so the saving is measurable end to end (``BENCH_parallel.json``).
 
@@ -109,11 +112,7 @@ import numpy as np
 from repro.errors import ConfigurationError, PartitioningError
 from repro.kernels import TwoPhaseContext, get_backend
 from repro.metrics.runtime import CostCounter
-from repro.partitioning.state import (
-    PartitionState,
-    _BufferArena,
-    merge_replica_deltas,
-)
+from repro.partitioning.state import PartitionState, _BufferArena
 from repro.streaming.stream import make_stream_spec
 
 #: Pass names a runner can execute -> kernel-backend method names.
@@ -192,12 +191,10 @@ def compact_clustering(
     live = np.flatnonzero(volumes > 0)
     if live.shape[0] == volumes.shape[0]:
         return v2c, volumes
-    remap = np.full(volumes.shape[0], -1, dtype=np.int64)
+    # The trailing -1 slot maps unassigned vertices (v2c == -1) to -1.
+    remap = np.full(volumes.shape[0] + 1, -1, dtype=np.int64)
     remap[live] = np.arange(live.shape[0], dtype=np.int64)
-    assigned = v2c >= 0
-    out = v2c.copy()
-    out[assigned] = remap[v2c[assigned]]
-    return out, volumes[live]
+    return remap[v2c], volumes[live]
 
 
 @dataclass
@@ -633,7 +630,7 @@ class _InlineTransport(Transport):
     def barrier(self, step):
         if self.views[0] is self.job.state:
             return None
-        return merge_replica_deltas(self.job.state, self.views)
+        return self.kernels.merge_phase2_deltas(self.job.state, self.views)
 
     def extra_state_bytes(self) -> int:
         return sum(
@@ -942,6 +939,7 @@ class _PoolTransport(Transport):
 
     def __init__(self, runner: ProcessRunner, job: ShardedJob) -> None:
         self.job = job
+        self.kernels = get_backend(job.backend)
         self._timeout = runner.task_timeout
         self._pool = None
         self._stream_shm = None
@@ -1115,7 +1113,7 @@ class _PoolTransport(Transport):
         )
 
     def barrier(self, step):
-        return merge_replica_deltas(self.job.state, self.views)
+        return self.kernels.merge_phase2_deltas(self.job.state, self.views)
 
     def finalize(self) -> None:
         # The barrier already synchronized the global state after the

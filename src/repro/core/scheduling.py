@@ -7,20 +7,30 @@ cumulative partition volume.  MSP-IM is NP-hard; Graham's *sorted list
 scheduling* (longest processing time first) is a 4/3-approximation: sort
 jobs by decreasing size, repeatedly give the next job to the least-loaded
 machine.
+
+The sort stays here, in numpy; the assignment loop is a kernel-backend
+op (``list_schedule``).  The ``python`` reference keeps a ``heapq`` of
+``(load, partition)`` pairs; the ``c`` loop keeps its own binary heap
+of partitions under the same order.  Partition indices are distinct, so
+no two keys are ever equal: every step's minimum is unique, and any
+correct heap hands each job the same partition ``heapq`` does, however
+its internal layout differs.
 """
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from repro.errors import PartitioningError
+from repro.kernels import get_backend
 from repro.metrics.runtime import CostCounter
 
 
 def graham_schedule(
-    volumes: np.ndarray, k: int, cost: CostCounter | None = None
+    volumes: np.ndarray,
+    k: int,
+    cost: CostCounter | None = None,
+    backend: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Map clusters to partitions with sorted list scheduling.
 
@@ -32,7 +42,11 @@ def graham_schedule(
     k:
         Number of partitions (machines).
     cost:
-        Optional counter; heap operations are accounted there.
+        Optional counter; heap operations are accounted there (two per
+        mapped cluster, a pop and a push).
+    backend:
+        Kernel backend running the assignment loop; ``None`` selects the
+        default.  Backends are bit-exact, so this is a performance knob.
 
     Returns
     -------
@@ -50,23 +64,13 @@ def graham_schedule(
         raise PartitioningError("cluster volumes must be non-negative")
 
     c2p = np.zeros(volumes.shape[0], dtype=np.int64)
-    loads = np.zeros(k, dtype=np.int64)
-    nonzero = np.where(volumes > 0)[0]
+    nonzero = np.flatnonzero(volumes > 0)
     # Decreasing volume; stable tie-break on cluster id for determinism.
     order = nonzero[np.argsort(-volumes[nonzero], kind="stable")]
-
-    heap: list[tuple[int, int]] = [(0, p) for p in range(k)]
-    heapq.heapify(heap)
-    ops = 0
-    for c in order.tolist():
-        load, p = heapq.heappop(heap)
-        c2p[c] = p
-        load += int(volumes[c])
-        loads[p] = load
-        heapq.heappush(heap, (load, p))
-        ops += 2
+    parts, loads = get_backend(backend).list_schedule(volumes[order], int(k))
+    c2p[order] = parts
     if cost is not None:
-        cost.heap_operations += ops
+        cost.heap_operations += 2 * int(order.shape[0])
     return c2p, loads
 
 

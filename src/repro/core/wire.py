@@ -30,8 +30,14 @@ are always fresh writable copies — kernels mutate their inputs, and
 ``np.frombuffer`` views would be read-only.
 
 Version negotiation happens once per connection: the coordinator opens
-with ``HELLO {version}``, the worker answers ``HELLO {version}`` when it
-speaks the same version and ``ERROR`` otherwise; both sides check.  Every
+with ``HELLO {version, kernels}``, the worker answers ``HELLO {version,
+kernels}`` when it speaks the same version and was built from the same
+kernel source, and ``ERROR`` otherwise; both sides check.  ``kernels``
+is the sha256 of ``_ckernels.c``
+(:func:`repro.kernels.c_backend.source_digest`), present whether or not
+the host can build it: workers built from another source would
+otherwise diverge instead of failing, and a peer that sends no digest
+counts as a mismatch.  Every
 transport/framing failure raises :class:`~repro.errors.WireError` (a
 :class:`~repro.errors.PartitioningError`), so worker death, truncation,
 checksum corruption, and timeouts all surface as the one typed error the
@@ -47,6 +53,7 @@ import zlib
 import numpy as np
 
 from repro.errors import WireError
+from repro.kernels.c_backend import source_digest
 
 #: Protocol version spoken by this build; bumped on any frame or payload
 #: format break.  Negotiated by the HELLO handshake.
@@ -64,7 +71,7 @@ MAX_PAYLOAD_BYTES = 1 << 32
 # ---------------------------------------------------------------------
 # message types
 # ---------------------------------------------------------------------
-MSG_HELLO = 1  #: handshake: {"version": int}
+MSG_HELLO = 1  #: handshake: {"version": int, "kernels": sha256 hex}
 MSG_OK = 2  #: generic acknowledgement
 MSG_ERROR = 3  #: {"message": str} — remote failure, surfaced typed
 MSG_JOB = 4  #: session parameters + stream spec
@@ -320,10 +327,19 @@ class Connection:
 # ---------------------------------------------------------------------
 # handshake / version negotiation
 # ---------------------------------------------------------------------
+def _kernels_mismatch(conn: Connection, local: str, peer) -> WireError:
+    return WireError(
+        f"kernel source mismatch with {conn.label}: local {local}, "
+        f"peer {peer or 'none'}"
+    )
+
+
 def handshake_client(conn: Connection, version: int | None = None) -> int:
-    """Coordinator side: offer our version, verify the peer's answer."""
+    """Coordinator side: offer our version and kernel-source digest,
+    verify the peer's answer."""
     version = WIRE_VERSION if version is None else int(version)
-    conn.send(MSG_HELLO, {"version": version})
+    kernels = source_digest()
+    conn.send(MSG_HELLO, {"version": version, "kernels": kernels})
     msg_type, fields = conn.recv()
     if msg_type == MSG_ERROR:
         raise WireError(
@@ -341,12 +357,15 @@ def handshake_client(conn: Connection, version: int | None = None) -> int:
             f"wire protocol version mismatch with {conn.label}: "
             f"local {version}, peer {peer}"
         )
+    if fields.get("kernels") != kernels:
+        raise _kernels_mismatch(conn, kernels, fields.get("kernels"))
     return peer
 
 
 def handshake_server(conn: Connection, version: int | None = None) -> int:
     """Worker side: await the coordinator's HELLO, accept or reject."""
     version = WIRE_VERSION if version is None else int(version)
+    kernels = source_digest()
     msg_type, fields = conn.recv()
     if msg_type != MSG_HELLO:
         conn.send(
@@ -372,5 +391,17 @@ def handshake_server(conn: Connection, version: int | None = None) -> int:
             f"wire protocol version mismatch with {conn.label}: "
             f"local {version}, peer {peer}"
         )
-    conn.send(MSG_HELLO, {"version": version})
+    peer_kernels = fields.get("kernels")
+    if peer_kernels != kernels:
+        conn.send(
+            MSG_ERROR,
+            {
+                "message": (
+                    f"kernel source mismatch: coordinator built "
+                    f"{peer_kernels or 'none'}, worker built {kernels}"
+                )
+            },
+        )
+        raise _kernels_mismatch(conn, kernels, peer_kernels)
+    conn.send(MSG_HELLO, {"version": version, "kernels": kernels})
     return peer

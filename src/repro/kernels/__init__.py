@@ -18,10 +18,12 @@ as vectorized numpy array code, or as a compiled loop:
   hosts without a working C compiler.
 - ``c`` — the default wherever it builds (:mod:`repro.kernels.c_backend`):
   the per-edge loop of every stateful pass (both clustering bodies, the
-  pre-partition pass, both remaining passes, the HDRF baseline) compiled
-  from one C source by the host compiler and called through ``ctypes``,
-  one call per chunk; the stateless passes and the merge ops are numpy's.
-  See *Optional backends* below for what happens when it cannot build.
+  pre-partition pass, both remaining passes, the HDRF baseline), the
+  clustering and Phase-2 barrier merges and the cluster-mapping loop,
+  compiled from one C source by the host compiler and called through
+  ``ctypes``, one call per chunk or barrier; the stateless passes and
+  the degree merge are numpy's.  See *Optional backends* below for what
+  happens when it cannot build.
 
 Backend contract
 ----------------
@@ -65,13 +67,16 @@ hash / least-loaded fallback chain.
 The ``c`` backend needs none of this: its compiled loops decide every
 edge in stream order, cheaper per edge than numpy's batched kernels.
 
-Phase-1 merge ops (parallel barriers)
--------------------------------------
+Merge ops (parallel barriers) and the cluster mapping
+-----------------------------------------------------
 The sharded Phase 1 (``ParallelTwoPhase(parallel_phase1=True)``) runs the
 degree and clustering passes per shard window and folds worker results at
-barriers through two backend ops.  A new backend must reproduce both
-**bit for bit** (they decide cluster ids, and cluster ids feed every
-downstream pass):
+barriers through two backend ops; a sharded Phase 2 on the in-process
+or pool transport folds its worker views at barriers through a third,
+and every run maps clusters to partitions through a fourth.  The
+``python`` twins are the reference; a new backend must reproduce each
+**bit for bit** (the Phase-1 merges decide cluster ids, and cluster ids
+feed every downstream pass):
 
 - ``merge_phase1_degrees(partials, n_hint)`` — element-wise integer sum
   of per-shard partial degree vectors, grown to ``n_hint``.  The merge is
@@ -92,16 +97,33 @@ downstream pass):
   commutative**: reordering workers changes both the conflict winners and
   the fresh-id remap.  Every runner therefore merges in ascending worker
   index; a backend (or runner) that merges in any other order breaks the
-  ``ProcessRunner == SimulatedRunner`` contract.
+  ``ProcessRunner == SimulatedRunner`` contract.  Exports may have
+  arrived over sockets, so every backend rejects a cluster id outside
+  ``[-1, len(volumes_w))`` with the same
+  :class:`~repro.errors.PartitioningError`
+  (:func:`~repro.kernels.base.check_clustering_exports` in the
+  ``python`` and ``numpy`` twins, the compiled loop's own check in
+  ``c``).
 - ``clustering_load(v2c, volumes, degrees)`` — the inverse of
   ``clustering_export``: an independent backend-native state from
   exported arrays, used to hand each worker the stale snapshot before a
   window.  ``load(export(st))`` must round-trip exactly.
+- ``merge_phase2_deltas(state, views)`` — one Phase-2 delta barrier of
+  the in-process and pool transports: ORs every row some view's dirty
+  bitmap marks into the global state and every view, sums the views'
+  size deltas, clears the bitmaps and returns the rows merged.  The
+  reference is :func:`repro.partitioning.state.merge_replica_deltas`;
+  the row count feeds the ``barrier_bytes`` accounting, so it must
+  match too.
+- ``list_schedule(jobs, k)`` — the assignment loop of Graham's list
+  scheduling (:func:`repro.core.scheduling.graham_schedule`, which
+  sorts the cluster volumes first): each job goes to the least-loaded
+  partition, the lowest index on ties.
 
-``tests/test_kernels.py`` (``TestPhase1MergeOps``) pins the twins against
-each other on randomized barrier scenarios; the randomized differential
-harness (``tests/differential.py``) pins the full pipeline across
-runners, backends and seeds.
+``tests/test_kernels.py`` (``TestPhase1MergeOps``, ``TestPhase2MergeOp``,
+``TestListScheduleOp``) pins the twins against each other on randomized
+inputs; the randomized differential harness (``tests/differential.py``)
+pins the full pipeline across runners, backends and seeds.
 
 The distributed runner (``repro.core.distributed``) rides these exact
 ops over its wire protocol: workers ship ``clustering_export`` payloads
@@ -163,11 +185,15 @@ Writing a backend
 1. Subclass :class:`~repro.kernels.base.KernelBackend` (or an existing
    backend — ``NumpyBackend`` subclasses ``PythonBackend`` and overrides
    only the passes it vectorizes, ``CBackend`` subclasses
-   ``NumpyBackend`` and overrides only the stateful passes).
+   ``NumpyBackend`` and overrides the stateful passes, the clustering
+   and Phase-2 merges and the mapping loop).
 2. Override any subset of the pass methods: ``degree_pass``,
    ``clustering_true_pass``, ``clustering_partial_pass``,
    ``prepartition_pass``, ``remaining_pass_linear``,
-   ``remaining_pass_hdrf``, ``hdrf_baseline_pass``, ``stateless_pass``.
+   ``remaining_pass_hdrf``, ``hdrf_baseline_pass``, ``stateless_pass``;
+   and of the barrier and mapping ops: ``merge_phase1_degrees``,
+   ``merge_phase1_clustering``, ``merge_phase2_deltas``,
+   ``list_schedule``.
    Interpreted backends route order-sensitive decisions through the
    shared twins (``PythonBackend._fallback_partition`` for the
    hash/least-loaded chain, ``PythonBackend.hdrf_choose`` for the HDRF

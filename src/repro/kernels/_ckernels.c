@@ -1,11 +1,12 @@
 /*
- * Per-edge loops of the ``c`` kernel backend (see c_backend.py).
+ * Loops of the ``c`` kernel backend (see c_backend.py).
  *
- * Each function runs one stream chunk of one stateful pass and is a
- * transliteration of the ``python`` reference body: the same integer
- * comparisons, the same double expressions in the same association
- * order, the same first-index tie-breaks.  Bit-exactness with the
- * reference rests on three facts:
+ * Each pass function runs one stream chunk of one stateful pass; the
+ * barrier and mapping functions at the end run once per sync window or
+ * per run.  Each is a transliteration of the ``python`` reference body:
+ * the same integer comparisons, the same double expressions in the same
+ * association order, the same first-index tie-breaks.  Bit-exactness
+ * with the reference rests on three facts:
  *
  * - every count (degree, volume, size) is at most 2|E| < 2**53, so
  *   converting it to double is exact, and C's division of two exact
@@ -23,16 +24,18 @@
  * bit-packed one, so one loop serves both layouts.
  *
  * Memory safety: every index derived from the input (endpoint ids,
- * cluster ids read from v2c, partitions read from c2p) is checked against
- * the length of the array it indexes with one unsigned compare.  On a
- * miss the loop stops before touching the edge and returns its position
- * in the chunk; the caller turns that into a typed error.  Counters
- * accumulated so far are written back first.  A return of -1 means the
- * whole chunk ran.
+ * cluster ids read from v2c or from a worker's clustering export,
+ * partitions read from c2p) is checked against the length of the array
+ * it indexes with one unsigned compare.  On a miss the loop stops before
+ * touching the edge and returns its position in the chunk; the caller
+ * turns that into a typed error.  Counters accumulated so far are
+ * written back first.  A return of -1 means the whole chunk ran.  The
+ * caller checks array lengths and layouts before each call.
  */
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 #define DONE ((int64_t)-1)
 
@@ -475,4 +478,191 @@ int64_t hdrf_baseline(const int64_t *edges, int64_t n, int64_t *partial,
     }
     out[0] += i;
     return i < n ? i : DONE;
+}
+
+/* ------------------------------------------------------------------ */
+/* Barriers and the cluster mapping: once per sync window or per run  */
+/* ------------------------------------------------------------------ */
+
+/* dst |= src, and dst = src, over one replica row: 8 bytes at a time,
+ * then 4, then single bytes (fixed-size memcpy compiles to one load or
+ * store). */
+static inline void or_row(uint8_t *restrict dst, const uint8_t *restrict src,
+                          int64_t nb)
+{
+    int64_t j = 0;
+    for (; j + 8 <= nb; j += 8) {
+        uint64_t a, b;
+        memcpy(&a, dst + j, 8);
+        memcpy(&b, src + j, 8);
+        a |= b;
+        memcpy(dst + j, &a, 8);
+    }
+    if (j + 4 <= nb) {
+        uint32_t a, b;
+        memcpy(&a, dst + j, 4);
+        memcpy(&b, src + j, 4);
+        a |= b;
+        memcpy(dst + j, &a, 4);
+        j += 4;
+    }
+    for (; j < nb; j++)
+        dst[j] |= src[j];
+}
+
+static inline void copy_row(uint8_t *restrict dst,
+                            const uint8_t *restrict src, int64_t nb)
+{
+    int64_t j = 0;
+    for (; j + 8 <= nb; j += 8)
+        memcpy(dst + j, src + j, 8);
+    if (j + 4 <= nb) {
+        memcpy(dst + j, src + j, 4);
+        j += 4;
+    }
+    for (; j < nb; j++)
+        dst[j] = src[j];
+}
+
+/* Phase-2 delta barrier, the twin of state.merge_replica_deltas: every
+ * row some view marks dirty becomes the OR of the global row and every
+ * view's row, in the global plane and in every view; the bitmaps end
+ * clear.  Sizes become g + sum(view - g), in unsigned arithmetic so a
+ * wrap matches numpy's int64.  Clean rows are bit-identical everywhere,
+ * so skipping them is exact.  Returns the rows merged. */
+int64_t merge_deltas(uint8_t *plane, int64_t *sizes, int64_t n_rows,
+                     int64_t row_bytes, int64_t k, uint8_t *const *planes,
+                     uint8_t *const *dirty, int64_t *const *view_sizes,
+                     int64_t n_views)
+{
+    int64_t rows = 0;
+    int64_t idx[256];
+    for (int64_t r0 = 0; r0 < n_rows; r0 += 256) {
+        /* Gather the block's dirty rows without a branch per row: dirty
+         * rows are scattered, so a branch on each mispredicts often. */
+        int64_t r1 = r0 + 256 < n_rows ? r0 + 256 : n_rows;
+        int64_t m = 0;
+        for (int64_t r = r0; r < r1; r++) {
+            uint8_t d = 0;
+            for (int64_t w = 0; w < n_views; w++)
+                d |= dirty[w][r];
+            idx[m] = r;
+            m += d != 0;
+        }
+        rows += m;
+        for (int64_t i = 0; i < m; i++) {
+            /* A view may alias the global plane; the row helpers take
+             * restrict pointers, so such a view is skipped. */
+            uint8_t *g = plane + idx[i] * row_bytes;
+            for (int64_t w = 0; w < n_views; w++) {
+                const uint8_t *v = planes[w] + idx[i] * row_bytes;
+                if (v != g)
+                    or_row(g, v, row_bytes);
+            }
+            for (int64_t w = 0; w < n_views; w++) {
+                uint8_t *v = planes[w] + idx[i] * row_bytes;
+                if (v != g)
+                    copy_row(v, g, row_bytes);
+            }
+        }
+    }
+    for (int64_t w = 0; w < n_views; w++)
+        memset(dirty[w], 0, (size_t)n_rows);
+    for (int64_t p = 0; p < k; p++) {
+        uint64_t g = (uint64_t)sizes[p];
+        uint64_t merged = g;
+        for (int64_t w = 0; w < n_views; w++)
+            merged += (uint64_t)view_sizes[w][p] - g;
+        sizes[p] = (int64_t)merged;
+        for (int64_t w = 0; w < n_views; w++)
+            view_sizes[w][p] = (int64_t)merged;
+    }
+    return rows;
+}
+
+/* Phase-1 clustering barrier, the twin of
+ * PythonBackend.merge_phase1_clustering: the ordered first-worker-wins
+ * fold of the exports against the snapshot, fresh ids remapped to one
+ * sequence in worker order, then volumes recomputed as the sum of
+ * member true degrees.  Worker w's ids lie in [-1, n_ids[w]); the
+ * snapshot's merged ids in [0, n_vol).  merged holds n slots, claimed n
+ * zeroed bytes, vol n_vol zeroed slots.  On an id outside its range the
+ * fold stops and returns the vertex, with *bad set to the worker (-1
+ * for the snapshot). */
+int64_t merge_clustering(const int64_t *snapshot, int64_t n, int64_t base,
+                         const int64_t *const *exports, const int64_t *n_ids,
+                         int64_t n_workers, const int64_t *deg,
+                         int64_t *merged, uint8_t *claimed, int64_t *vol,
+                         int64_t n_vol, int64_t *bad)
+{
+    memcpy(merged, snapshot, (size_t)n * sizeof(int64_t));
+    int64_t offset = base;
+    for (int64_t w = 0; w < n_workers; w++) {
+        const int64_t *v2c = exports[w];
+        int64_t shift = offset - base;
+        for (int64_t i = 0; i < n; i++) {
+            int64_t c = v2c[i];
+            if (c == snapshot[i])
+                continue;
+            if ((uint64_t)c + 1 > (uint64_t)n_ids[w]) {
+                *bad = w;
+                return i;
+            }
+            if (claimed[i])
+                continue;
+            merged[i] = c >= base ? c + shift : c;
+            claimed[i] = 1;
+        }
+        offset += n_ids[w] - base;
+    }
+    for (int64_t i = 0; i < n; i++) {
+        int64_t c = merged[i];
+        if (c < 0)
+            continue;
+        if ((uint64_t)c >= (uint64_t)n_vol) {
+            *bad = -1;
+            return i;
+        }
+        vol[c] += deg[i];
+    }
+    return DONE;
+}
+
+/* (load, partition) order of the mapping heap; the keys are distinct. */
+static inline int lighter(const int64_t *loads, int64_t a, int64_t b)
+{
+    return loads[a] < loads[b] || (loads[a] == loads[b] && a < b);
+}
+
+/* Graham's list scheduling, the twin of PythonBackend.list_schedule:
+ * job j, in the given order, goes to the partition of least load,
+ * lowest index on ties.  heap holds k partition ids as a binary heap
+ * under (load, partition); since no two keys are equal, its minimum is
+ * the one heapq pops. */
+int64_t list_schedule(const int64_t *jobs, int64_t n, int64_t k,
+                      int64_t *heap, int64_t *loads, int64_t *parts)
+{
+    for (int64_t p = 0; p < k; p++) {
+        heap[p] = p;
+        loads[p] = 0;
+    }
+    for (int64_t j = 0; j < n; j++) {
+        int64_t p = heap[0];
+        parts[j] = p;
+        loads[p] += jobs[j];
+        int64_t i = 0;
+        for (;;) {
+            int64_t c = 2 * i + 1;
+            if (c >= k)
+                break;
+            if (c + 1 < k && lighter(loads, heap[c + 1], heap[c]))
+                c++;
+            if (!lighter(loads, heap[c], p))
+                break;
+            heap[i] = heap[c];
+            i = c;
+        }
+        heap[i] = p;
+    }
+    return DONE;
 }

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.errors import StreamError
+from repro.errors import PartitioningError, StreamError
 from repro.metrics.runtime import CostCounter
 from repro.partitioning.state import PartitionState
 
@@ -33,6 +33,40 @@ def check_vertex_ids(chunk: np.ndarray, n: int, pos: int) -> None:
             f"edge {pos + row} has vertex id {int(chunk[row].max())}, "
             f"outside the {n} vertices of the pass state"
         )
+
+
+def check_clustering_exports(n: int, base: int, worker_states) -> list:
+    """The ``(v2c_w, n_ids)`` pairs of one clustering barrier's worker
+    exports (``v2c_w`` as int64, ``n_ids = len(volumes_w)``), after
+    checking each against the snapshot it started from.
+
+    Each export must hold ``n`` vertices and at least ``base`` clusters,
+    and every cluster id in it must lie in ``[-1, len(volumes_w))``.  The
+    distributed coordinator folds exports that arrived over sockets, so
+    the python and numpy merges call this and raise, on a miss, the same
+    :class:`~repro.errors.PartitioningError` the ``c`` merge raises from
+    its loop, instead of an ``IndexError`` or a volume vector grown past
+    the merged ids.
+    """
+    exports = []
+    for w, (v2c_w, vol_w) in enumerate(worker_states):
+        v2c_w = np.asarray(v2c_w, dtype=np.int64)
+        n_ids = int(len(vol_w))
+        if v2c_w.shape != (n,) or n_ids < base:
+            raise PartitioningError(
+                f"worker {w}'s clustering export holds {v2c_w.shape[0]} "
+                f"vertices and {n_ids} clusters; the barrier needs {n} "
+                f"vertices and at least {base} clusters"
+            )
+        outside = (v2c_w < -1) | (v2c_w >= n_ids)
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise PartitioningError(
+                f"worker {w}'s clustering export puts vertex {i} in "
+                f"cluster {int(v2c_w[i])}, outside its {n_ids} cluster ids"
+            )
+        exports.append((v2c_w, n_ids))
+    return exports
 
 
 class Int64Buffer:
@@ -264,6 +298,34 @@ class KernelBackend(ABC):
         Returns the merged ``(v2c, volumes)``.  See the package docstring
         for why this fold is associative over the ordered worker sequence
         but not commutative.
+        """
+
+    # ------------------------------------------------------------------
+    # Phase-2 barrier and the cluster mapping
+    # ------------------------------------------------------------------
+    @abstractmethod
+    def merge_phase2_deltas(self, state: PartitionState, views) -> int:
+        """One Phase-2 delta barrier: merge the worker ``views`` into the
+        global ``state`` and refresh every view.
+
+        The result must equal
+        :func:`repro.partitioning.state.merge_replica_deltas` byte for
+        byte: every row some view's dirty bitmap marks becomes the OR of
+        the global row and every view's row, in the global state and in
+        every view; the sizes become ``g + sum(view - g)`` everywhere;
+        the bitmaps end clear.  Returns the number of rows merged.  Each
+        view has the global state's shape and packing and tracks dirt.
+        """
+
+    @abstractmethod
+    def list_schedule(self, jobs, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Graham's list scheduling of ``jobs`` (int64 sizes, in the
+        order given) onto ``k`` partitions.
+
+        Each job goes to the partition of least load, the lowest index
+        on ties.  Returns ``(parts, loads)``: ``parts[j]`` is job ``j``'s
+        partition and ``loads[p]`` the summed sizes on ``p``, both int64.
+        See :mod:`repro.core.scheduling` for the sort around it.
         """
 
     # ------------------------------------------------------------------

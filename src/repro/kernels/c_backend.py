@@ -5,9 +5,12 @@ Phase-1 clustering bodies, the pre-partition pass with its hash /
 least-loaded fallback, the 2PS-L and 2PS-HDRF remaining passes, and the
 classic HDRF baseline.  :class:`CBackend` makes one foreign call per
 stream chunk; the loop itself skips the edges a pass does not own (the
-pre-partitioned ones), so nothing is sub-batched in numpy.  The degree
-pass, the stateless passes and the Phase-1 merge ops are the inherited
-numpy versions.
+pre-partitioned ones), so nothing is sub-batched in numpy.  It also
+holds the loops that run once per barrier or per run: the Phase-1
+clustering merge, the Phase-2 delta barrier (on the raw replica plane,
+so dense and packed state share it) and the assignment loop of the
+cluster mapping.  The degree pass, the stateless passes and the degree
+merge are the inherited numpy versions.
 
 Bit-exactness with the ``python`` reference is argued in the C source:
 the same double expressions in the same association order, exact
@@ -20,9 +23,14 @@ Memory safety.  The loops check every index they derive from the input
 (endpoint ids, cluster ids read from ``v2c``, partitions read from
 ``c2p``) against the length of the array it indexes; on a miss they stop
 and report the edge, which :class:`CBackend` raises as
-:class:`~repro.errors.StreamError`.  The arrays a loop writes are checked
-once per pass (dtype, C-contiguity, writability) and never copied, so a
-write can never land in a silent copy.
+:class:`~repro.errors.StreamError`.  The clustering merge checks every
+cluster id it takes from a worker export against that worker's id range
+(the distributed coordinator folds exports that arrived over sockets)
+and raises :class:`~repro.errors.PartitioningError` on a miss.  The
+arrays a loop writes are checked once per call (dtype, C-contiguity,
+writability and shape; for the barrier, that every view's plane matches
+the global plane's shape and packing) and never copied, so a write can
+never land in a silent copy.
 
 Build, cache, load.  The host compiler (``$CC`` split like a shell
 command, else ``cc`` on ``PATH``) builds the source once with
@@ -88,6 +96,9 @@ _SIGNATURES = {
         _P, _I, _P, _P, _I, _P, _I, *_PLANE, _P, _I, _I, _D, _D, _P, _P, _P,
     ),
     "hdrf_baseline": (_P, _I, _P, _I, *_PLANE, _P, _I, _I, _D, _D, _P, _P, _P),
+    "merge_deltas": (_P, _P, _I, _I, _I, _P, _P, _P, _I),
+    "merge_clustering": (_P, _I, _I, _P, _P, _I, _P, _P, _P, _P, _I, _P),
+    "list_schedule": (_P, _I, _I, _P, _P, _P),
 }
 
 #: The loaded library (set by :func:`load`).
@@ -128,6 +139,12 @@ def cache_dir() -> str:
     os.makedirs(path, mode=0o700, exist_ok=True)
     _check_private(path)
     return path
+
+
+def source_digest() -> str:
+    """sha256 of the kernel source, which the distributed HELLO carries:
+    workers built from another source would diverge silently."""
+    return sha256(SOURCE.read_bytes()).hexdigest()
 
 
 def library_path(compiler: list[str]) -> str:
@@ -243,6 +260,12 @@ def _sizes(state, k: int) -> np.ndarray:
     return sizes
 
 
+def _addresses(arrays) -> np.ndarray:
+    """The data pointers of ``arrays`` as a C array of pointers; the
+    caller keeps ``arrays`` alive across the call."""
+    return np.array([a.ctypes.data for a in arrays], dtype=np.uintp)
+
+
 def _index_error(edge, pos, n_vert, v2c=None, n_clusters=0, c2p=None, k=0):
     """The typed error for a loop's miss on ``edge`` (stream position
     ``pos``): an endpoint id, a cluster id in ``v2c`` or a partition in
@@ -265,7 +288,8 @@ def _index_error(edge, pos, n_vert, v2c=None, n_clusters=0, c2p=None, k=0):
 
 
 class CBackend(NumpyBackend):
-    """Compiled per-edge loops (see the module docstring).
+    """Compiled per-edge, barrier and mapping loops (see the module
+    docstring).
 
     Phase-1 state is held in arrays (an int64 ``v2c``, an
     :class:`~repro.kernels.base.Int64Buffer` of volumes, int64 degrees),
@@ -332,6 +356,103 @@ class CBackend(NumpyBackend):
 
     def clustering_partial_pass(self, stream, st, cap, cost) -> None:
         self._clustering_pass(stream, st, cap, cost, partial=True)
+
+    def merge_phase1_clustering(self, v2c, volumes, worker_states, degrees):
+        snapshot = _ints(v2c)
+        n = snapshot.shape[0]
+        base = int(len(volumes))
+        deg = _ints(degrees)
+        if deg.shape[0] < n:
+            raise PartitioningError(
+                f"{deg.shape[0]} degrees for a clustering of {n} vertices"
+            )
+        exports, n_ids = [], []
+        for w, (v2c_w, vol_w) in enumerate(worker_states):
+            v2c_w = _ints(v2c_w)
+            if v2c_w.shape != (n,) or len(vol_w) < base:
+                raise PartitioningError(
+                    f"worker {w}'s clustering export holds {v2c_w.shape[0]} "
+                    f"vertices and {len(vol_w)} clusters; the barrier "
+                    f"needs {n} vertices and at least {base} clusters"
+                )
+            exports.append(v2c_w)
+            n_ids.append(int(len(vol_w)))
+        n_vol = base + sum(n_w - base for n_w in n_ids)
+        pointers = _addresses(exports)
+        counts = np.array(n_ids, dtype=np.int64)
+        merged = np.empty(n, dtype=np.int64)
+        claimed = np.zeros(n, dtype=np.uint8)
+        vol = np.zeros(n_vol, dtype=np.int64)
+        bad = np.zeros(1, dtype=np.int64)
+        miss = _LIB.merge_clustering(
+            snapshot.ctypes.data, n, base, pointers.ctypes.data,
+            counts.ctypes.data, len(exports), deg.ctypes.data,
+            merged.ctypes.data, claimed.ctypes.data, vol.ctypes.data, n_vol,
+            bad.ctypes.data,
+        )
+        if miss >= 0:
+            w = int(bad[0])
+            if w < 0:
+                raise PartitioningError(
+                    f"vertex {miss}: snapshot cluster id "
+                    f"{int(snapshot[miss])} is outside the {n_vol} merged "
+                    "clusters"
+                )
+            raise PartitioningError(
+                f"worker {w}'s clustering export puts vertex {miss} in "
+                f"cluster {int(exports[w][miss])}, outside its "
+                f"{n_ids[w]} cluster ids"
+            )
+        return merged, vol
+
+    # ------------------------------------------------------------------
+    # Phase-2 barrier and the cluster mapping
+    # ------------------------------------------------------------------
+    def merge_phase2_deltas(self, state, views) -> int:
+        k = int(state.k)
+        n, plane = _plane(state, k)
+        layout = _replica_storage(state.replicas).dtype
+        sizes = _sizes(state, k)
+        planes, bitmaps, view_sizes = [], [], []
+        for view in views:
+            raw = _output(
+                _replica_storage(view.replicas), layout, "a view's replica plane"
+            )
+            if raw.shape != (n, plane[1]):
+                raise PartitioningError(
+                    f"a view's replica plane of shape {raw.shape} does not "
+                    f"match the global plane's {(n, plane[1])}"
+                )
+            bitmap = _output(view.dirty, np.bool_, "a view's dirty bitmap")
+            if bitmap.shape != (n,):
+                raise PartitioningError(
+                    f"a dirty bitmap of {bitmap.shape[0]} rows for a "
+                    f"plane of {n}"
+                )
+            planes.append(raw)
+            bitmaps.append(bitmap)
+            view_sizes.append(_sizes(view, k))
+        pointers = [_addresses(a) for a in (planes, bitmaps, view_sizes)]
+        return int(
+            _LIB.merge_deltas(
+                plane[0], sizes.ctypes.data, n, plane[1], k,
+                *(p.ctypes.data for p in pointers), len(views),
+            )
+        )
+
+    def list_schedule(self, jobs, k):
+        k = int(k)
+        if k < 1:
+            raise PartitioningError(f"k must be >= 1, got {k}")
+        jobs = _ints(jobs)
+        parts = np.empty(jobs.shape[0], dtype=np.int64)
+        loads = np.empty(k, dtype=np.int64)
+        heap = np.empty(k, dtype=np.int64)
+        _LIB.list_schedule(
+            jobs.ctypes.data, jobs.shape[0], k, heap.ctypes.data,
+            loads.ctypes.data, parts.ctypes.data,
+        )
+        return parts, loads
 
     # ------------------------------------------------------------------
     # Phase 2 and the HDRF baseline: one call per chunk

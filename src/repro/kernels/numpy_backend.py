@@ -43,7 +43,11 @@ from bisect import insort
 
 import numpy as np
 
-from repro.kernels.base import TwoPhaseContext, check_vertex_ids
+from repro.kernels.base import (
+    TwoPhaseContext,
+    check_clustering_exports,
+    check_vertex_ids,
+)
 from repro.kernels.python_backend import PythonBackend
 from repro.partitioning.state import _replica_storage
 
@@ -127,11 +131,11 @@ class NumpyBackend(PythonBackend):
     def merge_phase1_clustering(self, v2c, volumes, worker_states, degrees):
         base = int(len(volumes))
         snapshot = np.asarray(v2c, dtype=np.int64)
+        exports = check_clustering_exports(snapshot.shape[0], base, worker_states)
         merged = snapshot.copy()
         claimed = np.zeros(merged.shape[0], dtype=bool)
         offset = base
-        for v2c_w, vol_w in worker_states:
-            v2c_w = np.asarray(v2c_w, dtype=np.int64)
+        for v2c_w, n_ids in exports:
             changed = (v2c_w != snapshot) & ~claimed
             if changed.any():
                 vals = v2c_w[changed]
@@ -139,7 +143,7 @@ class NumpyBackend(PythonBackend):
                     vals = np.where(vals >= base, vals + (offset - base), vals)
                 merged[changed] = vals
                 claimed |= changed
-            offset += int(len(vol_w)) - base
+            offset += n_ids - base
         assigned = merged >= 0
         # Integer-exact despite the float weights: true degrees and their
         # partial sums stay far below 2**53.

@@ -9,16 +9,19 @@ equivalence against it — keep this code boring and obviously correct.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from repro.kernels.base import (
     ClusteringState,
     KernelBackend,
     TwoPhaseContext,
+    check_clustering_exports,
     check_vertex_ids,
 )
 from repro.partitioning.hashutil import splitmix64_int
-from repro.partitioning.state import LeastLoadedTracker
+from repro.partitioning.state import LeastLoadedTracker, merge_replica_deltas
 
 
 class PythonBackend(KernelBackend):
@@ -91,17 +94,17 @@ class PythonBackend(KernelBackend):
     def merge_phase1_clustering(self, v2c, volumes, worker_states, degrees):
         base = len(volumes)
         snapshot = np.asarray(v2c, dtype=np.int64).tolist()
+        exports = check_clustering_exports(len(snapshot), base, worker_states)
         merged = list(snapshot)
         claimed = [False] * len(merged)
         offset = base
-        for v2c_w, vol_w in worker_states:
+        for v2c_w, n_ids in exports:
             shift = offset - base
-            wl = np.asarray(v2c_w, dtype=np.int64).tolist()
-            for i, c in enumerate(wl):
+            for i, c in enumerate(v2c_w.tolist()):
                 if c != snapshot[i] and not claimed[i]:
                     merged[i] = c + shift if c >= base else c
                     claimed[i] = True
-            offset += len(vol_w) - base
+            offset += n_ids - base
         vol = [0] * offset
         degl = np.asarray(degrees, dtype=np.int64).tolist()
         for i, c in enumerate(merged):
@@ -111,6 +114,24 @@ class PythonBackend(KernelBackend):
             np.asarray(merged, dtype=np.int64),
             np.asarray(vol, dtype=np.int64),
         )
+
+    # ------------------------------------------------------------------
+    # Phase-2 barrier and the cluster mapping (reference twins)
+    # ------------------------------------------------------------------
+    def merge_phase2_deltas(self, state, views) -> int:
+        return merge_replica_deltas(state, views)
+
+    def list_schedule(self, jobs, k):
+        heap = [(0, p) for p in range(k)]
+        parts = []
+        for job in np.asarray(jobs, dtype=np.int64).tolist():
+            load, p = heap[0]
+            heapq.heapreplace(heap, (load + job, p))
+            parts.append(p)
+        loads = np.zeros(k, dtype=np.int64)
+        for load, p in heap:
+            loads[p] = load
+        return np.asarray(parts, dtype=np.int64), loads
 
     @staticmethod
     def true_degree_edges(v2c, vol, deg, pairs, cap) -> int:

@@ -32,6 +32,7 @@ from repro.graph.generators import (
     star_graph,
     two_cluster_toy_graph,
 )
+from repro.partitioning.state import _replica_storage
 
 #: One factory per partitioner, used by the cross-cutting contract tests.
 ALL_PARTITIONER_FACTORIES = {
@@ -51,6 +52,15 @@ ALL_PARTITIONER_FACTORIES = {
     "HEP-1": lambda: HEP(tau=1.0),
     "HEP-100": lambda: HEP(tau=100.0),
 }
+
+
+def state_bytes(state) -> tuple[bytes, bytes, bytes]:
+    """Replica plane, sizes and dirty bitmap of a partition state as
+    bytes: everything a barrier writes, for byte-for-byte comparisons."""
+    dirty = b"" if state.dirty is None else state.dirty.tobytes()
+    plane = _replica_storage(state.replicas).tobytes()
+    return plane, state.sizes.tobytes(), dirty
+
 
 #: Subset that enforces the hard balance cap (stateless hashing cannot).
 CAP_ENFORCING = {

@@ -40,6 +40,7 @@ from repro.kernels.base import TwoPhaseContext
 from repro.metrics.runtime import CostCounter
 from repro.partitioning.state import PartitionState
 from repro.streaming import InMemoryEdgeStream
+from tests.conftest import state_bytes
 
 #: The ``src`` directory this package was imported from.
 SRC = os.path.dirname(os.path.dirname(os.path.dirname(kernels.__file__)))
@@ -324,6 +325,87 @@ class TestCMemorySafety:
         stream = InMemoryEdgeStream(np.array([[0, 1]]))
         with pytest.raises(PartitioningError, match="assignments"):
             get_backend(c_registered).prepartition_pass(stream, ctx)
+
+    # -- the Phase-2 barrier: every input is checked before any write --
+    @staticmethod
+    def _barrier(packed=False, n=12, k=10):
+        """A global state and two dirty views, each with written rows."""
+        state = PartitionState(n, k, 40, packed=packed)
+        state.replicas[np.arange(n), np.arange(n) % k] = True
+        views = []
+        for w in range(2):
+            view = PartitionState(n, k, 40, packed=packed, track_dirty=True)
+            view.replicas[np.arange(n), (np.arange(n) + w + 1) % k] = True
+            view.dirty[w::2] = True
+            view.sizes[:] = w + 1
+            views.append(view)
+        return state, views
+
+    def _assert_barrier_rejects(self, c_registered, state, views, match):
+        from repro.errors import PartitioningError
+
+        before = [state_bytes(s) for s in (state, *views)]
+        with pytest.raises(PartitioningError, match=match):
+            get_backend(c_registered).merge_phase2_deltas(state, views)
+        assert [state_bytes(s) for s in (state, *views)] == before
+
+    def test_barrier_rejects_view_plane_of_wrong_shape(self, c_registered):
+        state, views = self._barrier()
+        views[1].replicas = np.zeros((11, 10), dtype=bool)
+        self._assert_barrier_rejects(
+            c_registered, state, views, "does not match the global plane"
+        )
+
+    def test_barrier_rejects_view_of_other_packing(self, c_registered):
+        state, views = self._barrier(packed=True)
+        views[1] = PartitionState(12, 10, 40, track_dirty=True)
+        views[1].dirty[:] = True
+        self._assert_barrier_rejects(
+            c_registered, state, views, "replica plane must be a writable"
+        )
+
+    def test_barrier_rejects_read_only_plane(self, c_registered):
+        state, views = self._barrier()
+        views[0].replicas.flags.writeable = False
+        self._assert_barrier_rejects(
+            c_registered, state, views, "replica plane must be a writable"
+        )
+        state, views = self._barrier()
+        state.replicas.flags.writeable = False
+        self._assert_barrier_rejects(
+            c_registered, state, views, "replica plane must be a writable"
+        )
+
+    def test_barrier_rejects_non_contiguous_plane(self, c_registered):
+        state, views = self._barrier()
+        wide = np.zeros((12, 20), dtype=bool)
+        wide[:, :10] = views[1].replicas
+        views[1].replicas = wide[:, :10]
+        self._assert_barrier_rejects(
+            c_registered, state, views, "replica plane must be a writable"
+        )
+
+    def test_barrier_rejects_bitmap_of_wrong_length(self, c_registered):
+        state, views = self._barrier()
+        views[1].dirty = np.ones(11, dtype=bool)
+        self._assert_barrier_rejects(
+            c_registered, state, views, "dirty bitmap of 11 rows"
+        )
+
+    def test_barrier_rejects_sizes_of_wrong_length(self, c_registered):
+        state, views = self._barrier()
+        views[1].sizes = np.zeros(11, dtype=np.int64)
+        self._assert_barrier_rejects(
+            c_registered, state, views, "11 partition sizes for k=10"
+        )
+
+    def test_list_schedule_rejects_k_below_one(self, c_registered):
+        from repro.errors import PartitioningError
+
+        with pytest.raises(PartitioningError, match="k must be >= 1"):
+            get_backend(c_registered).list_schedule(
+                np.array([3, 2], dtype=np.int64), 0
+            )
 
 
 class TestCLifecycle:

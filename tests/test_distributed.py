@@ -4,14 +4,14 @@ Three layers, mirroring the implementation split:
 
 - :mod:`repro.core.wire` in isolation — typed payload round-trips,
   framing over real socket pairs, CRC/magic/truncation rejection, and
-  the HELLO version negotiation;
+  the HELLO version and kernel-source negotiation;
 - :mod:`repro.core.distributed` end-to-end — loopback and ``host:port``
   bootstrap both pinned full-state bit-exact against the simulated
   runner (the deeper seeded matrix lives in ``tests/differential.py``);
 - failure injection — worker crash mid-window, socket disconnect during
   a delta barrier, a stalled reply tripping ``recv_timeout``, and a
-  version-mismatch handshake must each surface as a typed
-  :class:`~repro.errors.PartitioningError` with no leaked socket,
+  version- or kernel-source-mismatch handshake must each surface as a
+  typed :class:`~repro.errors.PartitioningError` with no leaked socket,
   worker process, or shared-memory segment.
 
 Fault injection works by monkeypatching the module-level
@@ -43,6 +43,7 @@ from repro.core.distributed import (
 )
 from repro.core.runners import live_shared_segments, make_runner
 from repro.errors import ConfigurationError, PartitioningError, WireError
+from repro.kernels import c_backend
 from repro.graph.generators import chung_lu_graph
 from repro.streaming import FileEdgeStream
 from repro.streaming.writer import EdgeListWriter
@@ -230,6 +231,48 @@ class TestHandshake:
         with pytest.raises(WireError, match="version mismatch"):
             self._run(server_version=wire.WIRE_VERSION + 1)
         assert self.server_exc and "mismatch" in str(self.server_exc[0])
+
+    @pytest.mark.parametrize("other", ["0" * 64, None], ids=["other", "absent"])
+    def test_kernel_digest_mismatch_raises_both_sides(self, other):
+        """A peer built from another kernel source, or before the digest
+        existed (it sends none), is rejected by worker and coordinator
+        alike, and both errors name both digests."""
+        local = c_backend.source_digest()
+        named = other or "none"
+        hello = {"version": wire.WIRE_VERSION}
+        if other is not None:
+            hello["kernels"] = other
+        # Worker side: the coordinator's HELLO carries the other digest.
+        left, right = _pair()
+        try:
+            left.send(wire.MSG_HELLO, hello)
+            with pytest.raises(WireError, match="kernel source mismatch") as exc:
+                wire.handshake_server(right)
+            assert local in str(exc.value) and named in str(exc.value)
+            msg_type, fields = left.recv()
+            assert msg_type == wire.MSG_ERROR
+            assert local in fields["message"] and named in fields["message"]
+        finally:
+            left.close()
+            right.close()
+        # Coordinator side: the worker answers with the other digest.
+        left, right = _pair()
+
+        def other_worker():
+            right.recv()
+            right.send(wire.MSG_HELLO, hello)
+
+        thread = threading.Thread(target=other_worker)
+        thread.start()
+        try:
+            with pytest.raises(WireError, match="kernel source mismatch") as exc:
+                wire.handshake_client(left)
+            assert local in str(exc.value) and named in str(exc.value)
+        finally:
+            thread.join(timeout=5)
+            left.close()
+            right.close()
+        assert not thread.is_alive()
 
     def test_non_hello_opener_rejected(self):
         left, right = _pair()
@@ -538,3 +581,28 @@ class TestVersionMismatchHandshake:
         thread_a.join(timeout=10)
         thread_b.join(timeout=10)
         _assert_clean()
+
+
+class TestKernelDigestHandshake:
+    @needs_fork
+    def test_worker_built_from_other_source_is_typed_error(
+        self, monkeypatch
+    ):
+        """Loopback workers whose kernel-source digest differs refuse
+        the session; the coordinator raises, nothing leaks."""
+        real = wire.handshake_server
+        # Registered so teardown restores it, should a worker ever run
+        # in this process rather than in a forked child.
+        monkeypatch.setattr(wire, "source_digest", wire.source_digest)
+
+        def other_source(conn, version=None):
+            wire.source_digest = lambda: "f" * 64
+            return real(conn, version=version)
+
+        monkeypatch.setattr(wire, "handshake_server", other_source)
+        with pytest.raises(PartitioningError, match="kernel source") as exc:
+            _partition(DistributedRunner(start_method="fork"), _graph())
+        assert "f" * 64 in str(exc.value)
+        assert c_backend.source_digest() in str(exc.value)
+        _assert_clean()
+        assert not multiprocessing.active_children()

@@ -31,6 +31,7 @@ from repro.metrics.runtime import CostCounter
 from repro.partitioning import LeastLoadedTracker, PartitionArtifacts
 from repro.partitioning.state import PartitionState
 from repro.streaming import DEFAULT_CHUNK_SIZE, InMemoryEdgeStream
+from tests.conftest import state_bytes
 
 #: Every non-reference backend is pinned to the reference here.
 VECTOR_BACKENDS = [n for n in available_backends() if n != "python"]
@@ -700,6 +701,43 @@ class TestPhase1MergeOps:
             assert v2c.tolist() == [1, 1, 2]
             assert vol.tolist() == [0, 6, 3, 0]
 
+    @staticmethod
+    def _clustering_barrier():
+        """A 4-vertex snapshot with 2 clusters and two workers' exports
+        with one fresh cluster each: each worker owns ids [-1, 3), and
+        the merged range is [0, 4)."""
+        v2c = np.array([0, 1, -1, -1], dtype=np.int64)
+        volumes = np.array([4, 2], dtype=np.int64)
+        degrees = np.array([4, 2, 3, 1], dtype=np.int64)
+        exports = [
+            (np.array([1, 1, 2, -1]), np.array([0, 6, 3])),
+            (np.array([0, 1, 0, 2]), np.array([7, 2, 1])),
+        ]
+        return v2c, volumes, exports, degrees
+
+    @pytest.mark.parametrize("kernels", BACKEND_IMPLS, ids=lambda b: b.name)
+    def test_clustering_merge_rejects_short_worker_v2c(self, kernels):
+        v2c, volumes, exports, degrees = self._clustering_barrier()
+        exports[1] = (exports[1][0][:3], exports[1][1])
+        with pytest.raises(PartitioningError, match="worker 1's clustering"):
+            kernels.merge_phase1_clustering(v2c, volumes, exports, degrees)
+
+    @pytest.mark.parametrize("bad_id", [3, 10**12, -2])
+    @pytest.mark.parametrize("kernels", BACKEND_IMPLS, ids=lambda b: b.name)
+    def test_clustering_merge_rejects_id_beyond_range(self, kernels, bad_id):
+        """An id outside worker 1's range [-1, 3) is the same typed error
+        on every backend (the distributed coordinator folds exports that
+        arrived over sockets): 3 would remap to 4, past the merged
+        volumes, and -2 would pass for neither a cluster nor unassigned.
+        The inputs stay as they were."""
+        v2c, volumes, exports, degrees = self._clustering_barrier()
+        exports[1][0][3] = bad_id
+        before = [a.copy() for a in (v2c, volumes, degrees, exports[0][0])]
+        with pytest.raises(PartitioningError, match=f"vertex 3 in cluster {bad_id}"):
+            kernels.merge_phase1_clustering(v2c, volumes, exports, degrees)
+        after = (v2c, volumes, degrees, exports[0][0])
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
+
     @SLOW
     @given(
         n_hint=st.integers(min_value=0, max_value=40),
@@ -740,3 +778,156 @@ class TestPhase1MergeOps:
         loaded2 = kernels.clustering_load(v2c, vol, deg)
         loaded2.v2c[0] = 10**6
         assert v2c[0] != 10**6
+
+    def test_c_cases_run_the_c_override(self):
+        """The ``[c]`` cases above exercise the compiled merge, not the
+        numpy one ``CBackend`` would otherwise inherit."""
+        if "c" not in available_backends():
+            pytest.skip("c backend unavailable")
+        from repro.kernels.c_backend import CBackend
+
+        assert any(type(b) is CBackend for b in BACKEND_IMPLS)
+        ops = ("merge_phase1_clustering", "merge_phase2_deltas", "list_schedule")
+        for op in ops:
+            assert op in vars(CBackend), op
+
+
+def _copy_state(state):
+    """An independent deep copy of a (possibly dirty-tracking) state."""
+    from repro.partitioning.state import _replica_storage
+
+    out = PartitionState(
+        state.n_vertices,
+        state.k,
+        state.n_edges,
+        state.alpha,
+        track_dirty=state.dirty is not None,
+        packed=state.packed,
+    )
+    _replica_storage(out.replicas)[:] = _replica_storage(state.replicas)
+    out.sizes[:] = state.sizes
+    if state.dirty is not None:
+        out.dirty[:] = state.dirty
+    return out
+
+
+class TestPhase2MergeOp:
+    """``merge_phase2_deltas`` on every backend against the reference
+    :func:`~repro.partitioning.state.merge_replica_deltas`: global plane,
+    every view, sizes, cleared bitmaps and the returned row count are
+    byte-identical, dense and packed."""
+
+    @staticmethod
+    def _scenario(rng, k, packed, n_views):
+        """Random global bits, views that start as its copies and then
+        gain random bits in random rows; dirty marks cover part of the
+        written rows (and some unwritten ones), so clean rows may differ
+        from the global state, which the merge must leave alone.  View
+        sizes run stale and past the cap."""
+        n = int(rng.integers(1, 90))
+        state = PartitionState(n, k, 4 * n, packed=packed)
+        cells = rng.random((n, k)) < 0.2
+        rows, cols = np.nonzero(cells)
+        state.replicas[rows, cols] = True
+        state.sizes[:] = rng.integers(0, 50, size=k)
+        views = []
+        for _ in range(n_views):
+            view = _copy_state(state)
+            view.dirty = np.zeros(n, dtype=bool)
+            m = int(rng.integers(0, 3 * n))
+            us = rng.integers(0, n, size=m)
+            ps = rng.integers(0, k, size=m)
+            view.replicas[us, ps] = True
+            marked = us[rng.random(m) < 0.8]
+            view.dirty[marked] = True
+            view.dirty[rng.integers(0, n, size=2)] = True
+            view.sizes[:] = state.sizes + rng.integers(0, 3 * n, size=k)
+            views.append(view)
+        return state, views
+
+    @pytest.mark.parametrize("packed", [False, True], ids=["dense", "packed"])
+    @pytest.mark.parametrize("k", [2, 7, 32, 70])
+    @pytest.mark.parametrize("kernels", BACKEND_IMPLS, ids=lambda b: b.name)
+    def test_matches_merge_replica_deltas(self, kernels, k, packed):
+        from repro.partitioning.state import merge_replica_deltas
+
+        rng = np.random.default_rng(1000 * k + packed)
+        for n_views in (1, 2, 3, 4, 5):
+            state, views = self._scenario(rng, k, packed, n_views)
+            ref_state = _copy_state(state)
+            ref_views = [_copy_state(v) for v in views]
+            expect_rows = merge_replica_deltas(ref_state, ref_views)
+            rows = kernels.merge_phase2_deltas(state, views)
+            assert rows == expect_rows
+            assert state_bytes(state) == state_bytes(ref_state)
+            for view, ref in zip(views, ref_views):
+                assert state_bytes(view) == state_bytes(ref)
+                assert not view.dirty.any()
+
+
+def _heapq_schedule(volumes, k):
+    """Graham's sorted list scheduling as a plain pop/push ``heapq``
+    loop: the form every backend's ``list_schedule`` must reproduce."""
+    import heapq
+
+    volumes = np.asarray(volumes, dtype=np.int64)
+    c2p = np.zeros(volumes.shape[0], dtype=np.int64)
+    loads = np.zeros(k, dtype=np.int64)
+    nonzero = np.flatnonzero(volumes > 0)
+    order = nonzero[np.argsort(-volumes[nonzero], kind="stable")]
+    heap = [(0, p) for p in range(k)]
+    for c in order.tolist():
+        load, p = heapq.heappop(heap)
+        c2p[c] = p
+        loads[p] = load + int(volumes[c])
+        heapq.heappush(heap, (int(loads[p]), p))
+    return c2p, loads, 2 * len(order)
+
+
+class TestListScheduleOp:
+    """The mapping loop on every backend against a pop/push ``heapq``
+    loop: ``c2p``, ``loads`` and ``heap_operations`` identical, with
+    ties, zero volumes and ``k`` beyond the cluster count."""
+
+    @SLOW
+    @given(
+        volumes=st.lists(
+            st.one_of(st.integers(0, 4), st.integers(0, 10**6)),
+            max_size=400,
+        ),
+        k=st.one_of(st.integers(1, 8), st.integers(1, 300)),
+    )
+    def test_backends_match_heapq(self, volumes, k):
+        from repro.core.scheduling import graham_schedule
+
+        c2p, loads, ops = _heapq_schedule(volumes, k)
+        for kernels in BACKEND_IMPLS:
+            cost = CostCounter()
+            got_c2p, got_loads = graham_schedule(
+                volumes, k, cost=cost, backend=kernels.name
+            )
+            np.testing.assert_array_equal(got_c2p, c2p, err_msg=kernels.name)
+            np.testing.assert_array_equal(
+                got_loads, loads, err_msg=kernels.name
+            )
+            assert cost.heap_operations == ops, kernels.name
+
+    @pytest.mark.parametrize("kernels", BACKEND_IMPLS, ids=lambda b: b.name)
+    def test_ties_zeros_and_wide_k(self, kernels):
+        from repro.core.scheduling import graham_schedule
+
+        rng = np.random.default_rng(5)
+        cases = [
+            (np.array([4, 4, 4, 4, 4, 0, 4]), 3),
+            (np.zeros(6, dtype=np.int64), 4),
+            (np.array([3, 1, 2]), 300),
+            (rng.integers(0, 3, size=2000), 300),
+            (rng.integers(0, 10**6, size=20000), 256),
+        ]
+        for volumes, k in cases:
+            c2p, loads, ops = _heapq_schedule(volumes, k)
+            cost = CostCounter()
+            got = graham_schedule(volumes, k, cost=cost, backend=kernels.name)
+            np.testing.assert_array_equal(got[0], c2p)
+            np.testing.assert_array_equal(got[1], loads)
+            assert cost.heap_operations == ops
