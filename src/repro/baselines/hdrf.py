@@ -39,7 +39,8 @@ from repro.partitioning.base import EdgePartitioner, PartitionResult
 from repro.partitioning.state import PartitionState
 from repro.kernels.base import TwoPhaseContext
 
-_EMPTY = np.zeros(0, dtype=np.int64)
+_EMPTY_PART = np.zeros(0, dtype=np.int32)
+_EMPTY_WEIGHTS = np.zeros((0, 2), dtype=np.int64)
 
 
 class HDRF(EdgePartitioner):
@@ -83,14 +84,12 @@ class HDRF(EdgePartitioner):
         m = stream.n_edges
         state = PartitionState(n, k, m, alpha)
         assignments = np.empty(m, dtype=np.int32)
-        # The baseline needs no clustering inputs; empty read-only arrays
+        # The baseline needs no Phase-1 inputs; empty read-only arrays
         # satisfy the context shape.
         ctx = TwoPhaseContext(
             k=k,
-            v2c=_EMPTY,
-            c2p=_EMPTY,
-            volumes=_EMPTY,
-            degrees=_EMPTY,
+            part=_EMPTY_PART,
+            weights=_EMPTY_WEIGHTS,
             state=state,
             assignments=assignments,
             hash_seed=0,

@@ -196,9 +196,9 @@ def _w_bind(ctx, payload):
         track_dirty=True,
         packed=bool(payload["packed"]),
     )
-    ctx["phase1"] = tuple(
-        np.asarray(payload[name], dtype=np.int64)
-        for name in ("v2c", "c2p", "volumes", "degrees")
+    ctx["phase1"] = (
+        np.asarray(payload["part"], dtype=np.int32),
+        np.asarray(payload["weights"], dtype=np.int64),
     )
     return wire.MSG_OK, None
 
@@ -620,10 +620,8 @@ class _SocketTransport(Transport):
             {
                 "n_vertices": int(job.state.n_vertices),
                 "packed": bool(job.state.packed),
-                "v2c": job.v2c,
-                "c2p": job.c2p,
-                "volumes": job.volumes,
-                "degrees": job.degrees,
+                "part": job.part,
+                "weights": job.weights,
             },
             wire.MSG_OK,
             "phase-2 bind",

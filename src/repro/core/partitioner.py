@@ -47,6 +47,7 @@ from repro.core.runners import RunnerSession, SerialRunner, ShardedJob
 from repro.core.scheduling import graham_schedule
 from repro.errors import ConfigurationError
 from repro.kernels import get_backend
+from repro.kernels.base import phase2_inputs
 from repro.metrics.memory import measured_state_bytes
 from repro.metrics.runtime import CostCounter, PhaseTimer
 from repro.partitioning.base import (
@@ -246,10 +247,10 @@ class TwoPhasePartitioner(EdgePartitioner):
                 volume_cap_factor=self.volume_cap_factor,
                 timer=timer,
             )
-            job.v2c = clustering.v2c
-            job.c2p = c2p
-            job.volumes = clustering.volumes
-            job.degrees = clustering.degrees
+            # Phase 2 reads two per-vertex arrays, derived once per run.
+            job.part, job.weights = phase2_inputs(
+                clustering.v2c, c2p, clustering.volumes, clustering.degrees, k
+            )
             job.state = PartitionState(n, k, m, alpha, packed=self.packed_state)
             job.assignments = np.full(m, -1, dtype=np.int32)
             session.bind_phase2()
@@ -285,7 +286,7 @@ class TwoPhasePartitioner(EdgePartitioner):
             cost=cost,
             state_bytes=measured_state_bytes(
                 job.state, clustering.v2c, clustering.volumes,
-                clustering.degrees, c2p, loads,
+                clustering.degrees, c2p, loads, job.part, job.weights,
             )
             + worker_bytes,
             extras={

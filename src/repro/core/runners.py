@@ -91,15 +91,17 @@ so the saving is measurable end to end (``BENCH_parallel.json``).
 Shared-memory lifecycle
 -----------------------
 A process session owns every segment it creates (worker state views, the
-Phase-1 clustering scratch, the read-only Phase-1 arrays, the assignment
+Phase-1 clustering scratch, the read-only Phase-2 inputs, the assignment
 array, and — for non-file streams — the edge array).  Session *open* ships
 only a picklable stream spec and scalars to the pool, so it is O(1) in
-``|V|``; the Phase-1 arrays travel through one shared segment that workers
-attach lazily on first use.  Segments are unlinked in ``close()``;
-``close()`` is idempotent and runs on both success and error paths, so a
-crashed or timed-out worker cannot leak segments past the session
-(verified by the cleanup tests; :func:`live_shared_segments` exposes the
-owned set).  Workers only ever *attach* and never unlink.
+``|V|``; the Phase-2 inputs (``part`` and ``weights``, 20 bytes per
+vertex; see :func:`~repro.kernels.base.phase2_inputs`) travel through one
+shared segment that workers attach lazily on first use.  Segments are
+unlinked in ``close()``; ``close()`` is idempotent and runs on both
+success and error paths, so a crashed or timed-out worker cannot leak
+segments past the session (verified by the cleanup tests;
+:func:`live_shared_segments` exposes the owned set).  Workers only ever
+*attach* and never unlink.
 """
 
 from __future__ import annotations
@@ -204,8 +206,9 @@ class ShardedJob:
     Built by the 2PS-L pipeline before Phase 1 and handed to
     ``Runner.open``; the sharded front-end sets ``n_workers`` and
     ``sync_interval`` (the sequential one keeps a single shard).  The
-    Phase-1 product fields (``v2c`` .. ``degrees``) and the Phase-2
-    outputs (``state``, ``assignments``) are filled in before
+    Phase-2 inputs (``part`` and ``weights``, see
+    :func:`~repro.kernels.base.phase2_inputs`) and the Phase-2 outputs
+    (``state``, ``assignments``) are filled in before
     :meth:`RunnerSession.bind_phase2`.  ``cost`` accumulates over the
     whole run.
 
@@ -226,10 +229,8 @@ class ShardedJob:
     cost: CostCounter
     n_workers: int = 1
     sync_interval: int | None = None
-    v2c: np.ndarray | None = None
-    c2p: np.ndarray | None = None
-    volumes: np.ndarray | None = None
-    degrees: np.ndarray | None = None
+    part: np.ndarray | None = None
+    weights: np.ndarray | None = None
     state: PartitionState | None = None
     assignments: np.ndarray | None = None
 
@@ -308,21 +309,18 @@ def run_phase2_window(
     Runs pass ``step`` of ``kernels`` over ``stream``'s ``[start, stop)``
     window against the state ``view``, marking the window's endpoint rows
     dirty when the view tracks dirt.  ``phase1`` is the read-only
-    ``(v2c, c2p, volumes, degrees)`` tuple; ``assignments`` is the
-    window's slice.  Returns the pass total and the window's cost-counter
-    delta.
+    ``(part, weights)`` pair; ``assignments`` is the window's slice.
+    Returns the pass total and the window's cost-counter delta.
     """
     window = _window_stream(stream, start, stop)
     if view.dirty is not None:
         window = _DirtyMarkingStream(window, view)
-    v2c, c2p, volumes, degrees = phase1
+    part, weights = phase1
     cost = CostCounter()
     ctx = TwoPhaseContext(
         k=k,
-        v2c=v2c,
-        c2p=c2p,
-        volumes=volumes,
-        degrees=degrees,
+        part=part,
+        weights=weights,
         state=view,
         assignments=assignments,
         hash_seed=hash_seed,
@@ -490,7 +488,7 @@ class RunnerSession:
     # ------------------------------------------------------------------
     def bind_phase2(self) -> None:
         """Allocate Phase-2 execution state once the job carries the
-        Phase-1 arrays, the global state and the assignment array."""
+        Phase-2 inputs, the global state and the assignment array."""
         self.transport.bind_phase2(self.lone)
 
     def run_pass(self, pass_name: str) -> tuple[int, int]:
@@ -580,7 +578,7 @@ class _InlineTransport(Transport):
                 start,
                 stop,
                 self.views[w],
-                (job.v2c, job.c2p, job.volumes, job.degrees),
+                (job.part, job.weights),
                 job.assignments[start:stop],
                 k=job.k,
                 hash_seed=job.hash_seed,
@@ -729,7 +727,7 @@ class _WorkerPayload:
     """Once-per-process initialization shipped to every pool worker.
 
     Deliberately tiny — a stream spec plus scalars — so opening a session
-    is O(1) in ``|V|``; the Phase-1 arrays and every state view are
+    is O(1) in ``|V|``; the Phase-2 inputs and every state view are
     attached lazily from shared segments named in the task tuples.
     """
 
@@ -789,14 +787,14 @@ def _attach_cluster(ref) -> dict:
 
 
 def _attach_phase2(ref) -> dict:
-    """Map the Phase-2 segments (assignments, views, Phase-1 arrays)."""
+    """Map the Phase-2 segments (assignments, views, Phase-2 inputs)."""
     cached = _WORKER.get("phase2")
     if cached is not None and cached["ref"] == ref:
         return cached
     from multiprocessing import shared_memory
 
     payload = _WORKER["payload"]
-    assign_name, state_names, phase1_name, n, n_clusters, packed = ref
+    assign_name, state_names, phase1_name, n, packed = ref
     assign_shm = shared_memory.SharedMemory(name=assign_name, create=False)
     assignments = np.ndarray(
         payload.n_edges, dtype=np.int32, buffer=assign_shm.buf
@@ -816,10 +814,7 @@ def _attach_phase2(ref) -> dict:
         "assignments": assignments,
         "views": views,
         "p1_shm": p1_shm,
-        "v2c": arena(n, np.int64),
-        "c2p": arena(n_clusters, np.int64),
-        "volumes": arena(n_clusters, np.int64),
-        "degrees": arena(n, np.int64),
+        "phase1": (arena(n, np.int32), arena((n, 2), np.int64)),
     }
     _WORKER["phase2"] = cached
     return cached
@@ -889,7 +884,7 @@ def _worker_phase2_window(task):
         start,
         stop,
         phase2["views"][worker_index],
-        tuple(phase2[name] for name in ("v2c", "c2p", "volumes", "degrees")),
+        phase2["phase1"],
         phase2["assignments"][start:stop],
         k=payload.k,
         hash_seed=payload.hash_seed,
@@ -1092,23 +1087,21 @@ class _PoolTransport(Transport):
             )
             self.views.append(view)
             _LIVE_SEGMENTS.add(view.shm_name)
-        # The read-only Phase-1 arrays travel through ONE shared segment
-        # (the SharedArrayStreamSpec pattern): workers attach it lazily,
-        # so nothing O(|V|) is ever pickled per worker or per task.
+        # The read-only Phase-2 inputs (int32 part, int64 weights rows:
+        # 20 bytes per vertex) travel through ONE shared segment (the
+        # SharedArrayStreamSpec pattern): workers attach it lazily, so
+        # nothing O(|V|) is ever pickled per worker or per task.
         n = int(job.state.n_vertices)
-        n_clusters = int(job.c2p.shape[0])
-        self._phase1_shm = self._create_segment(8 * (2 * n + 2 * n_clusters))
+        part_bytes = -(-4 * n // 8) * 8  # the weights rows align to 8 bytes
+        self._phase1_shm = self._create_segment(part_bytes + 16 * n)
         arena = _BufferArena(self._phase1_shm.buf)
-        arena(n, np.int64)[:] = job.v2c
-        arena(n_clusters, np.int64)[:] = job.c2p
-        arena(n_clusters, np.int64)[:] = job.volumes
-        arena(n, np.int64)[:] = job.degrees
+        arena(n, np.int32)[:] = job.part
+        arena((n, 2), np.int64)[:] = job.weights
         self._phase2_ref = (
             self._assign_shm.name,
             tuple(view.shm_name for view in self.views),
             self._phase1_shm.name,
             n,
-            n_clusters,
             bool(job.state.packed),
         )
 

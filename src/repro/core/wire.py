@@ -18,9 +18,9 @@ Frame layout (network byte order)::
 
 ``magic`` is ``b"2PSW"`` (2PS-L Wire).  ``crc32`` covers the payload
 bytes only; header corruption is caught by the magic check.  ``flags``
-and ``reserved`` are zero in :data:`WIRE_VERSION` 1 and ignored on
-receipt, so they are available to future versions without a frame-format
-break.
+and ``reserved`` are zero in every :data:`WIRE_VERSION` so far and
+ignored on receipt, so they are available to future versions without a
+frame-format break.
 
 Payloads are flat key/value mappings encoded field-by-field with a type
 tag per value: ``None``, bool, int (signed 64-bit), float (IEEE 754
@@ -56,8 +56,9 @@ from repro.errors import WireError
 from repro.kernels.c_backend import source_digest
 
 #: Protocol version spoken by this build; bumped on any frame or payload
-#: format break.  Negotiated by the HELLO handshake.
-WIRE_VERSION = 1
+#: format break (2: the Phase-2 bind ships ``part`` and ``weights``).
+#: Negotiated by the HELLO handshake.
+WIRE_VERSION = 2
 
 MAGIC = b"2PSW"
 
@@ -81,7 +82,7 @@ MSG_PHASE1_INIT = 7  #: {"degrees", "cap", "single"}
 MSG_CLUSTER = 8  #: clustering window (+ merged v2c/volumes when sharded)
 MSG_CLUSTER_RESULT = 9  #: {"cost"} (+ "v2c"/"volumes" export when sharded)
 MSG_CLUSTER_FINISH = 10  #: drain the single-worker live clustering state
-MSG_BIND = 11  #: Phase-2 bind: phase-1 arrays + state geometry
+MSG_BIND = 11  #: Phase-2 bind: {"part", "weights"} + state geometry
 MSG_WINDOW = 12  #: Phase-2 sync window {"pass", "start", "stop"}
 MSG_WINDOW_RESULT = 13  #: assignments + dirty replica-row delta
 MSG_BARRIER = 14  #: merged refresh {"rows", "rows_data", "sizes"}

@@ -10,7 +10,7 @@ as vectorized numpy array code, or as a compiled loop:
 - ``python`` — the reference backend.  Pure per-edge Python loops with the
   exact control flow of the paper's pseudocode.  It is the semantic ground
   truth that every other backend is property-tested against.
-- ``numpy`` — chunk-vectorized kernels: per-chunk ``np.bincount`` for
+- ``numpy`` — chunk-vectorized kernels: per-chunk ``np.add.at`` for
   degrees, gather/mask/scatter for the pre-partition pass, vectorized
   splitmix64 for the stateless baselines, and conflict-free
   sub-batching for the stateful 2PS-L scoring pass (see below).
@@ -66,6 +66,40 @@ hash / least-loaded fallback chain.
 
 The ``c`` backend needs none of this: its compiled loops decide every
 edge in stream order, cheaper per edge than numpy's batched kernels.
+
+Phase-2 inputs
+--------------
+The three Phase-2 passes (pre-partitioning and both remaining passes)
+read the Phase-1 product through two per-vertex arrays in
+:class:`~repro.kernels.base.TwoPhaseContext`, and nothing else of it:
+
+- ``part``: int32 ``(n,)``, the partition of each vertex's cluster, or
+  -1 for a vertex Phase 1 never clustered;
+- ``weights``: int64 ``(n, 2)``, each vertex's degree and the volume of
+  its cluster (0 when unclustered).
+
+:func:`~repro.kernels.base.phase2_inputs` derives both from ``v2c``,
+``c2p``, the cluster volumes and the degrees, once per run right after
+the cluster mapping, and checks those arrays once (every cluster id in
+``[-1, len(c2p))``, every partition in ``[0, k)``, agreeing lengths, a
+positive degree for every clustered vertex); a miss is a
+:class:`~repro.errors.PartitioningError`.  Every runner ships the two
+arrays as they are: the pool's shared segment holds 20 bytes per
+vertex, the socket transport sends them in its bind message.
+
+Reading them, a pass gathers one partition id and one ``weights`` row
+per endpoint.  The skip test ``part[u] == part[v]`` is Algorithm 2's
+``c(u) = c(v) or c2p(c(u)) = c2p(c(v))``, since ``c2p`` is a function;
+the pre-partition pass assigns those edges, the remaining passes the
+others.  The 2PS-L score reads ``weights[u, 1]`` where the paper reads
+the volume of ``u``'s cluster, the fallback hash and HDRF's theta read
+degrees from ``weights[:, 0]``.  An edge a pass would assign whose
+endpoint's ``part`` lies outside ``[0, k)`` (-1 when a stream yields,
+in Phase 2, a vertex its Phase-1 passes never saw) raises
+:func:`~repro.kernels.base.partition_error`, a
+:class:`~repro.errors.StreamError`, on every backend; a sharded runner
+wraps it, as any failed window, in its one
+:class:`~repro.errors.PartitioningError`.
 
 Merge ops (parallel barriers) and the cluster mapping
 -----------------------------------------------------
@@ -201,11 +235,16 @@ Writing a backend
    loops cannot call back into Python, so they transliterate the twins
    expression for expression, in the same association order, built
    without fused multiply-add (see ``_ckernels.c``).
-3. Check bounds where state is sized up front: a pass whose arrays come
-   from ``n_vertices`` (the HDRF baseline, clustering) rejects a larger
-   vertex id with :class:`~repro.errors.StreamError` — the interpreted
-   passes per chunk through :func:`~repro.kernels.base.check_vertex_ids`,
-   the compiled loops per index.
+3. Read Phase 2's inputs from ``ctx.part`` and ``ctx.weights`` only
+   (see *Phase-2 inputs*), and check bounds where state is sized up
+   front: a pass whose arrays come from ``n_vertices`` (the HDRF
+   baseline, clustering) or from ``part`` (the Phase-2 passes) rejects a
+   larger vertex id with :class:`~repro.errors.StreamError` — the
+   interpreted passes per chunk through
+   :func:`~repro.kernels.base.check_vertex_ids`, the compiled loops per
+   index — and a Phase-2 pass raises
+   :func:`~repro.kernels.base.partition_error` for an edge it would
+   assign whose endpoint's ``part`` lies outside ``[0, k)``.
 4. Register it: ``register_backend("mine", MyBackend)``.  The name
    becomes valid everywhere a ``backend=`` parameter or the CLI
    ``--backend`` flag is accepted.

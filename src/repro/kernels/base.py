@@ -69,6 +69,80 @@ def check_clustering_exports(n: int, base: int, worker_states) -> list:
     return exports
 
 
+def phase2_inputs(v2c, c2p, volumes, degrees, k: int):
+    """The read-only Phase-2 input of every backend: ``(part, weights)``.
+
+    ``part[x]`` (int32) is the partition of vertex ``x``'s cluster,
+    ``c2p[v2c[x]]``, or -1 for a vertex Phase 1 never clustered;
+    ``weights[x]`` (int64 ``(n, 2)``) is ``(degrees[x],
+    volumes[v2c[x]])``, with volume 0 for an unclustered vertex.  The
+    passes then gather one partition id and one weights row per
+    endpoint.  Their skip test ``part[u] == part[v]`` is Algorithm 2's
+    ``c(u) = c(v) or c2p(c(u)) = c2p(c(v))``, since ``c2p`` is a
+    function.
+
+    Built once per run, after the cluster mapping.  Everything is
+    checked here, once, raising :class:`~repro.errors.PartitioningError`:
+    the lengths agree, every ``v2c`` entry lies in ``[-1, len(c2p))``,
+    every ``c2p`` entry in ``[0, k)``, and every clustered vertex has a
+    positive degree (the degree pass counted every edge the clustering
+    saw).  So an edge a pass scores has both degrees at least 1.
+    """
+    v2c = np.asarray(v2c, dtype=np.int64)
+    c2p = np.asarray(c2p, dtype=np.int64)
+    volumes = np.asarray(volumes, dtype=np.int64)
+    degrees = np.asarray(degrees, dtype=np.int64)
+    n, n_clusters = v2c.shape[0], c2p.shape[0]
+    if degrees.shape != (n,) or volumes.shape != (n_clusters,):
+        raise PartitioningError(
+            f"Phase-1 arrays disagree: {n} cluster ids and "
+            f"{degrees.shape[0]} degrees, {n_clusters} cluster partitions "
+            f"and {volumes.shape[0]} volumes"
+        )
+    if n and (int(v2c.min()) < -1 or int(v2c.max()) >= n_clusters):
+        x = int(np.argmax((v2c < -1) | (v2c >= n_clusters)))
+        raise PartitioningError(
+            f"vertex {x} is in cluster {int(v2c[x])}, outside the "
+            f"{n_clusters} clusters of the mapping"
+        )
+    if n_clusters and (int(c2p.min()) < 0 or int(c2p.max()) >= k):
+        c = int(np.argmax((c2p < 0) | (c2p >= k)))
+        raise PartitioningError(
+            f"cluster {c} maps to partition {int(c2p[c])}, outside [0, {k})"
+        )
+    # One trailing sentinel slot: v2c == -1 indexes it (part -1, volume 0).
+    part_of = np.empty(n_clusters + 1, dtype=np.int32)
+    part_of[:-1] = c2p
+    part_of[-1] = -1
+    volume_of = np.empty(n_clusters + 1, dtype=np.int64)
+    volume_of[:-1] = volumes
+    volume_of[-1] = 0
+    part = part_of[v2c]
+    uncounted = (part >= 0) & (degrees <= 0)
+    if uncounted.any():
+        x = int(np.argmax(uncounted))
+        raise PartitioningError(
+            f"vertex {x} is in cluster {int(v2c[x])} but has degree "
+            f"{int(degrees[x])}: the degree pass never counted it"
+        )
+    weights = np.empty((n, 2), dtype=np.int64)
+    weights[:, 0] = degrees
+    weights[:, 1] = volume_of[v2c]
+    return part, weights
+
+
+def partition_error(pos: int, u: int, v: int, pu: int, pv: int, k: int):
+    """The :class:`~repro.errors.StreamError` for edge ``pos`` = ``(u,
+    v)``, which a Phase-2 pass would assign, when the ``part`` of an
+    endpoint (``pu`` or ``pv``) lies outside ``[0, k)``: every backend
+    raises this one error for such an edge."""
+    x, p = (u, pu) if not 0 <= pu < k else (v, pv)
+    why = " (Phase 1 never clustered it)" if p == -1 else ""
+    return StreamError(
+        f"edge {pos}: vertex {x} maps to partition {p}, outside [0, {k}){why}"
+    )
+
+
 class Int64Buffer:
     """Growable int64 array of Phase-1 cluster volumes (``c`` state).
 
@@ -148,16 +222,16 @@ class ClusteringState:
 class TwoPhaseContext:
     """Shared read/write state of the 2PS-L Phase-2 streaming passes.
 
-    ``v2c``/``c2p``/``volumes``/``degrees`` are read-only int64 arrays in
-    these passes; ``state`` (replica bits + sizes + hard cap),
-    ``assignments`` and ``cost`` are mutated in place.
+    ``part`` (int32, one entry per vertex: the partition of its cluster,
+    or -1) and ``weights`` (int64 ``(n, 2)``: each vertex's degree and
+    its cluster's volume) are the read-only Phase-1 product, built once
+    per run by :func:`phase2_inputs`; ``state`` (replica bits + sizes +
+    hard cap), ``assignments`` and ``cost`` are mutated in place.
     """
 
     k: int
-    v2c: np.ndarray
-    c2p: np.ndarray
-    volumes: np.ndarray
-    degrees: np.ndarray
+    part: np.ndarray
+    weights: np.ndarray
     state: PartitionState
     assignments: np.ndarray
     hash_seed: int
@@ -331,6 +405,13 @@ class KernelBackend(ABC):
     # ------------------------------------------------------------------
     # Phase 2: 2PS-L partitioning passes
     # ------------------------------------------------------------------
+    #
+    # The three passes read ``ctx.part`` and ``ctx.weights`` only.  The
+    # pre-partition pass assigns the edges with ``part[u] == part[v]``,
+    # the remaining passes the others; an edge a pass would assign whose
+    # endpoint's ``part`` lies outside ``[0, k)`` raises
+    # :func:`partition_error`, and an id at or beyond the pass state
+    # :func:`check_vertex_ids`'s error, on every backend.
     @abstractmethod
     def prepartition_pass(self, stream, ctx: TwoPhaseContext) -> int:
         """Algorithm 2 lines 16-26; returns the number of edges assigned."""
@@ -357,8 +438,8 @@ class KernelBackend(ABC):
         are decision-independent, so a batched backend may reconstruct the
         per-edge partial degrees ahead of the decisions.
 
-        ``ctx.v2c``/``c2p``/``volumes``/``degrees`` are unused (pass empty
-        arrays); ``ctx.state``, ``ctx.assignments`` and ``ctx.cost`` are
+        ``ctx.part``/``ctx.weights`` are unused (pass empty arrays);
+        ``ctx.state``, ``ctx.assignments`` and ``ctx.cost`` are
         mutated in place (``edges_streamed += |E|`` and
         ``score_evaluations += k * |E|``, preserving the baseline's
         O(|E| * k) operation count).  Returns the final int64 partial-

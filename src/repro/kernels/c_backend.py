@@ -12,25 +12,38 @@ so dense and packed state share it) and the assignment loop of the
 cluster mapping.  The degree pass, the stateless passes and the degree
 merge are the inherited numpy versions.
 
+The three Phase-2 loops read only the two per-vertex arrays of the
+contract, ``part`` (int32) and ``weights`` (int64 ``(n, 2)`` rows of
+degree and cluster volume), built once per run by
+:func:`~repro.kernels.base.phase2_inputs`: an endpoint costs one gather
+into each, and the loops prefetch the rows of the edge a fixed distance
+ahead.  Both arrays are checked once per call for dtype, shape and
+C-contiguity and never copied.
+
 Bit-exactness with the ``python`` reference is argued in the C source:
 the same double expressions in the same association order, exact
 int64-to-double conversions, no fused multiply-add, first-index
-tie-breaks.  Both HDRF loops score all k partitions, so unlike numpy's
-scalar engine they have no balance-weight range outside which they hand
-over to the reference.
+tie-breaks, and replication terms added without a branch only where the
+product form is exact.  Both HDRF loops score all k partitions, so unlike
+numpy's scalar engine they have no balance-weight range outside which
+they hand over to the reference.
 
 Memory safety.  The loops check every index they derive from the input
-(endpoint ids, cluster ids read from ``v2c``, partitions read from
-``c2p``) against the length of the array it indexes; on a miss they stop
-and report the edge, which :class:`CBackend` raises as
-:class:`~repro.errors.StreamError`.  The clustering merge checks every
-cluster id it takes from a worker export against that worker's id range
-(the distributed coordinator folds exports that arrived over sockets)
-and raises :class:`~repro.errors.PartitioningError` on a miss.  The
-arrays a loop writes are checked once per call (dtype, C-contiguity,
-writability and shape; for the barrier, that every view's plane matches
-the global plane's shape and packing) and never copied, so a write can
-never land in a silent copy.
+(endpoint ids, cluster ids read from the clustering's ``v2c``,
+partitions read from ``part``) against the length of the array it
+indexes; on a miss they stop and report the edge, which
+:class:`CBackend` raises as :class:`~repro.errors.StreamError` (for an
+endpoint whose ``part`` lies outside ``[0, k)``, the same
+:func:`~repro.kernels.base.partition_error` the other backends raise).
+A prefetch goes only to ids that passed the check, of an edge inside the
+chunk.  The clustering merge checks every cluster id it takes from a
+worker export against that worker's id range (the distributed
+coordinator folds exports that arrived over sockets) and raises
+:class:`~repro.errors.PartitioningError` on a miss.  The arrays a loop
+writes are checked once per call (dtype, C-contiguity, writability and
+shape; for the barrier, that every view's plane matches the global
+plane's shape and packing) and never copied, so a write can never land
+in a silent copy.
 
 Build, cache, load.  The host compiler (``$CC`` split like a shell
 command, else ``cc`` on ``PATH``) builds the source once with
@@ -66,7 +79,12 @@ except ImportError:
 import numpy as np
 
 from repro.errors import PartitioningError, StreamError
-from repro.kernels.base import ClusteringState, Int64Buffer, check_vertex_ids
+from repro.kernels.base import (
+    ClusteringState,
+    Int64Buffer,
+    check_vertex_ids,
+    partition_error,
+)
 from repro.kernels.numpy_backend import NumpyBackend
 from repro.partitioning.state import _replica_storage
 
@@ -85,15 +103,13 @@ _PLANE = (_P, _I, _I, _I)
 _SIGNATURES = {
     "cluster_pass": (_P, _I, _I, _P, _P, _I, _P, _I, _D, _P),
     "prepartition": (
-        _P, _I, _P, _P, _I, _P, _I, *_PLANE, _P, _I, _I, ctypes.c_uint64,
-        _P, _P,
+        _P, _I, _P, _P, _I, *_PLANE, _P, _I, _I, ctypes.c_uint64, _P, _P,
     ),
     "remaining_linear": (
-        _P, _I, _P, _P, _I, _P, _P, _I, *_PLANE, _P, _I, _I,
-        ctypes.c_uint64, _P, _P,
+        _P, _I, _P, _P, _I, *_PLANE, _P, _I, _I, ctypes.c_uint64, _P, _P,
     ),
     "remaining_hdrf": (
-        _P, _I, _P, _P, _I, _P, _I, *_PLANE, _P, _I, _I, _D, _D, _P, _P, _P,
+        _P, _I, _P, _P, _I, *_PLANE, _P, _I, _I, _D, _D, _P, _P, _P,
     ),
     "hdrf_baseline": (_P, _I, _P, _I, *_PLANE, _P, _I, _I, _D, _D, _P, _P, _P),
     "merge_deltas": (_P, _P, _I, _I, _I, _P, _P, _P, _I),
@@ -238,6 +254,21 @@ def _ints(arr) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.int64)
 
 
+def _input(arr, dtype, shape, what: str) -> np.ndarray:
+    """``arr`` itself, if a loop may read it in place (never copied)."""
+    if not (
+        isinstance(arr, np.ndarray)
+        and arr.dtype == dtype
+        and arr.shape == shape
+        and arr.flags.c_contiguous
+    ):
+        raise PartitioningError(
+            f"{what} must be a C-contiguous {np.dtype(dtype).name} array "
+            f"of shape {shape} for the c backend"
+        )
+    return arr
+
+
 def _plane(state, k: int) -> tuple[int, tuple]:
     """``(rows, (address, row_bytes, shift, low_mask))`` of the replica
     plane; see ``numpy_backend._replica_plane``."""
@@ -266,24 +297,14 @@ def _addresses(arrays) -> np.ndarray:
     return np.array([a.ctypes.data for a in arrays], dtype=np.uintp)
 
 
-def _index_error(edge, pos, n_vert, v2c=None, n_clusters=0, c2p=None, k=0):
+def _index_error(edge, pos, n_vert, part=None, k=0):
     """The typed error for a loop's miss on ``edge`` (stream position
-    ``pos``): an endpoint id, a cluster id in ``v2c`` or a partition in
-    ``c2p`` outside the array it indexes."""
+    ``pos``): an endpoint id outside the pass state, or an endpoint whose
+    ``part`` lies outside ``[0, k)``."""
     check_vertex_ids(edge.reshape(1, 2), n_vert, pos)
-    if v2c is not None:
-        for x in edge.tolist():
-            c = int(v2c[x])
-            if not 0 <= c < n_clusters:
-                return StreamError(
-                    f"edge {pos}: vertex {x} is in cluster {c}, outside "
-                    f"the {n_clusters} clusters of the pass state"
-                )
-            if not 0 <= int(c2p[c]) < k:
-                return StreamError(
-                    f"edge {pos}: cluster {c} maps to partition "
-                    f"{int(c2p[c])}, outside [0, {k})"
-                )
+    if part is not None:
+        u, v = edge.tolist()
+        return partition_error(pos, u, v, int(part[u]), int(part[v]), k)
     return StreamError(f"edge {pos} indexes outside the pass state")
 
 
@@ -484,33 +505,25 @@ class CBackend(NumpyBackend):
                     raise diagnose(edges[miss], idx + miss)
             idx += c
 
-    def _run_phase2(self, stream, ctx, fn, extra, volumes=None):
-        """One Phase-2 pass: the arrays every Phase-2 loop reads, then
-        ``extra`` loop arguments; returns the loop's counters."""
+    def _run_phase2(self, stream, ctx, fn, extra):
+        """One Phase-2 pass: ``part``, ``weights`` and the state every
+        Phase-2 loop reads, then ``extra`` loop arguments; returns the
+        loop's counters."""
         k = ctx.k
         rows, plane = _plane(ctx.state, k)
-        v2c = _ints(ctx.v2c)
-        deg = _ints(ctx.degrees)
-        c2p = _ints(ctx.c2p)
-        n_vert = min(v2c.shape[0], deg.shape[0], rows)
-        n_clusters = c2p.shape[0]
-        cluster_arrays = (c2p.ctypes.data,)
-        if volumes is not None:
-            volumes = _ints(volumes)
-            n_clusters = min(n_clusters, volumes.shape[0])
-            cluster_arrays += (volumes.ctypes.data,)
+        n = len(ctx.weights)
+        weights = _input(ctx.weights, np.int64, (n, 2), "weights")
+        part = _input(ctx.part, np.int32, (n,), "part")
+        n_vert = min(n, rows)
         sizes = _sizes(ctx.state, k)
         out = np.zeros(2, dtype=np.int64)
         args = (
-            v2c.ctypes.data, deg.ctypes.data, n_vert, *cluster_arrays,
-            n_clusters, *plane, sizes.ctypes.data, k,
-            int(ctx.state.capacity), *extra,
+            part.ctypes.data, weights.ctypes.data, n_vert, *plane,
+            sizes.ctypes.data, k, int(ctx.state.capacity), *extra,
         )
         self._run_loop(
             stream, ctx, fn, args, out,
-            lambda edge, pos: _index_error(
-                edge, pos, n_vert, v2c, n_clusters, c2p, k
-            ),
+            lambda edge, pos: _index_error(edge, pos, n_vert, part, k),
         )
         ctx.cost.edges_streamed += stream.n_edges
         return out
@@ -521,9 +534,7 @@ class CBackend(NumpyBackend):
         return int(out[0])
 
     def remaining_pass_linear(self, stream, ctx) -> None:
-        out = self._run_phase2(
-            stream, ctx, _LIB.remaining_linear, (ctx.hash_seed,), ctx.volumes
-        )
+        out = self._run_phase2(stream, ctx, _LIB.remaining_linear, (ctx.hash_seed,))
         ctx.cost.score_evaluations += int(out[0])
         ctx.cost.hash_evaluations += int(out[1])
 

@@ -47,6 +47,7 @@ from repro.kernels.base import (
     TwoPhaseContext,
     check_clustering_exports,
     check_vertex_ids,
+    partition_error,
 )
 from repro.kernels.python_backend import PythonBackend
 from repro.partitioning.state import _replica_storage
@@ -98,12 +99,14 @@ class NumpyBackend(PythonBackend):
         for chunk in stream.chunks():
             if chunk.size == 0:
                 continue
-            counts = np.bincount(chunk.ravel(), minlength=deg.shape[0])
-            if counts.shape[0] > deg.shape[0]:
-                counts[: deg.shape[0]] += deg
-                deg = counts.astype(np.int64, copy=False)
-            else:
-                deg += counts
+            ids = chunk.ravel()
+            top = int(ids.max())
+            if top >= deg.shape[0]:
+                grown = np.zeros(top + 1, dtype=np.int64)
+                grown[: deg.shape[0]] = deg
+                deg = grown
+            # O(chunk), where a per-chunk bincount would add |V| counters.
+            np.add.at(deg, ids, 1)
         return deg
 
     def stateless_pass(self, stream, map_chunk, state, assignments) -> None:
@@ -158,28 +161,29 @@ class NumpyBackend(PythonBackend):
     # Phase 2: 2PS-L partitioning passes
     # ------------------------------------------------------------------
     def prepartition_pass(self, stream, ctx: TwoPhaseContext) -> int:
-        v2c, c2p = ctx.v2c, ctx.c2p
+        part = ctx.part
         sizes = ctx.state.sizes
         replicas = ctx.state.replicas
         capacity = ctx.state.capacity
         assignments = ctx.assignments
         k = ctx.k
+        n_vert = min(part.shape[0], ctx.state.n_vertices)
         idx = 0
         n_pre = 0
         for chunk in stream.chunks():
             c = chunk.shape[0]
             if c == 0:
                 continue
+            check_vertex_ids(chunk, n_vert, idx)
             u = chunk[:, 0]
             v = chunk[:, 1]
-            cu = v2c[u]
-            cv = v2c[v]
-            p1 = c2p[cu]
-            mask = (cu == cv) | (p1 == c2p[cv])
+            pu = part[u]
+            mask = pu == part[v]
             if mask.any():
                 tu = u[mask]
                 tv = v[mask]
-                tp = p1[mask]
+                tp = pu[mask]
+                _check_parts(chunk, idx, mask, tp, tp, k)
                 counts = np.bincount(tp, minlength=k)
                 if int((sizes + counts).max()) <= capacity:
                     # No edge can hit the cap: pure gather/scatter.
@@ -207,7 +211,7 @@ class NumpyBackend(PythonBackend):
         sizes = ctx.state.sizes
         replicas = ctx.state.replicas
         capacity = ctx.state.capacity
-        deg = ctx.degrees
+        deg = ctx.weights[:, 0]
         k, cost, seed = ctx.k, ctx.cost, ctx.hash_seed
         n = tp.shape[0]
         # Rank of each edge within its target-partition group, in order.
@@ -255,20 +259,20 @@ class NumpyBackend(PythonBackend):
         return n
 
     def remaining_pass_linear(self, stream, ctx: TwoPhaseContext) -> None:
-        v2c, c2p = ctx.v2c, ctx.c2p
+        part = ctx.part
+        n_vert = min(part.shape[0], ctx.state.n_vertices)
         idx = 0
         n_scored = 0
         for chunk in stream.chunks():
             c = chunk.shape[0]
             if c == 0:
                 continue
+            check_vertex_ids(chunk, n_vert, idx)
             u = chunk[:, 0]
             v = chunk[:, 1]
-            cu = v2c[u]
-            cv = v2c[v]
-            p1 = c2p[cu]
-            p2 = c2p[cv]
-            rem = ~((cu == cv) | (p1 == p2))
+            p1 = part[u]
+            p2 = part[v]
+            rem = p1 != p2
             nrem = int(rem.sum())
             if nrem:
                 n_scored += 2 * nrem
@@ -276,13 +280,12 @@ class NumpyBackend(PythonBackend):
                 rv = v[rem]
                 rp1 = p1[rem]
                 rp2 = p2[rem]
+                _check_parts(chunk, idx, rem, rp1, rp2, ctx.k)
                 positions = idx + np.flatnonzero(rem)
                 # Score components that are frozen in this pass (degrees,
                 # cluster volumes): vectorized once for the whole chunk so
                 # the serial conflict path runs at list speed.
-                r1, r2, term_u, term_v = self._score_terms(
-                    ctx, ru, rv, cu[rem], cv[rem]
-                )
+                r1, r2, term_u, term_v = self._score_terms(ctx, ru, rv)
                 for s in range(0, nrem, STATEFUL_BLOCK):
                     e = s + STATEFUL_BLOCK
                     self._remaining_block(
@@ -302,13 +305,15 @@ class NumpyBackend(PythonBackend):
         ctx.cost.edges_streamed += stream.n_edges
 
     @staticmethod
-    def _score_terms(ctx, ru, rv, rcu, rcv):
+    def _score_terms(ctx, ru, rv):
         """The state-independent parts of the two-candidate score."""
-        du = ctx.degrees[ru]
-        dv = ctx.degrees[rv]
+        wu = ctx.weights[ru]
+        wv = ctx.weights[rv]
+        du = wu[:, 0]
+        dv = wv[:, 0]
         dsum = (du + dv).astype(np.float64)
-        vol1 = ctx.volumes[rcu]
-        vol2 = ctx.volumes[rcv]
+        vol1 = wu[:, 1]
+        vol2 = wv[:, 1]
         vsum = (vol1 + vol2).astype(np.float64)
         nonzero = vsum > 0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -399,7 +404,7 @@ class NumpyBackend(PythonBackend):
         over the precomputed state-independent score components."""
         sizes = ctx.state.sizes
         capacity = ctx.state.capacity
-        deg = ctx.degrees
+        deg = ctx.weights[:, 0]
         k, cost, seed = ctx.k, ctx.cost, ctx.hash_seed
 
         def least_loaded() -> int:
@@ -449,8 +454,9 @@ class NumpyBackend(PythonBackend):
         if not _engine_exact(ctx, HDRF_EPSILON):
             super().remaining_pass_hdrf(stream, ctx)
             return
-        v2c, c2p = ctx.v2c, ctx.c2p
-        degrees = ctx.degrees
+        part = ctx.part
+        degrees = ctx.weights[:, 0]
+        n_vert = min(part.shape[0], ctx.state.n_vertices)
         engine = _HdrfScalarEngine(ctx, HDRF_EPSILON)
         if stream.n_edges > 4 * ctx.state.replicas.shape[0]:
             # Long pass over a comparatively small vertex set: one
@@ -463,14 +469,16 @@ class NumpyBackend(PythonBackend):
             c = chunk.shape[0]
             if c == 0:
                 continue
+            check_vertex_ids(chunk, n_vert, idx)
             u = chunk[:, 0]
             v = chunk[:, 1]
-            cu = v2c[u]
-            cv = v2c[v]
-            rem = ~((cu == cv) | (c2p[cu] == c2p[cv]))
+            p1 = part[u]
+            p2 = part[v]
+            rem = p1 != p2
             nrem = int(rem.sum())
             if nrem:
                 n_rem += nrem
+                _check_parts(chunk, idx, rem, p1[rem], p2[rem], ctx.k)
                 ru = u[rem]
                 rv = v[rem]
                 # theta is frozen in this pass (true degrees): vectorized
@@ -538,6 +546,21 @@ class NumpyBackend(PythonBackend):
         ctx.cost.score_evaluations += ctx.k * stream.n_edges
         ctx.cost.edges_streamed += stream.n_edges
         return partial
+
+
+def _check_parts(chunk, pos, mask, pu, pv, k) -> None:
+    """Raise :func:`~repro.kernels.base.partition_error` for the first
+    edge of ``chunk`` (at stream position ``pos``) that ``mask`` selects
+    and whose endpoint parts ``pu``/``pv`` (gathered under ``mask``) leave
+    ``[0, k)``."""
+    low = min(int(pu.min()), int(pv.min()))
+    high = max(int(pu.max()), int(pv.max()))
+    if 0 <= low and high < k:
+        return
+    j = int(np.argmax((pu < 0) | (pu >= k) | (pv < 0) | (pv >= k)))
+    row = int(np.flatnonzero(mask)[j])
+    u, v = chunk[row].tolist()
+    raise partition_error(pos + row, u, v, int(pu[j]), int(pv[j]), k)
 
 
 def _engine_exact(ctx, eps) -> bool:

@@ -19,6 +19,7 @@ from repro.kernels.base import (
     TwoPhaseContext,
     check_clustering_exports,
     check_vertex_ids,
+    partition_error,
 )
 from repro.partitioning.hashutil import splitmix64_int
 from repro.partitioning.state import LeastLoadedTracker, merge_replica_deltas
@@ -256,10 +257,17 @@ class PythonBackend(KernelBackend):
             p = least_loaded()
         return p
 
+    @staticmethod
+    def _phase2_lists(ctx):
+        """``(part, deg, vol, n_vert)``: the Phase-2 inputs as lists, and
+        how many vertices the pass state holds."""
+        part = ctx.part.tolist()
+        deg = ctx.weights[:, 0].tolist()
+        vol = ctx.weights[:, 1].tolist()
+        return part, deg, vol, min(len(part), ctx.state.n_vertices)
+
     def prepartition_pass(self, stream, ctx: TwoPhaseContext) -> int:
-        v2c = ctx.v2c.tolist()
-        c2p = ctx.c2p.tolist()
-        deg = ctx.degrees.tolist()
+        part, deg, _, n_vert = self._phase2_lists(ctx)
         replicas = ctx.state.replicas
         capacity = ctx.state.capacity
         sizes = ctx.state.sizes.tolist()
@@ -269,12 +277,12 @@ class PythonBackend(KernelBackend):
         idx = 0
         n_pre = 0
         for chunk in stream.chunks():
+            check_vertex_ids(chunk, n_vert, idx)
             for u, v in chunk.tolist():
-                c1 = v2c[u]
-                c2 = v2c[v]
-                p1 = c2p[c1]
-                if c1 == c2 or p1 == c2p[c2]:
-                    p = p1
+                p = part[u]
+                if p == part[v]:
+                    if not 0 <= p < k:
+                        raise partition_error(idx, u, v, p, p, k)
                     if sizes[p] >= capacity:
                         p = self._fallback_partition(
                             u, v, deg, sizes, capacity, k, seed, cost,
@@ -291,10 +299,7 @@ class PythonBackend(KernelBackend):
         return n_pre
 
     def remaining_pass_linear(self, stream, ctx: TwoPhaseContext) -> None:
-        v2c = ctx.v2c.tolist()
-        c2p = ctx.c2p.tolist()
-        vol = ctx.volumes.tolist()
-        deg = ctx.degrees.tolist()
+        part, deg, vol, n_vert = self._phase2_lists(ctx)
         replicas = ctx.state.replicas
         capacity = ctx.state.capacity
         sizes = ctx.state.sizes.tolist()
@@ -304,21 +309,23 @@ class PythonBackend(KernelBackend):
         idx = 0
         n_scored = 0
         for chunk in stream.chunks():
+            check_vertex_ids(chunk, n_vert, idx)
             for u, v in chunk.tolist():
-                c1 = v2c[u]
-                c2 = v2c[v]
-                p1 = c2p[c1]
-                p2 = c2p[c2]
-                if c1 == c2 or p1 == p2:
+                p1 = part[u]
+                p2 = part[v]
+                if p1 == p2:
                     idx += 1  # pre-partitioned in the previous pass
                     continue
+                if not (0 <= p1 < k and 0 <= p2 < k):
+                    raise partition_error(idx, u, v, p1, p2, k)
                 du = deg[u]
                 dv = deg[v]
                 dsum = du + dv
-                vol1 = vol[c1]
-                vol2 = vol[c2]
+                vol1 = vol[u]
+                vol2 = vol[v]
                 vsum = vol1 + vol2
-                # Score candidate p1: c1 is mapped to p1 (and c2 is not).
+                # Score candidate p1: u's cluster is mapped to p1 (and
+                # v's is not).
                 s1 = vol1 / vsum if vsum else 0.0
                 if replicas[u, p1]:
                     s1 += 2.0 - du / dsum
@@ -381,9 +388,7 @@ class PythonBackend(KernelBackend):
         """2PS-HDRF: full HDRF scoring over all k partitions (Section V-D)."""
         from repro.core.scoring import HDRF_EPSILON
 
-        v2c = ctx.v2c.tolist()
-        c2p = ctx.c2p.tolist()
-        deg = ctx.degrees.tolist()
+        part, deg, _, n_vert = self._phase2_lists(ctx)
         replicas = ctx.state.replicas
         capacity = ctx.state.capacity
         sizes = ctx.state.sizes.tolist()
@@ -395,12 +400,15 @@ class PythonBackend(KernelBackend):
         idx = 0
         n_scored = 0
         for chunk in stream.chunks():
+            check_vertex_ids(chunk, n_vert, idx)
             for u, v in chunk.tolist():
-                c1 = v2c[u]
-                c2 = v2c[v]
-                if c1 == c2 or c2p[c1] == c2p[c2]:
+                p1 = part[u]
+                p2 = part[v]
+                if p1 == p2:
                     idx += 1
                     continue
+                if not (0 <= p1 < k and 0 <= p2 < k):
+                    raise partition_error(idx, u, v, p1, p2, k)
                 du = deg[u]
                 dv = deg[v]
                 theta_u = du / (du + dv)

@@ -36,7 +36,7 @@ from repro.graph.formats import write_binary_edge_list
 from repro.graph.generators import chung_lu_graph, rmat_graph
 from repro.kernels import available_backends, get_backend, missing_backends
 from repro.kernels import c_backend
-from repro.kernels.base import TwoPhaseContext
+from repro.kernels.base import TwoPhaseContext, phase2_inputs
 from repro.metrics.runtime import CostCounter
 from repro.partitioning.state import PartitionState
 from repro.streaming import InMemoryEdgeStream
@@ -270,15 +270,20 @@ class TestCMemorySafety:
 
     @staticmethod
     def _context(n_v2c):
-        """A Phase-2 context over 10 vertices whose ``v2c`` is cut to
-        ``n_v2c`` entries."""
+        """A Phase-2 context over 10 vertices whose Phase-1 arrays (and
+        so ``part`` and ``weights``) are cut to ``n_v2c`` entries."""
         n, k = 10, 4
-        return TwoPhaseContext(
-            k=k,
+        part, weights = phase2_inputs(
             v2c=np.zeros(n_v2c, dtype=np.int64),
             c2p=np.array([0, 1], dtype=np.int64),
             volumes=np.array([5, 5], dtype=np.int64),
-            degrees=np.ones(n, dtype=np.int64),
+            degrees=np.ones(n_v2c, dtype=np.int64),
+            k=k,
+        )
+        return TwoPhaseContext(
+            k=k,
+            part=part,
+            weights=weights,
             state=PartitionState(n, k, 3),
             assignments=np.full(3, -1, dtype=np.int32),
             hash_seed=0,
@@ -295,20 +300,46 @@ class TestCMemorySafety:
         with pytest.raises(StreamError, match="edge 2 has vertex id 8"):
             getattr(get_backend(c_registered), pass_name)(stream, ctx)
 
-    def test_cluster_id_beyond_c2p_raises_stream_error(self, c_registered):
-        ctx = self._context(n_v2c=10)
-        ctx.v2c[3] = 7
-        stream = InMemoryEdgeStream(np.array([[0, 1], [2, 3]]))
-        with pytest.raises(StreamError, match="vertex 3 is in cluster 7"):
-            get_backend(c_registered).remaining_pass_linear(stream, ctx)
-
     def test_partition_beyond_k_raises_stream_error(self, c_registered):
         ctx = self._context(n_v2c=10)
-        ctx.v2c[1] = 1
-        ctx.c2p[1] = 9
+        ctx.part[1] = 9
         stream = InMemoryEdgeStream(np.array([[0, 1]]))
         with pytest.raises(StreamError, match="maps to partition 9"):
             get_backend(c_registered).remaining_pass_linear(stream, ctx)
+
+    #: A ``part`` or ``weights`` the loops cannot read in place.
+    BAD_LAYOUTS = {
+        "part-int64": ("part", np.zeros(10, dtype=np.int64)),
+        "part-short": ("part", np.zeros(9, dtype=np.int32)),
+        "part-strided": ("part", np.zeros(20, dtype=np.int32)[::2]),
+        "weights-3-columns": ("weights", np.ones((10, 3), dtype=np.int64)),
+        "weights-flat": ("weights", np.ones(20, dtype=np.int64)),
+        "weights-int32": ("weights", np.ones((10, 2), dtype=np.int32)),
+        "weights-float": ("weights", np.ones((10, 2), dtype=np.float64)),
+        "weights-fortran": ("weights", np.ones((2, 10), dtype=np.int64).T),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(BAD_LAYOUTS))
+    @pytest.mark.parametrize(
+        "pass_name",
+        ["prepartition_pass", "remaining_pass_linear", "remaining_pass_hdrf"],
+    )
+    def test_phase2_input_layout_is_checked_before_any_write(
+        self, c_registered, pass_name, layout
+    ):
+        """``part`` and ``weights`` are read in place, never copied, so a
+        wrong dtype, length or layout is refused before the loop runs."""
+        from repro.errors import PartitioningError
+
+        field, value = self.BAD_LAYOUTS[layout]
+        ctx = self._context(n_v2c=10)
+        setattr(ctx, field, value)
+        before = (state_bytes(ctx.state), ctx.assignments.tobytes())
+        stream = InMemoryEdgeStream(np.array([[0, 1], [2, 3], [4, 5]]))
+        with pytest.raises(PartitioningError, match=f"{field} must be"):
+            getattr(get_backend(c_registered), pass_name)(stream, ctx)
+        assert (state_bytes(ctx.state), ctx.assignments.tobytes()) == before
+        assert ctx.cost == CostCounter()
 
     def test_short_clustering_state_raises_stream_error(self, c_registered):
         kernels_c = get_backend(c_registered)

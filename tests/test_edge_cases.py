@@ -6,14 +6,17 @@ long paths, hubs, and isolated vertices — plus stream-order and seed
 stability checks.
 """
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.baselines import HDRF
 from repro.core import ParallelTwoPhase, TwoPhasePartitioner
 from repro.core.clustering import StreamingClustering
-from repro.errors import StreamError
+from repro.errors import PartitioningError, StreamError
 from repro.graph import Graph
+from repro.kernels import available_backends
 from repro.metrics import validate_partition
 from repro.streaming import InMemoryEdgeStream
 from repro.streaming.order import degree_sorted_order, shuffled_copy
@@ -187,3 +190,92 @@ class TestOutOfRangeVertexIds:
         stream partitions, with one result on every backend."""
         result = TwoPhasePartitioner(backend=backend).partition(self._stream(), 2)
         assert result.assignments.tolist() == [0, 0, 1]
+
+
+class _ShiftingStream(InMemoryEdgeStream):
+    """A stream that changes between passes: ``before`` for the first
+    ``shift_after`` full passes, ``after`` from then on, windows
+    included.  The sequential pipeline streams the degree pass, then the
+    clustering pass, then Phase 2."""
+
+    def __init__(self, before, after, n_vertices, shift_after=2):
+        super().__init__(before, n_vertices=n_vertices)
+        self._after = np.asarray(after, dtype=np.int64)
+        self._shift_after = shift_after
+        self._passes = 0
+
+    def _shift(self):
+        if self._passes >= self._shift_after:
+            self._edges = self._after
+
+    def chunks(self, chunk_size=None):
+        self._shift()
+        self._passes += 1
+        return super().chunks(chunk_size)
+
+    def window(self, start, stop, chunk_size=None):
+        self._shift()
+        return super().window(start, stop, chunk_size)
+
+
+class TestUnclusteredEndpoint:
+    """An edge whose endpoint Phase 1 never clustered is one typed error
+    on every backend, mode and runner.  Vertices 4 and 5 first appear in
+    Phase 2, so their ``part`` is -1; python and numpy used to put edge
+    (4, 5) on the last cluster's partition, and c raised."""
+
+    MATCH = (
+        r"edge 1: vertex 4 maps to partition -1, outside \[0, 2\) "
+        r"\(Phase 1 never clustered it\)"
+    )
+
+    @staticmethod
+    def _stream(shift_after=2):
+        return _ShiftingStream(
+            [(0, 1), (2, 3), (1, 2), (0, 3)],
+            [(0, 1), (4, 5), (1, 2), (0, 3)],
+            n_vertices=6,
+            shift_after=shift_after,
+        )
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("mode", ["linear", "hdrf"])
+    def test_sequential_raises_stream_error(self, backend, mode):
+        partitioner = TwoPhasePartitioner(backend=backend, mode=mode)
+        with pytest.raises(StreamError, match=self.MATCH):
+            partitioner.partition(self._stream(), 2)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("mode", ["linear", "hdrf"])
+    def test_simulated_runner_wraps_it(self, backend, mode):
+        partitioner = ParallelTwoPhase(
+            backend=backend, mode=mode, runner="simulated", n_workers=2
+        )
+        with pytest.raises(PartitioningError, match="phase-2 worker 0") as info:
+            partitioner.partition(self._stream(), 2)
+        assert isinstance(info.value.__cause__, StreamError)
+        assert re.search(self.MATCH, str(info.value.__cause__))
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_clustered_vertex_the_degree_pass_missed(self, backend):
+        """The clustering pass sees vertices 4 and 5 the degree pass did
+        not: a clustered vertex of degree 0, rejected once, before Phase
+        2, since a scored edge of two such endpoints has no score."""
+        partitioner = TwoPhasePartitioner(backend=backend)
+        with pytest.raises(PartitioningError, match="vertex 4 is in cluster"):
+            partitioner.partition(self._stream(shift_after=1), 2)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("mode", ["linear", "hdrf"])
+    def test_id_beyond_the_pass_state(self, backend, mode):
+        """Vertex 7 first appears in Phase 2, beyond the six vertices the
+        state holds: the c loops' bound check, on every backend (python
+        and numpy raised a bare ``IndexError``)."""
+        stream = _ShiftingStream(
+            [(0, 1), (2, 3), (1, 2), (0, 3)],
+            [(0, 1), (4, 7), (1, 2), (0, 3)],
+            n_vertices=6,
+        )
+        partitioner = TwoPhasePartitioner(backend=backend, mode=mode)
+        with pytest.raises(StreamError, match="edge 1 has vertex id 7"):
+            partitioner.partition(stream, 2)

@@ -25,7 +25,7 @@ from repro.kernels import (
     get_backend,
     register_backend,
 )
-from repro.kernels.base import Int64Buffer, TwoPhaseContext
+from repro.kernels.base import Int64Buffer, TwoPhaseContext, phase2_inputs
 from repro.kernels.numpy_backend import NumpyBackend
 from repro.metrics.runtime import CostCounter
 from repro.partitioning import LeastLoadedTracker, PartitionArtifacts
@@ -241,12 +241,12 @@ def _phase2_context(graph, k, packed):
         rng.random(n_clusters) < 0.5, 0, rng.integers(0, k, size=n_clusters)
     ).astype(np.int64)
     volumes = np.bincount(v2c, weights=degrees, minlength=n_clusters)
+    v2c[degrees == 0] = -1  # as Phase 1 leaves vertices no edge touches
+    part, weights = phase2_inputs(v2c, c2p, volumes, degrees, k)
     return TwoPhaseContext(
         k=k,
-        v2c=v2c,
-        c2p=c2p,
-        volumes=volumes.astype(np.int64),
-        degrees=degrees,
+        part=part,
+        weights=weights,
         state=PartitionState(n, k, graph.n_edges, alpha=1.0, packed=packed),
         assignments=np.full(graph.n_edges, -1, dtype=np.int32),
         hash_seed=0,
@@ -320,13 +320,14 @@ def _preset_context(edges, n, k, v2c, c2p, bits, sizes, n_edges, alpha, packed):
     state = PartitionState(n, k, n_edges, alpha, packed=packed)
     state.replicas[np.arange(n)] = bits
     state.sizes[:] = sizes
+    volumes = np.bincount(v2c, weights=degrees, minlength=c2p.shape[0])
+    # Phase 1 leaves vertices no edge touches unclustered.
+    v2c = np.where(degrees > 0, v2c, -1)
+    part, weights = phase2_inputs(v2c, c2p, volumes, degrees, k)
     return TwoPhaseContext(
         k=k,
-        v2c=v2c,
-        c2p=c2p,
-        volumes=np.bincount(v2c, weights=degrees, minlength=c2p.shape[0])
-        .astype(np.int64),
-        degrees=degrees,
+        part=part,
+        weights=weights,
         state=state,
         assignments=np.full(edges.shape[0], -1, dtype=np.int32),
         hash_seed=0,
@@ -422,6 +423,99 @@ class TestRemainingCellConflicts:
                     name, graph.edges, n, chunk_size, *preset, packed=packed
                 )
                 _assert_contexts_identical(ref, out)
+
+
+@pytest.mark.parametrize("backend", BACKEND_IMPLS, ids=lambda b: b.name)
+class TestDegreePass:
+    """Every backend counts the same degrees at any chunk size, and grows
+    its array for ids beyond ``n_hint``."""
+
+    EDGES = rmat_graph(10, edge_factor=8, seed=4).edges
+
+    def _degrees(self, backend, edges, chunk_size, n_hint):
+        stream = InMemoryEdgeStream(edges)
+        stream.default_chunk_size = chunk_size
+        out = backend.degree_pass(stream, n_hint)
+        assert out.dtype == np.int64
+        return out
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, 65_536])
+    def test_equal_across_chunk_sizes_and_hints(self, backend, chunk_size):
+        ids = self.EDGES.ravel()
+        n = int(ids.max()) + 1
+        for n_hint in (n + 5, n, n // 2, None):
+            expected = np.bincount(ids, minlength=n_hint or 0)
+            np.testing.assert_array_equal(
+                self._degrees(backend, self.EDGES, chunk_size, n_hint),
+                expected,
+            )
+
+    def test_grows_chunk_after_chunk(self, backend):
+        """Ids sorted ascending: most chunks hold an id beyond every
+        earlier one."""
+        edges = self.EDGES[np.argsort(self.EDGES.max(axis=1), kind="stable")]
+        np.testing.assert_array_equal(
+            self._degrees(backend, edges, 7, 3), np.bincount(edges.ravel())
+        )
+
+
+class TestPhase2Inputs:
+    """:func:`~repro.kernels.base.phase2_inputs` against the naive
+    ``c2p[v2c]`` and ``volumes[v2c]`` gathers it replaces, and its typed
+    rejections."""
+
+    @SLOW
+    @given(
+        n=st.integers(min_value=0, max_value=300),
+        k=st.sampled_from([2, 7, 32, 300]),
+        unclustered=st.floats(min_value=0.0, max_value=1.0),
+        compacted=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_matches_naive_gathers(self, n, k, unclustered, compacted, seed):
+        from repro.core.runners import compact_clustering
+
+        rng = np.random.default_rng(seed)
+        n_ids = int(rng.integers(1, n + 2))
+        v2c = rng.integers(0, n_ids, size=n)
+        v2c[rng.random(n) < unclustered] = -1
+        clustered = v2c >= 0
+        # Unclustered vertices may have any degree; clustered ones >= 1.
+        degrees = rng.integers(0, 50, size=n) + clustered
+        volumes = np.zeros(n_ids, dtype=np.int64)
+        np.add.at(volumes, v2c[clustered], degrees[clustered])
+        if compacted:
+            v2c, volumes = compact_clustering(v2c, volumes)
+        c2p = rng.integers(0, k, size=volumes.shape[0])
+        part, weights = phase2_inputs(v2c, c2p, volumes, degrees, k)
+        assert part.dtype == np.int32 and part.shape == (n,)
+        assert weights.dtype == np.int64 and weights.shape == (n, 2)
+        assert part.flags.c_contiguous and weights.flags.c_contiguous
+        np.testing.assert_array_equal(part[clustered], c2p[v2c[clustered]])
+        np.testing.assert_array_equal(part[~clustered], -1)
+        np.testing.assert_array_equal(weights[:, 0], degrees)
+        np.testing.assert_array_equal(
+            weights[clustered, 1], volumes[v2c[clustered]]
+        )
+        np.testing.assert_array_equal(weights[~clustered, 1], 0)
+
+    #: Inconsistent ``(v2c, c2p, volumes, degrees)`` at k=2, and the
+    #: error each raises.
+    INCONSISTENT = {
+        "cluster-beyond-c2p": ([0, 2], [0, 1], [1, 1], [1, 1], "cluster 2, out"),
+        "cluster-below-minus-1": ([0, -2], [0, 1], [1, 1], [1, 1], "cluster -2"),
+        "partition-at-k": ([0, 1], [0, 2], [1, 1], [1, 1], "to partition 2,"),
+        "negative-partition": ([0, 1], [-1, 0], [1, 1], [1, 1], "partition -1"),
+        "degrees-length": ([0, 1], [0, 1], [1, 1], [1, 1, 1], "3 degrees"),
+        "volumes-length": ([0, 1], [0, 1], [1, 1, 0], [1, 1], "3 volumes"),
+        "clustered-degree-zero": ([0, 1], [0, 1], [1, 0], [1, 0], "degree 0"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(INCONSISTENT))
+    def test_rejects_inconsistent_phase1_arrays(self, case):
+        *arrays, match = self.INCONSISTENT[case]
+        with pytest.raises(PartitioningError, match=match):
+            phase2_inputs(*(np.asarray(a) for a in arrays), k=2)
 
 
 class TestChunkSizeIsPerfKnobOnly:

@@ -11,7 +11,7 @@ on a hand-built context, the HDRF score through
 import numpy as np
 
 from repro.core.scoring import HDRF_EPSILON
-from repro.kernels.base import TwoPhaseContext
+from repro.kernels.base import TwoPhaseContext, phase2_inputs
 from repro.kernels.python_backend import PythonBackend
 from repro.metrics.runtime import CostCounter
 from repro.partitioning.state import PartitionState
@@ -35,12 +35,17 @@ def _choose(du, dv, vol_cu, vol_cv, u_on=(), v_on=(), edge=(U, V)):
         state.replicas[U, p] = True
     for p in v_on:
         state.replicas[V, p] = True
+    part, weights = phase2_inputs(
+        v2c=np.array([0, 1]),
+        c2p=np.array([0, 1]),
+        volumes=np.array([vol_cu, vol_cv]),
+        degrees=np.array([du, dv]),
+        k=2,
+    )
     ctx = TwoPhaseContext(
         k=2,
-        v2c=np.array([0, 1], dtype=np.int64),
-        c2p=np.array([0, 1], dtype=np.int64),
-        volumes=np.array([vol_cu, vol_cv], dtype=np.int64),
-        degrees=np.array([du, dv], dtype=np.int64),
+        part=part,
+        weights=weights,
         state=state,
         assignments=np.full(1, -1, dtype=np.int32),
         hash_seed=0,
