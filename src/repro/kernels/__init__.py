@@ -17,13 +17,13 @@ as vectorized numpy array code, or as a compiled loop:
   Phase-1 clustering runs the reference list kernel.  The default on
   hosts without a working C compiler.
 - ``c`` — the default wherever it builds (:mod:`repro.kernels.c_backend`):
-  the per-edge loop of every stateful pass (both clustering bodies, the
-  pre-partition pass, both remaining passes, the HDRF baseline), the
-  clustering and Phase-2 barrier merges and the cluster-mapping loop,
-  compiled from one C source by the host compiler and called through
-  ``ctypes``, one call per chunk or barrier; the stateless passes and
-  the degree merge are numpy's.  See *Optional backends* below for what
-  happens when it cannot build.
+  the per-edge loop of the degree pass and of every stateful pass (both
+  clustering bodies, the pre-partition pass, both remaining passes, the
+  HDRF baseline), the clustering and Phase-2 barrier merges and the
+  cluster-mapping loop, compiled from one C source by the host compiler
+  and called through ``ctypes``, one call per chunk or barrier; the
+  stateless passes and the degree merge are numpy's.  See *Optional
+  backends* below for what happens when it cannot build.
 
 Backend contract
 ----------------

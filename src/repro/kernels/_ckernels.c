@@ -38,13 +38,24 @@
  * partitions read from part) is checked against the length of the array
  * it indexes with one unsigned compare.  On a miss the loop stops before
  * touching the edge and returns its position in the chunk; the caller
- * turns that into a typed error.  Counters accumulated so far are
- * written back first.  A return of -1 means the whole chunk ran.  The
- * caller checks array lengths and layouts before each call.  The
- * Phase-2 loops prefetch the rows of edge i + AHEAD while they work on
- * edge i, but only when that edge lies inside the chunk and both its ids
- * passed the same compare, so no prefetch reads past an edge chunk or
- * names an address outside part, weights or the replica plane.
+ * turns that into a typed error (the degree pass instead grows its
+ * array and resumes there).  Counters accumulated so far are written
+ * back first.  A return of -1 means the whole chunk ran.  The caller
+ * checks array lengths and layouts before each call.
+ *
+ * Look-ahead: the two remaining passes prefetch the rows of edge
+ * i + AHEAD while they work on edge i, and the clustering pass prefetches
+ * v2c and deg of edge i + CL_AHEAD and the volume slots of the clusters
+ * of edge i + CL_AHEAD / 2.  A prefetch goes out only when that edge lies
+ * inside the chunk and both its ids passed the same compare (and, for a
+ * volume slot, the cluster id lies below the reserved volume length), so
+ * no prefetch or look-ahead load reads past an edge chunk or names an
+ * address outside its array.  The pre-partition pass leaves about 95% of
+ * its edges to the remaining pass and measured slower with a look-ahead;
+ * the degree pass measured slower with a write prefetch.  GCC deletes a
+ * call to a helper whose only effect is a prefetch (it counts as free of
+ * side effects), so the helpers are forced inline: objdump -d
+ * --disassemble=remaining_linear must show prefetch instructions.
  */
 
 #include <math.h>
@@ -53,17 +64,25 @@
 
 #define DONE ((int64_t)-1)
 
-/* Look-ahead of the Phase-2 prefetches, in edges.  At R-MAT scale 18,
- * k = 32, prefetching took 2-7% off the three loops (best of 5); at
- * scale 16 the per-vertex arrays fit in L2 and no difference stood out
- * of the host's noise, nor did one between distances 8 and 32. */
+/* Look-ahead of the remaining passes' prefetches, in edges (not tuned). */
 #define AHEAD 12
+
+/* Look-ahead of the clustering pass: v2c and deg of edge i + CL_AHEAD,
+ * then the volume slots of edge i + CL_AHEAD / 2, whose cluster ids the
+ * first prefetch has brought in by then. */
+#define CL_AHEAD 16
 
 #if defined(__GNUC__) || defined(__clang__)
 #define PREFETCH(addr) __builtin_prefetch(addr)
+#define FORCE_INLINE inline __attribute__((always_inline))
 #else
 #define PREFETCH(addr) ((void)(addr))
+#define FORCE_INLINE inline
 #endif
+
+/* All ones when cond holds, else zero: a select without a branch. */
+#define MASK(cond) (-(int64_t)(cond))
+#define SELECT(mask, a, b) (((a) & (mask)) | ((b) & ~(mask)))
 
 typedef struct {
     uint8_t *base;
@@ -117,8 +136,57 @@ static inline int64_t fallback(int64_t u, int64_t v, const int64_t *weights,
 }
 
 /* ------------------------------------------------------------------ */
-/* Phase 1: streaming clustering                                      */
+/* Phase 1: the degree pass and streaming clustering                  */
 /* ------------------------------------------------------------------ */
+
+/* deg[x] += 1 for both endpoints of every edge.  An id at or beyond
+ * n_vert stops the loop before its edge, so the caller can grow deg and
+ * resume there. */
+int64_t degree_pass(const int64_t *edges, int64_t n, int64_t *deg,
+                    int64_t n_vert)
+{
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t u = (uint64_t)edges[2 * i];
+        uint64_t v = (uint64_t)edges[2 * i + 1];
+        if (u >= (uint64_t)n_vert || v >= (uint64_t)n_vert)
+            return i;
+        deg[u]++;
+        deg[v]++;
+    }
+    return DONE;
+}
+
+/* Prefetch v2c and deg of both endpoints of edge i + CL_AHEAD, and the
+ * volume slots of the clusters of edge i + CL_AHEAD / 2, under the
+ * guards of the header comment. */
+static FORCE_INLINE void cluster_ahead(const int64_t *edges, int64_t i,
+                                       int64_t n, const int64_t *v2c,
+                                       const int64_t *deg, int64_t n_vert,
+                                       const int64_t *vol, int64_t vol_cap)
+{
+    if (i + CL_AHEAD < n) {
+        uint64_t a = (uint64_t)edges[2 * (i + CL_AHEAD)];
+        uint64_t b = (uint64_t)edges[2 * (i + CL_AHEAD) + 1];
+        if (a < (uint64_t)n_vert && b < (uint64_t)n_vert) {
+            PREFETCH(v2c + a);
+            PREFETCH(v2c + b);
+            PREFETCH(deg + a);
+            PREFETCH(deg + b);
+        }
+    }
+    if (i + CL_AHEAD / 2 < n) {
+        uint64_t a = (uint64_t)edges[2 * (i + CL_AHEAD / 2)];
+        uint64_t b = (uint64_t)edges[2 * (i + CL_AHEAD / 2) + 1];
+        if (a < (uint64_t)n_vert && b < (uint64_t)n_vert) {
+            uint64_t ca = (uint64_t)v2c[a];
+            uint64_t cb = (uint64_t)v2c[b];
+            if (ca < (uint64_t)vol_cap)
+                PREFETCH(vol + ca);
+            if (cb < (uint64_t)vol_cap)
+                PREFETCH(vol + cb);
+        }
+    }
+}
 
 /* out[0]: filled volume slots (in/out); out[1]: cluster updates (+=). */
 int64_t cluster_pass(const int64_t *edges, int64_t n, int64_t partial,
@@ -136,6 +204,7 @@ int64_t cluster_pass(const int64_t *edges, int64_t n, int64_t partial,
             miss = i;
             break;
         }
+        cluster_ahead(edges, i, n, v2c, deg, n_vert, vol, vol_cap);
         int64_t cu = v2c[u];
         int64_t cv = v2c[v];
         /* A fresh cluster needs a slot; a stored id must name one. */
@@ -180,25 +249,30 @@ int64_t cluster_pass(const int64_t *edges, int64_t n, int64_t partial,
                 updates++;
             }
         }
-        if (cu == cv)
-            continue;
+        /* The move, without a branch: v_s is the endpoint whose cluster
+         * (without it) is smaller, c_s its cluster and c_l the other.
+         * It moves when the clusters differ and all three volumes stay
+         * within cap; otherwise every store below writes back what it
+         * read.  & of the comparisons equals the reference's "and", as
+         * none of them has a side effect. */
         int64_t vol_u = vol[cu];
         int64_t vol_v = vol[cv];
-        if ((double)vol_u <= cap && (double)vol_v <= cap) {
-            /* v_s: the endpoint whose cluster (without it) is smaller. */
-            int64_t vs, cs, cl, ds;
-            if (vol_u - deg[u] <= vol_v - deg[v]) {
-                vs = (int64_t)u; cs = cu; cl = cv; ds = deg[u];
-            } else {
-                vs = (int64_t)v; cs = cv; cl = cu; ds = deg[v];
-            }
-            if ((double)(vol[cl] + ds) <= cap) {
-                vol[cl] += ds;
-                vol[cs] -= ds;
-                v2c[vs] = cl;
-                updates++;
-            }
-        }
+        int64_t du = deg[u];
+        int64_t dv = deg[v];
+        int64_t take_u = MASK(vol_u - du <= vol_v - dv);
+        int64_t vs = SELECT(take_u, (int64_t)u, (int64_t)v);
+        int64_t cs = SELECT(take_u, cu, cv);
+        int64_t cl = SELECT(take_u, cv, cu);
+        int64_t ds = SELECT(take_u, du, dv);
+        int64_t vol_l = SELECT(take_u, vol_v, vol_u);
+        int64_t move = (cu != cv) & ((double)vol_u <= cap)
+                       & ((double)vol_v <= cap)
+                       & ((double)(vol_l + ds) <= cap);
+        int64_t d = ds & MASK(move);
+        vol[cl] += d;
+        vol[cs] -= d;
+        v2c[vs] = SELECT(MASK(move), cl, cs);
+        updates += move;
     }
     out[0] = n_vol;
     out[1] += updates;
@@ -212,10 +286,10 @@ int64_t cluster_pass(const int64_t *edges, int64_t n, int64_t partial,
 /* Prefetch part, the weights row and the replica row of both endpoints
  * of edge i + AHEAD, if the chunk holds that edge and both its ids lie
  * below n_vert. */
-static inline void prefetch_ahead(const int64_t *edges, int64_t i, int64_t n,
-                                  const int32_t *part,
-                                  const int64_t *weights, int64_t n_vert,
-                                  const plane_t *pl)
+static FORCE_INLINE void prefetch_ahead(const int64_t *edges, int64_t i,
+                                        int64_t n, const int32_t *part,
+                                        const int64_t *weights,
+                                        int64_t n_vert, const plane_t *pl)
 {
     if (i + AHEAD >= n)
         return;
@@ -248,7 +322,6 @@ int64_t prepartition(const int64_t *edges, int64_t n, const int32_t *part,
             miss = i;
             break;
         }
-        prefetch_ahead(edges, i, n, part, weights, n_vert, &pl);
         int64_t p = part[u];
         if (p != part[v])
             continue;  /* left to the remaining pass */
@@ -311,7 +384,9 @@ int64_t remaining_linear(const int64_t *edges, int64_t n, const int32_t *part,
         s2 += (double)bit_of(&pl, (int64_t)u, p2) * tu;
         s2 += (double)bit_of(&pl, (int64_t)v, p2) * tv;
         n_scored += 2;
-        int64_t p = s1 >= s2 ? p1 : p2;
+        /* s1 >= s2 holds for about half the edges: a branch on it
+         * mispredicts that often. */
+        int64_t p = SELECT(MASK(s1 >= s2), p1, p2);
         if (sizes[p] >= capacity)
             p = fallback((int64_t)u, (int64_t)v, weights, sizes, k,
                          capacity, seed, &n_hash);

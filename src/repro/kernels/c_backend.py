@@ -1,24 +1,29 @@
-"""The ``c`` backend: the stateful per-edge loops, compiled from C.
+"""The ``c`` backend: the per-edge loops, compiled from C.
 
-``_ckernels.c`` holds the per-edge loop of every stateful pass: both
-Phase-1 clustering bodies, the pre-partition pass with its hash /
-least-loaded fallback, the 2PS-L and 2PS-HDRF remaining passes, and the
-classic HDRF baseline.  :class:`CBackend` makes one foreign call per
-stream chunk; the loop itself skips the edges a pass does not own (the
-pre-partitioned ones), so nothing is sub-batched in numpy.  It also
-holds the loops that run once per barrier or per run: the Phase-1
+``_ckernels.c`` holds the per-edge loop of the degree pass and of every
+stateful pass: both Phase-1 clustering bodies, the pre-partition pass
+with its hash / least-loaded fallback, the 2PS-L and 2PS-HDRF remaining
+passes, and the classic HDRF baseline.  :class:`CBackend` makes one
+foreign call per stream chunk (the degree pass a second one in a chunk
+that grows its array); the loop itself skips the edges a pass does not
+own (the pre-partitioned ones), so nothing is sub-batched in numpy.  It
+also holds the loops that run once per barrier or per run: the Phase-1
 clustering merge, the Phase-2 delta barrier (on the raw replica plane,
 so dense and packed state share it) and the assignment loop of the
-cluster mapping.  The degree pass, the stateless passes and the degree
-merge are the inherited numpy versions.
+cluster mapping.  The stateless passes and the degree merge are the
+inherited numpy versions.
 
 The three Phase-2 loops read only the two per-vertex arrays of the
 contract, ``part`` (int32) and ``weights`` (int64 ``(n, 2)`` rows of
 degree and cluster volume), built once per run by
 :func:`~repro.kernels.base.phase2_inputs`: an endpoint costs one gather
-into each, and the loops prefetch the rows of the edge a fixed distance
-ahead.  Both arrays are checked once per call for dtype, shape and
-C-contiguity and never copied.
+into each.  Both arrays are checked once per call for dtype, shape and
+C-contiguity and never copied.  The two remaining passes prefetch the
+rows of the edge a fixed distance ahead, and the clustering pass
+prefetches ``v2c`` and degrees 16 edges ahead and cluster volumes 8
+ahead; the pre-partition and degree passes measured slower with a
+look-ahead and have none.  The 2PS-L pick between the two candidates and
+the clustering move are computed without a branch.
 
 Bit-exactness with the ``python`` reference is argued in the C source:
 the same double expressions in the same association order, exact
@@ -35,15 +40,18 @@ indexes; on a miss they stop and report the edge, which
 :class:`CBackend` raises as :class:`~repro.errors.StreamError` (for an
 endpoint whose ``part`` lies outside ``[0, k)``, the same
 :func:`~repro.kernels.base.partition_error` the other backends raise).
-A prefetch goes only to ids that passed the check, of an edge inside the
-chunk.  The clustering merge checks every cluster id it takes from a
-worker export against that worker's id range (the distributed
-coordinator folds exports that arrived over sockets) and raises
-:class:`~repro.errors.PartitioningError` on a miss.  The arrays a loop
-writes are checked once per call (dtype, C-contiguity, writability and
-shape; for the barrier, that every view's plane matches the global
-plane's shape and packing) and never copied, so a write can never land
-in a silent copy.
+A prefetch, and the clustering look-ahead's read of ``v2c``, go only to
+ids that passed the check, of an edge inside the chunk.  The degree
+pass grows its array on a miss, to the chunk's largest id + 1, and
+resumes at that edge; a negative id (which the unsigned check also
+stops at) raises :class:`~repro.errors.StreamError`.  The clustering
+merge checks every cluster id it takes from a worker export against
+that worker's id range (the distributed coordinator folds exports that
+arrived over sockets) and raises :class:`~repro.errors.PartitioningError`
+on a miss.  The arrays a loop writes are checked once per call (dtype,
+C-contiguity, writability and shape; for the barrier, that every view's
+plane matches the global plane's shape and packing) and never copied,
+so a write can never land in a silent copy.
 
 Build, cache, load.  The host compiler (``$CC`` split like a shell
 command, else ``cc`` on ``PATH``) builds the source once with
@@ -101,6 +109,7 @@ _I = ctypes.c_int64
 _D = ctypes.c_double
 _PLANE = (_P, _I, _I, _I)
 _SIGNATURES = {
+    "degree_pass": (_P, _I, _P, _I),
     "cluster_pass": (_P, _I, _I, _P, _P, _I, _P, _I, _D, _P),
     "prepartition": (
         _P, _I, _P, _P, _I, *_PLANE, _P, _I, _I, ctypes.c_uint64, _P, _P,
@@ -320,8 +329,35 @@ class CBackend(NumpyBackend):
     name = "c"
 
     # ------------------------------------------------------------------
-    # Phase 1: streaming clustering
+    # Phase 1: the degree pass and streaming clustering
     # ------------------------------------------------------------------
+    def degree_pass(self, stream, n_hint: int | None = None) -> np.ndarray:
+        deg = np.zeros(int(n_hint) if n_hint else 0, dtype=np.int64)
+        pos = 0
+        for chunk in stream.chunks():
+            edges = _ints(chunk)
+            start = 0
+            while start < edges.shape[0]:
+                miss = _LIB.degree_pass(
+                    edges[start:].ctypes.data,
+                    edges.shape[0] - start,
+                    deg.ctypes.data,
+                    deg.shape[0],
+                )
+                if miss < 0:
+                    break
+                # An id at or beyond the array: grow it to the chunk's
+                # max + 1, as numpy does, and resume at that edge.
+                start += miss
+                top = int(edges.max())
+                if top < deg.shape[0]:  # the id the loop stopped at is < 0
+                    raise StreamError(f"edge {pos + start} holds a negative vertex id")
+                grown = np.zeros(top + 1, dtype=np.int64)
+                grown[: deg.shape[0]] = deg
+                deg = grown
+            pos += edges.shape[0]
+        return deg
+
     def clustering_init(self, degrees: np.ndarray) -> ClusteringState:
         return ClusteringState(
             v2c=np.full(len(degrees), -1, dtype=np.int64),

@@ -1,6 +1,6 @@
 """The compiled ``c`` kernel backend.
 
-Three concerns:
+Four concerns:
 
 - **Equivalence** — the compiled loops must be bit-exact with the
   ``python`` reference (and therefore with ``numpy``) across both
@@ -8,7 +8,9 @@ Three concerns:
   sharded parallel path.  Skipped where no compiler built the library.
 - **Memory safety** — an index outside the pass state stops the loop
   with a :class:`~repro.errors.StreamError` instead of an out-of-bounds
-  access.
+  access, and no look-ahead reads past a chunk or an array.
+- **Look-ahead in the binary** — the loaded library's loops hold the
+  prefetch instructions the source asks for.
 - **Lifecycle** — with no compiler, a failing compiler (``CC=false``) or
   an unsafe cache, ``c`` is reported missing with a reason,
   :func:`~repro.kernels.get_backend` falls back to ``numpy`` with a
@@ -20,6 +22,9 @@ Three concerns:
 from __future__ import annotations
 
 import os
+import platform
+import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -101,6 +106,27 @@ def c_missing(request, registry, monkeypatch, tmp_path):
     """The registry state of a host where the library cannot be built."""
     request.param(monkeypatch, tmp_path)
     kernels._register_optional_backends()
+
+
+class _CopiedChunks(InMemoryEdgeStream):
+    """Every chunk in its own allocation: a read past a chunk's end then
+    leaves its buffer, which AddressSanitizer reports, instead of landing
+    in the next chunk."""
+
+    def chunks(self, chunk_size=None):
+        for chunk in super().chunks(chunk_size):
+            yield chunk.copy()
+
+
+class _RawChunks:
+    """The stream surface of a pass, yielding the given chunks with no
+    id check (a bare array stream refuses negative ids up front)."""
+
+    def __init__(self, *chunks):
+        self._chunks = [np.asarray(c, dtype=np.int64) for c in chunks]
+
+    def chunks(self, chunk_size=None):
+        return iter(self._chunks)
 
 
 def assert_results_identical(reference, other):
@@ -357,6 +383,104 @@ class TestCMemorySafety:
         with pytest.raises(PartitioningError, match="assignments"):
             get_backend(c_registered).prepartition_pass(stream, ctx)
 
+    # -- the look-ahead: no read past a chunk or an array --------------
+    @staticmethod
+    def _run_pass(kernels_c, pass_name, stream):
+        """Run one look-ahead loop over 10 vertices: the clustering passes
+        on fresh state, the Phase-2 passes with vertex x in cluster
+        x % 2 on partition x % 2."""
+        n, k = 10, 4
+        if pass_name.startswith("clustering"):
+            st = kernels_c.clustering_init(np.full(n, 4, dtype=np.int64))
+            getattr(kernels_c, pass_name)(stream, st, 10.0, None)
+            return
+        part, weights = phase2_inputs(
+            v2c=np.arange(n) % 2,
+            c2p=np.array([0, 1]),
+            volumes=np.array([20, 20]),
+            degrees=np.full(n, 4, dtype=np.int64),
+            k=k,
+        )
+        ctx = TwoPhaseContext(
+            k=k,
+            part=part,
+            weights=weights,
+            state=PartitionState(n, k, 100),
+            assignments=np.full(stream.n_edges, -1, dtype=np.int32),
+            hash_seed=0,
+            cost=CostCounter(),
+        )
+        getattr(kernels_c, pass_name)(stream, ctx)
+
+    LOOK_AHEAD_PASSES = [
+        "clustering_true_pass",
+        "clustering_partial_pass",
+        "remaining_pass_linear",
+        "remaining_pass_hdrf",
+    ]
+
+    @pytest.mark.parametrize("bad", [8, 12, 16])
+    @pytest.mark.parametrize("pass_name", LOOK_AHEAD_PASSES)
+    def test_look_ahead_skips_an_id_beyond_the_state(
+        self, c_registered, pass_name, bad
+    ):
+        """Edge ``bad`` (the clustering look-ahead distances 8 and 16, the
+        Phase-2 one 12) names vertex 10 of a 10-vertex state: the edges
+        before it look ahead to it and must skip it, and the loop reports
+        the miss at that edge."""
+        edges = np.array([(i % 10, (i + 3) % 10) for i in range(24)])
+        edges[bad] = (bad % 10, 10)
+        stream = _CopiedChunks(edges)
+        with pytest.raises(StreamError, match=f"edge {bad} has vertex id 10"):
+            self._run_pass(get_backend(c_registered), pass_name, stream)
+
+    @pytest.mark.parametrize("chunk_size", [1, 3, 7, 11, 15])
+    @pytest.mark.parametrize("mode", ["linear", "hdrf"])
+    def test_chunks_shorter_than_the_look_ahead(
+        self, c_registered, mode, chunk_size
+    ):
+        """Chunks shorter than either look-ahead distance, each in its own
+        allocation, through every pass of the pipeline."""
+        graph = rmat_graph(6, edge_factor=4, seed=2)
+        runs = []
+        for name in ("python", c_registered):
+            stream = _CopiedChunks(graph)
+            runs.append(
+                TwoPhasePartitioner(backend=name, mode=mode).partition(
+                    stream, 4, chunk_size=chunk_size
+                )
+            )
+        assert_results_identical(*runs)
+
+    # -- the degree pass: grown, never written past ---------------------
+    @pytest.mark.parametrize("at", ["first", "last"])
+    def test_degree_pass_grows_at_a_chunk_edge(self, c_registered, at):
+        """An id just beyond ``n_hint`` at a chunk's first or last edge:
+        the loop stops before writing it, grows the array to the chunk's
+        max + 1 and resumes at that edge."""
+        edges = np.array([(i % 10, (i + 1) % 10) for i in range(12)])
+        edges[4 if at == "first" else 7] = (3, 10)
+        stream = _CopiedChunks(edges)
+        stream.default_chunk_size = 4
+        out = get_backend(c_registered).degree_pass(stream, 10)
+        np.testing.assert_array_equal(out, np.bincount(edges.ravel()))
+
+    def test_degree_pass_grows_to_exactly_max_plus_one(self, c_registered):
+        edges = np.array([[0, 1], [2, 3], [1, 1_000_000], [3, 2]])
+        out = get_backend(c_registered).degree_pass(InMemoryEdgeStream(edges), 4)
+        assert out.shape == (1_000_001,)
+        np.testing.assert_array_equal(out, np.bincount(edges.ravel()))
+
+    @pytest.mark.parametrize(
+        "chunks, edge",
+        [(([[0, 1], [2, -1]],), 1), (([[0, 1]], [[-1, 5], [5, 2]]), 1)],
+    )
+    def test_degree_pass_refuses_a_negative_id(self, c_registered, chunks, edge):
+        """A negative id reads as beyond every length to the loop's
+        unsigned compare; the wrapper names it instead of growing."""
+        with pytest.raises(StreamError, match=f"edge {edge} holds a negative"):
+            get_backend(c_registered).degree_pass(_RawChunks(*chunks), 4)
+
     # -- the Phase-2 barrier: every input is checked before any write --
     @staticmethod
     def _barrier(packed=False, n=12, k=10):
@@ -437,6 +561,36 @@ class TestCMemorySafety:
             get_backend(c_registered).list_schedule(
                 np.array([3, 2], dtype=np.int64), 0
             )
+
+
+class TestCLookAhead:
+    """GCC deletes a call to a helper whose only effect is a prefetch,
+    and then the library holds no prefetch instruction at all.  So the
+    loops the source gives a look-ahead are checked in the disassembly
+    of the library this process loaded."""
+
+    #: Prefetch mnemonics per machine type.
+    MNEMONICS = {"x86_64": r"prefetch\w*", "aarch64": "prfm"}
+
+    @pytest.mark.parametrize(
+        "symbol", ["remaining_linear", "remaining_hdrf", "cluster_pass"]
+    )
+    def test_loop_holds_prefetch_instructions(self, c_registered, symbol):
+        objdump = shutil.which("objdump")
+        if objdump is None:
+            pytest.skip("objdump is not on PATH")
+        mnemonic = self.MNEMONICS.get(platform.machine())
+        if mnemonic is None:
+            pytest.skip(f"no prefetch mnemonic listed for {platform.machine()}")
+        command = [objdump, "-d", "--no-show-raw-insn", f"--disassemble={symbol}"]
+        proc = subprocess.run(
+            [*command, c_backend._LIB._name], capture_output=True, text=True
+        )
+        if proc.returncode != 0:
+            pytest.skip(f"objdump cannot disassemble one symbol: {proc.stderr}")
+        assert f"<{symbol}>:" in proc.stdout
+        found = re.findall(rf"^\s*[0-9a-f]+:\s+({mnemonic})\s", proc.stdout, re.M)
+        assert found, f"{symbol} holds no prefetch instruction"
 
 
 class TestCLifecycle:

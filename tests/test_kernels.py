@@ -8,7 +8,7 @@ Chunk size must be a pure performance knob.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import DBH, Grid, RandomHash
@@ -457,6 +457,73 @@ class TestDegreePass:
         np.testing.assert_array_equal(
             self._degrees(backend, edges, 7, 3), np.bincount(edges.ravel())
         )
+
+
+class TestClusteringMoveBoundaries:
+    """The clustering move at its comparisons' boundaries, every backend
+    against the reference.  On graphs of at most 8 vertices, volumes and
+    degrees are small integers, so a ``cap`` drawn from the integers and
+    half-integers up to 20 lands on ``vol == cap`` and on
+    ``vol[c_l] + d_s == cap``, and the tie ``vol_u - d_u == vol_v - d_v``
+    is common.  The ``c`` loop computes the move without a branch, so
+    each of its four ``<=`` is checked here at equality.
+
+    With ``vol_u == cap`` the third comparison and the tie rule leave no
+    move unless the other endpoint's degree is 0, so the first two
+    comparisons decide only there.  The true-degree pass therefore also
+    runs on stale degrees drawn from 0-3, as when a degree pass did not
+    count every edge the clustering sees.  The two examples pin every
+    comparison at equality: edge (0, 1) ties, and its move fills cluster
+    1 to exactly ``cap``; then vertex 2, of degree 0, joins that full
+    cluster as the first and as the second endpoint."""
+
+    STALE = [1, 1, 0, 0, 0, 0, 0, 0]
+
+    @settings(max_examples=150, deadline=None)
+    @example(edges=[(0, 1), (1, 2)], stale=STALE, cap=2.0, partial=False, passes=1)
+    @example(edges=[(0, 1), (2, 1)], stale=STALE, cap=2.0, partial=False, passes=1)
+    @given(
+        edges=st.lists(
+            st.tuples(st.integers(0, 7), st.integers(0, 7)),
+            min_size=1,
+            max_size=30,
+        ),
+        stale=st.one_of(
+            st.none(), st.lists(st.integers(0, 3), min_size=8, max_size=8)
+        ),
+        cap=st.integers(min_value=0, max_value=40).map(lambda c: c / 2),
+        partial=st.booleans(),
+        passes=st.integers(min_value=1, max_value=2),
+    )
+    def test_backends_match_reference(self, edges, stale, cap, partial, passes):
+        edges = np.array(edges, dtype=np.int64)
+        if partial:
+            degrees = np.zeros(8, dtype=np.int64)
+        elif stale is None:
+            degrees = np.bincount(edges.ravel(), minlength=8)
+        else:
+            degrees = np.array(stale, dtype=np.int64)
+        for chunk_size in (1, 3, 10**6):
+            runs = {}
+            for impl in BACKEND_IMPLS:
+                stream = InMemoryEdgeStream(edges, n_vertices=8)
+                stream.default_chunk_size = chunk_size
+                st_ = impl.clustering_init(degrees)
+                run = (
+                    impl.clustering_partial_pass
+                    if partial
+                    else impl.clustering_true_pass
+                )
+                cost = CostCounter()
+                for _ in range(passes):
+                    run(stream, st_, cap, cost)
+                runs[impl.name] = (*impl.clustering_export(st_), cost)
+            v2c, vol, deg, cost = runs["python"]
+            for name, (v2c_b, vol_b, deg_b, cost_b) in runs.items():
+                np.testing.assert_array_equal(v2c_b, v2c, err_msg=name)
+                np.testing.assert_array_equal(vol_b, vol, err_msg=name)
+                np.testing.assert_array_equal(deg_b, deg, err_msg=name)
+                assert cost_b.cluster_updates == cost.cluster_updates, name
 
 
 class TestPhase2Inputs:
