@@ -15,12 +15,11 @@ Faithful details:
 
 The whole pass dispatches through the kernel registry
 (:meth:`repro.kernels.base.KernelBackend.hdrf_baseline_pass`): the
-``python`` backend streams edge-at-a-time through the scoring twin
-``PythonBackend.hdrf_choose`` (shared with the 2PS-HDRF remaining pass,
-so the score arithmetic can never diverge between the baseline and the
-two-phase variant), the ``numpy`` backend makes the same decisions
-through its exact scalar engine, and the ``c`` backend runs a compiled
-per-edge argmax — all bit-exact by the backend contract.
+``python`` and ``numpy`` backends stream edge-at-a-time through the
+scoring twin ``PythonBackend.hdrf_choose`` (shared with the 2PS-HDRF
+remaining pass, so the score arithmetic can never diverge between the
+baseline and the two-phase variant), and the ``c`` backend runs a
+compiled per-edge argmax — bit-exact by the backend contract.
 One simulated "score evaluation" per partition per edge is charged to the
 cost counter, preserving the O(|E| * k) operation count.
 """

@@ -14,8 +14,8 @@ as vectorized numpy array code, or as a compiled loop:
   degrees, gather/mask/scatter for the pre-partition pass, vectorized
   splitmix64 for the stateless baselines, and conflict-free
   sub-batching for the stateful 2PS-L scoring pass (see below).
-  Phase-1 clustering runs the reference list kernel.  The default on
-  hosts without a working C compiler.
+  Phase-1 clustering and both HDRF passes run the reference kernels.
+  The default on hosts without a working C compiler.
 - ``c`` — the default wherever it builds (:mod:`repro.kernels.c_backend`):
   the per-edge loop of the degree pass and of every stateful pass (both
   clustering bodies, the pre-partition pass, both remaining passes, the
@@ -40,8 +40,7 @@ the edge count).
 
 The tricky part of the contract is the *stateful* passes, where an edge's
 decision depends on state mutated by earlier edges.  The ``numpy`` backend
-preserves serial semantics with one vectorization technique plus a scalar
-engine:
+vectorizes one of them and runs the reference kernels for the others:
 
 - *Conflict-free sub-batching* (the 2PS-L scoring pass): an edge is
   scored vectorized when it is the first edge of its block to read each
@@ -49,14 +48,9 @@ engine:
   0 to 1, so set cells read the same in any order), and processing it
   out of order is provably equivalent; every other edge falls through
   to the serial kernel, in stream order, after the batch.
-- *An exact scalar engine* (``_HdrfScalarEngine``; the 2PS-HDRF remaining
-  pass and the classic HDRF baseline, where every edge mutates the
-  partition sizes every other edge's balance term reads, so no
-  conflict-free subset exists): only the frozen per-edge theta is
-  vectorized, and every edge is decided serially, in stream order, with
-  the k-way argmax collapsed to at most four candidates.  The collapse
-  rests on float bounds that hold for a range of balance weights; outside
-  that range both passes run the reference kernel.
+- The 2PS-HDRF remaining pass and the classic HDRF baseline are not
+  vectorized: every edge mutates the partition sizes every other edge's
+  balance term reads, so no conflict-free subset exists.
 
 A sub-batched block falls back to the serial kernel whenever any
 partition could hit the hard balance cap inside it (the remaining
@@ -190,8 +184,7 @@ protocol with raw-``ndarray`` tricks:
 
 - detect packed storage with ``getattr(replicas, "packed", None)`` and
   handle the packed rows natively (the row bytes ARE the
-  ``np.packbits`` encoding — ``_HdrfScalarEngine._pack_row`` just reads
-  them);
+  ``np.packbits`` encoding);
 - per-edge serial loops outside the python reference never index the
   wrapper (a scalar ``replicas[u, p]`` is a Python-level call costing
   microseconds on packed state).  They test and set bits on the raw

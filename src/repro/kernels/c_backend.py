@@ -29,9 +29,8 @@ Bit-exactness with the ``python`` reference is argued in the C source:
 the same double expressions in the same association order, exact
 int64-to-double conversions, no fused multiply-add, first-index
 tie-breaks, and replication terms added without a branch only where the
-product form is exact.  Both HDRF loops score all k partitions, so unlike
-numpy's scalar engine they have no balance-weight range outside which
-they hand over to the reference.
+product form is exact.  Both HDRF loops score all k partitions, as the
+reference does, so they are exact for every balance weight.
 
 Memory safety.  The loops check every index they derive from the input
 (endpoint ids, cluster ids read from the clustering's ``v2c``,

@@ -5,10 +5,11 @@ hashing) are fully vectorized.  The remaining-edge scoring pass uses
 *conflict-free sub-batching*: the edges of a block that cannot depend on
 an earlier edge of the block are processed as one array operation,
 everything else falls through to the per-edge serial kernel in stream
-order.  Phase-1 clustering runs the ``python`` backend's list kernel,
-inherited unchanged.  The result is bit-exact with the ``python``
-reference backend — see the package docstring for the argument and
-``tests/test_kernels.py`` for the enforcement.
+order.  Phase-1 clustering and both HDRF passes run the ``python``
+backend's per-edge kernels, inherited unchanged.  The result is
+bit-exact with the ``python`` reference backend — see the package
+docstring for the argument and ``tests/test_kernels.py`` for the
+enforcement.
 
 Why the sub-batching is exact, in short:
 
@@ -25,11 +26,8 @@ Why the sub-batching is exact, in short:
   the fallback provably unreachable either way.
 - *HDRF passes* (the 2PS-HDRF remaining pass and the classic HDRF
   baseline): every edge mutates the partition sizes that every other
-  edge's balance term reads, so no conflict-free subset exists at all.
-  Only the frozen per-edge input (theta) is vectorized; the decisions
-  run serially, in stream order, through an exact scalar engine that
-  collapses the k-way argmax to at most four candidates (see
-  ``_HdrfScalarEngine``).
+  edge's balance term reads, so no conflict-free subset exists at all;
+  hence numpy inherits both from the reference.
 
 The serial per-edge loops (the scoring pass's conflict path and the
 pre-partition pass's cap-aware tail) test and set replica bits on the
@@ -38,8 +36,6 @@ matrix, so dense and bit-packed states run one loop at the same speed.
 """
 
 from __future__ import annotations
-
-from bisect import insort
 
 import numpy as np
 
@@ -445,108 +441,6 @@ class NumpyBackend(PythonBackend):
                 append(p)
         ctx.assignments[positions] = chosen
 
-    # ------------------------------------------------------------------
-    # 2PS-HDRF remaining pass: the scalar engine, one chunk at a time
-    # ------------------------------------------------------------------
-    def remaining_pass_hdrf(self, stream, ctx: TwoPhaseContext) -> None:
-        from repro.core.scoring import HDRF_EPSILON
-
-        if not _engine_exact(ctx, HDRF_EPSILON):
-            super().remaining_pass_hdrf(stream, ctx)
-            return
-        part = ctx.part
-        degrees = ctx.weights[:, 0]
-        n_vert = min(part.shape[0], ctx.state.n_vertices)
-        engine = _HdrfScalarEngine(ctx, HDRF_EPSILON)
-        if stream.n_edges > 4 * ctx.state.replicas.shape[0]:
-            # Long pass over a comparatively small vertex set: one
-            # vectorized packing beats per-vertex lazy misses.  Short
-            # sync-window dispatches (the parallel path) stay lazy.
-            engine.pack_all()
-        idx = 0
-        n_rem = 0
-        for chunk in stream.chunks():
-            c = chunk.shape[0]
-            if c == 0:
-                continue
-            check_vertex_ids(chunk, n_vert, idx)
-            u = chunk[:, 0]
-            v = chunk[:, 1]
-            p1 = part[u]
-            p2 = part[v]
-            rem = p1 != p2
-            nrem = int(rem.sum())
-            if nrem:
-                n_rem += nrem
-                _check_parts(chunk, idx, rem, p1[rem], p2[rem], ctx.k)
-                ru = u[rem]
-                rv = v[rem]
-                # theta is frozen in this pass (true degrees): vectorized
-                # once, bit-identical to the reference per-edge division.
-                theta = degrees[ru] / (degrees[ru] + degrees[rv])
-                ctx.assignments[idx + np.flatnonzero(rem)] = engine.run(
-                    ru, rv, theta
-                )
-            idx += c
-        ctx.cost.score_evaluations += ctx.k * n_rem
-        ctx.cost.edges_streamed += stream.n_edges
-
-    # ------------------------------------------------------------------
-    # Classic streaming baselines
-    # ------------------------------------------------------------------
-    def hdrf_baseline_pass(self, stream, ctx: TwoPhaseContext) -> np.ndarray:
-        """Classic HDRF through the scalar engine, one chunk at a time.
-
-        The baseline's partial-degree updates are decision-independent,
-        so the per-edge partial degrees at decision time are
-        reconstructed exactly for a whole chunk before any decision is
-        made: each endpoint's counter equals the pre-chunk count plus
-        its inclusive occurrence rank within the chunk (both endpoints
-        of a self-loop land on the same counter, handled by counting
-        interleaved endpoint slots).  With theta exact, the engine's
-        decisions are the serial reference ones.
-        """
-        from repro.core.scoring import HDRF_EPSILON
-
-        if not _engine_exact(ctx, HDRF_EPSILON):
-            return super().hdrf_baseline_pass(stream, ctx)
-        n = int(ctx.state.n_vertices)
-        engine = _HdrfScalarEngine(ctx, HDRF_EPSILON)
-        if stream.n_edges > 4 * n:
-            engine.pack_all()
-        partial = np.zeros(n, dtype=np.int64)
-        idx = 0
-        for chunk in stream.chunks():
-            c = chunk.shape[0]
-            if c == 0:
-                continue
-            check_vertex_ids(chunk, n, idx)
-            u = chunk[:, 0]
-            v = chunk[:, 1]
-            # Inclusive occurrence ranks over interleaved endpoint slots
-            # (u at even, v at odd positions), grouped by vertex id via
-            # one stable argsort.
-            ids = chunk.ravel()
-            order = np.argsort(ids, kind="stable")
-            t = np.arange(2 * c)
-            gids = ids[order]
-            new_group = np.empty(2 * c, dtype=bool)
-            new_group[0] = True
-            new_group[1:] = gids[1:] != gids[:-1]
-            gstart = np.maximum.accumulate(np.where(new_group, t, 0))
-            inc = np.empty(2 * c, dtype=np.int64)
-            inc[order] = t - gstart + 1
-            # A self-loop bumps u's counter twice before scoring; its
-            # even slot only counted the first bump.
-            du = partial[u] + inc[0::2] + (u == v)
-            dv = partial[v] + inc[1::2]
-            ctx.assignments[idx : idx + c] = engine.run(u, v, du / (du + dv))
-            partial += np.bincount(ids, minlength=n)
-            idx += c
-        ctx.cost.score_evaluations += ctx.k * stream.n_edges
-        ctx.cost.edges_streamed += stream.n_edges
-        return partial
-
 
 def _check_parts(chunk, pos, mask, pu, pv, k) -> None:
     """Raise :func:`~repro.kernels.base.partition_error` for the first
@@ -561,276 +455,3 @@ def _check_parts(chunk, pos, mask, pu, pv, k) -> None:
     row = int(np.flatnonzero(mask)[j])
     u, v = chunk[row].tolist()
     raise partition_error(pos + row, u, v, int(pu[j]), int(pv[j]), k)
-
-
-def _engine_exact(ctx, eps) -> bool:
-    """Whether :class:`_HdrfScalarEngine` decides bit-exactly as the
-    reference for this pass's balance weight and edge count (the
-    argument is in the engine docstring); both HDRF passes run the
-    reference kernel when it does not."""
-    lam = ctx.hdrf_lambda
-    return 0.0 < lam < 2.0**50 and (
-        lam / (eps + ctx.state.n_edges) > 2.0**-48 * (3.0 + lam)
-    )
-
-
-class _HdrfScalarEngine:
-    """Scalar mirror of the live HDRF pass state.
-
-    The HDRF argmax reads the two endpoints' replica rows and every
-    partition's size; evaluated with per-edge numpy calls (the
-    reference) that is a dozen kernel launches per edge, and a naive
-    scalar loop is O(k).  This engine gets the decision down to a
-    handful of Python operations per edge by exploiting the score's
-    structure.  For one edge the replication term takes only four
-    values — ``tu + tv`` (both endpoints replicated), ``tu``, ``tv``,
-    and ``0.0`` — and within one such *category* the score differs only
-    by the balance term, which is strictly decreasing in the partition
-    size.  Hence only the lowest-indexed minimum-size partition of each
-    category can enter the argmax set, and the full k-way argmax
-    collapses to at most four exactly-scored candidates.
-
-    Exact range.  Candidates are scored with the reference's float
-    expressions in its association order, so only two claims rest on
-    rounding; both hold when ``0 < lam < 2**50`` and
-    ``lam / (eps + |E|) > 2**-48 * (3 + lam)`` (:func:`_engine_exact`).
-    Every score is at most about ``3 + lam`` (replication term at most
-    ``tu + tv``, about 3; balance term at most about ``lam``), so
-    rounding a final sum moves it by at most ``(3 + lam) * 2**-53``; and
-    the balance term, built from monotone correctly-rounded operations,
-    never increases with the size.
-
-    - *Dominance* (the fast path): a both-replicated partition at the
-      global minimum size beats every partition outside its category by
-      about ``min(tu, tv) >= 1`` before the final rounding; with
-      ``lam < 2**50`` the two final roundings close less than 1/4 of
-      that.
-    - *Category rule*: the balance terms of consecutive sizes differ by
-      ``lam / D``, where ``D = eps + max(sizes) - min(sizes)`` is at
-      most ``eps + |E|`` because sizes count assigned edges, even after
-      a stale parallel barrier pushes one past the cap.  Rounding the
-      two terms takes at most ``lam * 2**-51`` off that gap and the two
-      final sums at most ``(3 + lam) * 2**-52``; the second condition
-      keeps the gap larger, so a larger size scores strictly lower
-      within a category.
-
-    State kept per pass:
-
-    - per-vertex replica rows as int bitmasks (``masks``), packed
-      *lazily* on first touch — construction stays O(k), so the
-      parallel path can afford one engine per sync window;
-    - per-size-level partition bitmasks (``levels``) plus the sorted
-      list of occupied sizes (``order``), so "lowest-indexed minimum-
-      size partition inside bitmask X below the cap" is a couple of int
-      operations;
-    - ties are exact: within a category equal sizes give bit-equal
-      scores (lowest set bit wins, as ``np.argmax``), across categories
-      float-equal candidate scores resolve by partition index.
-
-    Decisions are made against the engine's scalar state, so the hot
-    loop performs no numpy writes; :meth:`run` writes a segment's
-    replica bits and sizes to the numpy state, vectorized, when the
-    segment ends.  A row packed lazily afterwards never misses an
-    engine decision: the engine only sets bits on rows it has cached.
-    """
-
-    __slots__ = (
-        "lam", "eps", "capacity", "replicas", "np_sizes", "masks",
-        "sizes", "levels", "order", "all_mask",
-    )
-
-    def __init__(self, ctx, eps) -> None:
-        self.lam = ctx.hdrf_lambda
-        self.eps = eps
-        self.capacity = ctx.state.capacity
-        self.replicas = ctx.state.replicas
-        self.np_sizes = ctx.state.sizes
-        self.masks: dict[int, int] = {}
-        self.all_mask = (1 << ctx.k) - 1
-        self.sizes = ctx.state.sizes.tolist()
-        levels: dict[int, int] = {}
-        for p, s in enumerate(self.sizes):
-            levels[s] = levels.get(s, 0) | (1 << p)
-        self.levels = levels
-        self.order = sorted(levels)
-
-    def _pack_row(self, vertex) -> int:
-        """Pack one replica row into an int bitmask (first touch only)."""
-        packed = getattr(self.replicas, "packed", None)
-        if packed is not None:
-            # Bit-packed rows already ARE the little-endian mask bytes.
-            return int.from_bytes(packed[vertex].tobytes(), "little")
-        row = np.packbits(self.replicas[vertex], bitorder="little")
-        return int.from_bytes(row.tobytes(), "little")
-
-    def pack_all(self) -> None:
-        """Eagerly pack every replica row in one vectorized pass,
-        densifying ``masks`` from dict to list (plain indexing in the
-        hot loop).  Worth it only when the pass will touch most vertices
-        (the caller decides); already-cached masks win over the fresh
-        packing.
-        """
-        packed = getattr(self.replicas, "packed", None)
-        if packed is None:
-            packed = np.packbits(self.replicas, axis=1, bitorder="little")
-        dense = [
-            int.from_bytes(row.tobytes(), "little") for row in packed
-        ]
-        for vertex, mask in self.masks.items():
-            dense[vertex] = mask
-        self.masks = dense
-
-    def run(self, bu, bv, theta) -> np.ndarray:
-        """Decide one segment of edges in stream order and return their
-        partitions, after writing the segment's replica bits and sizes
-        to the numpy state.
-
-        The four replication categories are unrolled inline — this is
-        the hot loop of both HDRF passes, so it trades repetition for
-        zero per-edge function-call overhead.
-        """
-        masks = self.masks
-        dense = isinstance(masks, list)
-        masks_get = None if dense else masks.get
-        pack = self._pack_row
-        levels = self.levels
-        order = self.order
-        sizes = self.sizes
-        lam = self.lam
-        eps = self.eps
-        cap = self.capacity
-        all_mask = self.all_mask
-        out = []
-        append = out.append
-        for u, v, th in zip(bu.tolist(), bv.tolist(), theta.tolist()):
-            if dense:
-                mu = masks[u]
-                mv = masks[v]
-            else:
-                mu = masks_get(u)
-                if mu is None:
-                    mu = pack(u)
-                    masks[u] = mu
-                mv = masks_get(v)
-                if mv is None:
-                    mv = pack(v)
-                    masks[v] = mv
-            X = mu & mv
-            m0 = order[0]
-            if X and m0 < cap:
-                L = levels[m0] & X
-                if L:
-                    # Dominance fast path: a both-replicated partition at
-                    # the global minimum size has the maximal balance term
-                    # on top of the maximal replication term, beating any
-                    # other partition by at least min(tu, tv) >= 1.0 —
-                    # more than rounding can close in the exact range, so
-                    # no score needs computing at all.
-                    best_p = (L & -L).bit_length() - 1
-                    bit = 1 << best_p
-                    masks[u] = mu | bit
-                    masks[v] = masks[v] | bit
-                    s = sizes[best_p]
-                    sizes[best_p] = s + 1
-                    rest = levels[s] & ~bit
-                    if rest:
-                        levels[s] = rest
-                    else:
-                        del levels[s]
-                        order.remove(s)
-                    s1 = s + 1
-                    if s1 in levels:
-                        levels[s1] |= bit
-                    else:
-                        levels[s1] = bit
-                        insort(order, s1)
-                    append(best_p)
-                    continue
-            Mf = float(order[-1])
-            denom = (eps + Mf) - float(m0)
-            tu = 2.0 - th
-            tv = 1.0 + th
-            best_p = -1
-            best_s = 0.0
-            if X:  # both endpoints replicated: rep = tu + tv
-                for s in order:
-                    if s >= cap:
-                        break
-                    L = levels[s] & X
-                    if L:
-                        best_p = (L & -L).bit_length() - 1
-                        best_s = (tu + tv) + lam * (Mf - float(s)) / denom
-                        break
-            X = mu & ~mv
-            if X:  # u replicated only: rep = tu (+ 0.0 is exact)
-                for s in order:
-                    if s >= cap:
-                        break
-                    L = levels[s] & X
-                    if L:
-                        score = tu + lam * (Mf - float(s)) / denom
-                        if best_p < 0 or score > best_s:
-                            best_p = (L & -L).bit_length() - 1
-                            best_s = score
-                        elif score == best_s:
-                            p = (L & -L).bit_length() - 1
-                            if p < best_p:
-                                best_p = p
-                        break
-            X = mv & ~mu
-            if X:  # v replicated only: rep = tv
-                for s in order:
-                    if s >= cap:
-                        break
-                    L = levels[s] & X
-                    if L:
-                        score = tv + lam * (Mf - float(s)) / denom
-                        if best_p < 0 or score > best_s:
-                            best_p = (L & -L).bit_length() - 1
-                            best_s = score
-                        elif score == best_s:
-                            p = (L & -L).bit_length() - 1
-                            if p < best_p:
-                                best_p = p
-                        break
-            X = all_mask & ~(mu | mv)
-            if X:  # neither replicated: rep = 0.0, score = balance term
-                for s in order:
-                    if s >= cap:
-                        break
-                    L = levels[s] & X
-                    if L:
-                        score = lam * (Mf - float(s)) / denom
-                        if best_p < 0 or score > best_s:
-                            best_p = (L & -L).bit_length() - 1
-                            best_s = score
-                        elif score == best_s:
-                            p = (L & -L).bit_length() - 1
-                            if p < best_p:
-                                best_p = p
-                        break
-            if best_p < 0:
-                best_p = 0  # every partition at the cap: argmax of -inf
-            bit = 1 << best_p
-            masks[u] |= bit
-            masks[v] |= bit
-            s = sizes[best_p]
-            sizes[best_p] = s + 1
-            rest = levels[s] & ~bit
-            if rest:
-                levels[s] = rest
-            else:
-                del levels[s]
-                order.remove(s)
-            s1 = s + 1
-            if s1 in levels:
-                levels[s1] |= bit
-            else:
-                levels[s1] = bit
-                insort(order, s1)
-            append(best_p)
-        ps = np.asarray(out, dtype=np.int64)
-        self.replicas[bu, ps] = True
-        self.replicas[bv, ps] = True
-        self.np_sizes += np.bincount(ps, minlength=self.np_sizes.shape[0])
-        return ps

@@ -367,15 +367,12 @@ class PythonBackend(KernelBackend):
         ``np.argmax``).
 
         This is the reference implementation of the HDRF decision — the
-        reference 2PS-HDRF pass and the classic HDRF baseline route
-        through it.  The ``numpy`` backend reaches it only for balance
-        weights outside its scalar engine's exact range
-        (``numpy_backend._engine_exact``); inside that range the engine
-        scores its candidates with these exact float expressions, and so
-        does, by necessity, ``hdrf_pick`` in ``_ckernels.c`` (compiled
-        code cannot call back into Python).  Any change here must be
-        mirrored in both in lockstep; the cross-backend equivalence
-        suites pin them.
+        2PS-HDRF pass and the classic HDRF baseline route through it on
+        the ``python`` and ``numpy`` backends.  ``hdrf_pick`` in
+        ``_ckernels.c`` mirrors it with the same float expressions
+        (compiled code cannot call back into Python); any change here
+        must be mirrored there in lockstep, and the cross-backend
+        equivalence suites pin the pair.
         """
         scores = u_row * (2.0 - theta_u) + v_row * (1.0 + theta_u)
         maxs = sizes_np.max()

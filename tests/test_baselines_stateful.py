@@ -5,6 +5,7 @@ import pytest
 
 from repro.baselines import DBH, HDRF, Adwise, Greedy, RandomHash
 from repro.errors import ConfigurationError
+from repro.kernels import available_backends
 from repro.metrics import validate_partition
 
 
@@ -57,21 +58,31 @@ class TestHDRF:
         expected[powerlaw_graph.edges[:, 1], result.assignments] = True
         assert np.array_equal(result.state.replicas, expected)
 
+    def test_unknown_backend_fails_at_construction(self):
+        from repro.errors import ReproError
+
+        with pytest.raises(ReproError):
+            HDRF(backend="no-such-backend")
+
 
 #: Chunk sizes of the baseline sweep: per-edge, odd, default-like, > |E|.
 CHUNK_SIZES = [1, 37, 4096, 10**6]
 
+#: Every non-reference backend is pinned to the ``python`` reference.
+NON_REFERENCE = [n for n in available_backends() if n != "python"]
 
+
+@pytest.mark.parametrize("backend", NON_REFERENCE)
 class TestHDRFBackends:
     """Baseline bit-exactness across kernel backends.
 
-    The baseline pass dispatches through the kernel registry; the
-    ``numpy`` twin reconstructs partial degrees per chunk and decides
-    through the scalar engine, and must land on exactly the per-edge
-    reference decisions — assignments, replicas, sizes AND the simulated
-    cost counters.  k=70 spans more than one machine word of the
-    engine's bitmasks.  (The ``c`` loops are pinned in
-    ``tests/test_c_backend.py`` too.)
+    The baseline pass dispatches through the kernel registry, and every
+    non-reference backend must land on exactly the per-edge reference
+    decisions — assignments, replicas, sizes AND the simulated cost
+    counters.  ``numpy`` inherits the reference pass; ``c`` runs its
+    compiled argmax over all k partitions.  k=70 takes partition ids past
+    64 and a packed replica row past 8 bytes.  (``tests/test_c_backend.py``
+    pins the ``c`` loop at extreme balance weights too.)
     """
 
     @staticmethod
@@ -87,37 +98,37 @@ class TestHDRFBackends:
         [pytest.param(c, 8, id=str(c)) for c in CHUNK_SIZES]
         + [pytest.param(c, 70, id=f"{c}-k70") for c in CHUNK_SIZES],
     )
-    def test_numpy_matches_python(self, powerlaw_graph, chunk_size, k):
+    def test_matches_python(self, powerlaw_graph, backend, chunk_size, k):
         ref = HDRF(backend="python").partition(
             powerlaw_graph, k, chunk_size=chunk_size
         )
-        out = HDRF(backend="numpy").partition(
+        out = HDRF(backend=backend).partition(
             powerlaw_graph, k, chunk_size=chunk_size
         )
         self._identical(ref, out)
 
     @pytest.mark.parametrize("lam", [0.0, 1e-15, 1.1, 2.5, 15.0, 1e16])
-    def test_lambda_sweep_bit_exact(self, social_graph, lam):
-        """0, 1e-15 and 1e16 lie outside the scalar engine's exact range
-        and take the reference kernel; the rest run the engine."""
+    def test_lambda_sweep_bit_exact(self, social_graph, backend, lam):
+        """Degenerate (0), vanishing (1e-15), paper (1.1), moderate and
+        balance-dominated (1e16) weights all stay bit-exact."""
         ref = HDRF(lam=lam, backend="python").partition(social_graph, 6)
-        out = HDRF(lam=lam, backend="numpy").partition(social_graph, 6)
+        out = HDRF(lam=lam, backend=backend).partition(social_graph, 6)
         self._identical(ref, out)
 
-    def test_cap_pressure_bit_exact(self, powerlaw_graph):
+    def test_cap_pressure_bit_exact(self, powerlaw_graph, backend):
         """alpha=1.0 keeps the hard cap reachable, driving the masked
         argmax."""
         ref = HDRF(backend="python").partition(
             powerlaw_graph, 5, alpha=1.0, chunk_size=64
         )
-        out = HDRF(backend="numpy").partition(
+        out = HDRF(backend=backend).partition(
             powerlaw_graph, 5, alpha=1.0, chunk_size=64
         )
         self._identical(ref, out)
 
-    def test_self_loops_bit_exact(self):
-        """Self-loops bump one partial degree twice (theta lands exactly
-        on 1/2); the batched degree reconstruction must reproduce it."""
+    def test_self_loops_bit_exact(self, backend):
+        """Self-loops bump one partial degree twice before scoring (theta
+        lands exactly on 1/2)."""
         rng = np.random.default_rng(13)
         edges = rng.integers(0, 200, size=(3000, 2), dtype=np.int64)
         loops = rng.random(3000) < 0.05
@@ -125,16 +136,10 @@ class TestHDRFBackends:
         ref = HDRF(backend="python").partition(
             edges, 4, n_vertices=200, chunk_size=101
         )
-        out = HDRF(backend="numpy").partition(
+        out = HDRF(backend=backend).partition(
             edges, 4, n_vertices=200, chunk_size=101
         )
         self._identical(ref, out)
-
-    def test_unknown_backend_fails_at_construction(self):
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError):
-            HDRF(backend="no-such-backend")
 
 
 class TestGreedy:

@@ -275,9 +275,8 @@ class TestCEquivalence:
     @pytest.mark.parametrize("k", [7, 70])
     @pytest.mark.parametrize("lam", [1e-15, 1e16])
     def test_extreme_lambda_bit_exact(self, c_registered, lam, k):
-        """Both HDRF loops score all k partitions, so no balance weight
-        falls outside their exact range (numpy's scalar engine hands
-        these to the reference)."""
+        """Both HDRF loops score all k partitions, as the reference does,
+        so they stay exact at vanishing and balance-dominated weights."""
         graph = rmat_graph(8, edge_factor=8, seed=7)
         ref = TwoPhasePartitioner(
             backend="python", mode="hdrf", hdrf_lambda=lam

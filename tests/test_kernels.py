@@ -135,8 +135,8 @@ class TestBackendEquivalence:
     def test_hub_heavy_rmat_bit_exact(self, backend, mode, chunk_size):
         """Hub-heavy R-MAT: worst case for conflict-free batching (hubs
         collide in nearly every block) and a balance-dominated stream for
-        the HDRF scalar engine; chunk_size sweeps through 1 and far
-        beyond |E|."""
+        the HDRF argmax; chunk_size sweeps through 1 and far beyond
+        |E|."""
         graph = rmat_graph(9, edge_factor=8, seed=3)
         ref = TwoPhasePartitioner(backend="python", mode=mode).partition(
             graph, 8, chunk_size=chunk_size
@@ -148,9 +148,8 @@ class TestBackendEquivalence:
 
     @pytest.mark.parametrize("hdrf_lambda", [0.0, 1e-15, 1.1, 15.0, 1e16])
     def test_2pshdrf_lambda_sweep_bit_exact(self, backend, hdrf_lambda):
-        """Degenerate and extreme balance weights (0, 1e-15, 1e16: outside
-        the scalar engine's exact range, so the reference kernel runs) and
-        in-range ones (1.1, 15) all stay bit-exact."""
+        """Degenerate and extreme balance weights (0, 1e-15, 1e16) and
+        ordinary ones (1.1, 15) all stay bit-exact."""
         graph = rmat_graph(8, edge_factor=8, seed=5)
         ref = TwoPhasePartitioner(
             backend="python", mode="hdrf", hdrf_lambda=hdrf_lambda
@@ -162,7 +161,7 @@ class TestBackendEquivalence:
 
     def test_2pshdrf_tight_cap_bit_exact(self, backend):
         """alpha=1.0 keeps the hard cap reachable in nearly every chunk,
-        exercising the cap masking of the HDRF scalar engine."""
+        exercising the cap masking of the HDRF argmax."""
         graph = rmat_graph(8, edge_factor=8, seed=7)
         ref = TwoPhasePartitioner(backend="python", mode="hdrf").partition(
             graph, 5, alpha=1.0, chunk_size=37
@@ -265,8 +264,7 @@ class TestPackedStateKernels:
     """The Phase-2 passes on bit-packed state, pass by pass: packed ==
     dense == the python reference, with the cap fallback taken.  k=13
     leaves three tail bits per packed row, k=32 fills whole bytes, k=70
-    leaves six tail bits and spans more than one machine word of the
-    HDRF engine's bitmasks."""
+    leaves six tail bits and a packed row past 8 bytes."""
 
     GRAPH = rmat_graph(9, edge_factor=8, seed=3)
 
