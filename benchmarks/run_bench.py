@@ -8,7 +8,8 @@ records per-phase wall times and edges/sec so the perf trajectory of the
 kernel layer is tracked from PR to PR:
 
 - ``2psl``     — sequential 2PS-L (``TwoPhasePartitioner``)
-- ``2pshdrf``  — sequential 2PS-HDRF (``mode="hdrf"``)
+- ``2pshdrf``  — sequential 2PS-HDRF (``mode="hdrf"``), on every backend
+  but ``numpy``, which runs the reference's 2PS-HDRF passes
 - ``parallel`` — sharded ``ParallelTwoPhase`` (kernel-dispatched windows)
 
 It then runs the **parallel wall-clock** section: the sharded path with
@@ -24,11 +25,10 @@ Usage::
 Exit status is non-zero unless every gate passes:
 
 - speedup gates (the ``numpy`` backend, the fallback on hosts without a
-  C compiler, vs the ``python`` reference):
-  ``2psl`` degree and prepartition passes >= 5x and the 2PS-L remaining
-  pass (``partitioning`` phase) >= 1.8x — the gate of its cell-level
-  conflict batching.  Each phase is its own best over the repeats.
-  2PS-HDRF has no numpy gate: numpy runs the reference's HDRF pass;
+  C compiler, vs the ``python`` reference): the ``2psl`` degree and
+  prepartition passes >= 5x.  Each phase is its own best over the
+  repeats.  The remaining passes have no numpy gate: numpy runs the
+  reference's 2PS-L and HDRF remaining passes;
 - correctness gates: all backends bit-identical per pipeline,
   ``ParallelTwoPhase(n_workers=1)`` bit-exact with sequential 2PS-L, the
   process runner bit-identical with the simulated runner under the same
@@ -78,13 +78,14 @@ Exit status is non-zero unless every gate passes:
   gates;
 - c gates (``c`` section of ``BENCH_kernels.json``): the compiled ``c``
   backend from the rows the pipeline loop already ran — against
-  ``numpy``, 2PS-L total, the 2PS-L degree pass, 2PS-L clustering, the
-  2PS-L cluster mapping and the 2PS-L remaining pass; against
-  ``python``, the 2PS-HDRF remaining pass (>= 65x, 10x at smoke scale)
-  — plus the 2PS-L remaining pass over hub-heavy R-MAT (>= 2x), the
-  stream the per-edge loops exist for, and the Phase-2 delta barrier op
-  on dense and packed state (``2**scale`` rows, two views, 41% of rows
-  dirty, the traffic of a two-worker run), bit-identical with numpy.
+  ``numpy``, the 2PS-L degree pass, 2PS-L clustering and the 2PS-L
+  cluster mapping; against ``python``, 2PS-L total, the 2PS-L remaining
+  pass (>= 17.1x, 6x at smoke scale) and the 2PS-HDRF remaining pass
+  (>= 65x, 10x at smoke scale) — plus, against ``python`` and
+  bit-identical with it, the 2PS-L remaining pass over hub-heavy R-MAT,
+  and, against ``numpy`` and bit-identical with it, the Phase-2 delta
+  barrier op on dense and packed state (``2**scale`` rows, two views,
+  41% of rows dirty, the traffic of a two-worker run).
   The gate **records-but-skips** when ``c`` is unavailable (no working C
   compiler), so compiler-free environments keep an authoritative BENCH
   file without a red gate;
@@ -113,7 +114,9 @@ phase, as the per-vertex state outgrows the caches.
 
 ``--smoke`` runs the same gates at a reduced scale (65k edges) with
 proportionally relaxed speedup thresholds, so CI can check the kernel
-layer in seconds without the full 1M-edge run.  ``--record-only``
+layer in seconds without the full 1M-edge run.  Its pipeline rows keep
+``--repeats`` runs per backend, so the ``c`` gates read from them take
+each phase's best there too.  ``--record-only``
 (the nightly trend-tracking mode) records every gate outcome in the
 BENCH payloads but only correctness failures affect the exit status.
 The ``BENCH_*.json`` / ``BENCH_*_smoke.json`` files at the repo root
@@ -143,16 +146,15 @@ from repro.streaming import FileEdgeStream, InMemoryEdgeStream
 
 #: numpy-vs-python speedup gates per pipeline: {config: {phase:
 #: threshold}}.  The smoke thresholds are lower because vectorization
-#: amortizes less at 65k edges.  The 2PS-L ``partitioning`` phase is the
-#: remaining pass; its thresholds sit at about 80% of the measured ratio
-#: (2.3-2.5x at scale 16, 1.3-1.6x at scale 12, on a 2-vCPU Xeon host).
-#: 2PS-HDRF has no numpy gate: numpy runs the reference's HDRF pass.
-FULL_GATES = {
-    "2psl": {"degree": 5.0, "prepartition": 5.0, "partitioning": 1.8},
-}
-SMOKE_GATES = {
-    "2psl": {"degree": 3.0, "prepartition": 3.0, "partitioning": 1.2},
-}
+#: amortizes less at 65k edges.  The remaining passes have no numpy
+#: gate: numpy runs the reference's 2PS-L and HDRF remaining passes.
+FULL_GATES = {"2psl": {"degree": 5.0, "prepartition": 5.0}}
+SMOKE_GATES = {"2psl": {"degree": 3.0, "prepartition": 3.0}}
+
+#: Pipeline rows the main loop does not time: numpy's 2PS-HDRF row
+#: would run the reference's passes again (its bit-exactness is pinned
+#: by ``tests/test_kernels.py`` and ``tests/test_baselines_stateful.py``).
+SKIPPED_ROWS = {("2pshdrf", "numpy")}
 
 #: Measured Phase-2 speedup the process runner must reach at --n-workers
 #: (ISSUE 3 acceptance gate).  The smoke threshold only asserts the
@@ -177,40 +179,45 @@ PHASE1_SMOKE_GATE = 0.15
 DISTRIBUTED_GATE = 1.05
 DISTRIBUTED_SMOKE_GATE = 0.02
 
-#: Speedups of the compiled backend, read from the pipeline rows
-#: ({config: {phase: threshold}}; ``total`` is the whole run), against
-#: the backend :data:`C_GATE_BASELINES` names per config.  The 2PS-L
-#: thresholds (c vs numpy) sit at about 80% of the lowest full-scale
-#: reading on a 2-vCPU Xeon host (12.9x total, 38x clustering, 12.3x on
-#: the remaining pass at k=32, of two readings; 3.75x on the cluster
-#: mapping, of readings of 7.44x, 4.20x and 3.75x: the numpy sort both
-#: backends share takes a good part of c's 0.002-0.003 s; 1.25x on the
-#: degree pass, of readings of 1.25x, 2.48x and 1.40x, where both sides
-#: count into an L2-resident array and c's 4.5-5 ms varied little while
-#: numpy's 6.2-11.4 ms did), and no lower than 10x (total and
-#: clustering) and 5x (remaining).  The 2PS-HDRF remaining pass is gated
-#: against python, since numpy runs the reference's pass: 65x is the
-#: product of the two gates it replaces, numpy >= 5x python and c >= 13x
-#: numpy (smoke: 2x and 5x, so 10x); the pass read 201x (full) and 166x
-#: (smoke) against python.  The smoke thresholds are relaxed: at 65k
-#: edges a c pass lasts a few milliseconds, and the mapping of about a
-#: thousand clusters well under one, where timer noise weighs more (the
-#: degree pass read 1.58x, 1.45x and 1.14x there).
+#: Speedups of the compiled backend, read from the pipeline rows:
+#: {config: {baseline backend: {phase: threshold}}}, ``total`` being the
+#: whole run.  Against numpy, the thresholds sit at about 80% of the
+#: lowest full-scale reading on a 2-vCPU Xeon host (38x clustering, of
+#: two readings; 3.75x on the cluster mapping, of readings of 7.44x,
+#: 4.20x and 3.75x: the numpy sort both backends share takes a good part
+#: of c's 0.002-0.003 s; 1.25x on the degree pass, of readings of 1.25x,
+#: 2.48x and 1.40x, where both sides count into an L2-resident array and
+#: c's 4.5-5 ms varied little while numpy's 6.2-11.4 ms did), and no
+#: lower than 10x on clustering.  The rows whose numpy pass is the
+#: reference's are gated against python, each at an equal bar: its
+#: threshold against numpy when numpy still batched its own remaining
+#: passes, times what numpy then stood against python.  The 2PS-L
+#: remaining pass chains two gates: c >= 9.5x numpy (80% of a 12.3x
+#: reading) and numpy >= 1.8x python, so 17.1x (smoke: 5.0x and 1.2x, so
+#: 6.0x).  2PS-L total chains c >= 10x numpy with the lowest
+#: numpy-over-python total of three full runs (2.45x, 2.68x and 2.76x),
+#: so 24.5x (smoke: 5x times the lowest of 1.66x, 2.17x and 1.57x, so
+#: 7.86x).  The 2PS-HDRF remaining pass chains c >= 13x numpy and
+#: numpy >= 5x python, so 65x (smoke: 5x and 2x, so 10x); it read 201x
+#: (full) and 166x (smoke) against python.  The smoke thresholds are
+#: relaxed: at 65k edges a c pass lasts a few milliseconds, and the
+#: mapping of about a thousand clusters well under one, where timer
+#: noise weighs more (the degree pass read 1.58x, 1.45x and 1.14x
+#: there).
 C_GATES = {
     "2psl": {
-        "total": 10.0, "degree": 1.0, "clustering": 30.0, "mapping": 3.0,
-        "partitioning": 9.5,
+        "numpy": {"degree": 1.0, "clustering": 30.0, "mapping": 3.0},
+        "python": {"total": 24.5, "partitioning": 17.1},
     },
-    "2pshdrf": {"partitioning": 65.0},
+    "2pshdrf": {"python": {"partitioning": 65.0}},
 }
 C_SMOKE_GATES = {
     "2psl": {
-        "total": 5.0, "degree": 0.9, "clustering": 10.0, "mapping": 1.5,
-        "partitioning": 5.0,
+        "numpy": {"degree": 0.9, "clustering": 10.0, "mapping": 1.5},
+        "python": {"total": 7.86, "partitioning": 6.0},
     },
-    "2pshdrf": {"partitioning": 10.0},
+    "2pshdrf": {"python": {"partitioning": 10.0}},
 }
-C_GATE_BASELINES = {"2psl": "numpy", "2pshdrf": "python"}
 
 #: c-vs-numpy speedups of the Phase-2 delta barrier op
 #: (``merge_phase2_deltas``) per replica layout, on ``2**scale`` rows at
@@ -227,11 +234,14 @@ C_BARRIER_SMOKE_GATES = {"dense": 1.5, "packed": 1.5}
 #: barrier.
 BARRIER_DIRTY_SHARE = 0.41
 
-#: c-vs-numpy speedup of the 2PS-L remaining pass on hub-heavy R-MAT,
-#: where numpy's conflict batching degrades toward its serial loop (it
-#: read 28x at full scale).
-C_HUB_GATE = 2.0
-C_HUB_SMOKE_GATE = 2.0
+#: c-vs-python speedup of the 2PS-L remaining pass on hub-heavy R-MAT,
+#: at an equal bar to the c-vs-numpy gate of 2.0x it replaces (which
+#: read 28x at full scale): 2.0x times the lowest numpy-over-python
+#: reading of the pass, of three runs of the row while numpy still
+#: batched its remaining pass (2.09x, 2.64x and 1.87x, so 3.74x; smoke:
+#: 1.75x, 1.79x and 1.72x, so 3.45x).
+C_HUB_GATE = 3.74
+C_HUB_SMOKE_GATE = 3.45
 
 #: c-vs-python speedup of the HDRF baseline pass (its ``c_leg``): the
 #: product of the two gates it replaces, numpy >= 3x python and c >= 15x
@@ -460,6 +470,15 @@ def c_ratio(label, seconds_fn, make_c, stream, args, c_sequential, reference,
     }
 
 
+def c_gate_rows(gates):
+    """``(config, baseline, phase, threshold)`` of every pipeline-row
+    gate of the ``c`` section (:data:`C_GATES`)."""
+    for name, baselines in gates.items():
+        for base, phases in baselines.items():
+            for phase, threshold in phases.items():
+                yield name, base, phase, threshold
+
+
 def c_unavailable() -> str | None:
     """Why the ``c`` backend is unavailable here (``None`` when it is)."""
     from repro.kernels import missing_backends
@@ -591,23 +610,22 @@ def run_c_section(args, scale: int, smoke: bool, configs: dict) -> tuple[dict, b
 
     Reads the ratios of the pipeline rows in ``configs`` (the
     ``payload_configs`` of the main loop) against ``C_GATES``, each over
-    the backend ``C_GATE_BASELINES`` names for its config (python for
-    2PS-HDRF, whose numpy row runs the reference's pass), then times
-    the 2PS-L remaining pass over hub-heavy R-MAT (skewed quadrant mass:
-    hubs collide in nearly every block, so numpy's conflict batching
-    degrades toward its serial loop) for both backends, best of
-    ``repeats``, bit-identical, and the Phase-2 barrier op
-    (:func:`run_barrier_rows`).  When ``c`` is unavailable the section
-    records the reason and every gate is marked skipped (``pass: null``),
-    like the CPU-count rule of the wall-clock gates.  Returns
-    ``(section, ok)``.
+    the baseline backend it names (python where numpy's row runs the
+    reference's pass), then times the 2PS-L remaining pass over
+    hub-heavy R-MAT (skewed quadrant mass: hubs recur in nearly every
+    chunk) on python and c, best of ``repeats``, bit-identical, and the
+    Phase-2 barrier op (:func:`run_barrier_rows`).  When ``c`` is
+    unavailable the section records the reason and every gate is marked
+    skipped (``pass: null``), like the CPU-count rule of the wall-clock
+    gates.  Returns ``(section, ok)``.
     """
     gates = C_SMOKE_GATES if smoke else C_GATES
     hub_threshold = C_HUB_SMOKE_GATE if smoke else C_HUB_GATE
     section = {
-        "benchmark": "compiled c kernels vs numpy (2PS-L pipeline rows, "
-        "plus the 2PS-L remaining pass on hub-heavy R-MAT) and vs python "
-        "(the 2PS-HDRF remaining pass)",
+        "benchmark": "compiled c kernels vs numpy (2PS-L degree, "
+        "clustering and mapping, the Phase-2 barrier op) and vs python "
+        "(2PS-L total, the 2PS-L and 2PS-HDRF remaining passes, the 2PS-L "
+        "remaining pass on hub-heavy R-MAT)",
         "hub_heavy_graph": {
             "generator": "rmat-hub-heavy",
             "scale": scale,
@@ -626,8 +644,7 @@ def run_c_section(args, scale: int, smoke: bool, configs: dict) -> tuple[dict, b
         section["reason"] = reason
         section["gates"] = {
             f"{name}.{phase}": skipped_gate(threshold, reason)
-            for name, phases in gates.items()
-            for phase, threshold in phases.items()
+            for name, _, phase, threshold in c_gate_rows(gates)
         }
         section["gates"]["hub_heavy.partitioning"] = skipped_gate(
             hub_threshold, reason
@@ -648,28 +665,26 @@ def run_c_section(args, scale: int, smoke: bool, configs: dict) -> tuple[dict, b
     section["available"] = True
     section["gates"] = {}
     ok = True
-    for name, phases in gates.items():
+    for name, base, phase, threshold in c_gate_rows(gates):
         rows = configs[name]["backends"]
-        base = C_GATE_BASELINES[name]
-        for phase, threshold in phases.items():
-            base_s = seconds(rows[base], phase)
-            c_s = seconds(rows["c"], phase)
-            speedup = base_s / c_s if c_s > 0 else 0.0
-            passed = speedup >= threshold
-            ok = ok and passed
-            section["gates"][f"{name}.{phase}"] = {
-                "threshold": threshold,
-                "baseline": base,
-                "speedup": round(speedup, 2),
-                "enforced": True,
-                "pass": passed,
-                "skipped_reason": None,
-            }
-            print(
-                f"  c {name}.{phase}: {base_s:.3f}s {base} -> {c_s:.3f}s c "
-                f"({speedup:.1f}x, gate {threshold}x: "
-                f"{'pass' if passed else 'FAIL'})"
-            )
+        base_s = seconds(rows[base], phase)
+        c_s = seconds(rows["c"], phase)
+        speedup = base_s / c_s if c_s > 0 else 0.0
+        passed = speedup >= threshold
+        ok = ok and passed
+        section["gates"][f"{name}.{phase}"] = {
+            "threshold": threshold,
+            "baseline": base,
+            "speedup": round(speedup, 2),
+            "enforced": True,
+            "pass": passed,
+            "skipped_reason": None,
+        }
+        print(
+            f"  c {name}.{phase}: {base_s:.3f}s {base} -> {c_s:.3f}s c "
+            f"({speedup:.1f}x, gate {threshold}x: "
+            f"{'pass' if passed else 'FAIL'})"
+        )
     graph = rmat_graph(
         scale, edge_factor=args.edge_factor, a=0.7, b=0.12, c=0.12,
         seed=args.seed,
@@ -683,27 +698,28 @@ def run_c_section(args, scale: int, smoke: bool, configs: dict) -> tuple[dict, b
             lambda backend=backend: TwoPhasePartitioner(backend=backend),
             stream, args.k, args.alpha, repeats,
         )
-        for backend in ("numpy", "c")
+        for backend in ("python", "c")
     }
     assert_bit_exact(
-        runs["numpy"]["result"], runs["c"]["result"],
-        "c section: c vs numpy on hub-heavy R-MAT",
+        runs["python"]["result"], runs["c"]["result"],
+        "c section: c vs python on hub-heavy R-MAT",
     )
-    numpy_s = runs["numpy"]["row"]["phase_seconds"]["partitioning"]
+    python_s = runs["python"]["row"]["phase_seconds"]["partitioning"]
     c_s = runs["c"]["row"]["phase_seconds"]["partitioning"]
-    speedup = numpy_s / c_s if c_s > 0 else 0.0
+    speedup = python_s / c_s if c_s > 0 else 0.0
     passed = speedup >= hub_threshold
     section["hub_heavy_backends"] = {b: run["row"] for b, run in runs.items()}
-    section["bit_exact_with_numpy"] = True
+    section["bit_exact_with_python"] = True
     section["gates"]["hub_heavy.partitioning"] = {
         "threshold": hub_threshold,
+        "baseline": "python",
         "speedup": round(speedup, 2),
         "enforced": True,
         "pass": passed,
         "skipped_reason": None,
     }
     print(
-        f"  c remaining pass (hub-heavy): {numpy_s:.3f}s numpy -> "
+        f"  c remaining pass (hub-heavy): {python_s:.3f}s python -> "
         f"{c_s:.3f}s c ({speedup:.1f}x, gate {hub_threshold}x: "
         f"{'pass' if passed else 'FAIL'})"
     )
@@ -1694,8 +1710,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help=f"small-scale gate check (scale {SMOKE_SCALE}, 1 repeat, "
-        "relaxed speedup thresholds)",
+        help=f"small-scale gate check (scale {SMOKE_SCALE}, relaxed "
+        "speedup thresholds; the pipeline rows keep --repeats runs per "
+        "backend)",
     )
     parser.add_argument(
         "--record-only",
@@ -1711,9 +1728,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    repeats = args.repeats
     if args.smoke:
         scale = min(args.scale, SMOKE_SCALE)
-        repeats = 1
         gates = SMOKE_GATES
         out = args.out or "BENCH_kernels_smoke.json"
         parallel_out = args.parallel_out or "BENCH_parallel_smoke.json"
@@ -1721,7 +1738,6 @@ def main(argv: list[str] | None = None) -> int:
         serving_out = args.serving_out or "BENCH_serving_smoke.json"
     else:
         scale = args.scale
-        repeats = args.repeats
         gates = FULL_GATES
         out = args.out or "BENCH_kernels.json"
         parallel_out = args.parallel_out or "BENCH_parallel.json"
@@ -1753,6 +1769,8 @@ def main(argv: list[str] | None = None) -> int:
     for name, factory in configs.items():
         runs = {}
         for backend in available_backends():
+            if (name, backend) in SKIPPED_ROWS:
+                continue
             runs[backend] = run_config(
                 lambda backend=backend: factory(backend),
                 stream,
@@ -1776,7 +1794,7 @@ def main(argv: list[str] | None = None) -> int:
             )
         ref_phases = runs["python"]["row"]["phase_seconds"]
         speedups = {}
-        for backend in available_backends():
+        for backend in runs:
             if backend == "python":
                 continue
             rows = runs[backend]["row"]["phase_seconds"]

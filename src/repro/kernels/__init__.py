@@ -10,12 +10,12 @@ as vectorized numpy array code, or as a compiled loop:
 - ``python`` — the reference backend.  Pure per-edge Python loops with the
   exact control flow of the paper's pseudocode.  It is the semantic ground
   truth that every other backend is property-tested against.
-- ``numpy`` — chunk-vectorized kernels: per-chunk ``np.add.at`` for
-  degrees, gather/mask/scatter for the pre-partition pass, vectorized
-  splitmix64 for the stateless baselines, and conflict-free
-  sub-batching for the stateful 2PS-L scoring pass (see below).
-  Phase-1 clustering and both HDRF passes run the reference kernels.
-  The default on hosts without a working C compiler.
+- ``numpy`` — chunk-vectorized kernels for the passes whose edges do
+  not depend on each other: per-chunk ``np.add.at`` for degrees,
+  gather/mask/scatter for the pre-partition pass, vectorized splitmix64
+  for the stateless baselines, and the Phase-1 merges.  Phase-1
+  clustering, the 2PS-L remaining pass and both HDRF passes run the
+  reference kernels.  The default on hosts without a working C compiler.
 - ``c`` — the default wherever it builds (:mod:`repro.kernels.c_backend`):
   the per-edge loop of the degree pass and of every stateful pass (both
   clustering bodies, the pre-partition pass, both remaining passes, the
@@ -38,28 +38,17 @@ semantics knob.  The equivalence property tests in
 sweeping ``chunk_size`` through degenerate values (1, primes, larger than
 the edge count).
 
-The tricky part of the contract is the *stateful* passes, where an edge's
-decision depends on state mutated by earlier edges.  The ``numpy`` backend
-vectorizes one of them and runs the reference kernels for the others:
-
-- *Conflict-free sub-batching* (the 2PS-L scoring pass): an edge is
-  scored vectorized when it is the first edge of its block to read each
-  of its replica cells that are unset at block entry (bits only go from
-  0 to 1, so set cells read the same in any order), and processing it
-  out of order is provably equivalent; every other edge falls through
-  to the serial kernel, in stream order, after the batch.
-- The 2PS-HDRF remaining pass and the classic HDRF baseline are not
-  vectorized: every edge mutates the partition sizes every other edge's
-  balance term reads, so no conflict-free subset exists.
-
-A sub-batched block falls back to the serial kernel whenever any
-partition could hit the hard balance cap inside it (the remaining
-capacity ``capacity - max(sizes)`` is smaller than the block's candidate
-count), because cap overflow makes decisions order-dependent through the
-hash / least-loaded fallback chain.
-
-The ``c`` backend needs none of this: its compiled loops decide every
-edge in stream order, cheaper per edge than numpy's batched kernels.
+The tricky part of the contract is the *stateful* passes, where an
+edge's decision depends on state mutated by earlier edges: Phase-1
+clustering, the 2PS-L remaining pass and both HDRF passes.  Each has one
+interpreted implementation, the reference's per-edge loop, which the
+``numpy`` backend inherits; the ``c`` backend transliterates it into a
+compiled loop that decides every edge in stream order.  The
+pre-partition pass depends on earlier edges only through the hard
+balance cap, so ``numpy`` scatters a chunk vectorized while no partition
+can reach the cap, and runs a serial loop from the first edge that can
+(the hash / least-loaded fallback chain makes decisions
+order-dependent).
 
 Phase-2 inputs
 --------------
@@ -185,16 +174,18 @@ protocol with raw-``ndarray`` tricks:
 - detect packed storage with ``getattr(replicas, "packed", None)`` and
   handle the packed rows natively (the row bytes ARE the
   ``np.packbits`` encoding);
-- per-edge serial loops outside the python reference never index the
-  wrapper (a scalar ``replicas[u, p]`` is a Python-level call costing
-  microseconds on packed state).  They test and set bits on the raw
-  storage plane from
-  ``numpy_backend._replica_plane``: a flat writable byte view plus
-  ``(row_bytes, shift, low_mask)``, bit ``(u, p)`` at byte
-  ``u * row_bytes + (p >> shift)`` under mask ``1 << (p & low_mask)``
-  — ``(k, 0, 0)`` for dense bool, ``(ceil(k/8), 3, 7)`` for packed — so
-  one loop serves both layouts at the same speed (the ``c`` loops take
-  the same plane as a pointer);
+- the per-edge 2PS-L loops never index the wrapper (a scalar
+  ``replicas[u, p]`` is a Python-level call costing microseconds on
+  packed state).  They test and set bits on the raw storage plane that
+  :func:`~repro.partitioning.state._replica_plane` describes: the
+  storage array plus ``(row_bytes, shift, low_mask)``, bit ``(u, p)``
+  at byte ``u * row_bytes + (p >> shift)`` under mask
+  ``1 << (p & low_mask)`` — ``(k, 0, 0)`` for dense bool,
+  ``(ceil(k/8), 3, 7)`` for packed — so one loop serves both layouts at
+  the same speed (the reference and numpy's pre-partition tail through
+  a byte ``memoryview``, the ``c`` loops through a pointer).  The
+  reference's two HDRF passes still gather each endpoint's row through
+  the wrapper for their k-wide argmax;
 - replica bits are monotone within a streaming run, so the passes never
   clear them.  ``PackedReplicaMatrix.__setitem__`` accepts ``= False``
   only as a *scalar* element write (``IncrementalPartitioner`` clears a

@@ -6,11 +6,12 @@ with its hash / least-loaded fallback, the 2PS-L and 2PS-HDRF remaining
 passes, and the classic HDRF baseline.  :class:`CBackend` makes one
 foreign call per stream chunk (the degree pass a second one in a chunk
 that grows its array); the loop itself skips the edges a pass does not
-own (the pre-partitioned ones), so nothing is sub-batched in numpy.  It
-also holds the loops that run once per barrier or per run: the Phase-1
-clustering merge, the Phase-2 delta barrier (on the raw replica plane,
-so dense and packed state share it) and the assignment loop of the
-cluster mapping.  The stateless passes and the degree merge are the
+own (the pre-partitioned ones).  It also holds the loops that run once
+per barrier or per run: the Phase-1 clustering merge, the Phase-2 delta
+barrier and the assignment loop of the cluster mapping.  Every loop
+addresses replica bits on the raw plane of
+:func:`~repro.partitioning.state._replica_plane`, so dense and packed
+state share it.  The stateless passes and the degree merge are the
 inherited numpy versions.
 
 The three Phase-2 loops read only the two per-vertex arrays of the
@@ -93,7 +94,7 @@ from repro.kernels.base import (
     partition_error,
 )
 from repro.kernels.numpy_backend import NumpyBackend
-from repro.partitioning.state import _replica_storage
+from repro.partitioning.state import _replica_plane, _replica_storage
 
 SOURCE = Path(__file__).with_name("_ckernels.c")
 
@@ -279,16 +280,13 @@ def _input(arr, dtype, shape, what: str) -> np.ndarray:
 
 def _plane(state, k: int) -> tuple[int, tuple]:
     """``(rows, (address, row_bytes, shift, low_mask))`` of the replica
-    plane; see ``numpy_backend._replica_plane``."""
-    raw = _replica_storage(state.replicas)
-    packed = raw is not state.replicas
-    _output(raw, np.uint8 if packed else np.bool_, "the replica plane")
-    row_bytes = (k + 7) // 8 if packed else k
-    if raw.ndim != 2 or raw.shape[1] != row_bytes:
+    plane; see :func:`~repro.partitioning.state._replica_plane`."""
+    raw, row_bytes, shift, low_mask = _replica_plane(state.replicas)
+    _output(raw, np.uint8 if shift else np.bool_, "the replica plane")
+    if raw.ndim != 2 or row_bytes != (k + low_mask) >> shift:
         raise PartitioningError(
             f"replica plane of shape {raw.shape} does not hold k={k} columns"
         )
-    shift, low_mask = (3, 7) if packed else (0, 0)
     return raw.shape[0], (raw.ctypes.data, row_bytes, shift, low_mask)
 
 

@@ -3,8 +3,13 @@
 This backend is the semantic ground truth.  Every pass follows the
 paper's pseudocode edge by edge, with hot-loop state held in plain Python
 lists (scalar indexing on lists is several times faster than on numpy
-arrays).  Vectorized backends are property-tested for bit-exact
-equivalence against it — keep this code boring and obviously correct.
+arrays).  The 2PS-L passes test and set replica bits through a byte view
+of the raw storage plane
+(:func:`~repro.partitioning.state._replica_plane`), so they run as fast
+on bit-packed state as on dense.  The other backends are
+property-tested for bit-exact equivalence against it, and ``numpy``
+inherits every pass it does not vectorize — keep this code boring and
+obviously correct.
 """
 
 from __future__ import annotations
@@ -22,7 +27,11 @@ from repro.kernels.base import (
     partition_error,
 )
 from repro.partitioning.hashutil import splitmix64_int
-from repro.partitioning.state import LeastLoadedTracker, merge_replica_deltas
+from repro.partitioning.state import (
+    LeastLoadedTracker,
+    _replica_plane,
+    merge_replica_deltas,
+)
 
 
 class PythonBackend(KernelBackend):
@@ -268,7 +277,7 @@ class PythonBackend(KernelBackend):
 
     def prepartition_pass(self, stream, ctx: TwoPhaseContext) -> int:
         part, deg, _, n_vert = self._phase2_lists(ctx)
-        replicas = ctx.state.replicas
+        raw, row_bytes, shift, low_mask = _replica_plane(ctx.state.replicas)
         capacity = ctx.state.capacity
         sizes = ctx.state.sizes.tolist()
         least_loaded = LeastLoadedTracker(sizes).argmin
@@ -276,31 +285,34 @@ class PythonBackend(KernelBackend):
         k, cost, seed = ctx.k, ctx.cost, ctx.hash_seed
         idx = 0
         n_pre = 0
-        for chunk in stream.chunks():
-            check_vertex_ids(chunk, n_vert, idx)
-            for u, v in chunk.tolist():
-                p = part[u]
-                if p == part[v]:
-                    if not 0 <= p < k:
-                        raise partition_error(idx, u, v, p, p, k)
-                    if sizes[p] >= capacity:
-                        p = self._fallback_partition(
-                            u, v, deg, sizes, capacity, k, seed, cost,
-                            least_loaded,
-                        )
-                    sizes[p] += 1
-                    replicas[u, p] = True
-                    replicas[v, p] = True
-                    assignments[idx] = p
-                    n_pre += 1
-                idx += 1
+        with memoryview(raw).cast("B") as plane:
+            for chunk in stream.chunks():
+                check_vertex_ids(chunk, n_vert, idx)
+                for u, v in chunk.tolist():
+                    p = part[u]
+                    if p == part[v]:
+                        if not 0 <= p < k:
+                            raise partition_error(idx, u, v, p, p, k)
+                        if sizes[p] >= capacity:
+                            p = self._fallback_partition(
+                                u, v, deg, sizes, capacity, k, seed, cost,
+                                least_loaded,
+                            )
+                        sizes[p] += 1
+                        b = p >> shift
+                        m = 1 << (p & low_mask)
+                        plane[u * row_bytes + b] |= m
+                        plane[v * row_bytes + b] |= m
+                        assignments[idx] = p
+                        n_pre += 1
+                    idx += 1
         ctx.state.sizes[:] = sizes
         cost.edges_streamed += stream.n_edges
         return n_pre
 
     def remaining_pass_linear(self, stream, ctx: TwoPhaseContext) -> None:
         part, deg, vol, n_vert = self._phase2_lists(ctx)
-        replicas = ctx.state.replicas
+        raw, row_bytes, shift, low_mask = _replica_plane(ctx.state.replicas)
         capacity = ctx.state.capacity
         sizes = ctx.state.sizes.tolist()
         least_loaded = LeastLoadedTracker(sizes).argmin
@@ -308,47 +320,56 @@ class PythonBackend(KernelBackend):
         k, cost, seed = ctx.k, ctx.cost, ctx.hash_seed
         idx = 0
         n_scored = 0
-        for chunk in stream.chunks():
-            check_vertex_ids(chunk, n_vert, idx)
-            for u, v in chunk.tolist():
-                p1 = part[u]
-                p2 = part[v]
-                if p1 == p2:
-                    idx += 1  # pre-partitioned in the previous pass
-                    continue
-                if not (0 <= p1 < k and 0 <= p2 < k):
-                    raise partition_error(idx, u, v, p1, p2, k)
-                du = deg[u]
-                dv = deg[v]
-                dsum = du + dv
-                vol1 = vol[u]
-                vol2 = vol[v]
-                vsum = vol1 + vol2
-                # Score candidate p1: u's cluster is mapped to p1 (and
-                # v's is not).
-                s1 = vol1 / vsum if vsum else 0.0
-                if replicas[u, p1]:
-                    s1 += 2.0 - du / dsum
-                if replicas[v, p1]:
-                    s1 += 2.0 - dv / dsum
-                # Score candidate p2 symmetrically.
-                s2 = vol2 / vsum if vsum else 0.0
-                if replicas[u, p2]:
-                    s2 += 2.0 - du / dsum
-                if replicas[v, p2]:
-                    s2 += 2.0 - dv / dsum
-                n_scored += 2
-                p = p1 if s1 >= s2 else p2
-                if sizes[p] >= capacity:
-                    p = self._fallback_partition(
-                        u, v, deg, sizes, capacity, k, seed, cost,
-                        least_loaded,
-                    )
-                sizes[p] += 1
-                replicas[u, p] = True
-                replicas[v, p] = True
-                assignments[idx] = p
-                idx += 1
+        with memoryview(raw).cast("B") as plane:
+            for chunk in stream.chunks():
+                check_vertex_ids(chunk, n_vert, idx)
+                for u, v in chunk.tolist():
+                    p1 = part[u]
+                    p2 = part[v]
+                    if p1 == p2:
+                        idx += 1  # pre-partitioned in the previous pass
+                        continue
+                    if not (0 <= p1 < k and 0 <= p2 < k):
+                        raise partition_error(idx, u, v, p1, p2, k)
+                    du = deg[u]
+                    dv = deg[v]
+                    dsum = du + dv
+                    vol1 = vol[u]
+                    vol2 = vol[v]
+                    vsum = vol1 + vol2
+                    bu = u * row_bytes
+                    bv = v * row_bytes
+                    # Score candidate p1: u's cluster is mapped to p1 (and
+                    # v's is not).
+                    s1 = vol1 / vsum if vsum else 0.0
+                    b = p1 >> shift
+                    m = 1 << (p1 & low_mask)
+                    if plane[bu + b] & m:
+                        s1 += 2.0 - du / dsum
+                    if plane[bv + b] & m:
+                        s1 += 2.0 - dv / dsum
+                    # Score candidate p2 symmetrically.
+                    s2 = vol2 / vsum if vsum else 0.0
+                    b = p2 >> shift
+                    m = 1 << (p2 & low_mask)
+                    if plane[bu + b] & m:
+                        s2 += 2.0 - du / dsum
+                    if plane[bv + b] & m:
+                        s2 += 2.0 - dv / dsum
+                    n_scored += 2
+                    p = p1 if s1 >= s2 else p2
+                    if sizes[p] >= capacity:
+                        p = self._fallback_partition(
+                            u, v, deg, sizes, capacity, k, seed, cost,
+                            least_loaded,
+                        )
+                    sizes[p] += 1
+                    b = p >> shift
+                    m = 1 << (p & low_mask)
+                    plane[bu + b] |= m
+                    plane[bv + b] |= m
+                    assignments[idx] = p
+                    idx += 1
         ctx.state.sizes[:] = sizes
         cost.score_evaluations += n_scored
         cost.edges_streamed += stream.n_edges

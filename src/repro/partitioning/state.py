@@ -63,7 +63,9 @@ duplicate collapse, dense row gathers, dense row assignment, axis sums,
 every backend, runner, and the shared-memory machinery unchanged — and the
 differential harness pins packed-vs-dense bit-exactness end to end.  Merge
 barriers OR raw uint8 rows directly (``np.bitwise_or`` is a logical OR on
-bools and a byte OR on packed rows, so one code path serves both).
+bools and a byte OR on packed rows, so one code path serves both), and
+the per-edge loops test and set single bits in the raw storage of either
+layout at the byte and mask :func:`_replica_plane` gives.
 """
 
 from __future__ import annotations
@@ -249,6 +251,27 @@ def _replica_storage(replicas):
     agnostic."""
     packed = getattr(replicas, "packed", None)
     return replicas if packed is None else packed
+
+
+def _replica_plane(replicas):
+    """Where each bit of a replica matrix lives in its raw storage.
+
+    Returns ``(raw, row_bytes, shift, low_mask)``: replica bit ``(u, p)``
+    lives in byte ``u * row_bytes + (p >> shift)`` of ``raw``
+    (:func:`_replica_storage`) under mask ``1 << (p & low_mask)``.  Dense
+    bool storage is one byte per bit, ``(k, 0, 0)`` — mask 1 is
+    ``True``; the packed uint8 plane is ``(ceil(k/8), 3, 7)``.  The
+    per-edge loops test and set bits there, so dense and packed states
+    run one loop at the same speed: interpreted loops through
+    ``memoryview(raw).cast("B")`` (``cast`` raises on non-contiguous
+    storage, so a write can never land in a silent copy; the view pins
+    the storage, so callers release it with ``with``), the compiled
+    loops through its data pointer.
+    """
+    raw = _replica_storage(replicas)
+    if raw is replicas:
+        return raw, raw.shape[-1], 0, 0
+    return raw, raw.shape[-1], 3, 7
 
 
 class LeastLoadedTracker:

@@ -73,10 +73,10 @@ def auto_chunk_size(n_vertices: int | None, k: int) -> int:
     arrays plus the k-wide score blocks of the HDRF-style passes), so the
     chunk is sized to keep that inside :data:`AUTO_CHUNK_CACHE_BUDGET` —
     larger ``k`` means smaller chunks.  On small graphs the chunk is
-    additionally capped at ``4 * |V|``: past that, a chunk revisits the
-    same vertices so often that conflict-free sub-batching degrades while
-    vectorization gains are already saturated.  The result is always
-    clamped to ``[AUTO_CHUNK_MIN, AUTO_CHUNK_MAX]``.
+    additionally capped at ``4 * |V|``, where a chunk already visits each
+    vertex several times; the value of that cap has not been measured
+    against the current passes.  The result is always clamped to
+    ``[AUTO_CHUNK_MIN, AUTO_CHUNK_MAX]``.
 
     ``n_vertices=None`` (stream without a vertex-count hint) skips the
     ``|V|`` cap and sizes purely from the budget.  ``k`` is coerced to at

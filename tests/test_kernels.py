@@ -27,9 +27,10 @@ from repro.kernels import (
 )
 from repro.kernels.base import Int64Buffer, TwoPhaseContext, phase2_inputs
 from repro.kernels.numpy_backend import NumpyBackend
+from repro.kernels.python_backend import PythonBackend
 from repro.metrics.runtime import CostCounter
 from repro.partitioning import LeastLoadedTracker, PartitionArtifacts
-from repro.partitioning.state import PartitionState
+from repro.partitioning.state import PackedReplicaMatrix, PartitionState
 from repro.streaming import DEFAULT_CHUNK_SIZE, InMemoryEdgeStream
 from tests.conftest import state_bytes
 
@@ -133,10 +134,9 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("mode", ["linear", "hdrf"])
     @pytest.mark.parametrize("chunk_size", [1, 64, 10**6])
     def test_hub_heavy_rmat_bit_exact(self, backend, mode, chunk_size):
-        """Hub-heavy R-MAT: worst case for conflict-free batching (hubs
-        collide in nearly every block) and a balance-dominated stream for
-        the HDRF argmax; chunk_size sweeps through 1 and far beyond
-        |E|."""
+        """Hub-heavy R-MAT: hubs recur in nearly every chunk, and the
+        stream is balance-dominated for the HDRF argmax; chunk_size
+        sweeps through 1 and far beyond |E|."""
         graph = rmat_graph(9, edge_factor=8, seed=3)
         ref = TwoPhasePartitioner(backend="python", mode=mode).partition(
             graph, 8, chunk_size=chunk_size
@@ -253,6 +253,43 @@ def _phase2_context(graph, k, packed):
     )
 
 
+#: The graph of the pass-by-pass Phase-2 tests.
+PHASE2_GRAPH = rmat_graph(9, edge_factor=8, seed=3)
+
+
+def _run_phase2_passes(kernels, k, mode, packed):
+    """The pre-partition pass, then the ``mode`` remaining pass, of
+    ``kernels`` over :func:`_phase2_context`; returns the context and an
+    ``(assignments, sizes, replicas, cost)`` snapshot after each pass."""
+    ctx = _phase2_context(PHASE2_GRAPH, k, packed)
+    stream = InMemoryEdgeStream(PHASE2_GRAPH)
+    stream.default_chunk_size = 1000
+    remaining = (
+        kernels.remaining_pass_linear
+        if mode == "linear"
+        else kernels.remaining_pass_hdrf
+    )
+    snapshots = []
+    for run_pass in (kernels.prepartition_pass, remaining):
+        ctx.cost = CostCounter()
+        run_pass(stream, ctx)
+        snapshots.append(
+            (
+                ctx.assignments.copy(),
+                ctx.state.sizes.copy(),
+                np.array(ctx.state.replicas, copy=True),
+                ctx.cost,
+            )
+        )
+    return ctx, snapshots
+
+
+def _assert_snapshots_identical(reference, other):
+    for ref_part, other_part in zip(reference[:3], other[:3]):
+        np.testing.assert_array_equal(ref_part, other_part)
+    assert reference[3] == other[3]
+
+
 @pytest.mark.parametrize(
     "backend",
     [b for b in BACKEND_IMPLS if b.name != "python"],
@@ -266,41 +303,14 @@ class TestPackedStateKernels:
     leaves three tail bits per packed row, k=32 fills whole bytes, k=70
     leaves six tail bits and a packed row past 8 bytes."""
 
-    GRAPH = rmat_graph(9, edge_factor=8, seed=3)
-
-    def _run(self, kernels, k, mode, packed):
-        ctx = _phase2_context(self.GRAPH, k, packed)
-        stream = InMemoryEdgeStream(self.GRAPH)
-        stream.default_chunk_size = 1000
-        remaining = (
-            kernels.remaining_pass_linear
-            if mode == "linear"
-            else kernels.remaining_pass_hdrf
-        )
-        snapshots = []
-        for run_pass in (kernels.prepartition_pass, remaining):
-            ctx.cost = CostCounter()
-            run_pass(stream, ctx)
-            snapshots.append(
-                (
-                    ctx.assignments.copy(),
-                    ctx.state.sizes.copy(),
-                    np.array(ctx.state.replicas, copy=True),
-                    ctx.cost,
-                )
-            )
-        return ctx, snapshots
-
     def test_packed_equals_dense_and_reference(self, backend, k, mode):
-        _, reference = self._run(get_backend("python"), k, mode, packed=False)
-        _, dense = self._run(backend, k, mode, packed=False)
-        ctx, packed = self._run(backend, k, mode, packed=True)
+        python = get_backend("python")
+        _, reference = _run_phase2_passes(python, k, mode, packed=False)
+        _, dense = _run_phase2_passes(backend, k, mode, packed=False)
+        ctx, packed = _run_phase2_passes(backend, k, mode, packed=True)
         for ref, dns, pkd in zip(reference, dense, packed):
             for other in (dns, pkd):
-                np.testing.assert_array_equal(ref[0], other[0])
-                np.testing.assert_array_equal(ref[1], other[1])
-                np.testing.assert_array_equal(ref[2], other[2])
-                assert ref[3] == other[3]
+                _assert_snapshots_identical(ref, other)
         # Both passes overflowed the cap into the fallback chain.
         prepartition_cost, remaining_cost = packed[0][3], packed[1][3]
         assert prepartition_cost.hash_evaluations > 0
@@ -309,6 +319,26 @@ class TestPackedStateKernels:
         assert (ctx.assignments >= 0).all()
         bits = np.unpackbits(ctx.state.replicas.packed, axis=1, bitorder="little")
         assert not bits[:, k:].any()  # tail bits past column k stay zero
+
+
+@pytest.mark.parametrize("k", [13, 32, 70])
+def test_reference_2psl_passes_address_the_packed_plane(monkeypatch, k):
+    """The reference's pre-partition and 2PS-L remaining passes test and
+    set packed replica bits on the raw plane: not one
+    ``PackedReplicaMatrix`` index call, and the same results, cap
+    fallbacks included, as on dense state."""
+    python = get_backend("python")
+    _, dense = _run_phase2_passes(python, k, "linear", packed=False)
+
+    def refuse(self, *args):
+        raise AssertionError("a 2PS-L pass indexed the PackedReplicaMatrix")
+
+    monkeypatch.setattr(PackedReplicaMatrix, "__getitem__", refuse)
+    monkeypatch.setattr(PackedReplicaMatrix, "__setitem__", refuse)
+    _, packed = _run_phase2_passes(python, k, "linear", packed=True)
+    for dns, pkd in zip(dense, packed):
+        _assert_snapshots_identical(dns, pkd)
+    assert all(snapshot[3].hash_evaluations > 0 for snapshot in packed)
 
 
 def _preset_context(edges, n, k, v2c, c2p, bits, sizes, n_edges, alpha, packed):
@@ -351,16 +381,16 @@ def _assert_contexts_identical(reference, other):
     assert reference.cost == other.cost
 
 
-class TestRemainingCellConflicts:
-    """The numpy remaining pass serializes an edge only when it shares a
-    replica cell that is unset at block entry with an earlier edge of its
-    block; every backend stays bit-exact with the reference from any
-    start state."""
+class TestRemainingFromPresetState:
+    """Every backend's remaining pass stays bit-exact with the reference
+    from any start state: replica bits and partition sizes already set
+    before the pass."""
 
     @pytest.mark.parametrize("k, packed", [(8, False), (70, True)])
-    def test_saturated_hub_block_is_batched(self, monkeypatch, k, packed):
-        """64 edges (0, i) around a hub with all k bits set: every edge
-        shares the hub, but each edge's unset cells are its own."""
+    def test_saturated_hub_bit_exact(self, k, packed):
+        """64 edges (0, i) around a hub whose k replica bits are all set
+        before the pass: every edge reads the hub's set bits and sets
+        its leaf's own."""
         n = 65
         leaves = np.arange(1, n, dtype=np.int64)
         edges = np.stack([np.zeros_like(leaves), leaves], axis=1)
@@ -369,20 +399,10 @@ class TestRemainingCellConflicts:
         bits = np.zeros((n, k), dtype=bool)
         bits[0] = True
         preset = (k, v2c, c2p, bits, np.zeros(k, dtype=np.int64), 100_000, 1.5)
-        serial_rows = []
-        original = NumpyBackend._remaining_serial
-
-        def spy(self, ctx, *args):
-            # Edges assigned inside the serial loop.
-            before = int((ctx.assignments >= 0).sum())
-            original(self, ctx, *args)
-            serial_rows.append(int((ctx.assignments >= 0).sum()) - before)
-
-        monkeypatch.setattr(NumpyBackend, "_remaining_serial", spy)
-        out = _remaining_from("numpy", edges, n, 64, *preset, packed=packed)
-        assert sum(serial_rows) == 0
         ref = _remaining_from("python", edges, n, 64, *preset)
-        _assert_contexts_identical(ref, out)
+        for name in available_backends():
+            out = _remaining_from(name, edges, n, 64, *preset, packed=packed)
+            _assert_contexts_identical(ref, out)
 
     @SLOW
     @given(
@@ -684,6 +704,18 @@ class TestRegistry:
     def test_backends_are_kernel_instances(self):
         for name in available_backends():
             assert isinstance(get_backend(name), KernelBackend)
+
+    def test_numpy_runs_the_reference_stateful_passes(self):
+        """One interpreted implementation of each per-edge stateful pass:
+        numpy inherits them from the reference."""
+        for method in (
+            "clustering_true_pass",
+            "clustering_partial_pass",
+            "remaining_pass_linear",
+            "remaining_pass_hdrf",
+            "hdrf_baseline_pass",
+        ):
+            assert getattr(NumpyBackend, method) is getattr(PythonBackend, method)
 
 
 class TestArtifacts:
