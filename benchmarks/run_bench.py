@@ -24,11 +24,10 @@ Usage::
 
 Exit status is non-zero unless every gate passes:
 
-- speedup gates (the ``numpy`` backend, the fallback on hosts without a
-  C compiler, vs the ``python`` reference): the ``2psl`` degree and
-  prepartition passes >= 5x.  Each phase is its own best over the
-  repeats.  The remaining passes have no numpy gate: numpy runs the
-  reference's 2PS-L and HDRF remaining passes;
+- speedup gate (the ``numpy`` backend, the fallback on hosts without a
+  C compiler, vs the ``python`` reference): the ``2psl`` degree pass
+  >= 5x, its best over the repeats.  The pre-partition and remaining
+  passes have no numpy gate: numpy runs the reference's loops;
 - correctness gates: all backends bit-identical per pipeline,
   ``ParallelTwoPhase(n_workers=1)`` bit-exact with sequential 2PS-L, the
   process runner bit-identical with the simulated runner under the same
@@ -70,18 +69,20 @@ Exit status is non-zero unless every gate passes:
   and dense — and prefetching and synchronous file streams, and the
   process runner over both — must stay bit-identical (always enforced),
   the packed run's ``partitioning`` phase may take at most 1.3x the
-  dense run's (2.0x at smoke scale; always enforced — same host, back
-  to back), and the double-buffered prefetching stream must beat the
-  synchronous stream's wall-clock.  The prefetch-overlap gate needs a
-  second CPU for the reader thread to overlap with compute, so
-  single-CPU hosts record-but-skip it, like the parallel wall-clock
-  gates;
+  dense run's (2.0x at smoke scale; always enforced), and the
+  double-buffered prefetching stream must beat the synchronous stream's
+  wall-clock.  The three runs are timed in at least three interleaved
+  rounds, and both wall-clock gates read the median of the per-round
+  ratios.  The prefetch-overlap gate needs a second CPU for the reader
+  thread to overlap with compute, so single-CPU hosts record-but-skip
+  it, like the parallel wall-clock gates;
 - c gates (``c`` section of ``BENCH_kernels.json``): the compiled ``c``
   backend from the rows the pipeline loop already ran — against
   ``numpy``, the 2PS-L degree pass, 2PS-L clustering and the 2PS-L
-  cluster mapping; against ``python``, 2PS-L total, the 2PS-L remaining
-  pass (>= 17.1x, 6x at smoke scale) and the 2PS-HDRF remaining pass
-  (>= 65x, 10x at smoke scale) — plus, against ``python`` and
+  cluster mapping; against ``python``, 2PS-L total, the pre-partition
+  pass (>= 5x, 3x at smoke scale), the 2PS-L remaining pass (>= 17.1x,
+  6x at smoke scale) and the 2PS-HDRF remaining pass (>= 65x, 10x at
+  smoke scale) — plus, against ``python`` and
   bit-identical with it, the 2PS-L remaining pass over hub-heavy R-MAT,
   and, against ``numpy`` and bit-identical with it, the Phase-2 delta
   barrier op on dense and packed state (``2**scale`` rows, two views,
@@ -146,10 +147,10 @@ from repro.streaming import FileEdgeStream, InMemoryEdgeStream
 
 #: numpy-vs-python speedup gates per pipeline: {config: {phase:
 #: threshold}}.  The smoke thresholds are lower because vectorization
-#: amortizes less at 65k edges.  The remaining passes have no numpy
-#: gate: numpy runs the reference's 2PS-L and HDRF remaining passes.
-FULL_GATES = {"2psl": {"degree": 5.0, "prepartition": 5.0}}
-SMOKE_GATES = {"2psl": {"degree": 3.0, "prepartition": 3.0}}
+#: amortizes less at 65k edges.  Only the degree pass has a numpy gate:
+#: numpy runs the reference's pre-partition and remaining passes.
+FULL_GATES = {"2psl": {"degree": 5.0}}
+SMOKE_GATES = {"2psl": {"degree": 3.0}}
 
 #: Pipeline rows the main loop does not time: numpy's 2PS-HDRF row
 #: would run the reference's passes again (its bit-exactness is pinned
@@ -199,7 +200,10 @@ DISTRIBUTED_SMOKE_GATE = 0.02
 #: so 24.5x (smoke: 5x times the lowest of 1.66x, 2.17x and 1.57x, so
 #: 7.86x).  The 2PS-HDRF remaining pass chains c >= 13x numpy and
 #: numpy >= 5x python, so 65x (smoke: 5x and 2x, so 10x); it read 201x
-#: (full) and 166x (smoke) against python.  The smoke thresholds are
+#: (full) and 166x (smoke) against python.  The pre-partition pass keeps
+#: the bar of the numpy-vs-python gate it replaces, 5x (smoke 3x), now
+#: on c, which read 73.3x (full) and 97.1x (smoke) against python while
+#: numpy still vectorized the pass.  The smoke thresholds are
 #: relaxed: at 65k edges a c pass lasts a few milliseconds, and the
 #: mapping of about a thousand clusters well under one, where timer
 #: noise weighs more (the degree pass read 1.58x, 1.45x and 1.14x
@@ -207,14 +211,14 @@ DISTRIBUTED_SMOKE_GATE = 0.02
 C_GATES = {
     "2psl": {
         "numpy": {"degree": 1.0, "clustering": 30.0, "mapping": 3.0},
-        "python": {"total": 24.5, "partitioning": 17.1},
+        "python": {"total": 24.5, "prepartition": 5.0, "partitioning": 17.1},
     },
     "2pshdrf": {"python": {"partitioning": 65.0}},
 }
 C_SMOKE_GATES = {
     "2psl": {
         "numpy": {"degree": 0.9, "clustering": 10.0, "mapping": 1.5},
-        "python": {"total": 7.86, "partitioning": 6.0},
+        "python": {"total": 7.86, "prepartition": 3.0, "partitioning": 6.0},
     },
     "2pshdrf": {"python": {"partitioning": 10.0}},
 }
@@ -257,18 +261,20 @@ C_HDRF_BASELINE_SMOKE_GATE = 4.5
 STORAGE_REDUCTION_GATE = 6.0
 
 #: Ceiling on the packed/dense ``partitioning`` phase-seconds ratio of the
-#: file-stream runs: the serial per-edge loops address the raw storage
-#: plane in both layouts, so bit-packing may not slow the remaining pass
-#: down (ROADMAP 2(a) gate; always enforced — both runs share the host,
-#: back to back).  Smoke scale is looser: its pass lasts a few tens of
-#: milliseconds, where timer noise weighs more.
+#: file-stream runs, the median of the per-round ratios: the serial
+#: per-edge loops address the raw storage plane in both layouts, so
+#: bit-packing may not slow the remaining pass down (ROADMAP 2(a) gate;
+#: always enforced — both runs of a round share the host, back to back).
+#: Smoke scale is looser: its pass lasts a few tens of milliseconds,
+#: where timer noise weighs more.
 PACKED_PHASE_GATE = 1.3
 PACKED_PHASE_SMOKE_GATE = 2.0
 
 #: Wall-clock gain the double-buffered prefetching file stream must show
-#: over the synchronous stream (reader thread overlaps decode + I/O with
-#: kernel compute).  Needs a second CPU to overlap anything, so the gate
-#: records-but-skips on single-CPU hosts.  The smoke threshold only
+#: over the synchronous stream, the median of the per-round ratios
+#: (reader thread overlaps decode + I/O with kernel compute).  Needs a
+#: second CPU to overlap anything, so the gate records-but-skips on
+#: single-CPU hosts.  The smoke threshold only
 #: asserts prefetching is not pathologically slow: at 65k edges the
 #: per-chunk compute is too small to hide behind.
 PREFETCH_GATE = 1.02
@@ -298,6 +304,12 @@ SERVING_BATCHED_QPS_SMOKE_GATE = 400_000.0
 #: (scale 16 fits it on a 2 MiB-L2 host).
 SCALE_SECTION_SCALES = (16, 18, 20)
 SCALE_SECTION_REPEATS = 3
+
+#: Fewest interleaved rounds of the out-of-core section (a larger
+#: ``--repeats`` runs more): its two wall-clock gates read the median of
+#: the per-round ratios, and a median needs three to outvote one slow
+#: round.
+STORAGE_MIN_ROUNDS = 3
 
 SMOKE_SCALE = 12
 
@@ -611,7 +623,7 @@ def run_c_section(args, scale: int, smoke: bool, configs: dict) -> tuple[dict, b
     Reads the ratios of the pipeline rows in ``configs`` (the
     ``payload_configs`` of the main loop) against ``C_GATES``, each over
     the baseline backend it names (python where numpy's row runs the
-    reference's pass), then times the 2PS-L remaining pass over
+    reference's loop), then times the 2PS-L remaining pass over
     hub-heavy R-MAT (skewed quadrant mass: hubs recur in nearly every
     chunk) on python and c, best of ``repeats``, bit-identical, and the
     Phase-2 barrier op (:func:`run_barrier_rows`).  When ``c`` is
@@ -624,8 +636,8 @@ def run_c_section(args, scale: int, smoke: bool, configs: dict) -> tuple[dict, b
     section = {
         "benchmark": "compiled c kernels vs numpy (2PS-L degree, "
         "clustering and mapping, the Phase-2 barrier op) and vs python "
-        "(2PS-L total, the 2PS-L and 2PS-HDRF remaining passes, the 2PS-L "
-        "remaining pass on hub-heavy R-MAT)",
+        "(2PS-L total, the pre-partition pass, the 2PS-L and 2PS-HDRF "
+        "remaining passes, the 2PS-L remaining pass on hub-heavy R-MAT)",
         "hub_heavy_graph": {
             "generator": "rmat-hub-heavy",
             "scale": scale,
@@ -1176,6 +1188,79 @@ def run_parallel_wallclock(
     )
 
 
+def interleaved_rounds(backends, layouts, k, alpha, rounds):
+    """Time ``rounds`` rounds of one 2PS-L run per backend and layout
+    (``(label, packed_state, stream)``), reversing the order every other
+    round so that no configuration always runs first.
+
+    Every run must be bit-identical with the first backend's run of the
+    first layout in round one.  Returns that run's result,
+    ``{(backend, label): [(total_seconds, partitioning_seconds), ...]}``
+    in round order, and ``{(backend, label): state bytes}``.
+    """
+    configs = [
+        (backend, label, packed_state, stream)
+        for backend in backends
+        for label, packed_state, stream in layouts
+    ]
+    reference = None
+    times = {config[:2]: [] for config in configs}
+    state_bytes = {}
+    for r in range(rounds):
+        order = configs if r % 2 == 0 else configs[::-1]
+        for backend, label, packed_state, stream in order:
+            partitioner = TwoPhasePartitioner(
+                backend=backend, packed_state=packed_state
+            )
+            start = time.perf_counter()
+            result = partitioner.partition(stream, k, alpha=alpha)
+            elapsed = time.perf_counter() - start
+            if reference is None:
+                reference = result
+            assert_bit_exact(
+                reference,
+                result,
+                f"out-of-core: {backend} {label} vs {configs[0][0]} "
+                f"{configs[0][1]} (file stream)",
+            )
+            times[backend, label].append(
+                (elapsed, result.timer.totals["partitioning"])
+            )
+            state_bytes[backend, label] = result.state.nbytes()
+    return reference, times, state_bytes
+
+
+def storage_ratios(times, backend) -> dict:
+    """``backend``'s two ratios over :func:`interleaved_rounds`' rounds:
+    packed over dense ``partitioning`` phase seconds, and synchronous
+    over prefetching wall seconds (both packed).  Each is the median of
+    the per-round ratios, recorded with them and each side's median
+    seconds."""
+    dense, packed, prefetch = (
+        times[backend, layout] for layout in ("dense", "packed", "prefetch")
+    )
+    phase = [p[1] / d[1] for d, p in zip(dense, packed)]
+    overlap = [p[0] / f[0] for p, f in zip(packed, prefetch)]
+
+    def median(values, digits):
+        return round(float(np.median(values)), digits)
+
+    return {
+        "partitioning_phase": {
+            "dense_seconds": median([d[1] for d in dense], 4),
+            "packed_seconds": median([p[1] for p in packed], 4),
+            "packed_over_dense": median(phase, 3),
+            "round_ratios": [round(x, 3) for x in phase],
+        },
+        "prefetch": {
+            "sync_seconds": median([p[0] for p in packed], 4),
+            "prefetch_seconds": median([f[0] for f in prefetch], 4),
+            "overlap_gain": median(overlap, 3),
+            "round_ratios": [round(x, 3) for x in overlap],
+        },
+    }
+
+
 def run_out_of_core_section(args, scale: int, smoke: bool, out: str) -> bool:
     """The out-of-core tier -> ``BENCH_storage.json``.
 
@@ -1197,13 +1282,17 @@ def run_out_of_core_section(args, scale: int, smoke: bool, out: str) -> bool:
       worker and the simulated runner at ``--n-workers``, with zero
       leaked shared-memory segments.
 
-    The gates measure ``numpy``; the packed/dense and prefetch ratios of
-    ``c`` are recorded ungated (``c`` key), bit-identical with numpy.
+    The dense, packed and prefetching runs are timed in interleaved
+    rounds (:func:`interleaved_rounds`), so a change in host speed moves
+    both sides of a round's ratio, and the two wall-clock gates read the
+    median of the per-round ratios.  The gates measure ``numpy``; the
+    same ratios of ``c`` are recorded ungated (``c`` key), every run
+    bit-identical with numpy's dense run.
 
     Returns True when every applicable gate passes.
     """
     cpus = usable_cpus()
-    repeats = 1 if smoke else args.repeats
+    rounds = max(args.repeats, STORAGE_MIN_ROUNDS)
     reduction_gate = STORAGE_REDUCTION_GATE
     phase_gate = PACKED_PHASE_SMOKE_GATE if smoke else PACKED_PHASE_GATE
     prefetch_gate = PREFETCH_SMOKE_GATE if smoke else PREFETCH_GATE
@@ -1221,22 +1310,18 @@ def run_out_of_core_section(args, scale: int, smoke: bool, out: str) -> bool:
         sync_stream = FileEdgeStream(path, n_vertices=n)
         prefetch_stream = FileEdgeStream(path, n_vertices=n, prefetch=True)
 
-        dense = run_config(
-            lambda: TwoPhasePartitioner(backend="numpy"),
-            sync_stream, args.k, args.alpha, repeats,
+        c_reason = c_unavailable()
+        backends = ("numpy",) if c_reason else ("numpy", "c")
+        layouts = (
+            ("dense", False, sync_stream),
+            ("packed", True, sync_stream),
+            ("prefetch", True, prefetch_stream),
         )
-        packed = run_config(
-            lambda: TwoPhasePartitioner(
-                backend="numpy", packed_state=True
-            ),
-            sync_stream, args.k, args.alpha, repeats,
+        dense, times, state_bytes = interleaved_rounds(
+            backends, layouts, args.k, args.alpha, rounds
         )
-        assert_bit_exact(
-            dense["result"], packed["result"],
-            "out-of-core: packed state vs dense state (file stream)",
-        )
-        dense_bytes = dense["result"].state.nbytes()
-        packed_bytes = packed["result"].state.nbytes()
+        dense_bytes = state_bytes["numpy", "dense"]
+        packed_bytes = state_bytes["numpy", "packed"]
         reduction = dense_bytes / packed_bytes if packed_bytes else 0.0
         reduction_ok = reduction >= reduction_gate
         print(
@@ -1244,29 +1329,17 @@ def run_out_of_core_section(args, scale: int, smoke: bool, out: str) -> bool:
             f"{packed_bytes:,} packed bytes ({reduction:.2f}x, gate "
             f"{reduction_gate}x: {'pass' if reduction_ok else 'FAIL'})"
         )
-        dense_phase_s = dense["row"]["phase_seconds"]["partitioning"]
-        packed_phase_s = packed["row"]["phase_seconds"]["partitioning"]
-        phase_ratio = packed_phase_s / dense_phase_s
-        phase_ok = phase_ratio <= phase_gate
+        ratios = {backend: storage_ratios(times, backend) for backend in backends}
+        phase = ratios["numpy"]["partitioning_phase"]
+        phase_ok = phase["packed_over_dense"] <= phase_gate
         print(
-            f"  partitioning phase: {dense_phase_s:.3f}s dense -> "
-            f"{packed_phase_s:.3f}s packed ({phase_ratio:.2f}x, gate "
-            f"<= {phase_gate}x: {'pass' if phase_ok else 'FAIL'})"
+            f"  partitioning phase: {phase['dense_seconds']:.3f}s dense -> "
+            f"{phase['packed_seconds']:.3f}s packed (median of "
+            f"{rounds} round ratios {phase['packed_over_dense']:.2f}x, "
+            f"gate <= {phase_gate}x: {'pass' if phase_ok else 'FAIL'})"
         )
-
-        prefetched = run_config(
-            lambda: TwoPhasePartitioner(
-                backend="numpy", packed_state=True
-            ),
-            prefetch_stream, args.k, args.alpha, repeats,
-        )
-        assert_bit_exact(
-            packed["result"], prefetched["result"],
-            "out-of-core: prefetching stream vs synchronous stream",
-        )
-        sync_s = packed["row"]["total_seconds"]
-        prefetch_s = prefetched["row"]["total_seconds"]
-        overlap = sync_s / prefetch_s if prefetch_s > 0 else 0.0
+        prefetch = ratios["numpy"]["prefetch"]
+        overlap = prefetch["overlap_gain"]
         prefetch_enforced = cpus >= 2
         prefetch_ok = overlap >= prefetch_gate if prefetch_enforced else None
         state = (
@@ -1274,10 +1347,20 @@ def run_out_of_core_section(args, scale: int, smoke: bool, out: str) -> bool:
             else ("SKIPPED" if prefetch_ok is None else "FAIL")
         )
         print(
-            f"  prefetching stream: {sync_s:.3f}s sync -> {prefetch_s:.3f}s "
-            f"prefetch ({overlap:.2f}x, gate {prefetch_gate}x: {state}, "
-            f"{cpus} cpus)"
+            f"  prefetching stream: {prefetch['sync_seconds']:.3f}s sync -> "
+            f"{prefetch['prefetch_seconds']:.3f}s prefetch (median of "
+            f"{rounds} round ratios {overlap:.2f}x, gate {prefetch_gate}x: "
+            f"{state}, {cpus} cpus)"
         )
+        if c_reason is None:
+            c_record = {"available": True, **ratios["c"], "bit_exact_with_numpy": True}
+            print(
+                "  c (recorded, ungated): packed/dense partitioning "
+                f"{ratios['c']['partitioning_phase']['packed_over_dense']:.2f}x, "
+                f"prefetch {ratios['c']['prefetch']['overlap_gain']:.2f}x"
+            )
+        else:
+            c_record = {"available": False, "reason": c_reason}
 
         def make_parallel(n_workers, runner):
             return ParallelTwoPhase(
@@ -1292,7 +1375,7 @@ def run_out_of_core_section(args, scale: int, smoke: bool, out: str) -> bool:
             prefetch_stream, args.k, alpha=args.alpha
         )
         assert_bit_exact(
-            dense["result"], single,
+            dense, single,
             "out-of-core: ProcessRunner(n_workers=1, packed, prefetch) "
             "vs sequential dense",
         )
@@ -1315,48 +1398,6 @@ def run_out_of_core_section(args, scale: int, smoke: bool, out: str) -> bool:
             "runner is bit-exact with sequential dense and with the "
             "simulated runner; no segment leaks"
         )
-        c_reason = c_unavailable()
-        if c_reason is None:
-            c_runs = {
-                label: run_config(
-                    lambda packed_state=packed_state: TwoPhasePartitioner(
-                        backend="c", packed_state=packed_state
-                    ),
-                    run_stream, args.k, args.alpha, repeats,
-                )
-                for label, packed_state, run_stream in (
-                    ("dense", False, sync_stream),
-                    ("packed", True, sync_stream),
-                    ("prefetch", True, prefetch_stream),
-                )
-            }
-            for run in c_runs.values():
-                assert_bit_exact(
-                    dense["result"], run["result"],
-                    "out-of-core: c vs numpy (file stream)",
-                )
-            c_dense_s = c_runs["dense"]["row"]["phase_seconds"]["partitioning"]
-            c_packed_s = c_runs["packed"]["row"]["phase_seconds"]["partitioning"]
-            c_sync_s = c_runs["packed"]["row"]["total_seconds"]
-            c_prefetch_s = c_runs["prefetch"]["row"]["total_seconds"]
-            c_record = {
-                "available": True,
-                "dense_seconds": round(c_dense_s, 4),
-                "packed_seconds": round(c_packed_s, 4),
-                "packed_over_dense": round(c_packed_s / c_dense_s, 3),
-                "sync_seconds": round(c_sync_s, 4),
-                "prefetch_seconds": round(c_prefetch_s, 4),
-                "overlap_gain": round(c_sync_s / c_prefetch_s, 3),
-                "bit_exact_with_numpy": True,
-            }
-            print(
-                f"  c (recorded, ungated): packed/dense partitioning "
-                f"{c_record['packed_over_dense']:.2f}x, prefetch "
-                f"{c_sync_s:.3f}s sync -> {c_prefetch_s:.3f}s "
-                f"({c_record['overlap_gain']:.2f}x)"
-            )
-        else:
-            c_record = {"available": False, "reason": c_reason}
 
     payload = {
         "benchmark": "out-of-core tier (packed replica state, "
@@ -1373,7 +1414,7 @@ def run_out_of_core_section(args, scale: int, smoke: bool, out: str) -> bool:
         "k": args.k,
         "alpha": args.alpha,
         "smoke": smoke,
-        "repeats": repeats,
+        "rounds": rounds,
         "n_workers": args.n_workers,
         "sync_interval": args.sync_interval,
         "usable_cpus": cpus,
@@ -1391,24 +1432,20 @@ def run_out_of_core_section(args, scale: int, smoke: bool, out: str) -> bool:
             },
         },
         "partitioning_phase": {
-            "dense_seconds": round(dense_phase_s, 4),
-            "packed_seconds": round(packed_phase_s, 4),
-            "packed_over_dense": round(phase_ratio, 3),
+            **phase,
             "gate": {
                 "threshold": phase_gate,
-                "ratio": round(phase_ratio, 3),
+                "ratio": phase["packed_over_dense"],
                 "enforced": True,
                 "pass": phase_ok,
                 "skipped_reason": None,
             },
         },
         "prefetch": {
-            "sync_seconds": round(sync_s, 4),
-            "prefetch_seconds": round(prefetch_s, 4),
-            "overlap_gain": round(overlap, 3),
+            **prefetch,
             "gate": {
                 "threshold": prefetch_gate,
-                "speedup": round(overlap, 3),
+                "speedup": overlap,
                 "enforced": prefetch_enforced,
                 "pass": prefetch_ok,
                 "skipped_reason": (

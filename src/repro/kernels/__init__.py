@@ -10,11 +10,11 @@ as vectorized numpy array code, or as a compiled loop:
 - ``python`` — the reference backend.  Pure per-edge Python loops with the
   exact control flow of the paper's pseudocode.  It is the semantic ground
   truth that every other backend is property-tested against.
-- ``numpy`` — chunk-vectorized kernels for the passes whose edges do
-  not depend on each other: per-chunk ``np.add.at`` for degrees,
-  gather/mask/scatter for the pre-partition pass, vectorized splitmix64
-  for the stateless baselines, and the Phase-1 merges.  Phase-1
-  clustering, the 2PS-L remaining pass and both HDRF passes run the
+- ``numpy`` — chunk-vectorized kernels for the ops that decide no edge
+  from another edge's outcome: per-chunk ``np.add.at`` for degrees,
+  vectorized splitmix64 for the stateless baselines, and the Phase-1
+  merges.  Every stateful pass (Phase-1 clustering, the pre-partition
+  pass, the 2PS-L remaining pass and both HDRF passes) runs the
   reference kernels.  The default on hosts without a working C compiler.
 - ``c`` — the default wherever it builds (:mod:`repro.kernels.c_backend`):
   the per-edge loop of the degree pass and of every stateful pass (both
@@ -40,15 +40,12 @@ the edge count).
 
 The tricky part of the contract is the *stateful* passes, where an
 edge's decision depends on state mutated by earlier edges: Phase-1
-clustering, the 2PS-L remaining pass and both HDRF passes.  Each has one
-interpreted implementation, the reference's per-edge loop, which the
-``numpy`` backend inherits; the ``c`` backend transliterates it into a
-compiled loop that decides every edge in stream order.  The
-pre-partition pass depends on earlier edges only through the hard
-balance cap, so ``numpy`` scatters a chunk vectorized while no partition
-can reach the cap, and runs a serial loop from the first edge that can
-(the hash / least-loaded fallback chain makes decisions
-order-dependent).
+clustering, the pre-partition pass (through the hard balance cap, whose
+hash / least-loaded fallback chain makes decisions order-dependent),
+the 2PS-L remaining pass and both HDRF passes.  Each has exactly two
+implementations: the reference's per-edge loop, which the ``numpy``
+backend inherits, and the ``c`` backend's transliteration of it into a
+compiled loop that decides every edge in stream order.
 
 Phase-2 inputs
 --------------
@@ -174,18 +171,18 @@ protocol with raw-``ndarray`` tricks:
 - detect packed storage with ``getattr(replicas, "packed", None)`` and
   handle the packed rows natively (the row bytes ARE the
   ``np.packbits`` encoding);
-- the per-edge 2PS-L loops never index the wrapper (a scalar
+- the per-edge loops never index the wrapper (a scalar
   ``replicas[u, p]`` is a Python-level call costing microseconds on
   packed state).  They test and set bits on the raw storage plane that
   :func:`~repro.partitioning.state._replica_plane` describes: the
   storage array plus ``(row_bytes, shift, low_mask)``, bit ``(u, p)``
   at byte ``u * row_bytes + (p >> shift)`` under mask
   ``1 << (p & low_mask)`` — ``(k, 0, 0)`` for dense bool,
-  ``(ceil(k/8), 3, 7)`` for packed — so one loop serves both layouts at
-  the same speed (the reference and numpy's pre-partition tail through
-  a byte ``memoryview``, the ``c`` loops through a pointer).  The
-  reference's two HDRF passes still gather each endpoint's row through
-  the wrapper for their k-wide argmax;
+  ``(ceil(k/8), 3, 7)`` for packed — so one loop serves both layouts
+  (the reference through a byte ``memoryview``, the ``c`` loops through
+  a pointer).  The HDRF passes read each endpoint's row for their
+  k-wide argmax from the same plane: the row itself when dense, its
+  ``np.unpackbits`` when packed;
 - replica bits are monotone within a streaming run, so the passes never
   clear them.  ``PackedReplicaMatrix.__setitem__`` accepts ``= False``
   only as a *scalar* element write (``IncrementalPartitioner`` clears a
@@ -202,9 +199,11 @@ Writing a backend
 -----------------
 1. Subclass :class:`~repro.kernels.base.KernelBackend` (or an existing
    backend — ``NumpyBackend`` subclasses ``PythonBackend`` and overrides
-   only the passes it vectorizes, ``CBackend`` subclasses
-   ``NumpyBackend`` and overrides the stateful passes, the clustering
-   and Phase-2 merges and the mapping loop).
+   only the ops that decide no edge: the degree pass, the stateless
+   pass and the two Phase-1 merges; ``CBackend`` subclasses
+   ``NumpyBackend`` and overrides the degree pass, every stateful pass,
+   the clustering and Phase-2 merges and the mapping loop, keeping
+   numpy's stateless pass and degree merge).
 2. Override any subset of the pass methods: ``degree_pass``,
    ``clustering_true_pass``, ``clustering_partial_pass``,
    ``prepartition_pass``, ``remaining_pass_linear``,

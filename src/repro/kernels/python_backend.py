@@ -3,13 +3,14 @@
 This backend is the semantic ground truth.  Every pass follows the
 paper's pseudocode edge by edge, with hot-loop state held in plain Python
 lists (scalar indexing on lists is several times faster than on numpy
-arrays).  The 2PS-L passes test and set replica bits through a byte view
-of the raw storage plane
-(:func:`~repro.partitioning.state._replica_plane`), so they run as fast
-on bit-packed state as on dense.  The other backends are
+arrays).  The stateful passes that write replica state (the
+pre-partition pass, both remaining passes and the HDRF baseline) test
+and set replica bits through a byte view of the raw storage plane
+(:func:`~repro.partitioning.state._replica_plane`), so they run on
+bit-packed state without indexing the wrapper.  The other backends are
 property-tested for bit-exact equivalence against it, and ``numpy``
-inherits every pass it does not vectorize — keep this code boring and
-obviously correct.
+inherits every pass whose edges depend on earlier edges — keep this code
+boring and obviously correct.
 """
 
 from __future__ import annotations
@@ -248,16 +249,14 @@ class PythonBackend(KernelBackend):
         """Hash on the higher-degree endpoint; least-loaded as last resort.
 
         The reference implementation of the order-sensitive fallback
-        chain — every *interpreted* backend's serial path must route
-        through it so the chain cannot diverge between backends.  One
-        exception by necessity: the compiled loops of ``_ckernels.c``
-        inline this chain (``fallback``; compiled code cannot call back
-        into Python); any change here must be mirrored there in
-        lockstep, and the cross-backend equivalence suite pins the
-        pair.  ``least_loaded`` is a
-        zero-argument callable (e.g. ``LeastLoadedTracker.argmin`` or an
-        ``np.argmin`` closure) returning the smallest-index minimum of
-        the live sizes.
+        chain, which the pre-partition and 2PS-L remaining passes route
+        through (``numpy`` inherits both).  The compiled loops of
+        ``_ckernels.c`` inline this chain (``fallback``; compiled code
+        cannot call back into Python); any change here must be mirrored
+        there in lockstep, and the cross-backend equivalence suite pins
+        the pair.  ``least_loaded`` is a zero-argument callable
+        (``LeastLoadedTracker.argmin``) returning the smallest-index
+        minimum of the live sizes.
         """
         hv = u if deg[u] >= deg[v] else v
         p = splitmix64_int(hv, hash_seed) % k
@@ -375,15 +374,27 @@ class PythonBackend(KernelBackend):
         cost.edges_streamed += stream.n_edges
 
     @staticmethod
+    def _plane_rows(raw, shift, k):
+        """``row(x)``: vertex ``x``'s replica row read from the raw plane
+        of :func:`~repro.partitioning.state._replica_plane`, for
+        :meth:`hdrf_choose` — the row itself on dense state, its ``k``
+        unpacked bits on packed state (``shift`` 3)."""
+        if not shift:
+            return raw.__getitem__
+        return lambda x: np.unpackbits(raw[x], count=k, bitorder="little")
+
+    @staticmethod
     def hdrf_choose(
         u_row, v_row, theta_u, sizes_np, capacity, lam, eps
     ) -> int:
         """One HDRF argmax over all k partitions — the scoring twin.
 
-        ``u_row``/``v_row`` are the live boolean replica rows of the two
-        endpoints, ``theta_u = d_u / (d_u + d_v)`` (true or partial
-        degrees, caller's choice), ``sizes_np`` the float64 view of the
-        live partition sizes.  Partitions at the hard cap are masked to
+        ``u_row``/``v_row`` are the live replica rows of the two
+        endpoints (bool, or the 0/1 uint8 bits of a packed row, which
+        give the same doubles; see :meth:`_plane_rows`),
+        ``theta_u = d_u / (d_u + d_v)`` (true or partial degrees,
+        caller's choice), ``sizes_np`` the float64 view of the live
+        partition sizes.  Partitions at the hard cap are masked to
         ``-inf`` before the argmax (first-index tie-break, as
         ``np.argmax``).
 
@@ -407,7 +418,8 @@ class PythonBackend(KernelBackend):
         from repro.core.scoring import HDRF_EPSILON
 
         part, deg, _, n_vert = self._phase2_lists(ctx)
-        replicas = ctx.state.replicas
+        raw, row_bytes, shift, low_mask = _replica_plane(ctx.state.replicas)
+        row = self._plane_rows(raw, shift, ctx.k)
         capacity = ctx.state.capacity
         sizes = ctx.state.sizes.tolist()
         assignments = ctx.assignments
@@ -417,30 +429,33 @@ class PythonBackend(KernelBackend):
         sizes_np = np.asarray(sizes, dtype=np.float64)
         idx = 0
         n_scored = 0
-        for chunk in stream.chunks():
-            check_vertex_ids(chunk, n_vert, idx)
-            for u, v in chunk.tolist():
-                p1 = part[u]
-                p2 = part[v]
-                if p1 == p2:
+        with memoryview(raw).cast("B") as plane:
+            for chunk in stream.chunks():
+                check_vertex_ids(chunk, n_vert, idx)
+                for u, v in chunk.tolist():
+                    p1 = part[u]
+                    p2 = part[v]
+                    if p1 == p2:
+                        idx += 1
+                        continue
+                    if not (0 <= p1 < k and 0 <= p2 < k):
+                        raise partition_error(idx, u, v, p1, p2, k)
+                    du = deg[u]
+                    dv = deg[v]
+                    theta_u = du / (du + dv)
+                    p = choose(
+                        row(u), row(v), theta_u, sizes_np, capacity, lam,
+                        HDRF_EPSILON,
+                    )
+                    n_scored += k
+                    sizes[p] += 1
+                    sizes_np[p] += 1.0
+                    b = p >> shift
+                    m = 1 << (p & low_mask)
+                    plane[u * row_bytes + b] |= m
+                    plane[v * row_bytes + b] |= m
+                    assignments[idx] = p
                     idx += 1
-                    continue
-                if not (0 <= p1 < k and 0 <= p2 < k):
-                    raise partition_error(idx, u, v, p1, p2, k)
-                du = deg[u]
-                dv = deg[v]
-                theta_u = du / (du + dv)
-                p = choose(
-                    replicas[u], replicas[v], theta_u, sizes_np, capacity,
-                    lam, HDRF_EPSILON,
-                )
-                n_scored += k
-                sizes[p] += 1
-                sizes_np[p] += 1.0
-                replicas[u, p] = True
-                replicas[v, p] = True
-                assignments[idx] = p
-                idx += 1
         ctx.state.sizes[:] = sizes
         cost.score_evaluations += n_scored
         cost.edges_streamed += stream.n_edges
@@ -452,7 +467,8 @@ class PythonBackend(KernelBackend):
         """Classic HDRF (CIKM'15): partial-degree theta, full argmax."""
         from repro.core.scoring import HDRF_EPSILON
 
-        replicas = ctx.state.replicas
+        raw, row_bytes, shift, low_mask = _replica_plane(ctx.state.replicas)
+        row = self._plane_rows(raw, shift, ctx.k)
         capacity = ctx.state.capacity
         sizes = ctx.state.sizes.tolist()
         assignments = ctx.assignments
@@ -462,24 +478,27 @@ class PythonBackend(KernelBackend):
         sizes_np = np.asarray(sizes, dtype=np.float64)
         partial = [0] * ctx.state.n_vertices
         idx = 0
-        for chunk in stream.chunks():
-            check_vertex_ids(chunk, len(partial), idx)
-            for u, v in chunk.tolist():
-                partial[u] += 1
-                partial[v] += 1
-                du = partial[u]
-                dv = partial[v]
-                theta_u = du / (du + dv)
-                p = choose(
-                    replicas[u], replicas[v], theta_u, sizes_np, capacity,
-                    lam, HDRF_EPSILON,
-                )
-                sizes[p] += 1
-                sizes_np[p] += 1.0
-                replicas[u, p] = True
-                replicas[v, p] = True
-                assignments[idx] = p
-                idx += 1
+        with memoryview(raw).cast("B") as plane:
+            for chunk in stream.chunks():
+                check_vertex_ids(chunk, len(partial), idx)
+                for u, v in chunk.tolist():
+                    partial[u] += 1
+                    partial[v] += 1
+                    du = partial[u]
+                    dv = partial[v]
+                    theta_u = du / (du + dv)
+                    p = choose(
+                        row(u), row(v), theta_u, sizes_np, capacity, lam,
+                        HDRF_EPSILON,
+                    )
+                    sizes[p] += 1
+                    sizes_np[p] += 1.0
+                    b = p >> shift
+                    m = 1 << (p & low_mask)
+                    plane[u * row_bytes + b] |= m
+                    plane[v * row_bytes + b] |= m
+                    assignments[idx] = p
+                    idx += 1
         ctx.state.sizes[:] = sizes
         cost.score_evaluations += k * stream.n_edges
         cost.edges_streamed += stream.n_edges

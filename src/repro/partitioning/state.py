@@ -553,10 +553,9 @@ class PartitionState:
 
         Vectorized counterpart of :meth:`assign` for whole stream chunks;
         duplicate (vertex, partition) pairs collapse naturally because the
-        replica matrix is boolean.  The hard cap is *not* enforced here —
-        callers either pre-check capacity per chunk (2PS-L kernels) or do
-        not enforce balance at all (stateless baselines, which report the
-        measured alpha instead).
+        replica matrix is boolean.  The hard cap is *not* enforced here:
+        the callers, the stateless baselines' passes, do not enforce
+        balance at all and report the measured alpha instead.
 
         Raises
         ------

@@ -273,15 +273,18 @@ def _run_phase2_passes(kernels, k, mode, packed):
     for run_pass in (kernels.prepartition_pass, remaining):
         ctx.cost = CostCounter()
         run_pass(stream, ctx)
-        snapshots.append(
-            (
-                ctx.assignments.copy(),
-                ctx.state.sizes.copy(),
-                np.array(ctx.state.replicas, copy=True),
-                ctx.cost,
-            )
-        )
+        snapshots.append(_snapshot(ctx))
     return ctx, snapshots
+
+
+def _snapshot(ctx):
+    """``(assignments, sizes, replicas, cost)`` of ``ctx``, copied."""
+    return (
+        ctx.assignments.copy(),
+        ctx.state.sizes.copy(),
+        np.array(ctx.state.replicas, copy=True),
+        ctx.cost,
+    )
 
 
 def _assert_snapshots_identical(reference, other):
@@ -321,6 +324,16 @@ class TestPackedStateKernels:
         assert not bits[:, k:].any()  # tail bits past column k stay zero
 
 
+def _refuse_packed_indexing(monkeypatch):
+    """Make every ``PackedReplicaMatrix`` index call raise."""
+
+    def refuse(self, *args):
+        raise AssertionError("a kernel pass indexed the PackedReplicaMatrix")
+
+    monkeypatch.setattr(PackedReplicaMatrix, "__getitem__", refuse)
+    monkeypatch.setattr(PackedReplicaMatrix, "__setitem__", refuse)
+
+
 @pytest.mark.parametrize("k", [13, 32, 70])
 def test_reference_2psl_passes_address_the_packed_plane(monkeypatch, k):
     """The reference's pre-partition and 2PS-L remaining passes test and
@@ -329,16 +342,38 @@ def test_reference_2psl_passes_address_the_packed_plane(monkeypatch, k):
     fallbacks included, as on dense state."""
     python = get_backend("python")
     _, dense = _run_phase2_passes(python, k, "linear", packed=False)
-
-    def refuse(self, *args):
-        raise AssertionError("a 2PS-L pass indexed the PackedReplicaMatrix")
-
-    monkeypatch.setattr(PackedReplicaMatrix, "__getitem__", refuse)
-    monkeypatch.setattr(PackedReplicaMatrix, "__setitem__", refuse)
+    _refuse_packed_indexing(monkeypatch)
     _, packed = _run_phase2_passes(python, k, "linear", packed=True)
     for dns, pkd in zip(dense, packed):
         _assert_snapshots_identical(dns, pkd)
     assert all(snapshot[3].hash_evaluations > 0 for snapshot in packed)
+
+
+def _hdrf_baseline_snapshot(kernels, k, packed):
+    """The HDRF baseline pass of ``kernels`` on the state of
+    :func:`_phase2_context` (it reads no Phase-1 input); returns an
+    ``(assignments, sizes, replicas, cost)`` snapshot after the pass."""
+    ctx = _phase2_context(PHASE2_GRAPH, k, packed)
+    stream = InMemoryEdgeStream(PHASE2_GRAPH)
+    stream.default_chunk_size = 1000
+    kernels.hdrf_baseline_pass(stream, ctx)
+    return _snapshot(ctx)
+
+
+@pytest.mark.parametrize("k", [13, 32, 70])
+def test_reference_hdrf_passes_address_the_packed_plane(monkeypatch, k):
+    """The reference's 2PS-HDRF remaining pass and HDRF baseline read
+    each endpoint's row from the raw plane and set its bits there: not
+    one ``PackedReplicaMatrix`` index call, and the same results as on
+    dense state."""
+    python = get_backend("python")
+    _, dense = _run_phase2_passes(python, k, "hdrf", packed=False)
+    dense.append(_hdrf_baseline_snapshot(python, k, packed=False))
+    _refuse_packed_indexing(monkeypatch)
+    _, packed = _run_phase2_passes(python, k, "hdrf", packed=True)
+    packed.append(_hdrf_baseline_snapshot(python, k, packed=True))
+    for dns, pkd in zip(dense, packed):
+        _assert_snapshots_identical(dns, pkd)
 
 
 def _preset_context(edges, n, k, v2c, c2p, bits, sizes, n_edges, alpha, packed):
@@ -711,6 +746,7 @@ class TestRegistry:
         for method in (
             "clustering_true_pass",
             "clustering_partial_pass",
+            "prepartition_pass",
             "remaining_pass_linear",
             "remaining_pass_hdrf",
             "hdrf_baseline_pass",
