@@ -22,12 +22,22 @@ Usage::
     PYTHONPATH=src python benchmarks/run_bench.py [--scale 16] [--k 32] \
         [--out BENCH_kernels.json] [--smoke]
 
+Timing: every section times its runs in interleaved rounds
+(:func:`interleaved_rounds`).  A round runs each of the section's runs
+once, back to back, in reverse order every other round, and checks every
+result bit for bit; so a change in host speed moves both sides of a
+round's ratio.  Every ratio gate reads the median of its per-round ratios
+(:func:`ratio_gate`) and records them (``round_ratios``) with each side's
+median seconds, and every pipeline row records each phase's median.  No
+gate or row keeps the fastest of several runs.  Each section runs at
+least :data:`MIN_ROUNDS` rounds, smoke included; ``--repeats`` raises it.
+
 Exit status is non-zero unless every gate passes:
 
 - speedup gate (the ``numpy`` backend, the fallback on hosts without a
   C compiler, vs the ``python`` reference): the ``2psl`` degree pass
-  >= 5x, its best over the repeats.  The pre-partition and remaining
-  passes have no numpy gate: numpy runs the reference's loops;
+  >= 5x.  The pre-partition and remaining passes have no numpy gate:
+  numpy runs the reference's loops;
 - correctness gates: all backends bit-identical per pipeline,
   ``ParallelTwoPhase(n_workers=1)`` bit-exact with sequential 2PS-L, the
   process runner bit-identical with the simulated runner under the same
@@ -60,7 +70,9 @@ Exit status is non-zero unless every gate passes:
   re-broadcast, and leak no socket, worker process, or shared-memory
   segment (all always enforced); its measured Phase-2 wall-clock vs
   sequential numpy is enforced only on hosts with >= 2 usable CPUs
-  and recorded-but-skipped elsewhere;
+  and recorded-but-skipped elsewhere.  The sequential, process,
+  sharded-Phase-1 and distributed runs of this file, and their ``c``
+  twins, share one set of rounds;
 - out-of-core gates (``BENCH_storage.json``): the graph is generated
   straight to disk (:func:`repro.graph.generators.rmat_edge_file`, never
   holding the edge array in RAM) and partitioned from the file.  The
@@ -71,13 +83,11 @@ Exit status is non-zero unless every gate passes:
   the packed run's ``partitioning`` phase may take at most 1.3x the
   dense run's (2.0x at smoke scale; always enforced), and the
   double-buffered prefetching stream must beat the synchronous stream's
-  wall-clock.  The three runs are timed in at least three interleaved
-  rounds, and both wall-clock gates read the median of the per-round
-  ratios.  The prefetch-overlap gate needs a second CPU for the reader
-  thread to overlap with compute, so single-CPU hosts record-but-skip
-  it, like the parallel wall-clock gates;
+  wall-clock.  The prefetch-overlap gate needs a second CPU for the
+  reader thread to overlap with compute, so single-CPU hosts
+  record-but-skip it, like the parallel wall-clock gates;
 - c gates (``c`` section of ``BENCH_kernels.json``): the compiled ``c``
-  backend from the rows the pipeline loop already ran — against
+  backend from the rounds the pipeline loop already ran — against
   ``numpy``, the 2PS-L degree pass, 2PS-L clustering and the 2PS-L
   cluster mapping; against ``python``, 2PS-L total, the pre-partition
   pass (>= 5x, 3x at smoke scale), the 2PS-L remaining pass (>= 17.1x,
@@ -103,8 +113,9 @@ Exit status is non-zero unless every gate passes:
   routing, edge lookups with misses).  Every sampled lookup must be
   bit-exact with the in-memory result and the CRC-32 sweep must pass
   (always enforced); the batched-numpy path must reach >= 10x the
-  scalar path's lookups/s (always enforced — a same-host ratio); and
-  absolute lookups/s floors on both paths are enforced only on hosts
+  scalar path's lookups/s (always enforced — a same-host ratio, timed
+  inside one closed loop rather than in rounds); and absolute
+  lookups/s floors on both paths are enforced only on hosts
   with >= 2 usable CPUs, recorded-but-skipped elsewhere, like the
   parallel wall-clock gates.
 
@@ -114,10 +125,9 @@ memory, on dense and packed state, with edges/s and ns per edge of each
 phase, as the per-vertex state outgrows the caches.
 
 ``--smoke`` runs the same gates at a reduced scale (65k edges) with
-proportionally relaxed speedup thresholds, so CI can check the kernel
-layer in seconds without the full 1M-edge run.  Its pipeline rows keep
-``--repeats`` runs per backend, so the ``c`` gates read from them take
-each phase's best there too.  ``--record-only``
+proportionally relaxed speedup thresholds, in as many rounds as the full
+run, so CI can check the kernel layer in seconds without the full
+1M-edge run.  ``--record-only``
 (the nightly trend-tracking mode) records every gate outcome in the
 BENCH payloads but only correctness failures affect the exit status.
 The ``BENCH_*.json`` / ``BENCH_*_smoke.json`` files at the repo root
@@ -207,7 +217,8 @@ DISTRIBUTED_SMOKE_GATE = 0.02
 #: relaxed: at 65k edges a c pass lasts a few milliseconds, and the
 #: mapping of about a thousand clusters well under one, where timer
 #: noise weighs more (the degree pass read 1.58x, 1.45x and 1.14x
-#: there).
+#: there).  These readings were each phase's best of several runs per
+#: side, one side after the other.
 C_GATES = {
     "2psl": {
         "numpy": {"degree": 1.0, "clustering": 30.0, "mapping": 3.0},
@@ -225,13 +236,22 @@ C_SMOKE_GATES = {
 
 #: c-vs-numpy speedups of the Phase-2 delta barrier op
 #: (``merge_phase2_deltas``) per replica layout, on ``2**scale`` rows at
-#: k=32 with two views, best of several barriers on fresh fixtures.  The
-#: full thresholds sit at about 80% of the lowest of three full-scale
-#: readings (dense 4.30x, 2.95x and 4.55x; packed 5.83x, 7.13x and
-#: 5.15x); the smoke ones at about half of two smoke readings
-#: (2.6-3.2x), since a 4,096-row barrier lasts well under a millisecond.
+#: k=32 with two views, each barrier on a fresh fixture.  The full
+#: thresholds sit at about 80% of the lowest of three full-scale
+#: readings, each the best of several barriers per side (dense 4.30x,
+#: 2.95x and 4.55x; packed 5.83x, 7.13x and 5.15x); the smoke ones at
+#: about half of two smoke readings (2.6-3.2x), since a 4,096-row
+#: barrier lasts well under a millisecond.
 C_BARRIER_GATES = {"dense": 2.3, "packed": 4.2}
 C_BARRIER_SMOKE_GATES = {"dense": 1.5, "packed": 1.5}
+
+#: Barriers one run of the barrier row merges, each on a fresh fixture,
+#: its seconds their sum: a full-scale barrier lasts about a millisecond,
+#: short enough for host noise to swing one reading.  With one merge per
+#: run the packed gate's median of 3 rounds read 3.8x (rounds 5.2x, 3.2x
+#: and 3.8x) in one of two full runs; eight merges per run read
+#: 4.95-5.30x over 8 trials of the row alone (one merge: 4.48-5.51x).
+BARRIER_MERGES = 8
 
 #: Union share of rows the barrier row's two views mark dirty: a traced
 #: two-worker run (``sharded-2w``, seed 1) merged 40.8% of its rows per
@@ -261,20 +281,18 @@ C_HDRF_BASELINE_SMOKE_GATE = 4.5
 STORAGE_REDUCTION_GATE = 6.0
 
 #: Ceiling on the packed/dense ``partitioning`` phase-seconds ratio of the
-#: file-stream runs, the median of the per-round ratios: the serial
-#: per-edge loops address the raw storage plane in both layouts, so
-#: bit-packing may not slow the remaining pass down (ROADMAP 2(a) gate;
-#: always enforced — both runs of a round share the host, back to back).
-#: Smoke scale is looser: its pass lasts a few tens of milliseconds,
-#: where timer noise weighs more.
+#: file-stream runs: the serial per-edge loops address the raw storage
+#: plane in both layouts, so bit-packing may not slow the remaining pass
+#: down (ROADMAP 2(a) gate; always enforced — both runs of a round share
+#: the host, back to back).  Smoke scale is looser: its pass lasts a few
+#: tens of milliseconds, where timer noise weighs more.
 PACKED_PHASE_GATE = 1.3
 PACKED_PHASE_SMOKE_GATE = 2.0
 
 #: Wall-clock gain the double-buffered prefetching file stream must show
-#: over the synchronous stream, the median of the per-round ratios
-#: (reader thread overlaps decode + I/O with kernel compute).  Needs a
-#: second CPU to overlap anything, so the gate records-but-skips on
-#: single-CPU hosts.  The smoke threshold only
+#: over the synchronous stream (reader thread overlaps decode + I/O with
+#: kernel compute).  Needs a second CPU to overlap anything, so the gate
+#: records-but-skips on single-CPU hosts.  The smoke threshold only
 #: asserts prefetching is not pathologically slow: at 65k edges the
 #: per-chunk compute is too small to hide behind.
 PREFETCH_GATE = 1.02
@@ -299,17 +317,20 @@ SERVING_SCALAR_QPS_SMOKE_GATE = 10_000.0
 SERVING_BATCHED_QPS_GATE = 1_000_000.0
 SERVING_BATCHED_QPS_SMOKE_GATE = 400_000.0
 
-#: R-MAT scales and runs per layout of the ungated ``scale`` section
-#: (full run only): 2PS-L on ``c`` as the per-vertex state outgrows L2
-#: (scale 16 fits it on a 2 MiB-L2 host).
+#: R-MAT scales of the ungated ``scale`` section (full run only): 2PS-L
+#: on ``c`` as the per-vertex state outgrows L2 (scale 16 fits it on a
+#: 2 MiB-L2 host).
 SCALE_SECTION_SCALES = (16, 18, 20)
-SCALE_SECTION_REPEATS = 3
 
-#: Fewest interleaved rounds of the out-of-core section (a larger
-#: ``--repeats`` runs more): its two wall-clock gates read the median of
-#: the per-round ratios, and a median needs three to outvote one slow
-#: round.
-STORAGE_MIN_ROUNDS = 3
+#: Fewest interleaved rounds of every timed section, smoke included (a
+#: larger ``--repeats`` runs more): each ratio gate reads the median of
+#: its per-round ratios, and a median needs three rounds to outvote one
+#: slow round.
+MIN_ROUNDS = 3
+
+#: Timings a ratio reads as one: the two passes of each phase.
+PHASE1 = ("degree", "clustering")
+PHASE2 = ("prepartition", "partitioning")
 
 SMOKE_SCALE = 12
 
@@ -321,165 +342,149 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_config(partitioner_factory, stream, k, alpha, repeats) -> dict:
-    """Best of ``repeats`` full pipeline runs (wall-clock noise on shared
-    machines easily exceeds the phase deltas being measured).
+def same_bits(a, b) -> bool:
+    """Whether two runs' results are bit-identical: a partition result's
+    assignments, replica bits, partition sizes and cost counters, and any
+    other result (a barrier's merged rows and state bytes) by ``==``."""
+    if not hasattr(a, "assignments"):
+        return a == b
+    return (
+        np.array_equal(a.assignments, b.assignments)
+        and np.array_equal(a.state.replicas, b.state.replicas)
+        and np.array_equal(a.state.sizes, b.state.sizes)
+        and a.cost == b.cost
+    )
 
-    ``total_seconds`` is the fastest run's total, and each phase is its
-    own minimum over the runs: a phase of a few milliseconds follows host
-    noise, so the fastest run overall need not hold its fastest reading.
-    Returns the timings plus the fastest run's result for the
-    cross-backend equality check.
+
+def assert_bit_exact(reference, other, label: str) -> None:
+    if not same_bits(reference, other):
+        raise SystemExit(f"equality gate failed: {label}")
+
+
+def interleaved_rounds(label: str, runs: dict, rounds: int, expected=None):
+    """Run each of ``runs`` once per round: in their given order in even
+    rounds and reversed in odd ones, so that no run always goes first.
+
+    ``runs`` maps a name to a zero-argument callable returning ``(result,
+    seconds)``, ``seconds`` a dict of named timings.  Every result must
+    be bit-identical (:func:`same_bits`) with ``expected[name]`` or,
+    where ``expected`` names no result, with the first run's result of
+    round one.  Returns each run's round-one result and its ``seconds``
+    in round order.
     """
-    best = None
-    phases: dict[str, float] = {}
-    for _ in range(repeats):
-        partitioner = partitioner_factory()
+    names = list(runs)
+    expected = expected or {}
+    results = {}
+    times = {name: [] for name in names}
+    for r in range(rounds):
+        for name in names if r % 2 == 0 else names[::-1]:
+            result, seconds = runs[name]()
+            reference = expected.get(name, results.get(names[0], result))
+            if not same_bits(reference, result):
+                raise SystemExit(
+                    f"equality gate failed: {label}: {name} in round {r + 1}"
+                )
+            results.setdefault(name, result)
+            times[name].append(seconds)
+    return results, times
+
+
+def partition_run(make, stream, args):
+    """A run of :func:`interleaved_rounds`: one ``make().partition()``
+    of ``stream``, timed as its wall seconds (``total``) and the seconds
+    of each of its phases."""
+
+    def run():
+        partitioner = make()
         start = time.perf_counter()
-        result = partitioner.partition(stream, k, alpha=alpha)
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best[0]:
-            best = (elapsed, result)
-        for name, seconds in result.timer.totals.items():
-            phases[name] = min(seconds, phases.get(name, seconds))
-    total, result = best
-    m = result.n_edges
+        result = partitioner.partition(stream, args.k, alpha=args.alpha)
+        total = time.perf_counter() - start
+        return result, {"total": total, **result.timer.totals}
+
+    return run
+
+
+def round_ratio(times, num: str, den: str, key) -> dict:
+    """Run ``num``'s over run ``den``'s seconds of timing ``key`` (a
+    name, or a tuple of names summed) in each round of
+    :func:`interleaved_rounds`: the median ratio, the per-round ratios
+    and each side's median seconds."""
+    names = key if isinstance(key, tuple) else (key,)
+    num_s, den_s = (
+        [sum(t[name] for name in names) for t in times[run]] for run in (num, den)
+    )
+    ratios = [n / d if d > 0 else 0.0 for n, d in zip(num_s, den_s)]
     return {
-        "result": result,
-        "row": {
-            "total_seconds": round(total, 4),
-            "total_edges_per_s": round(m / total),
-            "phase_seconds": {
-                name: round(seconds, 6) for name, seconds in phases.items()
-            },
-            "phase_edges_per_s": {
-                name: round(m / seconds) if seconds > 0 else None
-                for name, seconds in phases.items()
-            },
-            "replication_factor": round(result.replication_factor, 4),
-            "measured_alpha": round(result.measured_alpha, 4),
+        "ratio": round(float(np.median(ratios)), 3),
+        "round_ratios": [round(x, 3) for x in ratios],
+        "seconds": {
+            num: round(float(np.median(num_s)), 6),
+            den: round(float(np.median(den_s)), 6),
         },
     }
 
 
-def assert_bit_exact(reference, other, label: str) -> None:
-    if not (
-        np.array_equal(reference.assignments, other.assignments)
-        and np.array_equal(reference.state.replicas, other.state.replicas)
-        and np.array_equal(reference.state.sizes, other.state.sizes)
-        and reference.cost == other.cost
-    ):
-        raise SystemExit(f"equality gate failed: {label}")
-
-
-def phase2_seconds(result) -> float:
-    """Wall seconds of the two Phase-2 streaming passes of a run."""
-    return result.timer.totals.get("prepartition", 0.0) + (
-        result.timer.totals.get("partitioning", 0.0)
-    )
-
-
-def phase1_seconds(result) -> float:
-    """Wall seconds of the Phase-1 streaming passes (degree + clustering)."""
-    return result.timer.totals.get("degree", 0.0) + (
-        result.timer.totals.get("clustering", 0.0)
-    )
-
-
-def measure_speedup_gate(
-    label, seconds_fn, threshold, make_parallel, stream, args,
-    sequential_result, repeats, cpus,
-):
-    """Shared gate machinery of the measured wall-clock sections.
-
-    Runs the correctness pins (``ProcessRunner(n_workers=1)`` bit-exact
-    with the sequential pipeline, ``ProcessRunner`` bit-identical with
-    ``SimulatedRunner`` at the same schedule, zero leaked segments — all
-    always enforced), keeps the best of ``repeats`` process runs by
-    ``seconds_fn``, and applies the speedup threshold under the CPU-count
-    skip rule.  Returns ``(best_result, gate_dict, seq_s, par_s)``.
-    """
-    simulated = make_parallel(args.n_workers, "simulated").partition(
-        stream, args.k, alpha=args.alpha
-    )
-    single = make_parallel(1, "process").partition(
-        stream, args.k, alpha=args.alpha
-    )
-    assert_bit_exact(
-        sequential_result,
-        single,
-        f"{label}: ProcessRunner(n_workers=1) vs sequential 2PS-L",
-    )
-    best = None
-    for _ in range(repeats):
-        result = make_parallel(args.n_workers, "process").partition(
-            stream, args.k, alpha=args.alpha
-        )
-        assert_bit_exact(
-            simulated,
-            result,
-            f"{label}: ProcessRunner vs SimulatedRunner at "
-            f"{args.n_workers} workers",
-        )
-        if best is None or seconds_fn(result) < seconds_fn(best):
-            best = result
-    leaked = sorted(live_shared_segments())
-    if leaked:
-        raise SystemExit(f"leaked shared-memory segments: {leaked}")
-    seq_s = seconds_fn(sequential_result)
-    par_s = seconds_fn(best)
-    speedup = seq_s / par_s if par_s > 0 else 0.0
-    enforced = cpus >= args.n_workers
-    passed = speedup >= threshold if enforced else None
-    gate = {
-        "threshold": threshold,
-        "speedup": round(speedup, 3),
-        "enforced": enforced,
-        "pass": passed,
-        "skipped_reason": (
-            None
-            if enforced
-            else f"{cpus} usable CPU(s) < n_workers={args.n_workers}: "
-            "a wall-clock speedup gate is unmeasurable on this host"
-        ),
-    }
-    state = "pass" if passed else ("SKIPPED" if passed is None else "FAIL")
+def ratio_gate(
+    label, times, num, den, key, threshold, at_most=False, skip=None
+) -> dict:
+    """The gate record of :func:`round_ratio`: its median must reach
+    ``threshold``, or stay at or below it when ``at_most``.  A ``skip``
+    reason records the gate unenforced (``pass: null``).  Prints one
+    line."""
+    record = round_ratio(times, num, den, key)
+    ratio = record["ratio"]
+    passed = None if skip else (ratio <= threshold if at_most else ratio >= threshold)
+    state = "SKIPPED" if passed is None else ("pass" if passed else "FAIL")
     print(
-        f"  {label}: {seq_s:.3f}s sequential -> {par_s:.3f}s at "
-        f"{args.n_workers} workers ({speedup:.2f}x, gate {threshold}x: "
-        f"{state}, {cpus} cpus)"
-    )
-    return best, gate, seq_s, par_s
-
-
-def c_ratio(label, seconds_fn, make_c, stream, args, c_sequential, reference,
-            repeats):
-    """The ungated ``c`` twin of a wall-clock gate.
-
-    Best of ``repeats`` runs of ``make_c()``, each bit-identical with
-    ``reference`` (the gated numpy run of the same configuration), timed
-    against the sequential ``c`` run.  Returns the section's record.
-    """
-    best = None
-    for _ in range(repeats):
-        result = make_c().partition(stream, args.k, alpha=args.alpha)
-        assert_bit_exact(reference, result, f"{label}: c vs numpy")
-        if best is None or seconds_fn(result) < seconds_fn(best):
-            best = result
-    seq_s = seconds_fn(c_sequential)
-    par_s = seconds_fn(best)
-    speedup = seq_s / par_s if par_s > 0 else 0.0
-    print(
-        f"  {label}, c (recorded, ungated): {seq_s:.3f}s sequential -> "
-        f"{par_s:.3f}s ({speedup:.2f}x)"
+        f"  {label}: {record['seconds'][num]:.4g}s {num} / "
+        f"{record['seconds'][den]:.4g}s {den}, median of "
+        f"{len(record['round_ratios'])} round ratios {ratio:.2f}x "
+        f"(gate {'<= ' if at_most else ''}{threshold}x: {state})"
     )
     return {
-        "available": True,
-        "sequential_seconds": round(seq_s, 4),
-        "parallel_seconds": round(par_s, 4),
-        "speedup": round(speedup, 3),
-        "bit_exact_with_numpy": True,
+        "threshold": threshold,
+        **record,
+        "enforced": skip is None,
+        "pass": passed,
+        "skipped_reason": skip,
     }
+
+
+def gates_pass(gates) -> bool:
+    """Whether none of ``gates`` failed (a skipped gate does not)."""
+    return all(gate["pass"] is not False for gate in gates)
+
+
+def pipeline_row(result, seconds) -> dict:
+    """One run's row: the median over the rounds of its total and of
+    each phase, as seconds and edges/s."""
+    m = result.n_edges
+    medians = {
+        name: float(np.median([t[name] for t in seconds])) for name in seconds[0]
+    }
+    total = medians.pop("total")
+    return {
+        "total_seconds": round(total, 4),
+        "total_edges_per_s": round(m / total),
+        "phase_seconds": {name: round(s, 6) for name, s in medians.items()},
+        "phase_edges_per_s": {
+            name: round(m / s) if s > 0 else None for name, s in medians.items()
+        },
+        "replication_factor": round(result.replication_factor, 4),
+        "measured_alpha": round(result.measured_alpha, 4),
+    }
+
+
+def backend_rows(label, make, stream, backends, args, rounds):
+    """``make(backend)`` on each of ``backends`` in shared rounds, every
+    result bit-identical with the first backend's; returns the results,
+    the per-round timings and each backend's :func:`pipeline_row`."""
+    results, times = interleaved_rounds(
+        label,
+        {b: partition_run(lambda b=b: make(b), stream, args) for b in backends},
+        rounds,
+    )
+    return results, times, {b: pipeline_row(results[b], times[b]) for b in backends}
 
 
 def c_gate_rows(gates):
@@ -503,7 +508,7 @@ def c_unavailable() -> str | None:
 def skipped_gate(threshold, reason: str) -> dict:
     return {
         "threshold": threshold,
-        "speedup": None,
+        "ratio": None,
         "enforced": False,
         "pass": None,
         "skipped_reason": f"c unavailable on this host: {reason}",
@@ -551,81 +556,71 @@ def state_bytes(states) -> list[bytes]:
     ]
 
 
-def time_barrier(backend: str, fixture, repeats: int):
-    """Best of ``repeats`` barriers, each on a fresh
-    ``barrier_fixture(*fixture)``; returns ``(seconds, rows, state,
-    views)`` of the fastest."""
+def barrier_run(backend: str, fixture):
+    """A run of :func:`interleaved_rounds`: :data:`BARRIER_MERGES`
+    ``merge_phase2_deltas`` calls, each on a fresh
+    ``barrier_fixture(*fixture)``, timed together as ``merge``; its
+    result is the last merge's row count and every state's bytes after
+    it."""
     kernels = get_backend(backend)
-    best = None
-    for _ in range(repeats):
-        state, views = barrier_fixture(*fixture)
-        start = time.perf_counter()
-        rows = kernels.merge_phase2_deltas(state, views)
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best[0]:
-            best = (elapsed, rows, state, views)
-    return best
+
+    def run():
+        seconds = 0.0
+        for _ in range(BARRIER_MERGES):
+            state, views = barrier_fixture(*fixture)
+            start = time.perf_counter()
+            rows = kernels.merge_phase2_deltas(state, views)
+            seconds += time.perf_counter() - start
+        return (rows, *state_bytes([state, *views])), {"merge": seconds}
+
+    return run
 
 
-def run_barrier_rows(args, scale: int, smoke: bool) -> tuple[dict, dict, bool]:
-    """The Phase-2 barrier op, c against numpy, dense and packed.
-
-    Both backends merge fresh builds of one fixture (see
-    :func:`barrier_fixture`); their results must be byte-identical.
-    Returns ``(record, gates, ok)``.
-    """
+def run_barrier_rows(args, scale: int, smoke: bool, rounds: int):
+    """The Phase-2 barrier op, c against numpy, dense and packed, the
+    two backends of each layout in shared rounds, their merged states
+    byte-identical in every round.  Returns ``(record, gates)``."""
     thresholds = C_BARRIER_SMOKE_GATES if smoke else C_BARRIER_GATES
     n = 1 << scale
-    repeats = 3 if smoke else 7
     record = {
-        "n_rows": n, "k": args.k, "views": 2,
-        "dirty_share": BARRIER_DIRTY_SHARE, "repeats": repeats,
+        "n_rows": n,
+        "k": args.k,
+        "views": 2,
+        "dirty_share": BARRIER_DIRTY_SHARE,
+        "merges_per_run": BARRIER_MERGES,
+        "rounds": rounds,
     }
     gates = {}
-    ok = True
     for layout, threshold in thresholds.items():
         fixture = (n, args.k, layout == "packed", args.seed)
-        runs = {b: time_barrier(b, fixture, repeats) for b in ("numpy", "c")}
-        numpy_run, c_run = runs["numpy"], runs["c"]
-        if numpy_run[1] != c_run[1] or state_bytes(
-            [numpy_run[2], *numpy_run[3]]
-        ) != state_bytes([c_run[2], *c_run[3]]):
-            raise SystemExit(
-                f"equality gate failed: {layout} barrier, c vs numpy"
-            )
-        speedup = numpy_run[0] / c_run[0] if c_run[0] > 0 else 0.0
-        passed = speedup >= threshold
-        ok = ok and passed
-        record[layout] = {
-            "rows_merged": int(c_run[1]),
-            "numpy_seconds": round(numpy_run[0], 6),
-            "c_seconds": round(c_run[0], 6),
-        }
-        gates[f"phase2_barrier.{layout}"] = {
-            "threshold": threshold,
-            "speedup": round(speedup, 2),
-            "enforced": True,
-            "pass": passed,
-            "skipped_reason": None,
-        }
-        print(
-            f"  c phase-2 barrier ({layout}, {int(c_run[1]):,} of {n:,} "
-            f"rows): {numpy_run[0] * 1e3:.3f} ms numpy -> "
-            f"{c_run[0] * 1e3:.3f} ms c ({speedup:.1f}x, gate "
-            f"{threshold}x: {'pass' if passed else 'FAIL'})"
+        results, times = interleaved_rounds(
+            f"{layout} barrier, c vs numpy",
+            {b: barrier_run(b, fixture) for b in ("numpy", "c")},
+            rounds,
         )
-    return record, gates, ok
+        rows = int(results["c"][0])
+        record[layout] = {"rows_merged": rows}
+        gates[f"phase2_barrier.{layout}"] = ratio_gate(
+            f"c phase-2 barrier ({layout}, {rows:,} of {n:,} rows)",
+            times,
+            "numpy",
+            "c",
+            "merge",
+            threshold,
+        )
+    return record, gates
 
 
-def run_c_section(args, scale: int, smoke: bool, configs: dict) -> tuple[dict, bool]:
+def run_c_section(
+    args, scale: int, smoke: bool, times: dict, rounds: int
+) -> tuple[dict, bool]:
     """The gated ``c`` section of ``BENCH_kernels.json``.
 
-    Reads the ratios of the pipeline rows in ``configs`` (the
-    ``payload_configs`` of the main loop) against ``C_GATES``, each over
-    the baseline backend it names (python where numpy's row runs the
-    reference's loop), then times the 2PS-L remaining pass over
-    hub-heavy R-MAT (skewed quadrant mass: hubs recur in nearly every
-    chunk) on python and c, best of ``repeats``, bit-identical, and the
+    Reads the per-round ratios of the pipeline rounds in ``times`` (by
+    config) against ``C_GATES``, each over the baseline backend it names
+    (python where numpy's row runs the reference's loop), then times the
+    2PS-L remaining pass over hub-heavy R-MAT (skewed quadrant mass: hubs
+    recur in nearly every chunk) on python and c, bit-identical, and the
     Phase-2 barrier op (:func:`run_barrier_rows`).  When ``c`` is
     unavailable the section records the reason and every gate is marked
     skipped (``pass: null``), like the CPU-count rule of the wall-clock
@@ -642,7 +637,9 @@ def run_c_section(args, scale: int, smoke: bool, configs: dict) -> tuple[dict, b
             "generator": "rmat-hub-heavy",
             "scale": scale,
             "edge_factor": args.edge_factor,
-            "a": 0.7, "b": 0.12, "c": 0.12,
+            "a": 0.7,
+            "b": 0.12,
+            "c": 0.12,
             "seed": args.seed,
         },
         "k": args.k,
@@ -669,93 +666,56 @@ def run_c_section(args, scale: int, smoke: bool, configs: dict) -> tuple[dict, b
         print(f"  c section: SKIPPED (recorded; {reason})")
         return section, True
 
-    def seconds(row, phase):
-        return row["total_seconds"] if phase == "total" else (
-            row["phase_seconds"][phase]
-        )
-
     section["available"] = True
-    section["gates"] = {}
-    ok = True
-    for name, base, phase, threshold in c_gate_rows(gates):
-        rows = configs[name]["backends"]
-        base_s = seconds(rows[base], phase)
-        c_s = seconds(rows["c"], phase)
-        speedup = base_s / c_s if c_s > 0 else 0.0
-        passed = speedup >= threshold
-        ok = ok and passed
-        section["gates"][f"{name}.{phase}"] = {
-            "threshold": threshold,
-            "baseline": base,
-            "speedup": round(speedup, 2),
-            "enforced": True,
-            "pass": passed,
-            "skipped_reason": None,
-        }
-        print(
-            f"  c {name}.{phase}: {base_s:.3f}s {base} -> {c_s:.3f}s c "
-            f"({speedup:.1f}x, gate {threshold}x: "
-            f"{'pass' if passed else 'FAIL'})"
+    section["gates"] = {
+        f"{name}.{phase}": ratio_gate(
+            f"c {name}.{phase}", times[name], base, "c", phase, threshold
         )
+        for name, base, phase, threshold in c_gate_rows(gates)
+    }
     graph = rmat_graph(
-        scale, edge_factor=args.edge_factor, a=0.7, b=0.12, c=0.12,
-        seed=args.seed,
+        scale, edge_factor=args.edge_factor, a=0.7, b=0.12, c=0.12, seed=args.seed
     )
     section["hub_heavy_graph"]["n_vertices"] = graph.n_vertices
     section["hub_heavy_graph"]["n_edges"] = graph.n_edges
-    repeats = 1 if smoke else args.repeats
-    stream = InMemoryEdgeStream(graph)
-    runs = {
-        backend: run_config(
-            lambda backend=backend: TwoPhasePartitioner(backend=backend),
-            stream, args.k, args.alpha, repeats,
-        )
-        for backend in ("python", "c")
-    }
-    assert_bit_exact(
-        runs["python"]["result"], runs["c"]["result"],
+    _, hub_times, section["hub_heavy_backends"] = backend_rows(
         "c section: c vs python on hub-heavy R-MAT",
+        lambda backend: TwoPhasePartitioner(backend=backend),
+        InMemoryEdgeStream(graph),
+        ("python", "c"),
+        args,
+        rounds,
     )
-    python_s = runs["python"]["row"]["phase_seconds"]["partitioning"]
-    c_s = runs["c"]["row"]["phase_seconds"]["partitioning"]
-    speedup = python_s / c_s if c_s > 0 else 0.0
-    passed = speedup >= hub_threshold
-    section["hub_heavy_backends"] = {b: run["row"] for b, run in runs.items()}
     section["bit_exact_with_python"] = True
-    section["gates"]["hub_heavy.partitioning"] = {
-        "threshold": hub_threshold,
-        "baseline": "python",
-        "speedup": round(speedup, 2),
-        "enforced": True,
-        "pass": passed,
-        "skipped_reason": None,
-    }
-    print(
-        f"  c remaining pass (hub-heavy): {python_s:.3f}s python -> "
-        f"{c_s:.3f}s c ({speedup:.1f}x, gate {hub_threshold}x: "
-        f"{'pass' if passed else 'FAIL'})"
+    section["gates"]["hub_heavy.partitioning"] = ratio_gate(
+        "c remaining pass (hub-heavy)",
+        hub_times,
+        "python",
+        "c",
+        "partitioning",
+        hub_threshold,
     )
-    section["phase2_barrier"], barrier_gates, barrier_ok = run_barrier_rows(
-        args, scale, smoke
+    section["phase2_barrier"], barrier_gates = run_barrier_rows(
+        args, scale, smoke, rounds
     )
     section["gates"].update(barrier_gates)
-    return section, ok and passed and barrier_ok
+    return section, gates_pass(section["gates"].values())
 
 
 def run_hdrf_baseline_section(
-    args, graph, stream, smoke: bool
+    args, stream, smoke: bool, rounds: int
 ) -> tuple[dict, bool]:
     """The gated ``hdrf_baseline`` section of ``BENCH_kernels.json``.
 
     Runs the kernel-routed HDRF baseline (``repro.baselines.HDRF``) on
     the main R-MAT stream with the ``python`` per-edge reference and the
-    compiled ``c`` backend; ``numpy`` runs the reference's pass, so it
-    has no leg.  The ``c_leg`` must be bit-identical with the reference
-    (including the simulated cost counters) and reach >=
-    ``C_HDRF_BASELINE_GATE``x ``python`` on the partitioning pass.  When
-    ``c`` is unavailable the section records the reason and a skipped
-    gate without running either leg, like the c section.  Returns
-    ``(section, ok)``.
+    compiled ``c`` backend in shared rounds; ``numpy`` runs the
+    reference's pass, so it has no leg.  The ``c_leg`` must be
+    bit-identical with the reference (including the simulated cost
+    counters) and reach >= ``C_HDRF_BASELINE_GATE``x ``python`` on the
+    partitioning pass.  When ``c`` is unavailable the section records
+    the reason and a skipped gate without running either leg, like the c
+    section.  Returns ``(section, ok)``.
     """
     from repro.baselines import HDRF
 
@@ -774,56 +734,32 @@ def run_hdrf_baseline_section(
         }
         print(f"  hdrf baseline section: SKIPPED (recorded; {reason})")
         return section, True
-    repeats = 1 if smoke else args.repeats
-    runs = {
-        backend: run_config(
-            lambda backend=backend: HDRF(backend=backend),
-            stream, args.k, args.alpha, repeats,
-        )
-        for backend in ("python", "c")
-    }
-    assert_bit_exact(
-        runs["python"]["result"], runs["c"]["result"],
+    _, times, section["backends"] = backend_rows(
         "hdrf_baseline: backend 'c' vs python reference",
+        lambda backend: HDRF(backend=backend),
+        stream,
+        ("python", "c"),
+        args,
+        rounds,
     )
-    seconds = {
-        b: run["row"]["phase_seconds"]["partitioning"] for b, run in runs.items()
-    }
-    python_s, c_s = seconds["python"], seconds["c"]
-    speedup = python_s / c_s if c_s > 0 else 0.0
-    passed = speedup >= c_threshold
-    section["backends"] = {b: run["row"] for b, run in runs.items()}
-    section["partitioning_pass_seconds"] = {b: round(t, 6) for b, t in seconds.items()}
+    gate = ratio_gate(
+        "hdrf baseline pass", times, "python", "c", "partitioning", c_threshold
+    )
     section["bit_exact_with_python"] = True
-    section["c_leg"] = {
-        "available": True,
-        "gate": {
-            "threshold": c_threshold,
-            "speedup": round(speedup, 2),
-            "enforced": True,
-            "pass": passed,
-            "skipped_reason": None,
-        },
-    }
-    print(
-        f"  hdrf baseline pass: {python_s:.3f}s python -> {c_s:.3f}s c "
-        f"({speedup:.1f}x, gate {c_threshold}x: "
-        f"{'pass' if passed else 'FAIL'})"
-    )
-    return section, passed
+    section["c_leg"] = {"available": True, "gate": gate}
+    return section, gate["pass"]
 
 
-def run_scale_section(args) -> dict:
+def run_scale_section(args, rounds: int) -> dict:
     """The ungated ``scale`` section of ``BENCH_kernels.json`` (full run
     only).
 
     2PS-L on ``c`` at each of ``SCALE_SECTION_SCALES``, from an
-    in-memory stream, dense and packed state alternating in one process,
-    ``SCALE_SECTION_REPEATS`` runs per layout.  Each row holds the median
-    run's edges/s and the median ns per edge of every phase;
-    ``edges_per_s_ratio`` divides the largest scale's edges/s by the
-    smallest's, per layout.  Records the reason and nothing else when
-    ``c`` is unavailable.
+    in-memory stream, dense and packed state in shared rounds,
+    bit-identical.  Each row holds each layout's median edges/s and the
+    median ns per edge of every phase; ``edges_per_s_ratio`` divides the
+    largest scale's edges/s by the smallest's, per layout.  Records the
+    reason and nothing else when ``c`` is unavailable.
     """
     section = {
         "benchmark": "2PS-L on c as |V| outgrows the caches (ungated)",
@@ -832,7 +768,7 @@ def run_scale_section(args) -> dict:
         "seed": args.seed,
         "k": args.k,
         "alpha": args.alpha,
-        "repeats": SCALE_SECTION_REPEATS,
+        "rounds": rounds,
     }
     reason = c_unavailable()
     if reason is not None:
@@ -845,45 +781,39 @@ def run_scale_section(args) -> dict:
     rows = {}
     for scale in SCALE_SECTION_SCALES:
         graph = rmat_graph(scale, edge_factor=args.edge_factor, seed=args.seed)
-        stream = InMemoryEdgeStream(graph)
         m = graph.n_edges
-        walls = {layout: [] for layout in layouts}
-        phases = {layout: [] for layout in layouts}
-        assignments = {}
-        for _ in range(SCALE_SECTION_REPEATS):
-            for layout in layouts:
-                partitioner = TwoPhasePartitioner(
-                    backend="c", packed_state=layout == "packed"
-                )
-                start = time.perf_counter()
-                result = partitioner.partition(stream, args.k, alpha=args.alpha)
-                walls[layout].append(time.perf_counter() - start)
-                phases[layout].append(result.timer.totals)
-                assignments[layout] = result.assignments
+        _, _, runs = backend_rows(
+            f"scale {scale}: packed vs dense",
+            lambda layout: TwoPhasePartitioner(
+                backend="c", packed_state=layout == "packed"
+            ),
+            InMemoryEdgeStream(graph),
+            layouts,
+            args,
+            rounds,
+        )
         row = {
             "n_vertices": graph.n_vertices,
             "n_edges": m,
-            "identical_assignments": bool(
-                np.array_equal(assignments["dense"], assignments["packed"])
-            ),
+            "identical_assignments": True,
         }
-        for layout in layouts:
-            total = float(np.median(walls[layout]))
+        for layout, run in runs.items():
             ns = {
-                name: float(np.median([t[name] for t in phases[layout]])) * 1e9 / m
-                for name in phases[layout][0]
+                name: round(s * 1e9 / m, 2)
+                for name, s in run["phase_seconds"].items()
             }
             row[layout] = {
-                "total_seconds": round(total, 4),
-                "edges_per_s": round(m / total),
-                "phase_ns_per_edge": {name: round(v, 2) for name, v in ns.items()},
+                "total_seconds": run["total_seconds"],
+                "edges_per_s": run["total_edges_per_s"],
+                "phase_ns_per_edge": ns,
             }
             print(
-                f"  scale {scale} ({layout}): {m / total:,.0f} edges/s, ns/edge: "
+                f"  scale {scale} ({layout}): {run['total_edges_per_s']:,} "
+                "edges/s, ns/edge: "
                 + ", ".join(f"{name}={v:.1f}" for name, v in ns.items())
             )
         rows[str(scale)] = row
-        del graph, stream, assignments
+        del graph
     section["rows"] = rows
     low, high = str(SCALE_SECTION_SCALES[0]), str(SCALE_SECTION_SCALES[-1])
     section["edges_per_s_ratio"] = {
@@ -896,195 +826,152 @@ def run_scale_section(args) -> dict:
     return section
 
 
-def run_distributed_section(
-    stream, args, sequential_result, make_parallel, smoke: bool,
-    cpus: int, repeats: int,
-) -> tuple[dict, bool]:
-    """The gated ``distributed`` section of ``BENCH_parallel.json``.
+def run_parallel_wallclock(
+    stream, graph, args, sequential, smoke: bool, rounds: int, out: str
+) -> bool:
+    """Measured wall-clock sections of the sharded runners ->
+    ``BENCH_parallel.json``.
 
-    Runs the socket-protocol runner (loopback workers, the same
-    sync-window schedule) and checks, always enforced:
+    One set of interleaved rounds runs sequential 2PS-L and, at
+    ``--n-workers``, the process runner with and without
+    ``parallel_phase1`` and the distributed runner (loopback socket
+    workers), all on ``numpy``, plus their ``c`` twins when ``c`` is
+    available; every speedup pairs two runs of one round.  Each sharded
+    run must be bit-identical with the simulated runner at the same
+    schedule, and each sequential run with ``sequential`` (the 2PS-L
+    pipeline's result).  Run once, outside the rounds: the simulated
+    runs and the one-worker pins (process runner with and without
+    ``parallel_phase1``, distributed runner), each bit-exact with
+    sequential 2PS-L.  Afterwards no shared-memory segment, socket or
+    worker process may be left (all of this always enforced).
 
-    - ``DistributedRunner(n_workers=1)`` bit-exact with the sequential
-      pipeline and ``DistributedRunner`` bit-identical with
-      ``SimulatedRunner`` at ``--n-workers`` under the same schedule;
-    - the delta barrier ships strictly fewer replica-plane bytes than a
-      full-state re-broadcast would (``barrier_plane_bytes`` vs
-      ``barrier_full_bytes`` — the plane component is compared, because
-      at small ``k`` the 8-byte row *indices* of the delta encoding can
-      outweigh the rows themselves; the recorded ``barrier_delta_bytes``
-      is the honest total including indices and sizes);
-    - no leaked socket, worker process, or shared-memory segment.
-
-    The measured Phase-2 speedup vs sequential numpy is enforced only on
-    hosts with >= 2 usable CPUs and recorded-but-skipped elsewhere, like
-    the other wall-clock gates.  Returns ``(section, ok, best)``, the
-    last being the fastest distributed result.
+    Gates, each on the median of its per-round ratios: the Phase-2 and
+    Phase-1 speedups of the process runner over sequential numpy
+    (enforced only on hosts with at least ``n_workers`` usable CPUs), and
+    the distributed runner's Phase-2 speedup (enforced only on hosts with
+    >= 2 usable CPUs).  The ``c`` twins record the same ratios, ungated.
+    Always enforced: the Phase-2 delta barriers merge strictly fewer
+    replica cells than a full re-broadcast, and the distributed barriers
+    ship strictly fewer replica-plane bytes than a full-state
+    re-broadcast (the plane component is compared, because at small
+    ``k`` the 8-byte row *indices* of the delta encoding can outweigh
+    the rows themselves; the recorded ``barrier_delta_bytes`` is the
+    honest total including indices and sizes).  Returns True when every
+    applicable gate passes.
     """
-    from repro.core.distributed import (
-        live_connections,
-        live_worker_processes,
-    )
+    from repro.core.distributed import live_connections, live_worker_processes
 
-    threshold = DISTRIBUTED_SMOKE_GATE if smoke else DISTRIBUTED_GATE
-    simulated = make_parallel(args.n_workers, "simulated").partition(
-        stream, args.k, alpha=args.alpha
-    )
-    single = make_parallel(1, "distributed").partition(
-        stream, args.k, alpha=args.alpha
-    )
-    assert_bit_exact(
-        sequential_result,
-        single,
-        "distributed: DistributedRunner(n_workers=1) vs sequential 2PS-L",
-    )
-    best = None
-    for _ in range(repeats):
-        result = make_parallel(args.n_workers, "distributed").partition(
-            stream, args.k, alpha=args.alpha
+    cpus = usable_cpus()
+    c_reason = c_unavailable()
+
+    def sharded(backend, runner, phase1, n_workers=args.n_workers):
+        return ParallelTwoPhase(
+            n_workers=n_workers,
+            sync_interval=args.sync_interval,
+            backend=backend,
+            runner=runner,
+            parallel_phase1=phase1,
         )
+
+    def partition(partitioner):
+        return partitioner.partition(stream, args.k, alpha=args.alpha)
+
+    simulated = {
+        phase1: partition(sharded("numpy", "simulated", phase1))
+        for phase1 in (False, True)
+    }
+    sharded_runs = {
+        "process": ("process", False),
+        "process_phase1": ("process", True),
+        "distributed": ("distributed", False),
+    }
+    for name, (runner, phase1) in sharded_runs.items():
         assert_bit_exact(
-            simulated,
-            result,
-            f"distributed: DistributedRunner vs SimulatedRunner at "
-            f"{args.n_workers} workers",
+            sequential,
+            partition(sharded("numpy", runner, phase1, n_workers=1)),
+            f"{name}: {runner} runner at 1 worker vs sequential 2PS-L",
         )
-        if best is None or phase2_seconds(result) < phase2_seconds(best):
-            best = result
+    runs, expected = {}, {}
+    for backend in ("numpy",) if c_reason else ("numpy", "c"):
+        prefix = "" if backend == "numpy" else "c "
+        runs[prefix + "sequential"] = partition_run(
+            lambda backend=backend: TwoPhasePartitioner(backend=backend),
+            stream,
+            args,
+        )
+        expected[prefix + "sequential"] = sequential
+        for name, (runner, phase1) in sharded_runs.items():
+            runs[prefix + name] = partition_run(
+                lambda b=backend, r=runner, p=phase1: sharded(b, r, p), stream, args
+            )
+            expected[prefix + name] = simulated[phase1]
+    results, times = interleaved_rounds(
+        f"sharded runners at {args.n_workers} workers", runs, rounds, expected
+    )
     leaked = sorted(live_shared_segments())
     if leaked:
         raise SystemExit(f"leaked shared-memory segments: {leaked}")
     if live_connections() or live_worker_processes():
-        raise SystemExit(
-            "distributed: leaked wire connections or worker processes"
-        )
-
-    wire_stats = best.extras["wire"]
-    plane = wire_stats["barrier_plane_bytes"]
-    full = wire_stats["barrier_full_bytes"]
-    wire_ok = 0 < plane < full
+        raise SystemExit("distributed: leaked wire connections or worker processes")
     print(
-        f"  distributed barriers: {wire_stats['barrier_delta_bytes']:,} "
-        f"delta bytes on the wire (plane component {plane:,}) vs "
-        f"{full:,} full re-broadcast "
-        + (
-            f"({full / plane:.1f}x plane reduction)"
-            if wire_ok
-            else "(gate FAILED)"
-        )
+        "  process and distributed runners are bit-exact with the simulated "
+        "runner (and with sequential 2PS-L at 1 worker); no leaks"
     )
 
-    seq_s = phase2_seconds(sequential_result)
-    par_s = phase2_seconds(best)
-    speedup = seq_s / par_s if par_s > 0 else 0.0
-    enforced = cpus >= 2
-    passed = speedup >= threshold if enforced else None
-    gate = {
-        "threshold": threshold,
-        "speedup": round(speedup, 3),
-        "enforced": enforced,
-        "pass": passed,
-        "skipped_reason": (
-            None
-            if enforced
-            else f"{cpus} usable CPU(s): loopback socket workers have "
-            "no spare core to run on"
-        ),
-    }
-    state = "pass" if passed else ("SKIPPED" if passed is None else "FAIL")
-    print(
-        f"  distributed wall-clock (phase 2): {seq_s:.3f}s sequential -> "
-        f"{par_s:.3f}s at {args.n_workers} socket workers "
-        f"({speedup:.2f}x, gate {threshold}x: {state}, {cpus} cpus)"
+    workers_skip = (
+        None
+        if cpus >= args.n_workers
+        else f"{cpus} usable CPU(s) < n_workers={args.n_workers}: "
+        "a wall-clock speedup gate is unmeasurable on this host"
     )
-    section = {
-        "benchmark": "distributed runner (sync-window/delta-barrier "
-        "protocol over loopback sockets)",
-        "n_workers": args.n_workers,
-        "sequential_phase2_seconds": round(seq_s, 4),
-        "distributed_phase2_seconds": round(par_s, 4),
-        "measured_phase2_speedup": gate["speedup"],
-        "syncs": best.extras["syncs"],
-        "wire": {
-            "bytes_sent": wire_stats["bytes_sent"],
-            "bytes_received": wire_stats["bytes_received"],
-            "barrier_delta_bytes": wire_stats["barrier_delta_bytes"],
-            "barrier_plane_bytes": plane,
-            "barrier_full_bytes": full,
-            "plane_reduction_factor": (
-                round(full / plane, 2) if plane else None
-            ),
-            "gate": {"delta_below_full": wire_ok, "pass": wire_ok},
-        },
-        "gate": gate,
-        "distributed_matches_simulated": True,
-        "single_worker_matches_sequential": True,
-        "leaked_segments": 0,
-        "leaked_connections": 0,
-        "leaked_worker_processes": 0,
-    }
-    return section, wire_ok and passed is not False, best
+    phase2_gate = ratio_gate(
+        f"parallel wall-clock (phase 2, {cpus} cpus)",
+        times,
+        "sequential",
+        "process",
+        PHASE2,
+        PARALLEL_SMOKE_GATE if smoke else PARALLEL_GATE,
+        skip=workers_skip,
+    )
+    phase1_gate = ratio_gate(
+        f"phase-1 wall-clock ({cpus} cpus)",
+        times,
+        "sequential",
+        "process_phase1",
+        PHASE1,
+        PHASE1_SMOKE_GATE if smoke else PHASE1_GATE,
+        skip=workers_skip,
+    )
+    distributed_gate = ratio_gate(
+        f"distributed wall-clock (phase 2, {cpus} cpus)",
+        times,
+        "sequential",
+        "distributed",
+        PHASE2,
+        DISTRIBUTED_SMOKE_GATE if smoke else DISTRIBUTED_GATE,
+        skip=None
+        if cpus >= 2
+        else f"{cpus} usable CPU(s): loopback socket workers have "
+        "no spare core to run on",
+    )
 
-
-def run_parallel_wallclock(
-    stream, graph, args, sequential_runs, smoke: bool, out: str
-) -> bool:
-    """Measured process-runner wall-clock sections -> BENCH_parallel.json.
-
-    Returns True when every applicable gate passes.  Correctness gates
-    (see :func:`measure_speedup_gate`) and the barrier-bytes gate are
-    always enforced; the speedup gates are enforced only on hosts with
-    at least ``n_workers`` usable CPUs.  The gates measure ``numpy``
-    against sequential ``numpy`` (``sequential_runs`` holds the 2PS-L
-    pipeline runs by backend); each section records the same ratio for
-    ``c``, ungated.
-    """
-    cpus = usable_cpus()
-    repeats = 1 if smoke else args.repeats
-    sequential_result = sequential_runs["numpy"]["result"]
-    c_reason = c_unavailable()
-
-    def parallel_factory(parallel_phase1, backend="numpy"):
-        def make(n_workers, runner):
-            return ParallelTwoPhase(
-                n_workers=n_workers,
-                sync_interval=args.sync_interval,
-                backend=backend,
-                runner=runner,
-                parallel_phase1=parallel_phase1,
-            )
-        return make
-
-    def c_record(label, seconds_fn, parallel_phase1, runner, reference):
+    def c_twin(name, key):
         if c_reason is not None:
             return {"available": False, "reason": c_reason}
-        make = parallel_factory(parallel_phase1, "c")
-        return c_ratio(
-            label, seconds_fn, lambda: make(args.n_workers, runner), stream,
-            args, sequential_runs["c"]["result"], reference, repeats,
+        record = round_ratio(times, "c sequential", f"c {name}", key)
+        print(
+            f"  c sequential / c {name} (recorded, ungated): median of "
+            f"{len(record['round_ratios'])} round ratios {record['ratio']:.2f}x"
         )
-
-    best, phase2_gate, seq_phase2, par_phase2 = measure_speedup_gate(
-        "parallel wall-clock (phase 2)",
-        phase2_seconds,
-        PARALLEL_SMOKE_GATE if smoke else PARALLEL_GATE,
-        parallel_factory(False),
-        stream, args, sequential_result, repeats, cpus,
-    )
-    print(
-        "  process runner is bit-exact with the simulated runner "
-        "(and with sequential 2PS-L at 1 worker); no segment leaks"
-    )
-    phase2_c = c_record(
-        "parallel wall-clock (phase 2)", phase2_seconds, False, "process", best
-    )
+        return {"available": True, **record, "bit_exact_with_numpy": True}
 
     # Barrier-bytes gate (always enforced): the dirty-row delta barriers
     # must broadcast strictly less than a full replica-matrix
     # re-broadcast.  Recorded in the payload either way so a failing run
     # still leaves an authoritative BENCH file.
-    barrier_bytes = best.extras["barrier_bytes"]
-    barrier_bytes_full = best.extras["barrier_bytes_full"]
+    process, phase1 = results["process"], results["process_phase1"]
+    barrier_bytes = process.extras["barrier_bytes"]
+    barrier_bytes_full = process.extras["barrier_bytes_full"]
     barrier_ok = 0 < barrier_bytes < barrier_bytes_full
     print(
         f"  delta barriers: {barrier_bytes:,} replica cells merged vs "
@@ -1095,30 +982,15 @@ def run_parallel_wallclock(
             else "(gate FAILED)"
         )
     )
-
-    # Phase-1 wall-clock section: the sharded degree + clustering passes
-    # through the process runner, against the sequential Phase-1 time.
-    best_phase1, phase1_gate, seq_phase1, par_phase1 = measure_speedup_gate(
-        "phase-1 wall-clock",
-        phase1_seconds,
-        PHASE1_SMOKE_GATE if smoke else PHASE1_GATE,
-        parallel_factory(True),
-        stream, args, sequential_result, repeats, cpus,
-    )
-
-    phase1_c = c_record(
-        "phase-1 wall-clock", phase1_seconds, True, "process", best_phase1
-    )
-
-    distributed_section, distributed_ok, distributed_best = (
-        run_distributed_section(
-            stream, args, sequential_result, parallel_factory(False),
-            smoke, cpus, repeats,
-        )
-    )
-    distributed_section["c"] = c_record(
-        "distributed wall-clock (phase 2)", phase2_seconds, False,
-        "distributed", distributed_best,
+    wire_stats = results["distributed"].extras["wire"]
+    plane = wire_stats["barrier_plane_bytes"]
+    full = wire_stats["barrier_full_bytes"]
+    wire_ok = 0 < plane < full
+    print(
+        f"  distributed barriers: {wire_stats['barrier_delta_bytes']:,} "
+        f"delta bytes on the wire (plane component {plane:,}) vs "
+        f"{full:,} full re-broadcast "
+        + (f"({full / plane:.1f}x plane reduction)" if wire_ok else "(gate FAILED)")
     )
 
     payload = {
@@ -1131,20 +1003,16 @@ def run_parallel_wallclock(
         "k": args.k,
         "alpha": args.alpha,
         "smoke": smoke,
-        "repeats": repeats,
+        "rounds": rounds,
         "n_workers": args.n_workers,
         "sync_interval": args.sync_interval,
         "usable_cpus": cpus,
         "backend": "numpy",
-        "sequential_phase2_seconds": round(seq_phase2, 4),
-        "parallel_phase2_seconds": round(par_phase2, 4),
-        "parallel_total_seconds": round(best.wall_seconds, 4),
-        "measured_phase2_speedup": phase2_gate["speedup"],
-        "syncs": best.extras["syncs"],
-        "replication_factor": round(best.replication_factor, 4),
-        "measured_alpha": round(best.measured_alpha, 4),
+        "syncs": process.extras["syncs"],
+        "replication_factor": round(process.replication_factor, 4),
+        "measured_alpha": round(process.measured_alpha, 4),
         "gate": phase2_gate,
-        "c": phase2_c,
+        "c": c_twin("process", PHASE2),
         "barrier_bytes": {
             "delta": barrier_bytes,
             "full_rebroadcast": barrier_bytes_full,
@@ -1158,20 +1026,36 @@ def run_parallel_wallclock(
         "phase1_wallclock": {
             "benchmark": "measured parallel Phase-1 wall-clock "
             "(degree + clustering, process runner)",
-            "sequential_phase1_seconds": round(seq_phase1, 4),
-            "parallel_phase1_seconds": round(par_phase1, 4),
-            "measured_phase1_speedup": phase1_gate["speedup"],
-            "phase1_syncs": best_phase1.extras["phase1_syncs"],
-            "n_clusters": best_phase1.extras["n_clusters"],
-            "replication_factor": round(
-                best_phase1.replication_factor, 4
-            ),
+            "phase1_syncs": phase1.extras["phase1_syncs"],
+            "n_clusters": phase1.extras["n_clusters"],
+            "replication_factor": round(phase1.replication_factor, 4),
             "gate": phase1_gate,
-            "c": phase1_c,
+            "c": c_twin("process_phase1", PHASE1),
             "process_matches_simulated": True,
             "single_worker_matches_sequential": True,
         },
-        "distributed": distributed_section,
+        "distributed": {
+            "benchmark": "distributed runner (sync-window/delta-barrier "
+            "protocol over loopback sockets)",
+            "n_workers": args.n_workers,
+            "syncs": results["distributed"].extras["syncs"],
+            "wire": {
+                "bytes_sent": wire_stats["bytes_sent"],
+                "bytes_received": wire_stats["bytes_received"],
+                "barrier_delta_bytes": wire_stats["barrier_delta_bytes"],
+                "barrier_plane_bytes": plane,
+                "barrier_full_bytes": full,
+                "plane_reduction_factor": round(full / plane, 2) if plane else None,
+                "gate": {"delta_below_full": wire_ok, "pass": wire_ok},
+            },
+            "gate": distributed_gate,
+            "c": c_twin("distributed", PHASE2),
+            "distributed_matches_simulated": True,
+            "single_worker_matches_sequential": True,
+            "leaked_segments": 0,
+            "leaked_connections": 0,
+            "leaked_worker_processes": 0,
+        },
         "process_matches_simulated": True,
         "single_worker_matches_sequential": True,
         "leaked_segments": 0,
@@ -1180,88 +1064,13 @@ def run_parallel_wallclock(
         json.dump(payload, fh, indent=2, sort_keys=False)
         fh.write("\n")
     print(f"  wrote {out}")
-    return (
-        phase2_gate["pass"] is not False
-        and phase1_gate["pass"] is not False
-        and barrier_ok
-        and distributed_ok
-    )
+    gates = (phase2_gate, phase1_gate, distributed_gate)
+    return gates_pass(gates) and barrier_ok and wire_ok
 
 
-def interleaved_rounds(backends, layouts, k, alpha, rounds):
-    """Time ``rounds`` rounds of one 2PS-L run per backend and layout
-    (``(label, packed_state, stream)``), reversing the order every other
-    round so that no configuration always runs first.
-
-    Every run must be bit-identical with the first backend's run of the
-    first layout in round one.  Returns that run's result,
-    ``{(backend, label): [(total_seconds, partitioning_seconds), ...]}``
-    in round order, and ``{(backend, label): state bytes}``.
-    """
-    configs = [
-        (backend, label, packed_state, stream)
-        for backend in backends
-        for label, packed_state, stream in layouts
-    ]
-    reference = None
-    times = {config[:2]: [] for config in configs}
-    state_bytes = {}
-    for r in range(rounds):
-        order = configs if r % 2 == 0 else configs[::-1]
-        for backend, label, packed_state, stream in order:
-            partitioner = TwoPhasePartitioner(
-                backend=backend, packed_state=packed_state
-            )
-            start = time.perf_counter()
-            result = partitioner.partition(stream, k, alpha=alpha)
-            elapsed = time.perf_counter() - start
-            if reference is None:
-                reference = result
-            assert_bit_exact(
-                reference,
-                result,
-                f"out-of-core: {backend} {label} vs {configs[0][0]} "
-                f"{configs[0][1]} (file stream)",
-            )
-            times[backend, label].append(
-                (elapsed, result.timer.totals["partitioning"])
-            )
-            state_bytes[backend, label] = result.state.nbytes()
-    return reference, times, state_bytes
-
-
-def storage_ratios(times, backend) -> dict:
-    """``backend``'s two ratios over :func:`interleaved_rounds`' rounds:
-    packed over dense ``partitioning`` phase seconds, and synchronous
-    over prefetching wall seconds (both packed).  Each is the median of
-    the per-round ratios, recorded with them and each side's median
-    seconds."""
-    dense, packed, prefetch = (
-        times[backend, layout] for layout in ("dense", "packed", "prefetch")
-    )
-    phase = [p[1] / d[1] for d, p in zip(dense, packed)]
-    overlap = [p[0] / f[0] for p, f in zip(packed, prefetch)]
-
-    def median(values, digits):
-        return round(float(np.median(values)), digits)
-
-    return {
-        "partitioning_phase": {
-            "dense_seconds": median([d[1] for d in dense], 4),
-            "packed_seconds": median([p[1] for p in packed], 4),
-            "packed_over_dense": median(phase, 3),
-            "round_ratios": [round(x, 3) for x in phase],
-        },
-        "prefetch": {
-            "sync_seconds": median([p[0] for p in packed], 4),
-            "prefetch_seconds": median([f[0] for f in prefetch], 4),
-            "overlap_gain": median(overlap, 3),
-            "round_ratios": [round(x, 3) for x in overlap],
-        },
-    }
-
-
-def run_out_of_core_section(args, scale: int, smoke: bool, out: str) -> bool:
+def run_out_of_core_section(
+    args, scale: int, smoke: bool, rounds: int, out: str
+) -> bool:
     """The out-of-core tier -> ``BENCH_storage.json``.
 
     Generates the R-MAT graph straight to a binary edge file in bounded
@@ -1282,26 +1091,21 @@ def run_out_of_core_section(args, scale: int, smoke: bool, out: str) -> bool:
       worker and the simulated runner at ``--n-workers``, with zero
       leaked shared-memory segments.
 
-    The dense, packed and prefetching runs are timed in interleaved
-    rounds (:func:`interleaved_rounds`), so a change in host speed moves
-    both sides of a round's ratio, and the two wall-clock gates read the
-    median of the per-round ratios.  The gates measure ``numpy``; the
-    same ratios of ``c`` are recorded ungated (``c`` key), every run
-    bit-identical with numpy's dense run.
+    The dense, packed and prefetching runs share interleaved rounds, so
+    both wall-clock gates read the median of the per-round ratios.  The
+    gates measure ``numpy``; the same ratios of ``c`` are recorded
+    ungated (``c`` key), every run bit-identical with numpy's dense run.
 
     Returns True when every applicable gate passes.
     """
     cpus = usable_cpus()
-    rounds = max(args.repeats, STORAGE_MIN_ROUNDS)
     reduction_gate = STORAGE_REDUCTION_GATE
     phase_gate = PACKED_PHASE_SMOKE_GATE if smoke else PACKED_PHASE_GATE
     prefetch_gate = PREFETCH_SMOKE_GATE if smoke else PREFETCH_GATE
 
     with tempfile.TemporaryDirectory(prefix="bench_ooc_") as tmp:
         path = os.path.join(tmp, "rmat_external.bin")
-        n, m = rmat_edge_file(
-            path, scale, edge_factor=args.edge_factor, seed=args.seed
-        )
+        n, m = rmat_edge_file(path, scale, edge_factor=args.edge_factor, seed=args.seed)
         file_bytes = os.path.getsize(path)
         print(
             f"  external R-MAT scale {scale}: |V|={n:,} |E|={m:,} "
@@ -1311,17 +1115,29 @@ def run_out_of_core_section(args, scale: int, smoke: bool, out: str) -> bool:
         prefetch_stream = FileEdgeStream(path, n_vertices=n, prefetch=True)
 
         c_reason = c_unavailable()
-        backends = ("numpy",) if c_reason else ("numpy", "c")
-        layouts = (
-            ("dense", False, sync_stream),
-            ("packed", True, sync_stream),
-            ("prefetch", True, prefetch_stream),
+        layouts = {
+            "dense": (False, sync_stream),
+            "packed": (True, sync_stream),
+            "prefetch": (True, prefetch_stream),
+        }
+        results, times = interleaved_rounds(
+            "out-of-core (file stream)",
+            {
+                f"{backend} {layout}": partition_run(
+                    lambda b=backend, p=packed: TwoPhasePartitioner(
+                        backend=b, packed_state=p
+                    ),
+                    stream,
+                    args,
+                )
+                for backend in (("numpy",) if c_reason else ("numpy", "c"))
+                for layout, (packed, stream) in layouts.items()
+            },
+            rounds,
         )
-        dense, times, state_bytes = interleaved_rounds(
-            backends, layouts, args.k, args.alpha, rounds
-        )
-        dense_bytes = state_bytes["numpy", "dense"]
-        packed_bytes = state_bytes["numpy", "packed"]
+        dense = results["numpy dense"]
+        dense_bytes = dense.state.nbytes()
+        packed_bytes = results["numpy packed"].state.nbytes()
         reduction = dense_bytes / packed_bytes if packed_bytes else 0.0
         reduction_ok = reduction >= reduction_gate
         print(
@@ -1329,35 +1145,40 @@ def run_out_of_core_section(args, scale: int, smoke: bool, out: str) -> bool:
             f"{packed_bytes:,} packed bytes ({reduction:.2f}x, gate "
             f"{reduction_gate}x: {'pass' if reduction_ok else 'FAIL'})"
         )
-        ratios = {backend: storage_ratios(times, backend) for backend in backends}
-        phase = ratios["numpy"]["partitioning_phase"]
-        phase_ok = phase["packed_over_dense"] <= phase_gate
-        print(
-            f"  partitioning phase: {phase['dense_seconds']:.3f}s dense -> "
-            f"{phase['packed_seconds']:.3f}s packed (median of "
-            f"{rounds} round ratios {phase['packed_over_dense']:.2f}x, "
-            f"gate <= {phase_gate}x: {'pass' if phase_ok else 'FAIL'})"
+        phase = ratio_gate(
+            "partitioning phase, packed / dense",
+            times,
+            "numpy packed",
+            "numpy dense",
+            "partitioning",
+            phase_gate,
+            at_most=True,
         )
-        prefetch = ratios["numpy"]["prefetch"]
-        overlap = prefetch["overlap_gain"]
-        prefetch_enforced = cpus >= 2
-        prefetch_ok = overlap >= prefetch_gate if prefetch_enforced else None
-        state = (
-            "pass" if prefetch_ok
-            else ("SKIPPED" if prefetch_ok is None else "FAIL")
-        )
-        print(
-            f"  prefetching stream: {prefetch['sync_seconds']:.3f}s sync -> "
-            f"{prefetch['prefetch_seconds']:.3f}s prefetch (median of "
-            f"{rounds} round ratios {overlap:.2f}x, gate {prefetch_gate}x: "
-            f"{state}, {cpus} cpus)"
+        prefetch = ratio_gate(
+            f"prefetching stream, sync / prefetch ({cpus} cpus)",
+            times,
+            "numpy packed",
+            "numpy prefetch",
+            "total",
+            prefetch_gate,
+            skip=None
+            if cpus >= 2
+            else f"{cpus} usable CPU(s): the reader thread has "
+            "nothing to overlap with on a single-CPU host",
         )
         if c_reason is None:
-            c_record = {"available": True, **ratios["c"], "bit_exact_with_numpy": True}
+            c_record = {
+                "available": True,
+                "partitioning_phase": round_ratio(
+                    times, "c packed", "c dense", "partitioning"
+                ),
+                "prefetch": round_ratio(times, "c packed", "c prefetch", "total"),
+                "bit_exact_with_numpy": True,
+            }
             print(
                 "  c (recorded, ungated): packed/dense partitioning "
-                f"{ratios['c']['partitioning_phase']['packed_over_dense']:.2f}x, "
-                f"prefetch {ratios['c']['prefetch']['overlap_gain']:.2f}x"
+                f"{c_record['partitioning_phase']['ratio']:.2f}x, "
+                f"prefetch {c_record['prefetch']['ratio']:.2f}x"
             )
         else:
             c_record = {"available": False, "reason": c_reason}
@@ -1375,7 +1196,8 @@ def run_out_of_core_section(args, scale: int, smoke: bool, out: str) -> bool:
             prefetch_stream, args.k, alpha=args.alpha
         )
         assert_bit_exact(
-            dense, single,
+            dense,
+            single,
             "out-of-core: ProcessRunner(n_workers=1, packed, prefetch) "
             "vs sequential dense",
         )
@@ -1386,7 +1208,8 @@ def run_out_of_core_section(args, scale: int, smoke: bool, out: str) -> bool:
             prefetch_stream, args.k, alpha=args.alpha
         )
         assert_bit_exact(
-            simulated, process,
+            simulated,
+            process,
             f"out-of-core: ProcessRunner vs SimulatedRunner at "
             f"{args.n_workers} workers (packed, prefetch)",
         )
@@ -1431,31 +1254,8 @@ def run_out_of_core_section(args, scale: int, smoke: bool, out: str) -> bool:
                 "skipped_reason": None,
             },
         },
-        "partitioning_phase": {
-            **phase,
-            "gate": {
-                "threshold": phase_gate,
-                "ratio": phase["packed_over_dense"],
-                "enforced": True,
-                "pass": phase_ok,
-                "skipped_reason": None,
-            },
-        },
-        "prefetch": {
-            **prefetch,
-            "gate": {
-                "threshold": prefetch_gate,
-                "speedup": overlap,
-                "enforced": prefetch_enforced,
-                "pass": prefetch_ok,
-                "skipped_reason": (
-                    None
-                    if prefetch_enforced
-                    else f"{cpus} usable CPU(s): the reader thread has "
-                    "nothing to overlap with on a single-CPU host"
-                ),
-            },
-        },
+        "partitioning_phase": phase,
+        "prefetch": prefetch,
         "c": c_record,
         "bit_exact": {
             "packed_vs_dense": True,
@@ -1469,7 +1269,7 @@ def run_out_of_core_section(args, scale: int, smoke: bool, out: str) -> bool:
         json.dump(payload, fh, indent=2, sort_keys=False)
         fh.write("\n")
     print(f"  wrote {out}")
-    return reduction_ok and phase_ok and prefetch_ok is not False
+    return reduction_ok and gates_pass((phase, prefetch))
 
 
 def run_serving_section(
@@ -1718,7 +1518,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--alpha", type=float, default=1.05)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
-        "--repeats", type=int, default=3, help="runs per backend (best kept)"
+        "--repeats",
+        type=int,
+        default=MIN_ROUNDS,
+        help=f"interleaved rounds of every timed section (at least {MIN_ROUNDS}): "
+        "each round runs every run of a section once, and each ratio gate "
+        "reads the median of its per-round ratios",
     )
     parser.add_argument("--n-workers", type=int, default=4)
     parser.add_argument("--sync-interval", type=int, default=65536)
@@ -1748,8 +1553,8 @@ def main(argv: list[str] | None = None) -> int:
         "--smoke",
         action="store_true",
         help=f"small-scale gate check (scale {SMOKE_SCALE}, relaxed "
-        "speedup thresholds; the pipeline rows keep --repeats runs per "
-        "backend)",
+        "speedup thresholds; the same interleaved rounds as the full run, "
+        "each ratio gate on the median of its per-round ratios)",
     )
     parser.add_argument(
         "--record-only",
@@ -1765,7 +1570,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    repeats = args.repeats
+    rounds = max(args.repeats, MIN_ROUNDS)
     if args.smoke:
         scale = min(args.scale, SMOKE_SCALE)
         gates = SMOKE_GATES
@@ -1785,15 +1590,13 @@ def main(argv: list[str] | None = None) -> int:
     stream = InMemoryEdgeStream(graph)
     print(
         f"R-MAT scale {scale}: |V|={graph.n_vertices:,} "
-        f"|E|={graph.n_edges:,}, k={args.k}, alpha={args.alpha}"
-        + (" [smoke]" if args.smoke else "")
+        f"|E|={graph.n_edges:,}, k={args.k}, alpha={args.alpha}, "
+        f"{rounds} rounds" + (" [smoke]" if args.smoke else "")
     )
 
     configs = {
         "2psl": lambda backend: TwoPhasePartitioner(backend=backend),
-        "2pshdrf": lambda backend: TwoPhasePartitioner(
-            mode="hdrf", backend=backend
-        ),
+        "2pshdrf": lambda backend: TwoPhasePartitioner(mode="hdrf", backend=backend),
         "parallel": lambda backend: ParallelTwoPhase(
             n_workers=args.n_workers,
             sync_interval=args.sync_interval,
@@ -1801,55 +1604,32 @@ def main(argv: list[str] | None = None) -> int:
         ),
     }
 
+    # Cross-backend equality, the kernel contract, is enforced on every
+    # run: each backend's result must match python's, round by round.
     payload_configs = {}
     results = {}
+    times = {}
     for name, factory in configs.items():
-        runs = {}
-        for backend in available_backends():
-            if (name, backend) in SKIPPED_ROWS:
-                continue
-            runs[backend] = run_config(
-                lambda backend=backend: factory(backend),
-                stream,
-                args.k,
-                args.alpha,
-                repeats,
-            )
-            row = runs[backend]["row"]
+        backends = [b for b in available_backends() if (name, b) not in SKIPPED_ROWS]
+        results[name], times[name], rows = backend_rows(
+            f"{name}: backend vs python", factory, stream, backends, args, rounds
+        )
+        for backend, row in rows.items():
             print(
                 f"  {name:>9}/{backend:<7}: {row['total_seconds']:.2f}s total "
                 f"({row['total_edges_per_s']:,} edges/s), phases: "
-                + ", ".join(
-                    f"{k}={v:.3f}s" for k, v in row["phase_seconds"].items()
-                )
+                + ", ".join(f"{k}={v:.3f}s" for k, v in row["phase_seconds"].items())
             )
-        # Cross-backend equality: the kernel contract, enforced per run.
-        reference = runs["python"]["result"]
-        for backend, run in runs.items():
-            assert_bit_exact(
-                reference, run["result"], f"{name}: backend {backend!r}"
-            )
-        ref_phases = runs["python"]["row"]["phase_seconds"]
-        speedups = {}
-        for backend in runs:
-            if backend == "python":
-                continue
-            rows = runs[backend]["row"]["phase_seconds"]
-            speedups[backend] = {
-                phase: round(ref_phases[phase] / rows[phase], 2)
-                if rows[phase] > 0
-                else None
-                for phase in ref_phases
-            }
-            speedups[backend]["total"] = round(
-                runs["python"]["row"]["total_seconds"]
-                / runs[backend]["row"]["total_seconds"],
-                2,
-            )
-        results[name] = runs
         payload_configs[name] = {
-            "backends": {b: run["row"] for b, run in runs.items()},
-            "speedup_vs_python": speedups,
+            "backends": rows,
+            "speedup_vs_python": {
+                backend: {
+                    key: round_ratio(times[name], "python", backend, key)["ratio"]
+                    for key in times[name]["python"][0]
+                }
+                for backend in backends
+                if backend != "python"
+            },
         }
     print("  all pipelines produced bit-identical results across backends")
 
@@ -1861,31 +1641,26 @@ def main(argv: list[str] | None = None) -> int:
         backend=DEFAULT_BACKEND,
     ).partition(stream, args.k, alpha=args.alpha)
     assert_bit_exact(
-        results["2psl"][DEFAULT_BACKEND]["result"],
+        results["2psl"][DEFAULT_BACKEND],
         single,
         "ParallelTwoPhase(n_workers=1) vs sequential 2PS-L",
     )
     print("  parallel(n_workers=1) is bit-exact with sequential 2PS-L")
 
-    gate_rows = {}
-    meets = True
-    for name, phases in gates.items():
-        config_speedups = payload_configs[name]["speedup_vs_python"]["numpy"]
-        for phase, threshold in phases.items():
-            speedup = config_speedups.get(phase) or 0.0
-            passed = speedup >= threshold
-            meets = meets and passed
-            gate_rows[f"{name}.{phase}"] = {
-                "threshold": threshold,
-                "speedup": speedup,
-                "pass": passed,
-            }
+    gate_rows = {
+        f"{name}.{phase}": ratio_gate(
+            f"numpy {name}.{phase}", times[name], "python", "numpy", phase, threshold
+        )
+        for name, phases in gates.items()
+        for phase, threshold in phases.items()
+    }
+    meets = gates_pass(gate_rows.values())
 
-    c_section, c_ok = run_c_section(args, scale, args.smoke, payload_configs)
+    c_section, c_ok = run_c_section(args, scale, args.smoke, times, rounds)
     hdrf_section, hdrf_ok = run_hdrf_baseline_section(
-        args, graph, stream, args.smoke
+        args, stream, args.smoke, rounds
     )
-    scale_section = None if args.smoke else run_scale_section(args)
+    scale_section = None if args.smoke else run_scale_section(args, rounds)
 
     payload = {
         "benchmark": "kernel-backend throughput (2PS-L / 2PS-HDRF / parallel)",
@@ -1899,7 +1674,7 @@ def main(argv: list[str] | None = None) -> int:
         },
         "k": args.k,
         "alpha": args.alpha,
-        "repeats": repeats,
+        "rounds": rounds,
         "smoke": args.smoke,
         "n_workers": args.n_workers,
         "sync_interval": args.sync_interval,
@@ -1918,20 +1693,16 @@ def main(argv: list[str] | None = None) -> int:
     with open(out, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=False)
         fh.write("\n")
-    print(f"  gates: {json.dumps(gate_rows)}")
-    print(
-        f"  wrote {out} "
-        f"(meets_gates={meets and c_ok and hdrf_ok})"
-    )
+    print(f"  wrote {out} (meets_gates={meets and c_ok and hdrf_ok})")
 
     parallel_ok = run_parallel_wallclock(
-        stream, graph, args, results["2psl"], args.smoke, parallel_out
+        stream, graph, args, results["2psl"]["numpy"], args.smoke, rounds, parallel_out
     )
-    storage_ok = run_out_of_core_section(args, scale, args.smoke, storage_out)
+    storage_ok = run_out_of_core_section(args, scale, args.smoke, rounds, storage_out)
     serving_ok = run_serving_section(
         args,
         graph,
-        results["2psl"]["numpy"]["result"],
+        results["2psl"]["numpy"],
         args.smoke,
         serving_out,
     )
@@ -1942,8 +1713,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     return (
         0
-        if meets and c_ok and hdrf_ok
-        and parallel_ok and storage_ok and serving_ok
+        if meets and c_ok and hdrf_ok and parallel_ok and storage_ok and serving_ok
         else 1
     )
 

@@ -24,6 +24,7 @@ from repro.baselines.ne import ExpansionState
 from repro.core.scoring import HDRF_EPSILON
 from repro.errors import ConfigurationError
 from repro.graph.degrees import compute_degrees_from_stream
+from repro.kernels.python_backend import PythonBackend
 from repro.metrics.memory import measured_state_bytes
 from repro.metrics.runtime import CostCounter, PhaseTimer
 from repro.partitioning.base import EdgePartitioner, PartitionResult
@@ -122,6 +123,7 @@ class HEP(EdgePartitioner):
         with timer.phase("streaming"):
             sizes_f = sizes.astype(np.float64)
             lam = self.lam
+            choose = PythonBackend.hdrf_choose
             idx = 0
             n_high = 0
             for chunk in stream.chunks():
@@ -132,16 +134,15 @@ class HEP(EdgePartitioner):
                     du = int(degrees[u])
                     dv = int(degrees[v])
                     theta_u = du / (du + dv)
-                    scores = replicas[u] * (2.0 - theta_u) + replicas[v] * (
-                        1.0 + theta_u
+                    p = choose(
+                        replicas[u],
+                        replicas[v],
+                        theta_u,
+                        sizes_f,
+                        capacity,
+                        lam,
+                        HDRF_EPSILON,
                     )
-                    maxs = sizes_f.max()
-                    mins = sizes_f.min()
-                    scores = scores + lam * (maxs - sizes_f) / (
-                        HDRF_EPSILON + maxs - mins
-                    )
-                    scores[sizes_f >= capacity] = -np.inf
-                    p = int(np.argmax(scores))
                     sizes_f[p] += 1.0
                     replicas[u, p] = True
                     replicas[v, p] = True

@@ -532,28 +532,13 @@ class PartitionState:
     # ------------------------------------------------------------------
     # assignment
     # ------------------------------------------------------------------
-    def assign(self, u: int, v: int, p: int) -> None:
-        """Assign one edge ``(u, v)`` to partition ``p``.
-
-        Raises
-        ------
-        BalanceError
-            If ``p`` is already at its hard capacity.
-        """
-        if self.sizes[p] >= self.capacity:
-            raise BalanceError(
-                f"partition {p} is at capacity {self.capacity}"
-            )
-        self.sizes[p] += 1
-        self.replicas[u, p] = True
-        self.replicas[v, p] = True
-
     def scatter_edges(self, us, vs, ps) -> None:
         """Batch-record assigned edges: replica bits plus size counts.
 
-        Vectorized counterpart of :meth:`assign` for whole stream chunks;
-        duplicate (vertex, partition) pairs collapse naturally because the
-        replica matrix is boolean.  The hard cap is *not* enforced here:
+        Records whole stream chunks at once; duplicate (vertex, partition)
+        pairs collapse naturally because the replica matrix is boolean.
+        The per-edge passes set their bits on the raw plane instead (see
+        :func:`_replica_plane`).  The hard cap is *not* enforced here:
         the callers, the stateless baselines' passes, do not enforce
         balance at all and report the measured alpha instead.
 
@@ -600,28 +585,6 @@ class PartitionState:
         """
         if self.dirty is not None:
             self.dirty[vertices] = True
-
-    def is_full(self, p: int) -> bool:
-        """Whether partition ``p`` reached the hard cap."""
-        return bool(self.sizes[p] >= self.capacity)
-
-    def least_loaded_open(self) -> int:
-        """Index of the least-loaded partition below the cap.
-
-        This is the paper's last-resort fallback ("we assign the edge to the
-        currently least loaded partition as a last resort").
-
-        Raises
-        ------
-        BalanceError
-            If every partition is full (only possible when more than
-            ``capacity * k`` edges are pushed in).
-        """
-        open_mask = self.sizes < self.capacity
-        if not open_mask.any():
-            raise BalanceError("all partitions are at capacity")
-        candidates = np.where(open_mask)[0]
-        return int(candidates[np.argmin(self.sizes[candidates])])
 
     # ------------------------------------------------------------------
     # metrics

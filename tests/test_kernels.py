@@ -818,7 +818,9 @@ class TestStateBatchApis:
         batch.scatter_edges(us, vs, ps)
         serial = PartitionState(n, k, m, alpha=64.0)
         for u, v, p in zip(us.tolist(), vs.tolist(), ps.tolist()):
-            serial.assign(u, v, p)
+            serial.replicas[u, p] = True
+            serial.replicas[v, p] = True
+            serial.sizes[p] += 1
         np.testing.assert_array_equal(batch.sizes, serial.sizes)
         np.testing.assert_array_equal(batch.replicas, serial.replicas)
 

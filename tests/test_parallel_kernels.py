@@ -321,18 +321,21 @@ class TestRunnerMatrix:
         assert ser_stream.stats.passes == seq_stream.stats.passes
         assert ser_stream.stats.edges_read == seq_stream.stats.edges_read
 
-    def test_overshot_stale_view_with_untouched_partition(self):
-        """Regression: a stale worker view whose *other* partition overshot
-        the cap used to crash the numpy pre-partition spill (it assumed at
-        least one edge of the block was cap-unsafe)."""
+    @pytest.mark.parametrize("backend", VECTOR_BACKENDS)
+    def test_overshot_stale_view_with_untouched_partition(self, backend):
+        """A stale worker view whose *other* partition overshot the cap:
+        each backend's cap branch (``c``'s own loop, numpy's the
+        reference's) must match the reference under four-worker views,
+        where the cap fallback fires once."""
         g = Graph(np.array([[1, 1], [1, 1], [1, 1], [1, 0], [0, 0]]), 2)
         ref = ParallelTwoPhase(
             n_workers=4, sync_interval=1, backend="python"
         ).partition(g, 3)
         out = ParallelTwoPhase(
-            n_workers=4, sync_interval=1, backend="numpy"
+            n_workers=4, sync_interval=1, backend=backend
         ).partition(g, 3)
         assert_bit_exact(ref, out)
+        assert out.cost.hash_evaluations == 1  # the one cap fallback
 
     def test_unknown_runner_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown runner"):

@@ -32,63 +32,27 @@ class TestConstruction:
 
 
 class TestAssignment:
-    def test_assign_updates_sizes_and_replicas(self):
-        state = PartitionState(4, 2, 10)
-        state.assign(0, 1, 1)
-        assert state.sizes.tolist() == [0, 1]
-        assert state.replicas[0, 1]
-        assert state.replicas[1, 1]
-        assert not state.replicas[0, 0]
-
     def test_assign_self_loop(self):
         state = PartitionState(4, 2, 10)
-        state.assign(2, 2, 0)
+        state.scatter_edges([2], [2], [0])
         assert state.replica_counts()[2] == 1
-
-    def test_assign_over_capacity_raises(self):
-        state = PartitionState(4, 2, 2)  # capacity 1 per partition
-        state.assign(0, 1, 0)
-        with pytest.raises(BalanceError):
-            state.assign(2, 3, 0)
-
-    def test_is_full(self):
-        state = PartitionState(4, 2, 2)
-        assert not state.is_full(0)
-        state.assign(0, 1, 0)
-        assert state.is_full(0)
-
-    def test_least_loaded_open(self):
-        state = PartitionState(6, 3, 9)
-        state.assign(0, 1, 0)
-        state.assign(0, 1, 0)
-        state.assign(2, 3, 1)
-        assert state.least_loaded_open() == 2
-
-    def test_least_loaded_all_full(self):
-        state = PartitionState(4, 2, 2)
-        state.assign(0, 1, 0)
-        state.assign(2, 3, 1)
-        with pytest.raises(BalanceError):
-            state.least_loaded_open()
 
 
 class TestMetrics:
     def test_replication_factor_single_partition_usage(self):
         state = PartitionState(4, 2, 10)
-        state.assign(0, 1, 0)
-        state.assign(1, 2, 0)
+        state.scatter_edges([0, 1], [1, 2], [0, 0])
         # 3 vertices, each on exactly 1 partition.
         assert state.replication_factor() == 1.0
 
     def test_replication_factor_with_replication(self):
         state = PartitionState(2, 2, 10)
-        state.assign(0, 1, 0)
-        state.assign(0, 1, 1)
+        state.scatter_edges([0, 0], [1, 1], [0, 1])
         assert state.replication_factor() == 2.0
 
     def test_replication_factor_excludes_uncovered(self):
         state = PartitionState(100, 2, 10)
-        state.assign(0, 1, 0)
+        state.scatter_edges([0], [1], [0])
         assert state.replication_factor() == 1.0
 
     def test_replication_factor_empty(self):
@@ -97,14 +61,12 @@ class TestMetrics:
 
     def test_vertex_cover_sizes(self):
         state = PartitionState(4, 2, 10)
-        state.assign(0, 1, 0)
-        state.assign(1, 2, 1)
+        state.scatter_edges([0, 1], [1, 2], [0, 1])
         assert state.vertex_cover_sizes().tolist() == [2, 2]
 
     def test_measured_alpha(self):
         state = PartitionState(8, 2, 4)
-        state.assign(0, 1, 0)
-        state.assign(2, 3, 0)
+        state.scatter_edges([0, 2], [1, 3], [0, 0])
         state.sizes[1] = 2  # balance manually for the metric
         assert state.measured_alpha() == 1.0
         state.sizes[0] = 3
@@ -235,7 +197,7 @@ class TestPackedReplicaMatrix:
 
     def test_assign_and_single_bit_reads(self):
         state = PartitionState(4, 9, 10, packed=True)
-        state.assign(0, 1, 8)
+        state.scatter_edges([0], [1], [8])
         assert state.replicas[0, 8] and state.replicas[1, 8]
         assert not state.replicas[0, 0]
 
@@ -327,7 +289,7 @@ class TestSharedMemoryState:
         assert state.shm_name is None
         state.close()
         state.unlink()  # both no-ops; arrays stay usable
-        state.assign(0, 1, 0)
+        state.scatter_edges([0], [1], [0])
         assert state.sizes.tolist() == [1, 0]
 
     def test_attacher_sees_creator_writes(self):
@@ -335,7 +297,7 @@ class TestSharedMemoryState:
         try:
             assert creator.shm_name is not None
             attacher = PartitionState.attach(creator.shm_name, 8, 4, 20, 1.2)
-            creator.assign(0, 1, 2)
+            creator.scatter_edges([0], [1], [2])
             attacher.scatter_edges([3], [4], [1])
             # both mutations visible through both mappings
             assert creator.sizes.tolist() == [0, 1, 1, 0]
