@@ -1,21 +1,21 @@
 """Kernel-backend + parallel-runner benchmarks -> BENCH_kernels.json
 and BENCH_parallel.json.
 
-Runs three kernel-routed pipelines with every registered backend on a
-synthetic R-MAT graph (Graph500 generator, >= 1M edges at the default
-scale), verifies the backends produce bit-identical partitionings, and
-records per-phase wall times and edges/sec so the perf trajectory of the
-kernel layer is tracked from PR to PR:
+Runs three kernel-routed pipelines with every registered backend (the
+``python`` reference, and ``c`` where it builds) on a synthetic R-MAT
+graph (Graph500 generator, >= 1M edges at the default scale), verifies
+the backends produce bit-identical partitionings, and records per-phase
+wall times and edges/sec so the perf trajectory of the kernel layer is
+tracked from PR to PR:
 
 - ``2psl``     — sequential 2PS-L (``TwoPhasePartitioner``)
-- ``2pshdrf``  — sequential 2PS-HDRF (``mode="hdrf"``), on every backend
-  but ``numpy``, which runs the reference's 2PS-HDRF passes
+- ``2pshdrf``  — sequential 2PS-HDRF (``mode="hdrf"``)
 - ``parallel`` — sharded ``ParallelTwoPhase`` (kernel-dispatched windows)
 
 It then runs the **parallel wall-clock** section: the sharded path with
 ``runner="process"`` (true ``multiprocessing`` workers over shared-memory
-``PartitionState`` views) against the sequential numpy Phase-2 time, into
-``BENCH_parallel.json``.
+``PartitionState`` views) against the sequential python Phase-2 time,
+into ``BENCH_parallel.json``.
 
 Usage::
 
@@ -34,25 +34,22 @@ least :data:`MIN_ROUNDS` rounds, smoke included; ``--repeats`` raises it.
 
 Exit status is non-zero unless every gate passes:
 
-- speedup gate (the ``numpy`` backend, the fallback on hosts without a
-  C compiler, vs the ``python`` reference): the ``2psl`` degree pass
-  >= 5x.  The pre-partition and remaining passes have no numpy gate:
-  numpy runs the reference's loops;
 - correctness gates: all backends bit-identical per pipeline,
   ``ParallelTwoPhase(n_workers=1)`` bit-exact with sequential 2PS-L, the
   process runner bit-identical with the simulated runner under the same
   sync schedule (assignments, replicas, sizes, cost counters), and no
   shared-memory segment leaks after the process-runner runs;
 - parallel wall-clock gate: *measured* Phase-2 speedup of the process
-  runner at ``--n-workers`` (default 4) >= 1.8x sequential numpy.  The
+  runner at ``--n-workers`` (default 4) >= 1.8x sequential python.  The
   speedup gate is enforced only when the machine exposes at least
   ``n_workers`` usable CPUs — a 4-way wall-clock speedup cannot exist on
   fewer cores, so constrained hosts record the measurement with the gate
   marked ``skipped`` (the correctness gates above always apply).  This
-  and the other wall-clock sections below gate the ``numpy`` backend,
-  the configuration their gates were defined on, and record the same
-  ratios for ``c`` ungated (its sequential side is an order of magnitude
-  faster);
+  and the other wall-clock sections below gate the ``python`` backend,
+  the fallback on hosts without a C compiler (its vectorized degree pass
+  and Phase-1 merges are the code their gates were defined on), and
+  record the same ratios for ``c`` ungated (its sequential side is an
+  order of magnitude faster);
 - phase-1 wall-clock gate (``phase1_wallclock`` section): *measured*
   Phase-1 (degree + clustering) speedup of the sharded Phase 1
   (``parallel_phase1=True``) through the process runner >= 1.5x at
@@ -69,7 +66,7 @@ Exit status is non-zero unless every gate passes:
   strictly fewer replica-plane bytes per barrier than a full-state
   re-broadcast, and leak no socket, worker process, or shared-memory
   segment (all always enforced); its measured Phase-2 wall-clock vs
-  sequential numpy is enforced only on hosts with >= 2 usable CPUs
+  sequential python is enforced only on hosts with >= 2 usable CPUs
   and recorded-but-skipped elsewhere.  The sequential, process,
   sharded-Phase-1 and distributed runs of this file, and their ``c``
   twins, share one set of rounds;
@@ -87,16 +84,15 @@ Exit status is non-zero unless every gate passes:
   reader thread to overlap with compute, so single-CPU hosts
   record-but-skip it, like the parallel wall-clock gates;
 - c gates (``c`` section of ``BENCH_kernels.json``): the compiled ``c``
-  backend from the rounds the pipeline loop already ran — against
-  ``numpy``, the 2PS-L degree pass, 2PS-L clustering and the 2PS-L
-  cluster mapping; against ``python``, 2PS-L total, the pre-partition
-  pass (>= 5x, 3x at smoke scale), the 2PS-L remaining pass (>= 17.1x,
-  6x at smoke scale) and the 2PS-HDRF remaining pass (>= 65x, 10x at
-  smoke scale) — plus, against ``python`` and
-  bit-identical with it, the 2PS-L remaining pass over hub-heavy R-MAT,
-  and, against ``numpy`` and bit-identical with it, the Phase-2 delta
-  barrier op on dense and packed state (``2**scale`` rows, two views,
-  41% of rows dirty, the traffic of a two-worker run).
+  backend against ``python`` from the rounds the pipeline loop already
+  ran — the 2PS-L degree pass, clustering, cluster mapping and total,
+  the pre-partition pass (>= 5x, 3x at smoke scale), the 2PS-L
+  remaining pass (>= 17.1x, 6x at smoke scale) and the 2PS-HDRF
+  remaining pass (>= 65x, 10x at smoke scale) — plus, against
+  ``python`` and bit-identical with it, the 2PS-L remaining pass over
+  hub-heavy R-MAT and the Phase-2 delta barrier op on dense and packed
+  state (``2**scale`` rows, two views, 41% of rows dirty, the traffic
+  of a two-worker run).
   The gate **records-but-skips** when ``c`` is unavailable (no working C
   compiler), so compiler-free environments keep an authoritative BENCH
   file without a red gate;
@@ -155,18 +151,6 @@ from repro.kernels import DEFAULT_BACKEND, available_backends, get_backend
 from repro.partitioning.state import PartitionState, _replica_storage
 from repro.streaming import FileEdgeStream, InMemoryEdgeStream
 
-#: numpy-vs-python speedup gates per pipeline: {config: {phase:
-#: threshold}}.  The smoke thresholds are lower because vectorization
-#: amortizes less at 65k edges.  Only the degree pass has a numpy gate:
-#: numpy runs the reference's pre-partition and remaining passes.
-FULL_GATES = {"2psl": {"degree": 5.0}}
-SMOKE_GATES = {"2psl": {"degree": 3.0}}
-
-#: Pipeline rows the main loop does not time: numpy's 2PS-HDRF row
-#: would run the reference's passes again (its bit-exactness is pinned
-#: by ``tests/test_kernels.py`` and ``tests/test_baselines_stateful.py``).
-SKIPPED_ROWS = {("2pshdrf", "numpy")}
-
 #: Measured Phase-2 speedup the process runner must reach at --n-workers
 #: (ISSUE 3 acceptance gate).  The smoke threshold only asserts the
 #: machinery is not pathologically slow: at 65k edges the per-window
@@ -181,67 +165,80 @@ PHASE1_GATE = 1.5
 PHASE1_SMOKE_GATE = 0.15
 
 #: Measured Phase-2 speedup of the distributed (socket-protocol) runner
-#: over loopback workers vs sequential numpy (ISSUE 10 acceptance gate;
-#: enforced only on hosts with >= 2 usable CPUs — below that the wire
-#: round-trips have no spare core to overlap with).  The bar is modest:
+#: over loopback workers vs sequential python (enforced only on hosts
+#: with >= 2 usable CPUs — below that the wire round-trips have no spare
+#: core to overlap with).  The bar is modest:
 #: the section's point is that the wire protocol does not erase the
 #: sharded speedup, not that sockets beat shared memory.  The smoke
 #: threshold only asserts the machinery is not pathologically slow.
 DISTRIBUTED_GATE = 1.05
 DISTRIBUTED_SMOKE_GATE = 0.02
 
-#: Speedups of the compiled backend, read from the pipeline rows:
-#: {config: {baseline backend: {phase: threshold}}}, ``total`` being the
-#: whole run.  Against numpy, the thresholds sit at about 80% of the
-#: lowest full-scale reading on a 2-vCPU Xeon host (38x clustering, of
-#: two readings; 3.75x on the cluster mapping, of readings of 7.44x,
-#: 4.20x and 3.75x: the numpy sort both backends share takes a good part
-#: of c's 0.002-0.003 s; 1.25x on the degree pass, of readings of 1.25x,
-#: 2.48x and 1.40x, where both sides count into an L2-resident array and
-#: c's 4.5-5 ms varied little while numpy's 6.2-11.4 ms did), and no
-#: lower than 10x on clustering.  The rows whose numpy pass is the
-#: reference's are gated against python, each at an equal bar: its
-#: threshold against numpy when numpy still batched its own remaining
-#: passes, times what numpy then stood against python.  The 2PS-L
-#: remaining pass chains two gates: c >= 9.5x numpy (80% of a 12.3x
-#: reading) and numpy >= 1.8x python, so 17.1x (smoke: 5.0x and 1.2x, so
-#: 6.0x).  2PS-L total chains c >= 10x numpy with the lowest
-#: numpy-over-python total of three full runs (2.45x, 2.68x and 2.76x),
-#: so 24.5x (smoke: 5x times the lowest of 1.66x, 2.17x and 1.57x, so
-#: 7.86x).  The 2PS-HDRF remaining pass chains c >= 13x numpy and
-#: numpy >= 5x python, so 65x (smoke: 5x and 2x, so 10x); it read 201x
-#: (full) and 166x (smoke) against python.  The pre-partition pass keeps
-#: the bar of the numpy-vs-python gate it replaces, 5x (smoke 3x), now
-#: on c, which read 73.3x (full) and 97.1x (smoke) against python while
-#: numpy still vectorized the pass.  The smoke thresholds are
-#: relaxed: at 65k edges a c pass lasts a few milliseconds, and the
-#: mapping of about a thousand clusters well under one, where timer
-#: noise weighs more (the degree pass read 1.58x, 1.45x and 1.14x
-#: there).  These readings were each phase's best of several runs per
-#: side, one side after the other.
+#: Speedups of the compiled backend over the python reference, read
+#: from the pipeline rows: {config: {phase: threshold}}, ``total``
+#: being the whole run.  The degree, clustering and mapping thresholds
+#: were set against the numpy backend, since folded into python:
+#: python now runs numpy's degree pass, and numpy ran python's
+#: clustering and mapping, so they read against python at the same
+#: values.  They sit at about 80% of the lowest full-scale reading on
+#: a 2-vCPU Xeon host (38x clustering, of two readings; 3.75x on the
+#: cluster mapping, of readings of 7.44x, 4.20x and 3.75x: the numpy
+#: sort both backends share takes a good part of c's 0.002-0.003 s;
+#: 1.25x on the degree pass, of readings of 1.25x, 2.48x and 1.40x,
+#: where both sides count into an L2-resident array and c's 4.5-5 ms
+#: varied little while numpy's 6.2-11.4 ms did), and no lower than 10x
+#: on clustering.  The other rows were gated against python before,
+#: each at an equal bar: its threshold against numpy when numpy still
+#: batched its own remaining passes, times what numpy then stood
+#: against python.  The 2PS-L remaining pass chains two gates: c >=
+#: 9.5x numpy (80% of a 12.3x reading) and numpy >= 1.8x python, so
+#: 17.1x (smoke: 5.0x and 1.2x, so 6.0x).  2PS-L total chains c >= 10x
+#: numpy with the lowest numpy-over-python total of three full runs
+#: (2.45x, 2.68x and 2.76x), so 24.5x (smoke: 5x times the lowest of
+#: 1.66x, 2.17x and 1.57x, so 7.86x).  The 2PS-HDRF remaining pass
+#: chains c >= 13x numpy and numpy >= 5x python, so 65x (smoke: 5x and
+#: 2x, so 10x); it read 201x (full) and 166x (smoke) against python.
+#: The pre-partition pass keeps the bar of the numpy-vs-python gate it
+#: replaces, 5x (smoke 3x), now on c, which read 73.3x (full) and
+#: 97.1x (smoke) against python while numpy still vectorized the pass.
+#: The smoke thresholds are relaxed: at 65k edges a c pass lasts a few
+#: milliseconds, and the mapping of about a thousand clusters well
+#: under one, where timer noise weighs more (the degree pass read
+#: 1.58x, 1.45x and 1.14x there).  These readings were each phase's
+#: best of several runs per side, one side after the other.
 C_GATES = {
     "2psl": {
-        "numpy": {"degree": 1.0, "clustering": 30.0, "mapping": 3.0},
-        "python": {"total": 24.5, "prepartition": 5.0, "partitioning": 17.1},
+        "degree": 1.0,
+        "clustering": 30.0,
+        "mapping": 3.0,
+        "total": 24.5,
+        "prepartition": 5.0,
+        "partitioning": 17.1,
     },
-    "2pshdrf": {"python": {"partitioning": 65.0}},
+    "2pshdrf": {"partitioning": 65.0},
 }
 C_SMOKE_GATES = {
     "2psl": {
-        "numpy": {"degree": 0.9, "clustering": 10.0, "mapping": 1.5},
-        "python": {"total": 7.86, "prepartition": 3.0, "partitioning": 6.0},
+        "degree": 0.9,
+        "clustering": 10.0,
+        "mapping": 1.5,
+        "total": 7.86,
+        "prepartition": 3.0,
+        "partitioning": 6.0,
     },
-    "2pshdrf": {"python": {"partitioning": 10.0}},
+    "2pshdrf": {"partitioning": 10.0},
 }
 
-#: c-vs-numpy speedups of the Phase-2 delta barrier op
-#: (``merge_phase2_deltas``) per replica layout, on ``2**scale`` rows at
-#: k=32 with two views, each barrier on a fresh fixture.  The full
-#: thresholds sit at about 80% of the lowest of three full-scale
-#: readings, each the best of several barriers per side (dense 4.30x,
-#: 2.95x and 4.55x; packed 5.83x, 7.13x and 5.15x); the smoke ones at
-#: about half of two smoke readings (2.6-3.2x), since a 4,096-row
-#: barrier lasts well under a millisecond.
+#: c-vs-python speedups of the Phase-2 delta barrier op
+#: (``merge_phase2_deltas``) per replica layout, on ``2**scale`` rows
+#: at k=32 with two views, each barrier on a fresh fixture.  Set
+#: against the numpy backend, which ran python's merge, so they read
+#: against python at the same values.  The full thresholds sit at
+#: about 80% of the lowest of three full-scale readings, each the best
+#: of several barriers per side (dense 4.30x, 2.95x and 4.55x; packed
+#: 5.83x, 7.13x and 5.15x); the smoke ones at about half of two smoke
+#: readings (2.6-3.2x), since a 4,096-row barrier lasts well under a
+#: millisecond.
 C_BARRIER_GATES = {"dense": 2.3, "packed": 4.2}
 C_BARRIER_SMOKE_GATES = {"dense": 1.5, "packed": 1.5}
 
@@ -488,12 +485,11 @@ def backend_rows(label, make, stream, backends, args, rounds):
 
 
 def c_gate_rows(gates):
-    """``(config, baseline, phase, threshold)`` of every pipeline-row
-    gate of the ``c`` section (:data:`C_GATES`)."""
-    for name, baselines in gates.items():
-        for base, phases in baselines.items():
-            for phase, threshold in phases.items():
-                yield name, base, phase, threshold
+    """``(config, phase, threshold)`` of every pipeline-row gate of the
+    ``c`` section (:data:`C_GATES`)."""
+    for name, phases in gates.items():
+        for phase, threshold in phases.items():
+            yield name, phase, threshold
 
 
 def c_unavailable() -> str | None:
@@ -577,7 +573,7 @@ def barrier_run(backend: str, fixture):
 
 
 def run_barrier_rows(args, scale: int, smoke: bool, rounds: int):
-    """The Phase-2 barrier op, c against numpy, dense and packed, the
+    """The Phase-2 barrier op, c against python, dense and packed, the
     two backends of each layout in shared rounds, their merged states
     byte-identical in every round.  Returns ``(record, gates)``."""
     thresholds = C_BARRIER_SMOKE_GATES if smoke else C_BARRIER_GATES
@@ -594,8 +590,8 @@ def run_barrier_rows(args, scale: int, smoke: bool, rounds: int):
     for layout, threshold in thresholds.items():
         fixture = (n, args.k, layout == "packed", args.seed)
         results, times = interleaved_rounds(
-            f"{layout} barrier, c vs numpy",
-            {b: barrier_run(b, fixture) for b in ("numpy", "c")},
+            f"{layout} barrier, c vs python",
+            {b: barrier_run(b, fixture) for b in ("python", "c")},
             rounds,
         )
         rows = int(results["c"][0])
@@ -603,7 +599,7 @@ def run_barrier_rows(args, scale: int, smoke: bool, rounds: int):
         gates[f"phase2_barrier.{layout}"] = ratio_gate(
             f"c phase-2 barrier ({layout}, {rows:,} of {n:,} rows)",
             times,
-            "numpy",
+            "python",
             "c",
             "merge",
             threshold,
@@ -617,8 +613,7 @@ def run_c_section(
     """The gated ``c`` section of ``BENCH_kernels.json``.
 
     Reads the per-round ratios of the pipeline rounds in ``times`` (by
-    config) against ``C_GATES``, each over the baseline backend it names
-    (python where numpy's row runs the reference's loop), then times the
+    config) against ``C_GATES``, each ``c`` over ``python``, then times the
     2PS-L remaining pass over hub-heavy R-MAT (skewed quadrant mass: hubs
     recur in nearly every chunk) on python and c, bit-identical, and the
     Phase-2 barrier op (:func:`run_barrier_rows`).  When ``c`` is
@@ -629,10 +624,10 @@ def run_c_section(
     gates = C_SMOKE_GATES if smoke else C_GATES
     hub_threshold = C_HUB_SMOKE_GATE if smoke else C_HUB_GATE
     section = {
-        "benchmark": "compiled c kernels vs numpy (2PS-L degree, "
-        "clustering and mapping, the Phase-2 barrier op) and vs python "
-        "(2PS-L total, the pre-partition pass, the 2PS-L and 2PS-HDRF "
-        "remaining passes, the 2PS-L remaining pass on hub-heavy R-MAT)",
+        "benchmark": "compiled c kernels vs python (2PS-L degree, "
+        "clustering, mapping and total, the pre-partition pass, the 2PS-L "
+        "and 2PS-HDRF remaining passes, the 2PS-L remaining pass on "
+        "hub-heavy R-MAT, the Phase-2 barrier op)",
         "hub_heavy_graph": {
             "generator": "rmat-hub-heavy",
             "scale": scale,
@@ -653,7 +648,7 @@ def run_c_section(
         section["reason"] = reason
         section["gates"] = {
             f"{name}.{phase}": skipped_gate(threshold, reason)
-            for name, _, phase, threshold in c_gate_rows(gates)
+            for name, phase, threshold in c_gate_rows(gates)
         }
         section["gates"]["hub_heavy.partitioning"] = skipped_gate(
             hub_threshold, reason
@@ -669,9 +664,9 @@ def run_c_section(
     section["available"] = True
     section["gates"] = {
         f"{name}.{phase}": ratio_gate(
-            f"c {name}.{phase}", times[name], base, "c", phase, threshold
+            f"c {name}.{phase}", times[name], "python", "c", phase, threshold
         )
-        for name, base, phase, threshold in c_gate_rows(gates)
+        for name, phase, threshold in c_gate_rows(gates)
     }
     graph = rmat_graph(
         scale, edge_factor=args.edge_factor, a=0.7, b=0.12, c=0.12, seed=args.seed
@@ -709,8 +704,7 @@ def run_hdrf_baseline_section(
 
     Runs the kernel-routed HDRF baseline (``repro.baselines.HDRF``) on
     the main R-MAT stream with the ``python`` per-edge reference and the
-    compiled ``c`` backend in shared rounds; ``numpy`` runs the
-    reference's pass, so it has no leg.  The ``c_leg`` must be
+    compiled ``c`` backend in shared rounds.  The ``c_leg`` must be
     bit-identical with the reference (including the simulated cost
     counters) and reach >= ``C_HDRF_BASELINE_GATE``x ``python`` on the
     partitioning pass.  When ``c`` is unavailable the section records
@@ -835,7 +829,7 @@ def run_parallel_wallclock(
     One set of interleaved rounds runs sequential 2PS-L and, at
     ``--n-workers``, the process runner with and without
     ``parallel_phase1`` and the distributed runner (loopback socket
-    workers), all on ``numpy``, plus their ``c`` twins when ``c`` is
+    workers), all on ``python``, plus their ``c`` twins when ``c`` is
     available; every speedup pairs two runs of one round.  Each sharded
     run must be bit-identical with the simulated runner at the same
     schedule, and each sequential run with ``sequential`` (the 2PS-L
@@ -846,7 +840,7 @@ def run_parallel_wallclock(
     worker process may be left (all of this always enforced).
 
     Gates, each on the median of its per-round ratios: the Phase-2 and
-    Phase-1 speedups of the process runner over sequential numpy
+    Phase-1 speedups of the process runner over sequential python
     (enforced only on hosts with at least ``n_workers`` usable CPUs), and
     the distributed runner's Phase-2 speedup (enforced only on hosts with
     >= 2 usable CPUs).  The ``c`` twins record the same ratios, ungated.
@@ -877,7 +871,7 @@ def run_parallel_wallclock(
         return partitioner.partition(stream, args.k, alpha=args.alpha)
 
     simulated = {
-        phase1: partition(sharded("numpy", "simulated", phase1))
+        phase1: partition(sharded("python", "simulated", phase1))
         for phase1 in (False, True)
     }
     sharded_runs = {
@@ -888,12 +882,12 @@ def run_parallel_wallclock(
     for name, (runner, phase1) in sharded_runs.items():
         assert_bit_exact(
             sequential,
-            partition(sharded("numpy", runner, phase1, n_workers=1)),
+            partition(sharded("python", runner, phase1, n_workers=1)),
             f"{name}: {runner} runner at 1 worker vs sequential 2PS-L",
         )
     runs, expected = {}, {}
-    for backend in ("numpy",) if c_reason else ("numpy", "c"):
-        prefix = "" if backend == "numpy" else "c "
+    for backend in ("python",) if c_reason else ("python", "c"):
+        prefix = "" if backend == "python" else "c "
         runs[prefix + "sequential"] = partition_run(
             lambda backend=backend: TwoPhasePartitioner(backend=backend),
             stream,
@@ -963,7 +957,7 @@ def run_parallel_wallclock(
             f"  c sequential / c {name} (recorded, ungated): median of "
             f"{len(record['round_ratios'])} round ratios {record['ratio']:.2f}x"
         )
-        return {"available": True, **record, "bit_exact_with_numpy": True}
+        return {"available": True, **record, "bit_exact_with_python": True}
 
     # Barrier-bytes gate (always enforced): the dirty-row delta barriers
     # must broadcast strictly less than a full replica-matrix
@@ -1007,7 +1001,7 @@ def run_parallel_wallclock(
         "n_workers": args.n_workers,
         "sync_interval": args.sync_interval,
         "usable_cpus": cpus,
-        "backend": "numpy",
+        "backend": "python",
         "syncs": process.extras["syncs"],
         "replication_factor": round(process.replication_factor, 4),
         "measured_alpha": round(process.measured_alpha, 4),
@@ -1093,8 +1087,8 @@ def run_out_of_core_section(
 
     The dense, packed and prefetching runs share interleaved rounds, so
     both wall-clock gates read the median of the per-round ratios.  The
-    gates measure ``numpy``; the same ratios of ``c`` are recorded
-    ungated (``c`` key), every run bit-identical with numpy's dense run.
+    gates measure ``python``; the same ratios of ``c`` are recorded
+    ungated (``c`` key), every run bit-identical with python's dense run.
 
     Returns True when every applicable gate passes.
     """
@@ -1130,14 +1124,14 @@ def run_out_of_core_section(
                     stream,
                     args,
                 )
-                for backend in (("numpy",) if c_reason else ("numpy", "c"))
+                for backend in (("python",) if c_reason else ("python", "c"))
                 for layout, (packed, stream) in layouts.items()
             },
             rounds,
         )
-        dense = results["numpy dense"]
+        dense = results["python dense"]
         dense_bytes = dense.state.nbytes()
-        packed_bytes = results["numpy packed"].state.nbytes()
+        packed_bytes = results["python packed"].state.nbytes()
         reduction = dense_bytes / packed_bytes if packed_bytes else 0.0
         reduction_ok = reduction >= reduction_gate
         print(
@@ -1148,8 +1142,8 @@ def run_out_of_core_section(
         phase = ratio_gate(
             "partitioning phase, packed / dense",
             times,
-            "numpy packed",
-            "numpy dense",
+            "python packed",
+            "python dense",
             "partitioning",
             phase_gate,
             at_most=True,
@@ -1157,8 +1151,8 @@ def run_out_of_core_section(
         prefetch = ratio_gate(
             f"prefetching stream, sync / prefetch ({cpus} cpus)",
             times,
-            "numpy packed",
-            "numpy prefetch",
+            "python packed",
+            "python prefetch",
             "total",
             prefetch_gate,
             skip=None
@@ -1173,7 +1167,7 @@ def run_out_of_core_section(
                     times, "c packed", "c dense", "partitioning"
                 ),
                 "prefetch": round_ratio(times, "c packed", "c prefetch", "total"),
-                "bit_exact_with_numpy": True,
+                "bit_exact_with_python": True,
             }
             print(
                 "  c (recorded, ungated): packed/dense partitioning "
@@ -1187,7 +1181,7 @@ def run_out_of_core_section(
             return ParallelTwoPhase(
                 n_workers=n_workers,
                 sync_interval=args.sync_interval,
-                backend="numpy",
+                backend="python",
                 runner=runner,
                 packed_state=True,
             )
@@ -1241,7 +1235,7 @@ def run_out_of_core_section(
         "n_workers": args.n_workers,
         "sync_interval": args.sync_interval,
         "usable_cpus": cpus,
-        "backend": "numpy",
+        "backend": "python",
         "state_bytes": {
             "dense": dense_bytes,
             "packed": packed_bytes,
@@ -1573,14 +1567,12 @@ def main(argv: list[str] | None = None) -> int:
     rounds = max(args.repeats, MIN_ROUNDS)
     if args.smoke:
         scale = min(args.scale, SMOKE_SCALE)
-        gates = SMOKE_GATES
         out = args.out or "BENCH_kernels_smoke.json"
         parallel_out = args.parallel_out or "BENCH_parallel_smoke.json"
         storage_out = args.storage_out or "BENCH_storage_smoke.json"
         serving_out = args.serving_out or "BENCH_serving_smoke.json"
     else:
         scale = args.scale
-        gates = FULL_GATES
         out = args.out or "BENCH_kernels.json"
         parallel_out = args.parallel_out or "BENCH_parallel.json"
         storage_out = args.storage_out or "BENCH_storage.json"
@@ -1609,8 +1601,8 @@ def main(argv: list[str] | None = None) -> int:
     payload_configs = {}
     results = {}
     times = {}
+    backends = available_backends()
     for name, factory in configs.items():
-        backends = [b for b in available_backends() if (name, b) not in SKIPPED_ROWS]
         results[name], times[name], rows = backend_rows(
             f"{name}: backend vs python", factory, stream, backends, args, rounds
         )
@@ -1647,15 +1639,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     print("  parallel(n_workers=1) is bit-exact with sequential 2PS-L")
 
-    gate_rows = {
-        f"{name}.{phase}": ratio_gate(
-            f"numpy {name}.{phase}", times[name], "python", "numpy", phase, threshold
-        )
-        for name, phases in gates.items()
-        for phase, threshold in phases.items()
-    }
-    meets = gates_pass(gate_rows.values())
-
     c_section, c_ok = run_c_section(args, scale, args.smoke, times, rounds)
     hdrf_section, hdrf_ok = run_hdrf_baseline_section(
         args, stream, args.smoke, rounds
@@ -1682,27 +1665,26 @@ def main(argv: list[str] | None = None) -> int:
         "numpy_version": np.__version__,
         "default_backend": DEFAULT_BACKEND,
         "configs": payload_configs,
-        "gates": gate_rows,
         "c": c_section,
         "hdrf_baseline": hdrf_section,
         **({} if scale_section is None else {"scale": scale_section}),
         "identical_assignments": True,
         "parallel_matches_sequential": True,
-        "meets_gates": meets and c_ok and hdrf_ok,
+        "meets_gates": c_ok and hdrf_ok,
     }
     with open(out, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=False)
         fh.write("\n")
-    print(f"  wrote {out} (meets_gates={meets and c_ok and hdrf_ok})")
+    print(f"  wrote {out} (meets_gates={c_ok and hdrf_ok})")
 
     parallel_ok = run_parallel_wallclock(
-        stream, graph, args, results["2psl"]["numpy"], args.smoke, rounds, parallel_out
+        stream, graph, args, results["2psl"]["python"], args.smoke, rounds, parallel_out
     )
     storage_ok = run_out_of_core_section(args, scale, args.smoke, rounds, storage_out)
     serving_ok = run_serving_section(
         args,
         graph,
-        results["2psl"]["numpy"],
+        results["2psl"]["python"],
         args.smoke,
         serving_out,
     )
@@ -1712,9 +1694,7 @@ def main(argv: list[str] | None = None) -> int:
         # BENCH payloads for the trend line.
         return 0
     return (
-        0
-        if meets and c_ok and hdrf_ok and parallel_ok and storage_ok and serving_ok
-        else 1
+        0 if c_ok and hdrf_ok and parallel_ok and storage_ok and serving_ok else 1
     )
 
 

@@ -132,14 +132,20 @@ def test_partition_runs_are_compared_bit_for_bit():
     stream = InMemoryEdgeStream(graph)
     args = SimpleNamespace(k=4, alpha=1.05)
     runs = {
-        b: partition_run(lambda b=b: TwoPhasePartitioner(backend=b), stream, args)
-        for b in ("python", "numpy")
+        layout: partition_run(
+            lambda p=layout == "packed": TwoPhasePartitioner(
+                backend="python", packed_state=p
+            ),
+            stream,
+            args,
+        )
+        for layout in ("dense", "packed")
     }
     results, times = interleaved_rounds("test", runs, 3)
     np.testing.assert_array_equal(
-        results["python"].assignments, results["numpy"].assignments
+        results["dense"].assignments, results["packed"].assignments
     )
-    assert list(times["numpy"][0]) == [
+    assert list(times["packed"][0]) == [
         "total",
         "degree",
         "clustering",

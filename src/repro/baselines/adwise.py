@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.core.scoring import HDRF_EPSILON
 from repro.errors import ConfigurationError
+from repro.kernels.base import check_vertex_ids
 from repro.metrics.memory import measured_state_bytes
 from repro.metrics.runtime import CostCounter, PhaseTimer
 from repro.partitioning.base import EdgePartitioner, PartitionResult
@@ -103,9 +104,17 @@ class Adwise(EdgePartitioner):
             bonus = self.lookahead_weight * (buffer_deg[u] + buffer_deg[v])
             return float(scores[p]) + bonus, p
 
+        def checked_edges():
+            # The state is sized up front: check each chunk's ids first.
+            pos = 0
+            for chunk in stream.chunks():
+                check_vertex_ids(chunk, n, pos)
+                pos += chunk.shape[0]
+                yield from chunk.tolist()
+
         with timer.phase("partitioning"):
             buffer: list[tuple[int, int, int]] = []  # (edge_idx, u, v)
-            edge_iter = stream.edges()
+            edge_iter = checked_edges()
             next_idx = 0
             scored_rounds = 0
 

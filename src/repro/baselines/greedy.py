@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels.base import check_vertex_ids
 from repro.metrics.memory import measured_state_bytes
 from repro.metrics.runtime import CostCounter, PhaseTimer
 from repro.partitioning.base import EdgePartitioner, PartitionResult
@@ -47,6 +48,7 @@ class Greedy(EdgePartitioner):
         with timer.phase("partitioning"):
             idx = 0
             for chunk in stream.chunks():
+                check_vertex_ids(chunk, n, idx)
                 for u, v in chunk.tolist():
                     ru = replicas[u]
                     rv = replicas[v]

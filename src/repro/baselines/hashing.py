@@ -9,9 +9,10 @@ the measured alpha instead (the plot annotations in Figures 2a/4).
 
 Each algorithm contributes only a vectorized ``map_chunk(u, v) -> parts``
 function; the stream loop itself is a kernel-backend pass
-(:mod:`repro.kernels`), so the default ``numpy`` backend processes whole
-chunks with a vectorized splitmix64 while the ``python`` reference
-backend replays the same hash per edge for equivalence testing.
+(:mod:`repro.kernels`), which hashes whole chunks with a vectorized
+splitmix64 on every backend (``c`` inherits the reference's pass).  The
+per-edge oracle in ``tests/test_kernels.py`` replays the same hash on
+one-edge slices for equivalence testing.
 """
 
 from __future__ import annotations

@@ -15,11 +15,11 @@ Faithful details:
 
 The whole pass dispatches through the kernel registry
 (:meth:`repro.kernels.base.KernelBackend.hdrf_baseline_pass`): the
-``python`` and ``numpy`` backends stream edge-at-a-time through the
-scoring twin ``PythonBackend.hdrf_choose`` (shared with the 2PS-HDRF
-remaining pass, so the score arithmetic can never diverge between the
-baseline and the two-phase variant), and the ``c`` backend runs a
-compiled per-edge argmax — bit-exact by the backend contract.
+``python`` backend streams edge-at-a-time through the scoring twin
+``PythonBackend.hdrf_choose`` (shared with the 2PS-HDRF remaining pass,
+so the score arithmetic can never diverge between the baseline and the
+two-phase variant), and the ``c`` backend runs a compiled per-edge
+argmax — bit-exact by the backend contract.
 One simulated "score evaluation" per partition per edge is charged to the
 cost counter, preserving the O(|E| * k) operation count.
 """
@@ -54,8 +54,8 @@ class HDRF(EdgePartitioner):
         eagerly so an unknown name fails at construction.
     chunk_size:
         Stream chunk size for this run (``None`` keeps the stream's
-        default, ``"auto"`` resolves the size heuristic) — a pure
-        performance knob, like everywhere else in the kernel layer.
+        default) — a pure performance knob, like everywhere else in the
+        kernel layer.
     """
 
     name = "HDRF"
@@ -66,7 +66,7 @@ class HDRF(EdgePartitioner):
         self,
         lam: float = 1.1,
         backend: str | None = None,
-        chunk_size: int | str | None = None,
+        chunk_size: int | None = None,
     ) -> None:
         self.lam = float(lam)
         if not math.isfinite(self.lam):

@@ -24,6 +24,7 @@ from repro.baselines.ne import ExpansionState
 from repro.core.scoring import HDRF_EPSILON
 from repro.errors import ConfigurationError
 from repro.graph.degrees import compute_degrees_from_stream
+from repro.kernels.base import check_vertex_ids
 from repro.kernels.python_backend import PythonBackend
 from repro.metrics.memory import measured_state_bytes
 from repro.metrics.runtime import CostCounter, PhaseTimer
@@ -82,6 +83,7 @@ class HEP(EdgePartitioner):
             low_edges: list[tuple[int, int, int]] = []
             idx = 0
             for chunk in stream.chunks():
+                check_vertex_ids(chunk, n, idx)
                 lu = low[chunk[:, 0]]
                 lv = low[chunk[:, 1]]
                 both = lu & lv

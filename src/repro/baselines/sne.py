@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.baselines.ne import ExpansionState
 from repro.errors import ConfigurationError
+from repro.kernels.base import check_vertex_ids
 from repro.metrics.memory import measured_state_bytes
 from repro.metrics.runtime import CostCounter, PhaseTimer
 from repro.partitioning.base import EdgePartitioner, PartitionResult
@@ -121,6 +122,7 @@ class StreamingNE(EdgePartitioner):
         with timer.phase("partitioning"):
             idx = 0
             for chunk in stream.chunks():
+                check_vertex_ids(chunk, n, idx)
                 for u, v in chunk.tolist():
                     cache_edges.append((idx, u, v))
                     idx += 1

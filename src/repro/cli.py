@@ -352,18 +352,6 @@ def _cmd_list(args) -> int:
     return 0
 
 
-def _chunk_size_arg(value: str):
-    """``--chunk-size`` parser: a positive integer or the string 'auto'."""
-    if value == "auto":
-        return "auto"
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {value!r}"
-        ) from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The repro-partition argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -418,10 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     part.add_argument(
         "--chunk-size",
-        type=_chunk_size_arg,
+        type=int,
         default=None,
-        help="edges per stream chunk for every pass, or 'auto' to derive "
-        "one from |V| and k (perf knob only)",
+        help="edges per stream chunk for every pass (perf knob only)",
     )
     part.add_argument(
         "--runner",

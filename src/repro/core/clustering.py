@@ -18,8 +18,8 @@ For ablation, the original Hollocou behaviour is available via
 
 The per-edge pass bodies live in the kernel backends
 (:mod:`repro.kernels`): the ``python`` backend runs the reference
-per-edge loop below, and the ``numpy`` backend runs that same loop; the
-default ``c`` backend compiles a bit-exact twin of it.
+per-edge loop below, and the default ``c`` backend compiles a bit-exact
+twin of it.
 
 Per-edge logic (matching Algorithm 1 line numbers):
 

@@ -95,7 +95,7 @@ class ParallelTwoPhase(TwoPhasePartitioner):
         sync_latency: float = 0.001,
         hash_seed: int = 0,
         backend: str | None = None,
-        chunk_size: int | str | None = None,
+        chunk_size: int | None = None,
         runner: str | Runner = "simulated",
         parallel_phase1: bool = False,
         start_method: str | None = None,

@@ -24,9 +24,8 @@ variant (Section V-D): better replication factor, O(|E| * k) run-time.
 
 The per-pass edge processing is delegated to a pluggable kernel backend
 (:mod:`repro.kernels`): ``backend="c"`` (the default where a C compiler
-builds it) runs compiled per-edge loops, ``backend="numpy"`` the
-chunk-vectorized kernels, ``backend="python"`` the per-edge reference
-kernels — all bit-exact with each other.
+builds it) runs compiled per-edge loops, ``backend="python"`` the
+reference kernels — bit-exact with each other.
 
 Every pass streams through a runner session (:mod:`repro.core.runners`):
 this sequential partitioner *is* the pipeline, run on the serial
@@ -136,14 +135,12 @@ class TwoPhasePartitioner(EdgePartitioner):
         built from it for dynamic-graph updates.
     backend:
         Kernel backend name (:mod:`repro.kernels`); ``None`` selects the
-        default (``"c"``, or ``"numpy"`` without a C compiler).  Backends
+        default (``"c"``, or ``"python"`` without a C compiler).  Backends
         are bit-exact, so this is a pure performance knob.
     chunk_size:
         Default edges-per-chunk for every streaming pass of a run
         (overridable per call via ``partition(..., chunk_size=...)``);
-        ``None`` keeps the stream's own default, ``"auto"`` derives one
-        from ``|V|`` and ``k`` (:func:`repro.streaming.stream.
-        auto_chunk_size`).
+        ``None`` keeps the stream's own default.
     packed_state:
         When True, the replica matrix is stored bit-packed (``ceil(k/8)``
         bytes per row; the out-of-core memory tier).  A pure storage
@@ -166,7 +163,7 @@ class TwoPhasePartitioner(EdgePartitioner):
         hash_seed: int = 0,
         keep_state: bool = False,
         backend: str | None = None,
-        chunk_size: int | str | None = None,
+        chunk_size: int | None = None,
         packed_state: bool = False,
     ) -> None:
         if mode not in ("linear", "hdrf"):
@@ -185,13 +182,11 @@ class TwoPhasePartitioner(EdgePartitioner):
             raise ConfigurationError(
                 f"hdrf_lambda must be finite, got {hdrf_lambda}"
             )
-        if (
-            chunk_size is not None
-            and chunk_size != "auto"
-            and (isinstance(chunk_size, str) or chunk_size <= 0)
+        if chunk_size is not None and (
+            isinstance(chunk_size, str) or chunk_size <= 0
         ):
             raise ConfigurationError(
-                f"chunk_size must be positive or 'auto', got {chunk_size!r}"
+                f"chunk_size must be a positive int, got {chunk_size!r}"
             )
         get_backend(backend)  # validate the name eagerly
         self.clustering_passes = int(clustering_passes)

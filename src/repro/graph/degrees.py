@@ -24,8 +24,8 @@ def compute_degrees_from_stream(
     """One streaming pass that counts every endpoint occurrence.
 
     The chunk processing is delegated to a kernel backend
-    (:mod:`repro.kernels`): per-chunk ``np.bincount`` on the default
-    ``numpy`` backend, a per-edge loop on the ``python`` reference
+    (:mod:`repro.kernels`): a compiled per-edge loop on the default
+    ``c`` backend, per-chunk ``np.add.at`` on the ``python`` reference
     backend.
 
     Parameters

@@ -4,26 +4,29 @@ Every streaming pass of the toolkit — degree counting, Phase-1 clustering,
 2PS-L pre-partitioning, remaining-edge scoring, and the stateless hash
 baselines — consumes the edge stream as numpy ``(c, 2)`` chunks.  This
 package turns "what happens to a chunk" into a pluggable *kernel backend*
-so the same algorithm can run as a slow, obviously-correct per-edge loop,
-as vectorized numpy array code, or as a compiled loop:
+so the same algorithm can run as an obviously-correct reference or as a
+compiled loop.  There are two backends:
 
-- ``python`` — the reference backend.  Pure per-edge Python loops with the
-  exact control flow of the paper's pseudocode.  It is the semantic ground
-  truth that every other backend is property-tested against.
-- ``numpy`` — chunk-vectorized kernels for the ops that decide no edge
-  from another edge's outcome: per-chunk ``np.add.at`` for degrees,
-  vectorized splitmix64 for the stateless baselines, and the Phase-1
-  merges.  Every stateful pass (Phase-1 clustering, the pre-partition
-  pass, the 2PS-L remaining pass and both HDRF passes) runs the
-  reference kernels.  The default on hosts without a working C compiler.
+- ``python`` — the reference backend, the semantic ground truth that
+  ``c`` is property-tested against, and the default on hosts without a
+  working C compiler.  Its rule: **per edge wherever an edge's outcome
+  depends on earlier edges, vectorized where none does.**  Every
+  stateful pass (both Phase-1 clustering bodies, the pre-partition pass,
+  the 2PS-L remaining pass and both HDRF passes) is a per-edge Python
+  loop with the exact control flow of the paper's pseudocode.  The ops
+  that decide no edge from another edge's outcome run per chunk or per
+  barrier in numpy: ``np.add.at`` for degrees, one ``map_chunk`` call
+  per chunk for the stateless baselines, and the two Phase-1 merges.
+  ``tests/test_kernels.py`` pins each of those four against its per-edge
+  loop, kept there as an oracle.
 - ``c`` — the default wherever it builds (:mod:`repro.kernels.c_backend`):
   the per-edge loop of the degree pass and of every stateful pass (both
   clustering bodies, the pre-partition pass, both remaining passes, the
   HDRF baseline), the clustering and Phase-2 barrier merges and the
   cluster-mapping loop, compiled from one C source by the host compiler
   and called through ``ctypes``, one call per chunk or barrier; the
-  stateless passes and the degree merge are numpy's.  See *Optional
-  backends* below for what happens when it cannot build.
+  stateless pass and the degree merge are the reference's.  See
+  *Optional backends* below for what happens when it cannot build.
 
 Backend contract
 ----------------
@@ -43,9 +46,9 @@ edge's decision depends on state mutated by earlier edges: Phase-1
 clustering, the pre-partition pass (through the hard balance cap, whose
 hash / least-loaded fallback chain makes decisions order-dependent),
 the 2PS-L remaining pass and both HDRF passes.  Each has exactly two
-implementations: the reference's per-edge loop, which the ``numpy``
-backend inherits, and the ``c`` backend's transliteration of it into a
-compiled loop that decides every edge in stream order.
+implementations: the reference's per-edge loop and the ``c`` backend's
+transliteration of it into a compiled loop that decides every edge in
+stream order.
 
 Phase-2 inputs
 --------------
@@ -116,8 +119,7 @@ feed every downstream pass):
   ``[-1, len(volumes_w))`` with the same
   :class:`~repro.errors.PartitioningError`
   (:func:`~repro.kernels.base.check_clustering_exports` in the
-  ``python`` and ``numpy`` twins, the compiled loop's own check in
-  ``c``).
+  ``python`` twin, the compiled loop's own check in ``c``).
 - ``clustering_load(v2c, volumes, degrees)`` — the inverse of
   ``clustering_export``: an independent backend-native state from
   exported arrays, used to hand each worker the stale snapshot before a
@@ -198,12 +200,10 @@ protocol with raw-``ndarray`` tricks:
 Writing a backend
 -----------------
 1. Subclass :class:`~repro.kernels.base.KernelBackend` (or an existing
-   backend — ``NumpyBackend`` subclasses ``PythonBackend`` and overrides
-   only the ops that decide no edge: the degree pass, the stateless
-   pass and the two Phase-1 merges; ``CBackend`` subclasses
-   ``NumpyBackend`` and overrides the degree pass, every stateful pass,
-   the clustering and Phase-2 merges and the mapping loop, keeping
-   numpy's stateless pass and degree merge).
+   backend — ``CBackend`` subclasses ``PythonBackend`` and overrides the
+   degree pass, every stateful pass, the clustering and Phase-2 merges
+   and the mapping loop, keeping the reference's stateless pass and
+   degree merge).
 2. Override any subset of the pass methods: ``degree_pass``,
    ``clustering_true_pass``, ``clustering_partial_pass``,
    ``prepartition_pass``, ``remaining_pass_linear``,
@@ -221,11 +221,11 @@ Writing a backend
 3. Read Phase 2's inputs from ``ctx.part`` and ``ctx.weights`` only
    (see *Phase-2 inputs*), and check bounds where state is sized up
    front: a pass whose arrays come from ``n_vertices`` (the HDRF
-   baseline, clustering) or from ``part`` (the Phase-2 passes) rejects a
-   larger vertex id with :class:`~repro.errors.StreamError` — the
-   interpreted passes per chunk through
-   :func:`~repro.kernels.base.check_vertex_ids`, the compiled loops per
-   index — and a Phase-2 pass raises
+   baseline, clustering, the stateless pass) or from ``part`` (the
+   Phase-2 passes) rejects a larger vertex id with
+   :class:`~repro.errors.StreamError` — the reference's passes per chunk
+   through :func:`~repro.kernels.base.check_vertex_ids`, the compiled
+   loops per index — and a Phase-2 pass raises
    :func:`~repro.kernels.base.partition_error` for an edge it would
    assign whose endpoint's ``part`` lies outside ``[0, k)``.
 4. Register it: ``register_backend("mine", MyBackend)``.  The name
@@ -255,7 +255,7 @@ Optional backends
 -----------------
 ``c`` needs a working C compiler, so it registers through
 :func:`_register_optional_backends` at import time, which also sets
-:data:`DEFAULT_BACKEND` (``"c"`` when it registers, else ``"numpy"``).
+:data:`DEFAULT_BACKEND` (``"c"`` when it registers, else ``"python"``).
 The library is built once per source, flags and compiler, and cached on
 disk (see :mod:`repro.kernels.c_backend`), so a later import loads it
 without running the compiler.  When no compiler is found, the build
@@ -266,11 +266,11 @@ fails or the cache is unsafe:
   :func:`available_backends`, so equivalence sweeps and the benchmark
   matrix never enumerate a backend that cannot run;
 - :func:`get_backend` on the missing name degrades to the
-  :data:`DEFAULT_BACKEND` (``numpy``) with a one-time ``RuntimeWarning``
+  :data:`DEFAULT_BACKEND` (``python``) with a one-time ``RuntimeWarning``
   — library callers (partitioner constructors, runner workers) keep
-  working, just without the speedup.  Workers of a parallel run never
-  hit the warning at all: ``ParallelTwoPhase`` ships the *resolved*
-  backend name to the runner session;
+  working, just without the compiled loops.  Workers of a parallel run
+  never hit the warning at all: ``ParallelTwoPhase`` ships the
+  *resolved* backend name to the runner session;
 - explicit user-facing requests stay loud: the CLI raises a
   :class:`~repro.errors.PartitioningError` for ``--backend c`` instead
   of silently falling back (``repro.cli``).
@@ -283,11 +283,10 @@ import warnings
 from repro.errors import ConfigurationError
 from repro.kernels.base import ClusteringState, KernelBackend, TwoPhaseContext
 from repro.kernels.python_backend import PythonBackend
-from repro.kernels.numpy_backend import NumpyBackend
 
 #: Name of the backend used when none is requested explicitly: ``"c"``
-#: when the compiled backend is available, else ``"numpy"``.
-DEFAULT_BACKEND = "numpy"
+#: when the compiled backend is available, else ``"python"``.
+DEFAULT_BACKEND = "python"
 
 _REGISTRY: dict[str, type[KernelBackend]] = {}
 _INSTANCES: dict[str, KernelBackend] = {}
@@ -391,18 +390,16 @@ def _register_optional_backends() -> None:
         _INSTANCES.pop("c", None)
         _MISSING["c"] = reason
         _FALLBACK_WARNED.discard("c")
-    DEFAULT_BACKEND = "c" if "c" in _REGISTRY else "numpy"
+    DEFAULT_BACKEND = "c" if "c" in _REGISTRY else "python"
 
 
 register_backend("python", PythonBackend)
-register_backend("numpy", NumpyBackend)
 _register_optional_backends()
 
 __all__ = [
     "DEFAULT_BACKEND",
     "ClusteringState",
     "KernelBackend",
-    "NumpyBackend",
     "PythonBackend",
     "TwoPhaseContext",
     "available_backends",

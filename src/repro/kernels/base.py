@@ -43,7 +43,7 @@ def check_clustering_exports(n: int, base: int, worker_states) -> list:
     Each export must hold ``n`` vertices and at least ``base`` clusters,
     and every cluster id in it must lie in ``[-1, len(volumes_w))``.  The
     distributed coordinator folds exports that arrived over sockets, so
-    the python and numpy merges call this and raise, on a miss, the same
+    the python merge calls this and raises, on a miss, the same
     :class:`~repro.errors.PartitioningError` the ``c`` merge raises from
     its loop, instead of an ``IndexError`` or a volume vector grown past
     the merged ids.
@@ -206,8 +206,8 @@ class Int64Buffer:
 class ClusteringState:
     """Mutable Phase-1 state; concrete field types are backend-owned.
 
-    The ``python`` and ``numpy`` backends store plain lists (fast scalar
-    indexing); the ``c`` backend stores int64 arrays and an
+    The ``python`` backend stores plain lists (fast scalar indexing);
+    the ``c`` backend stores int64 arrays and an
     :class:`Int64Buffer` of volumes, which its compiled loops write.
     Only the owning backend may touch the fields; everyone else goes
     through :meth:`KernelBackend.clustering_export`.
@@ -280,8 +280,11 @@ class KernelBackend(ABC):
 
         ``map_chunk(u, v)`` maps endpoint arrays to an int32 partition
         array; it must be vectorized *and* well-defined on length-1 inputs
-        (the reference backend calls it per edge).  Replica bits and sizes
-        are recorded through ``state.scatter_edges``.
+        (the per-edge oracle of ``tests/test_kernels.py`` calls it on
+        one-edge slices).  Replica bits and sizes are recorded through
+        ``state.scatter_edges``.  A chunk holding an id at or beyond
+        ``state.n_vertices`` raises :class:`~repro.errors.StreamError`
+        before ``map_chunk`` sees it.
         """
 
     # ------------------------------------------------------------------

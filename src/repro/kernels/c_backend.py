@@ -11,8 +11,8 @@ per barrier or per run: the Phase-1 clustering merge, the Phase-2 delta
 barrier and the assignment loop of the cluster mapping.  Every loop
 addresses replica bits on the raw plane of
 :func:`~repro.partitioning.state._replica_plane`, so dense and packed
-state share it.  The stateless passes and the degree merge are the
-inherited numpy versions.
+state share it.  The stateless pass and the degree merge are the
+reference's vectorized ops, inherited.
 
 The three Phase-2 loops read only the two per-vertex arrays of the
 contract, ``part`` (int32) and ``weights`` (int64 ``(n, 2)`` rows of
@@ -93,7 +93,7 @@ from repro.kernels.base import (
     check_vertex_ids,
     partition_error,
 )
-from repro.kernels.numpy_backend import NumpyBackend
+from repro.kernels.python_backend import PythonBackend
 from repro.partitioning.state import _replica_plane, _replica_storage
 
 SOURCE = Path(__file__).with_name("_ckernels.c")
@@ -314,7 +314,7 @@ def _index_error(edge, pos, n_vert, part=None, k=0):
     return StreamError(f"edge {pos} indexes outside the pass state")
 
 
-class CBackend(NumpyBackend):
+class CBackend(PythonBackend):
     """Compiled per-edge, barrier and mapping loops (see the module
     docstring).
 
@@ -344,7 +344,7 @@ class CBackend(NumpyBackend):
                 if miss < 0:
                     break
                 # An id at or beyond the array: grow it to the chunk's
-                # max + 1, as numpy does, and resume at that edge.
+                # max + 1, as the reference does, and resume at that edge.
                 start += miss
                 top = int(edges.max())
                 if top < deg.shape[0]:  # the id the loop stopped at is < 0

@@ -1,16 +1,21 @@
-"""The ``python`` reference backend: per-edge pure-Python kernels.
+"""The ``python`` reference backend: the paper's pseudocode, per edge
+where order matters.
 
-This backend is the semantic ground truth.  Every pass follows the
-paper's pseudocode edge by edge, with hot-loop state held in plain Python
-lists (scalar indexing on lists is several times faster than on numpy
-arrays).  The stateful passes that write replica state (the
-pre-partition pass, both remaining passes and the HDRF baseline) test
-and set replica bits through a byte view of the raw storage plane
-(:func:`~repro.partitioning.state._replica_plane`), so they run on
-bit-packed state without indexing the wrapper.  The other backends are
-property-tested for bit-exact equivalence against it, and ``numpy``
-inherits every pass whose edges depend on earlier edges — keep this code
-boring and obviously correct.
+This backend is the semantic ground truth.  Every pass in which an
+edge's outcome depends on earlier edges (both Phase-1 clustering
+bodies, the pre-partition pass, the 2PS-L and 2PS-HDRF remaining passes
+and the HDRF baseline) follows the paper's pseudocode edge by edge, with
+hot-loop state held in plain Python lists (scalar indexing on lists is
+several times faster than on numpy arrays).  The passes that write
+replica state test and set replica bits through a byte view of the raw
+storage plane (:func:`~repro.partitioning.state._replica_plane`), so
+they run on bit-packed state without indexing the wrapper.  The ops in
+which no edge's outcome depends on another's (the degree pass, the
+stateless pass and the two Phase-1 merges) are vectorized per chunk or
+per barrier; ``tests/test_kernels.py`` pins each against its per-edge
+loop.  ``c`` is property-tested for bit-exact equivalence against this
+backend and inherits its stateless pass and degree merge — keep this
+code boring and obviously correct.
 """
 
 from __future__ import annotations
@@ -44,26 +49,32 @@ class PythonBackend(KernelBackend):
     # stateless passes
     # ------------------------------------------------------------------
     def degree_pass(self, stream, n_hint: int | None = None) -> np.ndarray:
-        deg: list[int] = [0] * (int(n_hint) if n_hint else 0)
+        deg = np.zeros(int(n_hint) if n_hint else 0, dtype=np.int64)
         for chunk in stream.chunks():
-            for u, v in chunk.tolist():
-                top = u if u >= v else v
-                if top >= len(deg):
-                    deg.extend([0] * (top + 1 - len(deg)))
-                deg[u] += 1
-                deg[v] += 1
-        return np.asarray(deg, dtype=np.int64)
+            if chunk.size == 0:
+                continue
+            ids = chunk.ravel()
+            top = int(ids.max())
+            if top >= deg.shape[0]:
+                grown = np.zeros(top + 1, dtype=np.int64)
+                grown[: deg.shape[0]] = deg
+                deg = grown
+            # O(chunk), where a per-chunk bincount would add |V| counters.
+            np.add.at(deg, ids, 1)
+        return deg
 
     def stateless_pass(self, stream, map_chunk, state, assignments) -> None:
         idx = 0
         for chunk in stream.chunks():
-            for row in range(chunk.shape[0]):
-                u = chunk[row : row + 1, 0]
-                v = chunk[row : row + 1, 1]
-                parts = map_chunk(u, v)
-                state.scatter_edges(u, v, parts)
-                assignments[idx] = parts[0]
-                idx += 1
+            # The state is sized up front, and DBH's map_chunk indexes
+            # degrees of that size.
+            check_vertex_ids(chunk, state.n_vertices, idx)
+            u = chunk[:, 0]
+            v = chunk[:, 1]
+            parts = map_chunk(u, v)
+            state.scatter_edges(u, v, parts)
+            assignments[idx : idx + chunk.shape[0]] = parts
+            idx += chunk.shape[0]
 
     # ------------------------------------------------------------------
     # Phase 1: streaming clustering
@@ -93,38 +104,37 @@ class PythonBackend(KernelBackend):
     def merge_phase1_degrees(self, partials, n_hint=None) -> np.ndarray:
         length = int(n_hint) if n_hint else 0
         for partial in partials:
-            length = max(length, len(partial))
-        out = [0] * length
+            length = max(length, int(len(partial)))
+        out = np.zeros(length, dtype=np.int64)
         for partial in partials:
-            for i, d in enumerate(
-                partial.tolist() if hasattr(partial, "tolist") else partial
-            ):
-                out[i] += d
-        return np.asarray(out, dtype=np.int64)
+            out[: len(partial)] += np.asarray(partial, dtype=np.int64)
+        return out
 
     def merge_phase1_clustering(self, v2c, volumes, worker_states, degrees):
-        base = len(volumes)
-        snapshot = np.asarray(v2c, dtype=np.int64).tolist()
-        exports = check_clustering_exports(len(snapshot), base, worker_states)
-        merged = list(snapshot)
-        claimed = [False] * len(merged)
+        base = int(len(volumes))
+        snapshot = np.asarray(v2c, dtype=np.int64)
+        exports = check_clustering_exports(snapshot.shape[0], base, worker_states)
+        merged = snapshot.copy()
+        claimed = np.zeros(merged.shape[0], dtype=bool)
         offset = base
         for v2c_w, n_ids in exports:
-            shift = offset - base
-            for i, c in enumerate(v2c_w.tolist()):
-                if c != snapshot[i] and not claimed[i]:
-                    merged[i] = c + shift if c >= base else c
-                    claimed[i] = True
+            changed = (v2c_w != snapshot) & ~claimed
+            if changed.any():
+                vals = v2c_w[changed]
+                if offset != base:
+                    vals = np.where(vals >= base, vals + (offset - base), vals)
+                merged[changed] = vals
+                claimed |= changed
             offset += n_ids - base
-        vol = [0] * offset
-        degl = np.asarray(degrees, dtype=np.int64).tolist()
-        for i, c in enumerate(merged):
-            if c >= 0:
-                vol[c] += degl[i]
-        return (
-            np.asarray(merged, dtype=np.int64),
-            np.asarray(vol, dtype=np.int64),
-        )
+        assigned = merged >= 0
+        # Integer-exact despite the float weights: true degrees and their
+        # partial sums stay far below 2**53.
+        vol = np.bincount(
+            merged[assigned],
+            weights=np.asarray(degrees, dtype=np.int64)[assigned],
+            minlength=offset,
+        ).astype(np.int64)
+        return merged, vol
 
     # ------------------------------------------------------------------
     # Phase-2 barrier and the cluster mapping (reference twins)
@@ -250,7 +260,7 @@ class PythonBackend(KernelBackend):
 
         The reference implementation of the order-sensitive fallback
         chain, which the pre-partition and 2PS-L remaining passes route
-        through (``numpy`` inherits both).  The compiled loops of
+        through.  The compiled loops of
         ``_ckernels.c`` inline this chain (``fallback``; compiled code
         cannot call back into Python); any change here must be mirrored
         there in lockstep, and the cross-backend equivalence suite pins
@@ -400,7 +410,7 @@ class PythonBackend(KernelBackend):
 
         This is the reference implementation of the HDRF decision — the
         2PS-HDRF pass and the classic HDRF baseline route through it on
-        the ``python`` and ``numpy`` backends.  ``hdrf_pick`` in
+        the ``python`` backend.  ``hdrf_pick`` in
         ``_ckernels.c`` mirrors it with the same float expressions
         (compiled code cannot call back into Python); any change here
         must be mirrored there in lockstep, and the cross-backend

@@ -17,7 +17,7 @@ import numpy as np
 from repro.errors import PartitioningError, StreamError
 from repro.metrics.runtime import CostCounter, CostModel, PhaseTimer
 from repro.partitioning.state import PartitionState
-from repro.streaming.stream import EdgeStream, as_stream, auto_chunk_size
+from repro.streaming.stream import EdgeStream, as_stream
 
 
 @dataclass
@@ -173,14 +173,11 @@ class EdgePartitioner(ABC):
         chunk_size:
             Edges per stream chunk for every pass of this run.  Defaults
             to the partitioner's own ``chunk_size`` attribute (when it has
-            one), else the stream's current default.  The string
-            ``"auto"`` derives a chunk size from the stream's vertex
-            count, ``k`` and a cache budget
-            (:func:`repro.streaming.stream.auto_chunk_size`).  Scoped to
-            this run: a caller-supplied stream gets its previous default
-            back afterwards.  A chunk size is a pure performance knob:
-            results are identical for any value (enforced by the
-            kernel-backend contract).
+            one), else the stream's current default.  Scoped to this run:
+            a caller-supplied stream gets its previous default back
+            afterwards.  A chunk size is a pure performance knob: results
+            are identical for any value (enforced by the kernel-backend
+            contract).
 
         Raises
         ------
@@ -193,22 +190,14 @@ class EdgePartitioner(ABC):
         stream = as_stream(source, n_vertices=n_vertices)
         if k < 2:
             raise PartitioningError(f"k must be >= 2, got {k}")
-        if isinstance(chunk_size, str) and chunk_size != "auto":
-            raise PartitioningError(
-                f"chunk_size must be a positive int or 'auto', "
-                f"got {chunk_size!r}"
-            )
-        if not isinstance(chunk_size, str) and (
-            chunk_size is not None and chunk_size <= 0
+        if chunk_size is not None and (
+            isinstance(chunk_size, str) or chunk_size <= 0
         ):
             raise PartitioningError(
-                f"chunk_size must be positive, got {chunk_size}"
+                f"chunk_size must be a positive int, got {chunk_size!r}"
             )
         if stream.n_edges == 0:
             raise PartitioningError("cannot partition an empty edge stream")
-
-        if chunk_size == "auto":
-            chunk_size = auto_chunk_size(stream.n_vertices, k)
 
         previous_chunk_size = stream.default_chunk_size
         try:

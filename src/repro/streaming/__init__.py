@@ -23,7 +23,6 @@ from repro.streaming.stream import (
     InMemoryEdgeStream,
     SharedArrayStreamSpec,
     StreamSpec,
-    auto_chunk_size,
     make_stream_spec,
 )
 from repro.streaming.writer import (
@@ -47,7 +46,6 @@ __all__ = [
     "FileStreamSpec",
     "SharedArrayStreamSpec",
     "make_stream_spec",
-    "auto_chunk_size",
     "shuffled_copy",
     "degree_sorted_order",
     "bfs_like_order",

@@ -51,47 +51,9 @@ from repro.streaming.iostats import IOStats
 #: enough that a chunk is negligible against the memory budget.
 DEFAULT_CHUNK_SIZE = 65_536
 
-#: Bounds and model constants of :func:`auto_chunk_size`.  The budget is
-#: the working set a chunk may occupy (sized for a shared L2/L3 slice);
-#: the per-edge constant covers the fixed gather arrays every vectorized
-#: pass materializes (endpoints, clusters, partitions, scores, masks).
-AUTO_CHUNK_MIN = 4_096
-AUTO_CHUNK_MAX = 262_144
-AUTO_CHUNK_CACHE_BUDGET = 8 * 1024 * 1024
-AUTO_CHUNK_EDGE_BYTES = 96
-
 #: Chunks a prefetching :class:`FileEdgeStream` may hold in flight: the one
 #: being consumed plus one being read ahead (double buffering).
 PREFETCH_DEPTH = 2
-
-
-def auto_chunk_size(n_vertices: int | None, k: int) -> int:
-    """Pick a streaming chunk size from ``|V|``, ``k`` and a cache budget.
-
-    The model: a chunk of ``c`` edges makes the vectorized kernels touch
-    roughly ``c * (AUTO_CHUNK_EDGE_BYTES + 8 * k)`` bytes (fixed gather
-    arrays plus the k-wide score blocks of the HDRF-style passes), so the
-    chunk is sized to keep that inside :data:`AUTO_CHUNK_CACHE_BUDGET` —
-    larger ``k`` means smaller chunks.  On small graphs the chunk is
-    additionally capped at ``4 * |V|``, where a chunk already visits each
-    vertex several times; the value of that cap has not been measured
-    against the current passes.  The result is always clamped to
-    ``[AUTO_CHUNK_MIN, AUTO_CHUNK_MAX]``.
-
-    ``n_vertices=None`` (stream without a vertex-count hint) skips the
-    ``|V|`` cap and sizes purely from the budget.  ``k`` is coerced to at
-    least 1 (degenerate requests still size sanely), and a ``k`` so large
-    that the budget division underflows to 0 lands on
-    :data:`AUTO_CHUNK_MIN` — the clamp, not the model, is the floor.
-    """
-    k = max(int(k), 1)
-    per_edge = AUTO_CHUNK_EDGE_BYTES + 8 * k
-    chunk = AUTO_CHUNK_CACHE_BUDGET // per_edge
-    # ``is not None``, not truthiness: ``n_vertices=0`` is a (degenerate)
-    # hint and must take the |V| cap, not behave like the no-hint case.
-    if n_vertices is not None:
-        chunk = min(chunk, 4 * int(n_vertices))
-    return int(min(max(chunk, AUTO_CHUNK_MIN), AUTO_CHUNK_MAX))
 
 
 class EdgeStream(ABC):

@@ -22,9 +22,9 @@ On top of that contract it checks:
   process survives any runner session.
 
 The backend dimension is :func:`repro.kernels.available_backends`, so the
-sweep is {python, numpy} everywhere and gains the compiled ``c`` backend
-automatically on hosts where a C compiler builds it — registration is
-the only wiring a new backend needs.
+sweep is the ``python`` reference everywhere and gains the compiled ``c``
+backend automatically on hosts where a C compiler builds it —
+registration is the only wiring a new backend needs.
 
 Every failure message carries the generating seed, so any red run is
 reproducible with::

@@ -79,10 +79,10 @@ class TestHDRFBackends:
     The baseline pass dispatches through the kernel registry, and every
     non-reference backend must land on exactly the per-edge reference
     decisions — assignments, replicas, sizes AND the simulated cost
-    counters.  ``numpy`` inherits the reference pass; ``c`` runs its
-    compiled argmax over all k partitions.  k=70 takes partition ids past
-    64 and a packed replica row past 8 bytes.  (``tests/test_c_backend.py``
-    pins the ``c`` loop at extreme balance weights too.)
+    counters.  ``c`` runs its compiled argmax over all k partitions.
+    k=70 takes partition ids past 64 and a packed replica row past 8
+    bytes.  (``tests/test_c_backend.py`` pins the ``c`` loop at extreme
+    balance weights too.)
     """
 
     @staticmethod

@@ -3,9 +3,9 @@
 Four concerns:
 
 - **Equivalence** — the compiled loops must be bit-exact with the
-  ``python`` reference (and therefore with ``numpy``) across both
-  scoring modes, the clustering passes, the HDRF baseline and the
-  sharded parallel path.  Skipped where no compiler built the library.
+  ``python`` reference across both scoring modes, the clustering
+  passes, the HDRF baseline and the sharded parallel path.  Skipped
+  where no compiler built the library.
 - **Memory safety** — an index outside the pass state stops the loop
   with a :class:`~repro.errors.StreamError` instead of an out-of-bounds
   access, and no look-ahead reads past a chunk or an array.
@@ -13,8 +13,8 @@ Four concerns:
   prefetch instructions the source asks for.
 - **Lifecycle** — with no compiler, a failing compiler (``CC=false``) or
   an unsafe cache, ``c`` is reported missing with a reason,
-  :func:`~repro.kernels.get_backend` falls back to ``numpy`` with a
-  one-time ``RuntimeWarning``, ``numpy`` is the default, and the CLI's
+  :func:`~repro.kernels.get_backend` falls back to ``python`` with a
+  one-time ``RuntimeWarning``, ``python`` is the default, and the CLI's
   explicit ``--backend c`` fails with a clear ``error: ...``.  A cache
   hit runs no compiler, and concurrent builds into one cache both load.
 """
@@ -598,17 +598,17 @@ class TestCLifecycle:
     def test_registry_falls_back_with_one_time_warning(self, c_missing):
         assert "c" not in available_backends()
         assert missing_backends()["c"]
-        assert kernels.DEFAULT_BACKEND == "numpy"
-        assert get_backend().name == "numpy"
+        assert kernels.DEFAULT_BACKEND == "python"
+        assert get_backend().name == "python"
         with pytest.warns(RuntimeWarning, match="falling back"):
             backend = get_backend("c")
-        assert backend.name == "numpy"
+        assert backend.name == "python"
         # One-time: the second resolution is silent.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert get_backend("c").name == "numpy"
+            assert get_backend("c").name == "python"
 
-    def test_partitioners_degrade_to_numpy(self, c_missing):
+    def test_partitioners_degrade_to_python(self, c_missing):
         graph = rmat_graph(6, edge_factor=4, seed=1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -616,8 +616,8 @@ class TestCLifecycle:
             parallel = ParallelTwoPhase(
                 n_workers=2, sync_interval=64, backend="c"
             ).partition(graph, 4)
-        assert result.extras["backend"] == "numpy"
-        assert parallel.extras["backend"] == "numpy"
+        assert result.extras["backend"] == "python"
+        assert parallel.extras["backend"] == "python"
 
     def test_cli_backend_c_is_a_clear_error(self, c_missing, tmp_path, capsys):
         graph = rmat_graph(6, edge_factor=4, seed=1)
@@ -630,7 +630,7 @@ class TestCLifecycle:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "'c'" in err and "unavailable" in err
-        assert "'numpy'" in err
+        assert "default ('python')" in err
         assert "Traceback" not in err
 
     def test_redetection_restores_the_backend_when_possible(
@@ -695,4 +695,4 @@ class TestCLifecycle:
         assert reason is not None and f"refusing {victim}" in reason
         kernels._register_optional_backends()
         assert "c" in missing_backends()
-        assert kernels.DEFAULT_BACKEND == "numpy"
+        assert kernels.DEFAULT_BACKEND == "python"

@@ -33,6 +33,22 @@ class TestParser:
                 ["partition", "--input", "f", "--algorithm", "XX", "--k", "4"]
             )
 
+    def test_rejects_backend_numpy(self, capsys):
+        """The numpy backend is gone: its vectorized ops run in the
+        ``python`` reference."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["partition", "--input", "f", "--k", "4", "--backend=numpy"]
+            )
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_rejects_a_non_integer_chunk_size(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["partition", "--input", "f", "--k", "4", "--chunk-size=auto"]
+            )
+        assert "invalid int value" in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_writes_binary_file(self, graph_file):
@@ -108,21 +124,6 @@ class TestPartition:
         )
         assert code == 1
         assert "error" in capsys.readouterr().err
-
-    def test_auto_chunk_size(self, graph_file, capsys):
-        code = main(
-            [
-                "partition",
-                "--input",
-                str(graph_file),
-                "--k",
-                "4",
-                "--chunk-size",
-                "auto",
-            ]
-        )
-        assert code == 0
-        assert "replication factor" in capsys.readouterr().out
 
     def test_simulated_runner_flag(self, graph_file, capsys):
         code = main(

@@ -2,10 +2,10 @@
 
 The harness (``tests/differential.py``) derives a complete scenario from
 each seed and sweeps it through the {serial, simulated, process,
-distributed} x {python, numpy} matrix, asserting full-state equality
-(both phases) plus shared-memory/socket/worker hygiene.  The seed matrix
-is fixed so CI is deterministic; any failure message names the seed and
-the exact reproduction command.
+distributed} x {python, c} matrix (``c`` where it builds), asserting
+full-state equality (both phases) plus shared-memory/socket/worker
+hygiene.  The seed matrix is fixed so CI is deterministic; any failure
+message names the seed and the exact reproduction command.
 """
 
 import multiprocessing
@@ -130,7 +130,7 @@ def test_harness_pieces_compose():
     case without going through check_seed (guards the helpers' API)."""
     seed = next(s for s in range(500) if make_case(s).n_workers == 1)
     case = make_case(seed)
-    seq = sequential_reference(case, "numpy")
+    seq = sequential_reference(case, "python")
     for runner in RUNNERS:
-        par = run_case(case, runner, "numpy")
+        par = run_case(case, runner, "python")
         assert (par.assignments == seq.assignments).all(), (seed, runner)

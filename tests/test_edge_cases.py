@@ -150,11 +150,10 @@ class TestNegativeVertexIds:
         "make",
         [
             lambda: TwoPhasePartitioner(backend="python"),
-            lambda: TwoPhasePartitioner(backend="numpy"),
             lambda: TwoPhasePartitioner(backend="c"),
             lambda: ParallelTwoPhase(runner="simulated"),
         ],
-        ids=["python", "numpy", "c", "simulated"],
+        ids=["python", "c", "simulated"],
     )
     def test_bare_array_raises_stream_error(self, make):
         edges = np.array([[0, 1], [-1, 2]])
@@ -173,18 +172,29 @@ class TestOutOfRangeVertexIds:
     def _stream():
         return InMemoryEdgeStream(TestOutOfRangeVertexIds.EDGES, n_vertices=4)
 
-    @pytest.mark.parametrize("backend", ["python", "numpy", "c"])
+    @pytest.mark.parametrize("backend", ["python", "c"])
     def test_hdrf_baseline_raises_stream_error(self, backend):
         with pytest.raises(StreamError, match="edge 2 has vertex id 9"):
             HDRF(backend=backend).partition(self._stream(), 2)
 
-    @pytest.mark.parametrize("backend", ["python", "numpy", "c"])
+    @pytest.mark.parametrize("backend", ["python", "c"])
     def test_partial_degree_clustering_raises_stream_error(self, backend):
         clustering = StreamingClustering(use_true_degrees=False, backend=backend)
         with pytest.raises(StreamError, match="edge 2 has vertex id 9"):
             clustering.run(self._stream())
 
-    @pytest.mark.parametrize("backend", ["python", "numpy", "c"])
+    @pytest.mark.parametrize(
+        "name",
+        ["DBH", "Grid", "Random", "Greedy", "ADWISE", "SNE", "HEP-1", "HEP-100"],
+    )
+    def test_streaming_baseline_raises_stream_error(self, name):
+        """The stateless pass (DBH's ``map_chunk`` indexes degrees of
+        the declared size) and the per-edge loops of Greedy, ADWISE, SNE
+        and HEP's in-memory phase."""
+        with pytest.raises(StreamError, match="edge 2 has vertex id 9"):
+            ALL_PARTITIONER_FACTORIES[name]().partition(self._stream(), 2)
+
+    @pytest.mark.parametrize("backend", ["python", "c"])
     def test_2psl_grows_its_arrays(self, backend):
         """2PS-L sizes its state from its own degree pass, so the same
         stream partitions, with one result on every backend."""
@@ -221,8 +231,8 @@ class _ShiftingStream(InMemoryEdgeStream):
 class TestUnclusteredEndpoint:
     """An edge whose endpoint Phase 1 never clustered is one typed error
     on every backend, mode and runner.  Vertices 4 and 5 first appear in
-    Phase 2, so their ``part`` is -1; python and numpy used to put edge
-    (4, 5) on the last cluster's partition, and c raised."""
+    Phase 2, so their ``part`` is -1; python used to put edge (4, 5) on
+    the last cluster's partition, and c raised."""
 
     MATCH = (
         r"edge 1: vertex 4 maps to partition -1, outside \[0, 2\) "
@@ -270,7 +280,7 @@ class TestUnclusteredEndpoint:
     def test_id_beyond_the_pass_state(self, backend, mode):
         """Vertex 7 first appears in Phase 2, beyond the six vertices the
         state holds: the c loops' bound check, on every backend (python
-        and numpy raised a bare ``IndexError``)."""
+        raised a bare ``IndexError``)."""
         stream = _ShiftingStream(
             [(0, 1), (2, 3), (1, 2), (0, 3)],
             [(0, 1), (4, 7), (1, 2), (0, 3)],

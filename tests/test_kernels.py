@@ -4,7 +4,14 @@ The contract: every backend is bit-exact with the ``python`` reference
 backend for any stream, chunk size, k and alpha — identical per-edge
 assignments, replication state, balance, cluster ids and cost counters.
 Chunk size must be a pure performance knob.
+
+The reference vectorizes the four ops in which no edge's outcome
+depends on another's (the degree pass, the stateless pass and the two
+Phase-1 merges); the per-edge loops below pin each of them, on every
+backend, on every host.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,10 +30,15 @@ from repro.kernels import (
     KernelBackend,
     available_backends,
     get_backend,
+    missing_backends,
     register_backend,
 )
-from repro.kernels.base import Int64Buffer, TwoPhaseContext, phase2_inputs
-from repro.kernels.numpy_backend import NumpyBackend
+from repro.kernels.base import (
+    Int64Buffer,
+    TwoPhaseContext,
+    check_clustering_exports,
+    phase2_inputs,
+)
 from repro.kernels.python_backend import PythonBackend
 from repro.metrics.runtime import CostCounter
 from repro.partitioning import LeastLoadedTracker, PartitionArtifacts
@@ -35,7 +47,7 @@ from repro.streaming import DEFAULT_CHUNK_SIZE, InMemoryEdgeStream
 from tests.conftest import state_bytes
 
 #: Every non-reference backend is pinned to the reference here.
-VECTOR_BACKENDS = [n for n in available_backends() if n != "python"]
+OTHER_BACKENDS = [n for n in available_backends() if n != "python"]
 
 
 #: Every registered backend instance: the Phase-1 merge-op twins and the
@@ -64,6 +76,75 @@ def graphs(draw, max_vertices=60, max_edges=300):
     return Graph(edges, n)
 
 
+# ----------------------------------------------------------------------
+# Per-edge oracles of the reference's four vectorized ops: the loops the
+# ``python`` backend ran before it vectorized them.
+# ----------------------------------------------------------------------
+def degree_pass_oracle(stream, n_hint=None):
+    deg = [0] * (int(n_hint) if n_hint else 0)
+    for chunk in stream.chunks():
+        for u, v in chunk.tolist():
+            top = u if u >= v else v
+            if top >= len(deg):
+                deg.extend([0] * (top + 1 - len(deg)))
+            deg[u] += 1
+            deg[v] += 1
+    return np.asarray(deg, dtype=np.int64)
+
+
+def stateless_pass_oracle(self, stream, map_chunk, state, assignments):
+    """``map_chunk`` on one-edge slices (patched in as a method)."""
+    idx = 0
+    for chunk in stream.chunks():
+        for row in range(chunk.shape[0]):
+            u = chunk[row : row + 1, 0]
+            v = chunk[row : row + 1, 1]
+            parts = map_chunk(u, v)
+            state.scatter_edges(u, v, parts)
+            assignments[idx] = parts[0]
+            idx += 1
+
+
+def merge_phase1_degrees_oracle(partials, n_hint=None):
+    length = int(n_hint) if n_hint else 0
+    for partial in partials:
+        length = max(length, len(partial))
+    out = [0] * length
+    for partial in partials:
+        for i, d in enumerate(
+            partial.tolist() if hasattr(partial, "tolist") else partial
+        ):
+            out[i] += d
+    return np.asarray(out, dtype=np.int64)
+
+
+def merge_phase1_clustering_oracle(v2c, volumes, worker_states, degrees):
+    """First worker wins per vertex; fresh ids remapped in worker order;
+    volumes summed from member degrees."""
+    base = len(volumes)
+    snapshot = np.asarray(v2c, dtype=np.int64).tolist()
+    exports = check_clustering_exports(len(snapshot), base, worker_states)
+    merged = list(snapshot)
+    claimed = [False] * len(merged)
+    offset = base
+    for v2c_w, n_ids in exports:
+        shift = offset - base
+        for i, c in enumerate(v2c_w.tolist()):
+            if c != snapshot[i] and not claimed[i]:
+                merged[i] = c + shift if c >= base else c
+                claimed[i] = True
+        offset += n_ids - base
+    vol = [0] * offset
+    degl = np.asarray(degrees, dtype=np.int64).tolist()
+    for i, c in enumerate(merged):
+        if c >= 0:
+            vol[c] += degl[i]
+    return (
+        np.asarray(merged, dtype=np.int64),
+        np.asarray(vol, dtype=np.int64),
+    )
+
+
 def assert_results_identical(reference, other):
     """Bit-exact equality of two partitioning results."""
     np.testing.assert_array_equal(reference.assignments, other.assignments)
@@ -76,7 +157,7 @@ def assert_results_identical(reference, other):
     assert reference.cost == other.cost
 
 
-@pytest.mark.parametrize("backend", VECTOR_BACKENDS)
+@pytest.mark.parametrize("backend", OTHER_BACKENDS)
 class TestBackendEquivalence:
     @SLOW
     @given(
@@ -470,7 +551,7 @@ class TestRemainingFromPresetState:
             sizes = rng.integers(0, graph.n_edges + 1, size=k)
         preset = (k, v2c, c2p, bits, sizes, n_edges, alpha)
         ref = _remaining_from("python", graph.edges, n, chunk_size, *preset)
-        for name in VECTOR_BACKENDS:
+        for name in OTHER_BACKENDS:
             for packed in (False, True):
                 out = _remaining_from(
                     name, graph.edges, n, chunk_size, *preset, packed=packed
@@ -510,6 +591,44 @@ class TestDegreePass:
         np.testing.assert_array_equal(
             self._degrees(backend, edges, 7, 3), np.bincount(edges.ravel())
         )
+
+
+class TestVectorizedOpsMatchOracles:
+    """The degree pass and the stateless pass of every backend against
+    their per-edge oracles (the two Phase-1 merges are pinned in
+    :class:`TestPhase1MergeOps`)."""
+
+    @SLOW
+    @given(graph=graphs(), chunk_size=CHUNK_SIZES)
+    def test_degree_pass(self, graph, chunk_size):
+        """``n_hint`` below, at and above the largest id, and none."""
+        stream = InMemoryEdgeStream(graph.edges)
+        stream.default_chunk_size = chunk_size
+        top = int(graph.edges.max())
+        for n_hint in (None, top // 2, top, top + 1, top + 9):
+            expected = degree_pass_oracle(stream, n_hint)
+            for backend in BACKEND_IMPLS:
+                out = backend.degree_pass(stream, n_hint)
+                assert out.dtype == np.int64
+                np.testing.assert_array_equal(out, expected, err_msg=backend.name)
+
+    @SLOW
+    @given(
+        graph=graphs(),
+        k=st.integers(min_value=2, max_value=12),
+        chunk_size=CHUNK_SIZES,
+        algo=st.sampled_from([DBH, Grid, RandomHash]),
+    )
+    def test_stateless_pass(self, graph, k, chunk_size, algo):
+        with mock.patch.object(
+            PythonBackend, "stateless_pass", stateless_pass_oracle
+        ):
+            expected = algo(backend="python").partition(
+                graph, k, chunk_size=chunk_size
+            )
+        for name in available_backends():
+            out = algo(backend=name).partition(graph, k, chunk_size=chunk_size)
+            assert_results_identical(expected, out)
 
 
 class TestClusteringMoveBoundaries:
@@ -685,12 +804,13 @@ class TestChunkSizeIsPerfKnobOnly:
 
 class TestRegistry:
     def test_default_backend_is_c_when_registered(self):
-        expected = "c" if "c" in available_backends() else "numpy"
+        expected = "c" if "c" in available_backends() else "python"
         assert DEFAULT_BACKEND == expected
         assert get_backend().name == expected
 
-    def test_default_backend_is_numpy(self, monkeypatch, tmp_path):
-        """Where the ``c`` library cannot be built, ``numpy`` is the default."""
+    def test_default_backend_is_python(self, monkeypatch, tmp_path):
+        """Where the ``c`` library cannot be built, ``python`` is the
+        default."""
         import repro.kernels as kernels
         from repro.kernels import c_backend
 
@@ -704,8 +824,9 @@ class TestRegistry:
         monkeypatch.setenv("CC", "false")
         kernels._register_optional_backends()
         assert "c" in kernels.missing_backends()
-        assert kernels.DEFAULT_BACKEND == "numpy"
-        assert kernels.get_backend().name == "numpy"
+        assert kernels.available_backends() == ("python",)
+        assert kernels.DEFAULT_BACKEND == "python"
+        assert kernels.get_backend().name == "python"
 
     def test_reference_backend_listed_first(self):
         assert available_backends()[0] == "python"
@@ -725,7 +846,7 @@ class TestRegistry:
         resolved instance name to workers, so key != cls.name would make
         worker-side lookups fail."""
 
-        class Misnamed(NumpyBackend):
+        class Misnamed(PythonBackend):
             name = "other"
 
         with pytest.raises(ConfigurationError):
@@ -740,18 +861,10 @@ class TestRegistry:
         for name in available_backends():
             assert isinstance(get_backend(name), KernelBackend)
 
-    def test_numpy_runs_the_reference_stateful_passes(self):
-        """One interpreted implementation of each per-edge stateful pass:
-        numpy inherits them from the reference."""
-        for method in (
-            "clustering_true_pass",
-            "clustering_partial_pass",
-            "prepartition_pass",
-            "remaining_pass_linear",
-            "remaining_pass_hdrf",
-            "hdrf_baseline_pass",
-        ):
-            assert getattr(NumpyBackend, method) is getattr(PythonBackend, method)
+    def test_two_backends(self):
+        """The reference, and ``c`` wherever it builds."""
+        expected = ("python",) if "c" in missing_backends() else ("python", "c")
+        assert available_backends() == expected
 
 
 class TestArtifacts:
@@ -886,15 +999,15 @@ class TestPhase1MergeOps:
         v2c_g, vol_g, exports, degrees = self._barrier_scenario(
             graph, k, n_workers
         )
-        merged = {}
+        ref_v2c, ref_vol = merge_phase1_clustering_oracle(
+            v2c_g, vol_g, exports, degrees
+        )
         for backend in BACKEND_IMPLS:
-            merged[backend.name] = backend.merge_phase1_clustering(
+            v2c, vol = backend.merge_phase1_clustering(
                 v2c_g, vol_g, exports, degrees
             )
-        ref_v2c, ref_vol = merged["python"]
-        for backend, (v2c, vol) in merged.items():
-            np.testing.assert_array_equal(ref_v2c, v2c, err_msg=backend)
-            np.testing.assert_array_equal(ref_vol, vol, err_msg=backend)
+            np.testing.assert_array_equal(ref_v2c, v2c, err_msg=backend.name)
+            np.testing.assert_array_equal(ref_vol, vol, err_msg=backend.name)
         # Volume invariant: merged volumes == sum of member true degrees.
         recomputed = np.zeros_like(ref_vol)
         mask = ref_v2c >= 0
@@ -979,14 +1092,12 @@ class TestPhase1MergeOps:
             rng.integers(0, 50, size=rng.integers(0, 30)).astype(np.int64)
             for _ in range(n_partials)
         ]
-        results = [
-            backend.merge_phase1_degrees(partials, n_hint)
-            for backend in BACKEND_IMPLS
-        ]
-        for out in results[1:]:
-            np.testing.assert_array_equal(results[0], out)
-        assert results[0].shape[0] >= n_hint
-        assert results[0].dtype == np.int64
+        expected = merge_phase1_degrees_oracle(partials, n_hint)
+        for backend in BACKEND_IMPLS:
+            out = backend.merge_phase1_degrees(partials, n_hint)
+            assert out.dtype == np.int64
+            np.testing.assert_array_equal(expected, out, err_msg=backend.name)
+        assert expected.shape[0] >= n_hint
 
     @pytest.mark.parametrize("kernels", BACKEND_IMPLS, ids=lambda b: b.name)
     def test_clustering_load_round_trips(self, kernels, community_graph):
@@ -1010,7 +1121,7 @@ class TestPhase1MergeOps:
 
     def test_c_cases_run_the_c_override(self):
         """The ``[c]`` cases above exercise the compiled merge, not the
-        numpy one ``CBackend`` would otherwise inherit."""
+        reference one ``CBackend`` would otherwise inherit."""
         if "c" not in available_backends():
             pytest.skip("c backend unavailable")
         from repro.kernels.c_backend import CBackend

@@ -42,13 +42,13 @@ from repro.core.runners import ShardedJob, live_shared_segments, make_runner
 from repro.errors import ConfigurationError, PartitioningError
 from repro.graph import Graph
 from repro.graph.formats import write_binary_edge_list
-from repro.kernels import NumpyBackend, available_backends, register_backend
+from repro.kernels import PythonBackend, available_backends, register_backend
 from repro.metrics.runtime import CostCounter
 from repro.streaming import FileEdgeStream, InMemoryEdgeStream
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
-VECTOR_BACKENDS = [n for n in available_backends() if n != "python"]
+OTHER_BACKENDS = [n for n in available_backends() if n != "python"]
 
 SLOW = settings(
     max_examples=20,
@@ -132,7 +132,7 @@ class TestSingleWorkerIsSequential:
         assert_bit_exact(seq, par)
 
 
-@pytest.mark.parametrize("backend", VECTOR_BACKENDS)
+@pytest.mark.parametrize("backend", OTHER_BACKENDS)
 class TestParallelBackendEquivalence:
     @SLOW
     @given(
@@ -321,12 +321,11 @@ class TestRunnerMatrix:
         assert ser_stream.stats.passes == seq_stream.stats.passes
         assert ser_stream.stats.edges_read == seq_stream.stats.edges_read
 
-    @pytest.mark.parametrize("backend", VECTOR_BACKENDS)
+    @pytest.mark.parametrize("backend", OTHER_BACKENDS)
     def test_overshot_stale_view_with_untouched_partition(self, backend):
         """A stale worker view whose *other* partition overshot the cap:
-        each backend's cap branch (``c``'s own loop, numpy's the
-        reference's) must match the reference under four-worker views,
-        where the cap fallback fires once."""
+        ``c``'s cap branch (its own loop) must match the reference under
+        four-worker views, where the cap fallback fires once."""
         g = Graph(np.array([[1, 1], [1, 1], [1, 1], [1, 0], [0, 0]]), 2)
         ref = ParallelTwoPhase(
             n_workers=4, sync_interval=1, backend="python"
@@ -348,7 +347,7 @@ class TestRunnerMatrix:
             ProcessRunner(task_timeout=0.0)
 
 
-class _ExplodingBackend(NumpyBackend):
+class _ExplodingBackend(PythonBackend):
     """Raises inside the worker after Phase 1 — exercises crash cleanup."""
 
     name = "exploding"
@@ -357,7 +356,7 @@ class _ExplodingBackend(NumpyBackend):
         raise RuntimeError("worker kernel exploded")
 
 
-class _ExplodingClusteringBackend(NumpyBackend):
+class _ExplodingClusteringBackend(PythonBackend):
     """Raises inside the worker *during* Phase 1 (mid-clustering)."""
 
     name = "exploding-phase1"
@@ -366,7 +365,7 @@ class _ExplodingClusteringBackend(NumpyBackend):
         raise RuntimeError("clustering kernel exploded")
 
 
-class _ExplodingRemainingBackend(NumpyBackend):
+class _ExplodingRemainingBackend(PythonBackend):
     """Raises inside the worker during the Phase-2 remaining pass."""
 
     name = "exploding-remaining"
@@ -375,7 +374,7 @@ class _ExplodingRemainingBackend(NumpyBackend):
         raise RuntimeError("remaining kernel exploded")
 
 
-class _SleepingClusteringBackend(NumpyBackend):
+class _SleepingClusteringBackend(PythonBackend):
     """Hangs inside the worker during Phase 1 — timeout teardown."""
 
     name = "sleeping-phase1"
@@ -386,7 +385,7 @@ class _SleepingClusteringBackend(NumpyBackend):
         time.sleep(60.0)
 
 
-class _SleepingBackend(NumpyBackend):
+class _SleepingBackend(PythonBackend):
     """Hangs inside the worker — exercises the task-timeout teardown."""
 
     name = "sleeping"
@@ -640,7 +639,7 @@ def test_unknown_pass_is_a_configuration_error(runner, community_graph):
     """The driver validates the pass name once, for every runner."""
     job = ShardedJob(
         stream=InMemoryEdgeStream(community_graph),
-        backend="numpy",
+        backend="python",
         k=4,
         alpha=1.05,
         hash_seed=0,

@@ -7,6 +7,7 @@ from repro.core import ParallelTwoPhase, TwoPhasePartitioner
 from repro.errors import ConfigurationError, PartitioningError
 from repro.graph.formats import write_binary_edge_list
 from repro.graph.generators import rmat_graph
+from repro.kernels import available_backends
 from repro.metrics import validate_partition
 from repro.streaming import FileEdgeStream, InMemoryEdgeStream
 
@@ -67,7 +68,7 @@ class TestContract:
         np.testing.assert_array_equal(ref.assignments, out.assignments)
         assert ref.cost == out.cost
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("backend", available_backends())
     def test_numpy_integer_k_matches_int_k(self, backend):
         """The hash fallback (alpha=1.0 makes it fire) reduces a Python-int
         hash modulo k."""

@@ -9,14 +9,7 @@ from repro.graph.degrees import compute_degrees, compute_degrees_from_stream
 from repro.graph.formats import write_binary_edge_list
 from repro.storage import ssd_device
 from repro.streaming import FileEdgeStream, InMemoryEdgeStream
-from repro.streaming.stream import (
-    AUTO_CHUNK_MAX,
-    AUTO_CHUNK_MIN,
-    EdgeStream,
-    as_stream,
-    auto_chunk_size,
-    make_stream_spec,
-)
+from repro.streaming.stream import EdgeStream, as_stream, make_stream_spec
 
 
 class TestInMemoryStream:
@@ -417,83 +410,15 @@ class TestStreamSpecs:
             segment.unlink()
 
 
-class TestAutoChunkSize:
-    """Bounds of the |V|/k/cache-budget heuristic (ISSUE 3 satellite)."""
-
-    @pytest.mark.parametrize("n", [None, 10, 1000, 10**6, 10**9])
-    @pytest.mark.parametrize("k", [2, 8, 32, 256, 4096])
-    def test_always_within_bounds(self, n, k):
-        chunk = auto_chunk_size(n, k)
-        assert AUTO_CHUNK_MIN <= chunk <= AUTO_CHUNK_MAX
-
-    def test_monotone_non_increasing_in_k(self):
-        chunks = [auto_chunk_size(10**6, k) for k in (2, 4, 16, 64, 256, 1024)]
-        assert chunks == sorted(chunks, reverse=True)
-
-    def test_small_vertex_sets_shrink_the_chunk(self):
-        assert auto_chunk_size(10, 8) == AUTO_CHUNK_MIN
-        assert auto_chunk_size(10**6, 8) > auto_chunk_size(2000, 8)
-
-    def test_budget_model_at_moderate_k(self):
-        # budget // (fixed + 8k), uncapped by |V| for a large graph
-        from repro.streaming.stream import (
-            AUTO_CHUNK_CACHE_BUDGET,
-            AUTO_CHUNK_EDGE_BYTES,
-        )
-
-        expected = AUTO_CHUNK_CACHE_BUDGET // (AUTO_CHUNK_EDGE_BYTES + 8 * 32)
-        assert auto_chunk_size(10**9, 32) == expected
-
-    def test_none_vertices_skips_the_cap(self):
-        assert auto_chunk_size(None, 8) == auto_chunk_size(10**9, 8)
-
-    def test_zero_vertices_is_a_hint_not_no_hint(self):
-        """Regression (ISSUE 7 satellite): ``n_vertices=0`` used to fall
-        through a truthiness check and skip the ``4 * |V|`` cap, sizing
-        a degenerate stream's chunks like an unhinted one."""
-        assert auto_chunk_size(0, 8) == AUTO_CHUNK_MIN
-        assert auto_chunk_size(0, 8) != auto_chunk_size(None, 8)
-
-    def test_tiny_vertex_counts_take_the_cap(self):
-        assert auto_chunk_size(1, 8) == AUTO_CHUNK_MIN  # 4*1, clamped up
-        assert auto_chunk_size(2000, 8) == 4 * 2000
-
-    def test_k_coerced_to_at_least_one(self):
-        """``k <= 1`` sizes like ``k=1`` — pure budget, no crash
-        (ISSUE 8 satellite)."""
-        from repro.streaming.stream import (
-            AUTO_CHUNK_CACHE_BUDGET,
-            AUTO_CHUNK_EDGE_BYTES,
-        )
-
-        expected = AUTO_CHUNK_CACHE_BUDGET // (AUTO_CHUNK_EDGE_BYTES + 8)
-        assert auto_chunk_size(None, 1) == expected
-        assert auto_chunk_size(None, 0) == expected
-        assert auto_chunk_size(None, -3) == expected
-
-    def test_huge_k_budget_underflow_lands_on_min(self):
-        """A ``k`` large enough that the budget division underflows to 0
-        must land on the MIN clamp, not return 0 (ISSUE 8 satellite)."""
-        huge_k = 1 << 21  # per-edge bytes > the whole cache budget
-        assert auto_chunk_size(None, huge_k) == AUTO_CHUNK_MIN
-        assert auto_chunk_size(10**9, huge_k) == AUTO_CHUNK_MIN
-
-    def test_partition_accepts_auto(self, powerlaw_graph):
-        from repro.core import TwoPhasePartitioner
-
-        auto = TwoPhasePartitioner().partition(powerlaw_graph, 4, chunk_size="auto")
-        explicit = TwoPhasePartitioner().partition(
-            powerlaw_graph, 4,
-            chunk_size=auto_chunk_size(powerlaw_graph.n_vertices, 4),
-        )
-        assert np.array_equal(auto.assignments, explicit.assignments)
-        assert auto.cost == explicit.cost
+class TestChunkSizeArgument:
+    """``chunk_size`` is a positive int or ``None``; strings are refused."""
 
     def test_partition_rejects_other_strings(self, powerlaw_graph):
         from repro.core import TwoPhasePartitioner
         from repro.errors import PartitioningError
 
-        with pytest.raises(PartitioningError, match="auto"):
-            TwoPhasePartitioner().partition(
-                powerlaw_graph, 4, chunk_size="huge"
-            )
+        for value in ("huge", "auto"):
+            with pytest.raises(PartitioningError, match="positive int"):
+                TwoPhasePartitioner().partition(
+                    powerlaw_graph, 4, chunk_size=value
+                )
