@@ -11,8 +11,8 @@ Each algorithm contributes only a vectorized ``map_chunk(u, v) -> parts``
 function; the stream loop itself is a kernel-backend pass
 (:mod:`repro.kernels`), which hashes whole chunks with a vectorized
 splitmix64 on every backend (``c`` inherits the reference's pass).  The
-per-edge oracle in ``tests/test_kernels.py`` replays the same hash on
-one-edge slices for equivalence testing.
+``per-edge`` test backend (``tests/per_edge.py``) replays the same hash
+on one-edge slices for equivalence testing.
 """
 
 from __future__ import annotations

@@ -17,8 +17,9 @@ compiled loop.  There are two backends:
   that decide no edge from another edge's outcome run per chunk or per
   barrier in numpy: ``np.add.at`` for degrees, one ``map_chunk`` call
   per chunk for the stateless baselines, and the two Phase-1 merges.
-  ``tests/test_kernels.py`` pins each of those four against its per-edge
-  loop, kept there as an oracle.
+  Their per-edge loops are the ``per-edge`` test backend
+  (``tests/per_edge.py``); ``tests/test_kernels.py`` pins each of the
+  four against its loop, op by op and through whole runs.
 - ``c`` — the default wherever it builds (:mod:`repro.kernels.c_backend`):
   the per-edge loop of the degree pass and of every stateful pass (both
   clustering bodies, the pre-partition pass, both remaining passes, the

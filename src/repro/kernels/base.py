@@ -280,8 +280,8 @@ class KernelBackend(ABC):
 
         ``map_chunk(u, v)`` maps endpoint arrays to an int32 partition
         array; it must be vectorized *and* well-defined on length-1 inputs
-        (the per-edge oracle of ``tests/test_kernels.py`` calls it on
-        one-edge slices).  Replica bits and sizes are recorded through
+        (the ``per-edge`` test backend of ``tests/per_edge.py`` calls it
+        on one-edge slices).  Replica bits and sizes are recorded through
         ``state.scatter_edges``.  A chunk holding an id at or beyond
         ``state.n_vertices`` raises :class:`~repro.errors.StreamError`
         before ``map_chunk`` sees it.

@@ -12,10 +12,11 @@ storage plane (:func:`~repro.partitioning.state._replica_plane`), so
 they run on bit-packed state without indexing the wrapper.  The ops in
 which no edge's outcome depends on another's (the degree pass, the
 stateless pass and the two Phase-1 merges) are vectorized per chunk or
-per barrier; ``tests/test_kernels.py`` pins each against its per-edge
-loop.  ``c`` is property-tested for bit-exact equivalence against this
-backend and inherits its stateless pass and degree merge — keep this
-code boring and obviously correct.
+per barrier; the ``per-edge`` test backend (``tests/per_edge.py``) runs
+each as its per-edge loop, and ``tests/test_kernels.py`` pins one
+against the other.  ``c`` is property-tested for bit-exact equivalence
+against this backend and inherits its stateless pass and degree merge —
+keep this code boring and obviously correct.
 """
 
 from __future__ import annotations

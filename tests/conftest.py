@@ -33,6 +33,7 @@ from repro.graph.generators import (
     two_cluster_toy_graph,
 )
 from repro.partitioning.state import _replica_storage
+from tests import per_edge
 
 #: One factory per partitioner, used by the cross-cutting contract tests.
 ALL_PARTITIONER_FACTORIES = {
@@ -118,3 +119,11 @@ def hub_graph():
 @pytest.fixture
 def rng():
     return np.random.default_rng(99)
+
+
+@pytest.fixture(scope="class")
+def per_edge_backend():
+    """The ``per-edge`` test backend (``tests/per_edge.py``), registered
+    for one test class: class-scoped, so hypothesis tests can use it."""
+    with per_edge.registered():
+        yield

@@ -118,6 +118,22 @@ class TestPartition:
         assert code == 0
         assert "hdd" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_non_positive_chunk_size_is_clean_error(self, graph_file, size, capsys):
+        code = main(
+            [
+                "partition",
+                "--input",
+                str(graph_file),
+                "--k",
+                "4",
+                f"--chunk-size={size}",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"chunk_size must be a positive int, got {size}" in err
+
     def test_missing_file_is_clean_error(self, tmp_path, capsys):
         code = main(
             ["partition", "--input", str(tmp_path / "nope.bin"), "--k", "4"]

@@ -14,7 +14,7 @@ import pytest
 from repro.baselines import HDRF
 from repro.core import ParallelTwoPhase, TwoPhasePartitioner
 from repro.core.clustering import StreamingClustering
-from repro.errors import PartitioningError, StreamError
+from repro.errors import GraphError, PartitioningError, StreamError
 from repro.graph import Graph
 from repro.kernels import available_backends
 from repro.metrics import validate_partition
@@ -160,6 +160,14 @@ class TestNegativeVertexIds:
         with pytest.raises(StreamError, match="negative vertex id"):
             make().partition(edges, k=2)
 
+    @pytest.mark.parametrize("name", sorted(ALL_PARTITIONER_FACTORIES))
+    def test_every_algorithm_rejects_it(self, name):
+        """No partitioner reads a bare array past the check, the
+        in-memory ones included."""
+        edges = np.array([[0, 1], [1, 2], [2, -1]])
+        with pytest.raises(StreamError, match=r"negative vertex id \(-1\)"):
+            ALL_PARTITIONER_FACTORIES[name]().partition(edges, k=2)
+
 
 class TestOutOfRangeVertexIds:
     """An id beyond the declared ``n_vertices`` is a typed error in every
@@ -183,15 +191,36 @@ class TestOutOfRangeVertexIds:
         with pytest.raises(StreamError, match="edge 2 has vertex id 9"):
             clustering.run(self._stream())
 
-    @pytest.mark.parametrize(
-        "name",
-        ["DBH", "Grid", "Random", "Greedy", "ADWISE", "SNE", "HEP-1", "HEP-100"],
-    )
+    #: The streaming baselines that size their state from the declared
+    #: count.
+    STREAMING = ["DBH", "Grid", "Random", "Greedy", "ADWISE", "SNE", "HEP-1", "HEP-100"]
+
+    @pytest.mark.parametrize("name", STREAMING)
     def test_streaming_baseline_raises_stream_error(self, name):
         """The stateless pass (DBH's ``map_chunk`` indexes degrees of
         the declared size) and the per-edge loops of Greedy, ADWISE, SNE
         and HEP's in-memory phase."""
         with pytest.raises(StreamError, match="edge 2 has vertex id 9"):
+            ALL_PARTITIONER_FACTORIES[name]().partition(self._stream(), 2)
+
+    @pytest.mark.parametrize("chunk_size", [1, 2])
+    @pytest.mark.parametrize("name", STREAMING)
+    def test_streaming_baseline_names_the_edge_of_a_later_chunk(
+        self, name, chunk_size
+    ):
+        """Edge 3 sits alone in the fourth chunk, or second in the
+        second: each per-chunk check carries the edge offset across
+        chunks."""
+        stream = InMemoryEdgeStream([*self.EDGES[:2], [0, 2], [2, 9]], n_vertices=4)
+        partitioner = ALL_PARTITIONER_FACTORIES[name]()
+        with pytest.raises(StreamError, match="edge 3 has vertex id 9"):
+            partitioner.partition(stream, 2, chunk_size=chunk_size)
+
+    @pytest.mark.parametrize("name", ["NE", "DNE", "METIS"])
+    def test_in_memory_baseline_raises_graph_error(self, name):
+        """NE, DNE and METIS load the whole graph before any pass, and
+        the load checks every id against the declared count."""
+        with pytest.raises(GraphError, match="an edge references vertex 9"):
             ALL_PARTITIONER_FACTORIES[name]().partition(self._stream(), 2)
 
     @pytest.mark.parametrize("backend", ["python", "c"])

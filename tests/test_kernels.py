@@ -7,11 +7,10 @@ Chunk size must be a pure performance knob.
 
 The reference vectorizes the four ops in which no edge's outcome
 depends on another's (the degree pass, the stateless pass and the two
-Phase-1 merges); the per-edge loops below pin each of them, on every
-backend, on every host.
+Phase-1 merges).  The per-edge loops of the ``per-edge`` test backend
+(``tests/per_edge.py``) pin each of them, op by op on every backend and
+end to end in the equivalence sweeps, on every host.
 """
-
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,7 +35,6 @@ from repro.kernels import (
 from repro.kernels.base import (
     Int64Buffer,
     TwoPhaseContext,
-    check_clustering_exports,
     phase2_inputs,
 )
 from repro.kernels.python_backend import PythonBackend
@@ -45,9 +43,13 @@ from repro.partitioning import LeastLoadedTracker, PartitionArtifacts
 from repro.partitioning.state import PackedReplicaMatrix, PartitionState
 from repro.streaming import DEFAULT_CHUNK_SIZE, InMemoryEdgeStream
 from tests.conftest import state_bytes
+from tests.per_edge import PER_EDGE, PerEdgeBackend
 
 #: Every non-reference backend is pinned to the reference here.
 OTHER_BACKENDS = [n for n in available_backends() if n != "python"]
+
+#: The per-edge loops of the reference's four vectorized ops.
+ORACLE = PerEdgeBackend()
 
 
 #: Every registered backend instance: the Phase-1 merge-op twins and the
@@ -76,75 +78,6 @@ def graphs(draw, max_vertices=60, max_edges=300):
     return Graph(edges, n)
 
 
-# ----------------------------------------------------------------------
-# Per-edge oracles of the reference's four vectorized ops: the loops the
-# ``python`` backend ran before it vectorized them.
-# ----------------------------------------------------------------------
-def degree_pass_oracle(stream, n_hint=None):
-    deg = [0] * (int(n_hint) if n_hint else 0)
-    for chunk in stream.chunks():
-        for u, v in chunk.tolist():
-            top = u if u >= v else v
-            if top >= len(deg):
-                deg.extend([0] * (top + 1 - len(deg)))
-            deg[u] += 1
-            deg[v] += 1
-    return np.asarray(deg, dtype=np.int64)
-
-
-def stateless_pass_oracle(self, stream, map_chunk, state, assignments):
-    """``map_chunk`` on one-edge slices (patched in as a method)."""
-    idx = 0
-    for chunk in stream.chunks():
-        for row in range(chunk.shape[0]):
-            u = chunk[row : row + 1, 0]
-            v = chunk[row : row + 1, 1]
-            parts = map_chunk(u, v)
-            state.scatter_edges(u, v, parts)
-            assignments[idx] = parts[0]
-            idx += 1
-
-
-def merge_phase1_degrees_oracle(partials, n_hint=None):
-    length = int(n_hint) if n_hint else 0
-    for partial in partials:
-        length = max(length, len(partial))
-    out = [0] * length
-    for partial in partials:
-        for i, d in enumerate(
-            partial.tolist() if hasattr(partial, "tolist") else partial
-        ):
-            out[i] += d
-    return np.asarray(out, dtype=np.int64)
-
-
-def merge_phase1_clustering_oracle(v2c, volumes, worker_states, degrees):
-    """First worker wins per vertex; fresh ids remapped in worker order;
-    volumes summed from member degrees."""
-    base = len(volumes)
-    snapshot = np.asarray(v2c, dtype=np.int64).tolist()
-    exports = check_clustering_exports(len(snapshot), base, worker_states)
-    merged = list(snapshot)
-    claimed = [False] * len(merged)
-    offset = base
-    for v2c_w, n_ids in exports:
-        shift = offset - base
-        for i, c in enumerate(v2c_w.tolist()):
-            if c != snapshot[i] and not claimed[i]:
-                merged[i] = c + shift if c >= base else c
-                claimed[i] = True
-        offset += n_ids - base
-    vol = [0] * offset
-    degl = np.asarray(degrees, dtype=np.int64).tolist()
-    for i, c in enumerate(merged):
-        if c >= 0:
-            vol[c] += degl[i]
-    return (
-        np.asarray(merged, dtype=np.int64),
-        np.asarray(vol, dtype=np.int64),
-    )
-
-
 def assert_results_identical(reference, other):
     """Bit-exact equality of two partitioning results."""
     np.testing.assert_array_equal(reference.assignments, other.assignments)
@@ -157,8 +90,12 @@ def assert_results_identical(reference, other):
     assert reference.cost == other.cost
 
 
-@pytest.mark.parametrize("backend", OTHER_BACKENDS)
+@pytest.mark.parametrize("backend", [*OTHER_BACKENDS, PER_EDGE])
+@pytest.mark.usefixtures("per_edge_backend")
 class TestBackendEquivalence:
+    """Every backend, and the per-edge loops of the reference's vectorized
+    ops, against the reference through whole runs."""
+
     @SLOW
     @given(
         graph=graphs(),
@@ -559,10 +496,10 @@ class TestRemainingFromPresetState:
                 _assert_contexts_identical(ref, out)
 
 
-@pytest.mark.parametrize("backend", BACKEND_IMPLS, ids=lambda b: b.name)
+@pytest.mark.parametrize("backend", [*BACKEND_IMPLS, ORACLE], ids=lambda b: b.name)
 class TestDegreePass:
-    """Every backend counts the same degrees at any chunk size, and grows
-    its array for ids beyond ``n_hint``."""
+    """Every backend, and the per-edge oracle, counts the same degrees at
+    any chunk size, and grows its array for ids beyond ``n_hint``."""
 
     EDGES = rmat_graph(10, edge_factor=8, seed=4).edges
 
@@ -593,10 +530,24 @@ class TestDegreePass:
         )
 
 
+class _EmptyChunksStream(InMemoryEdgeStream):
+    """An in-memory stream with an empty chunk before every chunk and
+    after the last."""
+
+    def chunks(self, chunk_size=None):
+        empty = np.empty((0, 2), dtype=np.int64)
+        for chunk in super().chunks(chunk_size):
+            yield empty
+            yield chunk
+        yield empty
+
+
+@pytest.mark.usefixtures("per_edge_backend")
 class TestVectorizedOpsMatchOracles:
     """The degree pass and the stateless pass of every backend against
-    their per-edge oracles (the two Phase-1 merges are pinned in
-    :class:`TestPhase1MergeOps`)."""
+    their per-edge oracles, on random graphs and on the degenerate
+    streams random graphs never draw (the two Phase-1 merges are pinned
+    in :class:`TestPhase1MergeOps`)."""
 
     @SLOW
     @given(graph=graphs(), chunk_size=CHUNK_SIZES)
@@ -606,28 +557,51 @@ class TestVectorizedOpsMatchOracles:
         stream.default_chunk_size = chunk_size
         top = int(graph.edges.max())
         for n_hint in (None, top // 2, top, top + 1, top + 9):
-            expected = degree_pass_oracle(stream, n_hint)
+            expected = ORACLE.degree_pass(stream, n_hint)
             for backend in BACKEND_IMPLS:
                 out = backend.degree_pass(stream, n_hint)
                 assert out.dtype == np.int64
                 np.testing.assert_array_equal(out, expected, err_msg=backend.name)
+
+    #: ``(edges, n_hint, chunk_size, empty_chunks)``: no edges, a zero
+    #: or far hint, self-loops only, growth in every chunk, a top id
+    #: that only the last chunk holds, and empty chunks in between.
+    DEGREE_CASES = {
+        "no-edges": ([], 5, 4, False),
+        "no-edges-no-hint": ([], None, 4, False),
+        "hint-zero": ([(0, 4), (2, 1)], 0, 1, False),
+        "hint-far-above": ([(0, 1), (1, 1)], 1000, 1, False),
+        "self-loops-only": ([(3, 3), (3, 3), (0, 0)], None, 2, False),
+        "growth-every-chunk": ([(0, 1), (3, 2), (4, 5), (7, 6)], 1, 1, False),
+        "top-id-in-last-chunk": ([(0, 1)] * 6 + [(1, 40)], 3, 3, False),
+        "empty-chunks": ([(0, 1), (2, 5), (5, 5), (1, 3)], 2, 2, True),
+    }
+
+    @pytest.mark.parametrize("backend", BACKEND_IMPLS, ids=lambda b: b.name)
+    @pytest.mark.parametrize("case", sorted(DEGREE_CASES))
+    def test_degree_pass_degenerate_streams(self, backend, case):
+        edges, n_hint, chunk_size, empty_chunks = self.DEGREE_CASES[case]
+        edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        make = _EmptyChunksStream if empty_chunks else InMemoryEdgeStream
+        stream = make(edges, n_vertices=int(edges.max(initial=0)) + 1)
+        stream.default_chunk_size = chunk_size
+        expected = ORACLE.degree_pass(stream, n_hint)
+        assert expected.shape[0] == max(n_hint or 0, int(edges.max(initial=-1)) + 1)
+        out = backend.degree_pass(stream, n_hint)
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, expected)
 
     @SLOW
     @given(
         graph=graphs(),
         k=st.integers(min_value=2, max_value=12),
         chunk_size=CHUNK_SIZES,
-        algo=st.sampled_from([DBH, Grid, RandomHash]),
     )
-    def test_stateless_pass(self, graph, k, chunk_size, algo):
-        with mock.patch.object(
-            PythonBackend, "stateless_pass", stateless_pass_oracle
-        ):
-            expected = algo(backend="python").partition(
-                graph, k, chunk_size=chunk_size
-            )
-        for name in available_backends():
-            out = algo(backend=name).partition(graph, k, chunk_size=chunk_size)
+    @pytest.mark.parametrize("algo", [DBH, Grid, RandomHash], ids=lambda a: a.__name__)
+    def test_stateless_pass(self, algo, graph, k, chunk_size):
+        expected = algo(backend=PER_EDGE).partition(graph, k, chunk_size=chunk_size)
+        for backend in BACKEND_IMPLS:
+            out = algo(backend=backend.name).partition(graph, k, chunk_size=chunk_size)
             assert_results_identical(expected, out)
 
 
@@ -999,7 +973,7 @@ class TestPhase1MergeOps:
         v2c_g, vol_g, exports, degrees = self._barrier_scenario(
             graph, k, n_workers
         )
-        ref_v2c, ref_vol = merge_phase1_clustering_oracle(
+        ref_v2c, ref_vol = ORACLE.merge_phase1_clustering(
             v2c_g, vol_g, exports, degrees
         )
         for backend in BACKEND_IMPLS:
@@ -1092,12 +1066,101 @@ class TestPhase1MergeOps:
             rng.integers(0, 50, size=rng.integers(0, 30)).astype(np.int64)
             for _ in range(n_partials)
         ]
-        expected = merge_phase1_degrees_oracle(partials, n_hint)
+        expected = ORACLE.merge_phase1_degrees(partials, n_hint)
         for backend in BACKEND_IMPLS:
             out = backend.merge_phase1_degrees(partials, n_hint)
             assert out.dtype == np.int64
             np.testing.assert_array_equal(expected, out, err_msg=backend.name)
         assert expected.shape[0] >= n_hint
+
+    #: Barriers the random scenario never builds: ``(v2c, volumes,
+    #: exports, degrees)`` with each export a ``(v2c_w, volumes_w)`` pair.
+    CLUSTERING_BARRIERS = {
+        "no-workers": ([0, 1, -1], [2, 1], [], [2, 1, 0]),
+        "no-changes": ([0, 1, 0], [3, 1], [([0, 1, 0], [3, 1])] * 2, [2, 1, 1]),
+        "empty-graph": ([], [], [([], [])], []),
+        "all-unclustered": (
+            [-1, -1, -1, -1],
+            [],
+            [([0, 0, -1, -1], [2]), ([-1, 0, 1, 1], [1, 4])],
+            [1, 1, 2, 2],
+        ),
+        "fresh-ids-every-worker": (
+            [0, -1, -1, -1, -1],
+            [1],
+            [
+                ([0, 1, -1, -1, -1], [1, 1]),
+                ([0, -1, 1, 2, -1], [1, 2, 3]),
+                ([0, -1, -1, -1, 1], [1, 5]),
+            ],
+            [1, 1, 2, 3, 5],
+        ),
+        "contested-vertex": (
+            [0, 1, -1],
+            [2, 2],
+            [([1, 1, 2], [0, 4, 3]), ([2, 0, 2], [2, 0, 5])],
+            [2, 2, 3],
+        ),
+        "worker-empties-a-cluster": (
+            [0, 1, 1],
+            [4, 3],
+            [([1, 1, 1], [0, 7])],
+            [4, 1, 2],
+        ),
+        "worker-unclusters-a-vertex": (
+            [0, 0, 1],
+            [3, 2],
+            [([0, -1, 1], [2, 2])],
+            [2, 1, 2],
+        ),
+    }
+
+    @pytest.mark.parametrize("kernels", BACKEND_IMPLS, ids=lambda b: b.name)
+    @pytest.mark.parametrize("case", sorted(CLUSTERING_BARRIERS))
+    def test_clustering_merge_degenerate_barriers(self, kernels, case):
+        def i64(a):
+            return np.asarray(a, dtype=np.int64)
+
+        v2c, volumes, exports, degrees = self.CLUSTERING_BARRIERS[case]
+        barrier = (
+            i64(v2c),
+            i64(volumes),
+            [(i64(e_v2c), i64(e_vol)) for e_v2c, e_vol in exports],
+            i64(degrees),
+        )
+        ref_v2c, ref_vol = ORACLE.merge_phase1_clustering(*barrier)
+        out_v2c, out_vol = kernels.merge_phase1_clustering(*barrier)
+        np.testing.assert_array_equal(out_v2c, ref_v2c)
+        np.testing.assert_array_equal(out_vol, ref_vol)
+        assert out_v2c.dtype == out_vol.dtype == np.int64
+        # One id per snapshot cluster plus every worker's fresh ones.
+        fresh = sum(len(e_vol) - len(volumes) for _, e_vol in exports)
+        assert out_vol.shape[0] == len(volumes) + fresh
+
+    #: Partial-degree lists the random ones never draw: ``(partials,
+    #: n_hint)``.  ``c`` inherits this merge, so it runs on the reference.
+    DEGREE_PARTIALS = {
+        "no-partials": ([], 4),
+        "no-partials-no-hint": ([], None),
+        "one-partial": ([[3, 0, 2]], None),
+        "ragged": ([[1, 2, 3], [], [4, 5, 6, 7, 8], [9]], None),
+        "hint-above": ([[1, 2], [3]], 6),
+        "hint-below": ([[1, 2, 3, 4], [5]], 2),
+        "hint-zero": ([[1]], 0),
+        "counts-past-2**53": ([[2**53, 1], [1, 2**40]], None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DEGREE_PARTIALS))
+    def test_degree_merge_degenerate_partials(self, case):
+        partials, n_hint = self.DEGREE_PARTIALS[case]
+        as_arrays = [np.asarray(p, dtype=np.int64) for p in partials]
+        expected = ORACLE.merge_phase1_degrees(as_arrays, n_hint)
+        for form in (partials, as_arrays):
+            out = get_backend("python").merge_phase1_degrees(form, n_hint)
+            assert out.dtype == np.int64
+            np.testing.assert_array_equal(out, expected)
+        longest = max((len(p) for p in partials), default=0)
+        assert expected.shape[0] == max(longest, n_hint or 0)
 
     @pytest.mark.parametrize("kernels", BACKEND_IMPLS, ids=lambda b: b.name)
     def test_clustering_load_round_trips(self, kernels, community_graph):

@@ -45,6 +45,7 @@ from repro.graph.formats import write_binary_edge_list
 from repro.kernels import PythonBackend, available_backends, register_backend
 from repro.metrics.runtime import CostCounter
 from repro.streaming import FileEdgeStream, InMemoryEdgeStream
+from tests.per_edge import PER_EDGE
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -132,8 +133,13 @@ class TestSingleWorkerIsSequential:
         assert_bit_exact(seq, par)
 
 
-@pytest.mark.parametrize("backend", OTHER_BACKENDS)
+@pytest.mark.parametrize("backend", [*OTHER_BACKENDS, PER_EDGE])
+@pytest.mark.usefixtures("per_edge_backend")
 class TestParallelBackendEquivalence:
+    """Every backend, and the per-edge loops of the reference's vectorized
+    ops (both Phase-1 merges among them), against the reference through
+    sharded runs."""
+
     @SLOW
     @given(
         graph=graphs(),

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.errors import StreamError
+from repro.errors import PartitioningError, StreamError
 from repro.graph import Graph
 from repro.graph.degrees import compute_degrees, compute_degrees_from_stream
 from repro.graph.formats import write_binary_edge_list
+from repro.graph.generators import rmat_graph
 from repro.storage import ssd_device
 from repro.streaming import FileEdgeStream, InMemoryEdgeStream
 from repro.streaming.stream import EdgeStream, as_stream, make_stream_spec
+from tests.conftest import ALL_PARTITIONER_FACTORIES
 
 
 class TestInMemoryStream:
@@ -411,14 +413,37 @@ class TestStreamSpecs:
 
 
 class TestChunkSizeArgument:
-    """``chunk_size`` is a positive int or ``None``; strings are refused."""
+    """``chunk_size`` is a positive int or ``None`` on every algorithm;
+    strings are refused, and no accepted size changes a result."""
 
     def test_partition_rejects_other_strings(self, powerlaw_graph):
         from repro.core import TwoPhasePartitioner
-        from repro.errors import PartitioningError
 
         for value in ("huge", "auto"):
             with pytest.raises(PartitioningError, match="positive int"):
                 TwoPhasePartitioner().partition(
                     powerlaw_graph, 4, chunk_size=value
                 )
+
+    @pytest.mark.parametrize("name", sorted(ALL_PARTITIONER_FACTORIES))
+    def test_every_algorithm_refuses_auto_and_non_positive_sizes(self, name):
+        make = ALL_PARTITIONER_FACTORIES[name]
+        graph = Graph([(0, 1), (1, 2), (2, 0)], 3)
+        for value in ("auto", 0, -3):
+            with pytest.raises(PartitioningError, match="positive int"):
+                make().partition(graph, 2, chunk_size=value)
+
+    @pytest.mark.parametrize("name", sorted(ALL_PARTITIONER_FACTORIES))
+    def test_every_algorithm_gives_one_result_at_any_size(self, name):
+        """Chunks of one edge, of seven, and one chunk far beyond |E|
+        give the result of the stream's own default."""
+        make = ALL_PARTITIONER_FACTORIES[name]
+        graph = rmat_graph(8, edge_factor=6, seed=5)
+        base = make().partition(graph, 6)
+        for chunk_size in (1, 7, 10**6):
+            out = make().partition(graph, 6, chunk_size=chunk_size)
+            np.testing.assert_array_equal(out.assignments, base.assignments)
+            np.testing.assert_array_equal(out.state.sizes, base.state.sizes)
+            np.testing.assert_array_equal(
+                np.asarray(out.state.replicas), np.asarray(base.state.replicas)
+            )
