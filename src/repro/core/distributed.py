@@ -50,6 +50,7 @@ from repro.core.runners import (
     RunnerSession,
     Transport,
     WorkerFailed,
+    _BufferArena,
     _release_segment,
     _stream_spec,
     _SubStream,
@@ -661,17 +662,17 @@ class _SocketTransport(Transport):
         }
 
     def extra_state_bytes(self) -> int:
-        # Worker views live in worker processes; report their logical
-        # size (what the process runner reports for its shared views).
-        job = self.job
-        if job.state is None:
+        # Worker views live in worker processes; report the bytes of one
+        # such view, laid out without memory, per worker (what the other
+        # transports sum over the views they hold).
+        state = self.job.state
+        if state is None:
             return 0
-        return job.n_workers * PartitionState.shared_nbytes(
-            int(job.state.n_vertices),
-            job.k,
-            track_dirty=True,
-            packed=bool(job.state.packed),
+        view = PartitionState(
+            state.n_vertices, state.k, state.n_edges, state.alpha,
+            allocator=_BufferArena(), track_dirty=True, packed=state.packed,
         )
+        return self.job.n_workers * view.nbytes()
 
     def close(self) -> None:
         if self._closed:

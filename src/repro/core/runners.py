@@ -90,14 +90,20 @@ so the saving is measurable end to end (``BENCH_parallel.json``).
 
 Shared-memory lifecycle
 -----------------------
-A process session owns every segment it creates (worker state views, the
-Phase-1 clustering scratch, the read-only Phase-2 inputs, the assignment
-array, and — for non-file streams — the edge array).  Session *open* ships
-only a picklable stream spec and scalars to the pool, so it is O(1) in
-``|V|``; the Phase-2 inputs (``part`` and ``weights``, 20 bytes per
-vertex; see :func:`~repro.kernels.base.phase2_inputs`) travel through one
-shared segment that workers attach lazily on first use.  Segments are
-unlinked in ``close()``; ``close()`` is idempotent and runs on both
+A process session owns every segment it creates, at most three: the
+edge copy of a non-file stream (:func:`~repro.streaming.stream.make_stream_spec`)
+for the whole session, the Phase-1 clustering scratch from
+``open_clustering`` to ``close_clustering``, and one Phase-2 segment from
+``bind_phase2`` to ``close()`` holding the assignment array, the
+read-only Phase-2 inputs (``part`` and ``weights``, 20 bytes per vertex;
+see :func:`~repro.kernels.base.phase2_inputs`) and every worker's state
+view.  Each of the last two has one layout function over a
+:class:`_BufferArena`, run without a buffer to size the segment, by the
+parent to create it and by every worker to attach it, so no size or
+offset is written down twice.  Session *open* ships only a picklable
+stream spec and scalars to the pool, so it is O(1) in ``|V|``; workers
+attach a segment on its first task.  ``close()`` drops every array over
+a mapping, then unlinks each segment; it is idempotent and runs on both
 success and error paths, so a crashed or timed-out worker cannot leak
 segments past the session (verified by the cleanup tests;
 :func:`live_shared_segments` exposes the owned set).  Workers only ever
@@ -114,7 +120,7 @@ import numpy as np
 from repro.errors import ConfigurationError, PartitioningError
 from repro.kernels import TwoPhaseContext, get_backend
 from repro.metrics.runtime import CostCounter
-from repro.partitioning.state import PartitionState, _BufferArena
+from repro.partitioning.state import PartitionState
 from repro.streaming.stream import make_stream_spec
 
 #: Pass names a runner can execute -> kernel-backend method names.
@@ -703,6 +709,105 @@ def _release_segment(shm) -> None:
         pass
 
 
+class _BufferArena:
+    """Sequential, alignment-respecting array allocator over one buffer.
+
+    Hands out ndarray views over consecutive (aligned) slices of ``buf``,
+    so a layout function that allocates the same shapes in the same order
+    finds every array at the same offset in every process.  Without a
+    buffer it only measures: it hands out zero-strided read-only
+    placeholders that take no memory, and :attr:`nbytes` ends at the size
+    the layout needs.
+    """
+
+    __slots__ = ("_buf", "nbytes")
+
+    def __init__(self, buf=None) -> None:
+        self._buf = buf
+        #: End offset of the last array handed out.
+        self.nbytes = 0
+
+    def __call__(self, shape, dtype) -> np.ndarray:
+        dt = np.dtype(dtype)
+        offset = -(-self.nbytes // dt.alignment) * dt.alignment
+        if self._buf is None:
+            arr = np.broadcast_to(np.zeros((), dtype=dt), shape)
+        else:
+            arr = np.ndarray(shape, dtype=dt, buffer=self._buf, offset=offset)
+        self.nbytes = offset + arr.nbytes
+        return arr
+
+
+def _map_segment(layout, args, name=None):
+    """Create (``name=None``) or attach the segment ``layout`` lays out.
+
+    ``layout(arena, *args)`` allocates every array of one segment from a
+    :class:`_BufferArena` and returns them.  It runs once without a
+    buffer to size the segment, then over the mapping, so the creator and
+    every attacher agree on each offset by construction.  Returns
+    ``(shm, arrays)``; a created segment starts zeroed and stays in
+    ``_LIVE_SEGMENTS`` until :func:`_release_segment`.  The arrays do not
+    keep the mapping alive, so every one of them must be gone before it
+    closes (one that outlived it would point at unmapped memory).
+
+    Raises
+    ------
+    PartitioningError
+        When attaching, if no segment ``name`` exists or it is smaller
+        than its layout.
+    """
+    from multiprocessing import shared_memory
+
+    sizing = _BufferArena()
+    layout(sizing, *args)
+    if name is None:
+        shm = shared_memory.SharedMemory(
+            create=True, size=max(sizing.nbytes, 1)
+        )
+        _LIVE_SEGMENTS.add(shm.name)
+        np.frombuffer(shm.buf, dtype=np.uint8)[:] = 0
+    else:
+        try:
+            shm = shared_memory.SharedMemory(name=name, create=False)
+        except FileNotFoundError as exc:
+            raise PartitioningError(f"no shared segment {name!r}") from exc
+        if shm.size < sizing.nbytes:
+            shm.close()
+            raise PartitioningError(
+                f"shared segment {name!r} holds {shm.size} bytes, its "
+                f"layout needs {sizing.nbytes}"
+            )
+    return shm, layout(_BufferArena(shm.buf), *args)
+
+
+def _cluster_layout(arena, n, cap_ids, n_workers):
+    """The Phase-1 clustering scratch: the degrees, then one slot per
+    worker with its live cluster-id count, ``v2c`` and volumes (the
+    snapshot its next window loads, then the export it leaves)."""
+    degrees = arena(n, np.int64)
+    slots = [
+        (arena(1, np.int64), arena(n, np.int64), arena(cap_ids, np.int64))
+        for _ in range(n_workers)
+    ]
+    return degrees, slots
+
+
+def _phase2_layout(arena, n_edges, n, k, alpha, n_workers, packed):
+    """The Phase-2 segment: the assignment array, the read-only inputs
+    ``(part, weights)`` (see :func:`~repro.kernels.base.phase2_inputs`)
+    and every worker's state view (replica plane, sizes, dirty bitmap)."""
+    assignments = arena(n_edges, np.int32)
+    inputs = (arena(n, np.int32), arena((n, 2), np.int64))
+    views = [
+        PartitionState(
+            n, k, n_edges, alpha,
+            allocator=arena, track_dirty=True, packed=packed,
+        )
+        for _ in range(n_workers)
+    ]
+    return assignments, inputs, views
+
+
 def default_start_method() -> str:
     """``fork`` where available (cheap, inherits the backend registry),
     else ``spawn``."""
@@ -727,14 +832,12 @@ class _WorkerPayload:
     """Once-per-process initialization shipped to every pool worker.
 
     Deliberately tiny — a stream spec plus scalars — so opening a session
-    is O(1) in ``|V|``; the Phase-2 inputs and every state view are
-    attached lazily from shared segments named in the task tuples.
+    is O(1) in ``|V|``; the clustering scratch and the Phase-2 segment
+    are attached lazily from the refs in the task tuples.
     """
 
     spec: object
-    n_edges: int
     k: int
-    alpha: float
     backend: str | None
     hash_seed: int
     hdrf_lambda: float
@@ -759,65 +862,21 @@ def _process_worker_init(payload: _WorkerPayload) -> None:
             "payload": payload,
             "stream": stream,
             "kernels": get_backend(payload.backend),
+            "segments": {},
         }
     except BaseException as exc:  # noqa: BLE001 - see docstring
         _WORKER = {"init_error": f"{type(exc).__name__}: {exc}"}
 
 
-def _attach_cluster(ref) -> dict:
-    """Map the Phase-1 clustering scratch segment (memoized per ref)."""
-    cached = _WORKER.get("cluster")
-    if cached is not None and cached["ref"] == ref:
-        return cached
-    from multiprocessing import shared_memory
-
-    name, n, cap_ids, n_workers = ref
-    shm = shared_memory.SharedMemory(name=name, create=False)
-    arena = _BufferArena(shm.buf)
-    degrees = arena(n, np.int64)
-    slots = []
-    for _ in range(n_workers):
-        header = arena(1, np.int64)
-        v2c = arena(n, np.int64)
-        vol = arena(cap_ids, np.int64)
-        slots.append((header, v2c, vol))
-    cached = {"ref": ref, "shm": shm, "degrees": degrees, "slots": slots}
-    _WORKER["cluster"] = cached
-    return cached
-
-
-def _attach_phase2(ref) -> dict:
-    """Map the Phase-2 segments (assignments, views, Phase-2 inputs)."""
-    cached = _WORKER.get("phase2")
-    if cached is not None and cached["ref"] == ref:
-        return cached
-    from multiprocessing import shared_memory
-
-    payload = _WORKER["payload"]
-    assign_name, state_names, phase1_name, n, packed = ref
-    assign_shm = shared_memory.SharedMemory(name=assign_name, create=False)
-    assignments = np.ndarray(
-        payload.n_edges, dtype=np.int32, buffer=assign_shm.buf
-    )
-    views = [
-        PartitionState.attach(
-            name, n, payload.k, payload.n_edges, payload.alpha,
-            track_dirty=True, packed=packed,
-        )
-        for name in state_names
-    ]
-    p1_shm = shared_memory.SharedMemory(name=phase1_name, create=False)
-    arena = _BufferArena(p1_shm.buf)
-    cached = {
-        "ref": ref,
-        "assign_shm": assign_shm,
-        "assignments": assignments,
-        "views": views,
-        "p1_shm": p1_shm,
-        "phase1": (arena(n, np.int32), arena((n, 2), np.int64)),
-    }
-    _WORKER["phase2"] = cached
-    return cached
+def _attached(ref):
+    """This worker's arrays over the segment ``ref = (name, layout,
+    args)``, mapped on first use; the mapping lives as long as the worker
+    (unlinking under it is safe on POSIX)."""
+    name, layout, args = ref
+    segments = _WORKER["segments"]
+    if name not in segments:
+        segments[name] = _map_segment(layout, args, name)
+    return segments[name][1]
 
 
 def _process_worker_task(task):
@@ -849,13 +908,11 @@ def _worker_cluster_window(task):
     """One Phase-1 clustering sync window against the shared scratch."""
     _, worker_index, start, stop, ref, cap = task
     ctx_globals = _WORKER
-    cluster = _attach_cluster(ref)
-    header, v2c_view, vol_view = cluster["slots"][worker_index]
+    degrees, slots = _attached(ref)
+    header, v2c_view, vol_view = slots[worker_index]
     kernels = ctx_globals["kernels"]
     n_ids = int(header[0])
-    st = kernels.clustering_load(
-        v2c_view, vol_view[:n_ids], cluster["degrees"]
-    )
+    st = kernels.clustering_load(v2c_view, vol_view[:n_ids], degrees)
     cost = CostCounter()
     window = _SubStream(ctx_globals["stream"], start, stop)
     kernels.clustering_true_pass(window, st, cap, cost)
@@ -876,16 +933,16 @@ def _worker_phase2_window(task):
     window's cost-counter delta for the parent to merge."""
     worker_index, pass_name, start, stop, ref = task
     payload = _WORKER["payload"]
-    phase2 = _attach_phase2(ref)
+    assignments, inputs, views = _attached(ref)
     return run_phase2_window(
         _WORKER["kernels"],
         pass_name,
         _WORKER["stream"],
         start,
         stop,
-        phase2["views"][worker_index],
-        phase2["phase1"],
-        phase2["assignments"][start:stop],
+        views[worker_index],
+        inputs,
+        assignments[start:stop],
         k=payload.k,
         hash_seed=payload.hash_seed,
         hdrf_lambda=payload.hdrf_lambda,
@@ -938,14 +995,13 @@ class _PoolTransport(Transport):
         self._timeout = runner.task_timeout
         self._pool = None
         self._stream_shm = None
-        self._assign_shm = None
-        self._assign_view = None
         self._cluster_shm = None
         self._cluster_ref = None
         self._slots = None
         self._cap = None
-        self._phase1_shm = None
+        self._phase2_shm = None
         self._phase2_ref = None
+        self._assignments = None
         self.views: list[PartitionState] = []
         self._closed = False
         try:
@@ -971,9 +1027,7 @@ class _PoolTransport(Transport):
         spec, self._stream_shm = _stream_spec(job.stream)
         payload = _WorkerPayload(
             spec=spec,
-            n_edges=int(job.stream.n_edges),
             k=job.k,
-            alpha=job.alpha,
             backend=job.backend,
             hash_seed=job.hash_seed,
             hdrf_lambda=job.hdrf_lambda,
@@ -984,14 +1038,6 @@ class _PoolTransport(Transport):
             initializer=_process_worker_init,
             initargs=(payload,),
         )
-
-    def _create_segment(self, nbytes: int):
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(create=True, size=max(nbytes, 1))
-        _LIVE_SEGMENTS.add(shm.name)
-        np.frombuffer(shm.buf, dtype=np.uint8)[:] = 0
-        return shm
 
     def _task(self, step, w, start, stop):
         if step == "degree":
@@ -1035,17 +1081,11 @@ class _PoolTransport(Transport):
     def open_clustering(self, degrees, cap, lone):
         job = self.job
         n = int(degrees.shape[0])
-        cap_ids = cluster_id_capacity(job.stream.n_edges, n)
-        self._cluster_shm = self._create_segment(
-            8 * (n + job.n_workers * (1 + n + cap_ids))
-        )
-        arena = _BufferArena(self._cluster_shm.buf)
-        arena(n, np.int64)[:] = degrees
-        self._slots = [
-            (arena(1, np.int64), arena(n, np.int64), arena(cap_ids, np.int64))
-            for _ in range(job.n_workers)
-        ]
-        self._cluster_ref = (self._cluster_shm.name, n, cap_ids, job.n_workers)
+        args = (n, cluster_id_capacity(job.stream.n_edges, n), job.n_workers)
+        shm, (shared_degrees, self._slots) = _map_segment(_cluster_layout, args)
+        self._cluster_shm = shm
+        self._cluster_ref = (shm.name, _cluster_layout, args)
+        shared_degrees[:] = degrees
         self._cap = cap
 
     def publish_clustering(self, v2c, volumes):
@@ -1061,11 +1101,9 @@ class _PoolTransport(Transport):
         # pool dies, and unlinking under live mappings is safe on POSIX.
         final = None
         if lone:
-            header, v2c_view, vol_view = self._slots[0]
-            final = (
-                np.array(v2c_view, dtype=np.int64, copy=True),
-                np.array(vol_view[: int(header[0])], dtype=np.int64, copy=True),
-            )
+            header, v2c, volumes = self._slots[0]
+            final = (v2c.copy(), volumes[: int(header[0])].copy())
+            del header, v2c, volumes  # no array may outlive the mapping
         self._slots = None
         scratch, self._cluster_shm = self._cluster_shm, None
         _release_segment(scratch)
@@ -1073,37 +1111,21 @@ class _PoolTransport(Transport):
 
     # -- Phase 2 -------------------------------------------------------
     def bind_phase2(self, lone):
+        # Even a lone worker gets its own view: the barrier merges it.
         job = self.job
-        m = int(job.assignments.shape[0])
-        self._assign_shm = self._create_segment(job.assignments.nbytes)
-        self._assign_view = np.ndarray(
-            m, dtype=np.int32, buffer=self._assign_shm.buf
+        state = job.state
+        args = (
+            state.n_edges, state.n_vertices, state.k, state.alpha,
+            job.n_workers, state.packed,
         )
-        self._assign_view[:] = job.assignments
-        for _ in range(job.n_workers):
-            view = PartitionState.from_shared(
-                job.state.n_vertices, job.k, job.state.n_edges, job.alpha,
-                track_dirty=True, packed=job.state.packed,
-            )
-            self.views.append(view)
-            _LIVE_SEGMENTS.add(view.shm_name)
-        # The read-only Phase-2 inputs (int32 part, int64 weights rows:
-        # 20 bytes per vertex) travel through ONE shared segment (the
-        # SharedArrayStreamSpec pattern): workers attach it lazily, so
-        # nothing O(|V|) is ever pickled per worker or per task.
-        n = int(job.state.n_vertices)
-        part_bytes = -(-4 * n // 8) * 8  # the weights rows align to 8 bytes
-        self._phase1_shm = self._create_segment(part_bytes + 16 * n)
-        arena = _BufferArena(self._phase1_shm.buf)
-        arena(n, np.int32)[:] = job.part
-        arena((n, 2), np.int64)[:] = job.weights
-        self._phase2_ref = (
-            self._assign_shm.name,
-            tuple(view.shm_name for view in self.views),
-            self._phase1_shm.name,
-            n,
-            bool(job.state.packed),
+        shm, (self._assignments, (part, weights), self.views) = _map_segment(
+            _phase2_layout, args
         )
+        self._phase2_shm = shm
+        self._phase2_ref = (shm.name, _phase2_layout, args)
+        self._assignments[:] = job.assignments
+        part[:] = job.part
+        weights[:] = job.weights
 
     def barrier(self, step):
         return self.kernels.merge_phase2_deltas(self.job.state, self.views)
@@ -1111,7 +1133,7 @@ class _PoolTransport(Transport):
     def finalize(self) -> None:
         # The barrier already synchronized the global state after the
         # last sweep; only the assignments live solely in shared memory.
-        self.job.assignments[:] = self._assign_view
+        self.job.assignments[:] = self._assignments
 
     def close(self) -> None:
         if self._closed:
@@ -1120,25 +1142,14 @@ class _PoolTransport(Transport):
         if self._pool is not None:
             pool, self._pool = self._pool, None
             self._shutdown_pool(pool)
-        self._assign_view = None
-        self._slots = None
-        for shm in (
-            self._assign_shm,
-            self._stream_shm,
-            self._cluster_shm,
-            self._phase1_shm,
-        ):
+        # Every array over a mapping goes before the mapping closes.
+        self._slots = self._assignments = None
+        self.views = []
+        segments = (self._stream_shm, self._cluster_shm, self._phase2_shm)
+        self._stream_shm = self._cluster_shm = self._phase2_shm = None
+        for shm in segments:
             if shm is not None:
                 _release_segment(shm)
-        self._assign_shm = None
-        self._stream_shm = None
-        self._cluster_shm = None
-        self._phase1_shm = None
-        views, self.views = self.views, []
-        for view in views:
-            _LIVE_SEGMENTS.discard(view.shm_name)
-            view.close()
-            view.unlink()
 
     @staticmethod
     def _shutdown_pool(pool) -> None:

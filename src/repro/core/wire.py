@@ -65,10 +65,6 @@ MAGIC = b"2PSW"
 _HEADER = struct.Struct("!4sBBHII")
 HEADER_BYTES = _HEADER.size
 
-#: Hard ceiling on one frame's payload; a corrupt length field must not
-#: make the receiver try to allocate petabytes.
-MAX_PAYLOAD_BYTES = 1 << 32
-
 # ---------------------------------------------------------------------
 # message types
 # ---------------------------------------------------------------------
@@ -255,6 +251,11 @@ class Connection:
     # -- sending -------------------------------------------------------
     def send(self, msg_type: int, fields: dict | None = None) -> int:
         payload = encode_payload(fields)
+        if len(payload) > 0xFFFFFFFF:  # ``payload_len`` holds 4 bytes
+            raise WireError(
+                f"payload of {len(payload)} bytes for {self.label} exceeds "
+                "the frame's 4-byte length field"
+            )
         header = _HEADER.pack(
             MAGIC, msg_type, 0, 0, len(payload), zlib.crc32(payload)
         )
@@ -300,10 +301,6 @@ class Connection:
         if magic != MAGIC:
             raise WireError(
                 f"bad frame magic from {self.label}: {magic!r}"
-            )
-        if length > MAX_PAYLOAD_BYTES:  # pragma: no cover - corrupt len
-            raise WireError(
-                f"oversized frame from {self.label}: {length} bytes"
             )
         payload = self._recv_exact(length) if length else b""
         if zlib.crc32(payload) != crc:

@@ -68,8 +68,9 @@ the cluster mapping, and checks those arrays once (every cluster id in
 ``[-1, len(c2p))``, every partition in ``[0, k)``, agreeing lengths, a
 positive degree for every clustered vertex); a miss is a
 :class:`~repro.errors.PartitioningError`.  Every runner ships the two
-arrays as they are: the pool's shared segment holds 20 bytes per
-vertex, the socket transport sends them in its bind message.
+arrays as they are: the process runner's one Phase-2 segment holds them
+(20 bytes per vertex) beside the assignment array and the worker views,
+the socket transport sends them in its bind message.
 
 Reading them, a pass gathers one partition id and one ``weights`` row
 per endpoint.  The skip test ``part[u] == part[v]`` is Algorithm 2's

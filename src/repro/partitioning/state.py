@@ -6,29 +6,14 @@ current edge count of every partition.  The *hard* balance cap
 ``alpha * |E| / k`` (Section III-B, Step 3: "We enforce a hard balancing
 cap") is owned by this class so every partitioner enforces it identically.
 
-Shared-memory lifecycle
------------------------
-The two mutable arrays (``replicas``, ``sizes``) are obtained through a
-pluggable allocator, so the same state can live on the heap (the default,
-plain ``np.zeros``) or inside one ``multiprocessing.shared_memory`` segment
-that several processes map at once.  The contract:
-
-- The *creator* calls :meth:`PartitionState.from_shared`, hands the segment
-  name (:attr:`shm_name`) to other processes, and — once every consumer is
-  done — calls :meth:`close` (drop this process's mapping) and exactly one
-  :meth:`unlink` (remove the segment from the system).  A segment that is
-  never unlinked leaks until reboot; the ``resource_tracker`` warns about
-  it at interpreter shutdown.
-- Every *attacher* calls :meth:`PartitionState.attach` with identical
-  dimensions and calls :meth:`close` when done (never :meth:`unlink`).
-- :meth:`close` invalidates ``replicas``/``sizes``; any outside reference
-  to those arrays must be dropped first (``close`` raises ``BufferError``
-  otherwise, by design — a mapped view outliving its segment is a bug).
-- Unlinking while attachers still hold mappings is safe on POSIX: the name
-  disappears but the memory survives until the last ``close``.
-
-Heap-backed states ignore ``close``/``unlink`` (both are no-ops), so
-generic code can run the full lifecycle unconditionally.
+Where the arrays live
+---------------------
+The mutable arrays (``replicas``, ``sizes`` and the optional ``dirty``
+bitmap) come from a pluggable allocator: ``np.zeros`` on the heap by
+default, or any ``callable(shape, dtype)`` that returns zero-filled
+arrays.  The process runner (:mod:`repro.core.runners`) passes one that
+carves its worker views out of a shared-memory segment it owns; this
+class keeps no segment and knows nothing of their lifecycle.
 
 Dirty-row delta barriers
 ------------------------
@@ -60,8 +45,8 @@ The wrapper speaks the same indexing dialect the kernels use on the dense
 matrix (scalar/fancy boolean reads, ``= True`` scalar/fancy writes with
 duplicate collapse, dense row gathers, dense row assignment, axis sums,
 ``__array__`` for whole-matrix comparison), so packed state drops into
-every backend, runner, and the shared-memory machinery unchanged — and the
-differential harness pins packed-vs-dense bit-exactness end to end.  Merge
+every backend and runner unchanged — and the differential harness pins
+packed-vs-dense bit-exactness end to end.  Merge
 barriers OR raw uint8 rows directly (``np.bitwise_or`` is a logical OR on
 bools and a byte OR on packed rows, so one code path serves both), and
 the per-edge loops test and set single bits in the raw storage of either
@@ -76,29 +61,6 @@ import math
 import numpy as np
 
 from repro.errors import BalanceError, PartitioningError
-
-
-class _BufferArena:
-    """Sequential, alignment-respecting array allocator over one buffer.
-
-    Hands out ndarray views over consecutive (aligned) slices of ``buf``.
-    Creator and attachers of a shared segment allocate in the same order
-    with the same shapes, so their views land on identical offsets.
-    """
-
-    __slots__ = ("_buf", "_offset")
-
-    def __init__(self, buf) -> None:
-        self._buf = buf
-        self._offset = 0
-
-    def __call__(self, shape, dtype) -> np.ndarray:
-        dt = np.dtype(dtype)
-        align = max(int(dt.alignment), 1)
-        offset = -(-self._offset // align) * align
-        arr = np.ndarray(shape, dtype=dt, buffer=self._buf, offset=offset)
-        self._offset = offset + arr.nbytes
-        return arr
 
 
 def packed_row_bytes(k: int) -> int:
@@ -331,18 +293,15 @@ class PartitionState:
 
     allocator:
         Optional ``callable(shape, dtype) -> ndarray`` producing the
-        state arrays *zero-filled*.  ``None`` (the default) allocates on
-        the heap with ``np.zeros``.  :meth:`from_shared`/:meth:`attach`
-        pass a :class:`_BufferArena` over a shared-memory segment.
+        state arrays *zero-filled*, in the order replicas, sizes, dirty.
+        ``None`` (the default) allocates on the heap with ``np.zeros``.
     track_dirty:
         When True, allocate the per-row dirty bitmap used by the delta
-        barriers (see the module docstring); creators and attachers of a
-        shared segment must agree on it (it changes the segment layout).
+        barriers (see the module docstring).
     packed:
         When True, store the replication matrix bit-packed
         (:class:`PackedReplicaMatrix`, ``ceil(k/8)`` bytes per row) instead
-        of dense bool.  Bit-exact with dense by contract; creators and
-        attachers of a shared segment must agree on it (layout).
+        of dense bool.  Bit-exact with dense by contract.
 
     Raises
     ------
@@ -376,7 +335,7 @@ class PartitionState:
         self.capacity = max(
             int(math.floor(alpha * n_edges / k)), int(math.ceil(n_edges / k))
         )
-        #: Whether the replica matrix is bit-packed (segment-layout flag).
+        #: Whether the replica matrix is bit-packed.
         self.packed = bool(packed)
         alloc = np.zeros if allocator is None else allocator
         if packed:
@@ -389,145 +348,6 @@ class PartitionState:
         self.sizes = alloc(self.k, np.int64)
         #: Dirty-row bitmap for delta barriers (``None`` when untracked).
         self.dirty = alloc(self.n_vertices, bool) if track_dirty else None
-        self._shm = None
-        self._owns_segment = False
-
-    # ------------------------------------------------------------------
-    # shared-memory lifecycle (see the module docstring for the contract)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def shared_nbytes(
-        n_vertices: int,
-        k: int,
-        track_dirty: bool = False,
-        packed: bool = False,
-    ) -> int:
-        """Segment size for a shared state of these dimensions."""
-        row_bytes = packed_row_bytes(k) if packed else int(k)
-        replicas = int(n_vertices) * row_bytes
-        aligned = -(-replicas // 8) * 8  # int64 alignment for ``sizes``
-        total = aligned + 8 * int(k)
-        if track_dirty:
-            total += int(n_vertices)
-        return max(total, 1)
-
-    @classmethod
-    def from_shared(
-        cls,
-        n_vertices: int,
-        k: int,
-        n_edges: int,
-        alpha: float = 1.05,
-        *,
-        name: str | None = None,
-        track_dirty: bool = False,
-        packed: bool = False,
-    ) -> "PartitionState":
-        """Create a state whose arrays live in a new shared-memory segment.
-
-        The caller owns the segment: it must :meth:`close` *and*
-        :meth:`unlink` it (see the module docstring).  ``name`` picks the
-        segment name explicitly; ``None`` lets the OS choose one.
-        """
-        from multiprocessing import shared_memory
-
-        size = cls.shared_nbytes(n_vertices, k, track_dirty, packed)
-        shm = shared_memory.SharedMemory(name=name, create=True, size=size)
-        try:
-            np.frombuffer(shm.buf, dtype=np.uint8)[:] = 0
-            state = cls(
-                n_vertices, k, n_edges, alpha,
-                allocator=_BufferArena(shm.buf), track_dirty=track_dirty,
-                packed=packed,
-            )
-        except BaseException:
-            shm.close()
-            shm.unlink()
-            raise
-        state._shm = shm
-        state._owns_segment = True
-        return state
-
-    @classmethod
-    def attach(
-        cls,
-        name: str,
-        n_vertices: int,
-        k: int,
-        n_edges: int,
-        alpha: float = 1.05,
-        *,
-        track_dirty: bool = False,
-        packed: bool = False,
-    ) -> "PartitionState":
-        """Map an existing shared segment created by :meth:`from_shared`.
-
-        Dimensions (including ``track_dirty`` and ``packed``) must match
-        the creator's; the attacher sees (and mutates) the creator's live
-        arrays.  Call :meth:`close` when done; never :meth:`unlink` from
-        an attacher.
-
-        Raises
-        ------
-        PartitioningError
-            If no segment ``name`` exists or it is too small for these
-            dimensions.
-        """
-        from multiprocessing import shared_memory
-
-        try:
-            shm = shared_memory.SharedMemory(name=name, create=False)
-        except FileNotFoundError as exc:
-            raise PartitioningError(
-                f"no shared partition-state segment {name!r}"
-            ) from exc
-        if shm.size < cls.shared_nbytes(n_vertices, k, track_dirty, packed):
-            shm.close()
-            raise PartitioningError(
-                f"shared segment {name!r} holds {shm.size} bytes, need "
-                f"{cls.shared_nbytes(n_vertices, k, track_dirty, packed)} "
-                f"for n={n_vertices}, k={k}"
-            )
-        state = cls(
-            n_vertices, k, n_edges, alpha,
-            allocator=_BufferArena(shm.buf), track_dirty=track_dirty,
-            packed=packed,
-        )
-        state._shm = shm
-        state._owns_segment = False
-        return state
-
-    @property
-    def shm_name(self) -> str | None:
-        """Shared segment name, or ``None`` for heap-backed state."""
-        return None if self._shm is None else self._shm.name
-
-    def close(self) -> None:
-        """Drop this process's mapping; ``replicas``/``sizes`` die with it.
-
-        No-op for heap-backed state.  Idempotent.  Outside references to
-        the state arrays must be released first (``BufferError`` results
-        otherwise).
-        """
-        if self._shm is None:
-            return
-        self.replicas = None
-        self.sizes = None
-        self.dirty = None
-        self._shm.close()
-
-    def unlink(self) -> None:
-        """Remove the shared segment from the system (creator only).
-
-        No-op for heap-backed state; tolerates a segment that is already
-        gone, so error-path cleanup can call it unconditionally.
-        """
-        if self._shm is None or not self._owns_segment:
-            return
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # already unlinked: cleanup paths race
-            pass
 
     # ------------------------------------------------------------------
     # assignment

@@ -198,6 +198,25 @@ class TestFraming:
         left.close()
         right.close()
 
+    def test_oversized_send_is_wire_error(self, monkeypatch):
+        """``payload_len`` holds 4 bytes, so a payload of 2**32 bytes or
+        more fails typed before anything is packed or sent (a stand-in
+        reports that length without allocating it)."""
+
+        class Huge(bytes):
+            def __len__(self):
+                return 1 << 32
+
+        monkeypatch.setattr(wire, "encode_payload", lambda fields: Huge())
+        left, right = _pair()
+        try:
+            with pytest.raises(WireError, match="4-byte length field"):
+                left.send(wire.MSG_OK)
+            assert left.bytes_sent == 0
+        finally:
+            left.close()
+            right.close()
+
 
 # ---------------------------------------------------------------------
 # handshake / version negotiation

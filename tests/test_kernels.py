@@ -236,6 +236,14 @@ class TestBackendEquivalence:
         algo=st.sampled_from([DBH, Grid, RandomHash]),
     )
     def test_stateless_bit_exact(self, backend, graph, k, chunk_size, algo):
+        if backend == "c":
+            # ``c`` inherits the reference's pass, so a run would compare
+            # the reference with itself.  Pin the inheritance instead: an
+            # override fails here until the comparison comes back for it.
+            from repro.kernels.c_backend import CBackend
+
+            assert CBackend.stateless_pass is PythonBackend.stateless_pass
+            return
         ref = algo(backend="python").partition(
             graph, k, chunk_size=chunk_size
         )

@@ -263,106 +263,6 @@ class TestPackedReplicaMatrix:
                 )
                 assert not pv.dirty.any()
 
-    def test_shared_packed_round_trip(self):
-        creator = PartitionState.from_shared(8, 11, 20, packed=True)
-        try:
-            attacher = PartitionState.attach(
-                creator.shm_name, 8, 11, 20, packed=True
-            )
-            creator.scatter_edges([0, 1], [2, 3], [8, 10])
-            assert attacher.replicas[0, 8] and attacher.replicas[3, 10]
-            assert attacher.sizes[8] == 1 and attacher.sizes[10] == 1
-            assert PartitionState.shared_nbytes(8, 11, packed=True) < (
-                PartitionState.shared_nbytes(8, 11)
-            )
-            attacher.close()
-        finally:
-            creator.close()
-            creator.unlink()
-
-
-class TestSharedMemoryState:
-    """from_shared / attach lifecycle (see the module docstring contract)."""
-
-    def test_heap_state_lifecycle_is_noop(self):
-        state = PartitionState(4, 2, 10)
-        assert state.shm_name is None
-        state.close()
-        state.unlink()  # both no-ops; arrays stay usable
-        state.scatter_edges([0], [1], [0])
-        assert state.sizes.tolist() == [1, 0]
-
-    def test_attacher_sees_creator_writes(self):
-        creator = PartitionState.from_shared(8, 4, 20, alpha=1.2)
-        try:
-            assert creator.shm_name is not None
-            attacher = PartitionState.attach(creator.shm_name, 8, 4, 20, 1.2)
-            creator.scatter_edges([0], [1], [2])
-            attacher.scatter_edges([3], [4], [1])
-            # both mutations visible through both mappings
-            assert creator.sizes.tolist() == [0, 1, 1, 0]
-            assert attacher.sizes.tolist() == [0, 1, 1, 0]
-            assert attacher.replicas[0, 2] and creator.replicas[3, 1]
-            assert creator.capacity == attacher.capacity
-            attacher.close()
-        finally:
-            creator.close()
-            creator.unlink()
-
-    def test_from_shared_starts_zeroed(self):
-        state = PartitionState.from_shared(16, 3, 30)
-        try:
-            assert not state.replicas.any()
-            assert state.sizes.tolist() == [0, 0, 0]
-        finally:
-            state.close()
-            state.unlink()
-
-    def test_attach_unknown_name_raises(self):
-        with pytest.raises(PartitioningError, match="no shared"):
-            PartitionState.attach("repro-no-such-segment", 4, 2, 10)
-
-    def test_attach_after_unlink_raises(self):
-        creator = PartitionState.from_shared(4, 2, 10)
-        name = creator.shm_name
-        creator.close()
-        creator.unlink()
-        with pytest.raises(PartitioningError):
-            PartitionState.attach(name, 4, 2, 10)
-
-    def test_attach_rejects_undersized_segment(self):
-        creator = PartitionState.from_shared(4, 2, 10)
-        try:
-            with pytest.raises(PartitioningError, match="holds"):
-                PartitionState.attach(creator.shm_name, 4096, 64, 10)
-        finally:
-            creator.close()
-            creator.unlink()
-
-    def test_close_and_unlink_are_idempotent(self):
-        state = PartitionState.from_shared(4, 2, 10)
-        state.close()
-        state.close()
-        state.unlink()
-        state.unlink()
-
-    def test_attacher_never_unlinks(self):
-        creator = PartitionState.from_shared(4, 2, 10)
-        try:
-            attacher = PartitionState.attach(creator.shm_name, 4, 2, 10)
-            attacher.close()
-            attacher.unlink()  # must be a no-op for non-owners
-            again = PartitionState.attach(creator.shm_name, 4, 2, 10)
-            again.close()
-        finally:
-            creator.close()
-            creator.unlink()
-
-    def test_shared_nbytes_aligns_sizes(self):
-        # replicas bytes rounded up to int64 alignment, then k sizes
-        assert PartitionState.shared_nbytes(3, 3) == 16 + 24
-        assert PartitionState.shared_nbytes(0, 2) == max(0 + 16, 1)
-
 
 class TestReplicaDeltaBarriers:
     """Property tests for the dirty-row delta barrier (ISSUE 4 satellite):
@@ -473,22 +373,6 @@ class TestReplicaDeltaBarriers:
         untracked = PartitionState(8, 2, 10)
         assert untracked.dirty is None
         untracked.mark_dirty(np.array([1]))  # no-op by contract
-
-    def test_shared_segment_round_trips_dirty_bitmap(self):
-        creator = PartitionState.from_shared(6, 2, 10, track_dirty=True)
-        try:
-            attacher = PartitionState.attach(
-                creator.shm_name, 6, 2, 10, track_dirty=True
-            )
-            attacher.mark_dirty(np.array([2, 4]))
-            assert creator.dirty[[2, 4]].all()
-            assert PartitionState.shared_nbytes(6, 2, True) == (
-                PartitionState.shared_nbytes(6, 2) + 6
-            )
-            attacher.close()
-        finally:
-            creator.close()
-            creator.unlink()
 
 
 class TestWireDeltaBarriers:
