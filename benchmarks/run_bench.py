@@ -56,9 +56,9 @@ Exit status is non-zero unless every gate passes:
   ``--n-workers``, with the same CPU-count skip rule, plus the
   bit-exactness gates (``n_workers=1`` == sequential, process ==
   simulated under the same schedule);
-- barrier-bytes gate (always enforced): the dirty-row delta barriers
-  must broadcast strictly fewer replica-matrix cells than the full
-  re-broadcast they replaced (``barrier_bytes`` section);
+- barrier-bytes gate (always enforced): the set-bit log barriers must
+  write strictly fewer replica-matrix cells than a full re-broadcast
+  (``barrier_bytes`` section);
 - distributed-runner gates (``distributed`` section of
   ``BENCH_parallel.json``): the socket-protocol runner over loopback
   workers must stay bit-identical with the simulated runner at
@@ -90,9 +90,10 @@ Exit status is non-zero unless every gate passes:
   remaining pass (>= 17.1x, 6x at smoke scale) and the 2PS-HDRF
   remaining pass (>= 65x, 10x at smoke scale) — plus, against
   ``python`` and bit-identical with it, the 2PS-L remaining pass over
-  hub-heavy R-MAT and the Phase-2 delta barrier op on dense and packed
-  state (``2**scale`` rows, two views, 41% of rows dirty, the traffic
-  of a two-worker run).
+  hub-heavy R-MAT and the Phase-2 barrier op (``apply_replica_log``)
+  on dense and packed state (``2**scale`` rows, the global state and
+  two views, logs that touch 41% of the rows, the traffic of a
+  two-worker run).
   The gate **records-but-skips** when ``c`` is unavailable (no working C
   compiler), so compiler-free environments keep an authoritative BENCH
   file without a red gate;
@@ -148,7 +149,7 @@ from repro.core import ParallelTwoPhase, TwoPhasePartitioner
 from repro.core.runners import live_shared_segments
 from repro.graph.generators import rmat_edge_file, rmat_graph
 from repro.kernels import DEFAULT_BACKEND, available_backends, get_backend
-from repro.partitioning.state import PartitionState, _replica_storage
+from repro.partitioning.state import PartitionState, _replica_plane
 from repro.streaming import FileEdgeStream, InMemoryEdgeStream
 
 #: Measured Phase-2 speedup the process runner must reach at --n-workers
@@ -229,29 +230,26 @@ C_SMOKE_GATES = {
     "2pshdrf": {"partitioning": 10.0},
 }
 
-#: c-vs-python speedups of the Phase-2 delta barrier op
-#: (``merge_phase2_deltas``) per replica layout, on ``2**scale`` rows
-#: at k=32 with two views, each barrier on a fresh fixture.  Set
-#: against the numpy backend, which ran python's merge, so they read
-#: against python at the same values.  The full thresholds sit at
+#: c-vs-python speedups of the Phase-2 barrier op
+#: (``apply_replica_log``) per replica layout, on ``2**scale`` rows at
+#: k=32: one barrier applies two views' set-bit logs to the global state
+#: and to both views, each barrier on a fresh fixture.  The thresholds
+#: are those of the dirty-row merge this op replaced, which were set
+#: against the numpy backend (it ran python's merge): the full ones at
 #: about 80% of the lowest of three full-scale readings, each the best
 #: of several barriers per side (dense 4.30x, 2.95x and 4.55x; packed
 #: 5.83x, 7.13x and 5.15x); the smoke ones at about half of two smoke
-#: readings (2.6-3.2x), since a 4,096-row barrier lasts well under a
-#: millisecond.
+#: readings (2.6-3.2x).
 C_BARRIER_GATES = {"dense": 2.3, "packed": 4.2}
 C_BARRIER_SMOKE_GATES = {"dense": 1.5, "packed": 1.5}
 
-#: Barriers one run of the barrier row merges, each on a fresh fixture,
-#: its seconds their sum: a full-scale barrier lasts about a millisecond,
-#: short enough for host noise to swing one reading.  With one merge per
-#: run the packed gate's median of 3 rounds read 3.8x (rounds 5.2x, 3.2x
-#: and 3.8x) in one of two full runs; eight merges per run read
-#: 4.95-5.30x over 8 trials of the row alone (one merge: 4.48-5.51x).
+#: Barriers one run of the barrier row applies, each on a fresh fixture,
+#: its seconds their sum: one barrier lasts well under a millisecond,
+#: short enough for host noise to swing one reading.
 BARRIER_MERGES = 8
 
-#: Union share of rows the barrier row's two views mark dirty: a traced
-#: two-worker run (``sharded-2w``, seed 1) merged 40.8% of its rows per
+#: Share of rows the barrier row's two logs touch: a traced two-worker
+#: run (``sharded-2w``, seed 1) wrote into 40.8% of its rows per
 #: barrier.
 BARRIER_DIRTY_SHARE = 0.41
 
@@ -512,77 +510,68 @@ def skipped_gate(threshold, reason: str) -> dict:
 
 
 def barrier_fixture(n: int, k: int, packed: bool, seed: int):
-    """The global state and two worker views of one Phase-2 barrier,
-    built afresh from ``seed`` on every call.
+    """The global state, two worker views and their set-bit logs of one
+    Phase-2 barrier, built afresh from ``seed`` on every call.
 
-    All three start from the same random replica bits and sizes; each
-    view then writes one replica bit into, and marks dirty, a random
-    share of the rows chosen so that :data:`BARRIER_DIRTY_SHARE` of them
-    are dirty in some view.  View sizes run ahead of the global ones, as
-    after a window.
+    All three states start from the same random replica bits; each view
+    then sets one bit in a random share of the rows, chosen so that
+    :data:`BARRIER_DIRTY_SHARE` of the rows get a bit from some view,
+    and logs each one that was clear.
     """
     rng = np.random.default_rng(seed)
     rows, cols = np.nonzero(rng.random((n, k)) < 0.05)
-    sizes = rng.integers(0, 16 * n // k, size=k)
     share = 1.0 - (1.0 - BARRIER_DIRTY_SHARE) ** 0.5
     states = []
-    for view in (False, True, True):
-        st = PartitionState(n, k, 16 * n, packed=packed, track_dirty=view)
+    for _ in range(3):
+        st = PartitionState(n, k, 16 * n, packed=packed)
         st.replicas[rows, cols] = True
-        st.sizes[:] = sizes
-        if view:
-            dirty = np.flatnonzero(rng.random(n) < share)
-            st.replicas[dirty, rng.integers(0, k, size=dirty.size)] = True
-            st.dirty[dirty] = True
-            st.sizes += rng.integers(0, 2 * dirty.size // k + 1, size=k)
         states.append(st)
-    return states[0], states[1:]
-
-
-def state_bytes(states) -> list[bytes]:
-    """Replica plane, sizes and dirty bitmap of each state, as bytes."""
-    return [
-        part
-        for st in states
-        for part in (
-            _replica_storage(st.replicas).tobytes(),
-            st.sizes.tobytes(),
-            b"" if st.dirty is None else st.dirty.tobytes(),
-        )
-    ]
+    logs = []
+    for view in states[1:]:
+        touched = np.flatnonzero(rng.random(n) < share)
+        ps = rng.integers(0, k, size=touched.size)
+        fresh = ~np.asarray(view.replicas[touched, ps])
+        view.replicas[touched, ps] = True
+        logs.append(touched[fresh] * k + ps[fresh])
+    return states[0], states[1:], logs
 
 
 def barrier_run(backend: str, fixture):
     """A run of :func:`interleaved_rounds`: :data:`BARRIER_MERGES`
-    ``merge_phase2_deltas`` calls, each on a fresh
-    ``barrier_fixture(*fixture)``, timed together as ``merge``; its
-    result is the last merge's row count and every state's bytes after
-    it."""
+    barriers, each joining a fresh ``barrier_fixture(*fixture)``'s logs
+    once and applying them to its global state and both views with
+    ``apply_replica_log``, as the runners' barrier does, timed together
+    as ``merge``; its result is the last barrier's cell count and every
+    state's replica plane after it."""
     kernels = get_backend(backend)
 
     def run():
         seconds = 0.0
         for _ in range(BARRIER_MERGES):
-            state, views = barrier_fixture(*fixture)
+            state, views, logs = barrier_fixture(*fixture)
             start = time.perf_counter()
-            rows = kernels.merge_phase2_deltas(state, views)
+            cells = np.concatenate(logs)
+            for target in (state, *views):
+                kernels.apply_replica_log(target, [cells])
             seconds += time.perf_counter() - start
-        return (rows, *state_bytes([state, *views])), {"merge": seconds}
+        planes = [_replica_plane(st.replicas)[0].tobytes() for st in (state, *views)]
+        return (sum(len(log) for log in logs), *planes), {"merge": seconds}
 
     return run
 
 
 def run_barrier_rows(args, scale: int, smoke: bool, rounds: int):
     """The Phase-2 barrier op, c against python, dense and packed, the
-    two backends of each layout in shared rounds, their merged states
+    two backends of each layout in shared rounds, their planes
     byte-identical in every round.  Returns ``(record, gates)``."""
     thresholds = C_BARRIER_SMOKE_GATES if smoke else C_BARRIER_GATES
     n = 1 << scale
     record = {
+        "op": "apply_replica_log",
         "n_rows": n,
         "k": args.k,
         "views": 2,
-        "dirty_share": BARRIER_DIRTY_SHARE,
+        "touched_share": BARRIER_DIRTY_SHARE,
         "merges_per_run": BARRIER_MERGES,
         "rounds": rounds,
     }
@@ -594,10 +583,10 @@ def run_barrier_rows(args, scale: int, smoke: bool, rounds: int):
             {b: barrier_run(b, fixture) for b in ("python", "c")},
             rounds,
         )
-        rows = int(results["c"][0])
-        record[layout] = {"rows_merged": rows}
+        cells = int(results["c"][0])
+        record[layout] = {"cells_logged": cells}
         gates[f"phase2_barrier.{layout}"] = ratio_gate(
-            f"c phase-2 barrier ({layout}, {rows:,} of {n:,} rows)",
+            f"c phase-2 barrier ({layout}, {cells:,} logged cells, {n:,} rows)",
             times,
             "python",
             "c",
@@ -844,14 +833,12 @@ def run_parallel_wallclock(
     (enforced only on hosts with at least ``n_workers`` usable CPUs), and
     the distributed runner's Phase-2 speedup (enforced only on hosts with
     >= 2 usable CPUs).  The ``c`` twins record the same ratios, ungated.
-    Always enforced: the Phase-2 delta barriers merge strictly fewer
-    replica cells than a full re-broadcast, and the distributed barriers
-    ship strictly fewer replica-plane bytes than a full-state
-    re-broadcast (the plane component is compared, because at small
-    ``k`` the 8-byte row *indices* of the delta encoding can outweigh
-    the rows themselves; the recorded ``barrier_delta_bytes`` is the
-    honest total including indices and sizes).  Returns True when every
-    applicable gate passes.
+    Always enforced: the Phase-2 barriers' set-bit logs write strictly
+    fewer replica cells than a full re-broadcast, and the distributed
+    barriers ship strictly fewer replica-plane bytes (the logs, 8 bytes
+    a cell) than a full-state re-broadcast (the recorded
+    ``barrier_delta_bytes`` also counts the sizes).  Returns True when
+    every applicable gate passes.
     """
     from repro.core.distributed import live_connections, live_worker_processes
 
@@ -959,16 +946,16 @@ def run_parallel_wallclock(
         )
         return {"available": True, **record, "bit_exact_with_python": True}
 
-    # Barrier-bytes gate (always enforced): the dirty-row delta barriers
-    # must broadcast strictly less than a full replica-matrix
-    # re-broadcast.  Recorded in the payload either way so a failing run
-    # still leaves an authoritative BENCH file.
+    # Barrier-bytes gate (always enforced): the set-bit log barriers
+    # must write strictly less than a full replica-matrix re-broadcast.
+    # Recorded in the payload either way so a failing run still leaves
+    # an authoritative BENCH file.
     process, phase1 = results["process"], results["process_phase1"]
     barrier_bytes = process.extras["barrier_bytes"]
     barrier_bytes_full = process.extras["barrier_bytes_full"]
     barrier_ok = 0 < barrier_bytes < barrier_bytes_full
     print(
-        f"  delta barriers: {barrier_bytes:,} replica cells merged vs "
+        f"  log barriers: {barrier_bytes:,} replica cells written vs "
         f"{barrier_bytes_full:,} full re-broadcast "
         + (
             f"({barrier_bytes_full / barrier_bytes:.1f}x reduction)"
@@ -982,7 +969,7 @@ def run_parallel_wallclock(
     wire_ok = 0 < plane < full
     print(
         f"  distributed barriers: {wire_stats['barrier_delta_bytes']:,} "
-        f"delta bytes on the wire (plane component {plane:,}) vs "
+        f"bytes on the wire (logs {plane:,}) vs "
         f"{full:,} full re-broadcast "
         + (f"({full / plane:.1f}x plane reduction)" if wire_ok else "(gate FAILED)")
     )
@@ -1029,7 +1016,7 @@ def run_parallel_wallclock(
             "single_worker_matches_sequential": True,
         },
         "distributed": {
-            "benchmark": "distributed runner (sync-window/delta-barrier "
+            "benchmark": "distributed runner (sync-window/set-bit-log barrier "
             "protocol over loopback sockets)",
             "n_workers": args.n_workers,
             "syncs": results["distributed"].extras["syncs"],
@@ -1054,6 +1041,11 @@ def run_parallel_wallclock(
         "single_worker_matches_sequential": True,
         "leaked_segments": 0,
     }
+    # Readings taken outside this bench (a change measured against its
+    # parent commit, which this code cannot run) survive a regeneration.
+    if os.path.exists(out):
+        with open(out) as fh:
+            payload["recorded"] = json.load(fh).get("recorded", {})
     with open(out, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=False)
         fh.write("\n")

@@ -11,11 +11,15 @@ connect back — or against pre-started worker servers named by
 Why this transport is bit-exact with the simulated and process runners
 is stated with the equivalence contract in :mod:`repro.core.runners`.
 On the wire, a Phase-2 window returns its assignment slice, its cost
-delta and the worker's dirty replica rows
-(:func:`~repro.partitioning.state.extract_replica_delta`); the barrier
-folds those with
-:func:`~repro.partitioning.state.merge_replica_wire_deltas` and
-broadcasts one refresh every worker acknowledges before the next sweep.
+delta, the worker's sizes and its set-bit log (every replica bit the
+window set that was clear in the worker's view; see
+:class:`~repro.kernels.base.ReplicaLog`).  The coordinator checks each
+log's type and length against its window, and the barrier sets the
+logged bits in the global state with the kernel op
+``apply_replica_log``, which checks every entry before it writes, merges
+sizes with :func:`~repro.core.runners.merge_sizes`, and broadcasts the
+logs and the merged sizes; each worker applies them to its view and
+acknowledges before the next sweep.
 A Phase-1 clustering window carries the merged snapshot it loads from,
 except for a lone worker, which keeps one live clustering state
 worker-side until ``CLUSTER_FINISH``.
@@ -55,19 +59,15 @@ from repro.core.runners import (
     _stream_spec,
     _SubStream,
     check_start_method,
-    default_start_method,
+    merge_sizes,
+    mp_context,
     run_phase2_window,
 )
 from repro.errors import ConfigurationError, PartitioningError, WireError
 from repro.kernels import get_backend
+from repro.kernels.base import ReplicaLog, log_cells
 from repro.metrics.runtime import CostCounter
-from repro.partitioning.state import (
-    PartitionState,
-    apply_replica_refresh,
-    extract_replica_delta,
-    merge_replica_wire_deltas,
-    packed_row_bytes,
-)
+from repro.partitioning.state import PartitionState, packed_row_bytes
 from repro.streaming.stream import (
     FileStreamSpec,
     spec_from_wire,
@@ -194,9 +194,9 @@ def _w_bind(ctx, payload):
         ctx["k"],
         ctx["n_edges"],
         ctx["alpha"],
-        track_dirty=True,
         packed=bool(payload["packed"]),
     )
+    ctx["log"] = ReplicaLog(int(payload["log_capacity"]))
     ctx["phase1"] = (
         np.asarray(payload["part"], dtype=np.int32),
         np.asarray(payload["weights"], dtype=np.int64),
@@ -218,27 +218,27 @@ def _w_window(ctx, payload):
         start,
         stop,
         view,
+        ctx["log"],
         ctx["phase1"],
         assignments,
         k=ctx["k"],
         hash_seed=ctx["hash_seed"],
         hdrf_lambda=ctx["hdrf_lambda"],
     )
-    rows, rows_data, sizes = extract_replica_delta(view)
     return wire.MSG_WINDOW_RESULT, {
         "total": total,
         "cost": np.asarray(cost, dtype=np.int64),
         "assignments": assignments,
-        "rows": rows,
-        "rows_data": np.asarray(rows_data),
-        "sizes": sizes,
+        "log": ctx["log"].entries(),
+        "sizes": view.sizes,
     }
 
 
 def _w_barrier(ctx, payload):
-    apply_replica_refresh(
-        ctx["view"], payload["rows"], payload["rows_data"], payload["sizes"]
-    )
+    view = ctx["view"]
+    ctx["kernels"].apply_replica_log(view, [payload["log"]])
+    view.sizes[:] = np.asarray(payload["sizes"], dtype=np.int64)
+    ctx["log"].clear()
     return wire.MSG_BARRIER_ACK, None
 
 
@@ -413,7 +413,9 @@ class _SocketTransport(Transport):
         self._row_bytes = 0
         self._lone = False
         self._snapshot = None
-        self._deltas: list = []
+        self._logs: list = []
+        self._sizes: list = []
+        self._log_capacity = 0
         self._closed = False
         self.wire_barrier_delta_bytes = 0
         self.wire_barrier_plane_bytes = 0
@@ -427,6 +429,7 @@ class _SocketTransport(Transport):
     # -- bootstrap -----------------------------------------------------
     def _setup(self, runner: DistributedRunner) -> None:
         job = self.job
+        ctx = mp_context(runner.start_method) if runner.workers is None else None
         spec, self._stream_shm = _stream_spec(job.stream)
         if runner.workers is not None:
             if len(runner.workers) != job.n_workers:
@@ -442,7 +445,7 @@ class _SocketTransport(Transport):
                 )
             self._connect_workers(runner.workers)
         else:
-            self._spawn_loopback_workers(runner, job.n_workers)
+            self._spawn_loopback_workers(ctx, job.n_workers)
         for conn in self._conns:
             conn.settimeout(self._recv_timeout)
             try:
@@ -480,15 +483,12 @@ class _SocketTransport(Transport):
                 ) from exc
             self._track(wire.Connection(sock, label=label))
 
-    def _spawn_loopback_workers(self, runner, n_workers: int) -> None:
-        import multiprocessing as mp
-
+    def _spawn_loopback_workers(self, ctx, n_workers: int) -> None:
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.bind(("127.0.0.1", 0))
         self._listener.listen(n_workers)
         self._listener.settimeout(self._connect_timeout)
         address = self._listener.getsockname()[:2]
-        ctx = mp.get_context(runner.start_method or default_start_method())
         for _ in range(n_workers):
             proc = ctx.Process(
                 target=_loopback_worker_main, args=(address,), daemon=True
@@ -580,13 +580,24 @@ class _SocketTransport(Transport):
         if step == "clustering":
             export = None if self._lone else (payload["v2c"], payload["volumes"])
             return export, payload["cost"]
+        # Checked before the barrier touches the global state: a log is a
+        # 1-d int64 array of at most the 2 bits per edge a window sets,
+        # sizes k int64 counts.
+        log, sizes = payload.get("log"), payload.get("sizes")
+        if log_cells([log]).shape[0] > 2 * (stop - start):
+            raise PartitioningError(
+                f"distributed {step}: a window of {stop - start} edges "
+                f"logged {log.shape[0]} cells, more than the "
+                f"{2 * (stop - start)} bits it can set"
+            )
+        if getattr(sizes, "dtype", None) != np.int64 or sizes.shape != (self.job.k,):
+            raise PartitioningError(f"distributed {step}: malformed sizes")
         returned = payload["assignments"]
         np.copyto(
             self.job.assignments[start:stop], returned, where=returned >= 0
         )
-        self._deltas.append(
-            (payload["rows"], payload["rows_data"], payload["sizes"])
-        )
+        self._logs.append(log)
+        self._sizes.append(sizes)
         return int(payload["total"]), payload["cost"]
 
     # -- Phase 1 -------------------------------------------------------
@@ -611,11 +622,12 @@ class _SocketTransport(Transport):
         return result["v2c"], result["volumes"]
 
     # -- Phase 2 -------------------------------------------------------
-    def bind_phase2(self, lone):
+    def bind_phase2(self, lone, log_capacity):
         job = self.job
         self._row_bytes = (
             packed_row_bytes(job.k) if job.state.packed else int(job.k)
         )
+        self._log_capacity = log_capacity
         self._broadcast(
             wire.MSG_BIND,
             {
@@ -623,6 +635,7 @@ class _SocketTransport(Transport):
                 "packed": bool(job.state.packed),
                 "part": job.part,
                 "weights": job.weights,
+                "log_capacity": log_capacity,
             },
             wire.MSG_OK,
             "phase-2 bind",
@@ -631,25 +644,27 @@ class _SocketTransport(Transport):
     def barrier(self, step):
         job = self.job
         n = int(job.state.n_vertices)
-        deltas, self._deltas = self._deltas, []
-        rows, merged, new_sizes = merge_replica_wire_deltas(job.state, deltas)
+        logs, self._logs = self._logs, []
+        view_sizes, self._sizes = self._sizes, []
+        cells = log_cells(logs)
+        get_backend(job.backend).apply_replica_log(job.state, [cells])
+        sizes = merge_sizes(job.state, view_sizes)
         self._broadcast(
             wire.MSG_BARRIER,
-            {"rows": rows, "rows_data": merged, "sizes": new_sizes},
+            {"log": cells, "sizes": sizes},
             wire.MSG_BARRIER_ACK,
             f"{step} barrier",
         )
-        # Three views of barrier traffic: the full refresh payload
-        # (row indices + row planes + sizes), the replica-plane
-        # component alone, and what a full-state re-broadcast would
-        # have shipped (every plane row + sizes, no indices needed).
-        per_worker = rows.nbytes + merged.nbytes + new_sizes.nbytes
-        self.wire_barrier_delta_bytes += per_worker * job.n_workers
-        self.wire_barrier_plane_bytes += merged.nbytes * job.n_workers
+        # Three views of barrier traffic: the broadcast payload (the
+        # logs and the sizes), its replica-plane component (the logs),
+        # and what a full-state re-broadcast would have shipped (every
+        # plane row and the sizes).
+        self.wire_barrier_delta_bytes += (cells.nbytes + sizes.nbytes) * job.n_workers
+        self.wire_barrier_plane_bytes += cells.nbytes * job.n_workers
         self.wire_barrier_full_bytes += (
-            n * self._row_bytes + new_sizes.nbytes
+            n * self._row_bytes + sizes.nbytes
         ) * job.n_workers
-        return int(rows.size)
+        return int(cells.shape[0])
 
     # -- bookkeeping ---------------------------------------------------
     def wire_stats(self) -> dict:
@@ -668,11 +683,13 @@ class _SocketTransport(Transport):
         state = self.job.state
         if state is None:
             return 0
+        arena = _BufferArena()
         view = PartitionState(
             state.n_vertices, state.k, state.n_edges, state.alpha,
-            allocator=_BufferArena(), track_dirty=True, packed=state.packed,
+            allocator=arena, packed=state.packed,
         )
-        return self.job.n_workers * view.nbytes()
+        log = ReplicaLog(self._log_capacity, allocator=arena)
+        return self.job.n_workers * (view.nbytes() + log.nbytes)
 
     def close(self) -> None:
         if self._closed:

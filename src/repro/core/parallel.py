@@ -144,7 +144,6 @@ class ParallelTwoPhase(TwoPhasePartitioner):
             timer.totals.get("partitioning", 0.0)
         )
         wire_stats = session.transport.wire_stats()
-        k = session.job.k
         return {
             "n_workers": self.n_workers,
             "sync_interval": self.sync_interval,
@@ -156,13 +155,13 @@ class ParallelTwoPhase(TwoPhasePartitioner):
             "measured_wallclock": self.runner.measures_wallclock,
             "parallel_phase1": self.parallel_phase1,
             "phase1_syncs": phase1_syncs,
-            # Replica rows the Phase-2 delta barriers actually merged
-            # versus what full re-broadcast would have touched (bytes
-            # = rows * k replica-matrix cells).
-            "barrier_bytes": session.barrier_rows * k,
-            "barrier_bytes_full": session.barrier_full_rows * k,
+            # Replica cells the Phase-2 barriers' set-bit logs wrote
+            # versus the n * k cells a full re-broadcast would have
+            # written, summed over the barriers.
+            "barrier_bytes": session.barrier_cells,
+            "barrier_bytes_full": session.barrier_full_cells,
             # Distributed sessions also report actual socket traffic
-            # (frame bytes both ways, barrier delta vs what a full
+            # (frame bytes both ways, barrier logs vs what a full
             # state re-broadcast would have shipped).
             **({"wire": wire_stats} if wire_stats else {}),
         }

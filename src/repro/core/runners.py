@@ -47,13 +47,12 @@ every output bit:
   every transport runs a Phase-2 window through the one body
   :func:`run_phase2_window`, which reads it through ``_SubStream`` over
   the job's stream (pool and socket workers reopen it from its spec), so
-  chunk boundaries agree; socket barriers ship each worker's *dirty*
-  replica rows only, which is exact because a row clean in worker ``w``
-  equals the pre-merge global row (packed planes cross as raw bytes and
-  merge by byte-OR, dense rows as bool blocks); and socket assignment
-  slices merge where ``>= 0``, the two Phase-2 passes writing disjoint
-  positions.  ``simulated`` thereby doubles as the in-CI deterministic
-  twin of a multi-host run.
+  chunk boundaries agree; every transport's Phase-2 barrier sets the
+  bits of every worker's set-bit log with the one kernel op
+  ``apply_replica_log`` and merges sizes with :func:`merge_sizes`; and
+  socket assignment slices merge where ``>= 0``, the two Phase-2 passes
+  writing disjoint positions.  ``simulated`` thereby doubles as the
+  in-CI deterministic twin of a multi-host run.
 - With ``n_workers=1`` every runner is bit-exact with the sequential
   pipeline: a lone worker's view is never stale, so it keeps one live
   clustering state (no reload, no merge) and window boundaries are
@@ -77,16 +76,14 @@ success and error paths.
 
 Barrier cost
 ------------
-Phase-2 barriers use **dirty-row delta bitmaps**
-(:func:`repro.partitioning.state.merge_replica_deltas`): each worker view
-marks the endpoint rows of the windows it streams, and the barrier ORs
-and re-broadcasts only the union of dirty rows instead of the full
-``|V| x k`` replica matrix.  The in-process and pool transports run it
-as the kernel-backend op ``merge_phase2_deltas``, so on the ``c``
-backend it is one compiled pass over the rows; the socket transport
-folds wire deltas instead.  Sessions account the merged versus the
-hypothetical full row counts (``barrier_rows`` / ``barrier_full_rows``)
-so the saving is measurable end to end (``BENCH_parallel.json``).
+Phase-2 barriers cost O(bits set), not O(``|V|``): each Phase-2 loop
+appends every replica bit it sets that was clear in its worker's view to
+that worker's set-bit log (:class:`~repro.kernels.base.ReplicaLog`), and
+the barrier sets the logged bits in the global state and in every view
+with the kernel op ``apply_replica_log``.  Replica bits only ever go
+from 0 to 1, so this gives the same planes as OR-ing whole views.
+Sessions count the cells the logs wrote against the ``n * k`` cells of
+a full re-broadcast (``barrier_cells`` / ``barrier_full_cells``).
 
 Shared-memory lifecycle
 -----------------------
@@ -97,7 +94,7 @@ for the whole session, the Phase-1 clustering scratch from
 ``bind_phase2`` to ``close()`` holding the assignment array, the
 read-only Phase-2 inputs (``part`` and ``weights``, 20 bytes per vertex;
 see :func:`~repro.kernels.base.phase2_inputs`) and every worker's state
-view.  Each of the last two has one layout function over a
+view and set-bit log.  Each of the last two has one layout function over a
 :class:`_BufferArena`, run without a buffer to size the segment, by the
 parent to create it and by every worker to attach it, so no size or
 offset is written down twice.  Session *open* ships only a picklable
@@ -119,6 +116,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, PartitioningError
 from repro.kernels import TwoPhaseContext, get_backend
+from repro.kernels.base import ReplicaLog
 from repro.metrics.runtime import CostCounter
 from repro.partitioning.state import PartitionState
 from repro.streaming.stream import make_stream_spec
@@ -263,31 +261,6 @@ class _SubStream:
         return self._stream.window(self._start, self._stop, chunk_size)
 
 
-class _DirtyMarkingStream:
-    """Stream wrapper that marks every chunk's endpoint rows as dirty.
-
-    Wrapping the sync-window stream (instead of instrumenting every
-    replica write inside the kernels) is exact because each Phase-2 pass
-    only ever writes the replica rows of its window-edge endpoints — a
-    superset mark is always safe for the delta barrier.
-    """
-
-    __slots__ = ("_inner", "_state", "n_edges")
-
-    n_vertices = None
-
-    def __init__(self, inner, state: PartitionState) -> None:
-        self._inner = inner
-        self._state = state
-        self.n_edges = inner.n_edges
-
-    def chunks(self, chunk_size=None):
-        for chunk in self._inner.chunks(chunk_size):
-            if chunk.size:
-                self._state.mark_dirty(chunk.ravel())
-            yield chunk
-
-
 def _window_stream(stream, start: int, stop: int):
     """The ``[start, stop)`` window of ``stream``; a window covering the
     whole stream is the stream itself, so it streams as a full pass."""
@@ -303,6 +276,7 @@ def run_phase2_window(
     start: int,
     stop: int,
     view: PartitionState,
+    log: ReplicaLog | None,
     phase1: tuple,
     assignments: np.ndarray,
     *,
@@ -313,14 +287,13 @@ def run_phase2_window(
     """One Phase-2 sync window, the body every transport shares.
 
     Runs pass ``step`` of ``kernels`` over ``stream``'s ``[start, stop)``
-    window against the state ``view``, marking the window's endpoint rows
-    dirty when the view tracks dirt.  ``phase1`` is the read-only
-    ``(part, weights)`` pair; ``assignments`` is the window's slice.
-    Returns the pass total and the window's cost-counter delta.
+    window against the state ``view``, logging every bit it sets that
+    was clear in ``log`` (``None`` when the view is the global state).
+    ``phase1`` is the read-only ``(part, weights)`` pair; ``assignments``
+    is the window's slice.  Returns the pass total and the window's
+    cost-counter delta.
     """
     window = _window_stream(stream, start, stop)
-    if view.dirty is not None:
-        window = _DirtyMarkingStream(window, view)
     part, weights = phase1
     cost = CostCounter()
     ctx = TwoPhaseContext(
@@ -332,9 +305,38 @@ def run_phase2_window(
         hash_seed=hash_seed,
         cost=cost,
         hdrf_lambda=hdrf_lambda,
+        log=log,
     )
     out = getattr(kernels, PASS_METHODS[step])(window, ctx)
     return (0 if out is None else int(out)), astuple(cost)
+
+
+def merge_sizes(state: PartitionState, view_sizes) -> np.ndarray:
+    """The sizes half of every Phase-2 barrier: ``g + sum(view - g)``
+    into ``state`` and returned.  Workers assign disjoint edges, so the
+    deltas are disjoint; a stale view's overshoot of the cap is kept."""
+    merged = state.sizes.copy()
+    for sizes in view_sizes:
+        merged += sizes - state.sizes
+    state.sizes[:] = merged
+    return merged
+
+
+def apply_logs(kernels, state: PartitionState, views, logs) -> int:
+    """The Phase-2 barrier of a transport that holds every view: set the
+    bits of every log in ``state`` and of every other worker's log in
+    ``views[w]`` (``logs[w]``'s bits are set there already), merge
+    sizes, clear the logs.  Returns the cells logged."""
+    entries = [log.entries() for log in logs]
+    kernels.apply_replica_log(state, entries)
+    for w, view in enumerate(views):
+        kernels.apply_replica_log(view, entries[:w] + entries[w + 1 :])
+    merged = merge_sizes(state, [view.sizes for view in views])
+    for view in views:
+        view.sizes[:] = merged
+    for log in logs:
+        log.clear()
+    return sum(len(cells) for cells in entries)
 
 
 # ----------------------------------------------------------------------
@@ -365,14 +367,15 @@ class Transport(ABC):
     def close_clustering(self, lone: bool):
         """End Phase 1; returns the lone worker's ``(v2c, volumes)``."""
 
-    def bind_phase2(self, lone: bool) -> None:
-        """Allocate Phase-2 views once the job carries its arrays."""
+    def bind_phase2(self, lone: bool, log_capacity: int) -> None:
+        """Allocate Phase-2 views, and set-bit logs of ``log_capacity``
+        cells, once the job carries its arrays."""
 
     @abstractmethod
     def barrier(self, step: str) -> int | None:
-        """Phase-2 barrier: merge worker deltas into the global state and
-        refresh every view; returns the rows merged, ``None`` when the
-        lone view *is* the global state."""
+        """Phase-2 barrier: set every worker's logged bits in the global
+        state and every view and merge sizes; returns the cells logged,
+        ``None`` when the lone view *is* the global state."""
 
     def finalize(self) -> None:
         """Copy transport-held results back into the job (success path)."""
@@ -408,10 +411,10 @@ class RunnerSession:
         self.window = int(job.sync_interval) if sharded else max(m, 1)
         #: A lone shard's views are never stale (see the module docstring).
         self.lone = n_shards == 1
-        #: Rows merged by Phase-2 delta barriers / rows a full
-        #: re-broadcast would have merged.
-        self.barrier_rows = 0
-        self.barrier_full_rows = 0
+        #: Replica cells the Phase-2 barriers' logs wrote / cells a full
+        #: re-broadcast would have written.
+        self.barrier_cells = 0
+        self.barrier_full_cells = 0
 
     # ------------------------------------------------------------------
     def _sweeps(self, window: int | None = None):
@@ -471,8 +474,7 @@ class RunnerSession:
         return v2c, volumes, (syncs if self.sharded else 0)
 
     def _cluster(self, degrees, n_passes):
-        """The clustering sweep/merge loop.  Exports may be views into
-        transport memory, so they live only in this frame."""
+        """The clustering sweep/merge loop."""
         kernels = get_backend(self.job.backend)
         v2c = np.full(degrees.shape[0], -1, dtype=np.int64)
         volumes = np.zeros(0, dtype=np.int64)
@@ -494,23 +496,27 @@ class RunnerSession:
     # ------------------------------------------------------------------
     def bind_phase2(self) -> None:
         """Allocate Phase-2 execution state once the job carries the
-        Phase-2 inputs, the global state and the assignment array."""
-        self.transport.bind_phase2(self.lone)
+        Phase-2 inputs, the global state and the assignment array.  A
+        window of ``w`` edges sets at most ``2 * w`` bits, and never more
+        than the plane's ``n * k``: that sizes every set-bit log."""
+        longest = min(self.window, int(np.diff(self.bounds).max()))
+        cells = self.job.state.n_vertices * self.job.k
+        self.transport.bind_phase2(self.lone, min(2 * longest, cells))
 
     def run_pass(self, pass_name: str) -> tuple[int, int]:
         """Execute one Phase-2 pass; returns ``(total, syncs)``."""
         if pass_name not in PASS_METHODS:
             raise ConfigurationError(f"unknown pass {pass_name!r}")
-        n = int(self.job.state.n_vertices)
+        full = int(self.job.state.n_vertices) * int(self.job.k)
         total = 0
         syncs = 0
         for tasks in self._sweeps():
             total += sum(self._sweep(pass_name, tasks))
             syncs += 1
-            rows = self.transport.barrier(pass_name)
-            if rows is not None:
-                self.barrier_rows += rows
-                self.barrier_full_rows += n
+            cells = self.transport.barrier(pass_name)
+            if cells is not None:
+                self.barrier_cells += cells
+                self.barrier_full_cells += full
         return total, (syncs if self.sharded else 0)
 
     # ------------------------------------------------------------------
@@ -559,6 +565,7 @@ class _InlineTransport(Transport):
         self.job = job
         self.kernels = get_backend(job.backend)
         self.views: list[PartitionState] = []
+        self.logs: list[ReplicaLog] = []
         self._degrees = None
         self._cap = None
         self._live = None
@@ -584,6 +591,7 @@ class _InlineTransport(Transport):
                 start,
                 stop,
                 self.views[w],
+                self.logs[w] if self.logs else None,
                 (job.part, job.weights),
                 job.assignments[start:stop],
                 k=job.k,
@@ -616,30 +624,32 @@ class _InlineTransport(Transport):
             return self.kernels.clustering_export(live)[:2]
         return None
 
-    def bind_phase2(self, lone):
+    def bind_phase2(self, lone, log_capacity):
         job = self.job
         if lone:
             # A lone view is never stale, so it shares the global state
-            # outright: no merge work, bit-exact with the sequential pass.
+            # outright: no logs, no barrier work, bit-exact with the
+            # sequential pass.
             self.views = [job.state]
             return
         self.views = [
             PartitionState(
                 job.state.n_vertices, job.k, job.state.n_edges, job.alpha,
-                track_dirty=True, packed=job.state.packed,
+                packed=job.state.packed,
             )
             for _ in range(job.n_workers)
         ]
+        self.logs = [ReplicaLog(log_capacity) for _ in range(job.n_workers)]
 
     def barrier(self, step):
-        if self.views[0] is self.job.state:
+        if not self.logs:
             return None
-        return self.kernels.merge_phase2_deltas(self.job.state, self.views)
+        return apply_logs(self.kernels, self.job.state, self.views, self.logs)
 
     def extra_state_bytes(self) -> int:
         return sum(
             view.nbytes() for view in self.views if view is not self.job.state
-        )
+        ) + sum(log.nbytes for log in self.logs)
 
 
 class SerialRunner(Runner):
@@ -792,20 +802,19 @@ def _cluster_layout(arena, n, cap_ids, n_workers):
     return degrees, slots
 
 
-def _phase2_layout(arena, n_edges, n, k, alpha, n_workers, packed):
+def _phase2_layout(arena, n_edges, n, k, alpha, n_workers, packed, log_capacity):
     """The Phase-2 segment: the assignment array, the read-only inputs
-    ``(part, weights)`` (see :func:`~repro.kernels.base.phase2_inputs`)
-    and every worker's state view (replica plane, sizes, dirty bitmap)."""
+    ``(part, weights)`` (see :func:`~repro.kernels.base.phase2_inputs`),
+    every worker's state view (replica plane, sizes) and every worker's
+    set-bit log."""
     assignments = arena(n_edges, np.int32)
     inputs = (arena(n, np.int32), arena((n, 2), np.int64))
     views = [
-        PartitionState(
-            n, k, n_edges, alpha,
-            allocator=arena, track_dirty=True, packed=packed,
-        )
+        PartitionState(n, k, n_edges, alpha, allocator=arena, packed=packed)
         for _ in range(n_workers)
     ]
-    return assignments, inputs, views
+    logs = [ReplicaLog(log_capacity, allocator=arena) for _ in range(n_workers)]
+    return assignments, inputs, views, logs
 
 
 def default_start_method() -> str:
@@ -814,6 +823,35 @@ def default_start_method() -> str:
     import multiprocessing as mp
 
     return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+
+
+def mp_context(start_method: str | None):
+    """The ``multiprocessing`` context of ``start_method`` (``None``:
+    :func:`default_start_method`).
+
+    Every start method but ``fork`` re-runs ``__main__`` in each child,
+    by its module name or else by the path in ``__main__.__file__``.  A
+    script read from standard input names ``<stdin>``, no file: each
+    child would die in bootstrap and be respawned until a timeout.  That
+    raises :class:`~repro.errors.ConfigurationError` here, before the
+    caller creates any segment, pool or process."""
+    import multiprocessing as mp
+    import os
+    import sys
+    from multiprocessing import process
+
+    method = start_method or default_start_method()
+    main = sys.modules.get("__main__")
+    path = getattr(main, "__file__", None)
+    by_path = getattr(getattr(main, "__spec__", None), "name", None) is None
+    if method != "fork" and by_path and path is not None:
+        if not os.path.isfile(os.path.join(process.ORIGINAL_DIR or "", path)):
+            raise ConfigurationError(
+                f"start method {method!r} re-runs __main__ in every worker, "
+                f"but __main__ names {path!r}, which is no file: run the "
+                "code from a script file or a module, or use 'fork'"
+            )
+    return mp.get_context(method)
 
 
 def check_start_method(start_method: str | None) -> None:
@@ -933,7 +971,7 @@ def _worker_phase2_window(task):
     window's cost-counter delta for the parent to merge."""
     worker_index, pass_name, start, stop, ref = task
     payload = _WORKER["payload"]
-    assignments, inputs, views = _attached(ref)
+    assignments, inputs, views, logs = _attached(ref)
     return run_phase2_window(
         _WORKER["kernels"],
         pass_name,
@@ -941,6 +979,7 @@ def _worker_phase2_window(task):
         start,
         stop,
         views[worker_index],
+        logs[worker_index],
         inputs,
         assignments[start:stop],
         k=payload.k,
@@ -1003,6 +1042,7 @@ class _PoolTransport(Transport):
         self._phase2_ref = None
         self._assignments = None
         self.views: list[PartitionState] = []
+        self.logs: list[ReplicaLog] = []
         self._closed = False
         try:
             self._setup(runner)
@@ -1011,9 +1051,9 @@ class _PoolTransport(Transport):
             raise
 
     def _setup(self, runner: ProcessRunner) -> None:
-        import multiprocessing as mp
         from multiprocessing import resource_tracker
 
+        ctx = mp_context(runner.start_method)
         # Start the parent's resource tracker BEFORE the pool exists, so
         # every worker inherits it and all segment registrations land in
         # one tracker that the parent's unlink can clear.  Session open no
@@ -1032,7 +1072,6 @@ class _PoolTransport(Transport):
             hash_seed=job.hash_seed,
             hdrf_lambda=job.hdrf_lambda,
         )
-        ctx = mp.get_context(runner.start_method or default_start_method())
         self._pool = ctx.Pool(
             processes=job.n_workers,
             initializer=_process_worker_init,
@@ -1070,10 +1109,13 @@ class _PoolTransport(Transport):
         if step == "degree":
             return [(partial, ()) for partial in results]
         if step == "clustering":
+            # Copies: a view into the scratch would outlive its mapping
+            # in a traceback, should the merge raise.
             exports = []
             for (w, _, _), delta in zip(tasks, results):
                 header, v2c_view, vol_view = self._slots[w]
-                exports.append(((v2c_view, vol_view[: int(header[0])]), delta))
+                export = (v2c_view.copy(), vol_view[: int(header[0])].copy())
+                exports.append((export, delta))
             return exports
         return results
 
@@ -1110,17 +1152,16 @@ class _PoolTransport(Transport):
         return final
 
     # -- Phase 2 -------------------------------------------------------
-    def bind_phase2(self, lone):
-        # Even a lone worker gets its own view: the barrier merges it.
+    def bind_phase2(self, lone, log_capacity):
+        # Even a lone worker gets its own view: the barrier applies its log.
         job = self.job
         state = job.state
         args = (
             state.n_edges, state.n_vertices, state.k, state.alpha,
-            job.n_workers, state.packed,
+            job.n_workers, state.packed, log_capacity,
         )
-        shm, (self._assignments, (part, weights), self.views) = _map_segment(
-            _phase2_layout, args
-        )
+        shm, arrays = _map_segment(_phase2_layout, args)
+        self._assignments, (part, weights), self.views, self.logs = arrays
         self._phase2_shm = shm
         self._phase2_ref = (shm.name, _phase2_layout, args)
         self._assignments[:] = job.assignments
@@ -1128,7 +1169,7 @@ class _PoolTransport(Transport):
         weights[:] = job.weights
 
     def barrier(self, step):
-        return self.kernels.merge_phase2_deltas(self.job.state, self.views)
+        return apply_logs(self.kernels, self.job.state, self.views, self.logs)
 
     def finalize(self) -> None:
         # The barrier already synchronized the global state after the
@@ -1145,6 +1186,7 @@ class _PoolTransport(Transport):
         # Every array over a mapping goes before the mapping closes.
         self._slots = self._assignments = None
         self.views = []
+        self.logs = []
         segments = (self._stream_shm, self._cluster_shm, self._phase2_shm)
         self._stream_shm = self._cluster_shm = self._phase2_shm = None
         for shm in segments:
@@ -1179,7 +1221,9 @@ class _PoolTransport(Transport):
             joiner.join(timeout=5.0)
 
     def extra_state_bytes(self) -> int:
-        return sum(view.nbytes() for view in self.views)
+        return sum(view.nbytes() for view in self.views) + sum(
+            log.nbytes for log in self.logs
+        )
 
 
 # ----------------------------------------------------------------------

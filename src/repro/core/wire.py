@@ -1,7 +1,7 @@
 """Versioned wire protocol for the distributed runner tier.
 
 The distributed runner (:mod:`repro.core.distributed`) speaks the same
-sync-window/delta-barrier schedule as the simulated and process runners,
+sync-window/set-bit-log barrier schedule as the simulated and process runners,
 but over TCP sockets.  This module is the transport: an explicit,
 versioned frame format plus a typed payload encoding, deliberately free
 of pickle so a malformed or hostile peer can at worst fail a checksum —
@@ -56,9 +56,10 @@ from repro.errors import WireError
 from repro.kernels.c_backend import source_digest
 
 #: Protocol version spoken by this build; bumped on any frame or payload
-#: format break (2: the Phase-2 bind ships ``part`` and ``weights``).
-#: Negotiated by the HELLO handshake.
-WIRE_VERSION = 2
+#: format break (2: the Phase-2 bind ships ``part`` and ``weights``; 3:
+#: Phase-2 windows and barriers carry set-bit logs in place of replica
+#: rows).  Negotiated by the HELLO handshake.
+WIRE_VERSION = 3
 
 MAGIC = b"2PSW"
 
@@ -78,11 +79,11 @@ MSG_PHASE1_INIT = 7  #: {"degrees", "cap", "single"}
 MSG_CLUSTER = 8  #: clustering window (+ merged v2c/volumes when sharded)
 MSG_CLUSTER_RESULT = 9  #: {"cost"} (+ "v2c"/"volumes" export when sharded)
 MSG_CLUSTER_FINISH = 10  #: drain the single-worker live clustering state
-MSG_BIND = 11  #: Phase-2 bind: {"part", "weights"} + state geometry
+MSG_BIND = 11  #: Phase-2 bind: {"part", "weights", "log_capacity"}, geometry
 MSG_WINDOW = 12  #: Phase-2 sync window {"pass", "start", "stop"}
-MSG_WINDOW_RESULT = 13  #: assignments + dirty replica-row delta
-MSG_BARRIER = 14  #: merged refresh {"rows", "rows_data", "sizes"}
-MSG_BARRIER_ACK = 15  #: worker applied the refresh
+MSG_WINDOW_RESULT = 13  #: assignments, cost, sizes, the set-bit "log"
+MSG_BARRIER = 14  #: all workers' logs as one "log", merged "sizes"
+MSG_BARRIER_ACK = 15  #: worker applied the barrier
 MSG_SHUTDOWN = 16  #: orderly session end
 
 MESSAGE_NAMES = {

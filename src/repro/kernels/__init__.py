@@ -23,7 +23,7 @@ compiled loop.  There are two backends:
 - ``c`` — the default wherever it builds (:mod:`repro.kernels.c_backend`):
   the per-edge loop of the degree pass and of every stateful pass (both
   clustering bodies, the pre-partition pass, both remaining passes, the
-  HDRF baseline), the clustering and Phase-2 barrier merges and the
+  HDRF baseline), the clustering merge, the Phase-2 barrier op and the
   cluster-mapping loop, compiled from one C source by the host compiler
   and called through ``ctypes``, one call per chunk or barrier; the
   stateless pass and the degree merge are the reference's.  See
@@ -90,9 +90,9 @@ Merge ops (parallel barriers) and the cluster mapping
 -----------------------------------------------------
 The sharded Phase 1 (``ParallelTwoPhase(parallel_phase1=True)``) runs the
 degree and clustering passes per shard window and folds worker results at
-barriers through two backend ops; a sharded Phase 2 on the in-process
-or pool transport folds its worker views at barriers through a third,
-and every run maps clusters to partitions through a fourth.  The
+barriers through two backend ops; a sharded Phase 2 synchronizes its
+worker views at barriers through a third, on every transport, and every
+run maps clusters to partitions through a fourth.  The
 ``python`` twins are the reference; a new backend must reproduce each
 **bit for bit** (the Phase-1 merges decide cluster ids, and cluster ids
 feed every downstream pass):
@@ -126,22 +126,25 @@ feed every downstream pass):
   ``clustering_export``: an independent backend-native state from
   exported arrays, used to hand each worker the stale snapshot before a
   window.  ``load(export(st))`` must round-trip exactly.
-- ``merge_phase2_deltas(state, views)`` — one Phase-2 delta barrier of
-  the in-process and pool transports: ORs every row some view's dirty
-  bitmap marks into the global state and every view, sums the views'
-  size deltas, clears the bitmaps and returns the rows merged.  The
-  reference is :func:`repro.partitioning.state.merge_replica_deltas`;
-  the row count feeds the ``barrier_bytes`` accounting, so it must
-  match too.
+- ``apply_replica_log(state, logs)`` — one Phase-2 barrier's write into
+  one state: set every bit the set-bit ``logs`` name.  On a sharded run
+  each Phase-2 pass appends every replica bit it sets that was clear in
+  its worker's view to ``ctx.log`` (:class:`~repro.kernels.base.ReplicaLog`),
+  as the cell ``row * k + p``, ``u``'s bit before ``v``'s; every backend
+  logs the same cells in the same order.  Replica bits only go from 0
+  to 1, so applying every log to a state equals OR-ing the views into
+  it.  Logs may have crossed a socket, so every entry is checked against
+  ``[0, rows * k)`` before the first write.
 - ``list_schedule(jobs, k)`` — the assignment loop of Graham's list
   scheduling (:func:`repro.core.scheduling.graham_schedule`, which
   sorts the cluster volumes first): each job goes to the least-loaded
   partition, the lowest index on ties.
 
-``tests/test_kernels.py`` (``TestPhase1MergeOps``, ``TestPhase2MergeOp``,
-``TestListScheduleOp``) pins the twins against each other on randomized
-inputs; the randomized differential harness (``tests/differential.py``)
-pins the full pipeline across runners, backends and seeds.
+``tests/test_kernels.py`` (``TestPhase1MergeOps``,
+``TestReplicaLogBarrier``, ``TestPassLogs``, ``TestListScheduleOp``)
+pins the twins against each other on randomized inputs; the randomized
+differential harness (``tests/differential.py``) pins the full pipeline
+across runners, backends and seeds.
 
 The distributed runner (``repro.core.distributed``) rides these exact
 ops over its wire protocol: workers ship ``clustering_export`` payloads
@@ -149,14 +152,13 @@ and partial degree vectors as typed wire frames, and the coordinator
 folds them with the same ``merge_phase1_degrees`` /
 ``merge_phase1_clustering`` calls in the same ascending-worker order —
 so the ordered-fold contract above is also the wire contract.  Phase-2
-delta barriers likewise reuse the shared-memory merge semantics: the
-socket path (``extract_replica_delta`` -> frames ->
-``merge_replica_wire_deltas`` -> ``apply_replica_refresh``) is
-property-pinned bit-exact against in-place ``merge_replica_deltas``
-(``tests/test_state.py``), which is what lets ``DistributedRunner``
-join the ``SimulatedRunner == ProcessRunner`` equality class without
-any backend changes.  Backends never see sockets; a backend correct
-under this contract is distributed-correct for free.
+barriers likewise run the one op: workers ship their set-bit logs, the
+coordinator applies them to its global state with ``apply_replica_log``
+and broadcasts them for each worker to apply to its view, which is what
+lets ``DistributedRunner`` join the ``SimulatedRunner == ProcessRunner``
+equality class without any backend changes.  Backends never see
+sockets; a backend correct under this contract is distributed-correct
+for free.
 
 Packed replica rows (out-of-core states)
 ----------------------------------------
@@ -191,7 +193,6 @@ protocol with raw-``ndarray`` tricks:
   clear them.  ``PackedReplicaMatrix.__setitem__`` accepts ``= False``
   only as a *scalar* element write (``IncrementalPartitioner`` clears a
   replica bit on edge deletion) and rejects fancy ``= False`` scatters;
-  barrier refreshes assign whole rows instead;
 - tail bits (``k`` not a byte multiple) must stay zero — popcount-based
   metrics (``sum``) trust them;
 - packed and dense states must stay **bit-exact** for any stream,
@@ -203,16 +204,18 @@ Writing a backend
 -----------------
 1. Subclass :class:`~repro.kernels.base.KernelBackend` (or an existing
    backend — ``CBackend`` subclasses ``PythonBackend`` and overrides the
-   degree pass, every stateful pass, the clustering and Phase-2 merges
-   and the mapping loop, keeping the reference's stateless pass and
-   degree merge).
+   degree pass, every stateful pass, the clustering merge, the Phase-2
+   barrier op and the mapping loop, keeping the reference's stateless
+   pass and degree merge).
 2. Override any subset of the pass methods: ``degree_pass``,
    ``clustering_true_pass``, ``clustering_partial_pass``,
    ``prepartition_pass``, ``remaining_pass_linear``,
    ``remaining_pass_hdrf``, ``hdrf_baseline_pass``, ``stateless_pass``;
    and of the barrier and mapping ops: ``merge_phase1_degrees``,
-   ``merge_phase1_clustering``, ``merge_phase2_deltas``,
-   ``list_schedule``.
+   ``merge_phase1_clustering``, ``apply_replica_log``,
+   ``list_schedule``.  A Phase-2 pass that sets a replica bit tests it
+   first, and appends its cell to ``ctx.log`` when it was clear and
+   ``ctx.log`` is not ``None``.
    Interpreted backends route order-sensitive decisions through the
    shared twins (``PythonBackend._fallback_partition`` for the
    hash/least-loaded chain, ``PythonBackend.hdrf_choose`` for the HDRF

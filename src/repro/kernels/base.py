@@ -143,6 +143,81 @@ def partition_error(pos: int, u: int, v: int, pu: int, pv: int, k: int):
     )
 
 
+class ReplicaLog:
+    """The replica bits one worker's Phase-2 window set: a set-bit log.
+
+    Each entry is the int64 cell ``row * k + p`` of a bit that was clear
+    in the worker's view when its pass set it, in the order the pass set
+    them (per edge, ``u``'s bit before ``v``'s).  ``cells`` holds
+    ``capacity`` slots and ``fill[0]`` the number in use, both from
+    ``allocator`` (``np.zeros`` by default).  A window of ``w`` edges
+    sets at most ``2 * w`` bits, and at most the plane's ``n * k``, so
+    the runners size it ``min(2 * w, n * k)`` from the schedule.
+    """
+
+    __slots__ = ("cells", "fill")
+
+    def __init__(self, capacity: int, allocator=None) -> None:
+        alloc = np.zeros if allocator is None else allocator
+        self.cells = alloc(int(capacity), np.int64)
+        self.fill = alloc(1, np.int64)
+
+    @property
+    def nbytes(self) -> int:
+        return int(self.cells.nbytes + self.fill.nbytes)
+
+    def entries(self) -> np.ndarray:
+        """The logged cells, a view of the used slots."""
+        return self.cells[: int(self.fill[0])]
+
+    def append(self, cell: int) -> None:
+        fill = int(self.fill[0])
+        check_log_fill(fill + 1, self.cells.shape[0])
+        self.cells[fill] = cell
+        self.fill[0] = fill + 1
+
+    def clear(self) -> None:
+        self.fill[0] = 0
+
+
+def check_log_fill(fill: int, capacity: int) -> None:
+    """Raise :class:`~repro.errors.PartitioningError` for a window that
+    set more bits than its log's ``capacity``."""
+    if fill > capacity:
+        raise PartitioningError(
+            f"a Phase-2 window set {fill} new replica bits, past its "
+            f"set-bit log's {capacity} slots"
+        )
+
+
+def log_cells(logs) -> np.ndarray:
+    """The entries of the set-bit ``logs`` (arrays, as
+    :meth:`ReplicaLog.entries` gives them or as they arrive over the
+    wire) as one int64 array, after checking that each is a 1-d int64
+    array: a :class:`~repro.errors.PartitioningError` otherwise."""
+    for log in logs:
+        if not (
+            isinstance(log, np.ndarray) and log.dtype == np.int64 and log.ndim == 1
+        ):
+            raise PartitioningError(
+                "a set-bit log must be a 1-d int64 array, got "
+                f"{type(log).__name__} {getattr(log, 'dtype', '')}"
+                f"{getattr(log, 'shape', '')}"
+            )
+    if len(logs) == 1:
+        return np.ascontiguousarray(logs[0])
+    return np.concatenate(logs) if len(logs) else np.zeros(0, np.int64)
+
+
+def log_entry_error(cell: int, rows: int, k: int) -> PartitioningError:
+    """The error every backend raises, before it writes any bit, for a
+    set-bit log entry outside ``[0, rows * k)``."""
+    return PartitioningError(
+        f"set-bit log entry {cell} lies outside the {rows * k} replica "
+        f"cells ({rows} rows, k={k})"
+    )
+
+
 class Int64Buffer:
     """Growable int64 array of Phase-1 cluster volumes (``c`` state).
 
@@ -226,7 +301,10 @@ class TwoPhaseContext:
     or -1) and ``weights`` (int64 ``(n, 2)``: each vertex's degree and
     its cluster's volume) are the read-only Phase-1 product, built once
     per run by :func:`phase2_inputs`; ``state`` (replica bits + sizes +
-    hard cap), ``assignments`` and ``cost`` are mutated in place.
+    hard cap), ``assignments`` and ``cost`` are mutated in place.  On a
+    sharded run ``log`` is the worker's :class:`ReplicaLog`, which the
+    pass appends every bit to that was clear in ``state`` when it set it;
+    ``None`` (the sequential path, the HDRF baseline) logs nothing.
     """
 
     k: int
@@ -237,6 +315,7 @@ class TwoPhaseContext:
     hash_seed: int
     cost: CostCounter
     hdrf_lambda: float = 1.1
+    log: ReplicaLog | None = None
 
 
 class KernelBackend(ABC):
@@ -381,17 +460,14 @@ class KernelBackend(ABC):
     # Phase-2 barrier and the cluster mapping
     # ------------------------------------------------------------------
     @abstractmethod
-    def merge_phase2_deltas(self, state: PartitionState, views) -> int:
-        """One Phase-2 delta barrier: merge the worker ``views`` into the
-        global ``state`` and refresh every view.
+    def apply_replica_log(self, state: PartitionState, logs) -> None:
+        """Set every bit the set-bit ``logs`` (1-d int64 arrays of cells
+        ``row * k + p``, see :class:`ReplicaLog`) name in ``state``.
 
-        The result must equal
-        :func:`repro.partitioning.state.merge_replica_deltas` byte for
-        byte: every row some view's dirty bitmap marks becomes the OR of
-        the global row and every view's row, in the global state and in
-        every view; the sizes become ``g + sum(view - g)`` everywhere;
-        the bitmaps end clear.  Returns the number of rows merged.  Each
-        view has the global state's shape and packing and tracks dirt.
+        Byte for byte the same on every backend, dense or packed.  Every
+        entry is checked before the first write, so a call that raises
+        (:func:`log_entry_error`, or :func:`log_cells`'s error) writes
+        nothing.
         """
 
     @abstractmethod

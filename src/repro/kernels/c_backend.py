@@ -7,8 +7,9 @@ passes, and the classic HDRF baseline.  :class:`CBackend` makes one
 foreign call per stream chunk (the degree pass a second one in a chunk
 that grows its array); the loop itself skips the edges a pass does not
 own (the pre-partitioned ones).  It also holds the loops that run once
-per barrier or per run: the Phase-1 clustering merge, the Phase-2 delta
-barrier and the assignment loop of the cluster mapping.  Every loop
+per barrier or per run: the Phase-1 clustering merge, the Phase-2
+barrier op, which sets the bits of the workers' set-bit logs in one
+state, and the assignment loop of the cluster mapping.  Every loop
 addresses replica bits on the raw plane of
 :func:`~repro.partitioning.state._replica_plane`, so dense and packed
 state share it.  The stateless pass and the degree merge are the
@@ -19,10 +20,12 @@ contract, ``part`` (int32) and ``weights`` (int64 ``(n, 2)`` rows of
 degree and cluster volume), built once per run by
 :func:`~repro.kernels.base.phase2_inputs`: an endpoint costs one gather
 into each.  Both arrays are checked once per call for dtype, shape and
-C-contiguity and never copied.  The two remaining passes prefetch the
-rows of the edge a fixed distance ahead, and the clustering pass
-prefetches ``v2c`` and degrees 16 edges ahead and cluster volumes 8
-ahead; the pre-partition and degree passes measured slower with a
+C-contiguity and never copied.  On a sharded run the loops also append
+every replica bit they set that was clear to the worker's set-bit log
+(``ctx.log``), in the reference's order.  The two remaining passes
+prefetch the rows of the edge a fixed distance ahead, and the clustering
+pass prefetches ``v2c`` and degrees 16 edges ahead and cluster volumes
+8 ahead; the pre-partition and degree passes measured slower with a
 look-ahead and have none.  The 2PS-L pick between the two candidates and
 the clustering move are computed without a branch.
 
@@ -48,10 +51,14 @@ stops at) raises :class:`~repro.errors.StreamError`.  The clustering
 merge checks every cluster id it takes from a worker export against
 that worker's id range (the distributed coordinator folds exports that
 arrived over sockets) and raises :class:`~repro.errors.PartitioningError`
-on a miss.  The arrays a loop writes are checked once per call (dtype,
-C-contiguity, writability and shape; for the barrier, that every view's
-plane matches the global plane's shape and packing) and never copied,
-so a write can never land in a silent copy.
+on a miss.  The barrier op checks every log entry against the plane's
+``rows * k`` cells before it writes any bit, and raises
+:func:`~repro.kernels.base.log_entry_error` on a miss; a Phase-2 loop
+never writes a log past its capacity, and a fill beyond it raises
+(:func:`~repro.kernels.base.check_log_fill`).  The arrays a loop writes
+are checked once per call (dtype, C-contiguity, writability and shape;
+for a replica plane, that it holds ``k`` columns in the state's
+packing) and never copied, so a write can never land in a silent copy.
 
 Build, cache, load.  The host compiler (``$CC`` split like a shell
 command, else ``cc`` on ``PATH``) builds the source once with
@@ -90,11 +97,14 @@ from repro.errors import PartitioningError, StreamError
 from repro.kernels.base import (
     ClusteringState,
     Int64Buffer,
+    check_log_fill,
     check_vertex_ids,
+    log_cells,
+    log_entry_error,
     partition_error,
 )
 from repro.kernels.python_backend import PythonBackend
-from repro.partitioning.state import _replica_plane, _replica_storage
+from repro.partitioning.state import _replica_plane
 
 SOURCE = Path(__file__).with_name("_ckernels.c")
 
@@ -108,20 +118,23 @@ _P = ctypes.c_void_p
 _I = ctypes.c_int64
 _D = ctypes.c_double
 _PLANE = (_P, _I, _I, _I)
+_LOG = (_P, _I, _P)
 _SIGNATURES = {
     "degree_pass": (_P, _I, _P, _I),
     "cluster_pass": (_P, _I, _I, _P, _P, _I, _P, _I, _D, _P),
     "prepartition": (
-        _P, _I, _P, _P, _I, *_PLANE, _P, _I, _I, ctypes.c_uint64, _P, _P,
+        _P, _I, _P, _P, _I, *_PLANE, _P, _I, _I, ctypes.c_uint64, *_LOG,
+        _P, _P,
     ),
     "remaining_linear": (
-        _P, _I, _P, _P, _I, *_PLANE, _P, _I, _I, ctypes.c_uint64, _P, _P,
+        _P, _I, _P, _P, _I, *_PLANE, _P, _I, _I, ctypes.c_uint64, *_LOG,
+        _P, _P,
     ),
     "remaining_hdrf": (
-        _P, _I, _P, _P, _I, *_PLANE, _P, _I, _I, _D, _D, _P, _P, _P,
+        _P, _I, _P, _P, _I, *_PLANE, _P, _I, _I, _D, _D, _P, *_LOG, _P, _P,
     ),
     "hdrf_baseline": (_P, _I, _P, _I, *_PLANE, _P, _I, _I, _D, _D, _P, _P, _P),
-    "merge_deltas": (_P, _P, _I, _I, _I, _P, _P, _P, _I),
+    "apply_log": (*_PLANE, _I, _I, _P, _I),
     "merge_clustering": (_P, _I, _I, _P, _P, _I, _P, _P, _P, _P, _I, _P),
     "list_schedule": (_P, _I, _I, _P, _P, _P),
 }
@@ -462,37 +475,13 @@ class CBackend(PythonBackend):
     # ------------------------------------------------------------------
     # Phase-2 barrier and the cluster mapping
     # ------------------------------------------------------------------
-    def merge_phase2_deltas(self, state, views) -> int:
+    def apply_replica_log(self, state, logs) -> None:
         k = int(state.k)
-        n, plane = _plane(state, k)
-        layout = _replica_storage(state.replicas).dtype
-        sizes = _sizes(state, k)
-        planes, bitmaps, view_sizes = [], [], []
-        for view in views:
-            raw = _output(
-                _replica_storage(view.replicas), layout, "a view's replica plane"
-            )
-            if raw.shape != (n, plane[1]):
-                raise PartitioningError(
-                    f"a view's replica plane of shape {raw.shape} does not "
-                    f"match the global plane's {(n, plane[1])}"
-                )
-            bitmap = _output(view.dirty, np.bool_, "a view's dirty bitmap")
-            if bitmap.shape != (n,):
-                raise PartitioningError(
-                    f"a dirty bitmap of {bitmap.shape[0]} rows for a "
-                    f"plane of {n}"
-                )
-            planes.append(raw)
-            bitmaps.append(bitmap)
-            view_sizes.append(_sizes(view, k))
-        pointers = [_addresses(a) for a in (planes, bitmaps, view_sizes)]
-        return int(
-            _LIB.merge_deltas(
-                plane[0], sizes.ctypes.data, n, plane[1], k,
-                *(p.ctypes.data for p in pointers), len(views),
-            )
-        )
+        rows, plane = _plane(state, k)
+        cells = log_cells(logs)
+        miss = _LIB.apply_log(*plane, rows, k, cells.ctypes.data, cells.shape[0])
+        if miss >= 0:
+            raise log_entry_error(int(cells[miss]), rows, k)
 
     def list_schedule(self, jobs, k):
         k = int(k)
@@ -540,8 +529,8 @@ class CBackend(PythonBackend):
 
     def _run_phase2(self, stream, ctx, fn, extra):
         """One Phase-2 pass: ``part``, ``weights`` and the state every
-        Phase-2 loop reads, then ``extra`` loop arguments; returns the
-        loop's counters."""
+        Phase-2 loop reads, then ``extra`` loop arguments and the set-bit
+        log; returns the loop's counters."""
         k = ctx.k
         rows, plane = _plane(ctx.state, k)
         n = len(ctx.weights)
@@ -550,14 +539,23 @@ class CBackend(PythonBackend):
         n_vert = min(n, rows)
         sizes = _sizes(ctx.state, k)
         out = np.zeros(2, dtype=np.int64)
+        log = ctx.log
+        if log is None:
+            log_args = (None, 0, None)
+        else:
+            cells = _output(log.cells, np.int64, "the set-bit log")
+            fill = _output(log.fill, np.int64, "the set-bit log's fill")
+            log_args = (cells.ctypes.data, cells.shape[0], fill.ctypes.data)
         args = (
             part.ctypes.data, weights.ctypes.data, n_vert, *plane,
-            sizes.ctypes.data, k, int(ctx.state.capacity), *extra,
+            sizes.ctypes.data, k, int(ctx.state.capacity), *extra, *log_args,
         )
         self._run_loop(
             stream, ctx, fn, args, out,
             lambda edge, pos: _index_error(edge, pos, n_vert, part, k),
         )
+        if log is not None:
+            check_log_fill(int(log.fill[0]), cells.shape[0])
         ctx.cost.edges_streamed += stream.n_edges
         return out
 

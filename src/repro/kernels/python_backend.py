@@ -9,12 +9,15 @@ hot-loop state held in plain Python lists (scalar indexing on lists is
 several times faster than on numpy arrays).  The passes that write
 replica state test and set replica bits through a byte view of the raw
 storage plane (:func:`~repro.partitioning.state._replica_plane`), so
-they run on bit-packed state without indexing the wrapper.  The ops in
+they run on bit-packed state without indexing the wrapper; on a sharded
+run the three Phase-2 passes log every bit they set that was clear
+(``ctx.log``, see :class:`~repro.kernels.base.ReplicaLog`).  The ops in
 which no edge's outcome depends on another's (the degree pass, the
 stateless pass and the two Phase-1 merges) are vectorized per chunk or
 per barrier; the ``per-edge`` test backend (``tests/per_edge.py``) runs
 each as its per-edge loop, and ``tests/test_kernels.py`` pins one
-against the other.  ``c`` is property-tested for bit-exact equivalence
+against the other.  The Phase-2 barrier op, which sets logged bits, is
+vectorized too.  ``c`` is property-tested for bit-exact equivalence
 against this backend and inherits its stateless pass and degree merge —
 keep this code boring and obviously correct.
 """
@@ -31,14 +34,12 @@ from repro.kernels.base import (
     TwoPhaseContext,
     check_clustering_exports,
     check_vertex_ids,
+    log_cells,
+    log_entry_error,
     partition_error,
 )
 from repro.partitioning.hashutil import splitmix64_int
-from repro.partitioning.state import (
-    LeastLoadedTracker,
-    _replica_plane,
-    merge_replica_deltas,
-)
+from repro.partitioning.state import LeastLoadedTracker, _replica_plane
 
 
 class PythonBackend(KernelBackend):
@@ -140,8 +141,18 @@ class PythonBackend(KernelBackend):
     # ------------------------------------------------------------------
     # Phase-2 barrier and the cluster mapping (reference twins)
     # ------------------------------------------------------------------
-    def merge_phase2_deltas(self, state, views) -> int:
-        return merge_replica_deltas(state, views)
+    def apply_replica_log(self, state, logs) -> None:
+        cells = log_cells(logs)
+        k = state.k
+        raw, _, shift, low_mask = _replica_plane(state.replicas)
+        outside = (cells < 0) | (cells >= raw.shape[0] * k)
+        if outside.any():
+            raise log_entry_error(int(cells[outside][0]), raw.shape[0], k)
+        rows, cols = np.divmod(cells, k)
+        masks = np.left_shift(1, cols & low_mask).astype(np.uint8)
+        # Unbuffered, so two cells in one byte both land; a dense bool
+        # plane takes mask 1 as True.
+        np.bitwise_or.at(raw.view(np.uint8), (rows, cols >> shift), masks)
 
     def list_schedule(self, jobs, k):
         heap = [(0, p) for p in range(k)]
@@ -277,6 +288,26 @@ class PythonBackend(KernelBackend):
         return p
 
     @staticmethod
+    def _bit_setter(plane, ctx, log):
+        """``set_bits(u, v, p)``: set replica bit ``p`` of ``u``, then of
+        ``v``, on the raw ``plane`` of ``ctx.state``; append to ``log``
+        (a :class:`~repro.kernels.base.ReplicaLog`, or ``None``) the cell
+        ``x * k + p`` of each bit that was clear."""
+        _, row_bytes, shift, low_mask = _replica_plane(ctx.state.replicas)
+        k = ctx.k
+
+        def set_bits(u, v, p):
+            b = p >> shift
+            m = 1 << (p & low_mask)
+            for x in (u, v):
+                i = x * row_bytes + b
+                if log is not None and not plane[i] & m:
+                    log.append(x * k + p)
+                plane[i] |= m
+
+        return set_bits
+
+    @staticmethod
     def _phase2_lists(ctx):
         """``(part, deg, vol, n_vert)``: the Phase-2 inputs as lists, and
         how many vertices the pass state holds."""
@@ -287,7 +318,7 @@ class PythonBackend(KernelBackend):
 
     def prepartition_pass(self, stream, ctx: TwoPhaseContext) -> int:
         part, deg, _, n_vert = self._phase2_lists(ctx)
-        raw, row_bytes, shift, low_mask = _replica_plane(ctx.state.replicas)
+        raw = _replica_plane(ctx.state.replicas)[0]
         capacity = ctx.state.capacity
         sizes = ctx.state.sizes.tolist()
         least_loaded = LeastLoadedTracker(sizes).argmin
@@ -296,6 +327,7 @@ class PythonBackend(KernelBackend):
         idx = 0
         n_pre = 0
         with memoryview(raw).cast("B") as plane:
+            set_bits = self._bit_setter(plane, ctx, ctx.log)
             for chunk in stream.chunks():
                 check_vertex_ids(chunk, n_vert, idx)
                 for u, v in chunk.tolist():
@@ -309,10 +341,7 @@ class PythonBackend(KernelBackend):
                                 least_loaded,
                             )
                         sizes[p] += 1
-                        b = p >> shift
-                        m = 1 << (p & low_mask)
-                        plane[u * row_bytes + b] |= m
-                        plane[v * row_bytes + b] |= m
+                        set_bits(u, v, p)
                         assignments[idx] = p
                         n_pre += 1
                     idx += 1
@@ -331,6 +360,7 @@ class PythonBackend(KernelBackend):
         idx = 0
         n_scored = 0
         with memoryview(raw).cast("B") as plane:
+            set_bits = self._bit_setter(plane, ctx, ctx.log)
             for chunk in stream.chunks():
                 check_vertex_ids(chunk, n_vert, idx)
                 for u, v in chunk.tolist():
@@ -374,10 +404,7 @@ class PythonBackend(KernelBackend):
                             least_loaded,
                         )
                     sizes[p] += 1
-                    b = p >> shift
-                    m = 1 << (p & low_mask)
-                    plane[bu + b] |= m
-                    plane[bv + b] |= m
+                    set_bits(u, v, p)
                     assignments[idx] = p
                     idx += 1
         ctx.state.sizes[:] = sizes
@@ -429,7 +456,7 @@ class PythonBackend(KernelBackend):
         from repro.core.scoring import HDRF_EPSILON
 
         part, deg, _, n_vert = self._phase2_lists(ctx)
-        raw, row_bytes, shift, low_mask = _replica_plane(ctx.state.replicas)
+        raw, _, shift, _ = _replica_plane(ctx.state.replicas)
         row = self._plane_rows(raw, shift, ctx.k)
         capacity = ctx.state.capacity
         sizes = ctx.state.sizes.tolist()
@@ -441,6 +468,7 @@ class PythonBackend(KernelBackend):
         idx = 0
         n_scored = 0
         with memoryview(raw).cast("B") as plane:
+            set_bits = self._bit_setter(plane, ctx, ctx.log)
             for chunk in stream.chunks():
                 check_vertex_ids(chunk, n_vert, idx)
                 for u, v in chunk.tolist():
@@ -461,10 +489,7 @@ class PythonBackend(KernelBackend):
                     n_scored += k
                     sizes[p] += 1
                     sizes_np[p] += 1.0
-                    b = p >> shift
-                    m = 1 << (p & low_mask)
-                    plane[u * row_bytes + b] |= m
-                    plane[v * row_bytes + b] |= m
+                    set_bits(u, v, p)
                     assignments[idx] = p
                     idx += 1
         ctx.state.sizes[:] = sizes
@@ -478,7 +503,7 @@ class PythonBackend(KernelBackend):
         """Classic HDRF (CIKM'15): partial-degree theta, full argmax."""
         from repro.core.scoring import HDRF_EPSILON
 
-        raw, row_bytes, shift, low_mask = _replica_plane(ctx.state.replicas)
+        raw, _, shift, _ = _replica_plane(ctx.state.replicas)
         row = self._plane_rows(raw, shift, ctx.k)
         capacity = ctx.state.capacity
         sizes = ctx.state.sizes.tolist()
@@ -490,6 +515,7 @@ class PythonBackend(KernelBackend):
         partial = [0] * ctx.state.n_vertices
         idx = 0
         with memoryview(raw).cast("B") as plane:
+            set_bits = self._bit_setter(plane, ctx, None)
             for chunk in stream.chunks():
                 check_vertex_ids(chunk, len(partial), idx)
                 for u, v in chunk.tolist():
@@ -504,10 +530,7 @@ class PythonBackend(KernelBackend):
                     )
                     sizes[p] += 1
                     sizes_np[p] += 1.0
-                    b = p >> shift
-                    m = 1 << (p & low_mask)
-                    plane[u * row_bytes + b] |= m
-                    plane[v * row_bytes + b] |= m
+                    set_bits(u, v, p)
                     assignments[idx] = p
                     idx += 1
         ctx.state.sizes[:] = sizes

@@ -8,27 +8,14 @@ cap") is owned by this class so every partitioner enforces it identically.
 
 Where the arrays live
 ---------------------
-The mutable arrays (``replicas``, ``sizes`` and the optional ``dirty``
-bitmap) come from a pluggable allocator: ``np.zeros`` on the heap by
-default, or any ``callable(shape, dtype)`` that returns zero-filled
-arrays.  The process runner (:mod:`repro.core.runners`) passes one that
-carves its worker views out of a shared-memory segment it owns; this
-class keeps no segment and knows nothing of their lifecycle.
-
-Dirty-row delta barriers
-------------------------
-A state created with ``track_dirty=True`` additionally carries a per-vertex
-*dirty bitmap* (one bool per replica-matrix row).  The sharded parallel
-partitioner gives each worker view such a bitmap and marks the endpoint
-rows of every sync window it streams (a superset of the rows the kernels
-can possibly write, since every replica write targets a window-edge
-endpoint).  The synchronization barrier then merges **only the union of
-dirty rows** through :func:`merge_replica_deltas` instead of re-broadcasting
-the full ``|V| x k`` matrix: rows that are dirty nowhere are bit-identical
-across the global state and every view (they were refreshed at the previous
-barrier and unwritten since), so skipping them cannot change the merge.
-This makes barrier cost proportional to the touched vertex set of a sync
-window, not to ``|V|``.
+The mutable arrays (``replicas`` and ``sizes``) come from a pluggable
+allocator: ``np.zeros`` on the heap by default, or any
+``callable(shape, dtype)`` that returns zero-filled arrays.  The process
+runner (:mod:`repro.core.runners`) passes one that carves its worker
+views out of a shared-memory segment it owns; this class keeps no
+segment and knows nothing of their lifecycle, nor of the barriers that
+synchronize the views (the kernels' set-bit logs, see
+:mod:`repro.kernels`).
 
 Bit-packed replica rows
 -----------------------
@@ -46,11 +33,9 @@ matrix (scalar/fancy boolean reads, ``= True`` scalar/fancy writes with
 duplicate collapse, dense row gathers, dense row assignment, axis sums,
 ``__array__`` for whole-matrix comparison), so packed state drops into
 every backend and runner unchanged — and the differential harness pins
-packed-vs-dense bit-exactness end to end.  Merge
-barriers OR raw uint8 rows directly (``np.bitwise_or`` is a logical OR on
-bools and a byte OR on packed rows, so one code path serves both), and
-the per-edge loops test and set single bits in the raw storage of either
-layout at the byte and mask :func:`_replica_plane` gives.
+packed-vs-dense bit-exactness end to end.  The per-edge loops and the
+barrier op test and set single bits in the raw storage of either layout
+at the byte and mask :func:`_replica_plane` gives.
 """
 
 from __future__ import annotations
@@ -206,33 +191,25 @@ class PackedReplicaMatrix:
         return f"PackedReplicaMatrix(n={len(self)}, k={self.k})"
 
 
-def _replica_storage(replicas):
-    """Raw storage of a replica matrix: the uint8 plane when packed, the
-    matrix itself when dense.  ``np.bitwise_or`` on the result is a row
-    merge in both representations, so barrier code stays representation
-    agnostic."""
-    packed = getattr(replicas, "packed", None)
-    return replicas if packed is None else packed
-
-
 def _replica_plane(replicas):
     """Where each bit of a replica matrix lives in its raw storage.
 
     Returns ``(raw, row_bytes, shift, low_mask)``: replica bit ``(u, p)``
-    lives in byte ``u * row_bytes + (p >> shift)`` of ``raw``
-    (:func:`_replica_storage`) under mask ``1 << (p & low_mask)``.  Dense
-    bool storage is one byte per bit, ``(k, 0, 0)`` — mask 1 is
-    ``True``; the packed uint8 plane is ``(ceil(k/8), 3, 7)``.  The
-    per-edge loops test and set bits there, so dense and packed states
+    lives in byte ``u * row_bytes + (p >> shift)`` of ``raw`` (the uint8
+    plane when packed, the matrix itself when dense) under mask
+    ``1 << (p & low_mask)``.  Dense bool storage is one byte per bit,
+    ``(k, 0, 0)`` — mask 1 is ``True``; the packed uint8 plane is
+    ``(ceil(k/8), 3, 7)``.  The per-edge loops and the barrier op test
+    and set bits there, so dense and packed states
     run one loop at the same speed: interpreted loops through
     ``memoryview(raw).cast("B")`` (``cast`` raises on non-contiguous
     storage, so a write can never land in a silent copy; the view pins
     the storage, so callers release it with ``with``), the compiled
     loops through its data pointer.
     """
-    raw = _replica_storage(replicas)
-    if raw is replicas:
-        return raw, raw.shape[-1], 0, 0
+    raw = getattr(replicas, "packed", None)
+    if raw is None:
+        return replicas, replicas.shape[-1], 0, 0
     return raw, raw.shape[-1], 3, 7
 
 
@@ -293,11 +270,8 @@ class PartitionState:
 
     allocator:
         Optional ``callable(shape, dtype) -> ndarray`` producing the
-        state arrays *zero-filled*, in the order replicas, sizes, dirty.
+        state arrays *zero-filled*, in the order replicas, sizes.
         ``None`` (the default) allocates on the heap with ``np.zeros``.
-    track_dirty:
-        When True, allocate the per-row dirty bitmap used by the delta
-        barriers (see the module docstring).
     packed:
         When True, store the replication matrix bit-packed
         (:class:`PackedReplicaMatrix`, ``ceil(k/8)`` bytes per row) instead
@@ -319,7 +293,6 @@ class PartitionState:
         alpha: float = 1.05,
         *,
         allocator=None,
-        track_dirty: bool = False,
         packed: bool = False,
     ):
         if k < 2:
@@ -346,8 +319,6 @@ class PartitionState:
         else:
             self.replicas = alloc((self.n_vertices, self.k), bool)
         self.sizes = alloc(self.k, np.int64)
-        #: Dirty-row bitmap for delta barriers (``None`` when untracked).
-        self.dirty = alloc(self.n_vertices, bool) if track_dirty else None
 
     # ------------------------------------------------------------------
     # assignment
@@ -396,16 +367,6 @@ class PartitionState:
         self.replicas[vs, ps] = True
         self.sizes += np.bincount(ps, minlength=self.k)
 
-    def mark_dirty(self, vertices) -> None:
-        """Mark replica-matrix rows as touched since the last barrier.
-
-        No-op when the state does not track dirt.  ``vertices`` may repeat
-        (chunk endpoint arrays are passed raw); marking a superset of the
-        actually-written rows is always safe — see the module docstring.
-        """
-        if self.dirty is not None:
-            self.dirty[vertices] = True
-
     # ------------------------------------------------------------------
     # metrics
     # ------------------------------------------------------------------
@@ -437,139 +398,10 @@ class PartitionState:
 
     def nbytes(self) -> int:
         """Memory footprint of the partitioning state (Table II model)."""
-        total = int(self.replicas.nbytes + self.sizes.nbytes)
-        if self.dirty is not None:
-            total += int(self.dirty.nbytes)
-        return total
+        return int(self.replicas.nbytes + self.sizes.nbytes)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"PartitionState(n={self.n_vertices}, k={self.k}, "
             f"cap={self.capacity}, assigned={int(self.sizes.sum())})"
         )
-
-
-def merge_replica_deltas(state: PartitionState, worker_states) -> int:
-    """Delta-bitmap barrier: merge worker views into ``state`` and refresh.
-
-    Every worker view must track dirt (``track_dirty=True``) and must have
-    been refreshed to ``state`` at the previous barrier; rows written since
-    are marked in its dirty bitmap (:meth:`PartitionState.mark_dirty`, fed
-    by the sync-window streams).  The barrier then:
-
-    - ORs replica bits over the **union of dirty rows only** — clean rows
-      are bit-identical everywhere, so skipping them is exact;
-    - sums each worker's size delta against the last synchronized sizes
-      (edges are assigned by exactly one worker, so deltas are disjoint;
-      stale views may legitimately carry sizes *beyond* the hard cap — the
-      overshoot is merged as-is, exactly like the full re-broadcast);
-    - writes the merged rows and sizes back into the global state and
-      every view, and clears every dirty bitmap.
-
-    Returns the number of rows refreshed, so callers can account barrier
-    bytes (``rows * k`` versus ``n_vertices * k`` for a full re-broadcast).
-    The equivalence with the full merge is pinned by the property tests in
-    ``tests/test_state.py`` and end-to-end by the differential harness.
-
-    The merge runs on the **raw row storage** (:func:`_replica_storage`):
-    ``np.bitwise_or`` is a logical OR on dense bool rows and a byte OR on
-    bit-packed rows, so dense and packed states share this single code
-    path (all participants must use the same representation).
-    """
-    dirty = worker_states[0].dirty.copy()
-    for ws in worker_states[1:]:
-        np.logical_or(dirty, ws.dirty, out=dirty)
-    rows = np.flatnonzero(dirty)
-    new_sizes = state.sizes + sum(
-        ws.sizes - state.sizes for ws in worker_states
-    )
-    raw = _replica_storage(state.replicas)
-    if rows.size:
-        merged = raw[rows]
-        for ws in worker_states:
-            np.bitwise_or(
-                merged, _replica_storage(ws.replicas)[rows], out=merged
-            )
-        raw[rows] = merged
-    state.sizes[:] = new_sizes
-    for ws in worker_states:
-        if rows.size:
-            _replica_storage(ws.replicas)[rows] = merged
-        ws.sizes[:] = new_sizes
-        ws.dirty[:] = False
-    return int(rows.size)
-
-
-# ---------------------------------------------------------------------
-# wire-delta serialization (distributed runner barriers)
-# ---------------------------------------------------------------------
-def extract_replica_delta(state: PartitionState):
-    """Serialize a worker view's barrier contribution as raw arrays.
-
-    Returns ``(rows, rows_data, sizes)``: the view's dirty row indices
-    (``int64``), the raw storage of exactly those rows (dense bool rows,
-    or the byte planes of a packed matrix — ready to ship as byte-OR
-    blocks), and the full local sizes vector.  This is one worker's term
-    of :func:`merge_replica_deltas`, flattened for a wire frame: clean
-    rows are bit-identical to the last synchronized global state, so
-    omitting them loses nothing.
-    """
-    if state.dirty is None:
-        raise PartitioningError(
-            "extract_replica_delta needs a dirty-tracking state "
-            "(track_dirty=True)"
-        )
-    rows = np.flatnonzero(state.dirty)
-    rows_data = _replica_storage(state.replicas)[rows]
-    return rows, rows_data, state.sizes.copy()
-
-
-def merge_replica_wire_deltas(state: PartitionState, deltas):
-    """Fold serialized worker deltas into ``state``; the coordinator half.
-
-    ``deltas`` is one ``(rows, rows_data, sizes)`` triple per worker, as
-    produced by :func:`extract_replica_delta` (decoded from the wire).
-    Applies the exact :func:`merge_replica_deltas` arithmetic — OR over
-    the union of dirty rows, sizes summed as disjoint deltas against the
-    last synchronized global sizes — and returns the refresh broadcast
-    ``(rows, merged_rows, new_sizes)`` every worker must apply via
-    :func:`apply_replica_refresh`.  Equivalence with the shared-memory
-    barrier is pinned by ``tests/test_state.py``; bit-exactness holds
-    because a row clean in worker *w* equals the pre-merge global row, so
-    leaving it out of *w*'s OR contribution changes no bit.
-    """
-    union = np.zeros(state.n_vertices, dtype=bool)
-    for rows_w, _, _ in deltas:
-        union[rows_w] = True
-    rows = np.flatnonzero(union)
-    new_sizes = state.sizes + sum(
-        np.asarray(sizes_w, dtype=np.int64) - state.sizes
-        for _, _, sizes_w in deltas
-    )
-    raw = _replica_storage(state.replicas)
-    merged = raw[rows]
-    for rows_w, rows_data_w, _ in deltas:
-        rows_w = np.asarray(rows_w, dtype=np.int64)
-        if rows_w.size:
-            idx = np.searchsorted(rows, rows_w)
-            merged[idx] |= np.asarray(rows_data_w)
-    if rows.size:
-        raw[rows] = merged
-    state.sizes[:] = new_sizes
-    return rows, merged, new_sizes
-
-
-def apply_replica_refresh(state: PartitionState, rows, rows_data, sizes):
-    """Apply one barrier refresh broadcast to a worker view.
-
-    After this the view is bit-identical to the merged global state on
-    every refreshed row, its sizes equal the new global sizes, and its
-    dirty bitmap is clear — the invariant :func:`merge_replica_deltas`
-    re-establishes for shared-memory views at every barrier.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size:
-        _replica_storage(state.replicas)[rows] = np.asarray(rows_data)
-    state.sizes[:] = np.asarray(sizes, dtype=np.int64)
-    if state.dirty is not None:
-        state.dirty[:] = False

@@ -32,7 +32,7 @@ from repro.graph.generators import (
     star_graph,
     two_cluster_toy_graph,
 )
-from repro.partitioning.state import _replica_storage
+from repro.partitioning.state import _replica_plane
 from tests import per_edge
 
 #: One factory per partitioner, used by the cross-cutting contract tests.
@@ -55,12 +55,11 @@ ALL_PARTITIONER_FACTORIES = {
 }
 
 
-def state_bytes(state) -> tuple[bytes, bytes, bytes]:
-    """Replica plane, sizes and dirty bitmap of a partition state as
-    bytes: everything a barrier writes, for byte-for-byte comparisons."""
-    dirty = b"" if state.dirty is None else state.dirty.tobytes()
-    plane = _replica_storage(state.replicas).tobytes()
-    return plane, state.sizes.tobytes(), dirty
+def state_bytes(state) -> tuple[bytes, bytes]:
+    """Replica plane and sizes of a partition state as bytes: everything
+    a barrier writes, for byte-for-byte comparisons."""
+    plane = _replica_plane(state.replicas)[0].tobytes()
+    return plane, state.sizes.tobytes()
 
 
 #: Subset that enforces the hard balance cap (stateless hashing cannot).

@@ -43,7 +43,7 @@ from repro.kernels import available_backends, get_backend, missing_backends
 from repro.kernels import c_backend
 from repro.kernels.base import TwoPhaseContext, phase2_inputs
 from repro.metrics.runtime import CostCounter
-from repro.partitioning.state import PartitionState
+from repro.partitioning.state import PartitionState, _replica_plane
 from repro.streaming import InMemoryEdgeStream
 from tests.conftest import state_bytes
 
@@ -480,77 +480,57 @@ class TestCMemorySafety:
         with pytest.raises(StreamError, match=f"edge {edge} holds a negative"):
             get_backend(c_registered).degree_pass(_RawChunks(*chunks), 4)
 
-    # -- the Phase-2 barrier: every input is checked before any write --
+    # -- the Phase-2 barrier op: the plane is checked before any write --
     @staticmethod
-    def _barrier(packed=False, n=12, k=10):
-        """A global state and two dirty views, each with written rows."""
+    def _barrier_state(packed=False, n=12, k=10):
+        """A state with written rows, and a log of bits clear in it."""
         state = PartitionState(n, k, 40, packed=packed)
         state.replicas[np.arange(n), np.arange(n) % k] = True
-        views = []
-        for w in range(2):
-            view = PartitionState(n, k, 40, packed=packed, track_dirty=True)
-            view.replicas[np.arange(n), (np.arange(n) + w + 1) % k] = True
-            view.dirty[w::2] = True
-            view.sizes[:] = w + 1
-            views.append(view)
-        return state, views
+        return state, [np.array([5, 37, n * k - 1], dtype=np.int64)]
 
-    def _assert_barrier_rejects(self, c_registered, state, views, match):
+    def _assert_barrier_rejects(self, c_registered, state, logs, match):
         from repro.errors import PartitioningError
 
-        before = [state_bytes(s) for s in (state, *views)]
+        plane = _replica_plane(state.replicas)[0]
+        before = plane.tobytes()
         with pytest.raises(PartitioningError, match=match):
-            get_backend(c_registered).merge_phase2_deltas(state, views)
-        assert [state_bytes(s) for s in (state, *views)] == before
+            get_backend(c_registered).apply_replica_log(state, logs)
+        assert plane.tobytes() == before
 
-    def test_barrier_rejects_view_plane_of_wrong_shape(self, c_registered):
-        state, views = self._barrier()
-        views[1].replicas = np.zeros((11, 10), dtype=bool)
+    def test_barrier_rejects_plane_of_wrong_shape(self, c_registered):
+        state, logs = self._barrier_state()
+        state.replicas = np.zeros((12, 11), dtype=bool)
         self._assert_barrier_rejects(
-            c_registered, state, views, "does not match the global plane"
+            c_registered, state, logs, "does not hold k=10 columns"
         )
 
-    def test_barrier_rejects_view_of_other_packing(self, c_registered):
-        state, views = self._barrier(packed=True)
-        views[1] = PartitionState(12, 10, 40, track_dirty=True)
-        views[1].dirty[:] = True
+    def test_barrier_rejects_plane_of_other_packing(self, c_registered):
+        state, logs = self._barrier_state(packed=True)
+        state.replicas.packed = np.zeros((12, 2), dtype=bool)
         self._assert_barrier_rejects(
-            c_registered, state, views, "replica plane must be a writable"
+            c_registered, state, logs, "replica plane must be a writable"
+        )
+        state, logs = self._barrier_state()
+        state.replicas = np.zeros((12, 10), dtype=np.uint8)
+        self._assert_barrier_rejects(
+            c_registered, state, logs, "replica plane must be a writable"
         )
 
-    def test_barrier_rejects_read_only_plane(self, c_registered):
-        state, views = self._barrier()
-        views[0].replicas.flags.writeable = False
+    @pytest.mark.parametrize("packed", [False, True], ids=["dense", "packed"])
+    def test_barrier_rejects_read_only_plane(self, c_registered, packed):
+        state, logs = self._barrier_state(packed=packed)
+        _replica_plane(state.replicas)[0].flags.writeable = False
         self._assert_barrier_rejects(
-            c_registered, state, views, "replica plane must be a writable"
-        )
-        state, views = self._barrier()
-        state.replicas.flags.writeable = False
-        self._assert_barrier_rejects(
-            c_registered, state, views, "replica plane must be a writable"
+            c_registered, state, logs, "replica plane must be a writable"
         )
 
     def test_barrier_rejects_non_contiguous_plane(self, c_registered):
-        state, views = self._barrier()
+        state, logs = self._barrier_state()
         wide = np.zeros((12, 20), dtype=bool)
-        wide[:, :10] = views[1].replicas
-        views[1].replicas = wide[:, :10]
+        wide[:, :10] = state.replicas
+        state.replicas = wide[:, :10]
         self._assert_barrier_rejects(
-            c_registered, state, views, "replica plane must be a writable"
-        )
-
-    def test_barrier_rejects_bitmap_of_wrong_length(self, c_registered):
-        state, views = self._barrier()
-        views[1].dirty = np.ones(11, dtype=bool)
-        self._assert_barrier_rejects(
-            c_registered, state, views, "dirty bitmap of 11 rows"
-        )
-
-    def test_barrier_rejects_sizes_of_wrong_length(self, c_registered):
-        state, views = self._barrier()
-        views[1].sizes = np.zeros(11, dtype=np.int64)
-        self._assert_barrier_rejects(
-            c_registered, state, views, "11 partition sizes for k=10"
+            c_registered, state, logs, "replica plane must be a writable"
         )
 
     def test_list_schedule_rejects_k_below_one(self, c_registered):

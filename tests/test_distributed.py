@@ -9,9 +9,10 @@ Three layers, mirroring the implementation split:
   bootstrap both pinned full-state bit-exact against the simulated
   runner (the deeper seeded matrix lives in ``tests/differential.py``);
 - failure injection — worker crash mid-window, socket disconnect during
-  a delta barrier, a stalled reply tripping ``recv_timeout``, and a
-  version- or kernel-source-mismatch handshake must each surface as a
-  typed :class:`~repro.errors.PartitioningError` with no leaked socket,
+  a barrier, a stalled reply tripping ``recv_timeout``, a hostile
+  set-bit log in a window result, and a version- or kernel-source-
+  mismatch handshake must each surface as a typed
+  :class:`~repro.errors.PartitioningError` with no leaked socket,
   worker process, or shared-memory segment.
 
 Fault injection works by monkeypatching the module-level
@@ -43,7 +44,7 @@ from repro.core.distributed import (
 )
 from repro.core.runners import live_shared_segments, make_runner
 from repro.errors import ConfigurationError, PartitioningError, WireError
-from repro.kernels import c_backend
+from repro.kernels import c_backend, get_backend
 from repro.graph.generators import chung_lu_graph
 from repro.streaming import FileEdgeStream
 from repro.streaming.writer import EdgeListWriter
@@ -557,6 +558,68 @@ class TestFailureInjection:
             monkeypatch, wire.MSG_BARRIER, _disconnect_handler
         )
         assert "barrier" in str(excinfo.value)
+        _assert_clean()
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize(
+        "mutate, match",
+        [
+            (lambda log, n_cells: np.append(log, n_cells), "outside the"),
+            (lambda log, n_cells: np.append(log, -1), "outside the"),
+            (
+                lambda log, n_cells: np.append(log, log[:1] ^ (1 << 40)),
+                "outside the",
+            ),
+            (lambda log, n_cells: log.astype(np.int32), "1-d int64 array"),
+            (
+                lambda log, n_cells: np.zeros(2 * 37 + 1, dtype=np.int64),
+                "more than the 74 bits",
+            ),
+        ],
+        ids=["n*k", "negative", "bit-flipped", "int32", "too-long"],
+    )
+    def test_hostile_log_is_rejected_before_the_barrier_writes(
+        self, monkeypatch, mutate, match
+    ):
+        """A window result whose set-bit log is out of range, of the
+        wrong type or longer than its window can set: one typed error,
+        raised before the coordinator's global state takes any bit."""
+        real = distributed._w_window
+
+        def hostile(ctx, payload):
+            msg_type, fields = real(ctx, payload)
+            view = ctx["view"]
+            fields["log"] = mutate(fields["log"], view.n_vertices * view.k)
+            return msg_type, fields
+
+        writes = []
+        kernels_cls = type(get_backend())
+        apply = kernels_cls.apply_replica_log
+
+        def recording(self, state, logs):
+            try:
+                apply(self, state, logs)
+            except PartitioningError:
+                raise
+            writes.append(len(logs))
+
+        monkeypatch.setattr(kernels_cls, "apply_replica_log", recording)
+        excinfo = self._run_with_fault(monkeypatch, wire.MSG_WINDOW, hostile)
+        assert excinfo.match(match)
+        assert not writes, "the coordinator's state took a hostile log"
+        _assert_clean()
+        assert not multiprocessing.active_children()
+
+    def test_malformed_sizes_are_rejected(self, monkeypatch):
+        real = distributed._w_window
+
+        def short_sizes(ctx, payload):
+            msg_type, fields = real(ctx, payload)
+            fields["sizes"] = fields["sizes"][:-1]
+            return msg_type, fields
+
+        excinfo = self._run_with_fault(monkeypatch, wire.MSG_WINDOW, short_sizes)
+        assert excinfo.match("malformed sizes")
         _assert_clean()
         assert not multiprocessing.active_children()
 

@@ -34,6 +34,7 @@ from repro.kernels import (
 )
 from repro.kernels.base import (
     Int64Buffer,
+    ReplicaLog,
     TwoPhaseContext,
     phase2_inputs,
 )
@@ -1198,82 +1199,223 @@ class TestPhase1MergeOps:
         from repro.kernels.c_backend import CBackend
 
         assert any(type(b) is CBackend for b in BACKEND_IMPLS)
-        ops = ("merge_phase1_clustering", "merge_phase2_deltas", "list_schedule")
+        ops = ("merge_phase1_clustering", "apply_replica_log", "list_schedule")
         for op in ops:
             assert op in vars(CBackend), op
 
 
 def _copy_state(state):
-    """An independent deep copy of a (possibly dirty-tracking) state."""
-    from repro.partitioning.state import _replica_storage
+    """An independent deep copy of a state."""
+    from repro.partitioning.state import _replica_plane
 
     out = PartitionState(
-        state.n_vertices,
-        state.k,
-        state.n_edges,
-        state.alpha,
-        track_dirty=state.dirty is not None,
-        packed=state.packed,
+        state.n_vertices, state.k, state.n_edges, state.alpha, packed=state.packed
     )
-    _replica_storage(out.replicas)[:] = _replica_storage(state.replicas)
+    _replica_plane(out.replicas)[0][:] = _replica_plane(state.replicas)[0]
     out.sizes[:] = state.sizes
-    if state.dirty is not None:
-        out.dirty[:] = state.dirty
     return out
 
 
-class TestPhase2MergeOp:
-    """``merge_phase2_deltas`` on every backend against the reference
-    :func:`~repro.partitioning.state.merge_replica_deltas`: global plane,
-    every view, sizes, cleared bitmaps and the returned row count are
-    byte-identical, dense and packed."""
+def _logged_view(rng, state):
+    """A copy of ``state`` that then gains random bits, and the
+    :class:`ReplicaLog` of each bit that was clear in it (in random
+    order); its sizes run stale and past the cap."""
+    n, k = state.n_vertices, state.k
+    view = _copy_state(state)
+    m = int(rng.integers(0, 3 * n))
+    us = rng.integers(0, n, size=m)
+    ps = rng.integers(0, k, size=m)
+    cells = np.unique(us * k + ps)
+    fresh = cells[~np.asarray(view.replicas[cells // k, cells % k], dtype=bool)]
+    view.replicas[us, ps] = True
+    log = ReplicaLog(max(2 * m, 1))
+    for cell in rng.permutation(fresh).tolist():
+        log.append(cell)
+    view.sizes[:] = state.sizes + rng.integers(0, 3 * n, size=k)
+    return view, log
 
-    @staticmethod
-    def _scenario(rng, k, packed, n_views):
-        """Random global bits, views that start as its copies and then
-        gain random bits in random rows; dirty marks cover part of the
-        written rows (and some unwritten ones), so clean rows may differ
-        from the global state, which the merge must leave alone.  View
-        sizes run stale and past the cap."""
-        n = int(rng.integers(1, 90))
-        state = PartitionState(n, k, 4 * n, packed=packed)
-        cells = rng.random((n, k)) < 0.2
-        rows, cols = np.nonzero(cells)
-        state.replicas[rows, cols] = True
-        state.sizes[:] = rng.integers(0, 50, size=k)
-        views = []
-        for _ in range(n_views):
-            view = _copy_state(state)
-            view.dirty = np.zeros(n, dtype=bool)
-            m = int(rng.integers(0, 3 * n))
-            us = rng.integers(0, n, size=m)
-            ps = rng.integers(0, k, size=m)
-            view.replicas[us, ps] = True
-            marked = us[rng.random(m) < 0.8]
-            view.dirty[marked] = True
-            view.dirty[rng.integers(0, n, size=2)] = True
-            view.sizes[:] = state.sizes + rng.integers(0, 3 * n, size=k)
-            views.append(view)
-        return state, views
+
+def _barrier_scenario(rng, k, packed, n_views):
+    """Random global bits and ``n_views`` logged views of them."""
+    n = int(rng.integers(1, 90))
+    state = PartitionState(n, k, 4 * n, packed=packed)
+    rows, cols = np.nonzero(rng.random((n, k)) < 0.2)
+    state.replicas[rows, cols] = True
+    state.sizes[:] = rng.integers(0, 50, size=k)
+    pairs = [_logged_view(rng, state) for _ in range(n_views)]
+    return state, [v for v, _ in pairs], [log for _, log in pairs]
+
+
+class TestReplicaLogBarrier:
+    """The Phase-2 barrier on every backend: ``apply_replica_log`` sets
+    every logged bit, and :func:`~repro.core.runners.apply_logs` makes
+    the global state and every view the OR of them all, with sizes
+    ``g + sum(view - g)``; byte-identical to the python reference, dense
+    and packed."""
 
     @pytest.mark.parametrize("packed", [False, True], ids=["dense", "packed"])
     @pytest.mark.parametrize("k", [2, 7, 32, 70])
     @pytest.mark.parametrize("kernels", BACKEND_IMPLS, ids=lambda b: b.name)
-    def test_matches_merge_replica_deltas(self, kernels, k, packed):
-        from repro.partitioning.state import merge_replica_deltas
+    def test_barrier_equals_or_of_every_view(self, kernels, k, packed):
+        from repro.core.runners import apply_logs
 
         rng = np.random.default_rng(1000 * k + packed)
         for n_views in (1, 2, 3, 4, 5):
-            state, views = self._scenario(rng, k, packed, n_views)
+            state, views, logs = _barrier_scenario(rng, k, packed, n_views)
+            expect = np.logical_or.reduce(
+                [np.asarray(s.replicas) for s in (state, *views)]
+            )
+            expect_sizes = state.sizes + sum(v.sizes - state.sizes for v in views)
+            n_cells = sum(len(log.entries()) for log in logs)
             ref_state = _copy_state(state)
-            ref_views = [_copy_state(v) for v in views]
-            expect_rows = merge_replica_deltas(ref_state, ref_views)
-            rows = kernels.merge_phase2_deltas(state, views)
-            assert rows == expect_rows
-            assert state_bytes(state) == state_bytes(ref_state)
-            for view, ref in zip(views, ref_views):
-                assert state_bytes(view) == state_bytes(ref)
-                assert not view.dirty.any()
+            get_backend("python").apply_replica_log(
+                ref_state, [log.entries() for log in logs]
+            )
+            assert apply_logs(kernels, state, views, logs) == n_cells
+            for target in (state, *views):
+                np.testing.assert_array_equal(np.asarray(target.replicas), expect)
+                np.testing.assert_array_equal(target.sizes, expect_sizes)
+                assert state_bytes(target)[0] == state_bytes(ref_state)[0]
+            assert all(len(log.entries()) == 0 for log in logs)
+
+    @pytest.mark.parametrize("packed", [False, True], ids=["dense", "packed"])
+    @pytest.mark.parametrize("kernels", BACKEND_IMPLS, ids=lambda b: b.name)
+    def test_view_aliasing_the_global_plane(self, kernels, packed):
+        """Worker 0's view *is* the global state (as a lone view is):
+        the barrier still ends at the OR of every view everywhere."""
+        from repro.core.runners import apply_logs
+
+        rng = np.random.default_rng(7 + packed)
+        state, views, logs = _barrier_scenario(rng, 11, packed, 2)
+        views[0] = state
+        logs[0] = _logged_view(rng, state)[1]
+        kernels.apply_replica_log(state, [logs[0].entries()])  # its own bits
+        expect = np.asarray(state.replicas) | np.asarray(views[1].replicas)
+        apply_logs(kernels, state, views, logs)
+        for target in views:
+            np.testing.assert_array_equal(np.asarray(target.replicas), expect)
+            np.testing.assert_array_equal(target.sizes, views[1].sizes)
+
+    def test_sizes_merge_overshoot_exactly(self):
+        """A stale view may run past the hard cap; the merge carries the
+        overshoot through unchanged, and a view with no delta adds 0."""
+        from repro.core.runners import merge_sizes
+
+        state = PartitionState(6, 2, 8, alpha=1.0)  # capacity 4
+        state.sizes[:] = [3, 1]
+        merged = merge_sizes(state, [np.array([9, 1]), np.array([3, 1])])
+        assert merged.tolist() == state.sizes.tolist() == [9, 1]
+        assert state.sizes[0] > state.capacity
+
+    @pytest.mark.parametrize("packed", [False, True], ids=["dense", "packed"])
+    @pytest.mark.parametrize("kernels", BACKEND_IMPLS, ids=lambda b: b.name)
+    def test_empty_logs_write_nothing(self, kernels, packed):
+        state, _, _ = _barrier_scenario(np.random.default_rng(3), 9, packed, 0)
+        before = state_bytes(state)
+        kernels.apply_replica_log(state, [])
+        kernels.apply_replica_log(state, [np.zeros(0, dtype=np.int64)])
+        assert state_bytes(state) == before
+
+    @pytest.mark.parametrize("packed", [False, True], ids=["dense", "packed"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["negative", "n*k", "bit-flipped", "int64 min"],
+    )
+    @pytest.mark.parametrize("kernels", BACKEND_IMPLS, ids=lambda b: b.name)
+    def test_hostile_entry_raises_before_any_write(self, kernels, bad, packed):
+        """An entry outside ``[0, n * k)`` raises the one typed error,
+        also when it sits in a later log than valid entries: the call
+        writes nothing."""
+        state = PartitionState(12, 10, 40, packed=packed)
+        state.replicas[np.arange(12), np.arange(12) % 10] = True
+        valid = np.array([5, 119, 37], dtype=np.int64)  # all clear
+        entry = {
+            "negative": -1,
+            "n*k": 12 * 10,
+            "bit-flipped": int(valid[1]) ^ (1 << 40),
+            "int64 min": np.iinfo(np.int64).min,
+        }[bad]
+        before = state_bytes(state)
+        with pytest.raises(PartitioningError, match="outside the 120 replica"):
+            kernels.apply_replica_log(
+                state, [valid, np.array([3, entry], dtype=np.int64)]
+            )
+        assert state_bytes(state) == before
+
+    @pytest.mark.parametrize(
+        "log",
+        [
+            np.array([1, 2], dtype=np.int32),
+            np.array([[1, 2]], dtype=np.int64),
+            [1, 2],
+        ],
+        ids=["int32", "2-d", "list"],
+    )
+    @pytest.mark.parametrize("kernels", BACKEND_IMPLS, ids=lambda b: b.name)
+    def test_log_of_wrong_type_raises_before_any_write(self, kernels, log):
+        state = PartitionState(4, 3, 10)
+        with pytest.raises(PartitioningError, match="1-d int64 array"):
+            kernels.apply_replica_log(state, [np.array([0], np.int64), log])
+        assert not state.replicas.any()
+
+
+PHASE2_PASSES = ("prepartition_pass", "remaining_pass_linear", "remaining_pass_hdrf")
+
+
+class TestPassLogs:
+    """The set-bit logs the Phase-2 passes write: exactly the bits each
+    pass set that were clear, u's before v's per edge, the same cells in
+    the same order on every backend and layout, and no change to what
+    the pass computes."""
+
+    @staticmethod
+    def _run(name, op, seed, packed, capacity=None, chunk_size=7):
+        rng = np.random.default_rng(seed)
+        n, k, m = 40, 6, 300
+        edges = rng.integers(0, n, size=(m, 2))
+        v2c = rng.integers(0, 8, size=n)
+        c2p = rng.integers(0, k, size=8)
+        bits = rng.random((n, k)) < 0.3
+        preset = (k, v2c, c2p, bits, rng.integers(0, 40, size=k), 10 * m, 1.05)
+        ctx = _preset_context(edges, n, *preset, packed)
+        before = np.asarray(ctx.state.replicas).copy()
+        ctx.log = ReplicaLog(2 * m if capacity is None else capacity)
+        stream = InMemoryEdgeStream(edges, n_vertices=n)
+        stream.default_chunk_size = chunk_size
+        getattr(get_backend(name), op)(stream, ctx)
+        return ctx, before, (edges, n, preset)
+
+    @pytest.mark.parametrize("op", PHASE2_PASSES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_logs_match_across_backends_and_layouts(self, op, seed):
+        ref, before, (edges, n, preset) = self._run("python", op, seed, False)
+        cells = ref.log.entries()
+        assert len(np.unique(cells)) == len(cells) <= 2 * edges.shape[0]
+        assert not before.ravel()[cells].any(), "logged a bit that was set"
+        replayed = PartitionState(n, 6, 1, packed=False)
+        replayed.replicas[:] = before
+        get_backend("python").apply_replica_log(replayed, [cells])
+        np.testing.assert_array_equal(replayed.replicas, np.asarray(ref.state.replicas))
+        # Logging changes nothing the pass computes.
+        plain = _preset_context(edges, n, *preset, False)
+        stream = InMemoryEdgeStream(edges, n_vertices=n)
+        stream.default_chunk_size = 7
+        getattr(get_backend("python"), op)(stream, plain)
+        _assert_contexts_identical(plain, ref)
+        for name in available_backends():
+            for packed in (False, True):
+                for chunk_size in (1, 7, 500):
+                    out, _, _ = self._run(name, op, seed, packed, None, chunk_size)
+                    _assert_contexts_identical(ref, out)
+                    np.testing.assert_array_equal(out.log.entries(), cells)
+
+    @pytest.mark.parametrize("op", PHASE2_PASSES)
+    @pytest.mark.parametrize("name", available_backends())
+    def test_overflow_is_a_typed_error(self, name, op):
+        ref, _, _ = self._run("python", op, 0, False)
+        short = len(ref.log.entries()) - 1
+        with pytest.raises(PartitioningError, match="set-bit log"):
+            self._run(name, op, 0, True, capacity=short)
 
 
 def _heapq_schedule(volumes, k):

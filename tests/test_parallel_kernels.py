@@ -297,9 +297,10 @@ class TestRunnerMatrix:
         ).partition(self._stream(source, graph_file, community_graph), 4)
         assert_bit_exact(seq, par)
 
-    def test_delta_barriers_shrink_broadcast_volume(self, community_graph):
-        """The dirty-row barriers must merge strictly fewer replica rows
-        than a full re-broadcast on a graph larger than one window."""
+    def test_log_barriers_write_less_than_full_broadcast(self, community_graph):
+        """The set-bit log barriers must write strictly fewer replica
+        cells than a full re-broadcast on a graph larger than one
+        window."""
         result = ParallelTwoPhase(n_workers=4, sync_interval=32).partition(
             community_graph, 8
         )
@@ -662,6 +663,134 @@ def test_unknown_pass_is_a_configuration_error(runner, community_graph):
         session.close()
     assert not live_shared_segments()
     assert not live_connections() and not live_worker_processes()
+
+
+_EXPORTS_OUTLIVE_CLOSE = """
+import zlib
+
+import numpy as np
+
+from repro.core import ParallelTwoPhase
+from repro.core.runners import live_shared_segments
+from repro.errors import PartitioningError
+from repro.graph import Graph
+from repro.kernels import get_backend
+
+kernels = get_backend("python")
+checksums = {}
+
+
+def failing_merge(v2c, volumes, worker_states, degrees):
+    for export in worker_states:
+        for array in export:
+            checksums[id(array)] = zlib.crc32(array.tobytes())
+    raise PartitioningError("injected clustering-merge failure")
+
+
+kernels.merge_phase1_clustering = failing_merge
+rng = np.random.default_rng(1)
+graph = Graph(rng.integers(0, 400, size=(3000, 2)), 400)
+try:
+    ParallelTwoPhase(
+        n_workers=2, sync_interval=256, runner="process",
+        parallel_phase1=True, backend="python", start_method="fork",
+    ).partition(graph, 4)
+except PartitioningError as exc:
+    tb = exc.__traceback__
+assert not live_shared_segments(), "the session did not close"
+
+
+def arrays(value, depth=0):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)) and depth < 3:
+        for item in value:
+            yield from arrays(item, depth + 1)
+
+
+checked = 0
+while tb is not None:
+    for value in list(tb.tb_frame.f_locals.values()):
+        for array in arrays(value):
+            if id(array) in checksums:
+                assert zlib.crc32(array.tobytes()) == checksums[id(array)]
+                checked += 1
+    tb = tb.tb_next
+assert checked >= 4, checked
+print("exports intact:", checked)
+"""
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
+def test_clustering_exports_outlive_the_session():
+    """When the clustering merge raises, the exports its traceback holds
+    must still read as they did, after the session has closed and
+    released its scratch segment.  Run in a child: an export that views
+    the unmapped scratch would crash the interpreter that reads it."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXPORTS_OUTLIVE_CLOSE],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "exports intact" in proc.stdout
+
+
+class TestStartMethodContext:
+    """A start method that re-runs ``__main__`` in its children is
+    refused when ``__main__`` names a path that is no file (a script on
+    standard input), before any segment, pool, socket or process
+    exists; nothing is started to find out."""
+
+    @pytest.fixture
+    def main_from_stdin(self, monkeypatch):
+        import sys
+        import types
+
+        main = types.ModuleType("__main__")
+        main.__file__ = "<stdin>"
+        main.__spec__ = None
+        monkeypatch.setitem(sys.modules, "__main__", main)
+
+    @pytest.mark.parametrize("runner", ["process", "distributed"])
+    def test_spawn_from_stdin_is_a_configuration_error(
+        self, runner, main_from_stdin, community_graph, monkeypatch
+    ):
+        started = []
+        monkeypatch.setattr(
+            multiprocessing.context.SpawnProcess,
+            "_Popen",
+            staticmethod(lambda proc: started.append(proc)),
+        )
+        partitioner = ParallelTwoPhase(
+            n_workers=2, sync_interval=64, runner=runner, start_method="spawn"
+        )
+        with pytest.raises(ConfigurationError, match="'<stdin>'"):
+            partitioner.partition(community_graph, 4)
+        assert not started
+        assert not live_shared_segments()
+        assert not live_connections() and not live_worker_processes()
+
+    def test_fork_and_a_module_main_pass(self, main_from_stdin):
+        """``fork`` never re-runs ``__main__``, and one that names a
+        module (``python -m``) re-runs from that name."""
+        import sys
+        import types
+
+        if HAS_FORK:
+            assert runners_module.mp_context("fork").get_start_method() == "fork"
+        sys.modules["__main__"].__spec__ = types.SimpleNamespace(name="a.module")
+        assert runners_module.mp_context("spawn").get_start_method() == "spawn"
 
 
 class TestOutOfCore:

@@ -3,7 +3,7 @@
 A process session keeps its state in at most three segments: the edge
 copy of an in-memory stream, the Phase-1 clustering scratch and one
 Phase-2 segment (assignments, ``part``/``weights`` and every worker's
-state view).  Each of the last two is laid out by one function over a
+state view and set-bit log).  Each of the last two is laid out by one function over a
 ``_BufferArena``, which sizes the segment, creates it in the parent and
 attaches it in every worker.  Pinned here: what an attacher sees, the
 typed errors of a bad attach, how many segments a session holds, and
@@ -30,6 +30,7 @@ from repro.core.runners import (
 )
 from repro.errors import PartitioningError
 from repro.graph import Graph
+from repro.kernels.base import ReplicaLog
 from repro.metrics.runtime import CostCounter
 from repro.partitioning.state import PackedReplicaMatrix, PartitionState
 from repro.streaming import InMemoryEdgeStream
@@ -45,8 +46,9 @@ LAYOUTS = pytest.mark.parametrize("packed", [False, True], ids=["dense", "packed
 
 def _phase2_args(packed, n=9, k=11, n_edges=20, n_workers=2):
     """Phase-2 layout arguments; odd ``n`` and ``k`` leave every packed
-    row a partial last byte and every plane off an 8-byte boundary."""
-    return (n_edges, n, k, 1.2, n_workers, packed)
+    row a partial last byte and every plane off an 8-byte boundary, and
+    each log holds the ``2 * n_edges`` bits a window of them can set."""
+    return (n_edges, n, k, 1.2, n_workers, packed, 2 * n_edges)
 
 
 class _Segments:
@@ -83,10 +85,10 @@ class TestLayouts:
     @LAYOUTS
     def test_attacher_sees_parent_writes(self, segments, packed):
         args = _phase2_args(packed)
-        shm, (assignments, (part, weights), views) = segments.create(
+        shm, (assignments, (part, weights), views, logs) = segments.create(
             _phase2_layout, args
         )
-        w_assignments, (w_part, w_weights), w_views = segments.attach(
+        w_assignments, (w_part, w_weights), w_views, w_logs = segments.attach(
             _phase2_layout, args, shm.name
         )
         assert isinstance(w_views[0].replicas, PackedReplicaMatrix) == packed
@@ -94,9 +96,11 @@ class TestLayouts:
         part[:] = np.arange(9)
         weights[:, 1] = 5
         views[1].scatter_edges([0, 8], [2, 3], [10, 4])
-        views[1].mark_dirty(np.array([0, 2, 3, 8]))
+        for cell in (10, 2 * 11 + 10, 8 * 11 + 4, 3 * 11 + 4):
+            logs[1].append(cell)
         w_views[0].scatter_edges([5], [6], [1])  # and the other way
-        w_views[0].mark_dirty(np.array([5, 6]))
+        for cell in (5 * 11 + 1, 6 * 11 + 1):
+            w_logs[0].append(cell)
 
         assert w_assignments[3] == 7
         np.testing.assert_array_equal(w_part, np.arange(9))
@@ -104,21 +108,24 @@ class TestLayouts:
         for view, w_view in zip(views, w_views):
             assert state_bytes(w_view) == state_bytes(view)
             assert w_view.capacity == view.capacity
+        for log, w_log in zip(logs, w_logs):
+            np.testing.assert_array_equal(w_log.entries(), log.entries())
         assert w_views[1].replicas[0, 10] and w_views[1].replicas[8, 4]
         assert w_views[1].sizes.tolist() == [0] * 4 + [1] + [0] * 5 + [1]
-        assert np.flatnonzero(w_views[1].dirty).tolist() == [0, 2, 3, 8]
+        assert w_logs[1].entries().tolist() == [10, 32, 92, 37]
+        assert logs[0].entries().tolist() == [56, 67]
         assert views[0].replicas[5, 1] and views[0].sizes[1] == 1
         assert not views[1].replicas[5, 1], "views must not overlap"
 
     @LAYOUTS
     def test_fresh_segment_starts_zeroed(self, segments, packed):
-        _, (assignments, (part, weights), views) = segments.create(
+        _, (assignments, (part, weights), views, logs) = segments.create(
             _phase2_layout, _phase2_args(packed)
         )
         assert not (assignments.any() or part.any() or weights.any())
-        for view in views:
-            assert not view.replicas.any()
-            assert not view.sizes.any() and not view.dirty.any()
+        for view, log in zip(views, logs):
+            assert not view.replicas.any() and not view.sizes.any()
+            assert len(log.entries()) == 0 and log.cells.shape == (40,)
         _, (degrees, slots) = segments.create(_cluster_layout, (9, 10, 2))
         assert not degrees.any()
         assert not any(array.any() for slot in slots for array in slot)
@@ -142,9 +149,10 @@ class TestLayouts:
         assert needs[True] < needs[False]
 
     def test_views_are_ordinary_states(self):
-        (_, _, views) = _phase2_layout(_BufferArena(), *_phase2_args(True))
-        heap = PartitionState(9, 11, 20, 1.2, track_dirty=True, packed=True)
+        (_, _, views, logs) = _phase2_layout(_BufferArena(), *_phase2_args(True))
+        heap = PartitionState(9, 11, 20, 1.2, packed=True)
         assert [view.nbytes() for view in views] == [heap.nbytes()] * 2
+        assert [log.nbytes for log in logs] == [ReplicaLog(40).nbytes] * 2
 
 
 class TestAttach:
