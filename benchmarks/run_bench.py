@@ -64,10 +64,10 @@ Exit status is non-zero unless every gate passes:
   workers must stay bit-identical with the simulated runner at
   ``--n-workers`` and with sequential 2PS-L at one worker, ship
   strictly fewer replica-plane bytes per barrier than a full-state
-  re-broadcast, and leak no socket, worker process, or shared-memory
-  segment (all always enforced); its measured Phase-2 wall-clock vs
-  sequential python is enforced only on hosts with >= 2 usable CPUs
-  and recorded-but-skipped elsewhere.  The sequential, process,
+  re-broadcast on dense and on bit-packed state, and leak no socket,
+  worker process, or shared-memory segment (all always enforced); its
+  measured Phase-2 wall-clock vs sequential python is enforced only on
+  hosts with >= 2 usable CPUs and recorded-but-skipped elsewhere.  The sequential, process,
   sharded-Phase-1 and distributed runs of this file, and their ``c``
   twins, share one set of rounds;
 - out-of-core gates (``BENCH_storage.json``): the graph is generated
@@ -146,9 +146,10 @@ import time
 import numpy as np
 
 from repro.core import ParallelTwoPhase, TwoPhasePartitioner
-from repro.core.runners import live_shared_segments
+from repro.core.runners import apply_logs, live_shared_segments
 from repro.graph.generators import rmat_edge_file, rmat_graph
 from repro.kernels import DEFAULT_BACKEND, available_backends, get_backend
+from repro.kernels.base import ReplicaLog
 from repro.partitioning.state import PartitionState, _replica_plane
 from repro.streaming import FileEdgeStream, InMemoryEdgeStream
 
@@ -516,7 +517,8 @@ def barrier_fixture(n: int, k: int, packed: bool, seed: int):
     All three states start from the same random replica bits; each view
     then sets one bit in a random share of the rows, chosen so that
     :data:`BARRIER_DIRTY_SHARE` of the rows get a bit from some view,
-    and logs each one that was clear.
+    and logs each one that was clear in its
+    :class:`~repro.kernels.base.ReplicaLog`.
     """
     rng = np.random.default_rng(seed)
     rows, cols = np.nonzero(rng.random((n, k)) < 0.05)
@@ -532,16 +534,19 @@ def barrier_fixture(n: int, k: int, packed: bool, seed: int):
         ps = rng.integers(0, k, size=touched.size)
         fresh = ~np.asarray(view.replicas[touched, ps])
         view.replicas[touched, ps] = True
-        logs.append(touched[fresh] * k + ps[fresh])
+        cells = touched[fresh] * k + ps[fresh]
+        log = ReplicaLog(cells.shape[0])
+        log.cells[:] = cells
+        log.fill[0] = cells.shape[0]
+        logs.append(log)
     return states[0], states[1:], logs
 
 
 def barrier_run(backend: str, fixture):
     """A run of :func:`interleaved_rounds`: :data:`BARRIER_MERGES`
-    barriers, each joining a fresh ``barrier_fixture(*fixture)``'s logs
-    once and applying them to its global state and both views with
-    ``apply_replica_log``, as the runners' barrier does, timed together
-    as ``merge``; its result is the last barrier's cell count and every
+    barriers, each the runners' own :func:`~repro.core.runners.apply_logs`
+    on a fresh ``barrier_fixture(*fixture)``, timed together as
+    ``merge``; its result is the last barrier's cell count and every
     state's replica plane after it."""
     kernels = get_backend(backend)
 
@@ -550,12 +555,10 @@ def barrier_run(backend: str, fixture):
         for _ in range(BARRIER_MERGES):
             state, views, logs = barrier_fixture(*fixture)
             start = time.perf_counter()
-            cells = np.concatenate(logs)
-            for target in (state, *views):
-                kernels.apply_replica_log(target, [cells])
+            cells = apply_logs(kernels, state, views, logs)
             seconds += time.perf_counter() - start
         planes = [_replica_plane(st.replicas)[0].tobytes() for st in (state, *views)]
-        return (sum(len(log) for log in logs), *planes), {"merge": seconds}
+        return (cells, *planes), {"merge": seconds}
 
     return run
 
@@ -835,23 +838,26 @@ def run_parallel_wallclock(
     >= 2 usable CPUs).  The ``c`` twins record the same ratios, ungated.
     Always enforced: the Phase-2 barriers' set-bit logs write strictly
     fewer replica cells than a full re-broadcast, and the distributed
-    barriers ship strictly fewer replica-plane bytes (the logs, 8 bytes
-    a cell) than a full-state re-broadcast (the recorded
-    ``barrier_delta_bytes`` also counts the sizes).  Returns True when
-    every applicable gate passes.
+    barriers, on dense state and (in one more run, outside the rounds)
+    on bit-packed state, ship strictly fewer replica-plane bytes (each
+    worker's 4-byte cells of the other workers' logs, or the merged
+    plane where that is fewer bytes) than a full-state re-broadcast of
+    the plane and the sizes (the recorded ``barrier_delta_bytes`` also
+    counts the sizes).  Returns True when every applicable gate passes.
     """
     from repro.core.distributed import live_connections, live_worker_processes
 
     cpus = usable_cpus()
     c_reason = c_unavailable()
 
-    def sharded(backend, runner, phase1, n_workers=args.n_workers):
+    def sharded(backend, runner, phase1, n_workers=args.n_workers, packed=False):
         return ParallelTwoPhase(
             n_workers=n_workers,
             sync_interval=args.sync_interval,
             backend=backend,
             runner=runner,
             parallel_phase1=phase1,
+            packed_state=packed,
         )
 
     def partition(partitioner):
@@ -872,6 +878,13 @@ def run_parallel_wallclock(
             partition(sharded("python", runner, phase1, n_workers=1)),
             f"{name}: {runner} runner at 1 worker vs sequential 2PS-L",
         )
+    # The distributed barriers on bit-packed state, for the wire gate.
+    packed_distributed = partition(sharded("python", "distributed", False, packed=True))
+    assert_bit_exact(
+        simulated[False],
+        packed_distributed,
+        "distributed runner on packed state vs the simulated runner",
+    )
     runs, expected = {}, {}
     for backend in ("python",) if c_reason else ("python", "c"):
         prefix = "" if backend == "python" else "c "
@@ -963,16 +976,30 @@ def run_parallel_wallclock(
             else "(gate FAILED)"
         )
     )
-    wire_stats = results["distributed"].extras["wire"]
-    plane = wire_stats["barrier_plane_bytes"]
-    full = wire_stats["barrier_full_bytes"]
-    wire_ok = 0 < plane < full
-    print(
-        f"  distributed barriers: {wire_stats['barrier_delta_bytes']:,} "
-        f"bytes on the wire (logs {plane:,}) vs "
-        f"{full:,} full re-broadcast "
-        + (f"({full / plane:.1f}x plane reduction)" if wire_ok else "(gate FAILED)")
-    )
+    wire = {}
+    for layout, run in (
+        ("dense", results["distributed"]),
+        ("packed", packed_distributed),
+    ):
+        stats = run.extras["wire"]
+        plane, full = stats["barrier_plane_bytes"], stats["barrier_full_bytes"]
+        ok = 0 < plane < full
+        print(
+            f"  distributed barriers, {layout}: {stats['barrier_delta_bytes']:,} "
+            f"bytes on the wire (logs or planes {plane:,}) vs "
+            f"{full:,} full re-broadcast "
+            + (f"({full / plane:.2f}x plane reduction)" if ok else "(gate FAILED)")
+        )
+        wire[layout] = {
+            "bytes_sent": stats["bytes_sent"],
+            "bytes_received": stats["bytes_received"],
+            "barrier_delta_bytes": stats["barrier_delta_bytes"],
+            "barrier_plane_bytes": plane,
+            "barrier_full_bytes": full,
+            "plane_reduction_factor": round(full / plane, 2) if plane else None,
+            "gate": {"delta_below_full": ok, "pass": ok},
+        }
+    wire_ok = all(record["gate"]["pass"] for record in wire.values())
 
     payload = {
         "benchmark": "measured parallel Phase-2 wall-clock (process runner)",
@@ -1020,15 +1047,8 @@ def run_parallel_wallclock(
             "protocol over loopback sockets)",
             "n_workers": args.n_workers,
             "syncs": results["distributed"].extras["syncs"],
-            "wire": {
-                "bytes_sent": wire_stats["bytes_sent"],
-                "bytes_received": wire_stats["bytes_received"],
-                "barrier_delta_bytes": wire_stats["barrier_delta_bytes"],
-                "barrier_plane_bytes": plane,
-                "barrier_full_bytes": full,
-                "plane_reduction_factor": round(full / plane, 2) if plane else None,
-                "gate": {"delta_below_full": wire_ok, "pass": wire_ok},
-            },
+            "wire": wire["dense"],
+            "wire_packed": wire["packed"],
             "gate": distributed_gate,
             "c": c_twin("distributed", PHASE2),
             "distributed_matches_simulated": True,

@@ -13,13 +13,16 @@ is stated with the equivalence contract in :mod:`repro.core.runners`.
 On the wire, a Phase-2 window returns its assignment slice, its cost
 delta, the worker's sizes and its set-bit log (every replica bit the
 window set that was clear in the worker's view; see
-:class:`~repro.kernels.base.ReplicaLog`).  The coordinator checks each
-log's type and length against its window, and the barrier sets the
-logged bits in the global state with the kernel op
-``apply_replica_log``, which checks every entry before it writes, merges
-sizes with :func:`~repro.core.runners.merge_sizes`, and broadcasts the
-logs and the merged sizes; each worker applies them to its view and
-acknowledges before the next sweep.
+:class:`~repro.kernels.base.ReplicaLog`), its cells 4 bytes wide while
+the plane's ``n * k`` cells fit (:func:`~repro.core.wire.log_cell_dtype`).
+The coordinator checks each log's type and length against its window,
+and the barrier sets the logged bits in the global state with the
+kernel op ``apply_replica_log``, which checks every entry before it
+writes, and merges sizes with :func:`~repro.core.runners.merge_sizes`.
+It then sends each worker the merged sizes and the cells the *other*
+workers logged, or the merged plane where that is fewer bytes, so no
+barrier ships more than a full re-broadcast; each worker applies what
+it gets to its view and acknowledges before the next sweep.
 A Phase-1 clustering window carries the merged snapshot it loads from,
 except for a lone worker, which keeps one live clustering state
 worker-side until ``CLUSTER_FINISH``.
@@ -67,7 +70,7 @@ from repro.errors import ConfigurationError, PartitioningError, WireError
 from repro.kernels import get_backend
 from repro.kernels.base import ReplicaLog, log_cells
 from repro.metrics.runtime import CostCounter
-from repro.partitioning.state import PartitionState, packed_row_bytes
+from repro.partitioning.state import PartitionState, _replica_plane
 from repro.streaming.stream import (
     FileStreamSpec,
     spec_from_wire,
@@ -197,6 +200,7 @@ def _w_bind(ctx, payload):
         packed=bool(payload["packed"]),
     )
     ctx["log"] = ReplicaLog(int(payload["log_capacity"]))
+    ctx["cell"] = wire.log_cell_dtype(ctx["view"].n_vertices, ctx["k"])
     ctx["phase1"] = (
         np.asarray(payload["part"], dtype=np.int32),
         np.asarray(payload["weights"], dtype=np.int64),
@@ -229,14 +233,17 @@ def _w_window(ctx, payload):
         "total": total,
         "cost": np.asarray(cost, dtype=np.int64),
         "assignments": assignments,
-        "log": ctx["log"].entries(),
+        "log": ctx["log"].entries().astype(ctx["cell"]),
         "sizes": view.sizes,
     }
 
 
 def _w_barrier(ctx, payload):
-    view = ctx["view"]
-    ctx["kernels"].apply_replica_log(view, [payload["log"]])
+    view, cells = ctx["view"], payload.get("log")
+    if cells is None:
+        np.copyto(_replica_plane(view.replicas)[0], payload["plane"], casting="no")
+    else:
+        ctx["kernels"].apply_replica_log(view, [log_cells([cells], ctx["cell"])])
     view.sizes[:] = np.asarray(payload["sizes"], dtype=np.int64)
     ctx["log"].clear()
     return wire.MSG_BARRIER_ACK, None
@@ -410,16 +417,14 @@ class _SocketTransport(Transport):
         self._procs: list = []
         self._listener = None
         self._stream_shm = None
-        self._row_bytes = 0
         self._lone = False
         self._snapshot = None
-        self._logs: list = []
+        self._logs: dict = {}
         self._sizes: list = []
         self._log_capacity = 0
+        self._cell = None
         self._closed = False
-        self.wire_barrier_delta_bytes = 0
-        self.wire_barrier_plane_bytes = 0
-        self.wire_barrier_full_bytes = 0
+        self._barrier_bytes = dict.fromkeys(("delta", "plane", "full"), 0)
         try:
             self._setup(runner)
         except BaseException:
@@ -464,11 +469,12 @@ class _SocketTransport(Transport):
             "hash_seed": str(job.hash_seed),
             "hdrf_lambda": job.hdrf_lambda,
         }
-        for w in range(len(self._conns)):
-            self._send(w, wire.MSG_JOB, {**job_fields, "worker_index": w},
-                       "job setup")
-        for w in range(len(self._conns)):
-            self._recv(w, wire.MSG_OK, "job setup")
+        self._exchange(
+            wire.MSG_JOB,
+            [{**job_fields, "worker_index": w} for w in range(len(self._conns))],
+            wire.MSG_OK,
+            "job setup",
+        )
 
     def _connect_workers(self, addresses) -> None:
         for w, address in enumerate(addresses):
@@ -540,14 +546,12 @@ class _SocketTransport(Transport):
             )
         return payload
 
-    def _broadcast(self, msg_type: int, payload, expected: int,
-                   step: str) -> list[dict]:
-        for w in range(len(self._conns)):
+    def _exchange(self, msg_type: int, payloads, expected: int, step: str):
+        """Send ``payloads[w]`` to each worker ``w``, then await the acks."""
+        for w, payload in enumerate(payloads):
             self._send(w, msg_type, payload, step)
-        return [
+        for w in range(len(payloads)):
             self._recv(w, expected, step)
-            for w in range(len(self._conns))
-        ]
 
     # -- window sweeps -------------------------------------------------
     _MESSAGES = {
@@ -570,21 +574,21 @@ class _SocketTransport(Transport):
                 fields["v2c"], fields["volumes"] = self._snapshot
             self._send(w, request, fields, step)
         return [
-            self._result(step, start, stop, self._recv(w, reply, step))
+            self._result(w, step, start, stop, self._recv(w, reply, step))
             for w, start, stop in tasks
         ]
 
-    def _result(self, step, start, stop, payload):
+    def _result(self, w, step, start, stop, payload):
         if step == "degree":
             return payload["degrees"], ()
         if step == "clustering":
             export = None if self._lone else (payload["v2c"], payload["volumes"])
             return export, payload["cost"]
-        # Checked before the barrier touches the global state: a log is a
-        # 1-d int64 array of at most the 2 bits per edge a window sets,
-        # sizes k int64 counts.
+        # Checked before the barrier touches the global state: a 1-d log
+        # of at most 2 wire cells per edge, and k int64 sizes.
         log, sizes = payload.get("log"), payload.get("sizes")
-        if log_cells([log]).shape[0] > 2 * (stop - start):
+        log_cells([log], self._cell)
+        if log.shape[0] > 2 * (stop - start):
             raise PartitioningError(
                 f"distributed {step}: a window of {stop - start} edges "
                 f"logged {log.shape[0]} cells, more than the "
@@ -596,18 +600,16 @@ class _SocketTransport(Transport):
         np.copyto(
             self.job.assignments[start:stop], returned, where=returned >= 0
         )
-        self._logs.append(log)
+        self._logs[w] = log
         self._sizes.append(sizes)
         return int(payload["total"]), payload["cost"]
 
     # -- Phase 1 -------------------------------------------------------
     def open_clustering(self, degrees, cap, lone):
         self._lone = lone
-        self._broadcast(
-            wire.MSG_PHASE1_INIT,
-            {"degrees": degrees, "cap": cap, "single": lone},
-            wire.MSG_OK,
-            "clustering",
+        fields = {"degrees": degrees, "cap": cap, "single": lone}
+        self._exchange(
+            wire.MSG_PHASE1_INIT, [fields] * len(self._conns), wire.MSG_OK, "clustering"
         )
 
     def publish_clustering(self, v2c, volumes):
@@ -624,56 +626,53 @@ class _SocketTransport(Transport):
     # -- Phase 2 -------------------------------------------------------
     def bind_phase2(self, lone, log_capacity):
         job = self.job
-        self._row_bytes = (
-            packed_row_bytes(job.k) if job.state.packed else int(job.k)
-        )
         self._log_capacity = log_capacity
-        self._broadcast(
-            wire.MSG_BIND,
-            {
-                "n_vertices": int(job.state.n_vertices),
-                "packed": bool(job.state.packed),
-                "part": job.part,
-                "weights": job.weights,
-                "log_capacity": log_capacity,
-            },
-            wire.MSG_OK,
-            "phase-2 bind",
+        self._cell = wire.log_cell_dtype(job.state.n_vertices, job.k)
+        fields = {
+            "n_vertices": int(job.state.n_vertices),
+            "packed": bool(job.state.packed),
+            "part": job.part,
+            "weights": job.weights,
+            "log_capacity": log_capacity,
+        }
+        self._exchange(
+            wire.MSG_BIND, [fields] * len(self._conns), wire.MSG_OK, "phase-2 bind"
         )
 
     def barrier(self, step):
         job = self.job
-        n = int(job.state.n_vertices)
-        logs, self._logs = self._logs, []
+        logs, self._logs = self._logs, {}
         view_sizes, self._sizes = self._sizes, []
-        cells = log_cells(logs)
-        get_backend(job.backend).apply_replica_log(job.state, [cells])
-        sizes = merge_sizes(job.state, view_sizes)
-        self._broadcast(
-            wire.MSG_BARRIER,
-            {"log": cells, "sizes": sizes},
-            wire.MSG_BARRIER_ACK,
-            f"{step} barrier",
+        get_backend(job.backend).apply_replica_log(
+            job.state, [log_cells(list(logs.values()), self._cell)]
         )
-        # Three views of barrier traffic: the broadcast payload (the
-        # logs and the sizes), its replica-plane component (the logs),
-        # and what a full-state re-broadcast would have shipped (every
-        # plane row and the sizes).
-        self.wire_barrier_delta_bytes += (cells.nbytes + sizes.nbytes) * job.n_workers
-        self.wire_barrier_plane_bytes += cells.nbytes * job.n_workers
-        self.wire_barrier_full_bytes += (
-            n * self._row_bytes + sizes.nbytes
-        ) * job.n_workers
-        return int(cells.shape[0])
+        sizes = merge_sizes(job.state, view_sizes)
+        plane = _replica_plane(job.state.replicas)[0]
+        payloads, counts = [], self._barrier_bytes
+        # A worker gets the cells the other workers logged, or the merged
+        # plane where that is fewer bytes: no barrier ships more than a
+        # full re-broadcast (the plane and the sizes).
+        for w in range(job.n_workers):
+            others = [log for v, log in logs.items() if v != w]
+            cells = np.concatenate([np.zeros(0, self._cell), *others])
+            sent = cells if cells.nbytes < plane.nbytes else plane
+            payloads.append({"log" if sent is cells else "plane": sent, "sizes": sizes})
+            counts["plane"] += sent.nbytes
+            counts["delta"] += sent.nbytes + sizes.nbytes
+            counts["full"] += plane.nbytes + sizes.nbytes
+        self._exchange(
+            wire.MSG_BARRIER, payloads, wire.MSG_BARRIER_ACK, f"{step} barrier"
+        )
+        return sum(int(log.shape[0]) for log in logs.values())
 
     # -- bookkeeping ---------------------------------------------------
     def wire_stats(self) -> dict:
         return {
             "bytes_sent": sum(c.bytes_sent for c in self._conns),
             "bytes_received": sum(c.bytes_received for c in self._conns),
-            "barrier_delta_bytes": self.wire_barrier_delta_bytes,
-            "barrier_plane_bytes": self.wire_barrier_plane_bytes,
-            "barrier_full_bytes": self.wire_barrier_full_bytes,
+            # The barriers' payloads, their replica-plane part (the cells
+            # or the plane), and what full re-broadcasts would have sent.
+            **{f"barrier_{k}_bytes": v for k, v in self._barrier_bytes.items()},
         }
 
     def extra_state_bytes(self) -> int:
@@ -689,7 +688,7 @@ class _SocketTransport(Transport):
             allocator=arena, packed=state.packed,
         )
         log = ReplicaLog(self._log_capacity, allocator=arena)
-        return self.job.n_workers * (view.nbytes() + log.nbytes)
+        return self.job.n_workers * (view.nbytes() + log.nbytes())
 
     def close(self) -> None:
         if self._closed:

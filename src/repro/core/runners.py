@@ -80,8 +80,9 @@ Phase-2 barriers cost O(bits set), not O(``|V|``): each Phase-2 loop
 appends every replica bit it sets that was clear in its worker's view to
 that worker's set-bit log (:class:`~repro.kernels.base.ReplicaLog`), and
 the barrier sets the logged bits in the global state and in every view
-with the kernel op ``apply_replica_log``.  Replica bits only ever go
-from 0 to 1, so this gives the same planes as OR-ing whole views.
+with the kernel op ``apply_replica_log`` (a socket worker may get the
+merged plane instead).  Bits only go from 0 to 1: the planes of OR-ing
+whole views.
 Sessions count the cells the logs wrote against the ``n * k`` cells of
 a full re-broadcast (``barrier_cells`` / ``barrier_full_cells``).
 
@@ -642,14 +643,12 @@ class _InlineTransport(Transport):
         self.logs = [ReplicaLog(log_capacity) for _ in range(job.n_workers)]
 
     def barrier(self, step):
-        if not self.logs:
-            return None
-        return apply_logs(self.kernels, self.job.state, self.views, self.logs)
+        if self.logs:
+            return apply_logs(self.kernels, self.job.state, self.views, self.logs)
 
     def extra_state_bytes(self) -> int:
-        return sum(
-            view.nbytes() for view in self.views if view is not self.job.state
-        ) + sum(log.nbytes for log in self.logs)
+        views = [view for view in self.views if view is not self.job.state]
+        return sum(x.nbytes() for x in (*views, *self.logs))
 
 
 class SerialRunner(Runner):
@@ -1221,9 +1220,7 @@ class _PoolTransport(Transport):
             joiner.join(timeout=5.0)
 
     def extra_state_bytes(self) -> int:
-        return sum(view.nbytes() for view in self.views) + sum(
-            log.nbytes for log in self.logs
-        )
+        return sum(x.nbytes() for x in (*self.views, *self.logs))
 
 
 # ----------------------------------------------------------------------

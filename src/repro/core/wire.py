@@ -57,8 +57,9 @@ from repro.kernels.c_backend import source_digest
 
 #: Protocol version spoken by this build; bumped on any frame or payload
 #: format break (2: the Phase-2 bind ships ``part`` and ``weights``; 3:
-#: Phase-2 windows and barriers carry set-bit logs in place of replica
-#: rows).  Negotiated by the HELLO handshake.
+#: Phase-2 windows and barriers carry set-bit logs, in
+#: :func:`log_cell_dtype` cells, in place of replica rows).  Negotiated
+#: by the HELLO handshake.
 WIRE_VERSION = 3
 
 MAGIC = b"2PSW"
@@ -82,7 +83,7 @@ MSG_CLUSTER_FINISH = 10  #: drain the single-worker live clustering state
 MSG_BIND = 11  #: Phase-2 bind: {"part", "weights", "log_capacity"}, geometry
 MSG_WINDOW = 12  #: Phase-2 sync window {"pass", "start", "stop"}
 MSG_WINDOW_RESULT = 13  #: assignments, cost, sizes, the set-bit "log"
-MSG_BARRIER = 14  #: all workers' logs as one "log", merged "sizes"
+MSG_BARRIER = 14  #: the other workers' "log"s (or the merged "plane"), "sizes"
 MSG_BARRIER_ACK = 15  #: worker applied the barrier
 MSG_SHUTDOWN = 16  #: orderly session end
 
@@ -91,6 +92,13 @@ MESSAGE_NAMES = {
     for name, value in list(globals().items())
     if name.startswith("MSG_")
 }
+
+
+def log_cell_dtype(n_vertices: int, k: int) -> np.dtype:
+    """The type of set-bit log cells in Phase-2 frames: 4-byte ``uint32``
+    while the plane's ``n_vertices * k`` cells fit in it, else ``int64``."""
+    return np.dtype(np.uint32 if n_vertices * k <= 1 << 32 else np.int64)
+
 
 # ---------------------------------------------------------------------
 # typed payload encoding

@@ -154,11 +154,11 @@ folds them with the same ``merge_phase1_degrees`` /
 so the ordered-fold contract above is also the wire contract.  Phase-2
 barriers likewise run the one op: workers ship their set-bit logs, the
 coordinator applies them to its global state with ``apply_replica_log``
-and broadcasts them for each worker to apply to its view, which is what
-lets ``DistributedRunner`` join the ``SimulatedRunner == ProcessRunner``
-equality class without any backend changes.  Backends never see
-sockets; a backend correct under this contract is distributed-correct
-for free.
+and sends each worker the others' cells to apply (or, if fewer bytes,
+the merged plane), so ``DistributedRunner`` joins the ``SimulatedRunner
+== ProcessRunner`` equality class with no backend change.  Backends
+never see sockets; a backend correct under this contract is
+distributed-correct for free.
 
 Packed replica rows (out-of-core states)
 ----------------------------------------

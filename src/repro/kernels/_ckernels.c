@@ -656,28 +656,23 @@ int64_t hdrf_baseline(const int64_t *edges, int64_t n, int64_t *partial,
 /* Phase-2 barrier, the twin of PythonBackend.apply_replica_log: set bit
  * (c / k, c % k) of the plane for each of the n logged cells c.  Every
  * cell is checked against [0, n_rows * k) before the first write; on a
- * miss nothing is written and the cell's index is returned. */
+ * miss nothing is written and the cell's index is returned.  A plane
+ * whose rows end on no padding bits (dense state, or k a multiple of 8)
+ * holds cell c at bit c; a padded one needs the division. */
 int64_t apply_log(uint8_t *plane, int64_t row_bytes, int64_t shift,
                   int64_t low_mask, int64_t n_rows, int64_t k,
                   const int64_t *cells, int64_t n)
 {
     uint64_t limit = (uint64_t)n_rows * (uint64_t)k;
+    int64_t row_bits = row_bytes << shift;
     for (int64_t i = 0; i < n; i++)
         if ((uint64_t)cells[i] >= limit)
             return i;
-    if (limit <= UINT32_MAX) {
-        /* A 32-bit division runs several times faster than a 64-bit one. */
-        for (int64_t i = 0; i < n; i++) {
-            uint32_t c = (uint32_t)cells[i], p = c % (uint32_t)k;
-            plane[(c / (uint32_t)k) * row_bytes + (p >> shift)] |=
-                (uint8_t)(1u << (p & low_mask));
-        }
-    } else {
-        for (int64_t i = 0; i < n; i++) {
-            int64_t c = cells[i], p = c % k;
-            plane[(c / k) * row_bytes + (p >> shift)] |=
-                (uint8_t)(1u << (p & low_mask));
-        }
+    for (int64_t i = 0; i < n; i++) {
+        int64_t c = cells[i];
+        if (row_bits != k)
+            c = c / k * row_bits + c % k;
+        plane[c >> shift] |= (uint8_t)(1u << (c & low_mask));
     }
     return DONE;
 }

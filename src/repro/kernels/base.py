@@ -162,7 +162,6 @@ class ReplicaLog:
         self.cells = alloc(int(capacity), np.int64)
         self.fill = alloc(1, np.int64)
 
-    @property
     def nbytes(self) -> int:
         return int(self.cells.nbytes + self.fill.nbytes)
 
@@ -190,23 +189,22 @@ def check_log_fill(fill: int, capacity: int) -> None:
         )
 
 
-def log_cells(logs) -> np.ndarray:
+def log_cells(logs, dtype=np.int64) -> np.ndarray:
     """The entries of the set-bit ``logs`` (arrays, as
-    :meth:`ReplicaLog.entries` gives them or as they arrive over the
-    wire) as one int64 array, after checking that each is a 1-d int64
-    array: a :class:`~repro.errors.PartitioningError` otherwise."""
+    :meth:`ReplicaLog.entries` gives them, or wire cells) as one int64
+    array, after checking that each is a 1-d array of ``dtype``: a
+    :class:`~repro.errors.PartitioningError` otherwise."""
+    dtype = np.dtype(dtype)
     for log in logs:
-        if not (
-            isinstance(log, np.ndarray) and log.dtype == np.int64 and log.ndim == 1
-        ):
+        if not (isinstance(log, np.ndarray) and log.dtype == dtype and log.ndim == 1):
             raise PartitioningError(
-                "a set-bit log must be a 1-d int64 array, got "
+                f"a set-bit log must be a 1-d {dtype} array, got "
                 f"{type(log).__name__} {getattr(log, 'dtype', '')}"
                 f"{getattr(log, 'shape', '')}"
             )
     if len(logs) == 1:
-        return np.ascontiguousarray(logs[0])
-    return np.concatenate(logs) if len(logs) else np.zeros(0, np.int64)
+        return np.ascontiguousarray(logs[0], dtype=np.int64)
+    return np.concatenate([np.zeros(0, np.int64), *logs], dtype=np.int64)
 
 
 def log_entry_error(cell: int, rows: int, k: int) -> PartitioningError:

@@ -42,6 +42,16 @@ from repro.partitioning.hashutil import splitmix64_int
 from repro.partitioning.state import LeastLoadedTracker, _replica_plane
 
 
+def _log_clear(plane, log, u, v, p, b, m, row_bytes, k) -> None:
+    """Log (see :class:`~repro.kernels.base.ReplicaLog`) the cell
+    ``x * k + p`` of bit ``p`` (mask ``m`` of row byte ``b``) of ``u``,
+    then ``v``, where it is clear: before a pass sets them, if logging."""
+    if not plane[u * row_bytes + b] & m:
+        log.append(u * k + p)
+    if v != u and not plane[v * row_bytes + b] & m:
+        log.append(v * k + p)
+
+
 class PythonBackend(KernelBackend):
     """Per-edge reference kernels (see module docstring)."""
 
@@ -288,26 +298,6 @@ class PythonBackend(KernelBackend):
         return p
 
     @staticmethod
-    def _bit_setter(plane, ctx, log):
-        """``set_bits(u, v, p)``: set replica bit ``p`` of ``u``, then of
-        ``v``, on the raw ``plane`` of ``ctx.state``; append to ``log``
-        (a :class:`~repro.kernels.base.ReplicaLog`, or ``None``) the cell
-        ``x * k + p`` of each bit that was clear."""
-        _, row_bytes, shift, low_mask = _replica_plane(ctx.state.replicas)
-        k = ctx.k
-
-        def set_bits(u, v, p):
-            b = p >> shift
-            m = 1 << (p & low_mask)
-            for x in (u, v):
-                i = x * row_bytes + b
-                if log is not None and not plane[i] & m:
-                    log.append(x * k + p)
-                plane[i] |= m
-
-        return set_bits
-
-    @staticmethod
     def _phase2_lists(ctx):
         """``(part, deg, vol, n_vert)``: the Phase-2 inputs as lists, and
         how many vertices the pass state holds."""
@@ -318,16 +308,15 @@ class PythonBackend(KernelBackend):
 
     def prepartition_pass(self, stream, ctx: TwoPhaseContext) -> int:
         part, deg, _, n_vert = self._phase2_lists(ctx)
-        raw = _replica_plane(ctx.state.replicas)[0]
+        raw, row_bytes, shift, low_mask = _replica_plane(ctx.state.replicas)
         capacity = ctx.state.capacity
         sizes = ctx.state.sizes.tolist()
         least_loaded = LeastLoadedTracker(sizes).argmin
         assignments = ctx.assignments
-        k, cost, seed = ctx.k, ctx.cost, ctx.hash_seed
+        k, cost, seed, log = ctx.k, ctx.cost, ctx.hash_seed, ctx.log
         idx = 0
         n_pre = 0
         with memoryview(raw).cast("B") as plane:
-            set_bits = self._bit_setter(plane, ctx, ctx.log)
             for chunk in stream.chunks():
                 check_vertex_ids(chunk, n_vert, idx)
                 for u, v in chunk.tolist():
@@ -341,7 +330,12 @@ class PythonBackend(KernelBackend):
                                 least_loaded,
                             )
                         sizes[p] += 1
-                        set_bits(u, v, p)
+                        b = p >> shift
+                        m = 1 << (p & low_mask)
+                        if log is not None:
+                            _log_clear(plane, log, u, v, p, b, m, row_bytes, k)
+                        plane[u * row_bytes + b] |= m
+                        plane[v * row_bytes + b] |= m
                         assignments[idx] = p
                         n_pre += 1
                     idx += 1
@@ -356,11 +350,10 @@ class PythonBackend(KernelBackend):
         sizes = ctx.state.sizes.tolist()
         least_loaded = LeastLoadedTracker(sizes).argmin
         assignments = ctx.assignments
-        k, cost, seed = ctx.k, ctx.cost, ctx.hash_seed
+        k, cost, seed, log = ctx.k, ctx.cost, ctx.hash_seed, ctx.log
         idx = 0
         n_scored = 0
         with memoryview(raw).cast("B") as plane:
-            set_bits = self._bit_setter(plane, ctx, ctx.log)
             for chunk in stream.chunks():
                 check_vertex_ids(chunk, n_vert, idx)
                 for u, v in chunk.tolist():
@@ -404,7 +397,12 @@ class PythonBackend(KernelBackend):
                             least_loaded,
                         )
                     sizes[p] += 1
-                    set_bits(u, v, p)
+                    b = p >> shift
+                    m = 1 << (p & low_mask)
+                    if log is not None:
+                        _log_clear(plane, log, u, v, p, b, m, row_bytes, k)
+                    plane[bu + b] |= m
+                    plane[bv + b] |= m
                     assignments[idx] = p
                     idx += 1
         ctx.state.sizes[:] = sizes
@@ -456,19 +454,18 @@ class PythonBackend(KernelBackend):
         from repro.core.scoring import HDRF_EPSILON
 
         part, deg, _, n_vert = self._phase2_lists(ctx)
-        raw, _, shift, _ = _replica_plane(ctx.state.replicas)
+        raw, row_bytes, shift, low_mask = _replica_plane(ctx.state.replicas)
         row = self._plane_rows(raw, shift, ctx.k)
         capacity = ctx.state.capacity
         sizes = ctx.state.sizes.tolist()
         assignments = ctx.assignments
-        k, cost = ctx.k, ctx.cost
+        k, cost, log = ctx.k, ctx.cost, ctx.log
         lam = ctx.hdrf_lambda
         choose = self.hdrf_choose
         sizes_np = np.asarray(sizes, dtype=np.float64)
         idx = 0
         n_scored = 0
         with memoryview(raw).cast("B") as plane:
-            set_bits = self._bit_setter(plane, ctx, ctx.log)
             for chunk in stream.chunks():
                 check_vertex_ids(chunk, n_vert, idx)
                 for u, v in chunk.tolist():
@@ -489,7 +486,12 @@ class PythonBackend(KernelBackend):
                     n_scored += k
                     sizes[p] += 1
                     sizes_np[p] += 1.0
-                    set_bits(u, v, p)
+                    b = p >> shift
+                    m = 1 << (p & low_mask)
+                    if log is not None:
+                        _log_clear(plane, log, u, v, p, b, m, row_bytes, k)
+                    plane[u * row_bytes + b] |= m
+                    plane[v * row_bytes + b] |= m
                     assignments[idx] = p
                     idx += 1
         ctx.state.sizes[:] = sizes
@@ -503,7 +505,7 @@ class PythonBackend(KernelBackend):
         """Classic HDRF (CIKM'15): partial-degree theta, full argmax."""
         from repro.core.scoring import HDRF_EPSILON
 
-        raw, _, shift, _ = _replica_plane(ctx.state.replicas)
+        raw, row_bytes, shift, low_mask = _replica_plane(ctx.state.replicas)
         row = self._plane_rows(raw, shift, ctx.k)
         capacity = ctx.state.capacity
         sizes = ctx.state.sizes.tolist()
@@ -515,7 +517,6 @@ class PythonBackend(KernelBackend):
         partial = [0] * ctx.state.n_vertices
         idx = 0
         with memoryview(raw).cast("B") as plane:
-            set_bits = self._bit_setter(plane, ctx, None)
             for chunk in stream.chunks():
                 check_vertex_ids(chunk, len(partial), idx)
                 for u, v in chunk.tolist():
@@ -530,7 +531,10 @@ class PythonBackend(KernelBackend):
                     )
                     sizes[p] += 1
                     sizes_np[p] += 1.0
-                    set_bits(u, v, p)
+                    b = p >> shift
+                    m = 1 << (p & low_mask)
+                    plane[u * row_bytes + b] |= m
+                    plane[v * row_bytes + b] |= m
                     assignments[idx] = p
                     idx += 1
         ctx.state.sizes[:] = sizes

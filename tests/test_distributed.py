@@ -46,6 +46,7 @@ from repro.core.runners import live_shared_segments, make_runner
 from repro.errors import ConfigurationError, PartitioningError, WireError
 from repro.kernels import c_backend, get_backend
 from repro.graph.generators import chung_lu_graph
+from repro.partitioning.state import _replica_plane
 from repro.streaming import FileEdgeStream
 from repro.streaming.writer import EdgeListWriter
 
@@ -405,6 +406,70 @@ class TestLoopbackEquivalence:
         assert stats["barrier_plane_bytes"] < stats["barrier_full_bytes"]
         _assert_clean()
 
+    @pytest.mark.parametrize(
+        "packed, sync, kind",
+        [(False, 37, "log"), (True, 300, "plane")],
+        ids=["dense", "packed"],
+    )
+    def test_barrier_ships_other_workers_cells_or_the_plane(
+        self, monkeypatch, packed, sync, kind
+    ):
+        """Each worker's barrier payload is the cells the other workers
+        logged, in uint32, or the merged plane where that is fewer
+        bytes; the run stays bit-exact and the wire stats count what
+        was sent.  The 600-byte dense plane takes the logs of 37-edge
+        windows, the 120-byte packed one is shipped whole after a
+        300-edge window."""
+        events = []
+        transport = distributed._SocketTransport
+        real_result, real_send = transport._result, transport._send
+
+        def result(self, w, step, start, stop, payload):
+            if "log" in payload:
+                events.append(("log", w, payload["log"].copy()))
+            return real_result(self, w, step, start, stop, payload)
+
+        def send(self, w, msg_type, payload, step):
+            if msg_type == wire.MSG_BARRIER:
+                copy = {key: np.array(value) for key, value in payload.items()}
+                events.append(("barrier", w, copy))
+            return real_send(self, w, msg_type, payload, step)
+
+        monkeypatch.setattr(transport, "_result", result)
+        monkeypatch.setattr(transport, "_send", send)
+        graph = _graph()
+        dist, sim = (
+            ParallelTwoPhase(
+                n_workers=2, sync_interval=sync, runner=runner, packed_state=packed
+            ).partition(graph, 5, chunk_size=64)
+            for runner in ("distributed", "simulated")
+        )
+        _assert_same(dist, sim)
+        plane_bytes = _replica_plane(dist.state.replicas)[0].nbytes
+        logs, shipped, kinds = {}, 0, set()
+        for event, w, value in events:
+            if event == "log":
+                assert value.dtype == np.uint32
+                logs[w] = value
+                continue
+            others = [log for v, log in sorted(logs.items()) if v != w]
+            cells = np.concatenate([np.zeros(0, np.uint32), *others])
+            if "log" in value:
+                np.testing.assert_array_equal(value["log"], cells)
+                assert value["log"].dtype == np.uint32
+                assert cells.nbytes < plane_bytes
+            else:
+                assert value["plane"].nbytes == plane_bytes <= cells.nbytes
+            kinds.update(set(value) - {"sizes"})
+            shipped += min(cells.nbytes, plane_bytes)
+            if w == 1:
+                logs = {}
+        assert kind in kinds
+        stats = dist.extras["wire"]
+        assert stats["barrier_plane_bytes"] == shipped
+        assert stats["barrier_plane_bytes"] < stats["barrier_full_bytes"]
+        _assert_clean()
+
 
 def _serve_in_thread(version=None):
     """Run one-session ``serve_worker`` on a thread; return its address."""
@@ -564,19 +629,27 @@ class TestFailureInjection:
     @pytest.mark.parametrize(
         "mutate, match",
         [
-            (lambda log, n_cells: np.append(log, n_cells), "outside the"),
-            (lambda log, n_cells: np.append(log, -1), "outside the"),
             (
-                lambda log, n_cells: np.append(log, log[:1] ^ (1 << 40)),
+                lambda log, n_cells: np.append(log, np.array(n_cells, log.dtype)),
                 "outside the",
             ),
-            (lambda log, n_cells: log.astype(np.int32), "1-d int64 array"),
+            # -1 in the wire's uint32 cells: its largest value.
             (
-                lambda log, n_cells: np.zeros(2 * 37 + 1, dtype=np.int64),
+                lambda log, n_cells: np.append(log, np.array(-1).astype(log.dtype)),
+                "outside the",
+            ),
+            (
+                lambda log, n_cells: np.append(log, log[:1] ^ np.uint32(1 << 31)),
+                "outside the",
+            ),
+            (lambda log, n_cells: log.astype(np.int32), "1-d uint32 array"),
+            (lambda log, n_cells: log.astype(np.int64), "1-d uint32 array"),
+            (
+                lambda log, n_cells: np.zeros(2 * 37 + 1, dtype=log.dtype),
                 "more than the 74 bits",
             ),
         ],
-        ids=["n*k", "negative", "bit-flipped", "int32", "too-long"],
+        ids=["n*k", "negative", "bit-flipped", "int32", "int64", "too-long"],
     )
     def test_hostile_log_is_rejected_before_the_barrier_writes(
         self, monkeypatch, mutate, match

@@ -152,7 +152,7 @@ class TestLayouts:
         (_, _, views, logs) = _phase2_layout(_BufferArena(), *_phase2_args(True))
         heap = PartitionState(9, 11, 20, 1.2, packed=True)
         assert [view.nbytes() for view in views] == [heap.nbytes()] * 2
-        assert [log.nbytes for log in logs] == [ReplicaLog(40).nbytes] * 2
+        assert [log.nbytes() for log in logs] == [ReplicaLog(40).nbytes()] * 2
 
 
 class TestAttach:
