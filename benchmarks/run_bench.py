@@ -13,9 +13,9 @@ tracked from PR to PR:
 - ``parallel`` — sharded ``ParallelTwoPhase`` (kernel-dispatched windows)
 
 It then runs the **parallel wall-clock** section: the sharded path with
-``runner="process"`` (true ``multiprocessing`` workers over shared-memory
-``PartitionState`` views) against the sequential python Phase-2 time,
-into ``BENCH_parallel.json``.
+``runner="process"`` (true ``multiprocessing`` workers, each holding its
+own ``PartitionState`` view, over loopback sockets) against the
+sequential python Phase-2 time, into ``BENCH_parallel.json``.
 
 Usage::
 
@@ -156,7 +156,7 @@ from repro.streaming import FileEdgeStream, InMemoryEdgeStream
 #: Measured Phase-2 speedup the process runner must reach at --n-workers
 #: (ISSUE 3 acceptance gate).  The smoke threshold only asserts the
 #: machinery is not pathologically slow: at 65k edges the per-window
-#: compute is too small to amortize pool dispatch.
+#: compute is too small to amortize worker dispatch.
 PARALLEL_GATE = 1.8
 PARALLEL_SMOKE_GATE = 0.2
 
@@ -171,8 +171,8 @@ PHASE1_SMOKE_GATE = 0.15
 #: with >= 2 usable CPUs — below that the wire round-trips have no spare
 #: core to overlap with).  The bar is modest:
 #: the section's point is that the wire protocol does not erase the
-#: sharded speedup, not that sockets beat shared memory.  The smoke
-#: threshold only asserts the machinery is not pathologically slow.
+#: sharded speedup.  The smoke threshold only asserts the machinery is
+#: not pathologically slow.
 DISTRIBUTED_GATE = 1.05
 DISTRIBUTED_SMOKE_GATE = 0.02
 

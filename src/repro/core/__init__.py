@@ -20,7 +20,7 @@ Extensions from the paper's discussion (Section VI):
 - :mod:`~repro.core.parallel` — CuSP-style sharded partitioning with
   stale-state synchronization, executed by a pluggable runner
   (:mod:`~repro.core.runners`: serial reference, single-process
-  simulation, or true multi-process over shared-memory state views).
+  simulation, or true multi-process socket workers, local or remote).
 """
 
 from repro.core.clustering import ClusteringResult, StreamingClustering

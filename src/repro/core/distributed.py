@@ -1,15 +1,17 @@
-"""Distributed runner: the socket transport of the sync-window driver.
+"""The socket transport of the sync-window driver, local or remote.
 
 Worker processes connected over TCP sockets speak the
 :mod:`repro.core.wire` protocol under the one
 :class:`~repro.core.runners.RunnerSession` driver, which owns the
-schedule, the Phase-1 merges and all accounting.  Loopback by default —
-the coordinator listens on ``127.0.0.1`` and forks local workers that
-connect back — or against pre-started worker servers named by
-``host:port`` specs (the CLI ``worker`` subcommand) for real clusters.
+schedule, the Phase-1 merges and all accounting.  Two runners use it:
+:class:`~repro.core.runners.ProcessRunner` in loopback mode — the
+coordinator listens on ``127.0.0.1`` and starts local workers that
+connect back — and :class:`DistributedRunner`, loopback by default or
+against pre-started worker servers named by ``host:port`` specs (the
+CLI ``worker`` subcommand) for real clusters.
 
-Why this transport is bit-exact with the simulated and process runners
-is stated with the equivalence contract in :mod:`repro.core.runners`.
+Why this transport is bit-exact with the simulated runner is stated
+with the equivalence contract in :mod:`repro.core.runners`.
 On the wire, a Phase-2 window returns its assignment slice, its cost
 delta, the worker's sizes and its set-bit log (every replica bit the
 window set that was clear in the worker's view; see
@@ -30,12 +32,16 @@ worker-side until ``CLUSTER_FINISH``.
 Failure surface
 ---------------
 No hangs, no leaked sockets or shm: every recv runs under the session's
-``recv_timeout``, worker death / disconnection / corruption surfaces as
-a typed :class:`~repro.errors.PartitioningError`
-(:class:`~repro.errors.WireError`), and session ``close()`` — invoked on
-every error path — shuts sockets, reaps spawned workers, and releases
-any stream segment.  ``live_connections()`` / ``live_worker_processes()``
-are the leak-check hooks, mirroring ``live_shared_segments()``.
+``recv_timeout``, and worker death, a stall past the timeout,
+disconnection or corruption surfaces as a typed
+:class:`~repro.errors.PartitioningError` naming the runner, the step and
+the worker.  Session ``close()`` — invoked on every error path — shuts
+sockets, reaps spawned workers, and releases any stream segment, in
+bounded time: a worker with an unanswered request (it may be stuck in a
+kernel) gets no goodbye, and then every spawned worker is terminated at
+once instead of awaited.  ``live_connections()`` /
+``live_worker_processes()`` are the leak-check hooks, mirroring
+``live_shared_segments()``.
 
 Edge data never crosses the wire: remote (``host:port``) workers must be
 handed a file-backed stream (:class:`~repro.streaming.stream.FileStreamSpec`)
@@ -57,7 +63,6 @@ from repro.core.runners import (
     RunnerSession,
     Transport,
     WorkerFailed,
-    _BufferArena,
     _release_segment,
     _stream_spec,
     _SubStream,
@@ -77,7 +82,7 @@ from repro.streaming.stream import (
     spec_to_wire,
 )
 
-#: Connections currently owned by open distributed sessions (leak-check
+#: Connections currently owned by open socket sessions (leak-check
 #: hook: must be empty whenever no session is open).
 _LIVE_CONNECTIONS: set = set()
 
@@ -403,17 +408,41 @@ class DistributedRunner(Runner):
         self.start_method = start_method
 
     def open(self, job) -> RunnerSession:
-        return RunnerSession(job, _SocketTransport(self, job))
+        transport = _SocketTransport(
+            job,
+            self.kind,
+            workers=self.workers,
+            start_method=self.start_method,
+            connect_timeout=self.connect_timeout,
+            recv_timeout=self.recv_timeout,
+        )
+        return RunnerSession(job, transport)
 
 
 class _SocketTransport(Transport):
-    """Window tasks as wire requests to one socket worker per shard."""
+    """Window tasks as wire requests to one socket worker per shard.
 
-    def __init__(self, runner: DistributedRunner, job) -> None:
+    ``workers=None`` starts loopback workers with ``start_method``;
+    ``kind`` names the runner in every error.
+    """
+
+    def __init__(
+        self,
+        job,
+        kind: str,
+        *,
+        workers=None,
+        start_method: str | None = None,
+        connect_timeout: float = 10.0,
+        recv_timeout: float,
+    ) -> None:
         self.job = job
-        self._recv_timeout = runner.recv_timeout
-        self._connect_timeout = runner.connect_timeout
+        self._kind = kind
+        self._recv_timeout = recv_timeout
+        self._connect_timeout = connect_timeout
         self._conns: list[wire.Connection] = []
+        #: Workers with a request whose reply has not been read.
+        self._pending: set[int] = set()
         self._procs: list = []
         self._listener = None
         self._stream_shm = None
@@ -426,20 +455,20 @@ class _SocketTransport(Transport):
         self._closed = False
         self._barrier_bytes = dict.fromkeys(("delta", "plane", "full"), 0)
         try:
-            self._setup(runner)
+            self._setup(workers, start_method)
         except BaseException:
             self.close()
             raise
 
     # -- bootstrap -----------------------------------------------------
-    def _setup(self, runner: DistributedRunner) -> None:
+    def _setup(self, workers, start_method) -> None:
         job = self.job
-        ctx = mp_context(runner.start_method) if runner.workers is None else None
+        ctx = mp_context(start_method) if workers is None else None
         spec, self._stream_shm = _stream_spec(job.stream)
-        if runner.workers is not None:
-            if len(runner.workers) != job.n_workers:
+        if workers is not None:
+            if len(workers) != job.n_workers:
                 raise ConfigurationError(
-                    f"{len(runner.workers)} worker specs for "
+                    f"{len(workers)} worker specs for "
                     f"n_workers={job.n_workers}; they must match"
                 )
             if not isinstance(spec, FileStreamSpec):
@@ -448,17 +477,19 @@ class _SocketTransport(Transport):
                     "(FileEdgeStream): shared-memory edge segments do "
                     "not cross hosts — workers stream their own shards"
                 )
-            self._connect_workers(runner.workers)
+            self._connect_workers(workers)
         else:
             self._spawn_loopback_workers(ctx, job.n_workers)
-        for conn in self._conns:
+        for w, conn in enumerate(self._conns):
             conn.settimeout(self._recv_timeout)
+            self._pending.add(w)
             try:
                 wire.handshake_client(conn)
             except WireError as exc:
                 raise PartitioningError(
-                    f"distributed handshake failed: {exc}"
+                    f"{self._kind} handshake failed: {exc}"
                 ) from exc
+            self._pending.discard(w)
         job_fields = {
             "spec": spec_to_wire(spec),
             "n_edges": int(job.stream.n_edges),
@@ -520,27 +551,32 @@ class _SocketTransport(Transport):
 
     # -- protocol plumbing ---------------------------------------------
     def _send(self, w: int, msg_type: int, payload, step: str) -> None:
+        self._pending.add(w)
         try:
             self._conns[w].send(msg_type, payload)
         except WireError as exc:
             raise PartitioningError(
-                f"distributed {step}: worker {w} unreachable: {exc}"
+                f"{self._kind} {step}: worker {w} unreachable: {exc}"
             ) from exc
 
     def _recv(self, w: int, expected: int, step: str) -> dict:
         try:
             msg_type, payload = self._conns[w].recv()
         except WireError as exc:
+            why = exc
+            if isinstance(exc.__cause__, TimeoutError):
+                why = f"no reply within the {self._recv_timeout:g} s timeout"
             raise PartitioningError(
-                f"distributed {step}: worker {w} died or stalled: {exc}"
+                f"{self._kind} {step}: worker {w} died or stalled: {why}"
             ) from exc
+        self._pending.discard(w)
         if msg_type == wire.MSG_ERROR:
             raise WorkerFailed(
                 w, step, payload.get("message", "no detail")
             )
         if msg_type != expected:
             raise PartitioningError(
-                f"distributed {step}: worker {w} sent "
+                f"{self._kind} {step}: worker {w} sent "
                 f"{wire.MESSAGE_NAMES.get(msg_type, msg_type)}, expected "
                 f"{wire.MESSAGE_NAMES.get(expected, expected)}"
             )
@@ -569,8 +605,7 @@ class _SocketTransport(Transport):
             else:
                 fields = {"pass": step, "start": start, "stop": stop}
             if step == "clustering" and not self._lone:
-                # The merged clustering the worker loads from — the wire
-                # twin of the pool transport's shared scratch slots.
+                # The merged clustering the worker loads from.
                 fields["v2c"], fields["volumes"] = self._snapshot
             self._send(w, request, fields, step)
         return [
@@ -590,12 +625,12 @@ class _SocketTransport(Transport):
         log_cells([log], self._cell)
         if log.shape[0] > 2 * (stop - start):
             raise PartitioningError(
-                f"distributed {step}: a window of {stop - start} edges "
+                f"{self._kind} {step}: a window of {stop - start} edges "
                 f"logged {log.shape[0]} cells, more than the "
                 f"{2 * (stop - start)} bits it can set"
             )
         if getattr(sizes, "dtype", None) != np.int64 or sizes.shape != (self.job.k,):
-            raise PartitioningError(f"distributed {step}: malformed sizes")
+            raise PartitioningError(f"{self._kind} {step}: malformed sizes")
         returned = payload["assignments"]
         np.copyto(
             self.job.assignments[start:stop], returned, where=returned >= 0
@@ -676,32 +711,29 @@ class _SocketTransport(Transport):
         }
 
     def extra_state_bytes(self) -> int:
-        # Worker views live in worker processes; report the bytes of one
-        # such view, laid out without memory, per worker (what the other
-        # transports sum over the views they hold).
-        state = self.job.state
-        if state is None:
-            return 0
-        arena = _BufferArena()
-        view = PartitionState(
-            state.n_vertices, state.k, state.n_edges, state.alpha,
-            allocator=arena, packed=state.packed,
-        )
-        log = ReplicaLog(self._log_capacity, allocator=arena)
-        return self.job.n_workers * (view.nbytes() + log.nbytes())
+        # Worker views live in worker processes, each of the global
+        # state's shape, beside a set-bit log: what the other transports
+        # sum over the views they hold.
+        log = ReplicaLog(self._log_capacity)
+        return self.job.n_workers * (self.job.state.nbytes() + log.nbytes())
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
+        # A worker with an unanswered request may be stuck in a kernel:
+        # it gets no goodbye, and every spawned worker is terminated at
+        # once rather than awaited.
+        stalled = bool(self._pending)
         conns, self._conns = self._conns, []
-        for conn in conns:
-            try:
-                conn.settimeout(2.0)
-                conn.send(wire.MSG_SHUTDOWN)
-                conn.recv()
-            except WireError:
-                pass  # best-effort goodbye; the close below is what counts
+        for w, conn in enumerate(conns):
+            if w not in self._pending:
+                try:
+                    conn.settimeout(2.0)
+                    conn.send(wire.MSG_SHUTDOWN)
+                    conn.recv()
+                except WireError:
+                    stalled = True  # best-effort; the close below counts
             conn.close()
             _LIVE_CONNECTIONS.discard(conn)
         if self._listener is not None:
@@ -709,10 +741,9 @@ class _SocketTransport(Transport):
             self._listener = None
         procs, self._procs = self._procs, []
         for proc in procs:
-            proc.join(timeout=5.0)
-            if proc.is_alive():
+            if stalled:
                 proc.terminate()
-                proc.join(timeout=2.0)
+            proc.join(timeout=5.0)
             if proc.is_alive():  # pragma: no cover - needs a wedged child
                 proc.kill()
                 proc.join(timeout=1.0)

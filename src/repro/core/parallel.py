@@ -25,12 +25,14 @@ it stays bit-exact with the sequential pipeline.
 
 :class:`ParallelTwoPhase` reruns the one 2PS-L pipeline of
 :class:`~repro.core.partitioner.TwoPhasePartitioner` on the sessions of
-a pluggable **runner** (:mod:`repro.core.runners`: ``"serial"``,
-``"simulated"`` — the default — ``"process"`` or ``"distributed"``),
-which drive the deterministic sync-window schedule over their
-transports.  The runner choice is a pure execution knob; which results
-are bit-exact across runners, backends and worker counts, and why, is
-stated once, in :mod:`repro.core.runners`.  The simulated runner's
+a pluggable **runner** (:mod:`repro.core.runners`): ``"serial"`` and
+``"simulated"`` — the default — run in process, ``"process"`` runs
+local worker processes over loopback sockets, and ``"distributed"``
+the same socket workers, local or at ``host:port``.  All drive the one
+deterministic sync-window schedule.  The runner choice is a pure
+execution knob; which results are bit-exact across runners, backends
+and worker counts, and why, is stated once, in
+:mod:`repro.core.runners`.  The simulated runner's
 parallel wall-clock in ``extras`` is *modeled* as ``sequential_phase2 /
 n_workers + syncs * sync_latency``; the process and distributed runners
 *measure* it.
@@ -76,8 +78,9 @@ class ParallelTwoPhase(TwoPhasePartitioner):
         a staleness/quality knob beyond that, exactly like Phase 2.  The
         serial runner runs Phase 1 sequentially regardless.
     start_method, task_timeout:
-        Process-runner knobs (``multiprocessing`` start method and the
-        per-window hang timeout); ignored by the other runners.
+        Knobs of the process and distributed runners: the
+        ``multiprocessing`` start method of local workers and the
+        seconds any worker reply may take; ignored by the other runners.
 
     The remaining parameters are those of
     :class:`~repro.core.partitioner.TwoPhasePartitioner`; with

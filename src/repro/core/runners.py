@@ -1,4 +1,4 @@
-"""Execution runners: one sync-window driver over three transports.
+"""Execution runners: one sync-window driver over two transports.
 
 Both 2PS-L front-ends — :class:`~repro.core.partitioner.TwoPhasePartitioner`
 and :class:`~repro.core.parallel.ParallelTwoPhase` — stream every pass
@@ -18,11 +18,10 @@ and publishes barrier refreshes.
 - :class:`SimulatedRunner` — the in-process transport over ``n_workers``
   shards, each window run inline against its worker's stale heap view.
   Deterministic and dependency-free; parallel wall-clock is *modeled*.
-- :class:`ProcessRunner` — the shared-memory pool transport: pool
-  workers reopen the stream from a picklable
-  :class:`~repro.streaming.stream.StreamSpec` (file streams stay
-  out-of-core) and hold their state views in shared segments.  Parallel
-  wall-clock is *measured*.
+- :class:`ProcessRunner` — local worker processes: the socket transport
+  of the next item on loopback, one process per shard.  Workers reopen
+  the stream from a picklable :class:`~repro.streaming.stream.StreamSpec`
+  (file streams stay out-of-core).  Parallel wall-clock is *measured*.
 - :class:`~repro.core.distributed.DistributedRunner` — the socket
   transport: TCP workers (loopback, or ``host:port`` specs) speaking the
   versioned wire format of :mod:`repro.core.wire`; edge data never
@@ -46,8 +45,8 @@ every output bit:
   Each transport is a value-preserving recoding of the same arithmetic:
   every transport runs a Phase-2 window through the one body
   :func:`run_phase2_window`, which reads it through ``_SubStream`` over
-  the job's stream (pool and socket workers reopen it from its spec), so
-  chunk boundaries agree; every transport's Phase-2 barrier sets the
+  the job's stream (socket workers reopen it from its spec), so chunk
+  boundaries agree; every transport's Phase-2 barrier sets the
   bits of every worker's set-bit log with the one kernel op
   ``apply_replica_log`` and merges sizes with :func:`merge_sizes`; and
   socket assignment slices merge where ``>= 0``, the two Phase-2 passes
@@ -70,8 +69,8 @@ An exception inside a worker's window surfaces from every sharded runner
 as one :class:`~repro.errors.PartitioningError` naming the phase, the
 worker, the step and the cause; the serial runner re-raises the kernel's
 own exception, like the sequential partitioner.  Transport failures (a
-pool task past its timeout, a dead or stalled socket worker) are typed
-errors too, and ``close()`` releases everything a session holds on both
+socket worker that died, or stalled past its timeout) are typed errors
+too, and ``close()`` releases everything a session holds on both
 success and error paths.
 
 Barrier cost
@@ -88,22 +87,14 @@ a full re-broadcast (``barrier_cells`` / ``barrier_full_cells``).
 
 Shared-memory lifecycle
 -----------------------
-A process session owns every segment it creates, at most three: the
-edge copy of a non-file stream (:func:`~repro.streaming.stream.make_stream_spec`)
-for the whole session, the Phase-1 clustering scratch from
-``open_clustering`` to ``close_clustering``, and one Phase-2 segment from
-``bind_phase2`` to ``close()`` holding the assignment array, the
-read-only Phase-2 inputs (``part`` and ``weights``, 20 bytes per vertex;
-see :func:`~repro.kernels.base.phase2_inputs`) and every worker's state
-view and set-bit log.  Each of the last two has one layout function over a
-:class:`_BufferArena`, run without a buffer to size the segment, by the
-parent to create it and by every worker to attach it, so no size or
-offset is written down twice.  Session *open* ships only a picklable
-stream spec and scalars to the pool, so it is O(1) in ``|V|``; workers
-attach a segment on its first task.  ``close()`` drops every array over
-a mapping, then unlinks each segment; it is idempotent and runs on both
-success and error paths, so a crashed or timed-out worker cannot leak
-segments past the session (verified by the cleanup tests;
+A process session owns at most one segment: the edge copy of an
+in-memory stream (:func:`~repro.streaming.stream.make_stream_spec`),
+created before the workers start, which map it to reopen the stream
+zero-copy.  File streams need none.  Worker views, logs and the Phase-1
+snapshot live in the worker processes or cross the socket.  ``close()``
+unlinks the segment after the workers are gone; it is idempotent and
+runs on both success and error paths, so a crashed or timed-out worker
+cannot leak it past the session (verified by the cleanup tests;
 :func:`live_shared_segments` exposes the owned set).  Workers only ever
 *attach* and never unlink.
 """
@@ -159,25 +150,6 @@ class WorkerFailed(PartitioningError):
         self.cause = cause
 
 
-def cluster_id_capacity(n_edges: int, n_vertices: int) -> int:
-    """Upper bound on live cluster ids any Phase-1 export can carry.
-
-    Every barrier compacts the merged clustering
-    (:func:`compact_clustering`), so a worker's next export is the
-    compacted base plus its own window's fresh clusters.  Both terms are
-    counted by *assigned vertices*: a live cluster has at least one
-    assigned member (clusters only exist through members, and parallel
-    clustering always folds true degrees, so a member contributes
-    positive volume), and each fresh cluster assigns one
-    snapshot-unassigned vertex — hence exports stay within ``|V|``.
-    Assigned vertices are also endpoint first-encounters of processed
-    edges, disjoint across shards, giving the ``2 * |E|`` bound.  The
-    no-merge single-worker path opens at most one cluster per vertex,
-    satisfying the same bound.  The worker count does not enter it.
-    """
-    return min(2 * int(n_edges), int(n_vertices)) + 1
-
-
 def compact_clustering(
     v2c: np.ndarray, volumes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -185,9 +157,10 @@ def compact_clustering(
 
     Merging per-worker clustering exports leaves behind clusters whose
     members all migrated away (volume 0).  Compacting at every barrier
-    keeps the id space — and with it the fixed per-worker scratch of the
-    process runner (:func:`cluster_id_capacity`) — bounded by *live*
-    clusters instead of cumulative allocations.
+    keeps the id space — and with it the snapshot every window loads,
+    which a sharded transport ships to each worker — bounded by *live*
+    clusters instead of cumulative allocations: a live cluster has an
+    assigned member, so the snapshot holds at most ``|V|`` volumes.
 
     Semantics-free by construction: assigned vertices always point at
     live clusters (a member contributes positive volume), and the relabel
@@ -221,7 +194,7 @@ class ShardedJob:
     resolves optional-backend fallback (``c`` without a compiler -> the
     default backend, one warning) once before opening
     the session, so every worker's ``get_backend(job.backend)`` hits a
-    concrete registered backend — process-pool workers never re-detect
+    concrete registered backend — worker processes never re-detect
     optional dependencies or repeat fallback warnings.
     """
 
@@ -378,9 +351,6 @@ class Transport(ABC):
         state and every view and merge sizes; returns the cells logged,
         ``None`` when the lone view *is* the global state."""
 
-    def finalize(self) -> None:
-        """Copy transport-held results back into the job (success path)."""
-
     def close(self) -> None:
         """Release every resource; idempotent, safe on error paths."""
 
@@ -522,8 +492,10 @@ class RunnerSession:
 
     # ------------------------------------------------------------------
     def finalize(self) -> None:
-        """Copy shared results back into the job arrays (success path)."""
-        self.transport.finalize()
+        """End a successful run.  Nothing is left to copy: every
+        transport writes assignments into the job as windows return and
+        the global state at every barrier; ``close()`` releases the
+        rest."""
 
     def close(self) -> None:
         """Release every resource; idempotent, safe on error paths."""
@@ -543,7 +515,7 @@ class Runner(ABC):
 
     @abstractmethod
     def open(self, job: ShardedJob) -> RunnerSession:
-        """Start a session for one run (allocate views, pools, segments)."""
+        """Start a session for one run (allocate views, workers, segments)."""
 
     def parallel_wall_seconds(
         self, phase2_seconds: float, n_workers: int, syncs: int,
@@ -688,15 +660,15 @@ class SimulatedRunner(Runner):
 
 
 # ----------------------------------------------------------------------
-# shared-memory pool transport (true multiprocessing)
+# local worker processes: the socket transport on loopback
 # ----------------------------------------------------------------------
-#: Names of shared segments currently owned by live process sessions.
+#: Names of shared segments currently owned by live sessions.
 #: Test/debug hook: must be empty whenever no session is open.
 _LIVE_SEGMENTS: set[str] = set()
 
 
 def live_shared_segments() -> frozenset[str]:
-    """Segment names owned by open process sessions (leak-check hook)."""
+    """Segment names owned by open sessions (leak-check hook)."""
     return frozenset(_LIVE_SEGMENTS)
 
 
@@ -718,104 +690,6 @@ def _release_segment(shm) -> None:
         pass
 
 
-class _BufferArena:
-    """Sequential, alignment-respecting array allocator over one buffer.
-
-    Hands out ndarray views over consecutive (aligned) slices of ``buf``,
-    so a layout function that allocates the same shapes in the same order
-    finds every array at the same offset in every process.  Without a
-    buffer it only measures: it hands out zero-strided read-only
-    placeholders that take no memory, and :attr:`nbytes` ends at the size
-    the layout needs.
-    """
-
-    __slots__ = ("_buf", "nbytes")
-
-    def __init__(self, buf=None) -> None:
-        self._buf = buf
-        #: End offset of the last array handed out.
-        self.nbytes = 0
-
-    def __call__(self, shape, dtype) -> np.ndarray:
-        dt = np.dtype(dtype)
-        offset = -(-self.nbytes // dt.alignment) * dt.alignment
-        if self._buf is None:
-            arr = np.broadcast_to(np.zeros((), dtype=dt), shape)
-        else:
-            arr = np.ndarray(shape, dtype=dt, buffer=self._buf, offset=offset)
-        self.nbytes = offset + arr.nbytes
-        return arr
-
-
-def _map_segment(layout, args, name=None):
-    """Create (``name=None``) or attach the segment ``layout`` lays out.
-
-    ``layout(arena, *args)`` allocates every array of one segment from a
-    :class:`_BufferArena` and returns them.  It runs once without a
-    buffer to size the segment, then over the mapping, so the creator and
-    every attacher agree on each offset by construction.  Returns
-    ``(shm, arrays)``; a created segment starts zeroed and stays in
-    ``_LIVE_SEGMENTS`` until :func:`_release_segment`.  The arrays do not
-    keep the mapping alive, so every one of them must be gone before it
-    closes (one that outlived it would point at unmapped memory).
-
-    Raises
-    ------
-    PartitioningError
-        When attaching, if no segment ``name`` exists or it is smaller
-        than its layout.
-    """
-    from multiprocessing import shared_memory
-
-    sizing = _BufferArena()
-    layout(sizing, *args)
-    if name is None:
-        shm = shared_memory.SharedMemory(
-            create=True, size=max(sizing.nbytes, 1)
-        )
-        _LIVE_SEGMENTS.add(shm.name)
-        np.frombuffer(shm.buf, dtype=np.uint8)[:] = 0
-    else:
-        try:
-            shm = shared_memory.SharedMemory(name=name, create=False)
-        except FileNotFoundError as exc:
-            raise PartitioningError(f"no shared segment {name!r}") from exc
-        if shm.size < sizing.nbytes:
-            shm.close()
-            raise PartitioningError(
-                f"shared segment {name!r} holds {shm.size} bytes, its "
-                f"layout needs {sizing.nbytes}"
-            )
-    return shm, layout(_BufferArena(shm.buf), *args)
-
-
-def _cluster_layout(arena, n, cap_ids, n_workers):
-    """The Phase-1 clustering scratch: the degrees, then one slot per
-    worker with its live cluster-id count, ``v2c`` and volumes (the
-    snapshot its next window loads, then the export it leaves)."""
-    degrees = arena(n, np.int64)
-    slots = [
-        (arena(1, np.int64), arena(n, np.int64), arena(cap_ids, np.int64))
-        for _ in range(n_workers)
-    ]
-    return degrees, slots
-
-
-def _phase2_layout(arena, n_edges, n, k, alpha, n_workers, packed, log_capacity):
-    """The Phase-2 segment: the assignment array, the read-only inputs
-    ``(part, weights)`` (see :func:`~repro.kernels.base.phase2_inputs`),
-    every worker's state view (replica plane, sizes) and every worker's
-    set-bit log."""
-    assignments = arena(n_edges, np.int32)
-    inputs = (arena(n, np.int32), arena((n, 2), np.int64))
-    views = [
-        PartitionState(n, k, n_edges, alpha, allocator=arena, packed=packed)
-        for _ in range(n_workers)
-    ]
-    logs = [ReplicaLog(log_capacity, allocator=arena) for _ in range(n_workers)]
-    return assignments, inputs, views, logs
-
-
 def default_start_method() -> str:
     """``fork`` where available (cheap, inherits the backend registry),
     else ``spawn``."""
@@ -831,9 +705,9 @@ def mp_context(start_method: str | None):
     Every start method but ``fork`` re-runs ``__main__`` in each child,
     by its module name or else by the path in ``__main__.__file__``.  A
     script read from standard input names ``<stdin>``, no file: each
-    child would die in bootstrap and be respawned until a timeout.  That
-    raises :class:`~repro.errors.ConfigurationError` here, before the
-    caller creates any segment, pool or process."""
+    child would die in bootstrap before it connects back.  That raises
+    :class:`~repro.errors.ConfigurationError` here, before the caller
+    creates any segment, socket or process."""
     import multiprocessing as mp
     import os
     import sys
@@ -864,131 +738,13 @@ def check_start_method(start_method: str | None) -> None:
         )
 
 
-@dataclass
-class _WorkerPayload:
-    """Once-per-process initialization shipped to every pool worker.
-
-    Deliberately tiny — a stream spec plus scalars — so opening a session
-    is O(1) in ``|V|``; the clustering scratch and the Phase-2 segment
-    are attached lazily from the refs in the task tuples.
-    """
-
-    spec: object
-    k: int
-    backend: str | None
-    hash_seed: int
-    hdrf_lambda: float
-
-
-_WORKER = None  # per-process context, set by _process_worker_init
-
-
-def _process_worker_init(payload: _WorkerPayload) -> None:
-    """Pool initializer: open the stream, resolve the kernel backend.
-
-    Never raises: an exception escaping a pool initializer makes the
-    worker exit and the pool respawn it in a tight crash loop, with the
-    parent none the wiser until a task timeout.  Instead the failure is
-    recorded and re-raised by the first task, so the parent gets the
-    true cause immediately through the normal result path.
-    """
-    global _WORKER
-    try:
-        stream = payload.spec.open()
-        _WORKER = {
-            "payload": payload,
-            "stream": stream,
-            "kernels": get_backend(payload.backend),
-            "segments": {},
-        }
-    except BaseException as exc:  # noqa: BLE001 - see docstring
-        _WORKER = {"init_error": f"{type(exc).__name__}: {exc}"}
-
-
-def _attached(ref):
-    """This worker's arrays over the segment ``ref = (name, layout,
-    args)``, mapped on first use; the mapping lives as long as the worker
-    (unlinking under it is safe on POSIX)."""
-    name, layout, args = ref
-    segments = _WORKER["segments"]
-    if name not in segments:
-        segments[name] = _map_segment(layout, args, name)
-    return segments[name][1]
-
-
-def _process_worker_task(task):
-    """One task in a pool worker, dispatched on the task kind.
-
-    Any pool process may execute any shard worker's window (every process
-    can map every segment); within a sweep the windows of distinct shard
-    workers touch disjoint views and disjoint assignment slices, so there
-    are no cross-process races by construction.
-    """
-    ctx_globals = _WORKER
-    if "init_error" in ctx_globals:
-        raise PartitioningError(
-            "process worker initialization failed: "
-            + ctx_globals["init_error"]
-        )
-    kind = task[0]
-    if kind == "degree":
-        _, start, stop = task
-        return ctx_globals["kernels"].degree_pass(
-            _SubStream(ctx_globals["stream"], start, stop)
-        )
-    if kind == "cluster":
-        return _worker_cluster_window(task)
-    return _worker_phase2_window(task)
-
-
-def _worker_cluster_window(task):
-    """One Phase-1 clustering sync window against the shared scratch."""
-    _, worker_index, start, stop, ref, cap = task
-    ctx_globals = _WORKER
-    degrees, slots = _attached(ref)
-    header, v2c_view, vol_view = slots[worker_index]
-    kernels = ctx_globals["kernels"]
-    n_ids = int(header[0])
-    st = kernels.clustering_load(v2c_view, vol_view[:n_ids], degrees)
-    cost = CostCounter()
-    window = _SubStream(ctx_globals["stream"], start, stop)
-    kernels.clustering_true_pass(window, st, cap, cost)
-    v2c_out, vol_out, _ = kernels.clustering_export(st)
-    if vol_out.shape[0] > vol_view.shape[0]:  # pragma: no cover - bound proof
-        raise PartitioningError(
-            f"phase-1 cluster-id capacity exceeded: {vol_out.shape[0]} ids "
-            f"for a scratch of {vol_view.shape[0]}"
-        )
-    v2c_view[:] = v2c_out
-    vol_view[: vol_out.shape[0]] = vol_out
-    header[0] = vol_out.shape[0]
-    return astuple(cost)
-
-
-def _worker_phase2_window(task):
-    """One Phase-2 sync window; returns the kernel total and this
-    window's cost-counter delta for the parent to merge."""
-    worker_index, pass_name, start, stop, ref = task
-    payload = _WORKER["payload"]
-    assignments, inputs, views, logs = _attached(ref)
-    return run_phase2_window(
-        _WORKER["kernels"],
-        pass_name,
-        _WORKER["stream"],
-        start,
-        stop,
-        views[worker_index],
-        logs[worker_index],
-        inputs,
-        assignments[start:stop],
-        k=payload.k,
-        hash_seed=payload.hash_seed,
-        hdrf_lambda=payload.hdrf_lambda,
-    )
-
-
 class ProcessRunner(Runner):
-    """True multi-process execution over shared-memory state views.
+    """True multi-process execution: socket workers on loopback.
+
+    A session listens on ``127.0.0.1`` and starts one local worker
+    process per shard, which connects back and speaks the wire protocol
+    of :class:`~repro.core.distributed.DistributedRunner`; this runner is
+    that transport without ``host:port`` workers.
 
     Parameters
     ----------
@@ -997,11 +753,11 @@ class ProcessRunner(Runner):
         :func:`default_start_method`).  ``fork`` inherits dynamically
         registered kernel backends; ``spawn`` re-imports them.
     task_timeout:
-        Seconds to wait for any single sync-window task.  A worker that
-        died abruptly (OOM-kill, segfault) leaves its task result pending
-        forever in a ``multiprocessing.Pool``; the timeout converts that
-        hang into a :class:`~repro.errors.PartitioningError` and the
-        session teardown terminates the pool and unlinks every segment.
+        Seconds any single worker reply may take (the transport's
+        ``recv_timeout``).  A worker that stalls past it raises a
+        :class:`~repro.errors.PartitioningError` naming the timeout (one
+        that died raises at once), and the session teardown terminates
+        every worker and unlinks the edge segment.
     """
 
     kind = "process"
@@ -1021,206 +777,15 @@ class ProcessRunner(Runner):
         self.task_timeout = float(task_timeout)
 
     def open(self, job: ShardedJob) -> RunnerSession:
-        return RunnerSession(job, _PoolTransport(self, job))
+        from repro.core.distributed import _SocketTransport
 
-
-class _PoolTransport(Transport):
-    """Window tasks on a ``multiprocessing`` pool over shared segments."""
-
-    def __init__(self, runner: ProcessRunner, job: ShardedJob) -> None:
-        self.job = job
-        self.kernels = get_backend(job.backend)
-        self._timeout = runner.task_timeout
-        self._pool = None
-        self._stream_shm = None
-        self._cluster_shm = None
-        self._cluster_ref = None
-        self._slots = None
-        self._cap = None
-        self._phase2_shm = None
-        self._phase2_ref = None
-        self._assignments = None
-        self.views: list[PartitionState] = []
-        self.logs: list[ReplicaLog] = []
-        self._closed = False
-        try:
-            self._setup(runner)
-        except BaseException:
-            self.close()
-            raise
-
-    def _setup(self, runner: ProcessRunner) -> None:
-        from multiprocessing import resource_tracker
-
-        ctx = mp_context(runner.start_method)
-        # Start the parent's resource tracker BEFORE the pool exists, so
-        # every worker inherits it and all segment registrations land in
-        # one tracker that the parent's unlink can clear.  Session open no
-        # longer creates a segment up front (workers attach lazily), so
-        # without this a forked worker would lazily spawn its *own*
-        # tracker, whose attach registrations nobody unregisters —
-        # spurious "leaked shared_memory objects" warnings at shutdown.
-        resource_tracker.ensure_running()
-
-        job = self.job
-        spec, self._stream_shm = _stream_spec(job.stream)
-        payload = _WorkerPayload(
-            spec=spec,
-            k=job.k,
-            backend=job.backend,
-            hash_seed=job.hash_seed,
-            hdrf_lambda=job.hdrf_lambda,
+        transport = _SocketTransport(
+            job,
+            self.kind,
+            start_method=self.start_method,
+            recv_timeout=self.task_timeout,
         )
-        self._pool = ctx.Pool(
-            processes=job.n_workers,
-            initializer=_process_worker_init,
-            initargs=(payload,),
-        )
-
-    def _task(self, step, w, start, stop):
-        if step == "degree":
-            return ("degree", start, stop)
-        if step == "clustering":
-            return ("cluster", w, start, stop, self._cluster_ref, self._cap)
-        return (w, step, start, stop, self._phase2_ref)
-
-    def run(self, step, tasks):
-        import multiprocessing as mp
-
-        handles = [
-            self._pool.apply_async(
-                _process_worker_task, (self._task(step, w, start, stop),)
-            )
-            for w, start, stop in tasks
-        ]
-        results = []
-        for (w, _, _), handle in zip(tasks, handles):
-            try:
-                results.append(handle.get(timeout=self._timeout))
-            except mp.TimeoutError as exc:
-                raise PartitioningError(
-                    f"process runner: a {step} window exceeded the "
-                    f"{self._timeout:.0f}s task timeout (worker died or "
-                    "deadlocked)"
-                ) from exc
-            except Exception as exc:
-                raise WorkerFailed(w, step, _describe(exc)) from exc
-        if step == "degree":
-            return [(partial, ()) for partial in results]
-        if step == "clustering":
-            # Copies: a view into the scratch would outlive its mapping
-            # in a traceback, should the merge raise.
-            exports = []
-            for (w, _, _), delta in zip(tasks, results):
-                header, v2c_view, vol_view = self._slots[w]
-                export = (v2c_view.copy(), vol_view[: int(header[0])].copy())
-                exports.append((export, delta))
-            return exports
-        return results
-
-    # -- Phase 1 -------------------------------------------------------
-    def open_clustering(self, degrees, cap, lone):
-        job = self.job
-        n = int(degrees.shape[0])
-        args = (n, cluster_id_capacity(job.stream.n_edges, n), job.n_workers)
-        shm, (shared_degrees, self._slots) = _map_segment(_cluster_layout, args)
-        self._cluster_shm = shm
-        self._cluster_ref = (shm.name, _cluster_layout, args)
-        shared_degrees[:] = degrees
-        self._cap = cap
-
-    def publish_clustering(self, v2c, volumes):
-        for header, v2c_view, vol_view in self._slots:
-            v2c_view[:] = v2c
-            vol_view[: volumes.shape[0]] = volumes
-            header[0] = volumes.shape[0]
-
-    def close_clustering(self, lone):
-        # The lone worker's slot holds its live clustering; copy it out.
-        # Phase 2 never reads the scratch, so it is released now instead
-        # of at close() — workers keep their memoized mapping until the
-        # pool dies, and unlinking under live mappings is safe on POSIX.
-        final = None
-        if lone:
-            header, v2c, volumes = self._slots[0]
-            final = (v2c.copy(), volumes[: int(header[0])].copy())
-            del header, v2c, volumes  # no array may outlive the mapping
-        self._slots = None
-        scratch, self._cluster_shm = self._cluster_shm, None
-        _release_segment(scratch)
-        return final
-
-    # -- Phase 2 -------------------------------------------------------
-    def bind_phase2(self, lone, log_capacity):
-        # Even a lone worker gets its own view: the barrier applies its log.
-        job = self.job
-        state = job.state
-        args = (
-            state.n_edges, state.n_vertices, state.k, state.alpha,
-            job.n_workers, state.packed, log_capacity,
-        )
-        shm, arrays = _map_segment(_phase2_layout, args)
-        self._assignments, (part, weights), self.views, self.logs = arrays
-        self._phase2_shm = shm
-        self._phase2_ref = (shm.name, _phase2_layout, args)
-        self._assignments[:] = job.assignments
-        part[:] = job.part
-        weights[:] = job.weights
-
-    def barrier(self, step):
-        return apply_logs(self.kernels, self.job.state, self.views, self.logs)
-
-    def finalize(self) -> None:
-        # The barrier already synchronized the global state after the
-        # last sweep; only the assignments live solely in shared memory.
-        self.job.assignments[:] = self._assignments
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self._pool is not None:
-            pool, self._pool = self._pool, None
-            self._shutdown_pool(pool)
-        # Every array over a mapping goes before the mapping closes.
-        self._slots = self._assignments = None
-        self.views = []
-        self.logs = []
-        segments = (self._stream_shm, self._cluster_shm, self._phase2_shm)
-        self._stream_shm = self._cluster_shm = self._phase2_shm = None
-        for shm in segments:
-            if shm is not None:
-                _release_segment(shm)
-
-    @staticmethod
-    def _shutdown_pool(pool) -> None:
-        """Tear the pool down in bounded time, even mid-task.
-
-        ``Pool.terminate()`` can deadlock when a worker dies while its
-        queues are busy (long-standing CPython race, hit exactly when a
-        task hung or crashed — our error paths).  The graceful shutdown
-        therefore runs under a watchdog: if it does not finish promptly,
-        the workers are SIGKILLed and, as a last resort, the join is
-        abandoned to a daemon thread so ``close()`` always returns and
-        the shared segments below always get unlinked.
-        """
-        import threading
-
-        joiner = threading.Thread(
-            target=lambda: (pool.terminate(), pool.join()), daemon=True
-        )
-        joiner.start()
-        joiner.join(timeout=10.0)
-        if joiner.is_alive():  # pragma: no cover - needs the mp race
-            for proc in getattr(pool, "_pool", None) or []:
-                try:
-                    proc.kill()
-                except Exception:  # noqa: BLE001 - best-effort kill
-                    pass
-            joiner.join(timeout=5.0)
-
-    def extra_state_bytes(self) -> int:
-        return sum(x.nbytes() for x in (*self.views, *self.logs))
+        return RunnerSession(job, transport)
 
 
 # ----------------------------------------------------------------------
@@ -1244,10 +809,10 @@ def make_runner(
     """Resolve a runner name or pass an instance through.
 
     ``start_method``/``task_timeout`` configure the process and
-    distributed runners (for the latter ``task_timeout`` becomes the
-    per-reply ``recv_timeout``); ``workers``/``connect_timeout``
-    configure the distributed runner only.  All are ignored by runners
-    without execution knobs.
+    distributed runners (``task_timeout`` is the per-reply
+    ``recv_timeout`` of their socket workers); ``workers``/
+    ``connect_timeout`` configure the distributed runner only.  All are
+    ignored by runners without execution knobs.
 
     The distributed runner lives in :mod:`repro.core.distributed`
     (imported lazily here to keep this module import-cycle-free); naming

@@ -67,10 +67,10 @@ read the Phase-1 product through two per-vertex arrays in
 the cluster mapping, and checks those arrays once (every cluster id in
 ``[-1, len(c2p))``, every partition in ``[0, k)``, agreeing lengths, a
 positive degree for every clustered vertex); a miss is a
-:class:`~repro.errors.PartitioningError`.  Every runner ships the two
-arrays as they are: the process runner's one Phase-2 segment holds them
-(20 bytes per vertex) beside the assignment array and the worker views,
-the socket transport sends them in its bind message.
+:class:`~repro.errors.PartitioningError`.  Every runner hands the two
+arrays over as they are, 20 bytes per vertex: the in-process transport
+to its windows, the socket transport — the process and distributed
+runners — in its bind message, once per worker.
 
 Reading them, a pass gathers one partition id and one ``weights`` row
 per endpoint.  The skip test ``part[u] == part[v]`` is Algorithm 2's

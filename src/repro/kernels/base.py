@@ -149,18 +149,17 @@ class ReplicaLog:
     Each entry is the int64 cell ``row * k + p`` of a bit that was clear
     in the worker's view when its pass set it, in the order the pass set
     them (per edge, ``u``'s bit before ``v``'s).  ``cells`` holds
-    ``capacity`` slots and ``fill[0]`` the number in use, both from
-    ``allocator`` (``np.zeros`` by default).  A window of ``w`` edges
-    sets at most ``2 * w`` bits, and at most the plane's ``n * k``, so
-    the runners size it ``min(2 * w, n * k)`` from the schedule.
+    ``capacity`` slots and ``fill[0]`` the number in use.  A window of
+    ``w`` edges sets at most ``2 * w`` bits, and at most the plane's
+    ``n * k``, so the runners size it ``min(2 * w, n * k)`` from the
+    schedule.
     """
 
     __slots__ = ("cells", "fill")
 
-    def __init__(self, capacity: int, allocator=None) -> None:
-        alloc = np.zeros if allocator is None else allocator
-        self.cells = alloc(int(capacity), np.int64)
-        self.fill = alloc(1, np.int64)
+    def __init__(self, capacity: int) -> None:
+        self.cells = np.zeros(int(capacity), np.int64)
+        self.fill = np.zeros(1, np.int64)
 
     def nbytes(self) -> int:
         return int(self.cells.nbytes + self.fill.nbytes)

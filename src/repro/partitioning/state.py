@@ -8,14 +8,12 @@ cap") is owned by this class so every partitioner enforces it identically.
 
 Where the arrays live
 ---------------------
-The mutable arrays (``replicas`` and ``sizes``) come from a pluggable
-allocator: ``np.zeros`` on the heap by default, or any
-``callable(shape, dtype)`` that returns zero-filled arrays.  The process
-runner (:mod:`repro.core.runners`) passes one that carves its worker
-views out of a shared-memory segment it owns; this class keeps no
-segment and knows nothing of their lifecycle, nor of the barriers that
-synchronize the views (the kernels' set-bit logs, see
-:mod:`repro.kernels`).
+The mutable arrays (``replicas`` and ``sizes``) are zero-filled heap
+arrays of the process that creates the state.  A sharded runner's worker
+views are ordinary states of the same shape, in its worker processes or,
+for the simulated runner, beside the global state; this class knows
+nothing of the barriers that synchronize them (the kernels' set-bit
+logs, see :mod:`repro.kernels`).
 
 Bit-packed replica rows
 -----------------------
@@ -267,11 +265,6 @@ class PartitionState:
     alpha:
         Imbalance factor; the cap is ``max(floor(alpha * m / k), ceil(m/k))``
         so a full assignment is always feasible.
-
-    allocator:
-        Optional ``callable(shape, dtype) -> ndarray`` producing the
-        state arrays *zero-filled*, in the order replicas, sizes.
-        ``None`` (the default) allocates on the heap with ``np.zeros``.
     packed:
         When True, store the replication matrix bit-packed
         (:class:`PackedReplicaMatrix`, ``ceil(k/8)`` bytes per row) instead
@@ -292,7 +285,6 @@ class PartitionState:
         n_edges: int,
         alpha: float = 1.05,
         *,
-        allocator=None,
         packed: bool = False,
     ):
         if k < 2:
@@ -310,15 +302,14 @@ class PartitionState:
         )
         #: Whether the replica matrix is bit-packed.
         self.packed = bool(packed)
-        alloc = np.zeros if allocator is None else allocator
         if packed:
             self.replicas = PackedReplicaMatrix(
-                alloc((self.n_vertices, packed_row_bytes(self.k)), np.uint8),
+                np.zeros((self.n_vertices, packed_row_bytes(self.k)), np.uint8),
                 self.k,
             )
         else:
-            self.replicas = alloc((self.n_vertices, self.k), bool)
-        self.sizes = alloc(self.k, np.int64)
+            self.replicas = np.zeros((self.n_vertices, self.k), bool)
+        self.sizes = np.zeros(self.k, np.int64)
 
     # ------------------------------------------------------------------
     # assignment

@@ -61,10 +61,10 @@ from repro.kernels import available_backends
 from repro.streaming import FileEdgeStream
 from repro.streaming.writer import EdgeListWriter
 
-#: The full runner matrix the harness sweeps.  ``distributed`` is the
-#: socket-protocol runner in loopback mode: same schedule, same merge
-#: ops, but every delta crosses a wire frame instead of shared memory —
-#: the sweep pins it bit-exact against the in-process runners.
+#: The full runner matrix the harness sweeps.  ``process`` and
+#: ``distributed`` run the socket-protocol workers in loopback mode:
+#: same schedule, same merge ops, but every delta crosses a wire frame —
+#: the sweep pins them bit-exact against the in-process runners.
 RUNNERS = ("serial", "simulated", "process", "distributed")
 
 #: Extras that must agree wherever the state agrees (schedule-derived).
@@ -383,7 +383,7 @@ _OOC_VARIANT_ORDER = (
 
 #: The process and distributed runners only run the endpoints of the
 #: variant sweep (their baseline plus the fully out-of-core
-#: configuration): pool/worker spawns dominate the tier's cost, and the
+#: configuration): worker spawns dominate the tier's cost, and the
 #: intermediate variants are already pinned against the same baseline by
 #: the in-process runners.
 _OOC_PROCESS_VARIANTS = ("dense/in-memory", "packed/file-prefetch")

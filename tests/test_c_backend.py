@@ -230,7 +230,7 @@ class TestCEquivalence:
             assert_results_identical(seq, runs[c_registered])
 
     def test_process_runner_bit_exact(self, c_registered):
-        """The backend resolves by name inside pool workers, with any
+        """The backend resolves by name inside worker processes, with any
         start method (spawn re-imports and loads the cached library)."""
         graph = chung_lu_graph(60, 240, gamma=2.1, seed=23)
         simulated = ParallelTwoPhase(

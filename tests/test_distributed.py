@@ -13,7 +13,9 @@ Three layers, mirroring the implementation split:
   set-bit log in a window result, and a version- or kernel-source-
   mismatch handshake must each surface as a typed
   :class:`~repro.errors.PartitioningError` with no leaked socket,
-  worker process, or shared-memory segment.
+  worker process, or shared-memory segment.  The window and barrier
+  faults run under the process runner too, whose loopback workers are
+  these socket workers.
 
 Fault injection works by monkeypatching the module-level
 ``distributed._MESSAGE_HANDLERS`` registry before the session spawns
@@ -601,13 +603,17 @@ class TestFailureInjection:
     """Each injected fault must surface as PartitioningError and leave
     no socket, worker process, or shared-memory segment behind."""
 
+    runner = "distributed"
+
+    def _runner(self, **runner_kw):
+        return make_runner(self.runner, start_method="fork", **runner_kw)
+
     def _run_with_fault(self, monkeypatch, msg_type, handler, **runner_kw):
         monkeypatch.setitem(
             distributed._MESSAGE_HANDLERS, msg_type, handler
         )
-        runner = DistributedRunner(start_method="fork", **runner_kw)
         with pytest.raises(PartitioningError) as excinfo:
-            _partition(runner, _graph())
+            _partition(self._runner(**runner_kw), _graph())
         return excinfo
 
     def test_worker_crash_mid_window(self, monkeypatch):
@@ -615,6 +621,7 @@ class TestFailureInjection:
             monkeypatch, wire.MSG_WINDOW, _crash_handler
         )
         assert "died or stalled" in str(excinfo.value)
+        assert str(excinfo.value).startswith(f"{self.runner} ")
         _assert_clean()
         assert not multiprocessing.active_children()
 
@@ -623,6 +630,7 @@ class TestFailureInjection:
             monkeypatch, wire.MSG_BARRIER, _disconnect_handler
         )
         assert "barrier" in str(excinfo.value)
+        assert str(excinfo.value).startswith(f"{self.runner} ")
         _assert_clean()
         assert not multiprocessing.active_children()
 
@@ -699,9 +707,11 @@ class TestFailureInjection:
     def test_recv_timeout_on_stalled_worker(self, monkeypatch):
         excinfo = self._run_with_fault(
             monkeypatch, wire.MSG_WINDOW, _stall_handler,
-            recv_timeout=0.2,
+            task_timeout=0.2,
         )
         assert "died or stalled" in str(excinfo.value)
+        assert str(excinfo.value).startswith(f"{self.runner} ")
+        assert "no reply within the 0.2 s timeout" in str(excinfo.value)
         _assert_clean()
         assert not multiprocessing.active_children()
 
@@ -713,11 +723,17 @@ class TestFailureInjection:
             distributed._MESSAGE_HANDLERS, wire.MSG_WINDOW, boom
         )
         with pytest.raises(PartitioningError, match="injected kernel"):
-            _partition(
-                DistributedRunner(start_method="fork"), _graph()
-            )
+            _partition(self._runner(), _graph())
         _assert_clean()
         assert not multiprocessing.active_children()
+
+
+class TestProcessRunnerFailureInjection(TestFailureInjection):
+    """The same faults under the process runner, whose loopback workers
+    are these socket workers: one failure surface for both runners, its
+    messages naming ``process``."""
+
+    runner = "process"
 
 
 class TestVersionMismatchHandshake:

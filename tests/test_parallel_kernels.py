@@ -15,20 +15,22 @@ Four contracts are pinned here:
    results for every kernel-routed partitioner — this is what catches
    chunk-boundary bugs in the shard-window iterator.
 4. The execution **runner matrix** (``TestRunnerMatrix``): the true
-   multi-process ``ProcessRunner`` is bit-identical with the
-   single-process ``SimulatedRunner`` under the same sync schedule, the
-   ``SerialRunner`` is bit-exact with the sequential pipeline, and a
-   crashed or hung worker never leaks a shared-memory segment (the
-   parent unlinks every segment it created on both success and error
-   paths, which also unregisters them from the shared
-   ``resource_tracker`` — so no "leaked shared_memory objects" warnings
-   can fire at interpreter shutdown).
+   multi-process ``ProcessRunner`` (socket workers on loopback) is
+   bit-identical with the single-process ``SimulatedRunner`` under the
+   same sync schedule, the ``SerialRunner`` is bit-exact with the
+   sequential pipeline, and a crashed or hung worker never leaks a
+   shared-memory segment, socket or worker process (the parent unlinks
+   the one segment a session owns, the edge copy of an in-memory stream,
+   on both success and error paths, which also unregisters it from the
+   shared ``resource_tracker`` — so no "leaked shared_memory objects"
+   warnings can fire at interpreter shutdown).
 
 The parallel path must also honor the out-of-core promise: it never
 materializes the stream, and worker windows bound its memory.
 """
 
 import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ParallelTwoPhase, ProcessRunner, TwoPhasePartitioner
+from repro.core import distributed, wire
 from repro.core import runners as runners_module
 from repro.core.distributed import live_connections, live_worker_processes
 from repro.core.runners import ShardedJob, live_shared_segments, make_runner
@@ -44,10 +47,15 @@ from repro.graph import Graph
 from repro.graph.formats import write_binary_edge_list
 from repro.kernels import PythonBackend, available_backends, register_backend
 from repro.metrics.runtime import CostCounter
+from repro.partitioning.state import PartitionState
 from repro.streaming import FileEdgeStream, InMemoryEdgeStream
 from tests.per_edge import PER_EDGE
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+needs_fork = pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
+
+LAYOUTS = pytest.mark.parametrize("packed", [False, True], ids=["dense", "packed"])
 
 OTHER_BACKENDS = [n for n in available_backends() if n != "python"]
 
@@ -66,6 +74,24 @@ def graphs(draw, max_vertices=50, max_edges=250):
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     rng = np.random.default_rng(seed)
     return Graph(rng.integers(0, n, size=(m, 2)), n)
+
+
+@pytest.fixture
+def recording_segments(monkeypatch):
+    """``_LIVE_SEGMENTS`` stand-in that remembers every name it was given."""
+
+    class RecordingSet(set):
+        def __init__(self):
+            super().__init__()
+            self.ever = []
+
+        def add(self, name):
+            self.ever.append(name)
+            super().add(name)
+
+    recorder = RecordingSet()
+    monkeypatch.setattr(runners_module, "_LIVE_SEGMENTS", recorder)
+    return recorder
 
 
 def assert_bit_exact(reference, other):
@@ -408,27 +434,12 @@ class _SleepingBackend(PythonBackend):
 class TestCrashedWorkerCleanup:
     """No shared-memory segment may outlive a failed process session.
 
-    The parent owns every segment (worker state views, assignments, the
-    shipped edge array) and unlinks them in the session's idempotent
-    ``close()``, which also unregisters them from the resource tracker
-    shared with the pool workers — verified here by recording every
-    created segment name and proving it is unlinked after the crash.
+    The parent owns the one segment of a session (the shipped edge
+    array) and unlinks it in the session's idempotent ``close()``, which
+    also unregisters it from the resource tracker shared with the worker
+    processes — verified here by recording every created segment name
+    and proving it is unlinked after the crash.
     """
-
-    @pytest.fixture
-    def recording_segments(self, monkeypatch):
-        class RecordingSet(set):
-            def __init__(self):
-                super().__init__()
-                self.ever = []
-
-            def add(self, name):
-                self.ever.append(name)
-                super().add(name)
-
-        recorder = RecordingSet()
-        monkeypatch.setattr(runners_module, "_LIVE_SEGMENTS", recorder)
-        return recorder
 
     def _register(self, backend_cls):
         import repro.kernels as kernels_pkg
@@ -466,28 +477,33 @@ class TestCrashedWorkerCleanup:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name, create=False)
 
+    @pytest.mark.parametrize("runner", ["process", "distributed"])
     def test_failed_worker_init_surfaces_cause_fast(
-        self, community_graph, recording_segments, monkeypatch
+        self, runner, community_graph, recording_segments, monkeypatch
     ):
-        """A failing pool initializer must not crash-loop workers until
-        the task timeout: the failure is recorded and re-raised by the
-        first task with the true cause."""
-        import repro.core.runners as r
+        """A worker that cannot set up its job (here: its edges are
+        gone) must not leave the parent waiting out the task timeout:
+        its error reply surfaces at once as one typed error naming the
+        cause, and the session leaves nothing behind."""
 
-        def broken_init(payload):
-            r._WORKER = {"init_error": "FileNotFoundError: edges gone"}
+        def edges_gone(ctx, payload):
+            raise FileNotFoundError("edges gone")
 
-        monkeypatch.setattr(r, "_process_worker_init", broken_init)
+        monkeypatch.setitem(distributed._MESSAGE_HANDLERS, wire.MSG_JOB, edges_gone)
         partitioner = ParallelTwoPhase(
             n_workers=2,
             sync_interval=32,
-            runner="process",
+            runner=runner,
             start_method="fork",
             task_timeout=30.0,
         )
-        with pytest.raises(PartitioningError, match="initialization failed"):
+        began = time.monotonic()
+        with pytest.raises(PartitioningError, match="FileNotFoundError: edges gone"):
             partitioner.partition(community_graph, 4)
-        assert not recording_segments
+        assert time.monotonic() - began < 10.0
+        assert recording_segments.ever, "session created no segment?"
+        assert not recording_segments, "segment left registered"
+        assert not live_connections() and not live_worker_processes()
 
     @pytest.fixture
     def exploding_clustering_backend(self):
@@ -504,7 +520,7 @@ class TestCrashedWorkerCleanup:
     ):
         """ISSUE 4 satellite: a worker dying mid-Phase-1 surfaces as the
         same typed PartitioningError from the simulated and the process
-        runner — never a bare pool/kernel exception — and the process
+        runner — never a bare transport/kernel exception — and the process
         session unlinks every shared segment it created."""
         partitioner = ParallelTwoPhase(
             n_workers=2,
@@ -608,8 +624,12 @@ class TestCrashedWorkerCleanup:
             task_timeout=0.5,
             parallel_phase1=True,
         )
+        began = time.monotonic()
         with pytest.raises(PartitioningError, match="timeout"):
             partitioner.partition(community_graph, 4)
+        # The kernel sleeps 60 s: teardown terminates the stalled
+        # workers instead of awaiting them.
+        assert time.monotonic() - began < 10.0
         assert not recording_segments
         from multiprocessing import shared_memory
 
@@ -628,8 +648,12 @@ class TestCrashedWorkerCleanup:
             start_method="fork",
             task_timeout=0.5,
         )
+        began = time.monotonic()
         with pytest.raises(PartitioningError, match="timeout"):
             partitioner.partition(community_graph, 4)
+        # The kernel sleeps 60 s: teardown terminates the stalled
+        # workers instead of awaiting them.
+        assert time.monotonic() - began < 10.0
         assert not recording_segments
         from multiprocessing import shared_memory
 
@@ -663,6 +687,98 @@ def test_unknown_pass_is_a_configuration_error(runner, community_graph):
         session.close()
     assert not live_shared_segments()
     assert not live_connections() and not live_worker_processes()
+
+
+@needs_fork
+class TestProcessSession:
+    """A process session is the socket transport on loopback: its one
+    shared segment is the edge copy of an in-memory stream, and
+    ``close()`` leaves no segment, socket or worker process."""
+
+    @pytest.mark.parametrize("n_workers", [2, 4])
+    def test_in_memory_stream_is_the_one_segment(
+        self, n_workers, community_graph, recording_segments
+    ):
+        """Parallel Phase 1 over an in-memory stream, whatever the worker
+        count: one segment, unlinked when the run ends."""
+        from multiprocessing import shared_memory
+
+        ParallelTwoPhase(
+            n_workers=n_workers,
+            sync_interval=64,
+            runner="process",
+            parallel_phase1=True,
+        ).partition(community_graph, 4)
+        assert len(recording_segments.ever) == 1
+        assert not recording_segments, "segment left registered"
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=recording_segments.ever[0], create=False)
+
+    def test_close_is_idempotent(self, community_graph):
+        m = community_graph.n_edges
+        n = community_graph.n_vertices
+        job = ShardedJob(
+            stream=InMemoryEdgeStream(community_graph),
+            backend="python",
+            k=4,
+            alpha=1.05,
+            hash_seed=0,
+            hdrf_lambda=1.1,
+            cost=CostCounter(),
+            n_workers=2,
+            sync_interval=32,
+            part=np.zeros(n, dtype=np.int32),
+            weights=np.ones((n, 2), dtype=np.int64),
+            state=PartitionState(n, 4, m, 1.05),
+            assignments=np.full(m, -1, dtype=np.int32),
+        )
+        session = make_runner("process").open(job)
+        try:
+            session.bind_phase2()
+            assert len(live_shared_segments()) == 1
+            assert len(live_connections()) == len(live_worker_processes()) == 2
+        finally:
+            session.close()
+        session.close()
+        assert not live_shared_segments()
+        assert not live_connections() and not live_worker_processes()
+        assert not multiprocessing.active_children()
+
+    def test_reports_its_wire_traffic(self, community_graph):
+        """A process run reports its loopback workers' socket traffic,
+        as a distributed run does; the in-process runner has none."""
+        runs = {
+            runner: ParallelTwoPhase(
+                n_workers=2, sync_interval=64, runner=runner
+            ).partition(community_graph, 4)
+            for runner in ("process", "simulated")
+        }
+        assert_bit_exact(runs["simulated"], runs["process"])
+        assert runs["process"].extras["runner"] == "process"
+        stats = runs["process"].extras["wire"]
+        assert stats["bytes_sent"] > 0 and stats["bytes_received"] > 0
+        assert 0 < stats["barrier_plane_bytes"] < stats["barrier_full_bytes"]
+        assert "wire" not in runs["simulated"].extras
+
+
+@needs_fork
+@LAYOUTS
+def test_state_bytes_agree_across_runners(packed):
+    """Every runner reports the worker views' own bytes.  At |V| = 513 a
+    packed plane (4 bytes per row at k=32) ends 4 bytes off an 8-byte
+    boundary, so a count that pads each view to 8 bytes disagrees."""
+    rng = np.random.default_rng(5)
+    graph = Graph(rng.integers(0, 513, size=(3000, 2)), 513)
+    reports = {
+        runner: ParallelTwoPhase(
+            n_workers=2, sync_interval=256, runner=runner, packed_state=packed
+        )
+        .partition(graph, 32)
+        .state_bytes
+        for runner in ("simulated", "process", "distributed")
+    }
+    assert len(set(reports.values())) == 1, reports
+    assert not live_shared_segments()
 
 
 _EXPORTS_OUTLIVE_CLOSE = """
@@ -725,8 +841,8 @@ print("exports intact:", checked)
 def test_clustering_exports_outlive_the_session():
     """When the clustering merge raises, the exports its traceback holds
     must still read as they did, after the session has closed and
-    released its scratch segment.  Run in a child: an export that views
-    the unmapped scratch would crash the interpreter that reads it."""
+    released everything it held.  Run in a child: an export that viewed
+    memory the session unmapped would crash the interpreter reading it."""
     import os
     import subprocess
     import sys
@@ -749,7 +865,7 @@ def test_clustering_exports_outlive_the_session():
 class TestStartMethodContext:
     """A start method that re-runs ``__main__`` in its children is
     refused when ``__main__`` names a path that is no file (a script on
-    standard input), before any segment, pool, socket or process
+    standard input), before any segment, socket or process
     exists; nothing is started to find out."""
 
     @pytest.fixture
