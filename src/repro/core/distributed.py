@@ -25,9 +25,18 @@ It then sends each worker the merged sizes and the cells the *other*
 workers logged, or the merged plane where that is fewer bytes, so no
 barrier ships more than a full re-broadcast; each worker applies what
 it gets to its view and acknowledges before the next sweep.
-A Phase-1 clustering window carries the merged snapshot it loads from,
-except for a lone worker, which keeps one live clustering state
-worker-side until ``CLUSTER_FINISH``.
+Phase 1 ships moves, not clusterings.  Each worker keeps one clustering
+state (:class:`~repro.core.runners.ClusteringWorker`) from
+``PHASE1_INIT`` to the end of Phase 1.  A clustering window returns its
+cost and its moves: the ``(vertex, id)`` pairs whose id the window
+changed, as :func:`~repro.core.wire.move_cell_dtype` cells (4 bytes
+while ``n_workers * |V|`` fits), and the count of clusters it opened.
+The coordinator checks their form and count against the window and
+folds them with ``merge_phase1_clustering``, which checks every pair
+before it writes; each worker's refresh (the other workers' accepted
+moves, its fresh-id offset and the merged id count) rides on its next
+clustering request, so a barrier adds no round trip.  A lone worker
+exports nothing and drains its state at ``CLUSTER_FINISH``.
 
 Failure surface
 ---------------
@@ -35,11 +44,12 @@ No hangs, no leaked sockets or shm: every recv runs under the session's
 ``recv_timeout``, and worker death, a stall past the timeout,
 disconnection or corruption surfaces as a typed
 :class:`~repro.errors.PartitioningError` naming the runner, the step and
-the worker.  Session ``close()`` — invoked on every error path — shuts
-sockets, reaps spawned workers, and releases any stream segment, in
-bounded time: a worker with an unanswered request (it may be stuck in a
-kernel) gets no goodbye, and then every spawned worker is terminated at
-once instead of awaited.  ``live_connections()`` /
+the worker.  A loopback worker that exits before it connects fails the
+session at once, with its exit code.  Session ``close()`` — invoked on
+every error path — shuts sockets, reaps spawned workers, and releases
+any stream segment, in bounded time: a worker with an unanswered
+request (it may be stuck in a kernel) gets no goodbye, and then every
+spawned worker is terminated at once instead of awaited.  ``live_connections()`` /
 ``live_worker_processes()`` are the leak-check hooks, mirroring
 ``live_shared_segments()``.
 
@@ -52,13 +62,15 @@ edge segment, same-host by construction.
 from __future__ import annotations
 
 import socket
-from dataclasses import astuple
+import time
 
 import numpy as np
 
 from repro.core import wire
 from repro.core.runners import (
     RUNNERS,
+    ClusteringWorker,
+    Refresh,
     Runner,
     RunnerSession,
     Transport,
@@ -74,7 +86,6 @@ from repro.core.runners import (
 from repro.errors import ConfigurationError, PartitioningError, WireError
 from repro.kernels import get_backend
 from repro.kernels.base import ReplicaLog, log_cells
-from repro.metrics.runtime import CostCounter
 from repro.partitioning.state import PartitionState, _replica_plane
 from repro.streaming.stream import (
     FileStreamSpec,
@@ -148,48 +159,42 @@ def _w_degree(ctx, payload):
 
 def _w_phase1_init(ctx, payload):
     degrees = np.asarray(payload["degrees"], dtype=np.int64)
-    ctx["p1_degrees"] = degrees
-    ctx["p1_cap"] = float(payload["cap"])
-    # A lone worker's view is never stale: keep one live clustering
-    # state across windows (the simulated runner's single-worker path).
-    ctx["cluster_state"] = (
-        ctx["kernels"].clustering_init(degrees)
-        if payload["single"]
-        else None
+    # A lone worker's view is never stale: it keeps one live clustering
+    # state and exports nothing (the simulated runner's single-worker
+    # path); a sharded one logs its windows' moves.
+    capacity = None if payload["single"] else int(payload["log_capacity"])
+    ctx["clusterer"] = ClusteringWorker(
+        ctx["kernels"], degrees, float(payload["cap"]), capacity
+    )
+    ctx["move_cell"] = wire.move_cell_dtype(
+        degrees.shape[0], int(payload["n_workers"])
     )
     return wire.MSG_OK, None
 
 
 def _w_cluster(ctx, payload):
-    kernels = ctx["kernels"]
     window = _SubStream(
         ctx["stream"], int(payload["start"]), int(payload["stop"])
     )
-    cost = CostCounter()
-    if ctx["cluster_state"] is not None:
-        kernels.clustering_true_pass(
-            window, ctx["cluster_state"], ctx["p1_cap"], cost
+    refresh = None
+    if "moves" in payload:
+        refresh = Refresh(
+            int(payload["offset"]),
+            int(payload["n_ids"]),
+            wire.move_rows(payload["moves"], ctx["move_cell"]),
         )
-        return wire.MSG_CLUSTER_RESULT, {
-            "cost": np.asarray(astuple(cost), dtype=np.int64)
-        }
-    st = kernels.clustering_load(
-        payload["v2c"], payload["volumes"], ctx["p1_degrees"]
-    )
-    kernels.clustering_true_pass(window, st, ctx["p1_cap"], cost)
-    v2c, volumes, _ = kernels.clustering_export(st)
-    return wire.MSG_CLUSTER_RESULT, {
-        "v2c": np.asarray(v2c, dtype=np.int64),
-        "volumes": np.asarray(volumes, dtype=np.int64),
-        "cost": np.asarray(astuple(cost), dtype=np.int64),
-    }
+    export, cost = ctx["clusterer"].window(window, refresh)
+    fields = {"cost": np.asarray(cost, dtype=np.int64)}
+    if export is not None:
+        moves, fresh = export
+        fields["moves"] = wire.move_cells(moves, ctx["move_cell"])
+        fields["fresh"] = fresh
+    return wire.MSG_CLUSTER_RESULT, fields
 
 
 def _w_cluster_finish(ctx, payload):
-    v2c, volumes, _ = ctx["kernels"].clustering_export(
-        ctx["cluster_state"]
-    )
-    ctx["cluster_state"] = None
+    v2c, volumes, _ = ctx["kernels"].clustering_export(ctx["clusterer"].state)
+    ctx["clusterer"] = None
     return wire.MSG_CLUSTER_RESULT, {
         "v2c": np.asarray(v2c, dtype=np.int64),
         "volumes": np.asarray(volumes, dtype=np.int64),
@@ -197,6 +202,7 @@ def _w_cluster_finish(ctx, payload):
 
 
 def _w_bind(ctx, payload):
+    ctx["clusterer"] = None  # Phase 1 is over: free it before the view
     ctx["view"] = PartitionState(
         int(payload["n_vertices"]),
         ctx["k"],
@@ -447,7 +453,7 @@ class _SocketTransport(Transport):
         self._listener = None
         self._stream_shm = None
         self._lone = False
-        self._snapshot = None
+        self._move_cell = None
         self._logs: dict = {}
         self._sizes: list = []
         self._log_capacity = 0
@@ -524,7 +530,7 @@ class _SocketTransport(Transport):
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.bind(("127.0.0.1", 0))
         self._listener.listen(n_workers)
-        self._listener.settimeout(self._connect_timeout)
+        self._listener.settimeout(0.1)  # see _accept
         address = self._listener.getsockname()[:2]
         for _ in range(n_workers):
             proc = ctx.Process(
@@ -534,16 +540,36 @@ class _SocketTransport(Transport):
             self._procs.append(proc)
             _LIVE_WORKER_PROCS.add(proc)
         for w in range(n_workers):
-            try:
-                sock, _ = self._listener.accept()
-            except (TimeoutError, socket.timeout, OSError) as exc:
-                raise PartitioningError(
-                    f"loopback worker {w} did not connect within "
-                    f"{self._connect_timeout:.0f}s"
-                ) from exc
-            self._track(wire.Connection(sock, label=f"worker {w}"))
+            self._track(wire.Connection(self._accept(w), label=f"worker {w}"))
         self._listener.close()
         self._listener = None
+
+    def _accept(self, w: int) -> socket.socket:
+        """The next loopback worker's socket.  Accepts in slices of at
+        most 0.1 s and checks between them that no spawned worker has
+        exited, so a worker that dies before it connects fails the
+        session at once instead of after ``connect_timeout``."""
+        deadline = time.monotonic() + self._connect_timeout
+        while True:
+            try:
+                return self._listener.accept()[0]
+            except (TimeoutError, socket.timeout):
+                pass
+            except OSError as exc:
+                raise PartitioningError(
+                    f"{self._kind} loopback worker {w} could not connect: {exc}"
+                ) from exc
+            for i, proc in enumerate(self._procs):
+                if proc.exitcode is not None:
+                    raise PartitioningError(
+                        f"{self._kind} loopback worker {i} exited with code "
+                        f"{proc.exitcode} before it connected"
+                    )
+            if time.monotonic() >= deadline:
+                raise PartitioningError(
+                    f"{self._kind} loopback worker {w} did not connect within "
+                    f"{self._connect_timeout:g}s"
+                )
 
     def _track(self, conn: wire.Connection) -> None:
         self._conns.append(conn)
@@ -599,26 +625,44 @@ class _SocketTransport(Transport):
         request, reply = self._MESSAGES.get(
             step, (wire.MSG_WINDOW, wire.MSG_WINDOW_RESULT)
         )
-        for w, start, stop in tasks:
+        for w, start, stop, *refresh in tasks:
             if step in self._MESSAGES:
                 fields = {"start": start, "stop": stop}
             else:
                 fields = {"pass": step, "start": start, "stop": stop}
-            if step == "clustering" and not self._lone:
-                # The merged clustering the worker loads from.
-                fields["v2c"], fields["volumes"] = self._snapshot
+            if refresh and refresh[0] is not None:
+                # The barrier's news rides on the next window's request.
+                offset, n_ids, moves = refresh[0]
+                if n_ids > np.iinfo(self._move_cell).max:
+                    raise PartitioningError(
+                        f"{self._kind} clustering: {n_ids} cluster ids outgrew "
+                        f"the wire's {self._move_cell} cells"
+                    )
+                fields["moves"] = wire.move_cells(moves, self._move_cell)
+                fields["offset"], fields["n_ids"] = offset, n_ids
             self._send(w, request, fields, step)
         return [
             self._result(w, step, start, stop, self._recv(w, reply, step))
-            for w, start, stop in tasks
+            for w, start, stop, *_ in tasks
         ]
 
     def _result(self, w, step, start, stop, payload):
         if step == "degree":
             return payload["degrees"], ()
         if step == "clustering":
-            export = None if self._lone else (payload["v2c"], payload["volumes"])
-            return export, payload["cost"]
+            if self._lone:
+                return None, payload["cost"]
+            # Checked before the barrier touches the global clustering: at
+            # most 2 moved vertices per edge, as wire cells; the merge
+            # checks every row.
+            moves = wire.move_rows(payload.get("moves"), self._move_cell)
+            if moves.shape[0] > 2 * (stop - start):
+                raise PartitioningError(
+                    f"{self._kind} {step}: a window of {stop - start} edges "
+                    f"moved {moves.shape[0]} vertices, more than its "
+                    f"{2 * (stop - start)} endpoints"
+                )
+            return (moves, payload.get("fresh")), payload["cost"]
         # Checked before the barrier touches the global state: a 1-d log
         # of at most 2 wire cells per edge, and k int64 sizes.
         log, sizes = payload.get("log"), payload.get("sizes")
@@ -640,18 +684,22 @@ class _SocketTransport(Transport):
         return int(payload["total"]), payload["cost"]
 
     # -- Phase 1 -------------------------------------------------------
-    def open_clustering(self, degrees, cap, lone):
+    def open_clustering(self, degrees, cap, lone, log_capacity):
         self._lone = lone
-        fields = {"degrees": degrees, "cap": cap, "single": lone}
+        n_workers = len(self._conns)
+        self._move_cell = wire.move_cell_dtype(degrees.shape[0], n_workers)
+        fields = {
+            "degrees": degrees,
+            "cap": cap,
+            "single": lone,
+            "log_capacity": log_capacity,
+            "n_workers": n_workers,
+        }
         self._exchange(
-            wire.MSG_PHASE1_INIT, [fields] * len(self._conns), wire.MSG_OK, "clustering"
+            wire.MSG_PHASE1_INIT, [fields] * n_workers, wire.MSG_OK, "clustering"
         )
 
-    def publish_clustering(self, v2c, volumes):
-        self._snapshot = (v2c, volumes)
-
     def close_clustering(self, lone):
-        self._snapshot = None
         if not lone:
             return None
         self._send(0, wire.MSG_CLUSTER_FINISH, None, "clustering")

@@ -15,13 +15,14 @@ Phase 1 can run either shared (the default: degrees, clustering and
 mapping execute sequentially, exactly as in the paper's pipeline) or —
 with ``parallel_phase1=True`` — sharded through the same runner session:
 workers stream disjoint shard windows computing partial degree vectors
-and clustering state, merged at every barrier by the associative Phase-1
+and clustering moves, merged at every barrier by the associative Phase-1
 merge ops of the kernel layer (``merge_phase1_degrees`` /
 ``merge_phase1_clustering``; see :mod:`repro.kernels` for the exact fold
 semantics).  Like Phase-2 staleness, parallel clustering is a *quality*
-knob at ``n_workers > 1`` (workers cluster against a stale snapshot
-between barriers) but a pure execution knob at ``n_workers = 1``, where
-it stays bit-exact with the sequential pipeline.
+knob at ``n_workers > 1`` (each worker clusters against the global
+clustering of the last barrier) but a pure execution knob at
+``n_workers = 1``, where it stays bit-exact with the sequential
+pipeline.
 
 :class:`ParallelTwoPhase` reruns the one 2PS-L pipeline of
 :class:`~repro.core.partitioner.TwoPhasePartitioner` on the sessions of

@@ -4,13 +4,14 @@ Both 2PS-L front-ends — :class:`~repro.core.partitioner.TwoPhasePartitioner`
 and :class:`~repro.core.parallel.ParallelTwoPhase` — stream every pass
 of both phases through a :class:`RunnerSession`, the one driver of the
 CuSP-style sync-window schedule.  The driver owns the *semantics*: stream
-shards and their windows, the Phase-1 degree merge and the clustering
-merge + compaction (see :mod:`repro.kernels` for the merge contract),
-the Phase-2 sweep/barrier loop, cost folding, sync and barrier
-accounting, and the typed error for a failed worker window.  A narrow
-:class:`Transport` below it owns the *execution*: it runs one sweep of
-window tasks, returning per-worker results in ascending worker order,
-and publishes barrier refreshes.
+shards and their windows, the Phase-1 degree merge, the clustering merge,
+each worker's refresh and the one compaction (see :mod:`repro.kernels`
+for the merge contract), the Phase-2 sweep/barrier loop, cost folding,
+sync and barrier accounting, and the typed error for a failed worker
+window.  A narrow :class:`Transport` below it owns the *execution*: it
+runs one sweep of window tasks, returning per-worker results in
+ascending worker order, and carries each clustering window's refresh to
+its worker.
 
 - :class:`SerialRunner` — the in-process transport with one shard and one
   window per pass, which hands the stream itself to the kernels: the
@@ -53,8 +54,8 @@ every output bit:
   writing disjoint positions.  ``simulated`` thereby doubles as the
   in-CI deterministic twin of a multi-host run.
 - With ``n_workers=1`` every runner is bit-exact with the sequential
-  pipeline: a lone worker's view is never stale, so it keeps one live
-  clustering state (no reload, no merge) and window boundaries are
+  pipeline: a lone worker's view is never stale, so its one clustering
+  state needs no log, merge or refresh, and window boundaries are
   ordinary chunk boundaries.  ``serial`` *is* the sequential pipeline for
   any worker count.
 - Kernel backends stay bit-exact with each other through every runner.
@@ -75,6 +76,19 @@ success and error paths.
 
 Barrier cost
 ------------
+Phase-1 clustering barriers cost O(moves), not O(``|V|``): every worker
+keeps one clustering state (:class:`ClusteringWorker`) for all of Phase
+1, and its clustering loop logs each ``v2c`` write to a
+:class:`~repro.kernels.base.MoveLog`, so a window exports only the
+vertices whose id it changed and the count of clusters it opened.  The
+barrier folds the moves into the global clustering in place
+(``merge_phase1_clustering``: first worker wins, fresh ids remapped in
+worker order, volumes adjusted by a degree per move), and each worker's
+next window first applies its :class:`Refresh` (``refresh_clustering``:
+its fresh ids shifted, the other workers' accepted moves applied).  Ids
+stay stable across barriers, so the id space grows below ``n_workers *
+|V|`` and :func:`compact_clustering` runs once, after the last sweep.
+
 Phase-2 barriers cost O(bits set), not O(``|V|``): each Phase-2 loop
 appends every replica bit it sets that was clear in its worker's view to
 that worker's set-bit log (:class:`~repro.kernels.base.ReplicaLog`), and
@@ -90,25 +104,26 @@ Shared-memory lifecycle
 A process session owns at most one segment: the edge copy of an
 in-memory stream (:func:`~repro.streaming.stream.make_stream_spec`),
 created before the workers start, which map it to reopen the stream
-zero-copy.  File streams need none.  Worker views, logs and the Phase-1
-snapshot live in the worker processes or cross the socket.  ``close()``
-unlinks the segment after the workers are gone; it is idempotent and
-runs on both success and error paths, so a crashed or timed-out worker
-cannot leak it past the session (verified by the cleanup tests;
-:func:`live_shared_segments` exposes the owned set).  Workers only ever
-*attach* and never unlink.
+zero-copy.  File streams need none.  Worker views, logs and clustering
+states live in the worker processes; moves and refreshes cross the
+socket.  ``close()`` unlinks the segment after the workers are gone; it
+is idempotent and runs on both success and error paths, so a crashed or
+timed-out worker cannot leak it past the session (verified by the
+cleanup tests; :func:`live_shared_segments` exposes the owned set).
+Workers only ever *attach* and never unlink.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import astuple, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, PartitioningError
 from repro.kernels import TwoPhaseContext, get_backend
-from repro.kernels.base import ReplicaLog
+from repro.kernels.base import Int64Buffer, MoveLog, ReplicaLog
 from repro.metrics.runtime import CostCounter
 from repro.partitioning.state import PartitionState
 from repro.streaming.stream import make_stream_spec
@@ -155,17 +170,21 @@ def compact_clustering(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Drop zero-volume clusters, relabeling ids order-preservingly.
 
-    Merging per-worker clustering exports leaves behind clusters whose
-    members all migrated away (volume 0).  Compacting at every barrier
-    keeps the id space — and with it the snapshot every window loads,
-    which a sharded transport ships to each worker — bounded by *live*
-    clusters instead of cumulative allocations: a live cluster has an
-    assigned member, so the snapshot holds at most ``|V|`` volumes.
+    A sharded Phase 1 keeps its cluster ids stable across barriers: the
+    merges leave behind clusters whose members all migrated away (volume
+    0) and fresh clusters another worker outbid, and the driver compacts
+    once per run, after the last clustering sweep.  Until then the id
+    space stays below ``n_workers * |V|``: a worker opens a fresh cluster
+    only for a vertex unclustered in its state, and a vertex is clustered
+    in the merged state, and so in every worker's, from the barrier after
+    the first window that clustered it.
 
-    Semantics-free by construction: assigned vertices always point at
-    live clusters (a member contributes positive volume), and the relabel
-    is monotone, so the volume ordering — all downstream consumers
-    (Graham scheduling, cluster-to-partition lookups) are order- or
+    Semantics-free by construction: no clustering decision reads an id's
+    value, only whether two ids are equal and their volumes; assigned
+    vertices always point at live clusters (a member contributes positive
+    volume), and the relabel is monotone, so the volume ordering — all
+    downstream consumers (Graham scheduling, which breaks volume ties by
+    id, and cluster-to-partition lookups) are order- or
     id-composition-based — is preserved bit-exactly.
     """
     live = np.flatnonzero(volumes > 0)
@@ -175,6 +194,60 @@ def compact_clustering(
     remap = np.full(volumes.shape[0] + 1, -1, dtype=np.int64)
     remap[live] = np.arange(live.shape[0], dtype=np.int64)
     return remap[v2c], volumes[live]
+
+
+#: No moves: an empty ``(0, 2)`` array of ``(vertex, id)`` rows.
+_NO_MOVES = np.zeros((0, 2), dtype=np.int64)
+
+
+class Refresh(NamedTuple):
+    """What a worker applies before its next clustering window (see
+    :meth:`~repro.kernels.base.KernelBackend.refresh_clustering`): the
+    shift of its last window's fresh ids, the merged id count, and the
+    other workers' accepted moves since its last window, in order."""
+
+    offset: int
+    n_ids: int
+    moves: np.ndarray
+
+
+class ClusteringWorker:
+    """One worker's Phase-1 state, held from ``open_clustering`` to
+    ``close_clustering``: its clustering, its move log and its last
+    export.
+
+    A lone worker (``log_capacity`` ``None``) runs its windows on its one
+    live clustering and exports nothing.  A sharded one applies its
+    refresh, runs the window with a :class:`~repro.kernels.base.MoveLog`
+    and exports ``(moves, n_fresh)``: the vertices whose id the window
+    changed and the clusters it opened.  Both transports run it, the
+    socket transport inside each worker process.
+    """
+
+    def __init__(self, kernels, degrees, cap: float, log_capacity) -> None:
+        self.kernels = kernels
+        self.cap = cap
+        self.state = kernels.clustering_init(degrees)
+        self.log = None if log_capacity is None else MoveLog(log_capacity)
+        self.own = _NO_MOVES
+        self.base = 0
+
+    def window(self, stream, refresh: Refresh | None):
+        """Run one window; returns ``(export, cost_delta)``."""
+        kernels, st = self.kernels, self.state
+        cost = CostCounter()
+        if self.log is None:
+            kernels.clustering_true_pass(stream, st, self.cap, cost)
+            return None, astuple(cost)
+        if refresh is not None:
+            kernels.refresh_clustering(
+                st, self.own, self.base, refresh.offset, refresh.n_ids, refresh.moves
+            )
+        self.base = st.n_ids()
+        self.log.clear()
+        kernels.clustering_true_pass(stream, st, self.cap, cost, self.log)
+        self.own = self.log.moves()
+        return (self.own, st.n_ids() - self.base), astuple(cost)
 
 
 @dataclass
@@ -322,21 +395,24 @@ class Transport(ABC):
     ``run`` takes one sweep of ``(worker, start, stop)`` windows for a
     step (``"degree"``, ``"clustering"`` or a Phase-2 pass name) and
     returns a ``(value, cost_delta)`` pair per task, in task order: a
-    partial degree vector, a ``(v2c, volumes)`` export (``None`` for a
+    partial degree vector, a ``(moves, n_fresh)`` export (``None`` for a
     lone worker) or the pass kernel's total; a raising window is reported
-    as :class:`WorkerFailed`.  ``lone`` marks a single-shard run, whose
-    one view is never stale.
+    as :class:`WorkerFailed`.  A clustering task carries a fourth item,
+    the worker's :class:`Refresh` (or ``None``), which its
+    :class:`ClusteringWorker` applies before the window.  ``lone`` marks
+    a single-shard run, whose one view is never stale.
     """
 
     @abstractmethod
     def run(self, step: str, tasks: list) -> list:
         """Execute one sweep; per-task ``(value, cost_delta)`` pairs."""
 
-    def open_clustering(self, degrees, cap: float, lone: bool) -> None:
-        """Prepare Phase-1 clustering windows over ``degrees``."""
-
-    def publish_clustering(self, v2c, volumes) -> None:
-        """Clustering barrier refresh: the snapshot the next windows load."""
+    def open_clustering(
+        self, degrees, cap: float, lone: bool, log_capacity: int
+    ) -> None:
+        """Start one :class:`ClusteringWorker` per worker over
+        ``degrees``, with move logs of ``log_capacity`` rows unless
+        ``lone``."""
 
     def close_clustering(self, lone: bool):
         """End Phase 1; returns the lone worker's ``(v2c, volumes)``."""
@@ -435,9 +511,14 @@ class RunnerSession:
     def run_clustering(
         self, degrees: np.ndarray, cap: float, n_passes: int
     ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Sharded Phase-1 clustering; returns ``(v2c, volumes, syncs)``."""
+        """Sharded Phase-1 clustering; returns ``(v2c, volumes, syncs)``.
+        A window of ``w`` edges writes at most ``3 * w`` cluster ids: that
+        sizes every move log."""
         degrees = np.asarray(degrees, dtype=np.int64)
-        self.transport.open_clustering(degrees, float(cap), self.lone)
+        longest = min(self.window, int(np.diff(self.bounds).max()))
+        self.transport.open_clustering(
+            degrees, float(cap), self.lone, 3 * max(longest, 1)
+        )
         v2c, volumes, syncs = self._cluster(degrees, int(n_passes))
         lone_state = self.transport.close_clustering(self.lone)
         if self.lone:
@@ -445,22 +526,45 @@ class RunnerSession:
         return v2c, volumes, (syncs if self.sharded else 0)
 
     def _cluster(self, degrees, n_passes):
-        """The clustering sweep/merge loop."""
+        """The clustering sweep/merge loop: each barrier merges the
+        workers' moves into the global clustering in place and queues
+        each worker's :class:`Refresh` for its next window; ids stay
+        stable until the one compaction after the last sweep."""
         kernels = get_backend(self.job.backend)
         v2c = np.full(degrees.shape[0], -1, dtype=np.int64)
-        volumes = np.zeros(0, dtype=np.int64)
-        self.transport.publish_clustering(v2c, volumes)
+        volumes = Int64Buffer()
+        pending: dict[int, Refresh] = {}
         syncs = 0
         for _ in range(n_passes):
             for tasks in self._sweeps():
+                tasks = [(*task, pending.pop(task[0], None)) for task in tasks]
                 exports = self._sweep("clustering", tasks)
                 syncs += 1
                 if self.lone:
                     continue  # the lone worker's live state stays put
-                merged = kernels.merge_phase1_clustering(v2c, volumes, exports, degrees)
-                v2c, volumes = compact_clustering(*merged)
-                self.transport.publish_clustering(v2c, volumes)
+                accepted = kernels.merge_phase1_clustering(
+                    v2c, volumes, exports, degrees
+                )
+                self._queue_refreshes(pending, tasks, exports, accepted, len(volumes))
+        v2c, volumes = compact_clustering(v2c, volumes.view())
         return v2c, volumes, syncs
+
+    def _queue_refreshes(self, pending, tasks, exports, accepted, n_ids) -> None:
+        """Fold one barrier into every worker's pending :class:`Refresh`:
+        a worker that ran gets the shift of its fresh ids and the others'
+        accepted moves; one that sat the sweep out (its shard ran out, or
+        never started) keeps its shift and appends every accepted move."""
+        shift = 0
+        offsets = {}
+        for (w, *_), (_, fresh) in zip(tasks, exports):
+            offsets[w] = shift
+            shift += fresh
+        for w in np.flatnonzero(np.diff(self.bounds)).tolist():
+            earlier = pending.get(w)
+            moves = [] if earlier is None else [earlier.moves]
+            moves += [rows for (u, *_), rows in zip(tasks, accepted) if u != w]
+            offset = offsets.get(w, 0 if earlier is None else earlier.offset)
+            pending[w] = Refresh(offset, n_ids, np.concatenate([_NO_MOVES, *moves]))
 
     # ------------------------------------------------------------------
     # Phase 2
@@ -539,21 +643,18 @@ class _InlineTransport(Transport):
         self.kernels = get_backend(job.backend)
         self.views: list[PartitionState] = []
         self.logs: list[ReplicaLog] = []
-        self._degrees = None
-        self._cap = None
-        self._live = None
-        self._snapshot = None
+        self.clusterers: list[ClusteringWorker] = []
 
     def run(self, step, tasks):
         results = []
-        for w, start, stop in tasks:
+        for w, start, stop, *refresh in tasks:
             try:
-                results.append(self._window(step, w, start, stop))
+                results.append(self._window(step, w, start, stop, *refresh))
             except Exception as exc:
                 raise WorkerFailed(w, step, _describe(exc)) from exc
         return results
 
-    def _window(self, step, w, start, stop):
+    def _window(self, step, w, start, stop, refresh=None):
         job = self.job
         kernels = self.kernels
         if step not in _PHASE1_STEPS:
@@ -574,27 +675,18 @@ class _InlineTransport(Transport):
         window = _window_stream(job.stream, start, stop)
         if step == "degree":
             return kernels.degree_pass(window), ()
-        cost = CostCounter()
-        st = self._live
-        if st is None:
-            st = kernels.clustering_load(*self._snapshot, self._degrees)
-        kernels.clustering_true_pass(window, st, self._cap, cost)
-        export = None if st is self._live else kernels.clustering_export(st)[:2]
-        return export, astuple(cost)
+        return self.clusterers[w].window(window, refresh)
 
-    def open_clustering(self, degrees, cap, lone):
-        self._degrees = degrees
-        self._cap = cap
-        self._live = self.kernels.clustering_init(degrees) if lone else None
-
-    def publish_clustering(self, v2c, volumes):
-        self._snapshot = (v2c, volumes)
+    def open_clustering(self, degrees, cap, lone, log_capacity):
+        self.clusterers = [
+            ClusteringWorker(self.kernels, degrees, cap, None if lone else log_capacity)
+            for _ in range(1 if lone else self.job.n_workers)
+        ]
 
     def close_clustering(self, lone):
-        live, self._live = self._live, None
-        self._snapshot = None
+        clusterers, self.clusterers = self.clusterers, []
         if lone:
-            return self.kernels.clustering_export(live)[:2]
+            return self.kernels.clustering_export(clusterers[0].state)[:2]
         return None
 
     def bind_phase2(self, lone, log_capacity):

@@ -52,15 +52,17 @@ import zlib
 
 import numpy as np
 
-from repro.errors import WireError
+from repro.errors import PartitioningError, WireError
 from repro.kernels.c_backend import source_digest
 
 #: Protocol version spoken by this build; bumped on any frame or payload
 #: format break (2: the Phase-2 bind ships ``part`` and ``weights``; 3:
 #: Phase-2 windows and barriers carry set-bit logs, in
-#: :func:`log_cell_dtype` cells, in place of replica rows).  Negotiated
-#: by the HELLO handshake.
-WIRE_VERSION = 3
+#: :func:`log_cell_dtype` cells, in place of replica rows; 4: clustering
+#: windows and their refreshes carry moves, in :func:`move_cell_dtype`
+#: cells, in place of whole clusterings).  Negotiated by the HELLO
+#: handshake.
+WIRE_VERSION = 4
 
 MAGIC = b"2PSW"
 
@@ -76,10 +78,13 @@ MSG_ERROR = 3  #: {"message": str} — remote failure, surfaced typed
 MSG_JOB = 4  #: session parameters + stream spec
 MSG_DEGREE = 5  #: Phase-1 degree window {"start", "stop"}
 MSG_DEGREE_RESULT = 6  #: {"degrees": int64[n]}
-MSG_PHASE1_INIT = 7  #: {"degrees", "cap", "single"}
-MSG_CLUSTER = 8  #: clustering window (+ merged v2c/volumes when sharded)
-MSG_CLUSTER_RESULT = 9  #: {"cost"} (+ "v2c"/"volumes" export when sharded)
-MSG_CLUSTER_FINISH = 10  #: drain the single-worker live clustering state
+MSG_PHASE1_INIT = 7  #: {"degrees", "cap", "single", "log_capacity", "n_workers"}
+#: clustering window {"start", "stop"}, + the worker's refresh when it has
+#: one: the other workers' accepted "moves", its fresh-id "offset", "n_ids"
+MSG_CLUSTER = 8
+#: {"cost"}, + the window's "moves" and "fresh" cluster count when sharded
+MSG_CLUSTER_RESULT = 9
+MSG_CLUSTER_FINISH = 10  #: drain the lone worker's live clustering state
 MSG_BIND = 11  #: Phase-2 bind: {"part", "weights", "log_capacity"}, geometry
 MSG_WINDOW = 12  #: Phase-2 sync window {"pass", "start", "stop"}
 MSG_WINDOW_RESULT = 13  #: assignments, cost, sizes, the set-bit "log"
@@ -98,6 +103,39 @@ def log_cell_dtype(n_vertices: int, k: int) -> np.dtype:
     """The type of set-bit log cells in Phase-2 frames: 4-byte ``uint32``
     while the plane's ``n_vertices * k`` cells fit in it, else ``int64``."""
     return np.dtype(np.uint32 if n_vertices * k <= 1 << 32 else np.int64)
+
+
+def move_cell_dtype(n_vertices: int, n_workers: int) -> np.dtype:
+    """The type of clustering-move cells in Phase-1 frames: 4-byte
+    ``uint32`` while every vertex and every cluster id fits in it, else
+    ``int64``.  Ids stay below ``n_workers * n_vertices`` (see
+    :func:`~repro.core.runners.compact_clustering`)."""
+    return np.dtype(np.uint32 if n_workers * n_vertices <= 1 << 32 else np.int64)
+
+
+def move_cells(moves: np.ndarray, cell: np.dtype) -> np.ndarray:
+    """``(m, 2)`` ``(vertex, id)`` move rows as the flat ``2m`` cells of a
+    frame."""
+    return moves.astype(cell).ravel()
+
+
+def move_rows(cells, cell: np.dtype) -> np.ndarray:
+    """The ``(m, 2)`` int64 move rows of a frame's cells, after checking
+    that they are a 1-d array of ``cell`` of even length: a
+    :class:`~repro.errors.PartitioningError` otherwise.  The kernel ops
+    check every row's values."""
+    if not (
+        isinstance(cells, np.ndarray)
+        and cells.dtype == cell
+        and cells.ndim == 1
+        and cells.shape[0] % 2 == 0
+    ):
+        raise PartitioningError(
+            f"clustering moves must be a 1-d {cell} array of (vertex, id) "
+            f"pairs, got {type(cells).__name__} {getattr(cells, 'dtype', '')}"
+            f"{getattr(cells, 'shape', '')}"
+        )
+    return cells.reshape(-1, 2).astype(np.int64)
 
 
 # ---------------------------------------------------------------------

@@ -16,17 +16,18 @@ compiled loop.  There are two backends:
   loop with the exact control flow of the paper's pseudocode.  The ops
   that decide no edge from another edge's outcome run per chunk or per
   barrier in numpy: ``np.add.at`` for degrees, one ``map_chunk`` call
-  per chunk for the stateless baselines, and the two Phase-1 merges.
+  per chunk for the stateless baselines, and the two Phase-1 merges
+  (the clustering refresh, which updates list state, runs per move).
   Their per-edge loops are the ``per-edge`` test backend
   (``tests/per_edge.py``); ``tests/test_kernels.py`` pins each of the
   four against its loop, op by op and through whole runs.
 - ``c`` — the default wherever it builds (:mod:`repro.kernels.c_backend`):
   the per-edge loop of the degree pass and of every stateful pass (both
   clustering bodies, the pre-partition pass, both remaining passes, the
-  HDRF baseline), the clustering merge, the Phase-2 barrier op and the
-  cluster-mapping loop, compiled from one C source by the host compiler
-  and called through ``ctypes``, one call per chunk or barrier; the
-  stateless pass and the degree merge are the reference's.  See
+  HDRF baseline), the clustering merge and refresh, the Phase-2 barrier
+  op and the cluster-mapping loop, compiled from one C source by the host
+  compiler and called through ``ctypes``, one call per chunk or barrier;
+  the stateless pass and the degree merge are the reference's.  See
   *Optional backends* below for what happens when it cannot build.
 
 Backend contract
@@ -90,9 +91,10 @@ Merge ops (parallel barriers) and the cluster mapping
 -----------------------------------------------------
 The sharded Phase 1 (``ParallelTwoPhase(parallel_phase1=True)``) runs the
 degree and clustering passes per shard window and folds worker results at
-barriers through two backend ops; a sharded Phase 2 synchronizes its
-worker views at barriers through a third, on every transport, and every
-run maps clusters to partitions through a fourth.  The
+barriers through two merge ops, and a third brings each worker's
+clustering to the merged one; a sharded Phase 2 synchronizes its worker
+views at barriers through a fourth, on every transport, and every run
+maps clusters to partitions through a fifth.  The
 ``python`` twins are the reference; a new backend must reproduce each
 **bit for bit** (the Phase-1 merges decide cluster ids, and cluster ids
 feed every downstream pass):
@@ -102,30 +104,45 @@ feed every downstream pass):
   **associative and commutative** (int64 addition), so any merge tree or
   worker order is exact; runners exploit this by collecting partials in
   whatever completion order is convenient.
-- ``merge_phase1_clustering(v2c, volumes, worker_states, degrees)`` — an
-  **ordered left fold** of worker deltas against the pre-barrier snapshot
-  ``(v2c, volumes)``.  Worker ``w``'s export was produced from the
-  snapshot, so its fresh cluster ids occupy ``[len(volumes),
-  len(volumes_w))``; the fold remaps them to one global sequence in
-  worker order, resolves per-vertex conflicts first-worker-wins, and
-  recomputes merged volumes exactly as the sum of member true degrees
-  (the Algorithm-1 invariant, so over-cap overshoot from stale windows is
-  carried through without drift).  The fold is **associative over the
+- ``merge_phase1_clustering(v2c, volumes, exports, degrees)`` — an
+  **ordered left fold** of the workers' moves into the global clustering
+  ``(v2c, volumes)``, in place.  Each worker keeps one clustering state
+  for all of Phase 1 and starts every window from the global clustering
+  of the last barrier; with a :class:`~repro.kernels.base.MoveLog` the
+  clustering loop logs each ``v2c`` write, and the window exports
+  ``(moves, n_fresh)``: the ``(vertex, id)`` rows of the vertices whose
+  id it changed, ascending by vertex, and the count of clusters it
+  opened, whose ids occupy ``[len(volumes), len(volumes) + n_fresh)``.
+  The fold remaps fresh ids to one global sequence in worker order,
+  resolves per-vertex conflicts first-worker-wins, and moves each
+  accepted vertex's true degree from its old cluster's volume to its new
+  one's in exact int64, so every volume stays the sum of its members'
+  true degrees (the Algorithm-1 invariant; over-cap overshoot from stale
+  windows is carried through without drift).  It returns each worker's
+  accepted moves in merged ids.  The fold is **associative over the
   ordered worker sequence** — deltas are mutually independent, so any
-  grouping that preserves worker order gives the same result — but **not
-  commutative**: reordering workers changes both the conflict winners and
-  the fresh-id remap.  Every runner therefore merges in ascending worker
-  index; a backend (or runner) that merges in any other order breaks the
-  ``ProcessRunner == SimulatedRunner`` contract.  Exports may have
-  arrived over sockets, so every backend rejects a cluster id outside
-  ``[-1, len(volumes_w))`` with the same
+  grouping that preserves worker order gives the same result — but
+  **not commutative**: reordering workers changes both the conflict
+  winners and the fresh-id remap.  Every runner therefore merges in
+  ascending worker index; a backend (or runner) that merges in any other
+  order breaks the ``ProcessRunner == SimulatedRunner`` contract.
+  Exports may have arrived over sockets, so every backend checks every
+  row before its first write and rejects a vertex outside ``[0, n)`` or
+  out of ascending order, an id outside ``[-1, len(volumes) +
+  n_fresh)`` or an impossible ``n_fresh`` with the same
   :class:`~repro.errors.PartitioningError`
-  (:func:`~repro.kernels.base.check_clustering_exports` in the
-  ``python`` twin, the compiled loop's own check in ``c``).
-- ``clustering_load(v2c, volumes, degrees)`` — the inverse of
-  ``clustering_export``: an independent backend-native state from
-  exported arrays, used to hand each worker the stale snapshot before a
-  window.  ``load(export(st))`` must round-trip exactly.
+  (:func:`~repro.kernels.base.check_clustering_moves` names the first
+  miss).  A barrier costs O(moves), never O(``|V|``): ids stay stable
+  across barriers, and the driver compacts them once, after the last
+  sweep (:func:`~repro.core.runners.compact_clustering`).
+- ``refresh_clustering(st, own, base, offset, n_ids, others)`` — the
+  other half of a clustering barrier, run by each worker before its next
+  window: shift its last window's fresh ids by the offset the merge gave
+  them, and apply the other workers' accepted moves, each a degree off
+  one volume and onto another.  Afterwards the worker's state equals the
+  merged clustering, bit for bit.  ``others`` may have crossed a socket,
+  so every row is checked before the first write, as
+  ``apply_replica_log`` checks its cells.
 - ``apply_replica_log(state, logs)`` — one Phase-2 barrier's write into
   one state: set every bit the set-bit ``logs`` name.  On a sharded run
   each Phase-2 pass appends every replica bit it sets that was clear in
@@ -140,18 +157,20 @@ feed every downstream pass):
   sorts the cluster volumes first): each job goes to the least-loaded
   partition, the lowest index on ties.
 
-``tests/test_kernels.py`` (``TestPhase1MergeOps``,
+``tests/test_kernels.py`` (``TestPhase1MergeOps``, which also checks
+that every refreshed worker holds the merged clustering,
 ``TestReplicaLogBarrier``, ``TestPassLogs``, ``TestListScheduleOp``)
 pins the twins against each other on randomized inputs; the randomized
 differential harness (``tests/differential.py``) pins the full pipeline
 across runners, backends and seeds.
 
 The distributed runner (``repro.core.distributed``) rides these exact
-ops over its wire protocol: workers ship ``clustering_export`` payloads
-and partial degree vectors as typed wire frames, and the coordinator
-folds them with the same ``merge_phase1_degrees`` /
-``merge_phase1_clustering`` calls in the same ascending-worker order —
-so the ordered-fold contract above is also the wire contract.  Phase-2
+ops over its wire protocol: workers ship their moves and partial degree
+vectors as typed wire frames, and the coordinator folds them with the
+same ``merge_phase1_degrees`` / ``merge_phase1_clustering`` calls in the
+same ascending-worker order — so the ordered-fold contract above is also
+the wire contract; each worker's refresh rides on its next clustering
+request.  Phase-2
 barriers likewise run the one op: workers ship their set-bit logs, the
 coordinator applies them to its global state with ``apply_replica_log``
 and sends each worker the others' cells to apply (or, if fewer bytes,
@@ -204,18 +223,20 @@ Writing a backend
 -----------------
 1. Subclass :class:`~repro.kernels.base.KernelBackend` (or an existing
    backend — ``CBackend`` subclasses ``PythonBackend`` and overrides the
-   degree pass, every stateful pass, the clustering merge, the Phase-2
-   barrier op and the mapping loop, keeping the reference's stateless
-   pass and degree merge).
+   degree pass, every stateful pass, the clustering merge and refresh,
+   the Phase-2 barrier op and the mapping loop, keeping the reference's
+   stateless pass and degree merge).
 2. Override any subset of the pass methods: ``degree_pass``,
    ``clustering_true_pass``, ``clustering_partial_pass``,
    ``prepartition_pass``, ``remaining_pass_linear``,
    ``remaining_pass_hdrf``, ``hdrf_baseline_pass``, ``stateless_pass``;
    and of the barrier and mapping ops: ``merge_phase1_degrees``,
-   ``merge_phase1_clustering``, ``apply_replica_log``,
-   ``list_schedule``.  A Phase-2 pass that sets a replica bit tests it
-   first, and appends its cell to ``ctx.log`` when it was clear and
-   ``ctx.log`` is not ``None``.
+   ``merge_phase1_clustering``, ``refresh_clustering``,
+   ``apply_replica_log``, ``list_schedule``.  A Phase-2 pass that sets a
+   replica bit tests it first, and appends its cell to ``ctx.log`` when
+   it was clear and ``ctx.log`` is not ``None``; a true-degree clustering
+   pass given a ``log`` appends the ``(vertex, old, new)`` row of every
+   ``v2c`` write.
    Interpreted backends route order-sensitive decisions through the
    shared twins (``PythonBackend._fallback_partition`` for the
    hash/least-loaded chain, ``PythonBackend.hdrf_choose`` for the HDRF

@@ -41,10 +41,16 @@
  * -1, and the row weights[2x], weights[2x + 1] = (degree, cluster
  * volume).  An endpoint costs one gather into each.
  *
+ * Move logs: a sharded clustering pass appends the row (vertex, old id,
+ * new id) of every v2c write to its worker's log (kernels.base.MoveLog);
+ * a NULL log (the sequential path) compiles to the unlogged loop.  The
+ * barrier (merge_moves) and each worker's refresh (refresh_clustering)
+ * then work in O(moves).
+ *
  * Memory safety: every index derived from the input (endpoint ids,
- * cluster ids read from v2c or from a worker's clustering export,
- * partitions read from part) is checked against the length of the array
- * it indexes with one unsigned compare.  On a miss the loop stops before
+ * cluster ids read from v2c or from a worker's moves, partitions read
+ * from part) is checked against the length of the array it indexes with
+ * one unsigned compare.  On a miss the loop stops before
  * touching the edge and returns its position in the chunk; the caller
  * turns that into a typed error (the degree pass instead grows its
  * array and resumes there).  Counters accumulated so far are written
@@ -242,11 +248,39 @@ static FORCE_INLINE void cluster_ahead(const int64_t *edges, int64_t i,
     }
 }
 
-/* out[0]: filled volume slots (in/out); out[1]: cluster updates (+=). */
-int64_t cluster_pass(const int64_t *edges, int64_t n, int64_t partial,
-                     int64_t *v2c, int64_t *deg, int64_t n_vert,
-                     int64_t *vol, int64_t vol_cap, double cap,
-                     int64_t *out)
+/* The move log of a sharded clustering window (kernels.base.MoveLog):
+ * rows (vertex, old id, new id) of its v2c writes. */
+typedef struct {
+    int64_t *rows;
+    int64_t cap;
+    int64_t fill;
+} moves_t;
+
+/* Write the row of a candidate v2c write at the fill mark, and count it
+ * only when keep (0 or 1) holds: a move is logged without a branch.  A
+ * loop never writes past the capacity; the caller raises for a fill
+ * beyond it. */
+static inline void log_write(moves_t *lg, int64_t x, int64_t old,
+                             int64_t id, int64_t keep)
+{
+    if (lg->fill < lg->cap) {
+        int64_t *row = lg->rows + 3 * lg->fill;
+        row[0] = x;
+        row[1] = old;
+        row[2] = id;
+    }
+    lg->fill += keep;
+}
+
+/* The clustering loop; logging is a constant in each of cluster_pass's
+ * two calls, so the unlogged loop (the sequential path) carries no log
+ * test. */
+static FORCE_INLINE int64_t cluster_loop(const int64_t *edges, int64_t n,
+                                         int64_t partial, int64_t *v2c,
+                                         int64_t *deg, int64_t n_vert,
+                                         int64_t *vol, int64_t vol_cap,
+                                         double cap, moves_t *lg,
+                                         const int logging, int64_t *out)
 {
     int64_t n_vol = out[0];
     int64_t updates = 0;
@@ -294,6 +328,8 @@ int64_t cluster_pass(const int64_t *edges, int64_t n, int64_t partial,
                 v2c[u] = cu;
                 vol[cu] = deg[u];
                 updates++;
+                if (logging)
+                    log_write(lg, (int64_t)u, -1, cu, 1);
             }
             cv = v2c[v];
             if (cv < 0) {
@@ -301,6 +337,8 @@ int64_t cluster_pass(const int64_t *edges, int64_t n, int64_t partial,
                 v2c[v] = cv;
                 vol[cv] = deg[v];
                 updates++;
+                if (logging)
+                    log_write(lg, (int64_t)v, -1, cv, 1);
             }
         }
         /* The move, without a branch: v_s is the endpoint whose cluster
@@ -327,9 +365,30 @@ int64_t cluster_pass(const int64_t *edges, int64_t n, int64_t partial,
         vol[cs] -= d;
         v2c[vs] = SELECT(MASK(move), cl, cs);
         updates += move;
+        if (logging)
+            log_write(lg, vs, cs, cl, move);
     }
     out[0] = n_vol;
     out[1] += updates;
+    return miss;
+}
+
+/* out[0]: filled volume slots (in/out); out[1]: cluster updates (+=).
+ * With a log (rows, log_cap rows, *log_fill in/out), every v2c write
+ * appends its row; a NULL log (the sequential path) logs nothing. */
+int64_t cluster_pass(const int64_t *edges, int64_t n, int64_t partial,
+                     int64_t *v2c, int64_t *deg, int64_t n_vert,
+                     int64_t *vol, int64_t vol_cap, double cap,
+                     int64_t *log, int64_t log_cap, int64_t *log_fill,
+                     int64_t *out)
+{
+    if (!log)
+        return cluster_loop(edges, n, partial, v2c, deg, n_vert, vol,
+                            vol_cap, cap, NULL, 0, out);
+    moves_t lg = {log, log_cap, *log_fill};
+    int64_t miss = cluster_loop(edges, n, partial, v2c, deg, n_vert, vol,
+                                vol_cap, cap, &lg, 1, out);
+    *log_fill = lg.fill;
     return miss;
 }
 
@@ -679,48 +738,122 @@ int64_t apply_log(uint8_t *plane, int64_t row_bytes, int64_t shift,
 
 /* Phase-1 clustering barrier, the twin of
  * PythonBackend.merge_phase1_clustering: the ordered first-worker-wins
- * fold of the exports against the snapshot, fresh ids remapped to one
- * sequence in worker order, then volumes recomputed as the sum of
- * member true degrees.  Worker w's ids lie in [-1, n_ids[w]); the
- * snapshot's merged ids in [0, n_vol).  merged holds n slots, claimed n
- * zeroed bytes, vol n_vol zeroed slots.  On an id outside its range the
- * fold stops and returns the vertex, with *bad set to the worker (-1
- * for the snapshot). */
-int64_t merge_clustering(const int64_t *snapshot, int64_t n, int64_t base,
-                         const int64_t *const *exports, const int64_t *n_ids,
-                         int64_t n_workers, const int64_t *deg,
-                         int64_t *merged, uint8_t *claimed, int64_t *vol,
-                         int64_t n_vol, int64_t *bad)
+ * fold of the workers' moves into the global clustering (v2c, n
+ * vertices; vol, base volumes and room for n_fresh's sum more), fresh ids
+ * remapped to one sequence in worker order, each accepted move's degree
+ * taken off its old cluster and added to its new one.  Worker w's moves
+ * are n_moves[w] rows (vertex, id), vertices strictly ascending in
+ * [0, n), ids in [-1, base + n_fresh[w]); the moved vertices' global ids
+ * lie in [-1, base).  Every row is checked before the first write; on a
+ * miss nothing is written and the row's index is returned (the caller
+ * names the miss).  A vertex is
+ * claimed when an earlier worker moved it: cursor (n_workers slots)
+ * walks each earlier worker's ascending rows alongside.  The accepted
+ * rows, in merged ids, go to out in worker order, n_out[w] of them per
+ * worker. */
+int64_t merge_moves(int64_t *v2c, int64_t n, const int64_t *deg,
+                    int64_t *vol, int64_t base,
+                    const int64_t *const *moves, const int64_t *n_moves,
+                    const int64_t *n_fresh, int64_t n_workers,
+                    int64_t *cursor, int64_t *out, int64_t *n_out)
 {
-    memcpy(merged, snapshot, (size_t)n * sizeof(int64_t));
-    int64_t offset = base;
+    int64_t n_ids = base;
     for (int64_t w = 0; w < n_workers; w++) {
-        const int64_t *v2c = exports[w];
-        int64_t shift = offset - base;
-        for (int64_t i = 0; i < n; i++) {
-            int64_t c = v2c[i];
-            if (c == snapshot[i])
-                continue;
-            if ((uint64_t)c + 1 > (uint64_t)n_ids[w]) {
-                *bad = w;
+        const int64_t *rows = moves[w];
+        uint64_t limit = (uint64_t)(base + n_fresh[w]);
+        for (int64_t i = 0; i < n_moves[w]; i++) {
+            int64_t x = rows[2 * i];
+            if ((uint64_t)x >= (uint64_t)n || (i && x <= rows[2 * i - 2])
+                || (uint64_t)rows[2 * i + 1] + 1 > limit)
                 return i;
-            }
-            if (claimed[i])
-                continue;
-            merged[i] = c >= base ? c + shift : c;
-            claimed[i] = 1;
         }
-        offset += n_ids[w] - base;
+        n_ids += n_fresh[w];
     }
-    for (int64_t i = 0; i < n; i++) {
-        int64_t c = merged[i];
-        if (c < 0)
-            continue;
-        if ((uint64_t)c >= (uint64_t)n_vol) {
-            *bad = -1;
-            return i;
+    for (int64_t w = 0; w < n_workers; w++) {
+        const int64_t *rows = moves[w];
+        for (int64_t i = 0; i < n_moves[w]; i++) {
+            if ((uint64_t)v2c[rows[2 * i]] + 1 > (uint64_t)base)
+                return i;
         }
-        vol[c] += deg[i];
+    }
+    memset(vol + base, 0, (size_t)(n_ids - base) * sizeof(int64_t));
+    int64_t shift = 0, k = 0;
+    for (int64_t w = 0; w < n_workers; w++) {
+        const int64_t *rows = moves[w];
+        int64_t start = k;
+        for (int64_t u = 0; u < w; u++)
+            cursor[u] = 0;
+        for (int64_t i = 0; i < n_moves[w]; i++) {
+            int64_t x = rows[2 * i];
+            int64_t c = rows[2 * i + 1];
+            int claimed = 0;
+            for (int64_t u = 0; u < w && !claimed; u++) {
+                const int64_t *earlier = moves[u];
+                while (cursor[u] < n_moves[u] && earlier[2 * cursor[u]] < x)
+                    cursor[u]++;
+                claimed = cursor[u] < n_moves[u] && earlier[2 * cursor[u]] == x;
+            }
+            if (claimed)
+                continue;
+            int64_t g = c >= base ? c + shift : c;
+            int64_t old = v2c[x];
+            if (old >= 0)
+                vol[old] -= deg[x];
+            if (g >= 0)
+                vol[g] += deg[x];
+            v2c[x] = g;
+            out[2 * k] = x;
+            out[2 * k + 1] = g;
+            k++;
+        }
+        n_out[w] = k - start;
+        shift += n_fresh[w];
+    }
+    return DONE;
+}
+
+/* A worker's clustering refresh, the twin of
+ * PythonBackend.refresh_clustering.  The worker holds n_local ids; its
+ * fresh ones, [base, n_local), move up by offset within vol (room for
+ * n_ids), the other new ids start at 0, its own n_own moves' fresh ids
+ * shift, and each of the n_others rows (vertex, id) moves the vertex's
+ * degree from its current cluster to the new one.  Every row is checked
+ * before the first write (own rows: ids in [-1, n_local); the others'
+ * rows: ids in [-1, n_ids); vertices in [0, n) whose current id lies in
+ * [-1, n_local)); on a miss nothing is written and the row's index is
+ * returned, the others' rows counted after the own ones. */
+int64_t refresh_clustering(int64_t *v2c, int64_t n, const int64_t *deg,
+                           int64_t *vol, int64_t n_local, int64_t base,
+                           int64_t offset, int64_t n_ids, const int64_t *own,
+                           int64_t n_own, const int64_t *others,
+                           int64_t n_others)
+{
+    for (int64_t j = 0; j < n_own + n_others; j++) {
+        const int64_t *row = j < n_own ? own + 2 * j : others + 2 * (j - n_own);
+        uint64_t limit = (uint64_t)(j < n_own ? n_local : n_ids);
+        uint64_t x = (uint64_t)row[0];
+        if (x >= (uint64_t)n || (uint64_t)row[1] + 1 > limit
+            || (uint64_t)v2c[x] + 1 > (uint64_t)n_local)
+            return j;
+    }
+    int64_t fresh = n_local - base;
+    memmove(vol + base + offset, vol + base, (size_t)fresh * sizeof(int64_t));
+    memset(vol + base, 0, (size_t)offset * sizeof(int64_t));
+    memset(vol + n_local + offset, 0,
+           (size_t)(n_ids - n_local - offset) * sizeof(int64_t));
+    if (offset)
+        for (int64_t j = 0; j < n_own; j++)
+            if (own[2 * j + 1] >= base)
+                v2c[own[2 * j]] = own[2 * j + 1] + offset;
+    for (int64_t j = 0; j < n_others; j++) {
+        int64_t x = others[2 * j];
+        int64_t g = others[2 * j + 1];
+        int64_t c = v2c[x];
+        if (c >= 0)
+            vol[c] -= deg[x];
+        if (g >= 0)
+            vol[g] += deg[x];
+        v2c[x] = g;
     }
     return DONE;
 }

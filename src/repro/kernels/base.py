@@ -35,38 +35,137 @@ def check_vertex_ids(chunk: np.ndarray, n: int, pos: int) -> None:
         )
 
 
-def check_clustering_exports(n: int, base: int, worker_states) -> list:
-    """The ``(v2c_w, n_ids)`` pairs of one clustering barrier's worker
-    exports (``v2c_w`` as int64, ``n_ids = len(volumes_w)``), after
-    checking each against the snapshot it started from.
+def _move_rows(moves, what: str) -> np.ndarray:
+    """``moves`` itself if it is an ``(m, 2)`` int64 array of ``(vertex,
+    cluster id)`` rows: a :class:`~repro.errors.PartitioningError`
+    otherwise."""
+    if not (
+        isinstance(moves, np.ndarray)
+        and moves.dtype == np.int64
+        and moves.ndim == 2
+        and moves.shape[1] == 2
+    ):
+        raise PartitioningError(
+            f"{what} must be an (m, 2) int64 array of (vertex, cluster) rows, "
+            f"got {type(moves).__name__} {getattr(moves, 'dtype', '')}"
+            f"{getattr(moves, 'shape', '')}"
+        )
+    return moves
 
-    Each export must hold ``n`` vertices and at least ``base`` clusters,
-    and every cluster id in it must lie in ``[-1, len(volumes_w))``.  The
-    distributed coordinator folds exports that arrived over sockets, so
-    the python merge calls this and raises, on a miss, the same
-    :class:`~repro.errors.PartitioningError` the ``c`` merge raises from
-    its loop, instead of an ``IndexError`` or a volume vector grown past
-    the merged ids.
+
+def check_degrees(degrees, n: int) -> None:
+    """Raise :class:`~repro.errors.PartitioningError` unless ``degrees``
+    covers a clustering of ``n`` vertices."""
+    if degrees.shape[0] < n:
+        raise PartitioningError(
+            f"{degrees.shape[0]} degrees for a clustering of {n} vertices"
+        )
+
+
+def check_export(w: int, export) -> tuple[np.ndarray, int]:
+    """Worker ``w``'s clustering export ``(moves, n_fresh)``, after
+    checking its form: an ``(m, 2)`` int64 move array and an integer
+    ``0 <= n_fresh <= m`` (see :func:`check_clustering_moves`)."""
+    moves, fresh = export
+    what = f"worker {w}'s clustering export"
+    moves = _move_rows(moves, what)
+    m = moves.shape[0]
+    if not isinstance(fresh, (int, np.integer)) or not 0 <= fresh <= m:
+        raise PartitioningError(f"{what} claims {fresh} fresh clusters for {m} moves")
+    return moves, int(fresh)
+
+
+def check_clustering_moves(v2c: np.ndarray, base: int, exports, degrees) -> list:
+    """The ``(moves, n_fresh)`` exports of one clustering barrier, after
+    checking each against the global clustering ``v2c`` of ``base`` ids.
+
+    Worker ``w``'s ``moves`` must be an ``(m, 2)`` int64 array whose
+    vertices lie in ``[0, n)`` in strictly ascending order (each vertex
+    once) and whose cluster ids lie in ``[-1, base + n_fresh)``, with
+    ``0 <= n_fresh <= m``: each fresh cluster was opened for a vertex
+    that was unclustered when the window started, and that vertex moved.
+    The global ids of the moved vertices must lie in ``[-1, base)``, and
+    ``degrees`` must cover the ``n`` vertices.  Entries are checked in
+    worker order, then row order, all workers' rows before any global
+    id, so every backend names the same first miss: a
+    :class:`~repro.errors.PartitioningError`, raised before the merge
+    writes anything.  Exports may have crossed a socket.
     """
-    exports = []
-    for w, (v2c_w, vol_w) in enumerate(worker_states):
-        v2c_w = np.asarray(v2c_w, dtype=np.int64)
-        n_ids = int(len(vol_w))
-        if v2c_w.shape != (n,) or n_ids < base:
-            raise PartitioningError(
-                f"worker {w}'s clustering export holds {v2c_w.shape[0]} "
-                f"vertices and {n_ids} clusters; the barrier needs {n} "
-                f"vertices and at least {base} clusters"
-            )
-        outside = (v2c_w < -1) | (v2c_w >= n_ids)
+    n = v2c.shape[0]
+    check_degrees(degrees, n)
+    checked = [check_export(w, export) for w, export in enumerate(exports)]
+    for w, (moves, fresh) in enumerate(checked):
+        what = f"worker {w}'s clustering export"
+        x, c = moves[:, 0], moves[:, 1]
+        bad = (x < 0) | (x >= n) | (c < -1) | (c >= base + fresh)
+        bad[1:] |= x[1:] <= x[:-1]
+        if bad.any():
+            i = int(np.argmax(bad))
+            xi, ci = int(x[i]), int(c[i])
+            if not 0 <= xi < n:
+                why = f"moves vertex {xi}, outside the {n} vertices"
+            elif i and xi <= int(x[i - 1]):
+                why = (
+                    f"lists vertex {xi} after vertex {int(x[i - 1])}: it must "
+                    "name each vertex once, in ascending order"
+                )
+            else:
+                why = (
+                    f"puts vertex {xi} in cluster {ci}, outside its "
+                    f"{base + int(fresh)} cluster ids"
+                )
+            raise PartitioningError(f"{what} {why}")
+    for moves, _ in checked:
+        now = v2c[moves[:, 0]]
+        outside = (now < -1) | (now >= base)
         if outside.any():
             i = int(np.argmax(outside))
             raise PartitioningError(
-                f"worker {w}'s clustering export puts vertex {i} in "
-                f"cluster {int(v2c_w[i])}, outside its {n_ids} cluster ids"
+                f"vertex {int(moves[i, 0])}: global cluster id {int(now[i])} "
+                f"is outside the {base} merged clusters"
             )
-        exports.append((v2c_w, n_ids))
-    return exports
+    return checked
+
+
+def check_refresh(n_local: int, own, base: int, offset: int, n_ids: int, others):
+    """``(own, others)`` of a clustering refresh, after checking its
+    shapes and counts (see :meth:`KernelBackend.refresh_clustering`):
+    both ``(m, 2)`` int64 move arrays, ``0 <= base <= n_local``,
+    ``offset >= 0`` and ``n_ids >= n_local + offset``, where ``n_local``
+    is the worker's id count.  Raises
+    :class:`~repro.errors.PartitioningError` before any write."""
+    own = _move_rows(own, "a worker's own moves")
+    others = _move_rows(others, "a clustering refresh")
+    if not (0 <= base <= n_local and offset >= 0 and n_ids >= n_local + offset):
+        raise PartitioningError(
+            f"a clustering refresh of {n_ids} ids cannot shift the fresh ids "
+            f"[{base}, {n_local}) of a worker by {offset}"
+        )
+    return own, others
+
+
+def refresh_entry_error(
+    j: int, own, others, n: int, n_local: int, n_ids: int, current
+) -> PartitioningError:
+    """The error every backend raises, before it writes anything, for
+    entry ``j`` of a clustering refresh (the worker's own moves first,
+    then the others' moves).  ``current(x)`` reads the worker's cluster
+    id of vertex ``x``."""
+    if j < own.shape[0]:
+        (x, c), limit, what = own[j].tolist(), n_local, "a worker's own move"
+    else:
+        j -= own.shape[0]
+        (x, c), limit, what = others[j].tolist(), n_ids, "a refresh move"
+    if not 0 <= x < n:
+        why = f"names vertex {x}, outside the {n} vertices"
+    elif not -1 <= c < limit:
+        why = f"puts vertex {x} in cluster {c}, outside the {limit} cluster ids"
+    else:
+        why = (
+            f"finds vertex {x} in cluster {current(x)}, outside the "
+            f"worker's {n_local} ids"
+        )
+    return PartitioningError(f"{what} {why}")
 
 
 def phase2_inputs(v2c, c2p, volumes, degrees, k: int):
@@ -188,6 +287,73 @@ def check_log_fill(fill: int, capacity: int) -> None:
         )
 
 
+class MoveLog:
+    """The ``v2c`` writes of one worker's Phase-1 clustering window.
+
+    Each row is ``(vertex, old id, new id)``, in the order the clustering
+    loop wrote them: a fresh cluster (old id -1) or a move.
+    ``rows`` holds ``capacity`` rows and ``fill[0]`` the number in use.
+    An edge writes at most three ids (two fresh clusters and a move), so
+    the runners size it ``3 * w`` rows for windows of ``w`` edges.
+    :meth:`moves` turns the log into the window's export.
+    """
+
+    __slots__ = ("rows", "fill")
+
+    def __init__(self, capacity: int) -> None:
+        self.rows = np.empty((int(capacity), 3), np.int64)
+        self.fill = np.zeros(1, np.int64)
+
+    def extend(self, rows) -> None:
+        """Append ``(vertex, old, new)`` rows (the python loop's writes)."""
+        fill = int(self.fill[0])
+        check_move_fill(fill + len(rows), self.rows.shape[0])
+        if rows:
+            self.rows[fill : fill + len(rows)] = rows
+        self.fill[0] = fill + len(rows)
+
+    def moves(self) -> np.ndarray:
+        """The window's moves: an ``(m, 2)`` int64 array of ``(vertex,
+        id)`` rows, ascending by vertex, for every vertex whose last id
+        differs from its first old id (its id when the window started)."""
+        rows = self.rows[: int(self.fill[0])]
+        n = rows.shape[0]
+        if not n:
+            return np.zeros((0, 2), np.int64)
+        # Rows by vertex, then by position: a plain sort of the unique
+        # keys vertex * n + row runs several times faster than a stable
+        # argsort, where the keys fit.
+        if int(rows[:, 0].max()) < (1 << 62) // n:
+            x, order = np.divmod(np.sort(rows[:, 0] * n + np.arange(n)), n)
+        else:
+            order = np.argsort(rows[:, 0], kind="stable")
+            x = rows[order, 0]
+        first = np.empty(n, dtype=bool)
+        first[0] = True
+        np.not_equal(x[1:], x[:-1], out=first[1:])
+        last = np.append(first[1:], True)
+        start = rows[order[first], 1]
+        end = rows[order[last], 2]
+        moved = start != end
+        out = np.empty((int(moved.sum()), 2), dtype=np.int64)
+        out[:, 0] = x[first][moved]
+        out[:, 1] = end[moved]
+        return out
+
+    def clear(self) -> None:
+        self.fill[0] = 0
+
+
+def check_move_fill(fill: int, capacity: int) -> None:
+    """Raise :class:`~repro.errors.PartitioningError` for a clustering
+    window that wrote more ids than its :class:`MoveLog` holds."""
+    if fill > capacity:
+        raise PartitioningError(
+            f"a clustering window wrote {fill} cluster ids, past its move "
+            f"log's {capacity} rows"
+        )
+
+
 def log_cells(logs, dtype=np.int64) -> np.ndarray:
     """The entries of the set-bit ``logs`` (arrays, as
     :meth:`ReplicaLog.entries` gives them, or wire cells) as one int64
@@ -265,14 +431,6 @@ class Int64Buffer:
             )
         self._n = n
 
-    @classmethod
-    def from_array(cls, values: np.ndarray) -> "Int64Buffer":
-        """Buffer pre-filled with ``values`` (copied)."""
-        buf = cls(max(int(values.shape[0]), 1))
-        buf._buf[: values.shape[0]] = values
-        buf._n = int(values.shape[0])
-        return buf
-
 
 @dataclass
 class ClusteringState:
@@ -288,6 +446,10 @@ class ClusteringState:
     v2c: object
     vol: object
     deg: object
+
+    def n_ids(self) -> int:
+        """Cluster ids allocated so far, emptied ones included."""
+        return len(self.vol)
 
 
 @dataclass
@@ -372,9 +534,19 @@ class KernelBackend(ABC):
 
     @abstractmethod
     def clustering_true_pass(
-        self, stream, st: ClusteringState, cap: float, cost: CostCounter | None
+        self,
+        stream,
+        st: ClusteringState,
+        cap: float,
+        cost: CostCounter | None,
+        log: MoveLog | None = None,
     ) -> None:
-        """One Algorithm-1 pass with known true degrees."""
+        """One Algorithm-1 pass with known true degrees.
+
+        With a ``log``, every ``v2c`` write appends its ``(vertex, old
+        id, new id)`` row there (the sharded path's windows, see
+        :class:`MoveLog`); the sequential path passes none.
+        """
 
     @abstractmethod
     def clustering_partial_pass(
@@ -387,24 +559,6 @@ class KernelBackend(ABC):
         self, st: ClusteringState
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Snapshot ``(v2c, volumes, degrees)`` as int64 arrays."""
-
-    @abstractmethod
-    def clustering_load(
-        self, v2c: np.ndarray, volumes: np.ndarray, degrees: np.ndarray
-    ) -> ClusteringState:
-        """Backend-native state from exported arrays (inverse of export).
-
-        ``v2c``/``volumes`` in the returned state are independent copies
-        (mutating them must not touch the input arrays); ``degrees`` MAY
-        alias the input, because the true-degree passes the parallel path
-        dispatches never write it (loading happens once per sync window,
-        so an O(|V|) degree copy per window would dominate small
-        windows).  Loaded state is therefore only valid for true-degree
-        passes — ``clustering_partial_pass`` mutates degrees and must
-        never run on it.  This is how the parallel Phase-1 path hands
-        each worker a stale snapshot of the merged global clustering
-        before a sync window.
-        """
 
     # ------------------------------------------------------------------
     # Phase-1 barrier merges (parallel path; see package docs for the
@@ -426,31 +580,67 @@ class KernelBackend(ABC):
     def merge_phase1_clustering(
         self,
         v2c: np.ndarray,
-        volumes: np.ndarray,
-        worker_states,
+        volumes: Int64Buffer,
+        exports,
         degrees: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One clustering barrier: fold worker deltas into the global state.
+    ) -> list:
+        """One clustering barrier: fold the workers' moves into the global
+        clustering, in place.
 
-        ``worker_states`` is the **ordered** (ascending worker index) list
-        of ``(v2c_w, volumes_w)`` exports, each produced by running one
-        sync window from the shared snapshot ``(v2c, volumes)``; a worker's
-        fresh cluster ids occupy ``[len(volumes), len(volumes_w))``.  The
+        ``v2c`` (int64, writable) and ``volumes`` (``base`` volumes) are
+        the global clustering every worker started its window from.
+        ``exports`` is the **ordered** (ascending worker index) list of
+        ``(moves, n_fresh)`` exports: the ``(vertex, id)`` rows of every
+        vertex whose id the window changed, ascending by vertex, and the
+        count of clusters the window opened, whose ids occupy ``[base,
+        base + n_fresh)`` (see :func:`check_clustering_moves`).  The
         merge (same result required of every backend, bit for bit):
 
         - fresh ids are remapped to a single global sequence in worker
-          order (worker ``w``'s ``j``-th fresh cluster becomes
-          ``len(volumes) + sum of earlier workers' fresh counts + j``);
-        - per vertex, the **first** worker in order whose assignment
-          differs from the snapshot wins; later claims are dropped and
-          unchanged vertices keep the snapshot assignment;
-        - merged volumes are recomputed exactly as the sum of member true
-          degrees (the Algorithm-1 invariant), so emptied and conflicted
-          fresh clusters end at volume 0.
+          order (worker ``w``'s ``j``-th fresh cluster becomes ``base +
+          sum of earlier workers' fresh counts + j``), and ``volumes``
+          grows to ``base`` plus every worker's fresh count;
+        - per vertex, the **first** worker in order with a move for it
+          wins; later moves of it are dropped, and unmoved vertices keep
+          their id;
+        - each accepted move takes the vertex's true degree off its old
+          cluster's volume and adds it to its new one's, in exact int64,
+          so every volume stays the sum of its members' true degrees (the
+          Algorithm-1 invariant) and emptied or outbid fresh clusters end
+          at volume 0.
 
-        Returns the merged ``(v2c, volumes)``.  See the package docstring
-        for why this fold is associative over the ordered worker sequence
-        but not commutative.
+        Every entry is checked before the first write; a call that raises
+        writes nothing.  Returns, per export, its accepted moves in
+        merged ids (an ``(m, 2)`` int64 array, ascending by vertex):
+        what the other workers' refreshes carry.  See the package
+        docstring for why this fold is associative over the ordered
+        worker sequence but not commutative.
+        """
+
+    @abstractmethod
+    def refresh_clustering(
+        self,
+        st: ClusteringState,
+        own: np.ndarray,
+        base: int,
+        offset: int,
+        n_ids: int,
+        others: np.ndarray,
+    ) -> None:
+        """Bring one worker's clustering to the merged one after a barrier.
+
+        ``own`` is the worker's last export (its moves, from ``base``
+        ids; its fresh ids are ``[base, st.n_ids())``), ``offset`` the
+        shift the merge gave those fresh ids, ``n_ids`` the merged id
+        count, and ``others`` the moves the merge accepted from the other
+        workers, in merged ids, applied in order.  Afterwards ``st`` holds
+        the merged ``v2c`` and volumes exactly: the fresh volumes move up
+        by ``offset``, the other new ids start at 0, the own moves' fresh
+        ids shift, and each other move takes the vertex's degree off its
+        current cluster and adds it to its new one.  Work is
+        ``O(moves + fresh ids)``.  Every entry is checked before the
+        first write (:func:`check_refresh`, :func:`refresh_entry_error`),
+        because ``others`` may have crossed a socket.
         """
 
     # ------------------------------------------------------------------

@@ -7,9 +7,9 @@ passes, and the classic HDRF baseline.  :class:`CBackend` makes one
 foreign call per stream chunk (the degree pass a second one in a chunk
 that grows its array); the loop itself skips the edges a pass does not
 own (the pre-partitioned ones).  It also holds the loops that run once
-per barrier or per run: the Phase-1 clustering merge, the Phase-2
-barrier op, which sets the bits of the workers' set-bit logs in one
-state, and the assignment loop of the cluster mapping.  Every loop
+per barrier or per run: the Phase-1 clustering merge and refresh, the
+Phase-2 barrier op, which sets the bits of the workers' set-bit logs in
+one state, and the assignment loop of the cluster mapping.  Every loop
 addresses replica bits on the raw plane of
 :func:`~repro.partitioning.state._replica_plane`, so dense and packed
 state share it.  The stateless pass and the degree merge are the
@@ -22,7 +22,8 @@ degree and cluster volume), built once per run by
 into each.  Both arrays are checked once per call for dtype, shape and
 C-contiguity and never copied.  On a sharded run the loops also append
 every replica bit they set that was clear to the worker's set-bit log
-(``ctx.log``), in the reference's order.  The two remaining passes
+(``ctx.log``), in the reference's order, and a sharded clustering pass
+appends every ``v2c`` write to its move log.  The two remaining passes
 prefetch the rows of the edge a fixed distance ahead, and the clustering
 pass prefetches ``v2c`` and degrees 16 edges ahead and cluster volumes
 8 ahead; the pre-partition and degree passes measured slower with a
@@ -48,10 +49,12 @@ ids that passed the check, of an edge inside the chunk.  The degree
 pass grows its array on a miss, to the chunk's largest id + 1, and
 resumes at that edge; a negative id (which the unsigned check also
 stops at) raises :class:`~repro.errors.StreamError`.  The clustering
-merge checks every cluster id it takes from a worker export against
-that worker's id range (the distributed coordinator folds exports that
-arrived over sockets) and raises :class:`~repro.errors.PartitioningError`
-on a miss.  The barrier op checks every log entry against the plane's
+merge and refresh check every move row (its vertex, its cluster id
+against the worker's id range, the vertex's current id) before their
+first write, because moves may have crossed a socket, and raise
+:class:`~repro.errors.PartitioningError` on a miss; the merge walks the
+workers' ascending rows side by side, so it needs no per-vertex scratch.
+The barrier op checks every log entry against the plane's
 ``rows * k`` cells before it writes any bit, and raises
 :func:`~repro.kernels.base.log_entry_error` on a miss; a Phase-2 loop
 never writes a log past its capacity, and a fill beyond it raises
@@ -97,11 +100,17 @@ from repro.errors import PartitioningError, StreamError
 from repro.kernels.base import (
     ClusteringState,
     Int64Buffer,
+    check_clustering_moves,
+    check_degrees,
+    check_export,
     check_log_fill,
+    check_move_fill,
+    check_refresh,
     check_vertex_ids,
     log_cells,
     log_entry_error,
     partition_error,
+    refresh_entry_error,
 )
 from repro.kernels.python_backend import PythonBackend
 from repro.partitioning.state import _replica_plane
@@ -121,7 +130,7 @@ _PLANE = (_P, _I, _I, _I)
 _LOG = (_P, _I, _P)
 _SIGNATURES = {
     "degree_pass": (_P, _I, _P, _I),
-    "cluster_pass": (_P, _I, _I, _P, _P, _I, _P, _I, _D, _P),
+    "cluster_pass": (_P, _I, _I, _P, _P, _I, _P, _I, _D, _P, _I, _P, _P),
     "prepartition": (
         _P, _I, _P, _P, _I, *_PLANE, _P, _I, _I, ctypes.c_uint64, *_LOG,
         _P, _P,
@@ -135,7 +144,8 @@ _SIGNATURES = {
     ),
     "hdrf_baseline": (_P, _I, _P, _I, *_PLANE, _P, _I, _I, _D, _D, _P, _P, _P),
     "apply_log": (*_PLANE, _I, _I, _P, _I),
-    "merge_clustering": (_P, _I, _I, _P, _P, _I, _P, _P, _P, _P, _I, _P),
+    "merge_moves": (_P, _I, _P, _P, _I, _P, _P, _P, _I, _P, _P, _P),
+    "refresh_clustering": (_P, _I, _P, _P, _I, _I, _I, _I, _P, _I, _P, _I),
     "list_schedule": (_P, _I, _I, _P, _P, _P),
 }
 
@@ -378,22 +388,18 @@ class CBackend(PythonBackend):
     def clustering_export(self, st: ClusteringState):
         return st.v2c, st.vol.view().copy(), st.deg
 
-    def clustering_load(self, v2c, volumes, degrees) -> ClusteringState:
-        # deg may alias the input (no copy): true-degree passes never
-        # write it, and loads happen once per sync window — see the
-        # base-class contract.
-        return ClusteringState(
-            v2c=np.array(v2c, dtype=np.int64, copy=True),
-            vol=Int64Buffer.from_array(np.asarray(volumes, dtype=np.int64)),
-            deg=np.asarray(degrees, dtype=np.int64),
-        )
-
-    def _clustering_pass(self, stream, st, cap, cost, partial: bool) -> None:
+    def _clustering_pass(self, stream, st, cap, cost, partial, log=None) -> None:
         v2c = _output(st.v2c, np.int64, "v2c")
         deg = _output(st.deg, np.int64, "degrees") if partial else _ints(st.deg)
         n_vert = min(v2c.shape[0], deg.shape[0])
         buf = st.vol
         out = np.array([len(buf), 0], dtype=np.int64)
+        if log is None:
+            log_args = (None, 0, None)
+        else:
+            rows = _output(log.rows, np.int64, "the move log")
+            fill = _output(log.fill, np.int64, "the move log's fill")
+            log_args = (rows.ctypes.data, rows.shape[0], fill.ctypes.data)
         pos = 0
         for chunk in stream.chunks():
             c = chunk.shape[0]
@@ -404,7 +410,7 @@ class CBackend(PythonBackend):
                 miss = _LIB.cluster_pass(
                     edges.ctypes.data, c, partial, v2c.ctypes.data,
                     deg.ctypes.data, n_vert, vol.ctypes.data, vol.shape[0],
-                    float(cap), out.ctypes.data,
+                    float(cap), *log_args, out.ctypes.data,
                 )
                 buf.set_length(int(out[0]))
                 if miss >= 0:
@@ -414,63 +420,66 @@ class CBackend(PythonBackend):
                         f"names none of the {len(buf)} clusters"
                     )
             pos += c
+        if log is not None:
+            check_move_fill(int(log.fill[0]), rows.shape[0])
         if cost is not None:
             cost.cluster_updates += int(out[1])
             cost.edges_streamed += pos
 
-    def clustering_true_pass(self, stream, st, cap, cost) -> None:
-        self._clustering_pass(stream, st, cap, cost, partial=False)
+    def clustering_true_pass(self, stream, st, cap, cost, log=None) -> None:
+        self._clustering_pass(stream, st, cap, cost, False, log)
 
     def clustering_partial_pass(self, stream, st, cap, cost) -> None:
-        self._clustering_pass(stream, st, cap, cost, partial=True)
+        self._clustering_pass(stream, st, cap, cost, True)
 
-    def merge_phase1_clustering(self, v2c, volumes, worker_states, degrees):
-        snapshot = _ints(v2c)
-        n = snapshot.shape[0]
-        base = int(len(volumes))
+    def merge_phase1_clustering(self, v2c, volumes, exports, degrees):
+        v2c = _output(v2c, np.int64, "v2c")
+        n, base = v2c.shape[0], len(volumes)
         deg = _ints(degrees)
-        if deg.shape[0] < n:
-            raise PartitioningError(
-                f"{deg.shape[0]} degrees for a clustering of {n} vertices"
+        check_degrees(deg, n)
+        exports = [check_export(w, export) for w, export in enumerate(exports)]
+        rows = [np.ascontiguousarray(moves) for moves, _ in exports]
+        fresh = [n_fresh for _, n_fresh in exports]
+        pointers = _addresses(rows)
+        counts = np.array([r.shape[0] for r in rows], dtype=np.int64)
+        n_fresh = np.array(fresh, dtype=np.int64)
+        n_ids = base + sum(fresh)
+        vol = _output(volumes.reserve(n_ids), np.int64, "volumes")
+        out = np.empty((int(counts.sum()), 2), dtype=np.int64)
+        n_out = np.zeros(len(rows), dtype=np.int64)
+        cursor = np.zeros(len(rows), dtype=np.int64)
+        miss = _LIB.merge_moves(
+            v2c.ctypes.data, n, deg.ctypes.data, vol.ctypes.data, base,
+            pointers.ctypes.data, counts.ctypes.data, n_fresh.ctypes.data,
+            len(rows), cursor.ctypes.data, out.ctypes.data, n_out.ctypes.data,
+        )
+        if miss >= 0:  # name the first miss as the reference does
+            check_clustering_moves(v2c, base, exports, deg)
+            raise PartitioningError(  # pragma: no cover - the twins disagree
+                "the c clustering merge refused a move the reference accepts"
             )
-        exports, n_ids = [], []
-        for w, (v2c_w, vol_w) in enumerate(worker_states):
-            v2c_w = _ints(v2c_w)
-            if v2c_w.shape != (n,) or len(vol_w) < base:
-                raise PartitioningError(
-                    f"worker {w}'s clustering export holds {v2c_w.shape[0]} "
-                    f"vertices and {len(vol_w)} clusters; the barrier "
-                    f"needs {n} vertices and at least {base} clusters"
-                )
-            exports.append(v2c_w)
-            n_ids.append(int(len(vol_w)))
-        n_vol = base + sum(n_w - base for n_w in n_ids)
-        pointers = _addresses(exports)
-        counts = np.array(n_ids, dtype=np.int64)
-        merged = np.empty(n, dtype=np.int64)
-        claimed = np.zeros(n, dtype=np.uint8)
-        vol = np.zeros(n_vol, dtype=np.int64)
-        bad = np.zeros(1, dtype=np.int64)
-        miss = _LIB.merge_clustering(
-            snapshot.ctypes.data, n, base, pointers.ctypes.data,
-            counts.ctypes.data, len(exports), deg.ctypes.data,
-            merged.ctypes.data, claimed.ctypes.data, vol.ctypes.data, n_vol,
-            bad.ctypes.data,
+        volumes.set_length(n_ids)
+        ends = np.cumsum(np.concatenate(([0], n_out))).tolist()
+        return [out[a:b] for a, b in zip(ends[:-1], ends[1:])]
+
+    def refresh_clustering(self, st, own, base, offset, n_ids, others) -> None:
+        v2c = _output(st.v2c, np.int64, "v2c")
+        deg = _ints(st.deg)
+        n, n_local = min(v2c.shape[0], deg.shape[0]), len(st.vol)
+        own, others = check_refresh(n_local, own, base, offset, n_ids, others)
+        own = np.ascontiguousarray(own)
+        others = np.ascontiguousarray(others)
+        vol = _output(st.vol.reserve(n_ids), np.int64, "volumes")
+        miss = _LIB.refresh_clustering(
+            v2c.ctypes.data, n, deg.ctypes.data, vol.ctypes.data, n_local,
+            base, offset, n_ids, own.ctypes.data, own.shape[0],
+            others.ctypes.data, others.shape[0],
         )
         if miss >= 0:
-            w = int(bad[0])
-            if w < 0:
-                raise PartitioningError(
-                    f"vertex {miss}: snapshot cluster id "
-                    f"{int(snapshot[miss])} is outside the {n_vol} merged "
-                    "clusters"
-                )
-            raise PartitioningError(
-                f"worker {w}'s clustering export puts vertex {miss} in "
-                f"cluster {int(exports[w][miss])}, outside its "
-                f"{n_ids[w]} cluster ids"
+            raise refresh_entry_error(
+                miss, own, others, n, n_local, n_ids, lambda x: int(v2c[x])
             )
-        return merged, vol
+        st.vol.set_length(n_ids)
 
     # ------------------------------------------------------------------
     # Phase-2 barrier and the cluster mapping

@@ -11,15 +11,18 @@ replica state test and set replica bits through a byte view of the raw
 storage plane (:func:`~repro.partitioning.state._replica_plane`), so
 they run on bit-packed state without indexing the wrapper; on a sharded
 run the three Phase-2 passes log every bit they set that was clear
-(``ctx.log``, see :class:`~repro.kernels.base.ReplicaLog`).  The ops in
-which no edge's outcome depends on another's (the degree pass, the
-stateless pass and the two Phase-1 merges) are vectorized per chunk or
-per barrier; the ``per-edge`` test backend (``tests/per_edge.py``) runs
-each as its per-edge loop, and ``tests/test_kernels.py`` pins one
-against the other.  The Phase-2 barrier op, which sets logged bits, is
-vectorized too.  ``c`` is property-tested for bit-exact equivalence
-against this backend and inherits its stateless pass and degree merge —
-keep this code boring and obviously correct.
+(``ctx.log``, see :class:`~repro.kernels.base.ReplicaLog`), and the
+clustering pass every ``v2c`` write (a
+:class:`~repro.kernels.base.MoveLog`).  The ops in which no edge's
+outcome depends on another's (the degree pass, the stateless pass and
+the two Phase-1 merges) are vectorized per chunk or per barrier; the
+``per-edge`` test backend (``tests/per_edge.py``) runs each as its
+per-edge loop, and ``tests/test_kernels.py`` pins one against the
+other.  The Phase-2 barrier op, which sets logged bits, is vectorized
+too; the clustering refresh walks its moves over the list state.
+``c`` is property-tested for bit-exact equivalence against this backend
+and inherits its stateless pass and degree merge — keep this code
+boring and obviously correct.
 """
 
 from __future__ import annotations
@@ -32,11 +35,13 @@ from repro.kernels.base import (
     ClusteringState,
     KernelBackend,
     TwoPhaseContext,
-    check_clustering_exports,
+    check_clustering_moves,
+    check_refresh,
     check_vertex_ids,
     log_cells,
     log_entry_error,
     partition_error,
+    refresh_entry_error,
 )
 from repro.partitioning.hashutil import splitmix64_int
 from repro.partitioning.state import LeastLoadedTracker, _replica_plane
@@ -103,13 +108,6 @@ class PythonBackend(KernelBackend):
             np.asarray(st.deg, dtype=np.int64),
         )
 
-    def clustering_load(self, v2c, volumes, degrees) -> ClusteringState:
-        return ClusteringState(
-            v2c=np.asarray(v2c, dtype=np.int64).tolist(),
-            vol=np.asarray(volumes, dtype=np.int64).tolist(),
-            deg=np.asarray(degrees, dtype=np.int64).tolist(),
-        )
-
     # ------------------------------------------------------------------
     # Phase-1 barrier merges (reference twins; see base-class docs)
     # ------------------------------------------------------------------
@@ -122,31 +120,64 @@ class PythonBackend(KernelBackend):
             out[: len(partial)] += np.asarray(partial, dtype=np.int64)
         return out
 
-    def merge_phase1_clustering(self, v2c, volumes, worker_states, degrees):
-        base = int(len(volumes))
-        snapshot = np.asarray(v2c, dtype=np.int64)
-        exports = check_clustering_exports(snapshot.shape[0], base, worker_states)
-        merged = snapshot.copy()
-        claimed = np.zeros(merged.shape[0], dtype=bool)
-        offset = base
-        for v2c_w, n_ids in exports:
-            changed = (v2c_w != snapshot) & ~claimed
-            if changed.any():
-                vals = v2c_w[changed]
-                if offset != base:
-                    vals = np.where(vals >= base, vals + (offset - base), vals)
-                merged[changed] = vals
-                claimed |= changed
-            offset += n_ids - base
-        assigned = merged >= 0
-        # Integer-exact despite the float weights: true degrees and their
-        # partial sums stay far below 2**53.
-        vol = np.bincount(
-            merged[assigned],
-            weights=np.asarray(degrees, dtype=np.int64)[assigned],
-            minlength=offset,
-        ).astype(np.int64)
-        return merged, vol
+    def merge_phase1_clustering(self, v2c, volumes, exports, degrees):
+        base = len(volumes)
+        degrees = np.asarray(degrees, dtype=np.int64)
+        exports = check_clustering_moves(v2c, base, exports, degrees)
+        vertices, ids = [], []
+        n_ids = base
+        for moves, fresh in exports:
+            vertices.append(moves[:, 0])
+            c = moves[:, 1]
+            ids.append(np.where(c >= base, c + (n_ids - base), c))
+            n_ids += fresh
+        x = np.concatenate([np.zeros(0, np.int64), *vertices])
+        g = np.concatenate([np.zeros(0, np.int64), *ids])
+        # First occurrence in worker order wins; each export names a
+        # vertex once.
+        won = np.zeros(x.shape[0], dtype=bool)
+        won[np.unique(x, return_index=True)[1]] = True
+        xa, ga = x[won], g[won]
+        deg = degrees[xa]
+        old = v2c[xa]
+        vol = volumes.reserve(n_ids)
+        vol[base:n_ids] = 0
+        np.subtract.at(vol, old[old >= 0], deg[old >= 0])
+        np.add.at(vol, ga[ga >= 0], deg[ga >= 0])
+        v2c[xa] = ga
+        volumes.set_length(n_ids)
+        ends = np.cumsum([0] + [len(moves) for moves, _ in exports]).tolist()
+        return [
+            np.stack((x[a:b][won[a:b]], g[a:b][won[a:b]]), axis=1)
+            for a, b in zip(ends[:-1], ends[1:])
+        ]
+
+    def refresh_clustering(self, st, own, base, offset, n_ids, others) -> None:
+        v2c, vol, deg = st.v2c, st.vol, st.deg
+        n, n_local = len(v2c), len(vol)
+        own, others = check_refresh(n_local, own, base, offset, n_ids, others)
+        entries = own.tolist() + others.tolist()
+        for j, (x, c) in enumerate(entries):
+            limit = n_local if j < own.shape[0] else n_ids
+            if not (0 <= x < n and -1 <= c < limit and -1 <= v2c[x] < n_local):
+                raise refresh_entry_error(
+                    j, own, others, n, n_local, n_ids, v2c.__getitem__
+                )
+        fresh = vol[base:]
+        del vol[base:]
+        vol.extend([0] * (n_ids - base))
+        vol[base + offset : base + offset + len(fresh)] = fresh
+        if offset:
+            for x, c in entries[: own.shape[0]]:
+                if c >= base:
+                    v2c[x] = c + offset
+        for x, g in entries[own.shape[0] :]:
+            c = v2c[x]
+            if c >= 0:
+                vol[c] -= deg[x]
+            if g >= 0:
+                vol[g] += deg[x]
+            v2c[x] = g
 
     # ------------------------------------------------------------------
     # Phase-2 barrier and the cluster mapping (reference twins)
@@ -177,9 +208,10 @@ class PythonBackend(KernelBackend):
         return np.asarray(parts, dtype=np.int64), loads
 
     @staticmethod
-    def true_degree_edges(v2c, vol, deg, pairs, cap) -> int:
+    def true_degree_edges(v2c, vol, deg, pairs, cap, writes=None) -> int:
         """Reference Algorithm-1 body over ``(u, v)`` pairs on list state;
-        returns the number of cluster updates."""
+        returns the number of cluster updates.  ``writes``, a list, takes
+        the ``(vertex, old, new)`` row of every ``v2c`` write."""
         updates = 0
         for u, v in pairs:
             cu = v2c[u]
@@ -188,12 +220,16 @@ class PythonBackend(KernelBackend):
                 v2c[u] = cu
                 vol.append(deg[u])
                 updates += 1
+                if writes is not None:
+                    writes.append((u, -1, cu))
             cv = v2c[v]
             if cv < 0:
                 cv = len(vol)
                 v2c[v] = cv
                 vol.append(deg[v])
                 updates += 1
+                if writes is not None:
+                    writes.append((v, -1, cv))
             if cu == cv:
                 continue
             vol_u = vol[cu]
@@ -209,6 +245,8 @@ class PythonBackend(KernelBackend):
                     vol[cs] -= ds
                     v2c[vs] = cl
                     updates += 1
+                    if writes is not None:
+                        writes.append((vs, cs, cl))
         return updates
 
     @staticmethod
@@ -253,20 +291,25 @@ class PythonBackend(KernelBackend):
                     updates += 1
         return updates
 
-    def _clustering_pass(self, body, stream, st, cap, cost) -> None:
+    def _clustering_pass(self, body, stream, st, cap, cost, log=None) -> None:
         updates = 0
         edges = 0
         for chunk in stream.chunks():
             # The state is sized up front (from the degrees or n_vertices).
             check_vertex_ids(chunk, len(st.v2c), edges)
             edges += chunk.shape[0]
-            updates += body(st.v2c, st.vol, st.deg, chunk.tolist(), cap)
+            if log is None:
+                updates += body(st.v2c, st.vol, st.deg, chunk.tolist(), cap)
+            else:
+                writes = []
+                updates += body(st.v2c, st.vol, st.deg, chunk.tolist(), cap, writes)
+                log.extend(writes)
         if cost is not None:
             cost.cluster_updates += updates
             cost.edges_streamed += edges
 
-    def clustering_true_pass(self, stream, st, cap, cost) -> None:
-        self._clustering_pass(self.true_degree_edges, stream, st, cap, cost)
+    def clustering_true_pass(self, stream, st, cap, cost, log=None) -> None:
+        self._clustering_pass(self.true_degree_edges, stream, st, cap, cost, log)
 
     def clustering_partial_pass(self, stream, st, cap, cost) -> None:
         self._clustering_pass(self.partial_degree_edges, stream, st, cap, cost)

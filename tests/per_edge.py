@@ -3,8 +3,8 @@ vectorized ops run as the per-edge loops they were written from.
 
 The reference vectorizes the ops in which no edge's outcome depends on
 another's: the degree pass, the stateless pass and the two Phase-1
-merges.  :class:`PerEdgeBackend` runs each of them edge by edge (vertex
-by vertex for the clustering merge) and inherits every other op, so
+merges.  :class:`PerEdgeBackend` runs each of them edge by edge (move
+by move for the clustering merge) and inherits every other op, so
 
 - its methods are the oracles the vectorized ops are pinned against,
   op by op, in ``tests/test_kernels.py``;
@@ -24,7 +24,7 @@ import numpy as np
 
 import repro.kernels as kernels
 from repro.kernels import PythonBackend, register_backend
-from repro.kernels.base import check_clustering_exports, check_vertex_ids
+from repro.kernels.base import check_clustering_moves, check_vertex_ids
 
 #: Registry name of :class:`PerEdgeBackend` while a test registers it.
 PER_EDGE = "per-edge"
@@ -69,31 +69,37 @@ class PerEdgeBackend(PythonBackend):
                 out[i] += d
         return np.asarray(out, dtype=np.int64)
 
-    def merge_phase1_clustering(self, v2c, volumes, worker_states, degrees):
+    def merge_phase1_clustering(self, v2c, volumes, exports, degrees):
         """First worker wins per vertex; fresh ids remapped in worker
-        order; volumes summed from member degrees."""
+        order; each accepted move's degree moved between volumes."""
         base = len(volumes)
-        snapshot = np.asarray(v2c, dtype=np.int64).tolist()
-        exports = check_clustering_exports(len(snapshot), base, worker_states)
-        merged = list(snapshot)
-        claimed = [False] * len(merged)
-        offset = base
-        for v2c_w, n_ids in exports:
-            shift = offset - base
-            for i, c in enumerate(v2c_w.tolist()):
-                if c != snapshot[i] and not claimed[i]:
-                    merged[i] = c + shift if c >= base else c
-                    claimed[i] = True
-            offset += n_ids - base
-        vol = [0] * offset
-        degl = np.asarray(degrees, dtype=np.int64).tolist()
-        for i, c in enumerate(merged):
-            if c >= 0:
-                vol[c] += degl[i]
-        return (
-            np.asarray(merged, dtype=np.int64),
-            np.asarray(vol, dtype=np.int64),
-        )
+        degl = np.asarray(degrees, dtype=np.int64)
+        exports = check_clustering_moves(v2c, base, exports, degl)
+        degl = degl.tolist()
+        n_ids = base + sum(fresh for _, fresh in exports)
+        vol = volumes.view().tolist() + [0] * (n_ids - base)
+        claimed = set()
+        accepted = []
+        shift = 0
+        for moves, fresh in exports:
+            won = []
+            for x, c in moves.tolist():
+                if x in claimed:
+                    continue
+                claimed.add(x)
+                g = c + shift if c >= base else c
+                old = int(v2c[x])
+                if old >= 0:
+                    vol[old] -= degl[x]
+                if g >= 0:
+                    vol[g] += degl[x]
+                v2c[x] = g
+                won.append((x, g))
+            accepted.append(np.asarray(won, dtype=np.int64).reshape(-1, 2))
+            shift += fresh
+        volumes.reserve(n_ids)[:n_ids] = vol
+        volumes.set_length(n_ids)
+        return accepted
 
 
 @contextmanager

@@ -10,7 +10,8 @@ Three layers, mirroring the implementation split:
   runner (the deeper seeded matrix lives in ``tests/differential.py``);
 - failure injection — worker crash mid-window, socket disconnect during
   a barrier, a stalled reply tripping ``recv_timeout``, a hostile
-  set-bit log in a window result, and a version- or kernel-source-
+  set-bit log or hostile clustering moves in a window result, a loopback
+  worker dead before it connects, and a version- or kernel-source-
   mismatch handshake must each surface as a typed
   :class:`~repro.errors.PartitioningError` with no leaked socket,
   worker process, or shared-memory segment.  The window and barrier
@@ -580,6 +581,12 @@ class TestRunnerConfig:
 # ---------------------------------------------------------------------
 # failure injection (ISSUE satellite: typed errors + clean teardown)
 # ---------------------------------------------------------------------
+def _cells(head, tail) -> np.ndarray:
+    """``head`` then ``tail`` as the ``uint32`` move cells of the test
+    graphs' frames; -1 becomes the largest ``uint32``."""
+    return np.append(head, tail).astype(np.uint32)
+
+
 def _crash_handler(ctx, payload):
     import os
 
@@ -691,6 +698,67 @@ class TestFailureInjection:
         _assert_clean()
         assert not multiprocessing.active_children()
 
+    #: Hostile clustering exports: ``(mutate(cells, fresh, n), match)``,
+    #: each returning the ``(moves, fresh)`` fields a window result ships
+    #: for a graph of ``n`` vertices.
+    HOSTILE_MOVES = {
+        "vertex-n": (lambda c, f, n: (_cells(c, [n, 0]), f), "outside the"),
+        # -1 in the wire's uint32 cells: its largest value.
+        "negative-vertex": (lambda c, f, n: (_cells([-1, 0], c), f), "outside the"),
+        "odd-cells": (lambda c, f, n: (c[:-1], f), "1-d uint32 array"),
+        "target-past-range": (lambda c, f, n: (_cells(c[:-1], [-1]), f), "cluster ids"),
+        "repeated-vertex": (lambda c, f, n: (_cells(c, c[-2:]), f), "each vertex once"),
+        "int64": (lambda c, f, n: (c.astype(np.int64), f), "1-d uint32 array"),
+        "2-d": (lambda c, f, n: (c.reshape(-1, 2), f), "1-d uint32 array"),
+        "fresh-past-moves": (lambda c, f, n: (c, len(c) // 2 + 1), "fresh clusters"),
+        "negative-fresh": (lambda c, f, n: (c, -1), "fresh clusters"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_MOVES))
+    def test_hostile_moves_are_rejected_before_the_merge_writes(
+        self, monkeypatch, case
+    ):
+        """A clustering window result whose moves name a vertex out of
+        range, a cluster id past the window's range or a vertex twice,
+        come in the wrong cells or claim an impossible fresh-cluster
+        count: one typed error, raised before the coordinator's global
+        clustering takes any move."""
+        real = distributed._w_cluster
+        mutate, match = self.HOSTILE_MOVES[case]
+
+        def hostile(ctx, payload):
+            msg_type, fields = real(ctx, payload)
+            n = len(ctx["clusterer"].state.v2c)
+            fields["moves"], fields["fresh"] = mutate(
+                fields["moves"], fields["fresh"], n
+            )
+            return msg_type, fields
+
+        merged, refused = [], []
+        kernels_cls = type(get_backend())
+        merge = kernels_cls.merge_phase1_clustering
+
+        def recording(self, v2c, volumes, exports, degrees):
+            before = (v2c.copy(), volumes.view().copy())
+            try:
+                accepted = merge(self, v2c, volumes, exports, degrees)
+            except PartitioningError:
+                refused.append(
+                    np.array_equal(v2c, before[0])
+                    and np.array_equal(volumes.view(), before[1])
+                )
+                raise
+            merged.append(len(exports))
+            return accepted
+
+        monkeypatch.setattr(kernels_cls, "merge_phase1_clustering", recording)
+        excinfo = self._run_with_fault(monkeypatch, wire.MSG_CLUSTER, hostile)
+        assert excinfo.match(match)
+        assert not merged, "the coordinator's clustering took hostile moves"
+        assert all(refused)
+        _assert_clean()
+        assert not multiprocessing.active_children()
+
     def test_malformed_sizes_are_rejected(self, monkeypatch):
         real = distributed._w_window
 
@@ -724,6 +792,29 @@ class TestFailureInjection:
         )
         with pytest.raises(PartitioningError, match="injected kernel"):
             _partition(self._runner(), _graph())
+        _assert_clean()
+        assert not multiprocessing.active_children()
+
+
+@needs_fork
+class TestDeadLoopbackWorker:
+    """A loopback worker that dies before it connects fails the session
+    at once, with its exit code, instead of after ``connect_timeout``."""
+
+    @pytest.mark.parametrize("runner", ["process", "distributed"])
+    def test_worker_dead_before_connect_fails_fast(self, runner, monkeypatch):
+        def dead(address):
+            import os
+
+            os._exit(3)
+
+        monkeypatch.setattr(distributed, "_loopback_worker_main", dead)
+        start = time.monotonic()
+        runner_obj = make_runner(runner, start_method="fork")
+        with pytest.raises(PartitioningError, match="exited with code 3") as exc:
+            _partition(runner_obj, _graph())
+        assert time.monotonic() - start < 2.0
+        assert str(exc.value).startswith(f"{runner} loopback worker ")
         _assert_clean()
         assert not multiprocessing.active_children()
 

@@ -921,7 +921,7 @@ class TestStateBatchApis:
         np.testing.assert_array_equal(batch.replicas, serial.replicas)
 
     def test_int64_buffer_grows(self):
-        buf = Int64Buffer.from_array(np.array([5, 6], dtype=np.int64))
+        buf = _buffer([5, 6])
         for n in range(2, 100):
             # The c clustering loop's append: write past the filled
             # prefix of the reserved array, then publish the length.
@@ -937,39 +937,130 @@ class TestStateBatchApis:
             buf.set_length(buf.reserve(0).shape[0] + 1)
 
 
+def _buffer(values) -> Int64Buffer:
+    """An :class:`Int64Buffer` holding a copy of ``values``."""
+    values = np.asarray(values, dtype=np.int64)
+    buf = Int64Buffer()
+    buf.reserve(values.shape[0])[: values.shape[0]] = values
+    buf.set_length(values.shape[0])
+    return buf
+
+
+def _moves(rows) -> np.ndarray:
+    """``(m, 2)`` int64 move rows."""
+    return np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+
+
+def _loaded(kernels, v2c, n_ids, degrees):
+    """A ``kernels``-native clustering state holding ``v2c`` and its
+    ``n_ids`` volumes (each the sum of its members' degrees), built with
+    the public ops: a refresh of a fresh state by every clustered
+    vertex's ``(vertex, id)`` row."""
+    st = kernels.clustering_init(np.asarray(degrees, dtype=np.int64))
+    v2c = np.asarray(v2c, dtype=np.int64)
+    x = np.flatnonzero(v2c >= 0)
+    kernels.refresh_clustering(
+        st, _moves([]), 0, 0, n_ids, np.stack((x, v2c[x]), axis=1)
+    )
+    return st
+
+
+def _merged(kernels, v2c, volumes, exports, degrees):
+    """``kernels``' merge of ``exports`` into copies of ``(v2c,
+    volumes)``: the merged ``(v2c, volumes)`` and the accepted moves."""
+    v2c = np.array(v2c, dtype=np.int64)
+    buf = _buffer(volumes)
+    accepted = kernels.merge_phase1_clustering(v2c, buf, exports, degrees)
+    return v2c, buf.view().copy(), accepted
+
+
+@st.composite
+def clustering_barriers(draw, min_vertices=0, max_vertices=40):
+    """A random global clustering of ``base`` ids (volumes the sums of
+    member degrees) and 2-4 workers' move exports over it: ascending
+    vertices, ids in ``[-1, base + n_fresh)``, unclustering included."""
+    n = draw(st.integers(min_value=min_vertices, max_value=max_vertices))
+    n_workers = draw(st.integers(min_value=2, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    degrees = rng.integers(1, 20, size=n).astype(np.int64)
+    base = int(rng.integers(0, n + 1))
+    v2c = rng.integers(-1, base, size=n) if base else np.full(n, -1)
+    clustered = v2c >= 0
+    volumes = np.zeros(base, dtype=np.int64)
+    np.add.at(volumes, v2c[clustered], degrees[clustered])
+    exports = []
+    for _ in range(n_workers):
+        x = np.flatnonzero(rng.random(n) < rng.random())
+        fresh = int(rng.integers(0, x.shape[0] + 1))
+        ids = rng.integers(-1, base + fresh, size=x.shape[0])
+        exports.append((np.stack((x, ids), axis=1).astype(np.int64), fresh))
+    return v2c.astype(np.int64), volumes, exports, degrees
+
+
+#: Malformed worker exports: ``(mutate(moves, fresh, n), match)``; each
+#: returns the hostile ``(moves, fresh)``.
+HOSTILE_EXPORTS = {
+    "negative-vertex": (
+        lambda m, f, n: (np.vstack((_moves([-1, 0]), m)), f),
+        "outside the",
+    ),
+    "vertex-n": (lambda m, f, n: (np.vstack((m, _moves([n, 0]))), f), "outside the"),
+    "repeated-vertex": (
+        lambda m, f, n: (np.vstack((m, m[-1:])), f),
+        "each vertex once",
+    ),
+    "id-past-range": (
+        lambda m, f, n: (np.vstack((m[:-1], [[m[-1, 0], 10**12]])), f),
+        "cluster ids",
+    ),
+    "id-below-minus-1": (
+        lambda m, f, n: (np.vstack((m[:-1], [[m[-1, 0], -2]])), f),
+        "cluster ids",
+    ),
+    "int32": (lambda m, f, n: (m.astype(np.int32), f), r"\(m, 2\) int64"),
+    "flat": (lambda m, f, n: (m.ravel(), f), r"\(m, 2\) int64"),
+    "fresh-past-moves": (lambda m, f, n: (m, m.shape[0] + 1), "fresh clusters"),
+    "negative-fresh": (lambda m, f, n: (m, -1), "fresh clusters"),
+}
+
+
 class TestPhase1MergeOps:
-    """The Phase-1 barrier merge twins (ISSUE 4): bit-exact across
-    backends, and the merged clustering keeps the Algorithm-1 volume
-    invariant by construction."""
+    """The Phase-1 barrier ops: the clustering merge and the refresh that
+    brings each worker to it, over moves.  Bit-exact across backends and
+    the per-edge oracle; volumes keep the Algorithm-1 invariant by
+    construction; hostile input raises before any write."""
 
     @staticmethod
     def _barrier_scenario(graph, k, n_workers):
-        """A realistic barrier: snapshot = clustering of the stream's
-        first half (reference backend), worker exports = one disjoint
-        window each over the second half, clustered from the snapshot."""
+        """A realistic barrier: the global clustering of the stream's
+        first half (reference backend), and one disjoint window each over
+        the second half, run by workers that start from it."""
         from repro.core.clustering import default_volume_cap
+        from repro.kernels.base import MoveLog
 
         py = get_backend("python")
         m = graph.n_edges
         degrees = py.degree_pass(InMemoryEdgeStream(graph), graph.n_vertices)
         cap = default_volume_cap(m, k, 0.5)
-        st0 = py.clustering_init(degrees)
         half = m // 2
-        py.clustering_true_pass(
-            InMemoryEdgeStream(graph.edges[:half], graph.n_vertices),
-            st0, cap, None,
-        )
-        v2c_g, vol_g, _ = py.clustering_export(st0)
+        first = InMemoryEdgeStream(graph.edges[:half], graph.n_vertices)
+
+        def snapshot():
+            st = py.clustering_init(degrees)
+            py.clustering_true_pass(first, st, cap, None)
+            return st
+
+        v2c_g, vol_g, _ = py.clustering_export(snapshot())
         bounds = np.linspace(half, m, n_workers + 1).astype(int)
         exports = []
         for w in range(n_workers):
             window = graph.edges[bounds[w] : bounds[w + 1]]
-            stw = py.clustering_load(v2c_g, vol_g, degrees)
+            stw, log = snapshot(), MoveLog(3 * max(len(window), 1))
+            base = stw.n_ids()
             py.clustering_true_pass(
-                InMemoryEdgeStream(window, graph.n_vertices), stw, cap, None
+                InMemoryEdgeStream(window, graph.n_vertices), stw, cap, None, log
             )
-            e_v2c, e_vol, _ = py.clustering_export(stw)
-            exports.append((e_v2c, e_vol))
+            exports.append((log.moves(), stw.n_ids() - base))
         return v2c_g, vol_g, exports, degrees
 
     @SLOW
@@ -982,27 +1073,84 @@ class TestPhase1MergeOps:
         v2c_g, vol_g, exports, degrees = self._barrier_scenario(
             graph, k, n_workers
         )
-        ref_v2c, ref_vol = ORACLE.merge_phase1_clustering(
-            v2c_g, vol_g, exports, degrees
-        )
+        ref_v2c, ref_vol, ref_acc = _merged(ORACLE, v2c_g, vol_g, exports, degrees)
         for backend in BACKEND_IMPLS:
-            v2c, vol = backend.merge_phase1_clustering(
-                v2c_g, vol_g, exports, degrees
-            )
+            v2c, vol, acc = _merged(backend, v2c_g, vol_g, exports, degrees)
             np.testing.assert_array_equal(ref_v2c, v2c, err_msg=backend.name)
             np.testing.assert_array_equal(ref_vol, vol, err_msg=backend.name)
+            assert len(acc) == len(ref_acc)
+            for a, b in zip(acc, ref_acc):
+                np.testing.assert_array_equal(a, b, err_msg=backend.name)
         # Volume invariant: merged volumes == sum of member true degrees.
         recomputed = np.zeros_like(ref_vol)
         mask = ref_v2c >= 0
         np.add.at(recomputed, ref_v2c[mask], degrees[mask])
         np.testing.assert_array_equal(recomputed, ref_vol)
-        # Fresh-id remap stays in range and unchanged vertices keep
-        # their snapshot assignment unless some worker moved them.
+        # Fresh-id remap stays in range, and unmoved vertices keep their
+        # global id.
         assert ref_v2c.max(initial=-1) < ref_vol.shape[0]
-        unchanged = np.ones(len(ref_v2c), dtype=bool)
-        for e_v2c, _ in exports:
-            unchanged &= e_v2c == v2c_g
-        np.testing.assert_array_equal(ref_v2c[unchanged], v2c_g[unchanged])
+        unmoved = np.ones(len(ref_v2c), dtype=bool)
+        for moves, _ in exports:
+            unmoved[moves[:, 0]] = False
+        np.testing.assert_array_equal(ref_v2c[unmoved], v2c_g[unmoved])
+
+    @SLOW
+    @given(barrier=clustering_barriers())
+    def test_refresh_brings_every_worker_to_the_merge(self, barrier):
+        """Random exports over a random global clustering: the python
+        merge, the ``c`` merge and the per-edge oracle agree bit for bit,
+        and each worker, refreshed with the others' accepted moves and
+        its fresh-id offset, holds the merged ``(v2c, volumes)``."""
+        v2c_g, vol_g, exports, degrees = barrier
+        base = vol_g.shape[0]
+        ref_v2c, ref_vol, ref_acc = _merged(ORACLE, v2c_g, vol_g, exports, degrees)
+        n_ids = ref_vol.shape[0]
+        assert n_ids == base + sum(fresh for _, fresh in exports)
+        for backend in BACKEND_IMPLS:
+            v2c, vol, acc = _merged(backend, v2c_g, vol_g, exports, degrees)
+            np.testing.assert_array_equal(ref_v2c, v2c, err_msg=backend.name)
+            np.testing.assert_array_equal(ref_vol, vol, err_msg=backend.name)
+            for a, b in zip(acc, ref_acc, strict=True):
+                np.testing.assert_array_equal(a, b, err_msg=backend.name)
+            offset = 0
+            for w, (own, fresh) in enumerate(exports):
+                # The worker after its window: the global clustering plus
+                # its own moves, its fresh ids [base, base + fresh).
+                st = _loaded(backend, v2c_g, base, degrees)
+                backend.refresh_clustering(st, _moves([]), base, 0, base + fresh, own)
+                others = np.concatenate(
+                    [_moves([]), *(a for u, a in enumerate(acc) if u != w)]
+                )
+                backend.refresh_clustering(st, own, base, offset, n_ids, others)
+                got_v2c, got_vol, _ = backend.clustering_export(st)
+                np.testing.assert_array_equal(got_v2c, ref_v2c, err_msg=backend.name)
+                np.testing.assert_array_equal(got_vol, ref_vol, err_msg=backend.name)
+                offset += fresh
+
+    @SLOW
+    @given(
+        barrier=clustering_barriers(min_vertices=1),
+        case=st.sampled_from(sorted(HOSTILE_EXPORTS)),
+        data=st.data(),
+    )
+    def test_malformed_exports_write_nothing(self, barrier, case, data):
+        """One worker's export malformed: every backend and the oracle
+        raise the typed error and leave the global clustering as it
+        was."""
+        v2c_g, vol_g, exports, degrees = barrier
+        w = data.draw(st.integers(0, len(exports) - 1))
+        moves, fresh = exports[w]
+        if not len(moves):
+            moves, fresh = _moves([[0, -1]]), 0
+        mutate, match = HOSTILE_EXPORTS[case]
+        exports[w] = mutate(moves, fresh, v2c_g.shape[0])
+        for backend in (ORACLE, *BACKEND_IMPLS):
+            v2c = v2c_g.copy()
+            buf = _buffer(vol_g)
+            with pytest.raises(PartitioningError, match=match):
+                backend.merge_phase1_clustering(v2c, buf, exports, degrees)
+            np.testing.assert_array_equal(v2c, v2c_g, err_msg=backend.name)
+            np.testing.assert_array_equal(buf.view(), vol_g, err_msg=backend.name)
 
     def test_clustering_merge_first_worker_wins(self):
         v2c_g = np.array([0, 1, -1], dtype=np.int64)
@@ -1012,40 +1160,39 @@ class TestPhase1MergeOps:
         # fresh cluster 2; worker 1 disagrees on both (vertex 0 -> its own
         # fresh cluster, vertex 2 -> cluster 0): worker 0 must win both.
         exports = [
-            (np.array([1, 1, 2], dtype=np.int64),
-             np.array([0, 6, 3], dtype=np.int64)),
-            (np.array([2, 1, 0], dtype=np.int64),
-             np.array([7, 2, 4], dtype=np.int64)),
+            (_moves([[0, 1], [2, 2]]), 1),
+            (_moves([[0, 2], [2, 0]]), 1),
         ]
         for backend in BACKEND_IMPLS:
-            v2c, vol = backend.merge_phase1_clustering(
-                v2c_g, vol_g, exports, degrees
-            )
+            v2c, vol, accepted = _merged(backend, v2c_g, vol_g, exports, degrees)
             # worker 1's fresh id (2) remaps past worker 0's fresh count
             # to 3; nobody kept a vertex there, so its volume is 0.
             assert v2c.tolist() == [1, 1, 2]
             assert vol.tolist() == [0, 6, 3, 0]
+            assert [a.tolist() for a in accepted] == [[[0, 1], [2, 2]], []]
 
     @staticmethod
     def _clustering_barrier():
-        """A 4-vertex snapshot with 2 clusters and two workers' exports
-        with one fresh cluster each: each worker owns ids [-1, 3), and
-        the merged range is [0, 4)."""
+        """A 4-vertex global clustering with 2 clusters and two workers'
+        exports with one fresh cluster each: each worker owns ids
+        [-1, 3), and the merged range is [0, 4)."""
         v2c = np.array([0, 1, -1, -1], dtype=np.int64)
         volumes = np.array([4, 2], dtype=np.int64)
         degrees = np.array([4, 2, 3, 1], dtype=np.int64)
         exports = [
-            (np.array([1, 1, 2, -1]), np.array([0, 6, 3])),
-            (np.array([0, 1, 0, 2]), np.array([7, 2, 1])),
+            (_moves([[0, 1], [2, 2]]), 1),
+            (_moves([[2, 0], [3, 2]]), 1),
         ]
         return v2c, volumes, exports, degrees
 
     @pytest.mark.parametrize("kernels", BACKEND_IMPLS, ids=lambda b: b.name)
-    def test_clustering_merge_rejects_short_worker_v2c(self, kernels):
+    def test_clustering_merge_rejects_malformed_moves(self, kernels):
         v2c, volumes, exports, degrees = self._clustering_barrier()
-        exports[1] = (exports[1][0][:3], exports[1][1])
+        exports[1] = (exports[1][0][:, :1], 1)
         with pytest.raises(PartitioningError, match="worker 1's clustering"):
-            kernels.merge_phase1_clustering(v2c, volumes, exports, degrees)
+            kernels.merge_phase1_clustering(
+                v2c, _buffer(volumes), exports, degrees
+            )
 
     @pytest.mark.parametrize("bad_id", [3, 10**12, -2])
     @pytest.mark.parametrize("kernels", BACKEND_IMPLS, ids=lambda b: b.name)
@@ -1054,14 +1201,112 @@ class TestPhase1MergeOps:
         on every backend (the distributed coordinator folds exports that
         arrived over sockets): 3 would remap to 4, past the merged
         volumes, and -2 would pass for neither a cluster nor unassigned.
-        The inputs stay as they were."""
+        The global clustering stays as it was."""
         v2c, volumes, exports, degrees = self._clustering_barrier()
-        exports[1][0][3] = bad_id
+        exports[1][0][1, 1] = bad_id
+        buf = _buffer(volumes)
         before = [a.copy() for a in (v2c, volumes, degrees, exports[0][0])]
         with pytest.raises(PartitioningError, match=f"vertex 3 in cluster {bad_id}"):
-            kernels.merge_phase1_clustering(v2c, volumes, exports, degrees)
-        after = (v2c, volumes, degrees, exports[0][0])
+            kernels.merge_phase1_clustering(v2c, buf, exports, degrees)
+        after = (v2c, buf.view(), degrees, exports[0][0])
         assert all(np.array_equal(x, y) for x, y in zip(before, after))
+
+    #: Hostile refresh moves for a worker of 4 vertices and 3 ids (its
+    #: fresh one at 2) refreshed to 4 merged ids: ``(others, match)``.
+    HOSTILE_REFRESHES = {
+        "vertex-negative": ([[-1, 0]], "vertex -1, outside the 4 vertices"),
+        "vertex-n": ([[1, 0], [4, 0]], "vertex 4, outside the 4 vertices"),
+        "id-n_ids": ([[1, 0], [3, 4]], "cluster 4, outside the 4 cluster ids"),
+        "id-below-minus-1": ([[3, -2]], "cluster -2, outside the 4"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_REFRESHES))
+    @pytest.mark.parametrize("kernels", BACKEND_IMPLS, ids=lambda b: b.name)
+    def test_refresh_raises_before_its_first_write(self, kernels, case):
+        """A refresh whose moves may have crossed a socket is checked
+        entry by entry before any write: on a miss the worker's state is
+        as it was, on every backend."""
+        v2c, volumes, exports, degrees = self._clustering_barrier()
+        own, fresh = exports[0]
+        st = _loaded(kernels, v2c, 2, degrees)
+        kernels.refresh_clustering(st, _moves([]), 2, 0, 2 + fresh, own)
+        before = [a.copy() for a in kernels.clustering_export(st)]
+        others, match = self.HOSTILE_REFRESHES[case]
+        with pytest.raises(PartitioningError, match=match):
+            kernels.refresh_clustering(st, own, 2, 1, 4, _moves(others))
+        after = kernels.clustering_export(st)
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
+
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            ((1, -1, 4), "cannot shift"),  # negative offset
+            ((1, 2, 4), "cannot shift"),  # 3 ids + 2 > 4 merged ids
+            ((4, 0, 4), "cannot shift"),  # base past the worker's ids
+        ],
+    )
+    @pytest.mark.parametrize("kernels", BACKEND_IMPLS, ids=lambda b: b.name)
+    def test_refresh_rejects_impossible_counts(self, kernels, args, match):
+        v2c, volumes, exports, degrees = self._clustering_barrier()
+        st = _loaded(kernels, v2c, 3, degrees)
+        before = [a.copy() for a in kernels.clustering_export(st)]
+        base, offset, n_ids = args
+        with pytest.raises(PartitioningError, match=match):
+            kernels.refresh_clustering(st, _moves([]), base, offset, n_ids, _moves([]))
+        after = kernels.clustering_export(st)
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
+
+    @pytest.mark.parametrize("big", [0, 2**61], ids=["keys", "stable-argsort"])
+    def test_move_log_keeps_net_moves_only(self, big):
+        """A vertex's move runs from its first old id to its last new id;
+        one that ends where it started is no move.  Vertex ids past the
+        sort keys' range take the stable-argsort path."""
+        from repro.kernels.base import MoveLog
+
+        log = MoveLog(8)
+        rows = [(4, -1, 0), (2, 1, 3), (4, 0, 3), (2, 3, 1), (7, 2, 5), (7, 5, 6)]
+        log.extend([(x + big, old, new) for x, old, new in rows])
+        assert log.moves().tolist() == [[4 + big, 3], [7 + big, 6]]
+        log.clear()
+        assert log.moves().shape == (0, 2)
+
+    @pytest.mark.parametrize("kernels", BACKEND_IMPLS, ids=lambda b: b.name)
+    def test_move_log_holds_the_window_diff(self, kernels, community_graph):
+        """A logged window's moves are exactly the vertices whose id
+        differs from the window's start, at their new ids, ascending, and
+        its fresh ids are the ids it opened; the log leaves the clustering
+        itself as an unlogged window does."""
+        from repro.core.clustering import default_volume_cap
+        from repro.kernels.base import MoveLog
+
+        edges = community_graph.edges
+        n = community_graph.n_vertices
+        degrees = kernels.degree_pass(InMemoryEdgeStream(community_graph), n)
+        cap = default_volume_cap(community_graph.n_edges, 4, 0.5)
+        half = len(edges) // 2
+        runs = []
+        for log in (None, MoveLog(3 * len(edges))):
+            st = kernels.clustering_init(degrees)
+            kernels.clustering_true_pass(
+                InMemoryEdgeStream(edges[:half], n), st, cap, None
+            )
+            start, base = kernels.clustering_export(st)[0].copy(), st.n_ids()
+            kernels.clustering_true_pass(
+                InMemoryEdgeStream(edges[half:], n), st, cap, None, log
+            )
+            runs.append([a.copy() for a in kernels.clustering_export(st)])
+        (v2c, vol, _), (v2c_l, vol_l, _) = runs
+        np.testing.assert_array_equal(v2c, v2c_l)
+        np.testing.assert_array_equal(vol, vol_l)
+        moved = np.flatnonzero(v2c != start)
+        expected = np.stack((moved, v2c[moved]), axis=1)
+        np.testing.assert_array_equal(log.moves(), expected)
+        assert log.moves().dtype == np.int64
+        assert int(((start == -1) & (v2c >= 0)).sum()) == len(vol) - base
+        # A refresh of a fresh state is a loader: the same clustering.
+        loaded = _loaded(kernels, v2c, len(vol), degrees)
+        np.testing.assert_array_equal(kernels.clustering_export(loaded)[0], v2c)
+        np.testing.assert_array_equal(kernels.clustering_export(loaded)[1], vol)
 
     @SLOW
     @given(
@@ -1083,68 +1328,58 @@ class TestPhase1MergeOps:
         assert expected.shape[0] >= n_hint
 
     #: Barriers the random scenario never builds: ``(v2c, volumes,
-    #: exports, degrees)`` with each export a ``(v2c_w, volumes_w)`` pair.
+    #: exports, degrees)`` with each export a ``(moves, n_fresh)`` pair.
     CLUSTERING_BARRIERS = {
         "no-workers": ([0, 1, -1], [2, 1], [], [2, 1, 0]),
-        "no-changes": ([0, 1, 0], [3, 1], [([0, 1, 0], [3, 1])] * 2, [2, 1, 1]),
-        "empty-graph": ([], [], [([], [])], []),
+        "no-changes": ([0, 1, 0], [3, 1], [([], 0)] * 2, [2, 1, 1]),
+        "empty-graph": ([], [], [([], 0)], []),
         "all-unclustered": (
             [-1, -1, -1, -1],
             [],
-            [([0, 0, -1, -1], [2]), ([-1, 0, 1, 1], [1, 4])],
+            [([[0, 0], [1, 0]], 1), ([[1, 0], [2, 1], [3, 1]], 2)],
             [1, 1, 2, 2],
         ),
         "fresh-ids-every-worker": (
             [0, -1, -1, -1, -1],
             [1],
-            [
-                ([0, 1, -1, -1, -1], [1, 1]),
-                ([0, -1, 1, 2, -1], [1, 2, 3]),
-                ([0, -1, -1, -1, 1], [1, 5]),
-            ],
+            [([[1, 1]], 1), ([[2, 1], [3, 2]], 2), ([[4, 1]], 1)],
             [1, 1, 2, 3, 5],
         ),
         "contested-vertex": (
             [0, 1, -1],
             [2, 2],
-            [([1, 1, 2], [0, 4, 3]), ([2, 0, 2], [2, 0, 5])],
+            [([[0, 1], [2, 2]], 1), ([[0, 2], [1, 0], [2, 2]], 1)],
             [2, 2, 3],
         ),
-        "worker-empties-a-cluster": (
-            [0, 1, 1],
-            [4, 3],
-            [([1, 1, 1], [0, 7])],
-            [4, 1, 2],
-        ),
-        "worker-unclusters-a-vertex": (
-            [0, 0, 1],
-            [3, 2],
-            [([0, -1, 1], [2, 2])],
-            [2, 1, 2],
-        ),
+        "worker-empties-a-cluster": ([0, 1, 1], [4, 3], [([[0, 1]], 0)], [4, 1, 2]),
+        "worker-unclusters-a-vertex": ([0, 0, 1], [3, 2], [([[1, -1]], 0)], [2, 1, 2]),
     }
 
     @pytest.mark.parametrize("kernels", BACKEND_IMPLS, ids=lambda b: b.name)
     @pytest.mark.parametrize("case", sorted(CLUSTERING_BARRIERS))
     def test_clustering_merge_degenerate_barriers(self, kernels, case):
-        def i64(a):
-            return np.asarray(a, dtype=np.int64)
-
         v2c, volumes, exports, degrees = self.CLUSTERING_BARRIERS[case]
         barrier = (
-            i64(v2c),
-            i64(volumes),
-            [(i64(e_v2c), i64(e_vol)) for e_v2c, e_vol in exports],
-            i64(degrees),
+            np.asarray(v2c, dtype=np.int64),
+            np.asarray(volumes, dtype=np.int64),
+            [(_moves(moves), fresh) for moves, fresh in exports],
+            np.asarray(degrees, dtype=np.int64),
         )
-        ref_v2c, ref_vol = ORACLE.merge_phase1_clustering(*barrier)
-        out_v2c, out_vol = kernels.merge_phase1_clustering(*barrier)
+        ref_v2c, ref_vol, ref_acc = _merged(ORACLE, *barrier)
+        out_v2c, out_vol, out_acc = _merged(kernels, *barrier)
         np.testing.assert_array_equal(out_v2c, ref_v2c)
         np.testing.assert_array_equal(out_vol, ref_vol)
+        for a, b in zip(out_acc, ref_acc, strict=True):
+            np.testing.assert_array_equal(a, b)
         assert out_v2c.dtype == out_vol.dtype == np.int64
-        # One id per snapshot cluster plus every worker's fresh ones.
-        fresh = sum(len(e_vol) - len(volumes) for _, e_vol in exports)
+        # One id per global cluster plus every worker's fresh ones, and
+        # every volume the sum of its members' degrees.
+        fresh = sum(n_fresh for _, n_fresh in exports)
         assert out_vol.shape[0] == len(volumes) + fresh
+        clustered = out_v2c >= 0
+        sums = np.zeros_like(out_vol)
+        np.add.at(sums, out_v2c[clustered], barrier[3][clustered])
+        np.testing.assert_array_equal(out_vol, sums)
 
     #: Partial-degree lists the random ones never draw: ``(partials,
     #: n_hint)``.  ``c`` inherits this merge, so it runs on the reference.
@@ -1171,35 +1406,20 @@ class TestPhase1MergeOps:
         longest = max((len(p) for p in partials), default=0)
         assert expected.shape[0] == max(longest, n_hint or 0)
 
-    @pytest.mark.parametrize("kernels", BACKEND_IMPLS, ids=lambda b: b.name)
-    def test_clustering_load_round_trips(self, kernels, community_graph):
-        """load(export(state)) must reproduce export(state) exactly and
-        must copy: mutating the loaded state leaves the source intact."""
-        from repro.core.clustering import default_volume_cap
-        stream = InMemoryEdgeStream(community_graph)
-        degrees = kernels.degree_pass(stream, community_graph.n_vertices)
-        cap = default_volume_cap(community_graph.n_edges, 4, 0.5)
-        st = kernels.clustering_init(degrees)
-        kernels.clustering_true_pass(stream, st, cap, None)
-        v2c, vol, deg = kernels.clustering_export(st)
-        loaded = kernels.clustering_load(v2c, vol, deg)
-        v2c2, vol2, deg2 = kernels.clustering_export(loaded)
-        np.testing.assert_array_equal(v2c, v2c2)
-        np.testing.assert_array_equal(vol, vol2)
-        np.testing.assert_array_equal(deg, deg2)
-        loaded2 = kernels.clustering_load(v2c, vol, deg)
-        loaded2.v2c[0] = 10**6
-        assert v2c[0] != 10**6
-
     def test_c_cases_run_the_c_override(self):
-        """The ``[c]`` cases above exercise the compiled merge, not the
-        reference one ``CBackend`` would otherwise inherit."""
+        """The ``[c]`` cases above exercise the compiled ops, not the
+        reference ones ``CBackend`` would otherwise inherit."""
         if "c" not in available_backends():
             pytest.skip("c backend unavailable")
         from repro.kernels.c_backend import CBackend
 
         assert any(type(b) is CBackend for b in BACKEND_IMPLS)
-        ops = ("merge_phase1_clustering", "apply_replica_log", "list_schedule")
+        ops = (
+            "merge_phase1_clustering",
+            "refresh_clustering",
+            "apply_replica_log",
+            "list_schedule",
+        )
         for op in ops:
             assert op in vars(CBackend), op
 

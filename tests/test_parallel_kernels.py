@@ -394,7 +394,7 @@ class _ExplodingClusteringBackend(PythonBackend):
 
     name = "exploding-phase1"
 
-    def clustering_true_pass(self, stream, st, cap, cost):
+    def clustering_true_pass(self, stream, st, cap, cost, log=None):
         raise RuntimeError("clustering kernel exploded")
 
 
@@ -412,7 +412,7 @@ class _SleepingClusteringBackend(PythonBackend):
 
     name = "sleeping-phase1"
 
-    def clustering_true_pass(self, stream, st, cap, cost):
+    def clustering_true_pass(self, stream, st, cap, cost, log=None):
         import time
 
         time.sleep(60.0)
@@ -796,10 +796,9 @@ kernels = get_backend("python")
 checksums = {}
 
 
-def failing_merge(v2c, volumes, worker_states, degrees):
-    for export in worker_states:
-        for array in export:
-            checksums[id(array)] = zlib.crc32(array.tobytes())
+def failing_merge(v2c, volumes, exports, degrees):
+    for moves, _ in exports:
+        checksums[id(moves)] = zlib.crc32(moves.tobytes())
     raise PartitioningError("injected clustering-merge failure")
 
 
