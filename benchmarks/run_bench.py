@@ -59,6 +59,11 @@ Exit status is non-zero unless every gate passes:
 - barrier-bytes gate (always enforced): the set-bit log barriers must
   write strictly fewer replica-matrix cells than a full re-broadcast
   (``barrier_bytes`` section);
+- received-bytes gate (always enforced): the coordinator of each process
+  run, with and without ``parallel_phase1``, receives fewer than 8 wire
+  bytes per edge (``received_bytes`` section): two int32 assignments
+  per edge, which the Phase-2 results alone shipped before the workers
+  kept their assignments;
 - distributed-runner gates (``distributed`` section of
   ``BENCH_parallel.json``): the socket-protocol runner over loopback
   workers must stay bit-identical with the simulated runner at
@@ -175,6 +180,13 @@ PHASE1_SMOKE_GATE = 0.15
 #: not pathologically slow.
 DISTRIBUTED_GATE = 1.05
 DISTRIBUTED_SMOKE_GATE = 0.02
+
+#: Bytes a process run's coordinator may receive per edge (always
+#: enforced, at every scale): fewer than two int32 assignments, which
+#: the Phase-2 window results alone shipped while every window returned
+#: its assignment slice.  Workers keep their shard's assignments and
+#: ship each shard once, in one byte per edge while k <= 256.
+RECEIVED_BYTES_PER_EDGE = 8.0
 
 #: Speedups of the compiled backend over the python reference, read
 #: from the pipeline rows: {config: {phase: threshold}}, ``total``
@@ -843,7 +855,9 @@ def run_parallel_wallclock(
     worker's 4-byte cells of the other workers' logs, or the merged
     plane where that is fewer bytes) than a full-state re-broadcast of
     the plane and the sizes (the recorded ``barrier_delta_bytes`` also
-    counts the sizes).  Returns True when every applicable gate passes.
+    counts the sizes), and the coordinator of each process run receives
+    fewer than :data:`RECEIVED_BYTES_PER_EDGE` wire bytes per edge.
+    Returns True when every applicable gate passes.
     """
     from repro.core.distributed import live_connections, live_worker_processes
 
@@ -1000,6 +1014,24 @@ def run_parallel_wallclock(
             "gate": {"delta_below_full": ok, "pass": ok},
         }
     wire_ok = all(record["gate"]["pass"] for record in wire.values())
+    # Received-bytes gate (always enforced): what the process runs'
+    # coordinators received, per edge.
+    received = {}
+    for name in ("process", "process_phase1"):
+        total = results[name].extras["wire"]["bytes_received"]
+        per_edge = total / graph.n_edges
+        ok = per_edge < RECEIVED_BYTES_PER_EDGE
+        print(
+            f"  {name}: the coordinator received {total:,} wire bytes, "
+            f"{per_edge:.2f} per edge (gate < {RECEIVED_BYTES_PER_EDGE:g})"
+            + ("" if ok else " (gate FAILED)")
+        )
+        received[name] = {
+            "bytes_received": total,
+            "bytes_per_edge": round(per_edge, 3),
+            "gate": {"threshold": RECEIVED_BYTES_PER_EDGE, "pass": ok},
+        }
+    received_ok = all(record["gate"]["pass"] for record in received.values())
 
     payload = {
         "benchmark": "measured parallel Phase-2 wall-clock (process runner)",
@@ -1030,6 +1062,11 @@ def run_parallel_wallclock(
                 else None
             ),
             "gate": {"delta_below_full": barrier_ok, "pass": barrier_ok},
+        },
+        "received_bytes": {
+            "benchmark": "wire bytes the process runner's coordinator "
+            "receives per edge",
+            **received,
         },
         "phase1_wallclock": {
             "benchmark": "measured parallel Phase-1 wall-clock "
@@ -1071,7 +1108,7 @@ def run_parallel_wallclock(
         fh.write("\n")
     print(f"  wrote {out}")
     gates = (phase2_gate, phase1_gate, distributed_gate)
-    return gates_pass(gates) and barrier_ok and wire_ok
+    return gates_pass(gates) and barrier_ok and wire_ok and received_ok
 
 
 def run_out_of_core_section(

@@ -12,19 +12,26 @@ CLI ``worker`` subcommand) for real clusters.
 
 Why this transport is bit-exact with the simulated runner is stated
 with the equivalence contract in :mod:`repro.core.runners`.
-On the wire, a Phase-2 window returns its assignment slice, its cost
-delta, the worker's sizes and its set-bit log (every replica bit the
-window set that was clear in the worker's view; see
+On the wire, a Phase-2 window returns its total, its cost delta, the
+worker's sizes and its set-bit log (every replica bit the window set
+that was clear in the worker's view; see
 :class:`~repro.kernels.base.ReplicaLog`), its cells 4 bytes wide while
 the plane's ``n * k`` cells fit (:func:`~repro.core.wire.log_cell_dtype`).
 The coordinator checks each log's type and length against its window,
 and the barrier sets the logged bits in the global state with the
 kernel op ``apply_replica_log``, which checks every entry before it
 writes, and merges sizes with :func:`~repro.core.runners.merge_sizes`.
-It then sends each worker the merged sizes and the cells the *other*
-workers logged, or the merged plane where that is fewer bytes, so no
-barrier ships more than a full re-broadcast; each worker applies what
-it gets to its view and acknowledges before the next sweep.
+The barrier sends nothing: each worker's news — the merged sizes and
+the cells the *other* workers logged since its last window, or the
+merged plane where that is fewer bytes, so no news ships more than a
+full re-broadcast — rides on its next window request, and the worker
+applies it to its view before the kernel runs.  The run's last barrier
+ships nothing.  Assignments stay with the workers: ``BIND`` names each
+worker's shard, both passes write their windows into the worker's one
+array for it, and :meth:`~repro.core.runners.RunnerSession.finalize`
+collects each shard once, in
+:func:`~repro.core.wire.assignment_cell_dtype` cells, checking every
+shard's type, length and ids before it writes the job's array.
 Phase 1 ships moves, not clusterings.  Each worker keeps one clustering
 state (:class:`~repro.core.runners.ClusteringWorker`) from
 ``PHASE1_INIT`` to the end of Phase 1.  A clustering window returns its
@@ -55,8 +62,11 @@ spawned worker is terminated at once instead of awaited.  ``live_connections()``
 
 Edge data never crosses the wire: remote (``host:port``) workers must be
 handed a file-backed stream (:class:`~repro.streaming.stream.FileStreamSpec`)
-and read their own shards; loopback workers may also map a shared-memory
-edge segment, same-host by construction.
+and read their own shards.  Loopback workers forked from a coordinator
+whose stream is an :class:`~repro.streaming.stream.InMemoryEdgeStream`
+inherit its edge array through their process arguments (``JOB`` then
+names an ``inherited`` spec); other loopback workers may also map a
+shared-memory edge segment, same-host by construction.
 """
 
 from __future__ import annotations
@@ -89,6 +99,7 @@ from repro.kernels.base import ReplicaLog, log_cells
 from repro.partitioning.state import PartitionState, _replica_plane
 from repro.streaming.stream import (
     FileStreamSpec,
+    InMemoryEdgeStream,
     spec_from_wire,
     spec_to_wire,
 )
@@ -135,8 +146,10 @@ def parse_worker_spec(spec: str) -> tuple[str, int]:
 # worker side
 # ---------------------------------------------------------------------
 def _w_job(ctx, payload):
-    spec = spec_from_wire(payload["spec"])
-    ctx["stream"] = spec.open()
+    if payload["spec"].get("kind") == "inherited":
+        ctx["stream"] = _inherited_stream(ctx.get("inherited"))
+    else:
+        ctx["stream"] = spec_from_wire(payload["spec"]).open()
     ctx["kernels"] = get_backend(payload["backend"])
     ctx["k"] = int(payload["k"])
     ctx["alpha"] = float(payload["alpha"])
@@ -145,6 +158,19 @@ def _w_job(ctx, payload):
     ctx["hdrf_lambda"] = float(payload["hdrf_lambda"])
     ctx["worker_index"] = int(payload["worker_index"])
     return wire.MSG_OK, None
+
+
+def _inherited_stream(inherited):
+    """An in-memory stream over the edge array a forked loopback worker
+    received through its process arguments."""
+    if inherited is None:
+        raise ConfigurationError(
+            "the job names inherited edges, but this worker inherited none"
+        )
+    edges, n_vertices, chunk_size = inherited
+    stream = InMemoryEdgeStream(edges, n_vertices=n_vertices)
+    stream.default_chunk_size = chunk_size
+    return stream
 
 
 def _w_degree(ctx, payload):
@@ -216,16 +242,32 @@ def _w_bind(ctx, payload):
         np.asarray(payload["part"], dtype=np.int32),
         np.asarray(payload["weights"], dtype=np.int64),
     )
+    # The shard's assignments stay here until the collect: both passes
+    # write their windows into this one array.
+    lo, hi = int(payload["shard_start"]), int(payload["shard_stop"])
+    ctx["shard"] = (lo, hi)
+    ctx["assignments"] = np.full(hi - lo, -1, dtype=np.int32)
     return wire.MSG_OK, None
 
 
 def _w_window(ctx, payload):
-    view = ctx["view"]
+    view, log = ctx["view"], ctx["log"]
     start, stop = int(payload["start"]), int(payload["stop"])
-    # Fresh slice: Phase-2 kernels only ever *write* assignments, and
-    # the two passes write disjoint positions — the coordinator merges
-    # returned values where >= 0, so current values need not ship out.
-    assignments = np.full(stop - start, -1, dtype=np.int32)
+    lo, hi = ctx["shard"]
+    if not lo <= start <= stop <= hi:
+        raise PartitioningError(
+            f"window [{start}, {stop}) lies outside this worker's shard "
+            f"[{lo}, {hi})"
+        )
+    if "sizes" in payload:
+        # The news of the barriers since this worker's last window.
+        cells = payload.get("log")
+        if cells is None:
+            np.copyto(_replica_plane(view.replicas)[0], payload["plane"], casting="no")
+        else:
+            ctx["kernels"].apply_replica_log(view, [log_cells([cells], ctx["cell"])])
+        view.sizes[:] = np.asarray(payload["sizes"], dtype=np.int64)
+    log.clear()
     total, cost = run_phase2_window(
         ctx["kernels"],
         payload["pass"],
@@ -233,9 +275,9 @@ def _w_window(ctx, payload):
         start,
         stop,
         view,
-        ctx["log"],
+        log,
         ctx["phase1"],
-        assignments,
+        ctx["assignments"][start - lo : stop - lo],
         k=ctx["k"],
         hash_seed=ctx["hash_seed"],
         hdrf_lambda=ctx["hdrf_lambda"],
@@ -243,21 +285,19 @@ def _w_window(ctx, payload):
     return wire.MSG_WINDOW_RESULT, {
         "total": total,
         "cost": np.asarray(cost, dtype=np.int64),
-        "assignments": assignments,
-        "log": ctx["log"].entries().astype(ctx["cell"]),
+        "log": log.entries().astype(ctx["cell"]),
         "sizes": view.sizes,
     }
 
 
-def _w_barrier(ctx, payload):
-    view, cells = ctx["view"], payload.get("log")
-    if cells is None:
-        np.copyto(_replica_plane(view.replicas)[0], payload["plane"], casting="no")
-    else:
-        ctx["kernels"].apply_replica_log(view, [log_cells([cells], ctx["cell"])])
-    view.sizes[:] = np.asarray(payload["sizes"], dtype=np.int64)
-    ctx["log"].clear()
-    return wire.MSG_BARRIER_ACK, None
+def _w_collect(ctx, payload):
+    assignments = ctx["assignments"]
+    # A -1 would wrap to the cell's largest value, a valid id at k = 256.
+    if (assignments < 0).any():
+        raise PartitioningError("an edge of this worker's shard is unassigned")
+    return wire.MSG_COLLECT_RESULT, {
+        "assignments": assignments.astype(wire.assignment_cell_dtype(ctx["k"]))
+    }
 
 
 #: Message dispatch for the worker loop.  Module-level and looked up per
@@ -271,11 +311,13 @@ _MESSAGE_HANDLERS = {
     wire.MSG_CLUSTER_FINISH: _w_cluster_finish,
     wire.MSG_BIND: _w_bind,
     wire.MSG_WINDOW: _w_window,
-    wire.MSG_BARRIER: _w_barrier,
+    wire.MSG_COLLECT: _w_collect,
 }
 
 
-def _serve_connection(sock: socket.socket, version: int | None = None):
+def _serve_connection(
+    sock: socket.socket, version: int | None = None, inherited=None
+):
     """Serve one coordinator session over an established socket.
 
     Handler exceptions are reported back as ``ERROR`` frames (the
@@ -283,9 +325,11 @@ def _serve_connection(sock: socket.socket, version: int | None = None):
     down); transport failures mean the coordinator is gone, so the loop
     just exits.  ``version`` overrides the advertised wire version —
     exists so version-negotiation tests can stand up a mismatched peer.
+    ``inherited`` is a forked loopback worker's ``(edges, n_vertices,
+    chunk_size)``, which a job naming inherited edges streams.
     """
     conn = wire.Connection(sock, label="coordinator")
-    ctx: dict = {}
+    ctx: dict = {"inherited": inherited}
     try:
         wire.handshake_server(conn, version=version)
         while True:
@@ -319,11 +363,15 @@ def _serve_connection(sock: socket.socket, version: int | None = None):
             shm.close()
 
 
-def _loopback_worker_main(address: tuple[str, int]) -> None:
-    """Entry point of a coordinator-spawned loopback worker process."""
+def _loopback_worker_main(address: tuple[str, int], inherited) -> None:
+    """Entry point of a coordinator-spawned loopback worker process.
+
+    ``inherited`` is ``None`` or the ``(edges, n_vertices, chunk_size)``
+    of the coordinator's in-memory stream, passed only under ``fork``,
+    where the child inherits the array instead of unpickling it."""
     sock = socket.create_connection(address, timeout=30.0)
     sock.settimeout(None)
-    _serve_connection(sock)
+    _serve_connection(sock, inherited=inherited)
 
 
 def serve_worker(
@@ -363,6 +411,14 @@ def serve_worker(
 # ---------------------------------------------------------------------
 # coordinator side
 # ---------------------------------------------------------------------
+def _inheritable(stream) -> bool:
+    """Whether forked workers may read ``stream``'s edge array in place
+    instead of a copy read through its ``chunks()``: only when that is
+    :class:`~repro.streaming.stream.InMemoryEdgeStream`'s own, which
+    neither a subclass nor an attribute of the instance overrides."""
+    return type(stream) is InMemoryEdgeStream and "chunks" not in vars(stream)
+
+
 class DistributedRunner(Runner):
     """Socket workers speaking the sync-window/delta-barrier protocol.
 
@@ -456,6 +512,10 @@ class _SocketTransport(Transport):
         self._move_cell = None
         self._logs: dict = {}
         self._sizes: list = []
+        #: Per worker with a shard: the cells the other workers logged
+        #: since its last Phase-2 window, shipped with its next one.
+        self._news: dict[int, list] = {}
+        self._shards: list = []
         self._log_capacity = 0
         self._cell = None
         self._closed = False
@@ -470,7 +530,15 @@ class _SocketTransport(Transport):
     def _setup(self, workers, start_method) -> None:
         job = self.job
         ctx = mp_context(start_method) if workers is None else None
-        spec, self._stream_shm = _stream_spec(job.stream)
+        stream, inherited = job.stream, None
+        fork = ctx is not None and ctx.get_start_method() == "fork"
+        if fork and _inheritable(stream):
+            chunk_size = stream.default_chunk_size
+            inherited = (stream.edge_array, stream.n_vertices, chunk_size)
+            wire_spec = {"kind": "inherited"}
+        else:
+            spec, self._stream_shm = _stream_spec(stream)
+            wire_spec = spec_to_wire(spec)
         if workers is not None:
             if len(workers) != job.n_workers:
                 raise ConfigurationError(
@@ -485,7 +553,7 @@ class _SocketTransport(Transport):
                 )
             self._connect_workers(workers)
         else:
-            self._spawn_loopback_workers(ctx, job.n_workers)
+            self._spawn_loopback_workers(ctx, job.n_workers, inherited)
         for w, conn in enumerate(self._conns):
             conn.settimeout(self._recv_timeout)
             self._pending.add(w)
@@ -497,7 +565,7 @@ class _SocketTransport(Transport):
                 ) from exc
             self._pending.discard(w)
         job_fields = {
-            "spec": spec_to_wire(spec),
+            "spec": wire_spec,
             "n_edges": int(job.stream.n_edges),
             "k": job.k,
             "alpha": job.alpha,
@@ -526,7 +594,7 @@ class _SocketTransport(Transport):
                 ) from exc
             self._track(wire.Connection(sock, label=label))
 
-    def _spawn_loopback_workers(self, ctx, n_workers: int) -> None:
+    def _spawn_loopback_workers(self, ctx, n_workers: int, inherited) -> None:
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.bind(("127.0.0.1", 0))
         self._listener.listen(n_workers)
@@ -534,7 +602,7 @@ class _SocketTransport(Transport):
         address = self._listener.getsockname()[:2]
         for _ in range(n_workers):
             proc = ctx.Process(
-                target=_loopback_worker_main, args=(address,), daemon=True
+                target=_loopback_worker_main, args=(address, inherited), daemon=True
             )
             proc.start()
             self._procs.append(proc)
@@ -630,6 +698,8 @@ class _SocketTransport(Transport):
                 fields = {"start": start, "stop": stop}
             else:
                 fields = {"pass": step, "start": start, "stop": stop}
+                if w in self._news:
+                    fields.update(self._news_fields(self._news.pop(w)))
             if refresh and refresh[0] is not None:
                 # The barrier's news rides on the next window's request.
                 offset, n_ids, moves = refresh[0]
@@ -675,10 +745,6 @@ class _SocketTransport(Transport):
             )
         if getattr(sizes, "dtype", None) != np.int64 or sizes.shape != (self.job.k,):
             raise PartitioningError(f"{self._kind} {step}: malformed sizes")
-        returned = payload["assignments"]
-        np.copyto(
-            self.job.assignments[start:stop], returned, where=returned >= 0
-        )
         self._logs[w] = log
         self._sizes.append(sizes)
         return int(payload["total"]), payload["cost"]
@@ -707,10 +773,11 @@ class _SocketTransport(Transport):
         return result["v2c"], result["volumes"]
 
     # -- Phase 2 -------------------------------------------------------
-    def bind_phase2(self, lone, log_capacity):
+    def bind_phase2(self, lone, log_capacity, bounds):
         job = self.job
         self._log_capacity = log_capacity
         self._cell = wire.log_cell_dtype(job.state.n_vertices, job.k)
+        self._shards = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
         fields = {
             "n_vertices": int(job.state.n_vertices),
             "packed": bool(job.state.packed),
@@ -719,7 +786,13 @@ class _SocketTransport(Transport):
             "log_capacity": log_capacity,
         }
         self._exchange(
-            wire.MSG_BIND, [fields] * len(self._conns), wire.MSG_OK, "phase-2 bind"
+            wire.MSG_BIND,
+            [
+                {**fields, "shard_start": lo, "shard_stop": hi}
+                for lo, hi in self._shards
+            ],
+            wire.MSG_OK,
+            "phase-2 bind",
         )
 
     def barrier(self, step):
@@ -729,32 +802,70 @@ class _SocketTransport(Transport):
         get_backend(job.backend).apply_replica_log(
             job.state, [log_cells(list(logs.values()), self._cell)]
         )
-        sizes = merge_sizes(job.state, view_sizes)
-        plane = _replica_plane(job.state.replicas)[0]
-        payloads, counts = [], self._barrier_bytes
-        # A worker gets the cells the other workers logged, or the merged
-        # plane where that is fewer bytes: no barrier ships more than a
-        # full re-broadcast (the plane and the sizes).
-        for w in range(job.n_workers):
-            others = [log for v, log in logs.items() if v != w]
-            cells = np.concatenate([np.zeros(0, self._cell), *others])
-            sent = cells if cells.nbytes < plane.nbytes else plane
-            payloads.append({"log" if sent is cells else "plane": sent, "sizes": sizes})
-            counts["plane"] += sent.nbytes
-            counts["delta"] += sent.nbytes + sizes.nbytes
-            counts["full"] += plane.nbytes + sizes.nbytes
-        self._exchange(
-            wire.MSG_BARRIER, payloads, wire.MSG_BARRIER_ACK, f"{step} barrier"
-        )
+        merge_sizes(job.state, view_sizes)
+        # Each worker with a shard takes the news with its next window
+        # (see run): nothing ships now, and the run's last barrier ships
+        # nothing at all.
+        for w, (lo, hi) in enumerate(self._shards):
+            if hi > lo:
+                others = (log for v, log in logs.items() if v != w)
+                self._news.setdefault(w, []).extend(others)
         return sum(int(log.shape[0]) for log in logs.values())
+
+    def _news_fields(self, news: list) -> dict:
+        """A window request's news: the cells the other workers logged
+        since the worker's last window, or the merged plane where that is
+        fewer bytes, so no news ships more than a full re-broadcast (the
+        plane and the sizes); and the merged sizes."""
+        plane = _replica_plane(self.job.state.replicas)[0]
+        sizes = self.job.state.sizes
+        cells = np.concatenate([np.zeros(0, self._cell), *news])
+        sent = cells if cells.nbytes < plane.nbytes else plane
+        counts = self._barrier_bytes
+        counts["plane"] += sent.nbytes
+        counts["delta"] += sent.nbytes + sizes.nbytes
+        counts["full"] += plane.nbytes + sizes.nbytes
+        return {"log" if sent is cells else "plane": sent, "sizes": sizes}
+
+    def finalize(self) -> None:
+        """Collect every worker's shard of assignments into the job, in
+        the narrowest cells that hold ``k - 1``; every shard is checked
+        before the first is written."""
+        job = self.job
+        cell = wire.assignment_cell_dtype(job.k)
+        for w in range(len(self._conns)):
+            self._send(w, wire.MSG_COLLECT, None, "collect")
+        shards = []
+        for w, (lo, hi) in enumerate(self._shards):
+            got = self._recv(w, wire.MSG_COLLECT_RESULT, "collect").get("assignments")
+            if not (
+                isinstance(got, np.ndarray)
+                and got.dtype == cell
+                and got.shape == (hi - lo,)
+            ):
+                raise PartitioningError(
+                    f"{self._kind} collect: worker {w} sent "
+                    f"{type(got).__name__} {getattr(got, 'dtype', '')}"
+                    f"{getattr(got, 'shape', '')}, expected the {hi - lo} {cell} "
+                    f"assignments of its shard"
+                )
+            if got.shape[0] and int(got.max()) >= job.k:
+                raise PartitioningError(
+                    f"{self._kind} collect: worker {w} assigned an edge to "
+                    f"partition {int(got.max())}, outside [0, {job.k})"
+                )
+            shards.append(got)
+        for (lo, hi), got in zip(self._shards, shards):
+            job.assignments[lo:hi] = got
 
     # -- bookkeeping ---------------------------------------------------
     def wire_stats(self) -> dict:
         return {
             "bytes_sent": sum(c.bytes_sent for c in self._conns),
             "bytes_received": sum(c.bytes_received for c in self._conns),
-            # The barriers' payloads, their replica-plane part (the cells
-            # or the plane), and what full re-broadcasts would have sent.
+            # The barriers' news as the window requests carried it, its
+            # replica-plane part (the cells or the plane), and what full
+            # re-broadcasts would have sent in its place.
             **{f"barrier_{k}_bytes": v for k, v in self._barrier_bytes.items()},
         }
 

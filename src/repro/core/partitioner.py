@@ -256,11 +256,11 @@ class TwoPhasePartitioner(EdgePartitioner):
             # Phase 2 Step 3: score remaining edges.
             with timer.phase("partitioning"):
                 _, syncs_rem = session.run_pass(f"remaining_{self.mode}")
+            session.finalize()
             worker_bytes = session.transport.extra_state_bytes()
             extras = self._extras(
                 session, timer, syncs_pre + syncs_rem, phase1_syncs
             )
-            session.finalize()
         finally:
             session.close()
 

@@ -20,7 +20,8 @@ its worker.
   shards, each window run inline against its worker's stale heap view.
   Deterministic and dependency-free; parallel wall-clock is *modeled*.
 - :class:`ProcessRunner` — local worker processes: the socket transport
-  of the next item on loopback, one process per shard.  Workers reopen
+  of the next item on loopback, one process per shard.  Forked workers
+  inherit an in-memory stream's edge array; otherwise workers reopen
   the stream from a picklable :class:`~repro.streaming.stream.StreamSpec`
   (file streams stay out-of-core).  Parallel wall-clock is *measured*.
 - :class:`~repro.core.distributed.DistributedRunner` — the socket
@@ -49,10 +50,12 @@ every output bit:
   the job's stream (socket workers reopen it from its spec), so chunk
   boundaries agree; every transport's Phase-2 barrier sets the
   bits of every worker's set-bit log with the one kernel op
-  ``apply_replica_log`` and merges sizes with :func:`merge_sizes`; and
-  socket assignment slices merge where ``>= 0``, the two Phase-2 passes
-  writing disjoint positions.  ``simulated`` thereby doubles as the
-  in-CI deterministic twin of a multi-host run.
+  ``apply_replica_log`` and merges sizes with :func:`merge_sizes`, and
+  every worker applies the same news before the same window; and both
+  passes write each window's assignments in place, into the job's
+  array or a socket worker's shard, which the coordinator collects
+  once.  ``simulated`` thereby doubles as the in-CI deterministic twin
+  of a multi-host run.
 - With ``n_workers=1`` every runner is bit-exact with the sequential
   pipeline: a lone worker's view is never stale, so its one clustering
   state needs no log, merge or refresh, and window boundaries are
@@ -93,20 +96,28 @@ Phase-2 barriers cost O(bits set), not O(``|V|``): each Phase-2 loop
 appends every replica bit it sets that was clear in its worker's view to
 that worker's set-bit log (:class:`~repro.kernels.base.ReplicaLog`), and
 the barrier sets the logged bits in the global state and in every view
-with the kernel op ``apply_replica_log`` (a socket worker may get the
-merged plane instead).  Bits only go from 0 to 1: the planes of OR-ing
-whole views.
+with the kernel op ``apply_replica_log``.  Bits only go from 0 to 1: the
+planes of OR-ing whole views.  Over sockets a barrier adds no round
+trip: each worker's news (the cells the other workers logged since its
+last window, or the merged plane where that is fewer bytes, and the
+merged sizes) rides on its next window request and is applied before
+the kernel runs, so the run's last barrier ships nothing.
 Sessions count the cells the logs wrote against the ``n * k`` cells of
 a full re-broadcast (``barrier_cells`` / ``barrier_full_cells``).
 
 Shared-memory lifecycle
 -----------------------
-A process session owns at most one segment: the edge copy of an
-in-memory stream (:func:`~repro.streaming.stream.make_stream_spec`),
+A ``fork`` session over an :class:`~repro.streaming.stream.InMemoryEdgeStream`
+owns no segment: its workers inherit the edge array through their
+process arguments and read it in place.  Any other process session
+owns at most one segment: the edge copy of a stream that is no file
+(:func:`~repro.streaming.stream.make_stream_spec`; under ``spawn`` or
+``forkserver``, or for a stream of another type, a subclass included),
 created before the workers start, which map it to reopen the stream
-zero-copy.  File streams need none.  Worker views, logs and clustering
-states live in the worker processes; moves and refreshes cross the
-socket.  ``close()`` unlinks the segment after the workers are gone; it
+zero-copy.  File streams need none.  Worker views, logs, clustering
+states and assignment shards live in the worker processes; moves,
+refreshes and news cross the socket, and the assignments cross it once.
+``close()`` unlinks the segment after the workers are gone; it
 is idempotent and runs on both success and error paths, so a crashed or
 timed-out worker cannot leak it past the session (verified by the
 cleanup tests; :func:`live_shared_segments` exposes the owned set).
@@ -417,15 +428,20 @@ class Transport(ABC):
     def close_clustering(self, lone: bool):
         """End Phase 1; returns the lone worker's ``(v2c, volumes)``."""
 
-    def bind_phase2(self, lone: bool, log_capacity: int) -> None:
+    def bind_phase2(self, lone: bool, log_capacity: int, bounds) -> None:
         """Allocate Phase-2 views, and set-bit logs of ``log_capacity``
-        cells, once the job carries its arrays."""
+        cells, once the job carries its arrays; worker ``w``'s shard is
+        ``[bounds[w], bounds[w + 1])``."""
 
     @abstractmethod
     def barrier(self, step: str) -> int | None:
         """Phase-2 barrier: set every worker's logged bits in the global
         state and every view and merge sizes; returns the cells logged,
         ``None`` when the lone view *is* the global state."""
+
+    def finalize(self) -> None:
+        """End a successful Phase 2: bring every assignment into
+        ``job.assignments`` that is not there yet."""
 
     def close(self) -> None:
         """Release every resource; idempotent, safe on error paths."""
@@ -576,7 +592,7 @@ class RunnerSession:
         than the plane's ``n * k``: that sizes every set-bit log."""
         longest = min(self.window, int(np.diff(self.bounds).max()))
         cells = self.job.state.n_vertices * self.job.k
-        self.transport.bind_phase2(self.lone, min(2 * longest, cells))
+        self.transport.bind_phase2(self.lone, min(2 * longest, cells), self.bounds)
 
     def run_pass(self, pass_name: str) -> tuple[int, int]:
         """Execute one Phase-2 pass; returns ``(total, syncs)``."""
@@ -596,10 +612,12 @@ class RunnerSession:
 
     # ------------------------------------------------------------------
     def finalize(self) -> None:
-        """End a successful run.  Nothing is left to copy: every
-        transport writes assignments into the job as windows return and
-        the global state at every barrier; ``close()`` releases the
-        rest."""
+        """End a successful run: the transport brings the assignments
+        into the job (:meth:`Transport.finalize`; the socket transport
+        collects each worker's shard once, the in-process one wrote them
+        as its windows ran).  Every barrier has written the global state
+        already; ``close()`` releases the rest."""
+        self.transport.finalize()
 
     def close(self) -> None:
         """Release every resource; idempotent, safe on error paths."""
@@ -689,7 +707,7 @@ class _InlineTransport(Transport):
             return self.kernels.clustering_export(clusterers[0].state)[:2]
         return None
 
-    def bind_phase2(self, lone, log_capacity):
+    def bind_phase2(self, lone, log_capacity, bounds):
         job = self.job
         if lone:
             # A lone view is never stale, so it shares the global state

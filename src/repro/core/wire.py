@@ -60,9 +60,12 @@ from repro.kernels.c_backend import source_digest
 #: Phase-2 windows and barriers carry set-bit logs, in
 #: :func:`log_cell_dtype` cells, in place of replica rows; 4: clustering
 #: windows and their refreshes carry moves, in :func:`move_cell_dtype`
-#: cells, in place of whole clusterings).  Negotiated by the HELLO
+#: cells, in place of whole clusterings; 5: a Phase-2 barrier's news
+#: rides on each worker's next window request, and each worker keeps its
+#: shard's assignments until one collect, in
+#: :func:`assignment_cell_dtype` cells).  Negotiated by the HELLO
 #: handshake.
-WIRE_VERSION = 4
+WIRE_VERSION = 5
 
 MAGIC = b"2PSW"
 
@@ -85,11 +88,16 @@ MSG_CLUSTER = 8
 #: {"cost"}, + the window's "moves" and "fresh" cluster count when sharded
 MSG_CLUSTER_RESULT = 9
 MSG_CLUSTER_FINISH = 10  #: drain the lone worker's live clustering state
-MSG_BIND = 11  #: Phase-2 bind: {"part", "weights", "log_capacity"}, geometry
-MSG_WINDOW = 12  #: Phase-2 sync window {"pass", "start", "stop"}
-MSG_WINDOW_RESULT = 13  #: assignments, cost, sizes, the set-bit "log"
-MSG_BARRIER = 14  #: the other workers' "log"s (or the merged "plane"), "sizes"
-MSG_BARRIER_ACK = 15  #: worker applied the barrier
+#: Phase-2 bind: {"part", "weights", "log_capacity"}, geometry, and the
+#: worker's shard, "shard_start" to "shard_stop"
+MSG_BIND = 11
+#: Phase-2 sync window {"pass", "start", "stop"}, + the news of the
+#: barriers since the worker's last window when it has some: the other
+#: workers' "log" cells (or the merged "plane") and the merged "sizes"
+MSG_WINDOW = 12
+MSG_WINDOW_RESULT = 13  #: "total", "cost", the set-bit "log", the view's "sizes"
+MSG_COLLECT = 14  #: end of Phase 2: ship the worker's shard of assignments
+MSG_COLLECT_RESULT = 15  #: {"assignments": the shard, in assignment cells}
 MSG_SHUTDOWN = 16  #: orderly session end
 
 MESSAGE_NAMES = {
@@ -111,6 +119,12 @@ def move_cell_dtype(n_vertices: int, n_workers: int) -> np.dtype:
     ``int64``.  Ids stay below ``n_workers * n_vertices`` (see
     :func:`~repro.core.runners.compact_clustering`)."""
     return np.dtype(np.uint32 if n_workers * n_vertices <= 1 << 32 else np.int64)
+
+
+def assignment_cell_dtype(k: int) -> np.dtype:
+    """The type of the collect's assignment cells: the narrowest unsigned
+    integer that holds every partition id, ``k - 1``."""
+    return np.min_scalar_type(k - 1)
 
 
 def move_cells(moves: np.ndarray, cell: np.dtype) -> np.ndarray:

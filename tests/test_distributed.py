@@ -8,15 +8,16 @@ Three layers, mirroring the implementation split:
 - :mod:`repro.core.distributed` end-to-end — loopback and ``host:port``
   bootstrap both pinned full-state bit-exact against the simulated
   runner (the deeper seeded matrix lives in ``tests/differential.py``);
-- failure injection — worker crash mid-window, socket disconnect during
-  a barrier, a stalled reply tripping ``recv_timeout``, a hostile
-  set-bit log or hostile clustering moves in a window result, a loopback
-  worker dead before it connects, and a version- or kernel-source-
-  mismatch handshake must each surface as a typed
+- failure injection — worker crash mid-window, a socket disconnect
+  while a worker applies the barrier news its window request carried
+  or during the collect, a stalled reply tripping ``recv_timeout``, a
+  hostile set-bit log, hostile clustering moves or a hostile collect, a
+  loopback worker dead before it connects, and a version- or
+  kernel-source-mismatch handshake must each surface as a typed
   :class:`~repro.errors.PartitioningError` with no leaked socket,
-  worker process, or shared-memory segment.  The window and barrier
-  faults run under the process runner too, whose loopback workers are
-  these socket workers.
+  worker process, or shared-memory segment.  The window, news and
+  collect faults run under the process runner too, whose loopback
+  workers are these socket workers.
 
 Fault injection works by monkeypatching the module-level
 ``distributed._MESSAGE_HANDLERS`` registry before the session spawns
@@ -48,6 +49,8 @@ from repro.core.distributed import (
 from repro.core.runners import live_shared_segments, make_runner
 from repro.errors import ConfigurationError, PartitioningError, WireError
 from repro.kernels import c_backend, get_backend
+from repro.kernels.base import ReplicaLog
+from repro.graph import Graph
 from repro.graph.generators import chung_lu_graph
 from repro.partitioning.state import _replica_plane
 from repro.streaming import FileEdgeStream
@@ -409,23 +412,30 @@ class TestLoopbackEquivalence:
         assert stats["barrier_plane_bytes"] < stats["barrier_full_bytes"]
         _assert_clean()
 
+    @pytest.mark.parametrize("runner", ["distributed", "process"])
     @pytest.mark.parametrize(
-        "packed, sync, kind",
-        [(False, 37, "log"), (True, 300, "plane")],
-        ids=["dense", "packed"],
+        "packed, sync, n_edges, kind",
+        [(False, 37, 900, "log"), (True, 300, 900, "plane"), (False, 449, 899, "log")],
+        ids=["dense", "packed", "sat-out"],
     )
-    def test_barrier_ships_other_workers_cells_or_the_plane(
-        self, monkeypatch, packed, sync, kind
+    def test_window_requests_carry_other_workers_cells_or_the_plane(
+        self, monkeypatch, runner, packed, sync, n_edges, kind
     ):
-        """Each worker's barrier payload is the cells the other workers
-        logged, in uint32, or the merged plane where that is fewer
-        bytes; the run stays bit-exact and the wire stats count what
-        was sent.  The 600-byte dense plane takes the logs of 37-edge
+        """A Phase-2 barrier ships nothing itself: each worker's next
+        window request carries the cells the other workers logged since
+        its last window, in uint32, or the merged plane where that is
+        fewer bytes, plus the merged sizes; the run's last barrier ships
+        nothing.  The run stays bit-exact, and the wire stats count what
+        was sent and are the session's last (the collect's frame
+        included).  The 600-byte dense plane takes the logs of 37-edge
         windows, the 120-byte packed one is shipped whole after a
-        300-edge window."""
-        events = []
+        300-edge window, and with shards of 449 and 450 edges in
+        449-edge windows worker 0 sits out every pass's second sweep,
+        so its next window carries the news of two barriers."""
+        events, at_close = [], []
         transport = distributed._SocketTransport
         real_result, real_send = transport._result, transport._send
+        real_barrier, real_close = transport.barrier, transport.close
 
         def result(self, w, step, start, stop, payload):
             if "log" in payload:
@@ -433,43 +443,84 @@ class TestLoopbackEquivalence:
             return real_result(self, w, step, start, stop, payload)
 
         def send(self, w, msg_type, payload, step):
-            if msg_type == wire.MSG_BARRIER:
-                copy = {key: np.array(value) for key, value in payload.items()}
-                events.append(("barrier", w, copy))
+            if msg_type == wire.MSG_WINDOW:
+                news = {
+                    key: np.array(value)
+                    for key, value in payload.items()
+                    if key in ("log", "plane", "sizes")
+                }
+                events.append(("window", w, news))
             return real_send(self, w, msg_type, payload, step)
+
+        def barrier(self, step):
+            cells = real_barrier(self, step)
+            shards = [w for w, (lo, hi) in enumerate(self._shards) if hi > lo]
+            events.append(("barrier", shards, self.job.state.sizes.copy()))
+            return cells
+
+        def close(self):
+            if not self._closed:
+                at_close.append(self.wire_stats())
+            return real_close(self)
 
         monkeypatch.setattr(transport, "_result", result)
         monkeypatch.setattr(transport, "_send", send)
+        monkeypatch.setattr(transport, "barrier", barrier)
+        monkeypatch.setattr(transport, "close", close)
         graph = _graph()
+        graph = Graph(graph.edges[:n_edges], graph.n_vertices)
         dist, sim = (
             ParallelTwoPhase(
-                n_workers=2, sync_interval=sync, runner=runner, packed_state=packed
+                n_workers=2,
+                sync_interval=sync,
+                runner=name,
+                packed_state=packed,
             ).partition(graph, 5, chunk_size=64)
-            for runner in ("distributed", "simulated")
+            for name in (runner, "simulated")
         )
         _assert_same(dist, sim)
         plane_bytes = _replica_plane(dist.state.replicas)[0].nbytes
-        logs, shipped, kinds = {}, 0, set()
+        logs, pending, sizes = {}, {}, None
+        shipped, deliveries, kinds, most = 0, 0, set(), 0
         for event, w, value in events:
             if event == "log":
                 assert value.dtype == np.uint32
                 logs[w] = value
                 continue
-            others = [log for v, log in sorted(logs.items()) if v != w]
-            cells = np.concatenate([np.zeros(0, np.uint32), *others])
+            if event == "barrier":
+                for u in w:
+                    others = [log for v, log in sorted(logs.items()) if v != u]
+                    pending.setdefault(u, []).append(others)
+                logs, sizes = {}, value
+                continue
+            if w not in pending:
+                assert not value, "news without a barrier since the last window"
+                continue
+            news = pending.pop(w)
+            most = max(most, len(news))
+            cells = np.concatenate(
+                [np.zeros(0, np.uint32), *(log for logs_ in news for log in logs_)]
+            )
             if "log" in value:
                 np.testing.assert_array_equal(value["log"], cells)
                 assert value["log"].dtype == np.uint32
                 assert cells.nbytes < plane_bytes
             else:
                 assert value["plane"].nbytes == plane_bytes <= cells.nbytes
+            np.testing.assert_array_equal(value["sizes"], sizes)
             kinds.update(set(value) - {"sizes"})
             shipped += min(cells.nbytes, plane_bytes)
-            if w == 1:
-                logs = {}
+            deliveries += 1
         assert kind in kinds
+        assert most == (2 if n_edges == 899 else 1), "barriers per delivery"
+        # The run's last barrier ships nothing: its news stays queued.
+        assert events[-1][0] == "barrier" and sorted(pending) == [0, 1]
         stats = dist.extras["wire"]
+        assert at_close == [stats]
+        sizes_bytes = 5 * 8
         assert stats["barrier_plane_bytes"] == shipped
+        assert stats["barrier_delta_bytes"] == shipped + deliveries * sizes_bytes
+        assert stats["barrier_full_bytes"] == deliveries * (plane_bytes + sizes_bytes)
         assert stats["barrier_plane_bytes"] < stats["barrier_full_bytes"]
         _assert_clean()
 
@@ -632,12 +683,94 @@ class TestFailureInjection:
         _assert_clean()
         assert not multiprocessing.active_children()
 
-    def test_disconnect_during_delta_barrier(self, monkeypatch):
-        excinfo = self._run_with_fault(
-            monkeypatch, wire.MSG_BARRIER, _disconnect_handler
-        )
-        assert "barrier" in str(excinfo.value)
+    def test_disconnect_while_applying_window_news(self, monkeypatch):
+        """A worker that leaves while it applies the barrier news its
+        window request carried: the first news rides on the pre-partition
+        pass's second window."""
+        real = distributed._w_window
+
+        def leave_on_news(ctx, payload):
+            if "sizes" in payload:
+                raise SystemExit(0)
+            return real(ctx, payload)
+
+        excinfo = self._run_with_fault(monkeypatch, wire.MSG_WINDOW, leave_on_news)
+        assert "prepartition: worker 0 died or stalled" in str(excinfo.value)
         assert str(excinfo.value).startswith(f"{self.runner} ")
+        _assert_clean()
+        assert not multiprocessing.active_children()
+
+    def test_disconnect_during_collect(self, monkeypatch):
+        excinfo = self._run_with_fault(
+            monkeypatch, wire.MSG_COLLECT, _disconnect_handler
+        )
+        assert "collect: worker 0 died or stalled" in str(excinfo.value)
+        assert str(excinfo.value).startswith(f"{self.runner} ")
+        _assert_clean()
+        assert not multiprocessing.active_children()
+
+    def test_unassigned_edge_fails_the_collect(self, monkeypatch):
+        real = distributed._w_collect
+
+        def unassigned(ctx, payload):
+            ctx["assignments"][-1] = -1
+            return real(ctx, payload)
+
+        excinfo = self._run_with_fault(monkeypatch, wire.MSG_COLLECT, unassigned)
+        assert excinfo.match("worker 0 failed during collect: .* is unassigned")
+        _assert_clean()
+        assert not multiprocessing.active_children()
+
+    #: Hostile collect frames: ``(mutate(cells, k), match)``, each
+    #: returning the assignments a worker's collect ships.
+    HOSTILE_COLLECTS = {
+        "int32": (lambda a, k: a.astype(np.int32), "expected the 450 uint8"),
+        "short": (lambda a, k: a[:-1], "expected the 450 uint8"),
+        "2-d": (lambda a, k: a.reshape(-1, 1), "expected the 450 uint8"),
+        "id-k": (
+            lambda a, k: np.append(a[:-1], np.array(k, a.dtype)),
+            r"partition 5, outside \[0, 5\)",
+        ),
+        # -1 in the wire's uint8 cells: its largest value.
+        "negative": (
+            lambda a, k: np.append(a[:-1], np.array(-1).astype(a.dtype)),
+            r"partition 255, outside \[0, 5\)",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_COLLECTS))
+    def test_hostile_collect_is_rejected_before_the_assignments_are_written(
+        self, monkeypatch, case
+    ):
+        """A collect frame of the wrong type, length or shape, or naming
+        a partition outside ``[0, k)``: one typed error naming the runner
+        and the collect, raised before ``job.assignments`` takes any
+        shard (worker 0's well-formed one included)."""
+        real = distributed._w_collect
+        mutate, match = self.HOSTILE_COLLECTS[case]
+
+        def hostile(ctx, payload):
+            msg_type, fields = real(ctx, payload)
+            if ctx["worker_index"] == 1:
+                fields["assignments"] = mutate(fields["assignments"], ctx["k"])
+            return msg_type, fields
+
+        untouched = []
+        transport = distributed._SocketTransport
+        finalize = transport.finalize
+
+        def recording(self):
+            try:
+                finalize(self)
+            except PartitioningError:
+                untouched.append(bool((self.job.assignments == -1).all()))
+                raise
+
+        monkeypatch.setattr(transport, "finalize", recording)
+        excinfo = self._run_with_fault(monkeypatch, wire.MSG_COLLECT, hostile)
+        assert excinfo.match(match)
+        assert str(excinfo.value).startswith(f"{self.runner} collect: worker 1 ")
+        assert untouched == [True], "the job took assignments before the check"
         _assert_clean()
         assert not multiprocessing.active_children()
 
@@ -796,6 +929,16 @@ class TestFailureInjection:
         assert not multiprocessing.active_children()
 
 
+def test_a_window_outside_the_workers_shard_raises():
+    """A worker writes only its own shard's assignments: a window request
+    past its bounds fails before any kernel runs."""
+    ctx = {"view": None, "log": ReplicaLog(4), "shard": (100, 150)}
+    for start, stop in ((90, 110), (140, 151), (150, 160)):
+        payload = {"pass": "prepartition", "start": start, "stop": stop}
+        with pytest.raises(PartitioningError, match=r"outside this worker's shard"):
+            distributed._w_window(ctx, payload)
+
+
 @needs_fork
 class TestDeadLoopbackWorker:
     """A loopback worker that dies before it connects fails the session
@@ -803,7 +946,7 @@ class TestDeadLoopbackWorker:
 
     @pytest.mark.parametrize("runner", ["process", "distributed"])
     def test_worker_dead_before_connect_fails_fast(self, runner, monkeypatch):
-        def dead(address):
+        def dead(address, inherited):
             import os
 
             os._exit(3)

@@ -20,10 +20,10 @@ Four contracts are pinned here:
    same sync schedule, the ``SerialRunner`` is bit-exact with the
    sequential pipeline, and a crashed or hung worker never leaks a
    shared-memory segment, socket or worker process (the parent unlinks
-   the one segment a session owns, the edge copy of an in-memory stream,
-   on both success and error paths, which also unregisters it from the
-   shared ``resource_tracker`` — so no "leaked shared_memory objects"
-   warnings can fire at interpreter shutdown).
+   the one segment a session may own, the edge copy of a stream its
+   workers do not inherit, on both success and error paths, which also
+   unregisters it from the shared ``resource_tracker`` — so no "leaked
+   shared_memory objects" warnings can fire at interpreter shutdown).
 
 The parallel path must also honor the out-of-core promise: it never
 materializes the stream, and worker windows bound its memory.
@@ -92,6 +92,12 @@ def recording_segments(monkeypatch):
     recorder = RecordingSet()
     monkeypatch.setattr(runners_module, "_LIVE_SEGMENTS", recorder)
     return recorder
+
+
+class _CopiedStream(InMemoryEdgeStream):
+    """An in-memory stream that forked workers do not inherit (only the
+    exact type is: a subclass may override ``chunks()``), so a process
+    session copies it into its one shared segment."""
 
 
 def assert_bit_exact(reference, other):
@@ -435,10 +441,11 @@ class TestCrashedWorkerCleanup:
     """No shared-memory segment may outlive a failed process session.
 
     The parent owns the one segment of a session (the shipped edge
-    array) and unlinks it in the session's idempotent ``close()``, which
-    also unregisters it from the resource tracker shared with the worker
-    processes — verified here by recording every created segment name
-    and proving it is unlinked after the crash.
+    array of a stream its workers do not inherit, here a
+    :class:`_CopiedStream`) and unlinks it in the session's idempotent
+    ``close()``, which also unregisters it from the resource tracker
+    shared with the worker processes — verified here by recording every
+    created segment name and proving it is unlinked after the crash.
     """
 
     def _register(self, backend_cls):
@@ -468,7 +475,7 @@ class TestCrashedWorkerCleanup:
             start_method="fork",
         )
         with pytest.raises(PartitioningError, match="exploded"):
-            partitioner.partition(community_graph, 4)
+            partitioner.partition(_CopiedStream(community_graph), 4)
         assert recording_segments.ever, "session created no segments?"
         assert not recording_segments, "segments left registered"
         from multiprocessing import shared_memory
@@ -499,7 +506,7 @@ class TestCrashedWorkerCleanup:
         )
         began = time.monotonic()
         with pytest.raises(PartitioningError, match="FileNotFoundError: edges gone"):
-            partitioner.partition(community_graph, 4)
+            partitioner.partition(_CopiedStream(community_graph), 4)
         assert time.monotonic() - began < 10.0
         assert recording_segments.ever, "session created no segment?"
         assert not recording_segments, "segment left registered"
@@ -531,7 +538,7 @@ class TestCrashedWorkerCleanup:
             parallel_phase1=True,
         )
         with pytest.raises(PartitioningError, match="phase-1 worker"):
-            partitioner.partition(community_graph, 4)
+            partitioner.partition(_CopiedStream(community_graph), 4)
         if runner == "process":
             assert recording_segments.ever, "session created no segments?"
             assert not recording_segments, "segments left registered"
@@ -626,7 +633,7 @@ class TestCrashedWorkerCleanup:
         )
         began = time.monotonic()
         with pytest.raises(PartitioningError, match="timeout"):
-            partitioner.partition(community_graph, 4)
+            partitioner.partition(_CopiedStream(community_graph), 4)
         # The kernel sleeps 60 s: teardown terminates the stalled
         # workers instead of awaiting them.
         assert time.monotonic() - began < 10.0
@@ -650,7 +657,7 @@ class TestCrashedWorkerCleanup:
         )
         began = time.monotonic()
         with pytest.raises(PartitioningError, match="timeout"):
-            partitioner.partition(community_graph, 4)
+            partitioner.partition(_CopiedStream(community_graph), 4)
         # The kernel sleeps 60 s: teardown terminates the stalled
         # workers instead of awaiting them.
         assert time.monotonic() - began < 10.0
@@ -691,34 +698,101 @@ def test_unknown_pass_is_a_configuration_error(runner, community_graph):
 
 @needs_fork
 class TestProcessSession:
-    """A process session is the socket transport on loopback: its one
-    shared segment is the edge copy of an in-memory stream, and
-    ``close()`` leaves no segment, socket or worker process."""
+    """A process session is the socket transport on loopback.  Forked
+    workers inherit an in-memory stream's edge array, so the session
+    creates no segment; under ``spawn`` its one shared segment is the
+    edge copy.  ``close()`` leaves no segment, socket or worker
+    process."""
 
+    @pytest.mark.parametrize("runner", ["process", "distributed"])
     @pytest.mark.parametrize("n_workers", [2, 4])
-    def test_in_memory_stream_is_the_one_segment(
-        self, n_workers, community_graph, recording_segments
+    def test_fork_session_over_in_memory_stream_creates_no_segment(
+        self, n_workers, runner, community_graph, recording_segments, monkeypatch
     ):
         """Parallel Phase 1 over an in-memory stream, whatever the worker
-        count: one segment, unlinked when the run ends."""
+        count: the forked workers read the parent's array in place, so
+        the session never builds a stream spec and creates no segment."""
+
+        def no_spec(stream):
+            raise AssertionError("a fork session built a stream spec")
+
+        monkeypatch.setattr(runners_module, "make_stream_spec", no_spec)
+        runs = {
+            name: ParallelTwoPhase(
+                n_workers=n_workers,
+                sync_interval=64,
+                runner=name,
+                parallel_phase1=True,
+                start_method="fork",
+            ).partition(InMemoryEdgeStream(community_graph), 4)
+            for name in ("simulated", runner)
+        }
+        assert_bit_exact(runs["simulated"], runs[runner])
+        assert recording_segments.ever == []
+        assert not live_connections() and not live_worker_processes()
+
+    def test_fork_session_reads_an_overridden_chunks_into_the_segment(
+        self, community_graph, recording_segments
+    ):
+        """A ``chunks`` replaced on the instance (as a tracer does) may
+        yield other edges than the array: the session reads the edges
+        through it into its one segment instead of letting the workers
+        inherit the array."""
+        stream = InMemoryEdgeStream(community_graph)
+        calls = []
+        own_chunks = stream.chunks
+
+        def chunks(chunk_size=None):
+            calls.append(chunk_size)
+            return own_chunks(chunk_size)
+
+        stream.chunks = chunks
+        runs = {
+            runner: ParallelTwoPhase(
+                n_workers=2,
+                sync_interval=64,
+                runner=runner,
+                parallel_phase1=True,
+                start_method="fork",
+            ).partition(source, 4)
+            for runner, source in (("simulated", community_graph), ("process", stream))
+        }
+        assert_bit_exact(runs["simulated"], runs["process"])
+        assert len(calls) == 1 and len(recording_segments.ever) == 1
+        assert not recording_segments, "segment left registered"
+
+    @pytest.mark.parametrize("runner", ["process", "distributed"])
+    @pytest.mark.parametrize("n_workers", [2, 4])
+    def test_spawn_session_over_in_memory_stream_is_the_one_segment(
+        self, n_workers, runner, community_graph, recording_segments
+    ):
+        """Spawned workers inherit nothing: one segment carries the
+        edges, unlinked when the run ends, and the run is bit-exact with
+        the simulated runner."""
         from multiprocessing import shared_memory
 
-        ParallelTwoPhase(
-            n_workers=n_workers,
-            sync_interval=64,
-            runner="process",
-            parallel_phase1=True,
-        ).partition(community_graph, 4)
+        runs = {
+            name: ParallelTwoPhase(
+                n_workers=n_workers,
+                sync_interval=64,
+                runner=name,
+                parallel_phase1=True,
+                start_method="spawn" if name == runner else None,
+            ).partition(community_graph, 4)
+            for name in ("simulated", runner)
+        }
+        assert_bit_exact(runs["simulated"], runs[runner])
         assert len(recording_segments.ever) == 1
         assert not recording_segments, "segment left registered"
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=recording_segments.ever[0], create=False)
+        assert not live_connections() and not live_worker_processes()
 
     def test_close_is_idempotent(self, community_graph):
         m = community_graph.n_edges
         n = community_graph.n_vertices
         job = ShardedJob(
-            stream=InMemoryEdgeStream(community_graph),
+            stream=_CopiedStream(community_graph),
             backend="python",
             k=4,
             alpha=1.05,
