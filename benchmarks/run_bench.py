@@ -13,9 +13,10 @@ tracked from PR to PR:
 - ``parallel`` — sharded ``ParallelTwoPhase`` (kernel-dispatched windows)
 
 It then runs the **parallel wall-clock** section: the sharded path with
-``runner="process"`` (true ``multiprocessing`` workers, each holding its
-own ``PartitionState`` view, over loopback sockets) against the
-sequential python Phase-2 time, into ``BENCH_parallel.json``.
+``runner="process"`` (worker 0 in this process and true
+``multiprocessing`` workers over loopback sockets, each worker holding
+its own ``PartitionState`` view) against the sequential python Phase-2
+time, into ``BENCH_parallel.json``.
 
 Usage::
 

@@ -416,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="execution runner for the sharded parallel path (2PS-L / "
         "2PS-HDRF only); 'process' runs real multiprocessing workers "
-        "over loopback sockets",
+        "over loopback sockets, worker 0 in this process",
     )
     part.add_argument(
         "--n-workers",

@@ -1,14 +1,21 @@
 """The socket transport of the sync-window driver, local or remote.
 
-Worker processes connected over TCP sockets speak the
-:mod:`repro.core.wire` protocol under the one
+Workers speak the :mod:`repro.core.wire` protocol under the one
 :class:`~repro.core.runners.RunnerSession` driver, which owns the
 schedule, the Phase-1 merges and all accounting.  Two runners use it:
-:class:`~repro.core.runners.ProcessRunner` in loopback mode — the
-coordinator listens on ``127.0.0.1`` and starts local workers that
-connect back — and :class:`DistributedRunner`, loopback by default or
-against pre-started worker servers named by ``host:port`` specs (the
-CLI ``worker`` subcommand) for real clusters.
+:class:`~repro.core.runners.ProcessRunner` in loopback mode, and
+:class:`DistributedRunner`, loopback by default or against pre-started
+worker servers named by ``host:port`` specs (the CLI ``worker``
+subcommand) for real clusters.  A ``host:port`` session connects to its
+``n`` workers over TCP.  A loopback session of ``n`` workers runs worker
+0 inside the coordinator and starts ``n - 1`` worker processes, which
+connect back to a listener on ``127.0.0.1``.  Worker 0 is served by the
+same message handlers as a socket worker, through :class:`_LocalWorker`,
+a connection-shaped object that holds each request until its reply is
+read and then runs the handler: the coordinator sends every worker its
+request before it reads the first reply, so it computes worker 0's
+window while the worker processes compute theirs, and worker 0 pays no
+fork, socket, handshake, frame or checksum.
 
 Why this transport is bit-exact with the simulated runner is stated
 with the equivalence contract in :mod:`repro.core.runners`.
@@ -47,26 +54,33 @@ exports nothing and drains its state at ``CLUSTER_FINISH``.
 
 Failure surface
 ---------------
-No hangs, no leaked sockets or shm: every recv runs under the session's
-``recv_timeout``, and worker death, a stall past the timeout,
-disconnection or corruption surfaces as a typed
+No hangs, no leaked sockets or shm: every recv from a socket worker
+runs under the session's ``recv_timeout``, and worker death, a stall
+past the timeout, disconnection or corruption surfaces as a typed
 :class:`~repro.errors.PartitioningError` naming the runner, the step and
-the worker.  A loopback worker that exits before it connects fails the
-session at once, with its exit code.  Session ``close()`` — invoked on
-every error path — shuts sockets, reaps spawned workers, and releases
-any stream segment, in bounded time: a worker with an unanswered
-request (it may be stuck in a kernel) gets no goodbye, and then every
-spawned worker is terminated at once instead of awaited.  ``live_connections()`` /
-``live_worker_processes()`` are the leak-check hooks, mirroring
-``live_shared_segments()``.
+the worker.  Worker 0 of a loopback session runs on the coordinator's
+thread, where no timeout can cover it: a handler that raises there is
+answered with an ``ERROR`` reply, as in a worker process, and surfaces
+through the same typed error.  A loopback worker that exits before it
+connects fails the session at once, with its exit code.  Session
+``close()`` — invoked on every error path — shuts sockets, reaps
+spawned workers, and releases any stream segment, in bounded time: a
+worker with an unanswered request (it may be stuck in a kernel) gets no
+goodbye, and then every spawned worker is terminated at once instead of
+awaited.  ``live_connections()`` / ``live_worker_processes()`` are the
+leak-check hooks, mirroring ``live_shared_segments()``; they hold the
+sockets and processes only, so a loopback session of ``n`` workers
+counts ``n - 1`` of each.
 
 Edge data never crosses the wire: remote (``host:port``) workers must be
-handed a file-backed stream (:class:`~repro.streaming.stream.FileStreamSpec`)
-and read their own shards.  Loopback workers forked from a coordinator
-whose stream is an :class:`~repro.streaming.stream.InMemoryEdgeStream`
-inherit its edge array through their process arguments (``JOB`` then
-names an ``inherited`` spec); other loopback workers may also map a
-shared-memory edge segment, same-host by construction.
+handed a file-backed stream (:class:`~repro.streaming.stream.FileEdgeStream`)
+and read their own shards.  Worker 0 of a loopback session streams the
+coordinator's stream object itself, as the simulated runner's windows
+do.  Worker processes forked from a coordinator whose stream is an
+:class:`~repro.streaming.stream.InMemoryEdgeStream` inherit that stream
+object through their process arguments (``JOB`` then names an
+``inherited`` spec); other loopback workers may also map a shared-memory
+edge segment, same-host by construction.
 """
 
 from __future__ import annotations
@@ -98,7 +112,7 @@ from repro.kernels import get_backend
 from repro.kernels.base import ReplicaLog, log_cells
 from repro.partitioning.state import PartitionState, _replica_plane
 from repro.streaming.stream import (
-    FileStreamSpec,
+    FileEdgeStream,
     InMemoryEdgeStream,
     spec_from_wire,
     spec_to_wire,
@@ -110,6 +124,10 @@ _LIVE_CONNECTIONS: set = set()
 
 #: Locally spawned worker processes of open sessions (same contract).
 _LIVE_WORKER_PROCS: set = set()
+
+#: The ``JOB`` stream spec of a worker that streams the coordinator's own
+#: stream object: worker 0 of a loopback session, or a forked worker.
+_INHERITED = {"kind": "inherited"}
 
 
 def live_connections() -> frozenset:
@@ -147,7 +165,11 @@ def parse_worker_spec(spec: str) -> tuple[str, int]:
 # ---------------------------------------------------------------------
 def _w_job(ctx, payload):
     if payload["spec"].get("kind") == "inherited":
-        ctx["stream"] = _inherited_stream(ctx.get("inherited"))
+        ctx["stream"] = ctx.get("inherited")
+        if ctx["stream"] is None:
+            raise ConfigurationError(
+                "the job names an inherited stream, but this worker inherited none"
+            )
     else:
         ctx["stream"] = spec_from_wire(payload["spec"]).open()
     ctx["kernels"] = get_backend(payload["backend"])
@@ -158,19 +180,6 @@ def _w_job(ctx, payload):
     ctx["hdrf_lambda"] = float(payload["hdrf_lambda"])
     ctx["worker_index"] = int(payload["worker_index"])
     return wire.MSG_OK, None
-
-
-def _inherited_stream(inherited):
-    """An in-memory stream over the edge array a forked loopback worker
-    received through its process arguments."""
-    if inherited is None:
-        raise ConfigurationError(
-            "the job names inherited edges, but this worker inherited none"
-        )
-    edges, n_vertices, chunk_size = inherited
-    stream = InMemoryEdgeStream(edges, n_vertices=n_vertices)
-    stream.default_chunk_size = chunk_size
-    return stream
 
 
 def _w_degree(ctx, payload):
@@ -286,7 +295,9 @@ def _w_window(ctx, payload):
         "total": total,
         "cost": np.asarray(cost, dtype=np.int64),
         "log": log.entries().astype(ctx["cell"]),
-        "sizes": view.sizes,
+        # A copy: worker 0's reply is not encoded, and its next window
+        # writes the view's sizes.
+        "sizes": view.sizes.copy(),
     }
 
 
@@ -315,21 +326,30 @@ _MESSAGE_HANDLERS = {
 }
 
 
-def _serve_connection(
-    sock: socket.socket, version: int | None = None, inherited=None
-):
+def _handle(ctx: dict, msg_type: int, payload: dict) -> tuple[int, dict | None]:
+    """One request's reply.  An unknown message type or a raising
+    handler is answered with an ``ERROR`` reply, which the coordinator
+    turns into a typed error before it tears the session down."""
+    handler = _MESSAGE_HANDLERS.get(msg_type)
+    if handler is None:
+        return wire.MSG_ERROR, {"message": f"unknown message type {msg_type}"}
+    try:
+        return handler(ctx, payload)
+    except Exception as exc:  # noqa: BLE001 - reported to the coordinator
+        return wire.MSG_ERROR, {"message": f"{type(exc).__name__}: {exc}"}
+
+
+def _serve_connection(sock: socket.socket, version: int | None = None, stream=None):
     """Serve one coordinator session over an established socket.
 
-    Handler exceptions are reported back as ``ERROR`` frames (the
-    coordinator turns them into typed errors and tears the session
-    down); transport failures mean the coordinator is gone, so the loop
-    just exits.  ``version`` overrides the advertised wire version —
-    exists so version-negotiation tests can stand up a mismatched peer.
-    ``inherited`` is a forked loopback worker's ``(edges, n_vertices,
-    chunk_size)``, which a job naming inherited edges streams.
+    Transport failures mean the coordinator is gone, so the loop just
+    exits.  ``version`` overrides the advertised wire version — exists
+    so version-negotiation tests can stand up a mismatched peer.
+    ``stream`` is the coordinator's stream object a forked loopback
+    worker inherited, which a job naming an inherited stream streams.
     """
     conn = wire.Connection(sock, label="coordinator")
-    ctx: dict = {"inherited": inherited}
+    ctx: dict = {"inherited": stream}
     try:
         wire.handshake_server(conn, version=version)
         while True:
@@ -337,22 +357,7 @@ def _serve_connection(
             if msg_type == wire.MSG_SHUTDOWN:
                 conn.send(wire.MSG_OK)
                 return
-            handler = _MESSAGE_HANDLERS.get(msg_type)
-            if handler is None:
-                conn.send(
-                    wire.MSG_ERROR,
-                    {"message": f"unknown message type {msg_type}"},
-                )
-                continue
-            try:
-                out_type, out_payload = handler(ctx, payload)
-            except Exception as exc:  # noqa: BLE001 - reported to peer
-                conn.send(
-                    wire.MSG_ERROR,
-                    {"message": f"{type(exc).__name__}: {exc}"},
-                )
-                continue
-            conn.send(out_type, out_payload)
+            conn.send(*_handle(ctx, msg_type, payload))
     except WireError:
         return  # coordinator vanished: no peer left to report to
     finally:
@@ -363,15 +368,49 @@ def _serve_connection(
             shm.close()
 
 
-def _loopback_worker_main(address: tuple[str, int], inherited) -> None:
+def _loopback_worker_main(address: tuple[str, int], stream) -> None:
     """Entry point of a coordinator-spawned loopback worker process.
 
-    ``inherited`` is ``None`` or the ``(edges, n_vertices, chunk_size)``
-    of the coordinator's in-memory stream, passed only under ``fork``,
-    where the child inherits the array instead of unpickling it."""
+    ``stream`` is ``None`` or the coordinator's in-memory stream, passed
+    only under ``fork``, where the child inherits the object and its
+    edge array instead of unpickling them."""
     sock = socket.create_connection(address, timeout=30.0)
     sock.settimeout(None)
-    _serve_connection(sock, inherited=inherited)
+    _serve_connection(sock, stream=stream)
+
+
+class _LocalWorker:
+    """Worker 0 of a loopback session, served inside the coordinator.
+
+    Connection-shaped (``send``, ``recv``, ``settimeout``, ``close``),
+    so the transport drives it as it drives a socket worker: ``send``
+    holds the request, and ``recv`` runs its handler on the caller's
+    thread and returns the reply.  Fields pass by reference, and
+    nothing crosses a socket, so its byte counts stay 0.
+    """
+
+    bytes_sent = bytes_received = 0
+
+    def __init__(self, stream) -> None:
+        self._ctx: dict = {"inherited": stream}
+        self._request = None
+
+    def settimeout(self, timeout) -> None:
+        """Nothing to time out: handlers run on the caller's thread."""
+
+    def send(self, msg_type: int, fields: dict | None = None) -> None:
+        self._request = (msg_type, fields or {})
+
+    def recv(self) -> tuple[int, dict]:
+        (msg_type, payload), self._request = self._request, None
+        if msg_type == wire.MSG_SHUTDOWN:
+            self.close()
+            return wire.MSG_OK, {}
+        out_type, out_payload = _handle(self._ctx, msg_type, payload)
+        return out_type, out_payload or {}
+
+    def close(self) -> None:
+        self._ctx = {}
 
 
 def serve_worker(
@@ -427,18 +466,20 @@ class DistributedRunner(Runner):
     workers:
         ``host:port`` specs of pre-started worker servers (the CLI
         ``worker`` subcommand), one per shard worker.  ``None`` (the
-        default) bootstraps loopback: the coordinator listens on
-        ``127.0.0.1`` and spawns local worker processes that connect
-        back.  Remote workers need a file-backed stream — each streams
-        its own shard; edge data never crosses the wire.
+        default) bootstraps loopback: the coordinator runs worker 0
+        itself, listens on ``127.0.0.1`` and spawns ``n_workers - 1``
+        local worker processes that connect back.  Remote workers need a
+        file-backed stream — each streams its own shard; edge data never
+        crosses the wire.
     connect_timeout:
         Seconds to establish (or accept) each worker connection.
     recv_timeout:
-        Seconds any single protocol reply may take.  A worker that died
-        mid-window would otherwise hang the coordinator forever; the
-        timeout converts that into a typed
+        Seconds any single protocol reply of a socket worker may take.
+        A worker that died mid-window would otherwise hang the
+        coordinator forever; the timeout converts that into a typed
         :class:`~repro.errors.PartitioningError` and session teardown
-        closes every socket and reaps every spawned worker.
+        closes every socket and reaps every spawned worker.  Worker 0 of
+        a loopback session runs on the coordinator's thread, uncovered.
     start_method:
         ``multiprocessing`` start method for loopback workers (``None``
         picks :func:`~repro.core.runners.default_start_method`).
@@ -482,10 +523,12 @@ class DistributedRunner(Runner):
 
 
 class _SocketTransport(Transport):
-    """Window tasks as wire requests to one socket worker per shard.
+    """Window tasks as wire requests to one worker per shard.
 
-    ``workers=None`` starts loopback workers with ``start_method``;
-    ``kind`` names the runner in every error.
+    ``workers=None`` runs worker 0 in this process (:class:`_LocalWorker`)
+    and starts the others as loopback worker processes with
+    ``start_method``; ``host:port`` workers are all remote.  ``kind``
+    names the runner in every error.
     """
 
     def __init__(
@@ -502,7 +545,10 @@ class _SocketTransport(Transport):
         self._kind = kind
         self._recv_timeout = recv_timeout
         self._connect_timeout = connect_timeout
-        self._conns: list[wire.Connection] = []
+        #: One connection per worker, worker 0's a :class:`_LocalWorker`
+        #: in a loopback session.
+        self._conns: list = []
+        self._local: _LocalWorker | None = None
         #: Workers with a request whose reply has not been read.
         self._pending: set[int] = set()
         self._procs: list = []
@@ -529,32 +575,13 @@ class _SocketTransport(Transport):
     # -- bootstrap -----------------------------------------------------
     def _setup(self, workers, start_method) -> None:
         job = self.job
-        ctx = mp_context(start_method) if workers is None else None
-        stream, inherited = job.stream, None
-        fork = ctx is not None and ctx.get_start_method() == "fork"
-        if fork and _inheritable(stream):
-            chunk_size = stream.default_chunk_size
-            inherited = (stream.edge_array, stream.n_vertices, chunk_size)
-            wire_spec = {"kind": "inherited"}
+        if workers is None:
+            specs = self._start_loopback_workers(start_method)
         else:
-            spec, self._stream_shm = _stream_spec(stream)
-            wire_spec = spec_to_wire(spec)
-        if workers is not None:
-            if len(workers) != job.n_workers:
-                raise ConfigurationError(
-                    f"{len(workers)} worker specs for "
-                    f"n_workers={job.n_workers}; they must match"
-                )
-            if not isinstance(spec, FileStreamSpec):
-                raise ConfigurationError(
-                    "host:port workers need a file-backed stream "
-                    "(FileEdgeStream): shared-memory edge segments do "
-                    "not cross hosts — workers stream their own shards"
-                )
-            self._connect_workers(workers)
-        else:
-            self._spawn_loopback_workers(ctx, job.n_workers, inherited)
+            specs = self._connect_workers(workers)
         for w, conn in enumerate(self._conns):
+            if conn is self._local:
+                continue
             conn.settimeout(self._recv_timeout)
             self._pending.add(w)
             try:
@@ -565,7 +592,6 @@ class _SocketTransport(Transport):
                 ) from exc
             self._pending.discard(w)
         job_fields = {
-            "spec": wire_spec,
             "n_edges": int(job.stream.n_edges),
             "k": job.k,
             "alpha": job.alpha,
@@ -576,12 +602,31 @@ class _SocketTransport(Transport):
         }
         self._exchange(
             wire.MSG_JOB,
-            [{**job_fields, "worker_index": w} for w in range(len(self._conns))],
+            [
+                {**job_fields, "spec": spec, "worker_index": w}
+                for w, spec in enumerate(specs)
+            ],
             wire.MSG_OK,
             "job setup",
         )
 
-    def _connect_workers(self, addresses) -> None:
+    def _connect_workers(self, addresses) -> list:
+        """Connect to the ``host:port`` workers; returns each one's
+        stream spec.  The worker count and the stream's type are checked
+        before anything is built."""
+        job = self.job
+        if len(addresses) != job.n_workers:
+            raise ConfigurationError(
+                f"{len(addresses)} worker specs for "
+                f"n_workers={job.n_workers}; they must match"
+            )
+        if not isinstance(job.stream, FileEdgeStream):
+            raise ConfigurationError(
+                "host:port workers need a file-backed stream "
+                "(FileEdgeStream): shared-memory edge segments do "
+                "not cross hosts — workers stream their own shards"
+            )
+        spec, _ = _stream_spec(job.stream)  # a file's spec: no segment
         for w, address in enumerate(addresses):
             label = f"worker {w} at {address[0]}:{address[1]}"
             try:
@@ -593,24 +638,44 @@ class _SocketTransport(Transport):
                     f"could not connect to distributed {label}: {exc}"
                 ) from exc
             self._track(wire.Connection(sock, label=label))
+        return [spec_to_wire(spec)] * len(addresses)
 
-    def _spawn_loopback_workers(self, ctx, n_workers: int, inherited) -> None:
+    def _start_loopback_workers(self, start_method) -> list:
+        """Run worker 0 in this process over the job's own stream, and
+        start the other ``n_workers - 1`` as processes that connect back
+        to a listener on ``127.0.0.1``; returns each worker's stream
+        spec.  Forked workers inherit the stream where
+        :func:`_inheritable`; the others reopen it from its spec."""
+        job = self.job
+        stream = job.stream
+        self._local = _LocalWorker(stream)
+        self._conns.append(self._local)
+        n_procs = job.n_workers - 1
+        if n_procs == 0:
+            return [_INHERITED]
+        ctx = mp_context(start_method)
+        if ctx.get_start_method() == "fork" and _inheritable(stream):
+            inherited, spec = stream, _INHERITED
+        else:
+            shared, self._stream_shm = _stream_spec(stream)
+            inherited, spec = None, spec_to_wire(shared)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.bind(("127.0.0.1", 0))
-        self._listener.listen(n_workers)
+        self._listener.listen(n_procs)
         self._listener.settimeout(0.1)  # see _accept
         address = self._listener.getsockname()[:2]
-        for _ in range(n_workers):
+        for _ in range(n_procs):
             proc = ctx.Process(
                 target=_loopback_worker_main, args=(address, inherited), daemon=True
             )
             proc.start()
             self._procs.append(proc)
             _LIVE_WORKER_PROCS.add(proc)
-        for w in range(n_workers):
+        for w in range(1, job.n_workers):
             self._track(wire.Connection(self._accept(w), label=f"worker {w}"))
         self._listener.close()
         self._listener = None
+        return [_INHERITED] + [spec] * n_procs
 
     def _accept(self, w: int) -> socket.socket:
         """The next loopback worker's socket.  Accepts in slices of at
@@ -627,7 +692,7 @@ class _SocketTransport(Transport):
                 raise PartitioningError(
                     f"{self._kind} loopback worker {w} could not connect: {exc}"
                 ) from exc
-            for i, proc in enumerate(self._procs):
+            for i, proc in enumerate(self._procs, start=1):
                 if proc.exitcode is not None:
                     raise PartitioningError(
                         f"{self._kind} loopback worker {i} exited with code "
@@ -666,7 +731,7 @@ class _SocketTransport(Transport):
         self._pending.discard(w)
         if msg_type == wire.MSG_ERROR:
             raise WorkerFailed(
-                w, step, payload.get("message", "no detail")
+                w, step, payload.get("message", "no detail"), runner=self._kind
             )
         if msg_type != expected:
             raise PartitioningError(
@@ -699,7 +764,7 @@ class _SocketTransport(Transport):
             else:
                 fields = {"pass": step, "start": start, "stop": stop}
                 if w in self._news:
-                    fields.update(self._news_fields(self._news.pop(w)))
+                    fields.update(self._news_fields(w, self._news.pop(w)))
             if refresh and refresh[0] is not None:
                 # The barrier's news rides on the next window's request.
                 offset, n_ids, moves = refresh[0]
@@ -812,19 +877,21 @@ class _SocketTransport(Transport):
                 self._news.setdefault(w, []).extend(others)
         return sum(int(log.shape[0]) for log in logs.values())
 
-    def _news_fields(self, news: list) -> dict:
-        """A window request's news: the cells the other workers logged
-        since the worker's last window, or the merged plane where that is
-        fewer bytes, so no news ships more than a full re-broadcast (the
-        plane and the sizes); and the merged sizes."""
+    def _news_fields(self, w: int, news: list) -> dict:
+        """Worker ``w``'s window request's news: the cells the other
+        workers logged since its last window, or the merged plane where
+        that is fewer bytes, so no news ships more than a full
+        re-broadcast (the plane and the sizes); and the merged sizes.
+        The wire stats count the news of socket workers only."""
         plane = _replica_plane(self.job.state.replicas)[0]
         sizes = self.job.state.sizes
         cells = np.concatenate([np.zeros(0, self._cell), *news])
         sent = cells if cells.nbytes < plane.nbytes else plane
-        counts = self._barrier_bytes
-        counts["plane"] += sent.nbytes
-        counts["delta"] += sent.nbytes + sizes.nbytes
-        counts["full"] += plane.nbytes + sizes.nbytes
+        if self._conns[w] is not self._local:
+            counts = self._barrier_bytes
+            counts["plane"] += sent.nbytes
+            counts["delta"] += sent.nbytes + sizes.nbytes
+            counts["full"] += plane.nbytes + sizes.nbytes
         return {"log" if sent is cells else "plane": sent, "sizes": sizes}
 
     def finalize(self) -> None:
@@ -870,9 +937,10 @@ class _SocketTransport(Transport):
         }
 
     def extra_state_bytes(self) -> int:
-        # Worker views live in worker processes, each of the global
-        # state's shape, beside a set-bit log: what the other transports
-        # sum over the views they hold.
+        # Worker views live in the workers (worker 0's in this process in
+        # a loopback session), each of the global state's shape, beside a
+        # set-bit log: what the other transports sum over the views they
+        # hold.
         log = ReplicaLog(self._log_capacity)
         return self.job.n_workers * (self.job.state.nbytes() + log.nbytes())
 

@@ -28,8 +28,9 @@ pipeline.
 :class:`~repro.core.partitioner.TwoPhasePartitioner` on the sessions of
 a pluggable **runner** (:mod:`repro.core.runners`): ``"serial"`` and
 ``"simulated"`` — the default — run in process, ``"process"`` runs
-local worker processes over loopback sockets, and ``"distributed"``
-the same socket workers, local or at ``host:port``.  All drive the one
+worker 0 in process and the other workers as local worker processes
+over loopback sockets, and ``"distributed"`` the same, or socket workers
+at ``host:port``.  All drive the one
 deterministic sync-window schedule.  The runner choice is a pure
 execution knob; which results are bit-exact across runners, backends
 and worker counts, and why, is stated once, in

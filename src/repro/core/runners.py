@@ -20,10 +20,13 @@ its worker.
   shards, each window run inline against its worker's stale heap view.
   Deterministic and dependency-free; parallel wall-clock is *modeled*.
 - :class:`ProcessRunner` — local worker processes: the socket transport
-  of the next item on loopback, one process per shard.  Forked workers
-  inherit an in-memory stream's edge array; otherwise workers reopen
-  the stream from a picklable :class:`~repro.streaming.stream.StreamSpec`
-  (file streams stay out-of-core).  Parallel wall-clock is *measured*.
+  of the next item on loopback.  Worker 0 runs inside the coordinator,
+  through the workers' own message handlers, and each other shard gets
+  a worker process: ``n_workers - 1`` of them.  Worker 0 streams the
+  job's stream object itself; forked workers inherit an in-memory
+  stream object; otherwise workers reopen the stream from a picklable
+  :class:`~repro.streaming.stream.StreamSpec` (file streams stay
+  out-of-core).  Parallel wall-clock is *measured*.
 - :class:`~repro.core.distributed.DistributedRunner` — the socket
   transport: TCP workers (loopback, or ``host:port`` specs) speaking the
   versioned wire format of :mod:`repro.core.wire`; edge data never
@@ -47,8 +50,11 @@ every output bit:
   Each transport is a value-preserving recoding of the same arithmetic:
   every transport runs a Phase-2 window through the one body
   :func:`run_phase2_window`, which reads it through ``_SubStream`` over
-  the job's stream (socket workers reopen it from its spec), so chunk
-  boundaries agree; every transport's Phase-2 barrier sets the
+  the job's stream (worker 0 of a loopback session and forked workers
+  read the stream object itself, other socket workers reopen it from
+  its spec), so chunk boundaries agree; worker 0 of a loopback session
+  runs the socket workers' handlers on the fields they would decode;
+  every transport's Phase-2 barrier sets the
   bits of every worker's set-bit log with the one kernel op
   ``apply_replica_log`` and merges sizes with :func:`merge_sizes`, and
   every worker applies the same news before the same window; and both
@@ -107,16 +113,20 @@ a full re-broadcast (``barrier_cells`` / ``barrier_full_cells``).
 
 Shared-memory lifecycle
 -----------------------
-A ``fork`` session over an :class:`~repro.streaming.stream.InMemoryEdgeStream`
-owns no segment: its workers inherit the edge array through their
-process arguments and read it in place.  Any other process session
-owns at most one segment: the edge copy of a stream that is no file
-(:func:`~repro.streaming.stream.make_stream_spec`; under ``spawn`` or
-``forkserver``, or for a stream of another type, a subclass included),
-created before the workers start, which map it to reopen the stream
-zero-copy.  File streams need none.  Worker views, logs, clustering
-states and assignment shards live in the worker processes; moves,
-refreshes and news cross the socket, and the assignments cross it once.
+Worker 0 of a loopback session streams the job's stream in the
+coordinator, so a one-worker session starts no process, opens no socket
+and owns no segment.  A ``fork`` session over an
+:class:`~repro.streaming.stream.InMemoryEdgeStream` owns no segment
+either: its worker processes inherit the stream object through their
+process arguments and read its edge array in place.  Any other process
+session owns at most one segment: the edge copy of a stream that is no
+file (:func:`~repro.streaming.stream.make_stream_spec`; under ``spawn``
+or ``forkserver``, or for a stream of another type, a subclass
+included), created before the workers start, which map it to reopen the
+stream zero-copy.  File streams need none.  Worker views, logs,
+clustering states and assignment shards live with the workers, worker
+0's in the coordinator; moves, refreshes and news cross the socket to
+the worker processes, and their assignments cross it once.
 ``close()`` unlinks the segment after the workers are gone; it
 is idempotent and runs on both success and error paths, so a crashed or
 timed-out worker cannot leak it past the session (verified by the
@@ -165,13 +175,17 @@ def _describe(exc: BaseException) -> str:
 class WorkerFailed(PartitioningError):
     """A worker reported an exception instead of a result.
 
-    Transports raise it with the worker index and the cause; inside a
-    sweep the driver turns it into the run's one typed error (see the
-    module docstring), elsewhere it surfaces as is.
+    Transports raise it with the worker index and the cause (the socket
+    transport names its runner too); inside a sweep the driver turns it
+    into the run's one typed error (see the module docstring), elsewhere
+    it surfaces as is.
     """
 
-    def __init__(self, worker: int, step: str, cause: str) -> None:
-        super().__init__(f"worker {worker} failed during {step}: {cause}")
+    def __init__(
+        self, worker: int, step: str, cause: str, runner: str | None = None
+    ) -> None:
+        who = f"worker {worker}" if runner is None else f"{runner} worker {worker}"
+        super().__init__(f"{who} failed during {step}: {cause}")
         self.worker = worker
         self.cause = cause
 
@@ -451,7 +465,8 @@ class Transport(ABC):
         return 0
 
     def wire_stats(self) -> dict | None:
-        """Wire-traffic accounting (socket transport only)."""
+        """Wire-traffic accounting: the socket transport's socket
+        traffic only (worker 0 of a loopback session sends none)."""
         return None
 
 
@@ -851,9 +866,11 @@ def check_start_method(start_method: str | None) -> None:
 class ProcessRunner(Runner):
     """True multi-process execution: socket workers on loopback.
 
-    A session listens on ``127.0.0.1`` and starts one local worker
-    process per shard, which connects back and speaks the wire protocol
-    of :class:`~repro.core.distributed.DistributedRunner`; this runner is
+    A session runs worker 0 inside the coordinator, through the workers'
+    own message handlers, listens on ``127.0.0.1`` and starts one local
+    worker process for each other shard, ``n_workers - 1`` in all, which
+    connects back and speaks the wire protocol of
+    :class:`~repro.core.distributed.DistributedRunner`; this runner is
     that transport without ``host:port`` workers.
 
     Parameters
@@ -863,11 +880,12 @@ class ProcessRunner(Runner):
         :func:`default_start_method`).  ``fork`` inherits dynamically
         registered kernel backends; ``spawn`` re-imports them.
     task_timeout:
-        Seconds any single worker reply may take (the transport's
-        ``recv_timeout``).  A worker that stalls past it raises a
-        :class:`~repro.errors.PartitioningError` naming the timeout (one
-        that died raises at once), and the session teardown terminates
-        every worker and unlinks the edge segment.
+        Seconds any single reply of a worker process may take (the
+        transport's ``recv_timeout``).  A worker that stalls past it
+        raises a :class:`~repro.errors.PartitioningError` naming the
+        timeout (one that died raises at once), and the session teardown
+        terminates every worker and unlinks the edge segment.  Worker 0
+        runs on the coordinator's thread, which no timeout covers.
     """
 
     kind = "process"

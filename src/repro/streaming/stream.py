@@ -202,11 +202,6 @@ class InMemoryEdgeStream(EdgeStream):
     def n_vertices(self) -> int | None:
         return self._n
 
-    @property
-    def edge_array(self) -> np.ndarray:
-        """The ``(m, 2)`` int64 edge array the stream slices, not a copy."""
-        return self._edges
-
     def chunks(self, chunk_size: int | None = None) -> Iterator[np.ndarray]:
         yield from self._window_iter(0, self.n_edges, chunk_size)
         self.stats.record_pass()

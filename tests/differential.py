@@ -63,7 +63,8 @@ from repro.streaming.writer import EdgeListWriter
 
 #: The full runner matrix the harness sweeps.  ``process`` and
 #: ``distributed`` run the socket-protocol workers in loopback mode:
-#: same schedule, same merge ops, but every delta crosses a wire frame —
+#: same schedule, same merge ops, but every delta to or from a worker
+#: process crosses a wire frame (worker 0 runs in the coordinator) —
 #: the sweep pins them bit-exact against the in-process runners.
 RUNNERS = ("serial", "simulated", "process", "distributed")
 

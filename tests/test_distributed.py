@@ -22,7 +22,11 @@ Three layers, mirroring the implementation split:
 Fault injection works by monkeypatching the module-level
 ``distributed._MESSAGE_HANDLERS`` registry before the session spawns
 its loopback workers: fork-started children inherit the patched
-registry, so the failure fires inside a real worker process.
+registry, so the failure fires inside a real worker process.  Worker 0
+of a loopback session runs in the test process itself, through the same
+registry: a fault that ends or stalls a process fires only in the forked
+workers (``worker_index`` >= 1), since in worker 0 it would end or stall
+the test run.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import pytest
 
 from repro.core import ParallelTwoPhase, wire
 from repro.core import distributed
+from repro.core import runners as runners_module
 from repro.core.distributed import (
     DistributedRunner,
     live_connections,
@@ -46,14 +51,15 @@ from repro.core.distributed import (
     parse_worker_spec,
     serve_worker,
 )
-from repro.core.runners import live_shared_segments, make_runner
+from repro.core.runners import ShardedJob, live_shared_segments, make_runner
 from repro.errors import ConfigurationError, PartitioningError, WireError
 from repro.kernels import c_backend, get_backend
 from repro.kernels.base import ReplicaLog
+from repro.metrics.runtime import CostCounter
 from repro.graph import Graph
 from repro.graph.generators import chung_lu_graph
 from repro.partitioning.state import _replica_plane
-from repro.streaming import FileEdgeStream
+from repro.streaming import FileEdgeStream, InMemoryEdgeStream
 from repro.streaming.writer import EdgeListWriter
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -415,7 +421,11 @@ class TestLoopbackEquivalence:
     @pytest.mark.parametrize("runner", ["distributed", "process"])
     @pytest.mark.parametrize(
         "packed, sync, n_edges, kind",
-        [(False, 37, 900, "log"), (True, 300, 900, "plane"), (False, 449, 899, "log")],
+        [
+            (False, 37, 900, "log"),
+            (True, 300, 900, "plane"),
+            (False, 299, 898, "plane"),
+        ],
         ids=["dense", "packed", "sat-out"],
     )
     def test_window_requests_carry_other_workers_cells_or_the_plane(
@@ -426,12 +436,14 @@ class TestLoopbackEquivalence:
         its last window, in uint32, or the merged plane where that is
         fewer bytes, plus the merged sizes; the run's last barrier ships
         nothing.  The run stays bit-exact, and the wire stats count what
-        was sent and are the session's last (the collect's frame
-        included).  The 600-byte dense plane takes the logs of 37-edge
-        windows, the 120-byte packed one is shipped whole after a
-        300-edge window, and with shards of 449 and 450 edges in
-        449-edge windows worker 0 sits out every pass's second sweep,
-        so its next window carries the news of two barriers."""
+        was sent to the two worker processes (worker 0 runs in this
+        process and takes its news by reference) and are the session's
+        last (the collect's frame included).  The 600-byte dense plane
+        takes the logs of 37-edge windows, the 120-byte packed one is
+        shipped whole after a 300-edge window, and with shards of 299,
+        299 and 300 edges in 299-edge windows workers 0 and 1 sit out
+        every pass's second sweep, so their next windows carry the news
+        of two barriers."""
         events, at_close = [], []
         transport = distributed._SocketTransport
         real_result, real_send = transport._result, transport._send
@@ -471,7 +483,7 @@ class TestLoopbackEquivalence:
         graph = Graph(graph.edges[:n_edges], graph.n_vertices)
         dist, sim = (
             ParallelTwoPhase(
-                n_workers=2,
+                n_workers=3,
                 sync_interval=sync,
                 runner=name,
                 packed_state=packed,
@@ -481,7 +493,7 @@ class TestLoopbackEquivalence:
         _assert_same(dist, sim)
         plane_bytes = _replica_plane(dist.state.replicas)[0].nbytes
         logs, pending, sizes = {}, {}, None
-        shipped, deliveries, kinds, most = 0, 0, set(), 0
+        shipped, deliveries, kinds, most = 0, 0, set(), {}
         for event, w, value in events:
             if event == "log":
                 assert value.dtype == np.uint32
@@ -497,7 +509,7 @@ class TestLoopbackEquivalence:
                 assert not value, "news without a barrier since the last window"
                 continue
             news = pending.pop(w)
-            most = max(most, len(news))
+            most[w] = max(most.get(w, 0), len(news))
             cells = np.concatenate(
                 [np.zeros(0, np.uint32), *(log for logs_ in news for log in logs_)]
             )
@@ -509,12 +521,14 @@ class TestLoopbackEquivalence:
                 assert value["plane"].nbytes == plane_bytes <= cells.nbytes
             np.testing.assert_array_equal(value["sizes"], sizes)
             kinds.update(set(value) - {"sizes"})
-            shipped += min(cells.nbytes, plane_bytes)
-            deliveries += 1
+            if w > 0:  # the socket workers' news
+                shipped += min(cells.nbytes, plane_bytes)
+                deliveries += 1
         assert kind in kinds
-        assert most == (2 if n_edges == 899 else 1), "barriers per delivery"
+        sat_out = [2, 2, 1] if n_edges == 898 else [1, 1, 1]
+        assert [most[w] for w in range(3)] == sat_out, "barriers per delivery"
         # The run's last barrier ships nothing: its news stays queued.
-        assert events[-1][0] == "barrier" and sorted(pending) == [0, 1]
+        assert events[-1][0] == "barrier" and sorted(pending) == [0, 1, 2]
         stats = dist.extras["wire"]
         assert at_close == [stats]
         sizes_bytes = 5 * 8
@@ -565,12 +579,23 @@ class TestHostPortWorkers:
         _assert_same(dist, _partition("simulated", stream()))
         _assert_clean()
 
-    def test_in_memory_stream_rejected(self):
+    def test_in_memory_stream_rejected(self, monkeypatch):
+        """Rejected before the stream is copied: no segment is ever
+        registered."""
+        registered = []
+
+        class Recording(set):
+            def add(self, name):
+                registered.append(name)
+                super().add(name)
+
+        monkeypatch.setattr(runners_module, "_LIVE_SEGMENTS", Recording())
         with pytest.raises(ConfigurationError, match="file-backed"):
             _partition(
                 DistributedRunner(workers=["127.0.0.1:9", "127.0.0.1:10"]),
                 _graph(),
             )
+        assert registered == []
         _assert_clean()
 
     def test_worker_count_mismatch_rejected(self, tmp_path):
@@ -656,6 +681,19 @@ def _stall_handler(ctx, payload):
     return wire.MSG_OK, None
 
 
+def _in_forked_workers(msg_type, fault):
+    """``fault`` as the handler of ``msg_type`` in the forked workers;
+    worker 0, which runs in the test process, keeps the real handler."""
+    real = distributed._MESSAGE_HANDLERS[msg_type]
+
+    def handler(ctx, payload):
+        if ctx["worker_index"] >= 1:
+            return fault(ctx, payload)
+        return real(ctx, payload)
+
+    return handler
+
+
 @needs_fork
 class TestFailureInjection:
     """Each injected fault must surface as PartitioningError and leave
@@ -676,9 +714,11 @@ class TestFailureInjection:
 
     def test_worker_crash_mid_window(self, monkeypatch):
         excinfo = self._run_with_fault(
-            monkeypatch, wire.MSG_WINDOW, _crash_handler
+            monkeypatch,
+            wire.MSG_WINDOW,
+            _in_forked_workers(wire.MSG_WINDOW, _crash_handler),
         )
-        assert "died or stalled" in str(excinfo.value)
+        assert "prepartition: worker 1 died or stalled" in str(excinfo.value)
         assert str(excinfo.value).startswith(f"{self.runner} ")
         _assert_clean()
         assert not multiprocessing.active_children()
@@ -694,17 +734,23 @@ class TestFailureInjection:
                 raise SystemExit(0)
             return real(ctx, payload)
 
-        excinfo = self._run_with_fault(monkeypatch, wire.MSG_WINDOW, leave_on_news)
-        assert "prepartition: worker 0 died or stalled" in str(excinfo.value)
+        excinfo = self._run_with_fault(
+            monkeypatch,
+            wire.MSG_WINDOW,
+            _in_forked_workers(wire.MSG_WINDOW, leave_on_news),
+        )
+        assert "prepartition: worker 1 died or stalled" in str(excinfo.value)
         assert str(excinfo.value).startswith(f"{self.runner} ")
         _assert_clean()
         assert not multiprocessing.active_children()
 
     def test_disconnect_during_collect(self, monkeypatch):
         excinfo = self._run_with_fault(
-            monkeypatch, wire.MSG_COLLECT, _disconnect_handler
+            monkeypatch,
+            wire.MSG_COLLECT,
+            _in_forked_workers(wire.MSG_COLLECT, _disconnect_handler),
         )
-        assert "collect: worker 0 died or stalled" in str(excinfo.value)
+        assert "collect: worker 1 died or stalled" in str(excinfo.value)
         assert str(excinfo.value).startswith(f"{self.runner} ")
         _assert_clean()
         assert not multiprocessing.active_children()
@@ -907,10 +953,12 @@ class TestFailureInjection:
 
     def test_recv_timeout_on_stalled_worker(self, monkeypatch):
         excinfo = self._run_with_fault(
-            monkeypatch, wire.MSG_WINDOW, _stall_handler,
+            monkeypatch,
+            wire.MSG_WINDOW,
+            _in_forked_workers(wire.MSG_WINDOW, _stall_handler),
             task_timeout=0.2,
         )
-        assert "died or stalled" in str(excinfo.value)
+        assert "prepartition: worker 1 died or stalled" in str(excinfo.value)
         assert str(excinfo.value).startswith(f"{self.runner} ")
         assert "no reply within the 0.2 s timeout" in str(excinfo.value)
         _assert_clean()
@@ -927,6 +975,178 @@ class TestFailureInjection:
             _partition(self._runner(), _graph())
         _assert_clean()
         assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize(
+        "msg_type, expected",
+        [
+            (
+                wire.MSG_WINDOW,
+                "phase-2 worker {w} failed during the prepartition pass",
+            ),
+            (wire.MSG_BIND, "{runner} worker {w} failed during phase-2 bind"),
+            (wire.MSG_COLLECT, "{runner} worker {w} failed during collect"),
+        ],
+        ids=["window", "bind", "collect"],
+    )
+    def test_raising_handler_in_worker_0_fails_as_in_a_forked_worker(
+        self, monkeypatch, msg_type, expected
+    ):
+        """Worker 0 runs its handlers in the coordinator: one that raises
+        there gives the typed error a forked worker's gives, naming the
+        worker and the step (and, outside a sweep, the runner), and
+        every forked worker is reaped."""
+        real = distributed._MESSAGE_HANDLERS[msg_type]
+
+        def raising_in(raiser):
+            def boom(ctx, payload):
+                if ctx["worker_index"] == raiser:
+                    raise ValueError("injected")
+                return real(ctx, payload)
+
+            return boom
+
+        messages = {}
+        for raiser in (0, 1):
+            excinfo = self._run_with_fault(monkeypatch, msg_type, raising_in(raiser))
+            messages[raiser] = str(excinfo.value)
+            _assert_clean()
+            assert not multiprocessing.active_children()
+        for w, message in messages.items():
+            named = expected.format(runner=self.runner, w=w)
+            assert message == f"{named}: ValueError: injected"
+
+    @pytest.mark.parametrize("packed", [False, True], ids=["dense", "packed"])
+    def test_worker_0_leaves_its_inputs_alone_and_replies_with_its_own_arrays(
+        self, monkeypatch, packed
+    ):
+        """Worker 0's requests and replies pass by reference.  No handler
+        writes an array it was handed (``part``, ``weights``, the degrees,
+        the global plane and sizes), and no array it returned is written
+        by its later work, the next window included.  Only worker 0's
+        handlers run in this process, so only its calls are recorded."""
+        handed, untouched, intact = set(), [], []
+        returned: list = []
+
+        def spying(real):
+            def handler(ctx, payload):
+                given = [
+                    (key, value, value.copy())
+                    for key, value in payload.items()
+                    if isinstance(value, np.ndarray)
+                ]
+                out_type, fields = real(ctx, payload)
+                handed.update(key for key, *_ in given)
+                untouched.extend(np.array_equal(v, c) for _, v, c in given)
+                intact.extend(np.array_equal(v, c) for v, c in returned)
+                returned.extend(
+                    (value, value.copy())
+                    for value in (fields or {}).values()
+                    if isinstance(value, np.ndarray)
+                )
+                return out_type, fields
+
+            return handler
+
+        for msg_type, real in list(distributed._MESSAGE_HANDLERS.items()):
+            monkeypatch.setitem(distributed._MESSAGE_HANDLERS, msg_type, spying(real))
+        graph = _graph()
+        runs = {
+            name: ParallelTwoPhase(
+                n_workers=2,
+                sync_interval=300 if packed else 37,
+                runner=make_runner(name, start_method="fork"),
+                parallel_phase1=True,
+                packed_state=packed,
+            ).partition(graph, 5, chunk_size=64)
+            for name in (self.runner, "simulated")
+        }
+        _assert_same(*runs.values())
+        news = "plane" if packed else "log"
+        assert {"part", "weights", "degrees", "sizes", news} <= handed
+        assert untouched and all(untouched), "worker 0 wrote an array it was handed"
+        assert intact and all(intact), "worker 0 wrote an array it returned"
+        _assert_clean()
+
+
+@needs_fork
+class TestLoopbackSessions:
+    """A loopback session of ``n`` workers runs worker 0 in the
+    coordinator: ``n - 1`` sockets and processes; a ``host:port`` session
+    connects to all ``n`` workers."""
+
+    @staticmethod
+    def _job(stream, n_workers):
+        return ShardedJob(
+            stream=stream,
+            backend="python",
+            k=4,
+            alpha=1.05,
+            hash_seed=0,
+            hdrf_lambda=1.1,
+            cost=CostCounter(),
+            n_workers=n_workers,
+            sync_interval=64,
+        )
+
+    @pytest.mark.parametrize("runner", ["process", "distributed"])
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_loopback_session_holds_n_minus_1_sockets_and_processes(
+        self, runner, n_workers
+    ):
+        session = make_runner(runner, start_method="fork").open(
+            self._job(InMemoryEdgeStream(_graph()), n_workers)
+        )
+        try:
+            assert len(live_connections()) == n_workers - 1
+            assert len(live_worker_processes()) == n_workers - 1
+        finally:
+            session.close()
+        _assert_clean()
+        assert not multiprocessing.active_children()
+
+    def test_host_port_session_holds_n_sockets(self, tmp_path):
+        graph = _graph()
+        path = tmp_path / "edges.bin"
+        with EdgeListWriter(str(path)) as writer:
+            writer.write_chunk(graph.edges)
+        served = [_serve_in_thread() for _ in range(2)]
+        stream = FileEdgeStream(str(path), n_vertices=graph.n_vertices)
+        session = DistributedRunner(workers=[addr for addr, _ in served]).open(
+            self._job(stream, 2)
+        )
+        try:
+            assert len(live_connections()) == 2
+            assert live_worker_processes() == frozenset()
+        finally:
+            session.close()
+        for _, thread in served:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        _assert_clean()
+
+    @pytest.mark.parametrize("runner", ["process", "distributed"])
+    def test_one_worker_session_starts_no_process_socket_or_segment(
+        self, runner, monkeypatch
+    ):
+        """The lone worker is worker 0: the run never builds a
+        multiprocessing context or a stream spec, never makes a socket,
+        and matches the simulated runner."""
+
+        def refuse(what):
+            def refused(*args, **kwargs):
+                raise AssertionError(f"a one-worker session made {what}")
+
+            return refused
+
+        graph = _graph()
+        sim = _partition("simulated", graph, n_workers=1)
+        monkeypatch.setattr(distributed, "mp_context", refuse("a process"))
+        monkeypatch.setattr(runners_module, "make_stream_spec", refuse("a segment"))
+        monkeypatch.setattr(socket, "socket", refuse("a socket"))
+        dist = _partition(make_runner(runner), graph, n_workers=1)
+        _assert_same(dist, sim)
+        assert dist.extras["wire"]["bytes_sent"] == 0
+        _assert_clean()
 
 
 def test_a_window_outside_the_workers_shard_raises():
@@ -946,7 +1166,7 @@ class TestDeadLoopbackWorker:
 
     @pytest.mark.parametrize("runner", ["process", "distributed"])
     def test_worker_dead_before_connect_fails_fast(self, runner, monkeypatch):
-        def dead(address, inherited):
+        def dead(address, stream):
             import os
 
             os._exit(3)
@@ -957,7 +1177,7 @@ class TestDeadLoopbackWorker:
         with pytest.raises(PartitioningError, match="exited with code 3") as exc:
             _partition(runner_obj, _graph())
         assert time.monotonic() - start < 2.0
-        assert str(exc.value).startswith(f"{runner} loopback worker ")
+        assert str(exc.value).startswith(f"{runner} loopback worker 1 ")
         _assert_clean()
         assert not multiprocessing.active_children()
 

@@ -30,6 +30,7 @@ materializes the stream, and worker windows bound its memory.
 """
 
 import multiprocessing
+import os
 import time
 
 import numpy as np
@@ -54,6 +55,10 @@ from tests.per_edge import PER_EDGE
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 needs_fork = pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
+
+#: The test process.  Worker 0 of a process session runs here, so a
+#: kernel that stalls a worker stalls only the forked ones.
+_TEST_PID = os.getpid()
 
 LAYOUTS = pytest.mark.parametrize("packed", [False, True], ids=["dense", "packed"])
 
@@ -414,26 +419,25 @@ class _ExplodingRemainingBackend(PythonBackend):
 
 
 class _SleepingClusteringBackend(PythonBackend):
-    """Hangs inside the worker during Phase 1 — timeout teardown."""
+    """Hangs inside a forked worker during Phase 1 — timeout teardown."""
 
     name = "sleeping-phase1"
 
     def clustering_true_pass(self, stream, st, cap, cost, log=None):
-        import time
-
-        time.sleep(60.0)
+        if os.getpid() != _TEST_PID:
+            time.sleep(60.0)
+        return super().clustering_true_pass(stream, st, cap, cost, log)
 
 
 class _SleepingBackend(PythonBackend):
-    """Hangs inside the worker — exercises the task-timeout teardown."""
+    """Hangs inside a forked worker — exercises the task-timeout teardown."""
 
     name = "sleeping"
 
     def prepartition_pass(self, stream, ctx):
-        import time
-
-        time.sleep(60.0)
-        return 0
+        if os.getpid() != _TEST_PID:
+            time.sleep(60.0)
+        return super().prepartition_pass(stream, ctx)
 
 
 @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
@@ -698,10 +702,10 @@ def test_unknown_pass_is_a_configuration_error(runner, community_graph):
 
 @needs_fork
 class TestProcessSession:
-    """A process session is the socket transport on loopback.  Forked
-    workers inherit an in-memory stream's edge array, so the session
-    creates no segment; under ``spawn`` its one shared segment is the
-    edge copy.  ``close()`` leaves no segment, socket or worker
+    """A process session is the socket transport on loopback, worker 0
+    in this process.  Forked workers inherit an in-memory stream, so the
+    session creates no segment; under ``spawn`` its one shared segment
+    is the edge copy.  ``close()`` leaves no segment, socket or worker
     process."""
 
     @pytest.mark.parametrize("runner", ["process", "distributed"])
@@ -810,7 +814,8 @@ class TestProcessSession:
         try:
             session.bind_phase2()
             assert len(live_shared_segments()) == 1
-            assert len(live_connections()) == len(live_worker_processes()) == 2
+            # Worker 0 runs in this process: one socket, one process.
+            assert len(live_connections()) == len(live_worker_processes()) == 1
         finally:
             session.close()
         session.close()
