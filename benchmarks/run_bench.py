@@ -13,9 +13,9 @@ tracked from PR to PR:
 - ``parallel`` — sharded ``ParallelTwoPhase`` (kernel-dispatched windows)
 
 It then runs the **parallel wall-clock** section: the sharded path with
-``runner="process"`` (worker 0 in this process and true
-``multiprocessing`` workers over loopback sockets, each worker holding
-its own ``PartitionState`` view) against the sequential python Phase-2
+``runner="process"`` (worker 0 in this process, its view the global
+state, and true ``multiprocessing`` workers over loopback sockets, each
+holding its own ``PartitionState`` view) against the sequential python Phase-2
 time, into ``BENCH_parallel.json``.
 
 Usage::
@@ -152,10 +152,12 @@ import time
 import numpy as np
 
 from repro.core import ParallelTwoPhase, TwoPhasePartitioner
-from repro.core.runners import apply_logs, live_shared_segments
+from repro.core.distributed import take_news
+from repro.core.runners import live_shared_segments, merge_sizes
+from repro.core.wire import log_cell_dtype
 from repro.graph.generators import rmat_edge_file, rmat_graph
 from repro.kernels import DEFAULT_BACKEND, available_backends, get_backend
-from repro.kernels.base import ReplicaLog
+from repro.kernels.base import log_cells
 from repro.partitioning.state import PartitionState, _replica_plane
 from repro.streaming import FileEdgeStream, InMemoryEdgeStream
 
@@ -246,8 +248,9 @@ C_SMOKE_GATES = {
 
 #: c-vs-python speedups of the Phase-2 barrier op
 #: (``apply_replica_log``) per replica layout, on ``2**scale`` rows at
-#: k=32: one barrier applies two views' set-bit logs to the global state
-#: and to both views, each barrier on a fresh fixture.  The thresholds
+#: k=32: one two-worker barrier applies worker 1's set-bit log to the
+#: global state, which is worker 0's view, and worker 0's to worker 1's
+#: view, each barrier on a fresh fixture.  The thresholds
 #: are those of the dirty-row merge this op replaced, which were set
 #: against the numpy backend (it ran python's merge): the full ones at
 #: about 80% of the lowest of three full-scale readings, each the best
@@ -524,54 +527,59 @@ def skipped_gate(threshold, reason: str) -> dict:
 
 
 def barrier_fixture(n: int, k: int, packed: bool, seed: int):
-    """The global state, two worker views and their set-bit logs of one
-    Phase-2 barrier, built afresh from ``seed`` on every call.
+    """The two worker views of one two-worker Phase-2 barrier and their
+    windows' set-bit logs, built afresh from ``seed`` on every call.
+    Worker 0's view is the global state.
 
-    All three states start from the same random replica bits; each view
-    then sets one bit in a random share of the rows, chosen so that
+    Both views start from the same random replica bits; each then sets
+    one bit in a random share of the rows, chosen so that
     :data:`BARRIER_DIRTY_SHARE` of the rows get a bit from some view,
-    and logs each one that was clear in its
-    :class:`~repro.kernels.base.ReplicaLog`.
+    and logs each one that was clear in it, in the wire cells its window
+    reply carries.  Returns the views, those logs, and each log as int64
+    cells, as the coordinator's check of a reply leaves it.
     """
     rng = np.random.default_rng(seed)
     rows, cols = np.nonzero(rng.random((n, k)) < 0.05)
     share = 1.0 - (1.0 - BARRIER_DIRTY_SHARE) ** 0.5
-    states = []
-    for _ in range(3):
-        st = PartitionState(n, k, 16 * n, packed=packed)
-        st.replicas[rows, cols] = True
-        states.append(st)
-    logs = []
-    for view in states[1:]:
+    views, logs = [], []
+    for _ in range(2):
+        view = PartitionState(n, k, 16 * n, packed=packed)
+        view.replicas[rows, cols] = True
         touched = np.flatnonzero(rng.random(n) < share)
         ps = rng.integers(0, k, size=touched.size)
         fresh = ~np.asarray(view.replicas[touched, ps])
         view.replicas[touched, ps] = True
         cells = touched[fresh] * k + ps[fresh]
-        log = ReplicaLog(cells.shape[0])
-        log.cells[:] = cells
-        log.fill[0] = cells.shape[0]
-        logs.append(log)
-    return states[0], states[1:], logs
+        views.append(view)
+        logs.append(cells.astype(log_cell_dtype(n, k)))
+    return views, logs, [log_cells([log], log.dtype) for log in logs]
 
 
 def barrier_run(backend: str, fixture):
     """A run of :func:`interleaved_rounds`: :data:`BARRIER_MERGES`
-    barriers, each the runners' own :func:`~repro.core.runners.apply_logs`
-    on a fresh ``barrier_fixture(*fixture)``, timed together as
-    ``merge``; its result is the last barrier's cell count and every
-    state's replica plane after it."""
+    barriers, each the transport's own on a fresh
+    ``barrier_fixture(*fixture)``: the sizes merge
+    (:func:`~repro.core.runners.merge_sizes`), the global state, worker
+    0's view, takes worker 1's checked log, and worker 1's view takes its
+    news, worker 0's wire cells, each with
+    :func:`~repro.core.distributed.take_news`, all timed together as
+    ``merge``; its result is the last barrier's cell count and both
+    views' replica planes after it."""
     kernels = get_backend(backend)
 
     def run():
         seconds = 0.0
         for _ in range(BARRIER_MERGES):
-            state, views, logs = barrier_fixture(*fixture)
+            views, logs, checked = barrier_fixture(*fixture)
+            base = np.zeros_like(views[0].sizes)
             start = time.perf_counter()
-            cells = apply_logs(kernels, state, views, logs)
+            sizes = merge_sizes(base, [view.sizes for view in views])
+            take_news(kernels, views[0], {"log": checked[1], "sizes": sizes}, np.int64)
+            news = {"log": logs[0], "sizes": sizes}
+            take_news(kernels, views[1], news, logs[0].dtype)
             seconds += time.perf_counter() - start
-        planes = [_replica_plane(st.replicas)[0].tobytes() for st in (state, *views)]
-        return (cells, *planes), {"merge": seconds}
+        planes = [_replica_plane(view.replicas)[0].tobytes() for view in views]
+        return (sum(len(log) for log in logs), *planes), {"merge": seconds}
 
     return run
 
@@ -584,6 +592,8 @@ def run_barrier_rows(args, scale: int, smoke: bool, rounds: int):
     n = 1 << scale
     record = {
         "op": "apply_replica_log",
+        "barrier": "take_news: the global state (worker 0's view) takes "
+        "worker 1's log, worker 1's view worker 0's",
         "n_rows": n,
         "k": args.k,
         "views": 2,

@@ -1,44 +1,57 @@
-"""The socket transport of the sync-window driver, local or remote.
+"""The one transport of the sync-window driver: its workers and coordinator.
 
-Workers speak the :mod:`repro.core.wire` protocol under the one
-:class:`~repro.core.runners.RunnerSession` driver, which owns the
-schedule, the Phase-1 merges and all accounting.  Two runners use it:
-:class:`~repro.core.runners.ProcessRunner` in loopback mode, and
-:class:`DistributedRunner`, loopback by default or against pre-started
-worker servers named by ``host:port`` specs (the CLI ``worker``
-subcommand) for real clusters.  A ``host:port`` session connects to its
-``n`` workers over TCP.  A loopback session of ``n`` workers runs worker
-0 inside the coordinator and starts ``n - 1`` worker processes, which
-connect back to a listener on ``127.0.0.1``.  Worker 0 is served by the
-same message handlers as a socket worker, through :class:`_LocalWorker`,
-a connection-shaped object that holds each request until its reply is
-read and then runs the handler: the coordinator sends every worker its
-request before it reads the first reply, so it computes worker 0's
-window while the worker processes compute theirs, and worker 0 pays no
-fork, socket, handshake, frame or checksum.
+Every runner's :class:`~repro.core.runners.RunnerSession` drives a
+:class:`WorkerTransport`, which sends each window to one worker per
+shard as a request that the message handlers of this module serve.  The
+runner decides where each worker runs:
 
-Why this transport is bit-exact with the simulated runner is stated
-with the equivalence contract in :mod:`repro.core.runners`.
-On the wire, a Phase-2 window returns its total, its cost delta, the
-worker's sizes and its set-bit log (every replica bit the window set
-that was clear in the worker's view; see
-:class:`~repro.kernels.base.ReplicaLog`), its cells 4 bytes wide while
-the plane's ``n * k`` cells fit (:func:`~repro.core.wire.log_cell_dtype`).
-The coordinator checks each log's type and length against its window,
-and the barrier sets the logged bits in the global state with the
-kernel op ``apply_replica_log``, which checks every entry before it
-writes, and merges sizes with :func:`~repro.core.runners.merge_sizes`.
-The barrier sends nothing: each worker's news — the merged sizes and
-the cells the *other* workers logged since its last window, or the
-merged plane where that is fewer bytes, so no news ships more than a
-full re-broadcast — rides on its next window request, and the worker
-applies it to its view before the kernel runs.  The run's last barrier
-ships nothing.  Assignments stay with the workers: ``BIND`` names each
-worker's shard, both passes write their windows into the worker's one
-array for it, and :meth:`~repro.core.runners.RunnerSession.finalize`
-collects each shard once, in
-:func:`~repro.core.wire.assignment_cell_dtype` cells, checking every
-shard's type, length and ids before it writes the job's array.
+- in the coordinator, as a :class:`_LocalWorker`: a connection-shaped
+  object that holds each request until its reply is read and then runs
+  the handler on the caller's thread.  It has no process, socket,
+  handshake, frame or checksum, and fields pass by reference.  Every
+  worker of a ``serial`` (one worker) or ``simulated`` session runs
+  here, and so does worker 0 of every loopback session;
+- in a loopback worker process: a :class:`~repro.core.runners.ProcessRunner`
+  session, or a :class:`DistributedRunner` one without ``host:port``
+  specs, of ``n`` workers starts ``n - 1`` of them, which connect back
+  to a listener on ``127.0.0.1``;
+- in a worker server named by a ``host:port`` spec (the CLI ``worker``
+  subcommand): a :class:`DistributedRunner` session connects to all
+  ``n`` of them over TCP.
+
+Worker processes and servers speak the :mod:`repro.core.wire` protocol.
+The coordinator sends every worker its request before it reads the
+first reply, so it computes worker 0's window while the worker processes
+compute theirs.
+
+Why every runner is bit-exact with the simulated one is stated with the
+equivalence contract in :mod:`repro.core.runners`.
+Worker 0 in the coordinator holds the job's own Phase-2 arrays: its view
+is ``job.state`` and its shard is ``job.assignments[lo:hi]``.  A Phase-2
+window returns its total, its cost delta, the worker's sizes and its
+set-bit log (every replica bit the window set that was clear in the
+worker's view; see :class:`~repro.kernels.base.ReplicaLog`), its cells 4
+bytes wide while the plane's ``n * k`` cells fit
+(:func:`~repro.core.wire.log_cell_dtype`).  The coordinator checks each
+log's type and length against its window.  At the barrier ``job.state``
+takes the cells of every worker but worker 0, whose bits are set there
+already, with :func:`take_news` (the kernel op ``apply_replica_log``,
+which checks every entry before it writes), and the sizes of the
+previous barrier take every worker's delta
+(:func:`~repro.core.runners.merge_sizes`).  A ``host:port`` session's
+coordinator keeps a plane of its own, ``job.state``, which takes every
+worker's cells.  The barrier sends nothing: each other worker's news —
+the merged sizes and the cells the *other* workers logged since its last
+window, or the merged plane where that is fewer bytes, so no news ships
+more than a full re-broadcast — rides on its next window request, and
+the worker takes it with :func:`take_news` before the kernel runs.  The
+run's last barrier ships nothing.  A lone worker 0 in the coordinator
+keeps no log, and its barriers do nothing.  Every other worker writes
+its windows' assignments into one array for its shard, which ``BIND``
+names, and :meth:`~repro.core.runners.RunnerSession.finalize` collects
+each such shard once, in :func:`~repro.core.wire.assignment_cell_dtype`
+cells, checking every shard's type, length and ids before it writes the
+job's array.
 Phase 1 ships moves, not clusterings.  Each worker keeps one clustering
 state (:class:`~repro.core.runners.ClusteringWorker`) from
 ``PHASE1_INIT`` to the end of Phase 1.  A clustering window returns its
@@ -58,11 +71,12 @@ No hangs, no leaked sockets or shm: every recv from a socket worker
 runs under the session's ``recv_timeout``, and worker death, a stall
 past the timeout, disconnection or corruption surfaces as a typed
 :class:`~repro.errors.PartitioningError` naming the runner, the step and
-the worker.  Worker 0 of a loopback session runs on the coordinator's
-thread, where no timeout can cover it: a handler that raises there is
-answered with an ``ERROR`` reply, as in a worker process, and surfaces
-through the same typed error.  A loopback worker that exits before it
-connects fails the session at once, with its exit code.  Session
+the worker.  A worker in the coordinator runs on its thread, where no
+timeout can cover it: a handler that raises there is answered with an
+``ERROR`` reply, as in a worker process, surfaces through the same typed
+error and keeps the handler's exception as its cause.  A loopback worker
+that exits before it connects fails the session at once, with its exit
+code.  Session
 ``close()`` — invoked on every error path — shuts sockets, reaps
 spawned workers, and releases any stream segment, in bounded time: a
 worker with an unanswered request (it may be stuck in a kernel) gets no
@@ -74,13 +88,13 @@ counts ``n - 1`` of each.
 
 Edge data never crosses the wire: remote (``host:port``) workers must be
 handed a file-backed stream (:class:`~repro.streaming.stream.FileEdgeStream`)
-and read their own shards.  Worker 0 of a loopback session streams the
-coordinator's stream object itself, as the simulated runner's windows
-do.  Worker processes forked from a coordinator whose stream is an
-:class:`~repro.streaming.stream.InMemoryEdgeStream` inherit that stream
-object through their process arguments (``JOB`` then names an
-``inherited`` spec); other loopback workers may also map a shared-memory
-edge segment, same-host by construction.
+and read their own shards.  A worker in the coordinator streams the
+job's stream object itself, and a window covering the whole stream
+streams it as a full pass.  Worker processes forked from a coordinator
+whose stream is an :class:`~repro.streaming.stream.InMemoryEdgeStream`
+inherit that stream object through their process arguments (``JOB``
+then names an ``inherited`` spec); other loopback workers may also map a
+shared-memory edge segment, same-host by construction.
 """
 
 from __future__ import annotations
@@ -97,11 +111,10 @@ from repro.core.runners import (
     Refresh,
     Runner,
     RunnerSession,
-    Transport,
     WorkerFailed,
     _release_segment,
     _stream_spec,
-    _SubStream,
+    _window_stream,
     check_start_method,
     merge_sizes,
     mp_context,
@@ -126,7 +139,7 @@ _LIVE_CONNECTIONS: set = set()
 _LIVE_WORKER_PROCS: set = set()
 
 #: The ``JOB`` stream spec of a worker that streams the coordinator's own
-#: stream object: worker 0 of a loopback session, or a forked worker.
+#: stream object: a worker in the coordinator, or a forked worker.
 _INHERITED = {"kind": "inherited"}
 
 
@@ -183,7 +196,7 @@ def _w_job(ctx, payload):
 
 
 def _w_degree(ctx, payload):
-    window = _SubStream(
+    window = _window_stream(
         ctx["stream"], int(payload["start"]), int(payload["stop"])
     )
     degrees = ctx["kernels"].degree_pass(window)
@@ -208,7 +221,7 @@ def _w_phase1_init(ctx, payload):
 
 
 def _w_cluster(ctx, payload):
-    window = _SubStream(
+    window = _window_stream(
         ctx["stream"], int(payload["start"]), int(payload["stop"])
     )
     refresh = None
@@ -238,25 +251,45 @@ def _w_cluster_finish(ctx, payload):
 
 def _w_bind(ctx, payload):
     ctx["clusterer"] = None  # Phase 1 is over: free it before the view
-    ctx["view"] = PartitionState(
-        int(payload["n_vertices"]),
-        ctx["k"],
-        ctx["n_edges"],
-        ctx["alpha"],
-        packed=bool(payload["packed"]),
-    )
-    ctx["log"] = ReplicaLog(int(payload["log_capacity"]))
+    lo, hi = int(payload["shard_start"]), int(payload["shard_stop"])
+    ctx["shard"] = (lo, hi)
+    if "state" in payload:
+        # Worker 0 in the coordinator: its view is the job's state, and
+        # its windows write the job's own assignments.
+        ctx["view"], ctx["assignments"] = payload["state"], payload["assignments"]
+    else:
+        ctx["view"] = PartitionState(
+            int(payload["n_vertices"]),
+            ctx["k"],
+            ctx["n_edges"],
+            ctx["alpha"],
+            packed=bool(payload["packed"]),
+        )
+        # The shard's assignments stay here until the collect: both
+        # passes write their windows into this one array.
+        ctx["assignments"] = np.full(hi - lo, -1, dtype=np.int32)
+    capacity = payload["log_capacity"]
+    ctx["log"] = None if capacity is None else ReplicaLog(int(capacity))
     ctx["cell"] = wire.log_cell_dtype(ctx["view"].n_vertices, ctx["k"])
     ctx["phase1"] = (
         np.asarray(payload["part"], dtype=np.int32),
         np.asarray(payload["weights"], dtype=np.int64),
     )
-    # The shard's assignments stay here until the collect: both passes
-    # write their windows into this one array.
-    lo, hi = int(payload["shard_start"]), int(payload["shard_stop"])
-    ctx["shard"] = (lo, hi)
-    ctx["assignments"] = np.full(hi - lo, -1, dtype=np.int32)
     return wire.MSG_OK, None
+
+
+def take_news(kernels, view: PartitionState, news: dict, cell) -> None:
+    """Bring ``view`` to the global state of the last barrier: set the
+    bits of the news' ``log`` cells (of dtype ``cell``), or copy its
+    merged ``plane``, and take its merged ``sizes``.  A worker takes its
+    news before its next window; the coordinator's ``job.state`` takes
+    the other workers' cells at every barrier."""
+    cells = news.get("log")
+    if cells is None:
+        np.copyto(_replica_plane(view.replicas)[0], news["plane"], casting="no")
+    else:
+        kernels.apply_replica_log(view, [log_cells([cells], cell)])
+    view.sizes[:] = np.asarray(news["sizes"], dtype=np.int64)
 
 
 def _w_window(ctx, payload):
@@ -270,13 +303,9 @@ def _w_window(ctx, payload):
         )
     if "sizes" in payload:
         # The news of the barriers since this worker's last window.
-        cells = payload.get("log")
-        if cells is None:
-            np.copyto(_replica_plane(view.replicas)[0], payload["plane"], casting="no")
-        else:
-            ctx["kernels"].apply_replica_log(view, [log_cells([cells], ctx["cell"])])
-        view.sizes[:] = np.asarray(payload["sizes"], dtype=np.int64)
-    log.clear()
+        take_news(ctx["kernels"], view, payload, ctx["cell"])
+    if log is not None:
+        log.clear()
     total, cost = run_phase2_window(
         ctx["kernels"],
         payload["pass"],
@@ -291,14 +320,16 @@ def _w_window(ctx, payload):
         hash_seed=ctx["hash_seed"],
         hdrf_lambda=ctx["hdrf_lambda"],
     )
-    return wire.MSG_WINDOW_RESULT, {
+    fields = {
         "total": total,
         "cost": np.asarray(cost, dtype=np.int64),
-        "log": log.entries().astype(ctx["cell"]),
-        # A copy: worker 0's reply is not encoded, and its next window
-        # writes the view's sizes.
+        # A copy: a reply in the coordinator is not encoded, and the
+        # worker's next window writes the view's sizes.
         "sizes": view.sizes.copy(),
     }
+    if log is not None:
+        fields["log"] = log.entries().astype(ctx["cell"])
+    return wire.MSG_WINDOW_RESULT, fields
 
 
 def _w_collect(ctx, payload):
@@ -326,17 +357,18 @@ _MESSAGE_HANDLERS = {
 }
 
 
-def _handle(ctx: dict, msg_type: int, payload: dict) -> tuple[int, dict | None]:
-    """One request's reply.  An unknown message type or a raising
-    handler is answered with an ``ERROR`` reply, which the coordinator
-    turns into a typed error before it tears the session down."""
+def _handle(ctx: dict, msg_type: int, payload: dict):
+    """One request's reply, and the exception of a handler that raised.
+    An unknown message type or a raising handler is answered with an
+    ``ERROR`` reply, which the coordinator turns into a typed error
+    before it tears the session down."""
     handler = _MESSAGE_HANDLERS.get(msg_type)
     if handler is None:
-        return wire.MSG_ERROR, {"message": f"unknown message type {msg_type}"}
+        return wire.MSG_ERROR, {"message": f"unknown message type {msg_type}"}, None
     try:
-        return handler(ctx, payload)
+        return (*handler(ctx, payload), None)
     except Exception as exc:  # noqa: BLE001 - reported to the coordinator
-        return wire.MSG_ERROR, {"message": f"{type(exc).__name__}: {exc}"}
+        return wire.MSG_ERROR, {"message": f"{type(exc).__name__}: {exc}"}, exc
 
 
 def _serve_connection(sock: socket.socket, version: int | None = None, stream=None):
@@ -357,7 +389,7 @@ def _serve_connection(sock: socket.socket, version: int | None = None, stream=No
             if msg_type == wire.MSG_SHUTDOWN:
                 conn.send(wire.MSG_OK)
                 return
-            conn.send(*_handle(ctx, msg_type, payload))
+            conn.send(*_handle(ctx, msg_type, payload)[:2])
     except WireError:
         return  # coordinator vanished: no peer left to report to
     finally:
@@ -380,16 +412,18 @@ def _loopback_worker_main(address: tuple[str, int], stream) -> None:
 
 
 class _LocalWorker:
-    """Worker 0 of a loopback session, served inside the coordinator.
+    """A worker served inside the coordinator.
 
     Connection-shaped (``send``, ``recv``, ``settimeout``, ``close``),
     so the transport drives it as it drives a socket worker: ``send``
     holds the request, and ``recv`` runs its handler on the caller's
     thread and returns the reply.  Fields pass by reference, and
-    nothing crosses a socket, so its byte counts stay 0.
+    nothing crosses a socket, so its byte counts stay 0.  A raising
+    handler's exception is kept as ``error``.
     """
 
     bytes_sent = bytes_received = 0
+    error: Exception | None = None
 
     def __init__(self, stream) -> None:
         self._ctx: dict = {"inherited": stream}
@@ -406,7 +440,7 @@ class _LocalWorker:
         if msg_type == wire.MSG_SHUTDOWN:
             self.close()
             return wire.MSG_OK, {}
-        out_type, out_payload = _handle(self._ctx, msg_type, payload)
+        out_type, out_payload, self.error = _handle(self._ctx, msg_type, payload)
         return out_type, out_payload or {}
 
     def close(self) -> None:
@@ -511,9 +545,11 @@ class DistributedRunner(Runner):
         self.start_method = start_method
 
     def open(self, job) -> RunnerSession:
-        transport = _SocketTransport(
+        transport = WorkerTransport(
             job,
             self.kind,
+            job.n_workers,
+            sockets=True,
             workers=self.workers,
             start_method=self.start_method,
             connect_timeout=self.connect_timeout,
@@ -522,42 +558,60 @@ class DistributedRunner(Runner):
         return RunnerSession(job, transport)
 
 
-class _SocketTransport(Transport):
-    """Window tasks as wire requests to one worker per shard.
+class WorkerTransport:
+    """Window tasks as requests to one worker per shard.
 
-    ``workers=None`` runs worker 0 in this process (:class:`_LocalWorker`)
-    and starts the others as loopback worker processes with
-    ``start_method``; ``host:port`` workers are all remote.  ``kind``
-    names the runner in every error.
+    With ``workers`` (``host:port`` specs) all ``n_workers`` workers are
+    remote; otherwise worker 0 runs in this process
+    (:class:`_LocalWorker`), holding the job's Phase-2 arrays, and so do
+    the others unless ``sockets``, which starts them as loopback worker
+    processes with ``start_method`` and reports their wire traffic.
+    ``kind`` names the runner in every error.
+
+    :meth:`run` takes one sweep of ``(worker, start, stop)`` windows for
+    a step (``"degree"``, ``"clustering"`` or a Phase-2 pass name), a
+    clustering task with the worker's
+    :class:`~repro.core.runners.Refresh` (or ``None``) as a fourth item,
+    and returns a ``(value, cost_delta)`` pair per task, in task order:
+    a partial degree vector, a ``(moves, n_fresh)`` export (``None`` for
+    a lone worker) or the pass kernel's total.
     """
 
     def __init__(
         self,
         job,
         kind: str,
+        n_workers: int,
         *,
+        sockets: bool = False,
         workers=None,
         start_method: str | None = None,
         connect_timeout: float = 10.0,
-        recv_timeout: float,
+        recv_timeout: float | None = None,
     ) -> None:
         self.job = job
         self._kind = kind
+        self._sockets = sockets
         self._recv_timeout = recv_timeout
         self._connect_timeout = connect_timeout
-        #: One connection per worker, worker 0's a :class:`_LocalWorker`
-        #: in a loopback session.
+        #: The worker whose Phase-2 view is ``job.state``: worker 0 when
+        #: it runs in this process, none in a ``host:port`` session.
+        self._owner = None if workers is not None else 0
+        #: One connection per worker: a :class:`_LocalWorker` or a socket.
         self._conns: list = []
-        self._local: _LocalWorker | None = None
         #: Workers with a request whose reply has not been read.
         self._pending: set[int] = set()
         self._procs: list = []
         self._listener = None
         self._stream_shm = None
         self._lone = False
+        #: A lone worker whose view is ``job.state`` keeps no log.
+        self._logless = False
         self._move_cell = None
         self._logs: dict = {}
         self._sizes: list = []
+        #: The sizes of the last barrier, the base of the next merge.
+        self._merged = None
         #: Per worker with a shard: the cells the other workers logged
         #: since its last Phase-2 window, shipped with its next one.
         self._news: dict[int, list] = {}
@@ -567,20 +621,24 @@ class _SocketTransport(Transport):
         self._closed = False
         self._barrier_bytes = dict.fromkeys(("delta", "plane", "full"), 0)
         try:
-            self._setup(workers, start_method)
+            self._setup(n_workers, workers, start_method)
         except BaseException:
             self.close()
             raise
 
     # -- bootstrap -----------------------------------------------------
-    def _setup(self, workers, start_method) -> None:
+    def _setup(self, n_workers, workers, start_method) -> None:
         job = self.job
-        if workers is None:
-            specs = self._start_loopback_workers(start_method)
-        else:
+        if workers is not None:
             specs = self._connect_workers(workers)
+        else:
+            n_local = 1 if self._sockets else n_workers
+            self._conns = [_LocalWorker(job.stream) for _ in range(n_local)]
+            specs = [_INHERITED] * n_local
+            if n_workers > n_local:
+                specs += self._start_loopback_workers(n_workers - 1, start_method)
         for w, conn in enumerate(self._conns):
-            if conn is self._local:
+            if isinstance(conn, _LocalWorker):
                 continue
             conn.settimeout(self._recv_timeout)
             self._pending.add(w)
@@ -640,19 +698,12 @@ class _SocketTransport(Transport):
             self._track(wire.Connection(sock, label=label))
         return [spec_to_wire(spec)] * len(addresses)
 
-    def _start_loopback_workers(self, start_method) -> list:
-        """Run worker 0 in this process over the job's own stream, and
-        start the other ``n_workers - 1`` as processes that connect back
-        to a listener on ``127.0.0.1``; returns each worker's stream
-        spec.  Forked workers inherit the stream where
-        :func:`_inheritable`; the others reopen it from its spec."""
-        job = self.job
-        stream = job.stream
-        self._local = _LocalWorker(stream)
-        self._conns.append(self._local)
-        n_procs = job.n_workers - 1
-        if n_procs == 0:
-            return [_INHERITED]
+    def _start_loopback_workers(self, n_procs, start_method) -> list:
+        """Start workers 1 to ``n_procs`` as processes that connect back
+        to a listener on ``127.0.0.1``; returns each one's stream spec.
+        Forked workers inherit the stream where :func:`_inheritable`;
+        the others reopen it from its spec."""
+        stream = self.job.stream
         ctx = mp_context(start_method)
         if ctx.get_start_method() == "fork" and _inheritable(stream):
             inherited, spec = stream, _INHERITED
@@ -671,11 +722,11 @@ class _SocketTransport(Transport):
             proc.start()
             self._procs.append(proc)
             _LIVE_WORKER_PROCS.add(proc)
-        for w in range(1, job.n_workers):
+        for w in range(1, n_procs + 1):
             self._track(wire.Connection(self._accept(w), label=f"worker {w}"))
         self._listener.close()
         self._listener = None
-        return [_INHERITED] + [spec] * n_procs
+        return [spec] * n_procs
 
     def _accept(self, w: int) -> socket.socket:
         """The next loopback worker's socket.  Accepts in slices of at
@@ -730,9 +781,11 @@ class _SocketTransport(Transport):
             ) from exc
         self._pending.discard(w)
         if msg_type == wire.MSG_ERROR:
+            # A worker in this process keeps its handler's exception: the
+            # cause, which the serial runner re-raises.
             raise WorkerFailed(
                 w, step, payload.get("message", "no detail"), runner=self._kind
-            )
+            ) from getattr(self._conns[w], "error", None)
         if msg_type != expected:
             raise PartitioningError(
                 f"{self._kind} {step}: worker {w} sent "
@@ -798,10 +851,13 @@ class _SocketTransport(Transport):
                     f"{2 * (stop - start)} endpoints"
                 )
             return (moves, payload.get("fresh")), payload["cost"]
+        if self._logless:
+            return int(payload["total"]), payload["cost"]
         # Checked before the barrier touches the global state: a 1-d log
-        # of at most 2 wire cells per edge, and k int64 sizes.
+        # of at most 2 wire cells per edge, and k int64 sizes.  The
+        # barrier applies the checked cells; news ships the wire cells.
         log, sizes = payload.get("log"), payload.get("sizes")
-        log_cells([log], self._cell)
+        checked = log_cells([log], self._cell)
         if log.shape[0] > 2 * (stop - start):
             raise PartitioningError(
                 f"{self._kind} {step}: a window of {stop - start} edges "
@@ -810,12 +866,15 @@ class _SocketTransport(Transport):
             )
         if getattr(sizes, "dtype", None) != np.int64 or sizes.shape != (self.job.k,):
             raise PartitioningError(f"{self._kind} {step}: malformed sizes")
-        self._logs[w] = log
+        self._logs[w] = (log, checked)
         self._sizes.append(sizes)
         return int(payload["total"]), payload["cost"]
 
     # -- Phase 1 -------------------------------------------------------
     def open_clustering(self, degrees, cap, lone, log_capacity):
+        """Start Phase 1: every worker builds its clustering state over
+        ``degrees``, with a move log of ``log_capacity`` rows unless
+        ``lone``."""
         self._lone = lone
         n_workers = len(self._conns)
         self._move_cell = wire.move_cell_dtype(degrees.shape[0], n_workers)
@@ -831,6 +890,7 @@ class _SocketTransport(Transport):
         )
 
     def close_clustering(self, lone):
+        """End Phase 1; returns the lone worker's ``(v2c, volumes)``."""
         if not lone:
             return None
         self._send(0, wire.MSG_CLUSTER_FINISH, None, "clustering")
@@ -839,43 +899,56 @@ class _SocketTransport(Transport):
 
     # -- Phase 2 -------------------------------------------------------
     def bind_phase2(self, lone, log_capacity, bounds):
+        """Bind every worker to its shard ``[bounds[w], bounds[w + 1])``
+        once the job carries its Phase-2 arrays, with a set-bit log of
+        ``log_capacity`` cells, unless ``lone`` in the coordinator."""
         job = self.job
-        self._log_capacity = log_capacity
+        # A lone view that is the job's state has no one to tell of its
+        # bits: no log, and barriers with nothing to do.
+        self._logless = lone and self._owner is not None
+        self._log_capacity = 0 if self._logless else log_capacity
         self._cell = wire.log_cell_dtype(job.state.n_vertices, job.k)
         self._shards = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        self._merged = job.state.sizes.copy()
         fields = {
             "n_vertices": int(job.state.n_vertices),
             "packed": bool(job.state.packed),
             "part": job.part,
             "weights": job.weights,
-            "log_capacity": log_capacity,
+            "log_capacity": None if self._logless else log_capacity,
         }
-        self._exchange(
-            wire.MSG_BIND,
-            [
-                {**fields, "shard_start": lo, "shard_stop": hi}
-                for lo, hi in self._shards
-            ],
-            wire.MSG_OK,
-            "phase-2 bind",
-        )
+        payloads = [
+            {**fields, "shard_start": lo, "shard_stop": hi} for lo, hi in self._shards
+        ]
+        if self._owner is not None:
+            lo, hi = self._shards[self._owner]
+            payloads[self._owner].update(
+                state=job.state, assignments=job.assignments[lo:hi]
+            )
+        self._exchange(wire.MSG_BIND, payloads, wire.MSG_OK, "phase-2 bind")
 
     def barrier(self, step):
+        """The Phase-2 barrier: ``job.state`` takes the cells of every
+        worker but the one whose view it is and the merged sizes; the
+        others' news is queued.  Returns the cells logged, ``None`` for
+        a worker without a log."""
+        if self._logless:
+            return None
         job = self.job
         logs, self._logs = self._logs, {}
         view_sizes, self._sizes = self._sizes, []
-        get_backend(job.backend).apply_replica_log(
-            job.state, [log_cells(list(logs.values()), self._cell)]
-        )
-        merge_sizes(job.state, view_sizes)
-        # Each worker with a shard takes the news with its next window
-        # (see run): nothing ships now, and the run's last barrier ships
-        # nothing at all.
+        taken = [cells for w, (_, cells) in logs.items() if w != self._owner]
+        self._merged = merge_sizes(self._merged, view_sizes)
+        news = {"log": log_cells(taken), "sizes": self._merged}
+        take_news(get_backend(job.backend), job.state, news, np.int64)
+        # Each other worker with a shard takes the news with its next
+        # window (see run): nothing ships now, and the run's last barrier
+        # ships nothing at all.
         for w, (lo, hi) in enumerate(self._shards):
-            if hi > lo:
-                others = (log for v, log in logs.items() if v != w)
+            if hi > lo and w != self._owner:
+                others = (log for v, (log, _) in logs.items() if v != w)
                 self._news.setdefault(w, []).extend(others)
-        return sum(int(log.shape[0]) for log in logs.values())
+        return sum(int(log.shape[0]) for log, _ in logs.values())
 
     def _news_fields(self, w: int, news: list) -> dict:
         """Worker ``w``'s window request's news: the cells the other
@@ -886,24 +959,30 @@ class _SocketTransport(Transport):
         plane = _replica_plane(self.job.state.replicas)[0]
         sizes = self.job.state.sizes
         cells = np.concatenate([np.zeros(0, self._cell), *news])
-        sent = cells if cells.nbytes < plane.nbytes else plane
-        if self._conns[w] is not self._local:
-            counts = self._barrier_bytes
-            counts["plane"] += sent.nbytes
-            counts["delta"] += sent.nbytes + sizes.nbytes
-            counts["full"] += plane.nbytes + sizes.nbytes
-        return {"log" if sent is cells else "plane": sent, "sizes": sizes}
+        key, sent = ("log", cells) if cells.nbytes < plane.nbytes else ("plane", plane)
+        if isinstance(self._conns[w], _LocalWorker):
+            # Its handler runs after worker 0's has written job.state, so
+            # it takes copies (the cells are one already).
+            return {key: sent if sent is cells else plane.copy(), "sizes": sizes.copy()}
+        counts = self._barrier_bytes
+        counts["plane"] += sent.nbytes
+        counts["delta"] += sent.nbytes + sizes.nbytes
+        counts["full"] += plane.nbytes + sizes.nbytes
+        return {key: sent, "sizes": sizes}
 
     def finalize(self) -> None:
-        """Collect every worker's shard of assignments into the job, in
-        the narrowest cells that hold ``k - 1``; every shard is checked
-        before the first is written."""
+        """Collect the shard of every worker but worker 0 in this
+        process, whose windows wrote the job's array, in the narrowest
+        cells that hold ``k - 1``; every shard is checked before the
+        first is written."""
         job = self.job
         cell = wire.assignment_cell_dtype(job.k)
-        for w in range(len(self._conns)):
+        collected = [w for w in range(len(self._conns)) if w != self._owner]
+        for w in collected:
             self._send(w, wire.MSG_COLLECT, None, "collect")
         shards = []
-        for w, (lo, hi) in enumerate(self._shards):
+        for w in collected:
+            lo, hi = self._shards[w]
             got = self._recv(w, wire.MSG_COLLECT_RESULT, "collect").get("assignments")
             if not (
                 isinstance(got, np.ndarray)
@@ -921,12 +1000,15 @@ class _SocketTransport(Transport):
                     f"{self._kind} collect: worker {w} assigned an edge to "
                     f"partition {int(got.max())}, outside [0, {job.k})"
                 )
-            shards.append(got)
-        for (lo, hi), got in zip(self._shards, shards):
+            shards.append((lo, hi, got))
+        for lo, hi, got in shards:
             job.assignments[lo:hi] = got
 
     # -- bookkeeping ---------------------------------------------------
-    def wire_stats(self) -> dict:
+    def wire_stats(self) -> dict | None:
+        """Socket traffic, ``None`` for a session without sockets."""
+        if not self._sockets:
+            return None
         return {
             "bytes_sent": sum(c.bytes_sent for c in self._conns),
             "bytes_received": sum(c.bytes_received for c in self._conns),
@@ -937,12 +1019,14 @@ class _SocketTransport(Transport):
         }
 
     def extra_state_bytes(self) -> int:
-        # Worker views live in the workers (worker 0's in this process in
-        # a loopback session), each of the global state's shape, beside a
-        # set-bit log: what the other transports sum over the views they
-        # hold.
-        log = ReplicaLog(self._log_capacity)
-        return self.job.n_workers * (self.job.state.nbytes() + log.nbytes())
+        """Bytes of the worker views beside ``job.state`` and of their
+        set-bit logs, wherever they live, each view of the global
+        state's shape."""
+        n = len(self._shards)
+        views = n - (self._owner is not None)
+        logs = 0 if self._logless else n
+        log_bytes = ReplicaLog(self._log_capacity).nbytes()
+        return views * self.job.state.nbytes() + logs * log_bytes
 
     def close(self) -> None:
         if self._closed:

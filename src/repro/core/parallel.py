@@ -27,17 +27,16 @@ pipeline.
 :class:`ParallelTwoPhase` reruns the one 2PS-L pipeline of
 :class:`~repro.core.partitioner.TwoPhasePartitioner` on the sessions of
 a pluggable **runner** (:mod:`repro.core.runners`): ``"serial"`` and
-``"simulated"`` — the default — run in process, ``"process"`` runs
-worker 0 in process and the other workers as local worker processes
-over loopback sockets, and ``"distributed"`` the same, or socket workers
-at ``host:port``.  All drive the one
-deterministic sync-window schedule.  The runner choice is a pure
-execution knob; which results are bit-exact across runners, backends
-and worker counts, and why, is stated once, in
-:mod:`repro.core.runners`.  The simulated runner's
-parallel wall-clock in ``extras`` is *modeled* as ``sequential_phase2 /
-n_workers + syncs * sync_latency``; the process and distributed runners
-*measure* it.
+``"simulated"`` — the default — run every worker in process,
+``"process"`` runs worker 0 in process and the other workers as local
+worker processes over loopback sockets, and ``"distributed"`` the same,
+or socket workers at ``host:port``.  All drive the one deterministic
+sync-window schedule through the same worker handlers.  The runner
+choice is a pure execution knob; which results are bit-exact across
+runners, backends and worker counts, and why, is stated once, in
+:mod:`repro.core.runners`.  The simulated runner's parallel wall-clock
+in ``extras`` is *modeled* as ``sequential_phase2 / n_workers + syncs *
+sync_latency``; the process and distributed runners *measure* it.
 
 Note on balance: each worker enforces the cap against its *stale* size
 view, so within one sync window the global partition sizes can overshoot
@@ -46,6 +45,8 @@ shows.  The measured alpha is reported in the result as usual.
 """
 
 from __future__ import annotations
+
+from contextlib import closing
 
 from repro.core.partitioner import TwoPhasePartitioner
 from repro.core.partitioner import graham_schedule, run_phase1  # noqa: F401
@@ -136,13 +137,13 @@ class ParallelTwoPhase(TwoPhasePartitioner):
         )
 
     # ------------------------------------------------------------------
-    def _open(self, job):
+    def _open(self, job, stack):
         job.n_workers = self.n_workers
         job.sync_interval = self.sync_interval
-        session = self.runner.open(job)
+        session = stack.enter_context(closing(self.runner.open(job)))
         if self.parallel_phase1:
             return session, session
-        return SerialRunner().open(job), session
+        return stack.enter_context(closing(SerialRunner().open(job))), session
 
     def _extras(self, session, timer, syncs, phase1_syncs) -> dict:
         phase2_seconds = timer.totals.get("prepartition", 0.0) + (

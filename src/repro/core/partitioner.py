@@ -38,6 +38,7 @@ sessions.
 from __future__ import annotations
 
 import math
+from contextlib import ExitStack, closing
 
 import numpy as np
 
@@ -200,10 +201,14 @@ class TwoPhasePartitioner(EdgePartitioner):
         self.packed_state = bool(packed_state)
         self.name = "2PS-L" if mode == "linear" else "2PS-HDRF"
 
-    def _open(self, job: ShardedJob) -> tuple[RunnerSession, RunnerSession]:
+    def _open(
+        self, job: ShardedJob, stack: ExitStack
+    ) -> tuple[RunnerSession, RunnerSession]:
         """The Phase-1 and Phase-2 sessions of one run (the serial
-        session for both: one window per pass over the stream itself)."""
-        session = SerialRunner().open(job)
+        session for both: one window per pass over the stream itself),
+        each pushed on ``stack`` as it opens, so the run closes every
+        session it opened on every path."""
+        session = stack.enter_context(closing(SerialRunner().open(job)))
         return session, session
 
     def _extras(
@@ -234,8 +239,8 @@ class TwoPhasePartitioner(EdgePartitioner):
             hdrf_lambda=self.hdrf_lambda,
             cost=cost,
         )
-        phase1, session = self._open(job)
-        try:
+        with ExitStack() as stack:
+            phase1, session = self._open(job, stack)
             n, clustering, c2p, loads, phase1_syncs = run_phase1(
                 phase1,
                 clustering_passes=self.clustering_passes,
@@ -261,8 +266,6 @@ class TwoPhasePartitioner(EdgePartitioner):
             extras = self._extras(
                 session, timer, syncs_pre + syncs_rem, phase1_syncs
             )
-        finally:
-            session.close()
 
         artifacts = (
             PartitionArtifacts(clustering=clustering, c2p=c2p)

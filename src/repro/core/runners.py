@@ -1,4 +1,4 @@
-"""Execution runners: one sync-window driver over two transports.
+"""Execution runners: one sync-window driver over one transport.
 
 Both 2PS-L front-ends — :class:`~repro.core.partitioner.TwoPhasePartitioner`
 and :class:`~repro.core.parallel.ParallelTwoPhase` — stream every pass
@@ -8,29 +8,34 @@ shards and their windows, the Phase-1 degree merge, the clustering merge,
 each worker's refresh and the one compaction (see :mod:`repro.kernels`
 for the merge contract), the Phase-2 sweep/barrier loop, cost folding,
 sync and barrier accounting, and the typed error for a failed worker
-window.  A narrow :class:`Transport` below it owns the *execution*: it
-runs one sweep of window tasks, returning per-worker results in
-ascending worker order, and carries each clustering window's refresh to
-its worker.
+window.  The one transport below it,
+:class:`~repro.core.distributed.WorkerTransport`, owns the *execution*:
+it runs each sweep's windows as requests to one worker per shard, all
+served by the same message handlers, and the runner decides where each
+worker runs:
 
-- :class:`SerialRunner` — the in-process transport with one shard and one
-  window per pass, which hands the stream itself to the kernels: the
-  sequential pipeline, zero syncs, for any configured worker count.
-- :class:`SimulatedRunner` — the in-process transport over ``n_workers``
-  shards, each window run inline against its worker's stale heap view.
-  Deterministic and dependency-free; parallel wall-clock is *modeled*.
-- :class:`ProcessRunner` — local worker processes: the socket transport
-  of the next item on loopback.  Worker 0 runs inside the coordinator,
-  through the workers' own message handlers, and each other shard gets
-  a worker process: ``n_workers - 1`` of them.  Worker 0 streams the
-  job's stream object itself; forked workers inherit an in-memory
+- :class:`SerialRunner` — one worker in the coordinator, one shard and
+  one window per pass, which streams the stream itself: the sequential
+  pipeline, zero syncs, for any configured worker count.
+- :class:`SimulatedRunner` — ``n_workers`` workers in the coordinator,
+  run one after the other in every sweep.  Deterministic and
+  dependency-free; parallel wall-clock is *modeled*.
+- :class:`ProcessRunner` — worker 0 in the coordinator and a local
+  worker process for each other shard, ``n_workers - 1`` of them,
+  connected over loopback sockets.  Forked workers inherit an in-memory
   stream object; otherwise workers reopen the stream from a picklable
   :class:`~repro.streaming.stream.StreamSpec` (file streams stay
   out-of-core).  Parallel wall-clock is *measured*.
-- :class:`~repro.core.distributed.DistributedRunner` — the socket
-  transport: TCP workers (loopback, or ``host:port`` specs) speaking the
-  versioned wire format of :mod:`repro.core.wire`; edge data never
+- :class:`~repro.core.distributed.DistributedRunner` — the same
+  loopback workers, or TCP workers at ``host:port`` specs, which speak
+  the versioned wire format of :mod:`repro.core.wire`; edge data never
   crosses the wire.  Registered lazily by :func:`make_runner`.
+
+A worker in the coordinator streams the job's stream object, and a
+window covering the whole stream streams it as a full pass.  Worker 0 in
+the coordinator writes the job's own Phase-2 arrays: its view is the
+global state ``job.state``, and its shard of assignments is a slice of
+``job.assignments``.
 
 Equivalence contract
 --------------------
@@ -38,35 +43,35 @@ Every runner executes the same deterministic schedule: worker ``w``
 processes shard ``[bounds[w], bounds[w+1])`` in windows of at most
 ``sync_interval`` edges, and after every sweep a barrier merges worker
 deltas into the global state and refreshes every stale view.  The
-schedule, the merges and the accounting are the driver's code, shared by
-all transports, and the kernel contract makes chunk and window
-boundaries semantics-free (see :mod:`repro.kernels`).  This pins down
-every output bit:
+schedule, the merges and the accounting are the driver's code, the
+windows and barriers the transport's, shared by all runners, and the
+kernel contract makes chunk and window boundaries semantics-free (see
+:mod:`repro.kernels`).  This pins down every output bit:
 
 - ``process`` and ``distributed`` are **bit-identical** to ``simulated``
   under the same schedule — Phase-1 degrees and clustering, per-edge
   assignments, replica matrix, partition sizes *and* cost counters (cost
   fields are sums of per-window counts, so merge order cannot matter).
-  Each transport is a value-preserving recoding of the same arithmetic:
-  every transport runs a Phase-2 window through the one body
-  :func:`run_phase2_window`, which reads it through ``_SubStream`` over
-  the job's stream (worker 0 of a loopback session and forked workers
-  read the stream object itself, other socket workers reopen it from
-  its spec), so chunk boundaries agree; worker 0 of a loopback session
-  runs the socket workers' handlers on the fields they would decode;
-  every transport's Phase-2 barrier sets the
-  bits of every worker's set-bit log with the one kernel op
-  ``apply_replica_log`` and merges sizes with :func:`merge_sizes`, and
-  every worker applies the same news before the same window; and both
-  passes write each window's assignments in place, into the job's
-  array or a socket worker's shard, which the coordinator collects
-  once.  ``simulated`` thereby doubles as the in-CI deterministic twin
-  of a multi-host run.
+  All three run every window through the same handlers, a Phase-2 one
+  through the one body :func:`run_phase2_window`, which reads it
+  through ``_SubStream`` over the job's stream (a worker in the
+  coordinator and a forked one read the stream object itself, other
+  socket workers reopen it from its spec), so chunk boundaries agree;
+  the simulated runner's workers take their requests by reference and
+  the other runners' worker processes decode them from the wire, which
+  carries every value exactly.  Every Phase-2 barrier sets the bits of
+  the workers' set-bit logs with the one kernel op
+  ``apply_replica_log`` and merges sizes with :func:`merge_sizes`, every
+  worker applies the same news before the same window, and worker 0's
+  view is the global state in every runner but a ``host:port`` one,
+  whose coordinator keeps a plane of its own.  ``simulated`` thereby
+  doubles as the in-CI deterministic twin of a multi-host run.
 - With ``n_workers=1`` every runner is bit-exact with the sequential
   pipeline: a lone worker's view is never stale, so its one clustering
-  state needs no log, merge or refresh, and window boundaries are
-  ordinary chunk boundaries.  ``serial`` *is* the sequential pipeline for
-  any worker count.
+  state needs no log, merge or refresh, its Phase-2 view is the global
+  state in every runner but a ``host:port`` one, and window boundaries
+  are ordinary chunk boundaries.  ``serial`` *is* the sequential
+  pipeline for any worker count.
 - Kernel backends stay bit-exact with each other through every runner.
 
 ``tests/test_parallel_kernels.py``, ``tests/test_distributed.py`` and the
@@ -98,24 +103,28 @@ its fresh ids shifted, the other workers' accepted moves applied).  Ids
 stay stable across barriers, so the id space grows below ``n_workers *
 |V|`` and :func:`compact_clustering` runs once, after the last sweep.
 
-Phase-2 barriers cost O(bits set), not O(``|V|``): each Phase-2 loop
-appends every replica bit it sets that was clear in its worker's view to
-that worker's set-bit log (:class:`~repro.kernels.base.ReplicaLog`), and
-the barrier sets the logged bits in the global state and in every view
-with the kernel op ``apply_replica_log``.  Bits only go from 0 to 1: the
-planes of OR-ing whole views.  Over sockets a barrier adds no round
-trip: each worker's news (the cells the other workers logged since its
-last window, or the merged plane where that is fewer bytes, and the
-merged sizes) rides on its next window request and is applied before
-the kernel runs, so the run's last barrier ships nothing.
-Sessions count the cells the logs wrote against the ``n * k`` cells of
-a full re-broadcast (``barrier_cells`` / ``barrier_full_cells``).
+Phase-2 barriers cost O(bits set), not O(``|V|``): each Phase-2 loop of
+a sharded run appends every replica bit it sets that was clear in its
+worker's view to that worker's set-bit log
+(:class:`~repro.kernels.base.ReplicaLog`).  At the barrier the global
+state takes the logged bits of every worker but worker 0, whose view it
+is, with the kernel op ``apply_replica_log``, and each other worker's
+news (the cells the other workers logged since its last window, or the
+merged plane where that is fewer bytes, and the merged sizes) rides on
+its next window request and is applied before the kernel runs, so a
+barrier adds no round trip and the run's last barrier ships nothing.
+Bits only go from 0 to 1: the planes of OR-ing whole views.  A sharded
+session thus holds ``n_workers - 1`` views beside the global state, and
+a lone worker none: its view is the global state, so it keeps no log
+and its barriers do nothing.  Sessions count the cells the logs wrote
+against the ``n * k`` cells of a full re-broadcast (``barrier_cells`` /
+``barrier_full_cells``).
 
 Shared-memory lifecycle
 -----------------------
-Worker 0 of a loopback session streams the job's stream in the
-coordinator, so a one-worker session starts no process, opens no socket
-and owns no segment.  A ``fork`` session over an
+Workers in the coordinator stream the job's stream there, so a serial
+or simulated session, and a one-worker loopback one, starts no process,
+opens no socket and owns no segment.  A ``fork`` session over an
 :class:`~repro.streaming.stream.InMemoryEdgeStream` owns no segment
 either: its worker processes inherit the stream object through their
 process arguments and read its edge array in place.  Any other process
@@ -125,13 +134,13 @@ or ``forkserver``, or for a stream of another type, a subclass
 included), created before the workers start, which map it to reopen the
 stream zero-copy.  File streams need none.  Worker views, logs,
 clustering states and assignment shards live with the workers, worker
-0's in the coordinator; moves, refreshes and news cross the socket to
-the worker processes, and their assignments cross it once.
-``close()`` unlinks the segment after the workers are gone; it
-is idempotent and runs on both success and error paths, so a crashed or
-timed-out worker cannot leak it past the session (verified by the
-cleanup tests; :func:`live_shared_segments` exposes the owned set).
-Workers only ever *attach* and never unlink.
+0's in the coordinator, where its view and shard are the job's own;
+moves, refreshes and news cross the socket to the worker processes, and
+their assignments cross it once.  ``close()`` unlinks the segment after
+the workers are gone; it is idempotent and runs on both success and
+error paths, so a crashed or timed-out worker cannot leak it past the
+session (verified by the cleanup tests; :func:`live_shared_segments`
+exposes the owned set).  Workers only ever *attach* and never unlink.
 """
 
 from __future__ import annotations
@@ -168,24 +177,16 @@ def _merge_cost(cost: CostCounter, delta: tuple) -> None:
         setattr(cost, name, getattr(cost, name) + int(value))
 
 
-def _describe(exc: BaseException) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
 class WorkerFailed(PartitioningError):
     """A worker reported an exception instead of a result.
 
-    Transports raise it with the worker index and the cause (the socket
-    transport names its runner too); inside a sweep the driver turns it
-    into the run's one typed error (see the module docstring), elsewhere
-    it surfaces as is.
+    The transport raises it with the runner, the worker index and the
+    cause; inside a sweep the driver turns it into the run's one typed
+    error (see the module docstring), elsewhere it surfaces as is.
     """
 
-    def __init__(
-        self, worker: int, step: str, cause: str, runner: str | None = None
-    ) -> None:
-        who = f"worker {worker}" if runner is None else f"{runner} worker {worker}"
-        super().__init__(f"{who} failed during {step}: {cause}")
+    def __init__(self, worker: int, step: str, cause: str, runner: str) -> None:
+        super().__init__(f"{runner} worker {worker} failed during {step}: {cause}")
         self.worker = worker
         self.cause = cause
 
@@ -245,8 +246,8 @@ class ClusteringWorker:
     live clustering and exports nothing.  A sharded one applies its
     refresh, runs the window with a :class:`~repro.kernels.base.MoveLog`
     and exports ``(moves, n_fresh)``: the vertices whose id the window
-    changed and the clusters it opened.  Both transports run it, the
-    socket transport inside each worker process.
+    changed and the clusters it opened.  Every worker keeps one,
+    wherever it runs.
     """
 
     def __init__(self, kernels, degrees, cap: float, log_capacity) -> None:
@@ -356,7 +357,7 @@ def run_phase2_window(
     hash_seed: int,
     hdrf_lambda: float,
 ) -> tuple[int, tuple]:
-    """One Phase-2 sync window, the body every transport shares.
+    """One Phase-2 sync window, the body of every worker's.
 
     Runs pass ``step`` of ``kernels`` over ``stream``'s ``[start, stop)``
     window against the state ``view``, logging every bit it sets that
@@ -383,103 +384,30 @@ def run_phase2_window(
     return (0 if out is None else int(out)), astuple(cost)
 
 
-def merge_sizes(state: PartitionState, view_sizes) -> np.ndarray:
-    """The sizes half of every Phase-2 barrier: ``g + sum(view - g)``
-    into ``state`` and returned.  Workers assign disjoint edges, so the
-    deltas are disjoint; a stale view's overshoot of the cap is kept."""
-    merged = state.sizes.copy()
+def merge_sizes(base: np.ndarray, view_sizes) -> np.ndarray:
+    """The sizes half of every Phase-2 barrier: ``g + sum(view - g)``,
+    a new array, for the sizes ``g`` of the previous barrier.  Workers
+    assign disjoint edges, so the deltas are disjoint; a stale view's
+    overshoot of the cap is kept."""
+    merged = base.copy()
     for sizes in view_sizes:
-        merged += sizes - state.sizes
-    state.sizes[:] = merged
+        merged += sizes - base
     return merged
-
-
-def apply_logs(kernels, state: PartitionState, views, logs) -> int:
-    """The Phase-2 barrier of a transport that holds every view: set the
-    bits of every log in ``state`` and of every other worker's log in
-    ``views[w]`` (``logs[w]``'s bits are set there already), merge
-    sizes, clear the logs.  Returns the cells logged."""
-    entries = [log.entries() for log in logs]
-    kernels.apply_replica_log(state, entries)
-    for w, view in enumerate(views):
-        kernels.apply_replica_log(view, entries[:w] + entries[w + 1 :])
-    merged = merge_sizes(state, [view.sizes for view in views])
-    for view in views:
-        view.sizes[:] = merged
-    for log in logs:
-        log.clear()
-    return sum(len(cells) for cells in entries)
 
 
 # ----------------------------------------------------------------------
 # the driver
 # ----------------------------------------------------------------------
-class Transport(ABC):
-    """Executes window tasks for a :class:`RunnerSession`.
-
-    ``run`` takes one sweep of ``(worker, start, stop)`` windows for a
-    step (``"degree"``, ``"clustering"`` or a Phase-2 pass name) and
-    returns a ``(value, cost_delta)`` pair per task, in task order: a
-    partial degree vector, a ``(moves, n_fresh)`` export (``None`` for a
-    lone worker) or the pass kernel's total; a raising window is reported
-    as :class:`WorkerFailed`.  A clustering task carries a fourth item,
-    the worker's :class:`Refresh` (or ``None``), which its
-    :class:`ClusteringWorker` applies before the window.  ``lone`` marks
-    a single-shard run, whose one view is never stale.
-    """
-
-    @abstractmethod
-    def run(self, step: str, tasks: list) -> list:
-        """Execute one sweep; per-task ``(value, cost_delta)`` pairs."""
-
-    def open_clustering(
-        self, degrees, cap: float, lone: bool, log_capacity: int
-    ) -> None:
-        """Start one :class:`ClusteringWorker` per worker over
-        ``degrees``, with move logs of ``log_capacity`` rows unless
-        ``lone``."""
-
-    def close_clustering(self, lone: bool):
-        """End Phase 1; returns the lone worker's ``(v2c, volumes)``."""
-
-    def bind_phase2(self, lone: bool, log_capacity: int, bounds) -> None:
-        """Allocate Phase-2 views, and set-bit logs of ``log_capacity``
-        cells, once the job carries its arrays; worker ``w``'s shard is
-        ``[bounds[w], bounds[w + 1])``."""
-
-    @abstractmethod
-    def barrier(self, step: str) -> int | None:
-        """Phase-2 barrier: set every worker's logged bits in the global
-        state and every view and merge sizes; returns the cells logged,
-        ``None`` when the lone view *is* the global state."""
-
-    def finalize(self) -> None:
-        """End a successful Phase 2: bring every assignment into
-        ``job.assignments`` that is not there yet."""
-
-    def close(self) -> None:
-        """Release every resource; idempotent, safe on error paths."""
-
-    def extra_state_bytes(self) -> int:
-        """Bytes held by per-worker state views beyond the global state."""
-        return 0
-
-    def wire_stats(self) -> dict | None:
-        """Wire-traffic accounting: the socket transport's socket
-        traffic only (worker 0 of a loopback session sends none)."""
-        return None
-
-
 class RunnerSession:
-    """The sync-window driver of one run over a :class:`Transport`.
+    """The sync-window driver of one run over its
+    :class:`~repro.core.distributed.WorkerTransport`.
 
     ``sharded=False`` collapses the schedule to one shard and one window
     per pass (the serial runner): no syncs are reported, and a failing
     window re-raises the kernel's own exception.
     """
 
-    def __init__(self, job: ShardedJob, transport: Transport,
-                 sharded: bool = True) -> None:
+    def __init__(self, job: ShardedJob, transport, sharded: bool = True) -> None:
         self.job = job
         self.transport = transport
         self.sharded = sharded
@@ -627,11 +555,11 @@ class RunnerSession:
 
     # ------------------------------------------------------------------
     def finalize(self) -> None:
-        """End a successful run: the transport brings the assignments
-        into the job (:meth:`Transport.finalize`; the socket transport
-        collects each worker's shard once, the in-process one wrote them
-        as its windows ran).  Every barrier has written the global state
-        already; ``close()`` releases the rest."""
+        """End a successful run: the transport collects every shard of
+        assignments that is not in the job yet, once (worker 0 in the
+        coordinator wrote its own as its windows ran).  Every barrier
+        has written the global state already; ``close()`` releases the
+        rest."""
         self.transport.finalize()
 
     def close(self) -> None:
@@ -666,108 +594,31 @@ class Runner(ABC):
 
 
 # ----------------------------------------------------------------------
-# in-process transport: serial and simulated
+# in-process runners: serial and simulated
 # ----------------------------------------------------------------------
-class _InlineTransport(Transport):
-    """Windows execute inline, in worker order, against heap views."""
-
-    def __init__(self, job: ShardedJob) -> None:
-        self.job = job
-        self.kernels = get_backend(job.backend)
-        self.views: list[PartitionState] = []
-        self.logs: list[ReplicaLog] = []
-        self.clusterers: list[ClusteringWorker] = []
-
-    def run(self, step, tasks):
-        results = []
-        for w, start, stop, *refresh in tasks:
-            try:
-                results.append(self._window(step, w, start, stop, *refresh))
-            except Exception as exc:
-                raise WorkerFailed(w, step, _describe(exc)) from exc
-        return results
-
-    def _window(self, step, w, start, stop, refresh=None):
-        job = self.job
-        kernels = self.kernels
-        if step not in _PHASE1_STEPS:
-            return run_phase2_window(
-                kernels,
-                step,
-                job.stream,
-                start,
-                stop,
-                self.views[w],
-                self.logs[w] if self.logs else None,
-                (job.part, job.weights),
-                job.assignments[start:stop],
-                k=job.k,
-                hash_seed=job.hash_seed,
-                hdrf_lambda=job.hdrf_lambda,
-            )
-        window = _window_stream(job.stream, start, stop)
-        if step == "degree":
-            return kernels.degree_pass(window), ()
-        return self.clusterers[w].window(window, refresh)
-
-    def open_clustering(self, degrees, cap, lone, log_capacity):
-        self.clusterers = [
-            ClusteringWorker(self.kernels, degrees, cap, None if lone else log_capacity)
-            for _ in range(1 if lone else self.job.n_workers)
-        ]
-
-    def close_clustering(self, lone):
-        clusterers, self.clusterers = self.clusterers, []
-        if lone:
-            return self.kernels.clustering_export(clusterers[0].state)[:2]
-        return None
-
-    def bind_phase2(self, lone, log_capacity, bounds):
-        job = self.job
-        if lone:
-            # A lone view is never stale, so it shares the global state
-            # outright: no logs, no barrier work, bit-exact with the
-            # sequential pass.
-            self.views = [job.state]
-            return
-        self.views = [
-            PartitionState(
-                job.state.n_vertices, job.k, job.state.n_edges, job.alpha,
-                packed=job.state.packed,
-            )
-            for _ in range(job.n_workers)
-        ]
-        self.logs = [ReplicaLog(log_capacity) for _ in range(job.n_workers)]
-
-    def barrier(self, step):
-        if self.logs:
-            return apply_logs(self.kernels, self.job.state, self.views, self.logs)
-
-    def extra_state_bytes(self) -> int:
-        views = [view for view in self.views if view is not self.job.state]
-        return sum(x.nbytes() for x in (*views, *self.logs))
-
-
 class SerialRunner(Runner):
     """Sequential reference execution: one window, the whole stream.
 
-    Ignores ``n_workers``/``sync_interval`` — each pass (Phase 1 and
-    Phase 2 alike) dispatches the kernel once over the stream itself
-    against the global state, which is exactly the sequential pipeline
-    (bit-exact with ``TwoPhasePartitioner`` by construction).  Reports
-    zero syncs.
+    Ignores ``n_workers``/``sync_interval`` — one worker in the
+    coordinator dispatches each pass (Phase 1 and Phase 2 alike) once
+    over the stream itself against the global state, which is exactly
+    the sequential pipeline (bit-exact with ``TwoPhasePartitioner`` by
+    construction).  Reports zero syncs.
     """
 
     kind = "serial"
 
     def open(self, job: ShardedJob) -> RunnerSession:
-        return RunnerSession(job, _InlineTransport(job), sharded=False)
+        from repro.core.distributed import WorkerTransport
+
+        return RunnerSession(job, WorkerTransport(job, self.kind, 1), sharded=False)
 
 
 class SimulatedRunner(Runner):
     """Single-process round-robin execution of the sharded schedule.
 
-    Workers take turns in quanta so the interleaving (and therefore the
+    Every worker runs in the coordinator, on the workers' own handlers,
+    and they take turns in quanta so the interleaving (and therefore the
     staleness pattern) matches a real parallel run with barrier syncs;
     parallel wall-clock is *modeled* as
     ``sequential_phase2 / n_workers + syncs * sync_latency``.
@@ -776,7 +627,9 @@ class SimulatedRunner(Runner):
     kind = "simulated"
 
     def open(self, job: ShardedJob) -> RunnerSession:
-        return RunnerSession(job, _InlineTransport(job))
+        from repro.core.distributed import WorkerTransport
+
+        return RunnerSession(job, WorkerTransport(job, self.kind, job.n_workers))
 
     def parallel_wall_seconds(
         self, phase2_seconds, n_workers, syncs, sync_latency
@@ -905,11 +758,13 @@ class ProcessRunner(Runner):
         self.task_timeout = float(task_timeout)
 
     def open(self, job: ShardedJob) -> RunnerSession:
-        from repro.core.distributed import _SocketTransport
+        from repro.core.distributed import WorkerTransport
 
-        transport = _SocketTransport(
+        transport = WorkerTransport(
             job,
             self.kind,
+            job.n_workers,
+            sockets=True,
             start_method=self.start_method,
             recv_timeout=self.task_timeout,
         )

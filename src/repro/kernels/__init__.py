@@ -69,9 +69,9 @@ the cluster mapping, and checks those arrays once (every cluster id in
 ``[-1, len(c2p))``, every partition in ``[0, k)``, agreeing lengths, a
 positive degree for every clustered vertex); a miss is a
 :class:`~repro.errors.PartitioningError`.  Every runner hands the two
-arrays over as they are, 20 bytes per vertex: the in-process transport
-to its windows, the socket transport — the process and distributed
-runners — in its bind message, once per worker.
+arrays over as they are, 20 bytes per vertex, in the transport's bind
+message, once per worker: by reference to a worker in the coordinator,
+over the wire to a worker process.
 
 Reading them, a pass gathers one partition id and one ``weights`` row
 per endpoint.  The skip test ``part[u] == part[v]`` is Algorithm 2's

@@ -24,8 +24,9 @@ Fault injection works by monkeypatching the module-level
 its loopback workers: fork-started children inherit the patched
 registry, so the failure fires inside a real worker process.  Worker 0
 of a loopback session runs in the test process itself, through the same
-registry: a fault that ends or stalls a process fires only in the forked
-workers (``worker_index`` >= 1), since in worker 0 it would end or stall
+registry, and so does every worker of a simulated run: a fault that ends
+or stalls a process fires only in the forked workers (``worker_index``
+>= 1) of a run under test, since in this process it would end or stall
 the test run.
 """
 
@@ -435,27 +436,29 @@ class TestLoopbackEquivalence:
         window request carries the cells the other workers logged since
         its last window, in uint32, or the merged plane where that is
         fewer bytes, plus the merged sizes; the run's last barrier ships
-        nothing.  The run stays bit-exact, and the wire stats count what
-        was sent to the two worker processes (worker 0 runs in this
-        process and takes its news by reference) and are the session's
-        last (the collect's frame included).  The 600-byte dense plane
-        takes the logs of 37-edge windows, the 120-byte packed one is
-        shipped whole after a 300-edge window, and with shards of 299,
-        299 and 300 edges in 299-edge windows workers 0 and 1 sit out
-        every pass's second sweep, so their next windows carry the news
-        of two barriers."""
+        nothing.  Worker 0 runs in this process and its view is the
+        job's state, which the barrier writes: it gets no news.  The run
+        stays bit-exact, and the wire stats count what was sent to the
+        two worker processes and are the session's last (the collect's
+        frame included).  The 600-byte dense plane takes the logs of
+        37-edge windows, the 120-byte packed one is shipped whole after
+        a 300-edge window, and with shards of 299, 299 and 300 edges in
+        299-edge windows workers 0 and 1 sit out every pass's second
+        sweep, so worker 1's next windows carry the news of two
+        barriers.  Only the session under test is recorded: the
+        simulated runner's runs on the same transport."""
         events, at_close = [], []
-        transport = distributed._SocketTransport
+        transport = distributed.WorkerTransport
         real_result, real_send = transport._result, transport._send
         real_barrier, real_close = transport.barrier, transport.close
 
         def result(self, w, step, start, stop, payload):
-            if "log" in payload:
+            if self._kind == runner and "log" in payload:
                 events.append(("log", w, payload["log"].copy()))
             return real_result(self, w, step, start, stop, payload)
 
         def send(self, w, msg_type, payload, step):
-            if msg_type == wire.MSG_WINDOW:
+            if self._kind == runner and msg_type == wire.MSG_WINDOW:
                 news = {
                     key: np.array(value)
                     for key, value in payload.items()
@@ -466,12 +469,13 @@ class TestLoopbackEquivalence:
 
         def barrier(self, step):
             cells = real_barrier(self, step)
-            shards = [w for w, (lo, hi) in enumerate(self._shards) if hi > lo]
-            events.append(("barrier", shards, self.job.state.sizes.copy()))
+            if self._kind == runner:
+                shards = [w for w, (lo, hi) in enumerate(self._shards) if hi > lo]
+                events.append(("barrier", shards, self.job.state.sizes.copy()))
             return cells
 
         def close(self):
-            if not self._closed:
+            if self._kind == runner and not self._closed:
                 at_close.append(self.wire_stats())
             return real_close(self)
 
@@ -501,6 +505,8 @@ class TestLoopbackEquivalence:
                 continue
             if event == "barrier":
                 for u in w:
+                    if u == 0:
+                        continue  # worker 0's view is the job's state
                     others = [log for v, log in sorted(logs.items()) if v != u]
                     pending.setdefault(u, []).append(others)
                 logs, sizes = {}, value
@@ -521,14 +527,13 @@ class TestLoopbackEquivalence:
                 assert value["plane"].nbytes == plane_bytes <= cells.nbytes
             np.testing.assert_array_equal(value["sizes"], sizes)
             kinds.update(set(value) - {"sizes"})
-            if w > 0:  # the socket workers' news
-                shipped += min(cells.nbytes, plane_bytes)
-                deliveries += 1
+            shipped += min(cells.nbytes, plane_bytes)
+            deliveries += 1
         assert kind in kinds
-        sat_out = [2, 2, 1] if n_edges == 898 else [1, 1, 1]
-        assert [most[w] for w in range(3)] == sat_out, "barriers per delivery"
+        sat_out = [0, 2, 1] if n_edges == 898 else [0, 1, 1]
+        assert [most.get(w, 0) for w in range(3)] == sat_out, "barriers per delivery"
         # The run's last barrier ships nothing: its news stays queued.
-        assert events[-1][0] == "barrier" and sorted(pending) == [0, 1, 2]
+        assert events[-1][0] == "barrier" and sorted(pending) == [1, 2]
         stats = dist.extras["wire"]
         assert at_close == [stats]
         sizes_bytes = 5 * 8
@@ -756,6 +761,8 @@ class TestFailureInjection:
         assert not multiprocessing.active_children()
 
     def test_unassigned_edge_fails_the_collect(self, monkeypatch):
+        """The collect starts at worker 1: worker 0's windows wrote the
+        job's own assignments."""
         real = distributed._w_collect
 
         def unassigned(ctx, payload):
@@ -763,7 +770,7 @@ class TestFailureInjection:
             return real(ctx, payload)
 
         excinfo = self._run_with_fault(monkeypatch, wire.MSG_COLLECT, unassigned)
-        assert excinfo.match("worker 0 failed during collect: .* is unassigned")
+        assert excinfo.match("worker 1 failed during collect: .* is unassigned")
         _assert_clean()
         assert not multiprocessing.active_children()
 
@@ -791,7 +798,9 @@ class TestFailureInjection:
         """A collect frame of the wrong type, length or shape, or naming
         a partition outside ``[0, k)``: one typed error naming the runner
         and the collect, raised before ``job.assignments`` takes any
-        shard (worker 0's well-formed one included)."""
+        collected shard.  The collect starts at worker 1: worker 0's
+        shard of 450 edges is in place already, written by its
+        windows."""
         real = distributed._w_collect
         mutate, match = self.HOSTILE_COLLECTS[case]
 
@@ -802,14 +811,15 @@ class TestFailureInjection:
             return msg_type, fields
 
         untouched = []
-        transport = distributed._SocketTransport
+        transport = distributed.WorkerTransport
         finalize = transport.finalize
 
         def recording(self):
             try:
                 finalize(self)
             except PartitioningError:
-                untouched.append(bool((self.job.assignments == -1).all()))
+                worker_0, others = np.split(self.job.assignments, [450])
+                untouched.append(bool((worker_0 >= 0).all() and (others == -1).all()))
                 raise
 
         monkeypatch.setattr(transport, "finalize", recording)
@@ -984,9 +994,8 @@ class TestFailureInjection:
                 "phase-2 worker {w} failed during the prepartition pass",
             ),
             (wire.MSG_BIND, "{runner} worker {w} failed during phase-2 bind"),
-            (wire.MSG_COLLECT, "{runner} worker {w} failed during collect"),
         ],
-        ids=["window", "bind", "collect"],
+        ids=["window", "bind"],
     )
     def test_raising_handler_in_worker_0_fails_as_in_a_forked_worker(
         self, monkeypatch, msg_type, expected
@@ -1019,12 +1028,18 @@ class TestFailureInjection:
     def test_worker_0_leaves_its_inputs_alone_and_replies_with_its_own_arrays(
         self, monkeypatch, packed
     ):
-        """Worker 0's requests and replies pass by reference.  No handler
-        writes an array it was handed (``part``, ``weights``, the degrees,
-        the global plane and sizes), and no array it returned is written
-        by its later work, the next window included.  Only worker 0's
-        handlers run in this process, so only its calls are recorded."""
-        handed, untouched, intact = set(), [], []
+        """Requests and replies of a worker in this process pass by
+        reference.  Worker 0 is handed the job's state and its slice of
+        the job's assignments, which its windows write, and never any
+        news; no handler writes any other array it was handed (``part``,
+        ``weights``, the degrees, the news), and no array it returned is
+        written by its later work, the next window included.  Worker 1
+        of the simulated run takes its news as copies, never as a view
+        of the job's state, which worker 0 writes before worker 1's
+        handler runs.  Only the workers in this process are recorded:
+        worker 0 of the run under test, workers 0 and 1 of the simulated
+        one."""
+        handed, binds, news, untouched, intact = {}, [], [], [], []
         returned: list = []
 
         def spying(real):
@@ -1032,10 +1047,22 @@ class TestFailureInjection:
                 given = [
                     (key, value, value.copy())
                     for key, value in payload.items()
-                    if isinstance(value, np.ndarray)
+                    if isinstance(value, np.ndarray) and key != "assignments"
                 ]
                 out_type, fields = real(ctx, payload)
-                handed.update(key for key, *_ in given)
+                w = ctx["worker_index"]
+                handed.setdefault(w, set()).update(
+                    key
+                    for key, value in payload.items()
+                    if isinstance(value, np.ndarray)
+                )
+                if "state" in payload:
+                    binds.append((payload["state"], payload["assignments"]))
+                news.extend(
+                    value
+                    for key, value in payload.items()
+                    if key in ("log", "plane", "sizes")
+                )
                 untouched.extend(np.array_equal(v, c) for _, v, c in given)
                 intact.extend(np.array_equal(v, c) for v, c in returned)
                 returned.extend(
@@ -1061,10 +1088,21 @@ class TestFailureInjection:
             for name in (self.runner, "simulated")
         }
         _assert_same(*runs.values())
-        news = "plane" if packed else "log"
-        assert {"part", "weights", "degrees", "sizes", news} <= handed
-        assert untouched and all(untouched), "worker 0 wrote an array it was handed"
-        assert intact and all(intact), "worker 0 wrote an array it returned"
+        assert sorted(handed) == [0, 1]
+        assert {"part", "weights", "degrees", "assignments"} <= handed[0]
+        assert not handed[0] & {"log", "plane", "sizes"}, "worker 0 got news"
+        assert {"plane" if packed else "log", "sizes"} <= handed[1]
+        assert len(binds) == 2
+        for (state, assignments), result in zip(binds, runs.values()):
+            assert state is result.state
+            assert assignments.shape == (450,)
+            assert np.shares_memory(assignments, result.assignments[:450])
+        sim = runs["simulated"].state
+        targets = (_replica_plane(sim.replicas)[0], sim.sizes)
+        aliased = [np.shares_memory(value, t) for value in news for t in targets]
+        assert aliased and not any(aliased), "news aliasing the job's state"
+        assert untouched and all(untouched), "a handler wrote an array it was handed"
+        assert intact and all(intact), "a handler wrote an array it returned"
         _assert_clean()
 
 

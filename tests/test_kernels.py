@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.baselines import DBH, Grid, RandomHash
 from repro.core import IncrementalPartitioner, TwoPhasePartitioner
 from repro.core.clustering import StreamingClustering
+from repro.core.wire import log_cell_dtype
 from repro.errors import ConfigurationError, PartitioningError
 from repro.graph import Graph
 from repro.graph.degrees import compute_degrees_from_stream
@@ -1466,55 +1467,75 @@ def _barrier_scenario(rng, k, packed, n_views):
     return state, [v for v, _ in pairs], [log for _, log in pairs]
 
 
+def _worker_ctx(kernels, view, log):
+    """The context ``BIND`` leaves a socket worker whose view is
+    ``view`` and whose log is ``log``, over an empty shard."""
+    n, k = view.n_vertices, view.k
+    return {
+        "kernels": kernels,
+        "stream": InMemoryEdgeStream(Graph(np.zeros((0, 2), np.int64), n)),
+        "k": k,
+        "hash_seed": 0,
+        "hdrf_lambda": 1.1,
+        "view": view,
+        "log": log,
+        "cell": log_cell_dtype(n, k),
+        "phase1": (np.zeros(n, np.int32), np.ones((n, 2), np.int64)),
+        "shard": (0, 0),
+        "assignments": np.zeros(0, np.int32),
+    }
+
+
 class TestReplicaLogBarrier:
-    """The Phase-2 barrier on every backend: ``apply_replica_log`` sets
-    every logged bit, and :func:`~repro.core.runners.apply_logs` makes
-    the global state and every view the OR of them all, with sizes
-    ``g + sum(view - g)``; byte-identical to the python reference, dense
+    """The Phase-2 barrier on every backend, as the transport runs it:
+    worker 0's view is the global state, which takes the other workers'
+    set-bit logs (:func:`~repro.core.distributed.take_news`, over the
+    kernel op ``apply_replica_log``), and each other worker's view takes
+    its news, every other worker's log, before its next window.  The
+    state and every view end at the OR of them all, with sizes
+    ``g + sum(view - g)``, byte-identical to the python reference, dense
     and packed."""
 
     @pytest.mark.parametrize("packed", [False, True], ids=["dense", "packed"])
     @pytest.mark.parametrize("k", [2, 7, 32, 70])
     @pytest.mark.parametrize("kernels", BACKEND_IMPLS, ids=lambda b: b.name)
     def test_barrier_equals_or_of_every_view(self, kernels, k, packed):
-        from repro.core.runners import apply_logs
+        from repro.core.distributed import _w_window, take_news
+        from repro.core.runners import merge_sizes
 
         rng = np.random.default_rng(1000 * k + packed)
-        for n_views in (1, 2, 3, 4, 5):
-            state, views, logs = _barrier_scenario(rng, k, packed, n_views)
+        for n_workers in (1, 2, 3, 4, 5):
+            # views[0] is worker 0's view, the global state after its
+            # window: ``g`` with its window's bits set and its sizes.
+            g, views, logs = _barrier_scenario(rng, k, packed, n_workers)
             expect = np.logical_or.reduce(
-                [np.asarray(s.replicas) for s in (state, *views)]
+                [np.asarray(s.replicas) for s in (g, *views)]
             )
-            expect_sizes = state.sizes + sum(v.sizes - state.sizes for v in views)
-            n_cells = sum(len(log.entries()) for log in logs)
-            ref_state = _copy_state(state)
+            expect_sizes = g.sizes + sum(v.sizes - g.sizes for v in views)
+            ref_state = _copy_state(g)
             get_backend("python").apply_replica_log(
                 ref_state, [log.entries() for log in logs]
             )
-            assert apply_logs(kernels, state, views, logs) == n_cells
-            for target in (state, *views):
+            cell = log_cell_dtype(g.n_vertices, k)
+            # The logs as the window replies carry them.
+            cells = [log.entries().astype(cell) for log in logs]
+            merged = merge_sizes(g.sizes, [v.sizes for v in views])
+            others = {
+                w: np.concatenate([np.zeros(0, cell), *cells[:w], *cells[w + 1 :]])
+                for w in range(n_workers)
+            }
+            take_news(kernels, views[0], {"log": others[0], "sizes": merged}, cell)
+            for w in range(1, n_workers):
+                ctx = _worker_ctx(kernels, views[w], logs[w])
+                payload = {"pass": "prepartition", "start": 0, "stop": 0}
+                reply = _w_window(ctx, {**payload, "log": others[w], "sizes": merged})
+                assert len(reply[1]["log"]) == 0
+            for target in views:
                 np.testing.assert_array_equal(np.asarray(target.replicas), expect)
                 np.testing.assert_array_equal(target.sizes, expect_sizes)
                 assert state_bytes(target)[0] == state_bytes(ref_state)[0]
-            assert all(len(log.entries()) == 0 for log in logs)
-
-    @pytest.mark.parametrize("packed", [False, True], ids=["dense", "packed"])
-    @pytest.mark.parametrize("kernels", BACKEND_IMPLS, ids=lambda b: b.name)
-    def test_view_aliasing_the_global_plane(self, kernels, packed):
-        """Worker 0's view *is* the global state (as a lone view is):
-        the barrier still ends at the OR of every view everywhere."""
-        from repro.core.runners import apply_logs
-
-        rng = np.random.default_rng(7 + packed)
-        state, views, logs = _barrier_scenario(rng, 11, packed, 2)
-        views[0] = state
-        logs[0] = _logged_view(rng, state)[1]
-        kernels.apply_replica_log(state, [logs[0].entries()])  # its own bits
-        expect = np.asarray(state.replicas) | np.asarray(views[1].replicas)
-        apply_logs(kernels, state, views, logs)
-        for target in views:
-            np.testing.assert_array_equal(np.asarray(target.replicas), expect)
-            np.testing.assert_array_equal(target.sizes, views[1].sizes)
+            # Cleared by the window that took the news.
+            assert all(len(log.entries()) == 0 for log in logs[1:])
 
     def test_sizes_merge_overshoot_exactly(self):
         """A stale view may run past the hard cap; the merge carries the
@@ -1522,10 +1543,10 @@ class TestReplicaLogBarrier:
         from repro.core.runners import merge_sizes
 
         state = PartitionState(6, 2, 8, alpha=1.0)  # capacity 4
-        state.sizes[:] = [3, 1]
-        merged = merge_sizes(state, [np.array([9, 1]), np.array([3, 1])])
-        assert merged.tolist() == state.sizes.tolist() == [9, 1]
-        assert state.sizes[0] > state.capacity
+        base = np.array([3, 1])
+        merged = merge_sizes(base, [np.array([9, 1]), np.array([3, 1])])
+        assert merged.tolist() == [9, 1] and base.tolist() == [3, 1]
+        assert merged[0] > state.capacity
 
     @pytest.mark.parametrize("packed", [False, True], ids=["dense", "packed"])
     @pytest.mark.parametrize("kernels", BACKEND_IMPLS, ids=lambda b: b.name)

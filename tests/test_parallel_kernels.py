@@ -360,8 +360,8 @@ class TestRunnerMatrix:
         ).partition(ser_stream, 4)
         assert_bit_exact(seq, ser)
         assert ser.extras["syncs"] == 0
-        # The serial transport streams the stream object itself: the same
-        # passes over the same edges as the sequential pipeline.
+        # The serial runner's worker streams the stream object itself:
+        # the same passes over the same edges as the sequential pipeline.
         assert ser_stream.stats.passes == seq_stream.stats.passes
         assert ser_stream.stats.edges_read == seq_stream.stats.edges_read
 
@@ -673,6 +673,89 @@ class TestCrashedWorkerCleanup:
                 shared_memory.SharedMemory(name=name, create=False)
 
 
+@needs_fork
+class TestEverySessionCloses:
+    """A run closes every session it opened — the runner's and, unless
+    Phase 1 is sharded, the serial Phase-1 one — after a successful run,
+    after a failing Phase 2, and when the Phase-1 session fails to open
+    after the runner's opened."""
+
+    @pytest.fixture
+    def sessions(self, monkeypatch):
+        opened, closed = [], []
+        session_cls = runners_module.RunnerSession
+        init, close = session_cls.__init__, session_cls.close
+
+        def spying_init(session, *args, **kwargs):
+            init(session, *args, **kwargs)
+            opened.append(session)
+
+        def spying_close(session):
+            closed.append(session)
+            close(session)
+
+        monkeypatch.setattr(session_cls, "__init__", spying_init)
+        monkeypatch.setattr(session_cls, "close", spying_close)
+        return opened, closed
+
+    @pytest.fixture
+    def exploding_remaining(self):
+        import repro.kernels as kernels_pkg
+
+        register_backend(_ExplodingRemainingBackend.name, _ExplodingRemainingBackend)
+        yield _ExplodingRemainingBackend.name
+        kernels_pkg._REGISTRY.pop(_ExplodingRemainingBackend.name, None)
+        kernels_pkg._INSTANCES.pop(_ExplodingRemainingBackend.name, None)
+
+    @staticmethod
+    def _assert_all_closed(opened, closed, n_sessions):
+        assert len(opened) == n_sessions
+        assert {id(s) for s in opened} <= {id(s) for s in closed}
+        assert not live_shared_segments()
+        assert not live_connections() and not live_worker_processes()
+
+    @pytest.mark.parametrize("runner", ["serial", "simulated", "process"])
+    @pytest.mark.parametrize("parallel_phase1", [False, True])
+    def test_after_a_successful_run(
+        self, runner, parallel_phase1, sessions, community_graph
+    ):
+        ParallelTwoPhase(
+            n_workers=2,
+            sync_interval=64,
+            runner=runner,
+            parallel_phase1=parallel_phase1,
+        ).partition(community_graph, 4)
+        self._assert_all_closed(*sessions, 1 if parallel_phase1 else 2)
+
+    def test_after_the_sequential_pipeline(self, sessions, community_graph):
+        TwoPhasePartitioner().partition(community_graph, 4)
+        self._assert_all_closed(*sessions, 1)
+
+    @pytest.mark.parametrize("runner", ["serial", "simulated", "process"])
+    def test_after_a_failing_phase_2(
+        self, runner, sessions, exploding_remaining, community_graph
+    ):
+        partitioner = ParallelTwoPhase(
+            n_workers=2, sync_interval=64, runner=runner, backend=exploding_remaining
+        )
+        with pytest.raises((RuntimeError, PartitioningError), match="kernel exploded"):
+            partitioner.partition(community_graph, 4)
+        self._assert_all_closed(*sessions, 2)
+
+    @pytest.mark.parametrize("runner", ["simulated", "process"])
+    def test_when_the_phase_1_session_fails_to_open(
+        self, runner, sessions, monkeypatch, community_graph
+    ):
+        def refuse(self, job):
+            raise RuntimeError("no phase-1 session")
+
+        partitioner = ParallelTwoPhase(n_workers=2, sync_interval=64, runner=runner)
+        monkeypatch.setattr(runners_module.SerialRunner, "open", refuse)
+        with pytest.raises(RuntimeError, match="no phase-1 session"):
+            partitioner.partition(community_graph, 4)
+        self._assert_all_closed(*sessions, 1)
+
+
 @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
 @pytest.mark.parametrize(
     "runner", ["serial", "simulated", "process", "distributed"]
@@ -702,11 +785,11 @@ def test_unknown_pass_is_a_configuration_error(runner, community_graph):
 
 @needs_fork
 class TestProcessSession:
-    """A process session is the socket transport on loopback, worker 0
-    in this process.  Forked workers inherit an in-memory stream, so the
-    session creates no segment; under ``spawn`` its one shared segment
-    is the edge copy.  ``close()`` leaves no segment, socket or worker
-    process."""
+    """A process session runs worker 0 in this process and the others
+    as loopback socket workers.  Forked workers inherit an in-memory
+    stream, so the session creates no segment; under ``spawn`` its one
+    shared segment is the edge copy.  ``close()`` leaves no segment,
+    socket or worker process."""
 
     @pytest.mark.parametrize("runner", ["process", "distributed"])
     @pytest.mark.parametrize("n_workers", [2, 4])
@@ -842,21 +925,45 @@ class TestProcessSession:
 
 @needs_fork
 @LAYOUTS
-def test_state_bytes_agree_across_runners(packed):
-    """Every runner reports the worker views' own bytes.  At |V| = 513 a
-    packed plane (4 bytes per row at k=32) ends 4 bytes off an 8-byte
-    boundary, so a count that pads each view to 8 bytes disagrees."""
+@pytest.mark.parametrize("n_workers", [1, 2, 3])
+@pytest.mark.parametrize("parallel_phase1", [False, True])
+def test_state_bytes_agree_across_runners(packed, n_workers, parallel_phase1):
+    """Every runner reports the worker views' own bytes, the cells its
+    barriers' logs wrote against full re-broadcasts, and the passes its
+    workers streamed over the job's stream.  Worker 0's view is the
+    global state in each, so a lone worker holds no view or log — its
+    run reports the sequential run's 43,604 bytes (29,240 packed): the
+    state and the Phase-1 arrays — and its barriers log nothing.  A
+    whole-stream window is a full pass: the degree window of a lone
+    worker, and both passes of a serial Phase 1; 256-edge windows are
+    not.  At |V| = 513 a packed plane (4 bytes per row at k=32) ends 4
+    bytes off an 8-byte boundary, so a count that pads each view to 8
+    bytes disagrees."""
     rng = np.random.default_rng(5)
     graph = Graph(rng.integers(0, 513, size=(3000, 2)), 513)
-    reports = {
-        runner: ParallelTwoPhase(
-            n_workers=2, sync_interval=256, runner=runner, packed_state=packed
+    reports = {}
+    for runner in ("simulated", "process", "distributed"):
+        stream = InMemoryEdgeStream(graph)
+        result = ParallelTwoPhase(
+            n_workers=n_workers,
+            sync_interval=256,
+            runner=runner,
+            packed_state=packed,
+            parallel_phase1=parallel_phase1,
+        ).partition(stream, 32)
+        reports[runner] = (
+            result.state_bytes,
+            result.extras["barrier_bytes"],
+            result.extras["barrier_bytes_full"],
+            stream.stats.passes,
         )
-        .partition(graph, 32)
-        .state_bytes
-        for runner in ("simulated", "process", "distributed")
-    }
     assert len(set(reports.values())) == 1, reports
+    passes = 2 if not parallel_phase1 else int(n_workers == 1)
+    assert reports["simulated"][3] == passes
+    if n_workers == 1:
+        sequential = TwoPhasePartitioner(packed_state=packed).partition(graph, 32)
+        assert sequential.state_bytes == (29_240 if packed else 43_604)
+        assert reports["simulated"][:3] == (sequential.state_bytes, 0, 0)
     assert not live_shared_segments()
 
 
