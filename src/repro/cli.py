@@ -27,8 +27,8 @@ import sys
 import numpy as np
 
 from repro.core import ParallelTwoPhase, TwoPhasePartitioner
-from repro.core.distributed import DistributedRunner, serve_worker
-from repro.core.runners import RUNNERS
+from repro.core.distributed import serve_worker
+from repro.core.runners import RUNNERS, ProcessRunner
 from repro.errors import PartitioningError, ReproError
 from repro.experiments.common import ALL_PARTITIONERS, make_partitioner
 from repro.graph.datasets import DATASETS, load_dataset
@@ -113,11 +113,11 @@ def _make_cli_partitioner(args):
     runner = args.runner
     n_workers = args.n_workers
     if workers is not None:
-        # --workers host:port,... names pre-started socket workers: it
-        # implies the distributed runner and fixes the worker count.
-        if runner not in (None, "distributed"):
+        # --workers host:port,... names pre-started worker servers: it
+        # implies the process runner and fixes the worker count.
+        if runner not in (None, "process"):
             raise ReproError(
-                f"--workers applies to --runner distributed, not {runner!r}"
+                f"--workers applies to --runner process, not {runner!r}"
             )
         specs = [spec for spec in workers.split(",") if spec]
         if n_workers is not None and n_workers != len(specs):
@@ -125,7 +125,7 @@ def _make_cli_partitioner(args):
                 f"--n-workers {n_workers} contradicts the "
                 f"{len(specs)} --workers specs"
             )
-        runner = DistributedRunner(workers=specs)
+        runner = ProcessRunner(workers=specs)
         n_workers = len(specs)
     return ParallelTwoPhase(
         n_workers=n_workers if n_workers is not None else 4,
@@ -203,7 +203,7 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_worker(args) -> int:
-    """Run a standalone distributed-partitioning socket worker."""
+    """Run a standalone worker server for ``partition --workers``."""
 
     def ready(host: str, port: int) -> None:
         # Machine-readable bound address, flushed before accepting, so
@@ -415,8 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(RUNNERS),
         default=None,
         help="execution runner for the sharded parallel path (2PS-L / "
-        "2PS-HDRF only); 'process' runs real multiprocessing workers "
-        "over loopback sockets, worker 0 in this process",
+        "2PS-HDRF only); 'process' runs real worker processes over "
+        "sockets: worker 0 in this process and local workers over "
+        "loopback, or the --workers servers",
     )
     part.add_argument(
         "--n-workers",
@@ -429,10 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         default=None,
         metavar="HOST:PORT,...",
-        help="comma-separated addresses of pre-started distributed "
-        "workers (the 'worker' subcommand); implies --runner "
-        "distributed with one shard per address and needs a "
-        "file-backed --input (workers stream their own shards)",
+        help="comma-separated addresses of pre-started worker servers "
+        "(the 'worker' subcommand); implies --runner process with one "
+        "shard per address, all of them remote, and needs a file-backed "
+        "--input (workers stream their own shards)",
     )
     part.add_argument(
         "--sync-interval",
@@ -471,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     wrk = sub.add_parser(
         "worker",
-        help="run a distributed-partitioning worker server "
+        help="run a partitioning worker server for the process runner "
         "(pair with partition --workers host:port,...)",
     )
     wrk.add_argument(

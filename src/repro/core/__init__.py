@@ -34,7 +34,6 @@ from repro.core.runners import (
     SimulatedRunner,
     make_runner,
 )
-from repro.core.distributed import DistributedRunner
 from repro.core.parallel import ParallelTwoPhase
 
 __all__ = [
@@ -49,6 +48,5 @@ __all__ = [
     "SerialRunner",
     "SimulatedRunner",
     "ProcessRunner",
-    "DistributedRunner",
     "make_runner",
 ]

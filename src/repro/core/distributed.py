@@ -11,13 +11,13 @@ runner decides where each worker runs:
   handshake, frame or checksum, and fields pass by reference.  Every
   worker of a ``serial`` (one worker) or ``simulated`` session runs
   here, and so does worker 0 of every loopback session;
-- in a loopback worker process: a :class:`~repro.core.runners.ProcessRunner`
-  session, or a :class:`DistributedRunner` one without ``host:port``
-  specs, of ``n`` workers starts ``n - 1`` of them, which connect back
-  to a listener on ``127.0.0.1``;
+- in a loopback worker process: a
+  :class:`~repro.core.runners.ProcessRunner` session of ``n`` workers
+  without ``host:port`` specs starts ``n - 1`` of them, which connect
+  back to a listener on ``127.0.0.1``;
 - in a worker server named by a ``host:port`` spec (the CLI ``worker``
-  subcommand): a :class:`DistributedRunner` session connects to all
-  ``n`` of them over TCP.
+  subcommand, :func:`serve_worker`): a ``ProcessRunner`` session given
+  ``n`` specs connects to all ``n`` of them over TCP.
 
 Worker processes and servers speak the :mod:`repro.core.wire` protocol.
 The coordinator sends every worker its request before it reads the
@@ -106,16 +106,12 @@ import numpy as np
 
 from repro.core import wire
 from repro.core.runners import (
-    RUNNERS,
     ClusteringWorker,
     Refresh,
-    Runner,
-    RunnerSession,
     WorkerFailed,
     _release_segment,
     _stream_spec,
     _window_stream,
-    check_start_method,
     merge_sizes,
     mp_context,
     run_phase2_window,
@@ -492,72 +488,6 @@ def _inheritable(stream) -> bool:
     return type(stream) is InMemoryEdgeStream and "chunks" not in vars(stream)
 
 
-class DistributedRunner(Runner):
-    """Socket workers speaking the sync-window/delta-barrier protocol.
-
-    Parameters
-    ----------
-    workers:
-        ``host:port`` specs of pre-started worker servers (the CLI
-        ``worker`` subcommand), one per shard worker.  ``None`` (the
-        default) bootstraps loopback: the coordinator runs worker 0
-        itself, listens on ``127.0.0.1`` and spawns ``n_workers - 1``
-        local worker processes that connect back.  Remote workers need a
-        file-backed stream — each streams its own shard; edge data never
-        crosses the wire.
-    connect_timeout:
-        Seconds to establish (or accept) each worker connection.
-    recv_timeout:
-        Seconds any single protocol reply of a socket worker may take.
-        A worker that died mid-window would otherwise hang the
-        coordinator forever; the timeout converts that into a typed
-        :class:`~repro.errors.PartitioningError` and session teardown
-        closes every socket and reaps every spawned worker.  Worker 0 of
-        a loopback session runs on the coordinator's thread, uncovered.
-    start_method:
-        ``multiprocessing`` start method for loopback workers (``None``
-        picks :func:`~repro.core.runners.default_start_method`).
-    """
-
-    kind = "distributed"
-    measures_wallclock = True
-
-    def __init__(
-        self,
-        workers=None,
-        connect_timeout: float = 10.0,
-        recv_timeout: float = 600.0,
-        start_method: str | None = None,
-    ) -> None:
-        if connect_timeout <= 0 or recv_timeout <= 0:
-            raise ConfigurationError(
-                "connect_timeout and recv_timeout must be positive, got "
-                f"{connect_timeout} / {recv_timeout}"
-            )
-        check_start_method(start_method)
-        self.workers = (
-            None
-            if workers is None
-            else [parse_worker_spec(spec) for spec in workers]
-        )
-        self.connect_timeout = float(connect_timeout)
-        self.recv_timeout = float(recv_timeout)
-        self.start_method = start_method
-
-    def open(self, job) -> RunnerSession:
-        transport = WorkerTransport(
-            job,
-            self.kind,
-            job.n_workers,
-            sockets=True,
-            workers=self.workers,
-            start_method=self.start_method,
-            connect_timeout=self.connect_timeout,
-            recv_timeout=self.recv_timeout,
-        )
-        return RunnerSession(job, transport)
-
-
 class WorkerTransport:
     """Window tasks as requests to one worker per shard.
 
@@ -693,7 +623,7 @@ class WorkerTransport:
                 )
             except OSError as exc:
                 raise PartitioningError(
-                    f"could not connect to distributed {label}: {exc}"
+                    f"{self._kind} could not connect to {label}: {exc}"
                 ) from exc
             self._track(wire.Connection(sock, label=label))
         return [spec_to_wire(spec)] * len(addresses)
@@ -1063,5 +993,3 @@ class WorkerTransport:
             shm, self._stream_shm = self._stream_shm, None
             _release_segment(shm)
 
-
-RUNNERS["distributed"] = DistributedRunner

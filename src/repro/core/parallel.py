@@ -27,16 +27,17 @@ pipeline.
 :class:`ParallelTwoPhase` reruns the one 2PS-L pipeline of
 :class:`~repro.core.partitioner.TwoPhasePartitioner` on the sessions of
 a pluggable **runner** (:mod:`repro.core.runners`): ``"serial"`` and
-``"simulated"`` — the default — run every worker in process,
+``"simulated"`` — the default — run every worker in process, and
 ``"process"`` runs worker 0 in process and the other workers as local
-worker processes over loopback sockets, and ``"distributed"`` the same,
-or socket workers at ``host:port``.  All drive the one deterministic
-sync-window schedule through the same worker handlers.  The runner
-choice is a pure execution knob; which results are bit-exact across
-runners, backends and worker counts, and why, is stated once, in
-:mod:`repro.core.runners`.  The simulated runner's parallel wall-clock
-in ``extras`` is *modeled* as ``sequential_phase2 / n_workers + syncs *
-sync_latency``; the process and distributed runners *measure* it.
+worker processes over loopback sockets, or, given ``host:port`` specs
+(:class:`~repro.core.runners.ProcessRunner`), every worker in a worker
+server.  All drive the one deterministic sync-window schedule through
+the same worker handlers.  The runner choice is a pure execution knob;
+which results are bit-exact across runners, backends and worker counts,
+and why, is stated once, in :mod:`repro.core.runners`.  The simulated
+runner's parallel wall-clock in ``extras`` is *modeled* as
+``sequential_phase2 / n_workers + syncs * sync_latency``; the process
+runner *measures* it.
 
 Note on balance: each worker enforces the cap against its *stale* size
 view, so within one sync window the global partition sizes can overshoot
@@ -69,8 +70,9 @@ class ParallelTwoPhase(TwoPhasePartitioner):
         simulated runner's parallel wall-clock estimate in ``extras``).
     runner:
         Execution runner: ``"serial"``, ``"simulated"`` (default),
-        ``"process"``, ``"distributed"``, or a
-        :class:`~repro.core.runners.Runner` instance.  A pure execution
+        ``"process"``, or a :class:`~repro.core.runners.Runner` instance
+        (a :class:`~repro.core.runners.ProcessRunner` with ``workers``
+        for worker servers at ``host:port``).  A pure execution
         knob — results are bit-identical across runners under the same
         schedule (see :mod:`repro.core.runners`).
     parallel_phase1:
@@ -81,9 +83,9 @@ class ParallelTwoPhase(TwoPhasePartitioner):
         a staleness/quality knob beyond that, exactly like Phase 2.  The
         serial runner runs Phase 1 sequentially regardless.
     start_method, task_timeout:
-        Knobs of the process and distributed runners: the
-        ``multiprocessing`` start method of local workers and the
-        seconds any worker reply may take; ignored by the other runners.
+        Knobs of the process runner: the ``multiprocessing`` start method
+        of local workers and the seconds any worker reply may take;
+        ignored by the other runners.
 
     The remaining parameters are those of
     :class:`~repro.core.partitioner.TwoPhasePartitioner`; with
@@ -166,7 +168,7 @@ class ParallelTwoPhase(TwoPhasePartitioner):
             # written, summed over the barriers.
             "barrier_bytes": session.barrier_cells,
             "barrier_bytes_full": session.barrier_full_cells,
-            # Distributed sessions also report actual socket traffic
+            # Process sessions also report actual socket traffic
             # (frame bytes both ways, barrier logs vs what a full
             # state re-broadcast would have shipped).
             **({"wire": wire_stats} if wire_stats else {}),

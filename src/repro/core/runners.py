@@ -20,16 +20,16 @@ worker runs:
 - :class:`SimulatedRunner` — ``n_workers`` workers in the coordinator,
   run one after the other in every sweep.  Deterministic and
   dependency-free; parallel wall-clock is *modeled*.
-- :class:`ProcessRunner` — worker 0 in the coordinator and a local
-  worker process for each other shard, ``n_workers - 1`` of them,
-  connected over loopback sockets.  Forked workers inherit an in-memory
-  stream object; otherwise workers reopen the stream from a picklable
-  :class:`~repro.streaming.stream.StreamSpec` (file streams stay
-  out-of-core).  Parallel wall-clock is *measured*.
-- :class:`~repro.core.distributed.DistributedRunner` — the same
-  loopback workers, or TCP workers at ``host:port`` specs, which speak
-  the versioned wire format of :mod:`repro.core.wire`; edge data never
-  crosses the wire.  Registered lazily by :func:`make_runner`.
+- :class:`ProcessRunner` — worker processes that speak the versioned
+  wire format of :mod:`repro.core.wire`.  By default worker 0 runs in
+  the coordinator and a local worker process serves each other shard,
+  ``n_workers - 1`` of them, connected over loopback sockets: forked
+  workers inherit an in-memory stream object, the others reopen the
+  stream from a picklable :class:`~repro.streaming.stream.StreamSpec`
+  (file streams stay out-of-core).  Given ``host:port`` specs it
+  connects to that many worker servers instead, which stream their own
+  shards of a file; edge data never crosses the wire.  Parallel
+  wall-clock is *measured*.
 
 A worker in the coordinator streams the job's stream object, and a
 window covering the whole stream streams it as a full pass.  Worker 0 in
@@ -48,28 +48,28 @@ windows and barriers the transport's, shared by all runners, and the
 kernel contract makes chunk and window boundaries semantics-free (see
 :mod:`repro.kernels`).  This pins down every output bit:
 
-- ``process`` and ``distributed`` are **bit-identical** to ``simulated``
-  under the same schedule — Phase-1 degrees and clustering, per-edge
-  assignments, replica matrix, partition sizes *and* cost counters (cost
-  fields are sums of per-window counts, so merge order cannot matter).
-  All three run every window through the same handlers, a Phase-2 one
-  through the one body :func:`run_phase2_window`, which reads it
-  through ``_SubStream`` over the job's stream (a worker in the
-  coordinator and a forked one read the stream object itself, other
-  socket workers reopen it from its spec), so chunk boundaries agree;
-  the simulated runner's workers take their requests by reference and
-  the other runners' worker processes decode them from the wire, which
-  carries every value exactly.  Every Phase-2 barrier sets the bits of
-  the workers' set-bit logs with the one kernel op
+- ``process`` is **bit-identical** to ``simulated`` under the same
+  schedule, with local and with ``host:port`` workers — Phase-1 degrees
+  and clustering, per-edge assignments, replica matrix, partition sizes
+  *and* cost counters (cost fields are sums of per-window counts, so
+  merge order cannot matter).  Both run every window through the same
+  handlers, a Phase-2 one through the one body
+  :func:`run_phase2_window`, which reads it through ``_SubStream`` over
+  the job's stream (a worker in the coordinator and a forked one read
+  the stream object itself, other worker processes reopen it from its
+  spec), so chunk boundaries agree; the simulated runner's workers take
+  their requests by reference and worker processes decode them from the
+  wire, which carries every value exactly.  Every Phase-2 barrier sets
+  the bits of the workers' set-bit logs with the one kernel op
   ``apply_replica_log`` and merges sizes with :func:`merge_sizes`, every
   worker applies the same news before the same window, and worker 0's
-  view is the global state in every runner but a ``host:port`` one,
+  view is the global state in every session but a ``host:port`` one,
   whose coordinator keeps a plane of its own.  ``simulated`` thereby
   doubles as the in-CI deterministic twin of a multi-host run.
 - With ``n_workers=1`` every runner is bit-exact with the sequential
   pipeline: a lone worker's view is never stale, so its one clustering
   state needs no log, merge or refresh, its Phase-2 view is the global
-  state in every runner but a ``host:port`` one, and window boundaries
+  state in every session but a ``host:port`` one, and window boundaries
   are ordinary chunk boundaries.  ``serial`` *is* the sequential
   pipeline for any worker count.
 - Kernel backends stay bit-exact with each other through every runner.
@@ -108,17 +108,18 @@ a sharded run appends every replica bit it sets that was clear in its
 worker's view to that worker's set-bit log
 (:class:`~repro.kernels.base.ReplicaLog`).  At the barrier the global
 state takes the logged bits of every worker but worker 0, whose view it
-is, with the kernel op ``apply_replica_log``, and each other worker's
-news (the cells the other workers logged since its last window, or the
-merged plane where that is fewer bytes, and the merged sizes) rides on
-its next window request and is applied before the kernel runs, so a
-barrier adds no round trip and the run's last barrier ships nothing.
-Bits only go from 0 to 1: the planes of OR-ing whole views.  A sharded
-session thus holds ``n_workers - 1`` views beside the global state, and
-a lone worker none: its view is the global state, so it keeps no log
-and its barriers do nothing.  Sessions count the cells the logs wrote
-against the ``n * k`` cells of a full re-broadcast (``barrier_cells`` /
-``barrier_full_cells``).
+is (of every worker in a ``host:port`` session), with the kernel op
+``apply_replica_log``, and each other worker's news (the cells the
+other workers logged since its last window, or the merged plane where
+that is fewer bytes, and the merged sizes) rides on its next window
+request and is applied before the kernel runs, so a barrier adds no
+round trip and the run's last barrier ships nothing.  Bits only go from
+0 to 1: the planes of OR-ing whole views.  A sharded session thus holds
+``n_workers - 1`` views beside the global state (``n_workers`` at
+``host:port``), and a lone worker in the coordinator none: its view is
+the global state, so it keeps no log and its barriers do nothing.
+Sessions count the cells the logs wrote against the ``n * k`` cells of
+a full re-broadcast (``barrier_cells`` / ``barrier_full_cells``).
 
 Shared-memory lifecycle
 -----------------------
@@ -638,7 +639,7 @@ class SimulatedRunner(Runner):
 
 
 # ----------------------------------------------------------------------
-# local worker processes: the socket transport on loopback
+# worker processes: the socket transport, local or at host:port
 # ----------------------------------------------------------------------
 #: Names of shared segments currently owned by live sessions.
 #: Test/debug hook: must be empty whenever no session is open.
@@ -717,19 +718,20 @@ def check_start_method(start_method: str | None) -> None:
 
 
 class ProcessRunner(Runner):
-    """True multi-process execution: socket workers on loopback.
+    """True multi-process execution: socket workers, local or remote.
 
-    A session runs worker 0 inside the coordinator, through the workers'
-    own message handlers, listens on ``127.0.0.1`` and starts one local
-    worker process for each other shard, ``n_workers - 1`` in all, which
-    connects back and speaks the wire protocol of
-    :class:`~repro.core.distributed.DistributedRunner`; this runner is
-    that transport without ``host:port`` workers.
+    Without ``workers`` a session runs worker 0 inside the coordinator,
+    through the workers' own message handlers, listens on ``127.0.0.1``
+    and starts one local worker process for each other shard,
+    ``n_workers - 1`` in all, which connects back.  With ``workers`` it
+    connects to one worker server per shard instead.  Every worker
+    process speaks the wire protocol of :mod:`repro.core.wire`, served
+    by :mod:`repro.core.distributed`.
 
     Parameters
     ----------
     start_method:
-        ``multiprocessing`` start method (``None`` picks
+        ``multiprocessing`` start method of local workers (``None`` picks
         :func:`default_start_method`).  ``fork`` inherits dynamically
         registered kernel backends; ``spawn`` re-imports them.
     task_timeout:
@@ -737,8 +739,17 @@ class ProcessRunner(Runner):
         transport's ``recv_timeout``).  A worker that stalls past it
         raises a :class:`~repro.errors.PartitioningError` naming the
         timeout (one that died raises at once), and the session teardown
-        terminates every worker and unlinks the edge segment.  Worker 0
-        runs on the coordinator's thread, which no timeout covers.
+        closes every socket, terminates every local worker and unlinks
+        the edge segment.  Worker 0 of a local session runs on the
+        coordinator's thread, which no timeout covers.
+    workers:
+        ``host:port`` specs of pre-started worker servers (the CLI
+        ``worker`` subcommand, :func:`~repro.core.distributed.serve_worker`),
+        one per shard.  They need a file-backed stream: each streams its
+        own shard, and edge data never crosses the wire.  ``None`` (the
+        default) starts local workers.
+    connect_timeout:
+        Seconds to establish (or accept) each worker connection.
     """
 
     kind = "process"
@@ -748,14 +759,24 @@ class ProcessRunner(Runner):
         self,
         start_method: str | None = None,
         task_timeout: float = 600.0,
+        workers=None,
+        connect_timeout: float = 10.0,
     ) -> None:
+        from repro.core.distributed import parse_worker_spec
+
         check_start_method(start_method)
-        if task_timeout <= 0:
-            raise ConfigurationError(
-                f"task_timeout must be positive, got {task_timeout}"
-            )
+        for name, value in (
+            ("task_timeout", task_timeout),
+            ("connect_timeout", connect_timeout),
+        ):
+            if value <= 0:
+                raise ConfigurationError(f"{name} must be positive, got {value}")
         self.start_method = start_method
         self.task_timeout = float(task_timeout)
+        self.workers = (
+            None if workers is None else [parse_worker_spec(w) for w in workers]
+        )
+        self.connect_timeout = float(connect_timeout)
 
     def open(self, job: ShardedJob) -> RunnerSession:
         from repro.core.distributed import WorkerTransport
@@ -765,7 +786,9 @@ class ProcessRunner(Runner):
             self.kind,
             job.n_workers,
             sockets=True,
+            workers=self.workers,
             start_method=self.start_method,
+            connect_timeout=self.connect_timeout,
             recv_timeout=self.task_timeout,
         )
         return RunnerSession(job, transport)
@@ -791,15 +814,10 @@ def make_runner(
 ) -> Runner:
     """Resolve a runner name or pass an instance through.
 
-    ``start_method``/``task_timeout`` configure the process and
-    distributed runners (``task_timeout`` is the per-reply
-    ``recv_timeout`` of their socket workers); ``workers``/
-    ``connect_timeout`` configure the distributed runner only.  All are
-    ignored by runners without execution knobs.
-
-    The distributed runner lives in :mod:`repro.core.distributed`
-    (imported lazily here to keep this module import-cycle-free); naming
-    it registers it.
+    ``start_method``, ``task_timeout`` (the per-reply ``recv_timeout``
+    of its worker processes), ``workers`` and ``connect_timeout``
+    configure the process runner (see :class:`ProcessRunner`); the other
+    runners have no execution knobs and ignore them.
 
     Raises
     ------
@@ -808,23 +826,15 @@ def make_runner(
     """
     if isinstance(spec, Runner):
         return spec
-    if spec == "distributed" and spec not in RUNNERS:
-        import repro.core.distributed  # noqa: F401 - registers itself
     if spec not in RUNNERS:
         raise ConfigurationError(
-            f"unknown runner {spec!r}; available: "
-            f"{sorted(set(RUNNERS) | {'distributed'})}"
+            f"unknown runner {spec!r}; available: {sorted(RUNNERS)}"
         )
-    cls = RUNNERS[spec]
-    if cls is ProcessRunner:
+    if RUNNERS[spec] is ProcessRunner:
         return ProcessRunner(
-            start_method=start_method, task_timeout=task_timeout
-        )
-    if cls.kind == "distributed":
-        return cls(
+            start_method=start_method,
+            task_timeout=task_timeout,
             workers=workers,
             connect_timeout=connect_timeout,
-            recv_timeout=task_timeout,
-            start_method=start_method,
         )
-    return cls()
+    return RUNNERS[spec]()

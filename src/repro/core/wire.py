@@ -1,11 +1,11 @@
-"""Versioned wire protocol for the distributed runner tier.
+"""Versioned wire protocol of the process runner's socket workers.
 
-The distributed runner (:mod:`repro.core.distributed`) speaks the same
-sync-window/set-bit-log barrier schedule as the simulated and process runners,
-but over TCP sockets.  This module is the transport: an explicit,
-versioned frame format plus a typed payload encoding, deliberately free
-of pickle so a malformed or hostile peer can at worst fail a checksum —
-never execute code.
+The process runner's worker processes (:mod:`repro.core.distributed`),
+local or at ``host:port``, run the same sync-window/set-bit-log barrier
+schedule as the simulated runner, but over TCP sockets.  This module is
+the transport: an explicit, versioned frame format plus a typed payload
+encoding, deliberately free of pickle so a malformed or hostile peer can
+at worst fail a checksum — never execute code.
 
 Frame layout (network byte order)::
 

@@ -38,12 +38,12 @@ class BalanceError(PartitioningError):
 
 
 class WireError(PartitioningError):
-    """A distributed-runner wire-protocol failure.
+    """A wire-protocol failure of the process runner's socket workers.
 
     Covers the transport layer (peer closed the connection, recv timeout,
     refused connect) and the framing layer (bad magic, CRC mismatch,
     truncated frame, protocol-version mismatch).  Derives from
-    :class:`PartitioningError` so a worker death anywhere in a distributed
+    :class:`PartitioningError` so a worker death anywhere in a process
     run surfaces as the one typed error every runner already raises."""
 
 

@@ -72,9 +72,3 @@ def run(
             "that configuration."
         ),
     )
-
-
-def main() -> None:  # pragma: no cover - thin CLI wrapper
-    from repro.experiments.report import render_result
-
-    print(render_result(run()))

@@ -77,9 +77,3 @@ def run(
             "churn and tells operators when to re-run the batch algorithm."
         ),
     )
-
-
-def main() -> None:  # pragma: no cover - thin CLI wrapper
-    from repro.experiments.report import render_result
-
-    print(render_result(run()))

@@ -55,9 +55,3 @@ def run() -> ExperimentResult:
         ),
         notes="Literature metadata reproduced from the cited publications.",
     )
-
-
-def main() -> None:  # pragma: no cover - thin CLI wrapper
-    from repro.experiments.report import render_result
-
-    print(render_result(run()))

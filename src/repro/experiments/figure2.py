@@ -42,14 +42,3 @@ def run(scale: float = 1.0, ks=DEFAULT_KS, dataset: str = "OK") -> ExperimentRes
             "2PS-L model_s is flat in k while HDRF grows linearly."
         ),
     )
-
-
-def main() -> None:  # pragma: no cover - thin CLI wrapper
-    from repro.experiments.report import render_result
-
-    print(
-        render_result(
-            run(),
-            columns=["partitioner", "k", "rf", "alpha", "wall_s", "model_s"],
-        )
-    )

@@ -52,9 +52,3 @@ def run() -> ExperimentResult:
             "by two bridge edges."
         ),
     )
-
-
-def main() -> None:  # pragma: no cover - thin CLI wrapper
-    from repro.experiments.report import render_result
-
-    print(render_result(run()))

@@ -79,25 +79,3 @@ def run(
             "the measured partitioner state in bytes."
         ),
     )
-
-
-def main() -> None:  # pragma: no cover - thin CLI wrapper
-    from repro.experiments.report import render_result
-
-    print(
-        render_result(
-            run(),
-            columns=[
-                "dataset",
-                "k",
-                "partitioner",
-                "rf",
-                "alpha",
-                "wall_s",
-                "model_s",
-                "mem_bytes",
-                "status",
-                "paper_status",
-            ],
-        )
-    )

@@ -52,9 +52,3 @@ def run(
         ),
         notes="Wall-clock fractions of the pure-Python implementation.",
     )
-
-
-def main() -> None:  # pragma: no cover - thin CLI wrapper
-    from repro.experiments.report import render_result
-
-    print(render_result(run()))

@@ -44,9 +44,3 @@ def run(
             "remaining-edge scoring dominates on social networks (OK/TW/FR)"
         ),
     )
-
-
-def main() -> None:  # pragma: no cover - thin CLI wrapper
-    from repro.experiments.report import render_result
-
-    print(render_result(run()))

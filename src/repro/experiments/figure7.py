@@ -45,9 +45,3 @@ def run(
         rows=rows,
         paper_reference="normalized RF in [0.96, 1.02]; gains up to ~3.5 %",
     )
-
-
-def main() -> None:  # pragma: no cover - thin CLI wrapper
-    from repro.experiments.report import render_result
-
-    print(render_result(run()))

@@ -51,9 +51,3 @@ def run(
             "8 passes roughly double the total run-time (normalized ~2.0-2.5)"
         ),
     )
-
-
-def main() -> None:  # pragma: no cover - thin CLI wrapper
-    from repro.experiments.report import render_result
-
-    print(render_result(run()))

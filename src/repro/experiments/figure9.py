@@ -56,9 +56,3 @@ def run(
             "rising to ~12x at k=256"
         ),
     )
-
-
-def main() -> None:  # pragma: no cover - thin CLI wrapper
-    from repro.experiments.report import render_result
-
-    print(render_result(run()))

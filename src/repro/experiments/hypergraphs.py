@@ -67,9 +67,3 @@ def run(
             "MinMax scores all k (the HDRF-like cost profile)."
         ),
     )
-
-
-def main() -> None:  # pragma: no cover - thin CLI wrapper
-    from repro.experiments.report import render_result
-
-    print(render_result(run()))

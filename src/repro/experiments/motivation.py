@@ -81,9 +81,3 @@ def run(scale: float = 0.25, dataset: str = "TW", k: int = 32) -> ExperimentResu
             "partitioning wins on power-law graphs."
         ),
     )
-
-
-def main() -> None:  # pragma: no cover - thin CLI wrapper
-    from repro.experiments.report import render_result
-
-    print(render_result(run()))

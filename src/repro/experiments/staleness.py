@@ -65,9 +65,3 @@ def run(
             "views; balance can also drift above alpha within a window."
         ),
     )
-
-
-def main() -> None:  # pragma: no cover - thin CLI wrapper
-    from repro.experiments.report import render_result
-
-    print(render_result(run()))

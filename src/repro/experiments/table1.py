@@ -71,9 +71,3 @@ def run(scale: float = 0.1, dataset: str = "OK") -> ExperimentResult:
             "independent of k, ~8 means linear in k."
         ),
     )
-
-
-def main() -> None:  # pragma: no cover - thin CLI wrapper
-    from repro.experiments.report import render_result
-
-    print(render_result(run()))

@@ -69,9 +69,3 @@ def run(scale: float = 0.05, dataset: str = "OK") -> ExperimentResult:
             "state; exactly 1 indicates k-independent state."
         ),
     )
-
-
-def main() -> None:  # pragma: no cover - thin CLI wrapper
-    from repro.experiments.report import render_result
-
-    print(render_result(run()))

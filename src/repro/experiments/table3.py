@@ -44,9 +44,3 @@ def run(scale: float = 1.0) -> ExperimentResult:
             "clusterable web), not absolute size; see DESIGN.md section 3."
         ),
     )
-
-
-def main() -> None:  # pragma: no cover - thin CLI wrapper
-    from repro.experiments.report import render_result
-
-    print(render_result(run()))

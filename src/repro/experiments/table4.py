@@ -94,9 +94,3 @@ def run(
             "simulated cluster time for 100 iterations."
         ),
     )
-
-
-def main() -> None:  # pragma: no cover - thin CLI wrapper
-    from repro.experiments.report import render_result
-
-    print(render_result(run()))

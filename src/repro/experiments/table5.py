@@ -95,9 +95,3 @@ def run(
             "degree, clustering, pre-partition, remaining + re-check)."
         ),
     )
-
-
-def main() -> None:  # pragma: no cover - thin CLI wrapper
-    from repro.experiments.report import render_result
-
-    print(render_result(run()))

@@ -164,20 +164,20 @@ pins the twins against each other on randomized inputs; the randomized
 differential harness (``tests/differential.py``) pins the full pipeline
 across runners, backends and seeds.
 
-The distributed runner (``repro.core.distributed``) rides these exact
-ops over its wire protocol: workers ship their moves and partial degree
-vectors as typed wire frames, and the coordinator folds them with the
-same ``merge_phase1_degrees`` / ``merge_phase1_clustering`` calls in the
+The process runner's socket workers (``repro.core.distributed``), local
+or at ``host:port``, ride these exact ops over the wire protocol:
+workers ship their moves and partial degree vectors as typed wire
+frames, and the coordinator folds them with the same
+``merge_phase1_degrees`` / ``merge_phase1_clustering`` calls in the
 same ascending-worker order — so the ordered-fold contract above is also
 the wire contract; each worker's refresh rides on its next clustering
-request.  Phase-2
-barriers likewise run the one op: workers ship their set-bit logs, the
-coordinator applies them to its global state with ``apply_replica_log``
-and sends each worker the others' cells to apply (or, if fewer bytes,
-the merged plane), so ``DistributedRunner`` joins the ``SimulatedRunner
-== ProcessRunner`` equality class with no backend change.  Backends
-never see sockets; a backend correct under this contract is
-distributed-correct for free.
+request.  Phase-2 barriers likewise run the one op: workers ship their
+set-bit logs, the coordinator applies them to its global state with
+``apply_replica_log`` and sends each worker the others' cells to apply
+(or, if fewer bytes, the merged plane), so ``ProcessRunner`` with
+``host:port`` workers joins the ``SimulatedRunner == ProcessRunner``
+equality class with no backend change.  Backends never see sockets; a
+backend correct under this contract is distributed-correct for free.
 
 Packed replica rows (out-of-core states)
 ----------------------------------------

@@ -190,7 +190,7 @@ def cache_dir() -> str:
 
 
 def source_digest() -> str:
-    """sha256 of the kernel source, which the distributed HELLO carries:
+    """sha256 of the kernel source, which the wire protocol's HELLO carries:
     workers built from another source would diverge silently."""
     return sha256(SOURCE.read_bytes()).hexdigest()
 

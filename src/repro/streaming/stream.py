@@ -481,7 +481,7 @@ def make_stream_spec(stream: EdgeStream):
 def spec_to_wire(spec: StreamSpec) -> dict:
     """Flatten a stream spec into a wire-encodable field mapping.
 
-    The distributed runner ships specs inside protocol frames
+    The process runner ships specs to its workers inside protocol frames
     (:mod:`repro.core.wire`), which carry typed scalars rather than
     pickles — so specs cross the wire as tagged plain fields.  Inverse of
     :func:`spec_from_wire`.  Note a :class:`SharedArrayStreamSpec` only

@@ -18,8 +18,8 @@ On top of that contract it checks:
   in-memory :class:`PartitionResult` — replica rows, degrees, sizes,
   routing, and per-edge ownership including duplicate-edge
   (first-stream-occurrence) semantics;
-- no shared-memory segment, wire connection or distributed worker
-  process survives any runner session.
+- no shared-memory segment, wire connection or worker process survives
+  any runner session.
 
 The backend dimension is :func:`repro.kernels.available_backends`, so the
 sweep is the ``python`` reference everywhere and gains the compiled ``c``
@@ -41,32 +41,46 @@ boundaries (packed-row tail bits), the graph round-tripped through a
 binary edge file, and every storage variant — packed vs dense state,
 prefetching vs synchronous file streams, file vs in-memory ingestion —
 must land on the byte-identical final state within every runner/backend
-cell.  Reproduce with ``--out-of-core --seed <seed>``.
+cell.  Its ``host:port`` leg runs the file variants on the process
+runner's ``host:port`` workers, one
+:func:`~repro.core.distributed.serve_worker` thread per shard: that
+session's coordinator keeps a replica plane of its own and collects
+every shard, a path no loopback session takes.  Reproduce with
+``--out-of-core --seed <seed>``, plus ``--host-port`` for that leg.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.baselines import HDRF
 from repro.core import ParallelTwoPhase, TwoPhasePartitioner
-from repro.core.distributed import live_connections, live_worker_processes
-from repro.core.runners import live_shared_segments
+from repro.core.distributed import (
+    live_connections,
+    live_worker_processes,
+    serve_worker,
+)
+from repro.core.runners import ProcessRunner, live_shared_segments
 from repro.graph.generators import chung_lu_graph, rmat_graph
 from repro.kernels import available_backends
 from repro.streaming import FileEdgeStream
 from repro.streaming.writer import EdgeListWriter
 
-#: The full runner matrix the harness sweeps.  ``process`` and
-#: ``distributed`` run the socket-protocol workers in loopback mode:
-#: same schedule, same merge ops, but every delta to or from a worker
-#: process crosses a wire frame (worker 0 runs in the coordinator) —
-#: the sweep pins them bit-exact against the in-process runners.
-RUNNERS = ("serial", "simulated", "process", "distributed")
+#: The full runner matrix the harness sweeps.  ``process`` runs the
+#: socket-protocol workers in loopback mode: same schedule, same merge
+#: ops, but every delta to or from a worker process crosses a wire frame
+#: (worker 0 runs in the coordinator) — the sweep pins it bit-exact
+#: against the in-process runners.
+RUNNERS = ("serial", "simulated", "process")
+
+#: The out-of-core tier's leg on the process runner's ``host:port``
+#: workers (see :func:`_run_out_of_core`).
+HOST_PORT = "host:port"
 
 #: Extras that must agree wherever the state agrees (schedule-derived).
 _CHECKED_EXTRAS = (
@@ -277,12 +291,8 @@ def assert_store_round_trip(result, edges, label: str) -> None:
         )
 
 
-def _active_runners(runners, include_process, include_distributed):
-    return tuple(
-        r for r in runners
-        if (include_process or r != "process")
-        and (include_distributed or r != "distributed")
-    )
+def _active_runners(runners, include_process):
+    return tuple(r for r in runners if include_process or r != "process")
 
 
 def _assert_nothing_leaked() -> None:
@@ -292,7 +302,7 @@ def _assert_nothing_leaked() -> None:
     conns = live_connections()
     assert not conns, f"leaked wire connections: {conns}"
     procs = live_worker_processes()
-    assert not procs, f"leaked distributed worker processes: {procs}"
+    assert not procs, f"leaked worker processes: {procs}"
 
 
 def check_seed(
@@ -300,7 +310,6 @@ def check_seed(
     runners=RUNNERS,
     backends=None,
     include_process: bool = True,
-    include_distributed: bool = True,
 ) -> DifferentialCase:
     """Run the full differential matrix for one seed.
 
@@ -310,9 +319,7 @@ def check_seed(
     case = make_case(seed)
     if backends is None:
         backends = available_backends()
-    active_runners = _active_runners(
-        runners, include_process, include_distributed
-    )
+    active_runners = _active_runners(runners, include_process)
     try:
         results = {
             (runner, backend): run_case(case, runner, backend)
@@ -358,11 +365,9 @@ def check_seed(
         # Contract 7: nothing leaked — segments, sockets or workers.
         _assert_nothing_leaked()
     except AssertionError as exc:
-        flag = " --distributed" if "distributed" in active_runners else ""
         raise AssertionError(
             f"differential seed {seed} failed ({case!r}); reproduce with: "
-            f"PYTHONPATH=src python tests/differential.py --seed {seed}"
-            f"{flag}\n{exc}"
+            f"PYTHONPATH=src python tests/differential.py --seed {seed}\n{exc}"
         ) from exc
     return case
 
@@ -382,12 +387,17 @@ _OOC_VARIANT_ORDER = (
     "dense/file-prefetch",
 )
 
-#: The process and distributed runners only run the endpoints of the
-#: variant sweep (their baseline plus the fully out-of-core
-#: configuration): worker spawns dominate the tier's cost, and the
-#: intermediate variants are already pinned against the same baseline by
-#: the in-process runners.
-_OOC_PROCESS_VARIANTS = ("dense/in-memory", "packed/file-prefetch")
+#: The variants each leg runs, where not all of them.  The process
+#: runner only runs the endpoints of the sweep (its baseline plus the
+#: fully out-of-core configuration): worker spawns dominate the tier's
+#: cost, and the intermediate variants are already pinned against the
+#: same baseline by the in-process runners.  The ``host:port`` leg runs
+#: every file variant: its worker servers stream their own shards of the
+#: file, and an in-memory stream cannot reach them.
+_OOC_LEG_VARIANTS = {
+    "process": ("dense/in-memory", "packed/file-prefetch"),
+    HOST_PORT: tuple(name for name in _OOC_VARIANT_ORDER if "/file" in name),
+}
 
 
 def make_huge_case(seed: int) -> DifferentialCase:
@@ -407,20 +417,56 @@ def make_huge_case(seed: int) -> DifferentialCase:
     )
 
 
-def _run_out_of_core(case, runner, backend, packed, stream):
-    """One run of the scenario over an explicit stream/state variant."""
-    return ParallelTwoPhase(
-        n_workers=case.n_workers,
-        sync_interval=case.sync_interval,
-        clustering_passes=case.clustering_passes,
-        mode=case.mode,
-        backend=backend,
-        runner=runner,
-        parallel_phase1=case.parallel_phase1,
-        packed_state=packed,
-    ).partition(
-        stream, case.k, alpha=case.alpha, chunk_size=case.chunk_size
+def _serve_one_session():
+    """Start a one-session :func:`serve_worker` on a thread; returns its
+    ``host:port`` address and the thread."""
+    bound = threading.Event()
+    address = []
+
+    def ready(host, port):
+        address.append(f"{host}:{port}")
+        bound.set()
+
+    thread = threading.Thread(
+        target=serve_worker,
+        kwargs={"max_sessions": 1, "ready": ready},
+        daemon=True,
     )
+    thread.start()
+    assert bound.wait(timeout=10), "a worker server never bound its port"
+    return address[0], thread
+
+
+def _run_out_of_core(case, runner, backend, packed, stream):
+    """One run of the scenario over an explicit stream/state variant.
+
+    Runner :data:`HOST_PORT` is the process runner on one worker server
+    per shard, each a thread of this process that serves this one
+    session; every server is joined before the run returns, so none is
+    alive when a later process session forks."""
+    servers = []
+    if runner == HOST_PORT:
+        servers = [_serve_one_session() for _ in range(case.n_workers)]
+        runner = ProcessRunner(workers=[address for address, _ in servers])
+    try:
+        result = ParallelTwoPhase(
+            n_workers=case.n_workers,
+            sync_interval=case.sync_interval,
+            clustering_passes=case.clustering_passes,
+            mode=case.mode,
+            backend=backend,
+            runner=runner,
+            parallel_phase1=case.parallel_phase1,
+            packed_state=packed,
+        ).partition(
+            stream, case.k, alpha=case.alpha, chunk_size=case.chunk_size
+        )
+    finally:
+        for _, thread in servers:
+            thread.join(timeout=10)
+    alive = [address for address, thread in servers if thread.is_alive()]
+    assert not alive, f"worker servers outlived their session: {alive}"
+    return result
 
 
 def check_out_of_core_seed(
@@ -428,23 +474,24 @@ def check_out_of_core_seed(
     runners=RUNNERS,
     backends=None,
     include_process: bool = True,
-    include_distributed: bool = True,
+    include_host_port: bool = True,
 ) -> DifferentialCase:
     """Run the huge-shape out-of-core differential tier for one seed.
 
     Within every runner/backend cell, all storage variants
-    (``_OOC_VARIANT_ORDER``) must produce the byte-identical final
-    state; across cells the base contract applies (backends agree,
-    simulated == process, sequential packed-over-prefetch-file ==
-    sequential dense-in-memory).  Raises ``AssertionError`` carrying
-    the reproducing seed on any divergence.
+    (``_OOC_VARIANT_ORDER``, or the leg's ``_OOC_LEG_VARIANTS``) must
+    produce the byte-identical final state; across cells the base
+    contract applies (backends agree, simulated == process == the
+    ``host:port`` leg, which ``include_host_port`` adds, sequential
+    packed-over-prefetch-file == sequential dense-in-memory).  Raises
+    ``AssertionError`` carrying the reproducing seed on any divergence.
     """
     case = make_huge_case(seed)
     if backends is None:
         backends = available_backends()
-    active_runners = _active_runners(
-        runners, include_process, include_distributed
-    )
+    active_runners = _active_runners(runners, include_process)
+    if include_host_port:
+        active_runners += (HOST_PORT,)
     graph = case.build_graph()
     try:
         with tempfile.TemporaryDirectory(prefix="diff_ooc_") as tmp:
@@ -465,11 +512,7 @@ def check_out_of_core_seed(
 
             baselines = {}
             for runner in active_runners:
-                names = (
-                    _OOC_PROCESS_VARIANTS
-                    if runner in ("process", "distributed")
-                    else _OOC_VARIANT_ORDER
-                )
+                names = _OOC_LEG_VARIANTS.get(runner, _OOC_VARIANT_ORDER)
                 for backend in backends:
                     baseline = None
                     for name in names:
@@ -488,7 +531,7 @@ def check_out_of_core_seed(
                             )
                     baselines[(runner, backend)] = baseline
             # Cross-cell contracts on the baselines: backends agree
-            # within each runner; simulated == process.
+            # within each runner; simulated == process == host:port.
             sharded = [key for key in baselines if key[0] != "serial"]
             for key in sharded[1:]:
                 assert_full_state_equal(
@@ -537,7 +580,7 @@ def check_out_of_core_seed(
             )
             _assert_nothing_leaked()
     except AssertionError as exc:
-        flag = " --distributed" if "distributed" in active_runners else ""
+        flag = " --host-port" if HOST_PORT in active_runners else ""
         raise AssertionError(
             f"out-of-core differential seed {seed} failed ({case!r}); "
             f"reproduce with: PYTHONPATH=src python tests/differential.py "
@@ -561,18 +604,23 @@ def main(argv=None) -> int:  # pragma: no cover - manual reproduction tool
         "matrix (packed state, file streams, prefetching)",
     )
     parser.add_argument(
-        "--distributed", action="store_true",
-        help="include the socket-protocol distributed runner (loopback "
-        "workers) in the sweep; CI always sweeps it, the manual tool "
-        "defaults it off for faster triage",
+        "--host-port", action="store_true",
+        help="with --out-of-core, add the leg on the process runner's "
+        "host:port workers (worker servers on threads of this process); "
+        "CI always sweeps it, the manual tool defaults it off for faster "
+        "triage",
     )
     args = parser.parse_args(argv)
-    check = check_out_of_core_seed if args.out_of_core else check_seed
-    case = check(
-        args.seed,
-        include_process=not args.no_process,
-        include_distributed=args.distributed,
-    )
+    if args.host_port and not args.out_of_core:
+        parser.error("--host-port applies to --out-of-core")
+    if args.out_of_core:
+        case = check_out_of_core_seed(
+            args.seed,
+            include_process=not args.no_process,
+            include_host_port=args.host_port,
+        )
+    else:
+        case = check_seed(args.seed, include_process=not args.no_process)
     print(f"seed {args.seed} OK: {case}")
     return 0
 

@@ -259,24 +259,27 @@ class TestPartition:
 
 
 class TestDistributedCli:
-    def test_loopback_runner_flag(self, graph_file, capsys):
-        code = main(
-            [
-                "partition",
-                "--input",
-                str(graph_file),
-                "--k",
-                "4",
-                "--runner",
-                "distributed",
-                "--n-workers",
-                "2",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "runner            : distributed" in out
-        assert "measured" in out
+    def test_distributed_runner_name_is_rejected(self, graph_file, capsys):
+        """The process runner serves both local and ``host:port`` workers:
+        there is no ``distributed`` runner to choose."""
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "partition",
+                    "--input",
+                    str(graph_file),
+                    "--k",
+                    "4",
+                    "--runner",
+                    "distributed",
+                    "--n-workers",
+                    "2",
+                ]
+            )
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'distributed'" in err
+        assert "'process', 'serial', 'simulated'" in err
 
     def test_worker_subcommand_pairs_with_workers_flag(
         self, graph_file, capsys
@@ -326,10 +329,11 @@ class TestDistributedCli:
             thread.join(timeout=10)
         assert code == 0
         out = capsys.readouterr().out
-        assert "runner            : distributed" in out
+        assert "runner            : process" in out
         assert not any(thread.is_alive() for thread in threads)
 
-    def test_workers_flag_rejects_other_runner(self, graph_file, capsys):
+    @pytest.mark.parametrize("runner", ["serial", "simulated"])
+    def test_workers_flag_rejects_other_runner(self, graph_file, capsys, runner):
         code = main(
             [
                 "partition",
@@ -338,32 +342,39 @@ class TestDistributedCli:
                 "--k",
                 "4",
                 "--runner",
-                "process",
+                runner,
                 "--workers",
                 "127.0.0.1:9001",
             ]
         )
         assert code == 1
-        assert "--workers" in capsys.readouterr().err
+        assert (
+            f"--workers applies to --runner process, not {runner!r}"
+            in capsys.readouterr().err
+        )
 
     def test_workers_flag_rejects_contradicting_count(
         self, graph_file, capsys
     ):
-        code = main(
-            [
-                "partition",
-                "--input",
-                str(graph_file),
-                "--k",
-                "4",
-                "--n-workers",
-                "3",
-                "--workers",
-                "127.0.0.1:9001,127.0.0.1:9002",
-            ]
-        )
-        assert code == 1
-        assert "contradicts" in capsys.readouterr().err
+        """With or without ``--runner process``, which ``--workers``
+        implies: the check runs before any connection is made."""
+        for runner in ([], ["--runner", "process"]):
+            code = main(
+                [
+                    "partition",
+                    "--input",
+                    str(graph_file),
+                    "--k",
+                    "4",
+                    *runner,
+                    "--n-workers",
+                    "3",
+                    "--workers",
+                    "127.0.0.1:9001,127.0.0.1:9002",
+                ]
+            )
+            assert code == 1
+            assert "contradicts" in capsys.readouterr().err
 
 
 class TestPartitionedOutput:

@@ -1,11 +1,13 @@
 """Drive the randomized differential harness over a fixed seed matrix.
 
 The harness (``tests/differential.py``) derives a complete scenario from
-each seed and sweeps it through the {serial, simulated, process,
-distributed} x {python, c} matrix (``c`` where it builds), asserting
-full-state equality (both phases) plus shared-memory/socket/worker
-hygiene.  The seed matrix is fixed so CI is deterministic; any failure
-message names the seed and the exact reproduction command.
+each seed and sweeps it through the {serial, simulated, process} x
+{python, c} matrix (``c`` where it builds), asserting full-state
+equality (both phases) plus shared-memory/socket/worker hygiene.  Its
+out-of-core tier adds a leg on the process runner's ``host:port``
+workers (worker servers on threads of the test process) at every seed.
+The seed matrix is fixed so CI is deterministic; any failure message
+names the seed and the exact reproduction command.
 """
 
 import multiprocessing
@@ -85,6 +87,35 @@ def test_out_of_core_failure_names_the_seed(monkeypatch):
     monkeypatch.setattr(differential, "_run_out_of_core", broken)
     with pytest.raises(AssertionError, match="--out-of-core --seed 3"):
         differential.check_out_of_core_seed(3, include_process=False)
+
+
+def test_host_port_leg_failure_names_its_flag(monkeypatch):
+    """The out-of-core tier pins its ``host:port`` leg against the other
+    runners: a diverging leg names the flag that adds it to the
+    reproduction command, and its worker servers are gone."""
+    import differential
+
+    real = differential._run_out_of_core
+    legs = []
+
+    def broken(case, runner, backend, packed, stream):
+        result = real(case, runner, backend, packed, stream)
+        legs.append(runner)
+        if runner == differential.HOST_PORT:
+            result.assignments[0] = (result.assignments[0] + 1) % case.k
+        return result
+
+    monkeypatch.setattr(differential, "_run_out_of_core", broken)
+    with pytest.raises(
+        AssertionError, match="--out-of-core --seed 3 --host-port"
+    ) as exc:
+        differential.check_out_of_core_seed(
+            3, backends=("python",), include_process=False
+        )
+    assert "host:port" in str(exc.value)
+    variants = differential._OOC_LEG_VARIANTS[differential.HOST_PORT]
+    assert legs.count(differential.HOST_PORT) == len(variants)
+    assert differential.live_connections() == frozenset()
 
 
 def test_seed_matrix_covers_surface():

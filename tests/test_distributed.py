@@ -1,13 +1,14 @@
-"""Tests for the distributed runner tier: wire protocol + socket workers.
+"""Tests for the process runner's socket tier: wire protocol + workers.
 
 Three layers, mirroring the implementation split:
 
 - :mod:`repro.core.wire` in isolation — typed payload round-trips,
   framing over real socket pairs, CRC/magic/truncation rejection, and
   the HELLO version and kernel-source negotiation;
-- :mod:`repro.core.distributed` end-to-end — loopback and ``host:port``
-  bootstrap both pinned full-state bit-exact against the simulated
-  runner (the deeper seeded matrix lives in ``tests/differential.py``);
+- :mod:`repro.core.distributed` end-to-end — a process session's
+  loopback and ``host:port`` workers both pinned full-state bit-exact
+  against the simulated runner (the deeper seeded matrix lives in
+  ``tests/differential.py``);
 - failure injection — worker crash mid-window, a socket disconnect
   while a worker applies the barrier news its window request carried
   or during the collect, a stalled reply tripping ``recv_timeout``, a
@@ -15,9 +16,7 @@ Three layers, mirroring the implementation split:
   loopback worker dead before it connects, and a version- or
   kernel-source-mismatch handshake must each surface as a typed
   :class:`~repro.errors.PartitioningError` with no leaked socket,
-  worker process, or shared-memory segment.  The window, news and
-  collect faults run under the process runner too, whose loopback
-  workers are these socket workers.
+  worker process, or shared-memory segment.
 
 Fault injection works by monkeypatching the module-level
 ``distributed._MESSAGE_HANDLERS`` registry before the session spawns
@@ -46,13 +45,17 @@ from repro.core import ParallelTwoPhase, wire
 from repro.core import distributed
 from repro.core import runners as runners_module
 from repro.core.distributed import (
-    DistributedRunner,
     live_connections,
     live_worker_processes,
     parse_worker_spec,
     serve_worker,
 )
-from repro.core.runners import ShardedJob, live_shared_segments, make_runner
+from repro.core.runners import (
+    ProcessRunner,
+    ShardedJob,
+    live_shared_segments,
+    make_runner,
+)
 from repro.errors import ConfigurationError, PartitioningError, WireError
 from repro.kernels import c_backend, get_backend
 from repro.kernels.base import ReplicaLog
@@ -379,7 +382,7 @@ def _assert_clean():
 class TestLoopbackEquivalence:
     def test_matches_simulated_runner(self):
         graph = _graph()
-        dist = _partition("distributed", graph)
+        dist = _partition("process", graph)
         sim = _partition("simulated", graph)
         _assert_same(dist, sim)
         _assert_clean()
@@ -393,23 +396,23 @@ class TestLoopbackEquivalence:
                 n_workers=2, sync_interval=37, runner=runner,
                 hash_seed=2**64 - 1,
             ).partition(graph, 5, alpha=1.0, chunk_size=64)
-            for runner in ("distributed", "simulated")
+            for runner in ("process", "simulated")
         }
         assert runs["simulated"].cost.hash_evaluations > 0
-        _assert_same(runs["distributed"], runs["simulated"])
+        _assert_same(runs["process"], runs["simulated"])
         _assert_clean()
 
     def test_single_worker_matches_simulated(self):
         graph = _graph()
         _assert_same(
-            _partition("distributed", graph, n_workers=1),
+            _partition("process", graph, n_workers=1),
             _partition("simulated", graph, n_workers=1),
         )
         _assert_clean()
 
     def test_packed_state_and_wire_stats(self):
         graph = _graph()
-        dist = _partition("distributed", graph, packed_state=True)
+        dist = _partition("process", graph, packed_state=True)
         sim = _partition("simulated", graph, packed_state=True)
         _assert_same(dist, sim)
         stats = dist.extras["wire"]
@@ -419,7 +422,6 @@ class TestLoopbackEquivalence:
         assert stats["barrier_plane_bytes"] < stats["barrier_full_bytes"]
         _assert_clean()
 
-    @pytest.mark.parametrize("runner", ["distributed", "process"])
     @pytest.mark.parametrize(
         "packed, sync, n_edges, kind",
         [
@@ -430,7 +432,7 @@ class TestLoopbackEquivalence:
         ids=["dense", "packed", "sat-out"],
     )
     def test_window_requests_carry_other_workers_cells_or_the_plane(
-        self, monkeypatch, runner, packed, sync, n_edges, kind
+        self, monkeypatch, packed, sync, n_edges, kind
     ):
         """A Phase-2 barrier ships nothing itself: each worker's next
         window request carries the cells the other workers logged since
@@ -447,6 +449,7 @@ class TestLoopbackEquivalence:
         sweep, so worker 1's next windows carry the news of two
         barriers.  Only the session under test is recorded: the
         simulated runner's runs on the same transport."""
+        runner = "process"
         events, at_close = [], []
         transport = distributed.WorkerTransport
         real_result, real_send = transport._result, transport._send
@@ -575,9 +578,7 @@ class TestHostPortWorkers:
 
         addr_a, thread_a = _serve_in_thread()
         addr_b, thread_b = _serve_in_thread()
-        dist = _partition(
-            DistributedRunner(workers=[addr_a, addr_b]), stream()
-        )
+        dist = _partition(ProcessRunner(workers=[addr_a, addr_b]), stream())
         thread_a.join(timeout=10)
         thread_b.join(timeout=10)
         assert not thread_a.is_alive() and not thread_b.is_alive()
@@ -597,7 +598,7 @@ class TestHostPortWorkers:
         monkeypatch.setattr(runners_module, "_LIVE_SEGMENTS", Recording())
         with pytest.raises(ConfigurationError, match="file-backed"):
             _partition(
-                DistributedRunner(workers=["127.0.0.1:9", "127.0.0.1:10"]),
+                ProcessRunner(workers=["127.0.0.1:9", "127.0.0.1:10"]),
                 _graph(),
             )
         assert registered == []
@@ -610,7 +611,7 @@ class TestHostPortWorkers:
             writer.write_chunk(graph.edges)
         with pytest.raises(ConfigurationError, match="must match"):
             _partition(
-                DistributedRunner(workers=["127.0.0.1:9"]),
+                ProcessRunner(workers=["127.0.0.1:9"]),
                 FileEdgeStream(str(path), n_vertices=graph.n_vertices),
                 n_workers=3,
             )
@@ -629,7 +630,7 @@ class TestHostPortWorkers:
         probe.close()
         with pytest.raises(PartitioningError, match="could not connect"):
             _partition(
-                DistributedRunner(
+                ProcessRunner(
                     workers=[f"127.0.0.1:{port}", f"127.0.0.1:{port}"],
                     connect_timeout=0.5,
                 ),
@@ -639,24 +640,53 @@ class TestHostPortWorkers:
 
 
 class TestRunnerConfig:
-    def test_make_runner_resolves_distributed(self):
-        runner = make_runner("distributed", task_timeout=12.0)
-        assert isinstance(runner, DistributedRunner)
-        assert runner.recv_timeout == 12.0
+    def test_make_runner_passes_the_process_knobs_through(self):
+        runner = make_runner(
+            "process",
+            start_method="fork" if HAS_FORK else "spawn",
+            task_timeout=12.0,
+            workers=["node-1:9001", "node-2:9002"],
+            connect_timeout=3.0,
+        )
+        assert isinstance(runner, ProcessRunner)
+        assert runner.start_method == ("fork" if HAS_FORK else "spawn")
+        assert runner.task_timeout == 12.0
+        assert runner.workers == [("node-1", 9001), ("node-2", 9002)]
+        assert runner.connect_timeout == 3.0
 
-    def test_unknown_runner_lists_distributed(self):
-        with pytest.raises(ConfigurationError, match="distributed"):
-            make_runner("threads")
+    @pytest.mark.parametrize("name", ["distributed", "threads"])
+    def test_unknown_runner_lists_the_three_runners(self, name):
+        with pytest.raises(ConfigurationError) as exc:
+            make_runner(name)
+        assert str(exc.value) == (
+            f"unknown runner {name!r}; available: "
+            "['process', 'serial', 'simulated']"
+        )
 
-    def test_rejects_nonpositive_timeouts(self):
-        with pytest.raises(ConfigurationError):
-            DistributedRunner(recv_timeout=0)
-        with pytest.raises(ConfigurationError):
-            DistributedRunner(connect_timeout=-1)
+    @pytest.mark.parametrize(
+        "spec", ["nohost", ":8000", "h:", "h:abc", "h:0", "h:70000"]
+    )
+    def test_rejects_malformed_worker_specs(self, spec):
+        with pytest.raises(ConfigurationError, match="worker spec"):
+            ProcessRunner(workers=["127.0.0.1:9001", spec])
+
+    @pytest.mark.parametrize(
+        "knobs, name",
+        [
+            ({"task_timeout": 0}, "task_timeout"),
+            ({"task_timeout": -2.5}, "task_timeout"),
+            ({"connect_timeout": 0}, "connect_timeout"),
+            ({"connect_timeout": -1}, "connect_timeout"),
+        ],
+        ids=["task-0", "task-negative", "connect-0", "connect-negative"],
+    )
+    def test_rejects_nonpositive_timeouts(self, knobs, name):
+        with pytest.raises(ConfigurationError, match=f"{name} must be positive"):
+            ProcessRunner(**knobs)
 
     def test_rejects_unknown_start_method(self):
         with pytest.raises(ConfigurationError):
-            DistributedRunner(start_method="no-such-method")
+            ProcessRunner(start_method="no-such-method")
 
 
 # ---------------------------------------------------------------------
@@ -704,7 +734,7 @@ class TestFailureInjection:
     """Each injected fault must surface as PartitioningError and leave
     no socket, worker process, or shared-memory segment behind."""
 
-    runner = "distributed"
+    runner = "process"
 
     def _runner(self, **runner_kw):
         return make_runner(self.runner, start_method="fork", **runner_kw)
@@ -1126,12 +1156,11 @@ class TestLoopbackSessions:
             sync_interval=64,
         )
 
-    @pytest.mark.parametrize("runner", ["process", "distributed"])
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
     def test_loopback_session_holds_n_minus_1_sockets_and_processes(
-        self, runner, n_workers
+        self, n_workers
     ):
-        session = make_runner(runner, start_method="fork").open(
+        session = ProcessRunner(start_method="fork").open(
             self._job(InMemoryEdgeStream(_graph()), n_workers)
         )
         try:
@@ -1149,7 +1178,7 @@ class TestLoopbackSessions:
             writer.write_chunk(graph.edges)
         served = [_serve_in_thread() for _ in range(2)]
         stream = FileEdgeStream(str(path), n_vertices=graph.n_vertices)
-        session = DistributedRunner(workers=[addr for addr, _ in served]).open(
+        session = ProcessRunner(workers=[addr for addr, _ in served]).open(
             self._job(stream, 2)
         )
         try:
@@ -1162,9 +1191,8 @@ class TestLoopbackSessions:
             assert not thread.is_alive()
         _assert_clean()
 
-    @pytest.mark.parametrize("runner", ["process", "distributed"])
     def test_one_worker_session_starts_no_process_socket_or_segment(
-        self, runner, monkeypatch
+        self, monkeypatch
     ):
         """The lone worker is worker 0: the run never builds a
         multiprocessing context or a stream spec, never makes a socket,
@@ -1181,7 +1209,7 @@ class TestLoopbackSessions:
         monkeypatch.setattr(distributed, "mp_context", refuse("a process"))
         monkeypatch.setattr(runners_module, "make_stream_spec", refuse("a segment"))
         monkeypatch.setattr(socket, "socket", refuse("a socket"))
-        dist = _partition(make_runner(runner), graph, n_workers=1)
+        dist = _partition("process", graph, n_workers=1)
         _assert_same(dist, sim)
         assert dist.extras["wire"]["bytes_sent"] == 0
         _assert_clean()
@@ -1202,8 +1230,7 @@ class TestDeadLoopbackWorker:
     """A loopback worker that dies before it connects fails the session
     at once, with its exit code, instead of after ``connect_timeout``."""
 
-    @pytest.mark.parametrize("runner", ["process", "distributed"])
-    def test_worker_dead_before_connect_fails_fast(self, runner, monkeypatch):
+    def test_worker_dead_before_connect_fails_fast(self, monkeypatch):
         def dead(address, stream):
             import os
 
@@ -1211,21 +1238,13 @@ class TestDeadLoopbackWorker:
 
         monkeypatch.setattr(distributed, "_loopback_worker_main", dead)
         start = time.monotonic()
-        runner_obj = make_runner(runner, start_method="fork")
+        runner = ProcessRunner(start_method="fork")
         with pytest.raises(PartitioningError, match="exited with code 3") as exc:
-            _partition(runner_obj, _graph())
+            _partition(runner, _graph())
         assert time.monotonic() - start < 2.0
-        assert str(exc.value).startswith(f"{runner} loopback worker 1 ")
+        assert str(exc.value).startswith("process loopback worker 1 ")
         _assert_clean()
         assert not multiprocessing.active_children()
-
-
-class TestProcessRunnerFailureInjection(TestFailureInjection):
-    """The same faults under the process runner, whose loopback workers
-    are these socket workers: one failure surface for both runners, its
-    messages naming ``process``."""
-
-    runner = "process"
 
 
 class TestVersionMismatchHandshake:
@@ -1238,7 +1257,7 @@ class TestVersionMismatchHandshake:
         addr_b, thread_b = _serve_in_thread(version=wire.WIRE_VERSION + 1)
         with pytest.raises(PartitioningError, match="handshake"):
             _partition(
-                DistributedRunner(workers=[addr_a, addr_b]),
+                ProcessRunner(workers=[addr_a, addr_b]),
                 FileEdgeStream(str(path), n_vertices=graph.n_vertices),
             )
         thread_a.join(timeout=10)
@@ -1264,7 +1283,7 @@ class TestKernelDigestHandshake:
 
         monkeypatch.setattr(wire, "handshake_server", other_source)
         with pytest.raises(PartitioningError, match="kernel source") as exc:
-            _partition(DistributedRunner(start_method="fork"), _graph())
+            _partition(ProcessRunner(start_method="fork"), _graph())
         assert "f" * 64 in str(exc.value)
         assert c_backend.source_digest() in str(exc.value)
         _assert_clean()

@@ -488,9 +488,8 @@ class TestCrashedWorkerCleanup:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name, create=False)
 
-    @pytest.mark.parametrize("runner", ["process", "distributed"])
     def test_failed_worker_init_surfaces_cause_fast(
-        self, runner, community_graph, recording_segments, monkeypatch
+        self, community_graph, recording_segments, monkeypatch
     ):
         """A worker that cannot set up its job (here: its edges are
         gone) must not leave the parent waiting out the task timeout:
@@ -504,7 +503,7 @@ class TestCrashedWorkerCleanup:
         partitioner = ParallelTwoPhase(
             n_workers=2,
             sync_interval=32,
-            runner=runner,
+            runner="process",
             start_method="fork",
             task_timeout=30.0,
         )
@@ -568,9 +567,7 @@ class TestCrashedWorkerCleanup:
             kernels_pkg._INSTANCES.pop(backend_cls.name, None)
 
     @pytest.mark.parametrize("n_workers", [1, 2])
-    @pytest.mark.parametrize(
-        "runner", ["simulated", "process", "distributed"]
-    )
+    @pytest.mark.parametrize("runner", ["simulated", "process"])
     @pytest.mark.parametrize(
         "backend, parallel_phase1, message",
         [
@@ -757,9 +754,7 @@ class TestEverySessionCloses:
 
 
 @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
-@pytest.mark.parametrize(
-    "runner", ["serial", "simulated", "process", "distributed"]
-)
+@pytest.mark.parametrize("runner", ["serial", "simulated", "process"])
 def test_unknown_pass_is_a_configuration_error(runner, community_graph):
     """The driver validates the pass name once, for every runner."""
     job = ShardedJob(
@@ -791,10 +786,9 @@ class TestProcessSession:
     shared segment is the edge copy.  ``close()`` leaves no segment,
     socket or worker process."""
 
-    @pytest.mark.parametrize("runner", ["process", "distributed"])
     @pytest.mark.parametrize("n_workers", [2, 4])
     def test_fork_session_over_in_memory_stream_creates_no_segment(
-        self, n_workers, runner, community_graph, recording_segments, monkeypatch
+        self, n_workers, community_graph, recording_segments, monkeypatch
     ):
         """Parallel Phase 1 over an in-memory stream, whatever the worker
         count: the forked workers read the parent's array in place, so
@@ -805,16 +799,16 @@ class TestProcessSession:
 
         monkeypatch.setattr(runners_module, "make_stream_spec", no_spec)
         runs = {
-            name: ParallelTwoPhase(
+            runner: ParallelTwoPhase(
                 n_workers=n_workers,
                 sync_interval=64,
-                runner=name,
+                runner=runner,
                 parallel_phase1=True,
                 start_method="fork",
             ).partition(InMemoryEdgeStream(community_graph), 4)
-            for name in ("simulated", runner)
+            for runner in ("simulated", "process")
         }
-        assert_bit_exact(runs["simulated"], runs[runner])
+        assert_bit_exact(runs["simulated"], runs["process"])
         assert recording_segments.ever == []
         assert not live_connections() and not live_worker_processes()
 
@@ -848,10 +842,9 @@ class TestProcessSession:
         assert len(calls) == 1 and len(recording_segments.ever) == 1
         assert not recording_segments, "segment left registered"
 
-    @pytest.mark.parametrize("runner", ["process", "distributed"])
     @pytest.mark.parametrize("n_workers", [2, 4])
     def test_spawn_session_over_in_memory_stream_is_the_one_segment(
-        self, n_workers, runner, community_graph, recording_segments
+        self, n_workers, community_graph, recording_segments
     ):
         """Spawned workers inherit nothing: one segment carries the
         edges, unlinked when the run ends, and the run is bit-exact with
@@ -859,16 +852,16 @@ class TestProcessSession:
         from multiprocessing import shared_memory
 
         runs = {
-            name: ParallelTwoPhase(
+            runner: ParallelTwoPhase(
                 n_workers=n_workers,
                 sync_interval=64,
-                runner=name,
+                runner=runner,
                 parallel_phase1=True,
-                start_method="spawn" if name == runner else None,
+                start_method="spawn" if runner == "process" else None,
             ).partition(community_graph, 4)
-            for name in ("simulated", runner)
+            for runner in ("simulated", "process")
         }
-        assert_bit_exact(runs["simulated"], runs[runner])
+        assert_bit_exact(runs["simulated"], runs["process"])
         assert len(recording_segments.ever) == 1
         assert not recording_segments, "segment left registered"
         with pytest.raises(FileNotFoundError):
@@ -907,8 +900,8 @@ class TestProcessSession:
         assert not multiprocessing.active_children()
 
     def test_reports_its_wire_traffic(self, community_graph):
-        """A process run reports its loopback workers' socket traffic,
-        as a distributed run does; the in-process runner has none."""
+        """A process run reports its loopback workers' socket traffic;
+        the in-process runner has none."""
         runs = {
             runner: ParallelTwoPhase(
                 n_workers=2, sync_interval=64, runner=runner
@@ -942,7 +935,7 @@ def test_state_bytes_agree_across_runners(packed, n_workers, parallel_phase1):
     rng = np.random.default_rng(5)
     graph = Graph(rng.integers(0, 513, size=(3000, 2)), 513)
     reports = {}
-    for runner in ("simulated", "process", "distributed"):
+    for runner in ("simulated", "process"):
         stream = InMemoryEdgeStream(graph)
         result = ParallelTwoPhase(
             n_workers=n_workers,
@@ -1063,9 +1056,8 @@ class TestStartMethodContext:
         main.__spec__ = None
         monkeypatch.setitem(sys.modules, "__main__", main)
 
-    @pytest.mark.parametrize("runner", ["process", "distributed"])
     def test_spawn_from_stdin_is_a_configuration_error(
-        self, runner, main_from_stdin, community_graph, monkeypatch
+        self, main_from_stdin, community_graph, monkeypatch
     ):
         started = []
         monkeypatch.setattr(
@@ -1074,7 +1066,7 @@ class TestStartMethodContext:
             staticmethod(lambda proc: started.append(proc)),
         )
         partitioner = ParallelTwoPhase(
-            n_workers=2, sync_interval=64, runner=runner, start_method="spawn"
+            n_workers=2, sync_interval=64, runner="process", start_method="spawn"
         )
         with pytest.raises(ConfigurationError, match="'<stdin>'"):
             partitioner.partition(community_graph, 4)
