@@ -51,6 +51,7 @@ every shard, a path no loopback session takes.  Reproduce with
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
 import threading
@@ -417,9 +418,11 @@ def make_huge_case(seed: int) -> DifferentialCase:
     )
 
 
-def _serve_one_session():
+def serve_one_session(version=None):
     """Start a one-session :func:`serve_worker` on a thread; returns its
-    ``host:port`` address and the thread."""
+    ``host:port`` address and the thread.  ``version`` overrides the wire
+    version it advertises.  A handler's ``SystemExit`` ends the thread
+    as it would end a server's process: its sockets closed."""
     bound = threading.Event()
     address = []
 
@@ -427,29 +430,44 @@ def _serve_one_session():
         address.append(f"{host}:{port}")
         bound.set()
 
-    thread = threading.Thread(
-        target=serve_worker,
-        kwargs={"max_sessions": 1, "ready": ready},
-        daemon=True,
-    )
+    def serve():
+        try:
+            serve_worker(max_sessions=1, version=version, ready=ready)
+        except SystemExit:
+            pass
+
+    thread = threading.Thread(target=serve, daemon=True)
     thread.start()
     assert bound.wait(timeout=10), "a worker server never bound its port"
     return address[0], thread
 
 
+@contextlib.contextmanager
+def host_port_runner(n_workers, **runner_kw):
+    """A :class:`ProcessRunner` on ``n_workers`` worker servers of
+    :func:`serve_one_session`, one per shard.  Every server is joined on
+    exit, so none is alive when a later process session forks."""
+    servers = [serve_one_session() for _ in range(n_workers)]
+    try:
+        yield ProcessRunner(
+            workers=[address for address, _ in servers], **runner_kw
+        )
+    finally:
+        for _, thread in servers:
+            thread.join(timeout=10)
+        alive = [address for address, thread in servers if thread.is_alive()]
+        assert not alive, f"worker servers outlived their session: {alive}"
+
+
 def _run_out_of_core(case, runner, backend, packed, stream):
     """One run of the scenario over an explicit stream/state variant.
 
-    Runner :data:`HOST_PORT` is the process runner on one worker server
-    per shard, each a thread of this process that serves this one
-    session; every server is joined before the run returns, so none is
-    alive when a later process session forks."""
-    servers = []
-    if runner == HOST_PORT:
-        servers = [_serve_one_session() for _ in range(case.n_workers)]
-        runner = ProcessRunner(workers=[address for address, _ in servers])
-    try:
-        result = ParallelTwoPhase(
+    Runner :data:`HOST_PORT` is the process runner on
+    :func:`host_port_runner`'s worker servers."""
+    with contextlib.ExitStack() as stack:
+        if runner == HOST_PORT:
+            runner = stack.enter_context(host_port_runner(case.n_workers))
+        return ParallelTwoPhase(
             n_workers=case.n_workers,
             sync_interval=case.sync_interval,
             clustering_passes=case.clustering_passes,
@@ -461,12 +479,6 @@ def _run_out_of_core(case, runner, backend, packed, stream):
         ).partition(
             stream, case.k, alpha=case.alpha, chunk_size=case.chunk_size
         )
-    finally:
-        for _, thread in servers:
-            thread.join(timeout=10)
-    alive = [address for address, thread in servers if thread.is_alive()]
-    assert not alive, f"worker servers outlived their session: {alive}"
-    return result
 
 
 def check_out_of_core_seed(

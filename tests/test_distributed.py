@@ -26,7 +26,10 @@ of a loopback session runs in the test process itself, through the same
 registry, and so does every worker of a simulated run: a fault that ends
 or stalls a process fires only in the forked workers (``worker_index``
 >= 1) of a run under test, since in this process it would end or stall
-the test run.
+the test run.  The failure matrix runs again on ``host:port`` workers,
+one-session worker servers on threads of the test process, which read
+the same registry; there a handler's ``SystemExit`` stands for a
+server's death.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from repro.core.distributed import (
     live_connections,
     live_worker_processes,
     parse_worker_spec,
-    serve_worker,
 )
 from repro.core.runners import (
     ProcessRunner,
@@ -65,6 +67,7 @@ from repro.graph.generators import chung_lu_graph
 from repro.partitioning.state import _replica_plane
 from repro.streaming import FileEdgeStream, InMemoryEdgeStream
 from repro.streaming.writer import EdgeListWriter
+from tests.differential import host_port_runner, serve_one_session
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -378,6 +381,135 @@ def _assert_clean():
     assert sorted(live_shared_segments()) == []
 
 
+#: ``(packed, sync, n_edges, kind)``: the 600-byte dense plane takes the
+#: logs of 37-edge windows, the 120-byte packed one is shipped whole
+#: after a 300-edge window, and with shards of 299, 299 and 300 edges in
+#: 299-edge windows workers 0 and 1 sit out every pass's second sweep,
+#: so each of them that takes news takes two barriers' with its next
+#: window.
+WINDOW_NEWS_CASES = pytest.mark.parametrize(
+    "packed, sync, n_edges, kind",
+    [
+        (False, 37, 900, "log"),
+        (True, 300, 900, "plane"),
+        (False, 299, 898, "plane"),
+    ],
+    ids=["dense", "packed", "sat-out"],
+)
+
+
+def _window_news_partition(runner, stream, packed, sync):
+    return ParallelTwoPhase(
+        n_workers=3, sync_interval=sync, runner=runner, packed_state=packed
+    ).partition(stream, 5, chunk_size=64)
+
+
+def _check_window_news(monkeypatch, packed, sync, n_edges, kind, owner, run):
+    """A Phase-2 barrier ships nothing itself: each worker's next window
+    request carries the cells the other workers logged since its last
+    window, in uint32, or the merged plane where that is fewer bytes,
+    plus the merged sizes; the run's last barrier ships nothing.  Worker
+    ``owner``'s view is the job's state (``None``: no worker's is) and it
+    gets no news.  ``run(graph)`` is the three-worker process run under
+    test; it stays bit-exact with the simulated runner, and its wire
+    stats count what was sent to the socket workers and are the
+    session's last (the collect's frame included).  Only the session
+    under test is recorded: the simulated runner's runs on the same
+    transport."""
+    runner = "process"
+    events, at_close = [], []
+    transport = distributed.WorkerTransport
+    real_result, real_send = transport._result, transport._send
+    real_barrier, real_close = transport.barrier, transport.close
+
+    def result(self, w, step, start, stop, payload):
+        if self._kind == runner and "log" in payload:
+            events.append(("log", w, payload["log"].copy()))
+        return real_result(self, w, step, start, stop, payload)
+
+    def send(self, w, msg_type, payload, step):
+        if self._kind == runner and msg_type == wire.MSG_WINDOW:
+            news = {
+                key: np.array(value)
+                for key, value in payload.items()
+                if key in ("log", "plane", "sizes")
+            }
+            events.append(("window", w, news))
+        return real_send(self, w, msg_type, payload, step)
+
+    def barrier(self, step):
+        cells = real_barrier(self, step)
+        if self._kind == runner:
+            shards = [w for w, (lo, hi) in enumerate(self._shards) if hi > lo]
+            events.append(("barrier", shards, self.job.state.sizes.copy()))
+        return cells
+
+    def close(self):
+        if self._kind == runner and not self._closed:
+            at_close.append(self.wire_stats())
+        return real_close(self)
+
+    monkeypatch.setattr(transport, "_result", result)
+    monkeypatch.setattr(transport, "_send", send)
+    monkeypatch.setattr(transport, "barrier", barrier)
+    monkeypatch.setattr(transport, "close", close)
+    graph = _graph()
+    graph = Graph(graph.edges[:n_edges], graph.n_vertices)
+    dist = run(graph)
+    sim = _window_news_partition("simulated", graph, packed, sync)
+    _assert_same(dist, sim)
+    plane_bytes = _replica_plane(dist.state.replicas)[0].nbytes
+    logs, pending, sizes = {}, {}, None
+    shipped, deliveries, kinds, most = 0, 0, set(), {}
+    for event, w, value in events:
+        if event == "log":
+            assert value.dtype == np.uint32
+            logs[w] = value
+            continue
+        if event == "barrier":
+            for u in w:
+                if u == owner:
+                    continue  # the owner's view is the job's state
+                others = [log for v, log in sorted(logs.items()) if v != u]
+                pending.setdefault(u, []).append(others)
+            logs, sizes = {}, value
+            continue
+        if w not in pending:
+            assert not value, "news without a barrier since the last window"
+            continue
+        news = pending.pop(w)
+        most[w] = max(most.get(w, 0), len(news))
+        cells = np.concatenate(
+            [np.zeros(0, np.uint32), *(log for logs_ in news for log in logs_)]
+        )
+        if "log" in value:
+            np.testing.assert_array_equal(value["log"], cells)
+            assert value["log"].dtype == np.uint32
+            assert cells.nbytes < plane_bytes
+        else:
+            assert value["plane"].nbytes == plane_bytes <= cells.nbytes
+        np.testing.assert_array_equal(value["sizes"], sizes)
+        kinds.update(set(value) - {"sizes"})
+        shipped += min(cells.nbytes, plane_bytes)
+        deliveries += 1
+    assert kind in kinds
+    sat_out = [2, 2, 1] if n_edges == 898 else [1, 1, 1]
+    if owner is not None:
+        sat_out[owner] = 0
+    assert [most.get(w, 0) for w in range(3)] == sat_out, "barriers per delivery"
+    # The run's last barrier ships nothing: its news stays queued.
+    assert events[-1][0] == "barrier"
+    assert sorted(pending) == [w for w in range(3) if w != owner]
+    stats = dist.extras["wire"]
+    assert at_close == [stats]
+    sizes_bytes = 5 * 8
+    assert stats["barrier_plane_bytes"] == shipped
+    assert stats["barrier_delta_bytes"] == shipped + deliveries * sizes_bytes
+    assert stats["barrier_full_bytes"] == deliveries * (plane_bytes + sizes_bytes)
+    assert stats["barrier_plane_bytes"] < stats["barrier_full_bytes"]
+    _assert_clean()
+
+
 @needs_fork
 class TestLoopbackEquivalence:
     def test_matches_simulated_runner(self):
@@ -422,168 +554,78 @@ class TestLoopbackEquivalence:
         assert stats["barrier_plane_bytes"] < stats["barrier_full_bytes"]
         _assert_clean()
 
-    @pytest.mark.parametrize(
-        "packed, sync, n_edges, kind",
-        [
-            (False, 37, 900, "log"),
-            (True, 300, 900, "plane"),
-            (False, 299, 898, "plane"),
-        ],
-        ids=["dense", "packed", "sat-out"],
-    )
+    @WINDOW_NEWS_CASES
     def test_window_requests_carry_other_workers_cells_or_the_plane(
         self, monkeypatch, packed, sync, n_edges, kind
     ):
-        """A Phase-2 barrier ships nothing itself: each worker's next
-        window request carries the cells the other workers logged since
-        its last window, in uint32, or the merged plane where that is
-        fewer bytes, plus the merged sizes; the run's last barrier ships
-        nothing.  Worker 0 runs in this process and its view is the
-        job's state, which the barrier writes: it gets no news.  The run
-        stays bit-exact, and the wire stats count what was sent to the
-        two worker processes and are the session's last (the collect's
-        frame included).  The 600-byte dense plane takes the logs of
-        37-edge windows, the 120-byte packed one is shipped whole after
-        a 300-edge window, and with shards of 299, 299 and 300 edges in
-        299-edge windows workers 0 and 1 sit out every pass's second
-        sweep, so worker 1's next windows carry the news of two
-        barriers.  Only the session under test is recorded: the
-        simulated runner's runs on the same transport."""
-        runner = "process"
-        events, at_close = [], []
-        transport = distributed.WorkerTransport
-        real_result, real_send = transport._result, transport._send
-        real_barrier, real_close = transport.barrier, transport.close
+        """Worker 0 runs in this process and its view is the job's
+        state, which the barrier writes: it gets no news, and the wire
+        stats count what was sent to the two worker processes."""
 
-        def result(self, w, step, start, stop, payload):
-            if self._kind == runner and "log" in payload:
-                events.append(("log", w, payload["log"].copy()))
-            return real_result(self, w, step, start, stop, payload)
+        def run(graph):
+            return _window_news_partition("process", graph, packed, sync)
 
-        def send(self, w, msg_type, payload, step):
-            if self._kind == runner and msg_type == wire.MSG_WINDOW:
-                news = {
-                    key: np.array(value)
-                    for key, value in payload.items()
-                    if key in ("log", "plane", "sizes")
-                }
-                events.append(("window", w, news))
-            return real_send(self, w, msg_type, payload, step)
-
-        def barrier(self, step):
-            cells = real_barrier(self, step)
-            if self._kind == runner:
-                shards = [w for w, (lo, hi) in enumerate(self._shards) if hi > lo]
-                events.append(("barrier", shards, self.job.state.sizes.copy()))
-            return cells
-
-        def close(self):
-            if self._kind == runner and not self._closed:
-                at_close.append(self.wire_stats())
-            return real_close(self)
-
-        monkeypatch.setattr(transport, "_result", result)
-        monkeypatch.setattr(transport, "_send", send)
-        monkeypatch.setattr(transport, "barrier", barrier)
-        monkeypatch.setattr(transport, "close", close)
-        graph = _graph()
-        graph = Graph(graph.edges[:n_edges], graph.n_vertices)
-        dist, sim = (
-            ParallelTwoPhase(
-                n_workers=3,
-                sync_interval=sync,
-                runner=name,
-                packed_state=packed,
-            ).partition(graph, 5, chunk_size=64)
-            for name in (runner, "simulated")
-        )
-        _assert_same(dist, sim)
-        plane_bytes = _replica_plane(dist.state.replicas)[0].nbytes
-        logs, pending, sizes = {}, {}, None
-        shipped, deliveries, kinds, most = 0, 0, set(), {}
-        for event, w, value in events:
-            if event == "log":
-                assert value.dtype == np.uint32
-                logs[w] = value
-                continue
-            if event == "barrier":
-                for u in w:
-                    if u == 0:
-                        continue  # worker 0's view is the job's state
-                    others = [log for v, log in sorted(logs.items()) if v != u]
-                    pending.setdefault(u, []).append(others)
-                logs, sizes = {}, value
-                continue
-            if w not in pending:
-                assert not value, "news without a barrier since the last window"
-                continue
-            news = pending.pop(w)
-            most[w] = max(most.get(w, 0), len(news))
-            cells = np.concatenate(
-                [np.zeros(0, np.uint32), *(log for logs_ in news for log in logs_)]
-            )
-            if "log" in value:
-                np.testing.assert_array_equal(value["log"], cells)
-                assert value["log"].dtype == np.uint32
-                assert cells.nbytes < plane_bytes
-            else:
-                assert value["plane"].nbytes == plane_bytes <= cells.nbytes
-            np.testing.assert_array_equal(value["sizes"], sizes)
-            kinds.update(set(value) - {"sizes"})
-            shipped += min(cells.nbytes, plane_bytes)
-            deliveries += 1
-        assert kind in kinds
-        sat_out = [0, 2, 1] if n_edges == 898 else [0, 1, 1]
-        assert [most.get(w, 0) for w in range(3)] == sat_out, "barriers per delivery"
-        # The run's last barrier ships nothing: its news stays queued.
-        assert events[-1][0] == "barrier" and sorted(pending) == [1, 2]
-        stats = dist.extras["wire"]
-        assert at_close == [stats]
-        sizes_bytes = 5 * 8
-        assert stats["barrier_plane_bytes"] == shipped
-        assert stats["barrier_delta_bytes"] == shipped + deliveries * sizes_bytes
-        assert stats["barrier_full_bytes"] == deliveries * (plane_bytes + sizes_bytes)
-        assert stats["barrier_plane_bytes"] < stats["barrier_full_bytes"]
-        _assert_clean()
+        _check_window_news(monkeypatch, packed, sync, n_edges, kind, owner=0, run=run)
 
 
-def _serve_in_thread(version=None):
-    """Run one-session ``serve_worker`` on a thread; return its address."""
-    box: dict = {}
-    ready = threading.Event()
-
-    def note(host, port):
-        box["addr"] = f"{host}:{port}"
-        ready.set()
-
-    thread = threading.Thread(
-        target=serve_worker,
-        kwargs={"max_sessions": 1, "version": version, "ready": note},
-        daemon=True,
-    )
-    thread.start()
-    assert ready.wait(timeout=10), "worker server never bound"
-    return box["addr"], thread
+def _file_stream(graph, tmp_path):
+    """``graph`` written to a file under ``tmp_path``; returns a factory
+    of fresh streams over it."""
+    path = str(tmp_path / "edges.bin")
+    with EdgeListWriter(path) as writer:
+        writer.write_chunk(graph.edges)
+    return lambda: FileEdgeStream(path, n_vertices=graph.n_vertices)
 
 
 class TestHostPortWorkers:
+    """A ``host:port`` session connects to one worker server per shard:
+    the coordinator holds no worker, so its job state is no worker's
+    view and takes the cells of every worker at each barrier."""
+
     def test_matches_simulated_over_file_stream(self, tmp_path):
-        graph = _graph()
-        path = tmp_path / "edges.bin"
-        with EdgeListWriter(str(path)) as writer:
-            writer.write_chunk(graph.edges)
-
-        def stream():
-            return FileEdgeStream(str(path), n_vertices=graph.n_vertices)
-
-        addr_a, thread_a = _serve_in_thread()
-        addr_b, thread_b = _serve_in_thread()
-        dist = _partition(ProcessRunner(workers=[addr_a, addr_b]), stream())
-        thread_a.join(timeout=10)
-        thread_b.join(timeout=10)
-        assert not thread_a.is_alive() and not thread_b.is_alive()
+        stream = _file_stream(_graph(), tmp_path)
+        with host_port_runner(2) as runner:
+            dist = _partition(runner, stream())
         _assert_same(dist, _partition("simulated", stream()))
         _assert_clean()
+
+    def test_single_worker_matches_simulated(self, tmp_path):
+        """The lone worker is a server: it keeps a set-bit log, which
+        the coordinator's state takes at every barrier."""
+        stream = _file_stream(_graph(), tmp_path)
+        with host_port_runner(1) as runner:
+            dist = _partition(runner, stream(), n_workers=1)
+        _assert_same(dist, _partition("simulated", stream(), n_workers=1))
+        assert dist.extras["wire"]["bytes_sent"] > 0
+        _assert_clean()
+
+    def test_packed_state_and_wire_stats(self, tmp_path):
+        stream = _file_stream(_graph(), tmp_path)
+        with host_port_runner(2) as runner:
+            dist = _partition(runner, stream(), packed_state=True)
+        _assert_same(dist, _partition("simulated", stream(), packed_state=True))
+        stats = dist.extras["wire"]
+        assert stats["bytes_sent"] > 0 and stats["bytes_received"] > 0
+        assert 0 < stats["barrier_delta_bytes"]
+        assert 0 < stats["barrier_plane_bytes"]
+        assert stats["barrier_plane_bytes"] < stats["barrier_full_bytes"]
+        _assert_clean()
+
+    @WINDOW_NEWS_CASES
+    def test_window_requests_carry_every_workers_news(
+        self, monkeypatch, tmp_path, packed, sync, n_edges, kind
+    ):
+        """Every worker takes news, worker 0 too, and the wire stats
+        count what was sent to all three servers."""
+
+        def run(graph):
+            stream = _file_stream(graph, tmp_path)
+            with host_port_runner(3) as runner:
+                return _window_news_partition(runner, stream(), packed, sync)
+
+        _check_window_news(
+            monkeypatch, packed, sync, n_edges, kind, owner=None, run=run
+        )
 
     def test_in_memory_stream_rejected(self, monkeypatch):
         """Rejected before the stream is copied: no segment is ever
@@ -716,9 +758,11 @@ def _stall_handler(ctx, payload):
     return wire.MSG_OK, None
 
 
-def _in_forked_workers(msg_type, fault):
-    """``fault`` as the handler of ``msg_type`` in the forked workers;
-    worker 0, which runs in the test process, keeps the real handler."""
+def _past_worker_0(msg_type, fault):
+    """``fault`` as the handler of ``msg_type`` in every worker but
+    worker 0, which keeps the real handler: worker 0 of a loopback
+    session runs in the test process, where a fault that ends or stalls
+    a process would end or stall the test run."""
     real = distributed._MESSAGE_HANDLERS[msg_type]
 
     def handler(ctx, payload):
@@ -729,29 +773,38 @@ def _in_forked_workers(msg_type, fault):
     return handler
 
 
-@needs_fork
-class TestFailureInjection:
+class _FailureMatrix:
     """Each injected fault must surface as PartitioningError and leave
-    no socket, worker process, or shared-memory segment behind."""
+    no socket, worker process, or shared-memory segment behind.  A
+    subclass runs the two-worker test session (:meth:`_run`) and says
+    where its workers run."""
 
     runner = "process"
+    #: The first worker the collect reads: the first whose shard the
+    #: coordinator does not hold.
+    collected_first: int
+    #: The leading edges whose assignments a worker's windows wrote into
+    #: the job's own array before the collect.
+    in_place: int
+    #: A worker's death mid-window, as the coordinator sees it.
+    crash = staticmethod(_crash_handler)
 
-    def _runner(self, **runner_kw):
-        return make_runner(self.runner, start_method="fork", **runner_kw)
+    def _run(self, **runner_kw):
+        raise NotImplementedError
 
     def _run_with_fault(self, monkeypatch, msg_type, handler, **runner_kw):
         monkeypatch.setitem(
             distributed._MESSAGE_HANDLERS, msg_type, handler
         )
         with pytest.raises(PartitioningError) as excinfo:
-            _partition(self._runner(**runner_kw), _graph())
+            self._run(**runner_kw)
         return excinfo
 
     def test_worker_crash_mid_window(self, monkeypatch):
         excinfo = self._run_with_fault(
             monkeypatch,
             wire.MSG_WINDOW,
-            _in_forked_workers(wire.MSG_WINDOW, _crash_handler),
+            _past_worker_0(wire.MSG_WINDOW, self.crash),
         )
         assert "prepartition: worker 1 died or stalled" in str(excinfo.value)
         assert str(excinfo.value).startswith(f"{self.runner} ")
@@ -772,7 +825,7 @@ class TestFailureInjection:
         excinfo = self._run_with_fault(
             monkeypatch,
             wire.MSG_WINDOW,
-            _in_forked_workers(wire.MSG_WINDOW, leave_on_news),
+            _past_worker_0(wire.MSG_WINDOW, leave_on_news),
         )
         assert "prepartition: worker 1 died or stalled" in str(excinfo.value)
         assert str(excinfo.value).startswith(f"{self.runner} ")
@@ -783,7 +836,7 @@ class TestFailureInjection:
         excinfo = self._run_with_fault(
             monkeypatch,
             wire.MSG_COLLECT,
-            _in_forked_workers(wire.MSG_COLLECT, _disconnect_handler),
+            _past_worker_0(wire.MSG_COLLECT, _disconnect_handler),
         )
         assert "collect: worker 1 died or stalled" in str(excinfo.value)
         assert str(excinfo.value).startswith(f"{self.runner} ")
@@ -791,8 +844,8 @@ class TestFailureInjection:
         assert not multiprocessing.active_children()
 
     def test_unassigned_edge_fails_the_collect(self, monkeypatch):
-        """The collect starts at worker 1: worker 0's windows wrote the
-        job's own assignments."""
+        """Every worker's shard has an unassigned edge: the first worker
+        the collect reads names it."""
         real = distributed._w_collect
 
         def unassigned(ctx, payload):
@@ -800,7 +853,9 @@ class TestFailureInjection:
             return real(ctx, payload)
 
         excinfo = self._run_with_fault(monkeypatch, wire.MSG_COLLECT, unassigned)
-        assert excinfo.match("worker 1 failed during collect: .* is unassigned")
+        assert excinfo.match(
+            f"worker {self.collected_first} failed during collect: .* is unassigned"
+        )
         _assert_clean()
         assert not multiprocessing.active_children()
 
@@ -828,15 +883,17 @@ class TestFailureInjection:
         """A collect frame of the wrong type, length or shape, or naming
         a partition outside ``[0, k)``: one typed error naming the runner
         and the collect, raised before ``job.assignments`` takes any
-        collected shard.  The collect starts at worker 1: worker 0's
-        shard of 450 edges is in place already, written by its
-        windows."""
+        collected shard.  The hostile frame comes from the first worker
+        the collect reads; the ``in_place`` edges before its shard
+        (worker 0's 450, or none) were written by worker 0's windows
+        already."""
         real = distributed._w_collect
         mutate, match = self.HOSTILE_COLLECTS[case]
+        first, in_place = self.collected_first, self.in_place
 
         def hostile(ctx, payload):
             msg_type, fields = real(ctx, payload)
-            if ctx["worker_index"] == 1:
+            if ctx["worker_index"] == first:
                 fields["assignments"] = mutate(fields["assignments"], ctx["k"])
             return msg_type, fields
 
@@ -848,14 +905,16 @@ class TestFailureInjection:
             try:
                 finalize(self)
             except PartitioningError:
-                worker_0, others = np.split(self.job.assignments, [450])
-                untouched.append(bool((worker_0 >= 0).all() and (others == -1).all()))
+                written, others = np.split(self.job.assignments, [in_place])
+                untouched.append(bool((written >= 0).all() and (others == -1).all()))
                 raise
 
         monkeypatch.setattr(transport, "finalize", recording)
         excinfo = self._run_with_fault(monkeypatch, wire.MSG_COLLECT, hostile)
         assert excinfo.match(match)
-        assert str(excinfo.value).startswith(f"{self.runner} collect: worker 1 ")
+        assert str(excinfo.value).startswith(
+            f"{self.runner} collect: worker {first} "
+        )
         assert untouched == [True], "the job took assignments before the check"
         _assert_clean()
         assert not multiprocessing.active_children()
@@ -995,7 +1054,7 @@ class TestFailureInjection:
         excinfo = self._run_with_fault(
             monkeypatch,
             wire.MSG_WINDOW,
-            _in_forked_workers(wire.MSG_WINDOW, _stall_handler),
+            _past_worker_0(wire.MSG_WINDOW, _stall_handler),
             task_timeout=0.2,
         )
         assert "prepartition: worker 1 died or stalled" in str(excinfo.value)
@@ -1012,7 +1071,7 @@ class TestFailureInjection:
             distributed._MESSAGE_HANDLERS, wire.MSG_WINDOW, boom
         )
         with pytest.raises(PartitioningError, match="injected kernel"):
-            _partition(self._runner(), _graph())
+            self._run()
         _assert_clean()
         assert not multiprocessing.active_children()
 
@@ -1027,13 +1086,15 @@ class TestFailureInjection:
         ],
         ids=["window", "bind"],
     )
-    def test_raising_handler_in_worker_0_fails_as_in_a_forked_worker(
+    def test_raising_handler_in_worker_0_fails_as_in_worker_1(
         self, monkeypatch, msg_type, expected
     ):
-        """Worker 0 runs its handlers in the coordinator: one that raises
-        there gives the typed error a forked worker's gives, naming the
-        worker and the step (and, outside a sweep, the runner), and
-        every forked worker is reaped."""
+        """A handler that raises in worker 0 gives the typed error one
+        that raises in worker 1 gives, naming the worker and the step
+        (and, outside a sweep, the runner), and the session leaves
+        nothing behind.  Worker 0 of a loopback session runs its
+        handlers in the coordinator and worker 1 is a forked process;
+        both workers of a ``host:port`` session are servers."""
         real = distributed._MESSAGE_HANDLERS[msg_type]
 
         def raising_in(raiser):
@@ -1053,6 +1114,22 @@ class TestFailureInjection:
         for w, message in messages.items():
             named = expected.format(runner=self.runner, w=w)
             assert message == f"{named}: ValueError: injected"
+
+
+@needs_fork
+class TestFailureInjection(_FailureMatrix):
+    """The matrix on a loopback session: worker 0 runs in the test
+    process and worker 1 is a forked process, which inherited the
+    patched registry.  The collect reads worker 1 only: worker 0's
+    windows wrote its 450-edge shard into the job's assignments."""
+
+    collected_first = 1
+    in_place = 450
+
+    def _run(self, **runner_kw):
+        return _partition(
+            make_runner(self.runner, start_method="fork", **runner_kw), _graph()
+        )
 
     @pytest.mark.parametrize("packed", [False, True], ids=["dense", "packed"])
     def test_worker_0_leaves_its_inputs_alone_and_replies_with_its_own_arrays(
@@ -1136,6 +1213,43 @@ class TestFailureInjection:
         _assert_clean()
 
 
+class TestHostPortFailureInjection(_FailureMatrix):
+    """The matrix on ``host:port`` workers: two one-session
+    :func:`serve_worker` servers on threads of the test process, which
+    read the patched registry, stream the test graph's file.  The
+    coordinator holds no worker, so the collect reads every shard,
+    worker 0's first, and no assignment is written in place.  A worker
+    server that dies closes its socket, which on a thread is the
+    disconnect of :func:`_disconnect_handler`."""
+
+    collected_first = 0
+    in_place = 0
+    crash = staticmethod(_disconnect_handler)
+
+    @pytest.fixture(autouse=True)
+    def _edge_file(self, tmp_path):
+        self._stream = _file_stream(_graph(), tmp_path)
+
+    def _run(self, **runner_kw):
+        with host_port_runner(2, **runner_kw) as runner:
+            return _partition(runner, self._stream())
+
+    def test_stalled_handshake_times_out(self, monkeypatch):
+        """Servers that accept the connection but do not answer the
+        hello fail the session once ``task_timeout`` has passed."""
+        real = wire.handshake_server
+
+        def stalled(conn, version=None):
+            time.sleep(1.5)
+            return real(conn, version=version)
+
+        monkeypatch.setattr(wire, "handshake_server", stalled)
+        with pytest.raises(PartitioningError, match="handshake failed") as exc:
+            self._run(task_timeout=0.2)
+        assert str(exc.value).startswith(f"{self.runner} ")
+        _assert_clean()
+
+
 @needs_fork
 class TestLoopbackSessions:
     """A loopback session of ``n`` workers runs worker 0 in the
@@ -1171,24 +1285,16 @@ class TestLoopbackSessions:
         _assert_clean()
         assert not multiprocessing.active_children()
 
-    def test_host_port_session_holds_n_sockets(self, tmp_path):
-        graph = _graph()
-        path = tmp_path / "edges.bin"
-        with EdgeListWriter(str(path)) as writer:
-            writer.write_chunk(graph.edges)
-        served = [_serve_in_thread() for _ in range(2)]
-        stream = FileEdgeStream(str(path), n_vertices=graph.n_vertices)
-        session = ProcessRunner(workers=[addr for addr, _ in served]).open(
-            self._job(stream, 2)
-        )
-        try:
-            assert len(live_connections()) == 2
-            assert live_worker_processes() == frozenset()
-        finally:
-            session.close()
-        for _, thread in served:
-            thread.join(timeout=10)
-            assert not thread.is_alive()
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_host_port_session_holds_n_sockets(self, tmp_path, n_workers):
+        stream = _file_stream(_graph(), tmp_path)
+        with host_port_runner(n_workers) as runner:
+            session = runner.open(self._job(stream(), n_workers))
+            try:
+                assert len(live_connections()) == n_workers
+                assert live_worker_processes() == frozenset()
+            finally:
+                session.close()
         _assert_clean()
 
     def test_one_worker_session_starts_no_process_socket_or_segment(
@@ -1253,8 +1359,8 @@ class TestVersionMismatchHandshake:
         path = tmp_path / "edges.bin"
         with EdgeListWriter(str(path)) as writer:
             writer.write_chunk(graph.edges)
-        addr_a, thread_a = _serve_in_thread(version=wire.WIRE_VERSION + 1)
-        addr_b, thread_b = _serve_in_thread(version=wire.WIRE_VERSION + 1)
+        addr_a, thread_a = serve_one_session(version=wire.WIRE_VERSION + 1)
+        addr_b, thread_b = serve_one_session(version=wire.WIRE_VERSION + 1)
         with pytest.raises(PartitioningError, match="handshake"):
             _partition(
                 ProcessRunner(workers=[addr_a, addr_b]),

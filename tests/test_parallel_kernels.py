@@ -29,6 +29,7 @@ The parallel path must also honor the out-of-core promise: it never
 materializes the stream, and worker windows bound its memory.
 """
 
+import contextlib
 import multiprocessing
 import os
 import time
@@ -50,6 +51,7 @@ from repro.kernels import PythonBackend, available_backends, register_backend
 from repro.metrics.runtime import CostCounter
 from repro.partitioning.state import PartitionState
 from repro.streaming import FileEdgeStream, InMemoryEdgeStream
+from tests.differential import HOST_PORT, host_port_runner
 from tests.per_edge import PER_EDGE
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -79,6 +81,14 @@ def graphs(draw, max_vertices=50, max_edges=250):
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     rng = np.random.default_rng(seed)
     return Graph(rng.integers(0, n, size=(m, 2)), n)
+
+
+def _graph_file(graph, tmp_path) -> FileEdgeStream:
+    """``graph`` written to a binary edge list under ``tmp_path``, as a
+    stream over that file."""
+    path = tmp_path / "g.bin"
+    write_binary_edge_list(graph, path)
+    return FileEdgeStream(path, n_vertices=graph.n_vertices)
 
 
 @pytest.fixture
@@ -515,6 +525,29 @@ class TestCrashedWorkerCleanup:
         assert not recording_segments, "segment left registered"
         assert not live_connections() and not live_worker_processes()
 
+    def test_failed_host_port_worker_init_surfaces_cause_fast(
+        self, community_graph, monkeypatch, tmp_path
+    ):
+        """The same on ``host:port`` workers, which stream their shards
+        of the graph's file: the first error reply ends the session at
+        once, and every worker server exits."""
+
+        def edges_gone(ctx, payload):
+            raise FileNotFoundError("edges gone")
+
+        monkeypatch.setitem(distributed._MESSAGE_HANDLERS, wire.MSG_JOB, edges_gone)
+        stream = _graph_file(community_graph, tmp_path)
+        began = time.monotonic()
+        with host_port_runner(2, task_timeout=30.0) as runner:
+            partitioner = ParallelTwoPhase(n_workers=2, sync_interval=32, runner=runner)
+            with pytest.raises(PartitioningError) as excinfo:
+                partitioner.partition(stream, 4)
+        assert str(excinfo.value) == (
+            "process worker 0 failed during job setup: FileNotFoundError: edges gone"
+        )
+        assert time.monotonic() - began < 10.0
+        assert not live_connections() and not live_worker_processes()
+
     @pytest.fixture
     def exploding_clustering_backend(self):
         yield from self._register(_ExplodingClusteringBackend)
@@ -567,7 +600,7 @@ class TestCrashedWorkerCleanup:
             kernels_pkg._INSTANCES.pop(backend_cls.name, None)
 
     @pytest.mark.parametrize("n_workers", [1, 2])
-    @pytest.mark.parametrize("runner", ["simulated", "process"])
+    @pytest.mark.parametrize("runner", ["simulated", "process", HOST_PORT])
     @pytest.mark.parametrize(
         "backend, parallel_phase1, message",
         [
@@ -589,21 +622,29 @@ class TestCrashedWorkerCleanup:
     )
     def test_failed_window_is_one_typed_error(
         self, runner, n_workers, backend, parallel_phase1, message,
-        community_graph, recording_segments, exploding_windows,
+        community_graph, recording_segments, exploding_windows, tmp_path,
     ):
         """A kernel exception in a worker window surfaces as the same
         PartitioningError — naming the phase, the worker, the step and
-        the cause — from every sharded runner, in both phases."""
-        partitioner = ParallelTwoPhase(
-            n_workers=n_workers,
-            sync_interval=32,
-            backend=backend,
-            runner=runner,
-            start_method="fork",
-            parallel_phase1=parallel_phase1,
-        )
-        with pytest.raises(PartitioningError) as excinfo:
-            partitioner.partition(community_graph, 4)
+        the cause — from every sharded runner, in both phases, and from
+        the process runner's ``host:port`` workers: worker servers on
+        threads of this process, which read its backend registry, over
+        the graph's file."""
+        stream = community_graph
+        with contextlib.ExitStack() as stack:
+            if runner == HOST_PORT:
+                stream = _graph_file(community_graph, tmp_path)
+                runner = stack.enter_context(host_port_runner(n_workers))
+            partitioner = ParallelTwoPhase(
+                n_workers=n_workers,
+                sync_interval=32,
+                backend=backend,
+                runner=runner,
+                start_method="fork",
+                parallel_phase1=parallel_phase1,
+            )
+            with pytest.raises(PartitioningError) as excinfo:
+                partitioner.partition(stream, 4)
         assert str(excinfo.value) == message
         assert not recording_segments
         assert not live_connections() and not live_worker_processes()
