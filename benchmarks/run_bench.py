@@ -39,7 +39,7 @@ Exit status is non-zero unless every gate passes:
   ``ParallelTwoPhase(n_workers=1)`` bit-exact with sequential 2PS-L, the
   process runner bit-identical with the simulated runner under the same
   sync schedule (assignments, replicas, sizes, cost counters), and no
-  shared-memory segment leaks after the process-runner runs;
+  socket or worker process left after the process-runner runs;
 - parallel wall-clock gate: *measured* Phase-2 speedup of the process
   runner at ``--n-workers`` (default 4) >= 1.8x sequential python.  The
   speedup gate is enforced only when the machine exposes at least
@@ -70,13 +70,12 @@ Exit status is non-zero unless every gate passes:
   strictly fewer replica-plane bytes through its loopback socket
   workers than a full-state re-broadcast, on dense state (the process
   runs of the rounds) and on bit-packed state (one more run, bit-exact
-  with the simulated runner), and leak no socket, worker process, or
-  shared-memory segment (all always enforced); the same rounds'
-  measured Phase-2 wall-clock of the process runner vs sequential
-  python is also gated at a lower bar that is enforced on hosts with
-  >= 2 usable CPUs and recorded-but-skipped elsewhere.  The sequential,
-  process and sharded-Phase-1 runs of this file, and their ``c`` twins,
-  share one set of rounds;
+  with the simulated runner), and leak no socket or worker process (all
+  always enforced); the same rounds' measured Phase-2 wall-clock of the
+  process runner vs sequential python is also gated at a lower bar that
+  is enforced on hosts with >= 2 usable CPUs and recorded-but-skipped
+  elsewhere.  The sequential, process and sharded-Phase-1 runs of this
+  file, and their ``c`` twins, share one set of rounds;
 - out-of-core gates (``BENCH_storage.json``): the graph is generated
   straight to disk (:func:`repro.graph.generators.rmat_edge_file`, never
   holding the edge array in RAM) and partitioned from the file.  The
@@ -153,8 +152,12 @@ import time
 import numpy as np
 
 from repro.core import ParallelTwoPhase, TwoPhasePartitioner
-from repro.core.distributed import take_news
-from repro.core.runners import live_shared_segments, merge_sizes
+from repro.core.distributed import (
+    live_connections,
+    live_worker_processes,
+    take_news,
+)
+from repro.core.runners import merge_sizes
 from repro.core.wire import log_cell_dtype
 from repro.graph.generators import rmat_edge_file, rmat_graph
 from repro.kernels import DEFAULT_BACKEND, available_backends, get_backend
@@ -853,8 +856,8 @@ def run_parallel_wallclock(
     simulated runs, the one-worker pins (process runner with and
     without ``parallel_phase1``), each bit-exact with sequential 2PS-L,
     and a process run on bit-packed state, bit-exact with the simulated
-    runner.  Afterwards no shared-memory segment, socket or worker
-    process may be left (all of this always enforced).
+    runner.  Afterwards no socket or worker process may be left (all of
+    this always enforced).
 
     Gates, each on the median of its per-round ratios: the Phase-2 and
     Phase-1 speedups of the process runner over sequential python
@@ -873,8 +876,6 @@ def run_parallel_wallclock(
     :data:`RECEIVED_BYTES_PER_EDGE` wire bytes per edge.  Returns True
     when every applicable gate passes.
     """
-    from repro.core.distributed import live_connections, live_worker_processes
-
     cpus = usable_cpus()
     c_reason = c_unavailable()
 
@@ -927,9 +928,6 @@ def run_parallel_wallclock(
     results, times = interleaved_rounds(
         f"sharded runners at {args.n_workers} workers", runs, rounds, expected
     )
-    leaked = sorted(live_shared_segments())
-    if leaked:
-        raise SystemExit(f"leaked shared-memory segments: {leaked}")
     if live_connections() or live_worker_processes():
         raise SystemExit("process: leaked wire connections or worker processes")
     print(
@@ -1096,13 +1094,11 @@ def run_parallel_wallclock(
             "wire_packed": wire["packed"],
             "gate": socket_gate,
             "packed_matches_simulated": True,
-            "leaked_segments": 0,
             "leaked_connections": 0,
             "leaked_worker_processes": 0,
         },
         "process_matches_simulated": True,
         "single_worker_matches_sequential": True,
-        "leaked_segments": 0,
     }
     # Readings taken outside this bench (a change measured against its
     # parent commit, which this code cannot run) survive a regeneration.
@@ -1137,8 +1133,8 @@ def run_out_of_core_section(
       stays bit-identical with it;
     - process-runner pins (always enforced): packed state + prefetching
       stream through the process runner matches sequential dense at one
-      worker and the simulated runner at ``--n-workers``, with zero
-      leaked shared-memory segments.
+      worker and the simulated runner at ``--n-workers``, leaving no
+      socket or worker process.
 
     The dense, packed and prefetching runs share interleaved rounds, so
     both wall-clock gates read the median of the per-round ratios.  The
@@ -1262,13 +1258,12 @@ def run_out_of_core_section(
             f"out-of-core: ProcessRunner vs SimulatedRunner at "
             f"{args.n_workers} workers (packed, prefetch)",
         )
-        leaked = sorted(live_shared_segments())
-        if leaked:
-            raise SystemExit(f"leaked shared-memory segments: {leaked}")
+        if live_connections() or live_worker_processes():
+            raise SystemExit("process: leaked wire connections or worker processes")
         print(
             "  packed state + prefetching stream through the process "
             "runner is bit-exact with sequential dense and with the "
-            "simulated runner; no segment leaks"
+            "simulated runner; no leaks"
         )
 
     payload = {
@@ -1312,7 +1307,8 @@ def run_out_of_core_section(
             "process_single_vs_sequential_dense": True,
             "process_vs_simulated": True,
         },
-        "leaked_segments": 0,
+        "leaked_connections": 0,
+        "leaked_worker_processes": 0,
     }
     with open(out, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=False)
@@ -1610,7 +1606,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="record every gate outcome in the BENCH files but exit 0 "
         "even when a *speedup threshold* misses (correctness gates — "
-        "cross-backend bit-exactness, runner equality, segment leaks — "
+        "cross-backend bit-exactness, runner equality, socket and worker leaks — "
         "still fail hard).  For trend-tracking runs (the nightly "
         "workflow) on hosts whose throughput is not under our control.  "
         "The BENCH_*.json snapshots at the repo root are committed "

@@ -67,22 +67,22 @@ exports nothing and drains its state at ``CLUSTER_FINISH``.
 
 Failure surface
 ---------------
-No hangs, no leaked sockets or shm: every recv from a socket worker
-runs under the session's ``recv_timeout``, and worker death, a stall
-past the timeout, disconnection or corruption surfaces as a typed
+No hangs, no leaked sockets or processes: every recv from a socket
+worker runs under the session's ``recv_timeout``, and worker death, a
+stall past the timeout, disconnection or corruption surfaces as a typed
 :class:`~repro.errors.PartitioningError` naming the runner, the step and
 the worker.  A worker in the coordinator runs on its thread, where no
 timeout can cover it: a handler that raises there is answered with an
 ``ERROR`` reply, as in a worker process, surfaces through the same typed
 error and keeps the handler's exception as its cause.  A loopback worker
-that exits before it connects fails the session at once, with its exit
-code.  Session
-``close()`` — invoked on every error path — shuts sockets, reaps
-spawned workers, and releases any stream segment, in bounded time: a
-worker with an unanswered request (it may be stuck in a kernel) gets no
-goodbye, and then every spawned worker is terminated at once instead of
-awaited.  ``live_connections()`` / ``live_worker_processes()`` are the
-leak-check hooks, mirroring ``live_shared_segments()``; they hold the
+whose fork fails raises a ``PartitioningError`` naming it, with the
+``OSError`` as its cause, and one that exits before it connects fails
+the session at once, with its exit code.  Session ``close()`` — invoked
+on every error path — shuts sockets and reaps forked workers, in
+bounded time: a worker with an unanswered request (it may be stuck in a
+kernel) gets no goodbye, and then every forked worker is terminated at
+once instead of awaited.  ``live_connections()`` /
+``live_worker_processes()`` are the leak-check hooks; they hold the
 sockets and processes only, so a loopback session of ``n`` workers
 counts ``n - 1`` of each.
 
@@ -90,11 +90,10 @@ Edge data never crosses the wire: remote (``host:port``) workers must be
 handed a file-backed stream (:class:`~repro.streaming.stream.FileEdgeStream`)
 and read their own shards.  A worker in the coordinator streams the
 job's stream object itself, and a window covering the whole stream
-streams it as a full pass.  Worker processes forked from a coordinator
-whose stream is an :class:`~repro.streaming.stream.InMemoryEdgeStream`
-inherit that stream object through their process arguments (``JOB``
-then names an ``inherited`` spec); other loopback workers may also map a
-shared-memory edge segment, same-host by construction.
+streams it as a full pass.  A forked loopback worker reopens a file from
+its spec and inherits any other stream (``JOB`` then names an
+``inherited`` spec; see :func:`_forked_stream` and "Stream handover" in
+:mod:`repro.core.runners`).
 """
 
 from __future__ import annotations
@@ -109,11 +108,8 @@ from repro.core.runners import (
     ClusteringWorker,
     Refresh,
     WorkerFailed,
-    _release_segment,
-    _stream_spec,
     _window_stream,
     merge_sizes,
-    mp_context,
     run_phase2_window,
 )
 from repro.errors import ConfigurationError, PartitioningError, WireError
@@ -123,6 +119,7 @@ from repro.partitioning.state import PartitionState, _replica_plane
 from repro.streaming.stream import (
     FileEdgeStream,
     InMemoryEdgeStream,
+    make_stream_spec,
     spec_from_wire,
     spec_to_wire,
 )
@@ -131,7 +128,7 @@ from repro.streaming.stream import (
 #: hook: must be empty whenever no session is open).
 _LIVE_CONNECTIONS: set = set()
 
-#: Locally spawned worker processes of open sessions (same contract).
+#: Forked loopback worker processes of open sessions (same contract).
 _LIVE_WORKER_PROCS: set = set()
 
 #: The ``JOB`` stream spec of a worker that streams the coordinator's own
@@ -339,7 +336,7 @@ def _w_collect(ctx, payload):
 
 
 #: Message dispatch for the worker loop.  Module-level and looked up per
-#: message so tests can monkeypatch handlers (fork-spawned loopback
+#: message so tests can monkeypatch handlers (forked loopback
 #: workers inherit the patched registry) to inject failures.
 _MESSAGE_HANDLERS = {
     wire.MSG_JOB: _w_job,
@@ -390,18 +387,14 @@ def _serve_connection(sock: socket.socket, version: int | None = None, stream=No
         return  # coordinator vanished: no peer left to report to
     finally:
         conn.close()
-        stream = ctx.get("stream")
-        shm = getattr(stream, "_shm", None)
-        if shm is not None:
-            shm.close()
 
 
 def _loopback_worker_main(address: tuple[str, int], stream) -> None:
-    """Entry point of a coordinator-spawned loopback worker process.
+    """Entry point of a coordinator-forked loopback worker process.
 
-    ``stream`` is ``None`` or the coordinator's in-memory stream, passed
-    only under ``fork``, where the child inherits the object and its
-    edge array instead of unpickling them."""
+    ``stream`` is ``None`` (the job names a file's spec) or the
+    in-memory stream of :func:`_forked_stream`, which the child inherits
+    with its edge array instead of unpickling them."""
     sock = socket.create_connection(address, timeout=30.0)
     sock.settimeout(None)
     _serve_connection(sock, stream=stream)
@@ -480,12 +473,22 @@ def serve_worker(
 # ---------------------------------------------------------------------
 # coordinator side
 # ---------------------------------------------------------------------
-def _inheritable(stream) -> bool:
-    """Whether forked workers may read ``stream``'s edge array in place
-    instead of a copy read through its ``chunks()``: only when that is
-    :class:`~repro.streaming.stream.InMemoryEdgeStream`'s own, which
-    neither a subclass nor an attribute of the instance overrides."""
-    return type(stream) is InMemoryEdgeStream and "chunks" not in vars(stream)
+def _forked_stream(stream) -> InMemoryEdgeStream:
+    """The in-memory stream forked workers inherit for ``stream``: the
+    stream itself where they may read its edge array in place (an exact
+    :class:`~repro.streaming.stream.InMemoryEdgeStream` whose ``chunks``
+    no attribute of the instance replaces), else one private copy read
+    once through its ``chunks()``, with its vertex count and chunk size."""
+    if type(stream) is InMemoryEdgeStream and "chunks" not in vars(stream):
+        return stream
+    edges = np.empty((int(stream.n_edges), 2), dtype=np.int64)
+    pos = 0
+    for chunk in stream.chunks():
+        edges[pos : pos + chunk.shape[0]] = chunk
+        pos += chunk.shape[0]
+    copy = InMemoryEdgeStream(edges, n_vertices=stream.n_vertices)
+    copy.default_chunk_size = stream.default_chunk_size
+    return copy
 
 
 class WorkerTransport:
@@ -494,8 +497,8 @@ class WorkerTransport:
     With ``workers`` (``host:port`` specs) all ``n_workers`` workers are
     remote; otherwise worker 0 runs in this process
     (:class:`_LocalWorker`), holding the job's Phase-2 arrays, and so do
-    the others unless ``sockets``, which starts them as loopback worker
-    processes with ``start_method`` and reports their wire traffic.
+    the others unless ``sockets``, which forks them as loopback worker
+    processes and reports their wire traffic.
     ``kind`` names the runner in every error.
 
     :meth:`run` takes one sweep of ``(worker, start, stop)`` windows for
@@ -515,7 +518,6 @@ class WorkerTransport:
         *,
         sockets: bool = False,
         workers=None,
-        start_method: str | None = None,
         connect_timeout: float = 10.0,
         recv_timeout: float | None = None,
     ) -> None:
@@ -533,7 +535,6 @@ class WorkerTransport:
         self._pending: set[int] = set()
         self._procs: list = []
         self._listener = None
-        self._stream_shm = None
         self._lone = False
         #: A lone worker whose view is ``job.state`` keeps no log.
         self._logless = False
@@ -551,13 +552,13 @@ class WorkerTransport:
         self._closed = False
         self._barrier_bytes = dict.fromkeys(("delta", "plane", "full"), 0)
         try:
-            self._setup(n_workers, workers, start_method)
+            self._setup(n_workers, workers)
         except BaseException:
             self.close()
             raise
 
     # -- bootstrap -----------------------------------------------------
-    def _setup(self, n_workers, workers, start_method) -> None:
+    def _setup(self, n_workers, workers) -> None:
         job = self.job
         if workers is not None:
             specs = self._connect_workers(workers)
@@ -566,7 +567,7 @@ class WorkerTransport:
             self._conns = [_LocalWorker(job.stream) for _ in range(n_local)]
             specs = [_INHERITED] * n_local
             if n_workers > n_local:
-                specs += self._start_loopback_workers(n_workers - 1, start_method)
+                specs += self._start_loopback_workers(n_workers - 1)
         for w, conn in enumerate(self._conns):
             if isinstance(conn, _LocalWorker):
                 continue
@@ -611,10 +612,10 @@ class WorkerTransport:
         if not isinstance(job.stream, FileEdgeStream):
             raise ConfigurationError(
                 "host:port workers need a file-backed stream "
-                "(FileEdgeStream): shared-memory edge segments do "
-                "not cross hosts — workers stream their own shards"
+                "(FileEdgeStream): they stream their own shards of it, "
+                "and edge data never crosses the wire"
             )
-        spec, _ = _stream_spec(job.stream)  # a file's spec: no segment
+        spec = make_stream_spec(job.stream)
         for w, address in enumerate(addresses):
             label = f"worker {w} at {address[0]}:{address[1]}"
             try:
@@ -628,28 +629,42 @@ class WorkerTransport:
             self._track(wire.Connection(sock, label=label))
         return [spec_to_wire(spec)] * len(addresses)
 
-    def _start_loopback_workers(self, n_procs, start_method) -> list:
-        """Start workers 1 to ``n_procs`` as processes that connect back
+    def _start_loopback_workers(self, n_procs) -> list:
+        """Fork workers 1 to ``n_procs`` as processes that connect back
         to a listener on ``127.0.0.1``; returns each one's stream spec.
-        Forked workers inherit the stream where :func:`_inheritable`;
-        the others reopen it from its spec."""
+        A file stream is reopened from its spec; any other stream is
+        inherited (:func:`_forked_stream`).  A host that cannot fork
+        raises before anything is built."""
+        import multiprocessing as mp
+
+        try:
+            fork = mp.get_context("fork")
+        except ValueError:
+            raise ConfigurationError(
+                f"{self._kind} runner: this host cannot fork loopback workers; "
+                "pass the host:port addresses of worker servers (the CLI "
+                "'worker' subcommand) as ProcessRunner(workers=...)"
+            ) from None
         stream = self.job.stream
-        ctx = mp_context(start_method)
-        if ctx.get_start_method() == "fork" and _inheritable(stream):
-            inherited, spec = stream, _INHERITED
+        if isinstance(stream, FileEdgeStream):
+            inherited, spec = None, spec_to_wire(make_stream_spec(stream))
         else:
-            shared, self._stream_shm = _stream_spec(stream)
-            inherited, spec = None, spec_to_wire(shared)
+            inherited, spec = _forked_stream(stream), _INHERITED
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.bind(("127.0.0.1", 0))
         self._listener.listen(n_procs)
         self._listener.settimeout(0.1)  # see _accept
         address = self._listener.getsockname()[:2]
-        for _ in range(n_procs):
-            proc = ctx.Process(
+        for w in range(1, n_procs + 1):
+            proc = fork.Process(
                 target=_loopback_worker_main, args=(address, inherited), daemon=True
             )
-            proc.start()
+            try:
+                proc.start()
+            except OSError as exc:
+                raise PartitioningError(
+                    f"{self._kind} could not start loopback worker {w}: {exc}"
+                ) from exc
             self._procs.append(proc)
             _LIVE_WORKER_PROCS.add(proc)
         for w in range(1, n_procs + 1):
@@ -660,7 +675,7 @@ class WorkerTransport:
 
     def _accept(self, w: int) -> socket.socket:
         """The next loopback worker's socket.  Accepts in slices of at
-        most 0.1 s and checks between them that no spawned worker has
+        most 0.1 s and checks between them that no forked worker has
         exited, so a worker that dies before it connects fails the
         session at once instead of after ``connect_timeout``."""
         deadline = time.monotonic() + self._connect_timeout
@@ -963,7 +978,7 @@ class WorkerTransport:
             return
         self._closed = True
         # A worker with an unanswered request may be stuck in a kernel:
-        # it gets no goodbye, and every spawned worker is terminated at
+        # it gets no goodbye, and every forked worker is terminated at
         # once rather than awaited.
         stalled = bool(self._pending)
         conns, self._conns = self._conns, []
@@ -989,7 +1004,4 @@ class WorkerTransport:
                 proc.kill()
                 proc.join(timeout=1.0)
             _LIVE_WORKER_PROCS.discard(proc)
-        if self._stream_shm is not None:
-            shm, self._stream_shm = self._stream_shm, None
-            _release_segment(shm)
 

@@ -28,8 +28,8 @@ pipeline.
 :class:`~repro.core.partitioner.TwoPhasePartitioner` on the sessions of
 a pluggable **runner** (:mod:`repro.core.runners`): ``"serial"`` and
 ``"simulated"`` — the default — run every worker in process, and
-``"process"`` runs worker 0 in process and the other workers as local
-worker processes over loopback sockets, or, given ``host:port`` specs
+``"process"`` runs worker 0 in process and the other workers as forked
+local worker processes over loopback sockets, or, given ``host:port`` specs
 (:class:`~repro.core.runners.ProcessRunner`), every worker in a worker
 server.  All drive the one deterministic sync-window schedule through
 the same worker handlers.  The runner choice is a pure execution knob;
@@ -82,10 +82,9 @@ class ParallelTwoPhase(TwoPhasePartitioner):
         ops).  Bit-exact with the sequential Phase 1 at ``n_workers=1``;
         a staleness/quality knob beyond that, exactly like Phase 2.  The
         serial runner runs Phase 1 sequentially regardless.
-    start_method, task_timeout:
-        Knobs of the process runner: the ``multiprocessing`` start method
-        of local workers and the seconds any worker reply may take;
-        ignored by the other runners.
+    task_timeout:
+        Knob of the process runner: the seconds any worker reply may
+        take; ignored by the other runners.
 
     The remaining parameters are those of
     :class:`~repro.core.partitioner.TwoPhasePartitioner`; with
@@ -106,7 +105,6 @@ class ParallelTwoPhase(TwoPhasePartitioner):
         chunk_size: int | None = None,
         runner: str | Runner = "simulated",
         parallel_phase1: bool = False,
-        start_method: str | None = None,
         task_timeout: float = 600.0,
         packed_state: bool = False,
     ) -> None:
@@ -130,9 +128,7 @@ class ParallelTwoPhase(TwoPhasePartitioner):
         self.n_workers = int(n_workers)
         self.sync_interval = int(sync_interval)
         self.sync_latency = float(sync_latency)
-        self.runner = make_runner(
-            runner, start_method=start_method, task_timeout=task_timeout
-        )
+        self.runner = make_runner(runner, task_timeout=task_timeout)
         self.parallel_phase1 = bool(parallel_phase1)
         self.name = (
             "2PS-L-parallel" if mode == "linear" else "2PS-HDRF-parallel"

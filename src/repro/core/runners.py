@@ -22,14 +22,12 @@ worker runs:
   dependency-free; parallel wall-clock is *modeled*.
 - :class:`ProcessRunner` — worker processes that speak the versioned
   wire format of :mod:`repro.core.wire`.  By default worker 0 runs in
-  the coordinator and a local worker process serves each other shard,
-  ``n_workers - 1`` of them, connected over loopback sockets: forked
-  workers inherit an in-memory stream object, the others reopen the
-  stream from a picklable :class:`~repro.streaming.stream.StreamSpec`
-  (file streams stay out-of-core).  Given ``host:port`` specs it
-  connects to that many worker servers instead, which stream their own
-  shards of a file; edge data never crosses the wire.  Parallel
-  wall-clock is *measured*.
+  the coordinator and a forked local worker process serves each other
+  shard, ``n_workers - 1`` of them, connected over loopback sockets.
+  Given ``host:port`` specs it connects to that many worker servers
+  instead, which stream their own shards of a file.  Edge data never
+  crosses the wire (see "Stream handover" below).  Parallel wall-clock
+  is *measured*.
 
 A worker in the coordinator streams the job's stream object, and a
 window covering the whole stream streams it as a full pass.  Worker 0 in
@@ -55,11 +53,10 @@ kernel contract makes chunk and window boundaries semantics-free (see
   merge order cannot matter).  Both run every window through the same
   handlers, a Phase-2 one through the one body
   :func:`run_phase2_window`, which reads it through ``_SubStream`` over
-  the job's stream (a worker in the coordinator and a forked one read
-  the stream object itself, other worker processes reopen it from its
-  spec), so chunk boundaries agree; the simulated runner's workers take
-  their requests by reference and worker processes decode them from the
-  wire, which carries every value exactly.  Every Phase-2 barrier sets
+  the job's edges (see "Stream handover" below), so chunk boundaries
+  agree; the simulated runner's workers take their requests by
+  reference and worker processes decode them from the wire, which
+  carries every value exactly.  Every Phase-2 barrier sets
   the bits of the workers' set-bit logs with the one kernel op
   ``apply_replica_log`` and merges sizes with :func:`merge_sizes`, every
   worker applies the same news before the same window, and worker 0's
@@ -121,27 +118,34 @@ the global state, so it keeps no log and its barriers do nothing.
 Sessions count the cells the logs wrote against the ``n * k`` cells of
 a full re-broadcast (``barrier_cells`` / ``barrier_full_cells``).
 
-Shared-memory lifecycle
------------------------
-Workers in the coordinator stream the job's stream there, so a serial
-or simulated session, and a one-worker loopback one, starts no process,
-opens no socket and owns no segment.  A ``fork`` session over an
-:class:`~repro.streaming.stream.InMemoryEdgeStream` owns no segment
-either: its worker processes inherit the stream object through their
-process arguments and read its edge array in place.  Any other process
-session owns at most one segment: the edge copy of a stream that is no
-file (:func:`~repro.streaming.stream.make_stream_spec`; under ``spawn``
-or ``forkserver``, or for a stream of another type, a subclass
-included), created before the workers start, which map it to reopen the
-stream zero-copy.  File streams need none.  Worker views, logs,
-clustering states and assignment shards live with the workers, worker
-0's in the coordinator, where its view and shard are the job's own;
-moves, refreshes and news cross the socket to the worker processes, and
-their assignments cross it once.  ``close()`` unlinks the segment after
-the workers are gone; it is idempotent and runs on both success and
-error paths, so a crashed or timed-out worker cannot leak it past the
-session (verified by the cleanup tests; :func:`live_shared_segments`
-exposes the owned set).  Workers only ever *attach* and never unlink.
+Stream handover
+---------------
+Workers in the coordinator stream the job's stream object, so a serial
+or simulated session, and a one-worker loopback one, starts no process
+and opens no socket.  A worker process gets the edges in one of three
+ways:
+
+- an :class:`~repro.streaming.stream.InMemoryEdgeStream` whose
+  ``chunks`` neither a subclass nor the instance overrides reaches the
+  forked workers through their process arguments, and they read its
+  edge array in place;
+- every worker process, forked or at ``host:port`` (which needs one),
+  reopens a :class:`~repro.streaming.stream.FileEdgeStream` from its
+  :func:`~repro.streaming.stream.make_stream_spec`, out-of-core;
+- any other stream is read once through its ``chunks()`` into one
+  private copy before the fork; the forked workers inherit it, and the
+  coordinator drops it once they have started.
+
+On a host without ``fork`` a session that would fork a worker raises
+:class:`~repro.errors.ConfigurationError`, which points to ``host:port``
+workers.  Worker views, logs, clustering states and assignment shards
+live with the workers, worker 0's in the coordinator, where its view and
+shard are the job's own; moves, refreshes and news cross the socket to
+the worker processes, and their assignments cross it once.  ``close()``
+is idempotent and runs on both success and error paths: it closes every
+socket and reaps every forked worker, so a crashed or timed-out worker
+leaks neither past the session (verified by the cleanup tests through
+the leak-check hooks of :mod:`repro.core.distributed`).
 """
 
 from __future__ import annotations
@@ -157,7 +161,6 @@ from repro.kernels import TwoPhaseContext, get_backend
 from repro.kernels.base import Int64Buffer, MoveLog, ReplicaLog
 from repro.metrics.runtime import CostCounter
 from repro.partitioning.state import PartitionState
-from repro.streaming.stream import make_stream_spec
 
 #: Pass names a runner can execute -> kernel-backend method names.
 PASS_METHODS = {
@@ -581,7 +584,7 @@ class Runner(ABC):
 
     @abstractmethod
     def open(self, job: ShardedJob) -> RunnerSession:
-        """Start a session for one run (allocate views, workers, segments)."""
+        """Start a session for one run (allocate views, workers, sockets)."""
 
     def parallel_wall_seconds(
         self, phase2_seconds: float, n_workers: int, syncs: int,
@@ -641,107 +644,31 @@ class SimulatedRunner(Runner):
 # ----------------------------------------------------------------------
 # worker processes: the socket transport, local or at host:port
 # ----------------------------------------------------------------------
-#: Names of shared segments currently owned by live sessions.
-#: Test/debug hook: must be empty whenever no session is open.
-_LIVE_SEGMENTS: set[str] = set()
-
-
-def live_shared_segments() -> frozenset[str]:
-    """Segment names owned by open sessions (leak-check hook)."""
-    return frozenset(_LIVE_SEGMENTS)
-
-
-def _stream_spec(stream):
-    """The stream's picklable spec and its owned edge segment, if any."""
-    spec, shm = make_stream_spec(stream)
-    if shm is not None:
-        _LIVE_SEGMENTS.add(shm.name)
-    return spec, shm
-
-
-def _release_segment(shm) -> None:
-    """Unlink one owned segment (idempotent against cleanup races)."""
-    _LIVE_SEGMENTS.discard(shm.name)
-    shm.close()
-    try:
-        shm.unlink()
-    except FileNotFoundError:  # pragma: no cover - cleanup race
-        pass
-
-
-def default_start_method() -> str:
-    """``fork`` where available (cheap, inherits the backend registry),
-    else ``spawn``."""
-    import multiprocessing as mp
-
-    return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-
-
-def mp_context(start_method: str | None):
-    """The ``multiprocessing`` context of ``start_method`` (``None``:
-    :func:`default_start_method`).
-
-    Every start method but ``fork`` re-runs ``__main__`` in each child,
-    by its module name or else by the path in ``__main__.__file__``.  A
-    script read from standard input names ``<stdin>``, no file: each
-    child would die in bootstrap before it connects back.  That raises
-    :class:`~repro.errors.ConfigurationError` here, before the caller
-    creates any segment, socket or process."""
-    import multiprocessing as mp
-    import os
-    import sys
-    from multiprocessing import process
-
-    method = start_method or default_start_method()
-    main = sys.modules.get("__main__")
-    path = getattr(main, "__file__", None)
-    by_path = getattr(getattr(main, "__spec__", None), "name", None) is None
-    if method != "fork" and by_path and path is not None:
-        if not os.path.isfile(os.path.join(process.ORIGINAL_DIR or "", path)):
-            raise ConfigurationError(
-                f"start method {method!r} re-runs __main__ in every worker, "
-                f"but __main__ names {path!r}, which is no file: run the "
-                "code from a script file or a module, or use 'fork'"
-            )
-    return mp.get_context(method)
-
-
-def check_start_method(start_method: str | None) -> None:
-    """Reject a ``multiprocessing`` start method this host lacks."""
-    import multiprocessing as mp
-
-    if start_method not in (None, *mp.get_all_start_methods()):
-        raise ConfigurationError(
-            f"start_method {start_method!r} not available; "
-            f"choose from {mp.get_all_start_methods()}"
-        )
-
-
 class ProcessRunner(Runner):
     """True multi-process execution: socket workers, local or remote.
 
     Without ``workers`` a session runs worker 0 inside the coordinator,
     through the workers' own message handlers, listens on ``127.0.0.1``
-    and starts one local worker process for each other shard,
-    ``n_workers - 1`` in all, which connects back.  With ``workers`` it
-    connects to one worker server per shard instead.  Every worker
-    process speaks the wire protocol of :mod:`repro.core.wire`, served
-    by :mod:`repro.core.distributed`.
+    and forks one local worker process for each other shard,
+    ``n_workers - 1`` in all, which connects back; forked workers
+    inherit dynamically registered kernel backends, and how they reach
+    the stream is stated in the module docstring ("Stream handover").
+    On a host without ``fork`` such a session raises
+    :class:`~repro.errors.ConfigurationError` unless it has a single
+    worker.  With ``workers`` it connects to one worker server per shard
+    instead.  Every worker process speaks the wire protocol of
+    :mod:`repro.core.wire`, served by :mod:`repro.core.distributed`.
 
     Parameters
     ----------
-    start_method:
-        ``multiprocessing`` start method of local workers (``None`` picks
-        :func:`default_start_method`).  ``fork`` inherits dynamically
-        registered kernel backends; ``spawn`` re-imports them.
     task_timeout:
         Seconds any single reply of a worker process may take (the
         transport's ``recv_timeout``).  A worker that stalls past it
         raises a :class:`~repro.errors.PartitioningError` naming the
         timeout (one that died raises at once), and the session teardown
-        closes every socket, terminates every local worker and unlinks
-        the edge segment.  Worker 0 of a local session runs on the
-        coordinator's thread, which no timeout covers.
+        closes every socket and terminates every local worker.  Worker 0
+        of a local session runs on the coordinator's thread, which no
+        timeout covers.
     workers:
         ``host:port`` specs of pre-started worker servers (the CLI
         ``worker`` subcommand, :func:`~repro.core.distributed.serve_worker`),
@@ -757,21 +684,18 @@ class ProcessRunner(Runner):
 
     def __init__(
         self,
-        start_method: str | None = None,
         task_timeout: float = 600.0,
         workers=None,
         connect_timeout: float = 10.0,
     ) -> None:
         from repro.core.distributed import parse_worker_spec
 
-        check_start_method(start_method)
         for name, value in (
             ("task_timeout", task_timeout),
             ("connect_timeout", connect_timeout),
         ):
             if value <= 0:
                 raise ConfigurationError(f"{name} must be positive, got {value}")
-        self.start_method = start_method
         self.task_timeout = float(task_timeout)
         self.workers = (
             None if workers is None else [parse_worker_spec(w) for w in workers]
@@ -787,7 +711,6 @@ class ProcessRunner(Runner):
             job.n_workers,
             sockets=True,
             workers=self.workers,
-            start_method=self.start_method,
             connect_timeout=self.connect_timeout,
             recv_timeout=self.task_timeout,
         )
@@ -807,17 +730,16 @@ RUNNERS: dict[str, type[Runner]] = {
 def make_runner(
     spec,
     *,
-    start_method: str | None = None,
     task_timeout: float = 600.0,
     workers=None,
     connect_timeout: float = 10.0,
 ) -> Runner:
     """Resolve a runner name or pass an instance through.
 
-    ``start_method``, ``task_timeout`` (the per-reply ``recv_timeout``
-    of its worker processes), ``workers`` and ``connect_timeout``
-    configure the process runner (see :class:`ProcessRunner`); the other
-    runners have no execution knobs and ignore them.
+    ``task_timeout`` (the per-reply ``recv_timeout`` of its worker
+    processes), ``workers`` and ``connect_timeout`` configure the process
+    runner (see :class:`ProcessRunner`); the other runners have no
+    execution knobs and ignore them.
 
     Raises
     ------
@@ -832,7 +754,6 @@ def make_runner(
         )
     if RUNNERS[spec] is ProcessRunner:
         return ProcessRunner(
-            start_method=start_method,
             task_timeout=task_timeout,
             workers=workers,
             connect_timeout=connect_timeout,

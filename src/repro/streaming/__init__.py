@@ -21,8 +21,6 @@ from repro.streaming.stream import (
     FileEdgeStream,
     FileStreamSpec,
     InMemoryEdgeStream,
-    SharedArrayStreamSpec,
-    StreamSpec,
     make_stream_spec,
 )
 from repro.streaming.writer import (
@@ -42,9 +40,7 @@ __all__ = [
     "InMemoryEdgeStream",
     "FileEdgeStream",
     "DEFAULT_CHUNK_SIZE",
-    "StreamSpec",
     "FileStreamSpec",
-    "SharedArrayStreamSpec",
     "make_stream_spec",
     "shuffled_copy",
     "degree_sorted_order",

@@ -372,28 +372,18 @@ class FileEdgeStream(EdgeStream):
             reader.join(timeout=10.0)
 
 
-class StreamSpec(ABC):
-    """Picklable recipe for reopening an :class:`EdgeStream` elsewhere.
-
-    The process-runner workers cannot receive a live stream (file handles
-    and big arrays don't ship well over pickles), so the parent builds a
-    spec with :func:`make_stream_spec`, sends it to each worker once, and
-    every worker calls :meth:`open` to get its own stream over the same
-    edges — then reads only its shard windows out of it.
-    """
-
-    @abstractmethod
-    def open(self) -> EdgeStream:
-        """Open a fresh stream over the spec'd edges (one per process)."""
-
-
 @dataclass(frozen=True)
-class FileStreamSpec(StreamSpec):
-    """Reopen a :class:`FileEdgeStream` by path — stays out-of-core.
+class FileStreamSpec:
+    """Picklable recipe for reopening a :class:`FileEdgeStream` by path
+    in another process — stays out-of-core.
 
-    A simulated :class:`~repro.storage.devices.StorageDevice` attached to
-    the original stream is *not* carried over: device charging models the
-    parent's sequential I/O, which worker-side shard reads do not share.
+    Every worker process over a file, forked or a worker server at
+    ``host:port``, gets the spec of :func:`make_stream_spec` once, opens
+    its own stream over the same file and reads only its shard windows
+    out of it.  A simulated :class:`~repro.storage.devices.StorageDevice`
+    attached to the original stream is *not* carried over: device
+    charging models the parent's sequential I/O, which worker-side shard
+    reads do not share.
     """
 
     path: str
@@ -402,7 +392,8 @@ class FileStreamSpec(StreamSpec):
     #: Carried over so process-runner workers read ahead like the parent.
     prefetch: bool = False
 
-    def open(self) -> EdgeStream:
+    def open(self) -> FileEdgeStream:
+        """Open a fresh stream over the spec'd file (one per process)."""
         stream = FileEdgeStream(
             self.path, n_vertices=self.n_vertices, prefetch=self.prefetch
         )
@@ -410,127 +401,59 @@ class FileStreamSpec(StreamSpec):
         return stream
 
 
-@dataclass
-class SharedArrayStreamSpec(StreamSpec):
-    """Reopen an in-memory stream over a shared-memory edge array.
+def make_stream_spec(stream: EdgeStream) -> FileStreamSpec:
+    """The picklable spec of a file-backed ``stream``.
 
-    The edge array is shipped **once** through a shared segment created by
-    :func:`make_stream_spec`; every :meth:`open` maps it zero-copy, so
-    per-window pickling never happens.  The creator of the segment owns
-    its lifecycle (close + unlink); openers keep their mapping alive for
-    the lifetime of the returned stream.
+    Raises
+    ------
+    StreamError
+        For any stream but a :class:`FileEdgeStream`: only a file
+        reopens in another process.  A process session's forked workers
+        inherit any other stream instead (see
+        :mod:`repro.core.runners`).
     """
-
-    shm_name: str
-    n_edges: int
-    n_vertices: int | None = None
-    chunk_size: int = DEFAULT_CHUNK_SIZE
-
-    def open(self) -> EdgeStream:
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(name=self.shm_name, create=False)
-        edges = np.ndarray((self.n_edges, 2), dtype=np.int64, buffer=shm.buf)
-        stream = InMemoryEdgeStream(edges, n_vertices=self.n_vertices)
-        stream.default_chunk_size = self.chunk_size
-        # The mapping must outlive the stream's edge view.
-        stream._shm = shm
-        return stream
-
-
-def make_stream_spec(stream: EdgeStream):
-    """Build a picklable spec for ``stream``; returns ``(spec, segment)``.
-
-    ``segment`` is a ``multiprocessing.shared_memory.SharedMemory`` the
-    caller must ``close()`` and ``unlink()`` when every opener is done, or
-    ``None`` when the spec needs no shared segment (file-backed streams).
-    A :class:`FileEdgeStream` maps to a :class:`FileStreamSpec`; any other
-    stream is snapshotted chunk-by-chunk into one shared edge array (an
-    :class:`InMemoryEdgeStream` already holds its edges, so this is the
-    one unavoidable copy that lets workers read them zero-copy).
-    """
-    if isinstance(stream, FileEdgeStream):
-        spec = FileStreamSpec(
-            stream.path,
-            stream.n_vertices,
-            stream.default_chunk_size,
-            stream.prefetch,
+    if not isinstance(stream, FileEdgeStream):
+        raise StreamError(
+            f"a {type(stream).__name__} has no stream spec: only a "
+            "FileEdgeStream reopens in another process"
         )
-        return spec, None
-    from multiprocessing import shared_memory
-
-    m = int(stream.n_edges)
-    shm = shared_memory.SharedMemory(create=True, size=max(m * 16, 1))
-    try:
-        view = np.ndarray((m, 2), dtype=np.int64, buffer=shm.buf)
-        pos = 0
-        for chunk in stream.chunks():
-            view[pos : pos + chunk.shape[0]] = chunk
-            pos += chunk.shape[0]
-        del view
-    except BaseException:
-        shm.close()
-        shm.unlink()
-        raise
-    spec = SharedArrayStreamSpec(
-        shm.name, m, stream.n_vertices, stream.default_chunk_size
+    return FileStreamSpec(
+        stream.path,
+        stream.n_vertices,
+        stream.default_chunk_size,
+        stream.prefetch,
     )
-    return spec, shm
 
 
-def spec_to_wire(spec: StreamSpec) -> dict:
+def spec_to_wire(spec: FileStreamSpec) -> dict:
     """Flatten a stream spec into a wire-encodable field mapping.
 
     The process runner ships specs to its workers inside protocol frames
     (:mod:`repro.core.wire`), which carry typed scalars rather than
     pickles — so specs cross the wire as tagged plain fields.  Inverse of
-    :func:`spec_from_wire`.  Note a :class:`SharedArrayStreamSpec` only
-    reopens on the host that created its segment; coordinators must send
-    remote workers file-backed specs so each worker streams its own shard
-    and no edge data crosses the wire.
+    :func:`spec_from_wire`.
     """
-    if isinstance(spec, FileStreamSpec):
-        return {
-            "kind": "file",
-            "path": spec.path,
-            "n_vertices": spec.n_vertices,
-            "chunk_size": spec.chunk_size,
-            "prefetch": spec.prefetch,
-        }
-    if isinstance(spec, SharedArrayStreamSpec):
-        return {
-            "kind": "shared-array",
-            "shm_name": spec.shm_name,
-            "n_edges": spec.n_edges,
-            "n_vertices": spec.n_vertices,
-            "chunk_size": spec.chunk_size,
-        }
-    raise StreamError(
-        f"no wire encoding for stream spec {type(spec).__name__}"
-    )
+    return {
+        "kind": "file",
+        "path": spec.path,
+        "n_vertices": spec.n_vertices,
+        "chunk_size": spec.chunk_size,
+        "prefetch": spec.prefetch,
+    }
 
 
-def spec_from_wire(fields: dict) -> StreamSpec:
+def spec_from_wire(fields: dict) -> FileStreamSpec:
     """Rebuild a stream spec from its wire field mapping."""
     kind = fields.get("kind")
+    if kind != "file":
+        raise StreamError(f"unknown stream-spec kind {kind!r}")
     n_vertices = fields.get("n_vertices")
-    if n_vertices is not None:
-        n_vertices = int(n_vertices)
-    if kind == "file":
-        return FileStreamSpec(
-            path=str(fields["path"]),
-            n_vertices=n_vertices,
-            chunk_size=int(fields["chunk_size"]),
-            prefetch=bool(fields["prefetch"]),
-        )
-    if kind == "shared-array":
-        return SharedArrayStreamSpec(
-            shm_name=str(fields["shm_name"]),
-            n_edges=int(fields["n_edges"]),
-            n_vertices=n_vertices,
-            chunk_size=int(fields["chunk_size"]),
-        )
-    raise StreamError(f"unknown stream-spec kind {kind!r}")
+    return FileStreamSpec(
+        path=str(fields["path"]),
+        n_vertices=None if n_vertices is None else int(n_vertices),
+        chunk_size=int(fields["chunk_size"]),
+        prefetch=bool(fields["prefetch"]),
+    )
 
 
 def as_stream(

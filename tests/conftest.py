@@ -126,3 +126,15 @@ def per_edge_backend():
     for one test class: class-scoped, so hypothesis tests can use it."""
     with per_edge.registered():
         yield
+
+
+@pytest.fixture
+def shared_memory_made():
+    """The arguments of every ``multiprocessing.shared_memory.SharedMemory``
+    the test constructs in this process (see
+    :func:`tests.differential.record_shared_memory`): no runner session
+    makes one."""
+    from tests.differential import record_shared_memory
+
+    with record_shared_memory() as made:
+        yield made

@@ -18,8 +18,8 @@ On top of that contract it checks:
   in-memory :class:`PartitionResult` — replica rows, degrees, sizes,
   routing, and per-edge ownership including duplicate-edge
   (first-stream-occurrence) semantics;
-- no shared-memory segment, wire connection or worker process survives
-  any runner session.
+- no runner session constructs a shared-memory segment, and no wire
+  connection or worker process survives one.
 
 The backend dimension is :func:`repro.kernels.available_backends`, so the
 sweep is the ``python`` reference everywhere and gains the compiled ``c``
@@ -66,7 +66,7 @@ from repro.core.distributed import (
     live_worker_processes,
     serve_worker,
 )
-from repro.core.runners import ProcessRunner, live_shared_segments
+from repro.core.runners import ProcessRunner
 from repro.graph.generators import chung_lu_graph, rmat_graph
 from repro.kernels import available_backends
 from repro.streaming import FileEdgeStream
@@ -296,10 +296,33 @@ def _active_runners(runners, include_process):
     return tuple(r for r in runners if include_process or r != "process")
 
 
-def _assert_nothing_leaked() -> None:
-    """Shared-memory, socket and worker-process hygiene after a sweep."""
-    leaked = sorted(live_shared_segments())
-    assert not leaked, f"leaked shared-memory segments: {leaked}"
+@contextlib.contextmanager
+def record_shared_memory():
+    """Yield a list that records the arguments of every
+    ``multiprocessing.shared_memory.SharedMemory`` this process constructs
+    inside the block.  No runner session constructs one: worker processes
+    inherit the job's stream or reopen its file."""
+    from multiprocessing import shared_memory
+
+    made = []
+    init = shared_memory.SharedMemory.__init__
+
+    def recording_init(self, *args, **kwargs):
+        made.append(args or kwargs)
+        init(self, *args, **kwargs)
+
+    shared_memory.SharedMemory.__init__ = recording_init
+    try:
+        yield made
+    finally:
+        shared_memory.SharedMemory.__init__ = init
+
+
+def _assert_nothing_leaked(made) -> None:
+    """Shared-memory, socket and worker-process hygiene after a sweep:
+    ``made`` (of :func:`record_shared_memory`) records no segment, and
+    no connection or worker process is left."""
+    assert not made, f"shared-memory segments constructed: {made}"
     conns = live_connections()
     assert not conns, f"leaked wire connections: {conns}"
     procs = live_worker_processes()
@@ -322,11 +345,12 @@ def check_seed(
         backends = available_backends()
     active_runners = _active_runners(runners, include_process)
     try:
-        results = {
-            (runner, backend): run_case(case, runner, backend)
-            for runner in active_runners
-            for backend in backends
-        }
+        with record_shared_memory() as made:
+            results = {
+                (runner, backend): run_case(case, runner, backend)
+                for runner in active_runners
+                for backend in backends
+            }
         # Contract 1+2: simulated == process, backends agree, per runner.
         sharded = [key for key in results if key[0] != "serial"]
         if sharded:
@@ -363,8 +387,8 @@ def check_seed(
         assert_store_round_trip(
             seq, case.build_graph().edges, "store round-trip"
         )
-        # Contract 7: nothing leaked — segments, sockets or workers.
-        _assert_nothing_leaked()
+        # Contract 7: no segment made, no socket or worker left.
+        _assert_nothing_leaked(made)
     except AssertionError as exc:
         raise AssertionError(
             f"differential seed {seed} failed ({case!r}); reproduce with: "
@@ -506,7 +530,10 @@ def check_out_of_core_seed(
         active_runners += (HOST_PORT,)
     graph = case.build_graph()
     try:
-        with tempfile.TemporaryDirectory(prefix="diff_ooc_") as tmp:
+        with (
+            tempfile.TemporaryDirectory(prefix="diff_ooc_") as tmp,
+            record_shared_memory() as made,
+        ):
             path = os.path.join(tmp, "edges.bin")
             with EdgeListWriter(path) as writer:
                 # Chunked, like an external-memory generator would write.
@@ -590,7 +617,7 @@ def check_out_of_core_seed(
             assert_store_round_trip(
                 seq_dense, graph.edges, "store round-trip (dense state)"
             )
-            _assert_nothing_leaked()
+            _assert_nothing_leaked(made)
     except AssertionError as exc:
         flag = " --host-port" if HOST_PORT in active_runners else ""
         raise AssertionError(

@@ -230,8 +230,8 @@ class TestCEquivalence:
             assert_results_identical(seq, runs[c_registered])
 
     def test_process_runner_bit_exact(self, c_registered):
-        """The backend resolves by name inside worker processes, with any
-        start method (spawn re-imports and loads the cached library)."""
+        """The backend resolves by name inside the forked worker
+        processes, which inherit the loaded library."""
         graph = chung_lu_graph(60, 240, gamma=2.1, seed=23)
         simulated = ParallelTwoPhase(
             n_workers=2, sync_interval=63, backend=c_registered,

@@ -134,6 +134,26 @@ def test_case_derivation_is_deterministic():
     assert make_case(12345) == make_case(12345)
 
 
+def test_a_constructed_segment_fails_the_sweep(monkeypatch):
+    """The hygiene check sees a ``SharedMemory`` made during a run, even
+    one released before the run returns."""
+    from multiprocessing import shared_memory
+
+    import differential
+
+    real = differential.run_case
+
+    def with_segment(case, runner, backend):
+        segment = shared_memory.SharedMemory(create=True, size=16)
+        segment.close()
+        segment.unlink()
+        return real(case, runner, backend)
+
+    monkeypatch.setattr(differential, "run_case", with_segment)
+    with pytest.raises(AssertionError, match="shared-memory segments constructed"):
+        differential.check_seed(77, runners=("serial",))
+
+
 def test_failure_names_the_seed(monkeypatch):
     """A diverging run must surface the reproducing seed in the error."""
     import differential

@@ -15,8 +15,10 @@ Three layers, mirroring the implementation split:
   hostile set-bit log, hostile clustering moves or a hostile collect, a
   loopback worker dead before it connects, and a version- or
   kernel-source-mismatch handshake must each surface as a typed
-  :class:`~repro.errors.PartitioningError` with no leaked socket,
-  worker process, or shared-memory segment.
+  :class:`~repro.errors.PartitioningError` with no leaked socket or
+  worker process, and so must a failed fork; a host without ``fork``
+  gets a :class:`~repro.errors.ConfigurationError` before anything
+  starts.  No test here constructs a shared-memory segment.
 
 Fault injection works by monkeypatching the module-level
 ``distributed._MESSAGE_HANDLERS`` registry before the session spawns
@@ -34,7 +36,9 @@ server's death.
 
 from __future__ import annotations
 
+import errno
 import multiprocessing
+import os
 import socket
 import struct
 import threading
@@ -46,18 +50,12 @@ import pytest
 
 from repro.core import ParallelTwoPhase, wire
 from repro.core import distributed
-from repro.core import runners as runners_module
 from repro.core.distributed import (
     live_connections,
     live_worker_processes,
     parse_worker_spec,
 )
-from repro.core.runners import (
-    ProcessRunner,
-    ShardedJob,
-    live_shared_segments,
-    make_runner,
-)
+from repro.core.runners import ProcessRunner, ShardedJob, make_runner
 from repro.errors import ConfigurationError, PartitioningError, WireError
 from repro.kernels import c_backend, get_backend
 from repro.kernels.base import ReplicaLog
@@ -74,6 +72,14 @@ HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(
     not HAS_FORK, reason="needs the fork start method"
 )
+
+
+@pytest.fixture(autouse=True)
+def no_shared_memory(shared_memory_made):
+    """No session of this module's tests constructs a shared-memory
+    segment: worker processes inherit the stream or reopen its file."""
+    yield
+    assert not shared_memory_made, f"SharedMemory made: {shared_memory_made}"
 
 
 # ---------------------------------------------------------------------
@@ -378,7 +384,6 @@ def _assert_same(a, b):
 def _assert_clean():
     assert live_connections() == frozenset()
     assert live_worker_processes() == frozenset()
-    assert sorted(live_shared_segments()) == []
 
 
 #: ``(packed, sync, n_edges, kind)``: the 600-byte dense plane takes the
@@ -627,23 +632,20 @@ class TestHostPortWorkers:
             monkeypatch, packed, sync, n_edges, kind, owner=None, run=run
         )
 
-    def test_in_memory_stream_rejected(self, monkeypatch):
-        """Rejected before the stream is copied: no segment is ever
-        registered."""
-        registered = []
+    def test_in_memory_stream_rejected(self, monkeypatch, shared_memory_made):
+        """Rejected before anything connects or copies the stream: no
+        spec is built and no segment constructed."""
 
-        class Recording(set):
-            def add(self, name):
-                registered.append(name)
-                super().add(name)
+        def no_spec(stream):
+            raise AssertionError("a stream spec was built")
 
-        monkeypatch.setattr(runners_module, "_LIVE_SEGMENTS", Recording())
+        monkeypatch.setattr(distributed, "make_stream_spec", no_spec)
         with pytest.raises(ConfigurationError, match="file-backed"):
             _partition(
                 ProcessRunner(workers=["127.0.0.1:9", "127.0.0.1:10"]),
                 _graph(),
             )
-        assert registered == []
+        assert not shared_memory_made
         _assert_clean()
 
     def test_worker_count_mismatch_rejected(self, tmp_path):
@@ -685,13 +687,11 @@ class TestRunnerConfig:
     def test_make_runner_passes_the_process_knobs_through(self):
         runner = make_runner(
             "process",
-            start_method="fork" if HAS_FORK else "spawn",
             task_timeout=12.0,
             workers=["node-1:9001", "node-2:9002"],
             connect_timeout=3.0,
         )
         assert isinstance(runner, ProcessRunner)
-        assert runner.start_method == ("fork" if HAS_FORK else "spawn")
         assert runner.task_timeout == 12.0
         assert runner.workers == [("node-1", 9001), ("node-2", 9002)]
         assert runner.connect_timeout == 3.0
@@ -725,10 +725,6 @@ class TestRunnerConfig:
     def test_rejects_nonpositive_timeouts(self, knobs, name):
         with pytest.raises(ConfigurationError, match=f"{name} must be positive"):
             ProcessRunner(**knobs)
-
-    def test_rejects_unknown_start_method(self):
-        with pytest.raises(ConfigurationError):
-            ProcessRunner(start_method="no-such-method")
 
 
 # ---------------------------------------------------------------------
@@ -775,9 +771,10 @@ def _past_worker_0(msg_type, fault):
 
 class _FailureMatrix:
     """Each injected fault must surface as PartitioningError and leave
-    no socket, worker process, or shared-memory segment behind.  A
-    subclass runs the two-worker test session (:meth:`_run`) and says
-    where its workers run."""
+    no socket or worker process behind (and, as everywhere in this
+    module, construct no shared-memory segment).  A subclass runs the
+    two-worker test session (:meth:`_run`) and says where its workers
+    run."""
 
     runner = "process"
     #: The first worker the collect reads: the first whose shard the
@@ -1128,7 +1125,7 @@ class TestFailureInjection(_FailureMatrix):
 
     def _run(self, **runner_kw):
         return _partition(
-            make_runner(self.runner, start_method="fork", **runner_kw), _graph()
+            make_runner(self.runner, **runner_kw), _graph()
         )
 
     @pytest.mark.parametrize("packed", [False, True], ids=["dense", "packed"])
@@ -1188,7 +1185,7 @@ class TestFailureInjection(_FailureMatrix):
             name: ParallelTwoPhase(
                 n_workers=2,
                 sync_interval=300 if packed else 37,
-                runner=make_runner(name, start_method="fork"),
+                runner=make_runner(name),
                 parallel_phase1=True,
                 packed_state=packed,
             ).partition(graph, 5, chunk_size=64)
@@ -1274,7 +1271,7 @@ class TestLoopbackSessions:
     def test_loopback_session_holds_n_minus_1_sockets_and_processes(
         self, n_workers
     ):
-        session = ProcessRunner(start_method="fork").open(
+        session = ProcessRunner().open(
             self._job(InMemoryEdgeStream(_graph()), n_workers)
         )
         try:
@@ -1298,26 +1295,101 @@ class TestLoopbackSessions:
         _assert_clean()
 
     def test_one_worker_session_starts_no_process_socket_or_segment(
-        self, monkeypatch
+        self, monkeypatch, shared_memory_made
     ):
-        """The lone worker is worker 0: the run never builds a
-        multiprocessing context or a stream spec, never makes a socket,
-        and matches the simulated runner."""
-
-        def refuse(what):
-            def refused(*args, **kwargs):
-                raise AssertionError(f"a one-worker session made {what}")
-
-            return refused
-
+        """The lone worker is worker 0: the run never builds a fork
+        context, a stream spec or a copy of the stream, never makes a
+        socket or a segment, and matches the simulated runner."""
         graph = _graph()
         sim = _partition("simulated", graph, n_workers=1)
-        monkeypatch.setattr(distributed, "mp_context", refuse("a process"))
-        monkeypatch.setattr(runners_module, "make_stream_spec", refuse("a segment"))
-        monkeypatch.setattr(socket, "socket", refuse("a socket"))
+        monkeypatch.setattr(multiprocessing, "get_context", _refuse("a process"))
+        monkeypatch.setattr(distributed, "make_stream_spec", _refuse("a spec"))
+        monkeypatch.setattr(distributed, "_forked_stream", _refuse("a copy"))
+        monkeypatch.setattr(socket, "socket", _refuse("a socket"))
         dist = _partition("process", graph, n_workers=1)
         _assert_same(dist, sim)
         assert dist.extras["wire"]["bytes_sent"] == 0
+        assert not shared_memory_made
+        _assert_clean()
+
+
+def _refuse(what):
+    """A stand-in that fails the test if a session makes ``what``."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError(f"the session made {what}")
+
+    return refused
+
+
+def _open_fds() -> int | None:
+    """File descriptors open in this process, where ``/proc`` shows."""
+    fds = "/proc/self/fd"
+    return len(os.listdir(fds)) if os.path.isdir(fds) else None
+
+
+class TestForkFailures:
+    """Loopback workers are forked: a fork that fails is a typed error,
+    and a host without ``fork`` refuses sessions that would fork one."""
+
+    @needs_fork
+    def test_failed_fork_is_a_typed_error(self, monkeypatch):
+        """``Process.start()`` raising (here the fork itself fails with
+        ``EAGAIN``, and no process starts) surfaces as one
+        PartitioningError naming the runner and the worker, with the
+        OSError as its cause; the listener and every socket are closed."""
+
+        def no_fork(process_obj):
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(
+            multiprocessing.context.ForkProcess, "_Popen", staticmethod(no_fork)
+        )
+        graph = _graph()
+        fds = _open_fds()
+        with pytest.raises(PartitioningError) as exc:
+            _partition("process", graph, n_workers=3)
+        assert str(exc.value) == (
+            "process could not start loopback worker 1: "
+            f"[Errno {errno.EAGAIN}] Resource temporarily unavailable"
+        )
+        assert isinstance(exc.value.__cause__, BlockingIOError)
+        assert _open_fds() == fds
+        _assert_clean()
+        assert not multiprocessing.active_children()
+
+    @pytest.fixture
+    def host_without_fork(self, monkeypatch):
+        """Make this host look like one without ``fork``: no ``fork``
+        among the start methods, and no fork context."""
+        methods = [m for m in multiprocessing.get_all_start_methods() if m != "fork"]
+        get_context = multiprocessing.get_context
+
+        def no_fork_context(method=None):
+            if method == "fork":
+                raise ValueError("cannot find context for 'fork'")
+            return get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork_context)
+
+    def test_host_without_fork_refuses_loopback_workers(
+        self, host_without_fork, monkeypatch
+    ):
+        """A two-worker session raises the ConfigurationError, pointing
+        to ``host:port`` workers, before any listener, socket or process
+        exists; a one-worker session, which forks nothing, still runs
+        and matches the simulated runner."""
+        graph = _graph()
+        sim = _partition("simulated", graph, n_workers=1)
+        monkeypatch.setattr(socket, "socket", _refuse("a socket"))
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess, "start", _refuse("a process")
+        )
+        with pytest.raises(ConfigurationError, match="cannot fork") as exc:
+            _partition("process", graph)
+        assert "host:port" in str(exc.value)
+        _assert_same(_partition("process", graph, n_workers=1), sim)
         _assert_clean()
 
 
@@ -1344,7 +1416,7 @@ class TestDeadLoopbackWorker:
 
         monkeypatch.setattr(distributed, "_loopback_worker_main", dead)
         start = time.monotonic()
-        runner = ProcessRunner(start_method="fork")
+        runner = ProcessRunner()
         with pytest.raises(PartitioningError, match="exited with code 3") as exc:
             _partition(runner, _graph())
         assert time.monotonic() - start < 2.0
@@ -1389,7 +1461,7 @@ class TestKernelDigestHandshake:
 
         monkeypatch.setattr(wire, "handshake_server", other_source)
         with pytest.raises(PartitioningError, match="kernel source") as exc:
-            _partition(ProcessRunner(start_method="fork"), _graph())
+            _partition(ProcessRunner(), _graph())
         assert "f" * 64 in str(exc.value)
         assert c_backend.source_digest() in str(exc.value)
         _assert_clean()

@@ -19,11 +19,9 @@ Four contracts are pinned here:
    bit-identical with the single-process ``SimulatedRunner`` under the
    same sync schedule, the ``SerialRunner`` is bit-exact with the
    sequential pipeline, and a crashed or hung worker never leaks a
-   shared-memory segment, socket or worker process (the parent unlinks
-   the one segment a session may own, the edge copy of a stream its
-   workers do not inherit, on both success and error paths, which also
-   unregisters it from the shared ``resource_tracker`` — so no "leaked
-   shared_memory objects" warnings can fire at interpreter shutdown).
+   socket or worker process.  No session constructs a shared-memory
+   segment: forked workers inherit the stream, or a private copy of it
+   read before the fork, or reopen its file.
 
 The parallel path must also honor the out-of-core promise: it never
 materializes the stream, and worker windows bound its memory.
@@ -43,7 +41,7 @@ from repro.core import ParallelTwoPhase, ProcessRunner, TwoPhasePartitioner
 from repro.core import distributed, wire
 from repro.core import runners as runners_module
 from repro.core.distributed import live_connections, live_worker_processes
-from repro.core.runners import ShardedJob, live_shared_segments, make_runner
+from repro.core.runners import ShardedJob, make_runner
 from repro.errors import ConfigurationError, PartitioningError
 from repro.graph import Graph
 from repro.graph.formats import write_binary_edge_list
@@ -53,6 +51,7 @@ from repro.partitioning.state import PartitionState
 from repro.streaming import FileEdgeStream, InMemoryEdgeStream
 from tests.differential import HOST_PORT, host_port_runner
 from tests.per_edge import PER_EDGE
+from tests.test_streams import OpaqueStream
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -91,28 +90,10 @@ def _graph_file(graph, tmp_path) -> FileEdgeStream:
     return FileEdgeStream(path, n_vertices=graph.n_vertices)
 
 
-@pytest.fixture
-def recording_segments(monkeypatch):
-    """``_LIVE_SEGMENTS`` stand-in that remembers every name it was given."""
-
-    class RecordingSet(set):
-        def __init__(self):
-            super().__init__()
-            self.ever = []
-
-        def add(self, name):
-            self.ever.append(name)
-            super().add(name)
-
-    recorder = RecordingSet()
-    monkeypatch.setattr(runners_module, "_LIVE_SEGMENTS", recorder)
-    return recorder
-
-
 class _CopiedStream(InMemoryEdgeStream):
     """An in-memory stream that forked workers do not inherit (only the
     exact type is: a subclass may override ``chunks()``), so a process
-    session copies it into its one shared segment."""
+    session reads it into one private copy, which they inherit."""
 
 
 def assert_bit_exact(reference, other):
@@ -296,7 +277,7 @@ class TestRunnerMatrix:
     @pytest.mark.parametrize("parallel_phase1", [False, True])
     def test_process_matches_simulated(
         self, source, backend, mode, parallel_phase1, graph_file,
-        community_graph,
+        community_graph, shared_memory_made,
     ):
         def run(runner):
             return ParallelTwoPhase(
@@ -324,7 +305,7 @@ class TestRunnerMatrix:
         assert process.extras["measured_wallclock"]
         if parallel_phase1:
             assert process.extras["phase1_syncs"] > 0
-        assert not live_shared_segments()
+        assert not shared_memory_made
 
     @pytest.mark.parametrize("source", ["memory", "file"])
     @pytest.mark.parametrize("mode", ["linear", "hdrf"])
@@ -396,8 +377,6 @@ class TestRunnerMatrix:
 
     def test_bad_process_options_rejected(self):
         with pytest.raises(ConfigurationError):
-            ProcessRunner(start_method="no-such-method")
-        with pytest.raises(ConfigurationError):
             ProcessRunner(task_timeout=0.0)
 
 
@@ -452,14 +431,15 @@ class _SleepingBackend(PythonBackend):
 
 @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
 class TestCrashedWorkerCleanup:
-    """No shared-memory segment may outlive a failed process session.
+    """No socket or worker process may outlive a failed process session,
+    and no session constructs a shared-memory segment.
 
-    The parent owns the one segment of a session (the shipped edge
-    array of a stream its workers do not inherit, here a
-    :class:`_CopiedStream`) and unlinks it in the session's idempotent
-    ``close()``, which also unregisters it from the resource tracker
-    shared with the worker processes — verified here by recording every
-    created segment name and proving it is unlinked after the crash.
+    The sessions here mostly run over a :class:`_CopiedStream`, which
+    the parent reads into one private copy before the fork; its forked
+    workers inherit the copy.  The session's idempotent ``close()``
+    closes every socket and reaps every worker on the error path —
+    verified here by the leak-check hooks — and every
+    ``SharedMemory`` construction is recorded: there is none.
     """
 
     def _register(self, backend_cls):
@@ -478,28 +458,22 @@ class TestCrashedWorkerCleanup:
     def sleeping_backend(self):
         yield from self._register(_SleepingBackend)
 
-    def test_worker_exception_propagates_and_unlinks(
-        self, community_graph, recording_segments, exploding_backend
+    def test_worker_exception_propagates_and_cleans_up(
+        self, community_graph, shared_memory_made, exploding_backend
     ):
         partitioner = ParallelTwoPhase(
             n_workers=2,
             sync_interval=32,
             backend="exploding",
             runner="process",
-            start_method="fork",
         )
         with pytest.raises(PartitioningError, match="exploded"):
             partitioner.partition(_CopiedStream(community_graph), 4)
-        assert recording_segments.ever, "session created no segments?"
-        assert not recording_segments, "segments left registered"
-        from multiprocessing import shared_memory
-
-        for name in recording_segments.ever:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name, create=False)
+        assert not shared_memory_made
+        assert not live_connections() and not live_worker_processes()
 
     def test_failed_worker_init_surfaces_cause_fast(
-        self, community_graph, recording_segments, monkeypatch
+        self, community_graph, shared_memory_made, monkeypatch
     ):
         """A worker that cannot set up its job (here: its edges are
         gone) must not leave the parent waiting out the task timeout:
@@ -514,15 +488,13 @@ class TestCrashedWorkerCleanup:
             n_workers=2,
             sync_interval=32,
             runner="process",
-            start_method="fork",
             task_timeout=30.0,
         )
         began = time.monotonic()
         with pytest.raises(PartitioningError, match="FileNotFoundError: edges gone"):
             partitioner.partition(_CopiedStream(community_graph), 4)
         assert time.monotonic() - began < 10.0
-        assert recording_segments.ever, "session created no segment?"
-        assert not recording_segments, "segment left registered"
+        assert not shared_memory_made
         assert not live_connections() and not live_worker_processes()
 
     def test_failed_host_port_worker_init_surfaces_cause_fast(
@@ -558,31 +530,24 @@ class TestCrashedWorkerCleanup:
 
     @pytest.mark.parametrize("runner", ["simulated", "process"])
     def test_worker_death_mid_phase1_raises_typed_error(
-        self, runner, community_graph, recording_segments,
+        self, runner, community_graph, shared_memory_made,
         exploding_clustering_backend,
     ):
-        """ISSUE 4 satellite: a worker dying mid-Phase-1 surfaces as the
-        same typed PartitioningError from the simulated and the process
-        runner — never a bare transport/kernel exception — and the process
-        session unlinks every shared segment it created."""
+        """A worker dying mid-Phase-1 surfaces as the same typed
+        PartitioningError from the simulated and the process runner —
+        never a bare transport/kernel exception — and the process
+        session leaves no socket or worker behind."""
         partitioner = ParallelTwoPhase(
             n_workers=2,
             sync_interval=32,
             backend="exploding-phase1",
             runner=runner,
-            start_method="fork",
             parallel_phase1=True,
         )
         with pytest.raises(PartitioningError, match="phase-1 worker"):
             partitioner.partition(_CopiedStream(community_graph), 4)
-        if runner == "process":
-            assert recording_segments.ever, "session created no segments?"
-            assert not recording_segments, "segments left registered"
-            from multiprocessing import shared_memory
-
-            for name in recording_segments.ever:
-                with pytest.raises(FileNotFoundError):
-                    shared_memory.SharedMemory(name=name, create=False)
+        assert not shared_memory_made
+        assert not live_connections() and not live_worker_processes()
 
     @pytest.fixture
     def exploding_windows(self):
@@ -622,7 +587,7 @@ class TestCrashedWorkerCleanup:
     )
     def test_failed_window_is_one_typed_error(
         self, runner, n_workers, backend, parallel_phase1, message,
-        community_graph, recording_segments, exploding_windows, tmp_path,
+        community_graph, shared_memory_made, exploding_windows, tmp_path,
     ):
         """A kernel exception in a worker window surfaces as the same
         PartitioningError — naming the phase, the worker, the step and
@@ -640,13 +605,12 @@ class TestCrashedWorkerCleanup:
                 sync_interval=32,
                 backend=backend,
                 runner=runner,
-                start_method="fork",
                 parallel_phase1=parallel_phase1,
             )
             with pytest.raises(PartitioningError) as excinfo:
                 partitioner.partition(stream, 4)
         assert str(excinfo.value) == message
-        assert not recording_segments
+        assert not shared_memory_made
         assert not live_connections() and not live_worker_processes()
 
     def test_serial_runner_raises_the_kernel_error(
@@ -660,8 +624,8 @@ class TestCrashedWorkerCleanup:
             with pytest.raises(RuntimeError, match="remaining kernel"):
                 partitioner.partition(community_graph, 4)
 
-    def test_hung_worker_mid_phase1_times_out_and_unlinks(
-        self, community_graph, recording_segments,
+    def test_hung_worker_mid_phase1_times_out_and_cleans_up(
+        self, community_graph, shared_memory_made,
         sleeping_clustering_backend,
     ):
         partitioner = ParallelTwoPhase(
@@ -669,7 +633,6 @@ class TestCrashedWorkerCleanup:
             sync_interval=32,
             backend="sleeping-phase1",
             runner="process",
-            start_method="fork",
             task_timeout=0.5,
             parallel_phase1=True,
         )
@@ -679,22 +642,17 @@ class TestCrashedWorkerCleanup:
         # The kernel sleeps 60 s: teardown terminates the stalled
         # workers instead of awaiting them.
         assert time.monotonic() - began < 10.0
-        assert not recording_segments
-        from multiprocessing import shared_memory
+        assert not shared_memory_made
+        assert not live_connections() and not live_worker_processes()
 
-        for name in recording_segments.ever:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name, create=False)
-
-    def test_hung_worker_times_out_and_unlinks(
-        self, community_graph, recording_segments, sleeping_backend
+    def test_hung_worker_times_out_and_cleans_up(
+        self, community_graph, shared_memory_made, sleeping_backend
     ):
         partitioner = ParallelTwoPhase(
             n_workers=2,
             sync_interval=32,
             backend="sleeping",
             runner="process",
-            start_method="fork",
             task_timeout=0.5,
         )
         began = time.monotonic()
@@ -703,12 +661,8 @@ class TestCrashedWorkerCleanup:
         # The kernel sleeps 60 s: teardown terminates the stalled
         # workers instead of awaiting them.
         assert time.monotonic() - began < 10.0
-        assert not recording_segments
-        from multiprocessing import shared_memory
-
-        for name in recording_segments.ever:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name, create=False)
+        assert not shared_memory_made
+        assert not live_connections() and not live_worker_processes()
 
 
 @needs_fork
@@ -719,7 +673,7 @@ class TestEverySessionCloses:
     after the runner's opened."""
 
     @pytest.fixture
-    def sessions(self, monkeypatch):
+    def sessions(self, monkeypatch, shared_memory_made):
         opened, closed = [], []
         session_cls = runners_module.RunnerSession
         init, close = session_cls.__init__, session_cls.close
@@ -734,7 +688,7 @@ class TestEverySessionCloses:
 
         monkeypatch.setattr(session_cls, "__init__", spying_init)
         monkeypatch.setattr(session_cls, "close", spying_close)
-        return opened, closed
+        return opened, closed, shared_memory_made
 
     @pytest.fixture
     def exploding_remaining(self):
@@ -746,10 +700,10 @@ class TestEverySessionCloses:
         kernels_pkg._INSTANCES.pop(_ExplodingRemainingBackend.name, None)
 
     @staticmethod
-    def _assert_all_closed(opened, closed, n_sessions):
+    def _assert_all_closed(opened, closed, made, n_sessions):
         assert len(opened) == n_sessions
         assert {id(s) for s in opened} <= {id(s) for s in closed}
-        assert not live_shared_segments()
+        assert not made
         assert not live_connections() and not live_worker_processes()
 
     @pytest.mark.parametrize("runner", ["serial", "simulated", "process"])
@@ -796,7 +750,9 @@ class TestEverySessionCloses:
 
 @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
 @pytest.mark.parametrize("runner", ["serial", "simulated", "process"])
-def test_unknown_pass_is_a_configuration_error(runner, community_graph):
+def test_unknown_pass_is_a_configuration_error(
+    runner, community_graph, shared_memory_made
+):
     """The driver validates the pass name once, for every runner."""
     job = ShardedJob(
         stream=InMemoryEdgeStream(community_graph),
@@ -815,101 +771,102 @@ def test_unknown_pass_is_a_configuration_error(runner, community_graph):
             session.run_pass("bogus")
     finally:
         session.close()
-    assert not live_shared_segments()
+    assert not shared_memory_made
     assert not live_connections() and not live_worker_processes()
 
 
 @needs_fork
 class TestProcessSession:
-    """A process session runs worker 0 in this process and the others
-    as loopback socket workers.  Forked workers inherit an in-memory
-    stream, so the session creates no segment; under ``spawn`` its one
-    shared segment is the edge copy.  ``close()`` leaves no segment,
-    socket or worker process."""
+    """A process session runs worker 0 in this process and forks the
+    others as loopback socket workers, which inherit the stream: an
+    in-memory stream as is, any other stream but a file as one private
+    copy.  No session constructs a shared-memory segment, and
+    ``close()`` leaves no socket or worker process."""
 
     @pytest.mark.parametrize("n_workers", [2, 4])
     def test_fork_session_over_in_memory_stream_creates_no_segment(
-        self, n_workers, community_graph, recording_segments, monkeypatch
+        self, n_workers, community_graph, shared_memory_made, monkeypatch
     ):
         """Parallel Phase 1 over an in-memory stream, whatever the worker
         count: the forked workers read the parent's array in place, so
-        the session never builds a stream spec and creates no segment."""
+        the session builds no stream spec and no copy."""
+        handed = []
+        forked_stream = distributed._forked_stream
 
         def no_spec(stream):
             raise AssertionError("a fork session built a stream spec")
 
-        monkeypatch.setattr(runners_module, "make_stream_spec", no_spec)
+        def spying(stream):
+            handed.append(forked_stream(stream) is stream)
+            return stream
+
+        monkeypatch.setattr(distributed, "make_stream_spec", no_spec)
+        monkeypatch.setattr(distributed, "_forked_stream", spying)
         runs = {
             runner: ParallelTwoPhase(
                 n_workers=n_workers,
                 sync_interval=64,
                 runner=runner,
                 parallel_phase1=True,
-                start_method="fork",
             ).partition(InMemoryEdgeStream(community_graph), 4)
             for runner in ("simulated", "process")
         }
         assert_bit_exact(runs["simulated"], runs["process"])
-        assert recording_segments.ever == []
+        assert handed == [True]
+        assert not shared_memory_made
         assert not live_connections() and not live_worker_processes()
 
-    def test_fork_session_reads_an_overridden_chunks_into_the_segment(
-        self, community_graph, recording_segments
+    @pytest.mark.parametrize("n_workers", [2, 3])
+    @pytest.mark.parametrize("kind", ["replaced-chunks", "subclass", "chunks-only"])
+    def test_other_streams_are_read_once_into_a_private_copy(
+        self, kind, n_workers, community_graph, shared_memory_made, monkeypatch
     ):
-        """A ``chunks`` replaced on the instance (as a tracer does) may
-        yield other edges than the array: the session reads the edges
-        through it into its one segment instead of letting the workers
-        inherit the array."""
-        stream = InMemoryEdgeStream(community_graph)
-        calls = []
-        own_chunks = stream.chunks
+        """A ``chunks`` replaced on the instance (as a tracer does), a
+        subclass (:class:`_CopiedStream`) and a stream with only
+        ``chunks()`` (:class:`~tests.test_streams.OpaqueStream`) may
+        yield other edges than an array: the session reads each once
+        through its ``chunks()`` into one private copy, which the forked
+        workers inherit, and the run is bit-exact with the simulated
+        runner."""
+        calls, copies = [], []
+        if kind == "replaced-chunks":
+            stream = InMemoryEdgeStream(community_graph)
+            own_chunks = stream.chunks
 
-        def chunks(chunk_size=None):
-            calls.append(chunk_size)
-            return own_chunks(chunk_size)
+            def chunks(chunk_size=None):
+                calls.append(chunk_size)
+                return own_chunks(chunk_size)
 
-        stream.chunks = chunks
-        runs = {
-            runner: ParallelTwoPhase(
-                n_workers=2,
-                sync_interval=64,
-                runner=runner,
-                parallel_phase1=True,
-                start_method="fork",
-            ).partition(source, 4)
-            for runner, source in (("simulated", community_graph), ("process", stream))
-        }
-        assert_bit_exact(runs["simulated"], runs["process"])
-        assert len(calls) == 1 and len(recording_segments.ever) == 1
-        assert not recording_segments, "segment left registered"
+            stream.chunks = chunks
+        elif kind == "subclass":
+            stream = _CopiedStream(community_graph)
+        else:
+            stream = OpaqueStream(community_graph)
+        forked_stream = distributed._forked_stream
 
-    @pytest.mark.parametrize("n_workers", [2, 4])
-    def test_spawn_session_over_in_memory_stream_is_the_one_segment(
-        self, n_workers, community_graph, recording_segments
-    ):
-        """Spawned workers inherit nothing: one segment carries the
-        edges, unlinked when the run ends, and the run is bit-exact with
-        the simulated runner."""
-        from multiprocessing import shared_memory
+        def spying(source):
+            copy = forked_stream(source)
+            copies.append(type(copy) is InMemoryEdgeStream and copy is not source)
+            return copy
 
+        monkeypatch.setattr(distributed, "_forked_stream", spying)
         runs = {
             runner: ParallelTwoPhase(
                 n_workers=n_workers,
                 sync_interval=64,
                 runner=runner,
                 parallel_phase1=True,
-                start_method="spawn" if runner == "process" else None,
-            ).partition(community_graph, 4)
-            for runner in ("simulated", "process")
+            ).partition(source, 4)
+            for runner, source in (("simulated", community_graph), ("process", stream))
         }
         assert_bit_exact(runs["simulated"], runs["process"])
-        assert len(recording_segments.ever) == 1
-        assert not recording_segments, "segment left registered"
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=recording_segments.ever[0], create=False)
+        assert copies == [True]
+        if kind == "replaced-chunks":
+            assert len(calls) == 1
+        assert not shared_memory_made
         assert not live_connections() and not live_worker_processes()
 
-    def test_close_is_idempotent(self, community_graph):
+    def test_close_is_idempotent(self, community_graph, shared_memory_made):
         m = community_graph.n_edges
         n = community_graph.n_vertices
         job = ShardedJob(
@@ -930,13 +887,14 @@ class TestProcessSession:
         session = make_runner("process").open(job)
         try:
             session.bind_phase2()
-            assert len(live_shared_segments()) == 1
-            # Worker 0 runs in this process: one socket, one process.
+            # Worker 0 runs in this process: one socket, one process, and
+            # the copy of the stream it inherited is no segment.
             assert len(live_connections()) == len(live_worker_processes()) == 1
+            assert not shared_memory_made
         finally:
             session.close()
         session.close()
-        assert not live_shared_segments()
+        assert not shared_memory_made
         assert not live_connections() and not live_worker_processes()
         assert not multiprocessing.active_children()
 
@@ -961,7 +919,9 @@ class TestProcessSession:
 @LAYOUTS
 @pytest.mark.parametrize("n_workers", [1, 2, 3])
 @pytest.mark.parametrize("parallel_phase1", [False, True])
-def test_state_bytes_agree_across_runners(packed, n_workers, parallel_phase1):
+def test_state_bytes_agree_across_runners(
+    packed, n_workers, parallel_phase1, shared_memory_made
+):
     """Every runner reports the worker views' own bytes, the cells its
     barriers' logs wrote against full re-broadcasts, and the passes its
     workers streamed over the job's stream.  Worker 0's view is the
@@ -998,7 +958,7 @@ def test_state_bytes_agree_across_runners(packed, n_workers, parallel_phase1):
         sequential = TwoPhasePartitioner(packed_state=packed).partition(graph, 32)
         assert sequential.state_bytes == (29_240 if packed else 43_604)
         assert reports["simulated"][:3] == (sequential.state_bytes, 0, 0)
-    assert not live_shared_segments()
+    assert not shared_memory_made
 
 
 _EXPORTS_OUTLIVE_CLOSE = """
@@ -1007,7 +967,7 @@ import zlib
 import numpy as np
 
 from repro.core import ParallelTwoPhase
-from repro.core.runners import live_shared_segments
+from repro.core.distributed import live_connections, live_worker_processes
 from repro.errors import PartitioningError
 from repro.graph import Graph
 from repro.kernels import get_backend
@@ -1028,11 +988,13 @@ graph = Graph(rng.integers(0, 400, size=(3000, 2)), 400)
 try:
     ParallelTwoPhase(
         n_workers=2, sync_interval=256, runner="process",
-        parallel_phase1=True, backend="python", start_method="fork",
+        parallel_phase1=True, backend="python",
     ).partition(graph, 4)
 except PartitioningError as exc:
     tb = exc.__traceback__
-assert not live_shared_segments(), "the session did not close"
+assert not live_connections() and not live_worker_processes(), (
+    "the session did not close"
+)
 
 
 def arrays(value, depth=0):
@@ -1061,7 +1023,8 @@ def test_clustering_exports_outlive_the_session():
     """When the clustering merge raises, the exports its traceback holds
     must still read as they did, after the session has closed and
     released everything it held.  Run in a child: an export that viewed
-    memory the session unmapped would crash the interpreter reading it."""
+    memory the session released (a frame buffer, say) could crash the
+    interpreter reading it."""
     import os
     import subprocess
     import sys
@@ -1079,52 +1042,6 @@ def test_clustering_exports_outlive_the_session():
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "exports intact" in proc.stdout
-
-
-class TestStartMethodContext:
-    """A start method that re-runs ``__main__`` in its children is
-    refused when ``__main__`` names a path that is no file (a script on
-    standard input), before any segment, socket or process
-    exists; nothing is started to find out."""
-
-    @pytest.fixture
-    def main_from_stdin(self, monkeypatch):
-        import sys
-        import types
-
-        main = types.ModuleType("__main__")
-        main.__file__ = "<stdin>"
-        main.__spec__ = None
-        monkeypatch.setitem(sys.modules, "__main__", main)
-
-    def test_spawn_from_stdin_is_a_configuration_error(
-        self, main_from_stdin, community_graph, monkeypatch
-    ):
-        started = []
-        monkeypatch.setattr(
-            multiprocessing.context.SpawnProcess,
-            "_Popen",
-            staticmethod(lambda proc: started.append(proc)),
-        )
-        partitioner = ParallelTwoPhase(
-            n_workers=2, sync_interval=64, runner="process", start_method="spawn"
-        )
-        with pytest.raises(ConfigurationError, match="'<stdin>'"):
-            partitioner.partition(community_graph, 4)
-        assert not started
-        assert not live_shared_segments()
-        assert not live_connections() and not live_worker_processes()
-
-    def test_fork_and_a_module_main_pass(self, main_from_stdin):
-        """``fork`` never re-runs ``__main__``, and one that names a
-        module (``python -m``) re-runs from that name."""
-        import sys
-        import types
-
-        if HAS_FORK:
-            assert runners_module.mp_context("fork").get_start_method() == "fork"
-        sys.modules["__main__"].__spec__ = types.SimpleNamespace(name="a.module")
-        assert runners_module.mp_context("spawn").get_start_method() == "spawn"
 
 
 class TestOutOfCore:
@@ -1147,7 +1064,7 @@ class TestOutOfCore:
         assert result.assignments.min() >= 0
 
     def test_process_runner_never_materializes(
-        self, tmp_path, community_graph, monkeypatch
+        self, tmp_path, community_graph, monkeypatch, shared_memory_made
     ):
         """File streams reopen from a picklable spec in every worker, so
         the true multi-process path stays out-of-core too."""
@@ -1163,7 +1080,8 @@ class TestOutOfCore:
             n_workers=2, sync_interval=32, runner="process"
         ).partition(stream, 8)
         assert result.assignments.min() >= 0
-        assert not live_shared_segments()
+        assert not shared_memory_made
+        assert not live_connections() and not live_worker_processes()
 
     def test_window_chunks_bound_memory(self, tmp_path, community_graph):
         """No window chunk may exceed the configured chunk size, so the

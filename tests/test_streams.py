@@ -10,8 +10,35 @@ from repro.graph.formats import write_binary_edge_list
 from repro.graph.generators import rmat_graph
 from repro.storage import ssd_device
 from repro.streaming import FileEdgeStream, InMemoryEdgeStream
-from repro.streaming.stream import EdgeStream, as_stream, make_stream_spec
+from repro.streaming.stream import (
+    EdgeStream,
+    as_stream,
+    make_stream_spec,
+    spec_from_wire,
+    spec_to_wire,
+)
 from tests.conftest import ALL_PARTITIONER_FACTORIES
+
+
+class OpaqueStream(EdgeStream):
+    """No random access: only the ``chunks()`` protocol, over ``graph``'s
+    edges."""
+
+    def __init__(self, graph) -> None:
+        super().__init__()
+        self._graph = graph
+
+    @property
+    def n_edges(self):
+        return self._graph.n_edges
+
+    @property
+    def n_vertices(self):
+        return self._graph.n_vertices
+
+    def chunks(self, chunk_size=None):
+        size = self._resolve_chunk_size(chunk_size)
+        yield from InMemoryEdgeStream(self._graph).chunks(size)
 
 
 class TestInMemoryStream:
@@ -192,8 +219,7 @@ class TestPrefetchStream:
         import pickle
 
         stream = FileEdgeStream(graph_file, prefetch=True)
-        spec, segment = make_stream_spec(stream)
-        assert segment is None
+        spec = make_stream_spec(stream)
         reopened = pickle.loads(pickle.dumps(spec)).open()
         assert reopened.prefetch is True
         assert np.array_equal(
@@ -356,8 +382,7 @@ class TestStreamSpecs:
 
         stream = FileEdgeStream(graph_file, n_vertices=powerlaw_graph.n_vertices)
         stream.default_chunk_size = 33
-        spec, segment = make_stream_spec(stream)
-        assert segment is None  # file-backed: nothing to own
+        spec = make_stream_spec(stream)
         reopened = pickle.loads(pickle.dumps(spec)).open()
         assert isinstance(reopened, FileEdgeStream)
         assert reopened.default_chunk_size == 33
@@ -365,51 +390,40 @@ class TestStreamSpecs:
         assert np.array_equal(
             np.concatenate(list(reopened.chunks())), powerlaw_graph.edges
         )
+        # The spec crosses the wire as tagged plain fields.
+        assert spec_from_wire(spec_to_wire(spec)) == spec
 
-    def test_in_memory_spec_ships_array_via_shared_memory(self, powerlaw_graph):
-        import pickle
-
-        stream = InMemoryEdgeStream(powerlaw_graph)
-        spec, segment = make_stream_spec(stream)
-        try:
-            assert segment is not None
-            reopened = pickle.loads(pickle.dumps(spec)).open()
-            assert np.array_equal(
-                np.concatenate(list(reopened.chunks())), powerlaw_graph.edges
-            )
-            # windows work against the shared mapping too
-            window = np.concatenate(list(reopened.window(5, 105)))
-            assert np.array_equal(window, powerlaw_graph.edges[5:105])
-            del reopened  # drop the attachment before the owner unlinks
-        finally:
-            segment.close()
-            segment.unlink()
+    def test_only_a_file_has_a_spec(self, powerlaw_graph):
+        """Only a file reopens in another process: forked workers
+        inherit any other stream, and nothing else has a wire kind."""
+        for stream in (
+            InMemoryEdgeStream(powerlaw_graph),
+            OpaqueStream(powerlaw_graph),
+        ):
+            with pytest.raises(StreamError, match="no stream spec"):
+                make_stream_spec(stream)
+        fields = {"kind": "shared-array", "n_edges": 3, "chunk_size": 8}
+        with pytest.raises(StreamError, match="unknown stream-spec kind"):
+            spec_from_wire(fields)
 
     def test_generic_stream_is_snapshotted(self, powerlaw_graph):
-        class OpaqueStream(EdgeStream):
-            """No random access: only the chunks() protocol."""
+        """A stream without random access reaches forked workers as one
+        private in-memory copy, read once through its ``chunks()``, with
+        its vertex count and chunk size."""
+        from repro.core.distributed import _forked_stream
 
-            @property
-            def n_edges(self):
-                return powerlaw_graph.n_edges
-
-            @property
-            def n_vertices(self):
-                return powerlaw_graph.n_vertices
-
-            def chunks(self, chunk_size=None):
-                yield from InMemoryEdgeStream(powerlaw_graph).chunks(chunk_size)
-
-        spec, segment = make_stream_spec(OpaqueStream())
-        try:
-            reopened = spec.open()
-            assert np.array_equal(
-                np.concatenate(list(reopened.chunks())), powerlaw_graph.edges
-            )
-            del reopened
-        finally:
-            segment.close()
-            segment.unlink()
+        stream = OpaqueStream(powerlaw_graph)
+        stream.default_chunk_size = 33
+        copy = _forked_stream(stream)
+        assert type(copy) is InMemoryEdgeStream
+        assert copy.n_vertices == powerlaw_graph.n_vertices
+        assert copy.default_chunk_size == 33
+        assert np.array_equal(
+            np.concatenate(list(copy.chunks())), powerlaw_graph.edges
+        )
+        assert np.array_equal(
+            np.concatenate(list(copy.window(5, 105))), powerlaw_graph.edges[5:105]
+        )
 
 
 class TestChunkSizeArgument:
