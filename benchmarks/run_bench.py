@@ -158,10 +158,8 @@ from repro.core.distributed import (
     take_news,
 )
 from repro.core.runners import merge_sizes
-from repro.core.wire import log_cell_dtype
 from repro.graph.generators import rmat_edge_file, rmat_graph
 from repro.kernels import DEFAULT_BACKEND, available_backends, get_backend
-from repro.kernels.base import log_cells
 from repro.partitioning.state import PartitionState, _replica_plane
 from repro.streaming import FileEdgeStream, InMemoryEdgeStream
 
@@ -538,9 +536,8 @@ def barrier_fixture(n: int, k: int, packed: bool, seed: int):
     Both views start from the same random replica bits; each then sets
     one bit in a random share of the rows, chosen so that
     :data:`BARRIER_DIRTY_SHARE` of the rows get a bit from some view,
-    and logs each one that was clear in it, in the wire cells its window
-    reply carries.  Returns the views, those logs, and each log as int64
-    cells, as the coordinator's check of a reply leaves it.
+    and logs each one that was clear in it, as the int64 cells its
+    window reply carries.  Returns the views and those logs.
     """
     rng = np.random.default_rng(seed)
     rows, cols = np.nonzero(rng.random((n, k)) < 0.05)
@@ -555,8 +552,8 @@ def barrier_fixture(n: int, k: int, packed: bool, seed: int):
         view.replicas[touched, ps] = True
         cells = touched[fresh] * k + ps[fresh]
         views.append(view)
-        logs.append(cells.astype(log_cell_dtype(n, k)))
-    return views, logs, [log_cells([log], log.dtype) for log in logs]
+        logs.append(cells.astype(np.int64))
+    return views, logs
 
 
 def barrier_run(backend: str, fixture):
@@ -564,8 +561,8 @@ def barrier_run(backend: str, fixture):
     barriers, each the transport's own on a fresh
     ``barrier_fixture(*fixture)``: the sizes merge
     (:func:`~repro.core.runners.merge_sizes`), the global state, worker
-    0's view, takes worker 1's checked log, and worker 1's view takes its
-    news, worker 0's wire cells, each with
+    0's view, takes worker 1's log, and worker 1's view takes its news,
+    worker 0's log, each with
     :func:`~repro.core.distributed.take_news`, all timed together as
     ``merge``; its result is the last barrier's cell count and both
     views' replica planes after it."""
@@ -574,13 +571,12 @@ def barrier_run(backend: str, fixture):
     def run():
         seconds = 0.0
         for _ in range(BARRIER_MERGES):
-            views, logs, checked = barrier_fixture(*fixture)
+            views, logs = barrier_fixture(*fixture)
             base = np.zeros_like(views[0].sizes)
             start = time.perf_counter()
             sizes = merge_sizes(base, [view.sizes for view in views])
-            take_news(kernels, views[0], {"log": checked[1], "sizes": sizes}, np.int64)
-            news = {"log": logs[0], "sizes": sizes}
-            take_news(kernels, views[1], news, logs[0].dtype)
+            take_news(kernels, views[0], {"log": logs[1], "sizes": sizes})
+            take_news(kernels, views[1], {"log": logs[0], "sizes": sizes})
             seconds += time.perf_counter() - start
         planes = [_replica_plane(view.replicas)[0].tobytes() for view in views]
         return (sum(len(log) for log in logs), *planes), {"merge": seconds}
@@ -868,7 +864,7 @@ def run_parallel_wallclock(
     set-bit logs write strictly fewer replica cells than a full
     re-broadcast, and the process runner's barriers, on dense state and
     on bit-packed state, ship strictly fewer replica-plane bytes to its
-    socket workers (each worker's 4-byte cells of the other workers'
+    socket workers (each worker's cells of the other workers'
     logs, or the merged plane where that is fewer bytes) than a
     full-state re-broadcast of the plane and the sizes (the recorded
     ``barrier_delta_bytes`` also counts the sizes), and the coordinator

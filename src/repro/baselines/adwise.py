@@ -29,6 +29,7 @@ import numpy as np
 from repro.core.scoring import HDRF_EPSILON
 from repro.errors import ConfigurationError
 from repro.kernels.base import check_vertex_ids
+from repro.kernels.python_backend import PythonBackend
 from repro.metrics.memory import measured_state_bytes
 from repro.metrics.runtime import CostCounter, PhaseTimer
 from repro.partitioning.base import EdgePartitioner, PartitionResult
@@ -85,21 +86,19 @@ class Adwise(EdgePartitioner):
         replicas = state.replicas
         sizes = np.zeros(k, dtype=np.float64)
         capacity = state.capacity
+        hdrf_scores, lam = PythonBackend.hdrf_scores, self.lam
         partial_deg = [0] * n
         buffer_deg = [0] * n
 
         def score_edge(u: int, v: int) -> tuple[float, int]:
-            """Best (score, partition) for one buffered edge."""
+            """Best (score, partition) for one buffered edge: the HDRF
+            reference's winner, plus the look-ahead bonus."""
             du = partial_deg[u] + 1
             dv = partial_deg[v] + 1
             theta_u = du / (du + dv)
-            scores = replicas[u] * (2.0 - theta_u) + replicas[v] * (1.0 + theta_u)
-            maxs = sizes.max()
-            mins = sizes.min()
-            scores = scores + self.lam * (maxs - sizes) / (
-                HDRF_EPSILON + maxs - mins
+            scores = hdrf_scores(
+                replicas[u], replicas[v], theta_u, sizes, capacity, lam, HDRF_EPSILON
             )
-            scores[sizes >= capacity] = -np.inf
             p = int(np.argmax(scores))
             bonus = self.lookahead_weight * (buffer_deg[u] + buffer_deg[v])
             return float(scores[p]) + bonus, p

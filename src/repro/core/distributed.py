@@ -27,43 +27,42 @@ compute theirs.
 Why every runner is bit-exact with the simulated one is stated with the
 equivalence contract in :mod:`repro.core.runners`.
 Worker 0 in the coordinator holds the job's own Phase-2 arrays: its view
-is ``job.state`` and its shard is ``job.assignments[lo:hi]``.  A Phase-2
+is ``job.state`` and its shard is ``job.assignments[lo:hi]``.  Handlers
+and the coordinator pass the kernels' own arrays, and the wire alone
+decides how wide they travel (:mod:`repro.core.wire`).  A Phase-2
 window returns its total, its cost delta, the worker's sizes and its
 set-bit log (every replica bit the window set that was clear in the
-worker's view; see :class:`~repro.kernels.base.ReplicaLog`), its cells 4
-bytes wide while the plane's ``n * k`` cells fit
-(:func:`~repro.core.wire.log_cell_dtype`).  The coordinator checks each
-log's type and length against its window.  At the barrier ``job.state``
-takes the cells of every worker but worker 0, whose bits are set there
-already, with :func:`take_news` (the kernel op ``apply_replica_log``,
-which checks every entry before it writes), and the sizes of the
-previous barrier take every worker's delta
+worker's view; see :class:`~repro.kernels.base.ReplicaLog`).  The
+coordinator checks each log's type and length against its window.  At
+the barrier ``job.state`` takes the cells of every worker but worker 0,
+whose bits are set there already, with :func:`take_news` (the kernel op
+``apply_replica_log``, which checks every entry before it writes), and
+the sizes of the previous barrier take every worker's delta
 (:func:`~repro.core.runners.merge_sizes`).  A ``host:port`` session's
 coordinator keeps a plane of its own, ``job.state``, which takes every
 worker's cells.  The barrier sends nothing: each other worker's news —
 the merged sizes and the cells the *other* workers logged since its last
-window, or the merged plane where that is fewer bytes, so no news ships
-more than a full re-broadcast — rides on its next window request, and
-the worker takes it with :func:`take_news` before the kernel runs.  The
-run's last barrier ships nothing.  A lone worker 0 in the coordinator
-keeps no log, and its barriers do nothing.  Every other worker writes
-its windows' assignments into one array for its shard, which ``BIND``
-names, and :meth:`~repro.core.runners.RunnerSession.finalize` collects
-each such shard once, in :func:`~repro.core.wire.assignment_cell_dtype`
-cells, checking every shard's type, length and ids before it writes the
-job's array.
+window, or the merged plane where that is fewer bytes on the wire, so no
+news ships more than a full re-broadcast — rides on its next window
+request, and the worker takes it with :func:`take_news` before the
+kernel runs.  The run's last barrier ships nothing.  A lone worker 0 in
+the coordinator keeps no log, and its barriers do nothing.  Every other
+worker writes its windows' assignments into one array for its shard,
+which ``BIND`` names, and
+:meth:`~repro.core.runners.RunnerSession.finalize` collects each such
+shard once, checking every shard's type, length and ids before it
+writes the job's array.
 Phase 1 ships moves, not clusterings.  Each worker keeps one clustering
 state (:class:`~repro.core.runners.ClusteringWorker`) from
 ``PHASE1_INIT`` to the end of Phase 1.  A clustering window returns its
-cost and its moves: the ``(vertex, id)`` pairs whose id the window
-changed, as :func:`~repro.core.wire.move_cell_dtype` cells (4 bytes
-while ``n_workers * |V|`` fits), and the count of clusters it opened.
-The coordinator checks their form and count against the window and
-folds them with ``merge_phase1_clustering``, which checks every pair
-before it writes; each worker's refresh (the other workers' accepted
-moves, its fresh-id offset and the merged id count) rides on its next
-clustering request, so a barrier adds no round trip.  A lone worker
-exports nothing and drains its state at ``CLUSTER_FINISH``.
+cost and its moves: the ``(vertex, id)`` rows whose id the window
+changed, and the count of clusters it opened.  The coordinator checks
+their form and count against the window and folds them with
+``merge_phase1_clustering``, which checks every row before it writes;
+each worker's refresh (the other workers' accepted moves, its fresh-id
+offset and the merged id count) rides on its next clustering request,
+so a barrier adds no round trip.  A lone worker exports nothing and
+drains its state at ``CLUSTER_FINISH``.
 
 Failure surface
 ---------------
@@ -114,7 +113,7 @@ from repro.core.runners import (
 )
 from repro.errors import ConfigurationError, PartitioningError, WireError
 from repro.kernels import get_backend
-from repro.kernels.base import ReplicaLog, log_cells
+from repro.kernels.base import ReplicaLog, check_export, log_cells
 from repro.partitioning.state import PartitionState, _replica_plane
 from repro.streaming.stream import (
     FileEdgeStream,
@@ -192,23 +191,16 @@ def _w_degree(ctx, payload):
     window = _window_stream(
         ctx["stream"], int(payload["start"]), int(payload["stop"])
     )
-    degrees = ctx["kernels"].degree_pass(window)
-    return wire.MSG_DEGREE_RESULT, {
-        "degrees": np.asarray(degrees, dtype=np.int64)
-    }
+    return wire.MSG_DEGREE_RESULT, {"degrees": ctx["kernels"].degree_pass(window)}
 
 
 def _w_phase1_init(ctx, payload):
-    degrees = np.asarray(payload["degrees"], dtype=np.int64)
     # A lone worker's view is never stale: it keeps one live clustering
     # state and exports nothing (the simulated runner's single-worker
     # path); a sharded one logs its windows' moves.
     capacity = None if payload["single"] else int(payload["log_capacity"])
     ctx["clusterer"] = ClusteringWorker(
-        ctx["kernels"], degrees, float(payload["cap"]), capacity
-    )
-    ctx["move_cell"] = wire.move_cell_dtype(
-        degrees.shape[0], int(payload["n_workers"])
+        ctx["kernels"], payload["degrees"], float(payload["cap"]), capacity
     )
     return wire.MSG_OK, None
 
@@ -219,27 +211,19 @@ def _w_cluster(ctx, payload):
     )
     refresh = None
     if "moves" in payload:
-        refresh = Refresh(
-            int(payload["offset"]),
-            int(payload["n_ids"]),
-            wire.move_rows(payload["moves"], ctx["move_cell"]),
-        )
+        offset, n_ids = int(payload["offset"]), int(payload["n_ids"])
+        refresh = Refresh(offset, n_ids, payload["moves"])
     export, cost = ctx["clusterer"].window(window, refresh)
     fields = {"cost": np.asarray(cost, dtype=np.int64)}
     if export is not None:
-        moves, fresh = export
-        fields["moves"] = wire.move_cells(moves, ctx["move_cell"])
-        fields["fresh"] = fresh
+        fields["moves"], fields["fresh"] = export
     return wire.MSG_CLUSTER_RESULT, fields
 
 
 def _w_cluster_finish(ctx, payload):
     v2c, volumes, _ = ctx["kernels"].clustering_export(ctx["clusterer"].state)
     ctx["clusterer"] = None
-    return wire.MSG_CLUSTER_RESULT, {
-        "v2c": np.asarray(v2c, dtype=np.int64),
-        "volumes": np.asarray(volumes, dtype=np.int64),
-    }
+    return wire.MSG_CLUSTER_RESULT, {"v2c": v2c, "volumes": volumes}
 
 
 def _w_bind(ctx, payload):
@@ -263,26 +247,22 @@ def _w_bind(ctx, payload):
         ctx["assignments"] = np.full(hi - lo, -1, dtype=np.int32)
     capacity = payload["log_capacity"]
     ctx["log"] = None if capacity is None else ReplicaLog(int(capacity))
-    ctx["cell"] = wire.log_cell_dtype(ctx["view"].n_vertices, ctx["k"])
-    ctx["phase1"] = (
-        np.asarray(payload["part"], dtype=np.int32),
-        np.asarray(payload["weights"], dtype=np.int64),
-    )
+    ctx["phase1"] = (payload["part"], payload["weights"])
     return wire.MSG_OK, None
 
 
-def take_news(kernels, view: PartitionState, news: dict, cell) -> None:
+def take_news(kernels, view: PartitionState, news: dict) -> None:
     """Bring ``view`` to the global state of the last barrier: set the
-    bits of the news' ``log`` cells (of dtype ``cell``), or copy its
-    merged ``plane``, and take its merged ``sizes``.  A worker takes its
-    news before its next window; the coordinator's ``job.state`` takes
-    the other workers' cells at every barrier."""
-    cells = news.get("log")
-    if cells is None:
+    bits of the news' ``log`` cells, or copy its merged ``plane``, and
+    take its merged ``sizes``.  A worker takes its news before its next
+    window; the coordinator's ``job.state`` takes the other workers'
+    cells at every barrier."""
+    log = news.get("log")
+    if log is None:
         np.copyto(_replica_plane(view.replicas)[0], news["plane"], casting="no")
     else:
-        kernels.apply_replica_log(view, [log_cells([cells], cell)])
-    view.sizes[:] = np.asarray(news["sizes"], dtype=np.int64)
+        kernels.apply_replica_log(view, [log])
+    view.sizes[:] = news["sizes"]
 
 
 def _w_window(ctx, payload):
@@ -296,7 +276,7 @@ def _w_window(ctx, payload):
         )
     if "sizes" in payload:
         # The news of the barriers since this worker's last window.
-        take_news(ctx["kernels"], view, payload, ctx["cell"])
+        take_news(ctx["kernels"], view, payload)
     if log is not None:
         log.clear()
     total, cost = run_phase2_window(
@@ -316,23 +296,17 @@ def _w_window(ctx, payload):
     fields = {
         "total": total,
         "cost": np.asarray(cost, dtype=np.int64),
-        # A copy: a reply in the coordinator is not encoded, and the
-        # worker's next window writes the view's sizes.
+        # Copies: a reply in the coordinator is not encoded, and the
+        # worker's next window writes the view's sizes and its log.
         "sizes": view.sizes.copy(),
     }
     if log is not None:
-        fields["log"] = log.entries().astype(ctx["cell"])
+        fields["log"] = log.entries().copy()
     return wire.MSG_WINDOW_RESULT, fields
 
 
 def _w_collect(ctx, payload):
-    assignments = ctx["assignments"]
-    # A -1 would wrap to the cell's largest value, a valid id at k = 256.
-    if (assignments < 0).any():
-        raise PartitioningError("an edge of this worker's shard is unassigned")
-    return wire.MSG_COLLECT_RESULT, {
-        "assignments": assignments.astype(wire.assignment_cell_dtype(ctx["k"]))
-    }
+    return wire.MSG_COLLECT_RESULT, {"assignments": ctx["assignments"]}
 
 
 #: Message dispatch for the worker loop.  Module-level and looked up per
@@ -538,7 +512,6 @@ class WorkerTransport:
         self._lone = False
         #: A lone worker whose view is ``job.state`` keeps no log.
         self._logless = False
-        self._move_cell = None
         self._logs: dict = {}
         self._sizes: list = []
         #: The sizes of the last barrier, the base of the next merge.
@@ -548,7 +521,6 @@ class WorkerTransport:
         self._news: dict[int, list] = {}
         self._shards: list = []
         self._log_capacity = 0
-        self._cell = None
         self._closed = False
         self._barrier_bytes = dict.fromkeys(("delta", "plane", "full"), 0)
         try:
@@ -765,14 +737,7 @@ class WorkerTransport:
                     fields.update(self._news_fields(w, self._news.pop(w)))
             if refresh and refresh[0] is not None:
                 # The barrier's news rides on the next window's request.
-                offset, n_ids, moves = refresh[0]
-                if n_ids > np.iinfo(self._move_cell).max:
-                    raise PartitioningError(
-                        f"{self._kind} clustering: {n_ids} cluster ids outgrew "
-                        f"the wire's {self._move_cell} cells"
-                    )
-                fields["moves"] = wire.move_cells(moves, self._move_cell)
-                fields["offset"], fields["n_ids"] = offset, n_ids
+                fields["offset"], fields["n_ids"], fields["moves"] = refresh[0]
             self._send(w, request, fields, step)
         return [
             self._result(w, step, start, stop, self._recv(w, reply, step))
@@ -786,23 +751,21 @@ class WorkerTransport:
             if self._lone:
                 return None, payload["cost"]
             # Checked before the barrier touches the global clustering: at
-            # most 2 moved vertices per edge, as wire cells; the merge
-            # checks every row.
-            moves = wire.move_rows(payload.get("moves"), self._move_cell)
-            if moves.shape[0] > 2 * (stop - start):
+            # most 2 moved vertices per edge; the merge checks every row.
+            export = check_export(w, (payload.get("moves"), payload.get("fresh")))
+            if export[0].shape[0] > 2 * (stop - start):
                 raise PartitioningError(
                     f"{self._kind} {step}: a window of {stop - start} edges "
-                    f"moved {moves.shape[0]} vertices, more than its "
+                    f"moved {export[0].shape[0]} vertices, more than its "
                     f"{2 * (stop - start)} endpoints"
                 )
-            return (moves, payload.get("fresh")), payload["cost"]
+            return export, payload["cost"]
         if self._logless:
             return int(payload["total"]), payload["cost"]
-        # Checked before the barrier touches the global state: a 1-d log
-        # of at most 2 wire cells per edge, and k int64 sizes.  The
-        # barrier applies the checked cells; news ships the wire cells.
+        # Checked before the barrier touches the global state: a 1-d
+        # int64 log of at most 2 cells per edge, and k int64 sizes.
         log, sizes = payload.get("log"), payload.get("sizes")
-        checked = log_cells([log], self._cell)
+        log_cells([log])
         if log.shape[0] > 2 * (stop - start):
             raise PartitioningError(
                 f"{self._kind} {step}: a window of {stop - start} edges "
@@ -811,7 +774,7 @@ class WorkerTransport:
             )
         if getattr(sizes, "dtype", None) != np.int64 or sizes.shape != (self.job.k,):
             raise PartitioningError(f"{self._kind} {step}: malformed sizes")
-        self._logs[w] = (log, checked)
+        self._logs[w] = log
         self._sizes.append(sizes)
         return int(payload["total"]), payload["cost"]
 
@@ -821,17 +784,14 @@ class WorkerTransport:
         ``degrees``, with a move log of ``log_capacity`` rows unless
         ``lone``."""
         self._lone = lone
-        n_workers = len(self._conns)
-        self._move_cell = wire.move_cell_dtype(degrees.shape[0], n_workers)
         fields = {
             "degrees": degrees,
             "cap": cap,
             "single": lone,
             "log_capacity": log_capacity,
-            "n_workers": n_workers,
         }
         self._exchange(
-            wire.MSG_PHASE1_INIT, [fields] * n_workers, wire.MSG_OK, "clustering"
+            wire.MSG_PHASE1_INIT, [fields] * len(self._conns), wire.MSG_OK, "clustering"
         )
 
     def close_clustering(self, lone):
@@ -852,7 +812,6 @@ class WorkerTransport:
         # bits: no log, and barriers with nothing to do.
         self._logless = lone and self._owner is not None
         self._log_capacity = 0 if self._logless else log_capacity
-        self._cell = wire.log_cell_dtype(job.state.n_vertices, job.k)
         self._shards = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
         self._merged = job.state.sizes.copy()
         fields = {
@@ -882,18 +841,18 @@ class WorkerTransport:
         job = self.job
         logs, self._logs = self._logs, {}
         view_sizes, self._sizes = self._sizes, []
-        taken = [cells for w, (_, cells) in logs.items() if w != self._owner]
+        taken = [log for w, log in logs.items() if w != self._owner]
         self._merged = merge_sizes(self._merged, view_sizes)
         news = {"log": log_cells(taken), "sizes": self._merged}
-        take_news(get_backend(job.backend), job.state, news, np.int64)
+        take_news(get_backend(job.backend), job.state, news)
         # Each other worker with a shard takes the news with its next
         # window (see run): nothing ships now, and the run's last barrier
         # ships nothing at all.
         for w, (lo, hi) in enumerate(self._shards):
             if hi > lo and w != self._owner:
-                others = (log for v, (log, _) in logs.items() if v != w)
+                others = (log for v, log in logs.items() if v != w)
                 self._news.setdefault(w, []).extend(others)
-        return sum(int(log.shape[0]) for log, _ in logs.values())
+        return sum(int(log.shape[0]) for log in logs.values())
 
     def _news_fields(self, w: int, news: list) -> dict:
         """Worker ``w``'s window request's news: the cells the other
@@ -903,25 +862,25 @@ class WorkerTransport:
         The wire stats count the news of socket workers only."""
         plane = _replica_plane(self.job.state.replicas)[0]
         sizes = self.job.state.sizes
-        cells = np.concatenate([np.zeros(0, self._cell), *news])
-        key, sent = ("log", cells) if cells.nbytes < plane.nbytes else ("plane", plane)
+        cells = log_cells(news)
+        sent = wire.wire_nbytes(cells)
+        key, value = ("log", cells) if sent < plane.nbytes else ("plane", plane)
         if isinstance(self._conns[w], _LocalWorker):
             # Its handler runs after worker 0's has written job.state, so
-            # it takes copies (the cells are one already).
-            return {key: sent if sent is cells else plane.copy(), "sizes": sizes.copy()}
+            # it takes copies of the plane and sizes; no one writes logs.
+            return {key: cells if key == "log" else plane.copy(), "sizes": sizes.copy()}
         counts = self._barrier_bytes
-        counts["plane"] += sent.nbytes
-        counts["delta"] += sent.nbytes + sizes.nbytes
-        counts["full"] += plane.nbytes + sizes.nbytes
-        return {key: sent, "sizes": sizes}
+        shipped, sizes_bytes = min(sent, plane.nbytes), wire.wire_nbytes(sizes)
+        counts["plane"] += shipped
+        counts["delta"] += shipped + sizes_bytes
+        counts["full"] += plane.nbytes + sizes_bytes
+        return {key: value, "sizes": sizes}
 
     def finalize(self) -> None:
         """Collect the shard of every worker but worker 0 in this
-        process, whose windows wrote the job's array, in the narrowest
-        cells that hold ``k - 1``; every shard is checked before the
-        first is written."""
+        process, whose windows wrote the job's array; every shard is
+        checked before the first is written."""
         job = self.job
-        cell = wire.assignment_cell_dtype(job.k)
         collected = [w for w in range(len(self._conns)) if w != self._owner]
         for w in collected:
             self._send(w, wire.MSG_COLLECT, None, "collect")
@@ -929,21 +888,19 @@ class WorkerTransport:
         for w in collected:
             lo, hi = self._shards[w]
             got = self._recv(w, wire.MSG_COLLECT_RESULT, "collect").get("assignments")
-            if not (
-                isinstance(got, np.ndarray)
-                and got.dtype == cell
-                and got.shape == (hi - lo,)
-            ):
+            if getattr(got, "dtype", None) != np.int32 or got.shape != (hi - lo,):
                 raise PartitioningError(
                     f"{self._kind} collect: worker {w} sent "
                     f"{type(got).__name__} {getattr(got, 'dtype', '')}"
-                    f"{getattr(got, 'shape', '')}, expected the {hi - lo} {cell} "
+                    f"{getattr(got, 'shape', '')}, expected the {hi - lo} int32 "
                     f"assignments of its shard"
                 )
-            if got.shape[0] and int(got.max()) >= job.k:
+            outside = (got < 0) | (got >= job.k)
+            if outside.any():
+                i = int(np.argmax(outside))
                 raise PartitioningError(
-                    f"{self._kind} collect: worker {w} assigned an edge to "
-                    f"partition {int(got.max())}, outside [0, {job.k})"
+                    f"{self._kind} collect: worker {w} assigned edge {lo + i} to "
+                    f"partition {int(got[i])}, outside [0, {job.k})"
                 )
             shards.append((lo, hi, got))
         for lo, hi, got in shards:

@@ -108,7 +108,7 @@ state takes the logged bits of every worker but worker 0, whose view it
 is (of every worker in a ``host:port`` session), with the kernel op
 ``apply_replica_log``, and each other worker's news (the cells the
 other workers logged since its last window, or the merged plane where
-that is fewer bytes, and the merged sizes) rides on its next window
+that is fewer bytes on the wire, and the merged sizes) rides on its next window
 request and is applied before the kernel runs, so a barrier adds no
 round trip and the run's last barrier ships nothing.  Bits only go from
 0 to 1: the planes of OR-ing whole views.  A sharded session thus holds

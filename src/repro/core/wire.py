@@ -24,10 +24,17 @@ frame-format break.
 
 Payloads are flat key/value mappings encoded field-by-field with a type
 tag per value: ``None``, bool, int (signed 64-bit), float (IEEE 754
-binary64), UTF-8 string, raw bytes, numpy ndarray (dtype descriptor +
-shape + little-endian buffer), or a nested mapping.  Decoded ndarrays
-are always fresh writable copies — kernels mutate their inputs, and
-``np.frombuffer`` views would be read-only.
+binary64), UTF-8 string, raw bytes, numpy ndarray (the sender's dtype
+descriptor, the wire dtype's, shape, little-endian buffer), or a nested
+mapping, at most :data:`MAX_NESTING` deep.  Arrays are bool, integer or
+float.  This module alone decides how wide an array travels: every
+integer array crosses in the narrowest integer type that holds its
+values and casts back to its dtype without loss (:func:`wire_dtype`),
+and is decoded into a fresh writable copy of the sender's dtype, so
+workers and the coordinator pass the kernels' own arrays and never
+convert one.  Kernels mutate their inputs, and ``np.frombuffer`` views
+would be read-only.  A payload the decoder cannot read raises
+:class:`~repro.errors.WireError`, whatever its bytes.
 
 Version negotiation happens once per connection: the coordinator opens
 with ``HELLO {version, kernels}``, the worker answers ``HELLO {version,
@@ -46,26 +53,27 @@ runner contract promises — no hangs, no silent partial reads.
 
 from __future__ import annotations
 
+import math
 import socket
 import struct
 import zlib
 
 import numpy as np
 
-from repro.errors import PartitioningError, WireError
+from repro.errors import WireError
 from repro.kernels.c_backend import source_digest
 
 #: Protocol version spoken by this build; bumped on any frame or payload
 #: format break (2: the Phase-2 bind ships ``part`` and ``weights``; 3:
-#: Phase-2 windows and barriers carry set-bit logs, in
-#: :func:`log_cell_dtype` cells, in place of replica rows; 4: clustering
-#: windows and their refreshes carry moves, in :func:`move_cell_dtype`
-#: cells, in place of whole clusterings; 5: a Phase-2 barrier's news
-#: rides on each worker's next window request, and each worker keeps its
-#: shard's assignments until one collect, in
-#: :func:`assignment_cell_dtype` cells).  Negotiated by the HELLO
-#: handshake.
-WIRE_VERSION = 5
+#: Phase-2 windows and barriers carry set-bit logs in place of replica
+#: rows; 4: clustering windows and their refreshes carry moves in place
+#: of whole clusterings; 5: a Phase-2 barrier's news rides on each
+#: worker's next window request, and each worker keeps its shard's
+#: assignments until one collect; 6: every integer array travels in the
+#: narrowest integer type that holds its values, beside its own dtype,
+#: in place of the per-message cell types of versions 3 to 5).
+#: Negotiated by the HELLO handshake.
+WIRE_VERSION = 6
 
 MAGIC = b"2PSW"
 
@@ -81,7 +89,7 @@ MSG_ERROR = 3  #: {"message": str} — remote failure, surfaced typed
 MSG_JOB = 4  #: session parameters + stream spec
 MSG_DEGREE = 5  #: Phase-1 degree window {"start", "stop"}
 MSG_DEGREE_RESULT = 6  #: {"degrees": int64[n]}
-MSG_PHASE1_INIT = 7  #: {"degrees", "cap", "single", "log_capacity", "n_workers"}
+MSG_PHASE1_INIT = 7  #: {"degrees", "cap", "single", "log_capacity"}
 #: clustering window {"start", "stop"}, + the worker's refresh when it has
 #: one: the other workers' accepted "moves", its fresh-id "offset", "n_ids"
 MSG_CLUSTER = 8
@@ -97,7 +105,7 @@ MSG_BIND = 11
 MSG_WINDOW = 12
 MSG_WINDOW_RESULT = 13  #: "total", "cost", the set-bit "log", the view's "sizes"
 MSG_COLLECT = 14  #: end of Phase 2: ship the worker's shard of assignments
-MSG_COLLECT_RESULT = 15  #: {"assignments": the shard, in assignment cells}
+MSG_COLLECT_RESULT = 15  #: {"assignments": the shard's int32 assignments}
 MSG_SHUTDOWN = 16  #: orderly session end
 
 MESSAGE_NAMES = {
@@ -105,51 +113,6 @@ MESSAGE_NAMES = {
     for name, value in list(globals().items())
     if name.startswith("MSG_")
 }
-
-
-def log_cell_dtype(n_vertices: int, k: int) -> np.dtype:
-    """The type of set-bit log cells in Phase-2 frames: 4-byte ``uint32``
-    while the plane's ``n_vertices * k`` cells fit in it, else ``int64``."""
-    return np.dtype(np.uint32 if n_vertices * k <= 1 << 32 else np.int64)
-
-
-def move_cell_dtype(n_vertices: int, n_workers: int) -> np.dtype:
-    """The type of clustering-move cells in Phase-1 frames: 4-byte
-    ``uint32`` while every vertex and every cluster id fits in it, else
-    ``int64``.  Ids stay below ``n_workers * n_vertices`` (see
-    :func:`~repro.core.runners.compact_clustering`)."""
-    return np.dtype(np.uint32 if n_workers * n_vertices <= 1 << 32 else np.int64)
-
-
-def assignment_cell_dtype(k: int) -> np.dtype:
-    """The type of the collect's assignment cells: the narrowest unsigned
-    integer that holds every partition id, ``k - 1``."""
-    return np.min_scalar_type(k - 1)
-
-
-def move_cells(moves: np.ndarray, cell: np.dtype) -> np.ndarray:
-    """``(m, 2)`` ``(vertex, id)`` move rows as the flat ``2m`` cells of a
-    frame."""
-    return moves.astype(cell).ravel()
-
-
-def move_rows(cells, cell: np.dtype) -> np.ndarray:
-    """The ``(m, 2)`` int64 move rows of a frame's cells, after checking
-    that they are a 1-d array of ``cell`` of even length: a
-    :class:`~repro.errors.PartitioningError` otherwise.  The kernel ops
-    check every row's values."""
-    if not (
-        isinstance(cells, np.ndarray)
-        and cells.dtype == cell
-        and cells.ndim == 1
-        and cells.shape[0] % 2 == 0
-    ):
-        raise PartitioningError(
-            f"clustering moves must be a 1-d {cell} array of (vertex, id) "
-            f"pairs, got {type(cells).__name__} {getattr(cells, 'dtype', '')}"
-            f"{getattr(cells, 'shape', '')}"
-        )
-    return cells.reshape(-1, 2).astype(np.int64)
 
 
 # ---------------------------------------------------------------------
@@ -168,6 +131,40 @@ _U32 = struct.Struct("!I")
 _I64 = struct.Struct("!q")
 _F64 = struct.Struct("!d")
 
+#: The array dtypes a payload carries, by little-endian descriptor.
+_DTYPES = {
+    np.dtype(t).str.encode(): np.dtype(t)
+    for t in ("?", "u1", "i1", "<u2", "<i2", "<u4", "<i4", "<u8", "<i8", "<f4", "<f8")
+}
+
+#: Integer wire types, narrowest first, with the values each holds.
+_NARROW = [
+    (dtype, np.iinfo(dtype).min, np.iinfo(dtype).max)
+    for dtype in _DTYPES.values()
+    if dtype.kind in "iu"
+]
+
+#: Nested mappings a payload may hold inside one another.
+MAX_NESTING = 32
+
+
+def wire_dtype(arr: np.ndarray) -> np.dtype:
+    """The little-endian type ``arr`` crosses the wire in: for an integer
+    array the narrowest integer type that holds its values and casts back
+    to its dtype without loss, for any other its own dtype."""
+    if arr.dtype.kind not in "iu":
+        return arr.dtype.newbyteorder("<")
+    lo, hi = (int(arr.min()), int(arr.max())) if arr.size else (0, 0)
+    for dtype, low, high in _NARROW:
+        if low <= lo and hi <= high and np.can_cast(dtype, arr.dtype):
+            return dtype
+    return arr.dtype  # pragma: no cover - the dtype itself always fits
+
+
+def wire_nbytes(arr: np.ndarray) -> int:
+    """The bytes of ``arr``'s values in a payload."""
+    return arr.size * wire_dtype(arr).itemsize
+
 
 def _encode_value(value, out: list) -> None:
     if value is None:
@@ -185,15 +182,16 @@ def _encode_value(value, out: list) -> None:
         raw = bytes(value)
         out.append(bytes([_T_BYTES]) + _U32.pack(len(raw)) + raw)
     elif isinstance(value, np.ndarray):
-        arr = np.ascontiguousarray(value)
-        if arr.dtype.byteorder == ">":  # pragma: no cover - BE hosts only
-            arr = arr.astype(arr.dtype.newbyteorder("<"))
-        descr = arr.dtype.str.encode("ascii")
-        raw = arr.tobytes()
+        descr = value.dtype.newbyteorder("<").str.encode()
+        if descr not in _DTYPES:
+            raise WireError(f"no wire encoding for arrays of {value.dtype}")
+        narrow = wire_dtype(value)
+        raw = np.ascontiguousarray(value, dtype=narrow).tobytes()
         out.append(
-            bytes([_T_ARRAY, len(descr), arr.ndim])
+            bytes([_T_ARRAY, len(descr), len(narrow.str), value.ndim])
             + descr
-            + b"".join(_I64.pack(dim) for dim in arr.shape)
+            + narrow.str.encode()
+            + b"".join(_I64.pack(dim) for dim in value.shape)
             + _U32.pack(len(raw))
             + raw
         )
@@ -233,8 +231,45 @@ class _Reader:
         self.pos = end
         return chunk
 
+    def text(self, n: int) -> str:
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise WireError(f"wire text is not UTF-8: {exc}") from None
 
-def _decode_value(reader: _Reader):
+    def dtype(self, n: int) -> np.dtype:
+        descr = self.take(n)
+        if descr not in _DTYPES:
+            raise WireError(f"unsupported wire array dtype {descr!r}")
+        return _DTYPES[descr]
+
+
+def _decode_array(reader: _Reader) -> np.ndarray:
+    descr_len, narrow_len, ndim = reader.take(3)
+    dtype, narrow = reader.dtype(descr_len), reader.dtype(narrow_len)
+    if narrow != dtype and not (
+        dtype.kind in "iu" and narrow.kind in "iu" and np.can_cast(narrow, dtype)
+    ):
+        raise WireError(f"wire array of {dtype} cannot travel as {narrow}")
+    shape = tuple(_I64.unpack(reader.take(8))[0] for _ in range(ndim))
+    if min(shape, default=0) < 0:
+        raise WireError(f"wire array has a negative dimension: {shape}")
+    (length,) = _U32.unpack(reader.take(4))
+    raw = reader.take(length)
+    if math.prod(shape) * narrow.itemsize != length:
+        raise WireError(
+            f"wire array length mismatch: {length} bytes for "
+            f"shape {shape} of {narrow}"
+        )
+    try:
+        # A writable copy in the sender's dtype: kernels mutate their
+        # inputs, and frombuffer views over the frame would be read-only.
+        return np.frombuffer(raw, dtype=narrow).reshape(shape).astype(dtype)
+    except ValueError as exc:  # more dimensions than numpy holds
+        raise WireError(f"wire array of shape {shape}: {exc}") from None
+
+
+def _decode_value(reader: _Reader, depth: int):
     tag = reader.take(1)[0]
     if tag == _T_NONE:
         return None
@@ -246,43 +281,33 @@ def _decode_value(reader: _Reader):
         return _F64.unpack(reader.take(8))[0]
     if tag == _T_STR:
         (length,) = _U32.unpack(reader.take(4))
-        return reader.take(length).decode("utf-8")
+        return reader.text(length)
     if tag == _T_BYTES:
         (length,) = _U32.unpack(reader.take(4))
         return reader.take(length)
     if tag == _T_ARRAY:
-        descr_len = reader.take(1)[0]
-        ndim = reader.take(1)[0]
-        dtype = np.dtype(reader.take(descr_len).decode("ascii"))
-        shape = tuple(
-            _I64.unpack(reader.take(8))[0] for _ in range(ndim)
-        )
-        (length,) = _U32.unpack(reader.take(4))
-        raw = reader.take(length)
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        if count * dtype.itemsize != length:
-            raise WireError(
-                f"wire array length mismatch: {length} bytes for "
-                f"shape {shape} of {dtype}"
-            )
-        # Writable copy: kernels mutate their inputs and frombuffer
-        # views over the frame bytes would be read-only.
-        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        return _decode_array(reader)
     if tag == _T_DICT:
         (length,) = _U32.unpack(reader.take(4))
-        return decode_payload(reader.take(length))
+        return _decode_mapping(reader.take(length), depth + 1)
     raise WireError(f"unknown wire value tag {tag}")
 
 
 def decode_payload(data: bytes) -> dict:
-    """Decode payload bytes back into the typed field mapping."""
+    """Decode payload bytes back into the typed field mapping; a
+    malformed payload raises :class:`~repro.errors.WireError`."""
+    return _decode_mapping(data, 0)
+
+
+def _decode_mapping(data: bytes, depth: int) -> dict:
+    if depth > MAX_NESTING:
+        raise WireError(f"wire payload nests more than {MAX_NESTING} mappings")
     reader = _Reader(data)
     (n_fields,) = _U32.unpack(reader.take(4))
     fields = {}
     for _ in range(n_fields):
-        key_len = reader.take(1)[0]
-        key = reader.take(key_len).decode("utf-8")
-        fields[key] = _decode_value(reader)
+        key = reader.text(reader.take(1)[0])
+        fields[key] = _decode_value(reader, depth)
     return fields
 
 
@@ -386,10 +411,20 @@ class Connection:
 # ---------------------------------------------------------------------
 # handshake / version negotiation
 # ---------------------------------------------------------------------
+def _same(peer, local) -> bool:
+    """Whether a HELLO field equals ours, in type and value: a peer may
+    send any wire value in its place."""
+    return type(peer) is type(local) and peer == local
+
+
+def _digest(peer) -> str:
+    return peer if isinstance(peer, str) and peer else "none"
+
+
 def _kernels_mismatch(conn: Connection, local: str, peer) -> WireError:
     return WireError(
         f"kernel source mismatch with {conn.label}: local {local}, "
-        f"peer {peer or 'none'}"
+        f"peer {_digest(peer)}"
     )
 
 
@@ -410,13 +445,13 @@ def handshake_client(conn: Connection, version: int | None = None) -> int:
             f"handshake with {conn.label} got message type {msg_type}, "
             f"expected HELLO"
         )
-    peer = int(fields.get("version", -1))
-    if peer != version:
+    peer = fields.get("version")
+    if not _same(peer, version):
         raise WireError(
             f"wire protocol version mismatch with {conn.label}: "
-            f"local {version}, peer {peer}"
+            f"local {version}, peer {peer!r}"
         )
-    if fields.get("kernels") != kernels:
+    if not _same(fields.get("kernels"), kernels):
         raise _kernels_mismatch(conn, kernels, fields.get("kernels"))
     return peer
 
@@ -435,29 +470,29 @@ def handshake_server(conn: Connection, version: int | None = None) -> int:
             f"handshake with {conn.label} got message type {msg_type}, "
             f"expected HELLO"
         )
-    peer = int(fields.get("version", -1))
-    if peer != version:
+    peer = fields.get("version")
+    if not _same(peer, version):
         conn.send(
             MSG_ERROR,
             {
                 "message": (
                     f"wire protocol version mismatch: coordinator "
-                    f"speaks {peer}, worker speaks {version}"
+                    f"speaks {peer!r}, worker speaks {version}"
                 )
             },
         )
         raise WireError(
             f"wire protocol version mismatch with {conn.label}: "
-            f"local {version}, peer {peer}"
+            f"local {version}, peer {peer!r}"
         )
     peer_kernels = fields.get("kernels")
-    if peer_kernels != kernels:
+    if not _same(peer_kernels, kernels):
         conn.send(
             MSG_ERROR,
             {
                 "message": (
                     f"kernel source mismatch: coordinator built "
-                    f"{peer_kernels or 'none'}, worker built {kernels}"
+                    f"{_digest(peer_kernels)}, worker built {kernels}"
                 )
             },
         )

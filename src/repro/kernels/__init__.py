@@ -128,8 +128,9 @@ feed every downstream pass):
   order breaks the ``ProcessRunner == SimulatedRunner`` contract.
   Exports may have arrived over sockets, so every backend checks every
   row before its first write and rejects a vertex outside ``[0, n)`` or
-  out of ascending order, an id outside ``[-1, len(volumes) +
-  n_fresh)`` or an impossible ``n_fresh`` with the same
+  out of ascending order, an id outside ``[0, len(volumes) +
+  n_fresh)`` (no window unclusters a vertex) or an impossible
+  ``n_fresh`` with the same
   :class:`~repro.errors.PartitioningError`
   (:func:`~repro.kernels.base.check_clustering_moves` names the first
   miss).  A barrier costs O(moves), never O(``|V|``): ids stay stable

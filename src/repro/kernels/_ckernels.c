@@ -743,7 +743,7 @@ int64_t apply_log(uint8_t *plane, int64_t row_bytes, int64_t shift,
  * remapped to one sequence in worker order, each accepted move's degree
  * taken off its old cluster and added to its new one.  Worker w's moves
  * are n_moves[w] rows (vertex, id), vertices strictly ascending in
- * [0, n), ids in [-1, base + n_fresh[w]); the moved vertices' global ids
+ * [0, n), ids in [0, base + n_fresh[w]); the moved vertices' global ids
  * lie in [-1, base).  Every row is checked before the first write; on a
  * miss nothing is written and the row's index is returned (the caller
  * names the miss).  A vertex is
@@ -764,7 +764,7 @@ int64_t merge_moves(int64_t *v2c, int64_t n, const int64_t *deg,
         for (int64_t i = 0; i < n_moves[w]; i++) {
             int64_t x = rows[2 * i];
             if ((uint64_t)x >= (uint64_t)n || (i && x <= rows[2 * i - 2])
-                || (uint64_t)rows[2 * i + 1] + 1 > limit)
+                || (uint64_t)rows[2 * i + 1] >= limit)
                 return i;
         }
         n_ids += n_fresh[w];
@@ -799,8 +799,7 @@ int64_t merge_moves(int64_t *v2c, int64_t n, const int64_t *deg,
             int64_t old = v2c[x];
             if (old >= 0)
                 vol[old] -= deg[x];
-            if (g >= 0)
-                vol[g] += deg[x];
+            vol[g] += deg[x];
             v2c[x] = g;
             out[2 * k] = x;
             out[2 * k + 1] = g;
@@ -818,8 +817,8 @@ int64_t merge_moves(int64_t *v2c, int64_t n, const int64_t *deg,
  * n_ids), the other new ids start at 0, its own n_own moves' fresh ids
  * shift, and each of the n_others rows (vertex, id) moves the vertex's
  * degree from its current cluster to the new one.  Every row is checked
- * before the first write (own rows: ids in [-1, n_local); the others'
- * rows: ids in [-1, n_ids); vertices in [0, n) whose current id lies in
+ * before the first write (own rows: ids in [0, n_local); the others'
+ * rows: ids in [0, n_ids); vertices in [0, n) whose current id lies in
  * [-1, n_local)); on a miss nothing is written and the row's index is
  * returned, the others' rows counted after the own ones. */
 int64_t refresh_clustering(int64_t *v2c, int64_t n, const int64_t *deg,
@@ -832,7 +831,7 @@ int64_t refresh_clustering(int64_t *v2c, int64_t n, const int64_t *deg,
         const int64_t *row = j < n_own ? own + 2 * j : others + 2 * (j - n_own);
         uint64_t limit = (uint64_t)(j < n_own ? n_local : n_ids);
         uint64_t x = (uint64_t)row[0];
-        if (x >= (uint64_t)n || (uint64_t)row[1] + 1 > limit
+        if (x >= (uint64_t)n || (uint64_t)row[1] >= limit
             || (uint64_t)v2c[x] + 1 > (uint64_t)n_local)
             return j;
     }
@@ -851,8 +850,7 @@ int64_t refresh_clustering(int64_t *v2c, int64_t n, const int64_t *deg,
         int64_t c = v2c[x];
         if (c >= 0)
             vol[c] -= deg[x];
-        if (g >= 0)
-            vol[g] += deg[x];
+        vol[g] += deg[x];
         v2c[x] = g;
     }
     return DONE;

@@ -35,7 +35,7 @@ def check_vertex_ids(chunk: np.ndarray, n: int, pos: int) -> None:
         )
 
 
-def _move_rows(moves, what: str) -> np.ndarray:
+def _move_array(moves, what: str) -> np.ndarray:
     """``moves`` itself if it is an ``(m, 2)`` int64 array of ``(vertex,
     cluster id)`` rows: a :class:`~repro.errors.PartitioningError`
     otherwise."""
@@ -68,7 +68,7 @@ def check_export(w: int, export) -> tuple[np.ndarray, int]:
     ``0 <= n_fresh <= m`` (see :func:`check_clustering_moves`)."""
     moves, fresh = export
     what = f"worker {w}'s clustering export"
-    moves = _move_rows(moves, what)
+    moves = _move_array(moves, what)
     m = moves.shape[0]
     if not isinstance(fresh, (int, np.integer)) or not 0 <= fresh <= m:
         raise PartitioningError(f"{what} claims {fresh} fresh clusters for {m} moves")
@@ -81,9 +81,10 @@ def check_clustering_moves(v2c: np.ndarray, base: int, exports, degrees) -> list
 
     Worker ``w``'s ``moves`` must be an ``(m, 2)`` int64 array whose
     vertices lie in ``[0, n)`` in strictly ascending order (each vertex
-    once) and whose cluster ids lie in ``[-1, base + n_fresh)``, with
-    ``0 <= n_fresh <= m``: each fresh cluster was opened for a vertex
-    that was unclustered when the window started, and that vertex moved.
+    once) and whose cluster ids lie in ``[0, base + n_fresh)`` (no
+    window unclusters a vertex), with ``0 <= n_fresh <= m``: each fresh
+    cluster was opened for a vertex that was unclustered when the window
+    started, and that vertex moved.
     The global ids of the moved vertices must lie in ``[-1, base)``, and
     ``degrees`` must cover the ``n`` vertices.  Entries are checked in
     worker order, then row order, all workers' rows before any global
@@ -97,7 +98,7 @@ def check_clustering_moves(v2c: np.ndarray, base: int, exports, degrees) -> list
     for w, (moves, fresh) in enumerate(checked):
         what = f"worker {w}'s clustering export"
         x, c = moves[:, 0], moves[:, 1]
-        bad = (x < 0) | (x >= n) | (c < -1) | (c >= base + fresh)
+        bad = (x < 0) | (x >= n) | (c < 0) | (c >= base + fresh)
         bad[1:] |= x[1:] <= x[:-1]
         if bad.any():
             i = int(np.argmax(bad))
@@ -134,8 +135,8 @@ def check_refresh(n_local: int, own, base: int, offset: int, n_ids: int, others)
     ``offset >= 0`` and ``n_ids >= n_local + offset``, where ``n_local``
     is the worker's id count.  Raises
     :class:`~repro.errors.PartitioningError` before any write."""
-    own = _move_rows(own, "a worker's own moves")
-    others = _move_rows(others, "a clustering refresh")
+    own = _move_array(own, "a worker's own moves")
+    others = _move_array(others, "a clustering refresh")
     if not (0 <= base <= n_local and offset >= 0 and n_ids >= n_local + offset):
         raise PartitioningError(
             f"a clustering refresh of {n_ids} ids cannot shift the fresh ids "
@@ -158,7 +159,7 @@ def refresh_entry_error(
         (x, c), limit, what = others[j].tolist(), n_ids, "a refresh move"
     if not 0 <= x < n:
         why = f"names vertex {x}, outside the {n} vertices"
-    elif not -1 <= c < limit:
+    elif not 0 <= c < limit:
         why = f"puts vertex {x} in cluster {c}, outside the {limit} cluster ids"
     else:
         why = (
@@ -354,16 +355,15 @@ def check_move_fill(fill: int, capacity: int) -> None:
         )
 
 
-def log_cells(logs, dtype=np.int64) -> np.ndarray:
+def log_cells(logs) -> np.ndarray:
     """The entries of the set-bit ``logs`` (arrays, as
-    :meth:`ReplicaLog.entries` gives them, or wire cells) as one int64
-    array, after checking that each is a 1-d array of ``dtype``: a
+    :meth:`ReplicaLog.entries` gives them) as one int64 array, after
+    checking that each is a 1-d int64 array: a
     :class:`~repro.errors.PartitioningError` otherwise."""
-    dtype = np.dtype(dtype)
     for log in logs:
-        if not (isinstance(log, np.ndarray) and log.dtype == dtype and log.ndim == 1):
+        if getattr(log, "dtype", None) != np.int64 or log.ndim != 1:
             raise PartitioningError(
-                f"a set-bit log must be a 1-d {dtype} array, got "
+                f"a set-bit log must be a 1-d int64 array, got "
                 f"{type(log).__name__} {getattr(log, 'dtype', '')}"
                 f"{getattr(log, 'shape', '')}"
             )

@@ -143,7 +143,7 @@ class PythonBackend(KernelBackend):
         vol = volumes.reserve(n_ids)
         vol[base:n_ids] = 0
         np.subtract.at(vol, old[old >= 0], deg[old >= 0])
-        np.add.at(vol, ga[ga >= 0], deg[ga >= 0])
+        np.add.at(vol, ga, deg)
         v2c[xa] = ga
         volumes.set_length(n_ids)
         ends = np.cumsum([0] + [len(moves) for moves, _ in exports]).tolist()
@@ -159,7 +159,7 @@ class PythonBackend(KernelBackend):
         entries = own.tolist() + others.tolist()
         for j, (x, c) in enumerate(entries):
             limit = n_local if j < own.shape[0] else n_ids
-            if not (0 <= x < n and -1 <= c < limit and -1 <= v2c[x] < n_local):
+            if not (0 <= x < n and 0 <= c < limit and -1 <= v2c[x] < n_local):
                 raise refresh_entry_error(
                     j, own, others, n, n_local, n_ids, v2c.__getitem__
                 )
@@ -175,8 +175,7 @@ class PythonBackend(KernelBackend):
             c = v2c[x]
             if c >= 0:
                 vol[c] -= deg[x]
-            if g >= 0:
-                vol[g] += deg[x]
+            vol[g] += deg[x]
             v2c[x] = g
 
     # ------------------------------------------------------------------
@@ -463,34 +462,38 @@ class PythonBackend(KernelBackend):
         return lambda x: np.unpackbits(raw[x], count=k, bitorder="little")
 
     @staticmethod
-    def hdrf_choose(
-        u_row, v_row, theta_u, sizes_np, capacity, lam, eps
-    ) -> int:
-        """One HDRF argmax over all k partitions — the scoring twin.
+    def hdrf_scores(u_row, v_row, theta_u, sizes_np, capacity, lam, eps):
+        """The HDRF score of every one of the k partitions — the scoring
+        twin.
 
         ``u_row``/``v_row`` are the live replica rows of the two
         endpoints (bool, or the 0/1 uint8 bits of a packed row, which
         give the same doubles; see :meth:`_plane_rows`),
         ``theta_u = d_u / (d_u + d_v)`` (true or partial degrees,
         caller's choice), ``sizes_np`` the float64 view of the live
-        partition sizes.  Partitions at the hard cap are masked to
-        ``-inf`` before the argmax (first-index tie-break, as
-        ``np.argmax``).
+        partition sizes.  Partitions at the hard cap score ``-inf``.
 
-        This is the reference implementation of the HDRF decision — the
+        This is the reference implementation of the HDRF score — the
         2PS-HDRF pass and the classic HDRF baseline route through it on
-        the ``python`` backend.  ``hdrf_pick`` in
-        ``_ckernels.c`` mirrors it with the same float expressions
-        (compiled code cannot call back into Python); any change here
-        must be mirrored there in lockstep, and the cross-backend
-        equivalence suites pin the pair.
+        the ``python`` backend (:meth:`hdrf_choose`), and ADWISE adds its
+        look-ahead bonus to it.  ``hdrf_pick`` in ``_ckernels.c``
+        mirrors it with the same float expressions (compiled code cannot
+        call back into Python); any change here must be mirrored there
+        in lockstep, and the cross-backend equivalence suites pin the
+        pair.
         """
         scores = u_row * (2.0 - theta_u) + v_row * (1.0 + theta_u)
         maxs = sizes_np.max()
         mins = sizes_np.min()
         scores = scores + lam * (maxs - sizes_np) / (eps + maxs - mins)
         scores[sizes_np >= capacity] = -np.inf
-        return int(np.argmax(scores))
+        return scores
+
+    @staticmethod
+    def hdrf_choose(*args) -> int:
+        """One HDRF decision: the argmax of :meth:`hdrf_scores`'s scores
+        for the same arguments (first-index tie-break, as ``np.argmax``)."""
+        return int(np.argmax(PythonBackend.hdrf_scores(*args)))
 
     def remaining_pass_hdrf(self, stream, ctx: TwoPhaseContext) -> None:
         """2PS-HDRF: full HDRF scoring over all k partitions (Section V-D)."""

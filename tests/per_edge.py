@@ -91,8 +91,7 @@ class PerEdgeBackend(PythonBackend):
                 old = int(v2c[x])
                 if old >= 0:
                     vol[old] -= degl[x]
-                if g >= 0:
-                    vol[g] += degl[x]
+                vol[g] += degl[x]
                 v2c[x] = g
                 won.append((x, g))
             accepted.append(np.asarray(won, dtype=np.int64).reshape(-1, 2))

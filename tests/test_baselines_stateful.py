@@ -5,6 +5,7 @@ import pytest
 
 from repro.baselines import DBH, HDRF, Adwise, Greedy, RandomHash
 from repro.errors import ConfigurationError
+from repro.graph.generators import rmat_graph
 from repro.kernels import available_backends
 from repro.metrics import validate_partition
 
@@ -185,11 +186,17 @@ class TestAdwise:
         with pytest.raises(ConfigurationError):
             Adwise(lam=lam)
 
-    def test_buffer_one_degenerates_to_hdrf_like(self, community_graph):
-        result = Adwise(buffer_size=1, assign_fraction=1.0).partition(
-            community_graph, 4
-        )
-        validate_partition(community_graph.edges, result.assignments, 4, alpha=1.05)
+    @pytest.mark.parametrize("k", [4, 32])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_buffer_one_degenerates_to_hdrf_like(self, seed, k):
+        """With a one-edge buffer ADWISE assigns each edge as it arrives,
+        scored by the one HDRF reference, so it gives the HDRF baseline's
+        assignments bit for bit."""
+        graph = rmat_graph(10, seed=seed)
+        result = Adwise(buffer_size=1, assign_fraction=1.0).partition(graph, k)
+        validate_partition(graph.edges, result.assignments, k, alpha=1.05)
+        hdrf = HDRF().partition(graph, k)
+        np.testing.assert_array_equal(result.assignments, hdrf.assignments)
 
     def test_not_worse_than_random(self, community_graph):
         adwise = Adwise(buffer_size=64).partition(community_graph, 8)

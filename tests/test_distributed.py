@@ -2,9 +2,11 @@
 
 Three layers, mirroring the implementation split:
 
-- :mod:`repro.core.wire` in isolation — typed payload round-trips,
-  framing over real socket pairs, CRC/magic/truncation rejection, and
-  the HELLO version and kernel-source negotiation;
+- :mod:`repro.core.wire` in isolation — typed payload round-trips with
+  integer arrays narrowed on the wire, malformed payloads (any bytes)
+  raising ``WireError``, framing over real socket pairs,
+  CRC/magic/truncation rejection, and the HELLO version and
+  kernel-source negotiation, which a worker server outlives;
 - :mod:`repro.core.distributed` end-to-end — a process session's
   loopback and ``host:port`` workers both pinned full-state bit-exact
   against the simulated runner (the deeper seeded matrix lives in
@@ -47,6 +49,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ParallelTwoPhase, wire
 from repro.core import distributed
@@ -61,7 +65,7 @@ from repro.kernels import c_backend, get_backend
 from repro.kernels.base import ReplicaLog
 from repro.metrics.runtime import CostCounter
 from repro.graph import Graph
-from repro.graph.generators import chung_lu_graph
+from repro.graph.generators import chung_lu_graph, ring_of_cliques
 from repro.partitioning.state import _replica_plane
 from repro.streaming import FileEdgeStream, InMemoryEdgeStream
 from repro.streaming.writer import EdgeListWriter
@@ -85,6 +89,51 @@ def no_shared_memory(shared_memory_made):
 # ---------------------------------------------------------------------
 # payload encoding
 # ---------------------------------------------------------------------
+def _field(key: bytes, value: bytes) -> bytes:
+    """A one-field payload: ``key`` and a value's raw encoding."""
+    return struct.pack("!I", 1) + bytes([len(key)]) + key + value
+
+
+def _array_payload(descr, narrow=None, dims=(1,), raw=b"\0" * 8) -> bytes:
+    """A one-array payload with the sender's dtype descriptor ``descr``,
+    the wire's ``narrow`` (``descr`` itself by default), ``dims`` and
+    ``raw``, whatever they say."""
+    narrow = descr if narrow is None else narrow
+    return _field(
+        b"a",
+        bytes([6, len(descr), len(narrow), len(dims)])
+        + descr
+        + narrow
+        + b"".join(struct.pack("!q", dim) for dim in dims)
+        + struct.pack("!I", len(raw))
+        + raw,
+    )
+
+
+def _nested(depth: int) -> bytes:
+    """A payload of ``depth`` mappings, each inside the last."""
+    payload = struct.pack("!I", 0)
+    for _ in range(depth):
+        payload = _field(b"a", bytes([7]) + struct.pack("!I", len(payload)) + payload)
+    return payload
+
+
+#: One valid payload of every value type.
+_EVERY_TYPE = wire.encode_payload(
+    {
+        "none": None,
+        "flag": True,
+        "int": -7,
+        "float": 2.5,
+        "text": "héllo",
+        "blob": b"\x00\xff",
+        "moves": np.array([[0, 3], [5, 70_000]], dtype=np.int64),
+        "bits": np.array([True, False]),
+        "nested": {"sizes": np.arange(4, dtype=np.int64)},
+    }
+)
+
+
 class TestPayloadEncoding:
     def test_round_trips_every_type(self):
         fields = {
@@ -146,6 +195,111 @@ class TestPayloadEncoding:
         data[idx : idx + 8] = struct.pack("!q", 3)
         with pytest.raises(WireError, match="length mismatch"):
             wire.decode_payload(bytes(data))
+
+    @pytest.mark.parametrize(
+        "values, dtype, narrow",
+        [
+            ([0, 7, 255], np.int64, np.uint8),
+            ([-1, 3], np.int32, np.int8),
+            ([0, 70_000], np.int64, np.uint32),
+            ([2**40], np.int64, np.int64),
+            ([2**63 + 5], np.uint64, np.uint64),
+            ([], np.int64, np.uint8),
+            ([1, 0], np.bool_, np.bool_),
+            ([0.5], np.float64, np.float64),
+        ],
+    )
+    def test_integer_arrays_travel_narrow_and_decode_wide(self, values, dtype, narrow):
+        """An integer array crosses in the narrowest integer type that
+        holds its values and casts back to its dtype without loss, and
+        decodes to the sender's dtype; any other array crosses as is."""
+        arr = np.array(values, dtype=dtype).reshape(-1, 1)
+        assert wire.wire_dtype(arr) == narrow
+        assert wire.wire_nbytes(arr) == arr.size * np.dtype(narrow).itemsize
+        wide = wire.encode_payload({"a": arr.astype(dtype)})
+        out = wire.decode_payload(wide)["a"]
+        assert out.dtype == arr.dtype and out.shape == arr.shape
+        np.testing.assert_array_equal(out, arr)
+        assert out.flags.writeable
+
+    def test_a_log_crosses_in_4_byte_cells(self):
+        """The int64 set-bit log of a plane of fewer than 2**32 cells costs
+        4 bytes per cell on the wire, as its uint32 cells did."""
+        log = np.array([0, (1 << 32) - 1], dtype=np.int64)
+        bare = wire.encode_payload({"log": np.zeros(0, np.int64)})
+        assert len(wire.encode_payload({"log": log})) == len(bare) + 2 * 4
+
+    @pytest.mark.parametrize(
+        "value", [np.array(["a"]), np.zeros(2, np.complex128), np.array([None])]
+    )
+    def test_unsupported_array_dtypes_are_not_encoded(self, value):
+        with pytest.raises(WireError, match="no wire encoding"):
+            wire.encode_payload({"a": value})
+
+    #: CRC-valid payloads the decoder must refuse: ``(payload, match)``.
+    MALFORMED = {
+        "object-dtype": (_array_payload(b"|O"), "unsupported wire array dtype"),
+        "unknown-dtype": (_array_payload(b"zz9"), "unsupported wire array dtype"),
+        "non-ascii-dtype": (
+            _array_payload("é8".encode()),
+            "unsupported wire array dtype",
+        ),
+        "zero-size-dtype": (
+            _array_payload(b"|V0", raw=b""),
+            "unsupported wire array dtype",
+        ),
+        "lossy-narrow": (
+            _array_payload(b"<i4", b"<i8"),
+            "cannot travel as int64",
+        ),
+        "float-as-integer": (
+            _array_payload(b"<f8", b"|u1", raw=b"\0"),
+            "cannot travel as uint8",
+        ),
+        "two-negative-dims": (
+            _array_payload(b"<i8", dims=(-1, -1)),
+            "negative dimension",
+        ),
+        "dims-overflowing-int64": (
+            _array_payload(b"<i8", dims=(2**62, 4), raw=b""),
+            "length mismatch",
+        ),
+        "more-dims-than-numpy": (_array_payload(b"<i8", dims=(1,) * 100), "shape"),
+        "non-utf8-key": (_field(b"\xff", bytes([4]) + struct.pack("!I", 0)), "UTF-8"),
+        "non-utf8-string": (
+            _field(b"a", bytes([4]) + struct.pack("!I", 2) + b"\xff\xfe"),
+            "UTF-8",
+        ),
+        "deep-nesting": (_nested(3000), "nests more than"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_payload_raises_wire_error(self, case):
+        payload, match = self.MALFORMED[case]
+        with pytest.raises(WireError, match=match):
+            wire.decode_payload(payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=512))
+    def test_any_bytes_decode_or_raise_wire_error(self, data):
+        try:
+            wire.decode_payload(data)
+        except WireError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(edit=st.data())
+    def test_any_edit_of_a_payload_decodes_or_raises_wire_error(self, edit):
+        """A valid payload with bytes overwritten, then maybe cut short."""
+        data = bytearray(_EVERY_TYPE)
+        for _ in range(edit.draw(st.integers(1, 4))):
+            at = edit.draw(st.integers(0, len(data) - 1))
+            data[at] = edit.draw(st.integers(0, 255))
+        data = data[: edit.draw(st.integers(0, len(data)))]
+        try:
+            wire.decode_payload(bytes(data))
+        except WireError:
+            pass
 
 
 # ---------------------------------------------------------------------
@@ -386,20 +540,29 @@ def _assert_clean():
     assert live_worker_processes() == frozenset()
 
 
-#: ``(packed, sync, n_edges, kind)``: the 600-byte dense plane takes the
-#: logs of 37-edge windows, the 120-byte packed one is shipped whole
-#: after a 300-edge window, and with shards of 299, 299 and 300 edges in
-#: 299-edge windows workers 0 and 1 sit out every pass's second sweep,
-#: so each of them that takes news takes two barriers' with its next
-#: window.
+def _first_edges(n_edges):
+    graph = _graph()
+    return Graph(graph.edges[:n_edges], graph.n_vertices)
+
+
+#: ``(packed, sync, graph, kind)``: the 600-byte dense plane of
+#: :func:`_graph` takes the logs of 37-edge windows (its 2-byte cells
+#: never cover half of it), the 300-byte dense plane of the complete
+#: graph on 60 vertices is shipped whole when the remaining pass starts,
+#: the 120-byte packed one of :func:`_graph` after a 300-edge window,
+#: and with shards of 299, 299 and 300 edges in 299-edge windows workers
+#: 0 and 1 sit out every pass's second sweep, so each of them that takes
+#: news takes two barriers' with its next window, the packed plane in
+#: place of their logs.
 WINDOW_NEWS_CASES = pytest.mark.parametrize(
-    "packed, sync, n_edges, kind",
+    "packed, sync, graph, kind",
     [
-        (False, 37, 900, "log"),
-        (True, 300, 900, "plane"),
-        (False, 299, 898, "plane"),
+        (False, 37, _first_edges(900), "log"),
+        (False, 200, ring_of_cliques(1, 60), "plane"),
+        (True, 300, _first_edges(900), "plane"),
+        (True, 299, _first_edges(898), "plane"),
     ],
-    ids=["dense", "packed", "sat-out"],
+    ids=["dense", "dense-plane", "packed", "sat-out"],
 )
 
 
@@ -409,11 +572,12 @@ def _window_news_partition(runner, stream, packed, sync):
     ).partition(stream, 5, chunk_size=64)
 
 
-def _check_window_news(monkeypatch, packed, sync, n_edges, kind, owner, run):
+def _check_window_news(monkeypatch, packed, sync, graph, kind, owner, run):
     """A Phase-2 barrier ships nothing itself: each worker's next window
-    request carries the cells the other workers logged since its last
-    window, in uint32, or the merged plane where that is fewer bytes,
-    plus the merged sizes; the run's last barrier ships nothing.  Worker
+    request carries the int64 cells the other workers logged since its
+    last window, or the merged plane where that is fewer bytes on the
+    wire, plus the merged sizes; the run's last barrier ships nothing,
+    and the byte counts read the encoded sizes.  Worker
     ``owner``'s view is the job's state (``None``: no worker's is) and it
     gets no news.  ``run(graph)`` is the three-worker process run under
     test; it stays bit-exact with the simulated runner, and its wire
@@ -458,17 +622,16 @@ def _check_window_news(monkeypatch, packed, sync, n_edges, kind, owner, run):
     monkeypatch.setattr(transport, "_send", send)
     monkeypatch.setattr(transport, "barrier", barrier)
     monkeypatch.setattr(transport, "close", close)
-    graph = _graph()
-    graph = Graph(graph.edges[:n_edges], graph.n_vertices)
     dist = run(graph)
     sim = _window_news_partition("simulated", graph, packed, sync)
     _assert_same(dist, sim)
-    plane_bytes = _replica_plane(dist.state.replicas)[0].nbytes
+    plane = _replica_plane(dist.state.replicas)[0]
+    plane_bytes = plane.nbytes
     logs, pending, sizes = {}, {}, None
-    shipped, deliveries, kinds, most = 0, 0, set(), {}
+    shipped, sizes_bytes, deliveries, kinds, most = 0, 0, 0, set(), {}
     for event, w, value in events:
         if event == "log":
-            assert value.dtype == np.uint32
+            assert value.dtype == np.int64
             logs[w] = value
             continue
         if event == "barrier":
@@ -485,20 +648,24 @@ def _check_window_news(monkeypatch, packed, sync, n_edges, kind, owner, run):
         news = pending.pop(w)
         most[w] = max(most.get(w, 0), len(news))
         cells = np.concatenate(
-            [np.zeros(0, np.uint32), *(log for logs_ in news for log in logs_)]
+            [np.zeros(0, np.int64), *(log for logs_ in news for log in logs_)]
         )
+        cell_bytes = wire.wire_nbytes(cells)
         if "log" in value:
             np.testing.assert_array_equal(value["log"], cells)
-            assert value["log"].dtype == np.uint32
-            assert cells.nbytes < plane_bytes
+            assert value["log"].dtype == np.int64
+            assert cell_bytes < plane_bytes
         else:
-            assert value["plane"].nbytes == plane_bytes <= cells.nbytes
+            assert value["plane"].dtype == plane.dtype
+            assert value["plane"].shape == plane.shape
+            assert plane_bytes <= cell_bytes
         np.testing.assert_array_equal(value["sizes"], sizes)
         kinds.update(set(value) - {"sizes"})
-        shipped += min(cells.nbytes, plane_bytes)
+        shipped += min(cell_bytes, plane_bytes)
+        sizes_bytes += wire.wire_nbytes(value["sizes"])
         deliveries += 1
     assert kind in kinds
-    sat_out = [2, 2, 1] if n_edges == 898 else [1, 1, 1]
+    sat_out = [2, 2, 1] if graph.n_edges == 898 else [1, 1, 1]
     if owner is not None:
         sat_out[owner] = 0
     assert [most.get(w, 0) for w in range(3)] == sat_out, "barriers per delivery"
@@ -507,10 +674,9 @@ def _check_window_news(monkeypatch, packed, sync, n_edges, kind, owner, run):
     assert sorted(pending) == [w for w in range(3) if w != owner]
     stats = dist.extras["wire"]
     assert at_close == [stats]
-    sizes_bytes = 5 * 8
     assert stats["barrier_plane_bytes"] == shipped
-    assert stats["barrier_delta_bytes"] == shipped + deliveries * sizes_bytes
-    assert stats["barrier_full_bytes"] == deliveries * (plane_bytes + sizes_bytes)
+    assert stats["barrier_delta_bytes"] == shipped + sizes_bytes
+    assert stats["barrier_full_bytes"] == deliveries * plane_bytes + sizes_bytes
     assert stats["barrier_plane_bytes"] < stats["barrier_full_bytes"]
     _assert_clean()
 
@@ -561,7 +727,7 @@ class TestLoopbackEquivalence:
 
     @WINDOW_NEWS_CASES
     def test_window_requests_carry_other_workers_cells_or_the_plane(
-        self, monkeypatch, packed, sync, n_edges, kind
+        self, monkeypatch, packed, sync, graph, kind
     ):
         """Worker 0 runs in this process and its view is the job's
         state, which the barrier writes: it gets no news, and the wire
@@ -570,7 +736,7 @@ class TestLoopbackEquivalence:
         def run(graph):
             return _window_news_partition("process", graph, packed, sync)
 
-        _check_window_news(monkeypatch, packed, sync, n_edges, kind, owner=0, run=run)
+        _check_window_news(monkeypatch, packed, sync, graph, kind, owner=0, run=run)
 
 
 def _file_stream(graph, tmp_path):
@@ -618,7 +784,7 @@ class TestHostPortWorkers:
 
     @WINDOW_NEWS_CASES
     def test_window_requests_carry_every_workers_news(
-        self, monkeypatch, tmp_path, packed, sync, n_edges, kind
+        self, monkeypatch, tmp_path, packed, sync, graph, kind
     ):
         """Every worker takes news, worker 0 too, and the wire stats
         count what was sent to all three servers."""
@@ -629,7 +795,7 @@ class TestHostPortWorkers:
                 return _window_news_partition(runner, stream(), packed, sync)
 
         _check_window_news(
-            monkeypatch, packed, sync, n_edges, kind, owner=None, run=run
+            monkeypatch, packed, sync, graph, kind, owner=None, run=run
         )
 
     def test_in_memory_stream_rejected(self, monkeypatch, shared_memory_made):
@@ -730,10 +896,9 @@ class TestRunnerConfig:
 # ---------------------------------------------------------------------
 # failure injection (ISSUE satellite: typed errors + clean teardown)
 # ---------------------------------------------------------------------
-def _cells(head, tail) -> np.ndarray:
-    """``head`` then ``tail`` as the ``uint32`` move cells of the test
-    graphs' frames; -1 becomes the largest ``uint32``."""
-    return np.append(head, tail).astype(np.uint32)
+def _rows(head, tail) -> np.ndarray:
+    """``head`` then ``tail`` as ``(m, 2)`` int64 move rows."""
+    return np.append(head, tail).astype(np.int64).reshape(-1, 2)
 
 
 def _crash_handler(ctx, payload):
@@ -841,8 +1006,8 @@ class _FailureMatrix:
         assert not multiprocessing.active_children()
 
     def test_unassigned_edge_fails_the_collect(self, monkeypatch):
-        """Every worker's shard has an unassigned edge: the first worker
-        the collect reads names it."""
+        """Every worker's shard has an unassigned edge, its last: the
+        coordinator's check names the first worker the collect reads."""
         real = distributed._w_collect
 
         def unassigned(ctx, payload):
@@ -851,25 +1016,27 @@ class _FailureMatrix:
 
         excinfo = self._run_with_fault(monkeypatch, wire.MSG_COLLECT, unassigned)
         assert excinfo.match(
-            f"worker {self.collected_first} failed during collect: .* is unassigned"
+            f"collect: worker {self.collected_first} assigned edge "
+            f"{self.in_place + 449} to "
+            r"partition -1, outside \[0, 5\)"
         )
         _assert_clean()
         assert not multiprocessing.active_children()
 
-    #: Hostile collect frames: ``(mutate(cells, k), match)``, each
-    #: returning the assignments a worker's collect ships.
+    #: Hostile collect frames: ``(mutate(assignments, k), match)``, each
+    #: returning the assignments a worker's collect ships; ``{last}`` is
+    #: the last edge of its 450.
     HOSTILE_COLLECTS = {
-        "int32": (lambda a, k: a.astype(np.int32), "expected the 450 uint8"),
-        "short": (lambda a, k: a[:-1], "expected the 450 uint8"),
-        "2-d": (lambda a, k: a.reshape(-1, 1), "expected the 450 uint8"),
+        "int64": (lambda a, k: a.astype(np.int64), "expected the 450 int32"),
+        "short": (lambda a, k: a[:-1], "expected the 450 int32"),
+        "2-d": (lambda a, k: a.reshape(-1, 1), "expected the 450 int32"),
         "id-k": (
-            lambda a, k: np.append(a[:-1], np.array(k, a.dtype)),
-            r"partition 5, outside \[0, 5\)",
+            lambda a, k: np.append(a[:-1], np.int32(k)),
+            r"edge {last} to partition 5, outside \[0, 5\)",
         ),
-        # -1 in the wire's uint8 cells: its largest value.
         "negative": (
-            lambda a, k: np.append(a[:-1], np.array(-1).astype(a.dtype)),
-            r"partition 255, outside \[0, 5\)",
+            lambda a, k: np.append(a[:-1], np.int32(-1)),
+            r"edge {last} to partition -1, outside \[0, 5\)",
         ),
     }
 
@@ -908,7 +1075,7 @@ class _FailureMatrix:
 
         monkeypatch.setattr(transport, "finalize", recording)
         excinfo = self._run_with_fault(monkeypatch, wire.MSG_COLLECT, hostile)
-        assert excinfo.match(match)
+        assert excinfo.match(match.format(last=in_place + 449))
         assert str(excinfo.value).startswith(
             f"{self.runner} collect: worker {first} "
         )
@@ -919,27 +1086,21 @@ class _FailureMatrix:
     @pytest.mark.parametrize(
         "mutate, match",
         [
+            (lambda log, n_cells: np.append(log, np.int64(n_cells)), "outside the"),
+            (lambda log, n_cells: np.append(log, np.int64(-1)), "outside the"),
             (
-                lambda log, n_cells: np.append(log, np.array(n_cells, log.dtype)),
+                lambda log, n_cells: np.append(log, log[:1] ^ np.int64(1 << 62)),
                 "outside the",
             ),
-            # -1 in the wire's uint32 cells: its largest value.
-            (
-                lambda log, n_cells: np.append(log, np.array(-1).astype(log.dtype)),
-                "outside the",
-            ),
-            (
-                lambda log, n_cells: np.append(log, log[:1] ^ np.uint32(1 << 31)),
-                "outside the",
-            ),
-            (lambda log, n_cells: log.astype(np.int32), "1-d uint32 array"),
-            (lambda log, n_cells: log.astype(np.int64), "1-d uint32 array"),
+            (lambda log, n_cells: log.astype(np.int32), "1-d int64 array"),
+            (lambda log, n_cells: log.astype(np.uint32), "1-d int64 array"),
+            (lambda log, n_cells: log.reshape(-1, 1), "1-d int64 array"),
             (
                 lambda log, n_cells: np.zeros(2 * 37 + 1, dtype=log.dtype),
                 "more than the 74 bits",
             ),
         ],
-        ids=["n*k", "negative", "bit-flipped", "int32", "int64", "too-long"],
+        ids=["n*k", "negative", "bit-flipped", "int32", "uint32", "2-d", "too-long"],
     )
     def test_hostile_log_is_rejected_before_the_barrier_writes(
         self, monkeypatch, mutate, match
@@ -973,20 +1134,33 @@ class _FailureMatrix:
         _assert_clean()
         assert not multiprocessing.active_children()
 
-    #: Hostile clustering exports: ``(mutate(cells, fresh, n), match)``,
-    #: each returning the ``(moves, fresh)`` fields a window result ships
-    #: for a graph of ``n`` vertices.
+    #: Hostile clustering exports: ``(mutate(moves, fresh, n, ids),
+    #: match)``, each returning the ``(moves, fresh)`` fields a window
+    #: result ships for a graph of ``n`` vertices from a worker whose
+    #: window left it ``ids`` cluster ids, the first id past its range.
     HOSTILE_MOVES = {
-        "vertex-n": (lambda c, f, n: (_cells(c, [n, 0]), f), "outside the"),
-        # -1 in the wire's uint32 cells: its largest value.
-        "negative-vertex": (lambda c, f, n: (_cells([-1, 0], c), f), "outside the"),
-        "odd-cells": (lambda c, f, n: (c[:-1], f), "1-d uint32 array"),
-        "target-past-range": (lambda c, f, n: (_cells(c[:-1], [-1]), f), "cluster ids"),
-        "repeated-vertex": (lambda c, f, n: (_cells(c, c[-2:]), f), "each vertex once"),
-        "int64": (lambda c, f, n: (c.astype(np.int64), f), "1-d uint32 array"),
-        "2-d": (lambda c, f, n: (c.reshape(-1, 2), f), "1-d uint32 array"),
-        "fresh-past-moves": (lambda c, f, n: (c, len(c) // 2 + 1), "fresh clusters"),
-        "negative-fresh": (lambda c, f, n: (c, -1), "fresh clusters"),
+        "vertex-n": (lambda m, f, n, i: (_rows(m, [n, 0]), f), "outside the"),
+        "negative-vertex": (lambda m, f, n, i: (_rows([-1, 0], m), f), "outside the"),
+        "flat": (lambda m, f, n, i: (m.ravel(), f), r"\(m, 2\) int64 array"),
+        "target-past-range": (
+            lambda m, f, n, i: (_rows(m[:-1], [m[-1, 0], i]), f),
+            r"in cluster (\d+), outside its \1 cluster ids",
+        ),
+        "target-minus-one": (
+            lambda m, f, n, i: (_rows(m[:-1], [m[-1, 0], -1]), f),
+            "in cluster -1, outside its",
+        ),
+        "repeated-vertex": (
+            lambda m, f, n, i: (_rows(m, m[-1]), f),
+            "each vertex once",
+        ),
+        "uint32": (lambda m, f, n, i: (m.astype(np.uint32), f), r"\(m, 2\) int64"),
+        "3-columns": (
+            lambda m, f, n, i: (np.hstack((m, m[:, :1])), f),
+            r"\(m, 2\) int64 array",
+        ),
+        "fresh-past-moves": (lambda m, f, n, i: (m, len(m) + 1), "fresh clusters"),
+        "negative-fresh": (lambda m, f, n, i: (m, -1), "fresh clusters"),
     }
 
     @pytest.mark.parametrize("case", sorted(HOSTILE_MOVES))
@@ -994,18 +1168,19 @@ class _FailureMatrix:
         self, monkeypatch, case
     ):
         """A clustering window result whose moves name a vertex out of
-        range, a cluster id past the window's range or a vertex twice,
-        come in the wrong cells or claim an impossible fresh-cluster
-        count: one typed error, raised before the coordinator's global
-        clustering takes any move."""
+        range, a cluster id outside the window's range (-1 included: no
+        window unclusters a vertex) or a vertex twice, come in the wrong
+        type or shape or claim an impossible fresh-cluster count: one
+        typed error, raised before the coordinator's global clustering
+        takes any move."""
         real = distributed._w_cluster
         mutate, match = self.HOSTILE_MOVES[case]
 
         def hostile(ctx, payload):
             msg_type, fields = real(ctx, payload)
-            n = len(ctx["clusterer"].state.v2c)
+            state = ctx["clusterer"].state
             fields["moves"], fields["fresh"] = mutate(
-                fields["moves"], fields["fresh"], n
+                fields["moves"], fields["fresh"], len(state.v2c), state.n_ids()
             )
             return msg_type, fields
 
@@ -1440,6 +1615,60 @@ class TestVersionMismatchHandshake:
             )
         thread_a.join(timeout=10)
         thread_b.join(timeout=10)
+        _assert_clean()
+
+
+def _hello_with_text_version(conn):
+    conn.send(
+        wire.MSG_HELLO, {"version": "five", "kernels": c_backend.source_digest()}
+    )
+
+
+def _malformed_payload(conn):
+    payload = _array_payload(b"|O")
+    header = (wire.MAGIC, wire.MSG_HELLO, 0, 0, len(payload), zlib.crc32(payload))
+    conn.sock.sendall(struct.pack("!4sBBHII", *header) + payload)
+
+
+class TestServerOutlivesMalformedSessions:
+    @pytest.mark.parametrize(
+        "malformed",
+        [_hello_with_text_version, _malformed_payload],
+        ids=["text-version", "malformed-payload"],
+    )
+    def test_server_serves_a_session_after_a_malformed_one(self, tmp_path, malformed):
+        """A peer that opens with a HELLO whose version is text, or with
+        a CRC-valid payload the decoder refuses, ends its own session
+        only: ``serve_worker(max_sessions=2)`` then serves a real one,
+        bit-exact with the simulated runner, and returns 2."""
+        bound, served = threading.Event(), []
+        address = []
+
+        def ready(host, port):
+            address.append((host, port))
+            bound.set()
+
+        def serve():
+            served.append(distributed.serve_worker(max_sessions=2, ready=ready))
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        assert bound.wait(timeout=10)
+        conn = wire.Connection(socket.create_connection(address[0], timeout=10))
+        try:
+            malformed(conn)
+            with pytest.raises(WireError, match="closed"):
+                while True:  # an ERROR reply may come first, then the close
+                    conn.recv()
+        finally:
+            conn.close()
+        stream = _file_stream(_graph(), tmp_path)
+        host, port = address[0]
+        runner = ProcessRunner(workers=[f"{host}:{port}"])
+        dist = _partition(runner, stream(), n_workers=1)
+        thread.join(timeout=10)
+        assert not thread.is_alive() and served == [2]
+        _assert_same(dist, _partition("simulated", stream(), n_workers=1))
         _assert_clean()
 
 

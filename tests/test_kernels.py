@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.baselines import DBH, Grid, RandomHash
 from repro.core import IncrementalPartitioner, TwoPhasePartitioner
 from repro.core.clustering import StreamingClustering
-from repro.core.wire import log_cell_dtype
 from repro.errors import ConfigurationError, PartitioningError
 from repro.graph import Graph
 from repro.graph.degrees import compute_degrees_from_stream
@@ -979,7 +978,8 @@ def _merged(kernels, v2c, volumes, exports, degrees):
 def clustering_barriers(draw, min_vertices=0, max_vertices=40):
     """A random global clustering of ``base`` ids (volumes the sums of
     member degrees) and 2-4 workers' move exports over it: ascending
-    vertices, ids in ``[-1, base + n_fresh)``, unclustering included."""
+    vertices, ids in ``[0, base + n_fresh)`` (no window unclusters a
+    vertex; an export with no id to move to moves nothing)."""
     n = draw(st.integers(min_value=min_vertices, max_value=max_vertices))
     n_workers = draw(st.integers(min_value=2, max_value=4))
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
@@ -993,7 +993,9 @@ def clustering_barriers(draw, min_vertices=0, max_vertices=40):
     for _ in range(n_workers):
         x = np.flatnonzero(rng.random(n) < rng.random())
         fresh = int(rng.integers(0, x.shape[0] + 1))
-        ids = rng.integers(-1, base + fresh, size=x.shape[0])
+        if not base + fresh:
+            x = x[:0]
+        ids = rng.integers(0, max(base + fresh, 1), size=x.shape[0])
         exports.append((np.stack((x, ids), axis=1).astype(np.int64), fresh))
     return v2c.astype(np.int64), volumes, exports, degrees
 
@@ -1012,6 +1014,10 @@ HOSTILE_EXPORTS = {
     ),
     "id-past-range": (
         lambda m, f, n: (np.vstack((m[:-1], [[m[-1, 0], 10**12]])), f),
+        "cluster ids",
+    ),
+    "id-minus-1": (
+        lambda m, f, n: (np.vstack((m[:-1], [[m[-1, 0], -1]])), f),
         "cluster ids",
     ),
     "id-below-minus-1": (
@@ -1142,7 +1148,7 @@ class TestPhase1MergeOps:
         w = data.draw(st.integers(0, len(exports) - 1))
         moves, fresh = exports[w]
         if not len(moves):
-            moves, fresh = _moves([[0, -1]]), 0
+            moves, fresh = _moves([[0, 0]]), 1
         mutate, match = HOSTILE_EXPORTS[case]
         exports[w] = mutate(moves, fresh, v2c_g.shape[0])
         for backend in (ORACLE, *BACKEND_IMPLS):
@@ -1176,7 +1182,7 @@ class TestPhase1MergeOps:
     def _clustering_barrier():
         """A 4-vertex global clustering with 2 clusters and two workers'
         exports with one fresh cluster each: each worker owns ids
-        [-1, 3), and the merged range is [0, 4)."""
+        [0, 3), and the merged range is [0, 4)."""
         v2c = np.array([0, 1, -1, -1], dtype=np.int64)
         volumes = np.array([4, 2], dtype=np.int64)
         degrees = np.array([4, 2, 3, 1], dtype=np.int64)
@@ -1195,14 +1201,14 @@ class TestPhase1MergeOps:
                 v2c, _buffer(volumes), exports, degrees
             )
 
-    @pytest.mark.parametrize("bad_id", [3, 10**12, -2])
+    @pytest.mark.parametrize("bad_id", [3, 10**12, -1, -2])
     @pytest.mark.parametrize("kernels", BACKEND_IMPLS, ids=lambda b: b.name)
     def test_clustering_merge_rejects_id_beyond_range(self, kernels, bad_id):
-        """An id outside worker 1's range [-1, 3) is the same typed error
+        """An id outside worker 1's range [0, 3) is the same typed error
         on every backend (the distributed coordinator folds exports that
         arrived over sockets): 3 would remap to 4, past the merged
-        volumes, and -2 would pass for neither a cluster nor unassigned.
-        The global clustering stays as it was."""
+        volumes, no window unclusters a vertex (-1), and -2 is no id at
+        all.  The global clustering stays as it was."""
         v2c, volumes, exports, degrees = self._clustering_barrier()
         exports[1][0][1, 1] = bad_id
         buf = _buffer(volumes)
@@ -1218,6 +1224,7 @@ class TestPhase1MergeOps:
         "vertex-negative": ([[-1, 0]], "vertex -1, outside the 4 vertices"),
         "vertex-n": ([[1, 0], [4, 0]], "vertex 4, outside the 4 vertices"),
         "id-n_ids": ([[1, 0], [3, 4]], "cluster 4, outside the 4 cluster ids"),
+        "id-minus-1": ([[1, 0], [3, -1]], "cluster -1, outside the 4 cluster ids"),
         "id-below-minus-1": ([[3, -2]], "cluster -2, outside the 4"),
     }
 
@@ -1353,7 +1360,6 @@ class TestPhase1MergeOps:
             [2, 2, 3],
         ),
         "worker-empties-a-cluster": ([0, 1, 1], [4, 3], [([[0, 1]], 0)], [4, 1, 2]),
-        "worker-unclusters-a-vertex": ([0, 0, 1], [3, 2], [([[1, -1]], 0)], [2, 1, 2]),
     }
 
     @pytest.mark.parametrize("kernels", BACKEND_IMPLS, ids=lambda b: b.name)
@@ -1479,7 +1485,6 @@ def _worker_ctx(kernels, view, log):
         "hdrf_lambda": 1.1,
         "view": view,
         "log": log,
-        "cell": log_cell_dtype(n, k),
         "phase1": (np.zeros(n, np.int32), np.ones((n, 2), np.int64)),
         "shard": (0, 0),
         "assignments": np.zeros(0, np.int32),
@@ -1516,15 +1521,14 @@ class TestReplicaLogBarrier:
             get_backend("python").apply_replica_log(
                 ref_state, [log.entries() for log in logs]
             )
-            cell = log_cell_dtype(g.n_vertices, k)
             # The logs as the window replies carry them.
-            cells = [log.entries().astype(cell) for log in logs]
+            cells = [log.entries().copy() for log in logs]
             merged = merge_sizes(g.sizes, [v.sizes for v in views])
             others = {
-                w: np.concatenate([np.zeros(0, cell), *cells[:w], *cells[w + 1 :]])
+                w: np.concatenate([np.zeros(0, np.int64), *cells[:w], *cells[w + 1 :]])
                 for w in range(n_workers)
             }
-            take_news(kernels, views[0], {"log": others[0], "sizes": merged}, cell)
+            take_news(kernels, views[0], {"log": others[0], "sizes": merged})
             for w in range(1, n_workers):
                 ctx = _worker_ctx(kernels, views[w], logs[w])
                 payload = {"pass": "prepartition", "start": 0, "stop": 0}
