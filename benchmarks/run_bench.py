@@ -14,9 +14,9 @@ tracked from PR to PR:
 
 It then runs the **parallel wall-clock** section: the sharded path with
 ``runner="process"`` (worker 0 in this process, its view the global
-state, and true ``multiprocessing`` workers over loopback sockets, each
-holding its own ``PartitionState`` view) against the sequential python Phase-2
-time, into ``BENCH_parallel.json``.
+state, and true forked ``multiprocessing`` workers, each over a
+socketpair and holding its own ``PartitionState`` view) against the
+sequential python Phase-2 time, into ``BENCH_parallel.json``.
 
 Usage::
 
@@ -67,7 +67,7 @@ Exit status is non-zero unless every gate passes:
   kept their assignments;
 - socket-worker gates (``socket_workers`` section of
   ``BENCH_parallel.json``): the process runner's barriers must ship
-  strictly fewer replica-plane bytes through its loopback socket
+  strictly fewer replica-plane bytes through its forked socket
   workers than a full-state re-broadcast, on dense state (the process
   runs of the rounds) and on bit-packed state (one more run, bit-exact
   with the simulated runner), and leak no socket or worker process (all
@@ -177,7 +177,7 @@ PHASE1_GATE = 1.5
 PHASE1_SMOKE_GATE = 0.15
 
 #: Measured Phase-2 speedup of the process runner, whose workers past
-#: worker 0 are socket workers on loopback, vs sequential python, read
+#: worker 0 are forked socket workers, vs sequential python, read
 #: from the same rounds as :data:`PARALLEL_GATE` but enforced on hosts
 #: with >= 2 usable CPUs (below that the wire round-trips have no spare
 #: core to overlap with).  The bar is modest: the section's point is
@@ -843,7 +843,7 @@ def run_parallel_wallclock(
 
     One set of interleaved rounds runs sequential 2PS-L and, at
     ``--n-workers``, the process runner (worker 0 in this process, the
-    others loopback socket workers) with and without
+    others forked socket workers) with and without
     ``parallel_phase1``, all on ``python``, plus their ``c`` twins when
     ``c`` is available; every speedup pairs two runs of one round.  Each
     sharded run must be bit-identical with the simulated runner at the
@@ -964,7 +964,7 @@ def run_parallel_wallclock(
         SOCKET_SMOKE_GATE if smoke else SOCKET_GATE,
         skip=None
         if cpus >= 2
-        else f"{cpus} usable CPU(s): loopback socket workers have "
+        else f"{cpus} usable CPU(s): forked socket workers have "
         "no spare core to run on",
     )
 
@@ -1083,7 +1083,7 @@ def run_parallel_wallclock(
         },
         "socket_workers": {
             "benchmark": "process runner's socket workers (sync-window/"
-            "set-bit-log barrier protocol over loopback sockets)",
+            "set-bit-log barrier protocol over socketpairs)",
             "n_workers": args.n_workers,
             "syncs": process.extras["syncs"],
             "wire": wire["dense"],

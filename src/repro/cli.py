@@ -416,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="execution runner for the sharded parallel path (2PS-L / "
         "2PS-HDRF only); 'process' runs real worker processes over "
-        "sockets: worker 0 in this process and local workers over "
-        "loopback, or the --workers servers",
+        "sockets: worker 0 in this process and forked local workers, "
+        "each over a socketpair, or the --workers servers",
     )
     part.add_argument(
         "--n-workers",

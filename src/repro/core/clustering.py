@@ -125,7 +125,7 @@ class StreamingClustering:
     ) -> None:
         if n_passes < 1:
             raise ConfigurationError(f"n_passes must be >= 1, got {n_passes}")
-        if volume_cap is not None and volume_cap <= 0:
+        if volume_cap is not None and not volume_cap > 0:  # NaN too
             raise ConfigurationError(
                 f"volume_cap must be positive or None, got {volume_cap}"
             )

@@ -13,8 +13,8 @@ runner decides where each worker runs:
   here, and so does worker 0 of every loopback session;
 - in a loopback worker process: a
   :class:`~repro.core.runners.ProcessRunner` session of ``n`` workers
-  without ``host:port`` specs starts ``n - 1`` of them, which connect
-  back to a listener on ``127.0.0.1``;
+  without ``host:port`` specs forks ``n - 1`` of them, each serving one
+  end of a socketpair whose other end is its connection;
 - in a worker server named by a ``host:port`` spec (the CLI ``worker``
   subcommand, :func:`serve_worker`): a ``ProcessRunner`` session given
   ``n`` specs connects to all ``n`` of them over TCP.
@@ -66,17 +66,20 @@ drains its state at ``CLUSTER_FINISH``.
 
 Failure surface
 ---------------
-No hangs, no leaked sockets or processes: every recv from a socket
-worker runs under the session's ``recv_timeout``, and worker death, a
-stall past the timeout, disconnection or corruption surfaces as a typed
+No hangs, no leaked sockets or processes: a socket worker's HELLO runs
+under the session's ``connect_timeout`` and every later recv under its
+``recv_timeout``, and worker death, a stall past the timeout,
+disconnection or corruption surfaces as a typed
 :class:`~repro.errors.PartitioningError` naming the runner, the step and
 the worker.  A worker in the coordinator runs on its thread, where no
 timeout can cover it: a handler that raises there is answered with an
 ``ERROR`` reply, as in a worker process, surfaces through the same typed
-error and keeps the handler's exception as its cause.  A loopback worker
-whose fork fails raises a ``PartitioningError`` naming it, with the
-``OSError`` as its cause, and one that exits before it connects fails
-the session at once, with its exit code.  Session ``close()`` — invoked
+error and keeps the handler's exception as its cause.  A loopback
+worker whose fork fails raises a ``PartitioningError`` naming it, with
+the ``OSError`` as its cause; one that exits before its handshake fails
+the session at once, with its exit code.  A forked worker holds no copy
+of a coordinator connection, so it sees EOF and exits even when the
+coordinator is killed.  Session ``close()`` — invoked
 on every error path — shuts sockets and reaps forked workers, in
 bounded time: a worker with an unanswered request (it may be stuck in a
 kernel) gets no goodbye, and then every forked worker is terminated at
@@ -89,8 +92,8 @@ Edge data never crosses the wire: remote (``host:port``) workers must be
 handed a file-backed stream (:class:`~repro.streaming.stream.FileEdgeStream`)
 and read their own shards.  A worker in the coordinator streams the
 job's stream object itself, and a window covering the whole stream
-streams it as a full pass.  A forked loopback worker reopens a file from
-its spec and inherits any other stream (``JOB`` then names an
+streams it as a full pass.  A forked loopback worker inherits that
+stream object too, or one private copy of it (``JOB`` names an
 ``inherited`` spec; see :func:`_forked_stream` and "Stream handover" in
 :mod:`repro.core.runners`).
 """
@@ -98,7 +101,6 @@ its spec and inherits any other stream (``JOB`` then names an
 from __future__ import annotations
 
 import socket
-import time
 
 import numpy as np
 
@@ -129,10 +131,6 @@ _LIVE_CONNECTIONS: set = set()
 
 #: Forked loopback worker processes of open sessions (same contract).
 _LIVE_WORKER_PROCS: set = set()
-
-#: The ``JOB`` stream spec of a worker that streams the coordinator's own
-#: stream object: a worker in the coordinator, or a forked worker.
-_INHERITED = {"kind": "inherited"}
 
 
 def live_connections() -> frozenset:
@@ -363,14 +361,17 @@ def _serve_connection(sock: socket.socket, version: int | None = None, stream=No
         conn.close()
 
 
-def _loopback_worker_main(address: tuple[str, int], stream) -> None:
-    """Entry point of a coordinator-forked loopback worker process.
+def _loopback_worker_main(sock: socket.socket, stream) -> None:
+    """Entry point of a forked loopback worker: serve ``sock``, its end of
+    the socketpair whose other end the coordinator holds, over the
+    ``stream`` of :func:`_forked_stream`, inherited instead of unpickled.
 
-    ``stream`` is ``None`` (the job names a file's spec) or the
-    in-memory stream of :func:`_forked_stream`, which the child inherits
-    with its edge array instead of unpickling them."""
-    sock = socket.create_connection(address, timeout=30.0)
-    sock.settimeout(None)
+    It first closes its copies of every coordinator connection, so that
+    it sees EOF once the coordinator's end is gone, even with the
+    coordinator killed.  ``sock.close()`` only: a connection's
+    ``close()`` shuts the socket down, ending the coordinator's too."""
+    for conn in _LIVE_CONNECTIONS:
+        conn.sock.close()
     _serve_connection(sock, stream=stream)
 
 
@@ -447,13 +448,17 @@ def serve_worker(
 # ---------------------------------------------------------------------
 # coordinator side
 # ---------------------------------------------------------------------
-def _forked_stream(stream) -> InMemoryEdgeStream:
-    """The in-memory stream forked workers inherit for ``stream``: the
-    stream itself where they may read its edge array in place (an exact
-    :class:`~repro.streaming.stream.InMemoryEdgeStream` whose ``chunks``
-    no attribute of the instance replaces), else one private copy read
-    once through its ``chunks()``, with its vertex count and chunk size."""
-    if type(stream) is InMemoryEdgeStream and "chunks" not in vars(stream):
+def _forked_stream(stream):
+    """The stream forked workers inherit for ``stream``: the stream itself
+    where they may read it in place, as the workers in the coordinator do
+    (a :class:`~repro.streaming.stream.FileEdgeStream`, a subclass too,
+    or an exact :class:`~repro.streaming.stream.InMemoryEdgeStream` whose
+    ``chunks`` no attribute of the instance replaces), else one private
+    in-memory copy read once through its ``chunks()``, with its vertex
+    count and chunk size."""
+    if isinstance(stream, FileEdgeStream) or (
+        type(stream) is InMemoryEdgeStream and "chunks" not in vars(stream)
+    ):
         return stream
     edges = np.empty((int(stream.n_edges), 2), dtype=np.int64)
     pos = 0
@@ -507,8 +512,8 @@ class WorkerTransport:
         self._conns: list = []
         #: Workers with a request whose reply has not been read.
         self._pending: set[int] = set()
-        self._procs: list = []
-        self._listener = None
+        #: The forked loopback worker process of each worker index.
+        self._procs: dict = {}
         self._lone = False
         #: A lone worker whose view is ``job.state`` keeps no log.
         self._logless = False
@@ -533,25 +538,16 @@ class WorkerTransport:
     def _setup(self, n_workers, workers) -> None:
         job = self.job
         if workers is not None:
-            specs = self._connect_workers(workers)
+            spec = self._connect_workers(workers)
         else:
+            spec = {"kind": "inherited"}  # the coordinator's stream object
             n_local = 1 if self._sockets else n_workers
             self._conns = [_LocalWorker(job.stream) for _ in range(n_local)]
-            specs = [_INHERITED] * n_local
             if n_workers > n_local:
-                specs += self._start_loopback_workers(n_workers - 1)
+                self._start_loopback_workers(n_workers - 1)
         for w, conn in enumerate(self._conns):
-            if isinstance(conn, _LocalWorker):
-                continue
-            conn.settimeout(self._recv_timeout)
-            self._pending.add(w)
-            try:
-                wire.handshake_client(conn)
-            except WireError as exc:
-                raise PartitioningError(
-                    f"{self._kind} handshake failed: {exc}"
-                ) from exc
-            self._pending.discard(w)
+            if not isinstance(conn, _LocalWorker):
+                self._hello(w, conn)
         job_fields = {
             "n_edges": int(job.stream.n_edges),
             "k": job.k,
@@ -565,15 +561,15 @@ class WorkerTransport:
             wire.MSG_JOB,
             [
                 {**job_fields, "spec": spec, "worker_index": w}
-                for w, spec in enumerate(specs)
+                for w in range(len(self._conns))
             ],
             wire.MSG_OK,
             "job setup",
         )
 
-    def _connect_workers(self, addresses) -> list:
-        """Connect to the ``host:port`` workers; returns each one's
-        stream spec.  The worker count and the stream's type are checked
+    def _connect_workers(self, addresses) -> dict:
+        """Connect to the ``host:port`` workers; returns the stream spec
+        they share.  The worker count and the stream's type are checked
         before anything is built."""
         job = self.job
         if len(addresses) != job.n_workers:
@@ -599,13 +595,12 @@ class WorkerTransport:
                     f"{self._kind} could not connect to {label}: {exc}"
                 ) from exc
             self._track(wire.Connection(sock, label=label))
-        return [spec_to_wire(spec)] * len(addresses)
+        return spec_to_wire(spec)
 
-    def _start_loopback_workers(self, n_procs) -> list:
-        """Fork workers 1 to ``n_procs`` as processes that connect back
-        to a listener on ``127.0.0.1``; returns each one's stream spec.
-        A file stream is reopened from its spec; any other stream is
-        inherited (:func:`_forked_stream`).  A host that cannot fork
+    def _start_loopback_workers(self, n_procs) -> None:
+        """Fork workers 1 to ``n_procs``, each serving one end of a
+        socketpair whose other end is its connection here; they inherit
+        the stream of :func:`_forked_stream`.  A host that cannot fork
         raises before anything is built."""
         import multiprocessing as mp
 
@@ -617,60 +612,48 @@ class WorkerTransport:
                 "pass the host:port addresses of worker servers (the CLI "
                 "'worker' subcommand) as ProcessRunner(workers=...)"
             ) from None
-        stream = self.job.stream
-        if isinstance(stream, FileEdgeStream):
-            inherited, spec = None, spec_to_wire(make_stream_spec(stream))
-        else:
-            inherited, spec = _forked_stream(stream), _INHERITED
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.bind(("127.0.0.1", 0))
-        self._listener.listen(n_procs)
-        self._listener.settimeout(0.1)  # see _accept
-        address = self._listener.getsockname()[:2]
+        stream = _forked_stream(self.job.stream)
         for w in range(1, n_procs + 1):
-            proc = fork.Process(
-                target=_loopback_worker_main, args=(address, inherited), daemon=True
-            )
             try:
-                proc.start()
+                ours, theirs = socket.socketpair()
+                # Tracked before the fork: this worker and every later one
+                # close their copies of it (see _loopback_worker_main).
+                self._track(wire.Connection(ours, label=f"worker {w}"))
+                proc = fork.Process(
+                    target=_loopback_worker_main, args=(theirs, stream), daemon=True
+                )
+                try:
+                    proc.start()
+                finally:
+                    theirs.close()  # the worker's end lives in the worker only
             except OSError as exc:
                 raise PartitioningError(
                     f"{self._kind} could not start loopback worker {w}: {exc}"
                 ) from exc
-            self._procs.append(proc)
+            self._procs[w] = proc
             _LIVE_WORKER_PROCS.add(proc)
-        for w in range(1, n_procs + 1):
-            self._track(wire.Connection(self._accept(w), label=f"worker {w}"))
-        self._listener.close()
-        self._listener = None
-        return [spec] * n_procs
 
-    def _accept(self, w: int) -> socket.socket:
-        """The next loopback worker's socket.  Accepts in slices of at
-        most 0.1 s and checks between them that no forked worker has
-        exited, so a worker that dies before it connects fails the
-        session at once instead of after ``connect_timeout``."""
-        deadline = time.monotonic() + self._connect_timeout
-        while True:
-            try:
-                return self._listener.accept()[0]
-            except (TimeoutError, socket.timeout):
-                pass
-            except OSError as exc:
-                raise PartitioningError(
-                    f"{self._kind} loopback worker {w} could not connect: {exc}"
-                ) from exc
-            for i, proc in enumerate(self._procs, start=1):
-                if proc.exitcode is not None:
+    def _hello(self, w: int, conn) -> None:
+        """Worker ``w``'s handshake, under ``connect_timeout``; its later
+        replies get ``recv_timeout``.  A forked worker that failed without
+        stalling has answered or closed its end, and is exiting: if it
+        exits with a failure code, the session fails with that code."""
+        conn.settimeout(self._connect_timeout)
+        self._pending.add(w)
+        try:
+            wire.handshake_client(conn)
+        except WireError as exc:
+            proc = self._procs.get(w)
+            if proc is not None and not isinstance(exc.__cause__, TimeoutError):
+                proc.join(self._connect_timeout)
+                if proc.exitcode:
                     raise PartitioningError(
-                        f"{self._kind} loopback worker {i} exited with code "
-                        f"{proc.exitcode} before it connected"
-                    )
-            if time.monotonic() >= deadline:
-                raise PartitioningError(
-                    f"{self._kind} loopback worker {w} did not connect within "
-                    f"{self._connect_timeout:g}s"
-                )
+                        f"{self._kind} loopback worker {w} exited with code "
+                        f"{proc.exitcode} before its handshake"
+                    ) from exc
+            raise PartitioningError(f"{self._kind} handshake failed: {exc}") from exc
+        conn.settimeout(self._recv_timeout)
+        self._pending.discard(w)
 
     def _track(self, conn: wire.Connection) -> None:
         self._conns.append(conn)
@@ -949,11 +932,8 @@ class WorkerTransport:
                     stalled = True  # best-effort; the close below counts
             conn.close()
             _LIVE_CONNECTIONS.discard(conn)
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
-        procs, self._procs = self._procs, []
-        for proc in procs:
+        procs, self._procs = self._procs, {}
+        for proc in procs.values():
             if stalled:
                 proc.terminate()
             proc.join(timeout=5.0)

@@ -28,9 +28,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import PartitioningError
+from repro.kernels.python_backend import PythonBackend
 from repro.metrics.runtime import CostCounter
 from repro.partitioning.base import PartitionResult
-from repro.partitioning.hashutil import check_hash_seed, splitmix64_int
+from repro.partitioning.hashutil import check_hash_seed
 from repro.partitioning.state import PackedReplicaMatrix
 
 
@@ -257,15 +258,20 @@ class IncrementalPartitioner:
                 self.cost.score_evaluations += 2
                 p = p1 if s1 >= s2 else p2
             if self.sizes[p] >= capacity:
-                hv = u if self.degrees[u] >= self.degrees[v] else v
-                p = splitmix64_int(int(hv), self.hash_seed) % self.k
-                self.cost.hash_evaluations += 1
+                # 2PS-L's one fallback chain, on live sizes (deletes shrink them)
+                p = PythonBackend._fallback_partition(
+                    int(u),
+                    int(v),
+                    self.degrees,
+                    self.sizes,
+                    capacity,
+                    self.k,
+                    self.hash_seed,
+                    self.cost,
+                    lambda: int(np.argmin(self.sizes)),
+                )
                 if self.sizes[p] >= capacity:
-                    open_mask = self.sizes < capacity
-                    if not open_mask.any():
-                        raise PartitioningError("all partitions at capacity")
-                    candidates = np.where(open_mask)[0]
-                    p = int(candidates[np.argmin(self.sizes[candidates])])
+                    raise PartitioningError("all partitions at capacity")
         except PartitioningError:
             self._rollback_insert(
                 u, v, cu, cv, n0, c0, v2c_u0, v2c_v0,

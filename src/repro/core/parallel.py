@@ -29,9 +29,9 @@ pipeline.
 a pluggable **runner** (:mod:`repro.core.runners`): ``"serial"`` and
 ``"simulated"`` — the default — run every worker in process, and
 ``"process"`` runs worker 0 in process and the other workers as forked
-local worker processes over loopback sockets, or, given ``host:port`` specs
-(:class:`~repro.core.runners.ProcessRunner`), every worker in a worker
-server.  All drive the one deterministic sync-window schedule through
+local worker processes, each over a socketpair, or, given ``host:port``
+specs (:class:`~repro.core.runners.ProcessRunner`), every worker in a
+worker server.  All drive the one deterministic sync-window schedule through
 the same worker handlers.  The runner choice is a pure execution knob;
 which results are bit-exact across runners, backends and worker counts,
 and why, is stated once, in :mod:`repro.core.runners`.  The simulated

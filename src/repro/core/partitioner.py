@@ -175,7 +175,7 @@ class TwoPhasePartitioner(EdgePartitioner):
             raise ConfigurationError(
                 f"clustering_passes must be >= 1, got {clustering_passes}"
             )
-        if volume_cap_factor <= 0:
+        if not volume_cap_factor > 0:  # NaN too
             raise ConfigurationError(
                 f"volume_cap_factor must be positive, got {volume_cap_factor}"
             )

@@ -23,7 +23,7 @@ worker runs:
 - :class:`ProcessRunner` — worker processes that speak the versioned
   wire format of :mod:`repro.core.wire`.  By default worker 0 runs in
   the coordinator and a forked local worker process serves each other
-  shard, ``n_workers - 1`` of them, connected over loopback sockets.
+  shard, ``n_workers - 1`` of them, each over a socketpair.
   Given ``host:port`` specs it connects to that many worker servers
   instead, which stream their own shards of a file.  Edge data never
   crosses the wire (see "Stream handover" below).  Parallel wall-clock
@@ -122,19 +122,18 @@ Stream handover
 ---------------
 Workers in the coordinator stream the job's stream object, so a serial
 or simulated session, and a one-worker loopback one, starts no process
-and opens no socket.  A worker process gets the edges in one of three
-ways:
+and opens no socket.  Forked workers inherit through their process
+arguments:
 
-- an :class:`~repro.streaming.stream.InMemoryEdgeStream` whose
-  ``chunks`` neither a subclass nor the instance overrides reaches the
-  forked workers through their process arguments, and they read its
-  edge array in place;
-- every worker process, forked or at ``host:port`` (which needs one),
-  reopens a :class:`~repro.streaming.stream.FileEdgeStream` from its
-  :func:`~repro.streaming.stream.make_stream_spec`, out-of-core;
-- any other stream is read once through its ``chunks()`` into one
-  private copy before the fork; the forked workers inherit it, and the
-  coordinator drops it once they have started.
+- a :class:`~repro.streaming.stream.FileEdgeStream` (a subclass too),
+  or an :class:`~repro.streaming.stream.InMemoryEdgeStream` whose
+  ``chunks`` neither a subclass nor the instance overrides, as the job's
+  own stream object, which they read in place (a file out of core);
+- any other stream as one private copy, read once through its
+  ``chunks()`` before the fork and dropped once they have started.
+
+``host:port`` workers reopen a file stream from its
+:func:`~repro.streaming.stream.make_stream_spec`.
 
 On a host without ``fork`` a session that would fork a worker raises
 :class:`~repro.errors.ConfigurationError`, which points to ``host:port``
@@ -648,11 +647,11 @@ class ProcessRunner(Runner):
     """True multi-process execution: socket workers, local or remote.
 
     Without ``workers`` a session runs worker 0 inside the coordinator,
-    through the workers' own message handlers, listens on ``127.0.0.1``
-    and forks one local worker process for each other shard,
-    ``n_workers - 1`` in all, which connects back; forked workers
-    inherit dynamically registered kernel backends, and how they reach
-    the stream is stated in the module docstring ("Stream handover").
+    through the workers' own message handlers, and forks one local
+    worker process for each other shard, ``n_workers - 1`` in all, each
+    serving one end of a socketpair; forked workers inherit dynamically
+    registered kernel backends and the stream (the module docstring's
+    "Stream handover").
     On a host without ``fork`` such a session raises
     :class:`~repro.errors.ConfigurationError` unless it has a single
     worker.  With ``workers`` it connects to one worker server per shard
@@ -676,7 +675,7 @@ class ProcessRunner(Runner):
         own shard, and edge data never crosses the wire.  ``None`` (the
         default) starts local workers.
     connect_timeout:
-        Seconds to establish (or accept) each worker connection.
+        Seconds to connect and handshake, every socket worker.
     """
 
     kind = "process"

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import PartitioningError, StreamError
 from repro.metrics.runtime import CostCounter, CostModel, PhaseTimer
-from repro.partitioning.state import PartitionState
+from repro.partitioning.state import PartitionState, check_alpha
 from repro.streaming.stream import EdgeStream, as_stream
 
 
@@ -181,6 +181,8 @@ class EdgePartitioner(ABC):
 
         Raises
         ------
+        BalanceError
+            Unless ``alpha`` is a finite number >= 1, before any read.
         PartitioningError
             If the subclass produced an invalid assignment (internal bug
             guard) or the inputs are malformed.
@@ -190,6 +192,7 @@ class EdgePartitioner(ABC):
         stream = as_stream(source, n_vertices=n_vertices)
         if k < 2:
             raise PartitioningError(f"k must be >= 2, got {k}")
+        check_alpha(alpha)
         if chunk_size is not None and (
             isinstance(chunk_size, str) or chunk_size <= 0
         ):

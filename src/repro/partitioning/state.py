@@ -40,10 +40,19 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 
 import numpy as np
 
 from repro.errors import BalanceError, PartitioningError
+
+
+def check_alpha(alpha) -> None:
+    """Raise :class:`~repro.errors.BalanceError` unless ``alpha`` is a finite
+    number >= 1: only then is the cap ``alpha * |E| / k`` a number that
+    holds every edge."""
+    if not (isinstance(alpha, numbers.Real) and 1.0 <= alpha < math.inf):
+        raise BalanceError(f"alpha must be a finite number >= 1, got {alpha}")
 
 
 def packed_row_bytes(k: int) -> int:
@@ -275,7 +284,7 @@ class PartitionState:
     PartitioningError
         On non-positive dimensions or ``k < 2``.
     BalanceError
-        If ``alpha < 1`` (the constraint would be infeasible by definition).
+        Unless ``alpha`` is a finite number >= 1 (:func:`check_alpha`).
     """
 
     def __init__(
@@ -291,8 +300,7 @@ class PartitionState:
             raise PartitioningError(f"k must be >= 2, got {k}")
         if n_vertices < 0 or n_edges < 0:
             raise PartitioningError("n_vertices and n_edges must be >= 0")
-        if alpha < 1.0:
-            raise BalanceError(f"alpha must be >= 1, got {alpha}")
+        check_alpha(alpha)
         self.n_vertices = int(n_vertices)
         self.k = int(k)
         self.n_edges = int(n_edges)

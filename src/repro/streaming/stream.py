@@ -377,19 +377,19 @@ class FileStreamSpec:
     """Picklable recipe for reopening a :class:`FileEdgeStream` by path
     in another process — stays out-of-core.
 
-    Every worker process over a file, forked or a worker server at
-    ``host:port``, gets the spec of :func:`make_stream_spec` once, opens
-    its own stream over the same file and reads only its shard windows
-    out of it.  A simulated :class:`~repro.storage.devices.StorageDevice`
-    attached to the original stream is *not* carried over: device
-    charging models the parent's sequential I/O, which worker-side shard
-    reads do not share.
+    Every worker server at ``host:port`` gets the spec of
+    :func:`make_stream_spec` once, opens its own stream over the same
+    file and reads only its shard windows out of it.  (Forked loopback
+    workers need none: they inherit the stream object.)  A simulated
+    :class:`~repro.storage.devices.StorageDevice` attached to the
+    original stream is *not* carried over: device charging models the
+    parent's sequential I/O, which worker-side shard reads do not share.
     """
 
     path: str
     n_vertices: int | None = None
     chunk_size: int = DEFAULT_CHUNK_SIZE
-    #: Carried over so process-runner workers read ahead like the parent.
+    #: Carried over so worker servers read ahead like the parent.
     prefetch: bool = False
 
     def open(self) -> FileEdgeStream:
@@ -402,14 +402,15 @@ class FileStreamSpec:
 
 
 def make_stream_spec(stream: EdgeStream) -> FileStreamSpec:
-    """The picklable spec of a file-backed ``stream``.
+    """The picklable spec of a file-backed ``stream``, which a
+    ``host:port`` worker server reopens.
 
     Raises
     ------
     StreamError
         For any stream but a :class:`FileEdgeStream`: only a file
         reopens in another process.  A process session's forked workers
-        inherit any other stream instead (see
+        inherit every stream instead, a file one too (see
         :mod:`repro.core.runners`).
     """
     if not isinstance(stream, FileEdgeStream):

@@ -61,6 +61,10 @@ class TestBasics:
         with pytest.raises(ConfigurationError):
             StreamingClustering(volume_cap=0)
 
+    def test_rejects_nan_cap(self):
+        with pytest.raises(ConfigurationError, match="must be positive"):
+            StreamingClustering(volume_cap=float("nan"))
+
 
 class TestQuality:
     def test_unbounded_coalesces_more_than_bounded(self, clique_ring):

@@ -15,12 +15,14 @@ Three layers, mirroring the implementation split:
   while a worker applies the barrier news its window request carried
   or during the collect, a stalled reply tripping ``recv_timeout``, a
   hostile set-bit log, hostile clustering moves or a hostile collect, a
-  loopback worker dead before it connects, and a version- or
-  kernel-source-mismatch handshake must each surface as a typed
+  HELLO that stalls past ``connect_timeout``, a loopback worker dead
+  before its handshake, and a version- or kernel-source-mismatch
+  handshake must each surface as a typed
   :class:`~repro.errors.PartitioningError` with no leaked socket or
   worker process, and so must a failed fork; a host without ``fork``
   gets a :class:`~repro.errors.ConfigurationError` before anything
-  starts.  No test here constructs a shared-memory segment.
+  starts, and no forked worker outlives a killed coordinator.  No test
+  here constructs a shared-memory segment.
 
 Fault injection works by monkeypatching the module-level
 ``distributed._MESSAGE_HANDLERS`` registry before the session spawns
@@ -41,11 +43,16 @@ from __future__ import annotations
 import errno
 import multiprocessing
 import os
+import signal
 import socket
 import struct
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1235,6 +1242,23 @@ class _FailureMatrix:
         _assert_clean()
         assert not multiprocessing.active_children()
 
+    def test_stalled_handshake_times_out(self, monkeypatch):
+        """Workers that do not answer the HELLO fail the session once
+        ``connect_timeout`` has passed: under ``task_timeout`` the
+        handshake would wait out the stall and the run would succeed."""
+        real = wire.handshake_server
+
+        def stalled(conn, version=None):
+            time.sleep(1.5)
+            return real(conn, version=version)
+
+        monkeypatch.setattr(wire, "handshake_server", stalled)
+        with pytest.raises(PartitioningError, match="handshake failed") as exc:
+            self._run(connect_timeout=0.2)
+        assert str(exc.value).startswith(f"{self.runner} ")
+        _assert_clean()
+        assert not multiprocessing.active_children()
+
     def test_worker_exception_reported_with_step(self, monkeypatch):
         def boom(ctx, payload):
             raise ValueError("injected kernel failure")
@@ -1406,21 +1430,6 @@ class TestHostPortFailureInjection(_FailureMatrix):
         with host_port_runner(2, **runner_kw) as runner:
             return _partition(runner, self._stream())
 
-    def test_stalled_handshake_times_out(self, monkeypatch):
-        """Servers that accept the connection but do not answer the
-        hello fail the session once ``task_timeout`` has passed."""
-        real = wire.handshake_server
-
-        def stalled(conn, version=None):
-            time.sleep(1.5)
-            return real(conn, version=version)
-
-        monkeypatch.setattr(wire, "handshake_server", stalled)
-        with pytest.raises(PartitioningError, match="handshake failed") as exc:
-            self._run(task_timeout=0.2)
-        assert str(exc.value).startswith(f"{self.runner} ")
-        _assert_clean()
-
 
 @needs_fork
 class TestLoopbackSessions:
@@ -1487,6 +1496,100 @@ class TestLoopbackSessions:
         assert not shared_memory_made
         _assert_clean()
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+    def test_no_forked_worker_outlives_a_killed_coordinator(self):
+        """A coordinator that dies with its session open (``os._exit``,
+        no ``close()``) leaves no forked worker behind: each closed its
+        copies of the coordinator's connections, so it sees EOF on its
+        own end and exits.  Within 5 s every worker is gone, or a zombie
+        that only its reaper has left to collect."""
+        script = textwrap.dedent(
+            """
+            import os
+            from repro.core.distributed import WorkerTransport, live_worker_processes
+            from repro.core.runners import ShardedJob
+            from repro.graph.generators import chung_lu_graph
+            from repro.metrics.runtime import CostCounter
+            from repro.streaming import InMemoryEdgeStream
+
+            graph = chung_lu_graph(120, 900, gamma=2.2, seed=5)
+            job = ShardedJob(
+                stream=InMemoryEdgeStream(graph),
+                backend="python",
+                k=4,
+                alpha=1.05,
+                hash_seed=0,
+                hdrf_lambda=1.1,
+                cost=CostCounter(),
+                n_workers=3,
+                sync_interval=64,
+            )
+            WorkerTransport(job, "process", 3, sockets=True, recv_timeout=30.0)
+            print(*sorted(p.pid for p in live_worker_processes()), flush=True)
+            os._exit(0)
+            """
+        )
+        src = str(Path(distributed.__file__).parents[2])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        child = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+            text=True,
+        )
+        with child.stdout:  # the workers share this pipe: read one line
+            pids = [int(pid) for pid in child.stdout.readline().split()]
+        assert child.wait(timeout=60) == 0
+        assert len(pids) == 2
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    return fh.read().rpartition(")")[2].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 5.0
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        alive = [pid for pid in pids if running(pid)]
+        for pid in alive:
+            os.kill(pid, signal.SIGKILL)
+        assert not alive, f"forked workers outlived their coordinator: {alive}"
+
+
+@needs_fork
+class TestForkedWorkersComeUpOverSocketpairs:
+    """A loopback session binds, listens on and connects no socket, and
+    builds no stream spec: its forked workers each serve one end of a
+    socketpair, and inherit the job's stream, a file one too."""
+
+    @pytest.fixture(autouse=True)
+    def no_listener(self, monkeypatch):
+        for method in ("bind", "listen", "connect"):
+            monkeypatch.setattr(socket.socket, method, _refuse(f"a socket {method}"))
+        monkeypatch.setattr(distributed, "make_stream_spec", _refuse("a spec"))
+
+    @pytest.mark.parametrize("n_workers", [2, 3])
+    @pytest.mark.parametrize("source", ["memory", "file", "file-prefetch"])
+    def test_process_run_matches_simulated(self, tmp_path, source, n_workers):
+        graph = _graph()
+        files = _file_stream(graph, tmp_path)
+
+        def stream():
+            if source == "memory":
+                return InMemoryEdgeStream(graph)
+            out = files()
+            out.prefetch = source == "file-prefetch"
+            return out
+
+        _assert_same(
+            _partition("process", stream(), n_workers=n_workers),
+            _partition("simulated", stream(), n_workers=n_workers),
+        )
+        _assert_clean()
+        assert not multiprocessing.active_children()
+
 
 def _refuse(what):
     """A stand-in that fails the test if a session makes ``what``."""
@@ -1512,7 +1615,7 @@ class TestForkFailures:
         """``Process.start()`` raising (here the fork itself fails with
         ``EAGAIN``, and no process starts) surfaces as one
         PartitioningError naming the runner and the worker, with the
-        OSError as its cause; the listener and every socket are closed."""
+        OSError as its cause; every socket is closed."""
 
         def no_fork(process_obj):
             raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
@@ -1530,6 +1633,26 @@ class TestForkFailures:
         )
         assert isinstance(exc.value.__cause__, BlockingIOError)
         assert _open_fds() == fds
+        _assert_clean()
+        assert not multiprocessing.active_children()
+
+    @needs_fork
+    def test_failed_socketpair_is_a_typed_error(self, monkeypatch):
+        """A socketpair that cannot be made (here the process is out of
+        descriptors) fails the session as a failed fork does, and leaves
+        no socket or process."""
+
+        def no_pair(*args, **kwargs):
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        monkeypatch.setattr(socket, "socketpair", no_pair)
+        with pytest.raises(PartitioningError) as exc:
+            _partition("process", _graph(), n_workers=3)
+        assert str(exc.value) == (
+            "process could not start loopback worker 1: "
+            f"[Errno {errno.EMFILE}] Too many open files"
+        )
+        assert isinstance(exc.value.__cause__, OSError)
         _assert_clean()
         assert not multiprocessing.active_children()
 
@@ -1552,9 +1675,9 @@ class TestForkFailures:
         self, host_without_fork, monkeypatch
     ):
         """A two-worker session raises the ConfigurationError, pointing
-        to ``host:port`` workers, before any listener, socket or process
-        exists; a one-worker session, which forks nothing, still runs
-        and matches the simulated runner."""
+        to ``host:port`` workers, before any socket or process exists; a
+        one-worker session, which forks nothing, still runs and matches
+        the simulated runner."""
         graph = _graph()
         sim = _partition("simulated", graph, n_workers=1)
         monkeypatch.setattr(socket, "socket", _refuse("a socket"))
@@ -1580,13 +1703,12 @@ def test_a_window_outside_the_workers_shard_raises():
 
 @needs_fork
 class TestDeadLoopbackWorker:
-    """A loopback worker that dies before it connects fails the session
-    at once, with its exit code, instead of after ``connect_timeout``."""
+    """A loopback worker that dies before its handshake fails the
+    session at once, with its exit code, instead of after
+    ``connect_timeout``."""
 
     def test_worker_dead_before_connect_fails_fast(self, monkeypatch):
-        def dead(address, stream):
-            import os
-
+        def dead(sock, stream):
             os._exit(3)
 
         monkeypatch.setattr(distributed, "_loopback_worker_main", dead)

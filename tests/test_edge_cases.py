@@ -14,7 +14,7 @@ import pytest
 from repro.baselines import HDRF
 from repro.core import ParallelTwoPhase, TwoPhasePartitioner
 from repro.core.clustering import StreamingClustering
-from repro.errors import GraphError, PartitioningError, StreamError
+from repro.errors import BalanceError, GraphError, PartitioningError, StreamError
 from repro.graph import Graph
 from repro.kernels import available_backends
 from repro.metrics import validate_partition
@@ -40,6 +40,18 @@ def test_degenerate_inputs(name, case):
     result = ALL_PARTITIONER_FACTORIES[name]().partition(graph, k)
     validate_partition(graph.edges, result.assignments, k)
     assert result.replication_factor >= 1.0
+
+
+@pytest.mark.parametrize("name", sorted(ALL_PARTITIONER_FACTORIES))
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), 0.5])
+def test_alpha_that_is_no_finite_number_at_least_1_is_refused_unread(name, alpha):
+    """No cap ``alpha * |E| / k`` holds every edge below 1, and none is
+    defined for NaN or infinity: every partitioner raises BalanceError
+    before it reads an edge."""
+    stream = InMemoryEdgeStream(Graph([(0, 1), (1, 2), (2, 3), (3, 0)], 4))
+    with pytest.raises(BalanceError, match="finite number >= 1"):
+        ALL_PARTITIONER_FACTORIES[name]().partition(stream, 2, alpha=alpha)
+    assert stream.stats.edges_read == 0
 
 
 class TestSelfLoopSemantics:

@@ -13,6 +13,7 @@ from repro.hypergraph import (
     planted_hypergraph,
 )
 from repro.metrics import validate_partition
+from repro.partitioning.hashutil import splitmix64_int
 from repro.partitioning.state import PackedReplicaMatrix
 
 
@@ -159,6 +160,35 @@ class TestIncremental:
         monkeypatch.undo()
         p = inc.insert(0, 1)
         assert 0 <= p < inc.k
+
+    @pytest.mark.parametrize("hashed_full", [False, True], ids=["hash", "least-loaded"])
+    def test_full_target_takes_the_fallback_chain(self, monkeypatch, hashed_full):
+        """An insert whose scored partition is full lands on the hash of
+        its higher-degree endpoint, or, when that partition is full too,
+        on the smallest-index least-loaded one: the batch passes' chain.
+        Either way it counts one hash evaluation."""
+        k, u, v = 4, 0, 1
+        hashed = splitmix64_int(u) % k
+        p1, p2, other = [(hashed + i) % k for i in (1, 2, 3)]
+        replicas = np.zeros((2, k), dtype=bool)
+        replicas[u, p1] = True  # scores p1 over p2
+        sizes = np.zeros(k, dtype=np.int64)
+        sizes[[p1, hashed, p2, other]] = [3, 3 if hashed_full else 2, 1, 1]
+        inc = IncrementalPartitioner(
+            k=k,
+            alpha=1.05,
+            degrees=np.array([5, 1]),  # u has the higher degree
+            v2c=np.array([0, 1]),
+            volumes=np.array([5, 1]),
+            c2p=np.array([p1, p2]),
+            replicas=replicas,
+            sizes=sizes,
+        )
+        monkeypatch.setattr(inc, "_insertion_capacity", lambda m_after: 3)
+        p = inc.insert(u, v)
+        assert p == (min(p2, other) if hashed_full else hashed)
+        assert inc.cost.hash_evaluations == 1
+        assert inc.cost.score_evaluations == 2
 
     def test_negative_vertex_id_rejected_before_mutation(self, community_graph):
         base = TwoPhasePartitioner(keep_state=True).partition(community_graph, 4)

@@ -15,13 +15,13 @@ Four contracts are pinned here:
    results for every kernel-routed partitioner — this is what catches
    chunk-boundary bugs in the shard-window iterator.
 4. The execution **runner matrix** (``TestRunnerMatrix``): the true
-   multi-process ``ProcessRunner`` (socket workers on loopback) is
+   multi-process ``ProcessRunner`` (forked socket workers) is
    bit-identical with the single-process ``SimulatedRunner`` under the
    same sync schedule, the ``SerialRunner`` is bit-exact with the
    sequential pipeline, and a crashed or hung worker never leaks a
    socket or worker process.  No session constructs a shared-memory
-   segment: forked workers inherit the stream, or a private copy of it
-   read before the fork, or reopen its file.
+   segment: forked workers inherit the stream, a file one too, or a
+   private copy of it read before the fork.
 
 The parallel path must also honor the out-of-core promise: it never
 materializes the stream, and worker windows bound its memory.
@@ -778,9 +778,9 @@ def test_unknown_pass_is_a_configuration_error(
 @needs_fork
 class TestProcessSession:
     """A process session runs worker 0 in this process and forks the
-    others as loopback socket workers, which inherit the stream: an
-    in-memory stream as is, any other stream but a file as one private
-    copy.  No session constructs a shared-memory segment, and
+    others as socket workers, which inherit the stream: an in-memory or
+    file stream as is, any other stream as one private copy.  No session
+    constructs a shared-memory segment, and
     ``close()`` leaves no socket or worker process."""
 
     @pytest.mark.parametrize("n_workers", [2, 4])

@@ -41,6 +41,10 @@ class TestContract:
         with pytest.raises(ConfigurationError):
             TwoPhasePartitioner(volume_cap_factor=0)
 
+    def test_rejects_nan_cap_factor(self):
+        with pytest.raises(ConfigurationError, match="must be positive"):
+            TwoPhasePartitioner(volume_cap_factor=float("nan"))
+
     @pytest.mark.parametrize("cls", [TwoPhasePartitioner, ParallelTwoPhase])
     @pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_lambda(self, cls, lam):

@@ -26,6 +26,11 @@ class TestConstruction:
         with pytest.raises(BalanceError):
             PartitionState(10, 2, 100, alpha=0.9)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(BalanceError, match="finite number >= 1"):
+            PartitionState(10, 2, 100, alpha=alpha)
+
     def test_rejects_negative_dims(self):
         with pytest.raises(PartitioningError):
             PartitionState(-1, 2, 100)
